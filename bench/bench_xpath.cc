@@ -8,11 +8,15 @@
 //   eager-first eager index, first query: warms EVERY tag in one scan
 //   eager-warm  eager index thereafter (same joins as warm)
 //
-// plus two shapes the index never answers, for context — both are one
-// stream scan:
+// plus two shapes the index answers only in part, each as the planner
+// runs it on the warm lazy store (a seeded scan: the join of the named
+// prefix picks the subtrees, the scan runs inside them) and as a forced
+// full scan:
 //
-//   wildcard    /site/regions/*/item
-//   predicate   //item[@category='books']/name
+//   wildcard        /site/regions/*/item            (seeds: regions)
+//   predicate       //item[@category='books']/name  (seeds: item)
+//   wildcard_scan,  the same queries with the index bypassed
+//   predicate_scan
 //
 // The headline number is warm vs scan (the issue's acceptance bar is
 // >= 5x); the laziness number is memoized nodes: lazy touches only the
@@ -132,17 +136,39 @@ int main(int argc, char** argv) {
   std::vector<double> eager_warm_us =
       TimeQueries(*eager_store, *path, true, reps, &tmp, nop);
 
-  // Non-indexable shapes scan on any store; the lazy one shows the
-  // planner leaves them to the scan.
+  // Partly indexable shapes: seeded on the lazy store (one untimed run
+  // warms the wildcard's /site/regions prefix; //item is warm already),
+  // against the forced full scan.
   auto wildcard = ParseXPath("/site/regions/*/item");
   BENCH_CHECK(wildcard.status());
   auto predicate = ParseXPath("//item[@category='books']/name");
   BENCH_CHECK(predicate.status());
+  BENCH_CHECK(EvaluateXPathStreaming(*lazy_store, *wildcard).status());
   size_t wildcard_n = 0, predicate_n = 0;
-  std::vector<double> wildcard_us =
-      TimeQueries(*lazy_store, *wildcard, true, reps, &wildcard_n, nop);
-  std::vector<double> predicate_us =
-      TimeQueries(*lazy_store, *predicate, true, reps, &predicate_n, nop);
+  std::vector<double> wildcard_us, wildcard_scan_us, predicate_us,
+      predicate_scan_us;
+  // Seeded and forced-scan reps alternate, so a drift in host speed
+  // hits both rows alike.
+  auto time_pair = [&](const XPathPath& p, std::vector<double>* seeded,
+                       std::vector<double>* forced, size_t* n) {
+    for (int i = 0; i < reps; ++i) {
+      size_t scanned_n = 0;
+      for (double us : TimeQueries(*lazy_store, p, true, 1, n, nop)) {
+        seeded->push_back(us);
+      }
+      for (double us :
+           TimeQueries(*lazy_store, p, false, 1, &scanned_n, nop)) {
+        forced->push_back(us);
+      }
+      if (scanned_n != *n) {
+        std::fprintf(stderr, "FATAL %s: seeded %zu vs scan %zu\n",
+                     p.ToString().c_str(), *n, scanned_n);
+        std::exit(1);
+      }
+    }
+  };
+  time_pair(*wildcard, &wildcard_us, &wildcard_scan_us, &wildcard_n);
+  time_pair(*predicate, &predicate_us, &predicate_scan_us, &predicate_n);
 
   if (scan_n != cold_n || scan_n != warm_n || scan_n != eager_n) {
     std::fprintf(stderr,
@@ -169,10 +195,12 @@ int main(int argc, char** argv) {
   std::printf("%-12s %12.1f\n", "warm", warm_p50);
   std::printf("%-12s %12.1f\n", "eager-first", Median(eager_first_us));
   std::printf("%-12s %12.1f\n", "eager-warm", Median(eager_warm_us));
-  std::printf("%-12s %12.1f  (%zu matches)\n", "wildcard",
+  std::printf("%-14s %10.1f  (%zu matches)\n", "wildcard",
               Median(wildcard_us), wildcard_n);
-  std::printf("%-12s %12.1f  (%zu matches)\n", "predicate",
+  std::printf("%-14s %10.1f\n", "wildcard_scan", Median(wildcard_scan_us));
+  std::printf("%-14s %10.1f  (%zu matches)\n", "predicate",
               Median(predicate_us), predicate_n);
+  std::printf("%-14s %10.1f\n", "predicate_scan", Median(predicate_scan_us));
   std::printf("warm vs scan: %.1fx\n", speedup);
   std::printf("laziness: lazy memoized %" PRIu64 " of %" PRIu64
               " elements (%.1f%%); eager memoized all of them on its "
@@ -187,7 +215,8 @@ int main(int argc, char** argv) {
       "touch\nonly the two queried tags' postings); cold pays one scan "
       "to warm, i.e.\nit tracks the scan plan; eager's first query is "
       "the expensive one —\nit memoizes every tag — after which it "
-      "joins like warm.\n");
+      "joins like warm. The seeded wildcard and\npredicate rows beat "
+      "their forced-scan rows: they read only the seeds' subtrees.\n");
 
   if (!json_path.empty()) {
     bench::JsonReport report("bench_xpath");
@@ -211,7 +240,9 @@ int main(int argc, char** argv) {
     add("eager_first", &eager_first_us, "");
     add("eager_warm", &eager_warm_us, "");
     add("wildcard", &wildcard_us, "");
+    add("wildcard_scan", &wildcard_scan_us, "");
     add("predicate", &predicate_us, "");
+    add("predicate_scan", &predicate_scan_us, "");
     if (!report.WriteTo(json_path)) return 1;
   }
   return 0;

@@ -577,12 +577,11 @@ void StoreAuditor::AuditStructuralIndex() {
 
   // Re-derive every element's (pre, post, level, range, offset) tuple
   // from the current token stream — the oracle the memos must equal.
-  StructuralWarmer oracle({}, /*track_all=*/true);
+  StructuralWarmer oracle(store_->name_dictionary(), {}, /*track_all=*/true);
   auto cursor = store_->NewCursor();
   Status st = cursor->SeekToFirst();
   while (st.ok() && cursor->Valid()) {
-    oracle.OnToken(cursor->token(), cursor->node_id(), cursor->depth(),
-                   cursor->range(), cursor->byte_offset());
+    oracle.OnToken(*cursor);
     st = cursor->Next();
   }
   if (!st.ok()) {
@@ -607,7 +606,7 @@ void StoreAuditor::AuditStructuralIndex() {
     for (const StructuralEntry& e : entries) fresh.emplace(e.id, Fresh{&tag, &e});
   }
 
-  // Posting lists must be sorted by pre (the joins binary-search them).
+  // Posting lists must be sorted by pre (the joins merge them).
   // ForEachEntry visits each tag's list in storage order, so a per-tag
   // running maximum catches any inversion.
   std::unordered_map<std::string, uint64_t> prev_pre;

@@ -1,7 +1,8 @@
 #include "index/structural_index.h"
 
-#include <algorithm>
 #include <utility>
+
+#include "store/cursor.h"
 
 namespace laxml {
 
@@ -68,63 +69,89 @@ void StructuralIndex::ResetStats() {
 // ---------------------------------------------------------------------------
 // Warmer
 
-StructuralWarmer::StructuralWarmer(std::vector<std::string> wanted,
+StructuralWarmer::StructuralWarmer(const NameDictionary* dict,
+                                   std::vector<std::string> wanted,
                                    bool track_all)
-    : track_all_(track_all) {
-  for (std::string& tag : wanted) wanted_.insert(std::move(tag));
+    : dict_(dict), track_all_(track_all) {
+  for (const std::string& tag : wanted) {
+    if (by_name_.count(tag) == 0) AddTag(tag);
+  }
 }
 
-void StructuralWarmer::OnToken(const Token& token, NodeId id, int64_t depth,
-                               RangeId range, uint32_t byte_offset) {
-  const uint64_t tok = token_index_++;
-  if (token.type == TokenType::kBeginElement &&
-      (track_all_ || wanted_.count(token.name) != 0)) {
-    if (depth < 0) {
-      broken_ = true;
+uint32_t StructuralWarmer::AddTag(const std::string& tag) {
+  const uint32_t index = static_cast<uint32_t>(collected_.size());
+  collected_.push_back(TagEntries{tag, {}});
+  by_name_.emplace(tag, index);
+  const uint32_t symbol =
+      dict_ != nullptr ? dict_->Find(tag) : kNoNameSymbol;
+  if (symbol != kNoNameSymbol) {
+    if (symbol >= by_symbol_.size()) by_symbol_.resize(symbol + 1, kUntracked);
+    by_symbol_[symbol] = index;
+  }
+  return index;
+}
+
+uint32_t StructuralWarmer::TagOf(const TokenCursor& cursor) {
+  const uint32_t symbol = cursor.name_symbol();
+  if (symbol != kNoNameSymbol) {
+    if (symbol < by_symbol_.size() && by_symbol_[symbol] != kUntracked) {
+      return by_symbol_[symbol];
+    }
+    // Wanted tags were mapped to their symbols up front.
+    if (!track_all_) return kUntracked;
+  }
+  // A v1 or inline-coded name, or a symbol seen for the first time.
+  const std::string& name = cursor.token().name;
+  auto it = by_name_.find(name);
+  if (it != by_name_.end()) return it->second;
+  return track_all_ ? AddTag(name) : kUntracked;
+}
+
+void StructuralWarmer::OnToken(const TokenCursor& cursor) {
+  const TokenType type = cursor.type();
+  if (type == TokenType::kBeginElement) {
+    const uint32_t tag = TagOf(cursor);
+    if (tag != kUntracked) {
+      if (cursor.depth() < 0) {
+        broken_ = true;
+        return;
+      }
+      std::vector<StructuralEntry>& list = collected_[tag].entries;
+      StructuralEntry entry;
+      entry.id = cursor.node_id();
+      entry.pre = cursor.ordinal();
+      entry.post = entry.pre;  // provisional; fixed when the scope closes
+      entry.level = static_cast<uint32_t>(cursor.depth());
+      entry.range = cursor.range();
+      entry.offset = cursor.byte_offset();
+      open_.push_back({tag, static_cast<uint32_t>(list.size())});
+      list.push_back(entry);
       return;
     }
-    std::vector<StructuralEntry>& list = collected_[token.name];
-    StructuralEntry entry;
-    entry.id = id;
-    entry.pre = tok;
-    entry.post = tok;  // provisional; fixed when the scope closes
-    entry.level = static_cast<uint32_t>(depth);
-    entry.range = range;
-    entry.offset = byte_offset;
-    open_.push_back({true, token.name, list.size()});
-    list.push_back(std::move(entry));
+  }
+  if (TokenOpensScope(type)) {
+    open_.push_back({kUntracked, 0});
     return;
   }
-  if (token.OpensScope()) {
-    open_.push_back({false, std::string(), 0});
-    return;
-  }
-  if (token.ClosesScope()) {
+  if (TokenClosesScope(type)) {
     if (open_.empty()) {
       broken_ = true;
       return;
     }
-    OpenScope scope = std::move(open_.back());
+    const OpenScope scope = open_.back();
     open_.pop_back();
-    if (scope.tracked) collected_[scope.tag][scope.slot].post = tok;
+    if (scope.tag != kUntracked) {
+      collected_[scope.tag].entries[scope.entry].post = cursor.ordinal();
+    }
   }
 }
 
 void StructuralWarmer::Publish(StructuralIndex* index) {
   if (!complete() || !index->enabled()) return;
-  if (track_all_) {
-    for (auto& [tag, entries] : collected_) {
-      index->Publish(tag, std::move(entries));
-    }
-  } else {
-    // Wanted tags with zero matches publish as empty lists: "no such
-    // element" is a cached fact too.
-    for (const std::string& tag : wanted_) {
-      auto it = collected_.find(tag);
-      index->Publish(tag, it == collected_.end()
-                              ? std::vector<StructuralEntry>()
-                              : std::move(it->second));
-    }
+  // Wanted tags with zero matches publish as empty lists: "no such
+  // element" is a cached fact too.
+  for (TagEntries& tag : collected_) {
+    index->Publish(tag.tag, std::move(tag.entries));
   }
   collected_.clear();
 }
@@ -134,18 +161,34 @@ void StructuralWarmer::Publish(StructuralIndex* index) {
 
 namespace {
 
-/// Finds the interval in `intervals` (disjoint, sorted by pre) that
-/// strictly contains (c_pre, c_post); returns false when none does.
-bool ContainedIn(const std::vector<std::pair<uint64_t, uint64_t>>& intervals,
-                 uint64_t c_pre, uint64_t c_post) {
-  auto it = std::upper_bound(
-      intervals.begin(), intervals.end(), c_pre,
-      [](uint64_t v, const std::pair<uint64_t, uint64_t>& iv) {
-        return v < iv.first;
-      });
-  if (it == intervals.begin()) return false;
-  --it;
-  return it->first < c_pre && c_post < it->second;
+/// The stack-tree merge behind both axis joins. Walks the candidates in
+/// pre order, pushing every frontier entry that begins before the
+/// candidate and popping every one that ended before it, so the stack
+/// holds exactly the frontier intervals containing the candidate
+/// (well-nested intervals: each contains the one above it). `keep`
+/// sees the candidate and the innermost of them. Entries are read in
+/// place; only kept candidates are copied.
+template <typename Keep>
+std::vector<StructuralEntry> StackJoin(
+    const std::vector<StructuralEntry>& frontier,
+    const std::vector<StructuralEntry>& candidates, Keep keep) {
+  std::vector<StructuralEntry> out;
+  if (frontier.empty() || candidates.empty()) return out;
+  std::vector<const StructuralEntry*> stack;
+  size_t next = 0;
+  for (const StructuralEntry& c : candidates) {
+    for (; next < frontier.size() && frontier[next].pre < c.pre; ++next) {
+      const StructuralEntry& f = frontier[next];
+      while (!stack.empty() && stack.back()->post < f.pre) stack.pop_back();
+      stack.push_back(&f);
+    }
+    while (!stack.empty() && stack.back()->post < c.pre) stack.pop_back();
+    if (!stack.empty() && c.post < stack.back()->post &&
+        keep(c, *stack.back())) {
+      out.push_back(c);
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -162,46 +205,21 @@ std::vector<StructuralEntry> StructuralTopLevel(
 std::vector<StructuralEntry> StructuralDescendantJoin(
     const std::vector<StructuralEntry>& frontier,
     const std::vector<StructuralEntry>& candidates) {
-  std::vector<StructuralEntry> out;
-  if (frontier.empty() || candidates.empty()) return out;
-  // Skyline: keep only the outermost frontier intervals. Sorted by pre,
-  // an interval is nested inside an earlier one iff its post is below
-  // the running max — drop those, leaving disjoint sorted intervals
-  // whose union of descendants equals the whole frontier's.
-  std::vector<std::pair<uint64_t, uint64_t>> skyline;
-  uint64_t max_post = 0;
-  for (const StructuralEntry& f : frontier) {
-    if (skyline.empty() || f.post > max_post) {
-      skyline.emplace_back(f.pre, f.post);
-      max_post = f.post;
-    }
-  }
-  for (const StructuralEntry& c : candidates) {
-    if (ContainedIn(skyline, c.pre, c.post)) out.push_back(c);
-  }
-  return out;
+  return StackJoin(frontier, candidates,
+                   [](const StructuralEntry&, const StructuralEntry&) {
+                     return true;
+                   });
 }
 
 std::vector<StructuralEntry> StructuralChildJoin(
     const std::vector<StructuralEntry>& frontier,
     const std::vector<StructuralEntry>& candidates) {
-  std::vector<StructuralEntry> out;
-  if (frontier.empty() || candidates.empty()) return out;
-  // Same-level elements cannot nest, so each level group is a disjoint
-  // sorted interval list; the group member containing a candidate one
-  // level down is necessarily its immediate parent.
-  std::unordered_map<uint32_t, std::vector<std::pair<uint64_t, uint64_t>>>
-      by_level;
-  for (const StructuralEntry& f : frontier) {
-    by_level[f.level].emplace_back(f.pre, f.post);
-  }
-  for (const StructuralEntry& c : candidates) {
-    if (c.level == 0) continue;  // top-level: parent is the virtual root
-    auto it = by_level.find(c.level - 1);
-    if (it == by_level.end()) continue;
-    if (ContainedIn(it->second, c.pre, c.post)) out.push_back(c);
-  }
-  return out;
+  // The innermost containing frontier interval is the deepest frontier
+  // ancestor; the parent, when in the frontier, is the deepest of all.
+  return StackJoin(frontier, candidates,
+                   [](const StructuralEntry& c, const StructuralEntry& top) {
+                     return top.level + 1 == c.level;
+                   });
 }
 
 }  // namespace laxml

@@ -17,10 +17,12 @@
 // up front. The first `//a//b` query streams the store exactly as the
 // cold evaluator always has, and the scan's by-product — every `a` and
 // `b` interval — is published here, keyed by tag. The next query over
-// warm tags joins posting lists in O(candidates × log frontier)
-// instead of rescanning the document. A tag is warm iff it has a
-// posting list (possibly empty: "no such element" is itself a cached
-// fact); everything else is cold.
+// warm tags merge-joins posting lists in O(frontier + candidates)
+// instead of rescanning the document, and a query that continues past
+// its indexable prefix starts its scan at the joined entries' begin
+// tokens (the seeds, see query/xpath_stream.h). A tag is warm iff it
+// has a posting list (possibly empty: "no such element" is itself a
+// cached fact); everything else is cold.
 //
 // Invalidation is lazy too — O(1) discard, repair deferred to the next
 // query's scan. pre/post numbers are positions in the *current* token
@@ -61,15 +63,20 @@
 #include "common/thread_annotations.h"
 #include "index/range_index.h"
 #include "store/store_options.h"
+#include "xml/name_dictionary.h"
 #include "xml/token.h"
 
 namespace laxml {
 
+class TokenCursor;
+
 /// Counters for benches, metrics and tests. RelaxedCounters: bumped
 /// from concurrent reader threads warming under the shared store latch.
 struct StructuralIndexStats {
-  RelaxedCounter hits;    ///< Indexable queries answered from warm lists.
-  RelaxedCounter misses;  ///< Indexable queries that found a cold tag.
+  /// Queries whose prefix join ran on warm lists (structural joins and
+  /// seeded scans).
+  RelaxedCounter hits;
+  RelaxedCounter misses;  ///< Queries whose prefix named a cold tag.
   RelaxedCounter invalidations;  ///< Entries dropped by mutations.
 };
 
@@ -119,8 +126,8 @@ class StructuralIndex {
   /// the physical half of those entries is stale).
   void InvalidateRange(RangeId range) LAXML_EXCLUDES(mu_);
 
-  /// Query-plan accounting (one hit/miss per indexable query, not per
-  /// tag probe).
+  /// Query-plan accounting (one hit/miss per query with an indexable
+  /// prefix, not per tag probe).
   void RecordHit() const { ++stats_.hits; }
   void RecordMiss() const { ++stats_.misses; }
 
@@ -158,18 +165,25 @@ class StructuralIndex {
 };
 
 /// Builds StructuralEntry tuples as a by-product of a document-order
-/// token scan. Feed every token (ends included — they advance the
-/// global token index and close intervals); Publish() installs the
-/// collected lists. With `track_all`, every element tag is collected
-/// (eager mode / WarmStructuralIndex); otherwise only tags in `wanted`
-/// are, and each wanted tag is published even when no element matched
-/// (an empty list = warm negative).
+/// token scan from the store's first token. Feed every token (ends
+/// included — they close intervals); Publish() installs the collected
+/// lists. With `track_all`, every element tag is collected (eager mode
+/// / WarmStructuralIndex); otherwise only tags in `wanted` are, and
+/// each wanted tag is published even when no element matched (an empty
+/// list = warm negative).
+///
+/// The warmer reads the cursor's header fields only — type, name
+/// symbol, depth, ordinal — and matches tags by dictionary symbol
+/// (`dict` may be null: every name is then inline). A name string is
+/// decoded only for v1 or inline-named begin-elements, and once per
+/// newly seen symbol, so a warming scan stays header-only.
 class StructuralWarmer {
  public:
-  StructuralWarmer(std::vector<std::string> wanted, bool track_all);
+  StructuralWarmer(const NameDictionary* dict,
+                   std::vector<std::string> wanted, bool track_all);
 
-  void OnToken(const Token& token, NodeId id, int64_t depth, RangeId range,
-               uint32_t byte_offset);
+  /// Feeds the cursor's current token.
+  void OnToken(const TokenCursor& cursor);
 
   /// True when the fed stream was well-nested (every opened scope
   /// closed). Publish is a no-op otherwise — a broken stream's
@@ -179,24 +193,36 @@ class StructuralWarmer {
 
   void Publish(StructuralIndex* index);
 
-  /// Collected lists (auditor cross-check; valid when complete()).
-  const std::unordered_map<std::string, std::vector<StructuralEntry>>&
-  collected() const {
-    return collected_;
-  }
-
- private:
-  struct OpenScope {
-    bool tracked;
+  /// One tag's collected list, sorted by pre.
+  struct TagEntries {
     std::string tag;
-    size_t slot;  ///< Index into collected_[tag].
+    std::vector<StructuralEntry> entries;
   };
 
+  /// Collected lists (auditor cross-check; valid when complete()).
+  const std::vector<TagEntries>& collected() const { return collected_; }
+
+ private:
+  static constexpr uint32_t kUntracked = UINT32_MAX;
+
+  /// Index into collected_ of the current begin-element's tag, or
+  /// kUntracked.
+  uint32_t TagOf(const TokenCursor& cursor);
+  uint32_t AddTag(const std::string& tag);
+
+  struct OpenScope {
+    uint32_t tag;    ///< Index into collected_, or kUntracked.
+    uint32_t entry;  ///< Index into collected_[tag].entries.
+  };
+
+  const NameDictionary* dict_;
   bool track_all_;
-  std::unordered_set<std::string> wanted_;
-  std::unordered_map<std::string, std::vector<StructuralEntry>> collected_;
+  std::vector<TagEntries> collected_;
+  /// Tag index by dictionary symbol (kUntracked: not tracked yet) and
+  /// by name, for v1 and inline-coded names.
+  std::vector<uint32_t> by_symbol_;
+  std::unordered_map<std::string, uint32_t> by_name_;
   std::vector<OpenScope> open_;
-  uint64_t token_index_ = 0;
   bool broken_ = false;
 };
 
@@ -210,19 +236,16 @@ std::vector<StructuralEntry> StructuralTopLevel(
     const std::vector<StructuralEntry>& candidates);
 
 /// Entries of `candidates` strictly contained in some frontier
-/// interval. The frontier is first reduced to its "skyline" of
-/// outermost intervals (inner ones select a subset of their ancestors'
-/// descendants), leaving disjoint sorted intervals; each candidate then
-/// needs one binary search.
+/// interval. One stack-based merge over both lists (the stack-tree
+/// join): O(|frontier| + |candidates|), no per-call index.
 std::vector<StructuralEntry> StructuralDescendantJoin(
     const std::vector<StructuralEntry>& frontier,
     const std::vector<StructuralEntry>& candidates);
 
-/// Entries of `candidates` whose immediate parent is in the frontier:
-/// contained in a frontier interval exactly one level up. Same-level
-/// intervals are disjoint, so the candidate's containing interval at
-/// level c.level - 1 (when present) is its parent — again one binary
-/// search per candidate, within the matching level group.
+/// Entries of `candidates` whose immediate parent is in the frontier.
+/// The same merge: the stack holds the frontier intervals containing
+/// the current candidate, innermost on top, so the candidate's parent
+/// is in the frontier iff the top sits exactly one level up.
 std::vector<StructuralEntry> StructuralChildJoin(
     const std::vector<StructuralEntry>& frontier,
     const std::vector<StructuralEntry>& candidates);

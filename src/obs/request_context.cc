@@ -5,7 +5,7 @@ namespace obs {
 
 #if !defined(LAXML_TRACING_DISABLED)
 namespace internal {
-thread_local RequestContext* tls_request_context = nullptr;
+constinit thread_local RequestContext* tls_request_context = nullptr;
 }  // namespace internal
 #endif
 

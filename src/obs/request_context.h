@@ -63,8 +63,10 @@ struct RequestContext {
 
 namespace internal {
 /// The installed context, or nullptr. Accessed only through the inline
-/// helpers below.
-extern thread_local RequestContext* tls_request_context;
+/// helpers below. constinit: the slot needs no dynamic initialization,
+/// so accesses skip the TLS wrapper and its init-function check (whose
+/// flags GCC 12's UBSan null check misreads as a null address).
+extern constinit thread_local RequestContext* tls_request_context;
 }  // namespace internal
 
 /// The calling thread's installed context (nullptr when none).

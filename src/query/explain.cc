@@ -33,6 +33,10 @@ std::string XPathPlan::ToJson() const {
     out += "}";
   }
   out += "]";
+  if (plan == "seeded-scan") {
+    out += ",\"seed_step\":" + std::to_string(seed_step);
+    out += ",\"seeds\":" + std::to_string(seeds);
+  }
   if (!profile_json.empty()) {
     out += ",\"profile\":" + profile_json;
   }
@@ -50,21 +54,20 @@ Result<XPathPlan> ExplainXPath(const Store& store, std::string_view expr) {
   plan.index_mode = StructuralIndexModeName(index->mode());
   const char* reason = StructuralIneligibilityReason(path);
   plan.eligible = reason == nullptr;
-  if (!plan.eligible) {
-    plan.gate = reason;
-    return plan;
-  }
-  if (!index->enabled()) {
-    plan.gate = "index off";
-    return plan;
-  }
-  plan.gate = "eligible";
+  plan.gate = !plan.eligible       ? reason
+              : index->enabled() ? "eligible"
+                                 : "index off";
+  if (!index->enabled()) return plan;
 
-  // The warm fork: EvaluateXPathStreaming joins posting lists iff every
-  // step's tag is warm; one cold tag sends it to the scan.
+  // The warm fork: EvaluateXPathStreaming joins the first `joined`
+  // steps iff every one of their tags is warm; one cold tag sends it to
+  // the full scan.
+  const SeedSplit split = SplitAtIndexablePrefix(path);
+  const size_t joined = split.joined;
   bool all_warm = true;
-  plan.steps.reserve(path.steps.size());
-  for (const XPathStep& step : path.steps) {
+  plan.steps.reserve(joined);
+  for (size_t i = 0; i < joined; ++i) {
+    const XPathStep& step = path.steps[i];
     XPathPlanStep out;
     out.axis = step.axis == XPathAxis::kChild ? "child" : "descendant";
     out.tag = step.name;
@@ -74,7 +77,15 @@ Result<XPathPlan> ExplainXPath(const Store& store, std::string_view expr) {
     if (!out.warm) all_warm = false;
     plan.steps.push_back(std::move(out));
   }
-  if (all_warm) plan.plan = "structural-join";
+  if (joined == 0 || !all_warm) return plan;
+  if (split.JoinsWholePath(path)) {
+    plan.plan = "structural-join";
+    return plan;
+  }
+  plan.plan = "seeded-scan";
+  plan.seed_step = static_cast<int>(joined - 1);
+  StructuralIndex::EntryList seeds = JoinIndexedSteps(*index, path, joined);
+  plan.seeds = seeds == nullptr ? 0 : seeds->size();
   return plan;
 }
 

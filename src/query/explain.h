@@ -1,15 +1,16 @@
 // EXPLAIN for XPath: reproduces the planner's routing decision —
-// structural join vs stream scan — for one expression WITHOUT
-// executing it, and reports why (eligibility-gate verdict, per-step
-// index warmth). The server's kExplain op serves the plan as
+// structural join, seeded scan or stream scan — for one expression
+// WITHOUT executing it, and reports why (eligibility-gate verdict,
+// per-step index warmth, the seed step and seed count). The server's kExplain op serves the plan as
 // JSON; a profile variant executes afterwards and appends the request
 // counters (see server/server.cc — this module stays wire-agnostic by
 // layer rule).
 //
 // The decision logic here deliberately mirrors XPathEvaluator::Evaluate
-// + EvaluateXPathStreaming: same gate (StructuralIndexEligible), same
-// warmth test (LookupTag == nullptr means cold). xpath's explain_test
-// pins plan-vs-execution agreement so the two cannot drift.
+// + EvaluateXPathStreaming: same split (SplitAtIndexablePrefix), same
+// warmth test and join (JoinIndexedSteps: nullptr means a cold tag).
+// explain_test pins plan-vs-execution agreement so the two cannot
+// drift.
 
 #ifndef LAXML_QUERY_EXPLAIN_H_
 #define LAXML_QUERY_EXPLAIN_H_
@@ -24,9 +25,9 @@
 
 namespace laxml {
 
-/// One location step as the planner sees it (populated only for
-/// structurally-eligible paths on an enabled index — a scan has no
-/// per-step index story to tell).
+/// One joined location step as the planner sees it (populated only for
+/// the steps the planner would join, on an enabled index — a full scan
+/// has no per-step index story to tell).
 struct XPathPlanStep {
   std::string axis;      ///< "child" or "descendant".
   std::string tag;
@@ -37,8 +38,9 @@ struct XPathPlanStep {
 /// The planner's verdict for one expression.
 struct XPathPlan {
   std::string query;
-  /// "structural-join" | "stream-scan" — the same labels execution
-  /// stamps into the request context (LAXML_RC_SET_PLAN).
+  /// "structural-join" | "seeded-scan" | "stream-scan" — the same
+  /// labels execution stamps into the request context
+  /// (LAXML_RC_SET_PLAN).
   std::string plan;
   std::string index_mode;  ///< off | lazy | eager.
   bool eligible = false;   ///< Passed the structural-index gate.
@@ -46,6 +48,10 @@ struct XPathPlan {
   /// "index off" when the mode forecloses the question.
   std::string gate;
   std::vector<XPathPlanStep> steps;
+  /// seeded-scan only: the index of the last joined step, whose
+  /// matches seed the scan, and how many seeds the join yields.
+  int seed_step = -1;
+  uint64_t seeds = 0;
   /// When non-empty, a pre-rendered JSON object the serializer embeds
   /// as "profile": the kExplain profile variant fills it with elapsed
   /// time, result count and the request counters.

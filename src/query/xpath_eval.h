@@ -1,14 +1,19 @@
 // XPath evaluation over the store: the query layer's entry point and
 // planner. There is one engine, EvaluateXPathStreaming
-// (query/xpath_stream.h), and two plans:
+// (query/xpath_stream.h), and three plans:
 //
 //   structural-join  a named child/descendant path whose tags are all
 //                    warm in the lazy structural index: posting-list
 //                    joins, no scan;
-//   stream-scan      everything else — wildcards, kind tests,
-//                    attributes, predicates, cold tags: one pass over
-//                    the token cursor in O(depth × steps) memory plus
-//                    the matches a pending predicate holds back.
+//   seeded-scan      a path that starts with such steps, warm: their
+//                    join picks the subtrees, and the scan below runs
+//                    only inside them;
+//   stream-scan      everything else — a leading wildcard, kind test,
+//                    attribute or [n] step, cold tags, an index that is
+//                    off: one pass over the token cursor in
+//                    O(depth × steps) memory plus the matches a pending
+//                    predicate holds back.
+// Both scans skip subtrees nothing can match in.
 //
 // Every call reads the live store, so results always reflect the
 // latest mutation. Semantics are XPath node-set semantics: document

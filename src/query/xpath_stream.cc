@@ -25,35 +25,30 @@ uint32_t LowestBit(uint64_t mask) {
   return static_cast<uint32_t>(std::countr_zero(mask));
 }
 
-/// Warm path: answers `path` from the structural index's posting lists
-/// alone. Returns false when any step's tag is cold (caller falls back
-/// to the scan, which warms it). Results are in document order and
-/// duplicate-free: tag lists are pre-sorted and the joins preserve
-/// candidate order.
-bool TryStructuralEvaluate(const StructuralIndex& index,
-                           const XPathPath& path,
-                           std::vector<NodeId>* out) {
-  std::vector<StructuralIndex::EntryList> lists;
-  lists.reserve(path.steps.size());
-  for (const XPathStep& step : path.steps) {
-    StructuralIndex::EntryList list = index.LookupTag(step.name);
-    if (list == nullptr) return false;
-    lists.push_back(std::move(list));
-  }
-  // Step 0 evaluates against the virtual root: its children are the
-  // top-level (level-0) elements, its descendants everything.
-  std::vector<StructuralEntry> frontier =
-      path.steps[0].axis == XPathAxis::kChild ? StructuralTopLevel(*lists[0])
-                                              : *lists[0];
-  for (size_t i = 1; i < path.steps.size() && !frontier.empty(); ++i) {
-    frontier = path.steps[i].axis == XPathAxis::kChild
-                   ? StructuralChildJoin(frontier, *lists[i])
-                   : StructuralDescendantJoin(frontier, *lists[i]);
-  }
-  out->clear();
-  out->reserve(frontier.size());
-  for (const StructuralEntry& e : frontier) out->push_back(e.id);
-  return true;
+constexpr uint64_t kNoSeed = UINT64_MAX;
+
+Status TooManySteps() {
+  return Status::NotSupported(
+      "XPath paths are limited to 64 steps, predicate steps included");
+}
+
+/// A step a posting-list join can evaluate, predicates aside.
+bool NamedChildOrDescendant(const XPathStep& step) {
+  return !step.descendant_attr &&
+         (step.axis == XPathAxis::kChild ||
+          step.axis == XPathAxis::kDescendant) &&
+         step.test == NodeTestKind::kName;
+}
+
+/// nullptr when `step` can be part of the indexable prefix, else why
+/// not.
+const char* StepIneligibility(const XPathStep& step) {
+  if (!step.predicates.empty()) return "has predicates";
+  if (step.descendant_attr) return "descendant attribute step";
+  if (step.axis != XPathAxis::kChild && step.axis != XPathAxis::kDescendant)
+    return "non-child/descendant axis";
+  if (step.test != NodeTestKind::kName) return "non-name node test";
+  return nullptr;
 }
 
 /// One streaming evaluation of a path over the token cursor.
@@ -73,6 +68,11 @@ bool TryStructuralEvaluate(const StructuralIndex& index,
 /// unsatisfied. kNone is the gate of unconditional matches. Positional
 /// steps count test matches per context node (one Context per node and
 /// gate), because '//x[n]' numbers x within each context separately.
+///
+/// A seeded run never arms the steps the join answered: each seed
+/// enters as a match of the last joined step (OnMatch), which arms the
+/// next step — or, for a step with [path] predicates, makes the seed a
+/// candidate. Any scope that opens dead is skipped (Dead()).
 class StreamScan {
  public:
   /// Flattens `path`; NotSupported past kMaxStreamSteps steps.
@@ -87,29 +87,37 @@ class StreamScan {
       IndexTest(i);
     }
     main_last_ = Bit(static_cast<uint32_t>(path.steps.size() - 1));
-    frames_.push_back(Frame{0, 0});
-    Arm(0, kNone);
+    frames_.push_back(Frame{0, 0});  // the virtual root
     return Status::OK();
   }
 
-  /// Streams the store once. `warmer`, when set, sees every token.
+  /// Streams the whole store. `warmer`, when set, sees every token (and
+  /// so disables dead-subtree skipping).
   Status Run(TokenCursor* cursor, StructuralWarmer* warmer) {
+    warmer_ = warmer;
+    Arm(0, kNone);
     LAXML_RETURN_IF_ERROR(cursor->SeekToFirst());
-    for (; cursor->Valid(); ++ordinal_) {
-      if (warmer != nullptr) {
-        warmer->OnToken(cursor->token(), cursor->node_id(), cursor->depth(),
-                        cursor->range(), cursor->byte_offset());
+    return Stream(cursor, /*subtree=*/false);
+  }
+
+  /// Streams only the subtrees of `seeds` (document order), the entries
+  /// the join of the path's first `joined` steps selected. One subscan
+  /// per outermost seed; nested seeds are met on the way.
+  Status RunSeeded(TokenCursor* cursor,
+                   const std::vector<StructuralEntry>& seeds, size_t joined) {
+    seeds_ = &seeds;
+    seed_step_ = static_cast<uint32_t>(joined - 1);
+    next_seed_pre_ = seeds.empty() ? kNoSeed : seeds[0].pre;
+    while (next_seed_ < seeds.size()) {
+      const StructuralEntry& seed = seeds[next_seed_];
+      subtree_end_ = seed.post;
+      LAXML_RETURN_IF_ERROR(cursor->Seek(seed));
+      LAXML_RETURN_IF_ERROR(Stream(cursor, /*subtree=*/true));
+      if (cursor->ordinal() != seed.post ||
+          (next_seed_ < seeds.size() && seeds[next_seed_].pre <= seed.post)) {
+        return Status::Corruption(
+            "structural index seeds disagree with the token stream");
       }
-      const TokenType type = cursor->type();
-      if (TokenBeginsNode(type)) {
-        OnBegin(*cursor, type);
-      } else if (TokenClosesScope(type)) {
-        if (frames_.size() == 1) {
-          return Status::Corruption("negative nesting in stream");
-        }
-        OnEnd();
-      }
-      LAXML_RETURN_IF_ERROR(cursor->Next());
     }
     return Status::OK();
   }
@@ -195,11 +203,73 @@ class StreamScan {
     uint32_t gate;
   };
 
+  /// The token loop. A subscan (`subtree`) returns at the end token
+  /// that closes its seed, leaving the cursor there.
+  Status Stream(TokenCursor* cursor, bool subtree) {
+    while (cursor->Valid()) {
+      if (warmer_ != nullptr) warmer_->OnToken(*cursor);
+      const TokenType type = cursor->type();
+      if (TokenBeginsNode(type)) {
+        OnBegin(*cursor, type);
+        if (cursor->ordinal() == next_seed_pre_) {
+          LAXML_RETURN_IF_ERROR(Seed(*cursor));
+        }
+        if (TokenOpensScope(type) && Dead(*cursor)) {
+          // Lands on the scope's end token, which pops its frame.
+          LAXML_RETURN_IF_ERROR(cursor->SkipSubtree());
+          continue;
+        }
+      } else if (TokenClosesScope(type)) {
+        if (frames_.size() == 1) {
+          return Status::Corruption("negative nesting in stream");
+        }
+        OnEnd();
+        if (subtree && frames_.size() == 1) return Status::OK();
+      }
+      LAXML_RETURN_IF_ERROR(cursor->Next());
+    }
+    return subtree ? Status::Corruption("seed subtree never closes")
+                   : Status::OK();
+  }
+
+  /// The cursor is at the next seed: it matched the joined steps.
+  Status Seed(const TokenCursor& cursor) {
+    if (cursor.type() != TokenType::kBeginElement) {
+      return Status::Corruption(
+          "structural index seed is not a begin-element token");
+    }
+    gates_.assign(1, kNone);
+    OnMatch(seed_step_, cursor, TokenType::kBeginElement, /*opens=*/true);
+    ++next_seed_;
+    next_seed_pre_ =
+        next_seed_ < seeds_->size() ? (*seeds_)[next_seed_].pre : kNoSeed;
+    return Status::OK();
+  }
+
+  /// True when nothing inside the scope that just opened at the cursor
+  /// can match or decide anything: no step armed for its children, no
+  /// pending condition, no positional context counting inside it, no
+  /// '=' capture reading its text, no warmer, and no seed ahead that
+  /// may lie inside (conservatively: any deeper seed before the end of
+  /// the current subscan).
+  bool Dead(const TokenCursor& cursor) const {
+    const uint32_t top = static_cast<uint32_t>(frames_.size() - 1);
+    if (frames_[top].armed != 0 || conds_.size() > frames_[top].conds ||
+        !captures_.empty() || warmer_ != nullptr) {
+      return false;
+    }
+    for (const Context& c : contexts_) {
+      if (c.frame == top || (recursive_ & Bit(c.step)) != 0) return false;
+    }
+    return next_seed_pre_ >= subtree_end_ ||
+           static_cast<int64_t>((*seeds_)[next_seed_].level) <=
+               cursor.depth();
+  }
+
   Status Flatten(const XPathPath& path, uint32_t owner, uint32_t bit,
                  const std::string* literal) {
     if (steps_.size() + path.steps.size() > kMaxStreamSteps) {
-      return Status::NotSupported(
-          "XPath paths are limited to 64 steps, predicate steps included");
+      return TooManySteps();
     }
     const uint32_t first = static_cast<uint32_t>(steps_.size());
     for (const XPathStep& ast : path.steps) {
@@ -340,7 +410,7 @@ class StreamScan {
     // Unconditional matches without [path] predicates, bit-parallel.
     const uint64_t plain = hit & ~filtered_;
     if ((plain & main_last_) != 0) {
-      DeliverTo(Event{ordinal_, cursor.node_id(), kNone, 0}, kNone);
+      DeliverTo(Event{cursor.ordinal(), cursor.node_id(), kNone, 0}, kNone);
     }
     if (opens) {
       const uint64_t next = (plain & ~last_) << 1;
@@ -391,7 +461,7 @@ class StreamScan {
       gates = &self_;
     }
     if ((Bit(i) & main_last_) != 0) {
-      DeliverAll(Event{ordinal_, cursor.node_id(), kNone, 0}, *gates);
+      DeliverAll(Event{cursor.ordinal(), cursor.node_id(), kNone, 0}, *gates);
     } else if (s.owner != kNone) {
       // The last step of a predicate path: the predicate holds here.
       const Event hit{0, kInvalidNodeId, s.owner, s.bit};
@@ -534,7 +604,15 @@ class StreamScan {
   uint32_t ncands_ = 0;
   std::vector<Capture> captures_;
 
-  uint64_t ordinal_ = 0;  ///< Index of the current token in the scan.
+  StructuralWarmer* warmer_ = nullptr;
+  // Seeded runs: the seeds, the step they matched, the next one not yet
+  // met, and the end ordinal of the current subscan.
+  const std::vector<StructuralEntry>* seeds_ = nullptr;
+  uint32_t seed_step_ = 0;
+  size_t next_seed_ = 0;
+  uint64_t next_seed_pre_ = kNoSeed;
+  uint64_t subtree_end_ = 0;
+
   std::vector<std::pair<uint64_t, NodeId>> results_;  ///< (ordinal, id)
   bool ordered_ = true;  ///< results_ is strictly increasing.
 
@@ -553,13 +631,57 @@ bool StructuralIndexEligible(const XPathPath& path) {
 const char* StructuralIneligibilityReason(const XPathPath& path) {
   if (path.steps.empty()) return "empty path";
   for (const XPathStep& step : path.steps) {
-    if (!step.predicates.empty()) return "has predicates";
-    if (step.descendant_attr) return "descendant attribute step";
-    if (step.axis != XPathAxis::kChild && step.axis != XPathAxis::kDescendant)
-      return "non-child/descendant axis";
-    if (step.test != NodeTestKind::kName) return "non-name node test";
+    if (const char* reason = StepIneligibility(step)) return reason;
   }
   return nullptr;
+}
+
+SeedSplit SplitAtIndexablePrefix(const XPathPath& path) {
+  SeedSplit split;
+  const size_t n = path.steps.size();
+  while (split.joined < n &&
+         StepIneligibility(path.steps[split.joined]) == nullptr) {
+    ++split.joined;
+  }
+  if (split.joined == n) return split;
+  // A named step that stopped the prefix only by [path] / [path='lit']
+  // predicates joins too, its matches seeding as candidates. A [n]
+  // leaves it to the scan: positions count siblings the join drops.
+  const XPathStep& next = path.steps[split.joined];
+  if (!NamedChildOrDescendant(next)) return split;
+  for (const XPathPredicate& pred : next.predicates) {
+    if (pred.kind == XPathPredicate::Kind::kPosition) return split;
+  }
+  ++split.joined;
+  split.candidates = true;
+  return split;
+}
+
+StructuralIndex::EntryList JoinIndexedSteps(const StructuralIndex& index,
+                                            const XPathPath& path,
+                                            size_t steps) {
+  LAXML_DCHECK(steps > 0 && steps <= path.steps.size());
+  std::vector<StructuralIndex::EntryList> lists;
+  lists.reserve(steps);
+  for (size_t i = 0; i < steps; ++i) {
+    StructuralIndex::EntryList list = index.LookupTag(path.steps[i].name);
+    if (list == nullptr) return nullptr;
+    lists.push_back(std::move(list));
+  }
+  // Step 0 evaluates against the virtual root: its children are the
+  // top-level (level-0) elements, its descendants everything.
+  using Entries = const std::vector<StructuralEntry>;
+  StructuralIndex::EntryList frontier =
+      path.steps[0].axis == XPathAxis::kChild
+          ? std::make_shared<Entries>(StructuralTopLevel(*lists[0]))
+          : lists[0];
+  for (size_t i = 1; i < steps && !frontier->empty(); ++i) {
+    frontier = std::make_shared<Entries>(
+        path.steps[i].axis == XPathAxis::kChild
+            ? StructuralChildJoin(*frontier, *lists[i])
+            : StructuralDescendantJoin(*frontier, *lists[i]));
+  }
+  return frontier;
 }
 
 Result<std::vector<NodeId>> EvaluateXPathStreaming(
@@ -567,41 +689,56 @@ Result<std::vector<NodeId>> EvaluateXPathStreaming(
   if (path.steps.empty()) {
     return Status::InvalidArgument("empty path");
   }
-  StreamScan scan;
-  LAXML_RETURN_IF_ERROR(scan.Init(store, path));
+  // Predicate steps count too; the scan's Init checks those.
+  if (path.steps.size() > kMaxStreamSteps) return TooManySteps();
 
   StructuralIndex* index = store.structural_index();
-  const bool indexable = allow_structural_index && index->enabled() &&
-                         StructuralIndexEligible(path);
+  SeedSplit split;
+  if (allow_structural_index && index->enabled()) {
+    split = SplitAtIndexablePrefix(path);
+  }
+  const size_t joined = split.joined;
+  StructuralIndex::EntryList seeds;
   std::unique_ptr<StructuralWarmer> warmer;
-  if (indexable) {
-    std::vector<NodeId> joined;
-    if (TryStructuralEvaluate(*index, path, &joined)) {
+  if (joined > 0) {
+    seeds = JoinIndexedSteps(*index, path, joined);
+    if (seeds != nullptr) {
       index->RecordHit();
       LAXML_RC_ADD(structural_index_hits, 1);
-      LAXML_RC_SET_PLAN("structural-join");
-      return joined;
-    }
-    // Cold: the scan below is the fallback, and its by-product warms
-    // the index — the queried tags in lazy mode, every tag in eager.
-    index->RecordMiss();
-    LAXML_RC_ADD(structural_index_misses, 1);
-    if (index->mode() == StructuralIndexMode::kEager) {
-      warmer = std::make_unique<StructuralWarmer>(std::vector<std::string>(),
-                                                  /*track_all=*/true);
     } else {
+      // Cold: the full scan below is the fallback, and its by-product
+      // warms the index — the prefix's tags in lazy mode, every tag in
+      // eager.
+      index->RecordMiss();
+      LAXML_RC_ADD(structural_index_misses, 1);
+      const bool eager = index->mode() == StructuralIndexMode::kEager;
       std::vector<std::string> wanted;
-      wanted.reserve(path.steps.size());
-      for (const XPathStep& step : path.steps) wanted.push_back(step.name);
-      warmer = std::make_unique<StructuralWarmer>(std::move(wanted),
-                                                  /*track_all=*/false);
+      for (size_t i = 0; i < joined && !eager; ++i) {
+        wanted.push_back(path.steps[i].name);
+      }
+      warmer = std::make_unique<StructuralWarmer>(store.name_dictionary(),
+                                                  std::move(wanted), eager);
     }
   }
+  if (seeds != nullptr && split.JoinsWholePath(path)) {
+    LAXML_RC_SET_PLAN("structural-join");
+    std::vector<NodeId> ids;
+    ids.reserve(seeds->size());
+    for (const StructuralEntry& e : *seeds) ids.push_back(e.id);
+    return ids;
+  }
 
-  LAXML_RC_SET_PLAN("stream-scan");
+  StreamScan scan;
+  LAXML_RETURN_IF_ERROR(scan.Init(store, path));
   auto cursor = store.NewCursor();
-  LAXML_RETURN_IF_ERROR(scan.Run(cursor.get(), warmer.get()));
-  if (warmer != nullptr) warmer->Publish(index);
+  if (seeds != nullptr) {
+    LAXML_RC_SET_PLAN("seeded-scan");
+    LAXML_RETURN_IF_ERROR(scan.RunSeeded(cursor.get(), *seeds, joined));
+  } else {
+    LAXML_RC_SET_PLAN("stream-scan");
+    LAXML_RETURN_IF_ERROR(scan.Run(cursor.get(), warmer.get()));
+    if (warmer != nullptr) warmer->Publish(index);
+  }
   return scan.TakeResults();
 }
 

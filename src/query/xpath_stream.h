@@ -18,21 +18,41 @@
 // candidate wait in its buffer until the candidate's end decides them.
 // Memory is O(depth × steps) plus those buffered matches.
 //
-// Planner choice: paths of named child/descendant steps ("//a//b",
-// "/a/b//c") additionally consult the store's lazy structural index.
-// When every step's tag is warm, the answer is a posting-list join —
-// no scan at all; when cold, the scan below runs as always and its
-// by-product warms the index for the queried tags (every tag, in
-// eager mode). Off-mode stores and non-indexable paths take the plain
-// scan unconditionally.
+// Planner: the path splits at its longest index-answerable prefix —
+// the leading named child/descendant steps without predicates or
+// '//@' (SplitAtIndexablePrefix). When the prefix's tags are warm in
+// the store's lazy structural index, their posting-list join yields
+// *seeds*:
+//   * the whole path is the prefix: the join is the answer
+//     ("structural-join", no scan at all);
+//   * otherwise the scan runs only inside the seeds' subtrees
+//     ("seeded-scan"): a cursor Seek()s to each outermost seed's begin
+//     token, the step after the prefix is armed for the seed's
+//     children, and the subscan ends at the seed's end token. When the
+//     step after the prefix is named and carries only [path] /
+//     [path='lit'] predicates, the join runs through it too and each
+//     seed enters the scan as a candidate of that step, predicates
+//     pending.
+// A cold prefix tag sends the query to the full scan, whose by-product
+// warms the prefix's tags (every tag, in eager mode). Off-mode stores,
+// paths without a prefix, and the forced scan take the full scan.
+//
+// Every scan — full or seeded — skips dead subtrees: a scope that opens
+// with no armed step, no pending condition, no positional context
+// counting inside it, no '=' capture, no warmer and no seed ahead can
+// contribute nothing, so the cursor passes it reading headers only
+// (TokenCursor::SkipSubtree). Results are keyed by global token ordinal,
+// so they come out in document order whichever tokens were visited.
 
 #ifndef LAXML_QUERY_XPATH_STREAM_H_
 #define LAXML_QUERY_XPATH_STREAM_H_
 
+#include <cstddef>
 #include <string_view>
 #include <vector>
 
 #include "common/status.h"
+#include "index/structural_index.h"
 #include "query/xpath_ast.h"
 #include "store/store.h"
 
@@ -51,12 +71,41 @@ bool StructuralIndexEligible(const XPathPath& path);
 /// scan" has an answer.
 const char* StructuralIneligibilityReason(const XPathPath& path);
 
-/// Evaluates `path` in one streaming pass (or, for eligible paths over
-/// a warm structural index, a posting-list join). Returns matching node
-/// ids in document order, duplicate-free. NotSupported when the path
-/// has more than kMaxStreamSteps steps.
-/// `allow_structural_index = false` forces the plain scan — the
-/// torture harness's on/off oracle and A/B benches use it.
+/// Where the planner splits a path: its posting-list join runs through
+/// the first `joined` steps (0: no join, full scan), and the entries
+/// the join selects are the seeds. `candidates` when the last joined
+/// step has [path] / [path='lit'] predicates, so its seeds enter the
+/// scan as pending candidates; otherwise they are contexts for the
+/// next step. A split that joins every step and no candidates is a
+/// structural join, no scan.
+struct SeedSplit {
+  size_t joined = 0;
+  bool candidates = false;
+
+  bool JoinsWholePath(const XPathPath& path) const {
+    return joined == path.steps.size() && !candidates;
+  }
+};
+
+/// The planner's split of `path`, independent of index warmth: the
+/// indexable prefix, plus the step after it when that step is named and
+/// carries only [path] / [path='lit'] predicates.
+SeedSplit SplitAtIndexablePrefix(const XPathPath& path);
+
+/// The entries the first `steps` steps of `path` select, by merge-joins
+/// over the warm posting lists, in document order; nullptr when one of
+/// their tags is cold. The steps must be named child/descendant steps
+/// (a split's joined steps; predicates are ignored).
+StructuralIndex::EntryList JoinIndexedSteps(const StructuralIndex& index,
+                                            const XPathPath& path,
+                                            size_t steps);
+
+/// Evaluates `path`: a structural join, a seeded scan or a full scan,
+/// as the header comment describes. Returns matching node ids in
+/// document order, duplicate-free. NotSupported when the path has more
+/// than kMaxStreamSteps steps.
+/// `allow_structural_index = false` forces the full scan — the torture
+/// harness's on/off oracle and A/B benches use it.
 Result<std::vector<NodeId>> EvaluateXPathStreaming(
     const Store& store, const XPathPath& path,
     bool allow_structural_index = true);

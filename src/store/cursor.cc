@@ -1,14 +1,14 @@
 #include "store/cursor.h"
 
+#include <string>
+
 #include "common/check.h"
-#include "obs/request_context.h"
 
 namespace laxml {
 
-Status TokenCursor::LoadRange(RangeId id) {
-  LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(id));
-  LAXML_ASSIGN_OR_RETURN(payload_, ranges_->ReadPayload(id));
-  range_ = id;
+Status TokenCursor::LoadRange(const RangeMeta& meta) {
+  LAXML_ASSIGN_OR_RETURN(payload_, ranges_->ReadPayload(meta.id));
+  range_ = meta.id;
   next_range_ = meta.next;
   next_id_ = meta.start_id;
   reader_ = TokenReader(Slice(payload_), ranges_->codec_for(meta));
@@ -18,27 +18,36 @@ Status TokenCursor::LoadRange(RangeId id) {
 Status TokenCursor::SeekToFirst() {
   valid_ = false;
   depth_ = 0;
+  next_ordinal_ = 0;
   RangeId first = ranges_->first_range();
   if (first == kInvalidRangeId) return Status::OK();
-  LAXML_RETURN_IF_ERROR(LoadRange(first));
-  return Next();
+  LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(first));
+  LAXML_RETURN_IF_ERROR(LoadRange(meta));
+  return Next();  // skips leading empty ranges
 }
 
-Status TokenCursor::DecodeOne() {
-  LAXML_RC_ADD(tokens_scanned, 1);
-  byte_offset_ = static_cast<uint32_t>(reader_.offset());
-  LAXML_RETURN_IF_ERROR(reader_.Skip(&type_));
-  name_symbol_ = reader_.last_name_symbol();
-  decoded_ = false;
-  node_id_ = TokenBeginsNode(type_) ? next_id_++ : kInvalidNodeId;
-  if (TokenClosesScope(type_)) {
-    --depth_;
-    depth_at_token_ = depth_;
-  } else {
-    depth_at_token_ = depth_;
-    if (TokenOpensScope(type_)) ++depth_;
+Status TokenCursor::Seek(const StructuralEntry& entry) {
+  valid_ = false;
+  if (range_ != entry.range) {
+    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(entry.range));
+    LAXML_RETURN_IF_ERROR(LoadRange(meta));
   }
-  valid_ = true;
+  if (entry.offset >= payload_.size()) {
+    return Status::Corruption("seek past the end of range " +
+                              std::to_string(entry.range));
+  }
+  reader_.SeekTo(entry.offset);
+  next_id_ = entry.id;
+  next_ordinal_ = entry.pre;
+  depth_ = entry.level;
+  LAXML_RETURN_IF_ERROR(DecodeOne());
+  if (type_ != TokenType::kBeginElement) {
+    valid_ = false;
+    return Status::Corruption("seek target at range " +
+                              std::to_string(entry.range) + " offset " +
+                              std::to_string(entry.offset) +
+                              " is not a begin-element");
+  }
   return Status::OK();
 }
 
@@ -57,17 +66,69 @@ const Token& TokenCursor::token() const {
   return token_;
 }
 
-Status TokenCursor::Next() {
-  // First call after SeekToFirst arrives with valid_ == false and a
-  // loaded reader; subsequent calls continue the stream.
+Status TokenCursor::NextRange() {
   while (reader_.AtEnd()) {
     if (next_range_ == kInvalidRangeId) {
       valid_ = false;
       return Status::OK();
     }
-    LAXML_RETURN_IF_ERROR(LoadRange(next_range_));
+    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(next_range_));
+    LAXML_RETURN_IF_ERROR(LoadRange(meta));
   }
   return DecodeOne();
+}
+
+Status TokenCursor::SkipSubtree() {
+  LAXML_DCHECK(valid_ && TokenOpensScope(type_))
+      << "SkipSubtree needs a scope-opening token";
+  const int64_t end_depth = depth_at_token_;
+  uint64_t scanned = 0;
+  size_t offset = 0;
+  TokenType type = type_;
+  while (depth_ > end_depth) {
+    while (reader_.AtEnd()) {
+      // Depth-profile skip (as Store::LocateEnd): a range whose lowest
+      // running depth stays above the end token's cannot hold it, so
+      // its metadata alone advances depth and ordinals. Ids need no
+      // count — each loaded range restarts them from its start_id.
+      RangeId next = next_range_;
+      while (true) {
+        if (next == kInvalidRangeId) {
+          valid_ = false;
+          return Status::Corruption("subtree never closes");
+        }
+        LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(next));
+        if (depth_ - end_depth + meta.min_depth <= 0) {
+          LAXML_RETURN_IF_ERROR(LoadRange(meta));
+          break;
+        }
+        depth_ += meta.depth_delta;
+        next_ordinal_ += meta.token_count;
+        next = meta.next;
+      }
+    }
+    // DecodeOne's bookkeeping, trimmed to what the loop needs.
+    offset = reader_.offset();
+    LAXML_RETURN_IF_ERROR(reader_.Skip(&type));
+    ++scanned;
+    ++next_ordinal_;
+    if (TokenBeginsNode(type)) ++next_id_;
+    if (TokenClosesScope(type)) {
+      --depth_;
+    } else if (TokenOpensScope(type)) {
+      ++depth_;
+    }
+  }
+  LAXML_RC_ADD(tokens_scanned, scanned);
+  // The cursor now stands on the matching end token.
+  type_ = type;
+  name_symbol_ = kNoNameSymbol;
+  decoded_ = false;
+  ordinal_ = next_ordinal_ - 1;
+  node_id_ = kInvalidNodeId;
+  byte_offset_ = static_cast<uint32_t>(offset);
+  depth_at_token_ = depth_;
+  return Status::OK();
 }
 
 }  // namespace laxml

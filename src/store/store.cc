@@ -1273,12 +1273,11 @@ std::unique_ptr<TokenCursor> Store::NewCursor() const {
 
 Status Store::WarmStructuralIndex() const {
   if (!structural_->enabled()) return Status::OK();
-  StructuralWarmer warmer({}, /*track_all=*/true);
+  StructuralWarmer warmer(dict_.get(), {}, /*track_all=*/true);
   auto cursor = NewCursor();
   LAXML_RETURN_IF_ERROR(cursor->SeekToFirst());
   while (cursor->Valid()) {
-    warmer.OnToken(cursor->token(), cursor->node_id(), cursor->depth(),
-                   cursor->range(), cursor->byte_offset());
+    warmer.OnToken(*cursor);
     LAXML_RETURN_IF_ERROR(cursor->Next());
   }
   if (!warmer.complete()) {

@@ -54,11 +54,12 @@ const char* WalSyncModeName(WalSyncMode mode);
 enum class StructuralIndexMode : uint32_t {
   /// No structural memoization; every XPath evaluation stream-scans.
   kOff = 0,
-  /// Lazy: a cold indexable query stream-scans as before, and the scan
-  /// memoizes intervals for exactly the tags the query named. Repeats
-  /// over warm tags become posting-list joins.
+  /// Lazy: a query whose indexable prefix names a cold tag stream-scans
+  /// as before, and the scan memoizes intervals for exactly the
+  /// prefix's tags. Repeats over warm tags become posting-list joins
+  /// (or seeded scans, when the path continues past the prefix).
   kLazy = 1,
-  /// Eager(-on-first-touch): the first cold indexable query memoizes
+  /// Eager(-on-first-touch): the first query with a cold prefix memoizes
   /// every element tag in the document, not just the queried ones (one
   /// scan warms everything). A/B baseline for the laziness claim.
   kEager = 2,

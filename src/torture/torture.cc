@@ -284,11 +284,12 @@ IterationResult RunIteration(const TortureOptions& opts,
   }
 
   // ---- Verify 3: XPath with the structural index on vs off. ---------
-  // Over the recovered store, every indexable query must answer
-  // identically with the index bypassed (plain scan), with a cold
-  // index (scan + warm as by-product), and with the index warm
-  // (posting-list join) — byte-for-byte on the id vectors. Query tags
-  // come from the instance itself so the paths actually select.
+  // Over the recovered store, every query must answer identically with
+  // the index bypassed (plain scan), with a cold index (full scan +
+  // warm as by-product), and with the index warm (posting-list join,
+  // or for the seeded shapes a scan of the joined prefix's subtrees) —
+  // byte-for-byte on the id vectors. Query tags come from the instance
+  // itself so the paths actually select.
   {
     std::vector<std::string> tags;
     for (const Token& t : *got) {
@@ -299,46 +300,61 @@ IterationResult RunIteration(const TortureOptions& opts,
       if (tags.size() >= 3) break;
     }
     std::vector<XPathPath> paths;
-    auto step = [](XPathAxis axis, const std::string& name) {
+    auto step = [](XPathAxis axis, NodeTestKind test,
+                   const std::string& name = std::string()) {
       XPathStep s;
       s.axis = axis;
-      s.test = NodeTestKind::kName;
+      s.test = test;
       s.name = name;
       return s;
     };
-    for (const std::string& t : tags) {
+    auto named = [&](XPathAxis axis, const std::string& name) {
+      return step(axis, NodeTestKind::kName, name);
+    };
+    auto path = [&](std::vector<XPathStep> steps) {
       XPathPath p;
       p.absolute = true;
-      p.steps.push_back(step(XPathAxis::kDescendant, t));
+      p.steps = std::move(steps);
       paths.push_back(std::move(p));
+    };
+    for (const std::string& t : tags) {
+      path({named(XPathAxis::kDescendant, t)});
     }
     if (tags.size() >= 2) {
-      XPathPath p;
-      p.absolute = true;
-      p.steps.push_back(step(XPathAxis::kDescendant, tags[0]));
-      p.steps.push_back(step(XPathAxis::kDescendant, tags[1]));
-      paths.push_back(std::move(p));
-      XPathPath q;
-      q.absolute = true;
-      q.steps.push_back(step(XPathAxis::kChild, tags[0]));
-      q.steps.push_back(step(XPathAxis::kChild, tags[1]));
-      paths.push_back(std::move(q));
+      const std::string& t0 = tags[0];
+      const std::string& t1 = tags[1];
+      path({named(XPathAxis::kDescendant, t0),
+            named(XPathAxis::kDescendant, t1)});
+      path({named(XPathAxis::kChild, t0), named(XPathAxis::kChild, t1)});
+      // Seeded shapes: //t0/*, //t0[t1], //t0/@*, //t0/t1/text().
+      const XPathStep seed = named(XPathAxis::kDescendant, t0);
+      path({seed, step(XPathAxis::kChild, NodeTestKind::kWildcard)});
+      XPathStep with_child = seed;
+      XPathPredicate has_t1;
+      has_t1.path.steps.push_back(named(XPathAxis::kChild, t1));
+      with_child.predicates.push_back(std::move(has_t1));
+      path({with_child});
+      path({seed, step(XPathAxis::kAttribute, NodeTestKind::kWildcard)});
+      path({seed, named(XPathAxis::kChild, t1),
+            step(XPathAxis::kChild, NodeTestKind::kText)});
     }
+    StructuralIndex* index = (*reopened)->structural_index();
     for (const XPathPath& p : paths) {
       auto plain = EvaluateXPathStreaming(**reopened, p,
                                           /*allow_structural_index=*/false);
+      index->InvalidateAll();
       auto cold = EvaluateXPathStreaming(**reopened, p);
       auto warm = EvaluateXPathStreaming(**reopened, p);
       if (!plain.ok() || !cold.ok() || !warm.ok()) {
-        return {"xpath oracle evaluation failed: " +
+        return {"xpath oracle evaluation of " + p.ToString() + " failed: " +
                 (!plain.ok() ? plain.status()
                              : !cold.ok() ? cold.status() : warm.status())
                     .ToString()};
       }
       if (*cold != *plain || *warm != *plain) {
-        return {"xpath structural-index divergence after recovery (" +
-                std::to_string(plain->size()) + " plain vs " +
-                std::to_string(cold->size()) + " cold vs " +
+        return {"xpath structural-index divergence after recovery on " +
+                p.ToString() + " (" + std::to_string(plain->size()) +
+                " plain vs " + std::to_string(cold->size()) + " cold vs " +
                 std::to_string(warm->size()) + " warm ids)"};
       }
     }

@@ -1,13 +1,14 @@
 // Tests for query/explain: the EXPLAIN verdict must reproduce the
-// planner's actual routing (structural join vs stream scan) without
-// executing the query, and its per-step warmth must
-// track the lazy index's memoization state. The agreement tests here
+// planner's actual routing (structural join, seeded scan or stream
+// scan) without executing the query, and its per-step warmth and seed
+// count must track the lazy index's memoization state. The agreement tests here
 // are what keep ExplainXPath and the real planner fork in
 // XPathEvaluator::Evaluate from drifting apart.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 
 #include "index/structural_index.h"
@@ -128,6 +129,46 @@ TEST_F(ExplainTest, IneligiblePathReportsGateReason) {
   EXPECT_EQ(wildcard.gate, "non-name node test");
 }
 
+TEST_F(ExplainTest, WarmPrefixIsSeededScan) {
+  Open(StructuralIndexMode::kLazy);
+  // Cold prefix: the full scan, which warms "item".
+  XPathPlan cold = MustExplain("//item/name/text()");
+  EXPECT_EQ(cold.plan, "stream-scan");
+  EXPECT_FALSE(cold.eligible);
+  EXPECT_EQ(cold.gate, "non-name node test");
+  ASSERT_EQ(cold.steps.size(), 2u);  // the joined prefix //item/name
+  EXPECT_FALSE(cold.steps[0].warm);
+  EXPECT_EQ(cold.seed_step, -1);
+  MustExecute("//item/name/text()");
+
+  XPathPlan warm = MustExplain("//item/name/text()");
+  EXPECT_EQ(warm.plan, "seeded-scan");
+  EXPECT_EQ(warm.seed_step, 1);  // the <name> children of items
+  EXPECT_EQ(warm.seeds, 2u);
+  ASSERT_EQ(warm.steps.size(), 2u);
+  EXPECT_TRUE(warm.steps[0].warm);
+  EXPECT_TRUE(warm.steps[1].warm);
+  std::string json = warm.ToJson();
+  EXPECT_NE(json.find("\"plan\":\"seeded-scan\""), std::string::npos);
+  EXPECT_NE(json.find("\"seed_step\":1,\"seeds\":2"), std::string::npos)
+      << json;
+
+  // [path] predicates on the step after the prefix: the join runs
+  // through it and its matches seed as candidates.
+  XPathPlan candidates = MustExplain("//item[qty]");
+  EXPECT_EQ(candidates.plan, "seeded-scan");
+  EXPECT_EQ(candidates.seed_step, 0);
+  EXPECT_EQ(candidates.seeds, 2u);
+  // A [n] there falls back one step: seeds are the <regions> parents.
+  MustExecute("/site/regions");
+  XPathPlan positional = MustExplain("/site/regions/item[2]");
+  EXPECT_EQ(positional.plan, "seeded-scan");
+  EXPECT_EQ(positional.seed_step, 1);
+  EXPECT_EQ(positional.seeds, 1u);
+  // ... or to the full scan when nothing precedes it.
+  EXPECT_EQ(MustExplain("//item[2]").plan, "stream-scan");
+}
+
 TEST_F(ExplainTest, IndexOffForeclosesTheQuestion) {
   Open(StructuralIndexMode::kOff);
   // The path shape is fine (eligible), but with the index disabled the
@@ -169,7 +210,11 @@ TEST_F(ExplainTest, PredictionMatchesExecutionStamp) {
                          "//nosuch",           "/site/*/item",
                          "//item/text()",      "//item/@id",
                          "//item[name='a']",   "//item[qty]/name",
-                         "/site/regions/item[2]"};
+                         "/site/regions/item[2]",
+                         "//people/*",         "//person[name='Ada']",
+                         "//nosuch/text()",    "//regions/item/name//text()",
+                         "//item//@id",        "/site[people]"};
+  std::set<std::string> seen;
   for (const char* expr : exprs) {
     // Cold round, then warm round: predict, execute, compare both times.
     for (int round = 0; round < 2; ++round) {
@@ -177,8 +222,12 @@ TEST_F(ExplainTest, PredictionMatchesExecutionStamp) {
       std::string executed = ExecutedPlan(expr);
       EXPECT_EQ(predicted.plan, executed)
           << expr << " round " << round;
+      seen.insert(executed);
     }
   }
+  // The matrix pins every plan label.
+  EXPECT_EQ(seen, (std::set<std::string>{"seeded-scan", "stream-scan",
+                                         "structural-join"}));
 }
 #endif  // !defined(LAXML_TRACING_DISABLED)
 

@@ -2,7 +2,8 @@
 // thread-local install/uninstall and nesting, attribution through the
 // LAXML_RC_* macros, the engine hooks (cursor tokens, buffer-pool
 // pins/misses, WAL bytes, index hits) actually crediting the installed
-// context, and the counters' JSON rendering.
+// context — a seeded scan credits only the tokens it reads — and the
+// counters' JSON rendering.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@
 #include "concurrency/shared_store.h"
 #include "obs/request_context.h"
 #include "query/xpath_eval.h"
+#include "query/xpath_parser.h"
+#include "query/xpath_stream.h"
 #include "store/store.h"
 #include "test_util.h"
 
@@ -140,6 +143,47 @@ TEST(RequestContext, ScanCreditsEveryTokenOnce) {
     ASSERT_NE(rc.plan, nullptr);
     EXPECT_STREQ(rc.plan, "stream-scan");
   }
+}
+
+TEST(RequestContext, SeededScanCreditsOnlyTheTokensItReads) {
+  // Once //b is warm, //b/text() scans only inside the <b> subtrees;
+  // the forced scan of the same query still reads, and credits, every
+  // token (nothing in it is dead: '//b' stays armed everywhere).
+  StoreOptions options;
+  options.max_range_bytes = 64;
+  ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
+  ASSERT_LAXML_OK(store
+                      ->InsertTopLevel(MustFragment(
+                          "<a k=\"v\"><b>one</b><b>two</b><!--c-->"
+                          "<c><b>three</b><d>four</d></c></a>"))
+                      .status());
+  ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
+  ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath("//b/text()"));
+  ASSERT_LAXML_OK(EvaluateXPathStreaming(*store, path).status());  // warms b
+
+  RequestContext seeded;
+  {
+    ScopedRequestContext scoped(&seeded);
+    ASSERT_OK_AND_ASSIGN(auto ids, EvaluateXPathStreaming(*store, path));
+    EXPECT_EQ(ids.size(), 3u);
+  }
+  ASSERT_NE(seeded.plan, nullptr);
+  EXPECT_STREQ(seeded.plan, "seeded-scan");
+  EXPECT_EQ(seeded.counters.tokens_scanned, 9u);  // three <b>x</b>
+  EXPECT_LT(seeded.counters.tokens_scanned, all.size());
+
+  RequestContext forced;
+  {
+    ScopedRequestContext scoped(&forced);
+    ASSERT_OK_AND_ASSIGN(auto ids,
+                         EvaluateXPathStreaming(*store, path,
+                                                /*allow_structural_index=*/
+                                                false));
+    EXPECT_EQ(ids.size(), 3u);
+  }
+  ASSERT_NE(forced.plan, nullptr);
+  EXPECT_STREQ(forced.plan, "stream-scan");
+  EXPECT_EQ(forced.counters.tokens_scanned, all.size());
 }
 
 TEST(RequestContext, WalBytesAttributedThroughSharedStore) {

@@ -1,6 +1,7 @@
-// Structural XPath index tests: the interval joins in isolation, lazy
-// warm-up (only queried tags memoize), warm negatives, eager mode,
-// invalidation on mutations / range restructuring, correctness of the
+// Structural XPath index tests: the interval joins in isolation and
+// against brute force on random forests, lazy warm-up (only queried
+// tags memoize), warm negatives, eager mode, invalidation on
+// mutations / range restructuring, correctness of the
 // warm join against the plain scan as oracle under random edits, and
 // the integrity auditor's interval cross-check (a planted bogus
 // interval must be caught, on the live store and through laxml_fsck).
@@ -63,8 +64,8 @@ TEST(StructuralJoinTest, DescendantJoinStrictContainment) {
 }
 
 TEST(StructuralJoinTest, DescendantJoinSkylineKeepsNestedFrontiersSound) {
-  // Frontier a(0..20) and nested a(5..10): the skyline keeps only the
-  // outer one, and candidates inside the inner interval still match.
+  // Frontier a(0..20) and nested a(5..10): a candidate inside both
+  // matches once, and one inside only the outer still matches.
   std::vector<StructuralEntry> a = {Entry(1, 0, 20, 0), Entry(2, 5, 10, 2)};
   std::vector<StructuralEntry> b = {Entry(3, 6, 7, 3), Entry(4, 15, 16, 1),
                                     Entry(5, 21, 22, 0)};
@@ -80,6 +81,51 @@ TEST(StructuralJoinTest, ChildJoinRequiresAdjacentLevel) {
   std::vector<StructuralEntry> kids = {Entry(2, 1, 2, 1), Entry(3, 3, 4, 2),
                                        Entry(4, 10, 11, 1)};
   EXPECT_EQ(Ids(StructuralChildJoin(p, kids)), (std::vector<NodeId>{2}));
+}
+
+TEST(StructuralJoinTest, MergeJoinsMatchBruteForce) {
+  // Random forests of nested <a>/<b> elements, numbered as a token scan
+  // numbers them; both joins against the interval definitions, over
+  // every list pairing (including a list joined with itself).
+  Random rng(20261017);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<StructuralEntry> lists[2];
+    std::vector<std::pair<int, size_t>> open;  // (list, slot)
+    uint64_t tok = 0;
+    NodeId id = 0;
+    const uint64_t elements = 1 + rng.Uniform(40);
+    for (uint64_t made = 0; made < elements || !open.empty();) {
+      if (made < elements && (open.empty() || rng.Uniform(3) != 0)) {
+        const int list = static_cast<int>(rng.Uniform(2));
+        open.emplace_back(list, lists[list].size());
+        lists[list].push_back(Entry(++id, tok++, 0,
+                                    static_cast<uint32_t>(open.size() - 1)));
+        ++made;
+      } else {
+        lists[open.back().first][open.back().second].post = tok++;
+        open.pop_back();
+      }
+    }
+    for (const auto& frontier : lists) {
+      for (const auto& candidates : lists) {
+        std::vector<NodeId> descendants, children;
+        for (const StructuralEntry& c : candidates) {
+          bool below = false, child = false;
+          for (const StructuralEntry& f : frontier) {
+            if (f.pre < c.pre && c.post < f.post) {
+              below = true;
+              child = child || f.level + 1 == c.level;
+            }
+          }
+          if (below) descendants.push_back(c.id);
+          if (child) children.push_back(c.id);
+        }
+        EXPECT_EQ(Ids(StructuralDescendantJoin(frontier, candidates)),
+                  descendants);
+        EXPECT_EQ(Ids(StructuralChildJoin(frontier, candidates)), children);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Differential XPath test: seeded random queries over the whole AST —
 // child/descendant/attribute axes × name/*/text()/node()/comment() ×
 // [n], [path] and [path='lit'], nested — evaluated by the engine
-// (XPathEvaluator, so the planner's structural-join and stream-scan
-// plans both run) and by the reference oracle (tests/xpath_oracle.h),
+// (XPathEvaluator, so the planner's structural-join, seeded-scan and
+// stream-scan plans all run) and by the reference oracle
+// (tests/xpath_oracle.h),
 // on generated documents under random mutation schedules, with token
 // codec v1 and v2. One evaluator serves every round of a store: no
 // call refreshes anything, so this also pins freshness.
@@ -11,10 +12,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "obs/request_context.h"
 #include "query/xpath_eval.h"
 #include "query/xpath_parser.h"
 #include "query/xpath_stream.h"
@@ -96,15 +99,55 @@ class QueryGenerator {
   QueryGenerator(Random* rng, const DocTree* tree) : rng_(rng), tree_(tree) {}
 
   std::string Query() {
-    if (tree_->nodes().empty() || rng_->Uniform(10) < 3) {
-      return BlindPath(/*top_level=*/true, 0);
-    }
+    const uint64_t r = tree_->nodes().empty() ? 0 : rng_->Uniform(10);
+    if (r < 3) return BlindPath(/*top_level=*/true, 0);
+    if (r == 3) return SeededShape();
     const int target =
         static_cast<int>(rng_->Uniform(tree_->nodes().size()));
     return ChainPath(-1, target, 0);
   }
 
  private:
+  /// A shape a warm index answers with a seeded scan — a named step,
+  /// then a wildcard, kind test, attribute or predicated step — on a
+  /// real element and one of its child elements.
+  std::string SeededShape() {
+    int e = static_cast<int>(rng_->Uniform(tree_->nodes().size()));
+    while (e >= 0 && tree_->node(e).type != TokenType::kBeginElement) {
+      e = tree_->node(e).parent;
+    }
+    if (e < 0) return BlindPath(/*top_level=*/true, 0);
+    int child = -1;
+    for (int c : tree_->node(e).children) {
+      if (tree_->node(c).type == TokenType::kBeginElement &&
+          (child < 0 || rng_->Uniform(2) == 0)) {
+        child = c;
+      }
+    }
+    const std::string t = "//" + tree_->node(e).name;
+    const std::string u = child < 0 ? tree_->node(e).name
+                                    : tree_->node(child).name;
+    switch (rng_->Uniform(7)) {
+      case 0:
+        return t + "/*";
+      case 1:
+        return t + "/@*";
+      case 2:
+        return t + "[" + u + "]";
+      case 3:
+        return t + "/" + u + "/text()";
+      case 4:
+        return t + "//text()";
+      case 5:
+        return t + "/" + u + "[1]";
+      default:
+        return t + "[" + u + "=" +
+               Quote(child < 0 ? rng_->NextText(3)
+                               : tree_->StringValue(child)) +
+               "]/node()";
+    }
+  }
+
   /// A path from `from` (-1: the virtual root) down to `to`, keeping a
   /// random subset of the intermediate nodes and bridging gaps with
   /// '//'. Relative paths (predicates) must start at a child.
@@ -335,7 +378,7 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   OpStreamGenerator ops(OpMix{}, kSeed + 1);
   XPathEvaluator evaluator(store.get());
 
-  size_t nonempty = 0, predicated = 0;
+  size_t nonempty = 0, predicated = 0, seeded = 0;
   for (int round = 0; round < kRounds; ++round) {
     if (round > 0) {
       Mutate(store.get(), &ops, 6);
@@ -349,13 +392,20 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
       const std::string expr = gen.Query();
       ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath(expr));
       const std::vector<NodeId> expected = oracle.Evaluate(path);
-      // Twice: an indexable path runs cold (scan + warm), then warm.
+      // Twice: a path with an indexable prefix runs cold (scan +
+      // warm), then warm (a structural join or a seeded scan).
       for (int pass = 0; pass < 2; ++pass) {
+        obs::RequestContext rc;
+        obs::ScopedRequestContext scoped(&rc);
         ASSERT_OK_AND_ASSIGN(std::vector<NodeId> got,
                              evaluator.Evaluate(path));
         ASSERT_EQ(got, expected)
             << expr << " (" << config.doc << ", codec v" << config.codec
             << ", round " << round << ", pass " << pass << ")";
+        if (pass == 1 && rc.plan != nullptr &&
+            std::strcmp(rc.plan, "seeded-scan") == 0) {
+          ++seeded;
+        }
       }
       ASSERT_OK_AND_ASSIGN(
           std::vector<NodeId> scanned,
@@ -370,9 +420,16 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   // empty sets.
   EXPECT_GT(nonempty, kRounds * kQueriesPerRound / 4);
   EXPECT_GT(predicated, kRounds * kQueriesPerRound / 4);
-  std::printf("%s v%u: %zu of %d queries non-empty, %zu with predicates\n",
+#if !defined(LAXML_TRACING_DISABLED)
+  // With the index on, the warm pass must exercise seeded scans.
+  if (config.index != StructuralIndexMode::kOff) {
+    EXPECT_GE(seeded, kRounds * kQueriesPerRound / 5);
+  }
+#endif
+  std::printf("%s v%u: %zu of %d queries non-empty, %zu with predicates, "
+              "%zu seeded when warm\n",
               config.doc, config.codec, nonempty, kRounds * kQueriesPerRound,
-              predicated);
+              predicated, seeded);
 }
 
 INSTANTIATE_TEST_SUITE_P(

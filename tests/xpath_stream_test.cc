@@ -1,6 +1,8 @@
 // Streaming XPath tests: exact agreement with the reference oracle
 // (tests/xpath_oracle.h) across hand-written cases, predicates,
-// generated documents, and fragmented stores; plus the 64-step
+// generated documents, and fragmented stores; seeded scans (nested
+// seeds, seeds across range boundaries, dead subtrees passed on range
+// metadata, attributes spliced after children); plus the 64-step
 // NotSupported boundary.
 
 #include "query/xpath_stream.h"
@@ -9,6 +11,7 @@
 
 #include <string>
 
+#include "obs/request_context.h"
 #include "query/xpath_parser.h"
 #include "store/store.h"
 #include "test_util.h"
@@ -168,6 +171,125 @@ TEST(XPathStreamTest, SeesUpdatesWithoutRefresh) {
   ASSERT_LAXML_OK(store->InsertIntoLast(1, MustFragment("<e/>")).status());
   ASSERT_OK_AND_ASSIGN(auto after, EvaluateXPathStreaming(*store, "//e"));
   EXPECT_EQ(after.size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded scans: the index join picks the subtrees, the scan runs inside.
+
+/// Runs `expr` cold (a full scan that warms the prefix's tags), then
+/// warm, and checks both against the oracle and the forced scan; the
+/// warm run must be a seeded scan.
+void ExpectSeeded(Store* store, const char* expr) {
+  ExpectAgreement(store, expr);  // cold: warms the prefix
+  XPathOracle oracle(store);
+  ASSERT_OK_AND_ASSIGN(auto expected, oracle.Evaluate(expr));
+  ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath(expr));
+  obs::RequestContext rc;
+  {
+    obs::ScopedRequestContext scoped(&rc);
+    ASSERT_OK_AND_ASSIGN(auto seeded, EvaluateXPathStreaming(*store, path));
+    EXPECT_EQ(seeded, expected) << expr << " (seeded)";
+  }
+#if !defined(LAXML_TRACING_DISABLED)
+  ASSERT_NE(rc.plan, nullptr) << expr;
+  EXPECT_STREQ(rc.plan, "seeded-scan") << expr;
+#endif
+  ASSERT_OK_AND_ASSIGN(auto forced,
+                       EvaluateXPathStreaming(*store, path,
+                                              /*allow_structural_index=*/
+                                              false));
+  EXPECT_EQ(forced, expected) << expr << " (forced scan)";
+}
+
+TEST(XPathStreamTest, NestedSameNameSeeds) {
+  // Nested <a> seeds, one hidden below a subtree (<x><y>) that nothing
+  // armed reaches: the scan must not skip it, or it would miss the
+  // nested seed.
+  auto store = StoreWith(MustFragment(
+      "<r><a k=\"1\"><b>1</b><x><y><a k=\"2\"><b>2</b><c/></a></y></x>"
+      "<a><b>3</b><a k=\"3\"><b>4</b></a></a><c/></a>"
+      "<a><c>5</c></a></r>"));
+  for (const char* expr :
+       {"//a/node()", "//a/b/text()", "//a/*", "//a/@k", "//a[b]",
+        "//a[c]/b", "//a[@k='2']/b", "//a//text()", "//a/b[1]", "/r/a/*",
+        "//a[b='3']", "//a/x/y/a/b/text()", "//a[a]/c"}) {
+    ExpectSeeded(store.get(), expr);
+  }
+}
+
+TEST(XPathStreamTest, SeedsAcrossRangeBoundaries) {
+  std::string xml = "<r>";
+  for (int i = 0; i < 40; ++i) {
+    const std::string n = std::to_string(i);
+    xml += "<s a=\"" + n + "\"><t>text " + n + "</t>" +
+           (i % 3 == 0 ? "<u/>" : "") + "<v><w>" + n + "</w></v></s>";
+  }
+  xml += "</r>";
+  auto store = StoreWith(MustFragment(xml), /*max_range_bytes=*/48);
+  ASSERT_GT(store->range_manager().range_count(), 10u);
+  for (const char* expr :
+       {"//s/*", "//s[u]", "//s/@a", "//s/t/text()", "//s[t='text 7']/v",
+        "//s/v/w/text()", "/r/s[2]", "//s[u]/v//text()"}) {
+    ExpectSeeded(store.get(), expr);
+  }
+}
+
+TEST(XPathStreamTest, DeadSubtreeSpanningWholeRanges) {
+  // <skip> spans many ranges, all dead for these queries: whole ranges
+  // pass on their depth profile, their tokens unread.
+  std::string xml = "<r><head>h</head><skip>";
+  for (int i = 0; i < 60; ++i) xml += "<x><y>filler</y></x>";
+  xml += "</skip><keep k=\"1\">v</keep></r>";
+  auto store = StoreWith(MustFragment(xml), /*max_range_bytes=*/64);
+  ASSERT_GT(store->range_manager().range_count(), 10u);
+  ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
+  for (const char* expr : {"/r/keep/text()", "/r/keep/@k", "/r/*[2]",
+                           "/r/keep[@k='1']"}) {
+    ExpectAgreement(store.get(), expr);
+    ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath(expr));
+    obs::RequestContext rc;
+    {
+      obs::ScopedRequestContext scoped(&rc);
+      ASSERT_OK_AND_ASSIGN(auto forced,
+                           EvaluateXPathStreaming(*store, path,
+                                                  /*allow_structural_index=*/
+                                                  false));
+      EXPECT_EQ(forced.size(), 1u) << expr;
+    }
+#if !defined(LAXML_TRACING_DISABLED)
+    EXPECT_LT(rc.counters.tokens_scanned, all.size() / 2) << expr;
+#endif
+  }
+  ExpectSeeded(store.get(), "/r/keep/text()");
+  ExpectSeeded(store.get(), "//skip/x[1]/y");
+}
+
+TEST(XPathStreamTest, AttributesAfterChildren) {
+  // InsertIntoFirst splices before the element's attribute tokens, so
+  // the attributes follow a child: a seeded //e/@k must still see them
+  // past the (dead) child subtree.
+  auto store = StoreWith(MustFragment(
+      "<r><e k=\"1\" j=\"2\"><f/></e><e k=\"3\"/></r>"));
+  ASSERT_OK_AND_ASSIGN(auto es, EvaluateXPathStreaming(*store, "//e"));
+  ASSERT_EQ(es.size(), 2u);
+  for (NodeId e : es) {
+    ASSERT_LAXML_OK(
+        store->InsertIntoFirst(e, MustFragment("<g><h>x</h></g>")).status());
+  }
+  ASSERT_OK_AND_ASSIGN(TokenSequence tokens, store->Read());
+  // The splice really put a child before the attributes.
+  size_t first_g = 0, first_attr = 0;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    if (first_g == 0 && tokens[i].name == "g") first_g = i;
+    if (first_attr == 0 && tokens[i].type == TokenType::kBeginAttribute) {
+      first_attr = i;
+    }
+  }
+  ASSERT_LT(first_g, first_attr);
+  for (const char* expr : {"//e/@k", "//e/@*", "//e[@k='3']/g", "//e[@j]",
+                           "//e/g/h/text()"}) {
+    ExpectSeeded(store.get(), expr);
+  }
 }
 
 TEST(XPathStreamTest, EmptyStore) {
