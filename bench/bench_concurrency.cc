@@ -1,17 +1,9 @@
-// Ablation F — concurrency on ranges (paper Section 9 future work: a
-// "three-layer architecture: blocks, ranges and tokens" for locking).
-//
-// Phase A compares document-granularity locking (every transaction
-// takes an X on the whole data source) against range-granularity
-// multi-granularity locking (IX on the document + X on one range),
-// under increasing thread counts touching mostly-disjoint ranges — a
-// LockManager simulation of the paper's future-work protocol.
-//
-// Phase B measures the REAL engine: SharedStore read throughput in
-// kRangeWithPartial mode as reader threads scale, exercising the
-// shared latch + sharded partial index + concurrent buffer pool. On a
+// SharedStore read scaling: read throughput of the real engine in
+// kRangeWithPartial mode as reader threads scale, exercising the shared
+// latch, the sharded partial index and the concurrent buffer pool. On a
 // multi-core host read-only throughput should scale near-linearly; the
-// 1-thread row doubles as the shared-path overhead measurement.
+// 1-thread row doubles as the shared-path overhead measurement. A
+// single-core host cannot show the scaling.
 //
 //   bench_concurrency [--ops N] [--json out.json]
 
@@ -25,9 +17,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "concurrency/lock_manager.h"
 #include "concurrency/shared_store.h"
-#include "common/random.h"
 #include "store/store.h"
 #include "workload/zipf.h"
 #include "xml/token_sequence.h"
@@ -37,74 +27,7 @@ namespace {
 
 using bench::Timer;
 
-constexpr int kOpsPerThread = 4000;
-constexpr int kRanges = 64;
-constexpr int kWorkIters = 120;  // simulated per-op work inside the lock
-
-/// Simulated range mutation: a short CPU burn standing in for the
-/// split/encode work an update performs while holding the lock.
-uint64_t SimulatedWork(uint64_t seed) {
-  uint64_t x = seed | 1;
-  for (int i = 0; i < kWorkIters; ++i) {
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    x *= 0x2545f4914f6cdd1dull;
-  }
-  return x;
-}
-
-double RunDocumentLevel(int threads) {
-  LockManager manager(std::chrono::milliseconds(10000));
-  std::atomic<uint64_t> sink{0};
-  Timer timer;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      Random rng(t + 1);
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        TxnId txn = static_cast<TxnId>(t) * 1000000 + i + 1;
-        LockScope scope(&manager, txn);
-        if (!scope.Acquire(LockResource::Document(), LockMode::kX).ok()) {
-          continue;
-        }
-        sink.fetch_add(SimulatedWork(rng.Next64()),
-                       std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  return threads * kOpsPerThread / timer.Seconds();
-}
-
-double RunRangeLevel(int threads) {
-  LockManager manager(std::chrono::milliseconds(10000));
-  std::atomic<uint64_t> sink{0};
-  Timer timer;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      Random rng(t + 1);
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        TxnId txn = static_cast<TxnId>(t) * 1000000 + i + 1;
-        LockScope scope(&manager, txn);
-        if (!scope.Acquire(LockResource::Document(), LockMode::kIX).ok()) {
-          continue;
-        }
-        RangeId range = 1 + rng.Uniform(kRanges);
-        if (!scope.Acquire(LockResource::Range(range), LockMode::kX).ok()) {
-          continue;
-        }
-        sink.fetch_add(SimulatedWork(rng.Next64()),
-                       std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  return threads * kOpsPerThread / timer.Seconds();
-}
-
-constexpr int kReadDocNodes = 2000;  // working-set size for phase B
+constexpr int kReadDocNodes = 2000;  // working-set size
 
 /// SharedStore read-only throughput at `threads` readers over a
 /// kRangeWithPartial store with `node_ids` live nodes. Returns ops/s.
@@ -146,7 +69,7 @@ double RunSharedReads(SharedStore* shared,
 int main(int argc, char** argv) {
   using namespace laxml;
 
-  long read_ops = 20000;  // per thread, phase B
+  long read_ops = 20000;  // per thread
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc) {
@@ -159,34 +82,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf(
-      "=== Ablation F: lock granularity (%d ops/thread over %d ranges) "
-      "===\n",
-      kOpsPerThread, kRanges);
-  std::printf("%8s %20s %20s %8s\n", "threads", "doc-level X (op/s)",
-              "range-level X (op/s)", "ratio");
-  RunRangeLevel(2);  // warm-up
   bench::JsonReport report("bench_concurrency");
   report.AddMeta("structural_index",
                  StructuralIndexModeName(StoreOptions().structural_index));
-  for (int threads : {1, 2, 4, 8}) {
-    double doc = RunDocumentLevel(threads);
-    double range = RunRangeLevel(threads);
-    std::printf("%8d %20.0f %20.0f %7.2fx\n", threads, doc, range,
-                range / doc);
-  }
-  std::printf(
-      "\nExpected: identical at 1 thread (range locking even pays an "
-      "extra\nacquire); with more threads the document lock serializes "
-      "everything\nwhile range locks let disjoint updates proceed — the "
-      "benefit the\npaper's future-work section anticipates. (On a "
-      "single-core host the\nratio compresses toward 1 since threads "
-      "cannot truly overlap.)\n");
-
-  // ------------------------------------------------------------------
-  // Phase B: the real engine. Readers over SharedStore in
-  // kRangeWithPartial mode — the shared-latch path the sharded partial
-  // index and concurrent buffer pool exist for.
   StoreOptions options;
   options.index_mode = IndexMode::kRangeWithPartial;
   auto opened = Store::OpenInMemory(options);
@@ -220,7 +118,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "\n=== SharedStore read scaling (kRangeWithPartial, %d nodes, "
+      "=== SharedStore read scaling (kRangeWithPartial, %d nodes, "
       "%ld reads/thread, zipf 0.8) ===\n",
       kReadDocNodes, read_ops);
   std::printf("%8s %16s %10s\n", "threads", "reads/s", "scaling");

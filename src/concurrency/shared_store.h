@@ -27,9 +27,8 @@
 // therefore share one fdatasync (see wal/group_commit.h); the wait
 // happening outside the latch is what lets their appends batch at all.
 //
-// The range-granularity LockManager still models the paper's
-// future-work *concurrency protocol* and is exercised separately
-// (bench_concurrency); SharedStore provides the engine's real safety.
+// This latch is the engine's only concurrency control. The range
+// locking protocol the paper names as future work (§9) is not modelled.
 
 #ifndef LAXML_CONCURRENCY_SHARED_STORE_H_
 #define LAXML_CONCURRENCY_SHARED_STORE_H_

@@ -8,10 +8,24 @@ namespace laxml {
 
 Status TokenCursor::LoadRange(const RangeMeta& meta) {
   LAXML_ASSIGN_OR_RETURN(payload_, ranges_->ReadPayload(meta.id));
-  range_ = meta.id;
-  next_range_ = meta.next;
+  meta_ = meta;
   next_id_ = meta.start_id;
+  range_first_ordinal_ = next_ordinal_;
   reader_ = TokenReader(Slice(payload_), ranges_->codec_for(meta));
+  return Status::OK();
+}
+
+Status TokenCursor::SeekReader(RangeId range, uint32_t byte_offset) {
+  valid_ = false;
+  if (meta_.id != range) {
+    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(range));
+    LAXML_RETURN_IF_ERROR(LoadRange(meta));
+  }
+  if (byte_offset >= payload_.size()) {
+    return Status::Corruption("seek past the end of range " +
+                              std::to_string(range));
+  }
+  reader_.SeekTo(byte_offset);
   return Status::OK();
 }
 
@@ -27,16 +41,7 @@ Status TokenCursor::SeekToFirst() {
 }
 
 Status TokenCursor::Seek(const StructuralEntry& entry) {
-  valid_ = false;
-  if (range_ != entry.range) {
-    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(entry.range));
-    LAXML_RETURN_IF_ERROR(LoadRange(meta));
-  }
-  if (entry.offset >= payload_.size()) {
-    return Status::Corruption("seek past the end of range " +
-                              std::to_string(entry.range));
-  }
-  reader_.SeekTo(entry.offset);
+  LAXML_RETURN_IF_ERROR(SeekReader(entry.range, entry.offset));
   next_id_ = entry.id;
   next_ordinal_ = entry.pre;
   depth_ = entry.level;
@@ -51,6 +56,16 @@ Status TokenCursor::Seek(const StructuralEntry& entry) {
   return Status::OK();
 }
 
+Status TokenCursor::SeekTo(RangeId range, uint32_t byte_offset,
+                           uint32_t token_index, uint32_t begins_before) {
+  LAXML_RETURN_IF_ERROR(SeekReader(range, byte_offset));
+  next_id_ = meta_.start_id + begins_before;
+  range_first_ordinal_ = 0;
+  next_ordinal_ = token_index;
+  depth_ = 0;
+  return DecodeOne();
+}
+
 const Token& TokenCursor::token() const {
   if (!decoded_) {
     // reader_ still reads the current token's range: Next() loads the
@@ -58,7 +73,7 @@ const Token& TokenCursor::token() const {
     TokenReader reader = reader_;
     reader.SeekTo(byte_offset_);
     Status st = reader.Next(&token_);
-    LAXML_CHECK(st.ok()) << "token at range " << range_ << " offset "
+    LAXML_CHECK(st.ok()) << "token at range " << meta_.id << " offset "
                          << byte_offset_ << " passed Skip but not Next: "
                          << st.ToString();
     decoded_ = true;
@@ -68,11 +83,11 @@ const Token& TokenCursor::token() const {
 
 Status TokenCursor::NextRange() {
   while (reader_.AtEnd()) {
-    if (next_range_ == kInvalidRangeId) {
+    if (meta_.next == kInvalidRangeId) {
       valid_ = false;
       return Status::OK();
     }
-    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(next_range_));
+    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(meta_.next));
     LAXML_RETURN_IF_ERROR(LoadRange(meta));
   }
   return DecodeOne();
@@ -87,11 +102,13 @@ Status TokenCursor::SkipSubtree() {
   TokenType type = type_;
   while (depth_ > end_depth) {
     while (reader_.AtEnd()) {
-      // Depth-profile skip (as Store::LocateEnd): a range whose lowest
-      // running depth stays above the end token's cannot hold it, so
-      // its metadata alone advances depth and ordinals. Ids need no
-      // count — each loaded range restarts them from its start_id.
-      RangeId next = next_range_;
+      // Depth-profile skip: a range whose lowest running depth stays
+      // above the end token's cannot hold it, so its metadata alone
+      // advances depth and ordinals — no payload read, no header
+      // decoded. This keeps insertIntoLast(root) cheap on a store of
+      // thousands of ranges. Ids need no count: each loaded range
+      // restarts them from its start_id.
+      RangeId next = meta_.next;
       while (true) {
         if (next == kInvalidRangeId) {
           valid_ = false;
@@ -120,6 +137,7 @@ Status TokenCursor::SkipSubtree() {
     }
   }
   LAXML_RC_ADD(tokens_scanned, scanned);
+  skipped_headers_ += scanned;
   // The cursor now stands on the matching end token.
   type_ = type;
   name_symbol_ = kNoNameSymbol;

@@ -10,9 +10,13 @@
 // looks at them.
 //
 // A scan need not start at the first token or visit every one:
-// Seek(entry) jumps to a structural-index entry's begin token, and
-// SkipSubtree() passes over the rest of the current element, reading
-// headers only and passing whole ranges on their depth profile alone.
+// Seek(entry) jumps to a structural-index entry's begin token, SeekTo()
+// to any token the store has located, and SkipSubtree() passes over the
+// rest of the current scope, reading headers only and passing whole
+// ranges on their depth profile alone. The store locates nodes the same
+// way (Section 4.3): SeekTo a range's first token and Next() to the id,
+// then SkipSubtree() to its end token. This is the engine's only
+// locating scan.
 
 #ifndef LAXML_STORE_CURSOR_H_
 #define LAXML_STORE_CURSOR_H_
@@ -55,6 +59,16 @@ class TokenCursor {
   /// the entry's (range, offset) is a begin-element.
   Status Seek(const StructuralEntry& entry);
 
+  /// Positions at the token at `byte_offset` in `range`: the range's
+  /// `token_index`-th token, with `begins_before` node-begin tokens
+  /// before it in the range — the coordinates of a store location
+  /// (`Store::Located`, a Partial Index memo). Global ordinal and depth
+  /// are not part of a location, so both count from here: ordinals from
+  /// the range's first token (ordinal() == token_index), depth from 0
+  /// at this token.
+  Status SeekTo(RangeId range, uint32_t byte_offset, uint32_t token_index,
+                uint32_t begins_before);
+
   bool Valid() const { return valid_; }
 
   /// Advances to the next token (crossing range boundaries as needed).
@@ -90,14 +104,42 @@ class TokenCursor {
   uint64_t ordinal() const { return ordinal_; }
 
   /// Range currently being streamed.
-  RangeId range() const { return range_; }
+  RangeId range() const { return meta_.id; }
+
+  /// Codec version of the current range's payload.
+  uint8_t codec() const { return meta_.codec; }
 
   /// Byte offset of the current token within its range's payload (the
   /// coordinate the Partial and Structural indexes memoize).
   uint32_t byte_offset() const { return byte_offset_; }
 
+  /// Encoded length of the current token under its range's codec.
+  uint32_t encoded_len() const {
+    return static_cast<uint32_t>(reader_.offset()) - byte_offset_;
+  }
+
+  /// Index of the current token within its range. A structural entry
+  /// carries no such index, so after Seek(entry) it is exact only once
+  /// the cursor has moved into the next range.
+  uint32_t token_index() const {
+    return static_cast<uint32_t>(ordinal_ - range_first_ordinal_);
+  }
+
+  /// Node-begin tokens in the current range before the current token.
+  uint32_t begins_before() const {
+    return static_cast<uint32_t>(next_id_ - meta_.start_id) -
+           (TokenBeginsNode(type_) ? 1 : 0);
+  }
+
+  /// Token headers SkipSubtree() calls have read (Next() reads one per
+  /// call).
+  uint64_t skipped_headers() const { return skipped_headers_; }
+
  private:
   Status LoadRange(const RangeMeta& meta);
+  /// Loads `range` unless it is the current one and puts the reader at
+  /// `byte_offset`, which must lie inside its payload.
+  Status SeekReader(RangeId range, uint32_t byte_offset);
   /// Next() across a range boundary (or to the end).
   Status NextRange();
 
@@ -123,10 +165,8 @@ class TokenCursor {
 
   const RangeManager* ranges_;
   bool valid_ = false;
-  RangeId range_ = kInvalidRangeId;
   std::vector<uint8_t> payload_;
   TokenReader reader_{Slice()};
-  RangeId next_range_ = kInvalidRangeId;
   NodeId next_id_ = kInvalidNodeId;
   uint64_t next_ordinal_ = 0;
   TokenType type_ = TokenType::kText;
@@ -138,6 +178,9 @@ class TokenCursor {
   uint32_t byte_offset_ = 0;
   int64_t depth_ = 0;           // depth after consuming the token
   int64_t depth_at_token_ = 0;  // depth at the token
+  RangeMeta meta_;  // of the range being streamed
+  uint64_t range_first_ordinal_ = 0;  // ordinal of meta_'s first token
+  uint64_t skipped_headers_ = 0;
 };
 
 }  // namespace laxml

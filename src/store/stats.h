@@ -24,8 +24,9 @@ struct StoreStats {
   RelaxedCounter bytes_inserted;
   RelaxedCounter nodes_inserted;
   RelaxedCounter nodes_deleted;
-  /// Tokens decoded while *locating* ids the lazy way — the measurable
-  /// price of coarse ranges that the Partial Index exists to amortize.
+  /// Token headers read while *locating* ids the lazy way (ranges passed
+  /// on their depth profile are not read) — the measurable price of
+  /// coarse ranges that the Partial Index exists to amortize.
   RelaxedCounter locate_scan_tokens;
   /// Full-index maintenance operations (puts + deletes + split-rebasing
   /// re-puts) — the measurable price of eagerness.

@@ -24,6 +24,17 @@ constexpr uint32_t kStoreMagic = 0x4C585354u;  // "LXST"
 constexpr uint32_t kStoreVersion = 3;
 constexpr uint32_t kMinStoreVersion = 2;
 constexpr size_t kMetaBlobSize = 112;
+
+// A commit sync policy without a log to sync is a contradiction; running
+// on without the log would silently drop the durability asked for.
+Status CheckWalOptions(const StoreOptions& options) {
+  if (options.wal_sync != WalSyncMode::kNone && !options.enable_wal) {
+    return Status::InvalidArgument(
+        std::string("wal_sync ") + WalSyncModeName(options.wal_sync) +
+        " needs enable_wal");
+  }
+  return Status::OK();
+}
 }  // namespace
 
 const char* IndexModeName(IndexMode mode) {
@@ -103,6 +114,7 @@ void Store::TestOnlyCrash() {
 
 Result<std::unique_ptr<Store>> Store::Open(const std::string& path,
                                            const StoreOptions& options) {
+  LAXML_RETURN_IF_ERROR(CheckWalOptions(options));
   LAXML_ASSIGN_OR_RETURN(auto pager, Pager::OpenFile(path, options.pager));
   LAXML_ASSIGN_OR_RETURN(auto meta, pager->ReadMeta());
   bool fresh = meta.empty();
@@ -148,6 +160,7 @@ Result<std::unique_ptr<Store>> Store::Open(const std::string& path,
 
 Result<std::unique_ptr<Store>> Store::OpenInMemory(
     const StoreOptions& options) {
+  LAXML_RETURN_IF_ERROR(CheckWalOptions(options));
   if (options.enable_wal) {
     return Status::InvalidArgument(
         "WAL requires a file-backed store (nothing survives an in-memory "
@@ -439,7 +452,6 @@ Status Store::MaybeSync() {
     LAXML_RETURN_IF_ERROR(CheckIntegrity());
   }
   if (read_only()) return Status::OK();  // replay stays in memory
-  if (options_.sync_every_op) return Sync();
   // Under WAL no-steal, checkpoint before the pool fills with dirt.
   if (wal_ != nullptr) {
     BufferPool* pool = pager_->pool();
@@ -465,9 +477,7 @@ Status Store::LogOp(WalOp op, NodeId target, const TokenSequence& data) {
   // kGroupCommit appends unsynced: the caller (SharedStore) waits on the
   // group-commit sequencer after releasing the write latch, so one
   // fdatasync covers every committer appended meanwhile.
-  const bool sync = options_.sync_every_op ||
-                    options_.wal_sync == WalSyncMode::kEveryCommit;
-  return wal_->Append(rec, sync);
+  return wal_->Append(rec, options_.wal_sync == WalSyncMode::kEveryCommit);
 }
 
 // ---------------------------------------------------------------------------
@@ -531,35 +541,21 @@ Result<Store::Located> Store::LocateBegin(NodeId id,
     LAXML_RETURN_IF_ERROR(FetchTokenAt(&loc));
     return loc;
   }
-  // The lazy path: coarse index probe + counting scan (Section 4.3).
+  // The lazy path (Section 4.3): a coarse index probe, then a scan from
+  // the range's first token that regenerates ids up to `id`. Only the
+  // target token's strings are decoded.
   LAXML_ASSIGN_OR_RETURN(RangeId rid, ranges_->index().Lookup(id));
-  LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(rid));
-  LAXML_ASSIGN_OR_RETURN(auto payload, ranges_->ReadPayload(rid));
-  uint64_t target_ordinal = id - meta.start_id;
-  TokenReader reader{Slice(payload), CodecFor(meta)};
-  uint64_t begins = 0;
-  uint32_t index = 0;
-  Token token;
-  while (!reader.AtEnd()) {
-    size_t offset = reader.offset();
-    LAXML_RETURN_IF_ERROR(reader.Next(&token));
-    ++stats_.locate_scan_tokens;
-    if (token.BeginsNode()) {
-      if (begins == target_ordinal) {
-        Located loc;
-        loc.range = rid;
-        loc.byte_offset = static_cast<uint32_t>(offset);
-        loc.token_index = index;
-        loc.begins_before = static_cast<uint32_t>(begins);
-        loc.token = std::move(token);
-        loc.encoded_len = static_cast<uint32_t>(reader.offset() - offset);
-        loc.codec = meta.codec;
-        partial_.RecordBegin(id, rid, loc.byte_offset, loc.token_index);
-        return loc;
-      }
-      ++begins;
+  TokenCursor cursor(ranges_.get());
+  LAXML_RETURN_IF_ERROR(cursor.SeekTo(rid, 0, 0, 0));
+  while (cursor.Valid() && cursor.range() == rid) {
+    if (cursor.node_id() == id) {
+      // Headers read: the range's first token through this one.
+      stats_.locate_scan_tokens += cursor.token_index() + 1;
+      Located loc = LocatedAt(cursor);
+      partial_.RecordBegin(id, rid, loc.byte_offset, loc.token_index);
+      return loc;
     }
-    ++index;
+    LAXML_RETURN_IF_ERROR(cursor.Next());
   }
   return Status::Corruption("range index pointed at a range missing id " +
                             std::to_string(id));
@@ -579,73 +575,28 @@ Result<Store::Located> Store::LocateEnd(NodeId id, const Located& begin) {
     LAXML_RETURN_IF_ERROR(FetchTokenAt(&loc));
     return loc;
   }
-  // Scan forward from the begin token, tracking scope depth, across
-  // ranges when the subtree spans several.
-  RangeId cur = begin.range;
-  uint8_t cur_codec = begin.codec;
-  LAXML_ASSIGN_OR_RETURN(auto payload, ranges_->ReadPayload(cur));
-  TokenReader reader{Slice(payload),
-                     TokenCodecContext(cur_codec, dict_.get())};
-  reader.SeekTo(begin.byte_offset);
-  Token token;
-  LAXML_RETURN_IF_ERROR(reader.Next(&token));  // the begin token
-  int64_t depth = 1;
-  uint32_t index = begin.token_index + 1;
-  uint64_t begins = begin.begins_before + 1;
-  while (true) {
-    while (!reader.AtEnd()) {
-      size_t offset = reader.offset();
-      LAXML_RETURN_IF_ERROR(reader.Next(&token));
-      ++stats_.locate_scan_tokens;
-      if (token.ClosesScope()) {
-        if (--depth == 0) {
-          Located loc;
-          loc.range = cur;
-          loc.byte_offset = static_cast<uint32_t>(offset);
-          loc.token_index = index;
-          loc.begins_before = static_cast<uint32_t>(begins);
-          loc.token = std::move(token);
-          loc.encoded_len = static_cast<uint32_t>(reader.offset() - offset);
-          loc.codec = cur_codec;
-          partial_.RecordEnd(id, cur, loc.byte_offset, loc.token_index,
-                             loc.begins_before);
-          return loc;
-        }
-      } else if (token.OpensScope()) {
-        ++depth;
-      }
-      if (token.BeginsNode()) ++begins;
-      ++index;
-    }
-    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
-    if (meta.next == kInvalidRangeId) {
-      return Status::Corruption("node " + std::to_string(id) +
-                                " never closes");
-    }
-    cur = meta.next;
-    // Depth-profile skip: when the running depth cannot reach zero
-    // inside this range, advance over it using metadata alone — no
-    // payload read, no token decoding. This is what keeps
-    // insertIntoLast(root) cheap on a store of thousands of ranges.
-    while (true) {
-      LAXML_ASSIGN_OR_RETURN(RangeMeta cur_meta, ranges_->GetMeta(cur));
-      if (depth + cur_meta.min_depth <= 0) {  // end token inside
-        cur_codec = cur_meta.codec;
-        break;
-      }
-      depth += cur_meta.depth_delta;
-      if (cur_meta.next == kInvalidRangeId) {
-        return Status::Corruption("node " + std::to_string(id) +
-                                  " never closes (skip scan)");
-      }
-      cur = cur_meta.next;
-    }
-    LAXML_ASSIGN_OR_RETURN(payload, ranges_->ReadPayload(cur));
-    reader = TokenReader{Slice(payload),
-                         TokenCodecContext(cur_codec, dict_.get())};
-    index = 0;
-    begins = 0;
-  }
+  TokenCursor cursor(ranges_.get());
+  LAXML_RETURN_IF_ERROR(cursor.SeekTo(begin.range, begin.byte_offset,
+                                      begin.token_index,
+                                      begin.begins_before));
+  LAXML_RETURN_IF_ERROR(cursor.SkipSubtree());
+  stats_.locate_scan_tokens += cursor.skipped_headers();
+  Located loc = LocatedAt(cursor);
+  partial_.RecordEnd(id, loc.range, loc.byte_offset, loc.token_index,
+                     loc.begins_before);
+  return loc;
+}
+
+Store::Located Store::LocatedAt(const TokenCursor& cursor) {
+  Located loc;
+  loc.range = cursor.range();
+  loc.byte_offset = cursor.byte_offset();
+  loc.token_index = cursor.token_index();
+  loc.begins_before = cursor.begins_before();
+  loc.token = cursor.token();
+  loc.encoded_len = cursor.encoded_len();
+  loc.codec = cursor.codec();
+  return loc;
 }
 
 // ---------------------------------------------------------------------------
@@ -1095,6 +1046,10 @@ Status Store::ReadSubtree(const Located& start, NodeId id,
   // it from the materialized token would over-count for v2 ranges.
   size_t skip = start.byte_offset + start.encoded_len;
   size_t take;
+  // Node begins in the range before the next token, for *end_loc. Read
+  // locates without the begin count, so it comes from the range's
+  // start id, not from start.begins_before.
+  uint64_t begins = 0;
   if (first_range_byte_limit > 0 &&
       start.byte_offset + first_range_byte_limit >= skip) {
     // ReadSlice clamps to the record end, so the bounded fast path needs
@@ -1103,6 +1058,7 @@ Status Store::ReadSubtree(const Located& start, NodeId id,
   } else {
     LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
     take = meta.byte_len - skip;
+    begins = id - meta.start_id + 1;
   }
   LAXML_ASSIGN_OR_RETURN(
       auto payload, ranges_->range_records()->ReadSlice(cur, skip, take));
@@ -1112,7 +1068,6 @@ Status Store::ReadSubtree(const Located& start, NodeId id,
   // payload (slice offset + skip within the first range).
   size_t slice_base = skip;
   uint32_t index = start.token_index + 1;
-  uint64_t begins = start.begins_before + 1;
   int64_t depth = 1;
   Token token;
   while (true) {

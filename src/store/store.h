@@ -5,11 +5,11 @@
 //     document-order chain of Ranges (Section 4).
 //   * Node ids are insert-time integers; they are never stored with the
 //     tokens and are regenerated by scanning from each Range's start id.
-//   * Locating a node is lazy: coarse Range Index probe, then an
-//     in-range counting scan — whose result is memoized in the Partial
-//     Index so the next lookup of the same logical position jumps
-//     directly (Section 5). The kFullIndex mode maintains the eager
-//     baseline instead (Section 4.1).
+//   * Locating a node is lazy: coarse Range Index probe, then a
+//     TokenCursor scan from the range's start — whose result is
+//     memoized in the Partial Index so the next lookup of the same
+//     logical position jumps directly (Section 5). The kFullIndex mode
+//     maintains the eager baseline instead (Section 4.1).
 //   * Every update is expressed against a target node id, exactly the
 //     XUpdate-style interface of the paper's Table 1.
 //
@@ -350,8 +350,11 @@ class Store {
   /// it saves a metadata probe on the memoized fast path).
   Result<Located> LocateBegin(NodeId id, bool need_begin_count = true);
   /// Locates the end token of the node whose begin is `begin` (returns
-  /// `begin` itself for single-token nodes).
+  /// `begin` itself for single-token nodes). `begin.begins_before` must
+  /// be filled.
   Result<Located> LocateEnd(NodeId id, const Located& begin);
+  /// The cursor's current token as a Located.
+  static Located LocatedAt(const TokenCursor& cursor);
 
   /// Splits ranges as needed so that the position just before the token
   /// at `loc` is a range boundary.
@@ -392,7 +395,8 @@ class Store {
   /// inside a huge coarse range costs a small slice read, not the whole
   /// payload.
   /// When `end_loc` is non-null it receives the end token's location
-  /// (so Read(id) can memoize it in the Partial Index).
+  /// (so Read(id) can memoize it in the Partial Index); that needs
+  /// `first_range_byte_limit` 0.
   Status ReadSubtree(const Located& start, NodeId id, TokenSequence* out,
                      uint32_t first_range_byte_limit = 0,
                      Located* end_loc = nullptr);

@@ -32,9 +32,9 @@ const char* IndexModeName(IndexMode mode);
 
 /// When (and by whom) a logged mutation's WAL record is fdatasync'd.
 enum class WalSyncMode : uint32_t {
-  /// Append unsynced; durability comes from checkpoints only (the
-  /// pre-existing enable_wal behaviour: replay covers a crash between
-  /// checkpoints but the tail may lose the last few operations).
+  /// Append unsynced; durability comes from checkpoints (replay covers
+  /// a crash between checkpoints, but the tail may lose the last few
+  /// operations). Without enable_wal: checkpoints only, no log.
   kNone = 0,
   /// fdatasync inside every mutating call. Simple, single-threaded
   /// commit durability — each committer pays a full device sync.
@@ -94,18 +94,14 @@ struct StoreOptions {
   /// values give "many, granular entries".
   uint32_t max_range_bytes = 0;
 
-  /// Flush + fsync after every mutating operation (durability at the
-  /// cost of throughput; benches leave it off as the paper's prototype
-  /// did).
-  bool sync_every_op = false;
-
   /// Write-ahead logging of logical operations (file-backed stores
   /// only): mutations are journaled and replayed after a crash that
   /// interrupts un-checkpointed work.
   bool enable_wal = false;
 
-  /// Commit durability policy for WAL records (enable_wal only).
-  /// sync_every_op (checkpoint-per-op) overrides it when set.
+  /// Commit durability policy for WAL records. Anything but kNone
+  /// needs enable_wal; Open and OpenInMemory refuse the combination
+  /// with InvalidArgument rather than run without the asked-for log.
   WalSyncMode wal_sync = WalSyncMode::kNone;
 
   /// Injection seam: when set (and enable_wal), the freshly opened WAL

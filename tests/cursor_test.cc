@@ -1,6 +1,7 @@
 // TokenCursor tests: depth bookkeeping, id regeneration across range
-// boundaries, behavior on fragmented stores, and agreement with
-// ReadWithIds.
+// boundaries, behavior on fragmented stores, agreement with
+// ReadWithIds, and the range-local positions the store's locate scans
+// take from it.
 
 #include "store/cursor.h"
 
@@ -11,11 +12,57 @@
 #include "store/store.h"
 #include "test_util.h"
 #include "workload/doc_generator.h"
+#include "xml/token_codec.h"
 
 namespace laxml {
 namespace {
 
 using testing::MustFragment;
+
+// Where a token sits, as the store's locate paths record it.
+struct Spot {
+  RangeId range = kInvalidRangeId;
+  uint32_t offset = 0;
+  uint32_t index = 0;
+  uint32_t begins_before = 0;
+  uint32_t encoded_len = 0;
+};
+
+// Every token's spot, by brute force: ReadWithIds' tokens laid over the
+// range chain's token counts, each re-encoded under its range's codec.
+std::vector<Spot> BruteForceSpots(Store* store, TokenSequence* tokens,
+                                  std::vector<NodeId>* ids) {
+  auto read = store->ReadWithIds(ids);
+  EXPECT_TRUE(read.ok());
+  *tokens = std::move(read).value();
+  std::vector<Spot> spots;
+  const RangeManager& ranges = store->range_manager();
+  for (RangeId r = ranges.first_range(); r != kInvalidRangeId;) {
+    RangeMeta meta = ranges.GetMeta(r).value();
+    Spot spot;
+    spot.range = r;
+    for (; spot.index < meta.token_count; ++spot.index) {
+      if (spots.size() >= tokens->size()) return {};
+      const Token& token = (*tokens)[spots.size()];
+      spot.encoded_len = static_cast<uint32_t>(EncodedTokenSizeWith(
+          token, meta.codec, store->name_dictionary()));
+      spots.push_back(spot);
+      spot.offset += spot.encoded_len;
+      if (token.BeginsNode()) ++spot.begins_before;
+    }
+    r = meta.next;
+  }
+  EXPECT_EQ(spots.size(), tokens->size());
+  return spots;
+}
+
+void ExpectAt(const TokenCursor& cursor, const Spot& want, size_t i) {
+  EXPECT_EQ(cursor.range(), want.range) << "token " << i;
+  EXPECT_EQ(cursor.byte_offset(), want.offset) << "token " << i;
+  EXPECT_EQ(cursor.token_index(), want.index) << "token " << i;
+  EXPECT_EQ(cursor.begins_before(), want.begins_before) << "token " << i;
+  EXPECT_EQ(cursor.encoded_len(), want.encoded_len) << "token " << i;
+}
 
 std::unique_ptr<Store> FragmentedStore() {
   StoreOptions options;
@@ -99,6 +146,60 @@ TEST(CursorTest, SeekToFirstRestarts) {
   ASSERT_LAXML_OK(cursor->SeekToFirst());
   EXPECT_EQ(cursor->node_id(), first);
   EXPECT_EQ(cursor->depth(), 0);
+}
+
+TEST(CursorTest, SeekToLocationThenSkipSubtreeMatchesBruteForce) {
+  auto store = FragmentedStore();
+  std::string xml = "<doc><e a=\"1\" bb=\"22\">some text</e><list>";
+  for (int i = 0; i < 12; ++i) {
+    xml += "<item n=\"" + std::to_string(i) + "\">v" + std::to_string(i) +
+           "<!--c--></item>";
+  }
+  xml += "</list></doc>";
+  ASSERT_LAXML_OK(store->LoadXml(xml).status());
+  // Splits leave end tokens heading ranges and id-less tails.
+  ASSERT_LAXML_OK(store->InsertIntoLast(1, MustFragment("<x y=\"z\"/>"))
+                      .status());
+  ASSERT_LAXML_OK(store->InsertIntoLast(2, MustFragment("<g/>")).status());
+  ASSERT_LAXML_OK(store->DeleteNode(9));
+
+  TokenSequence tokens;
+  std::vector<NodeId> ids;
+  std::vector<Spot> spots = BruteForceSpots(store.get(), &tokens, &ids);
+  ASSERT_EQ(spots.size(), tokens.size());
+  ASSERT_GT(store->range_manager().range_count(), 10u);
+
+  // A scan from the first range's first token reports every position.
+  TokenCursor cursor(&store->range_manager());
+  ASSERT_LAXML_OK(cursor.SeekTo(spots[0].range, 0, 0, 0));
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    ASSERT_TRUE(cursor.Valid()) << "token " << i;
+    ExpectAt(cursor, spots[i], i);
+    EXPECT_EQ(cursor.node_id(), ids[i]) << "token " << i;
+    ASSERT_LAXML_OK(cursor.Next());
+  }
+  EXPECT_FALSE(cursor.Valid());
+
+  // From every scope opener, SkipSubtree lands on the matching end.
+  size_t crossings = 0;
+  for (size_t b = 0; b < tokens.size(); ++b) {
+    if (!tokens[b].OpensScope()) continue;
+    const Spot& at = spots[b];
+    ASSERT_LAXML_OK(
+        cursor.SeekTo(at.range, at.offset, at.index, at.begins_before));
+    ExpectAt(cursor, at, b);
+    EXPECT_EQ(cursor.node_id(), ids[b]);
+    EXPECT_EQ(cursor.token(), tokens[b]);
+    ASSERT_OK_AND_ASSIGN(size_t after_end, SubtreeEnd(tokens, b));
+    const size_t end = after_end - 1;
+    ASSERT_LAXML_OK(cursor.SkipSubtree());
+    ExpectAt(cursor, spots[end], end);
+    EXPECT_EQ(cursor.token(), tokens[end]);
+    EXPECT_EQ(cursor.ordinal(), at.index + (end - b));
+    EXPECT_EQ(cursor.depth(), 0);
+    if (spots[end].range != at.range) ++crossings;
+  }
+  EXPECT_GT(crossings, 3u);
 }
 
 }  // namespace

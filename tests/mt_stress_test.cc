@@ -2,10 +2,7 @@
 // engine's concurrency boundary (the core is single-threaded by
 // design), so these tests hammer it from several threads and let the
 // sanitizer prove the latching actually covers the buffer pool, the
-// partial index, and the range chain. The LockManager tests verify the
-// lock table's own synchronization and that a lock-manager-protected
-// critical section establishes happens-before (an unguarded counter
-// mutated only under a range X lock must not race).
+// partial index, and the range chain.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "concurrency/lock_manager.h"
 #include "concurrency/shared_store.h"
 #include "store/store.h"
 #include "test_util.h"
@@ -163,65 +159,6 @@ TEST(MtStressTest, StoreStatsReadableWhileMutating) {
   EXPECT_GE(static_cast<uint64_t>(stats.inserts),
             static_cast<uint64_t>(kThreads));
   EXPECT_LAXML_OK(shared.UnsafeStore()->CheckIntegrity());
-}
-
-TEST(MtStressTest, LockManagerContention) {
-  LockManager manager;
-  std::atomic<int> timeouts{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&manager, t, &timeouts] {
-      TxnId txn = static_cast<TxnId>(t + 1);
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        LockScope scope(&manager, txn);
-        RangeId range = static_cast<RangeId>(1 + (t + i) % 3);
-        if (!scope.Acquire(LockResource::Document(), LockMode::kIX).ok() ||
-            !scope.Acquire(LockResource::Range(range), LockMode::kX).ok()) {
-          timeouts.fetch_add(1);
-          continue;  // scope releases whatever was granted
-        }
-        // Briefly hold both locks, then release via the scope.
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  // Timeouts are legal (bounded waits) but should be rare at this
-  // contention level.
-  EXPECT_LT(timeouts.load(), kThreads * kOpsPerThread);
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(manager.HeldCount(static_cast<TxnId>(t + 1)), 0u);
-  }
-}
-
-TEST(MtStressTest, LockManagerProvidesExclusion) {
-  // A counter touched only while holding the range X lock: if Acquire /
-  // Release failed to establish happens-before, TSan flags the counter
-  // and the final total comes up short.
-  LockManager manager;
-  int unguarded_counter = 0;  // deliberately NOT atomic
-  std::atomic<int> completed{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      TxnId txn = static_cast<TxnId>(
-          std::hash<std::thread::id>{}(std::this_thread::get_id()));
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        for (;;) {
-          LockScope scope(&manager, txn);
-          if (scope.Acquire(LockResource::Document(), LockMode::kIX).ok() &&
-              scope.Acquire(LockResource::Range(1), LockMode::kX).ok()) {
-            ++unguarded_counter;
-            completed.fetch_add(1);
-            break;
-          }
-          // Timed out against a peer: scope released; retry.
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(unguarded_counter, completed.load());
-  EXPECT_EQ(unguarded_counter, kThreads * kOpsPerThread);
 }
 
 TEST(MtStressTest, SharedReadersRunConcurrently) {

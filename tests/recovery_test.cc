@@ -133,5 +133,23 @@ TEST(RecoveryTest, InMemoryStoreRejectsWal) {
   EXPECT_TRUE(opened.status().IsInvalidArgument());
 }
 
+TEST(RecoveryTest, SyncPolicyWithoutWalIsRejected) {
+  for (WalSyncMode mode :
+       {WalSyncMode::kEveryCommit, WalSyncMode::kGroupCommit}) {
+    StoreOptions options;
+    options.wal_sync = mode;  // enable_wal left off
+    EXPECT_TRUE(Store::OpenInMemory(options).status().IsInvalidArgument())
+        << WalSyncModeName(mode);
+    TempFile tmp("sync_without_wal");
+    EXPECT_TRUE(
+        Store::Open(tmp.path(), options).status().IsInvalidArgument())
+        << WalSyncModeName(mode);
+    // Refused before anything is created on disk.
+    EXPECT_EQ(testing::FileSize(tmp.path()), -1);
+    options.enable_wal = true;
+    EXPECT_LAXML_OK(Store::Open(tmp.path(), options));
+  }
+}
+
 }  // namespace
 }  // namespace laxml

@@ -238,6 +238,23 @@ TEST_P(StoreBasicTest, DescribeReturnsBeginToken) {
   EXPECT_EQ(attr.value, "x");
 }
 
+TEST_P(StoreBasicTest, ReadAfterMemoizedBeginKeepsSplitsExact) {
+  // Ids: r 1, x 2, a 3, b 4, text 5, c 6. Describe memoizes only <a>'s
+  // begin; Read then memoizes its end, whose count of earlier node
+  // begins must be exact: InsertAfter splits the range there.
+  ASSERT_LAXML_OK(
+      store_->LoadXml("<r><x/><a><b/>text</a><c/></r>").status());
+  ASSERT_LAXML_OK(store_->Describe(3).status());
+  ASSERT_LAXML_OK(store_->Read(3).status());
+  EXPECT_LAXML_OK(store_->CheckIntegrity());
+  ASSERT_LAXML_OK(store_->InsertAfter(3, MustFragment("<z/>")).status());
+  ASSERT_OK_AND_ASSIGN(TokenSequence all, store_->Read());
+  EXPECT_EQ(MustSerialize(all), "<r><x/><a><b/>text</a><z/><c/></r>");
+  ASSERT_OK_AND_ASSIGN(TokenSequence c, store_->Read(6));
+  EXPECT_EQ(MustSerialize(c), "<c/>");
+  EXPECT_LAXML_OK(store_->CheckIntegrity());
+}
+
 TEST_P(StoreBasicTest, FragmentValidationRejectsGarbage) {
   ASSERT_LAXML_OK(store_->InsertTopLevel(MustFragment("<a/>")));
   TokenSequence unbalanced{Token::BeginElement("x")};

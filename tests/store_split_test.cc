@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "store/store.h"
 #include "test_util.h"
 #include "xml/serializer.h"
@@ -23,6 +25,61 @@ std::unique_ptr<Store> OpenStore(IndexMode mode, uint32_t max_range_bytes) {
   auto opened = Store::OpenInMemory(options);
   EXPECT_TRUE(opened.ok()) << opened.status().ToString();
   return std::move(opened).value();
+}
+
+// A token's range and its index there, from range metadata alone.
+struct TokenSpot {
+  RangeId range = kInvalidRangeId;
+  uint32_t index = 0;
+  uint32_t range_tokens = 0;
+};
+
+// The exact headers a memo-less locate of `id` reads: its begin range
+// from the first token through the begin token; for a scope, also the
+// rest of that range and the end range's head through the end token.
+// The ranges in between are passed on their depth profile, unread.
+// `end` receives the end token's spot.
+uint64_t ExpectedLocateHeaders(Store* store, NodeId id, TokenSpot* end) {
+  std::vector<NodeId> ids;
+  auto tokens = store->ReadWithIds(&ids);
+  EXPECT_TRUE(tokens.ok());
+  std::vector<TokenSpot> spots;
+  const RangeManager& ranges = store->range_manager();
+  for (RangeId r = ranges.first_range(); r != kInvalidRangeId;) {
+    auto meta = ranges.GetMeta(r);
+    EXPECT_TRUE(meta.ok());
+    if (!meta.ok()) return 0;
+    for (uint32_t i = 0; i < meta->token_count; ++i) {
+      spots.push_back({r, i, meta->token_count});
+    }
+    r = meta->next;
+  }
+  EXPECT_EQ(spots.size(), tokens->size());
+  size_t b = std::find(ids.begin(), ids.end(), id) - ids.begin();
+  EXPECT_LT(b, ids.size()) << "node " << id;
+  if (b >= ids.size() || spots.size() != tokens->size()) return 0;
+  const TokenSpot& begin = spots[b];
+  *end = begin;
+  uint64_t headers = begin.index + 1;
+  if (!(*tokens)[b].OpensScope()) return headers;
+  auto after_end = SubtreeEnd(*tokens, b);
+  EXPECT_TRUE(after_end.ok());
+  *end = spots[*after_end - 1];
+  if (end->range == begin.range) return headers + end->index - begin.index;
+  return headers + (begin.range_tokens - begin.index - 1) + end->index + 1;
+}
+
+// Runs `op` and checks it read exactly ExpectedLocateHeaders(id).
+template <typename Op>
+void ExpectLocateReads(Store* store, NodeId id, Op op,
+                       TokenSpot* end = nullptr) {
+  TokenSpot spot;
+  uint64_t expected = ExpectedLocateHeaders(store, id, &spot);
+  if (end != nullptr) *end = spot;
+  uint64_t before = store->stats().locate_scan_tokens;
+  ASSERT_LAXML_OK(op());
+  EXPECT_EQ(store->stats().locate_scan_tokens - before, expected)
+      << "node " << id;
 }
 
 TEST(StoreSplitTest, GranularCapCutsInsertsIntoManyRanges) {
@@ -176,6 +233,62 @@ TEST(StoreSplitTest, RangeCountMatchesInsertPattern) {
   uint64_t count = store->range_manager().range_count();
   EXPECT_GE(count, 6u);
   EXPECT_LE(count, 8u);
+}
+
+TEST(StoreSplitTest, LocateReadsOnlyTheEdgeRangesOfASubtree) {
+  // kRangeIndex memoizes nothing, so every locate below scans.
+  auto store = OpenStore(IndexMode::kRangeIndex, 48);
+  SequenceBuilder b;
+  b.BeginElement("doc");
+  b.BeginElement("big");
+  for (int i = 0; i < 60; ++i) {
+    b.LeafElement("row", std::string(20, 'r'));
+  }
+  b.End();
+  b.LeafElement("after", "x");
+  b.End();
+  ASSERT_OK_AND_ASSIGN(NodeId root, store->InsertTopLevel(b.Build()));
+  ASSERT_GT(store->range_manager().range_count(), 20u);
+
+  ExpectLocateReads(store.get(), root, [&] {
+    return store->InsertIntoLast(root, MustFragment("<tail/>"));
+  });
+  // The insert left the root's end token heading a range.
+  TokenSpot root_end;
+  ExpectLocateReads(
+      store.get(), root,
+      [&] { return store->InsertIntoLast(root, MustFragment("<tail/>")); },
+      &root_end);
+  EXPECT_EQ(root_end.index, 0u);
+  // <big> spans most of the chain; only its two edge ranges are read.
+  ExpectLocateReads(store.get(), root + 1,
+                    [&] { return store->DeleteNode(root + 1); });
+  ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
+  EXPECT_EQ(MustSerialize(all),
+            "<doc><after>x</after><tail/><tail/></doc>");
+  EXPECT_LAXML_OK(store->CheckIntegrity());
+}
+
+TEST(StoreSplitTest, LocateEndsOfAttributesAndRangeHeadingEndTokens) {
+  auto store = OpenStore(IndexMode::kRangeIndex, 48);
+  // Ids: doc 1, e 2, @a 3, @bb 4, text 5, f 6.
+  ASSERT_LAXML_OK(store->LoadXml("<doc><e a=\"1\" bb=\"22222222\">"
+                                 "some text here</e><f/></doc>")
+                      .status());
+  // An attribute's end token directly follows its begin.
+  ExpectLocateReads(store.get(), 3, [&] { return store->DeleteNode(3); });
+  TokenSequence attr{Token::BeginAttribute("c", "3"), Token::EndAttribute()};
+  ExpectLocateReads(store.get(), 4,
+                    [&] { return store->ReplaceNode(4, attr); });
+  // InsertIntoLast cuts the chain before </e>, which then heads a range.
+  ASSERT_LAXML_OK(store->InsertIntoLast(2, MustFragment("<g/>")).status());
+  TokenSpot e_end;
+  ExpectLocateReads(
+      store.get(), 2, [&] { return store->DeleteNode(2); }, &e_end);
+  EXPECT_EQ(e_end.index, 0u);
+  ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
+  EXPECT_EQ(MustSerialize(all), "<doc><f/></doc>");
+  EXPECT_LAXML_OK(store->CheckIntegrity());
 }
 
 }  // namespace
