@@ -115,6 +115,10 @@ void StoreAuditor::AuditRangeLayer() {
   RangeId prev = kInvalidRangeId;
   uint64_t chain_ranges = 0;
   uint64_t live_nodes = 0;
+  // Sums of the chain's metadata, against the manager's running totals
+  // (a full scan sizes its output from total_tokens()).
+  uint64_t meta_tokens = 0;
+  uint64_t meta_bytes = 0;
   int64_t depth = 0;
   bool chain_complete = true;
   bool all_payloads_intact = true;
@@ -139,6 +143,8 @@ void StoreAuditor::AuditRangeLayer() {
     }
     const RangeMeta meta = *meta_r;
     ++chain_ranges;
+    meta_tokens += meta.token_count;
+    meta_bytes += meta.byte_len;
     if (meta.prev != prev) {
       Add(AuditLayer::kRangeChain,
           "chain prev pointer is " + std::to_string(meta.prev) +
@@ -315,6 +321,15 @@ void StoreAuditor::AuditRangeLayer() {
           "chain has " + std::to_string(chain_ranges) +
               " range(s), range_count says " +
               std::to_string(rm.range_count()));
+    }
+    if (meta_tokens != rm.total_tokens() ||
+        meta_bytes != rm.total_payload_bytes()) {
+      Add(AuditLayer::kRangeChain,
+          "range metadata sums to " + std::to_string(meta_tokens) +
+              " token(s) / " + std::to_string(meta_bytes) +
+              " byte(s), running totals say " +
+              std::to_string(rm.total_tokens()) + " / " +
+              std::to_string(rm.total_payload_bytes()));
     }
     if (live_nodes != store_->live_node_count()) {
       Add(AuditLayer::kMeta,
@@ -507,6 +522,12 @@ void StoreAuditor::AuditPartialIndex() {
           issue.has_offset = true;
           return issue;
         };
+        // Memo hits decode with the memo's codec, never the range's.
+        if (m.entry.begin_codec != meta.codec) {
+          fail("begin memo codec is " +
+               std::to_string(m.entry.begin_codec) + ", range codec is " +
+               std::to_string(meta.codec));
+        }
         if (found == boundaries.end()) {
           fail("begin memo offset is not a token boundary");
           continue;
@@ -544,6 +565,10 @@ void StoreAuditor::AuditPartialIndex() {
           issue.has_offset = true;
           return issue;
         };
+        if (m.entry.end_codec != meta.codec) {
+          fail("end memo codec is " + std::to_string(m.entry.end_codec) +
+               ", range codec is " + std::to_string(meta.codec));
+        }
         if (found == boundaries.end()) {
           fail("end memo offset is not a token boundary");
           continue;

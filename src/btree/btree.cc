@@ -128,28 +128,28 @@ Status BTree::RecountSize() {
   return Status::OK();
 }
 
-Result<PageId> BTree::DescendToLeaf(uint64_t key,
-                                    std::vector<PathEntry>* path) const {
-  PageId page = root_;
+Result<PageHandle> BTree::DescendToLeaf(uint64_t key,
+                                        std::vector<PathEntry>* path) const {
+  LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(root_));
   while (true) {
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(page));
     const uint8_t* p = h.view().payload();
-    if (NodeLevel(p) == 0) return page;
+    if (NodeLevel(p) == 0) return h;
     uint16_t n = NodeCount(p);
     // Child i holds keys < keys[i]; the child after the last key holds
     // the rest. Follow the first separator strictly greater than key.
     uint32_t idx = LowerBound(
         n, key + 1, [p](uint32_t i) { return InternalKey(p, i); });
     if (path != nullptr) {
-      path->push_back({page, static_cast<uint16_t>(idx)});
+      path->push_back({h.id(), static_cast<uint16_t>(idx)});
     }
-    page = ChildAt(p, InternalCapacity(), idx);
+    PageId child = ChildAt(p, InternalCapacity(), idx);
+    h.Release();  // one pin at a time, so a tiny pool cannot run dry
+    LAXML_ASSIGN_OR_RETURN(h, pager_->Fetch(child));
   }
 }
 
 Result<bool> BTree::Get(uint64_t key, uint8_t* value_out) const {
-  LAXML_ASSIGN_OR_RETURN(PageId leaf, DescendToLeaf(key, nullptr));
-  LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(leaf));
+  LAXML_ASSIGN_OR_RETURN(PageHandle h, DescendToLeaf(key, nullptr));
   const uint8_t* p = h.view().payload();
   uint16_t n = NodeCount(p);
   uint32_t idx =
@@ -167,9 +167,10 @@ Status BTree::Insert(uint64_t key, Slice value) {
     return Status::InvalidArgument("btree value size mismatch");
   }
   std::vector<PathEntry> path;
-  LAXML_ASSIGN_OR_RETURN(PageId leaf, DescendToLeaf(key, &path));
+  PageId leaf = kInvalidPageId;
   {
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(leaf));
+    LAXML_ASSIGN_OR_RETURN(PageHandle h, DescendToLeaf(key, &path));
+    leaf = h.id();
     uint8_t* p = h.view().payload();
     uint16_t n = NodeCount(p);
     uint32_t cap = LeafCapacity();
@@ -337,10 +338,11 @@ Status BTree::InsertIntoParent(std::vector<PathEntry>* path,
 
 Status BTree::Delete(uint64_t key) {
   std::vector<PathEntry> path;
-  LAXML_ASSIGN_OR_RETURN(PageId leaf, DescendToLeaf(key, &path));
+  PageId leaf = kInvalidPageId;
   bool now_empty = false;
   {
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(leaf));
+    LAXML_ASSIGN_OR_RETURN(PageHandle h, DescendToLeaf(key, &path));
+    leaf = h.id();
     uint8_t* p = h.view().payload();
     uint16_t n = NodeCount(p);
     uint32_t cap = LeafCapacity();
@@ -587,9 +589,8 @@ Status BTree::CheckStructure(std::vector<BTreeCheckIssue>* issues,
 
 Status BTree::Iterator::Seek(uint64_t key) {
   valid_ = false;
-  LAXML_ASSIGN_OR_RETURN(PageId leaf, tree_->DescendToLeaf(key, nullptr));
-  leaf_ = leaf;
-  LAXML_ASSIGN_OR_RETURN(PageHandle h, tree_->pager_->Fetch(leaf_));
+  LAXML_ASSIGN_OR_RETURN(PageHandle h, tree_->DescendToLeaf(key, nullptr));
+  leaf_ = h.id();
   const uint8_t* p = h.view().payload();
   uint16_t n = NodeCount(p);
   pos_ = static_cast<uint16_t>(

@@ -124,14 +124,15 @@ class BTree {
   uint32_t LeafCapacity() const;
   uint32_t InternalCapacity() const;
 
-  /// Descends to the leaf that should contain `key`, recording the path
-  /// of (page, child-slot-taken) for structure modifications.
+  /// Descends to the leaf that should contain `key` and returns it
+  /// pinned, recording the path of (page, child-slot-taken) for structure
+  /// modifications. Each level is pinned exactly once.
   struct PathEntry {
     PageId page;
     uint16_t child_idx;  // which child pointer was followed
   };
-  Result<PageId> DescendToLeaf(uint64_t key,
-                               std::vector<PathEntry>* path) const;
+  Result<PageHandle> DescendToLeaf(uint64_t key,
+                                   std::vector<PathEntry>* path) const;
 
   Status SplitLeaf(PageId leaf_id, std::vector<PathEntry>* path);
   Status InsertIntoParent(std::vector<PathEntry>* path, uint64_t sep_key,

@@ -80,7 +80,8 @@ void PartialIndex::UnregisterLocked(Shard& shard, NodeId id,
 }
 
 void PartialIndex::RecordBegin(NodeId id, RangeId range,
-                               uint32_t byte_offset, uint32_t token_index) {
+                               uint32_t byte_offset, uint32_t token_index,
+                               uint8_t codec) {
   if (!enabled()) return;
   Shard& shard = ShardFor(id);
   MutexLock lk(shard.mu);
@@ -100,14 +101,15 @@ void PartialIndex::RecordBegin(NodeId id, RangeId range,
   e->begin_range = range;
   e->begin_offset = byte_offset;
   e->begin_token_index = token_index;
+  e->begin_codec = codec;
   shard.by_range[range].insert(id);
   ++stats_.begin_records;
   LAXML_COUNTER_INC("laxml_partial_memoizations_total");
 }
 
 void PartialIndex::RecordEnd(NodeId id, RangeId range, uint32_t byte_offset,
-                             uint32_t token_index,
-                             uint32_t begins_before) {
+                             uint32_t token_index, uint32_t begins_before,
+                             uint8_t codec) {
   if (!enabled()) return;
   Shard& shard = ShardFor(id);
   MutexLock lk(shard.mu);
@@ -126,6 +128,7 @@ void PartialIndex::RecordEnd(NodeId id, RangeId range, uint32_t byte_offset,
   e->end_offset = byte_offset;
   e->end_token_index = token_index;
   e->end_begins_before = begins_before;
+  e->end_codec = codec;
   shard.by_range[range].insert(id);
   ++stats_.end_records;
   LAXML_COUNTER_INC("laxml_partial_memoizations_total");

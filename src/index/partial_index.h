@@ -54,12 +54,17 @@ struct PartialIndexStats {
 
 /// One memoized node: where its begin token and (when known) its end
 /// token live. Either half may be present independently — the paper's
-/// worked example (Table 4) records them as separate discoveries.
+/// worked example (Table 4) records them as separate discoveries. Each
+/// half also carries its range's token codec, so a hit decodes without
+/// probing the range metadata: a live range's codec never changes (a
+/// split's tail inherits it, merges refuse mixed codecs, and every
+/// rewrite or delete invalidates the range's memos).
 struct PartialEntry {
   bool has_begin = false;
   RangeId begin_range = kInvalidRangeId;
   uint32_t begin_offset = 0;  ///< Byte offset within the range payload.
   uint32_t begin_token_index = 0;
+  uint8_t begin_codec = 0;  ///< Token codec of begin_range.
 
   bool has_end = false;
   RangeId end_range = kInvalidRangeId;
@@ -68,6 +73,7 @@ struct PartialEntry {
   /// Node-beginning tokens in end_range strictly before the end token;
   /// lets a split at the end-token boundary skip the counting scan.
   uint32_t end_begins_before = 0;
+  uint8_t end_codec = 0;  ///< Token codec of end_range.
 };
 
 /// Bounded, lazily-populated, sharded NodeId -> PartialEntry map.
@@ -91,13 +97,16 @@ class PartialIndex {
   /// stays valid after the shard lock drops, whatever other threads do.
   bool Lookup(NodeId id, PartialEntry* out);
 
-  /// Memoizes the begin-token location of `id`.
+  /// Memoizes the begin-token location of `id`; `codec` is the token
+  /// codec of `range`.
   void RecordBegin(NodeId id, RangeId range, uint32_t byte_offset,
-                   uint32_t token_index);
+                   uint32_t token_index, uint8_t codec);
 
-  /// Memoizes the end-token location of `id`.
+  /// Memoizes the end-token location of `id`; `codec` is the token codec
+  /// of `range`.
   void RecordEnd(NodeId id, RangeId range, uint32_t byte_offset,
-                 uint32_t token_index, uint32_t begins_before);
+                 uint32_t token_index, uint32_t begins_before,
+                 uint8_t codec);
 
   /// Drops every entry that references `range` (called when the range
   /// splits, is rewritten, or is deleted — its offsets are stale).

@@ -2,6 +2,8 @@
 
 #include <sys/stat.h>
 
+#include <bit>
+
 #include "audit/store_auditor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -484,36 +486,31 @@ Status Store::LogOp(WalOp op, NodeId target, const TokenSequence& data) {
 // Locating
 
 Status Store::FetchTokenAt(Located* loc) const {
-  LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(loc->range));
-  if (loc->byte_offset >= meta.byte_len) {
-    return Status::Corruption("token offset past range end");
-  }
-  loc->codec = meta.codec;
-  size_t want = meta.byte_len - loc->byte_offset;
-  size_t probe = want < 512 ? want : 512;
+  // ReadSlice clamps to the record end and returns nothing at or past it,
+  // so an offset beyond the range fails to decode as Corruption without a
+  // metadata probe.
   LAXML_ASSIGN_OR_RETURN(
-      auto bytes,
-      ranges_->range_records()->ReadSlice(loc->range, loc->byte_offset,
-                                          probe));
-  TokenReader reader{Slice(bytes), CodecFor(meta)};
+      auto bytes, ranges_->range_records()->ReadSlice(
+                      loc->range, loc->byte_offset, kTokenProbeBytes));
+  const TokenCodecContext ctx(loc->codec, dict_.get());
+  TokenReader reader{Slice(bytes), ctx};
   Status st = reader.Next(&loc->token);
   if (st.ok()) {
     loc->encoded_len = static_cast<uint32_t>(reader.offset());
     return Status::OK();
   }
-  if (probe == want) return st;
+  if (bytes.size() < kTokenProbeBytes) return st;
   // The token is longer than the probe; read the full remainder.
-  LAXML_ASSIGN_OR_RETURN(bytes,
-                         ranges_->range_records()->ReadSlice(
-                             loc->range, loc->byte_offset, want));
-  TokenReader full_reader{Slice(bytes), CodecFor(meta)};
+  LAXML_ASSIGN_OR_RETURN(bytes, ranges_->range_records()->ReadSlice(
+                                    loc->range, loc->byte_offset, UINT32_MAX));
+  TokenReader full_reader{Slice(bytes), ctx};
   LAXML_RETURN_IF_ERROR(full_reader.Next(&loc->token));
   loc->encoded_len = static_cast<uint32_t>(full_reader.offset());
   return Status::OK();
 }
 
-Result<Store::Located> Store::LocateBegin(NodeId id,
-                                          bool need_begin_count) {
+Result<Store::Located> Store::LocateBegin(NodeId id, bool need_begin_count,
+                                          const PartialEntry* probed) {
   if (id == kInvalidNodeId || id >= next_node_id_) {
     return Status::NotFound("node id was never allocated");
   }
@@ -525,15 +522,22 @@ Result<Store::Located> Store::LocateBegin(NodeId id,
     loc.byte_offset = tl.byte_offset;
     loc.token_index = tl.token_index;
     loc.begins_before = static_cast<uint32_t>(id - meta.start_id);
+    loc.codec = meta.codec;
     LAXML_RETURN_IF_ERROR(FetchTokenAt(&loc));
     return loc;
   }
   PartialEntry memo;
-  if (partial_.Lookup(id, &memo) && memo.has_begin) {
+  if (probed != nullptr) {
+    memo = *probed;
+  } else {
+    partial_.Lookup(id, &memo);
+  }
+  if (memo.has_begin) {
     Located loc;
     loc.range = memo.begin_range;
     loc.byte_offset = memo.begin_offset;
     loc.token_index = memo.begin_token_index;
+    loc.codec = memo.begin_codec;
     if (need_begin_count) {
       LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(loc.range));
       loc.begins_before = static_cast<uint32_t>(id - meta.start_id);
@@ -552,7 +556,8 @@ Result<Store::Located> Store::LocateBegin(NodeId id,
       // Headers read: the range's first token through this one.
       stats_.locate_scan_tokens += cursor.token_index() + 1;
       Located loc = LocatedAt(cursor);
-      partial_.RecordBegin(id, rid, loc.byte_offset, loc.token_index);
+      partial_.RecordBegin(id, rid, loc.byte_offset, loc.token_index,
+                           loc.codec);
       return loc;
     }
     LAXML_RETURN_IF_ERROR(cursor.Next());
@@ -572,6 +577,7 @@ Result<Store::Located> Store::LocateEnd(NodeId id, const Located& begin) {
     loc.byte_offset = memo.end_offset;
     loc.token_index = memo.end_token_index;
     loc.begins_before = memo.end_begins_before;
+    loc.codec = memo.end_codec;
     LAXML_RETURN_IF_ERROR(FetchTokenAt(&loc));
     return loc;
   }
@@ -583,7 +589,7 @@ Result<Store::Located> Store::LocateEnd(NodeId id, const Located& begin) {
   stats_.locate_scan_tokens += cursor.skipped_headers();
   Located loc = LocatedAt(cursor);
   partial_.RecordEnd(id, loc.range, loc.byte_offset, loc.token_index,
-                     loc.begins_before);
+                     loc.begins_before, loc.codec);
   return loc;
 }
 
@@ -725,6 +731,11 @@ Status Store::ValidateFragment(const TokenSequence& data) const {
       return Status::InvalidArgument(
           "document tokens are not valid update content");
     }
+    // Memo-hit reads fetch only kMaxClosingTokenBytes past the start of
+    // a subtree's closing token.
+    if (t.ClosesScope() && (!t.name.empty() || !t.value.empty())) {
+      return Status::InvalidArgument("end tokens carry no name or value");
+    }
   }
   return CheckWellFormedFragment(data);
 }
@@ -861,7 +872,7 @@ Result<NodeId> Store::InsertBeforeImpl(NodeId id, const TokenSequence& data) {
   LAXML_ASSIGN_OR_RETURN(Boundary b, EnsureBoundaryBefore(begin));
   LAXML_ASSIGN_OR_RETURN(NodeId first, StoreFragment(data, b.left));
   // The target's begin token now sits at the head of b.right.
-  partial_.RecordBegin(id, b.right, 0, 0);
+  partial_.RecordBegin(id, b.right, 0, 0, begin.codec);
   ++stats_.inserts;
   LAXML_RETURN_IF_ERROR(MaybeSync());
   return first;
@@ -877,10 +888,10 @@ Result<NodeId> Store::InsertAfterImpl(NodeId id, const TokenSequence& data) {
   LAXML_ASSIGN_OR_RETURN(NodeId first, StoreFragment(data, b.left));
   // Both the begin and end tokens stayed in the head side of any split.
   partial_.RecordBegin(id, begin.range, begin.byte_offset,
-                       begin.token_index);
+                       begin.token_index, begin.codec);
   if (begin.token.OpensScope()) {
     partial_.RecordEnd(id, end.range, end.byte_offset, end.token_index,
-                       end.begins_before);
+                       end.begins_before, end.codec);
   }
   ++stats_.inserts;
   LAXML_RETURN_IF_ERROR(MaybeSync());
@@ -899,7 +910,7 @@ Result<NodeId> Store::InsertIntoFirstImpl(NodeId id,
   LAXML_ASSIGN_OR_RETURN(Boundary b, EnsureBoundaryAfter(begin));
   LAXML_ASSIGN_OR_RETURN(NodeId first, StoreFragment(data, b.left));
   partial_.RecordBegin(id, begin.range, begin.byte_offset,
-                       begin.token_index);
+                       begin.token_index, begin.codec);
   ++stats_.inserts;
   LAXML_RETURN_IF_ERROR(MaybeSync());
   return first;
@@ -922,9 +933,9 @@ Result<NodeId> Store::InsertIntoLastImpl(NodeId id, const TokenSequence& data) {
   if (begin.range != b.split_range || !b.split ||
       begin.byte_offset < b.split_offset) {
     partial_.RecordBegin(id, begin.range, begin.byte_offset,
-                         begin.token_index);
+                         begin.token_index, begin.codec);
   }
-  partial_.RecordEnd(id, b.right, 0, 0, 0);
+  partial_.RecordEnd(id, b.right, 0, 0, 0, end.codec);
   ++stats_.inserts;
   LAXML_RETURN_IF_ERROR(MaybeSync());
   return first;
@@ -993,8 +1004,8 @@ Result<NodeId> Store::ReplaceContentImpl(NodeId id, const TokenSequence& data) {
     LAXML_ASSIGN_OR_RETURN(first, StoreFragment(data, first_b.left));
   }
   partial_.RecordBegin(id, begin.range, begin.byte_offset,
-                       begin.token_index);
-  partial_.RecordEnd(id, second_b.right, 0, 0, 0);
+                       begin.token_index, begin.codec);
+  partial_.RecordEnd(id, second_b.right, 0, 0, 0, end.codec);
   ++stats_.replaces;
   LAXML_RETURN_IF_ERROR(MaybeSync());
   return first;
@@ -1009,8 +1020,19 @@ Result<TokenSequence> Store::Read() {
 
 Result<TokenSequence> Store::ReadWithIds(std::vector<NodeId>* ids) {
   LAXML_SCOPED_LATENCY_US("laxml_store_op_us{op=\"full_scan\"}");
+  // Sized once from the range totals (the auditor checks them against
+  // the range metadata), so a scan never holds a doubling's 2x copy. The
+  // capacity is rounded up to a power of two: pages past the last token
+  // are never touched, so they cost no resident memory, and scans of a
+  // store whose size drifts ask the allocator for one block size, so a
+  // block freed by one scan fits the next instead of growing the heap.
+  const size_t capacity = std::bit_ceil(ranges_->total_tokens());
   TokenSequence out;
-  if (ids != nullptr) ids->clear();
+  out.reserve(capacity);
+  if (ids != nullptr) {
+    ids->clear();
+    ids->reserve(capacity);
+  }
   RangeId cur = ranges_->first_range();
   while (cur != kInvalidRangeId) {
     LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
@@ -1033,41 +1055,29 @@ Result<TokenSequence> Store::ReadWithIds(std::vector<NodeId>* ids) {
 }
 
 Status Store::ReadSubtree(const Located& start, NodeId id,
-                          TokenSequence* out,
-                          uint32_t first_range_byte_limit,
-                          Located* end_loc) {
+                          TokenSequence* out, Located* end_loc) {
   out->push_back(start.token);
   if (!start.token.OpensScope()) {
-    if (end_loc != nullptr) *end_loc = start;
+    *end_loc = start;
     return Status::OK();
   }
   RangeId cur = start.range;
+  LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
   // encoded_len is the on-disk size under the range's codec; recomputing
   // it from the materialized token would over-count for v2 ranges.
   size_t skip = start.byte_offset + start.encoded_len;
-  size_t take;
-  // Node begins in the range before the next token, for *end_loc. Read
-  // locates without the begin count, so it comes from the range's
-  // start id, not from start.begins_before.
-  uint64_t begins = 0;
-  if (first_range_byte_limit > 0 &&
-      start.byte_offset + first_range_byte_limit >= skip) {
-    // ReadSlice clamps to the record end, so the bounded fast path needs
-    // no metadata probe at all.
-    take = start.byte_offset + first_range_byte_limit - skip;
-  } else {
-    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
-    take = meta.byte_len - skip;
-    begins = id - meta.start_id + 1;
-  }
   LAXML_ASSIGN_OR_RETURN(
-      auto payload, ranges_->range_records()->ReadSlice(cur, skip, take));
-  TokenReader reader{Slice(payload),
-                     TokenCodecContext(start.codec, dict_.get())};
+      auto payload,
+      ranges_->range_records()->ReadSlice(cur, skip, meta.byte_len - skip));
+  TokenReader reader{Slice(payload), CodecFor(meta)};
   // Positions for end-memoization: offsets are relative to the range
   // payload (slice offset + skip within the first range).
   size_t slice_base = skip;
   uint32_t index = start.token_index + 1;
+  // Node begins in the range before the next token, for *end_loc. Read
+  // locates without the begin count, so it comes from the range's
+  // start id, not from start.begins_before.
+  uint64_t begins = id - meta.start_id + 1;
   int64_t depth = 1;
   Token token;
   while (true) {
@@ -1078,13 +1088,12 @@ Status Store::ReadSubtree(const Located& start, NodeId id,
         ++depth;
       } else if (token.ClosesScope()) {
         if (--depth == 0) {
-          if (end_loc != nullptr) {
-            end_loc->range = cur;
-            end_loc->byte_offset = static_cast<uint32_t>(offset);
-            end_loc->token_index = index;
-            end_loc->begins_before = static_cast<uint32_t>(begins);
-            end_loc->token = token;
-          }
+          end_loc->range = cur;
+          end_loc->byte_offset = static_cast<uint32_t>(offset);
+          end_loc->token_index = index;
+          end_loc->begins_before = static_cast<uint32_t>(begins);
+          end_loc->token = token;
+          end_loc->codec = meta.codec;
           out->push_back(std::move(token));
           return Status::OK();
         }
@@ -1093,47 +1102,70 @@ Status Store::ReadSubtree(const Located& start, NodeId id,
       ++index;
       out->push_back(std::move(token));
     }
-    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
     if (meta.next == kInvalidRangeId) {
       return Status::Corruption("node " + std::to_string(id) +
                                 " never closes");
     }
     cur = meta.next;
-    LAXML_ASSIGN_OR_RETURN(RangeMeta next_meta, ranges_->GetMeta(cur));
+    LAXML_ASSIGN_OR_RETURN(meta, ranges_->GetMeta(cur));
     LAXML_ASSIGN_OR_RETURN(payload, ranges_->ReadPayload(cur));
-    reader = TokenReader{Slice(payload), CodecFor(next_meta)};
+    reader = TokenReader{Slice(payload), CodecFor(meta)};
     slice_base = 0;
     index = 0;
     begins = 0;
   }
 }
 
+Status Store::ReadMemoizedSubtree(NodeId id, const PartialEntry& memo,
+                                  TokenSequence* out) const {
+  if (memo.end_offset <= memo.begin_offset ||
+      memo.end_token_index <= memo.begin_token_index) {
+    return Status::Corruption("memoized end of node " + std::to_string(id) +
+                              " does not follow its begin");
+  }
+  const uint32_t span = memo.end_offset - memo.begin_offset;
+  LAXML_ASSIGN_OR_RETURN(
+      auto bytes, ranges_->range_records()->ReadSlice(
+                      memo.begin_range, memo.begin_offset,
+                      size_t{span} + kMaxClosingTokenBytes));
+  TokenReader reader{Slice(bytes),
+                     TokenCodecContext(memo.begin_codec, dict_.get())};
+  out->reserve(out->size() + memo.end_token_index - memo.begin_token_index +
+               1);
+  int64_t depth = 0;
+  Token token;
+  while (!reader.AtEnd()) {
+    const size_t offset = reader.offset();
+    LAXML_RETURN_IF_ERROR(reader.Next(&token));
+    if (token.OpensScope()) {
+      ++depth;
+    } else if (token.ClosesScope() && --depth <= 0) {
+      if (offset != span) break;
+      out->push_back(std::move(token));
+      return Status::OK();
+    }
+    out->push_back(std::move(token));
+  }
+  return Status::Corruption("memoized end of node " + std::to_string(id) +
+                            " is not where its subtree closes");
+}
+
 Result<TokenSequence> Store::Read(NodeId id) {
   LAXML_SCOPED_LATENCY_US("laxml_store_op_us{op=\"read_by_id\"}");
-  LAXML_ASSIGN_OR_RETURN(Located begin,
-                         LocateBegin(id, /*need_begin_count=*/false));
-  // With a memoized end location in the same range, fetch exactly the
-  // subtree's bytes instead of the rest of the (possibly huge) range.
-  uint32_t byte_limit = 0;
-  if (begin.token.OpensScope()) {
-    PartialEntry memo;
-    if (partial_.Lookup(id, &memo) && memo.has_end &&
-        memo.end_range == begin.range &&
-        memo.end_offset >= begin.byte_offset) {
-      // The end token itself is tiny; 16 bytes of margin covers it.
-      byte_limit = memo.end_offset - begin.byte_offset + 16;
-    }
-  }
   TokenSequence out;
-  if (byte_limit > 0) {
-    // Memoized fast path: exact slice, no end bookkeeping needed.
-    LAXML_RETURN_IF_ERROR(ReadSubtree(begin, id, &out, byte_limit));
+  // One Partial Index probe serves both the memo-hit path and the locate.
+  PartialEntry memo;
+  partial_.Lookup(id, &memo);
+  if (memo.has_begin && memo.has_end && memo.end_range == memo.begin_range) {
+    LAXML_RETURN_IF_ERROR(ReadMemoizedSubtree(id, memo, &out));
   } else {
+    LAXML_ASSIGN_OR_RETURN(
+        Located begin, LocateBegin(id, /*need_begin_count=*/false, &memo));
     Located end;
-    LAXML_RETURN_IF_ERROR(ReadSubtree(begin, id, &out, 0, &end));
+    LAXML_RETURN_IF_ERROR(ReadSubtree(begin, id, &out, &end));
     if (begin.token.OpensScope()) {
       partial_.RecordEnd(id, end.range, end.byte_offset, end.token_index,
-                         end.begins_before);
+                         end.begins_before, end.codec);
     }
   }
   ++stats_.reads_by_id;
@@ -1141,7 +1173,8 @@ Result<TokenSequence> Store::Read(NodeId id) {
 }
 
 Result<Token> Store::Describe(NodeId id) {
-  LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
+  LAXML_ASSIGN_OR_RETURN(Located begin,
+                         LocateBegin(id, /*need_begin_count=*/false));
   return begin.token;
 }
 

@@ -347,8 +347,11 @@ class Store {
 
   /// `need_begin_count` controls whether begins_before must be filled
   /// (boundary/split callers need it; plain reads do not, and skipping
-  /// it saves a metadata probe on the memoized fast path).
-  Result<Located> LocateBegin(NodeId id, bool need_begin_count = true);
+  /// it saves a metadata probe on the memoized fast path). `probed` is
+  /// the caller's own Partial Index lookup of `id` (an empty entry on a
+  /// miss); null makes LocateBegin look it up.
+  Result<Located> LocateBegin(NodeId id, bool need_begin_count = true,
+                              const PartialEntry* probed = nullptr);
   /// Locates the end token of the node whose begin is `begin` (returns
   /// `begin` itself for single-token nodes). `begin.begins_before` must
   /// be filled.
@@ -365,10 +368,13 @@ class Store {
   /// Rebases `loc` when `b`'s split moved its tokens to the tail range.
   static void AdjustAfterSplit(const Boundary& b, Located* loc);
 
-  /// Reads the token at `loc->range` / `loc->byte_offset` (short slice
-  /// first, then the full remainder on truncation), filling loc->token,
-  /// loc->encoded_len, and loc->codec.
+  /// Reads the token at `loc->range` / `loc->byte_offset` under
+  /// `loc->codec` (a short slice first, then the full remainder on
+  /// truncation), filling loc->token and loc->encoded_len.
   Status FetchTokenAt(Located* loc) const;
+  /// FetchTokenAt's first slice: enough for any token without a long
+  /// text or attribute value.
+  static constexpr size_t kTokenProbeBytes = 512;
 
   Status LogOp(WalOp op, NodeId target, const TokenSequence& data);
 
@@ -389,17 +395,17 @@ class Store {
   Status DeleteRangesBetween(RangeId first_doomed, RangeId right_boundary);
 
   /// Reads tokens from `start` until the node that begins there closes;
-  /// appends to *out. `first_range_byte_limit` bounds how many payload
-  /// bytes after `start` are fetched from the first range (0 = to the
-  /// range end) — a Partial Index end-memo hit sets it so a small node
-  /// inside a huge coarse range costs a small slice read, not the whole
-  /// payload.
-  /// When `end_loc` is non-null it receives the end token's location
-  /// (so Read(id) can memoize it in the Partial Index); that needs
-  /// `first_range_byte_limit` 0.
+  /// appends to *out. *end_loc receives the end token's location (so
+  /// Read(id) can memoize it in the Partial Index).
   Status ReadSubtree(const Located& start, NodeId id, TokenSequence* out,
-                     uint32_t first_range_byte_limit = 0,
-                     Located* end_loc = nullptr);
+                     Located* end_loc);
+
+  /// Read(id) on a Partial Index entry whose begin and end are memoized
+  /// in the same range: one slice from the begin token through the end
+  /// token, decoded with the memo's codec. Corruption unless the subtree
+  /// closes exactly at the memoized end offset.
+  Status ReadMemoizedSubtree(NodeId id, const PartialEntry& memo,
+                             TokenSequence* out) const;
 
   /// In full-index mode, (re)indexes every id-bearing token of a range
   /// payload (encoded with `codec`).

@@ -1,4 +1,4 @@
-#include "torture/torture_net.h"
+#include "torture_net/torture_net.h"
 
 #include <atomic>
 #include <cerrno>

@@ -27,8 +27,8 @@
 // again, and each client's subtree must serialize byte-for-byte equal
 // to its oracle.
 
-#ifndef LAXML_TORTURE_TORTURE_NET_H_
-#define LAXML_TORTURE_TORTURE_NET_H_
+#ifndef LAXML_TORTURE_NET_TORTURE_NET_H_
+#define LAXML_TORTURE_NET_TORTURE_NET_H_
 
 #include <cstdint>
 #include <string>
@@ -83,4 +83,4 @@ NetTortureReport RunNetTorture(const NetTortureOptions& options);
 }  // namespace torture
 }  // namespace laxml
 
-#endif  // LAXML_TORTURE_TORTURE_NET_H_
+#endif  // LAXML_TORTURE_NET_TORTURE_NET_H_

@@ -25,6 +25,7 @@
 #ifndef LAXML_XML_TOKEN_CODEC_H_
 #define LAXML_XML_TOKEN_CODEC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +39,13 @@ namespace laxml {
 /// On-disk codec versions. Append-only.
 inline constexpr uint8_t kTokenCodecV1 = 1;
 inline constexpr uint8_t kTokenCodecV2 = 2;
+
+/// Upper bound on the encoded size of a closing token (end element,
+/// attribute or document) under either codec: the type byte, empty name
+/// and value lengths, and a psvi varint of at most five bytes. A reader
+/// that knows where a subtree's closing token starts fetches this much
+/// past it.
+inline constexpr size_t kMaxClosingTokenBytes = 8;
 
 /// How to interpret an encoded payload: the codec version plus the
 /// dictionary that resolves v2 symbol ids. v1 needs no dictionary.

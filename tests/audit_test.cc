@@ -112,7 +112,7 @@ TEST(AuditTest, StalePartialMemoIsDetectedWithCoordinates) {
   RangeId range = store->range_manager().first_range();
   store->mutable_partial_index().RecordBegin(/*id=*/2, range,
                                              /*byte_offset=*/1,
-                                             /*token_index=*/7);
+                                             /*token_index=*/7, /*codec=*/kTokenCodecV2);
   AuditReport report = Audit(store.get());
   ASSERT_FALSE(report.ok());
   bool found = false;
@@ -137,7 +137,7 @@ TEST(AuditTest, MemoPointingAtWrongNodeIsDetected) {
   RangeId range = store->range_manager().first_range();
   store->mutable_partial_index().RecordBegin(/*id=*/2, range,
                                              /*byte_offset=*/0,
-                                             /*token_index=*/0);
+                                             /*token_index=*/0, /*codec=*/kTokenCodecV2);
   AuditReport report = Audit(store.get());
   ASSERT_FALSE(report.ok());
   bool found = false;
@@ -149,12 +149,39 @@ TEST(AuditTest, MemoPointingAtWrongNodeIsDetected) {
   EXPECT_TRUE(found) << report.ToString();
 }
 
+TEST(AuditTest, MemoCodecMismatchIsDetected) {
+  ASSERT_OK_AND_ASSIGN(
+      auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));
+  ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a></root>").status());
+  ASSERT_LAXML_OK(store->Read(2).status());  // memoizes node 2 legitimately
+  EXPECT_TRUE(Audit(store.get()).ok());
+  // Same location, wrong codec: a memo hit would decode v2 bytes as v1.
+  PartialEntry e;
+  ASSERT_TRUE(store->mutable_partial_index().Lookup(2, &e));
+  ASSERT_TRUE(e.has_end);
+  ASSERT_EQ(e.end_codec, kTokenCodecV2);
+  store->mutable_partial_index().RecordEnd(2, e.end_range, e.end_offset,
+                                           e.end_token_index,
+                                           e.end_begins_before,
+                                           /*codec=*/kTokenCodecV1);
+  AuditReport report = Audit(store.get());
+  ASSERT_FALSE(report.ok());
+  bool found = false;
+  for (const AuditIssue& issue : report.issues) {
+    if (issue.layer == AuditLayer::kPartialIndex && issue.node == 2 &&
+        issue.message.find("end memo codec") != std::string::npos) {
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found) << report.ToString();
+}
+
 TEST(AuditTest, LayertogglesSkipLegs) {
   ASSERT_OK_AND_ASSIGN(
       auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));
   ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a></root>").status());
   store->mutable_partial_index().RecordBegin(2, store->range_manager().first_range(),
-                                             1, 7);
+                                             1, 7, /*codec=*/kTokenCodecV2);
   AuditOptions options;
   options.check_partial_index = false;
   AuditReport report = Audit(store.get(), options);
@@ -167,7 +194,7 @@ TEST(AuditTest, MaxIssuesTruncates) {
   ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a><b>y</b></root>").status());
   RangeId range = store->range_manager().first_range();
   for (NodeId id = 2; id <= 5; ++id) {
-    store->mutable_partial_index().RecordBegin(id, range, 1, 7);
+    store->mutable_partial_index().RecordBegin(id, range, 1, 7, /*codec=*/kTokenCodecV2);
   }
   AuditOptions options;
   options.max_issues = 2;
@@ -204,7 +231,7 @@ TEST(AuditTest, ParanoidIntervalAuditsAutomatically) {
   // until the auto-audit trips.
   store->mutable_partial_index().RecordBegin(2, /*range=*/9999,
                                              /*byte_offset=*/1,
-                                             /*token_index=*/7);
+                                             /*token_index=*/7, /*codec=*/kTokenCodecV2);
   Status st = Status::OK();
   for (int i = 0; i < 8 && st.ok(); ++i) {
     st = store->InsertIntoLast(first, MustFragment("<m/>")).status();

@@ -85,6 +85,29 @@ TEST_F(BTreeTest, ThousandsOfKeysSplitLevels) {
   }
 }
 
+TEST_F(BTreeTest, GetPinsEachLevelOnce) {
+  for (uint64_t k = 0; k < 100; ++k) Put(k, k);
+  // Depth 2: an internal root over leaves only.
+  std::vector<BTreeCheckIssue> issues;
+  std::vector<PageId> nodes;
+  ASSERT_LAXML_OK(tree_->CheckStructure(&issues, &nodes));
+  ASSERT_TRUE(issues.empty());
+  ASSERT_GT(nodes.size(), 1u);
+  for (PageId id : nodes) {
+    ASSERT_OK_AND_ASSIGN(PageHandle h, pager_->Fetch(id));
+    EXPECT_EQ(h.view().type(), id == tree_->root() ? PageType::kBTreeInternal
+                                                   : PageType::kBTreeLeaf);
+  }
+  const BufferPoolStats& stats = pager_->pool_stats();
+  for (uint64_t key : {0ull, 57ull, 99ull, 1000ull}) {
+    const uint64_t before = stats.hits + stats.misses;
+    uint8_t value[8];
+    ASSERT_OK_AND_ASSIGN(bool found, tree_->Get(key, value));
+    EXPECT_EQ(found, key < 100);
+    EXPECT_EQ(stats.hits + stats.misses - before, 2u) << "key " << key;
+  }
+}
+
 TEST_F(BTreeTest, OrderedIteration) {
   for (uint64_t k : {50u, 10u, 40u, 20u, 30u}) Put(k, k * 2);
   BTree::Iterator it = tree_->NewIterator();

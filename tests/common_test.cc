@@ -152,6 +152,13 @@ TEST(Crc32cTest, KnownVectors) {
   EXPECT_EQ(crc32c::Value(ones.data(), ones.size()), 0x62a8ab43u);
 }
 
+TEST(Crc32cTest, CheckValue) {
+  // The catalogued CRC-32C check value.
+  const std::string check = "123456789";
+  const uint8_t* p = reinterpret_cast<const uint8_t*>(check.data());
+  EXPECT_EQ(crc32c::Value(p, check.size()), 0xE3069283u);
+}
+
 TEST(Crc32cTest, ExtendMatchesOneShot) {
   std::string data = "the quick brown fox jumps over the lazy dog";
   const uint8_t* p = reinterpret_cast<const uint8_t*>(data.data());

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "xml/token_codec.h"
+
 namespace laxml {
 namespace {
 
@@ -20,7 +22,7 @@ TEST(PartialIndexTest, StartsEmptyAndMisses) {
 
 TEST(PartialIndexTest, RecordsBeginAndEndIndependently) {
   PartialIndex index(16);
-  index.RecordBegin(60, /*range=*/1, /*offset=*/120, /*token=*/7);
+  index.RecordBegin(60, /*range=*/1, /*offset=*/120, /*token=*/7, /*codec=*/kTokenCodecV1);
   PartialEntry e;
   ASSERT_TRUE(index.Lookup(60, &e));
   EXPECT_TRUE(e.has_begin);
@@ -28,7 +30,7 @@ TEST(PartialIndexTest, RecordsBeginAndEndIndependently) {
   EXPECT_EQ(e.begin_range, 1u);
   EXPECT_EQ(e.begin_offset, 120u);
   index.RecordEnd(60, /*range=*/3, /*offset=*/0, /*token=*/0,
-                  /*begins_before=*/0);
+                  /*begins_before=*/0, /*codec=*/kTokenCodecV1);
   ASSERT_TRUE(index.Lookup(60, &e));
   EXPECT_TRUE(e.has_begin);
   EXPECT_TRUE(e.has_end);
@@ -38,7 +40,7 @@ TEST(PartialIndexTest, RecordsBeginAndEndIndependently) {
 TEST(PartialIndexTest, ZeroCapacityDisablesEverything) {
   PartialIndex index(0);
   EXPECT_FALSE(index.enabled());
-  index.RecordBegin(1, 1, 0, 0);
+  index.RecordBegin(1, 1, 0, 0, /*codec=*/kTokenCodecV1);
   PartialEntry e;
   EXPECT_FALSE(index.Lookup(1, &e));
   EXPECT_EQ(index.size(), 0u);
@@ -48,13 +50,13 @@ TEST(PartialIndexTest, ZeroCapacityDisablesEverything) {
 TEST(PartialIndexTest, LruEvictionAtCapacity) {
   PartialIndex index(4);
   for (NodeId id = 1; id <= 4; ++id) {
-    index.RecordBegin(id, 1, static_cast<uint32_t>(id), 0);
+    index.RecordBegin(id, 1, static_cast<uint32_t>(id), 0, /*codec=*/kTokenCodecV1);
   }
   EXPECT_EQ(index.size(), 4u);
   // Touch 1 so it is most recent; inserting 5 evicts 2 (the LRU).
   PartialEntry e;
   EXPECT_TRUE(index.Lookup(1, &e));
-  index.RecordBegin(5, 1, 5, 0);
+  index.RecordBegin(5, 1, 5, 0, /*codec=*/kTokenCodecV1);
   EXPECT_EQ(index.size(), 4u);
   EXPECT_TRUE(index.Lookup(1, &e));
   EXPECT_FALSE(index.Lookup(2, &e));
@@ -64,9 +66,9 @@ TEST(PartialIndexTest, LruEvictionAtCapacity) {
 
 TEST(PartialIndexTest, InvalidateRangeDropsStaleHalves) {
   PartialIndex index(16);
-  index.RecordBegin(60, 1, 100, 5);
-  index.RecordEnd(60, 3, 0, 0, 0);
-  index.RecordBegin(70, 1, 200, 9);
+  index.RecordBegin(60, 1, 100, 5, /*codec=*/kTokenCodecV1);
+  index.RecordEnd(60, 3, 0, 0, 0, /*codec=*/kTokenCodecV1);
+  index.RecordBegin(70, 1, 200, 9, /*codec=*/kTokenCodecV1);
   // Range 1 split: every offset into it is stale.
   index.InvalidateRange(1);
   PartialEntry e60;
@@ -79,8 +81,8 @@ TEST(PartialIndexTest, InvalidateRangeDropsStaleHalves) {
 
 TEST(PartialIndexTest, InvalidateRangeWithBothHalvesInIt) {
   PartialIndex index(16);
-  index.RecordBegin(5, 2, 10, 1);
-  index.RecordEnd(5, 2, 90, 8, 3);
+  index.RecordBegin(5, 2, 10, 1, /*codec=*/kTokenCodecV1);
+  index.RecordEnd(5, 2, 90, 8, 3, /*codec=*/kTokenCodecV1);
   index.InvalidateRange(2);
   PartialEntry e;
   EXPECT_FALSE(index.Lookup(5, &e));
@@ -89,8 +91,8 @@ TEST(PartialIndexTest, InvalidateRangeWithBothHalvesInIt) {
 
 TEST(PartialIndexTest, InvalidateSingleNode) {
   PartialIndex index(16);
-  index.RecordBegin(1, 1, 0, 0);
-  index.RecordBegin(2, 1, 10, 1);
+  index.RecordBegin(1, 1, 0, 0, /*codec=*/kTokenCodecV1);
+  index.RecordBegin(2, 1, 10, 1, /*codec=*/kTokenCodecV1);
   index.Invalidate(1);
   PartialEntry e;
   EXPECT_FALSE(index.Lookup(1, &e));
@@ -99,9 +101,9 @@ TEST(PartialIndexTest, InvalidateSingleNode) {
 
 TEST(PartialIndexTest, ReRecordingUnderNewRange) {
   PartialIndex index(16);
-  index.RecordBegin(60, 1, 100, 5);
+  index.RecordBegin(60, 1, 100, 5, /*codec=*/kTokenCodecV1);
   // After a split the node begins range 4 at offset 0.
-  index.RecordBegin(60, 4, 0, 0);
+  index.RecordBegin(60, 4, 0, 0, /*codec=*/kTokenCodecV1);
   PartialEntry e;
   ASSERT_TRUE(index.Lookup(60, &e));
   EXPECT_EQ(e.begin_range, 4u);
@@ -114,7 +116,7 @@ TEST(PartialIndexTest, ReRecordingUnderNewRange) {
 
 TEST(PartialIndexTest, ClearResetsEverything) {
   PartialIndex index(16);
-  index.RecordBegin(1, 1, 0, 0);
+  index.RecordBegin(1, 1, 0, 0, /*codec=*/kTokenCodecV1);
   index.Clear();
   EXPECT_EQ(index.size(), 0u);
   PartialEntry e;
@@ -124,8 +126,8 @@ TEST(PartialIndexTest, ClearResetsEverything) {
 TEST(PartialIndexTest, TableStringShape) {
   // Paper Table 4: node 60 with begin in range 1, end in range 3.
   PartialIndex index(16);
-  index.RecordBegin(60, 1, 0, 0);
-  index.RecordEnd(60, 3, 0, 0, 0);
+  index.RecordBegin(60, 1, 0, 0, /*codec=*/kTokenCodecV1);
+  index.RecordEnd(60, 3, 0, 0, 0, /*codec=*/kTokenCodecV1);
   std::string table = index.ToTableString();
   EXPECT_NE(table.find("NodeID"), std::string::npos);
   EXPECT_NE(table.find("60  1  3"), std::string::npos);
@@ -133,7 +135,7 @@ TEST(PartialIndexTest, TableStringShape) {
 
 TEST(PartialIndexTest, HitRateAccounting) {
   PartialIndex index(16);
-  index.RecordBegin(1, 1, 0, 0);
+  index.RecordBegin(1, 1, 0, 0, /*codec=*/kTokenCodecV1);
   PartialEntry e;
   (void)index.Lookup(1, &e);
   (void)index.Lookup(1, &e);
@@ -148,7 +150,7 @@ TEST(PartialIndexTest, LargeCapacityShardsTheTable) {
   PartialIndex index(1 << 16);
   EXPECT_EQ(index.shard_count(), PartialIndex::kNumShards);
   for (NodeId id = 1; id <= 1000; ++id) {
-    index.RecordBegin(id, 1, static_cast<uint32_t>(id), 0);
+    index.RecordBegin(id, 1, static_cast<uint32_t>(id), 0, /*codec=*/kTokenCodecV1);
   }
   EXPECT_EQ(index.size(), 1000u);
   PartialEntry e;

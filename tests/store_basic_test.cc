@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "store/cursor.h"
 #include "test_util.h"
 #include "xml/serializer.h"
@@ -192,6 +194,27 @@ TEST_P(StoreBasicTest, ManySiblingAppends) {
   EXPECT_EQ(MustSerialize(mid), "<o>100</o>");
 }
 
+TEST_P(StoreBasicTest, ScansOfADriftingStoreAskForOneBlockSize) {
+  // A full scan sizes its output once, rounded up to a power of two, so
+  // scans of a store whose size drifts ask the allocator for blocks of
+  // one size and can reuse each other's freed memory.
+  ASSERT_LAXML_OK(store_->InsertTopLevel(MustFragment("<orders/>")));
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_LAXML_OK(
+        store_->InsertIntoLast(1, MustFragment("<o>x</o>")).status());
+  }
+  std::vector<NodeId> ids;
+  ASSERT_OK_AND_ASSIGN(TokenSequence before, store_->ReadWithIds(&ids));
+  ASSERT_EQ(before.size(), 100u * 3 + 2);
+  EXPECT_EQ(before.capacity(), 512u);
+  EXPECT_EQ(ids.capacity(), 512u);
+  ASSERT_LAXML_OK(
+      store_->InsertIntoLast(1, MustFragment("<o>y</o>")).status());
+  ASSERT_OK_AND_ASSIGN(TokenSequence after, store_->Read());
+  ASSERT_EQ(after.size(), 101u * 3 + 2);
+  EXPECT_EQ(after.capacity(), before.capacity());
+}
+
 TEST_P(StoreBasicTest, NestedInsertDeepens) {
   ASSERT_LAXML_OK(store_->InsertTopLevel(MustFragment("<t/>")));
   NodeId target = 1;
@@ -267,6 +290,113 @@ TEST_P(StoreBasicTest, FragmentValidationRejectsGarbage) {
                   .IsInvalidArgument());
   EXPECT_TRUE(
       store_->InsertIntoLast(1, {}).status().IsInvalidArgument());
+  // End tokens are bare: a memoized read fetches only
+  // kMaxClosingTokenBytes past a closing token's start.
+  Token named_end = Token::EndElement();
+  named_end.name = "x";
+  TokenSequence named{Token::BeginElement("x"), named_end};
+  EXPECT_TRUE(store_->InsertIntoLast(1, named).status().IsInvalidArgument());
+}
+
+// The tokens of node `id`'s subtree, cut out of a full scan.
+TokenSequence ScanSlice(Store* store, NodeId id) {
+  std::vector<NodeId> ids;
+  auto all = store->ReadWithIds(&ids);
+  EXPECT_TRUE(all.ok());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] != id) continue;
+    auto end = SubtreeEnd(*all, i);
+    EXPECT_TRUE(end.ok());
+    return TokenSequence(all->begin() + i, all->begin() + *end);
+  }
+  ADD_FAILURE() << "node " << id << " not in the scan";
+  return {};
+}
+
+TEST(StoreMemoReadTest, MemoHitIsOneLookupAndOneSlice) {
+  StoreOptions options;
+  options.index_mode = IndexMode::kRangeWithPartial;
+  ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
+  // r 1, a 2, b 3, "x" 4, c 5, d 6.
+  ASSERT_LAXML_OK(store->LoadXml("<r><a><b>x</b><c/></a><d/></r>").status());
+  ASSERT_OK_AND_ASSIGN(TokenSequence first, store->Read(2));  // memoizes
+  const PartialIndexStats& memo = store->partial_index().stats();
+  const RecordStoreStats& records =
+      store->range_manager().range_records()->stats();
+  const uint64_t lookups = memo.lookups;
+  const uint64_t hits = memo.hits;
+  const uint64_t reads = records.reads;
+  ASSERT_OK_AND_ASSIGN(TokenSequence again, store->Read(2));
+  EXPECT_EQ(MustSerialize(again), "<a><b>x</b><c/></a>");
+  EXPECT_EQ(again, first);
+  EXPECT_EQ(memo.lookups - lookups, 1u);
+  EXPECT_EQ(memo.hits - hits, 1u);
+  EXPECT_EQ(records.reads - reads, 1u);
+  EXPECT_LAXML_OK(store->CheckIntegrity());
+}
+
+TEST(StoreMemoReadTest, MemoHitChecksTheMemoizedEnd) {
+  StoreOptions options;
+  options.index_mode = IndexMode::kRangeWithPartial;
+  ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
+  // r 1, a 2, b 3, "x" 4, c 5, d 6; one range.
+  ASSERT_LAXML_OK(store->LoadXml("<r><a><b>x</b><c/></a><d/></r>").status());
+  PartialIndex& memo = store->mutable_partial_index();
+  PartialEntry r, b;
+  for (NodeId id : {NodeId{1}, NodeId{2}, NodeId{3}}) {
+    ASSERT_LAXML_OK(store->Read(id).status());
+  }
+  ASSERT_TRUE(memo.Lookup(1, &r) && r.has_end);
+  ASSERT_TRUE(memo.Lookup(3, &b) && b.has_end);
+  // A real token boundary inside <a> (</b>) and one past it (</r>): a
+  // memo-hit read must refuse both rather than return a cut or
+  // overlong subtree.
+  for (const PartialEntry* wrong : {&b, &r}) {
+    memo.RecordEnd(2, wrong->end_range, wrong->end_offset,
+                   wrong->end_token_index, wrong->end_begins_before,
+                   wrong->end_codec);
+    EXPECT_TRUE(store->Read(2).status().IsCorruption());
+  }
+}
+
+TEST(StoreMemoReadTest, MemoHitsDecodeEachRangesOwnCodec) {
+  testing::TempFile file("memo_codec");
+  StoreOptions options;
+  options.index_mode = IndexMode::kRangeWithPartial;
+  options.token_codec = 1;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(file.path(), options));
+    ASSERT_LAXML_OK(
+        store->LoadXml("<orders><o id=\"1\"><item>pen</item></o></orders>")
+            .status());
+    ASSERT_LAXML_OK(store->Sync());
+  }
+  options.token_codec = 2;
+  ASSERT_OK_AND_ASSIGN(auto store, Store::Open(file.path(), options));
+  ASSERT_LAXML_OK(store->InsertIntoLast(
+      1, MustFragment("<o id=\"2\"><item>ink</item><item>nib</item></o>")));
+  std::set<uint8_t> codecs;
+  for (RangeId r = store->range_manager().first_range();
+       r != kInvalidRangeId;) {
+    ASSERT_OK_AND_ASSIGN(RangeMeta meta, store->range_manager().GetMeta(r));
+    codecs.insert(meta.codec);
+    r = meta.next;
+  }
+  ASSERT_EQ(codecs, (std::set<uint8_t>{kTokenCodecV1, kTokenCodecV2}));
+  std::vector<NodeId> ids;
+  ASSERT_OK_AND_ASSIGN(TokenSequence all, store->ReadWithIds(&ids));
+  const uint64_t hits = store->partial_index().stats().hits;
+  for (NodeId id : ids) {
+    if (id == kInvalidNodeId) continue;
+    TokenSequence want = ScanSlice(store.get(), id);
+    // The first read may locate; the second is a memo hit.
+    for (int pass = 0; pass < 2; ++pass) {
+      ASSERT_OK_AND_ASSIGN(TokenSequence got, store->Read(id));
+      EXPECT_EQ(got, want) << "node " << id << " pass " << pass;
+    }
+  }
+  EXPECT_GT(store->partial_index().stats().hits, hits);
+  EXPECT_LAXML_OK(store->CheckIntegrity());
 }
 
 INSTANTIATE_TEST_SUITE_P(

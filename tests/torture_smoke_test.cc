@@ -12,7 +12,7 @@
 
 #include "test_util.h"
 #include "torture/torture.h"
-#include "torture/torture_net.h"
+#include "torture_net/torture_net.h"
 
 namespace laxml {
 namespace {

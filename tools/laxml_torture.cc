@@ -1,4 +1,5 @@
-// laxml_torture: crash-recovery torture loop (see src/torture/).
+// laxml_torture: crash-recovery torture loop (see src/torture/ and
+// src/torture_net/).
 //
 //   laxml_torture [--iters N] [--seed S] [--ops N] [--dir PATH] [-v]
 //   laxml_torture --net [--clients N] [--iters N] [--seed S] [--ops N]
@@ -23,7 +24,7 @@
 #include <string>
 
 #include "torture/torture.h"
-#include "torture/torture_net.h"
+#include "torture_net/torture_net.h"
 
 namespace {
 
