@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   CHECK_OK(increases.status());
   std::printf("bids on the first auction now: %zu\n", increases->size());
 
-  CHECK_OK(store->CheckInvariants());
+  CHECK_OK(store->CheckIntegrity());
   std::printf("\nstore after the session: %s\n",
               store->stats().ToString().c_str());
   const PartialIndexStats& ps = store->partial_index().stats();

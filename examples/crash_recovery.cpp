@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     auto xml = SerializeTokens(*all);
     CHECK_OK(xml.status());
     std::printf("state after recovery:\n  %s\n", xml->c_str());
-    CHECK_OK(store->CheckInvariants());
+    CHECK_OK(store->CheckIntegrity());
     if (*xml == before_crash) {
       std::printf("\nrecovery reproduced the pre-crash state exactly.\n");
     } else {

@@ -196,9 +196,7 @@ void StoreAuditor::AuditRangeLayer() {
         all_payloads_intact = false;
         break;
       }
-      Token probe;
-      probe.type = type;
-      if (probe.BeginsNode()) {
+      if (TokenBeginsNode(type)) {
         if (store_->full_ != nullptr && meta.has_ids() &&
             begins < meta.id_count) {
           NodeId id = meta.start_id + begins;
@@ -225,8 +223,8 @@ void StoreAuditor::AuditRangeLayer() {
         }
         ++begins;
       }
-      if (probe.OpensScope()) ++depth;
-      if (probe.ClosesScope()) --depth;
+      if (TokenOpensScope(type)) ++depth;
+      if (TokenClosesScope(type)) --depth;
       if (depth < 0) {
         AuditIssue& issue = Add(AuditLayer::kRangeChain,
                                 "document-order nesting went negative");
@@ -501,9 +499,7 @@ void StoreAuditor::AuditPartialIndex() {
         break;
       }
       boundaries.emplace(offset, TokenAt{index, begins, type});
-      Token probe;
-      probe.type = type;
-      if (probe.BeginsNode()) ++begins;
+      if (TokenBeginsNode(type)) ++begins;
       ++index;
     }
     if (!intact) continue;
@@ -538,9 +534,7 @@ void StoreAuditor::AuditPartialIndex() {
                std::to_string(m.entry.begin_token_index) +
                ", token at that offset is #" + std::to_string(at.index));
         }
-        Token probe;
-        probe.type = at.type;
-        if (!probe.BeginsNode()) {
+        if (!TokenBeginsNode(at.type)) {
           fail("begin memo points at a token that begins no node");
         } else if (!meta.has_ids()) {
           fail("begin memo points into an id-less range");
@@ -579,11 +573,9 @@ void StoreAuditor::AuditPartialIndex() {
                std::to_string(m.entry.end_token_index) +
                ", token at that offset is #" + std::to_string(at.index));
         }
-        Token probe;
-        probe.type = at.type;
         // A node's end token either closes its scope, or — for
         // single-token nodes (text, comments, PIs) — is its begin token.
-        if (!probe.ClosesScope() && !probe.BeginsNode()) {
+        if (!TokenClosesScope(at.type) && !TokenBeginsNode(at.type)) {
           fail("end memo points at a token that terminates no node");
         }
         if (at.begins_before != m.entry.end_begins_before) {

@@ -29,7 +29,7 @@ Status TokenCursor::SeekReader(RangeId range, uint32_t byte_offset) {
   return Status::OK();
 }
 
-Status TokenCursor::SeekToFirst() {
+Status TokenCursor::SeekToFirst(Token* token) {
   valid_ = false;
   depth_ = 0;
   next_ordinal_ = 0;
@@ -37,7 +37,7 @@ Status TokenCursor::SeekToFirst() {
   if (first == kInvalidRangeId) return Status::OK();
   LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(first));
   LAXML_RETURN_IF_ERROR(LoadRange(meta));
-  return Next();  // skips leading empty ranges
+  return Next(token);  // skips leading empty ranges
 }
 
 Status TokenCursor::Seek(const StructuralEntry& entry) {
@@ -45,7 +45,7 @@ Status TokenCursor::Seek(const StructuralEntry& entry) {
   next_id_ = entry.id;
   next_ordinal_ = entry.pre;
   depth_ = entry.level;
-  LAXML_RETURN_IF_ERROR(DecodeOne());
+  LAXML_RETURN_IF_ERROR(DecodeOne(nullptr));
   if (type_ != TokenType::kBeginElement) {
     valid_ = false;
     return Status::Corruption("seek target at range " +
@@ -63,7 +63,7 @@ Status TokenCursor::SeekTo(RangeId range, uint32_t byte_offset,
   range_first_ordinal_ = 0;
   next_ordinal_ = token_index;
   depth_ = 0;
-  return DecodeOne();
+  return DecodeOne(nullptr);
 }
 
 const Token& TokenCursor::token() const {
@@ -81,7 +81,7 @@ const Token& TokenCursor::token() const {
   return token_;
 }
 
-Status TokenCursor::NextRange() {
+Status TokenCursor::NextRange(Token* token) {
   while (reader_.AtEnd()) {
     if (meta_.next == kInvalidRangeId) {
       valid_ = false;
@@ -90,13 +90,13 @@ Status TokenCursor::NextRange() {
     LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(meta_.next));
     LAXML_RETURN_IF_ERROR(LoadRange(meta));
   }
-  return DecodeOne();
+  return DecodeOne(token);
 }
 
 Status TokenCursor::SkipSubtree() {
   LAXML_DCHECK(valid_ && TokenOpensScope(type_))
       << "SkipSubtree needs a scope-opening token";
-  const int64_t end_depth = depth_at_token_;
+  const int64_t end_depth = depth();
   uint64_t scanned = 0;
   size_t offset = 0;
   TokenType type = type_;
@@ -124,17 +124,10 @@ Status TokenCursor::SkipSubtree() {
         next = meta.next;
       }
     }
-    // DecodeOne's bookkeeping, trimmed to what the loop needs.
     offset = reader_.offset();
     LAXML_RETURN_IF_ERROR(reader_.Skip(&type));
     ++scanned;
-    ++next_ordinal_;
-    if (TokenBeginsNode(type)) ++next_id_;
-    if (TokenClosesScope(type)) {
-      --depth_;
-    } else if (TokenOpensScope(type)) {
-      ++depth_;
-    }
+    Count(type);
   }
   LAXML_RC_ADD(tokens_scanned, scanned);
   skipped_headers_ += scanned;
@@ -142,10 +135,7 @@ Status TokenCursor::SkipSubtree() {
   type_ = type;
   name_symbol_ = kNoNameSymbol;
   decoded_ = false;
-  ordinal_ = next_ordinal_ - 1;
-  node_id_ = kInvalidNodeId;
   byte_offset_ = static_cast<uint32_t>(offset);
-  depth_at_token_ = depth_;
   return Status::OK();
 }
 

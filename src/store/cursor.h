@@ -15,8 +15,10 @@
 // rest of the current scope, reading headers only and passing whole
 // ranges on their depth profile alone. The store locates nodes the same
 // way (Section 4.3): SeekTo a range's first token and Next() to the id,
-// then SkipSubtree() to its end token. This is the engine's only
-// locating scan.
+// then SkipSubtree() to its end token. Reads that want every token whole
+// (Store::Read, Read(id)'s subtree) use Next(Token*), which decodes
+// header and strings in one pass. This is the only walk over the range
+// chain.
 
 #ifndef LAXML_STORE_CURSOR_H_
 #define LAXML_STORE_CURSOR_H_
@@ -45,13 +47,16 @@ namespace laxml {
 /// The cursor is invalidated by any store mutation. Every token whose
 /// header it reads is credited to the request context's
 /// `tokens_scanned`; ranges SkipSubtree passes on metadata are not.
+/// Store reads walk through a cursor too, so a full Store::Read()
+/// credits total_tokens(), and a Read(id) without a memoized extent
+/// credits its subtree's tokens (plus its locate scan's headers).
 class TokenCursor {
  public:
   explicit TokenCursor(const RangeManager* ranges) : ranges_(ranges) {}
 
   /// Positions at the first token of the store; Valid() is false on an
-  /// empty store.
-  Status SeekToFirst();
+  /// empty store. With `token`, decodes it whole as Next(Token*) does.
+  Status SeekToFirst(Token* token = nullptr);
 
   /// Positions at `entry`'s begin token, with its id, level and pre as
   /// node id, depth and ordinal. Reuses the loaded payload when the
@@ -73,7 +78,16 @@ class TokenCursor {
 
   /// Advances to the next token (crossing range boundaries as needed).
   /// Decodes the header only; every corruption check runs here.
-  Status Next() { return reader_.AtEnd() ? NextRange() : DecodeOne(); }
+  Status Next() {
+    return reader_.AtEnd() ? NextRange(nullptr) : DecodeOne(nullptr);
+  }
+
+  /// Next(), decoding the new token whole into *token in the same pass
+  /// (token() would decode it a second time). *token is unspecified
+  /// once Valid() turns false.
+  Status Next(Token* token) {
+    return reader_.AtEnd() ? NextRange(token) : DecodeOne(token);
+  }
 
   /// From a token that opens a scope, advances to its matching end
   /// token, reading headers only. Ranges the end token cannot be in
@@ -93,15 +107,19 @@ class TokenCursor {
   const Token& token() const;
 
   /// Regenerated node id (kInvalidNodeId for end tokens).
-  NodeId node_id() const { return node_id_; }
+  NodeId node_id() const {
+    return TokenBeginsNode(type_) ? next_id_ - 1 : kInvalidNodeId;
+  }
 
   /// Nesting depth of the current token (the depth *at* the token: a
   /// begin-element at top level has depth 0, its children depth 1).
-  int64_t depth() const { return depth_at_token_; }
+  int64_t depth() const {
+    return TokenOpensScope(type_) ? depth_ - 1 : depth_;
+  }
 
   /// Global index of the current token in the store's token stream (the
   /// structural index's pre/post numbering).
-  uint64_t ordinal() const { return ordinal_; }
+  uint64_t ordinal() const { return next_ordinal_ - 1; }
 
   /// Range currently being streamed.
   RangeId range() const { return meta_.id; }
@@ -122,7 +140,7 @@ class TokenCursor {
   /// carries no such index, so after Seek(entry) it is exact only once
   /// the cursor has moved into the next range.
   uint32_t token_index() const {
-    return static_cast<uint32_t>(ordinal_ - range_first_ordinal_);
+    return static_cast<uint32_t>(ordinal() - range_first_ordinal_);
   }
 
   /// Node-begin tokens in the current range before the current token.
@@ -141,43 +159,51 @@ class TokenCursor {
   /// `byte_offset`, which must lie inside its payload.
   Status SeekReader(RangeId range, uint32_t byte_offset);
   /// Next() across a range boundary (or to the end).
-  Status NextRange();
+  Status NextRange(Token* token);
 
-  /// Reads the header at the reader's position as the current token.
-  Status DecodeOne() {
+  /// Reads the token at the reader's position as the current token: its
+  /// header only, or the whole token into *token when one is given.
+  Status DecodeOne(Token* token) {
     LAXML_RC_ADD(tokens_scanned, 1);
     byte_offset_ = static_cast<uint32_t>(reader_.offset());
-    LAXML_RETURN_IF_ERROR(reader_.Skip(&type_));
+    if (token == nullptr) {
+      LAXML_RETURN_IF_ERROR(reader_.Skip(&type_));
+    } else {
+      LAXML_RETURN_IF_ERROR(reader_.Next(token));
+      type_ = token->type;
+    }
     name_symbol_ = reader_.last_name_symbol();
     decoded_ = false;
-    ordinal_ = next_ordinal_++;
-    node_id_ = TokenBeginsNode(type_) ? next_id_++ : kInvalidNodeId;
-    if (TokenClosesScope(type_)) {
-      --depth_;
-      depth_at_token_ = depth_;
-    } else {
-      depth_at_token_ = depth_;
-      if (TokenOpensScope(type_)) ++depth_;
-    }
+    Count(type_);
     valid_ = true;
     return Status::OK();
+  }
+
+  /// Moves ordinal, id and depth past a token of `type`. The current
+  /// token's ordinal, id and depth derive from these counters, so this
+  /// is all the per-token bookkeeping there is.
+  void Count(TokenType type) {
+    ++next_ordinal_;
+    if (TokenBeginsNode(type)) ++next_id_;
+    if (TokenOpensScope(type)) {
+      ++depth_;
+    } else if (TokenClosesScope(type)) {
+      --depth_;
+    }
   }
 
   const RangeManager* ranges_;
   bool valid_ = false;
   std::vector<uint8_t> payload_;
   TokenReader reader_{Slice()};
-  NodeId next_id_ = kInvalidNodeId;
-  uint64_t next_ordinal_ = 0;
+  NodeId next_id_ = kInvalidNodeId;  // id of the next node-begin token
+  uint64_t next_ordinal_ = 0;         // ordinal of the next token
   TokenType type_ = TokenType::kText;
   uint32_t name_symbol_ = kNoNameSymbol;
   mutable Token token_;
   mutable bool decoded_ = false;  // token_ holds the current token
-  NodeId node_id_ = kInvalidNodeId;
-  uint64_t ordinal_ = 0;
   uint32_t byte_offset_ = 0;
-  int64_t depth_ = 0;           // depth after consuming the token
-  int64_t depth_at_token_ = 0;  // depth at the token
+  int64_t depth_ = 0;  // depth after consuming the current token
   RangeMeta meta_;  // of the range being streamed
   uint64_t range_first_ordinal_ = 0;  // ordinal of meta_'s first token
   uint64_t skipped_headers_ = 0;

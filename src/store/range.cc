@@ -48,11 +48,9 @@ Status ComputeDepthProfile(const uint8_t* payload, size_t len,
   TokenType type;
   while (!reader.AtEnd()) {
     LAXML_RETURN_IF_ERROR(reader.Skip(&type));
-    Token probe;
-    probe.type = type;
-    if (probe.OpensScope()) {
+    if (TokenOpensScope(type)) {
       ++depth;
-    } else if (probe.ClosesScope()) {
+    } else if (TokenClosesScope(type)) {
       --depth;
       if (depth < min) min = depth;
     }

@@ -646,9 +646,7 @@ Status Store::ReindexRange(RangeId range, const uint8_t* payload,
   while (!reader.AtEnd()) {
     size_t offset = reader.offset();
     LAXML_RETURN_IF_ERROR(reader.Skip(&type));
-    Token probe;
-    probe.type = type;
-    if (probe.BeginsNode()) {
+    if (TokenBeginsNode(type)) {
       TokenLocation tl;
       tl.range_id = range;
       tl.byte_offset = static_cast<uint32_t>(offset);
@@ -1026,30 +1024,22 @@ Result<TokenSequence> Store::ReadWithIds(std::vector<NodeId>* ids) {
   // are never touched, so they cost no resident memory, and scans of a
   // store whose size drifts ask the allocator for one block size, so a
   // block freed by one scan fits the next instead of growing the heap.
-  const size_t capacity = std::bit_ceil(ranges_->total_tokens());
+  // One slot more than the tokens: each token decodes straight into a
+  // fresh slot, and the one the end of the chain leaves is dropped.
+  const size_t capacity = std::bit_ceil(ranges_->total_tokens() + 1);
   TokenSequence out;
   out.reserve(capacity);
   if (ids != nullptr) {
     ids->clear();
     ids->reserve(capacity);
   }
-  RangeId cur = ranges_->first_range();
-  while (cur != kInvalidRangeId) {
-    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
-    LAXML_ASSIGN_OR_RETURN(auto payload, ranges_->ReadPayload(cur));
-    TokenReader reader{Slice(payload), CodecFor(meta)};
-    NodeId next_id = meta.start_id;
-    Token token;
-    while (!reader.AtEnd()) {
-      LAXML_RETURN_IF_ERROR(reader.Next(&token));
-      if (ids != nullptr) {
-        ids->push_back(token.BeginsNode() ? next_id : kInvalidNodeId);
-      }
-      if (token.BeginsNode()) ++next_id;
-      out.push_back(std::move(token));
-    }
-    cur = meta.next;
+  TokenCursor cursor(ranges_.get());
+  LAXML_RETURN_IF_ERROR(cursor.SeekToFirst(&out.emplace_back()));
+  while (cursor.Valid()) {
+    if (ids != nullptr) ids->push_back(cursor.node_id());
+    LAXML_RETURN_IF_ERROR(cursor.Next(&out.emplace_back()));
   }
+  out.pop_back();
   ++stats_.full_scans;
   return out;
 }
@@ -1061,59 +1051,26 @@ Status Store::ReadSubtree(const Located& start, NodeId id,
     *end_loc = start;
     return Status::OK();
   }
-  RangeId cur = start.range;
-  LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
-  // encoded_len is the on-disk size under the range's codec; recomputing
-  // it from the materialized token would over-count for v2 ranges.
-  size_t skip = start.byte_offset + start.encoded_len;
-  LAXML_ASSIGN_OR_RETURN(
-      auto payload,
-      ranges_->range_records()->ReadSlice(cur, skip, meta.byte_len - skip));
-  TokenReader reader{Slice(payload), CodecFor(meta)};
-  // Positions for end-memoization: offsets are relative to the range
-  // payload (slice offset + skip within the first range).
-  size_t slice_base = skip;
-  uint32_t index = start.token_index + 1;
-  // Node begins in the range before the next token, for *end_loc. Read
-  // locates without the begin count, so it comes from the range's
-  // start id, not from start.begins_before.
-  uint64_t begins = id - meta.start_id + 1;
-  int64_t depth = 1;
-  Token token;
-  while (true) {
-    while (!reader.AtEnd()) {
-      size_t offset = slice_base + reader.offset();
-      LAXML_RETURN_IF_ERROR(reader.Next(&token));
-      if (token.OpensScope()) {
-        ++depth;
-      } else if (token.ClosesScope()) {
-        if (--depth == 0) {
-          end_loc->range = cur;
-          end_loc->byte_offset = static_cast<uint32_t>(offset);
-          end_loc->token_index = index;
-          end_loc->begins_before = static_cast<uint32_t>(begins);
-          end_loc->token = token;
-          end_loc->codec = meta.codec;
-          out->push_back(std::move(token));
-          return Status::OK();
-        }
-      }
-      if (token.BeginsNode()) ++begins;
-      ++index;
-      out->push_back(std::move(token));
-    }
-    if (meta.next == kInvalidRangeId) {
+  TokenCursor cursor(ranges_.get());
+  LAXML_RETURN_IF_ERROR(cursor.SeekTo(start.range, start.byte_offset,
+                                      start.token_index,
+                                      start.begins_before));
+  // Read locates without the begin count, so the cursor's ids may start
+  // short of `id`; the shift corrects an end token in the begin's range
+  // (a later range restarts ids from its own start id).
+  const NodeId shift = id - cursor.node_id();
+  do {
+    LAXML_RETURN_IF_ERROR(cursor.Next(&out->emplace_back()));
+    if (!cursor.Valid()) {
       return Status::Corruption("node " + std::to_string(id) +
                                 " never closes");
     }
-    cur = meta.next;
-    LAXML_ASSIGN_OR_RETURN(meta, ranges_->GetMeta(cur));
-    LAXML_ASSIGN_OR_RETURN(payload, ranges_->ReadPayload(cur));
-    reader = TokenReader{Slice(payload), CodecFor(meta)};
-    slice_base = 0;
-    index = 0;
-    begins = 0;
+  } while (cursor.depth() > 0 || !TokenClosesScope(cursor.type()));
+  *end_loc = LocatedAt(cursor);
+  if (end_loc->range == start.range) {
+    end_loc->begins_before += static_cast<uint32_t>(shift);
   }
+  return Status::OK();
 }
 
 Status Store::ReadMemoizedSubtree(NodeId id, const PartialEntry& memo,
@@ -1285,87 +1242,6 @@ std::string Store::DebugRangeTable() const {
            "\n";
   });
   return out;
-}
-
-Status Store::CheckInvariants() const {
-  // Walk the chain once, accumulating everything checkable.
-  RangeId cur = ranges_->first_range();
-  RangeId prev = kInvalidRangeId;
-  uint64_t chain_ranges = 0;
-  uint64_t live_nodes = 0;
-  int64_t depth = 0;
-  size_t indexed_intervals = 0;
-  while (cur != kInvalidRangeId) {
-    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
-    if (meta.prev != prev) {
-      return Status::Corruption("chain prev pointer mismatch at range " +
-                                std::to_string(cur));
-    }
-    LAXML_ASSIGN_OR_RETURN(auto payload, ranges_->ReadPayload(cur));
-    if (payload.size() != meta.byte_len) {
-      return Status::Corruption("payload length != meta.byte_len");
-    }
-    TokenReader reader{Slice(payload), CodecFor(meta)};
-    uint64_t begins = 0;
-    uint32_t tokens = 0;
-    TokenType type;
-    while (!reader.AtEnd()) {
-      LAXML_RETURN_IF_ERROR(reader.Skip(&type));
-      Token probe;
-      probe.type = type;
-      if (probe.BeginsNode()) ++begins;
-      if (probe.OpensScope()) ++depth;
-      if (probe.ClosesScope()) --depth;
-      if (depth < 0) {
-        return Status::Corruption("document order nesting went negative");
-      }
-      ++tokens;
-    }
-    if (begins != meta.id_count || tokens != meta.token_count) {
-      return Status::Corruption("meta counters disagree with payload");
-    }
-    int32_t want_delta, want_min;
-    LAXML_RETURN_IF_ERROR(ComputeDepthProfile(
-        payload.data(), payload.size(), CodecFor(meta), &want_delta,
-        &want_min));
-    if (want_delta != meta.depth_delta || want_min != meta.min_depth) {
-      return Status::Corruption("range depth profile stale");
-    }
-    if (meta.has_ids()) {
-      auto looked = ranges_->index().LookupEntry(meta.start_id);
-      if (!looked.ok() || looked->range_id != cur ||
-          looked->start_id != meta.start_id ||
-          looked->end_id != meta.end_id()) {
-        return Status::Corruption("range index disagrees with meta");
-      }
-      ++indexed_intervals;
-    }
-    live_nodes += begins;
-    prev = cur;
-    cur = meta.next;
-    if (++chain_ranges > ranges_->range_count() + 1) {
-      return Status::Corruption("range chain longer than range_count");
-    }
-  }
-  if (depth != 0) {
-    return Status::Corruption("store content does not nest to depth 0");
-  }
-  if (prev != ranges_->last_range()) {
-    return Status::Corruption("last_range pointer mismatch");
-  }
-  if (chain_ranges != ranges_->range_count()) {
-    return Status::Corruption("range_count mismatch");
-  }
-  if (indexed_intervals != ranges_->index().size()) {
-    return Status::Corruption("range index has orphan entries");
-  }
-  if (live_nodes != live_node_count()) {
-    return Status::Corruption("live node count mismatch");
-  }
-  if (full_ != nullptr && full_->size() != live_nodes) {
-    return Status::Corruption("full index size != live nodes");
-  }
-  return Status::OK();
 }
 
 Status Store::CheckIntegrity() const {

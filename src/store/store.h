@@ -224,10 +224,6 @@ class Store {
     return partial_.ToTableString();
   }
 
-  /// Verifies store invariants (chain integrity, meta vs payload
-  /// agreement, index consistency). Used by property tests.
-  Status CheckInvariants() const;
-
   /// Runs the cross-layer integrity auditor (src/audit/) over every
   /// persistent structure — range chain, Range/Partial/Full indexes,
   /// slotted heap pages, B+-trees, WAL, buffer pool pins — and returns
@@ -413,11 +409,6 @@ class Store {
                       NodeId start_id, uint8_t codec);
 
   Status MaybeSync();
-
-  /// Decode context for a range's payload.
-  TokenCodecContext CodecFor(const RangeMeta& meta) const {
-    return TokenCodecContext(meta.codec, dict_.get());
-  }
 
   std::unique_ptr<Pager> pager_;
   StoreOptions options_;

@@ -100,7 +100,7 @@ TEST(AdvisorTest, FragmentedStoreGetsCompactionAdvice) {
   ASSERT_OK_AND_ASSIGN(uint64_t merges,
                        store->CompactRanges(report.compaction_target_bytes));
   EXPECT_GT(merges, 100u);
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
 TEST(AdvisorTest, EmptyStoreGivesDefaults) {

@@ -74,7 +74,7 @@ TEST(BulkLoadTest, MatchesLoadXmlTokenForToken) {
   ASSERT_OK_AND_ASSIGN(TokenSequence want, ref_store->Read());
   EXPECT_EQ(EncodeTokens(got), EncodeTokens(want));
   EXPECT_EQ(stats.nodes, bulk_store->stats().nodes_inserted);
-  ASSERT_LAXML_OK(bulk_store->CheckInvariants());
+  ASSERT_LAXML_OK(bulk_store->CheckIntegrity());
   ASSERT_LAXML_OK(bulk_store->CheckIntegrity());
 }
 
@@ -125,7 +125,7 @@ TEST(BulkLoadTest, SurvivesReopenAndFurtherMutations) {
     // Normal (logged) mutations work on top of the bulk-loaded ranges.
     ASSERT_LAXML_OK(
         store->InsertIntoLast(1, MustFragment("<extra/>")).status());
-    ASSERT_LAXML_OK(store->CheckInvariants());
+    ASSERT_LAXML_OK(store->CheckIntegrity());
     ASSERT_LAXML_OK(store->CheckIntegrity());
   }
 }
@@ -188,7 +188,7 @@ TEST(BulkLoadTest, V1StoresStillOpenAndMixWithV2Writes) {
     ASSERT_OK_AND_ASSIGN(TokenSequence sub, store->Read(1));
     EXPECT_FALSE(after.empty());
     EXPECT_FALSE(sub.empty());
-    ASSERT_LAXML_OK(store->CheckInvariants());
+    ASSERT_LAXML_OK(store->CheckIntegrity());
     ASSERT_LAXML_OK(store->CheckIntegrity());
   }
   {
@@ -251,7 +251,7 @@ TEST(BulkLoadTest, FullIndexModeIndexesBulkRanges) {
     ASSERT_OK_AND_ASSIGN(TokenSequence sub, store->Read(id));
     EXPECT_FALSE(sub.empty());
   }
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
   ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 

@@ -48,7 +48,7 @@ TEST_P(CompactionTest, MergesAppendFeedRanges) {
 
   // Content identical, ids identical, invariants hold.
   EXPECT_EQ(*store->SerializeToXml(), before);
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
   ASSERT_OK_AND_ASSIGN(TokenSequence e0, store->Read(2));
   EXPECT_EQ(MustSerialize(e0), "<e>0</e>");
 }
@@ -71,7 +71,7 @@ TEST_P(CompactionTest, RespectsTargetBytes) {
       });
   ASSERT_LAXML_OK(st);
   EXPECT_TRUE(ok);
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
 TEST_P(CompactionTest, SkipsNonContiguousIdNeighbors) {
@@ -86,7 +86,7 @@ TEST_P(CompactionTest, SkipsNonContiguousIdNeighbors) {
   ASSERT_OK_AND_ASSIGN(uint64_t merges, store->CompactRanges(1 << 16));
   (void)merges;  // some merges may be possible (id-less tails), some not
   EXPECT_EQ(*store->SerializeToXml(), before);
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
   // Every node still locatable.
   for (NodeId id = 1; id <= 4; ++id) {
     EXPECT_TRUE(store->Exists(id)) << id;
@@ -111,7 +111,7 @@ TEST_P(CompactionTest, ReadsAfterCompactionUseFreshLocations) {
     ASSERT_OK_AND_ASSIGN(TokenSequence x, store->Read(id));
     EXPECT_EQ(MustSerialize(x), "<x/>") << id;
   }
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
 TEST_P(CompactionTest, RandomWorkloadThenCompactionStaysEquivalent) {
@@ -159,7 +159,7 @@ TEST_P(CompactionTest, RandomWorkloadThenCompactionStaysEquivalent) {
       ASSERT_LAXML_OK(store->ReadWithIds(&after_ids).status());
       EXPECT_EQ(after, before) << "round " << round;
       EXPECT_EQ(after_ids, before_ids) << "round " << round;
-      ASSERT_LAXML_OK(store->CheckInvariants());
+      ASSERT_LAXML_OK(store->CheckIntegrity());
     }
   }
 }
@@ -171,7 +171,7 @@ TEST_P(CompactionTest, EmptyAndSingleRangeStoresAreNoops) {
   ASSERT_LAXML_OK(store->LoadXml("<one/>").status());
   ASSERT_OK_AND_ASSIGN(merges, store->CompactRanges(4096));
   EXPECT_EQ(merges, 0u);
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
 INSTANTIATE_TEST_SUITE_P(

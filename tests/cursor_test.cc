@@ -1,7 +1,8 @@
 // TokenCursor tests: depth bookkeeping, id regeneration across range
-// boundaries, behavior on fragmented stores, agreement with
-// ReadWithIds, and the range-local positions the store's locate scans
-// take from it.
+// boundaries, behavior on fragmented stores, agreement with the
+// cursor-free ReferenceRead (as the cursor and as Store::ReadWithIds,
+// which walks it), and the range-local positions the store's locate
+// scans take from it.
 
 #include "store/cursor.h"
 
@@ -18,6 +19,7 @@ namespace laxml {
 namespace {
 
 using testing::MustFragment;
+using testing::ReferenceRead;
 
 // Where a token sits, as the store's locate paths record it.
 struct Spot {
@@ -28,11 +30,12 @@ struct Spot {
   uint32_t encoded_len = 0;
 };
 
-// Every token's spot, by brute force: ReadWithIds' tokens laid over the
-// range chain's token counts, each re-encoded under its range's codec.
+// Every token's spot, by brute force: ReferenceRead's tokens laid over
+// the range chain's token counts, each re-encoded under its range's
+// codec.
 std::vector<Spot> BruteForceSpots(Store* store, TokenSequence* tokens,
                                   std::vector<NodeId>* ids) {
-  auto read = store->ReadWithIds(ids);
+  auto read = ReferenceRead(*store, ids);
   EXPECT_TRUE(read.ok());
   *tokens = std::move(read).value();
   std::vector<Spot> spots;
@@ -64,10 +67,11 @@ void ExpectAt(const TokenCursor& cursor, const Spot& want, size_t i) {
   EXPECT_EQ(cursor.encoded_len(), want.encoded_len) << "token " << i;
 }
 
-std::unique_ptr<Store> FragmentedStore() {
+std::unique_ptr<Store> FragmentedStore(uint32_t token_codec = 2) {
   StoreOptions options;
   options.max_range_bytes = 48;  // many ranges
   options.pager.page_size = 512;
+  options.token_codec = token_codec;
   auto opened = Store::OpenInMemory(options);
   EXPECT_TRUE(opened.ok());
   return std::move(opened).value();
@@ -94,18 +98,22 @@ TEST(CursorTest, DepthTracksNesting) {
   EXPECT_EQ(depths, (std::vector<int64_t>{0, 1, 2, 2, 2, 1, 0}));
 }
 
-TEST(CursorTest, AgreesWithReadWithIdsOnFragmentedStore) {
-  auto store = FragmentedStore();
+// A random tree, then splits and id gaps.
+void FillAndFragment(Store* store) {
   Random rng(12);
   ASSERT_LAXML_OK(
       store->InsertTopLevel(GenerateRandomTree(&rng, 150, 6)).status());
-  // Mutate to create splits and id gaps.
   ASSERT_LAXML_OK(store->InsertIntoLast(1, MustFragment("<x/>")).status());
   ASSERT_LAXML_OK(store->DeleteNode(3));
+}
+
+TEST(CursorTest, AgreesWithReferenceReadOnFragmentedStore) {
+  auto store = FragmentedStore();
+  ASSERT_NO_FATAL_FAILURE(FillAndFragment(store.get()));
 
   std::vector<NodeId> expected_ids;
   ASSERT_OK_AND_ASSIGN(TokenSequence expected,
-                       store->ReadWithIds(&expected_ids));
+                       ReferenceRead(*store, &expected_ids));
   auto cursor = store->NewCursor();
   ASSERT_LAXML_OK(cursor->SeekToFirst());
   size_t i = 0;
@@ -118,6 +126,24 @@ TEST(CursorTest, AgreesWithReadWithIdsOnFragmentedStore) {
   }
   EXPECT_EQ(i, expected.size());
   EXPECT_GT(store->range_manager().range_count(), 3u);
+}
+
+TEST(CursorTest, StoreReadWithIdsMatchesReferenceReadUnderBothCodecs) {
+  for (uint32_t codec : {kTokenCodecV1, kTokenCodecV2}) {
+    SCOPED_TRACE("codec v" + std::to_string(codec));
+    auto store = FragmentedStore(codec);
+    ASSERT_NO_FATAL_FAILURE(FillAndFragment(store.get()));
+    ASSERT_GT(store->range_manager().range_count(), 3u);
+
+    std::vector<NodeId> expected_ids;
+    ASSERT_OK_AND_ASSIGN(TokenSequence expected,
+                         ReferenceRead(*store, &expected_ids));
+    std::vector<NodeId> ids;
+    ASSERT_OK_AND_ASSIGN(TokenSequence got, store->ReadWithIds(&ids));
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ(ids, expected_ids);
+    EXPECT_EQ(got.size(), store->range_manager().total_tokens());
+  }
 }
 
 TEST(CursorTest, RangeAccessorMovesAcrossChain) {

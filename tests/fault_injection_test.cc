@@ -56,8 +56,8 @@ TEST(FaultInjectionTest, BitFlipInDataPageIsDetected) {
     EXPECT_TRUE(all.status().IsCorruption()) << all.status().ToString();
   } else {
     // The flipped page may be a freed page nobody reads; verify via
-    // invariants which touch every live structure.
-    Status st = (*opened)->CheckInvariants();
+    // the integrity audit, which touches every live structure.
+    Status st = (*opened)->CheckIntegrity();
     if (!st.ok()) {
       EXPECT_TRUE(st.IsCorruption()) << st.ToString();
     }

@@ -153,7 +153,7 @@ TEST(GroupCommitTest, AckedCommitsSurviveTornTailCrash) {
     }
     // The unacked tail record died with the crash, as it should.
     EXPECT_EQ(xml.find("<unacked/>"), std::string::npos);
-    ASSERT_LAXML_OK(store->CheckInvariants());
+    ASSERT_LAXML_OK(store->CheckIntegrity());
   }  // clean close: checkpoint + WAL truncate
 
   // After recovery and a clean close the store fscks clean.

@@ -52,20 +52,20 @@ TEST_P(NodeKindsTest, DeleteTextNode) {
   ASSERT_LAXML_OK(store_->DeleteNode(4));
   EXPECT_EQ(Xml(), "<doc a=\"v\"><!--note--><?pi data?><kid/></doc>");
   EXPECT_FALSE(store_->Exists(4));
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(NodeKindsTest, DeleteCommentAndPI) {
   ASSERT_LAXML_OK(store_->DeleteNode(3));
   ASSERT_LAXML_OK(store_->DeleteNode(5));
   EXPECT_EQ(Xml(), "<doc a=\"v\">text<kid/></doc>");
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(NodeKindsTest, DeleteAttributeNode) {
   ASSERT_LAXML_OK(store_->DeleteNode(2));
   EXPECT_EQ(Xml(), "<doc><!--note-->text<?pi data?><kid/></doc>");
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(NodeKindsTest, ReplaceTextNode) {
@@ -80,7 +80,7 @@ TEST_P(NodeKindsTest, ReplaceAttributeWithAttribute) {
                             Token::EndAttribute()};
   ASSERT_LAXML_OK(store_->ReplaceNode(2, replacement).status());
   EXPECT_EQ(Xml(), "<doc b=\"w\"><!--note-->text<?pi data?><kid/></doc>");
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(NodeKindsTest, InsertSiblingsAroundTextAndPI) {
@@ -90,7 +90,7 @@ TEST_P(NodeKindsTest, InsertSiblingsAroundTextAndPI) {
   EXPECT_EQ(Xml(),
             "<doc a=\"v\"><!--note--><!--pre-->text<?pi data?>tail"
             "<kid/></doc>");
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(NodeKindsTest, ContentOpsRejectLeafKinds) {

@@ -91,7 +91,7 @@ TEST_P(RecoveryPropertyTest, RecoveredStateMatchesModelPrefix) {
     ASSERT_OK_AND_ASSIGN(TokenSequence all, store->ReadWithIds(&ids));
     EXPECT_EQ(all, model.tokens());
     EXPECT_EQ(ids, model.ids());
-    ASSERT_LAXML_OK(store->CheckInvariants());
+    ASSERT_LAXML_OK(store->CheckIntegrity());
     // And the recovered store keeps working.
     ASSERT_LAXML_OK(store->LoadXml("<after-recovery/>").status());
   }

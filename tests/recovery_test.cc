@@ -39,7 +39,7 @@ TEST(RecoveryTest, CrashAfterOpsReplaysFromWal) {
     ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), WalOptions()));
     ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
     EXPECT_EQ(MustSerialize(all), "<db><b>two</b></db>");
-    ASSERT_LAXML_OK(store->CheckInvariants());
+    ASSERT_LAXML_OK(store->CheckIntegrity());
     // Replayed id assignment is identical: next insert continues the
     // sequence.
     ASSERT_OK_AND_ASSIGN(NodeId next,
@@ -124,7 +124,7 @@ TEST(RecoveryTest, ManyOpsReplayDeterministically) {
     ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), WalOptions()));
     ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
     EXPECT_EQ(MustSerialize(all), expected);
-    ASSERT_LAXML_OK(store->CheckInvariants());
+    ASSERT_LAXML_OK(store->CheckIntegrity());
   }
 }
 

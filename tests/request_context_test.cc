@@ -2,8 +2,9 @@
 // thread-local install/uninstall and nesting, attribution through the
 // LAXML_RC_* macros, the engine hooks (cursor tokens, buffer-pool
 // pins/misses, WAL bytes, index hits) actually crediting the installed
-// context — a seeded scan credits only the tokens it reads — and the
-// counters' JSON rendering.
+// context — a seeded scan credits only the tokens it reads, and store
+// reads credit the tokens their cursor walks — and the counters' JSON
+// rendering.
 
 #include <gtest/gtest.h>
 
@@ -184,6 +185,71 @@ TEST(RequestContext, SeededScanCreditsOnlyTheTokensItReads) {
   ASSERT_NE(forced.plan, nullptr);
   EXPECT_STREQ(forced.plan, "stream-scan");
   EXPECT_EQ(forced.counters.tokens_scanned, all.size());
+}
+
+TEST(RequestContext, StoreReadsCreditTheTokensTheyWalk) {
+  // Store::Read and Read(id) walk the range chain through TokenCursor:
+  // a full read credits every token, a Read(id) without a memoized end
+  // its subtree's tokens (plus the headers of a locate scan, when the
+  // begin is not memoized either), and a memo hit, one slice decode
+  // with no walk, none.
+  ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(StoreOptions()));
+  ASSERT_LAXML_OK(store
+                      ->InsertTopLevel(MustFragment(
+                          "<a k=\"v\"><b>one</b><b>two</b><!--c-->"
+                          "<c><b>three</b><d>four</d></c></a>"))
+                      .status());
+  std::vector<NodeId> ids;
+  ASSERT_OK_AND_ASSIGN(TokenSequence all, store->ReadWithIds(&ids));
+  auto subtree_of = [&](const char* name) {
+    size_t begin = 0;
+    while (begin < all.size() &&
+           !(all[begin].type == TokenType::kBeginElement &&
+             all[begin].name == name)) {
+      ++begin;
+    }
+    EXPECT_LT(begin, all.size()) << name;
+    return std::make_pair(ids[begin], SubtreeEnd(all, begin).value() - begin);
+  };
+
+  RequestContext full;
+  {
+    ScopedRequestContext scoped(&full);
+    ASSERT_LAXML_OK(store->Read().status());
+  }
+  EXPECT_EQ(full.counters.tokens_scanned,
+            store->range_manager().total_tokens());
+  EXPECT_EQ(full.counters.tokens_scanned, all.size());
+
+  // Begin memoized by a locate, end not yet: the subtree, no more.
+  const auto [c, c_tokens] = subtree_of("c");
+  ASSERT_LAXML_OK(store->Describe(c).status());
+  RequestContext cold;
+  {
+    ScopedRequestContext scoped(&cold);
+    ASSERT_OK_AND_ASSIGN(TokenSequence got, store->Read(c));
+    EXPECT_EQ(got.size(), c_tokens);
+  }
+  EXPECT_EQ(cold.counters.tokens_scanned, c_tokens);
+
+  RequestContext warm;
+  {
+    ScopedRequestContext scoped(&warm);
+    ASSERT_LAXML_OK(store->Read(c).status());
+  }
+  EXPECT_EQ(warm.counters.tokens_scanned, 0u);
+
+  // Nothing memoized: the locate scan's headers, then the subtree.
+  const auto [b, b_tokens] = subtree_of("b");
+  const uint64_t located_before = store->stats().locate_scan_tokens;
+  RequestContext colder;
+  {
+    ScopedRequestContext scoped(&colder);
+    ASSERT_LAXML_OK(store->Read(b).status());
+  }
+  const uint64_t located = store->stats().locate_scan_tokens - located_before;
+  EXPECT_GT(located, 0u);
+  EXPECT_EQ(colder.counters.tokens_scanned, located + b_tokens);
 }
 
 TEST(RequestContext, WalBytesAttributedThroughSharedStore) {

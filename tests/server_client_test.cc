@@ -249,7 +249,7 @@ TEST(ServerClientTest, MultiClientMixedWorkload) {
     EXPECT_EQ(actual, expected[static_cast<size_t>(c)]) << "client " << c;
   }
   server->Shutdown();
-  ASSERT_LAXML_OK(server->shared_store()->UnsafeStore()->CheckInvariants());
+  ASSERT_LAXML_OK(server->shared_store()->UnsafeStore()->CheckIntegrity());
 
   // The counters saw every op class the workload issued.
   ServerStatsSnapshot stats = server->stats();

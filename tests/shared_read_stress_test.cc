@@ -150,7 +150,7 @@ TEST(SharedReadStressTest, ReadersMatchOracleWhileWritersMutate) {
                          shared.UnsafeStore()->Read(oracle_ids[i]));
     EXPECT_EQ(MustSerialize(sub), oracle_xml[i]);
   }
-  ASSERT_LAXML_OK(shared.UnsafeStore()->CheckInvariants());
+  ASSERT_LAXML_OK(shared.UnsafeStore()->CheckIntegrity());
   // Readers really took the shared latch (the point of the exercise).
   EXPECT_GT(uint64_t{shared.stats().shared_acquisitions}, 0u);
 }
@@ -303,7 +303,7 @@ TEST(SharedReadStressTest, StructuralWarmingRacesRangeSplits) {
       shared.UnsafeStore()->structural_index()->stats();
   EXPECT_GT(uint64_t{stats.misses}, 0u);
   EXPECT_GT(uint64_t{stats.invalidations}, 0u);
-  ASSERT_LAXML_OK(shared.UnsafeStore()->CheckInvariants());
+  ASSERT_LAXML_OK(shared.UnsafeStore()->CheckIntegrity());
   ASSERT_LAXML_OK(shared.UnsafeStore()->CheckIntegrity());
 }
 

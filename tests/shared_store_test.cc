@@ -54,7 +54,7 @@ TEST(SharedStoreTest, ConcurrentAppendersLoseNothing) {
   EXPECT_EQ(failures.load(), 0);
   ASSERT_OK_AND_ASSIGN(TokenSequence all, shared->Read());
   EXPECT_EQ(CountNodeBegins(all), 1u + kThreads * kPerThread * 2u);
-  ASSERT_LAXML_OK(shared->UnsafeStore()->CheckInvariants());
+  ASSERT_LAXML_OK(shared->UnsafeStore()->CheckIntegrity());
 }
 
 TEST(SharedStoreTest, ReadersAndWritersInterleave) {
@@ -88,7 +88,7 @@ TEST(SharedStoreTest, ReadersAndWritersInterleave) {
   stop.store(true);
   reader.join();
   EXPECT_EQ(read_errors.load(), 0);
-  ASSERT_LAXML_OK(shared->UnsafeStore()->CheckInvariants());
+  ASSERT_LAXML_OK(shared->UnsafeStore()->CheckIntegrity());
 }
 
 TEST(SharedStoreTest, WithExclusiveComposesAtomically) {

@@ -36,7 +36,7 @@ TEST_P(StoreBasicTest, EmptyStoreReadsEmpty) {
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store_->Read());
   EXPECT_TRUE(all.empty());
   EXPECT_TRUE(store_->FirstTopLevelId().status().IsNotFound());
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(StoreBasicTest, InsertTopLevelAndReadBack) {
@@ -48,7 +48,7 @@ TEST_P(StoreBasicTest, InsertTopLevelAndReadBack) {
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store_->Read());
   EXPECT_EQ(MustSerialize(all),
             "<ticket><hour>15</hour><name>Paul</name></ticket>");
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(StoreBasicTest, IdsAssignedInDocumentOrder) {
@@ -85,7 +85,7 @@ TEST_P(StoreBasicTest, InsertIntoLastAppendsChild) {
   EXPECT_GT(added, 3u);
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store_->Read());
   EXPECT_EQ(MustSerialize(all), "<orders><o>1</o><o>2</o></orders>");
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(StoreBasicTest, InsertIntoFirstPrependsChild) {
@@ -94,7 +94,7 @@ TEST_P(StoreBasicTest, InsertIntoFirstPrependsChild) {
       store_->InsertIntoFirst(1, MustFragment("<o>0</o>")).status());
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store_->Read());
   EXPECT_EQ(MustSerialize(all), "<orders><o>0</o><o>1</o></orders>");
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(StoreBasicTest, InsertBeforeAndAfterSiblings) {
@@ -104,7 +104,7 @@ TEST_P(StoreBasicTest, InsertBeforeAndAfterSiblings) {
   ASSERT_LAXML_OK(store_->InsertAfter(2, MustFragment("<c/>")).status());
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store_->Read());
   EXPECT_EQ(MustSerialize(all), "<l><a/><b/><c/></l>");
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(StoreBasicTest, DeleteNodeRemovesSubtree) {
@@ -118,7 +118,7 @@ TEST_P(StoreBasicTest, DeleteNodeRemovesSubtree) {
   EXPECT_FALSE(store_->Exists(3));
   EXPECT_FALSE(store_->Exists(4));
   EXPECT_TRUE(store_->Exists(5));
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(StoreBasicTest, ReplaceNodeSwapsSubtree) {
@@ -128,7 +128,7 @@ TEST_P(StoreBasicTest, ReplaceNodeSwapsSubtree) {
   EXPECT_GT(fresh, 0u);
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store_->Read());
   EXPECT_EQ(MustSerialize(all), "<r><new>here</new><keep/></r>");
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(StoreBasicTest, ReplaceContentKeepsNode) {
@@ -138,7 +138,7 @@ TEST_P(StoreBasicTest, ReplaceContentKeepsNode) {
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store_->Read());
   EXPECT_EQ(MustSerialize(all), "<cfg><c/></cfg>");
   EXPECT_TRUE(store_->Exists(1));
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(StoreBasicTest, ReplaceContentWithEmptyClears) {
@@ -146,7 +146,7 @@ TEST_P(StoreBasicTest, ReplaceContentWithEmptyClears) {
   ASSERT_LAXML_OK(store_->ReplaceContent(1, {}).status());
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store_->Read());
   EXPECT_EQ(MustSerialize(all), "<cfg/>");
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(StoreBasicTest, InsertIntoTextNodeFails) {
@@ -188,7 +188,7 @@ TEST_P(StoreBasicTest, ManySiblingAppends) {
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store_->Read());
   // 200 <o> elements * 3 tokens + 2 for <orders>.
   EXPECT_EQ(all.size(), 200u * 3 + 2);
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
   // Spot-check a middle order's subtree.
   ASSERT_OK_AND_ASSIGN(TokenSequence mid, store_->Read(2 + 2 * 100));
   EXPECT_EQ(MustSerialize(mid), "<o>100</o>");
@@ -225,7 +225,7 @@ TEST_P(StoreBasicTest, NestedInsertDeepens) {
   }
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store_->Read());
   EXPECT_EQ(all.size(), 2u + 30 * 2);
-  ASSERT_LAXML_OK(store_->CheckInvariants());
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_P(StoreBasicTest, CursorStreamsWholeStore) {

@@ -41,7 +41,7 @@ TEST_P(PageSizeTest, MixedWorkloadBehavesIdentically) {
   }
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
   ASSERT_LAXML_OK(CheckWellFormedFragment(all));
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
 TEST_P(PageSizeTest, PayloadsLargerThanPageOverflow) {
@@ -53,7 +53,7 @@ TEST_P(PageSizeTest, PayloadsLargerThanPageOverflow) {
   ASSERT_OK_AND_ASSIGN(TokenSequence text, store->Read(2));
   ASSERT_EQ(text.size(), 1u);
   EXPECT_EQ(text[0].value, big);
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
 TEST_P(PageSizeTest, ReopenWorksAtEverySize) {

@@ -43,7 +43,7 @@ TEST_P(StorePersistenceTest, ContentSurvivesReopen) {
     ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
     EXPECT_EQ(MustSerialize(all),
               "<db><t1/><t2/><hub><leaf>v</leaf></hub></db>");
-    ASSERT_LAXML_OK(store->CheckInvariants());
+    ASSERT_LAXML_OK(store->CheckIntegrity());
     // Id counter continues where it left off (never reused).
     ASSERT_OK_AND_ASSIGN(NodeId fresh,
                          store->InsertIntoLast(hub, MustFragment("<n/>")));
@@ -94,7 +94,7 @@ TEST_P(StorePersistenceTest, CrashWithoutSyncLosesUncheckpointedWork) {
   ASSERT_OK_AND_ASSIGN(store, Store::Open(tmp.path(), Options()));
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
   EXPECT_EQ(MustSerialize(all), "<kept/>");
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
 TEST_P(StorePersistenceTest, LargeDocumentRoundTrips) {

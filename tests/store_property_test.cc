@@ -134,7 +134,7 @@ TEST_P(StorePropertyTest, StoreAgreesWithReferenceModel) {
                            store->ReadWithIds(&store_ids));
       ASSERT_EQ(store_all, model.tokens());
       ASSERT_EQ(store_ids, model.ids());
-      ASSERT_LAXML_OK(store->CheckInvariants());
+      ASSERT_LAXML_OK(store->CheckIntegrity());
     }
   }
 
@@ -146,7 +146,7 @@ TEST_P(StorePropertyTest, StoreAgreesWithReferenceModel) {
     ASSERT_EQ(*s, *m) << "id " << id;
     ASSERT_TRUE(store->Exists(id));
   }
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
 std::vector<PropertyParam> PropertyMatrix() {

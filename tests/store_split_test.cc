@@ -93,7 +93,7 @@ TEST(StoreSplitTest, GranularCapCutsInsertsIntoManyRanges) {
   ASSERT_LAXML_OK(store->InsertTopLevel(b.Build()).status());
   // With a 64-byte cap, one bulk insert became many ranges.
   EXPECT_GT(store->range_manager().range_count(), 20u);
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
   // And every node is still reachable.
   for (NodeId id = 1; id <= store->node_high_water(); ++id) {
     EXPECT_TRUE(store->Exists(id)) << id;
@@ -136,7 +136,7 @@ TEST(StoreSplitTest, HugeTextNodeOverflowsPages) {
       store->InsertIntoLast(1, MustFragment("<tail/>")).status());
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
   EXPECT_EQ(CountNodeBegins(all), 3u);
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
 TEST(StoreSplitTest, RepeatedMiddleInsertsFragmentRanges) {
@@ -157,7 +157,7 @@ TEST(StoreSplitTest, RepeatedMiddleInsertsFragmentRanges) {
   ASSERT_OK_AND_ASSIGN(TokenSequence m, store->Read(2));
   EXPECT_EQ(MustSerialize(m), "<m/>");
   EXPECT_EQ(all[all.size() - 3].name, "m");
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
 TEST(StoreSplitTest, DeleteSubtreeSpanningRanges) {
@@ -176,7 +176,7 @@ TEST(StoreSplitTest, DeleteSubtreeSpanningRanges) {
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
   EXPECT_EQ(MustSerialize(all), "<r><keep/></r>");
   EXPECT_LT(store->range_manager().range_count(), ranges_before);
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
 TEST(StoreSplitTest, DeepNestingSurvivesAllOperations) {
@@ -200,7 +200,7 @@ TEST(StoreSplitTest, DeepNestingSurvivesAllOperations) {
   EXPECT_TRUE(store->Exists(chain[39]));
   ASSERT_OK_AND_ASSIGN(TokenSequence after, store->Read(chain[0]));
   EXPECT_EQ(CountNodeBegins(after), 40u);
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
 TEST(StoreSplitTest, ReplaceContentAcrossRanges) {
@@ -215,7 +215,7 @@ TEST(StoreSplitTest, ReplaceContentAcrossRanges) {
       store->ReplaceContent(1, MustFragment("<fresh/>")).status());
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
   EXPECT_EQ(MustSerialize(all), "<cfg><fresh/></cfg>");
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
 TEST(StoreSplitTest, RangeCountMatchesInsertPattern) {

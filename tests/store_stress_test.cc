@@ -79,7 +79,7 @@ TEST(StoreStressTest, ThousandsOfOpsWithCompactionAndReopen) {
       ApplyBoth(store.get(), &model, op, any.size());
       if (i % 250 == 249) {
         ASSERT_LAXML_OK(store->CompactRanges(512).status());
-        ASSERT_LAXML_OK(store->CheckInvariants());
+        ASSERT_LAXML_OK(store->CheckIntegrity());
         std::vector<NodeId> ids;
         ASSERT_OK_AND_ASSIGN(TokenSequence all, store->ReadWithIds(&ids));
         ASSERT_EQ(all, model.tokens()) << "after op " << i;
@@ -99,7 +99,7 @@ TEST(StoreStressTest, ThousandsOfOpsWithCompactionAndReopen) {
       Operation op = ops.Next(model.LiveElementIds(), any);
       ApplyBoth(store.get(), &model, op, any.size());
     }
-    ASSERT_LAXML_OK(store->CheckInvariants());
+    ASSERT_LAXML_OK(store->CheckIntegrity());
     ASSERT_OK_AND_ASSIGN(all, store->ReadWithIds(&ids));
     ASSERT_EQ(all, model.tokens());
     ASSERT_EQ(ids, model.ids());
@@ -123,7 +123,7 @@ TEST(StoreStressTest, FullIndexModeLongHaul) {
     Operation op = ops.Next(model.LiveElementIds(), any);
     ApplyBoth(store.get(), &model, op, any.size());
   }
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
   // The eager index tracks live nodes exactly.
   EXPECT_EQ(store->full_index_size(), model.LiveIds().size());
   std::vector<NodeId> ids;

@@ -1,5 +1,6 @@
 // Shared helpers for laxml tests: status assertions, fragment builders,
-// temp-file management.
+// temp-file management, and a reference read of the store that shares
+// no code with TokenCursor.
 
 #ifndef LAXML_TESTS_TEST_UTIL_H_
 #define LAXML_TESTS_TEST_UTIL_H_
@@ -9,9 +10,12 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
+#include "store/store.h"
 #include "xml/serializer.h"
+#include "xml/token_codec.h"
 #include "xml/token_sequence.h"
 #include "xml/tokenizer.h"
 
@@ -71,6 +75,33 @@ inline std::string MustSerialize(const TokenSequence& tokens) {
     return {};
   }
   return std::move(result).value();
+}
+
+/// The store's token stream and node ids (kInvalidNodeId for end
+/// tokens), read without TokenCursor: each range on the chain decoded
+/// whole under its own codec, ids counted up from its start id. Every
+/// engine read runs on the cursor, so tests check those reads, and the
+/// cursor itself, against this.
+inline Result<TokenSequence> ReferenceRead(const Store& store,
+                                           std::vector<NodeId>* ids) {
+  const RangeManager& ranges = store.range_manager();
+  TokenSequence out;
+  ids->clear();
+  for (RangeId r = ranges.first_range(); r != kInvalidRangeId;) {
+    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges.GetMeta(r));
+    LAXML_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                           ranges.ReadPayload(r));
+    LAXML_ASSIGN_OR_RETURN(
+        TokenSequence tokens,
+        DecodeTokens(Slice(payload), ranges.codec_for(meta)));
+    NodeId next_id = meta.start_id;
+    for (Token& token : tokens) {
+      ids->push_back(token.BeginsNode() ? next_id++ : kInvalidNodeId);
+      out.push_back(std::move(token));
+    }
+    r = meta.next;
+  }
+  return out;
 }
 
 /// Flips one bit (0x10) of the byte at `offset` in the file — the

@@ -5,10 +5,11 @@
 // fired, stores poisoned, tails torn) rather than vacuously passing.
 
 #include <gtest/gtest.h>
-#include <sys/stat.h>
+#include <stdlib.h>
 
-#include <cerrno>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "test_util.h"
 #include "torture/torture.h"
@@ -17,18 +18,42 @@
 namespace laxml {
 namespace {
 
-torture::TortureOptions SmokeOptions(const std::string& tag) {
+// A directory of its own for each run (mkdtemp), removed afterwards, so
+// two builds running this suite at once never share a store file.
+class RunDir {
+ public:
+  explicit RunDir(const std::string& tag) {
+    std::string path = ::testing::TempDir() + "laxml_torture_" + tag +
+                       "_XXXXXX";
+    if (::mkdtemp(path.data()) != nullptr) path_ = path;
+  }
+  ~RunDir() {
+    if (path_.empty()) return;
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+    EXPECT_FALSE(ec) << "removing " << path_ << ": " << ec.message();
+  }
+  RunDir(const RunDir&) = delete;
+  RunDir& operator=(const RunDir&) = delete;
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+torture::TortureOptions SmokeOptions(const RunDir& dir) {
   torture::TortureOptions opts;
   opts.seed = 20260806;
   opts.iterations = 200;
   opts.ops_per_iteration = 30;
-  opts.dir = ::testing::TempDir() + "laxml_torture_" + tag;
+  opts.dir = dir.path();
   return opts;
 }
 
 TEST(TortureSmokeTest, TwoHundredIterationsSurviveCleanly) {
-  auto opts = SmokeOptions("smoke");
-  ASSERT_EQ(::mkdir(opts.dir.c_str(), 0755) == 0 || errno == EEXIST, true);
+  RunDir dir("smoke");
+  ASSERT_FALSE(dir.path().empty());
+  auto opts = SmokeOptions(dir);
   torture::TortureReport report = torture::RunTorture(opts);
   EXPECT_TRUE(report.ok()) << report.error << " (iteration "
                            << report.failed_iteration << ", seed "
@@ -47,10 +72,11 @@ TEST(TortureSmokeTest, V1CodecStoreSurvivesAgainstV2Oracle) {
   // The default run tortures a v2 store against a v1 oracle; flip it.
   // Either way every Verify is a byte-for-byte v1-vs-v2 comparison of
   // the decoded token streams under fault injection.
-  auto opts = SmokeOptions("v1codec");
+  RunDir dir("v1codec");
+  ASSERT_FALSE(dir.path().empty());
+  auto opts = SmokeOptions(dir);
   opts.iterations = 60;
   opts.token_codec = 1;
-  ASSERT_EQ(::mkdir(opts.dir.c_str(), 0755) == 0 || errno == EEXIST, true);
   torture::TortureReport report = torture::RunTorture(opts);
   EXPECT_TRUE(report.ok()) << report.error << " (iteration "
                            << report.failed_iteration << ", seed "
@@ -64,8 +90,9 @@ TEST(TortureSmokeTest, NetworkFleetSurvivesFaultsAndCrashes) {
   opts.iterations = 8;
   opts.clients = 3;
   opts.ops_per_client = 15;
-  opts.dir = ::testing::TempDir() + "laxml_torture_net";
-  ASSERT_EQ(::mkdir(opts.dir.c_str(), 0755) == 0 || errno == EEXIST, true);
+  RunDir dir("net");
+  ASSERT_FALSE(dir.path().empty());
+  opts.dir = dir.path();
 
   torture::NetTortureReport report = torture::RunNetTorture(opts);
   EXPECT_TRUE(report.ok()) << report.error << " (iteration "
@@ -83,9 +110,10 @@ TEST(TortureSmokeTest, NetworkFleetSurvivesFaultsAndCrashes) {
 }
 
 TEST(TortureSmokeTest, SameSeedSameReport) {
-  auto opts = SmokeOptions("determinism");
+  RunDir dir("determinism");
+  ASSERT_FALSE(dir.path().empty());
+  auto opts = SmokeOptions(dir);
   opts.iterations = 40;
-  ASSERT_EQ(::mkdir(opts.dir.c_str(), 0755) == 0 || errno == EEXIST, true);
 
   torture::TortureReport a = torture::RunTorture(opts);
   torture::TortureReport b = torture::RunTorture(opts);

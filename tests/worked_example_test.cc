@@ -87,7 +87,7 @@ TEST(WorkedExampleTest, Section45Scenario) {
   EXPECT_EQ(end, subtree.size());
   EXPECT_EQ(CountNodeBegins(subtree), 1u + 40u);
 
-  ASSERT_LAXML_OK(store->CheckInvariants());
+  ASSERT_LAXML_OK(store->CheckIntegrity());
 
   // The debug renderings match the tables' shape.
   std::string range_table = store->DebugRangeTable();

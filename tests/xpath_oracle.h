@@ -4,8 +4,9 @@
 // semantics — document order, duplicates removed, existential '='
 // comparisons, per-context positions. It is deliberately the naive
 // algorithm: O(live nodes) memory, one snapshot per construction, and
-// it reads the store through ReadWithIds rather than the TokenCursor
-// the engine streams, so the two share no evaluation or decoding code.
+// it reads the store through ReferenceRead (test_util.h), which decodes
+// each range whole, rather than the TokenCursor every engine read walks,
+// so the two share no evaluation or walking code.
 //
 // Usage: XPathOracle oracle(store); oracle.Evaluate("//a[b]");
 // Construct a new oracle after every store mutation.
@@ -25,6 +26,7 @@
 #include "query/xpath_ast.h"
 #include "query/xpath_parser.h"
 #include "store/store.h"
+#include "test_util.h"
 
 namespace laxml {
 namespace testing {
@@ -35,7 +37,7 @@ class XPathOracle {
   /// oracle empty and fails the test).
   explicit XPathOracle(Store* store) {
     std::vector<NodeId> ids;
-    auto tokens = store->ReadWithIds(&ids);
+    auto tokens = ReferenceRead(*store, &ids);
     if (!tokens.ok()) {
       ADD_FAILURE() << "oracle snapshot: " << tokens.status().ToString();
       return;
