@@ -39,7 +39,6 @@
 #include "common/mutex.h"
 #include "common/relaxed_counter.h"
 #include "common/thread_annotations.h"
-#include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "store/store.h"
 #include "wal/group_commit.h"
@@ -80,7 +79,7 @@ class SharedStore {
     const uint64_t latch_wait = obs::RequestLatchWaitBegin();
     mutex_.Lock();
     obs::RequestLatchWaitEnd(latch_wait);
-    CountExclusive();
+    ++stats_.exclusive_acquisitions;
     auto result = fn(*store_);
     const uint64_t lsn = CommitLsnLocked();
     mutex_.Unlock();
@@ -105,18 +104,12 @@ class SharedStore {
       ReaderMutexLock lock(mutex_);
       obs::RequestLatchWaitEnd(latch_wait);
       ++stats_.shared_acquisitions;
-      LAXML_COUNTER_INC("laxml_latch_shared_total");
       return fn(*store_);
     }
     WriterMutexLock lock(mutex_);
     obs::RequestLatchWaitEnd(latch_wait);
-    CountExclusive();
-    return fn(*store_);
-  }
-
-  void CountExclusive() {
     ++stats_.exclusive_acquisitions;
-    LAXML_COUNTER_INC("laxml_latch_exclusive_total");
+    return fn(*store_);
   }
 
   /// LSN this committer must wait durable on; 0 when group commit is
@@ -181,7 +174,7 @@ class SharedStore {
     const uint64_t latch_wait = obs::RequestLatchWaitBegin();
     mutex_.Lock();
     obs::RequestLatchWaitEnd(latch_wait);
-    CountExclusive();
+    ++stats_.exclusive_acquisitions;
     auto result = fn(*store_);
     const uint64_t lsn = CommitLsnLocked();
     mutex_.Unlock();

@@ -1,6 +1,5 @@
 #include "index/partial_index.h"
 
-#include "obs/metrics.h"
 #include "obs/request_context.h"
 
 namespace laxml {
@@ -21,7 +20,6 @@ void PartialIndex::TouchLocked(Shard& shard, Node& node, NodeId id) {
 bool PartialIndex::Lookup(NodeId id, PartialEntry* out) {
   if (!enabled()) return false;
   ++stats_.lookups;
-  LAXML_COUNTER_INC("laxml_partial_lookups_total");
   Shard& shard = ShardFor(id);
   MutexLock lk(shard.mu);
   auto it = shard.entries.find(id);
@@ -30,7 +28,6 @@ bool PartialIndex::Lookup(NodeId id, PartialEntry* out) {
     return false;
   }
   ++stats_.hits;
-  LAXML_COUNTER_INC("laxml_partial_hits_total");
   LAXML_RC_ADD(partial_index_hits, 1);
   TouchLocked(shard, it->second, id);
   *out = it->second.entry;
@@ -59,7 +56,6 @@ void PartialIndex::EvictIfNeededLocked(Shard& shard) {
     }
     shard.lru.pop_front();
     ++stats_.evictions;
-    LAXML_COUNTER_INC("laxml_partial_evictions_total");
   }
 }
 
@@ -104,7 +100,6 @@ void PartialIndex::RecordBegin(NodeId id, RangeId range,
   e->begin_codec = codec;
   shard.by_range[range].insert(id);
   ++stats_.begin_records;
-  LAXML_COUNTER_INC("laxml_partial_memoizations_total");
 }
 
 void PartialIndex::RecordEnd(NodeId id, RangeId range, uint32_t byte_offset,
@@ -131,7 +126,6 @@ void PartialIndex::RecordEnd(NodeId id, RangeId range, uint32_t byte_offset,
   e->end_codec = codec;
   shard.by_range[range].insert(id);
   ++stats_.end_records;
-  LAXML_COUNTER_INC("laxml_partial_memoizations_total");
 }
 
 void PartialIndex::InvalidateRange(RangeId range) {
@@ -153,7 +147,6 @@ void PartialIndex::InvalidateRange(RangeId range) {
       if (e.has_begin && e.begin_range == range) e.has_begin = false;
       if (e.has_end && e.end_range == range) e.has_end = false;
       ++stats_.invalidations;
-      LAXML_COUNTER_INC("laxml_partial_invalidations_total");
       if (!e.has_begin && !e.has_end) {
         shard.lru.erase(eit->second.lru_pos);
         shard.entries.erase(eit);
@@ -175,7 +168,6 @@ void PartialIndex::Invalidate(NodeId id) {
   shard.lru.erase(it->second.lru_pos);
   shard.entries.erase(it);
   ++stats_.invalidations;
-  LAXML_COUNTER_INC("laxml_partial_invalidations_total");
 }
 
 void PartialIndex::Clear() {

@@ -1,7 +1,5 @@
 #include "index/range_index.h"
 
-#include "obs/metrics.h"
-
 namespace laxml {
 
 Status RangeIndex::Insert(NodeId start_id, NodeId end_id,
@@ -27,7 +25,6 @@ Status RangeIndex::Insert(NodeId start_id, NodeId end_id,
 
 Result<RangeIndex::Entry> RangeIndex::LookupEntry(NodeId id) const {
   ++stats_.lookups;
-  LAXML_COUNTER_INC("laxml_rangeindex_lookups_total");
   auto it = entries_.upper_bound(id);
   if (it == entries_.begin()) {
     return Status::NotFound("node id below every range");
@@ -37,7 +34,6 @@ Result<RangeIndex::Entry> RangeIndex::LookupEntry(NodeId id) const {
     return Status::NotFound("node id in an interval gap");
   }
   ++stats_.hits;
-  LAXML_COUNTER_INC("laxml_rangeindex_hits_total");
   return it->second;
 }
 

@@ -1,26 +1,34 @@
-// Scrape-time bridge between the engine's per-layer stat structs and
-// the metrics registry. Event counters (buffer-pool hits, WAL syncs,
-// partial-index hits, ...) are recorded live by the layers themselves
-// through the LAXML_COUNTER_* macros; what's left is point-in-time
-// *levels* — range count, pool occupancy, index sizes — which have no
-// event to hook. Those are collected lazily, on each kGetMetrics
-// scrape, by mirroring the store's introspection surface into gauges:
-// zero hot-path cost, at the price of gauges being as stale as the last
-// scrape. (The lazy option, as ever, wins.)
+// Scrape-time collectors: copy the engine's per-instance stats structs
+// into a caller-owned MetricsRegistry::Snapshot as typed families.
+// The structs are the only counters of the events they count, so each
+// scrape reads them and nothing else mirrors them. Monotone fields
+// become counters named *_total (laxml_partial_hits_total,
+// laxml_bufferpool_hits_total, laxml_store_inserts_total, ...); levels
+// (range count, live nodes, pool occupancy, index sizes, the poisoned
+// bit) become gauges. A collector reads one instance, so two stores in
+// one process scrape independently: each Server renders its own.
 
 #ifndef LAXML_OBS_ENGINE_METRICS_H_
 #define LAXML_OBS_ENGINE_METRICS_H_
 
+#include "obs/metrics.h"
+
 namespace laxml {
 
+class SharedStore;
 class Store;
 
 namespace obs {
 
-/// Refreshes the Global() registry's engine gauges from `store`.
-/// Call under the store's exclusive latch (SharedStore::WithExclusive)
-/// when other threads may be mutating it.
-void CollectStoreMetrics(Store& store);
+/// Adds `store`'s counters and levels to `snap`. Call under the store's
+/// shared latch (SharedStore::WithShared) when other threads may be
+/// mutating it.
+void CollectStoreMetrics(Store& store, MetricsRegistry::Snapshot* snap);
+
+/// CollectStoreMetrics under `shared`'s shared latch, plus its latch
+/// counters and, when group commit is on, the group-commit counters.
+void CollectSharedStoreMetrics(SharedStore& shared,
+                               MetricsRegistry::Snapshot* snap);
 
 }  // namespace obs
 }  // namespace laxml

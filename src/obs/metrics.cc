@@ -87,15 +87,6 @@ Counter* MetricsRegistry::GetCounter(std::string_view name) {
   return it->second.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(std::string_view name) {
-  MutexLock lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return it->second.get();
-}
-
 Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
   MutexLock lock(mu_);
   auto it = histograms_.find(name);
@@ -113,21 +104,10 @@ MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
   for (const auto& [name, counter] : counters_) {
     snap.counters.emplace(name, counter->value());
   }
-  for (const auto& [name, gauge] : gauges_) {
-    snap.gauges.emplace(name, gauge->value());
-  }
   for (const auto& [name, histogram] : histograms_) {
     snap.histograms.emplace(name, histogram->snapshot());
   }
   return snap;
-}
-
-std::string MetricsRegistry::RenderTable() const {
-  return obs::RenderTable(TakeSnapshot());
-}
-
-std::string MetricsRegistry::RenderPrometheus() const {
-  return obs::RenderPrometheus(TakeSnapshot());
 }
 
 void SplitMetricName(const std::string& name, std::string* family,
@@ -183,42 +163,44 @@ std::string JoinName(const std::string& family, const std::string& labels,
   return out;
 }
 
-void AppendTypeOnce(const std::string& family, const char* type,
-                    std::string* out,
-                    std::map<std::string, bool>* emitted_types) {
-  if (emitted_types == nullptr) return;
-  auto [it, fresh] = emitted_types->emplace(family, true);
-  (void)it;
-  if (fresh) *out += "# TYPE " + family + " " + type + "\n";
+/// One exposition family: its type and its sample lines, in order.
+struct Family {
+  const char* type = nullptr;
+  std::string samples;
+};
+
+/// The sample buffer of `family`, typed by whichever series reaches it
+/// first.
+std::string& SamplesOf(std::map<std::string, Family>* families,
+                       const std::string& family, const char* type) {
+  Family& f = (*families)[family];
+  if (f.type == nullptr) f.type = type;
+  return f.samples;
 }
 
-}  // namespace
-
-void AppendPrometheusHistogram(const std::string& name,
-                               const HistogramSnapshot& h, std::string* out,
-                               std::map<std::string, bool>* emitted_types) {
+void AppendHistogram(const std::string& name, const HistogramSnapshot& h,
+                     std::map<std::string, Family>* families) {
   std::string family;
   std::string labels;
   SplitMetricName(name, &family, &labels);
-  AppendTypeOnce(family, "histogram", out, emitted_types);
+  std::string& out = SamplesOf(families, family, "histogram");
   // Sparse exposition: one cumulative le line per occupied bucket, plus
   // the mandatory +Inf. Prometheus allows any monotone le subset.
   uint64_t cumulative = 0;
   for (size_t b = 0; b < HistogramSnapshot::kBucketCount; ++b) {
     if (h.buckets[b] == 0) continue;
     cumulative += h.buckets[b];
-    *out += JoinName(family + "_bucket", labels,
-                     "le=\"" +
-                         std::to_string(Histogram::BucketUpper(b)) +
-                         "\"") +
-            " " + std::to_string(cumulative) + "\n";
+    out += JoinName(family + "_bucket", labels,
+                    "le=\"" + std::to_string(Histogram::BucketUpper(b)) +
+                        "\"") +
+           " " + std::to_string(cumulative) + "\n";
   }
-  *out += JoinName(family + "_bucket", labels, "le=\"+Inf\"") + " " +
-          std::to_string(h.count) + "\n";
-  *out += JoinName(family + "_sum", labels, "") + " " +
-          std::to_string(h.sum) + "\n";
-  *out += JoinName(family + "_count", labels, "") + " " +
-          std::to_string(h.count) + "\n";
+  out += JoinName(family + "_bucket", labels, "le=\"+Inf\"") + " " +
+         std::to_string(h.count) + "\n";
+  out += JoinName(family + "_sum", labels, "") + " " +
+         std::to_string(h.sum) + "\n";
+  out += JoinName(family + "_count", labels, "") + " " +
+         std::to_string(h.count) + "\n";
   // Pre-computed quantiles as their own gauge families so dumb scrapers
   // (laxml_top, bench_server) need no bucket math.
   const struct {
@@ -226,32 +208,41 @@ void AppendPrometheusHistogram(const std::string& name,
     double q;
   } quantiles[] = {{"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}};
   for (const auto& [suffix, q] : quantiles) {
-    AppendTypeOnce(family + suffix, "gauge", out, emitted_types);
-    *out += JoinName(family + suffix, labels, "") + " " +
-            FormatDouble(h.Percentile(q)) + "\n";
+    SamplesOf(families, family + suffix, "gauge") +=
+        JoinName(family + suffix, labels, "") + " " +
+        FormatDouble(h.Percentile(q)) + "\n";
   }
 }
 
+template <typename Value>
+void AppendScalars(const std::map<std::string, Value>& series,
+                   const char* type,
+                   std::map<std::string, Family>* families) {
+  std::string family;
+  std::string labels;
+  for (const auto& [name, value] : series) {
+    SplitMetricName(name, &family, &labels);
+    SamplesOf(families, family, type) += JoinName(family, labels, "") +
+                                         " " + std::to_string(value) + "\n";
+  }
+}
+
+}  // namespace
+
 std::string RenderPrometheus(const MetricsRegistry::Snapshot& snap) {
-  std::string out;
-  std::map<std::string, bool> emitted_types;
-  for (const auto& [name, value] : snap.counters) {
-    std::string family;
-    std::string labels;
-    SplitMetricName(name, &family, &labels);
-    AppendTypeOnce(family, "counter", &out, &emitted_types);
-    out += JoinName(family, labels, "") + " " + std::to_string(value) +
-           "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    std::string family;
-    std::string labels;
-    SplitMetricName(name, &family, &labels);
-    AppendTypeOnce(family, "gauge", &out, &emitted_types);
-    out += JoinName(family, labels, "") + " " + std::to_string(value) + "\n";
-  }
+  // Gather by family first: the text format wants each family's samples
+  // contiguous under one # TYPE line, and a histogram's labeled series
+  // interleave with their quantile families in snapshot order.
+  std::map<std::string, Family> families;
+  AppendScalars(snap.counters, "counter", &families);
+  AppendScalars(snap.gauges, "gauge", &families);
   for (const auto& [name, h] : snap.histograms) {
-    AppendPrometheusHistogram(name, h, &out, &emitted_types);
+    AppendHistogram(name, h, &families);
+  }
+  std::string out;
+  for (const auto& [name, f] : families) {
+    out += "# TYPE " + name + " " + f.type + "\n";
+    out += f.samples;
   }
   return out;
 }

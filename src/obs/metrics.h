@@ -1,15 +1,26 @@
-// The unified observability registry: process-wide counters, gauges and
-// fixed-bucket log2 latency histograms, shared by every engine layer and
-// exported over the wire (net::OpCode::kGetMetrics).
+// The metrics registry: the process-wide counters and fixed-bucket log2
+// latency histograms that have no per-instance stats struct behind
+// them, and the Snapshot type every kGetMetrics scrape is rendered
+// from (net::OpCode::kGetMetrics).
+//
+// An event is counted in exactly one place. Events an engine object
+// already counts in its own stats struct (Partial Index hits, range
+// splits, WAL syncs, latch acquisitions, buffer-pool hits, ...) stay
+// there; obs/engine_metrics.h copies those structs into a scrape's
+// Snapshot as typed families, one Store at a time. The registry keeps
+// the latency histograms and the few counters with no struct:
+// laxml_io_errors_total{op}, laxml_trace_ring_dropped_total,
+// laxml_server_slow_ops_total and laxml_bulk_load_bytes_total. Gauges
+// (levels) exist only in a Snapshot.
 //
 // Design goals, in order:
 //
 //   1. O(1), lock-free recording. A Counter is one relaxed fetch_add; a
-//      Histogram::Record is a bit_width, two fetch_adds and a CAS-max —
-//      cheap enough for the buffer-pool fetch path. Registration (the
-//      name -> metric lookup) takes a mutex, so hot paths resolve their
-//      metric once into a function-local static pointer (the
-//      LAXML_COUNTER_INC / LAXML_HISTOGRAM_RECORD macros do this).
+//      Histogram::Record is a bit_width, two fetch_adds and a CAS-max.
+//      Registration (the name -> metric lookup) takes a mutex, so hot
+//      paths resolve their metric once into a function-local static
+//      pointer (the LAXML_COUNTER_INC / LAXML_HISTOGRAM_RECORD macros
+//      do this).
 //   2. Server-side percentiles. The paper's argument is quantitative
 //      (locate-scan tokens vs eager index maintenance), and mean/max
 //      aggregates hide exactly the tail the Partial Index exists to
@@ -17,12 +28,13 @@
 //      histogram and no sample retention.
 //   3. Compile-out. -DLAXML_METRICS=OFF turns every macro below into a
 //      no-op so the overhead of the instrumentation itself is
-//      measurable (bench_server with and without).
+//      measurable (bench_server with and without). The stats structs
+//      still count, so a scrape still shows every struct-backed family.
 //
-// Naming follows Prometheus conventions: families end in _total
-// (counters) or _us (microsecond histograms); a metric name may carry a
-// literal label block — GetHistogram("laxml_store_op_us{op=\"insert\"}")
-// — which the Prometheus renderer folds into the family's exposition.
+// Naming follows Prometheus conventions: counters end in _total,
+// microsecond histograms in _us; a metric name may carry a literal
+// label block — GetHistogram("laxml_store_op_us{op=\"insert\"}") —
+// which the Prometheus renderer folds into the family's exposition.
 
 #ifndef LAXML_OBS_METRICS_H_
 #define LAXML_OBS_METRICS_H_
@@ -51,18 +63,6 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
-};
-
-/// A point-in-time level (pool dirty frames, WAL bytes, range count).
-/// Set at scrape time by the engine-metrics collector; reading a gauge
-/// tells you about the last scrape, not about now.
-class Gauge {
- public:
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
 };
 
 /// Immutable copy of a histogram, with the percentile math.
@@ -138,10 +138,12 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   Counter* GetCounter(std::string_view name);
-  Gauge* GetGauge(std::string_view name);
   Histogram* GetHistogram(std::string_view name);
 
-  /// Everything the registry holds, copied at one instant.
+  /// One scrape's worth of series, keyed by "family{labels}". The
+  /// registry's TakeSnapshot fills counters and histograms; scrape-time
+  /// collectors (obs/engine_metrics.h, the server's op table) add their
+  /// own counters and the gauges, which live nowhere else.
   struct Snapshot {
     std::map<std::string, uint64_t> counters;
     std::map<std::string, int64_t> gauges;
@@ -149,35 +151,22 @@ class MetricsRegistry {
   };
   Snapshot TakeSnapshot() const;
 
-  /// Human-readable table (laxml_cli metrics).
-  std::string RenderTable() const;
-
-  /// Prometheus text exposition: counters / gauges verbatim, histograms
-  /// as cumulative _bucket{le=...} series plus _sum/_count and derived
-  /// _p50/_p95/_p99 gauges.
-  std::string RenderPrometheus() const;
-
  private:
   mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
-      LAXML_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
       LAXML_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       LAXML_GUARDED_BY(mu_);
 };
 
-/// Renders one snapshot (exposed so the server can merge the registry
-/// with its per-instance ServerStats into a single exposition).
+/// Human-readable table (laxml_cli metrics).
 std::string RenderTable(const MetricsRegistry::Snapshot& snap);
-std::string RenderPrometheus(const MetricsRegistry::Snapshot& snap);
 
-/// Appends the Prometheus exposition of one histogram family instance
-/// (`name` may carry a {label} block) to `out`, with `emitted_types`
-/// tracking families whose # TYPE header is already out.
-void AppendPrometheusHistogram(const std::string& name,
-                               const HistogramSnapshot& h, std::string* out,
-                               std::map<std::string, bool>* emitted_types);
+/// Prometheus text exposition, one contiguous block per family behind
+/// a single # TYPE line: counters and gauges verbatim, histograms as
+/// cumulative _bucket{le=...} series plus _sum/_count, each histogram
+/// family followed by derived _p50/_p95/_p99 gauge families.
+std::string RenderPrometheus(const MetricsRegistry::Snapshot& snap);
 
 /// Splits "family{labels}" into its family and label parts ("" when the
 /// name carries no label block).

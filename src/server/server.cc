@@ -542,28 +542,16 @@ net::Response Server::Execute(const net::Request& req) {
           [](Store& s) { return s.CheckIntegrity(); });
       break;
     case OpCode::kGetMetrics: {
-      // Mirror the store's point-in-time levels into gauges, then
-      // render the registry and the server's own op table together.
-      // Every level the collector reads is an atomic counter or a
-      // lock-guarded size, so the shared latch suffices; the mirror is
-      // a near-consistent cut (individual counters may be mid-batch).
-      Status collect = store_.WithShared([](Store& s) {
-        obs::CollectStoreMetrics(s);
-        return Status::OK();
-      });
-      if (!collect.ok()) {
-        // Poisoned store: the gauges are stale but the registry still
-        // renders (counters and the op table don't need the store).
-        LAXML_LOG(kWarn) << "metrics collection skipped: "
-                         << collect.ToString();
-      }
-      ServerStatsSnapshot server_snap = stats();
-      auto& registry = obs::MetricsRegistry::Global();
-      if (req.metrics_format == net::MetricsFormat::kPrometheus) {
-        resp.text = registry.RenderPrometheus() + server_snap.ToPrometheus();
-      } else {
-        resp.text = registry.RenderTable() + server_snap.ToString();
-      }
+      // One snapshot per scrape, rendered once: the registry's
+      // histograms and struct-less counters, this store's stats
+      // structs, the latch counters and this server's op table.
+      obs::MetricsRegistry::Snapshot snap =
+          obs::MetricsRegistry::Global().TakeSnapshot();
+      obs::CollectSharedStoreMetrics(store_, &snap);
+      stats().CollectMetrics(&snap);
+      resp.text = req.metrics_format == net::MetricsFormat::kPrometheus
+                      ? obs::RenderPrometheus(snap)
+                      : obs::RenderTable(snap);
       break;
     }
     case OpCode::kExplain: {

@@ -1,7 +1,6 @@
 #include "server/server_stats.h"
 
 #include <cstdio>
-#include <map>
 
 namespace laxml {
 
@@ -58,9 +57,8 @@ std::string ServerStatsSnapshot::ToString() const {
   return out;
 }
 
-std::string ServerStatsSnapshot::ToPrometheus() const {
-  std::string out;
-  std::map<std::string, bool> emitted;
+void ServerStatsSnapshot::CollectMetrics(
+    obs::MetricsRegistry::Snapshot* snap) const {
   for (uint8_t i = 0; i <= net::kMaxOpCode; ++i) {
     const OpStatsSnapshot& op = ops[i];
     if (op.requests == 0) continue;
@@ -69,35 +67,27 @@ std::string ServerStatsSnapshot::ToPrometheus() const {
         obs::EscapePrometheusLabelValue(
             net::OpCodeName(static_cast<net::OpCode>(i))) +
         "\"}";
-    obs::AppendPrometheusHistogram("laxml_server_op_us" + labels,
-                                   op.latency, &out, &emitted);
-    out += "laxml_server_requests_total" + labels + " " +
-           std::to_string(op.requests) + "\n";
-    out += "laxml_server_errors_total" + labels + " " +
-           std::to_string(op.errors) + "\n";
+    snap->histograms["laxml_server_op_us" + labels] = op.latency;
+    snap->counters["laxml_server_requests_total" + labels] = op.requests;
+    snap->counters["laxml_server_errors_total" + labels] = op.errors;
   }
-  out += "laxml_server_connections_accepted_total " +
-         std::to_string(connections_accepted) + "\n";
-  out += "laxml_server_connections_dropped_total " +
-         std::to_string(connections_dropped) + "\n";
-  out += "laxml_server_bytes_read_total " + std::to_string(bytes_read) +
-         "\n";
-  out += "laxml_server_bytes_written_total " +
-         std::to_string(bytes_written) + "\n";
+  auto& counters = snap->counters;
+  counters["laxml_server_connections_accepted_total"] = connections_accepted;
+  counters["laxml_server_connections_dropped_total"] = connections_dropped;
+  counters["laxml_server_bytes_read_total"] = bytes_read;
+  counters["laxml_server_bytes_written_total"] = bytes_written;
   for (int i = 0; i < kStatusCodeCount; ++i) {
     if (responses_by_status[i] == 0) continue;
-    out += "laxml_server_responses_total{status=\"" +
-           obs::EscapePrometheusLabelValue(
-               StatusCodeName(static_cast<StatusCode>(i))) +
-           "\"} " + std::to_string(responses_by_status[i]) + "\n";
+    counters["laxml_server_responses_total{status=\"" +
+             obs::EscapePrometheusLabelValue(
+                 StatusCodeName(static_cast<StatusCode>(i))) +
+             "\"}"] = responses_by_status[i];
   }
-  out += "laxml_server_shed_total " + std::to_string(sheds) + "\n";
-  out += "laxml_server_deadline_exceeded_total " +
-         std::to_string(deadline_exceeded) + "\n";
-  out += "laxml_server_reaped_connections_total " +
-         std::to_string(reaped_connections) + "\n";
-  out += "laxml_server_queue_depth " + std::to_string(queue_depth) + "\n";
-  return out;
+  counters["laxml_server_shed_total"] = sheds;
+  counters["laxml_server_deadline_exceeded_total"] = deadline_exceeded;
+  counters["laxml_server_reaped_connections_total"] = reaped_connections;
+  snap->gauges["laxml_server_queue_depth"] =
+      static_cast<int64_t>(queue_depth);
 }
 
 void ServerStats::Record(net::OpCode op, uint64_t micros, StatusCode code) {

@@ -8,7 +8,8 @@
 //
 // The table is per-Server (not in the global MetricsRegistry) so tests
 // running several servers in one process see isolated counters; the
-// GetMetrics op merges this exposition with the registry's.
+// GetMetrics op merges it into the same snapshot as the registry and
+// the store.
 
 #ifndef LAXML_SERVER_SERVER_STATS_H_
 #define LAXML_SERVER_SERVER_STATS_H_
@@ -56,11 +57,11 @@ struct ServerStatsSnapshot {
   /// RPC payload), with per-op p50/p95/p99.
   std::string ToString() const;
 
-  /// Prometheus text exposition: laxml_server_op_us{op="NAME"}
-  /// histogram families plus the request/error/connection/byte
-  /// counters. Appended by the GetMetrics op after the registry's own
-  /// exposition.
-  std::string ToPrometheus() const;
+  /// Adds the table to a scrape's snapshot: laxml_server_op_us{op="NAME"}
+  /// histograms, the request/error/connection/byte/overload counters and
+  /// the queue-depth gauge. The GetMetrics op renders them together with
+  /// the registry and the store.
+  void CollectMetrics(obs::MetricsRegistry::Snapshot* snap) const;
 };
 
 /// The live, thread-safe counter table.

@@ -1,7 +1,5 @@
 #include "store/range_manager.h"
 
-#include "obs/metrics.h"
-
 namespace laxml {
 
 RangeManager::RangeManager(Pager* pager,
@@ -137,7 +135,6 @@ Result<RangeId> RangeManager::InsertRangeAfter(RangeId left, Slice payload,
   ++stats_.ranges_created;
   total_payload_bytes_ += meta.byte_len;
   total_tokens_ += meta.token_count;
-  LAXML_COUNTER_INC("laxml_ranges_created_total");
   return rid;
 }
 
@@ -199,7 +196,6 @@ Result<RangeId> RangeManager::Split(RangeId id, uint32_t byte_offset,
   total_tokens_ -= tail_tokens;
 
   ++stats_.splits;
-  LAXML_COUNTER_INC("laxml_range_splits_total");
   return tail;
 }
 
@@ -265,7 +261,6 @@ Status RangeManager::MergeWithNext(RangeId id) {
   LAXML_RETURN_IF_ERROR(meta_tree_.Delete(dead));
   --range_count_;
   ++stats_.merges;
-  LAXML_COUNTER_INC("laxml_range_merges_total");
   return Status::OK();
 }
 
@@ -294,7 +289,6 @@ Status RangeManager::DeleteRange(RangeId id) {
   total_payload_bytes_ -= meta.byte_len;
   total_tokens_ -= meta.token_count;
   ++stats_.ranges_deleted;
-  LAXML_COUNTER_INC("laxml_ranges_deleted_total");
   return Status::OK();
 }
 

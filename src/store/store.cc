@@ -434,14 +434,11 @@ void Store::MaybePoison(const char* op, const Status& st) {
 }
 
 void Store::RecordIoError(const char* op) {
-#if !defined(LAXML_METRICS_DISABLED)
-  // Runtime-assembled name, so no per-call-site caching macro here.
+  // Runtime-assembled name, so no per-call-site caching macro here. Not
+  // compiled out with the macros: an I/O error is rare and is the alert.
   obs::MetricsRegistry::Global()
       .GetCounter(std::string("laxml_io_errors_total{op=\"") + op + "\"}")
       ->Inc();
-#else
-  (void)op;
-#endif
 }
 
 Status Store::MaybeSync() {

@@ -24,7 +24,6 @@ Status GroupCommit::WaitDurable(uint64_t lsn) {
       if (!led) {
         // Someone else's fsync covered us: a free commit.
         ++stats_.piggybacked;
-        LAXML_COUNTER_INC("laxml_wal_group_commit_piggybacked_total");
       }
       mu_.Unlock();
       return Status::OK();

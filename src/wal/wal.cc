@@ -25,8 +25,6 @@ Status Wal::Append(const WalRecord& record, bool sync) {
   ++stats_.records_appended;
   stats_.bytes_appended += framed.size();
   appended_lsn_.fetch_add(1, std::memory_order_acq_rel);
-  LAXML_COUNTER_INC("laxml_wal_appends_total");
-  LAXML_COUNTER_ADD("laxml_wal_bytes_appended_total", framed.size());
   LAXML_RC_ADD(wal_bytes, framed.size());
   if (sync) {
     return this->Sync();
@@ -50,7 +48,6 @@ Status Wal::Sync() {
                              cur, target, std::memory_order_acq_rel)) {
   }
   ++stats_.syncs;
-  LAXML_COUNTER_INC("laxml_wal_syncs_total");
   return Status::OK();
 }
 
@@ -96,7 +93,6 @@ Status Wal::Truncate() {
   // wakes instead of waiting for a sequence that restarted at zero.
   durable_lsn_.store(appended_lsn_.load(std::memory_order_acquire),
                      std::memory_order_release);
-  LAXML_COUNTER_INC("laxml_wal_truncations_total");
   return Status::OK();
 }
 

@@ -117,11 +117,9 @@ TEST(InjectedFaultTest, EveryCommitSyncFailurePoisonsStore) {
   EXPECT_EQ(xml, "<root><a/></root>");
 
   // The alert surface: poisoned gauge up, io-error counter bumped.
-  obs::CollectStoreMetrics(*store);
-  EXPECT_EQ(obs::MetricsRegistry::Global()
-                .GetGauge("laxml_store_poisoned")
-                ->value(),
-            1);
+  obs::MetricsRegistry::Snapshot snap;
+  obs::CollectStoreMetrics(*store, &snap);
+  EXPECT_EQ(snap.gauges.at("laxml_store_poisoned"), 1);
   EXPECT_GT(obs::MetricsRegistry::Global()
                 .GetCounter("laxml_io_errors_total{op=\"insert_top_level\"}")
                 ->value(),

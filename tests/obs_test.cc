@@ -1,8 +1,8 @@
 // Unit tests for the observability layer (src/obs): histogram bucket
 // math and percentile estimation (exact values where the design
 // guarantees them), registry get-or-create semantics and concurrent
-// recording (a sanitizer hunting ground), both text renderings, and
-// the trace ring + binary dump codec.
+// recording (a sanitizer hunting ground), both text renderings, the
+// per-store collector, and the trace ring + binary dump codec.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,11 @@
 #include <vector>
 
 #include "common/varint.h"
+#include "exposition_lint.h"
+#include "obs/engine_metrics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "store/store.h"
 #include "test_util.h"
 
 namespace laxml {
@@ -137,20 +140,15 @@ TEST(MetricsRegistry, GetOrCreateReturnsStablePointers) {
   Histogram* h2 = registry.GetHistogram("test_hist");
   EXPECT_EQ(h1, h2);
   EXPECT_NE(static_cast<void*>(a), static_cast<void*>(h1));
-
-  Gauge* g = registry.GetGauge("test_gauge");
-  g->Set(-7);
-  EXPECT_EQ(registry.GetGauge("test_gauge")->value(), -7);
 }
 
 TEST(MetricsRegistry, SnapshotSeesEverything) {
   MetricsRegistry registry;
   registry.GetCounter("c1")->Add(5);
-  registry.GetGauge("g1")->Set(42);
   registry.GetHistogram("h1")->Record(100);
   MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
   EXPECT_EQ(snap.counters.at("c1"), 5u);
-  EXPECT_EQ(snap.gauges.at("g1"), 42);
+  EXPECT_TRUE(snap.gauges.empty());  // gauges come from collectors only
   EXPECT_EQ(snap.histograms.at("h1").count, 1u);
 }
 
@@ -219,16 +217,18 @@ TEST(Histogram, ConcurrentRecordLosesNothing) {
 TEST(Render, PrometheusExposition) {
   MetricsRegistry registry;
   registry.GetCounter("laxml_test_ops_total")->Add(3);
-  registry.GetGauge("laxml_test_level")->Set(11);
   Histogram* h = registry.GetHistogram("laxml_test_us{op=\"read\"}");
   h->Record(5);
   h->Record(500);
-  std::string text = RenderPrometheus(registry.TakeSnapshot());
+  MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
+  snap.gauges["laxml_test_level"] = 11;
+  std::string text = RenderPrometheus(snap);
 
   EXPECT_NE(text.find("# TYPE laxml_test_ops_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("laxml_test_ops_total 3\n"), std::string::npos);
-  EXPECT_NE(text.find("laxml_test_level 11\n"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE laxml_test_level gauge\nlaxml_test_level 11\n"),
+            std::string::npos);
   // Histogram: label block merged with le, cumulative +Inf, sum/count,
   // derived percentile gauges.
   EXPECT_NE(text.find("# TYPE laxml_test_us histogram"),
@@ -261,9 +261,10 @@ TEST(Render, PrometheusExposition) {
 TEST(Render, TableListsEveryMetric) {
   MetricsRegistry registry;
   registry.GetCounter("laxml_c")->Add(9);
-  registry.GetGauge("laxml_g")->Set(4);
   registry.GetHistogram("laxml_h")->Record(77);
-  std::string table = registry.RenderTable();
+  MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
+  snap.gauges["laxml_g"] = 4;
+  std::string table = RenderTable(snap);
   EXPECT_NE(table.find("laxml_c"), std::string::npos);
   EXPECT_NE(table.find("laxml_g"), std::string::npos);
   EXPECT_NE(table.find("laxml_h"), std::string::npos);
@@ -313,10 +314,11 @@ TEST(Render, PrometheusRoundTripParse) {
   MetricsRegistry registry;
   registry.GetCounter("laxml_rt_total")->Add(12345);
   registry.GetCounter("laxml_rt_labeled_total{op=\"x\"}")->Add(7);
-  registry.GetGauge("laxml_rt_level")->Set(-3);
   Histogram* h = registry.GetHistogram("laxml_rt_us{op=\"read\"}");
   for (int i = 0; i < 10; ++i) h->Record(64);
-  std::string text = RenderPrometheus(registry.TakeSnapshot());
+  MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
+  snap.gauges["laxml_rt_level"] = -3;
+  std::string text = RenderPrometheus(snap);
 
   std::map<std::string, double> parsed;
   size_t pos = 0;
@@ -339,6 +341,66 @@ TEST(Render, PrometheusRoundTripParse) {
   EXPECT_DOUBLE_EQ(parsed.at("laxml_rt_us_count{op=\"read\"}"), 10.0);
   EXPECT_DOUBLE_EQ(parsed.at("laxml_rt_us_sum{op=\"read\"}"), 640.0);
   EXPECT_DOUBLE_EQ(parsed.at("laxml_rt_us_p50{op=\"read\"}"), 64.0);
+}
+
+TEST(Render, PrometheusFamiliesAreContiguous) {
+  // Two labeled series of one histogram and an unlabeled sample beside
+  // labeled ones: in snapshot order the quantile families and the
+  // longer-named counter would interleave; the renderer groups them.
+  MetricsRegistry registry;
+  registry.GetHistogram("laxml_lint_us{op=\"a\"}")->Record(3);
+  registry.GetHistogram("laxml_lint_us{op=\"b\"}")->Record(9);
+  registry.GetCounter("laxml_lint_total")->Add(1);
+  registry.GetCounter("laxml_lint_total_x_total")->Add(1);
+  registry.GetCounter("laxml_lint_total{op=\"a\"}")->Add(2);
+  MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
+  snap.gauges["laxml_lint_level"] = 5;
+  const std::string text = RenderPrometheus(snap);
+  const std::vector<std::string> errors = testing::LintExposition(text);
+  EXPECT_TRUE(errors.empty()) << errors.front() << "\n" << text;
+}
+
+TEST(Render, LintCatchesBrokenExpositions) {
+  EXPECT_FALSE(testing::LintExposition("laxml_a_total 1\n").empty());
+  EXPECT_FALSE(
+      testing::LintExposition("# TYPE laxml_a_total gauge\nlaxml_a_total 1\n")
+          .empty());
+  EXPECT_FALSE(
+      testing::LintExposition("# TYPE laxml_a counter\nlaxml_a 1\n").empty());
+  EXPECT_FALSE(testing::LintExposition("# TYPE laxml_a_us histogram\n"
+                                       "# TYPE laxml_b_total counter\n"
+                                       "laxml_a_us_count{op=\"x\"} 1\n"
+                                       "laxml_b_total 1\n"
+                                       "laxml_a_us_count{op=\"y\"} 1\n")
+                   .empty());
+}
+
+// --------------------------------------------------------------------
+// Engine collector
+
+TEST(EngineMetrics, TwoStoresScrapeIndependently) {
+  // Each store counts its own events in its own stats structs, so a
+  // scrape of B shows none of A's reads.
+  ASSERT_OK_AND_ASSIGN(auto a, Store::OpenInMemory(StoreOptions{}));
+  ASSERT_OK_AND_ASSIGN(auto b, Store::OpenInMemory(StoreOptions{}));
+  ASSERT_OK_AND_ASSIGN(NodeId root, a->LoadXml("<r><x>1</x><y>2</y></r>"));
+  ASSERT_LAXML_OK(b->LoadXml("<r><z/></r>").status());
+  for (NodeId id = root; id < root + 3; ++id) {
+    ASSERT_LAXML_OK(a->Read(id).status());
+  }
+
+  MetricsRegistry::Snapshot snap_a;
+  MetricsRegistry::Snapshot snap_b;
+  CollectStoreMetrics(*a, &snap_a);
+  CollectStoreMetrics(*b, &snap_b);
+  EXPECT_GT(snap_a.counters.at("laxml_partial_lookups_total"), 0u);
+  EXPECT_EQ(snap_b.counters.at("laxml_partial_lookups_total"), 0u);
+  EXPECT_EQ(snap_a.counters.at("laxml_store_reads_by_id_total"), 3u);
+  EXPECT_EQ(snap_b.counters.at("laxml_store_reads_by_id_total"), 0u);
+  EXPECT_EQ(snap_b.gauges.at("laxml_store_poisoned"), 0);
+  const std::vector<std::string> errors =
+      testing::LintExposition(RenderPrometheus(snap_a));
+  EXPECT_TRUE(errors.empty()) << errors.front();
 }
 
 // --------------------------------------------------------------------

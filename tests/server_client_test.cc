@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "exposition_lint.h"
 #include "net/client.h"
 #include "obs/trace.h"
 #include "server/server.h"
@@ -132,6 +133,32 @@ TEST(ServerClientTest, GetMetricsRoundTripsBothFormats) {
     ASSERT_NE(space, std::string::npos) << line;
     ASSERT_GT(space, 0u) << line;
   }
+  server->Shutdown();
+}
+
+TEST(ServerClientTest, PrometheusExpositionPassesLint) {
+  // Several opcodes so the op table, the store's structs and the
+  // registry's histograms all carry labeled series at once.
+  auto server = MustStartServer();
+  auto client = MustConnect(server->port());
+  ASSERT_OK_AND_ASSIGN(NodeId root,
+                       client->InsertTopLevel(testing::MustFragment(
+                           "<lint><a>1</a></lint>")));
+  ASSERT_OK_AND_ASSIGN(NodeId b,
+                       client->InsertIntoLast(root, Item(1)));
+  ASSERT_LAXML_OK(client->Read(root).status());
+  ASSERT_LAXML_OK(client->XPath("/lint/a").status());
+  ASSERT_LAXML_OK(client->DeleteNode(b));
+
+  ASSERT_OK_AND_ASSIGN(
+      std::string prom,
+      client->GetMetrics(net::MetricsFormat::kPrometheus));
+  const std::vector<std::string> errors = testing::LintExposition(prom);
+  for (const std::string& error : errors) ADD_FAILURE() << error;
+  EXPECT_NE(prom.find("# TYPE laxml_bufferpool_hits_total counter"),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE laxml_server_requests_total counter"),
+            std::string::npos);
   server->Shutdown();
 }
 
