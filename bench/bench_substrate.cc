@@ -162,7 +162,7 @@ void BM_BufferPoolHit(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPoolHit);
 
-void BM_RecordStoreReadSlice(benchmark::State& state) {
+void BM_RecordStorePinSlice(benchmark::State& state) {
   PagerOptions options;
   options.pool_frames = 2048;
   auto pager = Pager::OpenInMemory(options);
@@ -173,13 +173,13 @@ void BM_RecordStoreReadSlice(benchmark::State& state) {
   uint64_t bytes = 0;
   for (auto _ : state) {
     size_t off = rng.Uniform(payload.size() - 128);
-    auto slice = store.value()->ReadSlice(*id, off, 128);
+    auto slice = store.value()->PinSlice(*id, off, 128);
     BENCH_CHECK(slice.status());
     bytes += slice->size();
   }
   state.SetBytesProcessed(static_cast<int64_t>(bytes));
 }
-BENCHMARK(BM_RecordStoreReadSlice)->Arg(2048)->Arg(262144);
+BENCHMARK(BM_RecordStorePinSlice)->Arg(2048)->Arg(262144);
 
 void BM_XPathPredicate(benchmark::State& state) {
   Random rng(21);

@@ -18,14 +18,6 @@
 
 namespace laxml {
 
-namespace {
-
-// Record directory `kind` values (record_store.cc's DirValue).
-constexpr uint16_t kKindInline = 0;
-constexpr uint16_t kKindOverflow = 1;
-
-}  // namespace
-
 AuditReport StoreAuditor::Run(const AuditOptions& options) {
   options_ = options;
   report_ = AuditReport{};
@@ -40,6 +32,7 @@ AuditReport StoreAuditor::Run(const AuditOptions& options) {
   // Trees and the heap walk claim their pages for the sweep.
   if (options_.check_btrees) AuditBTrees();
   if (options_.check_heap) AuditHeapAndOverflow();
+  if (options_.check_heap) AuditResidentDirectory();
   if (options_.check_range_layer) AuditRangeLayer();
   // Needs the symbol references the range walk just collected.
   if (options_.check_range_layer) AuditDictionary();
@@ -763,7 +756,7 @@ void StoreAuditor::AuditHeapAndOverflow() {
            "directory points at a dead slot: " + record.status().ToString());
       return true;
     }
-    if (kind == kKindInline) {
+    if (kind == RecordLocation::kInline) {
       if (record->size() != len) {
         flag(AuditLayer::kSlottedPage,
              "inline record is " + std::to_string(record->size()) +
@@ -771,7 +764,7 @@ void StoreAuditor::AuditHeapAndOverflow() {
       }
       return true;
     }
-    if (kind != kKindOverflow) {
+    if (kind != RecordLocation::kOverflow) {
       flag(AuditLayer::kSlottedPage,
            "unknown record kind " + std::to_string(kind));
       return true;
@@ -824,6 +817,47 @@ void StoreAuditor::AuditHeapAndOverflow() {
   if (!st.ok()) {
     Add(AuditLayer::kBTree,
         "record-directory iteration failed: " + st.ToString());
+  }
+}
+
+void StoreAuditor::AuditResidentDirectory() {
+  if (Full()) return;
+  // Every record read looks its location up in the resident directory,
+  // so a copy that drifted from the tree misdirects reads that the
+  // tree-based legs above never make. Reports only the first difference:
+  // the entry count, else the first entry that differs.
+  const RecordStore* rs = store_->ranges_->range_records();
+  uint64_t tree_entries = 0;
+  AuditIssue first;
+  Status st = rs->ForEachRecord([&](RecordId id, PageId page, uint16_t slot,
+                                    uint16_t kind, uint32_t len) {
+    ++tree_entries;
+    if (!first.message.empty()) return true;  // keep counting
+    Result<RecordLocation> got = rs->Locate(id);
+    if (got.ok() && *got == RecordLocation{page, slot, kind, len}) {
+      return true;
+    }
+    auto show = [](const RecordLocation& loc) {
+      return "page " + std::to_string(loc.page) + " slot " +
+             std::to_string(loc.slot) + " kind " + std::to_string(loc.kind) +
+             " len " + std::to_string(loc.len);
+    };
+    first.layer = AuditLayer::kBTree;
+    first.message = "record-directory: resident entry " +
+                    (got.ok() ? "has " + show(*got) : std::string("missing")) +
+                    ", the tree has " + show({page, slot, kind, len});
+    first.range = id;  // RecordId == RangeId for range payloads
+    first.page = page;
+    return true;
+  });
+  if (!st.ok()) return;  // the heap leg already reported the failure
+  if (tree_entries != rs->record_count()) {
+    Add(AuditLayer::kBTree,
+        "record-directory: resident directory has " +
+            std::to_string(rs->record_count()) + " entries, the tree has " +
+            std::to_string(tree_entries));
+  } else if (!first.message.empty()) {
+    report_.issues.push_back(std::move(first));
   }
 }
 

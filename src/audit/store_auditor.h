@@ -18,7 +18,8 @@
 //     the free-space accounting identity;
 //   * all three B+-trees — node structure, key order, fanout, leaf
 //     chain (see BTree::CheckStructure);
-//   * overflow chains and the record directory that anchors them;
+//   * overflow chains and the record directory that anchors them, and
+//     the resident copy of that directory against its tree;
 //   * the WAL record chain (CRC framing, byte-precise);
 //   * buffer pool pin accounting at quiesce;
 //   * optionally the raw page image: checksums, the free chain, and
@@ -66,6 +67,7 @@ class StoreAuditor {
   void AuditPartialIndex();
   void AuditStructuralIndex();
   void AuditHeapAndOverflow();
+  void AuditResidentDirectory();
   void AuditWal();
   void AuditPageSweep();
 

@@ -1,5 +1,6 @@
 #include "storage/record_store.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -7,31 +8,27 @@
 namespace laxml {
 
 namespace {
-constexpr uint16_t kKindInline = 0;
-constexpr uint16_t kKindOverflow = 1;
 constexpr uint32_t kDirValueSize = 16;
 
-void EncodeDirValue(uint8_t* v, PageId page, uint16_t slot, uint16_t kind,
-                    uint32_t len) {
-  EncodeFixed32(v, page);
-  EncodeFixed16(v + 4, slot);
-  EncodeFixed16(v + 6, kind);
-  EncodeFixed32(v + 8, len);
+void EncodeDirValue(uint8_t* v, const RecordLocation& loc) {
+  EncodeFixed32(v, loc.page);
+  EncodeFixed16(v + 4, loc.slot);
+  EncodeFixed16(v + 6, loc.kind);
+  EncodeFixed32(v + 8, loc.len);
   EncodeFixed32(v + 12, 0);
 }
 
-struct DirValue {
-  PageId page;
-  uint16_t slot;
-  uint16_t kind;
-  uint32_t len;
-};
-
-DirValue DecodeDirValue(const uint8_t* v) {
-  return DirValue{DecodeFixed32(v), DecodeFixed16(v + 4),
-                  DecodeFixed16(v + 6), DecodeFixed32(v + 8)};
+RecordLocation DecodeDirValue(const uint8_t* v) {
+  return RecordLocation{DecodeFixed32(v), DecodeFixed16(v + 4),
+                        DecodeFixed16(v + 6), DecodeFixed32(v + 8)};
 }
 }  // namespace
+
+std::vector<uint8_t> RecordSlice::ToVector() && {
+  if (!pin_.valid()) return std::move(copy_);
+  return std::vector<uint8_t>(borrowed_.data(),
+                              borrowed_.data() + borrowed_.size());
+}
 
 RecordStore::RecordStore(Pager* pager, BTree directory,
                          RecordStoreState state)
@@ -54,6 +51,13 @@ Result<std::unique_ptr<RecordStore>> RecordStore::Open(
       BTree dir, BTree::Open(pager, state.directory_root, kDirValueSize));
   auto store = std::unique_ptr<RecordStore>(
       new RecordStore(pager, std::move(dir), state));
+  RecordStore* rs = store.get();
+  LAXML_RETURN_IF_ERROR(rs->ForEachRecord([rs](RecordId id, PageId page,
+                                               uint16_t slot, uint16_t kind,
+                                               uint32_t len) {
+    rs->resident_[id] = RecordLocation{page, slot, kind, len};
+    return true;
+  }));
   LAXML_RETURN_IF_ERROR(store->RebuildFreeSpaceMap());
   return store;
 }
@@ -208,184 +212,41 @@ Status RecordStore::FreeOverflowChain(PageId first_page) {
   return Status::OK();
 }
 
-Result<RecordId> RecordStore::Insert(Slice payload) {
-  RecordId id = next_record_id_++;
-  uint8_t dir_value[kDirValueSize];
+Result<RecordLocation> RecordStore::Place(Slice payload) {
+  RecordLocation loc;
+  loc.len = static_cast<uint32_t>(payload.size());
+  uint8_t anchor[4];
   // Inline threshold: leave headroom so a page can host several records.
-  uint32_t inline_max = SlottedPage::MaxRecordSize(pager_->page_size());
-  if (payload.size() <= inline_max) {
-    LAXML_ASSIGN_OR_RETURN(
-        PageId page,
-        PageWithSpace(static_cast<uint32_t>(payload.size())));
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(page));
-    SlottedPage sp(h.view());
-    LAXML_ASSIGN_OR_RETURN(uint16_t slot, sp.Insert(payload));
-    h.MarkDirty();
-    NoteFreeSpace(page, sp.FreeSpace());
-    EncodeDirValue(dir_value, page, slot, kKindInline,
-                   static_cast<uint32_t>(payload.size()));
-  } else {
+  if (payload.size() > SlottedPage::MaxRecordSize(pager_->page_size())) {
+    // The anchor slot records the chain head so PageOf() still answers.
     PageId first;
     LAXML_RETURN_IF_ERROR(WriteOverflowChain(payload, &first));
-    // Anchor slot records the chain head so PageOf() still answers.
-    uint8_t anchor[4];
     EncodeFixed32(anchor, first);
-    LAXML_ASSIGN_OR_RETURN(PageId page, PageWithSpace(4));
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(page));
-    SlottedPage sp(h.view());
-    LAXML_ASSIGN_OR_RETURN(uint16_t slot, sp.Insert(Slice(anchor, 4)));
-    h.MarkDirty();
-    NoteFreeSpace(page, sp.FreeSpace());
-    EncodeDirValue(dir_value, page, slot, kKindOverflow,
-                   static_cast<uint32_t>(payload.size()));
+    payload = Slice(anchor, sizeof(anchor));
+    loc.kind = RecordLocation::kOverflow;
     ++stats_.overflow_records;
   }
-  LAXML_RETURN_IF_ERROR(
-      directory_.Insert(id, Slice(dir_value, kDirValueSize)));
-  ++stats_.inserts;
-  return id;
+  LAXML_ASSIGN_OR_RETURN(
+      loc.page, PageWithSpace(static_cast<uint32_t>(payload.size())));
+  LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(loc.page));
+  SlottedPage sp(h.view());
+  LAXML_ASSIGN_OR_RETURN(loc.slot, sp.Insert(payload));
+  h.MarkDirty();
+  NoteFreeSpace(loc.page, sp.FreeSpace());
+  return loc;
 }
 
-Status RecordStore::ReadDirectory(RecordId id, uint8_t* value16) const {
-  LAXML_ASSIGN_OR_RETURN(bool found, directory_.Get(id, value16));
-  if (!found) {
-    return Status::NotFound("record " + std::to_string(id));
-  }
-  return Status::OK();
-}
-
-Result<std::vector<uint8_t>> RecordStore::Read(RecordId id) const {
-  return ReadPrefix(id, SIZE_MAX);
-}
-
-Result<std::vector<uint8_t>> RecordStore::ReadPrefix(
-    RecordId id, size_t prefix_len) const {
-  uint8_t dv[kDirValueSize];
-  LAXML_RETURN_IF_ERROR(ReadDirectory(id, dv));
-  DirValue loc = DecodeDirValue(dv);
-  size_t want = prefix_len < loc.len ? prefix_len : loc.len;
-  std::vector<uint8_t> out;
-  out.reserve(want);
-  ++stats_.reads;
-  if (loc.kind == kKindInline) {
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(loc.page));
-    SlottedPage sp(h.view());
-    LAXML_ASSIGN_OR_RETURN(Slice rec, sp.Get(loc.slot));
-    out.assign(rec.data(), rec.data() + want);
-    return out;
-  }
-  // Overflow: anchor slot -> chain head.
-  PageId chain;
-  {
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(loc.page));
-    SlottedPage sp(h.view());
-    LAXML_ASSIGN_OR_RETURN(Slice rec, sp.Get(loc.slot));
-    chain = DecodeFixed32(rec.data());
-  }
-  uint32_t piece_cap = pager_->page_size() - kPageHeaderSize - 4;
-  size_t remaining_total = loc.len;
-  while (chain != kInvalidPageId && out.size() < want) {
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(chain));
-    const uint8_t* p = h.view().payload();
-    PageId next = DecodeFixed32(p);
-    size_t piece =
-        remaining_total < piece_cap ? remaining_total : piece_cap;
-    size_t take = out.size() + piece > want ? want - out.size() : piece;
-    out.insert(out.end(), p + 4, p + 4 + take);
-    remaining_total -= piece;
-    chain = next;
-  }
-  if (out.size() < want) {
-    return Status::Corruption("overflow chain shorter than directory len");
-  }
-  return out;
-}
-
-Result<std::vector<uint8_t>> RecordStore::ReadSlice(RecordId id,
-                                                    size_t offset,
-                                                    size_t len) const {
-  uint8_t dv[kDirValueSize];
-  LAXML_RETURN_IF_ERROR(ReadDirectory(id, dv));
-  DirValue loc = DecodeDirValue(dv);
-  if (offset >= loc.len) return std::vector<uint8_t>{};
-  size_t want = offset + len > loc.len ? loc.len - offset : len;
-  std::vector<uint8_t> out;
-  out.reserve(want);
-  ++stats_.reads;
-  if (loc.kind == kKindInline) {
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(loc.page));
-    SlottedPage sp(h.view());
-    LAXML_ASSIGN_OR_RETURN(Slice rec, sp.Get(loc.slot));
-    out.assign(rec.data() + offset, rec.data() + offset + want);
-    return out;
-  }
-  PageId chain;
-  {
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(loc.page));
-    SlottedPage sp(h.view());
-    LAXML_ASSIGN_OR_RETURN(Slice rec, sp.Get(loc.slot));
-    chain = DecodeFixed32(rec.data());
-  }
-  uint32_t piece_cap = pager_->page_size() - kPageHeaderSize - 4;
-  size_t pos = 0;  // byte position of the current piece's start
-  size_t remaining_total = loc.len;
-  while (chain != kInvalidPageId && out.size() < want) {
-    size_t piece = remaining_total < piece_cap ? remaining_total : piece_cap;
-    if (pos + piece <= offset) {
-      // Entirely before the slice: follow the link without copying.
-      LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(chain));
-      chain = DecodeFixed32(h.view().payload());
-      pos += piece;
-      remaining_total -= piece;
-      continue;
-    }
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(chain));
-    const uint8_t* p = h.view().payload();
-    PageId next = DecodeFixed32(p);
-    size_t start_in_piece = offset > pos ? offset - pos : 0;
-    size_t avail = piece - start_in_piece;
-    size_t take = out.size() + avail > want ? want - out.size() : avail;
-    out.insert(out.end(), p + 4 + start_in_piece,
-               p + 4 + start_in_piece + take);
-    pos += piece;
-    remaining_total -= piece;
-    chain = next;
-  }
-  if (out.size() < want) {
-    return Status::Corruption("overflow chain shorter than directory len");
-  }
-  return out;
-}
-
-Result<uint32_t> RecordStore::Length(RecordId id) const {
-  uint8_t dv[kDirValueSize];
-  LAXML_RETURN_IF_ERROR(ReadDirectory(id, dv));
-  return DecodeDirValue(dv).len;
-}
-
-Result<PageId> RecordStore::PageOf(RecordId id) const {
-  uint8_t dv[kDirValueSize];
-  LAXML_RETURN_IF_ERROR(ReadDirectory(id, dv));
-  return DecodeDirValue(dv).page;
-}
-
-Result<bool> RecordStore::Exists(RecordId id) const {
-  uint8_t dv[kDirValueSize];
-  LAXML_ASSIGN_OR_RETURN(bool found, directory_.Get(id, dv));
-  return found;
-}
-
-Status RecordStore::Delete(RecordId id) {
-  uint8_t dv[kDirValueSize];
-  LAXML_RETURN_IF_ERROR(ReadDirectory(id, dv));
-  DirValue loc = DecodeDirValue(dv);
-  if (loc.kind == kKindOverflow) {
+Status RecordStore::Remove(const RecordLocation& loc) {
+  if (loc.kind == RecordLocation::kOverflow) {
     PageId chain;
     {
       LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(loc.page));
       SlottedPage sp(h.view());
-      LAXML_ASSIGN_OR_RETURN(Slice rec, sp.Get(loc.slot));
-      chain = DecodeFixed32(rec.data());
+      LAXML_ASSIGN_OR_RETURN(Slice anchor, sp.Get(loc.slot));
+      if (anchor.size() != 4) {
+        return Status::Corruption("overflow anchor slot is not 4 bytes");
+      }
+      chain = DecodeFixed32(anchor.data());
     }
     LAXML_RETURN_IF_ERROR(FreeOverflowChain(chain));
   }
@@ -401,18 +262,106 @@ Status RecordStore::Delete(RecordId id) {
   if (page_empty) {
     LAXML_RETURN_IF_ERROR(ReleaseHeapPage(loc.page));
   }
+  return Status::OK();
+}
+
+Status RecordStore::PutDirectory(RecordId id, const RecordLocation& loc) {
+  uint8_t dv[kDirValueSize];
+  EncodeDirValue(dv, loc);
+  LAXML_RETURN_IF_ERROR(directory_.Insert(id, Slice(dv, kDirValueSize)));
+  resident_[id] = loc;
+  return Status::OK();
+}
+
+Result<RecordId> RecordStore::Insert(Slice payload) {
+  RecordId id = next_record_id_++;
+  LAXML_ASSIGN_OR_RETURN(RecordLocation loc, Place(payload));
+  LAXML_RETURN_IF_ERROR(PutDirectory(id, loc));
+  ++stats_.inserts;
+  return id;
+}
+
+Result<RecordLocation> RecordStore::Locate(RecordId id) const {
+  auto it = resident_.find(id);
+  if (it == resident_.end()) {
+    return Status::NotFound("record " + std::to_string(id));
+  }
+  return it->second;
+}
+
+Result<std::vector<uint8_t>> RecordStore::Read(RecordId id) const {
+  LAXML_ASSIGN_OR_RETURN(RecordSlice slice, PinSlice(id, 0, SIZE_MAX));
+  return std::move(slice).ToVector();
+}
+
+Result<RecordSlice> RecordStore::PinSlice(RecordId id, size_t offset,
+                                          size_t len) const {
+  LAXML_ASSIGN_OR_RETURN(RecordLocation loc, Locate(id));
+  ++stats_.reads;
+  RecordSlice out;
+  if (offset >= loc.len) return out;
+  const size_t want = std::min(len, loc.len - offset);
+  LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(loc.page));
+  SlottedPage sp(h.view());
+  LAXML_ASSIGN_OR_RETURN(Slice rec, sp.Get(loc.slot));
+  if (loc.kind == RecordLocation::kInline) {
+    if (rec.size() != loc.len) {
+      return Status::Corruption("record " + std::to_string(id) + " is " +
+                                std::to_string(rec.size()) +
+                                " bytes, directory says " +
+                                std::to_string(loc.len));
+    }
+    out.borrowed_ = Slice(rec.data() + offset, want);
+    out.pin_ = std::move(h);
+    return out;
+  }
+  if (rec.size() != 4) {
+    return Status::Corruption("overflow anchor slot is not 4 bytes");
+  }
+  PageId chain = DecodeFixed32(rec.data());
+  h.Release();
+  const size_t piece_cap = pager_->page_size() - kPageHeaderSize - 4;
+  size_t pos = 0;  // record offset of the current piece's first byte
+  while (chain != kInvalidPageId) {
+    LAXML_ASSIGN_OR_RETURN(h, pager_->Fetch(chain));
+    const uint8_t* p = h.view().payload();
+    chain = DecodeFixed32(p);
+    const size_t piece = std::min(loc.len - pos, piece_cap);
+    if (pos + piece > offset) {
+      const size_t start = offset > pos ? offset - pos : 0;
+      const size_t take = std::min(want - out.copy_.size(), piece - start);
+      if (out.copy_.empty() && take == want) {
+        out.borrowed_ = Slice(p + 4 + start, want);
+        out.pin_ = std::move(h);
+        return out;
+      }
+      out.copy_.reserve(want);
+      out.copy_.insert(out.copy_.end(), p + 4 + start, p + 4 + start + take);
+      if (out.copy_.size() == want) return out;
+    }
+    pos += piece;
+  }
+  return Status::Corruption("overflow chain shorter than directory len");
+}
+
+Result<PageId> RecordStore::PageOf(RecordId id) const {
+  LAXML_ASSIGN_OR_RETURN(RecordLocation loc, Locate(id));
+  return loc.page;
+}
+
+Status RecordStore::Delete(RecordId id) {
+  LAXML_ASSIGN_OR_RETURN(RecordLocation loc, Locate(id));
+  LAXML_RETURN_IF_ERROR(Remove(loc));
   LAXML_RETURN_IF_ERROR(directory_.Delete(id));
+  resident_.erase(id);
   ++stats_.deletes;
   return Status::OK();
 }
 
 Status RecordStore::Update(RecordId id, Slice payload) {
-  uint8_t dv[kDirValueSize];
-  LAXML_RETURN_IF_ERROR(ReadDirectory(id, dv));
-  DirValue loc = DecodeDirValue(dv);
-  uint32_t inline_max = SlottedPage::MaxRecordSize(pager_->page_size());
-
-  if (loc.kind == kKindInline && payload.size() <= inline_max) {
+  LAXML_ASSIGN_OR_RETURN(RecordLocation loc, Locate(id));
+  if (loc.kind == RecordLocation::kInline &&
+      payload.size() <= SlottedPage::MaxRecordSize(pager_->page_size())) {
     // Try in place first.
     LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(loc.page));
     SlottedPage sp(h.view());
@@ -420,67 +369,18 @@ Status RecordStore::Update(RecordId id, Slice payload) {
     if (st.ok()) {
       h.MarkDirty();
       NoteFreeSpace(loc.page, sp.FreeSpace());
-      EncodeDirValue(dv, loc.page, loc.slot, kKindInline,
-                     static_cast<uint32_t>(payload.size()));
-      LAXML_RETURN_IF_ERROR(directory_.Insert(id, Slice(dv, 16)));
+      loc.len = static_cast<uint32_t>(payload.size());
+      LAXML_RETURN_IF_ERROR(PutDirectory(id, loc));
       ++stats_.updates;
       return Status::OK();
     }
     if (!st.IsResourceExhausted()) return st;
-    h.Release();
   }
   // Relocate: remove the old incarnation, insert the new one under the
   // same id.
-  if (loc.kind == kKindOverflow) {
-    PageId chain;
-    {
-      LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(loc.page));
-      SlottedPage sp(h.view());
-      LAXML_ASSIGN_OR_RETURN(Slice rec, sp.Get(loc.slot));
-      chain = DecodeFixed32(rec.data());
-    }
-    LAXML_RETURN_IF_ERROR(FreeOverflowChain(chain));
-  }
-  bool page_empty = false;
-  {
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(loc.page));
-    SlottedPage sp(h.view());
-    LAXML_RETURN_IF_ERROR(sp.Delete(loc.slot));
-    h.MarkDirty();
-    page_empty = sp.Empty();
-    if (!page_empty) NoteFreeSpace(loc.page, sp.FreeSpace());
-  }
-  if (page_empty) {
-    LAXML_RETURN_IF_ERROR(ReleaseHeapPage(loc.page));
-  }
-  // Re-insert under the same id.
-  if (payload.size() <= inline_max) {
-    LAXML_ASSIGN_OR_RETURN(
-        PageId page,
-        PageWithSpace(static_cast<uint32_t>(payload.size())));
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(page));
-    SlottedPage sp(h.view());
-    LAXML_ASSIGN_OR_RETURN(uint16_t slot, sp.Insert(payload));
-    h.MarkDirty();
-    NoteFreeSpace(page, sp.FreeSpace());
-    EncodeDirValue(dv, page, slot, kKindInline,
-                   static_cast<uint32_t>(payload.size()));
-  } else {
-    PageId first;
-    LAXML_RETURN_IF_ERROR(WriteOverflowChain(payload, &first));
-    uint8_t anchor[4];
-    EncodeFixed32(anchor, first);
-    LAXML_ASSIGN_OR_RETURN(PageId page, PageWithSpace(4));
-    LAXML_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(page));
-    SlottedPage sp(h.view());
-    LAXML_ASSIGN_OR_RETURN(uint16_t slot, sp.Insert(Slice(anchor, 4)));
-    h.MarkDirty();
-    NoteFreeSpace(page, sp.FreeSpace());
-    EncodeDirValue(dv, page, slot, kKindOverflow,
-                   static_cast<uint32_t>(payload.size()));
-    ++stats_.overflow_records;
-  }
-  LAXML_RETURN_IF_ERROR(directory_.Insert(id, Slice(dv, kDirValueSize)));
+  LAXML_RETURN_IF_ERROR(Remove(loc));
+  LAXML_ASSIGN_OR_RETURN(loc, Place(payload));
+  LAXML_RETURN_IF_ERROR(PutDirectory(id, loc));
   ++stats_.updates;
   return Status::OK();
 }
@@ -491,7 +391,7 @@ Status RecordStore::ForEachRecord(
   BTree::Iterator it = directory_.NewIterator();
   LAXML_RETURN_IF_ERROR(it.SeekToFirst());
   while (it.Valid()) {
-    DirValue loc = DecodeDirValue(it.value());
+    RecordLocation loc = DecodeDirValue(it.value());
     if (!fn(it.key(), loc.page, loc.slot, loc.kind, loc.len)) break;
     LAXML_RETURN_IF_ERROR(it.Next());
   }

@@ -483,24 +483,25 @@ Status Store::LogOp(WalOp op, NodeId target, const TokenSequence& data) {
 // Locating
 
 Status Store::FetchTokenAt(Located* loc) const {
-  // ReadSlice clamps to the record end and returns nothing at or past it,
+  // PinSlice clamps to the record end and returns nothing at or past it,
   // so an offset beyond the range fails to decode as Corruption without a
   // metadata probe.
+  const RecordStore* records = ranges_->range_records();
   LAXML_ASSIGN_OR_RETURN(
-      auto bytes, ranges_->range_records()->ReadSlice(
-                      loc->range, loc->byte_offset, kTokenProbeBytes));
+      RecordSlice slice,
+      records->PinSlice(loc->range, loc->byte_offset, kTokenProbeBytes));
   const TokenCodecContext ctx(loc->codec, dict_.get());
-  TokenReader reader{Slice(bytes), ctx};
+  TokenReader reader{slice.bytes(), ctx};
   Status st = reader.Next(&loc->token);
   if (st.ok()) {
     loc->encoded_len = static_cast<uint32_t>(reader.offset());
     return Status::OK();
   }
-  if (bytes.size() < kTokenProbeBytes) return st;
+  if (slice.size() < kTokenProbeBytes) return st;
   // The token is longer than the probe; read the full remainder.
-  LAXML_ASSIGN_OR_RETURN(bytes, ranges_->range_records()->ReadSlice(
-                                    loc->range, loc->byte_offset, UINT32_MAX));
-  TokenReader full_reader{Slice(bytes), ctx};
+  LAXML_ASSIGN_OR_RETURN(
+      slice, records->PinSlice(loc->range, loc->byte_offset, UINT32_MAX));
+  TokenReader full_reader{slice.bytes(), ctx};
   LAXML_RETURN_IF_ERROR(full_reader.Next(&loc->token));
   loc->encoded_len = static_cast<uint32_t>(full_reader.offset());
   return Status::OK();
@@ -1079,26 +1080,24 @@ Status Store::ReadMemoizedSubtree(NodeId id, const PartialEntry& memo,
   }
   const uint32_t span = memo.end_offset - memo.begin_offset;
   LAXML_ASSIGN_OR_RETURN(
-      auto bytes, ranges_->range_records()->ReadSlice(
-                      memo.begin_range, memo.begin_offset,
-                      size_t{span} + kMaxClosingTokenBytes));
-  TokenReader reader{Slice(bytes),
+      RecordSlice slice, ranges_->range_records()->PinSlice(
+                             memo.begin_range, memo.begin_offset,
+                             size_t{span} + kMaxClosingTokenBytes));
+  TokenReader reader{slice.bytes(),
                      TokenCodecContext(memo.begin_codec, dict_.get())};
   out->reserve(out->size() + memo.end_token_index - memo.begin_token_index +
                1);
   int64_t depth = 0;
-  Token token;
   while (!reader.AtEnd()) {
     const size_t offset = reader.offset();
+    Token& token = out->emplace_back();
     LAXML_RETURN_IF_ERROR(reader.Next(&token));
     if (token.OpensScope()) {
       ++depth;
     } else if (token.ClosesScope() && --depth <= 0) {
-      if (offset != span) break;
-      out->push_back(std::move(token));
-      return Status::OK();
+      if (offset == span) return Status::OK();
+      break;
     }
-    out->push_back(std::move(token));
   }
   return Status::Corruption("memoized end of node " + std::to_string(id) +
                             " is not where its subtree closes");

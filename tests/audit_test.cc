@@ -176,6 +176,53 @@ TEST(AuditTest, MemoCodecMismatchIsDetected) {
   EXPECT_TRUE(found) << report.ToString();
 }
 
+TEST(AuditTest, ResidentDirectoryDriftIsDetected) {
+  ASSERT_OK_AND_ASSIGN(
+      auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));
+  ASSERT_OK_AND_ASSIGN(NodeId root, store->LoadXml("<root><a>x</a></root>"));
+  ASSERT_LAXML_OK(store->InsertIntoLast(root, MustFragment("<b>y</b>")));
+  RecordStore* records = store->range_manager().range_records();
+  auto& resident = records->TestOnlyResident();
+  const RangeId range = store->range_manager().first_range();
+  const RecordLocation saved = resident.at(range);
+  auto has_issue = [](const AuditReport& report, const std::string& needle,
+                      RangeId at) {
+    for (const AuditIssue& issue : report.issues) {
+      if (issue.layer == AuditLayer::kBTree && issue.range == at &&
+          issue.message.find(needle) != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  // One entry drifts: its length no longer matches the tree's.
+  resident[range].len = saved.len + 1;
+  AuditReport report = Audit(store.get());
+  EXPECT_TRUE(has_issue(report, "resident entry has", range))
+      << report.ToString();
+  EXPECT_FALSE(store->CheckIntegrity().ok());
+  resident[range] = saved;
+  EXPECT_LAXML_OK(store->CheckIntegrity());
+
+  // The resident copy holds an entry the tree lacks: the counts differ.
+  const RecordId stray = records->state().next_record_id + 7;
+  resident[stray] = saved;
+  report = Audit(store.get());
+  EXPECT_TRUE(has_issue(report, "resident directory has", kInvalidRangeId))
+      << report.ToString();
+  EXPECT_FALSE(store->CheckIntegrity().ok());
+  resident.erase(stray);
+
+  // An entry the tree has is missing from the resident copy.
+  resident.erase(range);
+  report = Audit(store.get());
+  EXPECT_TRUE(has_issue(report, "resident directory has", kInvalidRangeId))
+      << report.ToString();
+  resident[range] = saved;
+  EXPECT_LAXML_OK(store->CheckIntegrity());
+}
+
 TEST(AuditTest, LayertogglesSkipLegs) {
   ASSERT_OK_AND_ASSIGN(
       auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));

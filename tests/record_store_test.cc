@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <string>
 
 #include "test_util.h"
@@ -43,8 +46,8 @@ TEST_F(RecordStoreTest, SmallRecordsRoundTrip) {
   EXPECT_NE(a, b);
   EXPECT_EQ(ReadString(a), "aa");
   EXPECT_EQ(ReadString(b), "bbbb");
-  ASSERT_OK_AND_ASSIGN(uint32_t len, store_->Length(b));
-  EXPECT_EQ(len, 4u);
+  ASSERT_OK_AND_ASSIGN(RecordLocation loc, store_->Locate(b));
+  EXPECT_EQ(loc.len, 4u);
 }
 
 TEST_F(RecordStoreTest, LargeRecordUsesOverflowChain) {
@@ -59,20 +62,39 @@ TEST_F(RecordStoreTest, ReadPrefixAndSlice) {
   std::string data;
   for (int i = 0; i < 3000; ++i) data.push_back('a' + (i % 26));
   ASSERT_OK_AND_ASSIGN(RecordId id, store_->Insert(Slice(data)));
-  ASSERT_OK_AND_ASSIGN(auto prefix, store_->ReadPrefix(id, 10));
-  EXPECT_EQ(std::string(prefix.begin(), prefix.end()), data.substr(0, 10));
-  // Slices at various offsets, including spanning overflow pages.
-  for (size_t off : {0ul, 100ul, 490ul, 500ul, 1500ul, 2990ul}) {
-    ASSERT_OK_AND_ASSIGN(auto slice, store_->ReadSlice(id, off, 40));
-    EXPECT_EQ(std::string(slice.begin(), slice.end()),
-              data.substr(off, 40))
+  ASSERT_OK_AND_ASSIGN(RecordSlice prefix, store_->PinSlice(id, 0, 10));
+  EXPECT_EQ(prefix.bytes().ToString(), data.substr(0, 10));
+  // Overflow pieces hold 512 - 20 (page header) - 4 (next link) bytes. A
+  // slice inside one piece lends the pinned frame; one that crosses a
+  // piece boundary (470 + 40 > 488, 960 + 40 > 976) is a copy.
+  constexpr size_t kPiece = 488;
+  for (size_t off : {0ul, 100ul, 470ul, 490ul, 500ul, 960ul, 1500ul, 2990ul}) {
+    ASSERT_OK_AND_ASSIGN(RecordSlice slice, store_->PinSlice(id, off, 40));
+    EXPECT_EQ(slice.bytes().ToString(), data.substr(off, 40))
+        << "offset " << off;
+    const size_t last = std::min(off + 40, data.size()) - 1;
+    EXPECT_EQ(slice.borrowed(), off / kPiece == last / kPiece)
         << "offset " << off;
   }
-  // Past-the-end slice is empty; over-long slice is clamped.
-  ASSERT_OK_AND_ASSIGN(auto past, store_->ReadSlice(id, 5000, 10));
-  EXPECT_TRUE(past.empty());
-  ASSERT_OK_AND_ASSIGN(auto clamped, store_->ReadSlice(id, 2995, 100));
-  EXPECT_EQ(clamped.size(), 5u);
+  // An inline record always lends its page.
+  ASSERT_OK_AND_ASSIGN(RecordId small,
+                       store_->Insert(Slice(std::string("inline bytes"))));
+  ASSERT_OK_AND_ASSIGN(RecordSlice word, store_->PinSlice(small, 7, 5));
+  EXPECT_TRUE(word.borrowed());
+  EXPECT_EQ(word.bytes().ToString(), "bytes");
+  // Past-the-end slice is empty; over-long slice is clamped at the
+  // record end, in an overflow record and in an inline one.
+  ASSERT_OK_AND_ASSIGN(auto past, store_->PinSlice(id, 5000, 10));
+  EXPECT_EQ(past.size(), 0u);
+  ASSERT_OK_AND_ASSIGN(auto clamped, store_->PinSlice(id, 2995, 100));
+  EXPECT_EQ(clamped.bytes().ToString(), data.substr(2995));
+  ASSERT_OK_AND_ASSIGN(auto tail, store_->PinSlice(small, 10, 100));
+  EXPECT_EQ(tail.bytes().ToString(), "es");
+  // A slice covering the whole record copies every piece.
+  ASSERT_OK_AND_ASSIGN(auto whole, store_->PinSlice(id, 0, SIZE_MAX));
+  EXPECT_FALSE(whole.borrowed());
+  EXPECT_EQ(whole.bytes().ToString(), data);
+  EXPECT_TRUE(store_->PinSlice(id + 100, 0, 1).status().IsNotFound());
 }
 
 TEST_F(RecordStoreTest, UpdateInPlaceAndRelocating) {
@@ -119,8 +141,7 @@ TEST_F(RecordStoreTest, ManyRecordsAcrossPages) {
                            std::string(i % 50, 'p');
     EXPECT_EQ(ReadString(ids[i]), expected);
   }
-  ASSERT_OK_AND_ASSIGN(bool exists, store_->Exists(ids[17]));
-  EXPECT_TRUE(exists);
+  EXPECT_TRUE(store_->Exists(ids[17]));
 }
 
 TEST_F(RecordStoreTest, StateSurvivesReopen) {
@@ -158,8 +179,73 @@ TEST_F(RecordStoreTest, EmptyPayloadRecord) {
   ASSERT_OK_AND_ASSIGN(RecordId id, store_->Insert(Slice()));
   ASSERT_OK_AND_ASSIGN(auto data, store_->Read(id));
   EXPECT_TRUE(data.empty());
-  ASSERT_OK_AND_ASSIGN(uint32_t len, store_->Length(id));
-  EXPECT_EQ(len, 0u);
+  ASSERT_OK_AND_ASSIGN(RecordLocation loc, store_->Locate(id));
+  EXPECT_EQ(loc.len, 0u);
+}
+
+// Every entry of the directory tree equals the resident lookup of its
+// id, both hold one entry per live record, and every record reads back.
+void ExpectDirectoryMatches(const RecordStore& store,
+                            const std::map<RecordId, std::string>& model) {
+  size_t tree_entries = 0;
+  ASSERT_LAXML_OK(store.ForEachRecord([&](RecordId id, PageId page,
+                                          uint16_t slot, uint16_t kind,
+                                          uint32_t len) {
+    ++tree_entries;
+    auto resident = store.Locate(id);
+    EXPECT_TRUE(resident.ok()) << "record " << id;
+    if (resident.ok()) {
+      EXPECT_EQ(*resident, (RecordLocation{page, slot, kind, len}))
+          << "record " << id;
+    }
+    return true;
+  }));
+  EXPECT_EQ(tree_entries, model.size());
+  EXPECT_EQ(store.record_count(), model.size());
+  for (const auto& [id, payload] : model) {
+    auto bytes = store.Read(id);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    EXPECT_EQ(std::string(bytes->begin(), bytes->end()), payload)
+        << "record " << id;
+  }
+}
+
+TEST_F(RecordStoreTest, ResidentDirectoryMatchesTreeThroughChurnAndReopen) {
+  std::mt19937 rng(22);
+  // Sizes straddle the inline limit (~470 bytes at 512-byte pages), so
+  // updates move records between a slot and an overflow chain.
+  auto payload = [&rng](RecordId tag) {
+    const size_t size = rng() % 3 == 0 ? 480 + rng() % 1200 : rng() % 400;
+    return std::string(size, static_cast<char>('a' + tag % 26));
+  };
+  std::map<RecordId, std::string> model;
+  for (int batch = 0; batch < 8; ++batch) {
+    for (int op = 0; op < 40; ++op) {
+      const unsigned pick = rng() % 10;
+      if (model.empty() || pick < 4) {
+        std::string p = payload(model.size());
+        ASSERT_OK_AND_ASSIGN(RecordId id, store_->Insert(Slice(p)));
+        model[id] = std::move(p);
+        continue;
+      }
+      auto victim = model.begin();
+      std::advance(victim, rng() % model.size());
+      if (pick < 8) {
+        std::string p = payload(victim->first);
+        ASSERT_LAXML_OK(store_->Update(victim->first, Slice(p)));
+        victim->second = std::move(p);
+      } else {
+        ASSERT_LAXML_OK(store_->Delete(victim->first));
+        model.erase(victim);
+      }
+    }
+    ExpectDirectoryMatches(*store_, model);
+  }
+  EXPECT_GT(store_->stats().overflow_records, 0u);
+  RecordStoreState state = store_->state();
+  store_.reset();
+  ASSERT_OK_AND_ASSIGN(store_, RecordStore::Open(pager_.get(), state));
+  ExpectDirectoryMatches(*store_, model);
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "obs/request_context.h"
 #include "store/cursor.h"
 #include "test_util.h"
 #include "xml/serializer.h"
@@ -339,7 +341,8 @@ TEST(StoreMemoReadTest, MemoHitChecksTheMemoizedEnd) {
   StoreOptions options;
   options.index_mode = IndexMode::kRangeWithPartial;
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
-  // r 1, a 2, b 3, "x" 4, c 5, d 6; one range.
+  // r 1, a 2, b 3, "x" 4, c 5, d 6; one inline range, so memo hits
+  // decode from the pinned frame.
   ASSERT_LAXML_OK(store->LoadXml("<r><a><b>x</b><c/></a><d/></r>").status());
   PartialIndex& memo = store->mutable_partial_index();
   PartialEntry r, b;
@@ -358,6 +361,67 @@ TEST(StoreMemoReadTest, MemoHitChecksTheMemoizedEnd) {
     EXPECT_TRUE(store->Read(2).status().IsCorruption());
   }
 }
+
+#if !defined(LAXML_TRACING_DISABLED)
+// Buffer-pool pins taken by one Read(id).
+uint64_t PinsOfRead(Store* store, NodeId id) {
+  obs::RequestContext rc;
+  obs::ScopedRequestContext scoped(&rc);
+  EXPECT_LAXML_OK(store->Read(id).status());
+  return rc.counters.pages_pinned;
+}
+
+TEST(StoreMemoReadTest, WarmInlineMemoHitPinsOnePage) {
+  StoreOptions options;
+  options.index_mode = IndexMode::kRangeWithPartial;
+  ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
+  ASSERT_LAXML_OK(store->LoadXml("<r><a><b>x</b><c/></a><d/></r>").status());
+  const RecordStore* records = store->range_manager().range_records();
+  ASSERT_OK_AND_ASSIGN(
+      RecordLocation loc,
+      records->Locate(store->range_manager().first_range()));
+  ASSERT_EQ(loc.kind, RecordLocation::kInline);
+  ASSERT_LAXML_OK(store->Read(2).status());  // memoizes begin and end
+  // The record's heap page, and no directory page.
+  EXPECT_EQ(PinsOfRead(store.get(), 2), 1u);
+}
+
+TEST(StoreMemoReadTest, WarmOverflowMemoHitPinsNoDirectoryPage) {
+  StoreOptions options;
+  options.index_mode = IndexMode::kRangeWithPartial;
+  ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
+  // One range far larger than a page: an overflow record. Item i is
+  // node 2 + 3i.
+  std::string xml = "<r>";
+  for (int i = 0; i < 400; ++i) {
+    xml += "<item><n>" + std::to_string(i) + "</n></item>";
+  }
+  ASSERT_LAXML_OK(store->LoadXml(xml + "</r>").status());
+  const RecordStore* records = store->range_manager().range_records();
+  ASSERT_OK_AND_ASSIGN(
+      RecordLocation loc,
+      records->Locate(store->range_manager().first_range()));
+  ASSERT_EQ(loc.kind, RecordLocation::kOverflow);
+  const uint32_t piece = options.pager.page_size - kPageHeaderSize - 4;
+  for (NodeId id : {NodeId{2}, NodeId{2 + 3 * 399}}) {
+    ASSERT_LAXML_OK(store->Read(id).status());
+    PartialEntry memo;
+    ASSERT_TRUE(store->mutable_partial_index().Lookup(id, &memo));
+    ASSERT_TRUE(memo.has_end && memo.end_range == memo.begin_range);
+    const uint32_t first = memo.begin_offset / piece;
+    // The slice runs from the begin token to kMaxClosingTokenBytes past
+    // the end token's first byte, clamped to the record.
+    const uint32_t last =
+        std::min<uint32_t>(memo.end_offset + kMaxClosingTokenBytes - 1,
+                           loc.len - 1) / piece;
+    // The anchor page, then the chain through the slice's last piece.
+    EXPECT_EQ(PinsOfRead(store.get(), id), 2u + last) << "node " << id;
+    if (id != 2) {
+      EXPECT_GT(first, 0u) << "the last item sits in piece 0";
+    }
+  }
+}
+#endif  // !defined(LAXML_TRACING_DISABLED)
 
 TEST(StoreMemoReadTest, MemoHitsDecodeEachRangesOwnCodec) {
   testing::TempFile file("memo_codec");
