@@ -49,6 +49,7 @@
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "net/client.h"
+#include "obs/metrics.h"
 #include "server/server.h"
 #include "store/store.h"
 #include "workload/zipf.h"
@@ -77,31 +78,18 @@ void PrintRow(const char* name, std::vector<double>* samples,
       static_cast<double>(samples->size()) / seconds);
 }
 
-/// Value of one "name value" line in a Prometheus exposition (0 when
-/// the series is absent).
-double PromValue(const std::string& text, const std::string& name) {
-  const std::string needle = name + " ";
-  size_t pos = 0;
-  while (true) {
-    pos = text.find(needle, pos);
-    if (pos == std::string::npos) return 0.0;
-    if (pos == 0 || text[pos - 1] == '\n') break;
-    pos += needle.size();
-  }
-  return std::strtod(text.c_str() + pos + needle.size(), nullptr);
-}
-
 /// One client-vs-server percentile comparison row. Client times include
 /// the loopback round trip; server times include queue wait — over a
 /// closed loop on loopback the two agree closely, and a divergence
 /// means one side's histogram math is wrong.
-void PrintServerRow(const char* label, const std::string& prom,
+void PrintServerRow(const char* label, const obs::Snapshot& scrape,
                     const std::string& op, std::vector<double>* client_us) {
-  const std::string family = "laxml_server_op_us";
-  const std::string labels = "{op=\"" + op + "\"}";
-  double sp50 = PromValue(prom, family + "_p50" + labels);
-  double sp95 = PromValue(prom, family + "_p95" + labels);
-  double sp99 = PromValue(prom, family + "_p99" + labels);
+  auto it = scrape.histograms.find("laxml_server_op_us{op=\"" + op + "\"}");
+  const obs::HistogramSnapshot server =
+      it == scrape.histograms.end() ? obs::HistogramSnapshot{} : it->second;
+  double sp50 = server.Percentile(0.50);
+  double sp95 = server.Percentile(0.95);
+  double sp99 = server.Percentile(0.99);
   double cp50 = bench::Percentile(client_us, 0.50);
   double cp95 = bench::Percentile(client_us, 0.95);
   double cp99 = bench::Percentile(client_us, 0.99);
@@ -582,15 +570,20 @@ int main(int argc, char** argv) {
                    prom.status().ToString().c_str());
       return 1;
     }
+    const obs::Snapshot scrape = obs::ParsePrometheus(*prom);
     std::printf("server-side latency (kGetMetrics) vs client-side:\n");
-    PrintServerRow("insert", *prom, "INSERT_INTO_LAST", &merged.insert_us);
-    PrintServerRow("read", *prom, "READ_NODE", &merged.read_us);
-    PrintServerRow("xpath", *prom, "XPATH", &merged.xpath_us);
+    PrintServerRow("insert", scrape, "INSERT_INTO_LAST", &merged.insert_us);
+    PrintServerRow("read", scrape, "READ_NODE", &merged.read_us);
+    PrintServerRow("xpath", scrape, "XPATH", &merged.xpath_us);
     if (sync_commits) {
-      double appends = PromValue(*prom, "laxml_wal_appends_total");
-      double syncs = PromValue(*prom, "laxml_wal_syncs_total");
-      double piggy =
-          PromValue(*prom, "laxml_wal_group_commit_piggybacked_total");
+      auto counter = [&scrape](const std::string& name) {
+        auto c = scrape.counters.find(name);
+        return c == scrape.counters.end() ? 0.0
+                                          : static_cast<double>(c->second);
+      };
+      double appends = counter("laxml_wal_appends_total");
+      double syncs = counter("laxml_wal_syncs_total");
+      double piggy = counter("laxml_wal_group_commit_piggybacked_total");
       std::printf(
           "group commit: %.0f records / %.0f fsyncs = %.1f records/fsync, "
           "%.0f piggybacked commits\n",

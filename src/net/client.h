@@ -112,8 +112,9 @@ class Client {
   /// the query and appends its timing + resource counters.
   Result<std::string> Explain(std::string expr, bool profile = false);
   Result<std::string> GetStats();
-  /// Full metrics exposition: registry counters/gauges/histograms plus
-  /// the server's per-op latency table. `format` picks the rendering.
+  /// Full metrics exposition: the store's counters/gauges/histograms
+  /// plus the server's per-op latency table. `format` picks the
+  /// rendering.
   Result<std::string> GetMetrics(
       MetricsFormat format = MetricsFormat::kTable);
   Status CheckIntegrity();

@@ -67,7 +67,7 @@ enum class OpCode : uint8_t {
   kXPath = 11,
   kGetStats = 12,
   kCheckIntegrity = 13,
-  kGetMetrics = 14,  ///< Metrics registry + server stats exposition.
+  kGetMetrics = 14,  ///< Store + server stats exposition.
   kExplain = 15,     ///< Query plan (and optional profile) for an XPath.
 };
 inline constexpr uint8_t kMaxOpCode = 15;

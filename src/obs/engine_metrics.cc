@@ -7,7 +7,17 @@
 namespace laxml {
 namespace obs {
 
-void CollectStoreMetrics(Store& store, MetricsRegistry::Snapshot* snap) {
+namespace {
+
+/// Adds `h` to `snap` once it has recorded something.
+void AddHistogram(const char* name, const std::string& labels,
+                  const Histogram& h, Snapshot* snap) {
+  if (h.count() > 0) snap->histograms[name + labels] = h.snapshot();
+}
+
+}  // namespace
+
+void CollectStoreMetrics(Store& store, Snapshot* snap) {
   auto counter = [snap](const char* name, uint64_t v) {
     snap->counters[name] = v;
   };
@@ -81,6 +91,17 @@ void CollectStoreMetrics(Store& store, MetricsRegistry::Snapshot* snap) {
   counter("laxml_store_locate_scan_tokens_total", stats.locate_scan_tokens);
   counter("laxml_store_full_index_maintenance_total",
           stats.full_index_maintenance);
+  // Per-op series appear once the op has recorded something.
+  for (size_t i = 0; i < kStoreOpCount; ++i) {
+    const std::string labels = std::string("{op=\"") + kStoreOpNames[i] + "\"}";
+    AddHistogram("laxml_store_op_us", labels, stats.op_us[i], snap);
+    if (stats.io_errors[i] > 0) {
+      snap->counters["laxml_io_errors_total" + labels] = stats.io_errors[i];
+    }
+  }
+  if (stats.bulk_load_bytes > 0) {
+    counter("laxml_bulk_load_bytes_total", stats.bulk_load_bytes);
+  }
 
   const RecordStoreStats& records = ranges.record_stats();
   gauge("laxml_recordstore_data_pages", records.data_pages);
@@ -93,6 +114,7 @@ void CollectStoreMetrics(Store& store, MetricsRegistry::Snapshot* snap) {
     counter("laxml_wal_bytes_appended_total", wstats.bytes_appended);
     counter("laxml_wal_syncs_total", wstats.syncs);
     counter("laxml_wal_truncations_total", wstats.truncations);
+    AddHistogram("laxml_wal_fsync_us", "", wstats.fsync_us, snap);
   }
 
   Pager* pager = store.pager();
@@ -112,8 +134,7 @@ void CollectStoreMetrics(Store& store, MetricsRegistry::Snapshot* snap) {
           pool_stats.checksum_failures);
 }
 
-void CollectSharedStoreMetrics(SharedStore& shared,
-                               MetricsRegistry::Snapshot* snap) {
+void CollectSharedStoreMetrics(SharedStore& shared, Snapshot* snap) {
   // Every level the collector reads is an atomic counter or a
   // lock-guarded size, so the shared latch suffices; the cut is
   // near-consistent (individual counters may be mid-batch).
@@ -122,10 +143,10 @@ void CollectSharedStoreMetrics(SharedStore& shared,
   snap->counters["laxml_latch_shared_total"] = latch.shared_acquisitions;
   snap->counters["laxml_latch_exclusive_total"] =
       latch.exclusive_acquisitions;
-  // The batch sizes are the laxml_wal_group_commit_batch histogram.
   if (const GroupCommit* gc = shared.group_commit(); gc != nullptr) {
     snap->counters["laxml_wal_group_commit_piggybacked_total"] =
         gc->stats().piggybacked;
+    AddHistogram("laxml_wal_group_commit_batch", "", gc->stats().batch, snap);
   }
 }
 

@@ -1,19 +1,11 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 namespace laxml {
 namespace obs {
-
-namespace {
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
 
 double HistogramSnapshot::Percentile(double q) const {
   if (count == 0) return 0.0;
@@ -43,6 +35,19 @@ double HistogramSnapshot::Percentile(double q) const {
   return static_cast<double>(max);
 }
 
+HistogramSnapshot HistogramSnapshot::Since(
+    const HistogramSnapshot& earlier) const {
+  if (count < earlier.count) return *this;
+  HistogramSnapshot window = *this;
+  for (size_t b = 0; b < kBucketCount; ++b) {
+    if (buckets[b] < earlier.buckets[b]) return *this;
+    window.buckets[b] -= earlier.buckets[b];
+  }
+  window.count -= earlier.count;
+  window.sum -= earlier.sum;
+  return window;
+}
+
 void Histogram::Record(uint64_t value) {
   buckets_[BucketIndex(value)].fetch_add(1, kRelaxed);
   count_.fetch_add(1, kRelaxed);
@@ -70,46 +75,6 @@ HistogramSnapshot Histogram::snapshot() const {
   return snap;
 }
 
-MetricsRegistry& MetricsRegistry::Global() {
-  // Leaked on purpose: metrics outlive every engine object, including
-  // static destructors that may still record on worker-thread teardown.
-  static auto* registry = new MetricsRegistry();
-  return *registry;
-}
-
-Counter* MetricsRegistry::GetCounter(std::string_view name) {
-  MutexLock lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return it->second.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
-  MutexLock lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  }
-  return it->second.get();
-}
-
-MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
-  Snapshot snap;
-  MutexLock lock(mu_);
-  for (const auto& [name, counter] : counters_) {
-    snap.counters.emplace(name, counter->value());
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    snap.histograms.emplace(name, histogram->snapshot());
-  }
-  return snap;
-}
-
 void SplitMetricName(const std::string& name, std::string* family,
                      std::string* labels) {
   const size_t brace = name.find('{');
@@ -120,7 +85,7 @@ void SplitMetricName(const std::string& name, std::string* family,
   }
   *family = name.substr(0, brace);
   *labels = name.substr(brace);
-  // Strip the surrounding braces; AppendPrometheusHistogram re-wraps.
+  // Strip the surrounding braces; JoinName re-wraps.
   if (labels->size() >= 2 && labels->front() == '{' &&
       labels->back() == '}') {
     *labels = labels->substr(1, labels->size() - 2);
@@ -149,6 +114,14 @@ std::string EscapePrometheusLabelValue(std::string_view value) {
 }
 
 namespace {
+
+/// Parses all of `text` as an integer into *out.
+template <typename Int>
+bool ParseInt(std::string_view text, Int* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 /// "family{labels,extra}" or "family{extra}" or "family".
 std::string JoinName(const std::string& family, const std::string& labels,
@@ -201,17 +174,6 @@ void AppendHistogram(const std::string& name, const HistogramSnapshot& h,
          std::to_string(h.sum) + "\n";
   out += JoinName(family + "_count", labels, "") + " " +
          std::to_string(h.count) + "\n";
-  // Pre-computed quantiles as their own gauge families so dumb scrapers
-  // (laxml_top, bench_server) need no bucket math.
-  const struct {
-    const char* suffix;
-    double q;
-  } quantiles[] = {{"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}};
-  for (const auto& [suffix, q] : quantiles) {
-    SamplesOf(families, family + suffix, "gauge") +=
-        JoinName(family + suffix, labels, "") + " " +
-        FormatDouble(h.Percentile(q)) + "\n";
-  }
 }
 
 template <typename Value>
@@ -229,10 +191,10 @@ void AppendScalars(const std::map<std::string, Value>& series,
 
 }  // namespace
 
-std::string RenderPrometheus(const MetricsRegistry::Snapshot& snap) {
+std::string RenderPrometheus(const Snapshot& snap) {
   // Gather by family first: the text format wants each family's samples
-  // contiguous under one # TYPE line, and a histogram's labeled series
-  // interleave with their quantile families in snapshot order.
+  // contiguous under one # TYPE line, and in snapshot order a family's
+  // labeled series interleave with longer-named families.
   std::map<std::string, Family> families;
   AppendScalars(snap.counters, "counter", &families);
   AppendScalars(snap.gauges, "gauge", &families);
@@ -247,7 +209,71 @@ std::string RenderPrometheus(const MetricsRegistry::Snapshot& snap) {
   return out;
 }
 
-std::string RenderTable(const MetricsRegistry::Snapshot& snap) {
+Snapshot ParsePrometheus(std::string_view text) {
+  Snapshot snap;
+  std::string type;  // RenderPrometheus keeps each family behind its type
+  std::string family;
+  std::string labels;
+  while (!text.empty()) {
+    const std::string_view line = text.substr(0, text.find('\n'));
+    text.remove_prefix(std::min(line.size() + 1, text.size()));
+    const size_t space = line.rfind(' ');
+    if (line.starts_with("# TYPE ")) {
+      type = line.substr(space + 1);
+      continue;
+    }
+    if (line.starts_with('#') || space == std::string_view::npos) continue;
+    const std::string series(line.substr(0, space));
+    const std::string_view value = line.substr(space + 1);
+    uint64_t u = 0;
+    int64_t i = 0;
+    if (type == "gauge" && ParseInt(value, &i)) {
+      snap.gauges[series] = i;
+    } else if (type == "counter" && ParseInt(value, &u)) {
+      snap.counters[series] = u;
+    } else if (type == "histogram" && ParseInt(value, &u)) {
+      // family_{bucket,sum,count}{labels}, a bucket's le="upper" last.
+      SplitMetricName(series, &family, &labels);
+      const size_t cut = family.rfind('_');
+      const std::string_view part =
+          cut == std::string::npos ? "" : std::string_view(family).substr(cut);
+      uint64_t upper = 0;
+      if (const size_t le = labels.rfind("le=\""); le != std::string::npos) {
+        std::string_view quoted = std::string_view(labels).substr(le + 4);
+        quoted.remove_suffix(quoted.empty() ? 0 : 1);  // the closing quote
+        // Skips the +Inf line too: it repeats _count.
+        if (part != "_bucket" || !ParseInt(quoted, &upper)) continue;
+        labels.resize(le > 0 ? le - 1 : 0);  // drop le and its comma
+      } else if (part != "_sum" && part != "_count") {
+        continue;
+      }
+      HistogramSnapshot& h =
+          snap.histograms[JoinName(family.substr(0, cut), labels, "")];
+      if (part == "_sum") {
+        h.sum = u;
+      } else if (part == "_count") {
+        h.count = u;
+      } else {
+        h.buckets[Histogram::BucketIndex(upper)] = u;  // cumulative here
+      }
+    }
+  }
+  // Un-cumulate the occupied buckets; min and max become their bounds.
+  for (auto& [name, h] : snap.histograms) {
+    uint64_t below = 0;
+    for (size_t b = 0; b < HistogramSnapshot::kBucketCount; ++b) {
+      if (h.buckets[b] == 0) continue;
+      const uint64_t cumulative = h.buckets[b];
+      h.buckets[b] = cumulative > below ? cumulative - below : 0;
+      if (below == 0) h.min = Histogram::BucketLower(b);
+      h.max = Histogram::BucketUpper(b);
+      below = std::max(below, cumulative);
+    }
+  }
+  return snap;
+}
+
+std::string RenderTable(const Snapshot& snap) {
   std::string out;
   char line[256];
   if (!snap.counters.empty() || !snap.gauges.empty()) {

@@ -1,40 +1,25 @@
-// The metrics registry: the process-wide counters and fixed-bucket log2
-// latency histograms that have no per-instance stats struct behind
-// them, and the Snapshot type every kGetMetrics scrape is rendered
-// from (net::OpCode::kGetMetrics).
+// The metrics toolkit: the log2 latency Histogram that stats structs
+// record into, the Snapshot every kGetMetrics scrape is rendered from,
+// its two renderings, and the parser that reads an exposition back.
 //
-// An event is counted in exactly one place. Events an engine object
-// already counts in its own stats struct (Partial Index hits, range
-// splits, WAL syncs, latch acquisitions, buffer-pool hits, ...) stay
-// there; obs/engine_metrics.h copies those structs into a scrape's
-// Snapshot as typed families, one Store at a time. The registry keeps
-// the latency histograms and the few counters with no struct:
-// laxml_io_errors_total{op}, laxml_trace_ring_dropped_total,
-// laxml_server_slow_ops_total and laxml_bulk_load_bytes_total. Gauges
-// (levels) exist only in a Snapshot.
+// There is no process-wide registry: each event is counted in the
+// stats struct of the instance that owns it (DESIGN.md §11 lists the
+// owners), and scrape-time collectors copy one instance at a time into
+// a Snapshot, so two stores or servers in one process scrape
+// independently. Gauges (levels) exist only in a Snapshot.
 //
-// Design goals, in order:
+// A Histogram::Record is a bit_width, two fetch_adds and a CAS-max;
+// log2 buckets give percentiles with no sample retention. Percentiles,
+// not mean/max: the paper's argument is quantitative, and an average
+// hides exactly the tail the Partial Index exists to amortize. The
+// exposition carries buckets, not quantiles: consumers parse them back
+// (ParsePrometheus) and ask HistogramSnapshot, so the quantile math
+// lives here alone.
 //
-//   1. O(1), lock-free recording. A Counter is one relaxed fetch_add; a
-//      Histogram::Record is a bit_width, two fetch_adds and a CAS-max.
-//      Registration (the name -> metric lookup) takes a mutex, so hot
-//      paths resolve their metric once into a function-local static
-//      pointer (the LAXML_COUNTER_INC / LAXML_HISTOGRAM_RECORD macros
-//      do this).
-//   2. Server-side percentiles. The paper's argument is quantitative
-//      (locate-scan tokens vs eager index maintenance), and mean/max
-//      aggregates hide exactly the tail the Partial Index exists to
-//      amortize. Log2 buckets give p50/p95/p99 with 64 words per
-//      histogram and no sample retention.
-//   3. Compile-out. -DLAXML_METRICS=OFF turns every macro below into a
-//      no-op so the overhead of the instrumentation itself is
-//      measurable (bench_server with and without). The stats structs
-//      still count, so a scrape still shows every struct-backed family.
-//
-// Naming follows Prometheus conventions: counters end in _total,
-// microsecond histograms in _us; a metric name may carry a literal
-// label block — GetHistogram("laxml_store_op_us{op=\"insert\"}") —
-// which the Prometheus renderer folds into the family's exposition.
+// Names follow Prometheus conventions (counters end in _total,
+// microsecond histograms in _us); a Snapshot key may carry a label
+// block ("laxml_store_op_us{op=\"insert\"}"), which the renderer folds
+// into the family's exposition.
 
 #ifndef LAXML_OBS_METRICS_H_
 #define LAXML_OBS_METRICS_H_
@@ -44,26 +29,11 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-
 namespace laxml {
 namespace obs {
-
-/// A monotonically increasing event count.
-class Counter {
- public:
-  void Add(uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  void Inc() { Add(1); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> value_{0};
-};
 
 /// Immutable copy of a histogram, with the percentile math.
 struct HistogramSnapshot {
@@ -87,6 +57,13 @@ struct HistogramSnapshot {
   /// a power-of-two-aligned span and for constant distributions; off by
   /// at most one bucket width (2x) in the worst case.
   double Percentile(double q) const;
+
+  /// The values recorded since `earlier`, an older snapshot of the same
+  /// histogram. Min and max stay this snapshot's: they bound the new
+  /// values, so a quantile strictly inside (0, 1) stays in the window's
+  /// buckets. A histogram that went backwards (a restart) is returned
+  /// whole.
+  HistogramSnapshot Since(const HistogramSnapshot& earlier) const;
 };
 
 /// Fixed-bucket log2 histogram. Bucket 0 holds the value 0; bucket b in
@@ -129,44 +106,26 @@ class Histogram {
   std::atomic<uint64_t> max_{0};
 };
 
-/// Name -> metric table. Get* calls are get-or-create and return a
-/// pointer that stays valid for the registry's lifetime (metrics are
-/// never deleted), so call sites may cache it. The process-wide
-/// instance is Global(); tests can instantiate their own.
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Global();
-
-  Counter* GetCounter(std::string_view name);
-  Histogram* GetHistogram(std::string_view name);
-
-  /// One scrape's worth of series, keyed by "family{labels}". The
-  /// registry's TakeSnapshot fills counters and histograms; scrape-time
-  /// collectors (obs/engine_metrics.h, the server's op table) add their
-  /// own counters and the gauges, which live nowhere else.
-  struct Snapshot {
-    std::map<std::string, uint64_t> counters;
-    std::map<std::string, int64_t> gauges;
-    std::map<std::string, HistogramSnapshot> histograms;
-  };
-  Snapshot TakeSnapshot() const;
-
- private:
-  mutable Mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
-      LAXML_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
-      LAXML_GUARDED_BY(mu_);
+/// One scrape's worth of series, keyed by "family{labels}".
+struct Snapshot {
+  std::map<std::string, uint64_t> counters;
+  std::map<std::string, int64_t> gauges;
+  std::map<std::string, HistogramSnapshot> histograms;
 };
 
 /// Human-readable table (laxml_cli metrics).
-std::string RenderTable(const MetricsRegistry::Snapshot& snap);
+std::string RenderTable(const Snapshot& snap);
 
 /// Prometheus text exposition, one contiguous block per family behind
 /// a single # TYPE line: counters and gauges verbatim, histograms as
-/// cumulative _bucket{le=...} series plus _sum/_count, each histogram
-/// family followed by derived _p50/_p95/_p99 gauge families.
-std::string RenderPrometheus(const MetricsRegistry::Snapshot& snap);
+/// cumulative _bucket{le=...} series (one per occupied bucket, le =
+/// Histogram::BucketUpper, plus +Inf) and _sum/_count.
+std::string RenderPrometheus(const Snapshot& snap);
+
+/// Reads a RenderPrometheus exposition back: everything exactly (each
+/// le maps back to its log2 bucket) but histogram min and max, which
+/// the exposition lacks and the parse widens to the occupied buckets.
+Snapshot ParsePrometheus(std::string_view text);
 
 /// Splits "family{labels}" into its family and label parts ("" when the
 /// name carries no label block).
@@ -202,54 +161,5 @@ class ScopedHistogramTimer {
 
 }  // namespace obs
 }  // namespace laxml
-
-// ---------------------------------------------------------------------
-// Hot-path instrumentation macros. Each site resolves its metric once
-// (function-local static) and then records lock-free. Compiled to
-// nothing when the build sets LAXML_METRICS_DISABLED (-DLAXML_METRICS=OFF).
-
-#if !defined(LAXML_METRICS_DISABLED)
-
-#define LAXML_COUNTER_ADD(name, n)                                \
-  do {                                                            \
-    static ::laxml::obs::Counter* const laxml_metrics_counter =   \
-        ::laxml::obs::MetricsRegistry::Global().GetCounter(name); \
-    laxml_metrics_counter->Add(n);                                \
-  } while (0)
-
-#define LAXML_HISTOGRAM_RECORD(name, value)                           \
-  do {                                                                \
-    static ::laxml::obs::Histogram* const laxml_metrics_histogram =   \
-        ::laxml::obs::MetricsRegistry::Global().GetHistogram(name);   \
-    laxml_metrics_histogram->Record(value);                           \
-  } while (0)
-
-#define LAXML_METRICS_CONCAT_INNER(a, b) a##b
-#define LAXML_METRICS_CONCAT(a, b) LAXML_METRICS_CONCAT_INNER(a, b)
-
-/// Times the rest of the enclosing scope into the named histogram.
-#define LAXML_SCOPED_LATENCY_US(name)                                 \
-  static ::laxml::obs::Histogram* const LAXML_METRICS_CONCAT(         \
-      laxml_latency_hist_, __LINE__) =                                \
-      ::laxml::obs::MetricsRegistry::Global().GetHistogram(name);     \
-  ::laxml::obs::ScopedHistogramTimer LAXML_METRICS_CONCAT(            \
-      laxml_latency_timer_,                                           \
-      __LINE__)(LAXML_METRICS_CONCAT(laxml_latency_hist_, __LINE__))
-
-#else
-
-#define LAXML_COUNTER_ADD(name, n) \
-  do {                             \
-  } while (0)
-#define LAXML_HISTOGRAM_RECORD(name, value) \
-  do {                                      \
-  } while (0)
-#define LAXML_SCOPED_LATENCY_US(name) \
-  do {                                \
-  } while (0)
-
-#endif  // !defined(LAXML_METRICS_DISABLED)
-
-#define LAXML_COUNTER_INC(name) LAXML_COUNTER_ADD(name, 1)
 
 #endif  // LAXML_OBS_METRICS_H_

@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <unordered_map>
@@ -36,23 +35,16 @@ uint32_t ReadFixed32(const uint8_t* p) {
 
 }  // namespace
 
-uint64_t TraceNowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-TraceRing::TraceRing(size_t capacity, uint64_t tid)
-    : slots_(capacity == 0 ? 1 : capacity), tid_(tid) {}
+TraceRing::TraceRing(size_t capacity, uint64_t tid, RelaxedCounter* dropped)
+    : slots_(capacity == 0 ? 1 : capacity), tid_(tid), dropped_(dropped) {}
 
 void TraceRing::Record(const char* name, uint64_t start_us,
                        uint64_t dur_us, uint64_t trace_id) {
   MutexLock lock(mu_);
-  if (slots_[next_].name != nullptr) {
+  if (slots_[next_].name != nullptr && dropped_ != nullptr) {
     // Overwriting a live slot: the ring lapped the last dump and the
     // oldest span is gone. Make the loss countable.
-    LAXML_COUNTER_INC("laxml_trace_ring_dropped_total");
+    ++*dropped_;
   }
   slots_[next_] = Slot{name, start_us, dur_us, trace_id};
   if (++next_ == slots_.size()) {
@@ -98,7 +90,8 @@ Tracer& Tracer::Global() {
 TraceRing* Tracer::ThreadRing() {
   thread_local std::shared_ptr<TraceRing> ring = [this] {
     MutexLock lock(mu_);
-    auto created = std::make_shared<TraceRing>(ring_capacity_, next_tid_++);
+    auto created =
+        std::make_shared<TraceRing>(ring_capacity_, next_tid_++, &dropped_);
     rings_.push_back(created);
     return created;
   }();
@@ -118,6 +111,12 @@ TraceDump Tracer::Collect() const {
               return a.start_us < b.start_us;
             });
   return dump;
+}
+
+void CollectTraceMetrics(Snapshot* snap) {
+  if (const uint64_t dropped = Tracer::Global().dropped(); dropped > 0) {
+    snap->counters["laxml_trace_ring_dropped_total"] = dropped;
+  }
 }
 
 Status Tracer::DumpBinary(const std::string& path) const {

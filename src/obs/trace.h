@@ -25,7 +25,7 @@
 // request's spans — across client and server processes — share an id
 // and can be stitched into a single trace (tools/laxml_trace merges
 // multiple dumps and filters by --trace-id). Ring overflow is counted
-// in laxml_trace_ring_dropped_total instead of being silent.
+// (Tracer::dropped()) instead of being silent.
 //
 // Binary dump format (all integers varint unless noted):
 //
@@ -46,8 +46,10 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/relaxed_counter.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 #include "obs/request_context.h"
 
 namespace laxml {
@@ -82,10 +84,11 @@ TraceDump MergeTraceDumps(const std::vector<TraceDump>& dumps);
 /// One thread's span buffer. Created lazily by Tracer::ThreadRing().
 class TraceRing {
  public:
-  explicit TraceRing(size_t capacity, uint64_t tid);
+  /// `dropped` (may be null) counts the spans this ring overwrites.
+  TraceRing(size_t capacity, uint64_t tid, RelaxedCounter* dropped = nullptr);
 
-  /// Overwriting an undrained slot bumps laxml_trace_ring_dropped_total
-  /// — ring overflow loses the oldest span, visibly.
+  /// Overwriting an undrained slot counts a drop: ring overflow loses
+  /// the oldest span, visibly.
   void Record(const char* name, uint64_t start_us, uint64_t dur_us,
               uint64_t trace_id = 0);
 
@@ -108,6 +111,7 @@ class TraceRing {
   size_t next_ LAXML_GUARDED_BY(mu_) = 0;  ///< Next slot to (over)write.
   bool wrapped_ LAXML_GUARDED_BY(mu_) = false;
   uint64_t tid_;
+  RelaxedCounter* dropped_;
 };
 
 /// The process-wide collector: owns every thread's ring and serializes
@@ -125,6 +129,9 @@ class Tracer {
   /// Writes Collect() in the binary dump format.
   Status DumpBinary(const std::string& path) const;
 
+  /// Spans the rings overwrote before a dump saw them.
+  uint64_t dropped() const { return dropped_; }
+
   /// Per-thread ring capacity for rings created after this call
   /// (default 8192 spans).
   void set_ring_capacity(size_t capacity) {
@@ -137,7 +144,11 @@ class Tracer {
   std::vector<std::shared_ptr<TraceRing>> rings_ LAXML_GUARDED_BY(mu_);
   uint64_t next_tid_ LAXML_GUARDED_BY(mu_) = 1;
   size_t ring_capacity_ LAXML_GUARDED_BY(mu_) = 8192;
+  RelaxedCounter dropped_;
 };
+
+/// Adds laxml_trace_ring_dropped_total once a ring has dropped a span.
+void CollectTraceMetrics(Snapshot* snap);
 
 /// Serializes a dump to the binary format (exposed for tests).
 std::vector<uint8_t> EncodeTraceDump(const TraceDump& dump);
@@ -149,18 +160,14 @@ Result<TraceDump> DecodeTraceDump(const uint8_t* data, size_t size);
 /// Reads + decodes a dump file.
 Result<TraceDump> ReadTraceFile(const std::string& path);
 
-/// Steady-clock microseconds (the span timebase).
-uint64_t TraceNowMicros();
-
 /// RAII span: records on destruction, stamped with the current
 /// request's trace id so a request's spans stitch into one trace.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name)
-      : name_(name), start_us_(TraceNowMicros()) {}
+  explicit ScopedSpan(const char* name) : name_(name), start_us_(NowMicros()) {}
   ~ScopedSpan() {
     Tracer::Global().ThreadRing()->Record(name_, start_us_,
-                                          TraceNowMicros() - start_us_,
+                                          NowMicros() - start_us_,
                                           CurrentTraceId());
   }
   ScopedSpan(const ScopedSpan&) = delete;

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "common/logging.h"
@@ -16,16 +15,7 @@
 
 namespace laxml {
 
-namespace {
-
-uint64_t NowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
+using obs::NowMicros;
 
 Server::Server(std::unique_ptr<Store> store, const ServerOptions& options)
     : options_(options), store_(std::move(store)) {
@@ -404,7 +394,7 @@ void Server::WorkerLoop() {
     const uint64_t micros = NowMicros() - item.enqueue_micros;
     stats_.Record(item.request.op, micros, resp.status.code());
     if (options_.slow_op_micros > 0 && micros >= options_.slow_op_micros) {
-      LAXML_COUNTER_INC("laxml_server_slow_ops_total");
+      stats_.AddSlowOp();
       LAXML_LOG(kWarn) << "slow op: " << net::OpCodeName(item.request.op)
                        << " request_id=" << item.request.request_id
                        << " took " << micros << " us (threshold "
@@ -542,13 +532,13 @@ net::Response Server::Execute(const net::Request& req) {
           [](Store& s) { return s.CheckIntegrity(); });
       break;
     case OpCode::kGetMetrics: {
-      // One snapshot per scrape, rendered once: the registry's
-      // histograms and struct-less counters, this store's stats
-      // structs, the latch counters and this server's op table.
-      obs::MetricsRegistry::Snapshot snap =
-          obs::MetricsRegistry::Global().TakeSnapshot();
+      // One snapshot per scrape, rendered once: this store's stats
+      // structs, the latch counters, this server's op table and the
+      // tracer's ring drops.
+      obs::Snapshot snap;
       obs::CollectSharedStoreMetrics(store_, &snap);
       stats().CollectMetrics(&snap);
+      obs::CollectTraceMetrics(&snap);
       resp.text = req.metrics_format == net::MetricsFormat::kPrometheus
                       ? obs::RenderPrometheus(snap)
                       : obs::RenderTable(snap);

@@ -6,7 +6,7 @@ namespace laxml {
 
 uint64_t ServerStatsSnapshot::TotalRequests() const {
   uint64_t n = 0;
-  for (const OpStatsSnapshot& op : ops) n += op.requests;
+  for (const OpStatsSnapshot& op : ops) n += op.latency.count;
   return n;
 }
 
@@ -42,33 +42,33 @@ std::string ServerStatsSnapshot::ToString() const {
   }
   for (uint8_t i = 0; i <= net::kMaxOpCode; ++i) {
     const OpStatsSnapshot& op = ops[i];
-    if (op.requests == 0) continue;
+    if (op.latency.count == 0) continue;
     std::snprintf(line, sizeof(line),
                   "  %-18s %8llu reqs %6llu errs  mean %8.1f us  "
                   "p50 %8.1f  p95 %8.1f  p99 %8.1f  max %8llu us\n",
                   net::OpCodeName(static_cast<net::OpCode>(i)),
-                  static_cast<unsigned long long>(op.requests),
+                  static_cast<unsigned long long>(op.latency.count),
                   static_cast<unsigned long long>(op.errors),
-                  op.MeanMicros(), op.latency.Percentile(0.50),
+                  op.latency.Mean(), op.latency.Percentile(0.50),
                   op.latency.Percentile(0.95), op.latency.Percentile(0.99),
-                  static_cast<unsigned long long>(op.max_micros()));
+                  static_cast<unsigned long long>(op.latency.max));
     out += line;
   }
   return out;
 }
 
-void ServerStatsSnapshot::CollectMetrics(
-    obs::MetricsRegistry::Snapshot* snap) const {
+void ServerStatsSnapshot::CollectMetrics(obs::Snapshot* snap) const {
   for (uint8_t i = 0; i <= net::kMaxOpCode; ++i) {
     const OpStatsSnapshot& op = ops[i];
-    if (op.requests == 0) continue;
+    if (op.latency.count == 0) continue;
     const std::string labels =
         "{op=\"" +
         obs::EscapePrometheusLabelValue(
             net::OpCodeName(static_cast<net::OpCode>(i))) +
         "\"}";
     snap->histograms["laxml_server_op_us" + labels] = op.latency;
-    snap->counters["laxml_server_requests_total" + labels] = op.requests;
+    snap->counters["laxml_server_requests_total" + labels] =
+        op.latency.count;
     snap->counters["laxml_server_errors_total" + labels] = op.errors;
   }
   auto& counters = snap->counters;
@@ -86,6 +86,7 @@ void ServerStatsSnapshot::CollectMetrics(
   counters["laxml_server_shed_total"] = sheds;
   counters["laxml_server_deadline_exceeded_total"] = deadline_exceeded;
   counters["laxml_server_reaped_connections_total"] = reaped_connections;
+  if (slow_ops > 0) counters["laxml_server_slow_ops_total"] = slow_ops;
   snap->gauges["laxml_server_queue_depth"] =
       static_cast<int64_t>(queue_depth);
 }
@@ -104,7 +105,6 @@ ServerStatsSnapshot ServerStats::Snapshot() const {
   ServerStatsSnapshot snap;
   for (uint8_t i = 0; i <= net::kMaxOpCode; ++i) {
     snap.ops[i].latency = ops_[i].latency.snapshot();
-    snap.ops[i].requests = snap.ops[i].latency.count;
     snap.ops[i].errors = ops_[i].errors.load(kRelaxed);
   }
   snap.connections_accepted = connections_accepted_.load(kRelaxed);
@@ -117,6 +117,7 @@ ServerStatsSnapshot ServerStats::Snapshot() const {
   snap.sheds = sheds_.load(kRelaxed);
   snap.deadline_exceeded = deadline_exceeded_.load(kRelaxed);
   snap.reaped_connections = reaped_connections_.load(kRelaxed);
+  snap.slow_ops = slow_ops_.load(kRelaxed);
   return snap;
 }
 

@@ -1,15 +1,12 @@
-// Per-operation service counters for the laxml server: request count,
-// error count, and a full log2 latency histogram per OpCode, updated
-// lock-free by worker threads and snapshotted for GetStats /
-// GetMetrics / shutdown reporting. The histogram subsumes the old
-// total/max aggregates (count == requests, sum == total_micros, max
-// tracked by CAS inside obs::Histogram) and adds server-side
-// p50/p95/p99 so the tail is visible without client cooperation.
+// Per-operation service counters for the laxml server: error count and
+// a full log2 latency histogram per OpCode (its count is the request
+// count), updated lock-free by worker threads and snapshotted for
+// GetStats / GetMetrics / shutdown reporting. Server-side p50/p95/p99
+// show the tail without client cooperation.
 //
-// The table is per-Server (not in the global MetricsRegistry) so tests
-// running several servers in one process see isolated counters; the
-// GetMetrics op merges it into the same snapshot as the registry and
-// the store.
+// The table is per-Server, so several servers in one process (tests,
+// in-process A/B runs) see isolated counters; the GetMetrics op merges
+// it into one snapshot with its store's stats.
 
 #ifndef LAXML_SERVER_SERVER_STATS_H_
 #define LAXML_SERVER_SERVER_STATS_H_
@@ -26,13 +23,8 @@ namespace laxml {
 
 /// Immutable copy of one op's counters.
 struct OpStatsSnapshot {
-  uint64_t requests = 0;  ///< == latency.count
   uint64_t errors = 0;
   obs::HistogramSnapshot latency;  ///< Service time, microseconds.
-
-  uint64_t total_micros() const { return latency.sum; }
-  uint64_t max_micros() const { return latency.max; }
-  double MeanMicros() const { return latency.Mean(); }
 };
 
 /// Immutable copy of the whole table.
@@ -47,6 +39,7 @@ struct ServerStatsSnapshot {
   uint64_t sheds = 0;              ///< Requests answered kRetryLater.
   uint64_t deadline_exceeded = 0;  ///< Requests expired pre-execution.
   uint64_t reaped_connections = 0; ///< Write-stall + idle reaps.
+  uint64_t slow_ops = 0;  ///< Requests at or over --slow-op-us.
   /// Point-in-time admitted-queue depth (filled by Server::stats()).
   uint64_t queue_depth = 0;
 
@@ -58,10 +51,11 @@ struct ServerStatsSnapshot {
   std::string ToString() const;
 
   /// Adds the table to a scrape's snapshot: laxml_server_op_us{op="NAME"}
-  /// histograms, the request/error/connection/byte/overload counters and
-  /// the queue-depth gauge. The GetMetrics op renders them together with
-  /// the registry and the store.
-  void CollectMetrics(obs::MetricsRegistry::Snapshot* snap) const;
+  /// histograms, the request/error/connection/byte/overload counters,
+  /// laxml_server_slow_ops_total once an op was slow, and the
+  /// queue-depth gauge. The GetMetrics op renders them together with the
+  /// store's.
+  void CollectMetrics(obs::Snapshot* snap) const;
 };
 
 /// The live, thread-safe counter table.
@@ -78,6 +72,7 @@ class ServerStats {
   void AddShed() { sheds_.fetch_add(1, kRelaxed); }
   void AddDeadlineExceeded() { deadline_exceeded_.fetch_add(1, kRelaxed); }
   void AddReaped() { reaped_connections_.fetch_add(1, kRelaxed); }
+  void AddSlowOp() { slow_ops_.fetch_add(1, kRelaxed); }
 
   ServerStatsSnapshot Snapshot() const;
 
@@ -98,6 +93,7 @@ class ServerStats {
   std::atomic<uint64_t> sheds_{0};
   std::atomic<uint64_t> deadline_exceeded_{0};
   std::atomic<uint64_t> reaped_connections_{0};
+  std::atomic<uint64_t> slow_ops_{0};
 };
 
 }  // namespace laxml

@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/store.h"
 #include "xml/stream_loader.h"
@@ -41,7 +40,7 @@ constexpr size_t kDefaultBulkRangeBytes = 64 * 1024;
 Result<BulkLoadStats> Store::BulkLoad(
     const std::function<Result<size_t>(char* buf, size_t cap)>& read) {
   LAXML_TRACE_SPAN("bulk_load");
-  LAXML_RETURN_IF_ERROR(CheckNotPoisoned());
+  LAXML_RETURN_IF_ERROR(poison_status());
   if (read_only()) {
     return Status::NotSupported("store opened read-only");
   }
@@ -130,7 +129,7 @@ Result<BulkLoadStats> Store::BulkLoad(
     stats_.nodes_inserted += stats.nodes;
     stats_.tokens_inserted += stats.tokens;
     stats_.bytes_inserted += stats.payload_bytes;
-    LAXML_COUNTER_ADD("laxml_bulk_load_bytes_total", stats.xml_bytes);
+    stats_.bulk_load_bytes += stats.xml_bytes;
 
     // Make the load durable: the checkpoint plays the role the skipped
     // WAL records would have (and truncates any WAL epoch).
@@ -139,7 +138,7 @@ Result<BulkLoadStats> Store::BulkLoad(
 
   if (had_no_steal) pool->set_no_steal(true);
   if (!st.ok()) {
-    MaybePoison("bulk_load", st);
+    MaybePoison(StoreOp::kBulkLoad, st);
     return st;
   }
   stats.dict_symbols = dict_->size();

@@ -3,12 +3,51 @@
 #ifndef LAXML_STORE_STATS_H_
 #define LAXML_STORE_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "common/relaxed_counter.h"
+#include "obs/metrics.h"
 
 namespace laxml {
+
+/// The Store operations the per-op stats are kept for: the latency
+/// histograms (the Table-1 mutators and both reads) and the I/O-error
+/// counts (the mutators, Sync and bulk load).
+enum class StoreOp : uint8_t {
+  kInsertBefore,
+  kInsertAfter,
+  kInsertIntoFirst,
+  kInsertIntoLast,
+  kInsertTopLevel,
+  kDelete,
+  kReplaceNode,
+  kReplaceContent,
+  kReadById,
+  kFullScan,
+  kSync,
+  kBulkLoad,
+};
+inline constexpr size_t kStoreOpCount =
+    static_cast<size_t>(StoreOp::kBulkLoad) + 1;
+
+/// Each op's label value in laxml_store_op_us{op} and
+/// laxml_io_errors_total{op}, indexed by StoreOp.
+inline constexpr const char* kStoreOpNames[kStoreOpCount] = {
+    "insert_before",
+    "insert_after",
+    "insert_into_first",
+    "insert_into_last",
+    "insert_top_level",
+    "delete",
+    "replace_node",
+    "replace_content",
+    "read_by_id",
+    "full_scan",
+    "sync",
+    "bulk_load",
+};
 
 /// Store-level counters. Substrate counters (buffer pool, record store,
 /// range manager, indexes) are exposed by their own structs. Fields are
@@ -31,6 +70,18 @@ struct StoreStats {
   /// Full-index maintenance operations (puts + deletes + split-rebasing
   /// re-puts) — the measurable price of eagerness.
   RelaxedCounter full_index_maintenance;
+  /// XML bytes streamed in by BulkLoad.
+  RelaxedCounter bulk_load_bytes;
+
+  /// Wall time of each op in microseconds (laxml_store_op_us{op}).
+  obs::Histogram op_us[kStoreOpCount];
+  /// Environmental failures (I/O, corruption, no space, exhaustion)
+  /// that poisoned the store, by the op that hit them.
+  RelaxedCounter io_errors[kStoreOpCount];
+
+  obs::Histogram& latency(StoreOp op) {
+    return op_us[static_cast<size_t>(op)];
+  }
 
   std::string ToString() const;
 };

@@ -379,8 +379,8 @@ Status Store::Sync() {
   // A poisoned store must never checkpoint: its in-memory state is
   // suspect after the failed operation, and a checkpoint would replace
   // the last good on-disk image with it.
-  LAXML_RETURN_IF_ERROR(CheckNotPoisoned());
-  return FailStop("sync", SyncImpl());
+  LAXML_RETURN_IF_ERROR(poison_status());
+  return FailStop(StoreOp::kSync, SyncImpl());
 }
 
 Status Store::SyncImpl() {
@@ -413,8 +413,6 @@ Status Store::poison_status() const {
   return poison_status_;
 }
 
-Status Store::CheckNotPoisoned() const { return poison_status(); }
-
 void Store::Poison(const Status& cause) {
   MutexLock lock(poison_mu_);
   if (poisoned_.load(std::memory_order_acquire)) return;  // first wins
@@ -424,21 +422,13 @@ void Store::Poison(const Status& cause) {
   LAXML_LOG(kError) << "store poisoned: " << cause.ToString();
 }
 
-void Store::MaybePoison(const char* op, const Status& st) {
+void Store::MaybePoison(StoreOp op, const Status& st) {
   if (!st.IsIOError() && !st.IsCorruption() && !st.IsNoSpace() &&
       !st.IsResourceExhausted()) {
     return;  // caller error, not an environmental failure
   }
-  RecordIoError(op);
+  ++stats_.io_errors[static_cast<size_t>(op)];
   Poison(st);
-}
-
-void Store::RecordIoError(const char* op) {
-  // Runtime-assembled name, so no per-call-site caching macro here. Not
-  // compiled out with the macros: an I/O error is rare and is the alert.
-  obs::MetricsRegistry::Global()
-      .GetCounter(std::string("laxml_io_errors_total{op=\"") + op + "\"}")
-      ->Inc();
 }
 
 Status Store::MaybeSync() {
@@ -821,47 +811,47 @@ Status Store::DeleteRangesBetween(RangeId first_doomed,
 // past state that never reached disk.
 
 Result<NodeId> Store::InsertBefore(NodeId id, const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(CheckNotPoisoned());
-  return FailStop("insert_before", InsertBeforeImpl(id, data));
+  LAXML_RETURN_IF_ERROR(poison_status());
+  return FailStop(StoreOp::kInsertBefore, InsertBeforeImpl(id, data));
 }
 
 Result<NodeId> Store::InsertAfter(NodeId id, const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(CheckNotPoisoned());
-  return FailStop("insert_after", InsertAfterImpl(id, data));
+  LAXML_RETURN_IF_ERROR(poison_status());
+  return FailStop(StoreOp::kInsertAfter, InsertAfterImpl(id, data));
 }
 
 Result<NodeId> Store::InsertIntoFirst(NodeId id, const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(CheckNotPoisoned());
-  return FailStop("insert_into_first", InsertIntoFirstImpl(id, data));
+  LAXML_RETURN_IF_ERROR(poison_status());
+  return FailStop(StoreOp::kInsertIntoFirst, InsertIntoFirstImpl(id, data));
 }
 
 Result<NodeId> Store::InsertIntoLast(NodeId id, const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(CheckNotPoisoned());
-  return FailStop("insert_into_last", InsertIntoLastImpl(id, data));
+  LAXML_RETURN_IF_ERROR(poison_status());
+  return FailStop(StoreOp::kInsertIntoLast, InsertIntoLastImpl(id, data));
 }
 
 Result<NodeId> Store::InsertTopLevel(const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(CheckNotPoisoned());
-  return FailStop("insert_top_level", InsertTopLevelImpl(data));
+  LAXML_RETURN_IF_ERROR(poison_status());
+  return FailStop(StoreOp::kInsertTopLevel, InsertTopLevelImpl(data));
 }
 
 Status Store::DeleteNode(NodeId id) {
-  LAXML_RETURN_IF_ERROR(CheckNotPoisoned());
-  return FailStop("delete", DeleteNodeImpl(id));
+  LAXML_RETURN_IF_ERROR(poison_status());
+  return FailStop(StoreOp::kDelete, DeleteNodeImpl(id));
 }
 
 Result<NodeId> Store::ReplaceNode(NodeId id, const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(CheckNotPoisoned());
-  return FailStop("replace_node", ReplaceNodeImpl(id, data));
+  LAXML_RETURN_IF_ERROR(poison_status());
+  return FailStop(StoreOp::kReplaceNode, ReplaceNodeImpl(id, data));
 }
 
 Result<NodeId> Store::ReplaceContent(NodeId id, const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(CheckNotPoisoned());
-  return FailStop("replace_content", ReplaceContentImpl(id, data));
+  LAXML_RETURN_IF_ERROR(poison_status());
+  return FailStop(StoreOp::kReplaceContent, ReplaceContentImpl(id, data));
 }
 
 Result<NodeId> Store::InsertBeforeImpl(NodeId id, const TokenSequence& data) {
-  LAXML_SCOPED_LATENCY_US("laxml_store_op_us{op=\"insert_before\"}");
+  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kInsertBefore));
   LAXML_RETURN_IF_ERROR(ValidateFragment(data));
   LAXML_RETURN_IF_ERROR(LogOp(WalOp::kInsertBefore, id, data));
   LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
@@ -875,7 +865,7 @@ Result<NodeId> Store::InsertBeforeImpl(NodeId id, const TokenSequence& data) {
 }
 
 Result<NodeId> Store::InsertAfterImpl(NodeId id, const TokenSequence& data) {
-  LAXML_SCOPED_LATENCY_US("laxml_store_op_us{op=\"insert_after\"}");
+  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kInsertAfter));
   LAXML_RETURN_IF_ERROR(ValidateFragment(data));
   LAXML_RETURN_IF_ERROR(LogOp(WalOp::kInsertAfter, id, data));
   LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
@@ -896,7 +886,7 @@ Result<NodeId> Store::InsertAfterImpl(NodeId id, const TokenSequence& data) {
 
 Result<NodeId> Store::InsertIntoFirstImpl(NodeId id,
                                       const TokenSequence& data) {
-  LAXML_SCOPED_LATENCY_US("laxml_store_op_us{op=\"insert_into_first\"}");
+  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kInsertIntoFirst));
   LAXML_RETURN_IF_ERROR(ValidateFragment(data));
   LAXML_RETURN_IF_ERROR(LogOp(WalOp::kInsertIntoFirst, id, data));
   LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
@@ -913,7 +903,7 @@ Result<NodeId> Store::InsertIntoFirstImpl(NodeId id,
 }
 
 Result<NodeId> Store::InsertIntoLastImpl(NodeId id, const TokenSequence& data) {
-  LAXML_SCOPED_LATENCY_US("laxml_store_op_us{op=\"insert_into_last\"}");
+  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kInsertIntoLast));
   LAXML_RETURN_IF_ERROR(ValidateFragment(data));
   LAXML_RETURN_IF_ERROR(LogOp(WalOp::kInsertIntoLast, id, data));
   LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
@@ -938,7 +928,7 @@ Result<NodeId> Store::InsertIntoLastImpl(NodeId id, const TokenSequence& data) {
 }
 
 Result<NodeId> Store::InsertTopLevelImpl(const TokenSequence& data) {
-  LAXML_SCOPED_LATENCY_US("laxml_store_op_us{op=\"insert_top_level\"}");
+  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kInsertTopLevel));
   LAXML_RETURN_IF_ERROR(ValidateFragment(data));
   LAXML_RETURN_IF_ERROR(LogOp(WalOp::kInsertTopLevel, kInvalidNodeId, data));
   LAXML_ASSIGN_OR_RETURN(NodeId first,
@@ -949,7 +939,7 @@ Result<NodeId> Store::InsertTopLevelImpl(const TokenSequence& data) {
 }
 
 Status Store::DeleteNodeImpl(NodeId id) {
-  LAXML_SCOPED_LATENCY_US("laxml_store_op_us{op=\"delete\"}");
+  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kDelete));
   LAXML_RETURN_IF_ERROR(LogOp(WalOp::kDeleteNode, id, {}));
   LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
   LAXML_ASSIGN_OR_RETURN(Located end, LocateEnd(id, begin));
@@ -964,7 +954,7 @@ Status Store::DeleteNodeImpl(NodeId id) {
 }
 
 Result<NodeId> Store::ReplaceNodeImpl(NodeId id, const TokenSequence& data) {
-  LAXML_SCOPED_LATENCY_US("laxml_store_op_us{op=\"replace_node\"}");
+  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kReplaceNode));
   LAXML_RETURN_IF_ERROR(ValidateFragment(data));
   LAXML_RETURN_IF_ERROR(LogOp(WalOp::kReplaceNode, id, data));
   LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
@@ -981,7 +971,7 @@ Result<NodeId> Store::ReplaceNodeImpl(NodeId id, const TokenSequence& data) {
 }
 
 Result<NodeId> Store::ReplaceContentImpl(NodeId id, const TokenSequence& data) {
-  LAXML_SCOPED_LATENCY_US("laxml_store_op_us{op=\"replace_content\"}");
+  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kReplaceContent));
   if (!data.empty()) {
     LAXML_RETURN_IF_ERROR(ValidateFragment(data));
   }
@@ -1015,7 +1005,7 @@ Result<TokenSequence> Store::Read() {
 }
 
 Result<TokenSequence> Store::ReadWithIds(std::vector<NodeId>* ids) {
-  LAXML_SCOPED_LATENCY_US("laxml_store_op_us{op=\"full_scan\"}");
+  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kFullScan));
   // Sized once from the range totals (the auditor checks them against
   // the range metadata), so a scan never holds a doubling's 2x copy. The
   // capacity is rounded up to a power of two: pages past the last token
@@ -1104,7 +1094,7 @@ Status Store::ReadMemoizedSubtree(NodeId id, const PartialEntry& memo,
 }
 
 Result<TokenSequence> Store::Read(NodeId id) {
-  LAXML_SCOPED_LATENCY_US("laxml_store_op_us{op=\"read_by_id\"}");
+  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kReadById));
   TokenSequence out;
   // One Partial Index probe serves both the memo-hit path and the locate.
   PartialEntry memo;

@@ -306,21 +306,18 @@ class Store {
   Status PersistMeta();
   Status LoadMeta(const std::vector<uint8_t>& blob);
 
-  /// Poisoned gate for mutators: the sticky error, or OK.
-  Status CheckNotPoisoned() const;
   /// Classifies `st`: environmental failures (I/O, corruption, no
   /// space, exhaustion) poison the store and bump
   /// laxml_io_errors_total{op}; caller errors (NotFound,
   /// InvalidArgument, ...) pass through untouched.
-  void MaybePoison(const char* op, const Status& st);
-  static void RecordIoError(const char* op);
+  void MaybePoison(StoreOp op, const Status& st);
 
   template <typename T>
-  Result<T> FailStop(const char* op, Result<T> result) {
+  Result<T> FailStop(StoreOp op, Result<T> result) {
     if (!result.ok()) MaybePoison(op, result.status());
     return result;
   }
-  Status FailStop(const char* op, Status st) {
+  Status FailStop(StoreOp op, Status st) {
     if (!st.ok()) MaybePoison(op, st);
     return st;
   }

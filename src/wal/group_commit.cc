@@ -1,6 +1,5 @@
 #include "wal/group_commit.h"
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace laxml {
@@ -54,7 +53,7 @@ Status GroupCommit::WaitDurable(uint64_t lsn) {
     ++stats_.syncs;
     const uint64_t batch = wal_->durable_lsn() - durable_before;
     stats_.records_synced += batch;
-    LAXML_HISTOGRAM_RECORD("laxml_wal_group_commit_batch", batch);
+    stats_.batch.Record(batch);
     cv_.NotifyAll();
     // Loop re-checks the durable point; the snapshot inside Sync() ran
     // after our append, so it covers our LSN and the next pass returns.

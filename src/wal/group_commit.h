@@ -23,6 +23,7 @@
 #include "common/relaxed_counter.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 #include "wal/wal.h"
 
 namespace laxml {
@@ -33,6 +34,7 @@ struct GroupCommitStats {
   RelaxedCounter syncs;          ///< fdatasyncs issued by leaders.
   RelaxedCounter records_synced; ///< LSNs advanced across all syncs.
   RelaxedCounter piggybacked;    ///< Commits durable with zero own I/O.
+  obs::Histogram batch;          ///< LSNs each leader's sync advanced.
 };
 
 /// One sequencer per Wal. Thread-safe; cheap when uncontended (a

@@ -1,6 +1,5 @@
 #include "wal/wal.h"
 
-#include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/trace.h"
 
@@ -40,7 +39,7 @@ Status Wal::Sync() {
   LAXML_TRACE_SPAN("wal_fsync");
   const uint64_t start_us = obs::NowMicros();
   LAXML_RETURN_IF_ERROR(file_->Sync());
-  LAXML_HISTOGRAM_RECORD("laxml_wal_fsync_us", obs::NowMicros() - start_us);
+  stats_.fsync_us.Record(obs::NowMicros() - start_us);
   // Monotone advance: a concurrent Sync may already have published a
   // higher durable point.
   uint64_t cur = durable_lsn_.load(std::memory_order_acquire);

@@ -24,18 +24,20 @@
 
 #include "common/relaxed_counter.h"
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "wal/log_format.h"
 #include "wal/wal_file.h"
 
 namespace laxml {
 
-/// Counters for tests. RelaxedCounters: Sync() runs from committer
-/// threads (group commit) concurrently with appends and stat readers.
+/// Counters for tests and scrapes. RelaxedCounters: Sync() runs from
+/// committer threads concurrently with appends and stat readers.
 struct WalStats {
   RelaxedCounter records_appended;
   RelaxedCounter bytes_appended;
   RelaxedCounter truncations;
   RelaxedCounter syncs;
+  obs::Histogram fsync_us;  ///< Each successful fdatasync's wall time.
 };
 
 /// An append-only operation journal.

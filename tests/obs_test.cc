@@ -1,8 +1,8 @@
 // Unit tests for the observability layer (src/obs): histogram bucket
 // math and percentile estimation (exact values where the design
-// guarantees them), registry get-or-create semantics and concurrent
-// recording (a sanitizer hunting ground), both text renderings, the
-// per-store collector, and the trace ring + binary dump codec.
+// guarantees them), concurrent recording (a sanitizer hunting ground),
+// both text renderings and the exposition parser, the per-store
+// collector, and the trace ring + binary dump codec.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,8 @@
 #include "obs/trace.h"
 #include "store/store.h"
 #include "test_util.h"
+#include "wal/wal.h"
+#include "wal/wal_file.h"
 
 namespace laxml {
 namespace obs {
@@ -126,67 +128,41 @@ TEST(HistogramPercentile, QuantilesAreMonotone) {
 }
 
 // --------------------------------------------------------------------
-// Registry
+// Histogram snapshots
 
-TEST(MetricsRegistry, GetOrCreateReturnsStablePointers) {
-  MetricsRegistry registry;
-  Counter* a = registry.GetCounter("test_counter");
-  Counter* b = registry.GetCounter("test_counter");
-  EXPECT_EQ(a, b);
-  a->Inc();
-  EXPECT_EQ(b->value(), 1u);
-
-  Histogram* h1 = registry.GetHistogram("test_hist");
-  Histogram* h2 = registry.GetHistogram("test_hist");
-  EXPECT_EQ(h1, h2);
-  EXPECT_NE(static_cast<void*>(a), static_cast<void*>(h1));
+HistogramSnapshot Recorded(std::initializer_list<uint64_t> values) {
+  Histogram h;
+  for (uint64_t v : values) h.Record(v);
+  return h.snapshot();
 }
 
-TEST(MetricsRegistry, SnapshotSeesEverything) {
-  MetricsRegistry registry;
-  registry.GetCounter("c1")->Add(5);
-  registry.GetHistogram("h1")->Record(100);
-  MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
-  EXPECT_EQ(snap.counters.at("c1"), 5u);
-  EXPECT_TRUE(snap.gauges.empty());  // gauges come from collectors only
-  EXPECT_EQ(snap.histograms.at("h1").count, 1u);
+/// The log2 bucket a (possibly fractional) Percentile result lies in.
+size_t BucketOf(double v) {
+  return v >= 0x1p62 ? Histogram::kBucketCount - 1
+                     : Histogram::BucketIndex(static_cast<uint64_t>(v));
 }
 
-// The concurrency hammer: registration races with recording races with
-// snapshotting. Run under tsan (test labeled "sanitizer") this is the
-// data-race regression net for the whole registry.
-TEST(MetricsRegistry, ConcurrentRegisterRecordSnapshot) {
-  MetricsRegistry registry;
-  constexpr int kThreads = 8;
-  constexpr int kIters = 2000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, t] {
-      // Half the threads share metric names; half get their own —
-      // exercising both the create and the lookup path.
-      const std::string cname =
-          t % 2 == 0 ? "shared_counter" : "counter_" + std::to_string(t);
-      const std::string hname =
-          t % 2 == 0 ? "shared_hist" : "hist_" + std::to_string(t);
-      for (int i = 0; i < kIters; ++i) {
-        registry.GetCounter(cname)->Inc();
-        registry.GetHistogram(hname)->Record(static_cast<uint64_t>(i));
-        if (i % 256 == 0) {
-          MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
-          EXPECT_FALSE(snap.counters.empty());
-        }
-      }
-    });
+TEST(HistogramSince, WindowHoldsOnlyTheNewValues) {
+  Histogram h;
+  for (int i = 0; i < 100; ++i) h.Record(10);
+  const HistogramSnapshot before = h.snapshot();
+  for (int i = 0; i < 4; ++i) h.Record(5000);
+  const HistogramSnapshot window = h.snapshot().Since(before);
+  EXPECT_EQ(window.count, 4u);
+  EXPECT_EQ(window.sum, 20000u);
+  EXPECT_EQ(window.buckets[Histogram::BucketIndex(10)], 0u);
+  // The lifetime p50 still sits at 10; the window's quantiles are all in
+  // 5000's bucket, held there by the lifetime max.
+  EXPECT_EQ(BucketOf(h.snapshot().Percentile(0.5)), BucketOf(10));
+  for (double q : {0.01, 0.5, 0.99}) {
+    EXPECT_EQ(BucketOf(window.Percentile(q)), BucketOf(5000)) << q;
   }
-  for (auto& th : threads) th.join();
+  EXPECT_EQ(window.max, 5000u);
 
-  MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
-  EXPECT_EQ(snap.counters.at("shared_counter"),
-            static_cast<uint64_t>(kThreads / 2) * kIters);
-  uint64_t total_hist = 0;
-  for (const auto& [name, h] : snap.histograms) total_hist += h.count;
-  EXPECT_EQ(total_hist, static_cast<uint64_t>(kThreads) * kIters);
+  // No new values: an empty window. A histogram that went backwards
+  // (a restarted process) is its own window.
+  EXPECT_EQ(h.snapshot().Since(h.snapshot()).count, 0u);
+  EXPECT_EQ(before.Since(h.snapshot()).count, before.count);
 }
 
 TEST(Histogram, ConcurrentRecordLosesNothing) {
@@ -215,12 +191,9 @@ TEST(Histogram, ConcurrentRecordLosesNothing) {
 // Renderings
 
 TEST(Render, PrometheusExposition) {
-  MetricsRegistry registry;
-  registry.GetCounter("laxml_test_ops_total")->Add(3);
-  Histogram* h = registry.GetHistogram("laxml_test_us{op=\"read\"}");
-  h->Record(5);
-  h->Record(500);
-  MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
+  Snapshot snap;
+  snap.counters["laxml_test_ops_total"] = 3;
+  snap.histograms["laxml_test_us{op=\"read\"}"] = Recorded({5, 500});
   snap.gauges["laxml_test_level"] = 11;
   std::string text = RenderPrometheus(snap);
 
@@ -229,8 +202,9 @@ TEST(Render, PrometheusExposition) {
   EXPECT_NE(text.find("laxml_test_ops_total 3\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE laxml_test_level gauge\nlaxml_test_level 11\n"),
             std::string::npos);
-  // Histogram: label block merged with le, cumulative +Inf, sum/count,
-  // derived percentile gauges.
+  // Histogram: label block merged with le, one cumulative line per
+  // occupied bucket plus +Inf, sum/count, and no derived quantile
+  // families (consumers take quantiles from the buckets).
   EXPECT_NE(text.find("# TYPE laxml_test_us histogram"),
             std::string::npos);
   EXPECT_NE(text.find("laxml_test_us_bucket{op=\"read\",le=\"+Inf\"} 2"),
@@ -239,10 +213,13 @@ TEST(Render, PrometheusExposition) {
             std::string::npos);
   EXPECT_NE(text.find("laxml_test_us_count{op=\"read\"} 2"),
             std::string::npos);
-  EXPECT_NE(text.find("laxml_test_us_p50{op=\"read\"}"),
+  EXPECT_NE(text.find("laxml_test_us_bucket{op=\"read\",le=\"7\"} 1\n"),
             std::string::npos);
-  EXPECT_NE(text.find("laxml_test_us_p99{op=\"read\"}"),
+  EXPECT_NE(text.find("laxml_test_us_bucket{op=\"read\",le=\"511\"} 2\n"),
             std::string::npos);
+  for (const char* suffix : {"_p50", "_p95", "_p99"}) {
+    EXPECT_EQ(text.find(suffix), std::string::npos) << suffix;
+  }
 
   // Every non-comment line is "name[{labels}] value".
   size_t pos = 0;
@@ -259,10 +236,9 @@ TEST(Render, PrometheusExposition) {
 }
 
 TEST(Render, TableListsEveryMetric) {
-  MetricsRegistry registry;
-  registry.GetCounter("laxml_c")->Add(9);
-  registry.GetHistogram("laxml_h")->Record(77);
-  MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
+  Snapshot snap;
+  snap.counters["laxml_c"] = 9;
+  snap.histograms["laxml_h"] = Recorded({77});
   snap.gauges["laxml_g"] = 4;
   std::string table = RenderTable(snap);
   EXPECT_NE(table.find("laxml_c"), std::string::npos);
@@ -292,68 +268,87 @@ TEST(Render, EscapePrometheusLabelValue) {
 }
 
 TEST(Render, EmptyHistogramExposition) {
-  // A registered-but-never-recorded histogram must still render a
-  // well-formed family: the mandatory +Inf bucket, zero sum/count, and
-  // percentile gauges at 0 — not a truncated or absent family.
-  MetricsRegistry registry;
-  registry.GetHistogram("laxml_empty_us");
-  std::string text = RenderPrometheus(registry.TakeSnapshot());
+  // An empty histogram must still render a well-formed family: the
+  // mandatory +Inf bucket and zero sum/count — not a truncated or
+  // absent family.
+  Snapshot snap;
+  snap.histograms["laxml_empty_us"] = HistogramSnapshot{};
+  std::string text = RenderPrometheus(snap);
   EXPECT_NE(text.find("# TYPE laxml_empty_us histogram"),
             std::string::npos);
   EXPECT_NE(text.find("laxml_empty_us_bucket{le=\"+Inf\"} 0\n"),
             std::string::npos);
   EXPECT_NE(text.find("laxml_empty_us_sum 0\n"), std::string::npos);
   EXPECT_NE(text.find("laxml_empty_us_count 0\n"), std::string::npos);
-  EXPECT_NE(text.find("laxml_empty_us_p50 0\n"), std::string::npos);
+  EXPECT_EQ(text.find("laxml_empty_us_bucket{le=\"0\"}"), std::string::npos);
 }
 
 TEST(Render, PrometheusRoundTripParse) {
-  // The exposition must survive the same name/value split laxml_top
-  // applies (rsplit on the last space): every value parses back to the
-  // number that went in, including labeled series.
-  MetricsRegistry registry;
-  registry.GetCounter("laxml_rt_total")->Add(12345);
-  registry.GetCounter("laxml_rt_labeled_total{op=\"x\"}")->Add(7);
-  Histogram* h = registry.GetHistogram("laxml_rt_us{op=\"read\"}");
-  for (int i = 0; i < 10; ++i) h->Record(64);
-  MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
+  // ParsePrometheus reads back everything the exposition carries:
+  // counters, gauges, and each histogram's buckets, sum and count, under
+  // the names they were rendered with. Min and max are not carried; the
+  // parse widens them to the occupied buckets' bounds, so a quantile
+  // changes only where the original's [min, max] clamp binds, and then
+  // stays inside its log2 bucket.
+  Snapshot snap;
+  snap.counters["laxml_rt_total"] = 12345;
+  snap.counters["laxml_rt_labeled_total{op=\"x\"}"] = 7;
   snap.gauges["laxml_rt_level"] = -3;
-  std::string text = RenderPrometheus(snap);
+  snap.histograms["laxml_rt_empty_us"] = HistogramSnapshot{};
+  snap.histograms["laxml_rt_us{op=\"read\"}"] =
+      Recorded({64, 64, 64, 64, 64, 64, 64, 64, 64, 64});
+  snap.histograms["laxml_rt_us{op=\"write\"}"] =
+      Recorded({0, 1, 3, 3, 90, 100, 5000, uint64_t{1} << 40,
+                (uint64_t{1} << 62) + 5});
+  Histogram uniform;
+  for (uint64_t v = 0; v < 1024; ++v) uniform.Record(v);
+  snap.histograms["laxml_rt_uniform_us"] = uniform.snapshot();
+  const std::string text = RenderPrometheus(snap);
+  EXPECT_NE(text.find("laxml_rt_us_bucket{op=\"read\",le=\"+Inf\"} 10\n"),
+            std::string::npos);
 
-  std::map<std::string, double> parsed;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    ASSERT_NE(eol, std::string::npos);
-    std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty() || line[0] == '#') continue;
-    size_t space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    char* end = nullptr;
-    double value = std::strtod(line.c_str() + space + 1, &end);
-    ASSERT_TRUE(end != nullptr && *end == '\0') << line;
-    parsed[line.substr(0, space)] = value;
+  // Lines the parser cannot read (a scrape cut short, a foreign family)
+  // are skipped without touching what it has read.
+  const Snapshot parsed = ParsePrometheus(
+      text + "laxml_rt_total\n# TYPE x_us histogram\nx_us_bucket{le=\" 1\n"
+             "x_us_bucket{le=\"oops\"} 2\nnounderscore 3\n# TYPE y gauge\n"
+             "y 1.5\nlaxml_rt_us_count{op=\"read\"");
+  EXPECT_EQ(parsed.counters, snap.counters);
+  EXPECT_EQ(parsed.gauges, snap.gauges);
+  ASSERT_EQ(parsed.histograms.size(), snap.histograms.size());
+  for (const auto& [name, want] : snap.histograms) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(parsed.histograms.count(name), 1u);
+    const HistogramSnapshot& got = parsed.histograms.at(name);
+    for (size_t b = 0; b < Histogram::kBucketCount; ++b) {
+      EXPECT_EQ(got.buckets[b], want.buckets[b]) << "bucket " << b;
+    }
+    EXPECT_EQ(got.sum, want.sum);
+    EXPECT_EQ(got.count, want.count);
+    for (int i = 0; i <= 100; ++i) {
+      const double q = i / 100.0;
+      const double w = want.Percentile(q);
+      const double g = got.Percentile(q);
+      if (w > static_cast<double>(want.min) &&
+          w < static_cast<double>(want.max)) {
+        EXPECT_DOUBLE_EQ(g, w) << "q=" << q;
+      } else {
+        EXPECT_EQ(BucketOf(g), BucketOf(w)) << "q=" << q;
+      }
+    }
   }
-  EXPECT_DOUBLE_EQ(parsed.at("laxml_rt_total"), 12345.0);
-  EXPECT_DOUBLE_EQ(parsed.at("laxml_rt_labeled_total{op=\"x\"}"), 7.0);
-  EXPECT_DOUBLE_EQ(parsed.at("laxml_rt_level"), -3.0);
-  EXPECT_DOUBLE_EQ(parsed.at("laxml_rt_us_count{op=\"read\"}"), 10.0);
-  EXPECT_DOUBLE_EQ(parsed.at("laxml_rt_us_sum{op=\"read\"}"), 640.0);
-  EXPECT_DOUBLE_EQ(parsed.at("laxml_rt_us_p50{op=\"read\"}"), 64.0);
 }
 
 TEST(Render, PrometheusFamiliesAreContiguous) {
   // Two labeled series of one histogram and an unlabeled sample beside
-  // labeled ones: in snapshot order the quantile families and the
-  // longer-named counter would interleave; the renderer groups them.
-  MetricsRegistry registry;
-  registry.GetHistogram("laxml_lint_us{op=\"a\"}")->Record(3);
-  registry.GetHistogram("laxml_lint_us{op=\"b\"}")->Record(9);
-  registry.GetCounter("laxml_lint_total")->Add(1);
-  registry.GetCounter("laxml_lint_total_x_total")->Add(1);
-  registry.GetCounter("laxml_lint_total{op=\"a\"}")->Add(2);
-  MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
+  // labeled ones: in snapshot order the longer-named counter would
+  // interleave with the labeled series; the renderer groups them.
+  Snapshot snap;
+  snap.histograms["laxml_lint_us{op=\"a\"}"] = Recorded({3});
+  snap.histograms["laxml_lint_us{op=\"b\"}"] = Recorded({9});
+  snap.counters["laxml_lint_total"] = 1;
+  snap.counters["laxml_lint_total_x_total"] = 1;
+  snap.counters["laxml_lint_total{op=\"a\"}"] = 2;
   snap.gauges["laxml_lint_level"] = 5;
   const std::string text = RenderPrometheus(snap);
   const std::vector<std::string> errors = testing::LintExposition(text);
@@ -379,8 +374,9 @@ TEST(Render, LintCatchesBrokenExpositions) {
 // Engine collector
 
 TEST(EngineMetrics, TwoStoresScrapeIndependently) {
-  // Each store counts its own events in its own stats structs, so a
-  // scrape of B shows none of A's reads.
+  // Each store counts its own events in its own stats structs, latency
+  // histograms and I/O-error counts included, so a scrape of B shows
+  // none of A's reads.
   ASSERT_OK_AND_ASSIGN(auto a, Store::OpenInMemory(StoreOptions{}));
   ASSERT_OK_AND_ASSIGN(auto b, Store::OpenInMemory(StoreOptions{}));
   ASSERT_OK_AND_ASSIGN(NodeId root, a->LoadXml("<r><x>1</x><y>2</y></r>"));
@@ -389,8 +385,8 @@ TEST(EngineMetrics, TwoStoresScrapeIndependently) {
     ASSERT_LAXML_OK(a->Read(id).status());
   }
 
-  MetricsRegistry::Snapshot snap_a;
-  MetricsRegistry::Snapshot snap_b;
+  Snapshot snap_a;
+  Snapshot snap_b;
   CollectStoreMetrics(*a, &snap_a);
   CollectStoreMetrics(*b, &snap_b);
   EXPECT_GT(snap_a.counters.at("laxml_partial_lookups_total"), 0u);
@@ -398,9 +394,56 @@ TEST(EngineMetrics, TwoStoresScrapeIndependently) {
   EXPECT_EQ(snap_a.counters.at("laxml_store_reads_by_id_total"), 3u);
   EXPECT_EQ(snap_b.counters.at("laxml_store_reads_by_id_total"), 0u);
   EXPECT_EQ(snap_b.gauges.at("laxml_store_poisoned"), 0);
+  const std::string read_us = "laxml_store_op_us{op=\"read_by_id\"}";
+  ASSERT_EQ(snap_a.histograms.count(read_us), 1u);
+  EXPECT_EQ(snap_a.histograms.at(read_us).count, 3u);
+  EXPECT_EQ(snap_b.histograms.count(read_us), 0u);
   const std::vector<std::string> errors =
       testing::LintExposition(RenderPrometheus(snap_a));
   EXPECT_TRUE(errors.empty()) << errors.front();
+
+  // Two WAL stores syncing every commit. C commits three times and then
+  // loses its log device; D commits once and stays healthy.
+  testing::TempFile tmp_c("scrape_c");
+  testing::TempFile tmp_d("scrape_d");
+  StoreOptions options;
+  options.enable_wal = true;
+  options.wal_sync = WalSyncMode::kEveryCommit;
+  StoreOptions faulty_options = options;
+  FaultyWalFile* fwf = nullptr;
+  faulty_options.wal_file_wrapper =
+      [&fwf](std::unique_ptr<WalFile> base) -> std::unique_ptr<WalFile> {
+    auto wrapped = FaultyWalFile::Wrap(std::move(base));
+    if (!wrapped.ok()) return nullptr;
+    fwf = wrapped->get();
+    return std::move(wrapped).value();
+  };
+  ASSERT_OK_AND_ASSIGN(auto c, Store::Open(tmp_c.path(), faulty_options));
+  ASSERT_OK_AND_ASSIGN(auto d, Store::Open(tmp_d.path(), options));
+  ASSERT_NE(fwf, nullptr);
+  for (int i = 0; i < 3; ++i) ASSERT_LAXML_OK(c->LoadXml("<c/>").status());
+  ASSERT_LAXML_OK(d->LoadXml("<d/>").status());
+  fwf->FailNth(FaultOp::kSync, fwf->op_count(FaultOp::kSync) + 1,
+               Status::IOError("injected sync failure"), /*sticky=*/true);
+  EXPECT_TRUE(c->LoadXml("<late/>").status().IsIOError());
+
+  Snapshot snap_c;
+  Snapshot snap_d;
+  CollectStoreMetrics(*c, &snap_c);
+  CollectStoreMetrics(*d, &snap_d);
+  EXPECT_EQ(
+      snap_c.counters.at("laxml_io_errors_total{op=\"insert_top_level\"}"),
+      1u);
+  for (const auto& [name, value] : snap_d.counters) {
+    EXPECT_NE(name.rfind("laxml_io_errors_total", 0), 0u) << name;
+  }
+  // Each store's fsync histogram holds exactly its own syncs.
+  const uint64_t c_syncs = c->wal()->stats().syncs;
+  const uint64_t d_syncs = d->wal()->stats().syncs;
+  EXPECT_GT(c_syncs, d_syncs);
+  EXPECT_EQ(snap_c.histograms.at("laxml_wal_fsync_us").count, c_syncs);
+  EXPECT_EQ(snap_d.histograms.at("laxml_wal_fsync_us").count, d_syncs);
+  c->TestOnlyCrash();  // don't write back through the dead device
 }
 
 // --------------------------------------------------------------------
@@ -574,19 +617,24 @@ TEST(Trace, MergeTraceDumpsKeepsLanesAndTraceIds) {
   EXPECT_EQ(stitched, 2u);
 }
 
-#if !defined(LAXML_METRICS_DISABLED)
 TEST(Trace, RingOverflowBumpsDroppedCounter) {
-  Counter* dropped = MetricsRegistry::Global().GetCounter(
-      "laxml_trace_ring_dropped_total");
-  const uint64_t before = dropped->value();
-  TraceRing ring(2, /*tid=*/9);
-  for (int i = 0; i < 5; ++i) {
-    ring.Record("overflow", static_cast<uint64_t>(i), 1);
-  }
-  // Capacity 2, five records: three slots were overwritten undrained.
-  EXPECT_EQ(dropped->value() - before, 3u);
+  // A fresh thread's ring of two slots: five spans overwrite three
+  // undrained slots, and the tracer counts each loss.
+  Tracer& tracer = Tracer::Global();
+  const uint64_t before = tracer.dropped();
+  tracer.set_ring_capacity(2);
+  std::thread([&tracer] {
+    for (uint64_t i = 0; i < 5; ++i) {
+      tracer.ThreadRing()->Record("overflow", i, 1);
+    }
+  }).join();
+  tracer.set_ring_capacity(8192);  // the default, for later threads
+  EXPECT_EQ(tracer.dropped() - before, 3u);
+  Snapshot snap;
+  CollectTraceMetrics(&snap);
+  EXPECT_EQ(snap.counters.at("laxml_trace_ring_dropped_total"),
+            tracer.dropped());
 }
-#endif  // !defined(LAXML_METRICS_DISABLED)
 
 TEST(Trace, ChromeJsonCarriesTraceIdArgs) {
   TraceDump dump;

@@ -102,7 +102,7 @@ TEST(ServerClientTest, GetMetricsRoundTripsBothFormats) {
   }
 
   // Human table: server per-op rows with percentile columns plus the
-  // registry's metric names.
+  // store's metric names.
   ASSERT_OK_AND_ASSIGN(std::string table,
                        client->GetMetrics(net::MetricsFormat::kTable));
   EXPECT_NE(table.find("READ_NODE"), std::string::npos) << table;
@@ -118,8 +118,9 @@ TEST(ServerClientTest, GetMetricsRoundTripsBothFormats) {
   EXPECT_NE(prom.find("laxml_server_op_us_count{op=\"READ_NODE\"} 10"),
             std::string::npos)
       << prom;
-  EXPECT_NE(prom.find("laxml_server_op_us_p50{op=\"READ_NODE\"}"),
-            std::string::npos);
+  EXPECT_NE(
+      prom.find("laxml_server_op_us_bucket{op=\"READ_NODE\",le=\"+Inf\"} 10"),
+      std::string::npos);
   EXPECT_NE(prom.find("laxml_server_requests_total"), std::string::npos);
   EXPECT_NE(prom.find("laxml_store_ranges"), std::string::npos);
   size_t pos = 0;
@@ -137,8 +138,8 @@ TEST(ServerClientTest, GetMetricsRoundTripsBothFormats) {
 }
 
 TEST(ServerClientTest, PrometheusExpositionPassesLint) {
-  // Several opcodes so the op table, the store's structs and the
-  // registry's histograms all carry labeled series at once.
+  // Several opcodes so the op table, the store's structs and its op
+  // latency histograms all carry labeled series at once.
   auto server = MustStartServer();
   auto client = MustConnect(server->port());
   ASSERT_OK_AND_ASSIGN(NodeId root,

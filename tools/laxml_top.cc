@@ -3,12 +3,14 @@
 //   laxml_top [--host H] [--port N] [--interval-ms N] [--iterations N]
 //             [--slow-log FILE]
 //
-// Polls the kGetMetrics op in Prometheus format, parses the flat
-// name/value lines, and repaints a screenful every interval: server
+// Polls the kGetMetrics op in Prometheus format, parses it back with
+// obs::ParsePrometheus, and repaints a screenful every interval: server
 // request/error rates, per-op p50/p95/p99, buffer-pool hit rate, WAL
 // sync latency, index hit rates, and the store's range/node levels.
 // Counter rows show a per-second rate computed from consecutive
-// samples; gauge rows show the level as-is.
+// samples; latency quantiles come from the histogram buckets that
+// filled between them (the first paint, with no earlier sample, shows
+// lifetime figures); gauge rows show the level as-is.
 //
 // --slow-log FILE tails the server's structured slow-query log (the
 // file given to laxml_server --slow-log) and shows the most recent
@@ -25,16 +27,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "net/client.h"
+#include "obs/metrics.h"
 
 namespace {
 
 using laxml::net::Client;
 using laxml::net::MetricsFormat;
+using laxml::obs::HistogramSnapshot;
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -46,34 +49,45 @@ void Usage(const char* argv0) {
                argv0);
 }
 
-/// One polled sample: every "name value" line of the Prometheus
-/// exposition, with histogram series kept under their full name
-/// (laxml_wal_fsync_us_p95, laxml_server_op_us_count{op="READ"}, ...).
-using Sample = std::map<std::string, double>;
+/// One polled sample: the scrape parsed back into its counters, gauges
+/// and histograms, keyed by series name (laxml_wal_syncs_total,
+/// laxml_server_op_us{op="READ"}, ...).
+using Sample = laxml::obs::Snapshot;
 
-Sample ParseExposition(const std::string& text) {
-  Sample sample;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty() || line[0] == '#') continue;
-    const size_t space = line.rfind(' ');
-    if (space == std::string::npos || space == 0) continue;
-    const std::string name = line.substr(0, space);
-    char* end = nullptr;
-    const double value = std::strtod(line.c_str() + space + 1, &end);
-    if (end == nullptr || *end != '\0') continue;
-    sample[name] = value;
+/// A counter or gauge (0 when absent).
+double Get(const Sample& s, const std::string& name) {
+  if (auto it = s.counters.find(name); it != s.counters.end()) {
+    return static_cast<double>(it->second);
   }
-  return sample;
+  if (auto it = s.gauges.find(name); it != s.gauges.end()) {
+    return static_cast<double>(it->second);
+  }
+  return 0.0;
 }
 
-double Get(const Sample& s, const std::string& name) {
-  auto it = s.find(name);
-  return it == s.end() ? 0.0 : it->second;
+/// The values histogram `name` recorded between two samples (all of
+/// them when `prev` lacks it, as on the first paint).
+HistogramSnapshot Window(const Sample& prev, const Sample& cur,
+                         const std::string& name) {
+  auto it = cur.histograms.find(name);
+  if (it == cur.histograms.end()) return HistogramSnapshot{};
+  auto before = prev.histograms.find(name);
+  return before == prev.histograms.end() ? it->second
+                                         : it->second.Since(before->second);
+}
+
+/// "p50 ..  p95 ..  p99 .." of a window, dashes when it is empty.
+std::string Quantiles(const HistogramSnapshot& h, int width) {
+  char buf[96];
+  if (h.count == 0) {
+    std::snprintf(buf, sizeof(buf), "p50 %*s  p95 %*s  p99 %*s", width, "-",
+                  width, "-", width, "-");
+  } else {
+    std::snprintf(buf, sizeof(buf), "p50 %*.0f  p95 %*.0f  p99 %*.0f",
+                  width, h.Percentile(0.50), width, h.Percentile(0.95),
+                  width, h.Percentile(0.99));
+  }
+  return buf;
 }
 
 /// Per-second rate of a counter between two samples.
@@ -177,25 +191,23 @@ void Paint(const Sample& prev, const Sample& cur, double dt_sec,
   std::printf("laxml_top — %.1fs window\n", first ? 0.0 : dt_sec);
   std::printf("\nserver\n");
   double req_delta = 0.0;
-  for (const auto& [name, v] : cur) {
+  for (const auto& [name, v] : cur.counters) {
     if (name.rfind("laxml_server_requests_total", 0) == 0) {
-      req_delta += v - Get(prev, name);
+      req_delta += static_cast<double>(v) - Get(prev, name);
     }
   }
   std::printf("  %-28s %10.1f /s\n", "requests",
               dt_sec > 0.0 ? req_delta / dt_sec : 0.0);
-  // Per-op latency rows from the server's histogram families.
-  for (const auto& [name, v] : cur) {
-    const std::string prefix = "laxml_server_op_us_count{op=\"";
+  // Per-op latency rows from the server's histogram families: lifetime
+  // request count, quantiles over the window.
+  for (const auto& [name, h] : cur.histograms) {
+    const std::string prefix = "laxml_server_op_us{op=\"";
     if (name.rfind(prefix, 0) != 0) continue;
     const std::string op =
         name.substr(prefix.size(), name.size() - prefix.size() - 2);
-    const std::string labels = "{op=\"" + op + "\"}";
-    std::printf("  %-18s %8.0f reqs  p50 %8.0f  p95 %8.0f  p99 %8.0f us\n",
-                op.c_str(), v,
-                Get(cur, "laxml_server_op_us_p50" + labels),
-                Get(cur, "laxml_server_op_us_p95" + labels),
-                Get(cur, "laxml_server_op_us_p99" + labels));
+    std::printf("  %-18s %8llu reqs  %s us\n", op.c_str(),
+                static_cast<unsigned long long>(h.count),
+                Quantiles(Window(prev, cur, name), 8).c_str());
   }
 
   std::printf("\noverload\n");
@@ -212,13 +224,14 @@ void Paint(const Sample& prev, const Sample& cur, double dt_sec,
               Get(cur, "laxml_server_reaped_connections_total"));
   // Response mix by status over the window — the at-a-glance answer to
   // "is the server failing requests, and with what?".
-  for (const auto& [name, v] : cur) {
+  for (const auto& [name, v] : cur.counters) {
     const std::string prefix = "laxml_server_responses_total{status=\"";
     if (name.rfind(prefix, 0) != 0) continue;
     const std::string status =
         name.substr(prefix.size(), name.size() - prefix.size() - 2);
-    std::printf("  %-28s %10.0f  (%.1f /s)\n",
-                ("responses " + status).c_str(), v,
+    std::printf("  %-28s %10llu  (%.1f /s)\n",
+                ("responses " + status).c_str(),
+                static_cast<unsigned long long>(v),
                 Rate(prev, cur, name, dt_sec));
   }
 
@@ -237,11 +250,8 @@ void Paint(const Sample& prev, const Sample& cur, double dt_sec,
   }
   std::printf("  %-28s %10.1f /s\n", "wal syncs",
               Rate(prev, cur, "laxml_wal_syncs_total", dt_sec));
-  std::printf("  %-28s p50 %6.0f  p95 %6.0f  p99 %6.0f us\n",
-              "wal fsync latency",
-              Get(cur, "laxml_wal_fsync_us_p50"),
-              Get(cur, "laxml_wal_fsync_us_p95"),
-              Get(cur, "laxml_wal_fsync_us_p99"));
+  std::printf("  %-28s %s us\n", "wal fsync latency",
+              Quantiles(Window(prev, cur, "laxml_wal_fsync_us"), 6).c_str());
   // Group-commit effectiveness: records made durable per fsync over the
   // window. 1.0 = no batching; higher = the sequencer is amortizing.
   {
@@ -414,13 +424,13 @@ int main(int argc, char** argv) {
       }
       // The new server's counters restart from zero; restart the rate
       // window rather than painting huge negative deltas as zeros.
-      prev.clear();
+      prev = Sample{};
       prev_ms = NowMillis();
       first = true;
       --n;
       continue;
     }
-    Sample cur = ParseExposition(*text);
+    Sample cur = laxml::obs::ParsePrometheus(*text);
     const uint64_t now_ms = NowMillis();
     const double dt_sec =
         static_cast<double>(now_ms - prev_ms) / 1000.0;
