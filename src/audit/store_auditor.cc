@@ -585,8 +585,10 @@ void StoreAuditor::AuditStructuralIndex() {
   const StructuralIndex* si = store_->structural_.get();
   if (!si->enabled() || si->memoized_nodes() == 0) return;
 
-  // Re-derive every element's (pre, post, level, range, offset) tuple
-  // from the current token stream — the oracle the memos must equal.
+  // Re-derive every element's and attribute's (pre, post, level, range,
+  // offset) tuple from the current token stream — the oracle the memos
+  // must equal. Attribute postings sit under their "@name" keys, so a
+  // posting filed under the wrong kind fails the tag check below.
   StructuralWarmer oracle(store_->name_dictionary(), {}, /*track_all=*/true);
   auto cursor = store_->NewCursor();
   Status st = cursor->SeekToFirst();
@@ -641,7 +643,8 @@ void StoreAuditor::AuditStructuralIndex() {
 
     auto it = fresh.find(e.id);
     if (it == fresh.end()) {
-      fail("memoized interval for node that is no element in the stream");
+      fail("memoized interval for node that is no element or attribute "
+           "in the stream");
       return;
     }
     if (*it->second.tag != tag) {

@@ -74,43 +74,53 @@ StructuralWarmer::StructuralWarmer(const NameDictionary* dict,
                                    bool track_all)
     : dict_(dict), track_all_(track_all) {
   for (const std::string& tag : wanted) {
-    if (by_name_.count(tag) == 0) AddTag(tag);
+    const Kind kind = !tag.empty() && tag[0] == '@' ? kAttribute : kElement;
+    const std::string name = tag.substr(kind == kAttribute ? 1 : 0);
+    if (names_[kind].by_name.count(name) == 0) AddTag(kind, name);
   }
 }
 
-uint32_t StructuralWarmer::AddTag(const std::string& tag) {
+uint32_t StructuralWarmer::AddTag(Kind kind, const std::string& name) {
   const uint32_t index = static_cast<uint32_t>(collected_.size());
-  collected_.push_back(TagEntries{tag, {}});
-  by_name_.emplace(tag, index);
+  collected_.push_back(
+      TagEntries{kind == kAttribute ? AttributeKey(name) : name, {}});
+  Names& names = names_[kind];
+  names.by_name.emplace(name, index);
   const uint32_t symbol =
-      dict_ != nullptr ? dict_->Find(tag) : kNoNameSymbol;
+      dict_ != nullptr ? dict_->Find(name) : kNoNameSymbol;
   if (symbol != kNoNameSymbol) {
-    if (symbol >= by_symbol_.size()) by_symbol_.resize(symbol + 1, kUntracked);
-    by_symbol_[symbol] = index;
+    if (symbol >= names.by_symbol.size()) {
+      names.by_symbol.resize(symbol + 1, kUntracked);
+    }
+    names.by_symbol[symbol] = index;
   }
   return index;
 }
 
-uint32_t StructuralWarmer::TagOf(const TokenCursor& cursor) {
+uint32_t StructuralWarmer::TagOf(const TokenCursor& cursor, Kind kind) {
+  const Names& names = names_[kind];
   const uint32_t symbol = cursor.name_symbol();
   if (symbol != kNoNameSymbol) {
-    if (symbol < by_symbol_.size() && by_symbol_[symbol] != kUntracked) {
-      return by_symbol_[symbol];
+    if (symbol < names.by_symbol.size() &&
+        names.by_symbol[symbol] != kUntracked) {
+      return names.by_symbol[symbol];
     }
     // Wanted tags were mapped to their symbols up front.
     if (!track_all_) return kUntracked;
   }
   // A v1 or inline-coded name, or a symbol seen for the first time.
   const std::string& name = cursor.token().name;
-  auto it = by_name_.find(name);
-  if (it != by_name_.end()) return it->second;
-  return track_all_ ? AddTag(name) : kUntracked;
+  auto it = names.by_name.find(name);
+  if (it != names.by_name.end()) return it->second;
+  return track_all_ ? AddTag(kind, name) : kUntracked;
 }
 
 void StructuralWarmer::OnToken(const TokenCursor& cursor) {
   const TokenType type = cursor.type();
-  if (type == TokenType::kBeginElement) {
-    const uint32_t tag = TagOf(cursor);
+  if (type == TokenType::kBeginElement ||
+      type == TokenType::kBeginAttribute) {
+    const uint32_t tag = TagOf(
+        cursor, type == TokenType::kBeginAttribute ? kAttribute : kElement);
     if (tag != kUntracked) {
       if (cursor.depth() < 0) {
         broken_ = true;
@@ -161,20 +171,22 @@ void StructuralWarmer::Publish(StructuralIndex* index) {
 
 namespace {
 
+using Stack = std::vector<const StructuralEntry*>;
+
 /// The stack-tree merge behind both axis joins. Walks the candidates in
 /// pre order, pushing every frontier entry that begins before the
 /// candidate and popping every one that ended before it, so the stack
 /// holds exactly the frontier intervals containing the candidate
-/// (well-nested intervals: each contains the one above it). `keep`
-/// sees the candidate and the innermost of them. Entries are read in
-/// place; only kept candidates are copied.
+/// (well-nested intervals: each contains the one above it, and sits at
+/// a deeper level). `keep` sees the candidate and that stack. Entries
+/// are read in place; only kept candidates are copied.
 template <typename Keep>
 std::vector<StructuralEntry> StackJoin(
     const std::vector<StructuralEntry>& frontier,
     const std::vector<StructuralEntry>& candidates, Keep keep) {
   std::vector<StructuralEntry> out;
   if (frontier.empty() || candidates.empty()) return out;
-  std::vector<const StructuralEntry*> stack;
+  Stack stack;
   size_t next = 0;
   for (const StructuralEntry& c : candidates) {
     for (; next < frontier.size() && frontier[next].pre < c.pre; ++next) {
@@ -183,8 +195,7 @@ std::vector<StructuralEntry> StackJoin(
       stack.push_back(&f);
     }
     while (!stack.empty() && stack.back()->post < c.pre) stack.pop_back();
-    if (!stack.empty() && c.post < stack.back()->post &&
-        keep(c, *stack.back())) {
+    if (!stack.empty() && c.post < stack.back()->post && keep(c, stack)) {
       out.push_back(c);
     }
   }
@@ -204,21 +215,27 @@ std::vector<StructuralEntry> StructuralTopLevel(
 
 std::vector<StructuralEntry> StructuralDescendantJoin(
     const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates) {
+    const std::vector<StructuralEntry>& candidates, uint32_t skip) {
+  // The outermost containing frontier interval sits highest.
   return StackJoin(frontier, candidates,
-                   [](const StructuralEntry&, const StructuralEntry&) {
-                     return true;
+                   [skip](const StructuralEntry& c, const Stack& stack) {
+                     return stack.front()->level + skip < c.level;
                    });
 }
 
 std::vector<StructuralEntry> StructuralChildJoin(
     const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates) {
-  // The innermost containing frontier interval is the deepest frontier
-  // ancestor; the parent, when in the frontier, is the deepest of all.
+    const std::vector<StructuralEntry>& candidates, uint32_t skip) {
+  // Levels fall from the top of the stack down: walk it until the
+  // required level is reached or passed.
   return StackJoin(frontier, candidates,
-                   [](const StructuralEntry& c, const StructuralEntry& top) {
-                     return top.level + 1 == c.level;
+                   [skip](const StructuralEntry& c, const Stack& stack) {
+                     for (auto it = stack.rbegin(); it != stack.rend();
+                          ++it) {
+                       const uint32_t reach = (*it)->level + skip + 1;
+                       if (reach <= c.level) return reach == c.level;
+                     }
+                     return false;
                    });
 }
 

@@ -13,6 +13,12 @@
 // byte offset of the begin token ride along so the auditor can pin a
 // memo back to the bytes it describes.
 //
+// Attributes are nodes of the token model too — a begin/end token pair
+// with its own node id, one level below its element — so they memoize
+// the same way, keyed `@name` (AttributeKey): `@` cannot start an XML
+// name, so the key never clashes with an element tag, and "a is an
+// attribute of e" is the child arithmetic above.
+//
 // Laziness (the paper's thesis, applied to axes): nothing is indexed
 // up front. The first `//a//b` query streams the store exactly as the
 // cold evaluator always has, and the scan's by-product — every `a` and
@@ -54,6 +60,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -80,8 +87,9 @@ struct StructuralIndexStats {
   RelaxedCounter invalidations;  ///< Entries dropped by mutations.
 };
 
-/// One memoized element: its pre/post-order interval plus the physical
-/// location of its begin token (for the auditor's cross-check).
+/// One memoized element or attribute: its pre/post-order interval plus
+/// the physical location of its begin token (for the auditor's
+/// cross-check).
 struct StructuralEntry {
   NodeId id = kInvalidNodeId;
   uint64_t pre = 0;   ///< Global token index of the begin token.
@@ -91,7 +99,15 @@ struct StructuralEntry {
   uint32_t offset = 0;  ///< Byte offset of the begin token in `range`.
 };
 
-/// Lazily-populated tag -> sorted interval list map.
+/// The posting-list key of attribute `name`.
+inline std::string AttributeKey(std::string_view name) {
+  std::string key = "@";
+  key += name;
+  return key;
+}
+
+/// Lazily-populated tag -> sorted interval list map. A tag is an element
+/// name or an AttributeKey.
 class StructuralIndex {
  public:
   /// A tag's posting list, sorted by pre (= document order). Immutable
@@ -167,16 +183,17 @@ class StructuralIndex {
 /// Builds StructuralEntry tuples as a by-product of a document-order
 /// token scan from the store's first token. Feed every token (ends
 /// included — they close intervals); Publish() installs the collected
-/// lists. With `track_all`, every element tag is collected (eager mode
-/// / WarmStructuralIndex); otherwise only tags in `wanted` are, and
-/// each wanted tag is published even when no element matched (an empty
-/// list = warm negative).
+/// lists. With `track_all`, every element tag and attribute key is
+/// collected (eager mode / WarmStructuralIndex); otherwise only the
+/// tags in `wanted` are, and each wanted tag is published even when no
+/// node matched (an empty list = warm negative).
 ///
 /// The warmer reads the cursor's header fields only — type, name
 /// symbol, depth, ordinal — and matches tags by dictionary symbol
-/// (`dict` may be null: every name is then inline). A name string is
-/// decoded only for v1 or inline-named begin-elements, and once per
-/// newly seen symbol, so a warming scan stays header-only.
+/// (`dict` may be null: every name is then inline). Elements and
+/// attributes share the dictionary, so each kind has its own symbol
+/// map. A name string is decoded only for v1 or inline-named tokens,
+/// and once per newly seen symbol, so a warming scan stays header-only.
 class StructuralWarmer {
  public:
   StructuralWarmer(const NameDictionary* dict,
@@ -205,23 +222,30 @@ class StructuralWarmer {
  private:
   static constexpr uint32_t kUntracked = UINT32_MAX;
 
-  /// Index into collected_ of the current begin-element's tag, or
+  /// Index 0: element tags; 1: attribute keys.
+  enum Kind : uint32_t { kElement = 0, kAttribute = 1 };
+
+  /// Index into collected_ of the current begin token's tag, or
   /// kUntracked.
-  uint32_t TagOf(const TokenCursor& cursor);
-  uint32_t AddTag(const std::string& tag);
+  uint32_t TagOf(const TokenCursor& cursor, Kind kind);
+  uint32_t AddTag(Kind kind, const std::string& name);
 
   struct OpenScope {
     uint32_t tag;    ///< Index into collected_, or kUntracked.
     uint32_t entry;  ///< Index into collected_[tag].entries.
   };
 
+  /// Tag index by dictionary symbol (kUntracked: not tracked yet) and
+  /// by bare name, for v1 and inline-coded names.
+  struct Names {
+    std::vector<uint32_t> by_symbol;
+    std::unordered_map<std::string, uint32_t> by_name;
+  };
+
   const NameDictionary* dict_;
   bool track_all_;
   std::vector<TagEntries> collected_;
-  /// Tag index by dictionary symbol (kUntracked: not tracked yet) and
-  /// by name, for v1 and inline-coded names.
-  std::vector<uint32_t> by_symbol_;
-  std::unordered_map<std::string, uint32_t> by_name_;
+  Names names_[2];  ///< By Kind.
   std::vector<OpenScope> open_;
   bool broken_ = false;
 };
@@ -235,20 +259,29 @@ class StructuralWarmer {
 std::vector<StructuralEntry> StructuralTopLevel(
     const std::vector<StructuralEntry>& candidates);
 
-/// Entries of `candidates` strictly contained in some frontier
-/// interval. One stack-based merge over both lists (the stack-tree
-/// join): O(|frontier| + |candidates|), no per-call index.
+/// `skip` counts the '*' child steps between the frontier's step and
+/// the candidates' (`/a/*/*/b`: 2). Every scope between two element
+/// levels is an element — attribute scopes hold nothing and document
+/// tokens never reach a store — so each level skipped matches '*', and
+/// the wildcards reduce to level arithmetic.
+
+/// Entries of `candidates` strictly contained in some frontier interval
+/// at least `skip + 1` levels up. One stack-based merge over both lists
+/// (the stack-tree join): O(|frontier| + |candidates|), no per-call
+/// index.
 std::vector<StructuralEntry> StructuralDescendantJoin(
     const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates);
+    const std::vector<StructuralEntry>& candidates, uint32_t skip = 0);
 
-/// Entries of `candidates` whose immediate parent is in the frontier.
-/// The same merge: the stack holds the frontier intervals containing
-/// the current candidate, innermost on top, so the candidate's parent
-/// is in the frontier iff the top sits exactly one level up.
+/// Entries of `candidates` whose ancestor `skip + 1` levels up (with no
+/// skip: the parent) is in the frontier. The same merge: the stack
+/// holds the frontier intervals containing the current candidate,
+/// innermost on top, so the candidate qualifies iff one of them sits
+/// exactly at the required level — not necessarily the innermost one,
+/// which may be a nearer frontier ancestor.
 std::vector<StructuralEntry> StructuralChildJoin(
     const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates);
+    const std::vector<StructuralEntry>& candidates, uint32_t skip = 0);
 
 }  // namespace laxml
 

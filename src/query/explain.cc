@@ -69,11 +69,19 @@ Result<XPathPlan> ExplainXPath(const Store& store, std::string_view expr) {
   for (size_t i = 0; i < joined; ++i) {
     const XPathStep& step = path.steps[i];
     XPathPlanStep out;
-    out.axis = step.axis == XPathAxis::kChild ? "child" : "descendant";
-    out.tag = step.name;
-    StructuralIndex::EntryList list = index->LookupTag(step.name);
-    out.warm = list != nullptr;
-    out.postings = list == nullptr ? 0 : list->size();
+    out.axis = step.axis == XPathAxis::kChild       ? "child"
+               : step.axis == XPathAxis::kAttribute ? "attribute"
+                                                    : "descendant";
+    if (step.test == NodeTestKind::kWildcard) {
+      // A '*' step has no list to warm: the join counts it as a level.
+      out.tag = "*";
+      out.warm = true;
+    } else {
+      out.tag = StructuralKey(step);
+      StructuralIndex::EntryList list = index->LookupTag(out.tag);
+      out.warm = list != nullptr;
+      out.postings = list == nullptr ? 0 : list->size();
+    }
     if (!out.warm) all_warm = false;
     plan.steps.push_back(std::move(out));
   }

@@ -29,7 +29,9 @@ namespace laxml {
 /// the steps the planner would join, on an enabled index — a full scan
 /// has no per-step index story to tell).
 struct XPathPlanStep {
-  std::string axis;      ///< "child" or "descendant".
+  std::string axis;      ///< "child", "descendant" or "attribute".
+  /// The posting list's tag ("@name" for an attribute), or "*" for a
+  /// wildcard step, which has no list and counts as warm.
   std::string tag;
   bool warm = false;     ///< Tag has a memoized posting list.
   uint64_t postings = 0; ///< Posting-list length when warm.

@@ -40,13 +40,32 @@ bool NamedChildOrDescendant(const XPathStep& step) {
          step.test == NodeTestKind::kName;
 }
 
-/// nullptr when `step` can be part of the indexable prefix, else why
-/// not.
-const char* StepIneligibility(const XPathStep& step) {
+bool ChildWildcard(const XPathStep& step) {
+  return step.axis == XPathAxis::kChild &&
+         step.test == NodeTestKind::kWildcard && step.predicates.empty();
+}
+
+/// nullptr when step `i` of `path` can be part of the indexable prefix,
+/// else why not. Besides named child/descendant steps, the prefix takes
+/// '*' child steps between two named steps (level arithmetic in the
+/// join) and a final '@name' step (the attribute's posting list).
+const char* StepIneligibility(const XPathPath& path, size_t i) {
+  const XPathStep& step = path.steps[i];
+  const bool last = i + 1 == path.steps.size();
   if (!step.predicates.empty()) return "has predicates";
   if (step.descendant_attr) return "descendant attribute step";
-  if (step.axis != XPathAxis::kChild && step.axis != XPathAxis::kDescendant)
-    return "non-child/descendant axis";
+  if (step.axis == XPathAxis::kAttribute) {
+    if (step.test != NodeTestKind::kName) return "attribute wildcard step";
+    if (i == 0) return "attribute step without an element step";
+    if (!last) return "attribute step before the last step";
+    return nullptr;
+  }
+  if (step.test == NodeTestKind::kWildcard) {
+    if (step.axis != XPathAxis::kChild) return "descendant wildcard step";
+    if (i == 0) return "leading wildcard step";
+    if (last) return "trailing wildcard step";
+    return nullptr;
+  }
   if (step.test != NodeTestKind::kName) return "non-name node test";
   return nullptr;
 }
@@ -630,8 +649,8 @@ bool StructuralIndexEligible(const XPathPath& path) {
 
 const char* StructuralIneligibilityReason(const XPathPath& path) {
   if (path.steps.empty()) return "empty path";
-  for (const XPathStep& step : path.steps) {
-    if (const char* reason = StepIneligibility(step)) return reason;
+  for (size_t i = 0; i < path.steps.size(); ++i) {
+    if (const char* reason = StepIneligibility(path, i)) return reason;
   }
   return nullptr;
 }
@@ -640,7 +659,7 @@ SeedSplit SplitAtIndexablePrefix(const XPathPath& path) {
   SeedSplit split;
   const size_t n = path.steps.size();
   while (split.joined < n &&
-         StepIneligibility(path.steps[split.joined]) == nullptr) {
+         StepIneligibility(path, split.joined) == nullptr) {
     ++split.joined;
   }
   if (split.joined == n) return split;
@@ -648,25 +667,37 @@ SeedSplit SplitAtIndexablePrefix(const XPathPath& path) {
   // predicates joins too, its matches seeding as candidates. A [n]
   // leaves it to the scan: positions count siblings the join drops.
   const XPathStep& next = path.steps[split.joined];
-  if (!NamedChildOrDescendant(next)) return split;
+  bool positional = false;
   for (const XPathPredicate& pred : next.predicates) {
-    if (pred.kind == XPathPredicate::Kind::kPosition) return split;
+    positional = positional || pred.kind == XPathPredicate::Kind::kPosition;
   }
-  ++split.joined;
-  split.candidates = true;
+  if (NamedChildOrDescendant(next) && !positional) {
+    ++split.joined;
+    split.candidates = true;
+    return split;
+  }
+  // Seeds are the last joined step's matches, so a prefix cannot end in
+  // '*' steps: those go back to the scan.
+  while (split.joined > 0 && ChildWildcard(path.steps[split.joined - 1])) {
+    --split.joined;
+  }
   return split;
+}
+
+std::string StructuralKey(const XPathStep& step) {
+  return step.axis == XPathAxis::kAttribute ? AttributeKey(step.name)
+                                            : step.name;
 }
 
 StructuralIndex::EntryList JoinIndexedSteps(const StructuralIndex& index,
                                             const XPathPath& path,
                                             size_t steps) {
   LAXML_DCHECK(steps > 0 && steps <= path.steps.size());
-  std::vector<StructuralIndex::EntryList> lists;
-  lists.reserve(steps);
+  std::vector<StructuralIndex::EntryList> lists(steps);
   for (size_t i = 0; i < steps; ++i) {
-    StructuralIndex::EntryList list = index.LookupTag(path.steps[i].name);
-    if (list == nullptr) return nullptr;
-    lists.push_back(std::move(list));
+    if (ChildWildcard(path.steps[i])) continue;
+    lists[i] = index.LookupTag(StructuralKey(path.steps[i]));
+    if (lists[i] == nullptr) return nullptr;
   }
   // Step 0 evaluates against the virtual root: its children are the
   // top-level (level-0) elements, its descendants everything.
@@ -675,11 +706,19 @@ StructuralIndex::EntryList JoinIndexedSteps(const StructuralIndex& index,
       path.steps[0].axis == XPathAxis::kChild
           ? std::make_shared<Entries>(StructuralTopLevel(*lists[0]))
           : lists[0];
+  // '*' steps add no list, only levels between the named steps around
+  // them; an '@name' step joins as a child.
+  uint32_t skip = 0;
   for (size_t i = 1; i < steps && !frontier->empty(); ++i) {
+    if (lists[i] == nullptr) {
+      ++skip;
+      continue;
+    }
     frontier = std::make_shared<Entries>(
-        path.steps[i].axis == XPathAxis::kChild
-            ? StructuralChildJoin(*frontier, *lists[i])
-            : StructuralDescendantJoin(*frontier, *lists[i]));
+        path.steps[i].axis == XPathAxis::kDescendant
+            ? StructuralDescendantJoin(*frontier, *lists[i], skip)
+            : StructuralChildJoin(*frontier, *lists[i], skip));
+    skip = 0;
   }
   return frontier;
 }
@@ -714,7 +753,9 @@ Result<std::vector<NodeId>> EvaluateXPathStreaming(
       const bool eager = index->mode() == StructuralIndexMode::kEager;
       std::vector<std::string> wanted;
       for (size_t i = 0; i < joined && !eager; ++i) {
-        wanted.push_back(path.steps[i].name);
+        if (!ChildWildcard(path.steps[i])) {
+          wanted.push_back(StructuralKey(path.steps[i]));
+        }
       }
       warmer = std::make_unique<StructuralWarmer>(store.name_dictionary(),
                                                   std::move(wanted), eager);

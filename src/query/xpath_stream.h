@@ -19,9 +19,10 @@
 // Memory is O(depth × steps) plus those buffered matches.
 //
 // Planner: the path splits at its longest index-answerable prefix —
-// the leading named child/descendant steps without predicates or
-// '//@' (SplitAtIndexablePrefix). When the prefix's tags are warm in
-// the store's lazy structural index, their posting-list join yields
+// the leading named child/descendant steps without predicates, any run
+// of '*' child steps between two of them, and a final '@name' step
+// (SplitAtIndexablePrefix). When the prefix's tags are warm in the
+// store's lazy structural index, their posting-list join yields
 // *seeds*:
 //   * the whole path is the prefix: the join is the answer
 //     ("structural-join", no scan at all);
@@ -48,6 +49,7 @@
 #define LAXML_QUERY_XPATH_STREAM_H_
 
 #include <cstddef>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -62,7 +64,9 @@ namespace laxml {
 inline constexpr size_t kMaxStreamSteps = 64;
 
 /// True when `path` can be answered from the structural index: every
-/// step a named child or descendant test, no predicates, no '//@attr'.
+/// step a named child or descendant test or a '*' child step between
+/// two of them, the last step possibly '@name'; no predicates, no
+/// '//@attr'.
 bool StructuralIndexEligible(const XPathPath& path);
 
 /// The eligibility gate's verdict as a static string: nullptr when the
@@ -89,13 +93,19 @@ struct SeedSplit {
 
 /// The planner's split of `path`, independent of index warmth: the
 /// indexable prefix, plus the step after it when that step is named and
-/// carries only [path] / [path='lit'] predicates.
+/// carries only [path] / [path='lit'] predicates. The joined steps
+/// never end in '*', and an '@name' step joins only as the path's last
+/// step (a seed must be an element).
 SeedSplit SplitAtIndexablePrefix(const XPathPath& path);
+
+/// The structural-index tag of a named step: its element name, or the
+/// AttributeKey of an '@name' step.
+std::string StructuralKey(const XPathStep& step);
 
 /// The entries the first `steps` steps of `path` select, by merge-joins
 /// over the warm posting lists, in document order; nullptr when one of
-/// their tags is cold. The steps must be named child/descendant steps
-/// (a split's joined steps; predicates are ignored).
+/// their tags is cold. The steps must be a split's joined steps
+/// (predicates are ignored; '*' steps only count levels).
 StructuralIndex::EntryList JoinIndexedSteps(const StructuralIndex& index,
                                             const XPathPath& path,
                                             size_t steps);

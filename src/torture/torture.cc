@@ -288,16 +288,20 @@ IterationResult RunIteration(const TortureOptions& opts,
   // the index bypassed (plain scan), with a cold index (full scan +
   // warm as by-product), and with the index warm (posting-list join,
   // or for the seeded shapes a scan of the joined prefix's subtrees) —
-  // byte-for-byte on the id vectors. Query tags come from the instance
-  // itself so the paths actually select.
+  // byte-for-byte on the id vectors. Query tags and the attribute name
+  // come from the instance itself so the paths actually select.
   {
     std::vector<std::string> tags;
+    std::string attribute;
     for (const Token& t : *got) {
-      if (t.type != TokenType::kBeginElement) continue;
+      if (tags.size() >= 3 && !attribute.empty()) break;
+      if (t.type == TokenType::kBeginAttribute && attribute.empty()) {
+        attribute = t.name;
+      }
+      if (t.type != TokenType::kBeginElement || tags.size() >= 3) continue;
       bool known = false;
       for (const std::string& s : tags) known = known || s == t.name;
       if (!known) tags.push_back(t.name);
-      if (tags.size() >= 3) break;
     }
     std::vector<XPathPath> paths;
     auto step = [](XPathAxis axis, NodeTestKind test,
@@ -337,6 +341,14 @@ IterationResult RunIteration(const TortureOptions& opts,
       path({seed, step(XPathAxis::kAttribute, NodeTestKind::kWildcard)});
       path({seed, named(XPathAxis::kChild, t1),
             step(XPathAxis::kChild, NodeTestKind::kText)});
+      // Joined through a '*' level and onto an attribute's own list:
+      // //t0/*/t1, //t0/@a.
+      path({seed, step(XPathAxis::kChild, NodeTestKind::kWildcard),
+            named(XPathAxis::kChild, t1)});
+      if (!attribute.empty()) {
+        path({seed, step(XPathAxis::kAttribute, NodeTestKind::kName,
+                         attribute)});
+      }
     }
     StructuralIndex* index = (*reopened)->structural_index();
     for (const XPathPath& p : paths) {

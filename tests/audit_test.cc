@@ -7,9 +7,12 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "audit/audit_report.h"
 #include "audit/store_auditor.h"
+#include "index/structural_index.h"
+#include "query/xpath_stream.h"
 #include "store/store.h"
 #include "test_util.h"
 
@@ -221,6 +224,63 @@ TEST(AuditTest, ResidentDirectoryDriftIsDetected) {
       << report.ToString();
   resident[range] = saved;
   EXPECT_LAXML_OK(store->CheckIntegrity());
+}
+
+/// A store whose lazy structural index holds warm <item> and
+/// @category postings.
+std::unique_ptr<Store> StoreWithAttributePostings() {
+  auto store = Store::OpenInMemory(StoreOptions{});
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (!store.ok()) return nullptr;
+  EXPECT_TRUE((*store)
+                  ->LoadXml("<root><item category='books'>x</item>"
+                            "<item category='toys'/></root>")
+                  .ok());
+  auto ids = EvaluateXPathStreaming(**store, "//item/@category");
+  EXPECT_TRUE(ids.ok() && ids->size() == 2u);
+  EXPECT_TRUE(Audit(store->get()).ok());
+  return std::move(store).value();
+}
+
+/// True when `report` has a structural-index issue about `node`.
+bool HasStructuralIssue(const AuditReport& report, NodeId node) {
+  for (const AuditIssue& issue : report.issues) {
+    if (issue.layer == AuditLayer::kStructuralIndex && issue.node == node) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(AuditTest, AttributePostingOnAnElementIsDetected) {
+  std::unique_ptr<Store> store = StoreWithAttributePostings();
+  ASSERT_NE(store, nullptr);
+  StructuralIndex* index = store->structural_index();
+  StructuralIndex::EntryList items = index->LookupTag("item");
+  ASSERT_NE(items, nullptr);
+  ASSERT_FALSE(items->empty());
+  // The <item> entries filed under the attribute key: begin tokens that
+  // are elements, not attributes.
+  index->Publish("@category", *items);
+  AuditReport report = Audit(store.get());
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(HasStructuralIssue(report, (*items)[0].id))
+      << report.ToString();
+}
+
+TEST(AuditTest, AttributePostingWithWrongPostIsDetected) {
+  std::unique_ptr<Store> store = StoreWithAttributePostings();
+  ASSERT_NE(store, nullptr);
+  StructuralIndex* index = store->structural_index();
+  StructuralIndex::EntryList list = index->LookupTag("@category");
+  ASSERT_NE(list, nullptr);
+  ASSERT_EQ(list->size(), 2u);
+  std::vector<StructuralEntry> bogus = *list;
+  bogus[1].post += 1;
+  index->Publish("@category", bogus);
+  AuditReport report = Audit(store.get());
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(HasStructuralIssue(report, bogus[1].id)) << report.ToString();
 }
 
 TEST(AuditTest, LayertogglesSkipLegs) {

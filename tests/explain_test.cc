@@ -124,9 +124,39 @@ TEST_F(ExplainTest, IneligiblePathReportsGateReason) {
   EXPECT_FALSE(attr.eligible);
   EXPECT_EQ(attr.gate, "descendant attribute step");
 
-  XPathPlan wildcard = MustExplain("/site/*/item");
+  XPathPlan wildcard = MustExplain("/site/regions/*");
   EXPECT_EQ(wildcard.plan, "stream-scan");
-  EXPECT_EQ(wildcard.gate, "non-name node test");
+  EXPECT_EQ(wildcard.gate, "trailing wildcard step");
+
+  EXPECT_EQ(MustExplain("//item/@*").gate, "attribute wildcard step");
+  EXPECT_EQ(MustExplain("//item/text()").gate, "non-name node test");
+}
+
+TEST_F(ExplainTest, WildcardAndAttributeStepsJoin) {
+  Open(StructuralIndexMode::kLazy);
+  XPathPlan cold = MustExplain("/site/*/item");
+  EXPECT_EQ(cold.plan, "stream-scan");
+  EXPECT_EQ(cold.gate, "eligible");
+  ASSERT_EQ(cold.steps.size(), 3u);
+  EXPECT_EQ(cold.steps[1].axis, "child");
+  EXPECT_EQ(cold.steps[1].tag, "*");
+  EXPECT_TRUE(cold.steps[1].warm);  // no list to warm
+  EXPECT_FALSE(cold.steps[2].warm);
+  MustExecute("/site/*/item");
+  XPathPlan warm = MustExplain("/site/*/item");
+  EXPECT_EQ(warm.plan, "structural-join");
+  EXPECT_EQ(warm.steps[2].postings, 2u);
+
+  // A final '@name' step has a list of its own, warm even when empty.
+  EXPECT_EQ(MustExplain("//person/@id").plan, "stream-scan");
+  MustExecute("//person/@id");
+  XPathPlan attr = MustExplain("//person/@id");
+  EXPECT_EQ(attr.plan, "structural-join");
+  ASSERT_EQ(attr.steps.size(), 2u);
+  EXPECT_EQ(attr.steps[1].axis, "attribute");
+  EXPECT_EQ(attr.steps[1].tag, "@id");
+  EXPECT_TRUE(attr.steps[1].warm);
+  EXPECT_EQ(attr.steps[1].postings, 0u);
 }
 
 TEST_F(ExplainTest, WarmPrefixIsSeededScan) {

@@ -83,10 +83,45 @@ TEST(StructuralJoinTest, ChildJoinRequiresAdjacentLevel) {
   EXPECT_EQ(Ids(StructuralChildJoin(p, kids)), (std::vector<NodeId>{2}));
 }
 
+TEST(StructuralJoinTest, SkippingJoinLooksPastANearerFrontierAncestor) {
+  // //a/*/b over <a><a><b/></a></a>: both a's are in the frontier, and
+  // the innermost containing one is b's parent, not the grandparent
+  // the '*' step requires.
+  std::vector<StructuralEntry> a = {Entry(1, 0, 5, 0), Entry(2, 1, 4, 1)};
+  std::vector<StructuralEntry> b = {Entry(3, 2, 3, 2)};
+  EXPECT_EQ(Ids(StructuralChildJoin(a, b, /*skip=*/1)),
+            (std::vector<NodeId>{3}));
+  EXPECT_EQ(Ids(StructuralChildJoin(a, b)), (std::vector<NodeId>{3}));
+  // //a/*/b over <a><x><a><b/></a></x></a>: no frontier entry sits two
+  // levels above b, though one sits one level and one three above.
+  std::vector<StructuralEntry> a2 = {Entry(1, 0, 7, 0), Entry(3, 2, 5, 2)};
+  std::vector<StructuralEntry> b2 = {Entry(4, 3, 4, 3)};
+  EXPECT_EQ(Ids(StructuralChildJoin(a2, b2, /*skip=*/1)),
+            (std::vector<NodeId>{}));
+  EXPECT_EQ(Ids(StructuralChildJoin(a2, b2, /*skip=*/2)),
+            (std::vector<NodeId>{4}));
+  // //a/*//b: b must sit at least two levels below some frontier a.
+  EXPECT_EQ(Ids(StructuralDescendantJoin(a2, b2, /*skip=*/1)),
+            (std::vector<NodeId>{4}));
+  EXPECT_EQ(Ids(StructuralDescendantJoin(a2, b2, /*skip=*/3)),
+            (std::vector<NodeId>{}));
+}
+
+TEST(StructuralJoinTest, AttributeJoinsAsAChild) {
+  // <item category=".."><name/></item><box category=".."/>: attribute
+  // scopes sit one level below their element, like children.
+  std::vector<StructuralEntry> items = {Entry(1, 0, 5, 0)};
+  std::vector<StructuralEntry> category = {Entry(2, 1, 2, 1),
+                                           Entry(5, 7, 8, 1)};
+  EXPECT_EQ(Ids(StructuralChildJoin(items, category)),
+            (std::vector<NodeId>{2}));
+}
+
 TEST(StructuralJoinTest, MergeJoinsMatchBruteForce) {
   // Random forests of nested <a>/<b> elements, numbered as a token scan
   // numbers them; both joins against the interval definitions, over
-  // every list pairing (including a list joined with itself).
+  // every list pairing (including a list joined with itself) and with
+  // up to two '*' levels skipped.
   Random rng(20261017);
   for (int trial = 0; trial < 300; ++trial) {
     std::vector<StructuralEntry> lists[2];
@@ -108,21 +143,24 @@ TEST(StructuralJoinTest, MergeJoinsMatchBruteForce) {
     }
     for (const auto& frontier : lists) {
       for (const auto& candidates : lists) {
-        std::vector<NodeId> descendants, children;
-        for (const StructuralEntry& c : candidates) {
-          bool below = false, child = false;
-          for (const StructuralEntry& f : frontier) {
-            if (f.pre < c.pre && c.post < f.post) {
-              below = true;
-              child = child || f.level + 1 == c.level;
+        for (uint32_t skip = 0; skip < 3; ++skip) {
+          std::vector<NodeId> descendants, children;
+          for (const StructuralEntry& c : candidates) {
+            bool below = false, child = false;
+            for (const StructuralEntry& f : frontier) {
+              if (f.pre < c.pre && c.post < f.post) {
+                below = below || f.level + skip + 1 <= c.level;
+                child = child || f.level + skip + 1 == c.level;
+              }
             }
+            if (below) descendants.push_back(c.id);
+            if (child) children.push_back(c.id);
           }
-          if (below) descendants.push_back(c.id);
-          if (child) children.push_back(c.id);
+          EXPECT_EQ(Ids(StructuralDescendantJoin(frontier, candidates, skip)),
+                    descendants);
+          EXPECT_EQ(Ids(StructuralChildJoin(frontier, candidates, skip)),
+                    children);
         }
-        EXPECT_EQ(Ids(StructuralDescendantJoin(frontier, candidates)),
-                  descendants);
-        EXPECT_EQ(Ids(StructuralChildJoin(frontier, candidates)), children);
       }
     }
   }
@@ -344,10 +382,95 @@ TEST_F(StructuralIndexTest, EligibilityGate) {
   };
   EXPECT_TRUE(eligible("//a//b"));
   EXPECT_TRUE(eligible("/a/b/c"));
+  EXPECT_TRUE(eligible("/a/*/*/b"));
+  EXPECT_TRUE(eligible("/a/*//b"));
+  EXPECT_TRUE(eligible("//a/@id"));
+  EXPECT_TRUE(eligible("//a/*/@id"));
   EXPECT_FALSE(eligible("//a/*"));
+  EXPECT_FALSE(eligible("/*/a"));
+  EXPECT_FALSE(eligible("//a//*/b"));
   EXPECT_FALSE(eligible("//a/text()"));
-  EXPECT_FALSE(eligible("//a/@id"));
+  EXPECT_FALSE(eligible("//a/@*"));
+  EXPECT_FALSE(eligible("//a//@id"));
   EXPECT_FALSE(eligible("//a[1]"));
+}
+
+TEST_F(StructuralIndexTest, SplitKeepsWildcardsAndAttributesInside) {
+  auto split = [](const std::string& expr) {
+    auto p = ParseXPath(expr);
+    EXPECT_TRUE(p.ok()) << p.status().ToString();
+    return p.ok() ? SplitAtIndexablePrefix(*p) : SeedSplit{};
+  };
+  // Joined whole: '*' between named steps, a final '@name'.
+  EXPECT_EQ(split("/a/*/b").joined, 3u);
+  EXPECT_EQ(split("/a/*/*//b").joined, 4u);
+  EXPECT_EQ(split("//item/@category").joined, 2u);
+  EXPECT_FALSE(split("//item/@category").candidates);
+  // The prefix never ends in '*' and takes no '@*', '//@a', '*[n]', nor
+  // an attribute step before the last step.
+  EXPECT_EQ(split("/a/b/*").joined, 2u);
+  EXPECT_EQ(split("/a/*/*").joined, 1u);
+  EXPECT_EQ(split("/a/b/@*").joined, 2u);
+  EXPECT_EQ(split("/a/b//@c").joined, 2u);
+  EXPECT_EQ(split("/a/b/*[1]").joined, 2u);
+  EXPECT_EQ(split("/a/*/*[1]").joined, 1u);
+  EXPECT_EQ(split("/a/*/text()").joined, 1u);
+  EXPECT_EQ(split("/a/@c/b").joined, 1u);
+  // A [path]-predicated named step after a run of '*' joins as
+  // candidates.
+  SeedSplit pred = split("/a/*/b[c]/d");
+  EXPECT_EQ(pred.joined, 3u);
+  EXPECT_TRUE(pred.candidates);
+}
+
+TEST(StructuralShapesTest, WildcardAndAttributeJoinsAgreeWithScan) {
+  const char* docs[] = {
+      "<a><a><b/></a></a>",
+      "<a><x><a><b/></a></x></a>",
+      "<a><x><b k='1'/><a><y><b k='2'/></y></a></x><b k='3'/></a>",
+  };
+  const char* exprs[] = {"/a/*/b", "//a/*/b",   "/a/*//b", "//a/*/*/b",
+                         "//b/@k", "//a/*/@k", "/a/b/@k", "//x/a/*/b/@k"};
+  for (const char* doc : docs) {
+    ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(StoreOptions{}));
+    ASSERT_LAXML_OK(store->LoadXml(doc).status());
+    for (const char* expr : exprs) {
+      ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath(expr));
+      ASSERT_OK_AND_ASSIGN(std::vector<NodeId> plain,
+                           EvaluateXPathStreaming(*store, path, false));
+      const uint64_t hits = store->structural_index()->stats().hits;
+      ASSERT_OK_AND_ASSIGN(std::vector<NodeId> cold,
+                           EvaluateXPathStreaming(*store, path));
+      ASSERT_OK_AND_ASSIGN(std::vector<NodeId> warm,
+                           EvaluateXPathStreaming(*store, path));
+      EXPECT_EQ(cold, plain) << expr << " over " << doc;
+      EXPECT_EQ(warm, plain) << expr << " over " << doc;
+      // The second run joined.
+      EXPECT_GT(store->structural_index()->stats().hits, hits) << expr;
+    }
+    ASSERT_LAXML_OK(store->CheckIntegrity());
+  }
+}
+
+TEST_F(StructuralIndexTest, AttributeStepWarmsItsOwnKey) {
+  Open(StructuralIndexMode::kLazy);
+  ASSERT_OK_AND_ASSIGN(NodeId site, store_->FirstTopLevelId());
+  ASSERT_LAXML_OK(store_
+                      ->InsertIntoLast(site, MustFragment(
+                                                 "<box name='n'>x</box>"))
+                      .status());
+  StructuralIndex* index = store_->structural_index();
+  EXPECT_EQ(Stream("//box/@name").size(), 1u);
+  // The attribute list is keyed apart from the <name> elements.
+  ASSERT_NE(index->LookupTag("@name"), nullptr);
+  EXPECT_EQ(index->LookupTag("@name")->size(), 1u);
+  EXPECT_EQ(index->LookupTag("name"), nullptr);
+  EXPECT_EQ(Stream("//box/@name"), Stream("//box/@name", false));
+  EXPECT_EQ(index->stats().hits, 1u);
+  EXPECT_TRUE(Stream("//item/@name").empty());  // cold "item"
+  EXPECT_TRUE(Stream("//item/@name").empty());  // warm join
+  EXPECT_EQ(index->stats().hits, 2u);
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
 TEST_F(StructuralIndexTest, AuditorCatchesBogusInterval) {

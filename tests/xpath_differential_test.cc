@@ -379,6 +379,9 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   XPathEvaluator evaluator(store.get());
 
   size_t nonempty = 0, predicated = 0, seeded = 0;
+  // Warm structural joins through a '*' step and onto a final '@name'.
+  size_t joined_wildcard = 0, joined_attribute = 0;
+  bool has_attributes = false;
   for (int round = 0; round < kRounds; ++round) {
     if (round > 0) {
       Mutate(store.get(), &ops, 6);
@@ -387,6 +390,7 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
     XPathOracle oracle(store.get());
     ASSERT_OK_AND_ASSIGN(TokenSequence tokens, store->Read());
     const DocTree tree(tokens);
+    has_attributes = has_attributes || !tree.attributes().empty();
     QueryGenerator gen(&rng, &tree);
     for (int q = 0; q < kQueriesPerRound; ++q) {
       const std::string expr = gen.Query();
@@ -406,6 +410,15 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
             std::strcmp(rc.plan, "seeded-scan") == 0) {
           ++seeded;
         }
+        if (pass == 1 && rc.plan != nullptr &&
+            std::strcmp(rc.plan, "structural-join") == 0) {
+          for (const XPathStep& step : path.steps) {
+            if (step.test == NodeTestKind::kWildcard) ++joined_wildcard;
+          }
+          if (path.steps.back().axis == XPathAxis::kAttribute) {
+            ++joined_attribute;
+          }
+        }
       }
       ASSERT_OK_AND_ASSIGN(
           std::vector<NodeId> scanned,
@@ -421,15 +434,22 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   EXPECT_GT(nonempty, kRounds * kQueriesPerRound / 4);
   EXPECT_GT(predicated, kRounds * kQueriesPerRound / 4);
 #if !defined(LAXML_TRACING_DISABLED)
-  // With the index on, the warm pass must exercise seeded scans.
+  // With the index on, the warm pass must exercise seeded scans, and
+  // joins through '*' steps and (where the document has attributes)
+  // onto '@name' steps, so each is checked against the oracle.
   if (config.index != StructuralIndexMode::kOff) {
     EXPECT_GE(seeded, kRounds * kQueriesPerRound / 5);
+    EXPECT_GE(joined_wildcard, 1u);
+    if (has_attributes) {
+      EXPECT_GE(joined_attribute, 1u);
+    }
   }
 #endif
   std::printf("%s v%u: %zu of %d queries non-empty, %zu with predicates, "
-              "%zu seeded when warm\n",
+              "%zu seeded when warm, %zu '*' steps and %zu '@name' steps "
+              "joined\n",
               config.doc, config.codec, nonempty, kRounds * kQueriesPerRound,
-              predicated, seeded);
+              predicated, seeded, joined_wildcard, joined_attribute);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -178,8 +178,10 @@ TEST(XPathStreamTest, SeesUpdatesWithoutRefresh) {
 
 /// Runs `expr` cold (a full scan that warms the prefix's tags), then
 /// warm, and checks both against the oracle and the forced scan; the
-/// warm run must be a seeded scan.
-void ExpectSeeded(Store* store, const char* expr) {
+/// warm run must take `plan` (a seeded scan, unless the join answers
+/// the whole path).
+void ExpectSeeded(Store* store, const char* expr,
+                  const char* plan = "seeded-scan") {
   ExpectAgreement(store, expr);  // cold: warms the prefix
   XPathOracle oracle(store);
   ASSERT_OK_AND_ASSIGN(auto expected, oracle.Evaluate(expr));
@@ -192,7 +194,7 @@ void ExpectSeeded(Store* store, const char* expr) {
   }
 #if !defined(LAXML_TRACING_DISABLED)
   ASSERT_NE(rc.plan, nullptr) << expr;
-  EXPECT_STREQ(rc.plan, "seeded-scan") << expr;
+  EXPECT_STREQ(rc.plan, plan) << expr;
 #endif
   ASSERT_OK_AND_ASSIGN(auto forced,
                        EvaluateXPathStreaming(*store, path,
@@ -210,10 +212,14 @@ TEST(XPathStreamTest, NestedSameNameSeeds) {
       "<a><b>3</b><a k=\"3\"><b>4</b></a></a><c/></a>"
       "<a><c>5</c></a></r>"));
   for (const char* expr :
-       {"//a/node()", "//a/b/text()", "//a/*", "//a/@k", "//a[b]",
+       {"//a/node()", "//a/b/text()", "//a/*", "//a/@*", "//a[b]",
         "//a[c]/b", "//a[@k='2']/b", "//a//text()", "//a/b[1]", "/r/a/*",
         "//a[b='3']", "//a/x/y/a/b/text()", "//a[a]/c"}) {
     ExpectSeeded(store.get(), expr);
+  }
+  // '*' levels and a final '@name' join whole, nested seeds or not.
+  for (const char* expr : {"//a/@k", "//a/*/*/a/b", "//a/*/b/@k"}) {
+    ExpectSeeded(store.get(), expr, "structural-join");
   }
 }
 
@@ -228,9 +234,12 @@ TEST(XPathStreamTest, SeedsAcrossRangeBoundaries) {
   auto store = StoreWith(MustFragment(xml), /*max_range_bytes=*/48);
   ASSERT_GT(store->range_manager().range_count(), 10u);
   for (const char* expr :
-       {"//s/*", "//s[u]", "//s/@a", "//s/t/text()", "//s[t='text 7']/v",
+       {"//s/*", "//s[u]", "//s/@*", "//s/t/text()", "//s[t='text 7']/v",
         "//s/v/w/text()", "/r/s[2]", "//s[u]/v//text()"}) {
     ExpectSeeded(store.get(), expr);
+  }
+  for (const char* expr : {"//s/@a", "/r/*/v/w", "/r/s/*/w"}) {
+    ExpectSeeded(store.get(), expr, "structural-join");
   }
 }
 
@@ -286,10 +295,12 @@ TEST(XPathStreamTest, AttributesAfterChildren) {
     }
   }
   ASSERT_LT(first_g, first_attr);
-  for (const char* expr : {"//e/@k", "//e/@*", "//e[@k='3']/g", "//e[@j]",
+  for (const char* expr : {"//e/@*", "//e[@k='3']/g", "//e[@j]",
                            "//e/g/h/text()"}) {
     ExpectSeeded(store.get(), expr);
   }
+  // The attribute's interval still nests one level inside its element.
+  ExpectSeeded(store.get(), "//e/@k", "structural-join");
 }
 
 TEST(XPathStreamTest, EmptyStore) {
