@@ -119,33 +119,14 @@ class SharedStore {
   }
 
  public:
-  /// @name Table-1 mutators: exclusive latch + group-commit durability.
-  /// @{
-  Result<NodeId> InsertBefore(NodeId id, const TokenSequence& data) {
-    return Mutate([&](Store& s) { return s.InsertBefore(id, data); });
-  }
-  Result<NodeId> InsertAfter(NodeId id, const TokenSequence& data) {
-    return Mutate([&](Store& s) { return s.InsertAfter(id, data); });
-  }
-  Result<NodeId> InsertIntoFirst(NodeId id, const TokenSequence& data) {
-    return Mutate([&](Store& s) { return s.InsertIntoFirst(id, data); });
-  }
-  Result<NodeId> InsertIntoLast(NodeId id, const TokenSequence& data) {
-    return Mutate([&](Store& s) { return s.InsertIntoLast(id, data); });
-  }
-  Result<NodeId> InsertTopLevel(const TokenSequence& data) {
-    return Mutate([&](Store& s) { return s.InsertTopLevel(data); });
+  /// The Table-1 mutations (Store::Apply): exclusive latch + group-commit
+  /// durability.
+  Result<NodeId> Apply(WalOp op, NodeId target, const TokenSequence& data) {
+    return Mutate([&](Store& s) { return s.Apply(op, target, data); });
   }
   Status DeleteNode(NodeId id) {
-    return Mutate([&](Store& s) { return s.DeleteNode(id); });
+    return Apply(WalOp::kDeleteNode, id, {}).status();
   }
-  Result<NodeId> ReplaceNode(NodeId id, const TokenSequence& data) {
-    return Mutate([&](Store& s) { return s.ReplaceNode(id, data); });
-  }
-  Result<NodeId> ReplaceContent(NodeId id, const TokenSequence& data) {
-    return Mutate([&](Store& s) { return s.ReplaceContent(id, data); });
-  }
-  /// @}
 
   /// @name Readers: shared latch (except kFullIndex mode — see header).
   /// @{

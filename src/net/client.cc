@@ -277,66 +277,15 @@ Status Client::Ping() {
   return resp->status;
 }
 
-Result<NodeId> Client::InsertBefore(NodeId id, const TokenSequence& data) {
+Result<NodeId> Client::Apply(WalOp op, NodeId target,
+                             const TokenSequence& data) {
+  if (op >= WalOp::kCheckpoint) {
+    return Status::InvalidArgument(std::string(WalOpName(op)) +
+                                   " is not a Table-1 operation");
+  }
   Request req;
-  req.op = OpCode::kInsertBefore;
-  req.target = id;
-  req.data = data;
-  return CallForId(std::move(req));
-}
-
-Result<NodeId> Client::InsertAfter(NodeId id, const TokenSequence& data) {
-  Request req;
-  req.op = OpCode::kInsertAfter;
-  req.target = id;
-  req.data = data;
-  return CallForId(std::move(req));
-}
-
-Result<NodeId> Client::InsertIntoFirst(NodeId id, const TokenSequence& data) {
-  Request req;
-  req.op = OpCode::kInsertIntoFirst;
-  req.target = id;
-  req.data = data;
-  return CallForId(std::move(req));
-}
-
-Result<NodeId> Client::InsertIntoLast(NodeId id, const TokenSequence& data) {
-  Request req;
-  req.op = OpCode::kInsertIntoLast;
-  req.target = id;
-  req.data = data;
-  return CallForId(std::move(req));
-}
-
-Result<NodeId> Client::InsertTopLevel(const TokenSequence& data) {
-  Request req;
-  req.op = OpCode::kInsertTopLevel;
-  req.data = data;
-  return CallForId(std::move(req));
-}
-
-Status Client::DeleteNode(NodeId id) {
-  Request req;
-  req.op = OpCode::kDeleteNode;
-  req.target = id;
-  auto resp = Call(std::move(req));
-  if (!resp.ok()) return resp.status();
-  return resp->status;
-}
-
-Result<NodeId> Client::ReplaceNode(NodeId id, const TokenSequence& data) {
-  Request req;
-  req.op = OpCode::kReplaceNode;
-  req.target = id;
-  req.data = data;
-  return CallForId(std::move(req));
-}
-
-Result<NodeId> Client::ReplaceContent(NodeId id, const TokenSequence& data) {
-  Request req;
-  req.op = OpCode::kReplaceContent;
-  req.target = id;
+  req.op = OpCodeOf(op);
+  req.target = target;
   req.data = data;
   return CallForId(std::move(req));
 }

@@ -96,14 +96,33 @@ class Client {
   /// @name Typed wrappers over Call().
   /// @{
   Status Ping();
-  Result<NodeId> InsertBefore(NodeId id, const TokenSequence& data);
-  Result<NodeId> InsertAfter(NodeId id, const TokenSequence& data);
-  Result<NodeId> InsertIntoFirst(NodeId id, const TokenSequence& data);
-  Result<NodeId> InsertIntoLast(NodeId id, const TokenSequence& data);
-  Result<NodeId> InsertTopLevel(const TokenSequence& data);
-  Status DeleteNode(NodeId id);
-  Result<NodeId> ReplaceNode(NodeId id, const TokenSequence& data);
-  Result<NodeId> ReplaceContent(NodeId id, const TokenSequence& data);
+  /// One Table-1 mutation on the server (its Store::Apply); the named
+  /// forms below forward here.
+  Result<NodeId> Apply(WalOp op, NodeId target, const TokenSequence& data);
+  Result<NodeId> InsertBefore(NodeId id, const TokenSequence& data) {
+    return Apply(WalOp::kInsertBefore, id, data);
+  }
+  Result<NodeId> InsertAfter(NodeId id, const TokenSequence& data) {
+    return Apply(WalOp::kInsertAfter, id, data);
+  }
+  Result<NodeId> InsertIntoFirst(NodeId id, const TokenSequence& data) {
+    return Apply(WalOp::kInsertIntoFirst, id, data);
+  }
+  Result<NodeId> InsertIntoLast(NodeId id, const TokenSequence& data) {
+    return Apply(WalOp::kInsertIntoLast, id, data);
+  }
+  Result<NodeId> InsertTopLevel(const TokenSequence& data) {
+    return Apply(WalOp::kInsertTopLevel, kInvalidNodeId, data);
+  }
+  Status DeleteNode(NodeId id) {
+    return Apply(WalOp::kDeleteNode, id, {}).status();
+  }
+  Result<NodeId> ReplaceNode(NodeId id, const TokenSequence& data) {
+    return Apply(WalOp::kReplaceNode, id, data);
+  }
+  Result<NodeId> ReplaceContent(NodeId id, const TokenSequence& data) {
+    return Apply(WalOp::kReplaceContent, id, data);
+  }
   Result<TokenSequence> Read();
   Result<TokenSequence> Read(NodeId id);
   Result<std::vector<NodeId>> XPath(std::string expr);

@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <utility>
 
 #include "common/crc32c.h"
 #include "common/varint.h"
@@ -25,37 +26,28 @@ uint32_t ReadFixed32(const uint8_t* p) {
          (static_cast<uint32_t>(p[3]) << 24);
 }
 
+// The mutating opcodes and the Table-1 operation each one runs.
+constexpr std::pair<OpCode, WalOp> kMutations[] = {
+    {OpCode::kInsertBefore, WalOp::kInsertBefore},
+    {OpCode::kInsertAfter, WalOp::kInsertAfter},
+    {OpCode::kInsertIntoFirst, WalOp::kInsertIntoFirst},
+    {OpCode::kInsertIntoLast, WalOp::kInsertIntoLast},
+    {OpCode::kInsertTopLevel, WalOp::kInsertTopLevel},
+    {OpCode::kDeleteNode, WalOp::kDeleteNode},
+    {OpCode::kReplaceNode, WalOp::kReplaceNode},
+    {OpCode::kReplaceContent, WalOp::kReplaceContent},
+};
+
 // Which payload fields an opcode carries, shared by both codec
 // directions so they cannot drift apart.
 bool HasTarget(OpCode op) {
-  switch (op) {
-    case OpCode::kInsertBefore:
-    case OpCode::kInsertAfter:
-    case OpCode::kInsertIntoFirst:
-    case OpCode::kInsertIntoLast:
-    case OpCode::kDeleteNode:
-    case OpCode::kReplaceNode:
-    case OpCode::kReplaceContent:
-    case OpCode::kReadNode:
-      return true;
-    default:
-      return false;
-  }
+  const std::optional<WalOp> m = MutationOf(op);
+  return op == OpCode::kReadNode || (m && *m != WalOp::kInsertTopLevel);
 }
 
 bool HasFragment(OpCode op) {
-  switch (op) {
-    case OpCode::kInsertBefore:
-    case OpCode::kInsertAfter:
-    case OpCode::kInsertIntoFirst:
-    case OpCode::kInsertIntoLast:
-    case OpCode::kInsertTopLevel:
-    case OpCode::kReplaceNode:
-    case OpCode::kReplaceContent:
-      return true;
-    default:
-      return false;
-  }
+  const std::optional<WalOp> m = MutationOf(op);
+  return m && *m != WalOp::kDeleteNode;
 }
 
 bool ReturnsId(OpCode op) {
@@ -130,6 +122,20 @@ const char* OpCodeName(OpCode op) {
     case OpCode::kExplain: return "EXPLAIN";
   }
   return "UNKNOWN";
+}
+
+std::optional<WalOp> MutationOf(OpCode op) {
+  for (const auto& [code, wal_op] : kMutations) {
+    if (code == op) return wal_op;
+  }
+  return std::nullopt;
+}
+
+OpCode OpCodeOf(WalOp op) {
+  for (const auto& [code, wal_op] : kMutations) {
+    if (wal_op == op) return code;
+  }
+  return OpCode::kPing;
 }
 
 void EncodeRequest(const Request& req, std::vector<uint8_t>* dst) {

@@ -33,11 +33,13 @@
 #define LAXML_NET_WIRE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/slice.h"
 #include "common/status.h"
+#include "wal/log_format.h"
 #include "xml/token.h"
 #include "xml/token_sequence.h"
 
@@ -102,6 +104,15 @@ enum class ExplainMode : uint8_t {
 
 /// Human-readable opcode name ("INSERT_BEFORE", ...).
 const char* OpCodeName(OpCode op);
+
+/// The Table-1 operation a mutating opcode runs (nullopt for every other
+/// opcode). With OpCodeOf, the one map between the wire's opcodes and
+/// Store::Apply's operation codes.
+std::optional<WalOp> MutationOf(OpCode op);
+
+/// The opcode that carries Table-1 operation `op` (kPing for
+/// kCheckpoint, which no request carries).
+OpCode OpCodeOf(WalOp op);
 
 /// One decoded request. Fields beyond `op`/`request_id` are meaningful
 /// only for the opcodes that use them (see the encoding table in

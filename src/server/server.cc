@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 #include "common/logging.h"
 #include "obs/engine_metrics.h"
@@ -452,40 +453,20 @@ net::Response Server::Execute(const net::Request& req) {
   net::Response resp;
   resp.op = req.op;
   resp.request_id = req.request_id;
-  auto take_id = [&resp](Result<NodeId> r) {
+  using net::OpCode;
+  if (const std::optional<WalOp> op = net::MutationOf(req.op)) {
+    // Every mutating opcode is one Store::Apply; a delete's response
+    // encodes no id (the wire drops it).
+    Result<NodeId> r = store_.Apply(*op, req.target, req.data);
     if (r.ok()) {
       resp.id = *r;
     } else {
       resp.status = r.status();
     }
-  };
-  using net::OpCode;
+    return resp;
+  }
   switch (req.op) {
     case OpCode::kPing:
-      break;
-    case OpCode::kInsertBefore:
-      take_id(store_.InsertBefore(req.target, req.data));
-      break;
-    case OpCode::kInsertAfter:
-      take_id(store_.InsertAfter(req.target, req.data));
-      break;
-    case OpCode::kInsertIntoFirst:
-      take_id(store_.InsertIntoFirst(req.target, req.data));
-      break;
-    case OpCode::kInsertIntoLast:
-      take_id(store_.InsertIntoLast(req.target, req.data));
-      break;
-    case OpCode::kInsertTopLevel:
-      take_id(store_.InsertTopLevel(req.data));
-      break;
-    case OpCode::kDeleteNode:
-      resp.status = store_.DeleteNode(req.target);
-      break;
-    case OpCode::kReplaceNode:
-      take_id(store_.ReplaceNode(req.target, req.data));
-      break;
-    case OpCode::kReplaceContent:
-      take_id(store_.ReplaceContent(req.target, req.data));
       break;
     case OpCode::kRead: {
       auto r = store_.Read();
@@ -592,6 +573,8 @@ net::Response Server::Execute(const net::Request& req) {
       resp.text = plan->ToJson();
       break;
     }
+    default:  // the mutations, answered above
+      break;
   }
   return resp;
 }

@@ -14,23 +14,26 @@ namespace laxml {
 
 /// The Store operations the per-op stats are kept for: the latency
 /// histograms (the Table-1 mutators and both reads) and the I/O-error
-/// counts (the mutators, Sync and bulk load).
+/// counts (the mutators, Sync, bulk load and range compaction). The
+/// eight mutators come first, in WalOp order, so Store::Apply indexes
+/// both arrays with the WalOp value.
 enum class StoreOp : uint8_t {
   kInsertBefore,
   kInsertAfter,
   kInsertIntoFirst,
   kInsertIntoLast,
-  kInsertTopLevel,
   kDelete,
   kReplaceNode,
   kReplaceContent,
+  kInsertTopLevel,
   kReadById,
   kFullScan,
   kSync,
   kBulkLoad,
+  kCompact,
 };
 inline constexpr size_t kStoreOpCount =
-    static_cast<size_t>(StoreOp::kBulkLoad) + 1;
+    static_cast<size_t>(StoreOp::kCompact) + 1;
 
 /// Each op's label value in laxml_store_op_us{op} and
 /// laxml_io_errors_total{op}, indexed by StoreOp.
@@ -39,14 +42,15 @@ inline constexpr const char* kStoreOpNames[kStoreOpCount] = {
     "insert_after",
     "insert_into_first",
     "insert_into_last",
-    "insert_top_level",
     "delete",
     "replace_node",
     "replace_content",
+    "insert_top_level",
     "read_by_id",
     "full_scan",
     "sync",
     "bulk_load",
+    "compact_ranges",
 };
 
 /// Store-level counters. Substrate counters (buffer pool, record store,

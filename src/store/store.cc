@@ -232,39 +232,12 @@ Status Store::Bootstrap(bool fresh) {
           }
           data = std::move(decoded).value();
         }
-        Status st;
-        switch (rec.op) {
-          case WalOp::kInsertBefore:
-            st = InsertBefore(rec.target, data).status();
-            break;
-          case WalOp::kInsertAfter:
-            st = InsertAfter(rec.target, data).status();
-            break;
-          case WalOp::kInsertIntoFirst:
-            st = InsertIntoFirst(rec.target, data).status();
-            break;
-          case WalOp::kInsertIntoLast:
-            st = InsertIntoLast(rec.target, data).status();
-            break;
-          case WalOp::kDeleteNode:
-            st = DeleteNode(rec.target);
-            break;
-          case WalOp::kReplaceNode:
-            st = ReplaceNode(rec.target, data).status();
-            break;
-          case WalOp::kReplaceContent:
-            st = ReplaceContent(rec.target, data).status();
-            break;
-          case WalOp::kInsertTopLevel:
-            st = InsertTopLevel(data).status();
-            break;
-          case WalOp::kCheckpoint:
-            break;  // epoch bookkeeping, not a logical operation
-        }
+        Status st = Apply(rec.op, rec.target, data).status();
         // Deterministic replay: an op that failed originally fails the
         // same way now; only environmental errors abort recovery.
         // Poisoned means an earlier record already hit one — skipping
-        // the remainder would silently drop committed work.
+        // the remainder would silently drop committed work. A stray
+        // kCheckpoint is rejected by Apply as a caller error: skipped.
         if (!st.ok() && (st.IsIOError() || st.IsCorruption() ||
                          st.IsResourceExhausted() || st.IsNoSpace() ||
                          st.IsPoisoned())) {
@@ -805,196 +778,149 @@ Status Store::DeleteRangesBetween(RangeId first_doomed,
 // ---------------------------------------------------------------------------
 // The Table-1 interface
 
-// Every mutating entry point passes through the poisoned gate and the
-// fail-stop classifier: an environmental error (I/O, corruption, out of
-// space) fail-stops the store sticky, so no later mutation can "succeed"
-// past state that never reached disk.
+static_assert(static_cast<uint8_t>(StoreOp::kDelete) ==
+                  static_cast<uint8_t>(WalOp::kDeleteNode) &&
+              static_cast<uint8_t>(StoreOp::kInsertTopLevel) ==
+                  static_cast<uint8_t>(WalOp::kInsertTopLevel),
+              "StoreOp lists the Table-1 mutators in WalOp order");
 
-Result<NodeId> Store::InsertBefore(NodeId id, const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(poison_status());
-  return FailStop(StoreOp::kInsertBefore, InsertBeforeImpl(id, data));
-}
-
-Result<NodeId> Store::InsertAfter(NodeId id, const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(poison_status());
-  return FailStop(StoreOp::kInsertAfter, InsertAfterImpl(id, data));
-}
-
-Result<NodeId> Store::InsertIntoFirst(NodeId id, const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(poison_status());
-  return FailStop(StoreOp::kInsertIntoFirst, InsertIntoFirstImpl(id, data));
-}
-
-Result<NodeId> Store::InsertIntoLast(NodeId id, const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(poison_status());
-  return FailStop(StoreOp::kInsertIntoLast, InsertIntoLastImpl(id, data));
-}
-
-Result<NodeId> Store::InsertTopLevel(const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(poison_status());
-  return FailStop(StoreOp::kInsertTopLevel, InsertTopLevelImpl(data));
-}
-
-Status Store::DeleteNode(NodeId id) {
-  LAXML_RETURN_IF_ERROR(poison_status());
-  return FailStop(StoreOp::kDelete, DeleteNodeImpl(id));
-}
-
-Result<NodeId> Store::ReplaceNode(NodeId id, const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(poison_status());
-  return FailStop(StoreOp::kReplaceNode, ReplaceNodeImpl(id, data));
-}
-
-Result<NodeId> Store::ReplaceContent(NodeId id, const TokenSequence& data) {
-  LAXML_RETURN_IF_ERROR(poison_status());
-  return FailStop(StoreOp::kReplaceContent, ReplaceContentImpl(id, data));
-}
-
-Result<NodeId> Store::InsertBeforeImpl(NodeId id, const TokenSequence& data) {
-  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kInsertBefore));
-  LAXML_RETURN_IF_ERROR(ValidateFragment(data));
-  LAXML_RETURN_IF_ERROR(LogOp(WalOp::kInsertBefore, id, data));
-  LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
-  LAXML_ASSIGN_OR_RETURN(Boundary b, EnsureBoundaryBefore(begin));
-  LAXML_ASSIGN_OR_RETURN(NodeId first, StoreFragment(data, b.left));
-  // The target's begin token now sits at the head of b.right.
-  partial_.RecordBegin(id, b.right, 0, 0, begin.codec);
-  ++stats_.inserts;
-  LAXML_RETURN_IF_ERROR(MaybeSync());
-  return first;
-}
-
-Result<NodeId> Store::InsertAfterImpl(NodeId id, const TokenSequence& data) {
-  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kInsertAfter));
-  LAXML_RETURN_IF_ERROR(ValidateFragment(data));
-  LAXML_RETURN_IF_ERROR(LogOp(WalOp::kInsertAfter, id, data));
-  LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
-  LAXML_ASSIGN_OR_RETURN(Located end, LocateEnd(id, begin));
-  LAXML_ASSIGN_OR_RETURN(Boundary b, EnsureBoundaryAfter(end));
-  LAXML_ASSIGN_OR_RETURN(NodeId first, StoreFragment(data, b.left));
-  // Both the begin and end tokens stayed in the head side of any split.
-  partial_.RecordBegin(id, begin.range, begin.byte_offset,
-                       begin.token_index, begin.codec);
-  if (begin.token.OpensScope()) {
-    partial_.RecordEnd(id, end.range, end.byte_offset, end.token_index,
-                       end.begins_before, end.codec);
+Result<NodeId> Store::Apply(WalOp op, NodeId target,
+                            const TokenSequence& data) {
+  if (op >= WalOp::kCheckpoint) {
+    return Status::InvalidArgument(std::string(WalOpName(op)) +
+                                   " is not a Table-1 operation");
   }
-  ++stats_.inserts;
-  LAXML_RETURN_IF_ERROR(MaybeSync());
-  return first;
-}
-
-Result<NodeId> Store::InsertIntoFirstImpl(NodeId id,
-                                      const TokenSequence& data) {
-  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kInsertIntoFirst));
-  LAXML_RETURN_IF_ERROR(ValidateFragment(data));
-  LAXML_RETURN_IF_ERROR(LogOp(WalOp::kInsertIntoFirst, id, data));
-  LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
-  if (!begin.token.CanHaveChildren()) {
-    return Status::InvalidArgument("target node cannot have children");
-  }
-  LAXML_ASSIGN_OR_RETURN(Boundary b, EnsureBoundaryAfter(begin));
-  LAXML_ASSIGN_OR_RETURN(NodeId first, StoreFragment(data, b.left));
-  partial_.RecordBegin(id, begin.range, begin.byte_offset,
-                       begin.token_index, begin.codec);
-  ++stats_.inserts;
-  LAXML_RETURN_IF_ERROR(MaybeSync());
-  return first;
-}
-
-Result<NodeId> Store::InsertIntoLastImpl(NodeId id, const TokenSequence& data) {
-  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kInsertIntoLast));
-  LAXML_RETURN_IF_ERROR(ValidateFragment(data));
-  LAXML_RETURN_IF_ERROR(LogOp(WalOp::kInsertIntoLast, id, data));
-  LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
-  if (!begin.token.CanHaveChildren()) {
-    return Status::InvalidArgument("target node cannot have children");
-  }
-  LAXML_ASSIGN_OR_RETURN(Located end, LocateEnd(id, begin));
-  LAXML_ASSIGN_OR_RETURN(Boundary b, EnsureBoundaryBefore(end));
-  LAXML_ASSIGN_OR_RETURN(NodeId first, StoreFragment(data, b.left));
-  // Memoize the worked-example state (Table 4): the begin token kept its
-  // place (any split happened at or before the end token, which is
-  // strictly after the begin token); the end token now heads b.right.
-  if (begin.range != b.split_range || !b.split ||
-      begin.byte_offset < b.split_offset) {
-    partial_.RecordBegin(id, begin.range, begin.byte_offset,
-                         begin.token_index, begin.codec);
-  }
-  partial_.RecordEnd(id, b.right, 0, 0, 0, end.codec);
-  ++stats_.inserts;
-  LAXML_RETURN_IF_ERROR(MaybeSync());
-  return first;
-}
-
-Result<NodeId> Store::InsertTopLevelImpl(const TokenSequence& data) {
-  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kInsertTopLevel));
-  LAXML_RETURN_IF_ERROR(ValidateFragment(data));
-  LAXML_RETURN_IF_ERROR(LogOp(WalOp::kInsertTopLevel, kInvalidNodeId, data));
-  LAXML_ASSIGN_OR_RETURN(NodeId first,
-                         StoreFragment(data, ranges_->last_range()));
-  ++stats_.inserts;
-  LAXML_RETURN_IF_ERROR(MaybeSync());
-  return first;
-}
-
-Status Store::DeleteNodeImpl(NodeId id) {
-  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kDelete));
-  LAXML_RETURN_IF_ERROR(LogOp(WalOp::kDeleteNode, id, {}));
-  LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
-  LAXML_ASSIGN_OR_RETURN(Located end, LocateEnd(id, begin));
-  LAXML_ASSIGN_OR_RETURN(Boundary left_b, EnsureBoundaryBefore(begin));
-  AdjustAfterSplit(left_b, &end);
-  LAXML_ASSIGN_OR_RETURN(Boundary right_b, EnsureBoundaryAfter(end));
-  LAXML_RETURN_IF_ERROR(DeleteRangesBetween(left_b.right, right_b.right));
-  partial_.Invalidate(id);
-  ++stats_.deletes;
-  LAXML_RETURN_IF_ERROR(MaybeSync());
-  return Status::OK();
-}
-
-Result<NodeId> Store::ReplaceNodeImpl(NodeId id, const TokenSequence& data) {
-  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kReplaceNode));
-  LAXML_RETURN_IF_ERROR(ValidateFragment(data));
-  LAXML_RETURN_IF_ERROR(LogOp(WalOp::kReplaceNode, id, data));
-  LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
-  LAXML_ASSIGN_OR_RETURN(Located end, LocateEnd(id, begin));
-  LAXML_ASSIGN_OR_RETURN(Boundary left_b, EnsureBoundaryBefore(begin));
-  AdjustAfterSplit(left_b, &end);
-  LAXML_ASSIGN_OR_RETURN(Boundary right_b, EnsureBoundaryAfter(end));
-  LAXML_RETURN_IF_ERROR(DeleteRangesBetween(left_b.right, right_b.right));
-  partial_.Invalidate(id);
-  LAXML_ASSIGN_OR_RETURN(NodeId first, StoreFragment(data, left_b.left));
-  ++stats_.replaces;
-  LAXML_RETURN_IF_ERROR(MaybeSync());
-  return first;
-}
-
-Result<NodeId> Store::ReplaceContentImpl(NodeId id, const TokenSequence& data) {
-  obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kReplaceContent));
-  if (!data.empty()) {
-    LAXML_RETURN_IF_ERROR(ValidateFragment(data));
-  }
-  LAXML_RETURN_IF_ERROR(LogOp(WalOp::kReplaceContent, id, data));
-  LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
-  if (!begin.token.CanHaveChildren()) {
-    return Status::InvalidArgument("target node has no content to replace");
-  }
-  LAXML_ASSIGN_OR_RETURN(Located end, LocateEnd(id, begin));
-  LAXML_ASSIGN_OR_RETURN(Boundary first_b, EnsureBoundaryAfter(begin));
-  AdjustAfterSplit(first_b, &end);
-  LAXML_ASSIGN_OR_RETURN(Boundary second_b, EnsureBoundaryBefore(end));
-  LAXML_RETURN_IF_ERROR(DeleteRangesBetween(first_b.right, second_b.right));
-  NodeId first = kInvalidNodeId;
-  if (!data.empty()) {
-    LAXML_ASSIGN_OR_RETURN(first, StoreFragment(data, first_b.left));
-  }
-  partial_.RecordBegin(id, begin.range, begin.byte_offset,
-                       begin.token_index, begin.codec);
-  partial_.RecordEnd(id, second_b.right, 0, 0, 0, end.codec);
-  ++stats_.replaces;
-  LAXML_RETURN_IF_ERROR(MaybeSync());
-  return first;
+  // An environmental error (I/O, corruption, out of space) fail-stops the
+  // store sticky, so no later mutation can "succeed" past state that
+  // never reached disk.
+  LAXML_RETURN_IF_ERROR(poison_status());
+  const StoreOp kind = static_cast<StoreOp>(op);
+  obs::ScopedHistogramTimer timer(&stats_.latency(kind));
+  return FailStop(kind, [&]() -> Result<NodeId> {
+    if (op == WalOp::kDeleteNode) {
+      if (!data.empty()) {
+        return Status::InvalidArgument("deleteNode carries no fragment");
+      }
+    } else if (op != WalOp::kReplaceContent || !data.empty()) {
+      LAXML_RETURN_IF_ERROR(ValidateFragment(data));
+    }
+    if (op == WalOp::kInsertTopLevel && target != kInvalidNodeId) {
+      return Status::InvalidArgument("insertTopLevel takes no target");
+    }
+    // Journal before touching structures: an op that fails below fails
+    // the same way on replay.
+    LAXML_RETURN_IF_ERROR(LogOp(op, target, data));
+    NodeId first = kInvalidNodeId;
+    switch (op) {
+      case WalOp::kInsertBefore: {
+        LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(target));
+        LAXML_ASSIGN_OR_RETURN(Boundary b, EnsureBoundaryBefore(begin));
+        LAXML_ASSIGN_OR_RETURN(first, StoreFragment(data, b.left));
+        // The target's begin token now sits at the head of b.right.
+        partial_.RecordBegin(target, b.right, 0, 0, begin.codec);
+        ++stats_.inserts;
+        break;
+      }
+      case WalOp::kInsertAfter: {
+        LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(target));
+        LAXML_ASSIGN_OR_RETURN(Located end, LocateEnd(target, begin));
+        LAXML_ASSIGN_OR_RETURN(Boundary b, EnsureBoundaryAfter(end));
+        LAXML_ASSIGN_OR_RETURN(first, StoreFragment(data, b.left));
+        // Both the begin and end tokens stayed in the head side of any
+        // split.
+        partial_.RecordBegin(target, begin.range, begin.byte_offset,
+                             begin.token_index, begin.codec);
+        if (begin.token.OpensScope()) {
+          partial_.RecordEnd(target, end.range, end.byte_offset,
+                             end.token_index, end.begins_before, end.codec);
+        }
+        ++stats_.inserts;
+        break;
+      }
+      case WalOp::kInsertIntoFirst: {
+        LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(target));
+        if (!begin.token.CanHaveChildren()) {
+          return Status::InvalidArgument("target node cannot have children");
+        }
+        LAXML_ASSIGN_OR_RETURN(Boundary b, EnsureBoundaryAfter(begin));
+        LAXML_ASSIGN_OR_RETURN(first, StoreFragment(data, b.left));
+        partial_.RecordBegin(target, begin.range, begin.byte_offset,
+                             begin.token_index, begin.codec);
+        ++stats_.inserts;
+        break;
+      }
+      case WalOp::kInsertIntoLast: {
+        LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(target));
+        if (!begin.token.CanHaveChildren()) {
+          return Status::InvalidArgument("target node cannot have children");
+        }
+        LAXML_ASSIGN_OR_RETURN(Located end, LocateEnd(target, begin));
+        LAXML_ASSIGN_OR_RETURN(Boundary b, EnsureBoundaryBefore(end));
+        LAXML_ASSIGN_OR_RETURN(first, StoreFragment(data, b.left));
+        // Memoize the worked-example state (Table 4): the begin token
+        // kept its place (any split happened at or before the end token,
+        // which is strictly after the begin token); the end token now
+        // heads b.right.
+        if (begin.range != b.split_range || !b.split ||
+            begin.byte_offset < b.split_offset) {
+          partial_.RecordBegin(target, begin.range, begin.byte_offset,
+                               begin.token_index, begin.codec);
+        }
+        partial_.RecordEnd(target, b.right, 0, 0, 0, end.codec);
+        ++stats_.inserts;
+        break;
+      }
+      case WalOp::kDeleteNode:
+      case WalOp::kReplaceNode: {
+        LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(target));
+        LAXML_ASSIGN_OR_RETURN(Located end, LocateEnd(target, begin));
+        LAXML_ASSIGN_OR_RETURN(Boundary left_b, EnsureBoundaryBefore(begin));
+        AdjustAfterSplit(left_b, &end);
+        LAXML_ASSIGN_OR_RETURN(Boundary right_b, EnsureBoundaryAfter(end));
+        LAXML_RETURN_IF_ERROR(
+            DeleteRangesBetween(left_b.right, right_b.right));
+        partial_.Invalidate(target);
+        if (op == WalOp::kDeleteNode) {
+          ++stats_.deletes;
+          break;
+        }
+        LAXML_ASSIGN_OR_RETURN(first, StoreFragment(data, left_b.left));
+        ++stats_.replaces;
+        break;
+      }
+      case WalOp::kReplaceContent: {
+        LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(target));
+        if (!begin.token.CanHaveChildren()) {
+          return Status::InvalidArgument(
+              "target node has no content to replace");
+        }
+        LAXML_ASSIGN_OR_RETURN(Located end, LocateEnd(target, begin));
+        LAXML_ASSIGN_OR_RETURN(Boundary first_b, EnsureBoundaryAfter(begin));
+        AdjustAfterSplit(first_b, &end);
+        LAXML_ASSIGN_OR_RETURN(Boundary second_b, EnsureBoundaryBefore(end));
+        LAXML_RETURN_IF_ERROR(
+            DeleteRangesBetween(first_b.right, second_b.right));
+        if (!data.empty()) {
+          LAXML_ASSIGN_OR_RETURN(first, StoreFragment(data, first_b.left));
+        }
+        partial_.RecordBegin(target, begin.range, begin.byte_offset,
+                             begin.token_index, begin.codec);
+        partial_.RecordEnd(target, second_b.right, 0, 0, 0, end.codec);
+        ++stats_.replaces;
+        break;
+      }
+      case WalOp::kInsertTopLevel: {
+        LAXML_ASSIGN_OR_RETURN(first,
+                               StoreFragment(data, ranges_->last_range()));
+        ++stats_.inserts;
+        break;
+      }
+      case WalOp::kCheckpoint:
+        break;  // rejected above
+    }
+    LAXML_RETURN_IF_ERROR(MaybeSync());
+    return first;
+  }());
 }
 
 // ---------------------------------------------------------------------------
@@ -1157,45 +1083,48 @@ Result<uint64_t> Store::CompactRanges(uint32_t target_bytes) {
   if (read_only()) {
     return Status::NotSupported("store opened read-only");
   }
-  uint64_t merges = 0;
-  RangeId cur = ranges_->first_range();
-  while (cur != kInvalidRangeId) {
-    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
-    if (meta.next == kInvalidRangeId) break;
-    LAXML_ASSIGN_OR_RETURN(RangeMeta next_meta,
-                           ranges_->GetMeta(meta.next));
-    LAXML_ASSIGN_OR_RETURN(bool mergeable, ranges_->CanMergeWithNext(cur));
-    if (!mergeable ||
-        meta.byte_len + next_meta.byte_len > target_bytes) {
-      cur = meta.next;
-      continue;
-    }
-    RangeId dead = meta.next;
-    LAXML_RETURN_IF_ERROR(ranges_->MergeWithNext(cur));
-    // Offsets into both ranges are stale for memoized locations; the
-    // merged range keeps id `cur`, so both must be dropped.
-    partial_.InvalidateRange(cur);
-    partial_.InvalidateRange(dead);
-    // A merge keeps the token stream intact (pre/post numbering holds)
-    // but moves begin-token coordinates; range-level invalidation only.
-    structural_->InvalidateRange(cur);
-    structural_->InvalidateRange(dead);
-    if (full_ != nullptr) {
-      LAXML_ASSIGN_OR_RETURN(RangeMeta merged, ranges_->GetMeta(cur));
-      if (merged.has_ids()) {
-        LAXML_ASSIGN_OR_RETURN(auto payload, ranges_->ReadPayload(cur));
-        LAXML_RETURN_IF_ERROR(ReindexRange(cur, payload.data(),
-                                           payload.size(), merged.start_id,
-                                           merged.codec));
+  LAXML_RETURN_IF_ERROR(poison_status());
+  return FailStop(StoreOp::kCompact, [&]() -> Result<uint64_t> {
+    uint64_t merges = 0;
+    RangeId cur = ranges_->first_range();
+    while (cur != kInvalidRangeId) {
+      LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
+      if (meta.next == kInvalidRangeId) break;
+      LAXML_ASSIGN_OR_RETURN(RangeMeta next_meta,
+                             ranges_->GetMeta(meta.next));
+      LAXML_ASSIGN_OR_RETURN(bool mergeable, ranges_->CanMergeWithNext(cur));
+      if (!mergeable ||
+          meta.byte_len + next_meta.byte_len > target_bytes) {
+        cur = meta.next;
+        continue;
       }
+      RangeId dead = meta.next;
+      LAXML_RETURN_IF_ERROR(ranges_->MergeWithNext(cur));
+      // Offsets into both ranges are stale for memoized locations; the
+      // merged range keeps id `cur`, so both must be dropped.
+      partial_.InvalidateRange(cur);
+      partial_.InvalidateRange(dead);
+      // A merge keeps the token stream intact (pre/post numbering holds)
+      // but moves begin-token coordinates; range-level invalidation only.
+      structural_->InvalidateRange(cur);
+      structural_->InvalidateRange(dead);
+      if (full_ != nullptr) {
+        LAXML_ASSIGN_OR_RETURN(RangeMeta merged, ranges_->GetMeta(cur));
+        if (merged.has_ids()) {
+          LAXML_ASSIGN_OR_RETURN(auto payload, ranges_->ReadPayload(cur));
+          LAXML_RETURN_IF_ERROR(ReindexRange(cur, payload.data(),
+                                             payload.size(), merged.start_id,
+                                             merged.codec));
+        }
+      }
+      ++merges;
+      // Stay on `cur`: more neighbors may fold in.
     }
-    ++merges;
-    // Stay on `cur`: more neighbors may fold in.
-  }
-  if (merges > 0) {
-    LAXML_RETURN_IF_ERROR(MaybeSync());
-  }
-  return merges;
+    if (merges > 0) {
+      LAXML_RETURN_IF_ERROR(MaybeSync());
+    }
+    return merges;
+  }());
 }
 
 std::unique_ptr<TokenCursor> Store::NewCursor() const {

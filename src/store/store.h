@@ -75,30 +75,55 @@ class Store {
   // -------------------------------------------------------------------
   // The paper's Table-1 interface.
 
+  /// Runs one Table-1 mutation: the only implementation of the eight
+  /// operations, shared by the named forms below, WAL replay, SharedStore
+  /// and the server. In order it applies the poison gate, starts the
+  /// op's latency timer, validates `data` (DeleteNode carries none,
+  /// ReplaceContent may be empty, InsertTopLevel takes no `target`),
+  /// journals the op, locates/splits/stores/memoizes, bumps the op
+  /// counter and MaybeSyncs; an environmental error fail-stops the
+  /// store. Returns the id of the first inserted node (kInvalidNodeId
+  /// when nothing was inserted). kCheckpoint is InvalidArgument.
+  Result<NodeId> Apply(WalOp op, NodeId target, const TokenSequence& data);
+
   /// Inserts `data` as the preceding sibling(s) of node `id`. Returns
   /// the id of the first inserted node.
-  Result<NodeId> InsertBefore(NodeId id, const TokenSequence& data);
+  Result<NodeId> InsertBefore(NodeId id, const TokenSequence& data) {
+    return Apply(WalOp::kInsertBefore, id, data);
+  }
 
   /// Inserts `data` as the following sibling(s) of node `id`.
-  Result<NodeId> InsertAfter(NodeId id, const TokenSequence& data);
+  Result<NodeId> InsertAfter(NodeId id, const TokenSequence& data) {
+    return Apply(WalOp::kInsertAfter, id, data);
+  }
 
   /// Inserts `data` as the first child(ren) of node `id` (which must be
   /// an element or document node).
-  Result<NodeId> InsertIntoFirst(NodeId id, const TokenSequence& data);
+  Result<NodeId> InsertIntoFirst(NodeId id, const TokenSequence& data) {
+    return Apply(WalOp::kInsertIntoFirst, id, data);
+  }
 
   /// Inserts `data` as the last child(ren) of node `id`.
-  Result<NodeId> InsertIntoLast(NodeId id, const TokenSequence& data);
+  Result<NodeId> InsertIntoLast(NodeId id, const TokenSequence& data) {
+    return Apply(WalOp::kInsertIntoLast, id, data);
+  }
 
   /// Removes node `id` and its entire subtree.
-  Status DeleteNode(NodeId id);
+  Status DeleteNode(NodeId id) {
+    return Apply(WalOp::kDeleteNode, id, {}).status();
+  }
 
   /// Replaces node `id` (subtree included) with `data`.
-  Result<NodeId> ReplaceNode(NodeId id, const TokenSequence& data);
+  Result<NodeId> ReplaceNode(NodeId id, const TokenSequence& data) {
+    return Apply(WalOp::kReplaceNode, id, data);
+  }
 
   /// Replaces the content (children) of element/document node `id` with
   /// `data`, keeping the node itself. Returns the id of the first
   /// inserted node (kInvalidNodeId when `data` is empty).
-  Result<NodeId> ReplaceContent(NodeId id, const TokenSequence& data);
+  Result<NodeId> ReplaceContent(NodeId id, const TokenSequence& data) {
+    return Apply(WalOp::kReplaceContent, id, data);
+  }
 
   /// Reads the entire data source in document order.
   Result<TokenSequence> Read();
@@ -112,7 +137,9 @@ class Store {
   /// Appends `data` at the end of the top level (the bootstrap insert:
   /// the paper's worked example starts by inserting sibling nodes into
   /// an empty data source). Returns the first inserted id.
-  Result<NodeId> InsertTopLevel(const TokenSequence& data);
+  Result<NodeId> InsertTopLevel(const TokenSequence& data) {
+    return Apply(WalOp::kInsertTopLevel, kInvalidNodeId, data);
+  }
 
   /// Reads everything, also reporting the node id of every token
   /// (kInvalidNodeId for end tokens) — the regeneration procedure made
@@ -159,7 +186,9 @@ class Store {
   /// read/update/storage overhead"). Only id-contiguous neighbors merge
   /// (the consecutive-id invariant is preserved); memoized locations in
   /// merged ranges are invalidated and, in full-index mode, their nodes
-  /// re-pointed. Returns the number of merges performed.
+  /// re-pointed. Returns the number of merges performed. Gated like a
+  /// mutation: a poisoned store refuses, and an environmental error
+  /// fail-stops it.
   Result<uint64_t> CompactRanges(uint32_t target_bytes);
 
   /// Streaming cursor over the whole store in document order.
@@ -267,7 +296,6 @@ class Store {
 
  private:
   friend class TokenCursor;
-  friend class Recovery;
   friend class StoreAuditor;
 
   Store(std::unique_ptr<Pager> pager, const StoreOptions& options);
@@ -322,16 +350,6 @@ class Store {
     return st;
   }
 
-  // The Table-1 bodies; the public entry points wrap them in the
-  // poisoned-gate + fail-stop classification.
-  Result<NodeId> InsertBeforeImpl(NodeId id, const TokenSequence& data);
-  Result<NodeId> InsertAfterImpl(NodeId id, const TokenSequence& data);
-  Result<NodeId> InsertIntoFirstImpl(NodeId id, const TokenSequence& data);
-  Result<NodeId> InsertIntoLastImpl(NodeId id, const TokenSequence& data);
-  Status DeleteNodeImpl(NodeId id);
-  Result<NodeId> ReplaceNodeImpl(NodeId id, const TokenSequence& data);
-  Result<NodeId> ReplaceContentImpl(NodeId id, const TokenSequence& data);
-  Result<NodeId> InsertTopLevelImpl(const TokenSequence& data);
   Status SyncImpl();
 
   /// Appends the kCheckpoint epoch header that must open every WAL

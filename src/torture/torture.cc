@@ -31,27 +31,23 @@ TortureOp GenOp(Random& rng, Store& oracle) {
   const uint64_t roll = rng.Uniform(100);
   const uint64_t delete_cut = crowded ? 45 : 18;
   if (roll < delete_cut) {
-    op.kind = TortureOp::Kind::kDelete;
+    op.kind = WalOp::kDeleteNode;
   } else if (roll < delete_cut + 12) {
-    op.kind = rng.Bernoulli(0.5) ? TortureOp::Kind::kReplaceNode
-                                 : TortureOp::Kind::kReplaceContent;
+    op.kind = rng.Bernoulli(0.5) ? WalOp::kReplaceNode
+                                 : WalOp::kReplaceContent;
     op.xml = RandomFragment(rng);
   } else if (roll < delete_cut + 24) {
-    op.kind = TortureOp::Kind::kInsertTopLevel;
+    op.kind = WalOp::kInsertTopLevel;
     op.xml = RandomFragment(rng);
   } else {
-    switch (rng.Uniform(4)) {
-      case 0: op.kind = TortureOp::Kind::kInsertBefore; break;
-      case 1: op.kind = TortureOp::Kind::kInsertAfter; break;
-      case 2: op.kind = TortureOp::Kind::kInsertIntoFirst; break;
-      default: op.kind = TortureOp::Kind::kInsertIntoLast; break;
-    }
+    // WalOp 0-3 are the four positional inserts.
+    op.kind = static_cast<WalOp>(rng.Uniform(4));
     op.xml = RandomFragment(rng);
   }
-  if (op.kind != TortureOp::Kind::kInsertTopLevel) {
+  if (op.kind != WalOp::kInsertTopLevel) {
     op.target = PickTarget(rng, oracle);
     if (op.target == kInvalidNodeId) {
-      op.kind = TortureOp::Kind::kInsertTopLevel;
+      op.kind = WalOp::kInsertTopLevel;
       if (op.xml.empty()) op.xml = RandomFragment(rng);
     }
   }
@@ -193,7 +189,7 @@ IterationResult RunIteration(const TortureOptions& opts,
         return {"environmental error did not poison the store: " +
                 store_result.status().ToString()};
       }
-      Status rejected = store->DeleteNode(1);
+      Status rejected = store->Apply(WalOp::kDeleteNode, 1, {}).status();
       if (!rejected.IsPoisoned()) {
         return {"poisoned store accepted (or mis-rejected) a mutation: " +
                 rejected.ToString()};

@@ -24,27 +24,7 @@ Result<NodeId> ApplyOp(Store& store, const TortureOp& op) {
   if (!op.xml.empty()) {
     LAXML_ASSIGN_OR_RETURN(frag, ParseFragment(op.xml));
   }
-  switch (op.kind) {
-    case TortureOp::Kind::kInsertBefore:
-      return store.InsertBefore(op.target, frag);
-    case TortureOp::Kind::kInsertAfter:
-      return store.InsertAfter(op.target, frag);
-    case TortureOp::Kind::kInsertIntoFirst:
-      return store.InsertIntoFirst(op.target, frag);
-    case TortureOp::Kind::kInsertIntoLast:
-      return store.InsertIntoLast(op.target, frag);
-    case TortureOp::Kind::kInsertTopLevel:
-      return store.InsertTopLevel(frag);
-    case TortureOp::Kind::kDelete: {
-      LAXML_RETURN_IF_ERROR(store.DeleteNode(op.target));
-      return op.target;
-    }
-    case TortureOp::Kind::kReplaceNode:
-      return store.ReplaceNode(op.target, frag);
-    case TortureOp::Kind::kReplaceContent:
-      return store.ReplaceContent(op.target, frag);
-  }
-  return Status::InvalidArgument("unknown torture op");
+  return store.Apply(op.kind, op.target, frag);
 }
 
 NodeId PickTarget(Random& rng, Store& oracle) {

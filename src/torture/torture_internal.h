@@ -31,21 +31,12 @@ bool IsEnvironmental(const Status& s);
 /// have survived a crash or an ambiguous transport failure — the oracle
 /// a second time during verification.
 struct TortureOp {
-  enum class Kind {
-    kInsertBefore,
-    kInsertAfter,
-    kInsertIntoFirst,
-    kInsertIntoLast,
-    kInsertTopLevel,
-    kDelete,
-    kReplaceNode,
-    kReplaceContent,
-  };
-  Kind kind = Kind::kInsertTopLevel;
+  WalOp kind = WalOp::kInsertTopLevel;
   NodeId target = kInvalidNodeId;
   std::string xml;
 };
 
+/// Parses op.xml and runs the op through Store::Apply.
 Result<NodeId> ApplyOp(Store& store, const TortureOp& op);
 
 /// Picks a (probably) live node id by probing the oracle; the oracle

@@ -125,24 +125,6 @@ StoreOptions NetStoreOptions(const NetTortureOptions& opts, size_t frames) {
   return so;
 }
 
-net::OpCode ToOpCode(TortureOp::Kind kind) {
-  switch (kind) {
-    case TortureOp::Kind::kInsertBefore: return net::OpCode::kInsertBefore;
-    case TortureOp::Kind::kInsertAfter: return net::OpCode::kInsertAfter;
-    case TortureOp::Kind::kInsertIntoFirst:
-      return net::OpCode::kInsertIntoFirst;
-    case TortureOp::Kind::kInsertIntoLast:
-      return net::OpCode::kInsertIntoLast;
-    case TortureOp::Kind::kInsertTopLevel:
-      return net::OpCode::kInsertTopLevel;
-    case TortureOp::Kind::kDelete: return net::OpCode::kDeleteNode;
-    case TortureOp::Kind::kReplaceNode: return net::OpCode::kReplaceNode;
-    case TortureOp::Kind::kReplaceContent:
-      return net::OpCode::kReplaceContent;
-  }
-  return net::OpCode::kPing;
-}
-
 // One client thread: a private top-level subtree mirrored into a
 // private in-memory oracle, every transport ambiguity resolved before
 // the next op runs.
@@ -325,7 +307,7 @@ bool ClientRunner::EstablishRoot() {
     }
     if (sid != kInvalidNodeId) {
       TortureOp op;
-      op.kind = TortureOp::Kind::kInsertTopLevel;
+      op.kind = WalOp::kInsertTopLevel;
       op.xml = xml;
       auto o = ApplyOp(*oracle_, op);
       if (!o.ok()) {
@@ -353,24 +335,23 @@ TortureOp ClientRunner::GenOpNet() {
   TortureOp op;
   const uint64_t roll = rng_.Uniform(100);
   if (others.empty() || roll < 35) {
-    op.kind = rng_.Bernoulli(0.5) ? TortureOp::Kind::kInsertIntoLast
-                                  : TortureOp::Kind::kInsertIntoFirst;
+    op.kind = rng_.Bernoulli(0.5) ? WalOp::kInsertIntoLast
+                                  : WalOp::kInsertIntoFirst;
     op.target =
         (others.empty() || rng_.Bernoulli(0.4)) ? oracle_root_ : pick();
     op.xml = RandomFragment(rng_);
   } else if (roll < 55) {
     // Sibling inserts never target the root: a sibling of the root
     // would be a new top-level subtree outside this client's fence.
-    op.kind = rng_.Bernoulli(0.5) ? TortureOp::Kind::kInsertBefore
-                                  : TortureOp::Kind::kInsertAfter;
+    op.kind = rng_.Bernoulli(0.5) ? WalOp::kInsertBefore : WalOp::kInsertAfter;
     op.target = pick();
     op.xml = RandomFragment(rng_);
   } else if (roll < 75) {
-    op.kind = TortureOp::Kind::kDelete;
+    op.kind = WalOp::kDeleteNode;
     op.target = pick();
   } else {
-    op.kind = rng_.Bernoulli(0.5) ? TortureOp::Kind::kReplaceNode
-                                  : TortureOp::Kind::kReplaceContent;
+    op.kind = rng_.Bernoulli(0.5) ? WalOp::kReplaceNode
+                                  : WalOp::kReplaceContent;
     op.target = pick();
     op.xml = RandomFragment(rng_);
   }
@@ -379,8 +360,8 @@ TortureOp ClientRunner::GenOpNet() {
 
 Result<net::Request> ClientRunner::ToRequest(const TortureOp& op) {
   net::Request req;
-  req.op = ToOpCode(op.kind);
-  if (op.kind != TortureOp::Kind::kInsertTopLevel) {
+  req.op = net::OpCodeOf(op.kind);
+  if (op.kind != WalOp::kInsertTopLevel) {
     req.target = idmap_.at(op.target);
   }
   if (!op.xml.empty()) {
@@ -407,18 +388,14 @@ bool ClientRunner::CommitToOracle(const TortureOp& op, NodeId server_id) {
     return false;
   }
   log_.push_back(op);
-  switch (op.kind) {
-    case TortureOp::Kind::kDelete:
-      PurgeDeadMappings();
-      break;
-    case TortureOp::Kind::kReplaceNode:
-    case TortureOp::Kind::kReplaceContent:
-      PurgeDeadMappings();
-      if (server_id != kInvalidNodeId) idmap_[*o] = server_id;
-      break;
-    default:  // inserts: new node, new mapping (when the id is known)
-      if (server_id != kInvalidNodeId) idmap_[*o] = server_id;
-      break;
+  // Deletes and replaces drop nodes; every kind but a delete adds one,
+  // mapped when the server's id is known.
+  if (op.kind == WalOp::kDeleteNode || op.kind == WalOp::kReplaceNode ||
+      op.kind == WalOp::kReplaceContent) {
+    PurgeDeadMappings();
+  }
+  if (op.kind != WalOp::kDeleteNode && server_id != kInvalidNodeId) {
+    idmap_[*o] = server_id;
   }
   return true;
 }

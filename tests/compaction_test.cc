@@ -174,6 +174,23 @@ TEST_P(CompactionTest, EmptyAndSingleRangeStoresAreNoops) {
   ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
+// Compaction rewrites ranges like any mutation, so it passes the same
+// gate: a fail-stopped store must not merge anything in memory.
+TEST_P(CompactionTest, PoisonedStoreRefusesToMerge) {
+  auto store = Open();
+  ASSERT_LAXML_OK(store->LoadXml("<log/>").status());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_LAXML_OK(store->InsertIntoLast(1, MustFragment("<e/>")).status());
+  }
+  const uint64_t ranges_before = store->range_manager().range_count();
+  ASSERT_GT(ranges_before, 5u);
+
+  store->Poison(Status::IOError("injected: dead device"));
+  auto merged = store->CompactRanges(1 << 16);
+  EXPECT_TRUE(merged.status().IsPoisoned()) << merged.status().ToString();
+  EXPECT_EQ(store->range_manager().range_count(), ranges_before);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllIndexModes, CompactionTest,
     ::testing::Values(IndexMode::kFullIndex, IndexMode::kRangeIndex,

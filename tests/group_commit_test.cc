@@ -43,7 +43,8 @@ TEST(GroupCommitTest, SequencerBatchesConcurrentCommitters) {
   SharedStore shared(std::move(store));
   ASSERT_NE(shared.group_commit(), nullptr);
   ASSERT_OK_AND_ASSIGN(NodeId root,
-                       shared.InsertTopLevel(MustFragment("<log/>")));
+                       shared.Apply(WalOp::kInsertTopLevel, kInvalidNodeId,
+                                    MustFragment("<log/>")));
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 40;
@@ -52,8 +53,9 @@ TEST(GroupCommitTest, SequencerBatchesConcurrentCommitters) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        auto r = shared.InsertIntoLast(
-            root, MustFragment("<e t=\"" + std::to_string(t) + "\"/>"));
+        auto r = shared.Apply(
+            WalOp::kInsertIntoLast, root,
+            MustFragment("<e t=\"" + std::to_string(t) + "\"/>"));
         if (!r.ok()) failures.fetch_add(1);
       }
     });
@@ -87,7 +89,8 @@ TEST(GroupCommitTest, AckedCommitsSurviveTornTailCrash) {
                          Store::Open(tmp.path(), GroupCommitOptions()));
     SharedStore shared(std::move(store));
     ASSERT_OK_AND_ASSIGN(NodeId root,
-                         shared.InsertTopLevel(MustFragment("<log/>")));
+                         shared.Apply(WalOp::kInsertTopLevel, kInvalidNodeId,
+                                      MustFragment("<log/>")));
 
     constexpr int kThreads = 4;
     constexpr int kPerThread = 25;
@@ -98,8 +101,8 @@ TEST(GroupCommitTest, AckedCommitsSurviveTornTailCrash) {
         for (int i = 0; i < kPerThread; ++i) {
           const std::string key =
               std::to_string(t) + "-" + std::to_string(i);
-          auto r = shared.InsertIntoLast(
-              root, MustFragment("<c k=\"" + key + "\"/>"));
+          auto r = shared.Apply(WalOp::kInsertIntoLast, root,
+                                MustFragment("<c k=\"" + key + "\"/>"));
           if (!r.ok()) {
             failures.fetch_add(1);
             continue;
@@ -171,8 +174,10 @@ TEST(GroupCommitTest, WaitDurableOnDurableLsnIsImmediate) {
   ASSERT_OK_AND_ASSIGN(auto store,
                        Store::Open(tmp.path(), GroupCommitOptions()));
   SharedStore shared(std::move(store));
-  ASSERT_LAXML_OK(
-      shared.InsertTopLevel(MustFragment("<x/>")).status());
+  ASSERT_LAXML_OK(shared
+                      .Apply(WalOp::kInsertTopLevel, kInvalidNodeId,
+                             MustFragment("<x/>"))
+                      .status());
   Wal* wal = shared.UnsafeStore()->wal();
   const uint64_t durable = wal->durable_lsn();
   EXPECT_GT(durable, 0u);

@@ -123,6 +123,51 @@ TEST(InjectedFaultTest, EveryCommitSyncFailurePoisonsStore) {
 }
 
 // ---------------------------------------------------------------------
+// Range compaction: a page write that dies mid-merge fail-stops the
+// store like a failed Table-1 mutation, under its own op label.
+// ---------------------------------------------------------------------
+
+TEST(InjectedFaultTest, WriteFailureMidCompactionPoisonsStore) {
+  TempFile tmp("compact_write");
+  FaultyPageFile* fpf = nullptr;
+  StoreOptions options;
+  options.pager.page_size = 512;
+  options.pager.pool_frames = 8;  // tiny pool: merges evict dirty frames
+  options.pager.file_wrapper =
+      [&fpf](std::unique_ptr<PageFile> base) -> std::unique_ptr<PageFile> {
+    auto faulty = std::make_unique<FaultyPageFile>(std::move(base));
+    fpf = faulty.get();
+    return faulty;
+  };
+
+  ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
+  ASSERT_NE(fpf, nullptr);
+  ASSERT_LAXML_OK(store->LoadXml("<log/>").status());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_LAXML_OK(store
+                        ->InsertIntoLast(1, testing::MustFragment(
+                                                "<e>" + std::string(40, 'x') +
+                                                "</e>"))
+                        .status());
+  }
+  ASSERT_LAXML_OK(store->Sync());
+
+  fpf->FailNth(FaultOp::kWrite, fpf->op_count(FaultOp::kWrite) + 1,
+               Status::IOError("injected write failure"), /*sticky=*/true);
+  auto merged = store->CompactRanges(1 << 16);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_TRUE(merged.status().IsIOError()) << merged.status().ToString();
+  EXPECT_TRUE(store->poisoned());
+
+  obs::Snapshot snap;
+  obs::CollectStoreMetrics(*store, &snap);
+  EXPECT_EQ(snap.counters["laxml_io_errors_total{op=\"compact_ranges\"}"],
+            1u);
+
+  store->TestOnlyCrash();  // don't write back through the dead device
+}
+
+// ---------------------------------------------------------------------
 // Buffer pool: a failed WritePage during write-back must leave the
 // frame dirty (losing the only copy of the page would be data loss),
 // and the error must keep surfacing on FlushAll until the device

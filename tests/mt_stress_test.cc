@@ -34,9 +34,10 @@ void HammerSharedStore(SharedStore* shared) {
       for (int i = 0; i < kOpsPerThread; ++i) {
         int op = (t + i) % 4;
         if (op == 0 || mine.empty()) {
-          auto inserted = shared->InsertTopLevel(MustFragment(
-              "<n t='" + std::to_string(t) + "'>" + std::to_string(i) +
-              "</n>"));
+          auto inserted = shared->Apply(
+              WalOp::kInsertTopLevel, kInvalidNodeId,
+              MustFragment("<n t='" + std::to_string(t) + "'>" +
+                           std::to_string(i) + "</n>"));
           if (inserted.ok()) {
             mine.push_back(*inserted);
           } else {
@@ -48,8 +49,9 @@ void HammerSharedStore(SharedStore* shared) {
           auto read = shared->Read(mine[i % mine.size()]);
           if (!read.ok()) failures.fetch_add(1);
         } else if (op == 2) {
-          auto replaced = shared->ReplaceNode(mine[i % mine.size()],
-                                              MustFragment("<r/>"));
+          auto replaced = shared->Apply(WalOp::kReplaceNode,
+                                        mine[i % mine.size()],
+                                        MustFragment("<r/>"));
           if (replaced.ok()) {
             mine[i % mine.size()] = *replaced;
           } else {
@@ -136,7 +138,8 @@ TEST(MtStressTest, StoreStatsReadableWhileMutating) {
       std::vector<NodeId> mine;
       for (int i = 0; i < kOpsPerThread; ++i) {
         if (i % 3 != 2 || mine.empty()) {
-          auto inserted = shared.InsertTopLevel(
+          auto inserted = shared.Apply(
+              WalOp::kInsertTopLevel, kInvalidNodeId,
               MustFragment("<s>" + std::to_string(t * 1000 + i) + "</s>"));
           if (inserted.ok()) {
             mine.push_back(*inserted);

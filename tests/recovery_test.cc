@@ -128,6 +128,72 @@ TEST(RecoveryTest, ManyOpsReplayDeterministically) {
   }
 }
 
+// One record of every Table-1 kind replays through Store::Apply, and so
+// do two records whose ops failed when first run: a caller error is
+// journaled, fails the same way on replay, and does not abort recovery.
+TEST(RecoveryTest, EveryKindAndFailedOpsReplay) {
+  TempFile tmp("recov_kinds");
+  std::string expected;
+  uint64_t high_water = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), WalOptions()));
+    // db=1 a=2 "x"=3 b=4 c=5
+    ASSERT_OK_AND_ASSIGN(
+        NodeId db, store->Apply(WalOp::kInsertTopLevel, kInvalidNodeId,
+                                MustFragment("<db><a>x</a><b/><c/></db>")));
+    EXPECT_EQ(db, 1u);
+    ASSERT_LAXML_OK(
+        store->Apply(WalOp::kInsertBefore, 4, MustFragment("<p/>")).status());
+    ASSERT_LAXML_OK(
+        store->Apply(WalOp::kInsertAfter, 4, MustFragment("<q/>")).status());
+    ASSERT_LAXML_OK(
+        store->Apply(WalOp::kInsertIntoFirst, 1, MustFragment("<f/>"))
+            .status());
+    ASSERT_OK_AND_ASSIGN(
+        NodeId l,
+        store->Apply(WalOp::kInsertIntoLast, 1, MustFragment("<l>y</l>")));
+    ASSERT_LAXML_OK(
+        store->Apply(WalOp::kReplaceNode, 5, MustFragment("<r/>")).status());
+    ASSERT_OK_AND_ASSIGN(NodeId none,
+                         store->Apply(WalOp::kReplaceContent, 2, {}));
+    EXPECT_EQ(none, kInvalidNodeId);
+    ASSERT_LAXML_OK(store->Apply(WalOp::kDeleteNode, 4, {}).status());
+
+    auto missing = store->Apply(WalOp::kDeleteNode, 999, {});
+    EXPECT_TRUE(missing.status().IsNotFound()) << missing.status().ToString();
+    auto into_text =
+        store->Apply(WalOp::kInsertIntoFirst, l + 1, MustFragment("<z/>"));
+    EXPECT_TRUE(into_text.status().IsInvalidArgument())
+        << into_text.status().ToString();
+
+    ASSERT_OK_AND_ASSIGN(expected, store->SerializeToXml());
+    EXPECT_EQ(expected, "<db><f/><a/><p/><q/><r/><l>y</l></db>");
+    high_water = store->node_high_water();
+    store->TestOnlyCrash();
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(tmp.path() + ".wal"));
+    ASSERT_OK_AND_ASSIGN(auto records, wal->ReadAll());
+    std::vector<WalOp> ops;
+    for (const WalRecord& rec : records) ops.push_back(rec.op);
+    EXPECT_EQ(ops, (std::vector<WalOp>{
+                       WalOp::kCheckpoint, WalOp::kInsertTopLevel,
+                       WalOp::kInsertBefore, WalOp::kInsertAfter,
+                       WalOp::kInsertIntoFirst, WalOp::kInsertIntoLast,
+                       WalOp::kReplaceNode, WalOp::kReplaceContent,
+                       WalOp::kDeleteNode, WalOp::kDeleteNode,
+                       WalOp::kInsertIntoFirst}));
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), WalOptions()));
+    EXPECT_TRUE(store->replayed_wal_tail());
+    ASSERT_OK_AND_ASSIGN(std::string xml, store->SerializeToXml());
+    EXPECT_EQ(xml, expected);
+    EXPECT_EQ(store->node_high_water(), high_water);
+    ASSERT_LAXML_OK(store->CheckIntegrity());
+  }
+}
+
 TEST(RecoveryTest, InMemoryStoreRejectsWal) {
   auto opened = Store::OpenInMemory(WalOptions());
   EXPECT_TRUE(opened.status().IsInvalidArgument());

@@ -262,15 +262,19 @@ TEST(RequestContext, WalBytesAttributedThroughSharedStore) {
   RequestContext rc;
   {
     ScopedRequestContext scoped(&rc);
-    ASSERT_LAXML_OK(
-        shared.InsertTopLevel(MustFragment("<doc>payload</doc>")).status());
+    ASSERT_LAXML_OK(shared
+                        .Apply(WalOp::kInsertTopLevel, kInvalidNodeId,
+                               MustFragment("<doc>payload</doc>"))
+                        .status());
   }
   EXPECT_GT(rc.counters.wal_bytes, 0u);
 
   // A second mutation outside any context credits nobody.
   const uint64_t before = rc.counters.wal_bytes;
-  ASSERT_LAXML_OK(
-      shared.InsertTopLevel(MustFragment("<doc>more</doc>")).status());
+  ASSERT_LAXML_OK(shared
+                      .Apply(WalOp::kInsertTopLevel, kInvalidNodeId,
+                             MustFragment("<doc>more</doc>"))
+                      .status());
   EXPECT_EQ(rc.counters.wal_bytes, before);
 }
 

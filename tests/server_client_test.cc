@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -179,6 +181,82 @@ TEST(ServerClientTest, ErrorsTravelTheWire) {
   EXPECT_FALSE(read.ok());
 
   ASSERT_LAXML_OK(client->Ping());
+  server->Shutdown();
+}
+
+// The wire's mutating opcodes and the WAL's operation codes are one
+// table: every Table-1 kind maps to the opcode of the same name and
+// back, and no other opcode mutates.
+TEST(ServerClientTest, OpCodeTableRoundTripsEveryKind) {
+  auto upper_snake = [](std::string camel) {
+    std::string out;
+    for (char c : camel) {
+      if (std::isupper(static_cast<unsigned char>(c))) out += '_';
+      out += static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
+    return out;
+  };
+  for (uint8_t v = 0; v < static_cast<uint8_t>(WalOp::kCheckpoint); ++v) {
+    const WalOp op = static_cast<WalOp>(v);
+    const net::OpCode code = net::OpCodeOf(op);
+    EXPECT_EQ(net::MutationOf(code), op) << WalOpName(op);
+    EXPECT_EQ(net::OpCodeName(code), upper_snake(WalOpName(op)));
+  }
+  int mutating = 0;
+  for (uint8_t v = 0; v <= net::kMaxOpCode; ++v) {
+    const auto code = static_cast<net::OpCode>(v);
+    if (std::optional<WalOp> op = net::MutationOf(code)) {
+      ++mutating;
+      EXPECT_EQ(net::OpCodeOf(*op), code) << net::OpCodeName(code);
+    }
+  }
+  EXPECT_EQ(mutating, 8);
+}
+
+// Every mutating opcode reaches the store through the Store::Apply an
+// in-process caller uses: for each kind the client's answer (id or
+// status) and the document afterwards equal a twin in-memory store's.
+TEST(ServerClientTest, MutationsMatchStoreApply) {
+  auto server = MustStartServer();
+  auto client = MustConnect(server->port());
+  ASSERT_OK_AND_ASSIGN(auto twin, Store::OpenInMemory(StoreOptions{}));
+  struct Step {
+    WalOp op;
+    NodeId target;
+    const char* xml;
+  };
+  // root=1 a=2 "1"=3 b=4, then p=5 q=6 f=7 "x"=8 l=9 r=10.
+  const Step steps[] = {
+      {WalOp::kInsertTopLevel, kInvalidNodeId, "<root><a>1</a><b/></root>"},
+      {WalOp::kInsertBefore, 4, "<p/>"},
+      {WalOp::kInsertAfter, 4, "<q/>"},
+      {WalOp::kInsertIntoFirst, 1, "<f>x</f>"},
+      {WalOp::kInsertIntoLast, 1, "<l/>"},
+      {WalOp::kReplaceNode, 4, "<r/>"},
+      {WalOp::kReplaceContent, 2, ""},
+      {WalOp::kDeleteNode, 5, ""},
+      // Rejections travel back as the same status.
+      {WalOp::kDeleteNode, 999, ""},
+      {WalOp::kInsertIntoFirst, 8, "<z/>"},
+      {WalOp::kInsertAfter, 1, ""},
+  };
+  for (const Step& step : steps) {
+    SCOPED_TRACE(std::string(WalOpName(step.op)) + " " +
+                 std::to_string(step.target));
+    const TokenSequence data =
+        *step.xml != '\0' ? testing::MustFragment(step.xml) : TokenSequence{};
+    Result<NodeId> want = twin->Apply(step.op, step.target, data);
+    Result<NodeId> got = client->Apply(step.op, step.target, data);
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    if (want.ok() && got.ok()) {
+      EXPECT_EQ(*got, *want);
+    }
+    ASSERT_OK_AND_ASSIGN(TokenSequence served, client->Read());
+    ASSERT_OK_AND_ASSIGN(TokenSequence local, twin->Read());
+    EXPECT_EQ(served, local);
+  }
+  ASSERT_OK_AND_ASSIGN(std::string xml, twin->SerializeToXml());
+  EXPECT_EQ(xml, "<root><f>x</f><a/><r/><q/><l/></root>");
   server->Shutdown();
 }
 

@@ -121,8 +121,8 @@ TEST(SharedReadStressTest, ReadersMatchOracleWhileWritersMutate) {
           children.erase(children.begin() + static_cast<long>(at));
           continue;
         }
-        auto id = shared.InsertIntoLast(
-            writer_roots[w],
+        auto id = shared.Apply(
+            WalOp::kInsertIntoLast, writer_roots[w],
             MustFragment("<n i=\"" + std::to_string(i) + "\">payload-" +
                          std::to_string(w * kWriterOps + i) + "</n>"));
         if (!id.ok()) {
@@ -275,8 +275,8 @@ TEST(SharedReadStressTest, StructuralWarmingRacesRangeSplits) {
         }
         // Big enough to overflow the 96-byte range cap: every insert
         // exercises the SplitRange → InvalidateRange seam.
-        auto id = shared.InsertIntoLast(
-            writer_roots[w],
+        auto id = shared.Apply(
+            WalOp::kInsertIntoLast, writer_roots[w],
             MustFragment("<n i=\"" + std::to_string(i) +
                          "\">payload-payload-payload-payload-" +
                          std::to_string(w * kWriterOps + i) + "</n>"));

@@ -27,8 +27,11 @@ std::unique_ptr<SharedStore> MakeShared() {
 TEST(SharedStoreTest, SingleThreadedPassThrough) {
   auto shared = MakeShared();
   ASSERT_OK_AND_ASSIGN(NodeId root,
-                       shared->InsertTopLevel(MustFragment("<r/>")));
-  ASSERT_LAXML_OK(shared->InsertIntoLast(root, MustFragment("<c/>")).status());
+                       shared->Apply(WalOp::kInsertTopLevel, kInvalidNodeId,
+                                     MustFragment("<r/>")));
+  ASSERT_LAXML_OK(
+      shared->Apply(WalOp::kInsertIntoLast, root, MustFragment("<c/>"))
+          .status());
   ASSERT_OK_AND_ASSIGN(TokenSequence all, shared->Read());
   EXPECT_EQ(CountNodeBegins(all), 2u);
 }
@@ -36,7 +39,8 @@ TEST(SharedStoreTest, SingleThreadedPassThrough) {
 TEST(SharedStoreTest, ConcurrentAppendersLoseNothing) {
   auto shared = MakeShared();
   ASSERT_OK_AND_ASSIGN(NodeId root,
-                       shared->InsertTopLevel(MustFragment("<log/>")));
+                       shared->Apply(WalOp::kInsertTopLevel, kInvalidNodeId,
+                                     MustFragment("<log/>")));
   constexpr int kThreads = 4;
   constexpr int kPerThread = 100;
   std::vector<std::thread> threads;
@@ -44,8 +48,9 @@ TEST(SharedStoreTest, ConcurrentAppendersLoseNothing) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        auto r = shared->InsertIntoLast(
-            root, MustFragment("<e t=\"" + std::to_string(t) + "\"/>"));
+        auto r = shared->Apply(
+            WalOp::kInsertIntoLast, root,
+            MustFragment("<e t=\"" + std::to_string(t) + "\"/>"));
         if (!r.ok()) failures.fetch_add(1);
       }
     });
@@ -60,7 +65,8 @@ TEST(SharedStoreTest, ConcurrentAppendersLoseNothing) {
 TEST(SharedStoreTest, ReadersAndWritersInterleave) {
   auto shared = MakeShared();
   ASSERT_OK_AND_ASSIGN(NodeId root,
-                       shared->InsertTopLevel(MustFragment("<hub/>")));
+                       shared->Apply(WalOp::kInsertTopLevel, kInvalidNodeId,
+                                     MustFragment("<hub/>")));
   std::atomic<bool> stop{false};
   std::atomic<int> read_errors{0};
   std::thread reader([&] {
@@ -78,7 +84,8 @@ TEST(SharedStoreTest, ReadersAndWritersInterleave) {
   });
   for (int i = 0; i < 150; ++i) {
     ASSERT_LAXML_OK(
-        shared->InsertIntoLast(root, MustFragment("<x/>")).status());
+        shared->Apply(WalOp::kInsertIntoLast, root, MustFragment("<x/>"))
+            .status());
     if (i % 10 == 9) {
       // Delete the most recent child: id is deterministic (root=1).
       auto all = shared->Read();
@@ -94,7 +101,8 @@ TEST(SharedStoreTest, ReadersAndWritersInterleave) {
 TEST(SharedStoreTest, WithExclusiveComposesAtomically) {
   auto shared = MakeShared();
   ASSERT_OK_AND_ASSIGN(NodeId root,
-                       shared->InsertTopLevel(MustFragment("<acct/>")));
+                       shared->Apply(WalOp::kInsertTopLevel, kInvalidNodeId,
+                                     MustFragment("<acct/>")));
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {

@@ -162,6 +162,28 @@ TEST_P(StoreBasicTest, InsertIntoTextNodeFails) {
                   .IsInvalidArgument());
 }
 
+// Apply's per-kind argument rules: no checkpoint "mutation", no
+// fragment on a delete, no target on a top-level insert, and an empty
+// fragment only for ReplaceContent. None of them journals or changes
+// anything.
+TEST_P(StoreBasicTest, ApplyRejectsMalformedCalls) {
+  ASSERT_LAXML_OK(store_->InsertTopLevel(MustFragment("<a><b/></a>")));
+  const TokenSequence frag = MustFragment("<x/>");
+  EXPECT_TRUE(store_->Apply(WalOp::kCheckpoint, kInvalidNodeId, {})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      store_->Apply(WalOp::kDeleteNode, 2, frag).status().IsInvalidArgument());
+  EXPECT_TRUE(store_->Apply(WalOp::kInsertTopLevel, 1, frag)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      store_->Apply(WalOp::kInsertAfter, 2, {}).status().IsInvalidArgument());
+  ASSERT_OK_AND_ASSIGN(TokenSequence all, store_->Read());
+  EXPECT_EQ(MustSerialize(all), "<a><b/></a>");
+  EXPECT_EQ(store_->stats().inserts, 1u);
+}
+
 TEST_P(StoreBasicTest, UnknownIdIsNotFound) {
   ASSERT_LAXML_OK(store_->InsertTopLevel(MustFragment("<a/>")));
   EXPECT_TRUE(store_->Read(99).status().IsNotFound());
