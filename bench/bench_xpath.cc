@@ -8,15 +8,16 @@
 //   eager-first eager index, first query: warms EVERY tag in one scan
 //   eager-warm  eager index thereafter (same joins as warm)
 //
-// plus four more shapes, each as the planner runs it on the warm lazy
-// store and as a forced full scan (the `_scan` rows). Two the index
-// answers only in part (a seeded scan: the join of the prefix picks the
-// subtrees, the scan runs inside them), two it answers whole (a join
-// that counts a '*' step as a level, and one onto an attribute's own
-// posting list):
+// plus five more shapes, each as the planner runs it on the warm lazy
+// store and as a forced full scan (the `_scan` rows). The index answers
+// all of them whole, with no scan: a join that counts a '*' step as a
+// level, one onto an attribute's own posting list, and three whose
+// predicates are semi-joins over the postings ([n] per parent, an
+// attribute value compared at its begin token, a child's existence):
 //
-//   wildcard        /site/regions/*/item[1]         (seeds: regions)
-//   predicate       //item[@category='books']/name  (seeds: item)
+//   wildcard        /site/regions/*/item[1]         (join, [n])
+//   predicate       //item[@category='books']/name  (join, [@a='lit'])
+//   exists_semijoin //person[creditcard]            (join, [p])
 //   wildcard_join   /site/regions/*/item            (structural join)
 //   attribute_join  //item/@category                (structural join)
 //
@@ -151,6 +152,7 @@ int main(int argc, char** argv) {
   };
   Shape shapes[] = {{"wildcard", "/site/regions/*/item[1]"},
                     {"predicate", "//item[@category='books']/name"},
+                    {"exists_semijoin", "//person[creditcard]"},
                     {"wildcard_join", "/site/regions/*/item"},
                     {"attribute_join", "//item/@category"}};
   // Planned and forced-scan reps alternate, so a drift in host speed
@@ -226,11 +228,11 @@ int main(int argc, char** argv) {
       "touch\nonly the two queried tags' postings); cold pays one scan "
       "to warm, i.e.\nit tracks the scan plan; eager's first query is "
       "the expensive one —\nit memoizes every tag — after which it "
-      "joins like warm. The seeded wildcard and\npredicate rows beat "
-      "their forced-scan rows: they read only the seeds' subtrees.\n"
-      "The wildcard_join and attribute_join rows beat theirs by more: "
-      "no token is\nread at all, the '*' step is a level count and "
-      "@category a posting list.\n");
+      "joins like warm.\nEvery other shape beats its forced-scan row: "
+      "the '*' step is a level count,\n@category a posting list, [1] "
+      "and [creditcard] semi-joins over the postings,\nand "
+      "[@category='books'] reads one attribute token per item, no "
+      "subtree.\n");
 
   if (!json_path.empty()) {
     bench::JsonReport report("bench_xpath");

@@ -663,6 +663,10 @@ void StoreAuditor::AuditStructuralIndex() {
       fail("level is " + std::to_string(e.level) + ", stream says " +
            std::to_string(want.level));
     }
+    if (e.parent_pre != want.parent_pre) {
+      fail("parent pre is " + std::to_string(e.parent_pre) +
+           ", stream says " + std::to_string(want.parent_pre));
+    }
     if (e.range != want.range || e.offset != want.offset) {
       fail("begin token is at range " + std::to_string(want.range) +
            " offset " + std::to_string(want.offset) +

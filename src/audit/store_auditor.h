@@ -10,9 +10,10 @@
 //     shortcut — the memoized (range, offset, token index) must land on
 //     a real begin/end token of the right node;
 //   * every Structural Index interval against a fresh stream scan — the
-//     memoized (pre, post, level, range, offset) of each element must
-//     equal what re-deriving it from the current token stream yields,
-//     and each tag's posting list must be pre-sorted;
+//     memoized (pre, post, parent pre, level, range, offset) of each
+//     element or attribute must equal what re-deriving it from the
+//     current token stream yields, and each tag's posting list must be
+//     pre-sorted;
 //   * (full-index mode) every begin token against its eager index entry;
 //   * slotted heap pages — slot directory bounds, extent overlap, and
 //     the free-space accounting identity;

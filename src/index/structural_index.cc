@@ -131,16 +131,17 @@ void StructuralWarmer::OnToken(const TokenCursor& cursor) {
       entry.id = cursor.node_id();
       entry.pre = cursor.ordinal();
       entry.post = entry.pre;  // provisional; fixed when the scope closes
+      entry.parent_pre = open_.empty() ? kNoParent : open_.back().pre;
       entry.level = static_cast<uint32_t>(cursor.depth());
       entry.range = cursor.range();
       entry.offset = cursor.byte_offset();
-      open_.push_back({tag, static_cast<uint32_t>(list.size())});
+      open_.push_back({tag, static_cast<uint32_t>(list.size()), entry.pre});
       list.push_back(entry);
       return;
     }
   }
   if (TokenOpensScope(type)) {
-    open_.push_back({kUntracked, 0});
+    open_.push_back({kUntracked, 0, cursor.ordinal()});
     return;
   }
   if (TokenClosesScope(type)) {
@@ -173,19 +174,17 @@ namespace {
 
 using Stack = std::vector<const StructuralEntry*>;
 
-/// The stack-tree merge behind both axis joins. Walks the candidates in
-/// pre order, pushing every frontier entry that begins before the
-/// candidate and popping every one that ended before it, so the stack
-/// holds exactly the frontier intervals containing the candidate
-/// (well-nested intervals: each contains the one above it, and sits at
-/// a deeper level). `keep` sees the candidate and that stack. Entries
-/// are read in place; only kept candidates are copied.
-template <typename Keep>
-std::vector<StructuralEntry> StackJoin(
-    const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates, Keep keep) {
-  std::vector<StructuralEntry> out;
-  if (frontier.empty() || candidates.empty()) return out;
+/// The stack-tree merge behind every join. Walks the candidates in pre
+/// order, pushing every frontier entry that begins before the candidate
+/// and popping every one that ended before it, so the stack holds
+/// exactly the frontier intervals containing the candidate (well-nested
+/// intervals: each contains the one above it, and sits at a deeper
+/// level). `visit` sees each contained candidate and that stack, with
+/// entries read in place.
+template <typename Visit>
+void StackJoin(const std::vector<StructuralEntry>& frontier,
+               const std::vector<StructuralEntry>& candidates, Visit visit) {
+  if (frontier.empty() || candidates.empty()) return;
   Stack stack;
   size_t next = 0;
   for (const StructuralEntry& c : candidates) {
@@ -195,11 +194,33 @@ std::vector<StructuralEntry> StackJoin(
       stack.push_back(&f);
     }
     while (!stack.empty() && stack.back()->post < c.pre) stack.pop_back();
-    if (!stack.empty() && c.post < stack.back()->post && keep(c, stack)) {
-      out.push_back(c);
-    }
+    if (!stack.empty() && c.post < stack.back()->post) visit(c, stack);
   }
+}
+
+/// The candidates `keep` accepts, copied in order.
+template <typename Keep>
+std::vector<StructuralEntry> FilterJoin(
+    const std::vector<StructuralEntry>& frontier,
+    const std::vector<StructuralEntry>& candidates, Keep keep) {
+  std::vector<StructuralEntry> out;
+  StackJoin(frontier, candidates,
+            [&](const StructuralEntry& c, const Stack& stack) {
+              if (keep(c, stack)) out.push_back(c);
+            });
   return out;
+}
+
+/// The stack entry exactly `skip + 1` levels above `c`, or nullptr.
+/// Levels fall from the top of the stack down: walk it until the
+/// required level is reached or passed.
+const StructuralEntry* AncestorAt(const StructuralEntry& c,
+                                  const Stack& stack, uint32_t skip) {
+  for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+    const uint32_t reach = (*it)->level + skip + 1;
+    if (reach <= c.level) return reach == c.level ? *it : nullptr;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -217,26 +238,87 @@ std::vector<StructuralEntry> StructuralDescendantJoin(
     const std::vector<StructuralEntry>& frontier,
     const std::vector<StructuralEntry>& candidates, uint32_t skip) {
   // The outermost containing frontier interval sits highest.
-  return StackJoin(frontier, candidates,
-                   [skip](const StructuralEntry& c, const Stack& stack) {
-                     return stack.front()->level + skip < c.level;
-                   });
+  return FilterJoin(frontier, candidates,
+                    [skip](const StructuralEntry& c, const Stack& stack) {
+                      return stack.front()->level + skip < c.level;
+                    });
 }
 
 std::vector<StructuralEntry> StructuralChildJoin(
     const std::vector<StructuralEntry>& frontier,
     const std::vector<StructuralEntry>& candidates, uint32_t skip) {
-  // Levels fall from the top of the stack down: walk it until the
-  // required level is reached or passed.
-  return StackJoin(frontier, candidates,
-                   [skip](const StructuralEntry& c, const Stack& stack) {
-                     for (auto it = stack.rbegin(); it != stack.rend();
-                          ++it) {
-                       const uint32_t reach = (*it)->level + skip + 1;
-                       if (reach <= c.level) return reach == c.level;
-                     }
-                     return false;
-                   });
+  return FilterJoin(frontier, candidates,
+                    [skip](const StructuralEntry& c, const Stack& stack) {
+                      return AncestorAt(c, stack, skip) != nullptr;
+                    });
+}
+
+std::vector<StructuralEntry> StructuralSemiJoin(
+    const std::vector<StructuralEntry>& frontier,
+    const std::vector<StructuralEntry>& candidates, bool child,
+    uint32_t skip) {
+  std::vector<bool> marked(frontier.size(), false);
+  auto mark = [&](const StructuralEntry* f) {
+    marked[static_cast<size_t>(f - frontier.data())] = true;
+  };
+  StackJoin(frontier, candidates,
+            [&](const StructuralEntry& c, const Stack& stack) {
+              if (child) {
+                if (const StructuralEntry* f = AncestorAt(c, stack, skip)) {
+                  mark(f);
+                }
+                return;
+              }
+              // Every containing interval far enough up qualifies.
+              for (const StructuralEntry* f : stack) {
+                if (f->level + skip >= c.level) break;
+                mark(f);
+              }
+            });
+  std::vector<StructuralEntry> out;
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    if (marked[i]) out.push_back(frontier[i]);
+  }
+  return out;
+}
+
+std::vector<StructuralEntry> StructuralNthPerParent(
+    const std::vector<StructuralEntry>& candidates, uint64_t n) {
+  // Parent keys order the virtual root (kNoParent) before every element.
+  auto parent_key = [](const StructuralEntry& c) {
+    return c.parent_pre == kNoParent ? 0 : c.parent_pre + 1;
+  };
+  struct Seen {
+    uint64_t parent;
+    uint64_t count;
+  };
+  std::vector<Seen> open;
+  std::vector<StructuralEntry> out;
+  for (const StructuralEntry& c : candidates) {
+    const uint64_t parent = parent_key(c);
+    while (!open.empty() && open.back().parent > parent) open.pop_back();
+    if (open.empty() || open.back().parent != parent) {
+      open.push_back({parent, 0});
+    }
+    if (++open.back().count == n) out.push_back(c);
+  }
+  return out;
+}
+
+std::vector<StructuralEntry> StructuralNthDescendant(
+    const std::vector<StructuralEntry>& frontier,
+    const std::vector<StructuralEntry>& candidates, uint64_t n) {
+  std::vector<uint64_t> counts(frontier.size(), 0);
+  return FilterJoin(frontier, candidates,
+                    [&](const StructuralEntry&, const Stack& stack) {
+                      bool nth = false;
+                      for (const StructuralEntry* f : stack) {
+                        nth = ++counts[static_cast<size_t>(
+                                  f - frontier.data())] == n ||
+                              nth;
+                      }
+                      return nth;
+                    });
 }
 
 }  // namespace laxml

@@ -9,9 +9,11 @@
 // so "d is a descendant of a" is the pure arithmetic
 // `d.pre > a.pre && d.post < a.post`, and "c is a child of p" adds
 // `c.level == p.level + 1` (same-level intervals are disjoint, so the
-// containing interval one level up IS the parent). The range id and
-// byte offset of the begin token ride along so the auditor can pin a
-// memo back to the bytes it describes.
+// containing interval one level up IS the parent). Each entry also
+// records its parent's pre, so "the n-th child per parent" ([n]) needs
+// no parent lookup. The range id and byte offset of the begin token
+// ride along so the auditor can pin a memo back to the bytes it
+// describes, and so an attribute's value can be read from its token.
 //
 // Attributes are nodes of the token model too — a begin/end token pair
 // with its own node id, one level below its element — so they memoize
@@ -87,13 +89,17 @@ struct StructuralIndexStats {
   RelaxedCounter invalidations;  ///< Entries dropped by mutations.
 };
 
-/// One memoized element or attribute: its pre/post-order interval plus
-/// the physical location of its begin token (for the auditor's
-/// cross-check).
+/// parent_pre of a top-level entry: its parent is the virtual root.
+inline constexpr uint64_t kNoParent = UINT64_MAX;
+
+/// One memoized element or attribute: its pre/post-order interval, its
+/// parent's pre, and the physical location of its begin token (for the
+/// auditor's cross-check and attribute value reads).
 struct StructuralEntry {
   NodeId id = kInvalidNodeId;
   uint64_t pre = 0;   ///< Global token index of the begin token.
   uint64_t post = 0;  ///< Global token index of the matching end token.
+  uint64_t parent_pre = kNoParent;  ///< pre of the enclosing element.
   uint32_t level = 0;  ///< Depth of the begin token (top level = 0).
   RangeId range = kInvalidRangeId;  ///< Range holding the begin token.
   uint32_t offset = 0;  ///< Byte offset of the begin token in `range`.
@@ -233,6 +239,7 @@ class StructuralWarmer {
   struct OpenScope {
     uint32_t tag;    ///< Index into collected_, or kUntracked.
     uint32_t entry;  ///< Index into collected_[tag].entries.
+    uint64_t pre;    ///< Ordinal of the scope's begin token.
   };
 
   /// Tag index by dictionary symbol (kUntracked: not tracked yet) and
@@ -282,6 +289,34 @@ std::vector<StructuralEntry> StructuralDescendantJoin(
 std::vector<StructuralEntry> StructuralChildJoin(
     const std::vector<StructuralEntry>& frontier,
     const std::vector<StructuralEntry>& candidates, uint32_t skip = 0);
+
+/// The semi-join behind twig predicates: entries of `frontier` holding
+/// at least one candidate `skip + 1` levels down (`child`) or at least
+/// that far down (descendant). The same stack merge, with an existence
+/// output: each candidate marks the frontier intervals it qualifies for,
+/// and the marked ones are returned in frontier order.
+std::vector<StructuralEntry> StructuralSemiJoin(
+    const std::vector<StructuralEntry>& frontier,
+    const std::vector<StructuralEntry>& candidates, bool child,
+    uint32_t skip = 0);
+
+/// [n] on a child step (1-based): entries of `candidates` (sorted by
+/// pre) that are the n-th among the candidates sharing their parent,
+/// the step's context node. One pass: a candidate's parent began
+/// before it, and once a candidate of an earlier-starting parent
+/// follows, every later-starting parent has ended, so a stack of
+/// (parent, count) replaces a per-parent map.
+std::vector<StructuralEntry> StructuralNthPerParent(
+    const std::vector<StructuralEntry>& candidates, uint64_t n);
+
+/// [n] on a descendant step: entries of `candidates` that are the n-th
+/// candidate, in document order, strictly inside some `frontier` entry
+/// (each frontier entry is a context of its own, and nested ones count
+/// the same candidate separately). The stack merge, counting per
+/// frontier entry.
+std::vector<StructuralEntry> StructuralNthDescendant(
+    const std::vector<StructuralEntry>& frontier,
+    const std::vector<StructuralEntry>& candidates, uint64_t n);
 
 }  // namespace laxml
 

@@ -25,6 +25,10 @@ std::string XPathPlan::ToJson() const {
     first = false;
     out += "{\"axis\":";
     AppendJsonString(step.axis, &out);
+    if (!step.kind.empty()) {
+      out += ",\"kind\":";
+      AppendJsonString(step.kind, &out);
+    }
     out += ",\"tag\":";
     AppendJsonString(step.tag, &out);
     out += ",\"warm\":";
@@ -60,30 +64,44 @@ Result<XPathPlan> ExplainXPath(const Store& store, std::string_view expr) {
   if (!index->enabled()) return plan;
 
   // The warm fork: EvaluateXPathStreaming joins the first `joined`
-  // steps iff every one of their tags is warm; one cold tag sends it to
-  // the full scan.
+  // steps iff every one of their tags, and every tag of the predicate
+  // paths it answers, is warm; one cold tag sends it to the full scan.
   const SeedSplit split = SplitAtIndexablePrefix(path);
   const size_t joined = split.joined;
   bool all_warm = true;
-  plan.steps.reserve(joined);
+  // Looks `step` up: its list's warmth and length.
+  auto lookup = [&](const XPathStep& step, XPathPlanStep* out) {
+    // A '*' step has no list to warm: the join counts it as a level.
+    if (step.test == NodeTestKind::kWildcard) return;
+    StructuralIndex::EntryList list = index->LookupTag(StructuralKey(step));
+    out->warm = out->warm && list != nullptr;
+    out->postings += list == nullptr ? 0 : list->size();
+  };
   for (size_t i = 0; i < joined; ++i) {
     const XPathStep& step = path.steps[i];
     XPathPlanStep out;
     out.axis = step.axis == XPathAxis::kChild       ? "child"
                : step.axis == XPathAxis::kAttribute ? "attribute"
                                                     : "descendant";
-    if (step.test == NodeTestKind::kWildcard) {
-      // A '*' step has no list to warm: the join counts it as a level.
-      out.tag = "*";
-      out.warm = true;
-    } else {
-      out.tag = StructuralKey(step);
-      StructuralIndex::EntryList list = index->LookupTag(out.tag);
-      out.warm = list != nullptr;
-      out.postings = list == nullptr ? 0 : list->size();
-    }
-    if (!out.warm) all_warm = false;
+    out.tag = step.test == NodeTestKind::kWildcard ? "*" : StructuralKey(step);
+    out.warm = true;
+    lookup(step, &out);
+    all_warm = all_warm && out.warm;
     plan.steps.push_back(std::move(out));
+    if (!JoinsPredicates(step)) continue;
+    for (const XPathPredicate& pred : step.predicates) {
+      XPathPlanStep semi;
+      semi.axis = "semi-join";
+      semi.kind = pred.kind == XPathPredicate::Kind::kPosition ? "position"
+                  : pred.kind == XPathPredicate::Kind::kExists
+                      ? "exists"
+                      : "equals";
+      semi.tag = pred.ToString();
+      semi.warm = true;
+      for (const XPathStep& p : pred.path.steps) lookup(p, &semi);
+      all_warm = all_warm && semi.warm;
+      plan.steps.push_back(std::move(semi));
+    }
   }
   if (joined == 0 || !all_warm) return plan;
   if (split.JoinsWholePath(path)) {
@@ -92,7 +110,8 @@ Result<XPathPlan> ExplainXPath(const Store& store, std::string_view expr) {
   }
   plan.plan = "seeded-scan";
   plan.seed_step = static_cast<int>(joined - 1);
-  StructuralIndex::EntryList seeds = JoinIndexedSteps(*index, path, joined);
+  LAXML_ASSIGN_OR_RETURN(StructuralIndex::EntryList seeds,
+                         JoinIndexedSteps(store, path, joined));
   plan.seeds = seeds == nullptr ? 0 : seeds->size();
   return plan;
 }

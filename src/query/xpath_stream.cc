@@ -45,24 +45,66 @@ bool ChildWildcard(const XPathStep& step) {
          step.test == NodeTestKind::kWildcard && step.predicates.empty();
 }
 
+const char* StepIneligibility(const XPathPath& path, size_t i,
+                              bool relative = false);
+
+/// nullptr when a semi-join over the postings answers `pred` on a named
+/// element step, else why not. [n] always; [p] and [p='lit'] when p is
+/// a predicate-free path the join could run from the step's node, and
+/// the '=' compares an attribute's value (an element's string value is
+/// in no posting list).
+const char* PredicateIneligibility(const XPathPredicate& pred) {
+  if (pred.kind == XPathPredicate::Kind::kPosition) return nullptr;
+  const XPathPath& p = pred.path;
+  for (const XPathStep& step : p.steps) {
+    if (!step.predicates.empty()) return "nested predicate";
+  }
+  for (size_t i = 0; i < p.steps.size(); ++i) {
+    if (StepIneligibility(p, i, /*relative=*/true) != nullptr) {
+      return "predicate path not indexable";
+    }
+  }
+  if (pred.kind == XPathPredicate::Kind::kEquals &&
+      p.steps.back().axis != XPathAxis::kAttribute) {
+    return "element value predicate";
+  }
+  return nullptr;
+}
+
 /// nullptr when step `i` of `path` can be part of the indexable prefix,
 /// else why not. Besides named child/descendant steps, the prefix takes
 /// '*' child steps between two named steps (level arithmetic in the
-/// join) and a final '@name' step (the attribute's posting list).
-const char* StepIneligibility(const XPathPath& path, size_t i) {
+/// join), a final '@name' step (the attribute's posting list), and the
+/// predicates of a named element step that PredicateIneligibility
+/// accepts. A `relative` path (a predicate's) starts at its owner
+/// element, so it may begin with an '@name' or a '*' step.
+const char* StepIneligibility(const XPathPath& path, size_t i,
+                              bool relative) {
   const XPathStep& step = path.steps[i];
   const bool last = i + 1 == path.steps.size();
-  if (!step.predicates.empty()) return "has predicates";
+  if (!step.predicates.empty()) {
+    if (!NamedChildOrDescendant(step)) return "has predicates";
+    for (const XPathPredicate& pred : step.predicates) {
+      if (const char* reason = PredicateIneligibility(pred)) return reason;
+      // '//x[n]' numbers x per context node, and after '*' that node is
+      // the wildcard's match, which no posting list holds.
+      if (pred.kind == XPathPredicate::Kind::kPosition &&
+          step.axis == XPathAxis::kDescendant && i > 0 &&
+          path.steps[i - 1].test == NodeTestKind::kWildcard) {
+        return "position after a wildcard step";
+      }
+    }
+  }
   if (step.descendant_attr) return "descendant attribute step";
   if (step.axis == XPathAxis::kAttribute) {
     if (step.test != NodeTestKind::kName) return "attribute wildcard step";
-    if (i == 0) return "attribute step without an element step";
+    if (i == 0 && !relative) return "attribute step without an element step";
     if (!last) return "attribute step before the last step";
     return nullptr;
   }
   if (step.test == NodeTestKind::kWildcard) {
     if (step.axis != XPathAxis::kChild) return "descendant wildcard step";
-    if (i == 0) return "leading wildcard step";
+    if (i == 0 && !relative) return "leading wildcard step";
     if (last) return "trailing wildcard step";
     return nullptr;
   }
@@ -89,9 +131,10 @@ const char* StepIneligibility(const XPathPath& path, size_t i) {
 /// gate), because '//x[n]' numbers x within each context separately.
 ///
 /// A seeded run never arms the steps the join answered: each seed
-/// enters as a match of the last joined step (OnMatch), which arms the
-/// next step — or, for a step with [path] predicates, makes the seed a
-/// candidate. Any scope that opens dead is skipped (Dead()).
+/// enters as a match of the last joined step, which arms the next step
+/// — or, when the join left that step's predicates to the scan, makes
+/// the seed a candidate (OnMatch). Any scope that opens dead is skipped
+/// (Dead()).
 class StreamScan {
  public:
   /// Flattens `path`; NotSupported past kMaxStreamSteps steps.
@@ -120,12 +163,14 @@ class StreamScan {
   }
 
   /// Streams only the subtrees of `seeds` (document order), the entries
-  /// the join of the path's first `joined` steps selected. One subscan
-  /// per outermost seed; nested seeds are met on the way.
+  /// the join of the path's first `split.joined` steps selected. One
+  /// subscan per outermost seed; nested seeds are met on the way.
   Status RunSeeded(TokenCursor* cursor,
-                   const std::vector<StructuralEntry>& seeds, size_t joined) {
+                   const std::vector<StructuralEntry>& seeds,
+                   const SeedSplit& split) {
     seeds_ = &seeds;
-    seed_step_ = static_cast<uint32_t>(joined - 1);
+    seed_step_ = static_cast<uint32_t>(split.joined - 1);
+    seed_candidates_ = split.candidates;
     next_seed_pre_ = seeds.empty() ? kNoSeed : seeds[0].pre;
     while (next_seed_ < seeds.size()) {
       const StructuralEntry& seed = seeds[next_seed_];
@@ -258,7 +303,12 @@ class StreamScan {
           "structural index seed is not a begin-element token");
     }
     gates_.assign(1, kNone);
-    OnMatch(seed_step_, cursor, TokenType::kBeginElement, /*opens=*/true);
+    if (seed_candidates_) {
+      OnMatch(seed_step_, cursor, TokenType::kBeginElement, /*opens=*/true);
+    } else {
+      // The join answered the step's predicates, if any: a plain match.
+      Arm(seed_step_ + 1, kNone);
+    }
     ++next_seed_;
     next_seed_pre_ =
         next_seed_ < seeds_->size() ? (*seeds_)[next_seed_].pre : kNoSeed;
@@ -624,10 +674,12 @@ class StreamScan {
   std::vector<Capture> captures_;
 
   StructuralWarmer* warmer_ = nullptr;
-  // Seeded runs: the seeds, the step they matched, the next one not yet
-  // met, and the end ordinal of the current subscan.
+  // Seeded runs: the seeds, the step they matched (and whether they
+  // enter as its candidates), the next one not yet met, and the end
+  // ordinal of the current subscan.
   const std::vector<StructuralEntry>* seeds_ = nullptr;
   uint32_t seed_step_ = 0;
+  bool seed_candidates_ = false;
   size_t next_seed_ = 0;
   uint64_t next_seed_pre_ = kNoSeed;
   uint64_t subtree_end_ = 0;
@@ -663,9 +715,10 @@ SeedSplit SplitAtIndexablePrefix(const XPathPath& path) {
     ++split.joined;
   }
   if (split.joined == n) return split;
-  // A named step that stopped the prefix only by [path] / [path='lit']
-  // predicates joins too, its matches seeding as candidates. A [n]
-  // leaves it to the scan: positions count siblings the join drops.
+  // A named step that stopped the prefix only by predicates the join
+  // cannot answer joins too, its matches seeding as candidates that the
+  // scan decides. A [n] among them leaves it to the scan: positions
+  // count siblings the candidates' other predicates drop.
   const XPathStep& next = path.steps[split.joined];
   bool positional = false;
   for (const XPathPredicate& pred : next.predicates) {
@@ -684,43 +737,211 @@ SeedSplit SplitAtIndexablePrefix(const XPathPath& path) {
   return split;
 }
 
+bool JoinsPredicates(const XPathStep& step) {
+  for (const XPathPredicate& pred : step.predicates) {
+    if (PredicateIneligibility(pred) != nullptr) return false;
+  }
+  return true;
+}
+
 std::string StructuralKey(const XPathStep& step) {
   return step.axis == XPathAxis::kAttribute ? AttributeKey(step.name)
                                             : step.name;
 }
 
-StructuralIndex::EntryList JoinIndexedSteps(const StructuralIndex& index,
-                                            const XPathPath& path,
-                                            size_t steps) {
-  LAXML_DCHECK(steps > 0 && steps <= path.steps.size());
-  std::vector<StructuralIndex::EntryList> lists(steps);
+namespace {
+
+using Entries = std::vector<StructuralEntry>;
+using EntryList = StructuralIndex::EntryList;
+
+EntryList Share(Entries entries) {
+  return std::make_shared<const Entries>(std::move(entries));
+}
+
+/// `list` joined below `frontier` along `step`'s axis (an '@name' step
+/// joins as a child), `skip` '*' levels further down.
+Entries AxisJoin(const Entries& frontier, const Entries& list,
+                 const XPathStep& step, uint32_t skip) {
+  return step.axis == XPathAxis::kDescendant
+             ? StructuralDescendantJoin(frontier, list, skip)
+             : StructuralChildJoin(frontier, list, skip);
+}
+
+/// The tags the join of `path`'s first `steps` steps reads: the named
+/// steps' and those of the predicate paths it answers.
+void AppendJoinTags(const XPathPath& path, size_t steps,
+                    std::vector<std::string>* tags) {
   for (size_t i = 0; i < steps; ++i) {
-    if (ChildWildcard(path.steps[i])) continue;
-    lists[i] = index.LookupTag(StructuralKey(path.steps[i]));
-    if (lists[i] == nullptr) return nullptr;
-  }
-  // Step 0 evaluates against the virtual root: its children are the
-  // top-level (level-0) elements, its descendants everything.
-  using Entries = const std::vector<StructuralEntry>;
-  StructuralIndex::EntryList frontier =
-      path.steps[0].axis == XPathAxis::kChild
-          ? std::make_shared<Entries>(StructuralTopLevel(*lists[0]))
-          : lists[0];
-  // '*' steps add no list, only levels between the named steps around
-  // them; an '@name' step joins as a child.
-  uint32_t skip = 0;
-  for (size_t i = 1; i < steps && !frontier->empty(); ++i) {
-    if (lists[i] == nullptr) {
-      ++skip;
-      continue;
+    const XPathStep& step = path.steps[i];
+    if (ChildWildcard(step)) continue;
+    tags->push_back(StructuralKey(step));
+    if (!JoinsPredicates(step)) continue;
+    for (const XPathPredicate& pred : step.predicates) {
+      AppendJoinTags(pred.path, pred.path.steps.size(), tags);
     }
-    frontier = std::make_shared<Entries>(
-        path.steps[i].axis == XPathAxis::kDescendant
-            ? StructuralDescendantJoin(*frontier, *lists[i], skip)
-            : StructuralChildJoin(*frontier, *lists[i], skip));
-    skip = 0;
   }
-  return frontier;
+}
+
+/// The posting-list join of a split's joined steps, left to right; each
+/// step's predicates filter its matches, as semi-joins. Every
+/// tag is looked up even once the matches run out, so the join is warm
+/// exactly when all of its tags are (EXPLAIN's test).
+class PostingJoin {
+ public:
+  explicit PostingJoin(const Store& store)
+      : store_(store), index_(*store.structural_index()) {}
+
+  /// The entries the first `steps` steps of `path` select; nullptr when
+  /// a tag is cold.
+  Result<EntryList> Run(const XPathPath& path, size_t steps) {
+    std::vector<EntryList> lists;
+    if (!Lookup(path, steps, &lists)) return EntryList();
+    EntryList frontier;  // null before step 0: the virtual root
+    // '*' steps add no list, only levels between the named steps
+    // around them.
+    uint32_t skip = 0;
+    for (size_t i = 0; i < steps; ++i) {
+      const XPathStep& step = path.steps[i];
+      if (lists[i] == nullptr) {
+        ++skip;
+        continue;
+      }
+      // Step 0 evaluates against the virtual root: its children are the
+      // top-level (level-0) elements, its descendants everything.
+      const EntryList context = frontier;
+      frontier = context != nullptr
+                     ? Share(AxisJoin(*context, *lists[i], step, skip))
+                 : step.axis == XPathAxis::kChild
+                     ? Share(StructuralTopLevel(*lists[i]))
+                     : lists[i];
+      skip = 0;
+      // A candidates step: the scan decides its predicates.
+      if (!JoinsPredicates(step)) continue;
+      frontier = Number(step, context, frontier);
+      for (const XPathPredicate& pred : step.predicates) {
+        if (pred.kind == XPathPredicate::Kind::kPosition) continue;
+        LAXML_ASSIGN_OR_RETURN(frontier, Filter(frontier, pred));
+        if (frontier == nullptr) return frontier;
+      }
+    }
+    return frontier;
+  }
+
+ private:
+  /// The posting lists of `path`'s first `steps` steps (nullptr for a
+  /// '*' step); false when a tag is cold.
+  bool Lookup(const XPathPath& path, size_t steps,
+              std::vector<EntryList>* lists) const {
+    lists->assign(steps, nullptr);
+    for (size_t i = 0; i < steps; ++i) {
+      if (ChildWildcard(path.steps[i])) continue;
+      (*lists)[i] = index_.LookupTag(StructuralKey(path.steps[i]));
+      if ((*lists)[i] == nullptr) return false;
+    }
+    return true;
+  }
+
+  /// The `matches` of `step` (joined below `context`; null: the virtual
+  /// root) that its [n] predicates keep. A position numbers every match
+  /// of the step's test in its context, whatever the step's other
+  /// predicates keep (the scan's semantics, and the oracle's), so the
+  /// positions apply first and together: [n][m] with n != m keeps
+  /// nothing.
+  static EntryList Number(const XPathStep& step, const EntryList& context,
+                          EntryList matches) {
+    uint64_t n = 0;
+    for (const XPathPredicate& pred : step.predicates) {
+      if (pred.kind != XPathPredicate::Kind::kPosition) continue;
+      if (n != 0 && n != pred.position) return Share({});
+      n = pred.position;
+    }
+    if (n == 0) return matches;
+    if (step.axis == XPathAxis::kChild) {
+      return Share(StructuralNthPerParent(*matches, n));
+    }
+    if (context == nullptr) {
+      return Share(n <= matches->size() ? Entries{(*matches)[n - 1]}
+                                        : Entries{});
+    }
+    return Share(StructuralNthDescendant(*context, *matches, n));
+  }
+
+  /// The `frontier` entries passing [p] or [p='lit'] `pred`; nullptr
+  /// when a tag of its path is cold.
+  Result<EntryList> Filter(const EntryList& frontier,
+                           const XPathPredicate& pred) {
+    const XPathPath& p = pred.path;
+    std::vector<EntryList> lists;
+    if (!Lookup(p, p.steps.size(), &lists)) return EntryList();
+    if (frontier->empty()) return frontier;
+    const size_t last = p.steps.size() - 1;
+    EntryList below = lists[last];
+    if (pred.kind == XPathPredicate::Kind::kEquals) {
+      // The attributes the path reaches from the frontier, kept when
+      // their value is the literal: one Seek and one decode each, no
+      // subtree scanned.
+      EntryList reached = frontier;
+      uint32_t skip = 0;
+      for (size_t j = 0; j <= last; ++j) {
+        if (lists[j] == nullptr) {
+          ++skip;
+          continue;
+        }
+        reached = Share(AxisJoin(*reached, *lists[j], p.steps[j], skip));
+        skip = 0;
+      }
+      Entries equal;
+      for (const StructuralEntry& attribute : *reached) {
+        LAXML_ASSIGN_OR_RETURN(bool match,
+                               ValueEquals(attribute, pred.literal));
+        if (match) equal.push_back(attribute);
+      }
+      below = Share(std::move(equal));
+    }
+    // Right to left: keep each step's entries that hold a match of the
+    // step after them, and last the frontier entries holding one of the
+    // path's first step.
+    size_t next = last;
+    uint32_t skip = 0;
+    for (size_t j = last; j-- > 0;) {
+      if (lists[j] == nullptr) {
+        ++skip;
+        continue;
+      }
+      below = Share(StructuralSemiJoin(
+          *lists[j], *below, p.steps[next].axis != XPathAxis::kDescendant,
+          skip));
+      next = j;
+      skip = 0;
+    }
+    return Share(StructuralSemiJoin(
+        *frontier, *below, p.steps[next].axis != XPathAxis::kDescendant,
+        skip));
+  }
+
+  /// Whether `attribute`'s value is `literal`. The value rides on the
+  /// begin-attribute token its entry points at.
+  Result<bool> ValueEquals(const StructuralEntry& attribute,
+                           const std::string& literal) {
+    if (cursor_ == nullptr) cursor_ = store_.NewCursor();
+    LAXML_RETURN_IF_ERROR(
+        cursor_->Seek(attribute, TokenType::kBeginAttribute, &token_));
+    return token_.value == literal;
+  }
+
+  const Store& store_;
+  const StructuralIndex& index_;
+  std::unique_ptr<TokenCursor> cursor_;  ///< Reads attribute values.
+  Token token_;                          ///< The last one read.
+};
+
+}  // namespace
+
+Result<StructuralIndex::EntryList> JoinIndexedSteps(const Store& store,
+                                                    const XPathPath& path,
+                                                    size_t steps) {
+  LAXML_DCHECK(steps > 0 && steps <= path.steps.size());
+  return PostingJoin(store).Run(path, steps);
 }
 
 Result<std::vector<NodeId>> EvaluateXPathStreaming(
@@ -740,23 +961,19 @@ Result<std::vector<NodeId>> EvaluateXPathStreaming(
   StructuralIndex::EntryList seeds;
   std::unique_ptr<StructuralWarmer> warmer;
   if (joined > 0) {
-    seeds = JoinIndexedSteps(*index, path, joined);
+    LAXML_ASSIGN_OR_RETURN(seeds, JoinIndexedSteps(store, path, joined));
     if (seeds != nullptr) {
       index->RecordHit();
       LAXML_RC_ADD(structural_index_hits, 1);
     } else {
       // Cold: the full scan below is the fallback, and its by-product
-      // warms the index — the prefix's tags in lazy mode, every tag in
-      // eager.
+      // warms the index — the join's tags (its predicate paths'
+      // included) in lazy mode, every tag in eager.
       index->RecordMiss();
       LAXML_RC_ADD(structural_index_misses, 1);
       const bool eager = index->mode() == StructuralIndexMode::kEager;
       std::vector<std::string> wanted;
-      for (size_t i = 0; i < joined && !eager; ++i) {
-        if (!ChildWildcard(path.steps[i])) {
-          wanted.push_back(StructuralKey(path.steps[i]));
-        }
-      }
+      if (!eager) AppendJoinTags(path, joined, &wanted);
       warmer = std::make_unique<StructuralWarmer>(store.name_dictionary(),
                                                   std::move(wanted), eager);
     }
@@ -774,7 +991,7 @@ Result<std::vector<NodeId>> EvaluateXPathStreaming(
   auto cursor = store.NewCursor();
   if (seeds != nullptr) {
     LAXML_RC_SET_PLAN("seeded-scan");
-    LAXML_RETURN_IF_ERROR(scan.RunSeeded(cursor.get(), *seeds, joined));
+    LAXML_RETURN_IF_ERROR(scan.RunSeeded(cursor.get(), *seeds, split));
   } else {
     LAXML_RC_SET_PLAN("stream-scan");
     LAXML_RETURN_IF_ERROR(scan.Run(cursor.get(), warmer.get()));

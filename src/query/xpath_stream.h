@@ -19,24 +19,34 @@
 // Memory is O(depth × steps) plus those buffered matches.
 //
 // Planner: the path splits at its longest index-answerable prefix —
-// the leading named child/descendant steps without predicates, any run
-// of '*' child steps between two of them, and a final '@name' step
-// (SplitAtIndexablePrefix). When the prefix's tags are warm in the
-// store's lazy structural index, their posting-list join yields
-// *seeds*:
+// the leading named child/descendant steps, any run of '*' child steps
+// between two of them, a final '@name' step, and the predicates of the
+// named steps that a semi-join over the postings answers: [n], [p] and
+// [p='lit'], where p is a predicate-free path the join could run from
+// the step's node and '=' compares an attribute's value
+// (SplitAtIndexablePrefix). When the prefix's tags, its predicate
+// paths' included, are warm in the store's lazy structural index, their
+// posting-list join yields *seeds*. Each step's matches are filtered by
+// its predicates left to right: [p] keeps the matches holding a p match
+// below them (a semi-join, run right to left along p), [@a='lit'] reads
+// the value of each of the matches' @a attributes from its begin token
+// (one Seek each), and [n] keeps the n-th match per context node (the
+// parent, on a child step). Then:
 //   * the whole path is the prefix: the join is the answer
 //     ("structural-join", no scan at all);
 //   * otherwise the scan runs only inside the seeds' subtrees
 //     ("seeded-scan"): a cursor Seek()s to each outermost seed's begin
 //     token, the step after the prefix is armed for the seed's
 //     children, and the subscan ends at the seed's end token. When the
-//     step after the prefix is named and carries only [path] /
-//     [path='lit'] predicates, the join runs through it too and each
-//     seed enters the scan as a candidate of that step, predicates
-//     pending.
-// A cold prefix tag sends the query to the full scan, whose by-product
-// warms the prefix's tags (every tag, in eager mode). Off-mode stores,
-// paths without a prefix, and the forced scan take the full scan.
+//     step after the prefix is named and carries predicates the join
+//     cannot answer (an element's string value, a nested predicate, a
+//     path with a text() step...) and no [n], the join runs through it
+//     too and each seed enters the scan as a candidate of that step,
+//     its predicates pending. A final text() step is the common case
+//     left to the seeded scan.
+// A cold tag sends the query to the full scan, whose by-product warms
+// the join's tags (every tag, in eager mode). Off-mode stores, paths
+// without a prefix, and the forced scan take the full scan.
 //
 // Every scan — full or seeded — skips dead subtrees: a scope that opens
 // with no armed step, no pending condition, no positional context
@@ -65,20 +75,23 @@ inline constexpr size_t kMaxStreamSteps = 64;
 
 /// True when `path` can be answered from the structural index: every
 /// step a named child or descendant test or a '*' child step between
-/// two of them, the last step possibly '@name'; no predicates, no
-/// '//@attr'.
+/// two of them, the last step possibly '@name'; no '//@attr'; and
+/// predicates only on named element steps, each [n], [p] or
+/// [p='lit'] as the header comment describes.
 bool StructuralIndexEligible(const XPathPath& path);
 
 /// The eligibility gate's verdict as a static string: nullptr when the
-/// path is eligible, otherwise the first disqualifying reason
-/// ("has predicates", ...). EXPLAIN surfaces this so "why did my query
-/// scan" has an answer.
+/// path is eligible, otherwise the first disqualifying reason ("element
+/// value predicate", "nested predicate", "predicate path not
+/// indexable", "has predicates" on a step that is no named element
+/// step, ...). EXPLAIN surfaces this so "why did my query scan" has an
+/// answer.
 const char* StructuralIneligibilityReason(const XPathPath& path);
 
 /// Where the planner splits a path: its posting-list join runs through
 /// the first `joined` steps (0: no join, full scan), and the entries
 /// the join selects are the seeds. `candidates` when the last joined
-/// step has [path] / [path='lit'] predicates, so its seeds enter the
+/// step has predicates the join cannot answer, so its seeds enter the
 /// scan as pending candidates; otherwise they are contexts for the
 /// next step. A split that joins every step and no candidates is a
 /// structural join, no scan.
@@ -93,22 +106,29 @@ struct SeedSplit {
 
 /// The planner's split of `path`, independent of index warmth: the
 /// indexable prefix, plus the step after it when that step is named and
-/// carries only [path] / [path='lit'] predicates. The joined steps
-/// never end in '*', and an '@name' step joins only as the path's last
-/// step (a seed must be an element).
+/// carries predicates but no [n]. The joined steps never end in '*',
+/// and an '@name' step joins only as the path's last step (a seed must
+/// be an element).
 SeedSplit SplitAtIndexablePrefix(const XPathPath& path);
+
+/// True when the join answers every predicate of `step` (trivially so
+/// without predicates); false on a candidates step, whose predicates
+/// the scan decides.
+bool JoinsPredicates(const XPathStep& step);
 
 /// The structural-index tag of a named step: its element name, or the
 /// AttributeKey of an '@name' step.
 std::string StructuralKey(const XPathStep& step);
 
 /// The entries the first `steps` steps of `path` select, by merge-joins
-/// over the warm posting lists, in document order; nullptr when one of
-/// their tags is cold. The steps must be a split's joined steps
-/// (predicates are ignored; '*' steps only count levels).
-StructuralIndex::EntryList JoinIndexedSteps(const StructuralIndex& index,
-                                            const XPathPath& path,
-                                            size_t steps);
+/// and semi-joins over the warm posting lists, in document order;
+/// nullptr when one of their tags (predicate paths' included) is cold.
+/// The steps must be a split's joined steps ('*' steps only count
+/// levels; a candidates step's predicates are left to the scan). Reads
+/// the store only for [@a='lit'] values; an error there is returned.
+Result<StructuralIndex::EntryList> JoinIndexedSteps(const Store& store,
+                                                    const XPathPath& path,
+                                                    size_t steps);
 
 /// Evaluates `path`: a structural join, a seeded scan or a full scan,
 /// as the header comment describes. Returns matching node ids in

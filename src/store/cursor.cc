@@ -40,18 +40,23 @@ Status TokenCursor::SeekToFirst(Token* token) {
   return Next(token);  // skips leading empty ranges
 }
 
-Status TokenCursor::Seek(const StructuralEntry& entry) {
+Status TokenCursor::Seek(const StructuralEntry& entry, TokenType begin,
+                         Token* token) {
+  LAXML_DCHECK(begin == TokenType::kBeginElement ||
+               begin == TokenType::kBeginAttribute)
+      << "structural entries begin elements and attributes";
   LAXML_RETURN_IF_ERROR(SeekReader(entry.range, entry.offset));
   next_id_ = entry.id;
   next_ordinal_ = entry.pre;
   depth_ = entry.level;
-  LAXML_RETURN_IF_ERROR(DecodeOne(nullptr));
-  if (type_ != TokenType::kBeginElement) {
+  LAXML_RETURN_IF_ERROR(DecodeOne(token));
+  if (type_ != begin) {
     valid_ = false;
-    return Status::Corruption("seek target at range " +
-                              std::to_string(entry.range) + " offset " +
-                              std::to_string(entry.offset) +
-                              " is not a begin-element");
+    return Status::Corruption(
+        "seek target at range " + std::to_string(entry.range) + " offset " +
+        std::to_string(entry.offset) + " is not a " +
+        (begin == TokenType::kBeginElement ? "begin-element"
+                                           : "begin-attribute"));
   }
   return Status::OK();
 }

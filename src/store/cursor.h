@@ -61,8 +61,13 @@ class TokenCursor {
   /// Positions at `entry`'s begin token, with its id, level and pre as
   /// node id, depth and ordinal. Reuses the loaded payload when the
   /// entry lies in the current range. Corruption unless the token at
-  /// the entry's (range, offset) is a begin-element.
-  Status Seek(const StructuralEntry& entry);
+  /// the entry's (range, offset) has type `begin`: kBeginElement for an
+  /// element's entry, kBeginAttribute for an '@name' posting (whose
+  /// value rides on that token). With `token`, decodes it whole as
+  /// Next(Token*) does.
+  Status Seek(const StructuralEntry& entry,
+              TokenType begin = TokenType::kBeginElement,
+              Token* token = nullptr);
 
   /// Positions at the token at `byte_offset` in `range`: the range's
   /// `token_index`-th token, with `begins_before` node-begin tokens

@@ -285,14 +285,16 @@ IterationResult RunIteration(const TortureOptions& opts,
   // warm as by-product), and with the index warm (posting-list join,
   // or for the seeded shapes a scan of the joined prefix's subtrees) —
   // byte-for-byte on the id vectors. Query tags and the attribute name
-  // come from the instance itself so the paths actually select.
+  // and value come from the instance itself so the paths actually
+  // select.
   {
     std::vector<std::string> tags;
-    std::string attribute;
+    std::string attribute, value;
     for (const Token& t : *got) {
       if (tags.size() >= 3 && !attribute.empty()) break;
       if (t.type == TokenType::kBeginAttribute && attribute.empty()) {
         attribute = t.name;
+        value = t.value;
       }
       if (t.type != TokenType::kBeginElement || tags.size() >= 3) continue;
       bool known = false;
@@ -326,14 +328,9 @@ IterationResult RunIteration(const TortureOptions& opts,
       path({named(XPathAxis::kDescendant, t0),
             named(XPathAxis::kDescendant, t1)});
       path({named(XPathAxis::kChild, t0), named(XPathAxis::kChild, t1)});
-      // Seeded shapes: //t0/*, //t0[t1], //t0/@*, //t0/t1/text().
+      // Seeded shapes: //t0/*, //t0/@*, //t0/t1/text().
       const XPathStep seed = named(XPathAxis::kDescendant, t0);
       path({seed, step(XPathAxis::kChild, NodeTestKind::kWildcard)});
-      XPathStep with_child = seed;
-      XPathPredicate has_t1;
-      has_t1.path.steps.push_back(named(XPathAxis::kChild, t1));
-      with_child.predicates.push_back(std::move(has_t1));
-      path({with_child});
       path({seed, step(XPathAxis::kAttribute, NodeTestKind::kWildcard)});
       path({seed, named(XPathAxis::kChild, t1),
             step(XPathAxis::kChild, NodeTestKind::kText)});
@@ -345,6 +342,32 @@ IterationResult RunIteration(const TortureOptions& opts,
         path({seed, step(XPathAxis::kAttribute, NodeTestKind::kName,
                          attribute)});
       }
+      // Predicates as semi-joins: //t0[t1], //t0[t1]/t2, //t0[@a='v'],
+      // //t0/t1[1].
+      XPathStep with_child = seed;
+      XPathPredicate has_t1;
+      has_t1.path.steps.push_back(named(XPathAxis::kChild, t1));
+      with_child.predicates.push_back(std::move(has_t1));
+      path({with_child});
+      if (tags.size() >= 3) {
+        path({with_child, named(XPathAxis::kChild, tags[2])});
+      }
+      if (!attribute.empty()) {
+        XPathStep with_value = seed;
+        XPathPredicate equals;
+        equals.kind = XPathPredicate::Kind::kEquals;
+        equals.path.steps.push_back(
+            step(XPathAxis::kAttribute, NodeTestKind::kName, attribute));
+        equals.literal = value;
+        with_value.predicates.push_back(std::move(equals));
+        path({with_value});
+      }
+      XPathStep first_t1 = named(XPathAxis::kChild, t1);
+      XPathPredicate first;
+      first.kind = XPathPredicate::Kind::kPosition;
+      first.position = 1;
+      first_t1.predicates.push_back(std::move(first));
+      path({seed, first_t1});
     }
     StructuralIndex* index = (*reopened)->structural_index();
     for (const XPathPath& p : paths) {

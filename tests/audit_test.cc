@@ -283,6 +283,25 @@ TEST(AuditTest, AttributePostingWithWrongPostIsDetected) {
   EXPECT_TRUE(HasStructuralIssue(report, bogus[1].id)) << report.ToString();
 }
 
+TEST(AuditTest, PostingWithWrongParentIsDetected) {
+  // [n] counts candidates per parent_pre: an element memoized under its
+  // grandparent (the virtual root here) would be numbered among the
+  // wrong siblings.
+  std::unique_ptr<Store> store = StoreWithAttributePostings();
+  ASSERT_NE(store, nullptr);
+  StructuralIndex* index = store->structural_index();
+  StructuralIndex::EntryList items = index->LookupTag("item");
+  ASSERT_NE(items, nullptr);
+  ASSERT_EQ(items->size(), 2u);
+  std::vector<StructuralEntry> bogus = *items;
+  ASSERT_EQ(bogus[1].parent_pre, 0u);  // <root> begins the stream
+  bogus[1].parent_pre = kNoParent;
+  index->Publish("item", bogus);
+  AuditReport report = Audit(store.get());
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(HasStructuralIssue(report, bogus[1].id)) << report.ToString();
+}
+
 TEST(AuditTest, LayertogglesSkipLegs) {
   ASSERT_OK_AND_ASSIGN(
       auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));

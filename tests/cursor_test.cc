@@ -10,6 +10,7 @@
 
 #include <set>
 
+#include "query/xpath_stream.h"
 #include "store/store.h"
 #include "test_util.h"
 #include "workload/doc_generator.h"
@@ -226,6 +227,54 @@ TEST(CursorTest, SeekToLocationThenSkipSubtreeMatchesBruteForce) {
     if (spots[end].range != at.range) ++crossings;
   }
   EXPECT_GT(crossings, 3u);
+}
+
+TEST(CursorTest, SeekToAttributeEntryReadsItsValue) {
+  for (uint32_t codec : {kTokenCodecV1, kTokenCodecV2}) {
+    SCOPED_TRACE("codec v" + std::to_string(codec));
+    auto store = FragmentedStore(codec);
+    ASSERT_LAXML_OK(store
+                        ->LoadXml("<r><e k=\"one\">t</e><e k=\"two\"/>"
+                                  "<e k=\"three\"><f/></e></r>")
+                        .status());
+    // Warm the @k postings; each entry points at a begin-attribute.
+    ASSERT_LAXML_OK(EvaluateXPathStreaming(*store, "//e/@k").status());
+    StructuralIndex::EntryList ks = store->structural_index()->LookupTag("@k");
+    ASSERT_NE(ks, nullptr);
+    ASSERT_EQ(ks->size(), 3u);
+    TokenCursor cursor(&store->range_manager());
+    const char* values[] = {"one", "two", "three"};
+    for (size_t i = 0; i < ks->size(); ++i) {
+      const StructuralEntry& k = (*ks)[i];
+      ASSERT_LAXML_OK(cursor.Seek(k, TokenType::kBeginAttribute));
+      EXPECT_EQ(cursor.type(), TokenType::kBeginAttribute);
+      EXPECT_EQ(cursor.token().name, "k");
+      EXPECT_EQ(cursor.token().value, values[i]);
+      EXPECT_EQ(cursor.node_id(), k.id);
+      EXPECT_EQ(cursor.ordinal(), k.pre);
+      EXPECT_EQ(cursor.depth(), static_cast<int64_t>(k.level));
+    }
+  }
+}
+
+TEST(CursorTest, SeekElementEntryOntoAttributeIsCorruption) {
+  auto store = FragmentedStore();
+  ASSERT_LAXML_OK(store->LoadXml("<r><e k=\"v\"/></r>").status());
+  ASSERT_LAXML_OK(EvaluateXPathStreaming(*store, "//e/@k").status());
+  StructuralIndex::EntryList ks = store->structural_index()->LookupTag("@k");
+  ASSERT_NE(ks, nullptr);
+  ASSERT_EQ(ks->size(), 1u);
+  TokenCursor cursor(&store->range_manager());
+  // An element's seek (the default) onto an attribute's offset.
+  Status st = cursor.Seek((*ks)[0]);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_FALSE(cursor.Valid());
+  // And an attribute's seek onto an element's.
+  StructuralIndex::EntryList es = store->structural_index()->LookupTag("e");
+  ASSERT_NE(es, nullptr);
+  st = cursor.Seek((*es)[0], TokenType::kBeginAttribute);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_FALSE(cursor.Valid());
 }
 
 }  // namespace

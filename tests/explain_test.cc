@@ -113,11 +113,11 @@ TEST_F(ExplainTest, PartiallyWarmPathStaysStreamScan) {
 
 TEST_F(ExplainTest, IneligiblePathReportsGateReason) {
   Open(StructuralIndexMode::kLazy);
-  XPathPlan pred = MustExplain("//item[1]");
+  XPathPlan pred = MustExplain("/site/*[1]");
   EXPECT_EQ(pred.plan, "stream-scan");
   EXPECT_FALSE(pred.eligible);
   EXPECT_EQ(pred.gate, "has predicates");
-  EXPECT_TRUE(pred.steps.empty());
+  ASSERT_EQ(pred.steps.size(), 1u);  // the joined prefix /site
 
   XPathPlan attr = MustExplain("//item//@id");
   EXPECT_EQ(attr.plan, "stream-scan");
@@ -183,20 +183,105 @@ TEST_F(ExplainTest, WarmPrefixIsSeededScan) {
   EXPECT_NE(json.find("\"seed_step\":1,\"seeds\":2"), std::string::npos)
       << json;
 
-  // [path] predicates on the step after the prefix: the join runs
-  // through it and its matches seed as candidates.
-  XPathPlan candidates = MustExplain("//item[qty]");
+  // A predicate the join cannot answer, on the step after the prefix:
+  // the join runs through the step and its matches seed as candidates.
+  XPathPlan candidates = MustExplain("//item[name='a']");
   EXPECT_EQ(candidates.plan, "seeded-scan");
+  EXPECT_EQ(candidates.gate, "element value predicate");
   EXPECT_EQ(candidates.seed_step, 0);
   EXPECT_EQ(candidates.seeds, 2u);
-  // A [n] there falls back one step: seeds are the <regions> parents.
+  ASSERT_EQ(candidates.steps.size(), 1u);  // no semi-join step
+  // Beside a [n], the scan numbers the step: the prefix stops before
+  // it, and seeds are the <regions> parents.
   MustExecute("/site/regions");
-  XPathPlan positional = MustExplain("/site/regions/item[2]");
+  XPathPlan positional = MustExplain("/site/regions/item[name='b'][1]");
   EXPECT_EQ(positional.plan, "seeded-scan");
   EXPECT_EQ(positional.seed_step, 1);
   EXPECT_EQ(positional.seeds, 1u);
   // ... or to the full scan when nothing precedes it.
-  EXPECT_EQ(MustExplain("//item[2]").plan, "stream-scan");
+  EXPECT_EQ(MustExplain("//item[name='b'][1]").plan, "stream-scan");
+}
+
+TEST_F(ExplainTest, PredicatesJoinAsSemiJoins) {
+  Open(StructuralIndexMode::kLazy);
+  ASSERT_OK_AND_ASSIGN(NodeId site, store_->FirstTopLevelId());
+  ASSERT_LAXML_OK(
+      store_
+          ->InsertIntoLast(site, MustFragment("<shelf>"
+                                              "<disc genre='jazz'>x</disc>"
+                                              "<disc genre='folk'>y</disc>"
+                                              "</shelf>"))
+          .status());
+  struct Case {
+    const char* expr;
+    const char* kind;
+    const char* tag;
+    uint64_t postings;
+    size_t results;
+  };
+  const Case cases[] = {
+      {"//item[qty]", "exists", "[qty]", 1, 1},
+      {"//disc[@genre='jazz']", "equals", "[@genre='jazz']", 2, 1},
+      {"/site/regions/item[2]", "position", "[2]", 0, 1},
+  };
+  for (const Case& c : cases) {
+    XPathPlan cold = MustExplain(c.expr);
+    EXPECT_EQ(cold.plan, "stream-scan") << c.expr;
+    EXPECT_TRUE(cold.eligible) << c.expr;
+    MustExecute(c.expr);  // warms the predicate path's tags too
+    XPathPlan warm = MustExplain(c.expr);
+    EXPECT_EQ(warm.plan, "structural-join") << c.expr;
+    ASSERT_FALSE(warm.steps.empty()) << c.expr;
+    const XPathPlanStep& semi = warm.steps.back();
+    EXPECT_EQ(semi.axis, "semi-join") << c.expr;
+    EXPECT_EQ(semi.kind, c.kind) << c.expr;
+    EXPECT_EQ(semi.tag, c.tag) << c.expr;
+    EXPECT_TRUE(semi.warm) << c.expr;
+    EXPECT_EQ(semi.postings, c.postings) << c.expr;
+    EXPECT_NE(warm.ToJson().find("\"axis\":\"semi-join\",\"kind\":\"" +
+                                 std::string(c.kind) + "\""),
+              std::string::npos)
+        << warm.ToJson();
+    XPathEvaluator eval(store_.get());
+    ASSERT_OK_AND_ASSIGN(std::vector<NodeId> ids, eval.Evaluate(c.expr));
+    EXPECT_EQ(ids.size(), c.results) << c.expr;
+  }
+  // Predicates come after their step, in the order they filter.
+  MustExecute("//item[name][1]");
+  XPathPlan both = MustExplain("//item[name][1]");
+  EXPECT_EQ(both.plan, "structural-join");
+  ASSERT_EQ(both.steps.size(), 3u);
+  EXPECT_EQ(both.steps[0].tag, "item");
+  EXPECT_EQ(both.steps[1].kind, "exists");
+  EXPECT_EQ(both.steps[2].kind, "position");
+  // A cold predicate tag keeps the whole join cold.
+  XPathPlan cold_pred = MustExplain("//item[nosuch]");
+  EXPECT_EQ(cold_pred.plan, "stream-scan");
+  ASSERT_EQ(cold_pred.steps.size(), 2u);
+  EXPECT_TRUE(cold_pred.steps[0].warm);
+  EXPECT_FALSE(cold_pred.steps[1].warm);
+}
+
+TEST_F(ExplainTest, PredicateGateReasons) {
+  Open(StructuralIndexMode::kLazy);
+  MustExecute("//item//name");
+  struct Case {
+    const char* expr;
+    const char* gate;
+  };
+  const Case cases[] = {
+      {"//item[name='a']", "element value predicate"},
+      {"//item[name[1]]", "nested predicate"},
+      {"//item[name/text()]", "predicate path not indexable"},
+  };
+  for (const Case& c : cases) {
+    XPathPlan plan = MustExplain(c.expr);
+    EXPECT_FALSE(plan.eligible) << c.expr;
+    EXPECT_EQ(plan.gate, c.gate) << c.expr;
+    // The step joins as candidates; the scan decides the predicate.
+    EXPECT_EQ(plan.plan, "seeded-scan") << c.expr;
+    EXPECT_EQ(plan.seeds, 2u) << c.expr;
+  }
 }
 
 TEST_F(ExplainTest, IndexOffForeclosesTheQuestion) {
@@ -240,7 +325,8 @@ TEST_F(ExplainTest, PredictionMatchesExecutionStamp) {
                          "//nosuch",           "/site/*/item",
                          "//item/text()",      "//item/@id",
                          "//item[name='a']",   "//item[qty]/name",
-                         "/site/regions/item[2]",
+                         "/site/regions/item[2]", "//item[@id='x']/name",
+                         "//item[name][2]",    "//item[name='b'][1]",
                          "//people/*",         "//person[name='Ada']",
                          "//nosuch/text()",    "//regions/item/name//text()",
                          "//item//@id",        "/site[people]"};

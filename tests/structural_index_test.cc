@@ -117,30 +117,75 @@ TEST(StructuralJoinTest, AttributeJoinsAsAChild) {
             (std::vector<NodeId>{2}));
 }
 
+TEST(StructuralJoinTest, SemiJoinKeepsFrontierEntriesWithAMatch) {
+  // <a><a><b/></a></a>: the inner a holds a child b, the outer only a
+  // grandchild.
+  std::vector<StructuralEntry> a = {Entry(1, 0, 5, 0), Entry(2, 1, 4, 1)};
+  std::vector<StructuralEntry> b = {Entry(3, 2, 3, 2)};
+  EXPECT_EQ(Ids(StructuralSemiJoin(a, b, /*child=*/true)),
+            (std::vector<NodeId>{2}));
+  EXPECT_EQ(Ids(StructuralSemiJoin(a, b, /*child=*/true, /*skip=*/1)),
+            (std::vector<NodeId>{1}));
+  EXPECT_EQ(Ids(StructuralSemiJoin(a, b, /*child=*/false)),
+            (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(Ids(StructuralSemiJoin(a, b, /*child=*/false, /*skip=*/1)),
+            (std::vector<NodeId>{1}));
+  EXPECT_EQ(Ids(StructuralSemiJoin(a, {}, /*child=*/false)),
+            (std::vector<NodeId>{}));
+}
+
+TEST(StructuralJoinTest, NthPerParentCountsWithinEachParent) {
+  // <p><x/><q><x/><x/></q><x/></p>: x's of p and of q interleave in
+  // document order.
+  auto x = [](NodeId id, uint64_t pre, uint64_t parent_pre) {
+    StructuralEntry e = Entry(id, pre, pre + 1, 1);
+    e.parent_pre = parent_pre;
+    return e;
+  };
+  std::vector<StructuralEntry> xs = {x(2, 1, 0), x(4, 4, 3), x(5, 6, 3),
+                                     x(6, 9, 0)};
+  EXPECT_EQ(Ids(StructuralNthPerParent(xs, 1)), (std::vector<NodeId>{2, 4}));
+  EXPECT_EQ(Ids(StructuralNthPerParent(xs, 2)), (std::vector<NodeId>{5, 6}));
+  EXPECT_EQ(Ids(StructuralNthPerParent(xs, 3)), (std::vector<NodeId>{}));
+  // Top-level entries share the virtual root.
+  std::vector<StructuralEntry> top = {Entry(1, 0, 1, 0), Entry(2, 2, 3, 0)};
+  EXPECT_EQ(Ids(StructuralNthPerParent(top, 2)), (std::vector<NodeId>{2}));
+}
+
+/// A random forest of nested <a>/<b> elements (<a><a><b/></a></a> and
+/// the like), numbered as a token scan numbers them: lists[0] holds the
+/// a's, lists[1] the b's.
+void RandomForest(Random* rng, std::vector<StructuralEntry> lists[2]) {
+  std::vector<std::pair<int, size_t>> open;  // (list, slot)
+  uint64_t tok = 0;
+  NodeId id = 0;
+  const uint64_t elements = 1 + rng->Uniform(40);
+  for (uint64_t made = 0; made < elements || !open.empty();) {
+    if (made < elements && (open.empty() || rng->Uniform(3) != 0)) {
+      const int list = static_cast<int>(rng->Uniform(2));
+      StructuralEntry e =
+          Entry(++id, tok++, 0, static_cast<uint32_t>(open.size()));
+      if (!open.empty()) {
+        e.parent_pre = lists[open.back().first][open.back().second].pre;
+      }
+      open.emplace_back(list, lists[list].size());
+      lists[list].push_back(e);
+      ++made;
+    } else {
+      lists[open.back().first][open.back().second].post = tok++;
+      open.pop_back();
+    }
+  }
+}
+
 TEST(StructuralJoinTest, MergeJoinsMatchBruteForce) {
-  // Random forests of nested <a>/<b> elements, numbered as a token scan
-  // numbers them; both joins against the interval definitions, over
-  // every list pairing (including a list joined with itself) and with
-  // up to two '*' levels skipped.
+  // Both joins against the interval definitions, over every list
+  // pairing (including a list joined with itself) and with up to two
+  // '*' levels skipped.
   Random rng(20261017);
   for (int trial = 0; trial < 300; ++trial) {
     std::vector<StructuralEntry> lists[2];
-    std::vector<std::pair<int, size_t>> open;  // (list, slot)
-    uint64_t tok = 0;
-    NodeId id = 0;
-    const uint64_t elements = 1 + rng.Uniform(40);
-    for (uint64_t made = 0; made < elements || !open.empty();) {
-      if (made < elements && (open.empty() || rng.Uniform(3) != 0)) {
-        const int list = static_cast<int>(rng.Uniform(2));
-        open.emplace_back(list, lists[list].size());
-        lists[list].push_back(Entry(++id, tok++, 0,
-                                    static_cast<uint32_t>(open.size() - 1)));
-        ++made;
-      } else {
-        lists[open.back().first][open.back().second].post = tok++;
-        open.pop_back();
-      }
-    }
+    RandomForest(&rng, lists);
     for (const auto& frontier : lists) {
       for (const auto& candidates : lists) {
         for (uint32_t skip = 0; skip < 3; ++skip) {
@@ -161,6 +206,57 @@ TEST(StructuralJoinTest, MergeJoinsMatchBruteForce) {
           EXPECT_EQ(Ids(StructuralChildJoin(frontier, candidates, skip)),
                     children);
         }
+      }
+    }
+  }
+}
+
+TEST(StructuralJoinTest, SemiJoinAndNthMatchBruteForce) {
+  // The predicate primitives against their definitions on the same
+  // forests: a frontier entry survives the semi-join iff some candidate
+  // lies strictly inside it at the required level (exactly skip + 1
+  // down for a child, at least that far for a descendant), and a
+  // candidate survives [n] iff n - 1 candidates with its parent precede
+  // it.
+  Random rng(20261018);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<StructuralEntry> lists[2];
+    RandomForest(&rng, lists);
+    for (const auto& frontier : lists) {
+      for (const auto& candidates : lists) {
+        for (uint32_t skip = 0; skip < 3; ++skip) {
+          std::vector<NodeId> below, child;
+          for (const StructuralEntry& f : frontier) {
+            bool has_below = false, has_child = false;
+            for (const StructuralEntry& c : candidates) {
+              if (f.pre < c.pre && c.post < f.post) {
+                has_below = has_below || f.level + skip + 1 <= c.level;
+                has_child = has_child || f.level + skip + 1 == c.level;
+              }
+            }
+            if (has_below) below.push_back(f.id);
+            if (has_child) child.push_back(f.id);
+          }
+          EXPECT_EQ(Ids(StructuralSemiJoin(frontier, candidates,
+                                           /*child=*/false, skip)),
+                    below);
+          EXPECT_EQ(Ids(StructuralSemiJoin(frontier, candidates,
+                                           /*child=*/true, skip)),
+                    child);
+        }
+      }
+    }
+    for (const auto& candidates : lists) {
+      for (uint64_t n = 1; n <= 3; ++n) {
+        std::vector<NodeId> nth;
+        for (size_t i = 0; i < candidates.size(); ++i) {
+          uint64_t rank = 1;
+          for (size_t j = 0; j < i; ++j) {
+            if (candidates[j].parent_pre == candidates[i].parent_pre) ++rank;
+          }
+          if (rank == n) nth.push_back(candidates[i].id);
+        }
+        EXPECT_EQ(Ids(StructuralNthPerParent(candidates, n)), nth);
       }
     }
   }
@@ -368,10 +464,12 @@ TEST_F(StructuralIndexTest, EvaluatorRoutesIndexablePathsThroughIndex) {
                        eval.Evaluate("//item//name"));
   EXPECT_EQ(via_eval, Stream("//item//name", false));
   EXPECT_GT(store_->structural_index()->memoized_nodes(), 0u);
-  // Predicates are not indexable; the stream scan answers them.
+  // [n] is a semi-join over the warm <item> list: the first item child
+  // of each parent.
   ASSERT_OK_AND_ASSIGN(std::vector<NodeId> first,
                        eval.Evaluate("//item[1]"));
   EXPECT_EQ(first.size(), 1u);
+  EXPECT_EQ(first, Stream("//item[1]", false));
 }
 
 TEST_F(StructuralIndexTest, EligibilityGate) {
@@ -392,7 +490,28 @@ TEST_F(StructuralIndexTest, EligibilityGate) {
   EXPECT_FALSE(eligible("//a/text()"));
   EXPECT_FALSE(eligible("//a/@*"));
   EXPECT_FALSE(eligible("//a//@id"));
-  EXPECT_FALSE(eligible("//a[1]"));
+  // Predicates the join answers as semi-joins.
+  EXPECT_TRUE(eligible("//a[1]"));
+  EXPECT_TRUE(eligible("//a[b]"));
+  EXPECT_TRUE(eligible("//a[b/c][@id][2]/d"));
+  EXPECT_TRUE(eligible("//a[b//c]"));
+  EXPECT_TRUE(eligible("//a[*/c]"));
+  EXPECT_TRUE(eligible("//a[@id='x']"));
+  EXPECT_TRUE(eligible("//a[b/@id='x']"));
+  // ... and those it does not, with the reason EXPLAIN shows.
+  auto reason = [](const std::string& expr) -> std::string {
+    auto p = ParseXPath(expr);
+    EXPECT_TRUE(p.ok()) << p.status().ToString();
+    const char* r = p.ok() ? StructuralIneligibilityReason(*p) : "";
+    return r == nullptr ? "eligible" : r;
+  };
+  EXPECT_EQ(reason("//a[b='x']"), "element value predicate");
+  EXPECT_EQ(reason("//a[b[c]]"), "nested predicate");
+  EXPECT_EQ(reason("//a[b/text()]"), "predicate path not indexable");
+  EXPECT_EQ(reason("//a[*]"), "predicate path not indexable");
+  EXPECT_EQ(reason("//a[@*]"), "predicate path not indexable");
+  EXPECT_EQ(reason("//a/*[1]/b"), "has predicates");
+  EXPECT_EQ(reason("//a/@b[1]"), "has predicates");
 }
 
 TEST_F(StructuralIndexTest, SplitKeepsWildcardsAndAttributesInside) {
@@ -416,11 +535,17 @@ TEST_F(StructuralIndexTest, SplitKeepsWildcardsAndAttributesInside) {
   EXPECT_EQ(split("/a/*/*[1]").joined, 1u);
   EXPECT_EQ(split("/a/*/text()").joined, 1u);
   EXPECT_EQ(split("/a/@c/b").joined, 1u);
-  // A [path]-predicated named step after a run of '*' joins as
-  // candidates.
-  SeedSplit pred = split("/a/*/b[c]/d");
+  // A named step whose predicates the join answers joins like any
+  // other; one with a predicate the join cannot answer, after a run of
+  // '*', joins as candidates.
+  EXPECT_EQ(split("/a/*/b[c]/d").joined, 4u);
+  EXPECT_FALSE(split("/a/*/b[c]/d").candidates);
+  EXPECT_EQ(split("/a/*/b[2]/d").joined, 4u);
+  SeedSplit pred = split("/a/*/b[c='x']/d");
   EXPECT_EQ(pred.joined, 3u);
   EXPECT_TRUE(pred.candidates);
+  // With a [n] beside it, the scan numbers the step: the prefix stops.
+  EXPECT_EQ(split("/a/b[c='x'][1]/d").joined, 1u);
 }
 
 TEST(StructuralShapesTest, WildcardAndAttributeJoinsAgreeWithScan) {
@@ -447,6 +572,46 @@ TEST(StructuralShapesTest, WildcardAndAttributeJoinsAgreeWithScan) {
       EXPECT_EQ(warm, plain) << expr << " over " << doc;
       // The second run joined.
       EXPECT_GT(store->structural_index()->stats().hits, hits) << expr;
+    }
+    ASSERT_LAXML_OK(store->CheckIntegrity());
+  }
+}
+
+TEST(StructuralShapesTest, PredicateSemiJoinsAgreeWithScan) {
+  // Nested same-name elements are where a semi-join that checks the
+  // wrong level, or [n] that counts under the wrong parent, goes wrong.
+  const char* docs[] = {
+      "<a><a><b/></a></a>",
+      "<a><b/><a><b/><b k='2'/></a><b k='1'/></a>",
+      "<a k='1'><x><a k='2'><b/></a></x><a><c><b k='1'/></c></a><b/></a>",
+      "<r><a><b/><b/></a><a/><a><c/><b k='3'/></a></r>",
+  };
+  const char* exprs[] = {
+      "//a[b]",       "//a[b]/b",       "/a[a]",           "//a[a//b]",
+      "//a[c/b]",     "//a[c//b]",      "//a[*/b]",        "//a[a/b]/b",
+      "//a[@k]",      "//a[b/@k]",      "//a[@k='1']",     "//a[@k='2']/b",
+      "//b[@k='1']",  "//a[b/@k='1']",  "//a[*/@k='2']",   "//a[*//@k='1']",
+      "//b[1]",       "//b[2]",         "//a/b[1]",        "//a/b[2]",
+      "//a[1]",       "//a[2]//b",      "/a/*/b[1]",       "//a[b][2]",
+      "//a[2][b]",    "//a[b][1]/b[2]", "//*/a[1]",        "//a/*/b[1]/@k",
+  };
+  for (const char* doc : docs) {
+    ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(StoreOptions{}));
+    ASSERT_LAXML_OK(store->LoadXml(doc).status());
+    for (const char* expr : exprs) {
+      ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath(expr));
+      ASSERT_OK_AND_ASSIGN(std::vector<NodeId> plain,
+                           EvaluateXPathStreaming(*store, path, false));
+      ASSERT_OK_AND_ASSIGN(std::vector<NodeId> cold,
+                           EvaluateXPathStreaming(*store, path));
+      const uint64_t hits = store->structural_index()->stats().hits;
+      ASSERT_OK_AND_ASSIGN(std::vector<NodeId> warm,
+                           EvaluateXPathStreaming(*store, path));
+      EXPECT_EQ(cold, plain) << expr << " over " << doc;
+      EXPECT_EQ(warm, plain) << expr << " over " << doc;
+      if (SplitAtIndexablePrefix(path).joined > 0) {
+        EXPECT_GT(store->structural_index()->stats().hits, hits) << expr;
+      }
     }
     ASSERT_LAXML_OK(store->CheckIntegrity());
   }

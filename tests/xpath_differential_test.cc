@@ -109,25 +109,31 @@ class QueryGenerator {
 
  private:
   /// A shape a warm index answers with a seeded scan — a named step,
-  /// then a wildcard, kind test, attribute or predicated step — on a
-  /// real element and one of its child elements.
+  /// then a wildcard, kind test, attribute or value-predicated step —
+  /// or with a join whose predicates are semi-joins ([u], [1],
+  /// [@a='v']), on a real element and one of its child elements and
+  /// attributes.
   std::string SeededShape() {
     int e = static_cast<int>(rng_->Uniform(tree_->nodes().size()));
     while (e >= 0 && tree_->node(e).type != TokenType::kBeginElement) {
       e = tree_->node(e).parent;
     }
     if (e < 0) return BlindPath(/*top_level=*/true, 0);
-    int child = -1;
+    int child = -1, attribute = -1;
     for (int c : tree_->node(e).children) {
       if (tree_->node(c).type == TokenType::kBeginElement &&
           (child < 0 || rng_->Uniform(2) == 0)) {
         child = c;
       }
+      if (tree_->node(c).type == TokenType::kBeginAttribute &&
+          (attribute < 0 || rng_->Uniform(2) == 0)) {
+        attribute = c;
+      }
     }
     const std::string t = "//" + tree_->node(e).name;
     const std::string u = child < 0 ? tree_->node(e).name
                                     : tree_->node(child).name;
-    switch (rng_->Uniform(7)) {
+    switch (rng_->Uniform(8)) {
       case 0:
         return t + "/*";
       case 1:
@@ -140,6 +146,12 @@ class QueryGenerator {
         return t + "//text()";
       case 5:
         return t + "/" + u + "[1]";
+      case 6:
+        if (attribute < 0) return t + "[" + u + "]";
+        return t + "[@" + tree_->node(attribute).name + "=" +
+               Quote(rng_->Uniform(4) == 0 ? rng_->NextText(3)
+                                           : tree_->node(attribute).value) +
+               "]";
       default:
         return t + "[" + u + "=" +
                Quote(child < 0 ? rng_->NextText(3)
@@ -379,8 +391,11 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   XPathEvaluator evaluator(store.get());
 
   size_t nonempty = 0, predicated = 0, seeded = 0;
-  // Warm structural joins through a '*' step and onto a final '@name'.
+  // Warm structural joins through a '*' step and onto a final '@name',
+  // and those answering a [p], a [@a='lit'] or a [n] predicate of the
+  // path's steps by semi-joins.
   size_t joined_wildcard = 0, joined_attribute = 0;
+  size_t joined_exists = 0, joined_equals = 0, joined_position = 0;
   bool has_attributes = false;
   for (int round = 0; round < kRounds; ++round) {
     if (round > 0) {
@@ -418,6 +433,18 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
           if (path.steps.back().axis == XPathAxis::kAttribute) {
             ++joined_attribute;
           }
+          bool exists = false, equals = false, position = false;
+          for (const XPathStep& step : path.steps) {
+            for (const XPathPredicate& pred : step.predicates) {
+              exists = exists || pred.kind == XPathPredicate::Kind::kExists;
+              equals = equals || pred.kind == XPathPredicate::Kind::kEquals;
+              position =
+                  position || pred.kind == XPathPredicate::Kind::kPosition;
+            }
+          }
+          joined_exists += exists ? 1 : 0;
+          joined_equals += equals ? 1 : 0;
+          joined_position += position ? 1 : 0;
         }
       }
       ASSERT_OK_AND_ASSIGN(
@@ -435,21 +462,26 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   EXPECT_GT(predicated, kRounds * kQueriesPerRound / 4);
 #if !defined(LAXML_TRACING_DISABLED)
   // With the index on, the warm pass must exercise seeded scans, and
-  // joins through '*' steps and (where the document has attributes)
-  // onto '@name' steps, so each is checked against the oracle.
+  // joins through '*' steps, with [p] and [n] semi-joins and (where the
+  // document has attributes) onto '@name' steps and with [@a='lit']
+  // semi-joins, so each is checked against the oracle.
   if (config.index != StructuralIndexMode::kOff) {
     EXPECT_GE(seeded, kRounds * kQueriesPerRound / 5);
     EXPECT_GE(joined_wildcard, 1u);
+    EXPECT_GE(joined_exists, 1u);
+    EXPECT_GE(joined_position, 1u);
     if (has_attributes) {
       EXPECT_GE(joined_attribute, 1u);
+      EXPECT_GE(joined_equals, 1u);
     }
   }
 #endif
   std::printf("%s v%u: %zu of %d queries non-empty, %zu with predicates, "
-              "%zu seeded when warm, %zu '*' steps and %zu '@name' steps "
-              "joined\n",
+              "%zu seeded when warm; joined: %zu '*' steps, %zu '@name' "
+              "steps, %zu [p], %zu [@a='lit'], %zu [n]\n",
               config.doc, config.codec, nonempty, kRounds * kQueriesPerRound,
-              predicated, seeded, joined_wildcard, joined_attribute);
+              predicated, seeded, joined_wildcard, joined_attribute,
+              joined_exists, joined_equals, joined_position);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -212,13 +212,15 @@ TEST(XPathStreamTest, NestedSameNameSeeds) {
       "<a><b>3</b><a k=\"3\"><b>4</b></a></a><c/></a>"
       "<a><c>5</c></a></r>"));
   for (const char* expr :
-       {"//a/node()", "//a/b/text()", "//a/*", "//a/@*", "//a[b]",
-        "//a[c]/b", "//a[@k='2']/b", "//a//text()", "//a/b[1]", "/r/a/*",
-        "//a[b='3']", "//a/x/y/a/b/text()", "//a[a]/c"}) {
+       {"//a/node()", "//a/b/text()", "//a/*", "//a/@*", "//a//text()",
+        "/r/a/*", "//a[b='3']", "//a/x/y/a/b/text()"}) {
     ExpectSeeded(store.get(), expr);
   }
-  // '*' levels and a final '@name' join whole, nested seeds or not.
-  for (const char* expr : {"//a/@k", "//a/*/*/a/b", "//a/*/b/@k"}) {
+  // '*' levels, a final '@name' and the predicates a semi-join answers
+  // join whole, nested seeds or not.
+  for (const char* expr :
+       {"//a/@k", "//a/*/*/a/b", "//a/*/b/@k", "//a[b]", "//a[c]/b",
+        "//a[@k='2']/b", "//a/b[1]", "//a[a]/c"}) {
     ExpectSeeded(store.get(), expr, "structural-join");
   }
 }
@@ -234,11 +236,13 @@ TEST(XPathStreamTest, SeedsAcrossRangeBoundaries) {
   auto store = StoreWith(MustFragment(xml), /*max_range_bytes=*/48);
   ASSERT_GT(store->range_manager().range_count(), 10u);
   for (const char* expr :
-       {"//s/*", "//s[u]", "//s/@*", "//s/t/text()", "//s[t='text 7']/v",
-        "//s/v/w/text()", "/r/s[2]", "//s[u]/v//text()"}) {
+       {"//s/*", "//s/@*", "//s/t/text()", "//s[t='text 7']/v",
+        "//s/v/w/text()", "//s[u]/v//text()"}) {
     ExpectSeeded(store.get(), expr);
   }
-  for (const char* expr : {"//s/@a", "/r/*/v/w", "/r/s/*/w"}) {
+  // Attribute values compared across range boundaries, too.
+  for (const char* expr : {"//s/@a", "/r/*/v/w", "/r/s/*/w", "//s[u]",
+                           "/r/s[2]", "//s[@a='7']/t", "//s[v/w][3]"}) {
     ExpectSeeded(store.get(), expr, "structural-join");
   }
 }
@@ -270,7 +274,7 @@ TEST(XPathStreamTest, DeadSubtreeSpanningWholeRanges) {
 #endif
   }
   ExpectSeeded(store.get(), "/r/keep/text()");
-  ExpectSeeded(store.get(), "//skip/x[1]/y");
+  ExpectSeeded(store.get(), "//skip/x[1]/y", "structural-join");
 }
 
 TEST(XPathStreamTest, AttributesAfterChildren) {
@@ -295,12 +299,13 @@ TEST(XPathStreamTest, AttributesAfterChildren) {
     }
   }
   ASSERT_LT(first_g, first_attr);
-  for (const char* expr : {"//e/@*", "//e[@k='3']/g", "//e[@j]",
-                           "//e/g/h/text()"}) {
+  for (const char* expr : {"//e/@*", "//e/g/h/text()"}) {
     ExpectSeeded(store.get(), expr);
   }
   // The attribute's interval still nests one level inside its element.
-  ExpectSeeded(store.get(), "//e/@k", "structural-join");
+  for (const char* expr : {"//e/@k", "//e[@k='3']/g", "//e[@j]"}) {
+    ExpectSeeded(store.get(), expr, "structural-join");
+  }
 }
 
 TEST(XPathStreamTest, EmptyStore) {
