@@ -55,7 +55,7 @@ struct RequestCounters {
 /// owns the request; installed via ScopedRequestContext.
 struct RequestContext {
   uint64_t trace_id = 0;       ///< 0 = unassigned.
-  const char* plan = nullptr;  ///< Planner verdict (string literal).
+  const char* plan = nullptr;  ///< Planner verdict (static string).
   RequestCounters counters;
 };
 
@@ -140,7 +140,7 @@ inline void RequestLatchWaitEnd(uint64_t) {}
     if (laxml_rc != nullptr) laxml_rc->counters.field += (n);  \
   } while (0)
 
-/// Records the planner's verdict (`label` must be a string literal).
+/// Records the planner's verdict (`label` must be a static string).
 #define LAXML_RC_SET_PLAN(label)                 \
   do {                                           \
     ::laxml::obs::RequestContext* laxml_rc =     \

@@ -50,9 +50,16 @@ std::string XPathPlan::ToJson() const {
 
 Result<XPathPlan> ExplainXPath(const Store& store, std::string_view expr) {
   LAXML_ASSIGN_OR_RETURN(XPathPath path, ParseXPath(expr));
+  LAXML_ASSIGN_OR_RETURN(XPathAccessPlan access, PlanXPath(store, path));
+  return RenderXPathPlan(store, expr, path, access);
+}
+
+XPathPlan RenderXPathPlan(const Store& store, std::string_view expr,
+                          const XPathPath& path,
+                          const XPathAccessPlan& access) {
   XPathPlan plan;
   plan.query.assign(expr.data(), expr.size());
-  plan.plan = "stream-scan";
+  plan.plan = access.label();
 
   const StructuralIndex* index = store.structural_index();
   plan.index_mode = StructuralIndexModeName(index->mode());
@@ -61,34 +68,32 @@ Result<XPathPlan> ExplainXPath(const Store& store, std::string_view expr) {
   plan.gate = !plan.eligible       ? reason
               : index->enabled() ? "eligible"
                                  : "index off";
-  if (!index->enabled()) return plan;
 
-  // The warm fork: EvaluateXPathStreaming joins the first `joined`
-  // steps iff every one of their tags, and every tag of the predicate
-  // paths it answers, is warm; one cold tag sends it to the full scan.
-  const SeedSplit split = SplitAtIndexablePrefix(path);
-  const size_t joined = split.joined;
-  bool all_warm = true;
-  // Looks `step` up: its list's warmth and length.
-  auto lookup = [&](const XPathStep& step, XPathPlanStep* out) {
-    // A '*' step has no list to warm: the join counts it as a level.
+  // The planner's lists come in join order: each joined step's, then
+  // its predicate paths' steps'.
+  auto list = access.lists.begin();
+  // Folds `step`'s list into `out`: its warmth and length. A '*' step
+  // has no list: the join counts it as a level.
+  auto fold = [&list](const XPathStep& step, XPathPlanStep* out) {
+    const StructuralIndex::EntryList& entries = *list++;
     if (step.test == NodeTestKind::kWildcard) return;
-    StructuralIndex::EntryList list = index->LookupTag(StructuralKey(step));
-    out->warm = out->warm && list != nullptr;
-    out->postings += list == nullptr ? 0 : list->size();
+    out->warm = out->warm && entries != nullptr;
+    out->postings += entries == nullptr ? 0 : entries->size();
   };
-  for (size_t i = 0; i < joined; ++i) {
+  for (size_t i = 0; i < access.joined; ++i) {
     const XPathStep& step = path.steps[i];
     XPathPlanStep out;
     out.axis = step.axis == XPathAxis::kChild       ? "child"
                : step.axis == XPathAxis::kAttribute ? "attribute"
                                                     : "descendant";
-    out.tag = step.test == NodeTestKind::kWildcard ? "*" : StructuralKey(step);
+    out.tag = step.test == NodeTestKind::kWildcard    ? "*"
+              : step.axis == XPathAxis::kAttribute ? AttributeKey(step.name)
+                                                   : step.name;
     out.warm = true;
-    lookup(step, &out);
-    all_warm = all_warm && out.warm;
+    fold(step, &out);
     plan.steps.push_back(std::move(out));
-    if (!JoinsPredicates(step)) continue;
+    // A candidates step: the scan decides its predicates.
+    if (access.candidates && i + 1 == access.joined) break;
     for (const XPathPredicate& pred : step.predicates) {
       XPathPlanStep semi;
       semi.axis = "semi-join";
@@ -98,21 +103,14 @@ Result<XPathPlan> ExplainXPath(const Store& store, std::string_view expr) {
                       : "equals";
       semi.tag = pred.ToString();
       semi.warm = true;
-      for (const XPathStep& p : pred.path.steps) lookup(p, &semi);
-      all_warm = all_warm && semi.warm;
+      for (const XPathStep& p : pred.path.steps) fold(p, &semi);
       plan.steps.push_back(std::move(semi));
     }
   }
-  if (joined == 0 || !all_warm) return plan;
-  if (split.JoinsWholePath(path)) {
-    plan.plan = "structural-join";
-    return plan;
+  if (access.kind == XPathAccessPlan::Kind::kSeededScan) {
+    plan.seed_step = static_cast<int>(access.joined - 1);
+    plan.seeds = access.seeds->size();
   }
-  plan.plan = "seeded-scan";
-  plan.seed_step = static_cast<int>(joined - 1);
-  LAXML_ASSIGN_OR_RETURN(StructuralIndex::EntryList seeds,
-                         JoinIndexedSteps(store, path, joined));
-  plan.seeds = seeds == nullptr ? 0 : seeds->size();
   return plan;
 }
 

@@ -1,16 +1,12 @@
-// EXPLAIN for XPath: reproduces the planner's routing decision —
-// structural join, seeded scan or stream scan — for one expression
-// WITHOUT executing it, and reports why (eligibility-gate verdict,
-// per-step index warmth and predicate semi-joins, the seed step and
-// seed count). The server's kExplain op serves the plan as JSON; a profile variant executes afterwards and appends the request
-// counters (see server/server.cc — this module stays wire-agnostic by
-// layer rule).
-//
-// The decision logic here deliberately mirrors XPathEvaluator::Evaluate
-// + EvaluateXPathStreaming: same split (SplitAtIndexablePrefix), same
-// warmth test and join (JoinIndexedSteps: nullptr means a cold tag).
-// explain_test pins plan-vs-execution agreement so the two cannot
-// drift.
+// EXPLAIN for XPath: the routing decision — structural join, seeded
+// scan or stream scan — for one expression, and why (eligibility-gate
+// verdict, per-step index warmth and predicate semi-joins, the seed
+// step and seed count). The decision is the engine's own: ExplainXPath
+// parses, asks the one planner (PlanXPath, query/xpath_stream.h) and
+// renders its plan, and runs nothing. The server's kExplain op serves
+// the plan as JSON; its profile variant runs that same plan under the
+// same store hold and appends the request counters (see
+// server/server.cc — this module stays wire-agnostic by layer rule).
 
 #ifndef LAXML_QUERY_EXPLAIN_H_
 #define LAXML_QUERY_EXPLAIN_H_
@@ -21,14 +17,16 @@
 #include <vector>
 
 #include "common/status.h"
+#include "query/xpath_ast.h"
+#include "query/xpath_stream.h"
 #include "store/store.h"
 
 namespace laxml {
 
 /// One joined location step, or one predicate the join answers, as the
-/// planner sees it (populated only for the steps the planner would
-/// join, on an enabled index — a full scan has no per-step index story
-/// to tell). A step's predicates follow it, in the order they filter.
+/// planner sees it (populated only for the steps the planner joins, on
+/// an enabled index — a full scan has no per-step index story to
+/// tell). A step's predicates follow it, in the order they filter.
 struct XPathPlanStep {
   /// "child", "descendant" or "attribute"; "semi-join" for a predicate.
   std::string axis;
@@ -74,11 +72,18 @@ struct XPathPlan {
   std::string ToJson() const;
 };
 
-/// Plans `expr` against the store's current index state. Read-only and
-/// side-effect-free: no scan runs, no tag warms, no index counter
-/// moves. Counting a seeded scan's seeds runs the join, which reads the
-/// attribute tokens of any [@a='lit'] predicate.
+/// Plans `expr` against the store's current index state and renders the
+/// plan. Read-only and side-effect-free: no scan runs, no tag warms, no
+/// index counter moves. A warm join runs, which reads the attribute
+/// tokens of any [@a='lit'] predicate.
 Result<XPathPlan> ExplainXPath(const Store& store, std::string_view expr);
+
+/// Renders `access`, PlanXPath's verdict for `path` (parsed from
+/// `expr`) against `store`. The profile variant renders the plan it
+/// runs with this.
+XPathPlan RenderXPathPlan(const Store& store, std::string_view expr,
+                          const XPathPath& path,
+                          const XPathAccessPlan& access);
 
 }  // namespace laxml
 

@@ -1,15 +1,13 @@
-// XPath evaluation over the store: the query layer's entry point and
-// planner. There is one engine, EvaluateXPathStreaming
-// (query/xpath_stream.h), and three plans:
+// XPath evaluation over the store: the query layer's entry point. There
+// is one engine, EvaluateXPathStreaming, and one planner, PlanXPath
+// (both in query/xpath_stream.h, whose header comment says which paths
+// take which plan):
 //
-//   structural-join  a named child/descendant path whose tags are all
-//                    warm in the lazy structural index: posting-list
-//                    joins, no scan;
-//   seeded-scan      a path that starts with such steps, warm: their
-//                    join picks the subtrees, and the scan below runs
-//                    only inside them;
-//   stream-scan      everything else — a leading wildcard, kind test,
-//                    attribute or [n] step, cold tags, an index that is
+//   structural-join  the whole path answered by posting-list joins over
+//                    warm tags of the lazy structural index, no scan;
+//   seeded-scan      a warm joined prefix picks the subtrees, and the
+//                    scan runs only inside them;
+//   stream-scan      cold tags, no joinable prefix, an index that is
 //                    off: one pass over the token cursor in
 //                    O(depth × steps) memory plus the matches a pending
 //                    predicate holds back.

@@ -137,9 +137,9 @@ const char* StepIneligibility(const XPathPath& path, size_t i,
 /// (Dead()).
 class StreamScan {
  public:
-  /// Flattens `path`; NotSupported past kMaxStreamSteps steps.
-  Status Init(const Store& store, const XPathPath& path) {
-    LAXML_RETURN_IF_ERROR(Flatten(path, kNone, 0, nullptr));
+  /// Flattens `path`, which PlanXPath held to kMaxStreamSteps steps.
+  void Init(const Store& store, const XPathPath& path) {
+    Flatten(path, kNone, 0, nullptr);
     const NameDictionary* dict = store.name_dictionary();
     for (uint32_t i = 0; i < steps_.size(); ++i) {
       Step& s = steps_[i];
@@ -150,7 +150,6 @@ class StreamScan {
     }
     main_last_ = Bit(static_cast<uint32_t>(path.steps.size() - 1));
     frames_.push_back(Frame{0, 0});  // the virtual root
-    return Status::OK();
   }
 
   /// Streams the whole store. `warmer`, when set, sees every token (and
@@ -162,15 +161,13 @@ class StreamScan {
     return Stream(cursor, /*subtree=*/false);
   }
 
-  /// Streams only the subtrees of `seeds` (document order), the entries
-  /// the join of the path's first `split.joined` steps selected. One
-  /// subscan per outermost seed; nested seeds are met on the way.
-  Status RunSeeded(TokenCursor* cursor,
-                   const std::vector<StructuralEntry>& seeds,
-                   const SeedSplit& split) {
+  /// Streams only the subtrees of the seeds of `plan`, a seeded scan.
+  /// One subscan per outermost seed; nested seeds are met on the way.
+  Status RunSeeded(TokenCursor* cursor, const XPathAccessPlan& plan) {
+    const std::vector<StructuralEntry>& seeds = *plan.seeds;
     seeds_ = &seeds;
-    seed_step_ = static_cast<uint32_t>(split.joined - 1);
-    seed_candidates_ = split.candidates;
+    seed_step_ = static_cast<uint32_t>(plan.joined - 1);
+    seed_candidates_ = plan.candidates;
     next_seed_pre_ = seeds.empty() ? kNoSeed : seeds[0].pre;
     while (next_seed_ < seeds.size()) {
       const StructuralEntry& seed = seeds[next_seed_];
@@ -335,11 +332,9 @@ class StreamScan {
                cursor.depth();
   }
 
-  Status Flatten(const XPathPath& path, uint32_t owner, uint32_t bit,
-                 const std::string* literal) {
-    if (steps_.size() + path.steps.size() > kMaxStreamSteps) {
-      return TooManySteps();
-    }
+  void Flatten(const XPathPath& path, uint32_t owner, uint32_t bit,
+               const std::string* literal) {
+    LAXML_DCHECK(steps_.size() + path.steps.size() <= kMaxStreamSteps);
     const uint32_t first = static_cast<uint32_t>(steps_.size());
     for (const XPathStep& ast : path.steps) {
       steps_.emplace_back();
@@ -367,15 +362,13 @@ class StreamScan {
         }
         steps_[i].filters |= Bit(filters);
         steps_[i].heads.push_back(static_cast<uint32_t>(steps_.size()));
-        LAXML_RETURN_IF_ERROR(Flatten(
-            pred.path, i, filters,
-            pred.kind == XPathPredicate::Kind::kEquals ? &pred.literal
-                                                       : nullptr));
+        Flatten(pred.path, i, filters,
+                pred.kind == XPathPredicate::Kind::kEquals ? &pred.literal
+                                                           : nullptr);
         ++filters;
       }
       if (steps_[i].filters != 0) filtered_ |= Bit(i);
     }
-    return Status::OK();
   }
 
   /// Records which token types step `i`'s node test accepts and whether
@@ -693,63 +686,69 @@ class StreamScan {
   std::vector<uint32_t> self_;
 };
 
-}  // namespace
-
-bool StructuralIndexEligible(const XPathPath& path) {
-  return StructuralIneligibilityReason(path) == nullptr;
-}
-
-const char* StructuralIneligibilityReason(const XPathPath& path) {
-  if (path.steps.empty()) return "empty path";
-  for (size_t i = 0; i < path.steps.size(); ++i) {
-    if (const char* reason = StepIneligibility(path, i)) return reason;
+/// Steps of `path` and of every predicate path in it, nested ones
+/// included: what StreamScan flattens into its 64-bit masks.
+size_t CountSteps(const XPathPath& path) {
+  size_t n = path.steps.size();
+  for (const XPathStep& step : path.steps) {
+    for (const XPathPredicate& pred : step.predicates) {
+      n += CountSteps(pred.path);
+    }
   }
-  return nullptr;
+  return n;
 }
 
-SeedSplit SplitAtIndexablePrefix(const XPathPath& path) {
-  SeedSplit split;
+/// Sets `plan`'s split of `path`, independent of index warmth: the
+/// indexable prefix, plus the step after it when that step is named and
+/// carries predicates but no [n].
+void Split(const XPathPath& path, XPathAccessPlan* plan) {
+  size_t& joined = plan->joined;
   const size_t n = path.steps.size();
-  while (split.joined < n &&
-         StepIneligibility(path, split.joined) == nullptr) {
-    ++split.joined;
-  }
-  if (split.joined == n) return split;
+  while (joined < n && StepIneligibility(path, joined) == nullptr) ++joined;
+  if (joined == n) return;
   // A named step that stopped the prefix only by predicates the join
   // cannot answer joins too, its matches seeding as candidates that the
   // scan decides. A [n] among them leaves it to the scan: positions
   // count siblings the candidates' other predicates drop.
-  const XPathStep& next = path.steps[split.joined];
+  const XPathStep& next = path.steps[joined];
   bool positional = false;
   for (const XPathPredicate& pred : next.predicates) {
     positional = positional || pred.kind == XPathPredicate::Kind::kPosition;
   }
   if (NamedChildOrDescendant(next) && !positional) {
-    ++split.joined;
-    split.candidates = true;
-    return split;
+    ++joined;
+    plan->candidates = true;
+    return;
   }
   // Seeds are the last joined step's matches, so a prefix cannot end in
   // '*' steps: those go back to the scan.
-  while (split.joined > 0 && ChildWildcard(path.steps[split.joined - 1])) {
-    --split.joined;
-  }
-  return split;
+  while (joined > 0 && ChildWildcard(path.steps[joined - 1])) --joined;
 }
 
-bool JoinsPredicates(const XPathStep& step) {
-  for (const XPathPredicate& pred : step.predicates) {
-    if (PredicateIneligibility(pred) != nullptr) return false;
+/// Calls `visit` on each step whose posting list the join of `plan`'s
+/// joined steps reads, '*' steps included, in join order (see
+/// XPathAccessPlan::lists). Predicate paths the join answers are
+/// predicate-free.
+template <typename Visit>
+void ForEachJoinStep(const XPathPath& path, const XPathAccessPlan& plan,
+                     const Visit& visit) {
+  for (size_t i = 0; i < plan.joined; ++i) {
+    const XPathStep& step = path.steps[i];
+    visit(step);
+    // A candidates step: the scan decides its predicates.
+    if (plan.candidates && i + 1 == plan.joined) break;
+    for (const XPathPredicate& pred : step.predicates) {
+      for (const XPathStep& p : pred.path.steps) visit(p);
+    }
   }
-  return true;
 }
 
+/// The structural-index tag of a named step: its element name, or the
+/// AttributeKey of an '@name' step.
 std::string StructuralKey(const XPathStep& step) {
   return step.axis == XPathAxis::kAttribute ? AttributeKey(step.name)
                                             : step.name;
 }
-
-namespace {
 
 using Entries = std::vector<StructuralEntry>;
 using EntryList = StructuralIndex::EntryList;
@@ -767,42 +766,24 @@ Entries AxisJoin(const Entries& frontier, const Entries& list,
              : StructuralChildJoin(frontier, list, skip);
 }
 
-/// The tags the join of `path`'s first `steps` steps reads: the named
-/// steps' and those of the predicate paths it answers.
-void AppendJoinTags(const XPathPath& path, size_t steps,
-                    std::vector<std::string>* tags) {
-  for (size_t i = 0; i < steps; ++i) {
-    const XPathStep& step = path.steps[i];
-    if (ChildWildcard(step)) continue;
-    tags->push_back(StructuralKey(step));
-    if (!JoinsPredicates(step)) continue;
-    for (const XPathPredicate& pred : step.predicates) {
-      AppendJoinTags(pred.path, pred.path.steps.size(), tags);
-    }
-  }
-}
-
-/// The posting-list join of a split's joined steps, left to right; each
-/// step's predicates filter its matches, as semi-joins. Every
-/// tag is looked up even once the matches run out, so the join is warm
-/// exactly when all of its tags are (EXPLAIN's test).
+/// The posting-list join of a plan's joined steps, left to right, over
+/// the lists the plan looked up (all warm); each step's predicates
+/// filter its matches, as semi-joins.
 class PostingJoin {
  public:
-  explicit PostingJoin(const Store& store)
-      : store_(store), index_(*store.structural_index()) {}
+  PostingJoin(const Store& store, const XPathAccessPlan& plan)
+      : store_(store), plan_(plan) {}
 
-  /// The entries the first `steps` steps of `path` select; nullptr when
-  /// a tag is cold.
-  Result<EntryList> Run(const XPathPath& path, size_t steps) {
-    std::vector<EntryList> lists;
-    if (!Lookup(path, steps, &lists)) return EntryList();
+  /// The entries the plan's joined steps of `path` select.
+  Result<EntryList> Run(const XPathPath& path) {
     EntryList frontier;  // null before step 0: the virtual root
     // '*' steps add no list, only levels between the named steps
     // around them.
     uint32_t skip = 0;
-    for (size_t i = 0; i < steps; ++i) {
+    for (size_t i = 0; i < plan_.joined; ++i) {
       const XPathStep& step = path.steps[i];
-      if (lists[i] == nullptr) {
+      const EntryList& list = plan_.lists[next_++];
+      if (list == nullptr) {
         ++skip;
         continue;
       }
@@ -810,37 +791,23 @@ class PostingJoin {
       // top-level (level-0) elements, its descendants everything.
       const EntryList context = frontier;
       frontier = context != nullptr
-                     ? Share(AxisJoin(*context, *lists[i], step, skip))
+                     ? Share(AxisJoin(*context, *list, step, skip))
                  : step.axis == XPathAxis::kChild
-                     ? Share(StructuralTopLevel(*lists[i]))
-                     : lists[i];
+                     ? Share(StructuralTopLevel(*list))
+                     : list;
       skip = 0;
       // A candidates step: the scan decides its predicates.
-      if (!JoinsPredicates(step)) continue;
+      if (plan_.candidates && i + 1 == plan_.joined) break;
       frontier = Number(step, context, frontier);
       for (const XPathPredicate& pred : step.predicates) {
         if (pred.kind == XPathPredicate::Kind::kPosition) continue;
         LAXML_ASSIGN_OR_RETURN(frontier, Filter(frontier, pred));
-        if (frontier == nullptr) return frontier;
       }
     }
     return frontier;
   }
 
  private:
-  /// The posting lists of `path`'s first `steps` steps (nullptr for a
-  /// '*' step); false when a tag is cold.
-  bool Lookup(const XPathPath& path, size_t steps,
-              std::vector<EntryList>* lists) const {
-    lists->assign(steps, nullptr);
-    for (size_t i = 0; i < steps; ++i) {
-      if (ChildWildcard(path.steps[i])) continue;
-      (*lists)[i] = index_.LookupTag(StructuralKey(path.steps[i]));
-      if ((*lists)[i] == nullptr) return false;
-    }
-    return true;
-  }
-
   /// The `matches` of `step` (joined below `context`; null: the virtual
   /// root) that its [n] predicates keep. A position numbers every match
   /// of the step's test in its context, whatever the step's other
@@ -866,13 +833,12 @@ class PostingJoin {
     return Share(StructuralNthDescendant(*context, *matches, n));
   }
 
-  /// The `frontier` entries passing [p] or [p='lit'] `pred`; nullptr
-  /// when a tag of its path is cold.
+  /// The `frontier` entries passing [p] or [p='lit'] `pred`.
   Result<EntryList> Filter(const EntryList& frontier,
                            const XPathPredicate& pred) {
     const XPathPath& p = pred.path;
-    std::vector<EntryList> lists;
-    if (!Lookup(p, p.steps.size(), &lists)) return EntryList();
+    const EntryList* lists = &plan_.lists[next_];
+    next_ += p.steps.size();
     if (frontier->empty()) return frontier;
     const size_t last = p.steps.size() - 1;
     EntryList below = lists[last];
@@ -930,74 +896,113 @@ class PostingJoin {
   }
 
   const Store& store_;
-  const StructuralIndex& index_;
+  const XPathAccessPlan& plan_;
+  size_t next_ = 0;                      ///< The next list to join.
   std::unique_ptr<TokenCursor> cursor_;  ///< Reads attribute values.
   Token token_;                          ///< The last one read.
 };
 
 }  // namespace
 
-Result<StructuralIndex::EntryList> JoinIndexedSteps(const Store& store,
-                                                    const XPathPath& path,
-                                                    size_t steps) {
-  LAXML_DCHECK(steps > 0 && steps <= path.steps.size());
-  return PostingJoin(store).Run(path, steps);
+const char* StructuralIneligibilityReason(const XPathPath& path) {
+  if (path.steps.empty()) return "empty path";
+  for (size_t i = 0; i < path.steps.size(); ++i) {
+    if (const char* reason = StepIneligibility(path, i)) return reason;
+  }
+  return nullptr;
 }
 
-Result<std::vector<NodeId>> EvaluateXPathStreaming(
-    const Store& store, const XPathPath& path, bool allow_structural_index) {
-  if (path.steps.empty()) {
-    return Status::InvalidArgument("empty path");
+const char* XPathAccessPlan::label() const {
+  switch (kind) {
+    case Kind::kStructuralJoin:
+      return "structural-join";
+    case Kind::kSeededScan:
+      return "seeded-scan";
+    case Kind::kStreamScan:
+      break;
   }
-  // Predicate steps count too; the scan's Init checks those.
-  if (path.steps.size() > kMaxStreamSteps) return TooManySteps();
+  return "stream-scan";
+}
 
-  StructuralIndex* index = store.structural_index();
-  SeedSplit split;
-  if (allow_structural_index && index->enabled()) {
-    split = SplitAtIndexablePrefix(path);
-  }
-  const size_t joined = split.joined;
-  StructuralIndex::EntryList seeds;
-  std::unique_ptr<StructuralWarmer> warmer;
-  if (joined > 0) {
-    LAXML_ASSIGN_OR_RETURN(seeds, JoinIndexedSteps(store, path, joined));
-    if (seeds != nullptr) {
-      index->RecordHit();
-      LAXML_RC_ADD(structural_index_hits, 1);
-    } else {
-      // Cold: the full scan below is the fallback, and its by-product
-      // warms the index — the join's tags (its predicate paths'
-      // included) in lazy mode, every tag in eager.
-      index->RecordMiss();
-      LAXML_RC_ADD(structural_index_misses, 1);
-      const bool eager = index->mode() == StructuralIndexMode::kEager;
-      std::vector<std::string> wanted;
-      if (!eager) AppendJoinTags(path, joined, &wanted);
-      warmer = std::make_unique<StructuralWarmer>(store.name_dictionary(),
-                                                  std::move(wanted), eager);
+Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
+                                  bool allow_structural_index) {
+  if (path.steps.empty()) return Status::InvalidArgument("empty path");
+  const size_t steps = CountSteps(path);
+  if (steps > kMaxStreamSteps) return TooManySteps();
+  XPathAccessPlan plan;
+  const StructuralIndex& index = *store.structural_index();
+  if (!allow_structural_index || !index.enabled()) return plan;
+  Split(path, &plan);
+  if (plan.joined == 0) return plan;
+  // Every tag is looked up, even after a cold one, so EXPLAIN can show
+  // each step's warmth; one cold tag sends the query to the full scan.
+  plan.lists.reserve(steps);
+  bool warm = true;
+  ForEachJoinStep(path, plan, [&](const XPathStep& step) {
+    if (ChildWildcard(step)) {
+      plan.lists.emplace_back();
+      return;
     }
+    plan.lists.push_back(index.LookupTag(StructuralKey(step)));
+    warm = warm && plan.lists.back() != nullptr;
+  });
+  if (!warm) return plan;
+  LAXML_ASSIGN_OR_RETURN(plan.seeds, PostingJoin(store, plan).Run(path));
+  plan.kind = plan.joined == path.steps.size() && !plan.candidates
+                  ? XPathAccessPlan::Kind::kStructuralJoin
+                  : XPathAccessPlan::Kind::kSeededScan;
+  return plan;
+}
+
+Result<std::vector<NodeId>> RunXPathPlan(const Store& store,
+                                         const XPathPath& path,
+                                         const XPathAccessPlan& plan) {
+  LAXML_RC_SET_PLAN(plan.label());
+  StructuralIndex* index = store.structural_index();
+  std::unique_ptr<StructuralWarmer> warmer;
+  if (plan.seeds != nullptr) {
+    index->RecordHit();
+    LAXML_RC_ADD(structural_index_hits, 1);
+  } else if (plan.joined > 0) {
+    // Cold: the full scan below is the fallback, and its by-product
+    // warms the index — the join's tags (its predicate paths' included)
+    // in lazy mode, every tag in eager.
+    index->RecordMiss();
+    LAXML_RC_ADD(structural_index_misses, 1);
+    const bool eager = index->mode() == StructuralIndexMode::kEager;
+    std::vector<std::string> wanted;
+    if (!eager) {
+      ForEachJoinStep(path, plan, [&](const XPathStep& step) {
+        if (!ChildWildcard(step)) wanted.push_back(StructuralKey(step));
+      });
+    }
+    warmer = std::make_unique<StructuralWarmer>(store.name_dictionary(),
+                                                std::move(wanted), eager);
   }
-  if (seeds != nullptr && split.JoinsWholePath(path)) {
-    LAXML_RC_SET_PLAN("structural-join");
+  if (plan.kind == XPathAccessPlan::Kind::kStructuralJoin) {
     std::vector<NodeId> ids;
-    ids.reserve(seeds->size());
-    for (const StructuralEntry& e : *seeds) ids.push_back(e.id);
+    ids.reserve(plan.seeds->size());
+    for (const StructuralEntry& e : *plan.seeds) ids.push_back(e.id);
     return ids;
   }
 
   StreamScan scan;
-  LAXML_RETURN_IF_ERROR(scan.Init(store, path));
+  scan.Init(store, path);
   auto cursor = store.NewCursor();
-  if (seeds != nullptr) {
-    LAXML_RC_SET_PLAN("seeded-scan");
-    LAXML_RETURN_IF_ERROR(scan.RunSeeded(cursor.get(), *seeds, split));
+  if (plan.kind == XPathAccessPlan::Kind::kSeededScan) {
+    LAXML_RETURN_IF_ERROR(scan.RunSeeded(cursor.get(), plan));
   } else {
-    LAXML_RC_SET_PLAN("stream-scan");
     LAXML_RETURN_IF_ERROR(scan.Run(cursor.get(), warmer.get()));
     if (warmer != nullptr) warmer->Publish(index);
   }
   return scan.TakeResults();
+}
+
+Result<std::vector<NodeId>> EvaluateXPathStreaming(
+    const Store& store, const XPathPath& path, bool allow_structural_index) {
+  LAXML_ASSIGN_OR_RETURN(XPathAccessPlan plan,
+                         PlanXPath(store, path, allow_structural_index));
+  return RunXPathPlan(store, path, plan);
 }
 
 Result<std::vector<NodeId>> EvaluateXPathStreaming(const Store& store,

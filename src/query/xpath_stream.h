@@ -18,15 +18,16 @@
 // candidate wait in its buffer until the candidate's end decides them.
 // Memory is O(depth × steps) plus those buffered matches.
 //
-// Planner: the path splits at its longest index-answerable prefix —
+// Planner (PlanXPath): one function picks the access path before
+// anything runs, for execution and EXPLAIN alike. It checks the step
+// limit, then splits the path at its longest index-answerable prefix —
 // the leading named child/descendant steps, any run of '*' child steps
 // between two of them, a final '@name' step, and the predicates of the
 // named steps that a semi-join over the postings answers: [n], [p] and
 // [p='lit'], where p is a predicate-free path the join could run from
-// the step's node and '=' compares an attribute's value
-// (SplitAtIndexablePrefix). When the prefix's tags, its predicate
-// paths' included, are warm in the store's lazy structural index, their
-// posting-list join yields *seeds*. Each step's matches are filtered by
+// the step's node and '=' compares an attribute's value. When the
+// prefix's tags, its predicate paths' included, are warm in the store's
+// lazy structural index, their posting-list join yields *seeds*. Each step's matches are filtered by
 // its predicates left to right: [p] keeps the matches holding a p match
 // below them (a semi-join, run right to left along p), [@a='lit'] reads
 // the value of each of the matches' @a attributes from its begin token
@@ -59,7 +60,7 @@
 #define LAXML_QUERY_XPATH_STREAM_H_
 
 #include <cstddef>
-#include <string>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -73,69 +74,66 @@ namespace laxml {
 /// Most steps one evaluation handles, predicate paths' steps included.
 inline constexpr size_t kMaxStreamSteps = 64;
 
-/// True when `path` can be answered from the structural index: every
-/// step a named child or descendant test or a '*' child step between
-/// two of them, the last step possibly '@name'; no '//@attr'; and
-/// predicates only on named element steps, each [n], [p] or
-/// [p='lit'] as the header comment describes.
-bool StructuralIndexEligible(const XPathPath& path);
-
-/// The eligibility gate's verdict as a static string: nullptr when the
-/// path is eligible, otherwise the first disqualifying reason ("element
-/// value predicate", "nested predicate", "predicate path not
+/// The structural-index gate's verdict as a static string: nullptr
+/// when the whole path can be answered from the index — every step a
+/// named child or descendant test or a '*' child step between two of
+/// them, the last step possibly '@name'; no '//@attr'; predicates only
+/// on named element steps, each [n], [p] or [p='lit'] as the header
+/// comment describes — otherwise the first disqualifying reason
+/// ("element value predicate", "nested predicate", "predicate path not
 /// indexable", "has predicates" on a step that is no named element
 /// step, ...). EXPLAIN surfaces this so "why did my query scan" has an
 /// answer.
 const char* StructuralIneligibilityReason(const XPathPath& path);
 
-/// Where the planner splits a path: its posting-list join runs through
-/// the first `joined` steps (0: no join, full scan), and the entries
-/// the join selects are the seeds. `candidates` when the last joined
-/// step has predicates the join cannot answer, so its seeds enter the
-/// scan as pending candidates; otherwise they are contexts for the
-/// next step. A split that joins every step and no candidates is a
-/// structural join, no scan.
-struct SeedSplit {
+/// The planner's verdict for one path against the store's current index
+/// state: the access path, and what running it needs.
+struct XPathAccessPlan {
+  enum class Kind : uint8_t { kStreamScan, kSeededScan, kStructuralJoin };
+  Kind kind = Kind::kStreamScan;
+  /// The posting-list join runs through the first `joined` steps (0: no
+  /// join — the index is off, the scan is forced, or no prefix is
+  /// indexable). `candidates` when the last joined step has predicates
+  /// the join cannot answer, so its matches enter the scan as pending
+  /// candidates; otherwise they are contexts for the next step. The
+  /// joined steps never end in '*', and an '@name' step joins only as
+  /// the path's last step (a seed must be an element). Set whatever the
+  /// tags' warmth.
   size_t joined = 0;
   bool candidates = false;
+  /// The posting lists the join reads, in join order: each joined
+  /// step's, then — except on a candidates step — one per step of each
+  /// of its [p] / [p='lit'] predicate paths. Null for a '*' step (no
+  /// list: the join counts it as a level) and for a cold tag.
+  std::vector<StructuralIndex::EntryList> lists;
+  /// When every list is warm: the entries the joined steps select, in
+  /// document order — the answer of a structural join, the seeds of a
+  /// seeded scan. Null otherwise.
+  StructuralIndex::EntryList seeds;
 
-  bool JoinsWholePath(const XPathPath& path) const {
-    return joined == path.steps.size() && !candidates;
-  }
+  /// "structural-join" | "seeded-scan" | "stream-scan": the label
+  /// execution stamps into the request context and EXPLAIN shows.
+  const char* label() const;
 };
 
-/// The planner's split of `path`, independent of index warmth: the
-/// indexable prefix, plus the step after it when that step is named and
-/// carries predicates but no [n]. The joined steps never end in '*',
-/// and an '@name' step joins only as the path's last step (a seed must
-/// be an element).
-SeedSplit SplitAtIndexablePrefix(const XPathPath& path);
-
-/// True when the join answers every predicate of `step` (trivially so
-/// without predicates); false on a candidates step, whose predicates
-/// the scan decides.
-bool JoinsPredicates(const XPathStep& step);
-
-/// The structural-index tag of a named step: its element name, or the
-/// AttributeKey of an '@name' step.
-std::string StructuralKey(const XPathStep& step);
-
-/// The entries the first `steps` steps of `path` select, by merge-joins
-/// and semi-joins over the warm posting lists, in document order;
-/// nullptr when one of their tags (predicate paths' included) is cold.
-/// The steps must be a split's joined steps ('*' steps only count
-/// levels; a candidates step's predicates are left to the scan). Reads
-/// the store only for [@a='lit'] values; an error there is returned.
-Result<StructuralIndex::EntryList> JoinIndexedSteps(const Store& store,
-                                                    const XPathPath& path,
-                                                    size_t steps);
-
-/// Evaluates `path`: a structural join, a seeded scan or a full scan,
-/// as the header comment describes. Returns matching node ids in
-/// document order, duplicate-free. NotSupported when the path has more
-/// than kMaxStreamSteps steps.
-/// `allow_structural_index = false` forces the full scan — the torture
+/// Plans `path` as the header comment describes: splits it, looks up
+/// every tag the join reads, and runs the join when all are warm. Reads
+/// the store only for [@a='lit'] values; runs no scan, warms nothing
+/// and moves no index counter. NotSupported when the path has more than
+/// kMaxStreamSteps steps, predicate paths' steps included.
+/// `allow_structural_index = false` plans the full scan — the torture
 /// harness's on/off oracle and A/B benches use it.
+Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
+                                  bool allow_structural_index = true);
+
+/// Runs `plan`, PlanXPath's verdict for `path` against this store state.
+/// Returns matching node ids in document order, duplicate-free. A cold
+/// join's full scan warms its tags (every tag, in eager mode).
+Result<std::vector<NodeId>> RunXPathPlan(const Store& store,
+                                         const XPathPath& path,
+                                         const XPathAccessPlan& plan);
+
+/// Evaluates `path`: PlanXPath, then RunXPathPlan.
 Result<std::vector<NodeId>> EvaluateXPathStreaming(
     const Store& store, const XPathPath& path,
     bool allow_structural_index = true);

@@ -13,6 +13,8 @@
 #include "obs/trace.h"
 #include "query/explain.h"
 #include "query/xpath_eval.h"
+#include "query/xpath_parser.h"
+#include "query/xpath_stream.h"
 
 namespace laxml {
 
@@ -526,50 +528,49 @@ net::Response Server::Execute(const net::Request& req) {
       break;
     }
     case OpCode::kExplain: {
-      // Plan first (read-only, warms nothing), then — for the profile
-      // variant — execute under a nested request context so the
-      // counters cover the measured query alone, not this request's
-      // own bookkeeping.
-      auto plan = store_.WithShared(
-          [&req](Store& s) -> Result<XPathPlan> {
-            return ExplainXPath(s, req.expr);
-          });
+      if (req.explain_mode != net::ExplainMode::kProfile) {
+        // Plan only: nothing runs, nothing warms.
+        auto plan = store_.WithShared(
+            [&req](Store& s) { return ExplainXPath(s, req.expr); });
+        if (plan.ok()) {
+          resp.text = plan->ToJson();
+        } else {
+          resp.status = plan.status();
+        }
+        break;
+      }
+      // The profile variant plans, runs and renders one plan under one
+      // shared hold, so the plan shown is the plan that ran. A nested
+      // request context makes the counters cover the measured query
+      // alone, not this request's own bookkeeping.
+      obs::RequestContext prof;
+      prof.trace_id = obs::CurrentTraceId();
+      uint64_t elapsed_us = 0;
+      size_t results = 0;
+      Result<XPathPlan> plan = [&] {
+        obs::ScopedRequestContext scoped(&prof);
+        LAXML_TRACE_SPAN("EXPLAIN_PROFILE_QUERY");
+        const uint64_t start_us = NowMicros();
+        return store_.WithShared([&](Store& s) -> Result<XPathPlan> {
+          LAXML_ASSIGN_OR_RETURN(XPathPath path, ParseXPath(req.expr));
+          LAXML_ASSIGN_OR_RETURN(XPathAccessPlan access, PlanXPath(s, path));
+          LAXML_ASSIGN_OR_RETURN(std::vector<NodeId> ids,
+                                 RunXPathPlan(s, path, access));
+          elapsed_us = NowMicros() - start_us;
+          results = ids.size();
+          return RenderXPathPlan(s, req.expr, path, access);
+        });
+      }();
       if (!plan.ok()) {
         resp.status = plan.status();
         break;
       }
-      if (req.explain_mode == net::ExplainMode::kProfile) {
-        obs::RequestContext prof;
-        prof.trace_id = obs::CurrentTraceId();
-        const uint64_t start_us = NowMicros();
-        Result<std::vector<NodeId>> r = [&] {
-          obs::ScopedRequestContext scoped(&prof);
-          LAXML_TRACE_SPAN("EXPLAIN_PROFILE_QUERY");
-          return store_.WithShared(
-              [&req](Store& s) -> Result<std::vector<NodeId>> {
-                XPathEvaluator eval(&s);
-                return eval.Evaluate(req.expr);
-              });
-        }();
-        const uint64_t elapsed_us = NowMicros() - start_us;
-        if (!r.ok()) {
-          resp.status = r.status();
-          break;
-        }
-        std::string profile =
-            "{\"elapsed_us\":" + std::to_string(elapsed_us);
-        profile += ",\"results\":" + std::to_string(r->size());
-        if (prof.plan != nullptr) {
-          // Execution's own verdict — lets clients catch the plan
-          // drifting from what actually ran.
-          profile += ",\"executed_plan\":\"" + std::string(prof.plan) +
-                     "\"";
-        }
-        profile += ",\"counters\":";
-        prof.counters.AppendJson(&profile);
-        profile += "}";
-        plan->profile_json = std::move(profile);
-      }
+      std::string profile = "{\"elapsed_us\":" + std::to_string(elapsed_us);
+      profile += ",\"results\":" + std::to_string(results);
+      profile += ",\"counters\":";
+      prof.counters.AppendJson(&profile);
+      profile += "}";
+      plan->profile_json = std::move(profile);
       resp.text = plan->ToJson();
       break;
     }

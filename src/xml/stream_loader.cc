@@ -2,23 +2,14 @@
 
 #include <algorithm>
 
+#include "xml/tokenizer.h"
+
 namespace laxml {
 
 using xmldetail::DecodeEntities;
 using xmldetail::IsNameChar;
 using xmldetail::IsNameStartChar;
 using xmldetail::IsXmlWhitespace;
-
-namespace {
-
-bool AllWhitespace(std::string_view s) {
-  for (char c : s) {
-    if (!IsXmlWhitespace(c)) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 Status StreamTokenizer::Fail(const std::string& what) {
   uint64_t line = lines_consumed_ + 1;
@@ -151,12 +142,10 @@ Status StreamTokenizer::Pump(bool at_end, TokenSequence* out) {
       }
       size_t end = lt == std::string::npos ? buf_.size() : lt;
       std::string_view raw(buf_.data() + pos_, end - pos_);
-      if (!(options_.skip_whitespace_text && AllWhitespace(raw))) {
-        std::string decoded;
-        Status st = DecodeEntities(raw, &decoded);
-        if (!st.ok()) return Fail(st.message());
-        out->push_back(Token::Text(std::move(decoded)));
-      }
+      std::string decoded;
+      Status st = DecodeEntities(raw, &decoded);
+      if (!st.ok()) return Fail(st.message());
+      out->push_back(Token::Text(std::move(decoded)));
       pos_ = end;
       continue;
     }
@@ -206,10 +195,7 @@ Status StreamTokenizer::Pump(bool at_end, TokenSequence* out) {
           if (at_end) return Fail("unterminated comment");
           return Status::OK();
         }
-        if (options_.keep_comments) {
-          out->push_back(
-              Token::Comment(buf_.substr(pos_ + 4, end - pos_ - 4)));
-        }
+        out->push_back(Token::Comment(buf_.substr(pos_ + 4, end - pos_ - 4)));
         pos_ = end + 3;
         continue;
       }
@@ -239,10 +225,7 @@ Status StreamTokenizer::Pump(bool at_end, TokenSequence* out) {
       while (i < end && IsNameChar(buf_[i])) ++i;
       std::string target = buf_.substr(s, i - s);
       while (i < end && IsXmlWhitespace(buf_[i])) ++i;
-      if (options_.keep_pis) {
-        out->push_back(Token::PI(std::move(target),
-                                 buf_.substr(i, end - i)));
-      }
+      out->push_back(Token::PI(std::move(target), buf_.substr(i, end - i)));
       pos_ = end + 2;
       continue;
     }

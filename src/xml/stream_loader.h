@@ -7,7 +7,7 @@
 //
 // Semantics match ParseDocument (tokenizer.h) exactly on valid input:
 // same prolog handling (XML declaration and DOCTYPE skipped), same
-// entity decoding (shared xmldetail helpers), same options, and the
+// entity decoding (shared xmldetail helpers), and the
 // emitted token sequence — including the BeginDocument/EndDocument
 // wrapper and the exactly-one-root-element rule — is byte-identical
 // under EncodeTokens. Chunk boundaries are invisible: feeding a
@@ -29,15 +29,11 @@
 
 #include "common/status.h"
 #include "xml/token_sequence.h"
-#include "xml/tokenizer.h"
 
 namespace laxml {
 
 class StreamTokenizer {
  public:
-  explicit StreamTokenizer(const TokenizerOptions& options = {})
-      : options_(options) {}
-
   /// Consumes the next chunk of document text, appending every token
   /// whose construct is now complete to `out`. The first call also
   /// emits the leading BeginDocument token.
@@ -82,7 +78,6 @@ class StreamTokenizer {
   void SkipWhitespace();
   void Compact();
 
-  TokenizerOptions options_;
   std::string buf_;   ///< Unconsumed input tail.
   size_t pos_ = 0;    ///< Scan cursor within buf_.
   Stage stage_ = Stage::kLeadingWs;

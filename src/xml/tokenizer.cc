@@ -94,8 +94,7 @@ using xmldetail::IsXmlWhitespace;
 /// Recursive-descent scanner over the input text.
 class Scanner {
  public:
-  Scanner(std::string_view input, const TokenizerOptions& options)
-      : in_(input), options_(options) {}
+  explicit Scanner(std::string_view input) : in_(input) {}
 
   /// Parses a fragment (sequence of content items) into `out`.
   Status ParseContentItems(TokenSequence* out) {
@@ -114,7 +113,7 @@ class Scanner {
 
   Status SkipProlog() {
     // XML declaration, doctype, and any whitespace/comments/PIs before
-    // the root element are consumed; comments/PIs are kept per options.
+    // the root element are consumed; comments/PIs are kept.
     SkipWhitespace();
     if (LookingAt("<?xml")) {
       size_t end = in_.find("?>", pos_);
@@ -197,16 +196,6 @@ class Scanner {
     size_t start = pos_;
     while (!AtEnd() && Peek() != '<') ++pos_;
     std::string_view raw = in_.substr(start, pos_ - start);
-    if (options_.skip_whitespace_text) {
-      bool all_ws = true;
-      for (char c : raw) {
-        if (!IsXmlWhitespace(c)) {
-          all_ws = false;
-          break;
-        }
-      }
-      if (all_ws) return Status::OK();
-    }
     std::string decoded;
     LAXML_RETURN_IF_ERROR(DecodeText(raw, &decoded));
     out->push_back(Token::Text(std::move(decoded)));
@@ -217,9 +206,7 @@ class Scanner {
     pos_ += 4;  // "<!--"
     size_t end = in_.find("-->", pos_);
     if (end == std::string_view::npos) return Fail("unterminated comment");
-    if (options_.keep_comments) {
-      out->push_back(Token::Comment(std::string(in_.substr(pos_, end - pos_))));
-    }
+    out->push_back(Token::Comment(std::string(in_.substr(pos_, end - pos_))));
     pos_ = end + 3;
     return Status::OK();
   }
@@ -243,9 +230,7 @@ class Scanner {
     if (end == std::string_view::npos) return Fail("unterminated PI");
     std::string data(in_.substr(pos_, end - pos_));
     pos_ = end + 2;
-    if (options_.keep_pis) {
-      out->push_back(Token::PI(std::move(target), std::move(data)));
-    }
+    out->push_back(Token::PI(std::move(target), std::move(data)));
     return Status::OK();
   }
 
@@ -307,14 +292,12 @@ class Scanner {
 
   std::string_view in_;
   size_t pos_ = 0;
-  const TokenizerOptions& options_;
 };
 
 }  // namespace
 
-Result<TokenSequence> ParseDocument(std::string_view xml,
-                                    const TokenizerOptions& options) {
-  Scanner scanner(xml, options);
+Result<TokenSequence> ParseDocument(std::string_view xml) {
+  Scanner scanner(xml);
   TokenSequence out;
   out.push_back(Token::BeginDocument());
   LAXML_RETURN_IF_ERROR(scanner.SkipProlog());
@@ -339,9 +322,8 @@ Result<TokenSequence> ParseDocument(std::string_view xml,
   return out;
 }
 
-Result<TokenSequence> ParseFragment(std::string_view xml,
-                                    const TokenizerOptions& options) {
-  Scanner scanner(xml, options);
+Result<TokenSequence> ParseFragment(std::string_view xml) {
+  Scanner scanner(xml);
   TokenSequence out;
   LAXML_RETURN_IF_ERROR(scanner.ParseContentItems(&out));
   if (!scanner.AtEnd()) {

@@ -15,26 +15,13 @@
 
 namespace laxml {
 
-/// Parsing knobs.
-struct TokenizerOptions {
-  /// Drop text tokens that are exclusively XML whitespace (typical for
-  /// pretty-printed input where indentation is not data).
-  bool skip_whitespace_text = false;
-  /// Keep comments (true) or drop them (false).
-  bool keep_comments = true;
-  /// Keep processing instructions.
-  bool keep_pis = true;
-};
-
 /// Parses a complete document; the result is wrapped in
 /// BeginDocument/EndDocument and contains exactly one root element.
-Result<TokenSequence> ParseDocument(std::string_view xml,
-                                    const TokenizerOptions& options = {});
+Result<TokenSequence> ParseDocument(std::string_view xml);
 
 /// Parses a fragment: a sequence of elements / text / comments / PIs
 /// with no document wrapper. This is the form update payloads take.
-Result<TokenSequence> ParseFragment(std::string_view xml,
-                                    const TokenizerOptions& options = {});
+Result<TokenSequence> ParseFragment(std::string_view xml);
 
 /// Shared lexical helpers — one definition serving both the batch
 /// Scanner above and the incremental StreamTokenizer (stream_loader.h),

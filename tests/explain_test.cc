@@ -1,9 +1,8 @@
-// Tests for query/explain: the EXPLAIN verdict must reproduce the
-// planner's actual routing (structural join, seeded scan or stream
-// scan) without executing the query, and its per-step warmth and seed
-// count must track the lazy index's memoization state. The agreement tests here
-// are what keep ExplainXPath and the real planner fork in
-// XPathEvaluator::Evaluate from drifting apart.
+// Tests for query/explain: EXPLAIN renders the planner's own plan
+// (structural join, seeded scan or stream scan) without executing the
+// query, and its per-step warmth and seed count track the lazy index's
+// memoization state. The agreement test pins the rendered label to the
+// label execution stamps, cold and warm.
 
 #include <gtest/gtest.h>
 

@@ -217,7 +217,11 @@ TEST(SharedReadStressTest, StructuralWarmingRacesRangeSplits) {
   for (const Query& q : kQueries) {
     auto path = ParseXPath(q.expr);
     ASSERT_TRUE(path.ok()) << path.status().ToString();
-    ASSERT_TRUE(StructuralIndexEligible(*path)) << q.expr;
+    // The planner joins the whole path: warm, no scan at all.
+    ASSERT_OK_AND_ASSIGN(XPathAccessPlan plan,
+                         PlanXPath(*shared.UnsafeStore(), *path));
+    ASSERT_EQ(plan.joined, path->steps.size()) << q.expr;
+    ASSERT_FALSE(plan.candidates) << q.expr;
     paths.push_back(*std::move(path));
   }
 

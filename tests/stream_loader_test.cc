@@ -17,9 +17,8 @@ namespace laxml {
 namespace {
 
 /// Streams `xml` into tokens, split into `chunk` -byte pieces.
-Result<TokenSequence> StreamParse(const std::string& xml, size_t chunk,
-                                  const TokenizerOptions& options = {}) {
-  StreamTokenizer tok(options);
+Result<TokenSequence> StreamParse(const std::string& xml, size_t chunk) {
+  StreamTokenizer tok;
   TokenSequence out;
   for (size_t i = 0; i < xml.size(); i += chunk) {
     LAXML_RETURN_IF_ERROR(
@@ -29,14 +28,13 @@ Result<TokenSequence> StreamParse(const std::string& xml, size_t chunk,
   return out;
 }
 
-void ExpectMatchesBatch(const std::string& xml,
-                        const TokenizerOptions& options = {}) {
-  auto batch = ParseDocument(xml, options);
+void ExpectMatchesBatch(const std::string& xml) {
+  auto batch = ParseDocument(xml);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   // Every chunk size from 1 byte up: boundaries land on every position.
   for (size_t chunk : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
                        xml.size() == 0 ? size_t{1} : xml.size()}) {
-    auto streamed = StreamParse(xml, chunk, options);
+    auto streamed = StreamParse(xml, chunk);
     ASSERT_TRUE(streamed.ok())
         << "chunk=" << chunk << ": " << streamed.status().ToString();
     EXPECT_EQ(EncodeTokens(*streamed), EncodeTokens(*batch))
@@ -79,16 +77,6 @@ TEST(StreamLoaderTest, Utf8SplitAtEveryBytePosition) {
       "<r note=\"café ☃\">snögubbe — \U0001F600"
       "<!--köttbullar--></r>";
   ExpectMatchesBatch(ascii_names);
-}
-
-TEST(StreamLoaderTest, SkipWhitespaceTextOptionMatches) {
-  TokenizerOptions options;
-  options.skip_whitespace_text = true;
-  ExpectMatchesBatch("<db>\n  <a>one</a>\n  <b>  </b>\n</db>", options);
-  TokenizerOptions drop;
-  drop.keep_comments = false;
-  drop.keep_pis = false;
-  ExpectMatchesBatch("<db><!--gone--><?pi too?><a/></db>", drop);
 }
 
 TEST(StreamLoaderTest, GiantTextRunStreamsWithoutMarkup) {

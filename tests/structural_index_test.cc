@@ -15,6 +15,7 @@
 
 #include "audit/fsck.h"
 #include "common/random.h"
+#include "query/explain.h"
 #include "query/xpath_eval.h"
 #include "query/xpath_parser.h"
 #include "query/xpath_stream.h"
@@ -473,10 +474,14 @@ TEST_F(StructuralIndexTest, EvaluatorRoutesIndexablePathsThroughIndex) {
 }
 
 TEST_F(StructuralIndexTest, EligibilityGate) {
-  auto eligible = [](const std::string& expr) {
-    auto p = ParseXPath(expr);
-    EXPECT_TRUE(p.ok()) << p.status().ToString();
-    return p.ok() && StructuralIndexEligible(*p);
+  Open(StructuralIndexMode::kLazy);
+  auto explain = [&](const std::string& expr) {
+    auto plan = ExplainXPath(*store_, expr);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return plan.ok() ? *std::move(plan) : XPathPlan{};
+  };
+  auto eligible = [&](const std::string& expr) {
+    return explain(expr).eligible;
   };
   EXPECT_TRUE(eligible("//a//b"));
   EXPECT_TRUE(eligible("/a/b/c"));
@@ -499,12 +504,7 @@ TEST_F(StructuralIndexTest, EligibilityGate) {
   EXPECT_TRUE(eligible("//a[@id='x']"));
   EXPECT_TRUE(eligible("//a[b/@id='x']"));
   // ... and those it does not, with the reason EXPLAIN shows.
-  auto reason = [](const std::string& expr) -> std::string {
-    auto p = ParseXPath(expr);
-    EXPECT_TRUE(p.ok()) << p.status().ToString();
-    const char* r = p.ok() ? StructuralIneligibilityReason(*p) : "";
-    return r == nullptr ? "eligible" : r;
-  };
+  auto reason = [&](const std::string& expr) { return explain(expr).gate; };
   EXPECT_EQ(reason("//a[b='x']"), "element value predicate");
   EXPECT_EQ(reason("//a[b[c]]"), "nested predicate");
   EXPECT_EQ(reason("//a[b/text()]"), "predicate path not indexable");
@@ -515,10 +515,15 @@ TEST_F(StructuralIndexTest, EligibilityGate) {
 }
 
 TEST_F(StructuralIndexTest, SplitKeepsWildcardsAndAttributesInside) {
-  auto split = [](const std::string& expr) {
+  Open(StructuralIndexMode::kLazy);
+  // The planner's split is independent of warmth: these tags are cold.
+  auto split = [&](const std::string& expr) {
     auto p = ParseXPath(expr);
     EXPECT_TRUE(p.ok()) << p.status().ToString();
-    return p.ok() ? SplitAtIndexablePrefix(*p) : SeedSplit{};
+    if (!p.ok()) return XPathAccessPlan{};
+    auto plan = PlanXPath(*store_, *p);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return plan.ok() ? *std::move(plan) : XPathAccessPlan{};
   };
   // Joined whole: '*' between named steps, a final '@name'.
   EXPECT_EQ(split("/a/*/b").joined, 3u);
@@ -541,7 +546,7 @@ TEST_F(StructuralIndexTest, SplitKeepsWildcardsAndAttributesInside) {
   EXPECT_EQ(split("/a/*/b[c]/d").joined, 4u);
   EXPECT_FALSE(split("/a/*/b[c]/d").candidates);
   EXPECT_EQ(split("/a/*/b[2]/d").joined, 4u);
-  SeedSplit pred = split("/a/*/b[c='x']/d");
+  XPathAccessPlan pred = split("/a/*/b[c='x']/d");
   EXPECT_EQ(pred.joined, 3u);
   EXPECT_TRUE(pred.candidates);
   // With a [n] beside it, the scan numbers the step: the prefix stops.
@@ -609,7 +614,8 @@ TEST(StructuralShapesTest, PredicateSemiJoinsAgreeWithScan) {
                            EvaluateXPathStreaming(*store, path));
       EXPECT_EQ(cold, plain) << expr << " over " << doc;
       EXPECT_EQ(warm, plain) << expr << " over " << doc;
-      if (SplitAtIndexablePrefix(path).joined > 0) {
+      ASSERT_OK_AND_ASSIGN(XPathAccessPlan plan, PlanXPath(*store, path));
+      if (plan.joined > 0) {
         EXPECT_GT(store->structural_index()->stats().hits, hits) << expr;
       }
     }

@@ -70,27 +70,6 @@ TEST(TokenizerTest, CommentsAndPIs) {
   EXPECT_EQ(tokens[2], Token::PI("target", "data here"));
 }
 
-TEST(TokenizerTest, OptionsDropCommentsAndPIs) {
-  TokenizerOptions options;
-  options.keep_comments = false;
-  options.keep_pis = false;
-  ASSERT_OK_AND_ASSIGN(
-      TokenSequence tokens,
-      ParseFragment("<a><!--x--><?p d?><b/></a>", options));
-  ASSERT_EQ(tokens.size(), 4u);
-  EXPECT_EQ(tokens[1].name, "b");
-}
-
-TEST(TokenizerTest, WhitespaceSkippingOption) {
-  TokenizerOptions options;
-  options.skip_whitespace_text = true;
-  ASSERT_OK_AND_ASSIGN(TokenSequence tokens,
-                       ParseFragment("<a>\n  <b> x </b>\n</a>", options));
-  // The indentation-only text nodes disappear; " x " survives.
-  ASSERT_EQ(tokens.size(), 5u);
-  EXPECT_EQ(tokens[2].value, " x ");
-}
-
 TEST(TokenizerTest, DocumentWrapsInDocumentTokens) {
   ASSERT_OK_AND_ASSIGN(
       TokenSequence tokens,

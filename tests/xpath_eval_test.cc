@@ -19,25 +19,30 @@ class XPathEvalTest : public ::testing::Test {
   void SetUp() override {
     StoreOptions options;
     ASSERT_OK_AND_ASSIGN(store_, Store::OpenInMemory(options));
-    // Indentation in the literal is not data: drop whitespace-only text.
-    TokenizerOptions parse_options;
-    parse_options.skip_whitespace_text = true;
-    ASSERT_OK_AND_ASSIGN(TokenSequence doc, ParseFragment(R"(<site>
-  <regions>
-    <europe>
-      <item id="i1" category="books"><name>Iliad</name><qty>2</qty></item>
-      <item id="i2" category="music"><name>Kind of Blue</name><qty>1</qty></item>
-    </europe>
-    <asia>
-      <item id="i3" category="books"><name>Analects</name><qty>5</qty></item>
-    </asia>
-  </regions>
-  <people>
-    <person id="p1"><name>Ada</name><creditcard>1111</creditcard></person>
-    <person id="p2"><name>Bob</name></person>
-  </people>
-  <!-- site comment -->
-</site>)", parse_options));
+    // No whitespace between the tags: every text node is data.
+    ASSERT_OK_AND_ASSIGN(
+        TokenSequence doc,
+        ParseFragment(
+            "<site>"
+            "<regions>"
+            "<europe>"
+            "<item id=\"i1\" category=\"books\"><name>Iliad</name>"
+            "<qty>2</qty></item>"
+            "<item id=\"i2\" category=\"music\"><name>Kind of Blue</name>"
+            "<qty>1</qty></item>"
+            "</europe>"
+            "<asia>"
+            "<item id=\"i3\" category=\"books\"><name>Analects</name>"
+            "<qty>5</qty></item>"
+            "</asia>"
+            "</regions>"
+            "<people>"
+            "<person id=\"p1\"><name>Ada</name>"
+            "<creditcard>1111</creditcard></person>"
+            "<person id=\"p2\"><name>Bob</name></person>"
+            "</people>"
+            "<!-- site comment -->"
+            "</site>"));
     ASSERT_LAXML_OK(store_->InsertTopLevel(doc).status());
     evaluator_ = std::make_unique<XPathEvaluator>(store_.get());
   }

@@ -11,7 +11,9 @@
 
 #include <string>
 
+#include "index/structural_index.h"
 #include "obs/request_context.h"
+#include "query/explain.h"
 #include "query/xpath_parser.h"
 #include "store/store.h"
 #include "test_util.h"
@@ -127,13 +129,23 @@ TEST(XPathStreamTest, MoreThan64StepsAreNotSupported) {
   deep += "/a";
   ASSERT_OK_AND_ASSIGN(XPathPath over, ParseXPath(deep));
   EXPECT_TRUE(EvaluateXPathStreaming(*store, over).status().IsNotSupported());
-  // Predicate steps count too.
+  // Predicate steps count too, whether the tags are cold or warm: the
+  // planner checks the limit before it picks the join or a scan, for
+  // the evaluator and EXPLAIN alike.
   std::string with_pred = "/a[b";
   for (int i = 0; i < 63; ++i) with_pred += "/b";
   with_pred += "]";
   ASSERT_OK_AND_ASSIGN(XPathPath pred_over, ParseXPath(with_pred));
   EXPECT_TRUE(
       EvaluateXPathStreaming(*store, pred_over).status().IsNotSupported());
+  EXPECT_TRUE(ExplainXPath(*store, with_pred).status().IsNotSupported());
+  ASSERT_OK_AND_ASSIGN(XPathPath warm_up, ParseXPath("/a/b"));
+  ASSERT_LAXML_OK(EvaluateXPathStreaming(*store, warm_up).status());
+  ASSERT_NE(store->structural_index()->LookupTag("a"), nullptr);
+  ASSERT_NE(store->structural_index()->LookupTag("b"), nullptr);
+  EXPECT_TRUE(
+      EvaluateXPathStreaming(*store, pred_over).status().IsNotSupported());
+  EXPECT_TRUE(ExplainXPath(*store, with_pred).status().IsNotSupported());
 }
 
 TEST(XPathStreamTest, AgreesWithOracleOnAuctionDoc) {
