@@ -1,9 +1,10 @@
 // Streaming bulk load: chunked XML text in, ranges out, without ever
 // holding the document — neither its text nor its token vector — in
 // memory. The StreamTokenizer emits tokens as constructs complete;
-// they are encoded straight into a range-sized byte buffer and flushed
-// to the range chain as it fills. Peak memory is one range payload
-// plus one incomplete construct.
+// the range writer every insert uses (Store::RangeWriter) encodes them
+// into a range-sized byte buffer and flushes it to the range chain as
+// it fills. Peak memory is one range payload plus one incomplete
+// construct.
 //
 // Bulk load is an initial-ingest operation, not a logged mutation:
 //   * it requires an empty store (the one case where "replay the ops"
@@ -23,7 +24,7 @@
 
 #include "obs/trace.h"
 #include "store/store.h"
-#include "xml/stream_loader.h"
+#include "xml/tokenizer.h"
 
 namespace laxml {
 
@@ -56,55 +57,17 @@ Result<BulkLoadStats> Store::BulkLoad(
   BulkLoadStats stats;
   Status st = [&]() -> Status {
     StreamTokenizer tokenizer;
-    const uint8_t codec = write_codec();
-    const size_t flush_bytes = options_.max_range_bytes > 0
-                                   ? options_.max_range_bytes
-                                   : kDefaultBulkRangeBytes;
-    RangeId left = ranges_->last_range();
-
-    std::vector<uint8_t> bytes;
-    bytes.reserve(flush_bytes);
-    uint64_t begins = 0;
-    uint32_t tokens = 0;
-
-    auto flush = [&]() -> Status {
-      if (tokens == 0) return Status::OK();
-      NodeId chunk_start = begins > 0 ? next_node_id_ : kInvalidNodeId;
-      LAXML_ASSIGN_OR_RETURN(
-          RangeId rid,
-          ranges_->InsertRangeAfter(left, Slice(bytes), chunk_start, begins,
-                                    tokens, codec));
-      if (full_ != nullptr && begins > 0) {
-        LAXML_RETURN_IF_ERROR(ReindexRange(rid, bytes.data(), bytes.size(),
-                                           chunk_start, codec));
-      }
-      next_node_id_ += begins;
-      stats.nodes += begins;
-      stats.payload_bytes += bytes.size();
-      ++stats.ranges;
-      left = rid;
-      bytes.clear();
-      begins = 0;
-      tokens = 0;
-      return Status::OK();
-    };
-
-    auto consume = [&](TokenSequence& seq) -> Status {
-      for (Token& t : seq) {
+    RangeWriter writer(this, ranges_->last_range(),
+                       options_.max_range_bytes > 0 ? options_.max_range_bytes
+                                                    : kDefaultBulkRangeBytes);
+    auto consume = [&](const TokenSequence& seq) -> Status {
+      for (const Token& t : seq) {
         // The document wrapper never hits storage — stored content is
         // the root fragment, exactly what LoadXml produces.
-        if (t.type == TokenType::kBeginDocument ||
-            t.type == TokenType::kEndDocument) {
-          continue;
+        if (t.type != TokenType::kBeginDocument &&
+            t.type != TokenType::kEndDocument) {
+          LAXML_RETURN_IF_ERROR(writer.Add(t));
         }
-        size_t tok_size = EncodedTokenSizeWith(t, codec, dict_.get());
-        if (tokens > 0 && bytes.size() + tok_size > flush_bytes) {
-          LAXML_RETURN_IF_ERROR(flush());
-        }
-        EncodeTokenWith(t, codec, dict_.get(), &bytes);
-        if (t.BeginsNode()) ++begins;
-        ++tokens;
-        ++stats.tokens;
       }
       return Status::OK();
     };
@@ -123,12 +86,13 @@ Result<BulkLoadStats> Store::BulkLoad(
     seq.clear();
     LAXML_RETURN_IF_ERROR(tokenizer.Finish(&seq));
     LAXML_RETURN_IF_ERROR(consume(seq));
-    LAXML_RETURN_IF_ERROR(flush());
+    LAXML_RETURN_IF_ERROR(writer.Flush());
+    stats.tokens = writer.tokens;
+    stats.nodes = writer.nodes;
+    stats.ranges = writer.ranges;
+    stats.payload_bytes = writer.bytes;
 
     ++stats_.inserts;
-    stats_.nodes_inserted += stats.nodes;
-    stats_.tokens_inserted += stats.tokens;
-    stats_.bytes_inserted += stats.payload_bytes;
     stats_.bulk_load_bytes += stats.xml_bytes;
 
     // Make the load durable: the checkpoint plays the role the skipped
@@ -145,18 +109,15 @@ Result<BulkLoadStats> Store::BulkLoad(
   return stats;
 }
 
-Result<BulkLoadStats> Store::BulkLoadFile(const std::string& path,
-                                          size_t chunk_bytes) {
+Result<BulkLoadStats> Store::BulkLoadFile(const std::string& path) {
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
       std::fopen(path.c_str(), "rb"), &std::fclose);
   if (f == nullptr) {
     return Status::IOError("cannot open '" + path + "' for bulk load");
   }
-  if (chunk_bytes == 0) chunk_bytes = 1 << 20;
   return BulkLoad([&](char* buf, size_t cap) -> Result<size_t> {
-    size_t want = cap < chunk_bytes ? cap : chunk_bytes;
-    size_t n = std::fread(buf, 1, want, f.get());
-    if (n < want && std::ferror(f.get())) {
+    size_t n = std::fread(buf, 1, cap, f.get());
+    if (n < cap && std::ferror(f.get())) {
       return Status::IOError("read failed on '" + path + "'");
     }
     return n;

@@ -699,6 +699,45 @@ Status Store::ValidateFragment(const TokenSequence& data) const {
   return CheckWellFormedFragment(data);
 }
 
+Store::RangeWriter::RangeWriter(Store* store, RangeId left, size_t cap)
+    : store_(store), left_(left), cap_(cap), codec_(store->write_codec()) {}
+
+Status Store::RangeWriter::Add(const Token& token) {
+  const size_t size = EncodedTokenSizeWith(token, codec_, store_->dict_.get());
+  if (cap_ > 0 && buffered_ > 0 && buf_.size() + size > cap_) {
+    LAXML_RETURN_IF_ERROR(Flush());
+  }
+  EncodeTokenWith(token, codec_, store_->dict_.get(), &buf_);
+  if (token.BeginsNode()) ++begins_;
+  ++buffered_;
+  return Status::OK();
+}
+
+Status Store::RangeWriter::Flush() {
+  if (buffered_ == 0) return Status::OK();
+  const NodeId start = begins_ > 0 ? store_->next_node_id_ : kInvalidNodeId;
+  LAXML_ASSIGN_OR_RETURN(
+      RangeId rid, store_->ranges_->InsertRangeAfter(
+                       left_, Slice(buf_), start, begins_, buffered_, codec_));
+  if (store_->full_ != nullptr && begins_ > 0) {
+    LAXML_RETURN_IF_ERROR(
+        store_->ReindexRange(rid, buf_.data(), buf_.size(), start, codec_));
+  }
+  store_->next_node_id_ += begins_;
+  store_->stats_.nodes_inserted += begins_;
+  store_->stats_.tokens_inserted += buffered_;
+  store_->stats_.bytes_inserted += buf_.size();
+  tokens += buffered_;
+  nodes += begins_;
+  bytes += buf_.size();
+  ++ranges;
+  left_ = rid;
+  buf_.clear();
+  begins_ = 0;
+  buffered_ = 0;
+  return Status::OK();
+}
+
 Result<NodeId> Store::StoreFragment(const TokenSequence& data,
                                     RangeId left) {
   // Every insert funnels through here, and inserting tokens renumbers
@@ -707,46 +746,10 @@ Result<NodeId> Store::StoreFragment(const TokenSequence& data,
   // the whole structural index is discarded (O(1) lazy invalidation —
   // the next query's scan re-warms exactly what it touches).
   if (!data.empty()) structural_->InvalidateAll();
-  NodeId first_id = next_node_id_;
-  const uint8_t codec = write_codec();
-  size_t i = 0;
-  uint64_t total_begins = 0;
-  uint64_t total_bytes = 0;
-  while (i < data.size()) {
-    // One chunk: up to max_range_bytes of encoded tokens (>= 1 token).
-    std::vector<uint8_t> bytes;
-    uint64_t begins = 0;
-    uint32_t tokens = 0;
-    size_t j = i;
-    while (j < data.size()) {
-      size_t tok_size = EncodedTokenSizeWith(data[j], codec, dict_.get());
-      if (options_.max_range_bytes > 0 && tokens > 0 &&
-          bytes.size() + tok_size > options_.max_range_bytes) {
-        break;
-      }
-      EncodeTokenWith(data[j], codec, dict_.get(), &bytes);
-      if (data[j].BeginsNode()) ++begins;
-      ++tokens;
-      ++j;
-    }
-    NodeId chunk_start = begins > 0 ? next_node_id_ : kInvalidNodeId;
-    LAXML_ASSIGN_OR_RETURN(
-        RangeId rid,
-        ranges_->InsertRangeAfter(left, Slice(bytes), chunk_start, begins,
-                                  tokens, codec));
-    if (full_ != nullptr && begins > 0) {
-      LAXML_RETURN_IF_ERROR(ReindexRange(rid, bytes.data(), bytes.size(),
-                                         chunk_start, codec));
-    }
-    next_node_id_ += begins;
-    total_begins += begins;
-    total_bytes += bytes.size();
-    left = rid;
-    i = j;
-  }
-  stats_.nodes_inserted += total_begins;
-  stats_.tokens_inserted += data.size();
-  stats_.bytes_inserted += total_bytes;
+  const NodeId first_id = next_node_id_;
+  RangeWriter writer(this, left, options_.max_range_bytes);
+  for (const Token& t : data) LAXML_RETURN_IF_ERROR(writer.Add(t));
+  LAXML_RETURN_IF_ERROR(writer.Flush());
   return first_id;
 }
 

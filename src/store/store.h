@@ -22,6 +22,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -172,9 +173,8 @@ class Store {
   Result<BulkLoadStats> BulkLoad(
       const std::function<Result<size_t>(char* buf, size_t cap)>& read);
 
-  /// BulkLoad from a file on disk, reading `chunk_bytes` at a time.
-  Result<BulkLoadStats> BulkLoadFile(const std::string& path,
-                                     size_t chunk_bytes = 1 << 20);
+  /// BulkLoad from a file on disk.
+  Result<BulkLoadStats> BulkLoadFile(const std::string& path);
 
   /// Serializes the whole store back to XML text.
   Result<std::string> SerializeToXml(const SerializerOptions& options = {});
@@ -400,6 +400,34 @@ class Store {
   /// after `left` (kInvalidRangeId = chain head); allocates ids;
   /// maintains indexes. Returns the first id.
   Result<NodeId> StoreFragment(const TokenSequence& data, RangeId left);
+
+  /// The one range writer, behind StoreFragment and BulkLoad. Encodes
+  /// tokens into a buffer and inserts it as a new range after the last
+  /// one written (the first after `left`), cutting before a token that
+  /// would take a range past `cap` encoded bytes (0 = never; a range
+  /// holds at least one token). Each range allocates its node ids, is
+  /// reindexed under kFullIndex, and counts into stats_.
+  class RangeWriter {
+   public:
+    RangeWriter(Store* store, RangeId left, size_t cap);
+    Status Add(const Token& token);
+    /// Writes the buffered tokens, if any, as a range.
+    Status Flush();
+
+    uint64_t tokens = 0;  ///< Tokens written so far.
+    uint64_t nodes = 0;   ///< Node ids allocated so far.
+    uint64_t ranges = 0;  ///< Ranges inserted so far.
+    uint64_t bytes = 0;   ///< Encoded payload bytes written so far.
+
+   private:
+    Store* const store_;
+    RangeId left_;
+    const size_t cap_;
+    const uint8_t codec_;
+    std::vector<uint8_t> buf_;
+    uint64_t begins_ = 0;   ///< Node-beginning tokens in buf_.
+    uint32_t buffered_ = 0;  ///< Tokens in buf_.
+  };
 
   /// Removes the ranges strictly between `left_gap.right` and
   /// `right_boundary` (exclusive), i.e. [first_doomed, right_boundary).

@@ -2,10 +2,15 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
 
 namespace laxml {
 
-namespace xmldetail {
+namespace {
+
+/// Construct-parser results besides an offset (see tokenizer.h).
+constexpr size_t kMore = std::string_view::npos;
+constexpr size_t kFailed = std::string_view::npos - 1;
 
 bool IsXmlWhitespace(char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\r';
@@ -20,22 +25,73 @@ bool IsNameChar(char c) {
          c == '-' || c == '.';
 }
 
+size_t SkipWhitespace(std::string_view in, size_t i) {
+  while (i < in.size() && IsXmlWhitespace(in[i])) ++i;
+  return i;
+}
+
+size_t SkipNameChars(std::string_view in, size_t i) {
+  while (i < in.size() && IsNameChar(in[i])) ++i;
+  return i;
+}
+
+bool LookingAt(std::string_view in, size_t pos, std::string_view marker) {
+  return in.substr(pos, marker.size()) == marker;
+}
+
+/// True when `in[pos..]` is a proper prefix of `marker`: the next chunk
+/// could still complete it, so the caller must wait.
+bool PrefixPending(std::string_view in, size_t pos, std::string_view marker,
+                   bool at_end) {
+  std::string_view tail = in.substr(pos);
+  return !at_end && tail.size() < marker.size() &&
+         marker.substr(0, tail.size()) == tail;
+}
+
+uint64_t CountNewlines(std::string_view s) {
+  uint64_t n = 0;
+  const char* p = s.data();
+  const char* end = p + s.size();
+  while (p < end) {
+    p = static_cast<const char*>(std::memchr(p, '\n', end - p));
+    if (p == nullptr) break;
+    ++n;
+    ++p;
+  }
+  return n;
+}
+
+void AppendUtf8(unsigned cp, std::string* out) {
+  if (cp < 0x80) {
+    out->push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp < 0x10000) {
+    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  }
+}
+
+/// Appends `raw` to `out` with entity and character references decoded.
+/// Positionless ParseError on a bad reference; the caller adds the line.
 Status DecodeEntities(std::string_view raw, std::string* out) {
-  out->clear();
-  out->reserve(raw.size());
   size_t i = 0;
-  while (i < raw.size()) {
-    char c = raw[i];
-    if (c != '&') {
-      out->push_back(c);
-      ++i;
-      continue;
-    }
-    size_t semi = raw.find(';', i);
+  while (true) {
+    size_t amp = raw.find('&', i);
+    out->append(raw.substr(i, amp - i));
+    if (amp == std::string_view::npos) return Status::OK();
+    size_t semi = raw.find(';', amp);
     if (semi == std::string_view::npos) {
       return Status::ParseError("unterminated entity reference");
     }
-    std::string_view ent = raw.substr(i + 1, semi - i - 1);
+    std::string_view ent = raw.substr(amp + 1, semi - amp - 1);
     if (ent == "amp") {
       out->push_back('&');
     } else if (ent == "lt") {
@@ -47,289 +103,324 @@ Status DecodeEntities(std::string_view raw, std::string* out) {
     } else if (ent == "apos") {
       out->push_back('\'');
     } else if (!ent.empty() && ent[0] == '#') {
-      long code;
       std::string digits(ent.substr(1));
-      if (!digits.empty() && (digits[0] == 'x' || digits[0] == 'X')) {
-        code = std::strtol(digits.c_str() + 1, nullptr, 16);
-      } else {
-        code = std::strtol(digits.c_str(), nullptr, 10);
-      }
+      long code = !digits.empty() && (digits[0] == 'x' || digits[0] == 'X')
+                      ? std::strtol(digits.c_str() + 1, nullptr, 16)
+                      : std::strtol(digits.c_str(), nullptr, 10);
       if (code <= 0 || code > 0x10FFFF) {
         return Status::ParseError("bad character reference");
       }
-      // UTF-8 encode.
-      unsigned cp = static_cast<unsigned>(code);
-      if (cp < 0x80) {
-        out->push_back(static_cast<char>(cp));
-      } else if (cp < 0x800) {
-        out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-      } else if (cp < 0x10000) {
-        out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-        out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-      } else {
-        out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-        out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-        out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-      }
+      AppendUtf8(static_cast<unsigned>(code), out);
     } else {
       return Status::ParseError("unknown entity '&" + std::string(ent) +
                                 ";'");
     }
     i = semi + 1;
   }
+}
+
+}  // namespace
+
+StreamTokenizer::StreamTokenizer(Input input)
+    : input_(input),
+      stage_(input == Input::kDocument ? Stage::kStart : Stage::kContent) {}
+
+size_t StreamTokenizer::Fail(std::string_view in, size_t at,
+                             const std::string& what) {
+  uint64_t line = lines_ + 1 + CountNewlines(in.substr(0, at));
+  error_ = Status::ParseError(what + " at line " + std::to_string(line));
+  return kFailed;
+}
+
+Status StreamTokenizer::Feed(std::string_view chunk, TokenSequence* out) {
+  if (!error_.ok()) return error_;
+  // An empty buffer lets the chunk be tokenized in place; only the
+  // incomplete construct at its end is copied.
+  const bool buffered = !buf_.empty();
+  if (buffered) buf_.append(chunk);
+  std::string_view in = buffered ? std::string_view(buf_) : chunk;
+  size_t pos = Pump(in, /*at_end=*/false, out);
+  if (pos == kFailed) return error_;
+  lines_ += CountNewlines(in.substr(0, pos));
+  if (buffered) {
+    buf_.erase(0, pos);
+  } else {
+    buf_.assign(in.substr(pos));
+  }
   return Status::OK();
 }
 
-}  // namespace xmldetail
+Status StreamTokenizer::Finish(TokenSequence* out) {
+  if (!error_.ok()) return error_;
+  // With at_end set, Pump consumes every byte or fails.
+  std::string_view in = buf_;
+  if (Pump(in, /*at_end=*/true, out) == kFailed) return error_;
+  if (!open_starts_.empty()) {
+    Fail(in, in.size(),
+         "expected end tag for <" + open_names_.substr(open_starts_.back()) +
+             ">");
+    return error_;
+  }
+  buf_.clear();
+  if (input_ == Input::kDocument) {
+    if (root_elements_ != 1) {
+      error_ =
+          Status::ParseError("document must have exactly one root element");
+      return error_;
+    }
+    out->push_back(Token::EndDocument());
+  }
+  return Status::OK();
+}
+
+size_t StreamTokenizer::Pump(std::string_view in, bool at_end,
+                             TokenSequence* out) {
+  size_t pos = 0;
+  while (pos < in.size()) {
+    size_t next;
+    if (stage_ == Stage::kContent) {
+      next = Content(in, pos, at_end, out);
+    } else if (stage_ == Stage::kStart) {
+      out->push_back(Token::BeginDocument());
+      stage_ = Stage::kDeclaration;
+      continue;
+    } else {
+      next = Prolog(in, pos, at_end);
+    }
+    if (next == kMore) return pos;
+    if (next == kFailed) return kFailed;
+    pos = next;
+  }
+  return pos;
+}
+
+size_t StreamTokenizer::Prolog(std::string_view in, size_t pos,
+                               bool at_end) {
+  // Whitespace, then an optional "<?xml ...?>" (kDeclaration), or
+  // whitespace, then an optional "<!DOCTYPE ...>" (kDoctype).
+  pos = SkipWhitespace(in, pos);
+  if (pos == in.size()) return pos;
+  const bool declaration = stage_ == Stage::kDeclaration;
+  std::string_view marker = declaration ? "<?xml" : "<!DOCTYPE";
+  if (PrefixPending(in, pos, marker, at_end)) return kMore;
+  if (LookingAt(in, pos, marker)) {
+    size_t end = kMore;
+    if (declaration) {
+      size_t close = in.find("?>", pos);
+      if (close != std::string_view::npos) end = close + 2;
+    } else {
+      // The matching '>', skipping an internal subset's brackets.
+      int bracket = 0;
+      for (size_t i = pos; i < in.size(); ++i) {
+        if (in[i] == '[') ++bracket;
+        if (in[i] == ']') --bracket;
+        if (in[i] == '>' && bracket == 0) {
+          end = i + 1;
+          break;
+        }
+      }
+    }
+    if (end == kMore) {
+      if (!at_end) return kMore;
+      if (declaration) return Fail(in, pos, "unterminated XML declaration");
+      end = in.size();  // an unclosed DOCTYPE swallows the rest
+    }
+    pos = end;
+  }
+  stage_ = declaration ? Stage::kDoctype : Stage::kContent;
+  return pos;
+}
+
+size_t StreamTokenizer::Content(std::string_view in, size_t pos, bool at_end,
+                                TokenSequence* out) {
+  const bool document_top =
+      input_ == Input::kDocument && open_starts_.empty();
+  if (document_top) {
+    pos = SkipWhitespace(in, pos);
+    if (pos == in.size()) return pos;
+    if (in[pos] != '<') return Fail(in, pos, "text outside the root element");
+  }
+
+  if (in[pos] != '<') {
+    size_t lt = in.find('<', pos);
+    if (lt == std::string_view::npos) {
+      if (!at_end) return kMore;  // the run may continue in the next chunk
+      lt = in.size();
+    }
+    std::string text;
+    Status st = DecodeEntities(in.substr(pos, lt - pos), &text);
+    if (!st.ok()) return Fail(in, pos, st.message());
+    out->push_back(Token::Text(std::move(text)));
+    return lt;
+  }
+
+  // Markup. Every construct is recognized by an ASCII marker; if the
+  // buffer ends inside a marker, wait for the next chunk.
+  if (pos + 1 == in.size()) {
+    return at_end ? Fail(in, pos, "unterminated markup") : kMore;
+  }
+  switch (in[pos + 1]) {
+    case '/':
+      return EndTag(in, pos, at_end, out);
+    case '?': {
+      size_t end = in.find("?>", pos + 2);
+      if (end == std::string_view::npos) {
+        return at_end ? Fail(in, pos, "unterminated PI") : kMore;
+      }
+      size_t i = pos + 2;
+      if (i == end || !IsNameStartChar(in[i])) {
+        return Fail(in, i, "expected name");
+      }
+      size_t name_end = SkipNameChars(in.substr(0, end), i);
+      size_t data = SkipWhitespace(in.substr(0, end), name_end);
+      out->push_back(Token::PI(std::string(in.substr(i, name_end - i)),
+                               std::string(in.substr(data, end - data))));
+      return end + 2;
+    }
+    case '!': {
+      if (PrefixPending(in, pos, "<!--", at_end) ||
+          PrefixPending(in, pos, "<![CDATA[", at_end)) {
+        return kMore;
+      }
+      if (LookingAt(in, pos, "<!--")) {
+        size_t end = in.find("-->", pos + 4);
+        if (end == std::string_view::npos) {
+          return at_end ? Fail(in, pos, "unterminated comment") : kMore;
+        }
+        out->push_back(
+            Token::Comment(std::string(in.substr(pos + 4, end - pos - 4))));
+        return end + 3;
+      }
+      if (LookingAt(in, pos, "<![CDATA[")) {
+        if (document_top) {
+          return Fail(in, pos, "text outside the root element");
+        }
+        size_t end = in.find("]]>", pos + 9);
+        if (end == std::string_view::npos) {
+          return at_end ? Fail(in, pos, "unterminated CDATA") : kMore;
+        }
+        // CDATA content is literal text, no entity decoding.
+        out->push_back(
+            Token::Text(std::string(in.substr(pos + 9, end - pos - 9))));
+        return end + 3;
+      }
+      return Fail(in, pos, "unsupported markup declaration");
+    }
+    default:
+      return StartTag(in, pos, at_end, out);
+  }
+}
+
+size_t StreamTokenizer::StartTag(std::string_view in, size_t pos,
+                                 bool at_end, TokenSequence* out) {
+  // One pass over "<name attr='v' ...>" or "<name .../>", emitting as it
+  // goes. If the buffer ends inside the tag, the tokens are taken back
+  // and the whole tag waits for the next chunk.
+  const size_t mark = out->size();
+  auto more = [&]() {
+    out->resize(mark);
+    return at_end ? Fail(in, pos, "unterminated start tag") : kMore;
+  };
+  size_t i = pos + 1;
+  if (!IsNameStartChar(in[i])) return Fail(in, i, "expected name");
+  const size_t name_end = SkipNameChars(in, i + 1);
+  if (name_end == in.size()) return more();
+  const std::string_view name = in.substr(i, name_end - i);
+  out->push_back(Token::BeginElement(std::string(name)));
+  i = name_end;
+  while (true) {
+    i = SkipWhitespace(in, i);
+    if (i == in.size()) return more();
+    if (in[i] == '>') break;
+    if (in[i] == '/') {
+      if (i + 1 == in.size()) return more();
+      if (in[i + 1] == '>') {
+        if (open_starts_.empty()) ++root_elements_;
+        out->push_back(Token::EndElement());
+        return i + 2;
+      }
+    }
+    if (!IsNameStartChar(in[i])) return Fail(in, i, "expected name");
+    const size_t attr = i;
+    i = SkipNameChars(in, i + 1);
+    const std::string_view attr_name = in.substr(attr, i - attr);
+    i = SkipWhitespace(in, i);
+    if (i == in.size()) return more();
+    if (in[i] != '=') return Fail(in, i, "expected '=' after attribute name");
+    i = SkipWhitespace(in, i + 1);
+    if (i == in.size()) return more();
+    const char quote = in[i];
+    if (quote != '"' && quote != '\'') {
+      return Fail(in, i, "expected quoted attribute value");
+    }
+    const size_t close = in.find(quote, ++i);
+    const std::string_view raw =
+        in.substr(i, close == std::string_view::npos ? kMore : close - i);
+    if (raw.find('<') != std::string_view::npos) {
+      return Fail(in, i, "'<' in attribute value");
+    }
+    if (close == std::string_view::npos) return more();
+    std::string value;
+    Status st = DecodeEntities(raw, &value);
+    if (!st.ok()) return Fail(in, i, st.message());
+    out->push_back(
+        Token::BeginAttribute(std::string(attr_name), std::move(value)));
+    out->push_back(Token::EndAttribute());
+    i = close + 1;
+  }
+  if (open_starts_.empty()) ++root_elements_;
+  open_starts_.push_back(open_names_.size());
+  open_names_.append(name);
+  return i + 1;
+}
+
+size_t StreamTokenizer::EndTag(std::string_view in, size_t pos, bool at_end,
+                               TokenSequence* out) {
+  size_t i = pos + 2;
+  if (i == in.size()) {
+    return at_end ? Fail(in, pos, "unterminated end tag") : kMore;
+  }
+  if (!IsNameStartChar(in[i])) return Fail(in, i, "expected name");
+  const size_t name_end = SkipNameChars(in, i + 1);
+  const size_t gt = SkipWhitespace(in, name_end);
+  if (gt == in.size()) {
+    return at_end ? Fail(in, pos, "unterminated end tag") : kMore;
+  }
+  if (in[gt] != '>') return Fail(in, gt, "malformed end tag");
+  const std::string_view name = in.substr(i, name_end - i);
+  if (open_starts_.empty()) return Fail(in, pos, "unexpected end tag");
+  const std::string_view open =
+      std::string_view(open_names_).substr(open_starts_.back());
+  if (name != open) {
+    return Fail(in, pos,
+                "mismatched end tag </" + std::string(name) + "> for <" +
+                    std::string(open) + ">");
+  }
+  open_names_.resize(open_starts_.back());
+  open_starts_.pop_back();
+  out->push_back(Token::EndElement());
+  return gt + 1;
+}
 
 namespace {
 
-using xmldetail::IsNameChar;
-using xmldetail::IsNameStartChar;
-using xmldetail::IsXmlWhitespace;
-
-/// Recursive-descent scanner over the input text.
-class Scanner {
- public:
-  explicit Scanner(std::string_view input) : in_(input) {}
-
-  /// Parses a fragment (sequence of content items) into `out`.
-  Status ParseContentItems(TokenSequence* out) {
-    while (!AtEnd()) {
-      if (Peek() == '<') {
-        if (LookingAt("</")) {
-          return Status::OK();  // caller's end tag
-        }
-        LAXML_RETURN_IF_ERROR(ParseMarkup(out));
-      } else {
-        LAXML_RETURN_IF_ERROR(ParseText(out));
-      }
-    }
-    return Status::OK();
-  }
-
-  Status SkipProlog() {
-    // XML declaration, doctype, and any whitespace/comments/PIs before
-    // the root element are consumed; comments/PIs are kept.
-    SkipWhitespace();
-    if (LookingAt("<?xml")) {
-      size_t end = in_.find("?>", pos_);
-      if (end == std::string_view::npos) {
-        return Fail("unterminated XML declaration");
-      }
-      pos_ = end + 2;
-    }
-    SkipWhitespace();
-    if (LookingAt("<!DOCTYPE")) {
-      // Skip to the matching '>' (internal subsets with nested brackets).
-      int bracket = 0;
-      while (!AtEnd()) {
-        char c = Take();
-        if (c == '[') ++bracket;
-        if (c == ']') --bracket;
-        if (c == '>' && bracket == 0) break;
-      }
-    }
-    return Status::OK();
-  }
-
-  bool AtEnd() const { return pos_ >= in_.size(); }
-  size_t position() const { return pos_; }
-
-  void SkipWhitespace() {
-    while (!AtEnd() && IsXmlWhitespace(Peek())) ++pos_;
-  }
-
-  Status ParseMarkup(TokenSequence* out) {
-    if (LookingAt("<!--")) return ParseComment(out);
-    if (LookingAt("<![CDATA[")) return ParseCData(out);
-    if (LookingAt("<?")) return ParsePI(out);
-    if (LookingAt("<!")) return Fail("unsupported markup declaration");
-    return ParseElement(out);
-  }
-
- private:
-  char Peek() const { return in_[pos_]; }
-  char Take() { return in_[pos_++]; }
-  bool LookingAt(std::string_view s) const {
-    return in_.substr(pos_, s.size()) == s;
-  }
-  bool Consume(std::string_view s) {
-    if (LookingAt(s)) {
-      pos_ += s.size();
-      return true;
-    }
-    return false;
-  }
-
-  Status Fail(const std::string& what) const {
-    // Report 1-based line for humans.
-    size_t line = 1;
-    for (size_t i = 0; i < pos_ && i < in_.size(); ++i) {
-      if (in_[i] == '\n') ++line;
-    }
-    return Status::ParseError(what + " at line " + std::to_string(line));
-  }
-
-  Status ParseName(std::string* name) {
-    if (AtEnd() || !IsNameStartChar(Peek())) {
-      return Fail("expected name");
-    }
-    size_t start = pos_;
-    while (!AtEnd() && IsNameChar(Peek())) ++pos_;
-    name->assign(in_.substr(start, pos_ - start));
-    return Status::OK();
-  }
-
-  /// Decodes entity and character references in [start, end) of the
-  /// input into `out`, adding position info to any error.
-  Status DecodeText(std::string_view raw, std::string* out) {
-    Status st = xmldetail::DecodeEntities(raw, out);
-    if (!st.ok()) return Fail(st.message());
-    return st;
-  }
-
-  Status ParseText(TokenSequence* out) {
-    size_t start = pos_;
-    while (!AtEnd() && Peek() != '<') ++pos_;
-    std::string_view raw = in_.substr(start, pos_ - start);
-    std::string decoded;
-    LAXML_RETURN_IF_ERROR(DecodeText(raw, &decoded));
-    out->push_back(Token::Text(std::move(decoded)));
-    return Status::OK();
-  }
-
-  Status ParseComment(TokenSequence* out) {
-    pos_ += 4;  // "<!--"
-    size_t end = in_.find("-->", pos_);
-    if (end == std::string_view::npos) return Fail("unterminated comment");
-    out->push_back(Token::Comment(std::string(in_.substr(pos_, end - pos_))));
-    pos_ = end + 3;
-    return Status::OK();
-  }
-
-  Status ParseCData(TokenSequence* out) {
-    pos_ += 9;  // "<![CDATA["
-    size_t end = in_.find("]]>", pos_);
-    if (end == std::string_view::npos) return Fail("unterminated CDATA");
-    // CDATA content is literal text, no entity decoding.
-    out->push_back(Token::Text(std::string(in_.substr(pos_, end - pos_))));
-    pos_ = end + 3;
-    return Status::OK();
-  }
-
-  Status ParsePI(TokenSequence* out) {
-    pos_ += 2;  // "<?"
-    std::string target;
-    LAXML_RETURN_IF_ERROR(ParseName(&target));
-    SkipWhitespace();
-    size_t end = in_.find("?>", pos_);
-    if (end == std::string_view::npos) return Fail("unterminated PI");
-    std::string data(in_.substr(pos_, end - pos_));
-    pos_ = end + 2;
-    out->push_back(Token::PI(std::move(target), std::move(data)));
-    return Status::OK();
-  }
-
-  Status ParseAttributeValue(std::string* value) {
-    if (AtEnd() || (Peek() != '"' && Peek() != '\'')) {
-      return Fail("expected quoted attribute value");
-    }
-    char quote = Take();
-    size_t start = pos_;
-    while (!AtEnd() && Peek() != quote) {
-      if (Peek() == '<') return Fail("'<' in attribute value");
-      ++pos_;
-    }
-    if (AtEnd()) return Fail("unterminated attribute value");
-    std::string_view raw = in_.substr(start, pos_ - start);
-    ++pos_;  // closing quote
-    return DecodeText(raw, value);
-  }
-
-  Status ParseElement(TokenSequence* out) {
-    ++pos_;  // '<'
-    std::string name;
-    LAXML_RETURN_IF_ERROR(ParseName(&name));
-    out->push_back(Token::BeginElement(name));
-    // Attributes.
-    while (true) {
-      SkipWhitespace();
-      if (AtEnd()) return Fail("unterminated start tag");
-      if (Peek() == '>' || LookingAt("/>")) break;
-      std::string attr_name;
-      LAXML_RETURN_IF_ERROR(ParseName(&attr_name));
-      SkipWhitespace();
-      if (!Consume("=")) return Fail("expected '=' after attribute name");
-      SkipWhitespace();
-      std::string attr_value;
-      LAXML_RETURN_IF_ERROR(ParseAttributeValue(&attr_value));
-      out->push_back(Token::BeginAttribute(std::move(attr_name),
-                                           std::move(attr_value)));
-      out->push_back(Token::EndAttribute());
-    }
-    if (Consume("/>")) {
-      out->push_back(Token::EndElement());
-      return Status::OK();
-    }
-    ++pos_;  // '>'
-    LAXML_RETURN_IF_ERROR(ParseContentItems(out));
-    if (!Consume("</")) return Fail("expected end tag for <" + name + ">");
-    std::string end_name;
-    LAXML_RETURN_IF_ERROR(ParseName(&end_name));
-    if (end_name != name) {
-      return Fail("mismatched end tag </" + end_name + "> for <" + name +
-                  ">");
-    }
-    SkipWhitespace();
-    if (!Consume(">")) return Fail("malformed end tag");
-    out->push_back(Token::EndElement());
-    return Status::OK();
-  }
-
-  std::string_view in_;
-  size_t pos_ = 0;
-};
+Result<TokenSequence> Parse(std::string_view xml,
+                            StreamTokenizer::Input input) {
+  StreamTokenizer tokenizer(input);
+  TokenSequence out;
+  LAXML_RETURN_IF_ERROR(tokenizer.Feed(xml, &out));
+  LAXML_RETURN_IF_ERROR(tokenizer.Finish(&out));
+  return out;
+}
 
 }  // namespace
 
 Result<TokenSequence> ParseDocument(std::string_view xml) {
-  Scanner scanner(xml);
-  TokenSequence out;
-  out.push_back(Token::BeginDocument());
-  LAXML_RETURN_IF_ERROR(scanner.SkipProlog());
-  scanner.SkipWhitespace();
-  // Pre-root comments / PIs.
-  size_t root_elements = 0;
-  while (!scanner.AtEnd()) {
-    size_t before = out.size();
-    LAXML_RETURN_IF_ERROR(scanner.ParseMarkup(&out));
-    for (size_t i = before; i < out.size(); ++i) {
-      if (out[i].type == TokenType::kBeginElement) {
-        ++root_elements;
-        break;
-      }
-    }
-    scanner.SkipWhitespace();
-  }
-  if (root_elements != 1) {
-    return Status::ParseError("document must have exactly one root element");
-  }
-  out.push_back(Token::EndDocument());
-  return out;
+  return Parse(xml, StreamTokenizer::Input::kDocument);
 }
 
 Result<TokenSequence> ParseFragment(std::string_view xml) {
-  Scanner scanner(xml);
-  TokenSequence out;
-  LAXML_RETURN_IF_ERROR(scanner.ParseContentItems(&out));
-  if (!scanner.AtEnd()) {
-    return Status::ParseError("unexpected end-tag in fragment");
-  }
-  return out;
+  return Parse(xml, StreamTokenizer::Input::kFragment);
 }
 
 }  // namespace laxml

@@ -255,5 +255,39 @@ TEST(BulkLoadTest, FullIndexModeIndexesBulkRanges) {
   ASSERT_LAXML_OK(store->CheckIntegrity());
 }
 
+TEST(BulkLoadTest, UnboundedRangesAreCutAt64KiB) {
+  const std::string xml = GeneratedXml(/*orders=*/400, /*items=*/4);
+  StoreOptions options;
+  options.index_mode = IndexMode::kFullIndex;
+  options.max_range_bytes = 0;  // unbounded: bulk load cuts at 64 KiB
+  TempFile tmp("bulkcut");
+  ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
+  ASSERT_OK_AND_ASSIGN(BulkLoadStats stats,
+                       BulkLoadChunked(store.get(), xml, 4096));
+  ASSERT_GT(stats.payload_bytes, 2u * 64 * 1024);
+
+  const RangeManager& ranges = store->range_manager();
+  uint64_t count = 0;
+  uint64_t bytes = 0;
+  for (RangeId id = ranges.first_range(); id != kInvalidRangeId;) {
+    ASSERT_OK_AND_ASSIGN(RangeMeta meta, ranges.GetMeta(id));
+    EXPECT_LE(meta.byte_len, 64u * 1024) << "range " << id;
+    ++count;
+    bytes += meta.byte_len;
+    id = meta.next;
+  }
+  EXPECT_GE(count, 3u);
+  EXPECT_EQ(count, stats.ranges);
+  EXPECT_EQ(bytes, stats.payload_bytes);
+
+  ASSERT_EQ(store->node_high_water(), stats.nodes);
+  for (NodeId id = 1; id <= stats.nodes; ++id) {
+    ASSERT_OK_AND_ASSIGN(TokenSequence sub, store->Read(id));
+    ASSERT_FALSE(sub.empty()) << "id " << id;
+    EXPECT_TRUE(sub.front().BeginsNode()) << "id " << id;
+  }
+  ASSERT_LAXML_OK(store->CheckIntegrity());
+}
+
 }  // namespace
 }  // namespace laxml

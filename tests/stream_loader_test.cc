@@ -1,12 +1,11 @@
-// StreamTokenizer tests: chunked parsing must be byte-identical to the
-// batch ParseDocument no matter where chunk boundaries fall — including
-// in the middle of multi-byte UTF-8 sequences, tags, entity references,
-// CDATA markers, and comments.
-
-#include "xml/stream_loader.h"
+// StreamTokenizer tests: where chunk boundaries fall must not change the
+// result — including boundaries in the middle of multi-byte UTF-8
+// sequences, tags, entity references, CDATA markers, and comments — and
+// explicit expected token lists pin the grammar of both inputs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "test_util.h"
@@ -16,9 +15,12 @@
 namespace laxml {
 namespace {
 
-/// Streams `xml` into tokens, split into `chunk` -byte pieces.
-Result<TokenSequence> StreamParse(const std::string& xml, size_t chunk) {
-  StreamTokenizer tok;
+using Input = StreamTokenizer::Input;
+
+/// Streams `xml` into tokens, split into `chunk`-byte pieces.
+Result<TokenSequence> StreamParse(const std::string& xml, size_t chunk,
+                                  Input input) {
+  StreamTokenizer tok(input);
   TokenSequence out;
   for (size_t i = 0; i < xml.size(); i += chunk) {
     LAXML_RETURN_IF_ERROR(
@@ -28,26 +30,43 @@ Result<TokenSequence> StreamParse(const std::string& xml, size_t chunk) {
   return out;
 }
 
-void ExpectMatchesBatch(const std::string& xml) {
-  auto batch = ParseDocument(xml);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  // Every chunk size from 1 byte up: boundaries land on every position.
-  for (size_t chunk : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
-                       xml.size() == 0 ? size_t{1} : xml.size()}) {
-    auto streamed = StreamParse(xml, chunk);
-    ASSERT_TRUE(streamed.ok())
-        << "chunk=" << chunk << ": " << streamed.status().ToString();
-    EXPECT_EQ(EncodeTokens(*streamed), EncodeTokens(*batch))
+/// Feeding `xml` in 1, 2, 3 and 7-byte pieces gives what feeding it
+/// whole gives: the same tokens, or the same error. Returns the tokens
+/// of the whole feed.
+TokenSequence ExpectChunkInvariant(const std::string& xml,
+                                   Input input = Input::kDocument) {
+  auto whole = StreamParse(xml, std::max<size_t>(xml.size(), 1), input);
+  for (size_t chunk : {size_t{1}, size_t{2}, size_t{3}, size_t{7}}) {
+    auto streamed = StreamParse(xml, chunk, input);
+    EXPECT_EQ(streamed.status().ToString(), whole.status().ToString())
         << "chunk=" << chunk;
+    if (streamed.ok() && whole.ok()) {
+      EXPECT_EQ(EncodeTokens(*streamed), EncodeTokens(*whole))
+          << "chunk=" << chunk;
+    }
   }
+  return whole.ok() ? *whole : TokenSequence{};
 }
 
-TEST(StreamLoaderTest, MatchesBatchOnPlainDocument) {
-  ExpectMatchesBatch("<db><a x=\"1\">hi</a><b/></db>");
+TEST(StreamLoaderTest, ChunkingIsInvisibleOnPlainDocument) {
+  TokenSequence tokens =
+      ExpectChunkInvariant("<db><a x=\"1\">hi</a><b/></db>");
+  EXPECT_EQ(tokens, SequenceBuilder()
+                        .BeginDocument()
+                        .BeginElement("db")
+                        .BeginElement("a")
+                        .Attribute("x", "1")
+                        .Text("hi")
+                        .End()
+                        .BeginElement("b")
+                        .End()
+                        .End()
+                        .EndDocument()
+                        .Build());
 }
 
-TEST(StreamLoaderTest, MatchesBatchOnPrologAndMisc) {
-  ExpectMatchesBatch(
+TEST(StreamLoaderTest, PrologAndMiscGiveExpectedTokens) {
+  TokenSequence tokens = ExpectChunkInvariant(
       "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
       "<!DOCTYPE db [<!ELEMENT db ANY>]>\n"
       "<!-- leading -->\n"
@@ -57,35 +76,90 @@ TEST(StreamLoaderTest, MatchesBatchOnPrologAndMisc) {
       "<inner a=\"x>y\" b='c\"d'>mixed</inner>"
       "<!-- middle --></db>\n"
       "<!-- trailing -->");
+  // The declaration, the DOCTYPE and the whitespace between top-level
+  // items leave no tokens.
+  EXPECT_EQ(tokens, SequenceBuilder()
+                        .BeginDocument()
+                        .Comment(" leading ")
+                        .PI("target", "data here")
+                        .BeginElement("db")
+                        .Attribute("attr", "v&w")
+                        .Text("text <escaped> AB")
+                        .Text("raw <markup> & stuff")
+                        .BeginElement("inner")
+                        .Attribute("a", "x>y")
+                        .Attribute("b", "c\"d")
+                        .Text("mixed")
+                        .End()
+                        .Comment(" middle ")
+                        .End()
+                        .Comment(" trailing ")
+                        .EndDocument()
+                        .Build());
+}
+
+TEST(StreamLoaderTest, FragmentKeepsTopLevelTextAndMisc) {
+  TokenSequence tokens = ExpectChunkInvariant(
+      "  lead &amp; text<!--c--><?pi  some data?>\n"
+      "<![CDATA[x<y]]><a> in </a>\t<?xml not a prolog?>tail<b/> ",
+      Input::kFragment);
+  EXPECT_EQ(tokens, SequenceBuilder()
+                        .Text("  lead & text")
+                        .Comment("c")
+                        .PI("pi", "some data")
+                        .Text("\n")
+                        .Text("x<y")
+                        .BeginElement("a")
+                        .Text(" in ")
+                        .End()
+                        .Text("\t")
+                        .PI("xml", "not a prolog")
+                        .Text("tail")
+                        .BeginElement("b")
+                        .End()
+                        .Text(" ")
+                        .Build());
+}
+
+TEST(StreamLoaderTest, FragmentErrorsAreChunkInvariant) {
+  for (const char* xml : {"text</a>", "<a>open", "<a x='1'", "<!DOCTYPE x>",
+                          "a &bogus; b", "<!--unterminated", "<a></b>"}) {
+    SCOPED_TRACE(xml);
+    ExpectChunkInvariant(xml, Input::kFragment);
+    EXPECT_TRUE(StreamParse(xml, 1, Input::kFragment).status().IsParseError());
+  }
 }
 
 TEST(StreamLoaderTest, Utf8SplitAtEveryBytePosition) {
   // Multi-byte content in text, attribute values, comments, and names'
-  // neighborhoods; 1-byte chunks cut every UTF-8 sequence.
-  const std::string xml =
+  // neighborhoods; 1-byte chunks cut every UTF-8 sequence. IsNameChar
+  // uses isalpha on unsigned chars, locale-dependent for >= 0x80, so
+  // the first document may be rejected — at the same byte either way.
+  ExpectChunkInvariant(
       "<résumé note=\"café ☃\">"
       "snögubbe — \U0001F600 über"
-      "<!--köttbullar--></résumé>";
-  // Names with non-ASCII bytes: IsNameChar uses isalpha on unsigned
-  // chars, locale-dependent for >= 0x80 — so only assert text/attr
-  // handling if the batch parser accepts the document at all.
-  auto batch = ParseDocument(xml);
-  if (batch.ok()) {
-    ExpectMatchesBatch(xml);
-  }
-  const std::string ascii_names =
+      "<!--köttbullar--></résumé>");
+  TokenSequence tokens = ExpectChunkInvariant(
       "<r note=\"café ☃\">snögubbe — \U0001F600"
-      "<!--köttbullar--></r>";
-  ExpectMatchesBatch(ascii_names);
+      "<!--köttbullar--></r>");
+  EXPECT_EQ(tokens, SequenceBuilder()
+                        .BeginDocument()
+                        .BeginElement("r")
+                        .Attribute("note", "café ☃")
+                        .Text("snögubbe — \U0001F600")
+                        .Comment("köttbullar")
+                        .End()
+                        .EndDocument()
+                        .Build());
 }
 
 TEST(StreamLoaderTest, GiantTextRunStreamsWithoutMarkup) {
-  std::string xml = "<db>";
   std::string text(100000, 'x');
-  text[50000] = '&';
   text.replace(50000, 5, "&amp;");
-  xml += text + "</db>";
-  ExpectMatchesBatch(xml);
+  TokenSequence tokens = ExpectChunkInvariant("<db>" + text + "</db>");
+  ASSERT_EQ(tokens.size(), 5u);
+  EXPECT_EQ(tokens[2].value.size(), text.size() - 4);
+  EXPECT_EQ(tokens[2].value[50000], '&');
 }
 
 TEST(StreamLoaderTest, ErrorsAreSticky) {
@@ -122,7 +196,11 @@ TEST(StreamLoaderTest, BufferStaysBoundedByConstructSize) {
   for (int i = 0; i < 1000; ++i) xml += "<e a=\"1\">t</e>";
   ASSERT_LAXML_OK(tok.Feed(xml, &out));
   EXPECT_EQ(tok.buffered_bytes(), 0u);
-  ASSERT_LAXML_OK(tok.Feed("</db>", &out));
+  // A start tag cut short waits whole, then completes.
+  ASSERT_LAXML_OK(tok.Feed("<e a=\"1", &out));
+  EXPECT_EQ(tok.buffered_bytes(), 7u);
+  ASSERT_LAXML_OK(tok.Feed("\"/></db>", &out));
+  EXPECT_EQ(tok.buffered_bytes(), 0u);
   ASSERT_LAXML_OK(tok.Finish(&out));
 }
 

@@ -91,6 +91,26 @@ TEST(TokenizerTest, MultipleRootsRejectedForDocuments) {
   EXPECT_TRUE(ParseDocument("").status().IsParseError());
 }
 
+TEST(TokenizerTest, TextOutsideTheRootIsRejected) {
+  for (std::string_view xml :
+       {"xa/>", "x<a/>", "<a/>x", "<a/><![CDATA[x]]>"}) {
+    Status st = ParseDocument(xml).status();
+    ASSERT_TRUE(st.IsParseError()) << xml << ": " << st.ToString();
+    EXPECT_NE(st.message().find("text outside the root element"),
+              std::string::npos)
+        << xml << ": " << st.ToString();
+    // Fed one byte at a time, the tokenizer reports the same error.
+    StreamTokenizer tokenizer;
+    TokenSequence out;
+    Status streamed;
+    for (size_t i = 0; i < xml.size() && streamed.ok(); ++i) {
+      streamed = tokenizer.Feed(xml.substr(i, 1), &out);
+    }
+    if (streamed.ok()) streamed = tokenizer.Finish(&out);
+    EXPECT_EQ(streamed.ToString(), st.ToString()) << xml;
+  }
+}
+
 TEST(TokenizerTest, FragmentsMayHaveMultipleRoots) {
   ASSERT_OK_AND_ASSIGN(TokenSequence tokens, ParseFragment("<a/>x<b/>"));
   EXPECT_EQ(tokens.size(), 5u);
