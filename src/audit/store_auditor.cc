@@ -428,25 +428,26 @@ void StoreAuditor::AuditPartialIndex() {
   const PartialIndex& pi = store_->partial_;
   if (!pi.enabled() || pi.size() == 0) return;
 
-  // Group memos by the range they point into so each range's payload is
-  // read and token-walked once, no matter how many memos land in it.
+  // Group memo halves by the range they point into so each range's
+  // payload is read and token-walked once, no matter how many land in it.
   struct Memo {
     NodeId id;
-    PartialEntry entry;
+    PartialEntry::Half half;
+    TokenPos pos;
   };
-  std::unordered_map<RangeId, std::vector<Memo>> begins_by_range;
-  std::unordered_map<RangeId, std::vector<Memo>> ends_by_range;
+  std::unordered_map<RangeId, std::vector<Memo>> memos_by_range;
   pi.ForEachEntry([&](NodeId id, const PartialEntry& e) {
     ++report_.partial_entries;
-    if (e.has_begin) begins_by_range[e.begin_range].push_back({id, e});
-    if (e.has_end) ends_by_range[e.end_range].push_back({id, e});
+    if (e.begin) {
+      memos_by_range[e.begin->range].push_back({id, PartialEntry::kBegin,
+                                                *e.begin});
+    }
+    if (e.end) {
+      memos_by_range[e.end->range].push_back({id, PartialEntry::kEnd, *e.end});
+    }
   });
 
-  std::unordered_set<RangeId> ranges;
-  for (const auto& [r, memos] : begins_by_range) ranges.insert(r);
-  for (const auto& [r, memos] : ends_by_range) ranges.insert(r);
-
-  for (RangeId r : ranges) {
+  for (const auto& [r, memos] : memos_by_range) {
     if (Full()) return;
     auto meta_r = store_->ranges_->GetMeta(r);
     auto payload_r =
@@ -454,128 +455,86 @@ void StoreAuditor::AuditPartialIndex() {
                     : Result<std::vector<uint8_t>>(meta_r.status());
     if (!meta_r.ok() || !payload_r.ok()) {
       // Every memo pointing into an unreadable/dead range is stale.
-      auto flag = [&](const std::vector<Memo>& memos, const char* half) {
-        for (const Memo& m : memos) {
-          if (Full()) return;
-          AuditIssue& issue =
-              Add(AuditLayer::kPartialIndex,
-                  std::string(half) + " memo points into an unreadable range");
-          issue.range = r;
-          issue.node = m.id;
-        }
-      };
-      auto bit = begins_by_range.find(r);
-      if (bit != begins_by_range.end()) flag(bit->second, "begin");
-      auto eit = ends_by_range.find(r);
-      if (eit != ends_by_range.end()) flag(eit->second, "end");
+      for (const Memo& m : memos) {
+        if (Full()) return;
+        AuditIssue& issue = Add(
+            AuditLayer::kPartialIndex,
+            std::string(m.half == PartialEntry::kBegin ? "begin" : "end") +
+                " memo points into an unreadable range");
+        issue.range = r;
+        issue.node = m.id;
+      }
       continue;
     }
     const RangeMeta meta = *meta_r;
-    const std::vector<uint8_t>& payload = *payload_r;
 
-    // offset -> (token index, node-begins strictly before it, type).
+    // offset -> the token's position as a walk of the range finds it.
     struct TokenAt {
-      uint32_t index;
-      uint32_t begins_before;
+      TokenPos pos;
       TokenType type;
     };
     std::unordered_map<uint32_t, TokenAt> boundaries;
-    TokenReader reader{Slice(payload), store_->ranges_->codec_for(meta)};
-    uint32_t index = 0;
-    uint32_t begins = 0;
+    TokenReader reader{Slice(*payload_r), store_->ranges_->codec_for(meta)};
+    TokenPos pos{r, 0, 0, 0, meta.codec};
     TokenType type;
     bool intact = true;
     while (!reader.AtEnd()) {
-      uint32_t offset = static_cast<uint32_t>(reader.offset());
+      pos.offset = static_cast<uint32_t>(reader.offset());
       if (!reader.Skip(&type).ok()) {
         intact = false;  // the range-layer leg reports the corruption
         break;
       }
-      boundaries.emplace(offset, TokenAt{index, begins, type});
-      if (TokenBeginsNode(type)) ++begins;
-      ++index;
+      boundaries.emplace(pos.offset, TokenAt{pos, type});
+      if (TokenBeginsNode(type)) ++pos.begins_before;
+      ++pos.token_index;
     }
     if (!intact) continue;
 
-    auto bit = begins_by_range.find(r);
-    if (bit != begins_by_range.end()) {
-      for (const Memo& m : bit->second) {
-        if (Full()) return;
-        auto found = boundaries.find(m.entry.begin_offset);
-        auto fail = [&](std::string what) -> AuditIssue& {
-          AuditIssue& issue =
-              Add(AuditLayer::kPartialIndex, std::move(what));
-          issue.range = r;
-          issue.node = m.id;
-          issue.offset = m.entry.begin_offset;
-          issue.has_offset = true;
-          return issue;
-        };
-        // Memo hits decode with the memo's codec, never the range's.
-        if (m.entry.begin_codec != meta.codec) {
-          fail("begin memo codec is " +
-               std::to_string(m.entry.begin_codec) + ", range codec is " +
-               std::to_string(meta.codec));
-        }
-        if (found == boundaries.end()) {
-          fail("begin memo offset is not a token boundary");
-          continue;
-        }
-        const TokenAt& at = found->second;
-        if (at.index != m.entry.begin_token_index) {
-          fail("begin memo token index is " +
-               std::to_string(m.entry.begin_token_index) +
-               ", token at that offset is #" + std::to_string(at.index));
-        }
-        if (!TokenBeginsNode(at.type)) {
-          fail("begin memo points at a token that begins no node");
-        } else if (!meta.has_ids()) {
-          fail("begin memo points into an id-less range");
-        } else if (meta.start_id + at.begins_before != m.id) {
-          fail("begin memo points at the token of node " +
-               std::to_string(meta.start_id + at.begins_before));
-        }
+    for (const Memo& m : memos) {
+      if (Full()) return;
+      const char* half = m.half == PartialEntry::kBegin ? "begin" : "end";
+      auto fail = [&](const std::string& what) {
+        AuditIssue& issue =
+            Add(AuditLayer::kPartialIndex, half + (" memo " + what));
+        issue.range = r;
+        issue.node = m.id;
+        issue.offset = m.pos.offset;
+        issue.has_offset = true;
+      };
+      // Memo hits decode with the memo's codec, never the range's.
+      if (m.pos.codec != meta.codec) {
+        fail("codec is " + std::to_string(m.pos.codec) +
+             ", range codec is " + std::to_string(meta.codec));
       }
-    }
-
-    auto eit = ends_by_range.find(r);
-    if (eit != ends_by_range.end()) {
-      for (const Memo& m : eit->second) {
-        if (Full()) return;
-        auto found = boundaries.find(m.entry.end_offset);
-        auto fail = [&](std::string what) -> AuditIssue& {
-          AuditIssue& issue =
-              Add(AuditLayer::kPartialIndex, std::move(what));
-          issue.range = r;
-          issue.node = m.id;
-          issue.offset = m.entry.end_offset;
-          issue.has_offset = true;
-          return issue;
-        };
-        if (m.entry.end_codec != meta.codec) {
-          fail("end memo codec is " + std::to_string(m.entry.end_codec) +
-               ", range codec is " + std::to_string(meta.codec));
+      auto found = boundaries.find(m.pos.offset);
+      if (found == boundaries.end()) {
+        fail("offset is not a token boundary");
+        continue;
+      }
+      const TokenAt& at = found->second;
+      if (at.pos.token_index != m.pos.token_index) {
+        fail("token index is " + std::to_string(m.pos.token_index) +
+             ", token at that offset is #" +
+             std::to_string(at.pos.token_index));
+      }
+      // Splits cut with it and cursors regenerate ids from it.
+      if (at.pos.begins_before != m.pos.begins_before) {
+        fail("begins_before is " + std::to_string(m.pos.begins_before) +
+             ", actual " + std::to_string(at.pos.begins_before));
+      }
+      if (m.half == PartialEntry::kBegin) {
+        const NodeId node = meta.start_id + at.pos.begins_before;
+        if (!TokenBeginsNode(at.type)) {
+          fail("points at a token that begins no node");
+        } else if (!meta.has_ids()) {
+          fail("points into an id-less range");
+        } else if (node != m.id) {
+          fail("points at the token of node " + std::to_string(node));
         }
-        if (found == boundaries.end()) {
-          fail("end memo offset is not a token boundary");
-          continue;
-        }
-        const TokenAt& at = found->second;
-        if (at.index != m.entry.end_token_index) {
-          fail("end memo token index is " +
-               std::to_string(m.entry.end_token_index) +
-               ", token at that offset is #" + std::to_string(at.index));
-        }
+      } else if (!TokenClosesScope(at.type) && !TokenBeginsNode(at.type)) {
         // A node's end token either closes its scope, or — for
         // single-token nodes (text, comments, PIs) — is its begin token.
-        if (!TokenClosesScope(at.type) && !TokenBeginsNode(at.type)) {
-          fail("end memo points at a token that terminates no node");
-        }
-        if (at.begins_before != m.entry.end_begins_before) {
-          fail("end memo begins_before is " +
-               std::to_string(m.entry.end_begins_before) + ", actual " +
-               std::to_string(at.begins_before));
-        }
+        fail("points at a token that terminates no node");
       }
     }
   }

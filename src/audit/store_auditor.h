@@ -7,8 +7,9 @@
 //   * the Range Index against the token chain — intervals must exactly
 //     tile the chain's id-bearing ranges, no gaps, no overlaps;
 //   * every Partial Index memo against the payload bytes it claims to
-//     shortcut — the memoized (range, offset, token index) must land on
-//     a real begin/end token of the right node;
+//     shortcut — each memoized TokenPos (range, offset, token index,
+//     begins before, codec) must land on a real begin/end token of the
+//     right node, with the count and codec a walk of the range finds;
 //   * every Structural Index interval against a fresh stream scan — the
 //     memoized (pre, post, parent pre, level, range, offset) of each
 //     element or attribute must equal what re-deriving it from the

@@ -59,73 +59,38 @@ void PartialIndex::EvictIfNeededLocked(Shard& shard) {
   }
 }
 
+void PartialIndex::UnregisterLocked(Shard& shard, NodeId id, RangeId range) {
+  auto it = shard.by_range.find(range);
+  if (it != shard.by_range.end()) {
+    it->second.erase(id);
+    if (it->second.empty()) shard.by_range.erase(it);
+  }
+}
+
 void PartialIndex::UnregisterLocked(Shard& shard, NodeId id,
                                     const PartialEntry& entry) {
-  auto drop = [&shard, id](RangeId range) {
-    auto it = shard.by_range.find(range);
-    if (it != shard.by_range.end()) {
-      it->second.erase(id);
-      if (it->second.empty()) shard.by_range.erase(it);
-    }
-  };
-  if (entry.has_begin) drop(entry.begin_range);
-  if (entry.has_end && (!entry.has_begin ||
-                        entry.end_range != entry.begin_range)) {
-    drop(entry.end_range);
-  }
+  if (entry.begin) UnregisterLocked(shard, id, entry.begin->range);
+  if (entry.end) UnregisterLocked(shard, id, entry.end->range);
 }
 
-void PartialIndex::RecordBegin(NodeId id, RangeId range,
-                               uint32_t byte_offset, uint32_t token_index,
-                               uint8_t codec) {
+void PartialIndex::Record(NodeId id, PartialEntry::Half half,
+                          const TokenPos& pos) {
   if (!enabled()) return;
   Shard& shard = ShardFor(id);
   MutexLock lk(shard.mu);
   PartialEntry* e = GetOrCreateLocked(shard, id);
-  if (e->has_begin && e->begin_range != range) {
-    // Re-registration under a new range: clean the old reverse entry
-    // unless the end half still uses it.
-    if (!e->has_end || e->end_range != e->begin_range) {
-      auto it = shard.by_range.find(e->begin_range);
-      if (it != shard.by_range.end()) {
-        it->second.erase(id);
-        if (it->second.empty()) shard.by_range.erase(it);
-      }
-    }
+  const bool begin = half == PartialEntry::kBegin;
+  std::optional<TokenPos>& slot = begin ? e->begin : e->end;
+  const std::optional<TokenPos>& other = begin ? e->end : e->begin;
+  // Re-registration under a new range: clean the old reverse entry
+  // unless the other half still uses it.
+  if (slot && slot->range != pos.range &&
+      (!other || other->range != slot->range)) {
+    UnregisterLocked(shard, id, slot->range);
   }
-  e->has_begin = true;
-  e->begin_range = range;
-  e->begin_offset = byte_offset;
-  e->begin_token_index = token_index;
-  e->begin_codec = codec;
-  shard.by_range[range].insert(id);
-  ++stats_.begin_records;
-}
-
-void PartialIndex::RecordEnd(NodeId id, RangeId range, uint32_t byte_offset,
-                             uint32_t token_index, uint32_t begins_before,
-                             uint8_t codec) {
-  if (!enabled()) return;
-  Shard& shard = ShardFor(id);
-  MutexLock lk(shard.mu);
-  PartialEntry* e = GetOrCreateLocked(shard, id);
-  if (e->has_end && e->end_range != range) {
-    if (!e->has_begin || e->begin_range != e->end_range) {
-      auto it = shard.by_range.find(e->end_range);
-      if (it != shard.by_range.end()) {
-        it->second.erase(id);
-        if (it->second.empty()) shard.by_range.erase(it);
-      }
-    }
-  }
-  e->has_end = true;
-  e->end_range = range;
-  e->end_offset = byte_offset;
-  e->end_token_index = token_index;
-  e->end_begins_before = begins_before;
-  e->end_codec = codec;
-  shard.by_range[range].insert(id);
-  ++stats_.end_records;
+  slot = pos;
+  shard.by_range[pos.range].insert(id);
+  ++(begin ? stats_.begin_records : stats_.end_records);
 }
 
 void PartialIndex::InvalidateRange(RangeId range) {
@@ -144,15 +109,15 @@ void PartialIndex::InvalidateRange(RangeId range) {
       auto eit = shard.entries.find(id);
       if (eit == shard.entries.end()) continue;
       PartialEntry& e = eit->second.entry;
-      if (e.has_begin && e.begin_range == range) e.has_begin = false;
-      if (e.has_end && e.end_range == range) e.has_end = false;
+      if (e.begin && e.begin->range == range) e.begin.reset();
+      if (e.end && e.end->range == range) e.end.reset();
       ++stats_.invalidations;
-      if (!e.has_begin && !e.has_end) {
+      if (!e.begin && !e.end) {
         shard.lru.erase(eit->second.lru_pos);
         shard.entries.erase(eit);
       } else {
         // Keep the reverse registration for the surviving half.
-        RangeId keep = e.has_begin ? e.begin_range : e.end_range;
+        RangeId keep = e.begin ? e.begin->range : e.end->range;
         shard.by_range[keep].insert(id);
       }
     }
@@ -203,8 +168,8 @@ std::string PartialIndex::ToTableString() const {
   std::string out = "NodeID  BeginToken(Range)  EndToken(Range)\n";
   ForEachEntry([&out](NodeId id, const PartialEntry& e) {
     out += std::to_string(id) + "  " +
-           (e.has_begin ? std::to_string(e.begin_range) : "-") + "  " +
-           (e.has_end ? std::to_string(e.end_range) : "-") + "\n";
+           (e.begin ? std::to_string(e.begin->range) : "-") + "  " +
+           (e.end ? std::to_string(e.end->range) : "-") + "\n";
   });
   return out;
 }

@@ -7,6 +7,13 @@
 // is ever indexed eagerly; the index's content is exactly the lookup
 // history — laziness as a feature.
 //
+// An entry is the paper's Table 4 row — NodeID, BeginToken, EndToken —
+// with each token column a TokenPos (range, byte offset, token index,
+// node begins before it, codec): the same coordinates a locate returns,
+// a cursor seeks to and a split cuts at. A hit therefore stands in for
+// the whole locate, begin count included. ToTableString() prints the
+// Table 4 view, one range per column.
+//
 // Memory-resident (as in the paper's prototype) with a bounded capacity
 // and LRU eviction. Entries tied to a range are invalidated when that
 // range splits, shrinks or dies.
@@ -28,6 +35,7 @@
 #include <cstddef>
 #include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -55,25 +63,14 @@ struct PartialIndexStats {
 /// One memoized node: where its begin token and (when known) its end
 /// token live. Either half may be present independently — the paper's
 /// worked example (Table 4) records them as separate discoveries. Each
-/// half also carries its range's token codec, so a hit decodes without
-/// probing the range metadata: a live range's codec never changes (a
-/// split's tail inherits it, merges refuse mixed codecs, and every
-/// rewrite or delete invalidates the range's memos).
+/// half is a full TokenPos, so a hit seeks, decodes (with the half's
+/// codec) and splits without probing the range metadata or counting
+/// node begins again.
 struct PartialEntry {
-  bool has_begin = false;
-  RangeId begin_range = kInvalidRangeId;
-  uint32_t begin_offset = 0;  ///< Byte offset within the range payload.
-  uint32_t begin_token_index = 0;
-  uint8_t begin_codec = 0;  ///< Token codec of begin_range.
+  enum Half : uint8_t { kBegin, kEnd };
 
-  bool has_end = false;
-  RangeId end_range = kInvalidRangeId;
-  uint32_t end_offset = 0;
-  uint32_t end_token_index = 0;
-  /// Node-beginning tokens in end_range strictly before the end token;
-  /// lets a split at the end-token boundary skip the counting scan.
-  uint32_t end_begins_before = 0;
-  uint8_t end_codec = 0;  ///< Token codec of end_range.
+  std::optional<TokenPos> begin;
+  std::optional<TokenPos> end;
 };
 
 /// Bounded, lazily-populated, sharded NodeId -> PartialEntry map.
@@ -97,16 +94,8 @@ class PartialIndex {
   /// stays valid after the shard lock drops, whatever other threads do.
   bool Lookup(NodeId id, PartialEntry* out);
 
-  /// Memoizes the begin-token location of `id`; `codec` is the token
-  /// codec of `range`.
-  void RecordBegin(NodeId id, RangeId range, uint32_t byte_offset,
-                   uint32_t token_index, uint8_t codec);
-
-  /// Memoizes the end-token location of `id`; `codec` is the token codec
-  /// of `range`.
-  void RecordEnd(NodeId id, RangeId range, uint32_t byte_offset,
-                 uint32_t token_index, uint32_t begins_before,
-                 uint8_t codec);
+  /// Memoizes where `id`'s begin or end token sits.
+  void Record(NodeId id, PartialEntry::Half half, const TokenPos& pos);
 
   /// Drops every entry that references `range` (called when the range
   /// splits, is rewritten, or is deleted — its offsets are stale).
@@ -164,6 +153,10 @@ class PartialIndex {
   void TouchLocked(Shard& shard, Node& node, NodeId id)
       LAXML_REQUIRES(shard.mu);
   PartialEntry* GetOrCreateLocked(Shard& shard, NodeId id)
+      LAXML_REQUIRES(shard.mu);
+  /// Drops `id` from `range`'s reverse entry, or from those of both of
+  /// `entry`'s halves.
+  void UnregisterLocked(Shard& shard, NodeId id, RangeId range)
       LAXML_REQUIRES(shard.mu);
   void UnregisterLocked(Shard& shard, NodeId id, const PartialEntry& entry)
       LAXML_REQUIRES(shard.mu);

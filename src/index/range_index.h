@@ -32,6 +32,22 @@ namespace laxml {
 using RangeId = uint64_t;
 inline constexpr RangeId kInvalidRangeId = 0;
 
+/// Where one token sits in the range chain: the coordinates a locate
+/// finds, a Partial Index memo keeps, a cursor seeks to and a split cuts
+/// at. Valid only while `range` is not split, merged, rewritten or
+/// deleted.
+struct TokenPos {
+  RangeId range = kInvalidRangeId;
+  uint32_t offset = 0;       ///< Byte offset within the range payload.
+  uint32_t token_index = 0;  ///< Tokens in the range before this one.
+  /// Node-beginning tokens in the range before this one: the token's
+  /// node id (when it begins one) is the range's start id plus this.
+  uint32_t begins_before = 0;
+  /// Token codec of `range`, so a read at this position decodes without
+  /// probing the range metadata. A live range's codec never changes.
+  uint8_t codec = 0;
+};
+
 /// Counters for benches and tests.
 /// RelaxedCounters: const Lookup bumps lookups/hits and runs from
 /// concurrent reader threads under SharedStore's shared latch.

@@ -61,12 +61,11 @@ Status TokenCursor::Seek(const StructuralEntry& entry, TokenType begin,
   return Status::OK();
 }
 
-Status TokenCursor::SeekTo(RangeId range, uint32_t byte_offset,
-                           uint32_t token_index, uint32_t begins_before) {
-  LAXML_RETURN_IF_ERROR(SeekReader(range, byte_offset));
-  next_id_ = meta_.start_id + begins_before;
+Status TokenCursor::SeekTo(const TokenPos& pos) {
+  LAXML_RETURN_IF_ERROR(SeekReader(pos.range, pos.offset));
+  next_id_ = meta_.start_id + pos.begins_before;
   range_first_ordinal_ = 0;
-  next_ordinal_ = token_index;
+  next_ordinal_ = pos.token_index;
   depth_ = 0;
   return DecodeOne(nullptr);
 }

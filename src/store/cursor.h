@@ -69,15 +69,13 @@ class TokenCursor {
               TokenType begin = TokenType::kBeginElement,
               Token* token = nullptr);
 
-  /// Positions at the token at `byte_offset` in `range`: the range's
-  /// `token_index`-th token, with `begins_before` node-begin tokens
-  /// before it in the range — the coordinates of a store location
-  /// (`Store::Located`, a Partial Index memo). Global ordinal and depth
-  /// are not part of a location, so both count from here: ordinals from
-  /// the range's first token (ordinal() == token_index), depth from 0
-  /// at this token.
-  Status SeekTo(RangeId range, uint32_t byte_offset, uint32_t token_index,
-                uint32_t begins_before);
+  /// Positions at the token at `pos` — a store location
+  /// (`Store::Located`, a Partial Index memo) — with its node id from
+  /// `pos.begins_before`. Global ordinal and depth are not part of a
+  /// location, so both count from here: ordinals from the range's first
+  /// token (ordinal() == pos.token_index), depth from 0 at this token.
+  /// `pos.codec` is not consulted: the range's metadata supplies it.
+  Status SeekTo(const TokenPos& pos);
 
   bool Valid() const { return valid_; }
 
@@ -129,9 +127,6 @@ class TokenCursor {
   /// Range currently being streamed.
   RangeId range() const { return meta_.id; }
 
-  /// Codec version of the current range's payload.
-  uint8_t codec() const { return meta_.codec; }
-
   /// Byte offset of the current token within its range's payload (the
   /// coordinate the Partial and Structural indexes memoize).
   uint32_t byte_offset() const { return byte_offset_; }
@@ -141,17 +136,15 @@ class TokenCursor {
     return static_cast<uint32_t>(reader_.offset()) - byte_offset_;
   }
 
-  /// Index of the current token within its range. A structural entry
-  /// carries no such index, so after Seek(entry) it is exact only once
-  /// the cursor has moved into the next range.
-  uint32_t token_index() const {
-    return static_cast<uint32_t>(ordinal() - range_first_ordinal_);
-  }
-
-  /// Node-begin tokens in the current range before the current token.
-  uint32_t begins_before() const {
-    return static_cast<uint32_t>(next_id_ - meta_.start_id) -
-           (TokenBeginsNode(type_) ? 1 : 0);
+  /// Position of the current token. A structural entry carries no
+  /// token index, so after Seek(entry) its token_index is exact only
+  /// once the cursor has moved into the next range.
+  TokenPos pos() const {
+    return {meta_.id, byte_offset_,
+            static_cast<uint32_t>(ordinal() - range_first_ordinal_),
+            static_cast<uint32_t>(next_id_ - meta_.start_id) -
+                (TokenBeginsNode(type_) ? 1 : 0),
+            meta_.codec};
   }
 
   /// Token headers SkipSubtree() calls have read (Next() reads one per

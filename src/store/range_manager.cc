@@ -78,16 +78,8 @@ Status RangeManager::PutMeta(const RangeMeta& meta) {
   return meta_tree_.Insert(meta.id, Slice(v, kRangeMetaValueSize));
 }
 
-Status RangeManager::UpdateMeta(const RangeMeta& meta) {
-  return PutMeta(meta);
-}
-
 Result<std::vector<uint8_t>> RangeManager::ReadPayload(RangeId id) const {
   return records_->Read(id);
-}
-
-Status RangeManager::UpdatePayload(RangeId id, Slice payload) {
-  return records_->Update(id, payload);
 }
 
 Result<RangeId> RangeManager::InsertRangeAfter(RangeId left, Slice payload,
@@ -138,11 +130,10 @@ Result<RangeId> RangeManager::InsertRangeAfter(RangeId left, Slice payload,
   return rid;
 }
 
-Result<RangeId> RangeManager::Split(RangeId id, uint32_t byte_offset,
-                                    uint32_t token_index,
-                                    uint64_t begins_before) {
+Result<RangeId> RangeManager::Split(const TokenPos& cut) {
+  const RangeId id = cut.range;
   LAXML_ASSIGN_OR_RETURN(RangeMeta meta, GetMeta(id));
-  if (byte_offset == 0 || byte_offset >= meta.byte_len) {
+  if (cut.offset == 0 || cut.offset >= meta.byte_len) {
     return Status::InvalidArgument("split offset not strictly inside range");
   }
   LAXML_ASSIGN_OR_RETURN(std::vector<uint8_t> payload, ReadPayload(id));
@@ -151,21 +142,20 @@ Result<RangeId> RangeManager::Split(RangeId id, uint32_t byte_offset,
   }
 
   // Tail metadata.
-  uint64_t tail_id_count = meta.id_count - begins_before;
-  NodeId tail_start = tail_id_count > 0 ? meta.start_id + begins_before
-                                        : kInvalidNodeId;
-  Slice tail_bytes(payload.data() + byte_offset,
-                   payload.size() - byte_offset);
-  uint32_t tail_tokens = meta.token_count - token_index;
+  uint64_t tail_id_count = meta.id_count - cut.begins_before;
+  NodeId tail_start =
+      tail_id_count > 0 ? meta.start_id + cut.begins_before : kInvalidNodeId;
+  Slice tail_bytes(payload.data() + cut.offset, payload.size() - cut.offset);
+  uint32_t tail_tokens = meta.token_count - cut.token_index;
 
   // Fix the index before structurally changing anything: the original
   // interval shrinks (or disappears) and the tail interval appears.
   if (meta.has_ids()) {
-    if (begins_before == 0) {
+    if (cut.begins_before == 0) {
       LAXML_RETURN_IF_ERROR(index_.Erase(meta.start_id));
-    } else if (begins_before < meta.id_count) {
+    } else if (cut.begins_before < meta.id_count) {
       LAXML_RETURN_IF_ERROR(index_.Truncate(
-          meta.start_id, meta.start_id + begins_before - 1));
+          meta.start_id, meta.start_id + cut.begins_before - 1));
     }
   }
 
@@ -179,14 +169,14 @@ Result<RangeId> RangeManager::Split(RangeId id, uint32_t byte_offset,
 
   // Shrink the head payload and metadata.
   LAXML_RETURN_IF_ERROR(
-      records_->Update(id, Slice(payload.data(), byte_offset)));
+      records_->Update(id, Slice(payload.data(), cut.offset)));
   LAXML_ASSIGN_OR_RETURN(RangeMeta head, GetMeta(id));  // next updated
-  head.byte_len = byte_offset;
-  head.token_count = token_index;
-  head.id_count = begins_before;
-  if (begins_before == 0) head.start_id = kInvalidNodeId;
+  head.byte_len = cut.offset;
+  head.token_count = cut.token_index;
+  head.id_count = cut.begins_before;
+  if (cut.begins_before == 0) head.start_id = kInvalidNodeId;
   LAXML_RETURN_IF_ERROR(ComputeDepthProfile(
-      payload.data(), byte_offset, codec_for(head), &head.depth_delta,
+      payload.data(), cut.offset, codec_for(head), &head.depth_delta,
       &head.min_depth));
   LAXML_RETURN_IF_ERROR(PutMeta(head));
 

@@ -59,14 +59,12 @@ class RangeManager {
                                    uint32_t token_count,
                                    uint8_t codec = kTokenCodecV1);
 
-  /// Splits `id` at a token boundary: the head keeps the first
-  /// `token_index` tokens (`byte_offset` bytes, `begins_before` of the
-  /// range's node-beginning tokens); the rest moves to a fresh tail
-  /// range chained right after. Returns the tail's id. Both halves'
-  /// Range Index entries are fixed up. Fails on offset 0 or byte_len
-  /// (nothing to split).
-  Result<RangeId> Split(RangeId id, uint32_t byte_offset,
-                        uint32_t token_index, uint64_t begins_before);
+  /// Splits `cut.range` just before the token at `cut`: the head keeps
+  /// the `cut.token_index` tokens (`cut.offset` bytes, `cut.begins_before`
+  /// node begins) before it; the rest moves to a fresh tail range chained
+  /// right after. Returns the tail's id. Both halves' Range Index entries
+  /// are fixed up. Fails on offset 0 or byte_len (nothing to split).
+  Result<RangeId> Split(const TokenPos& cut);
 
   /// Unlinks and destroys a range (payload, meta, index interval).
   Status DeleteRange(RangeId id);
@@ -82,13 +80,6 @@ class RangeManager {
   /// combined interval, successor destroyed). Caller must have checked
   /// CanMergeWithNext. The inverse of Split.
   Status MergeWithNext(RangeId id);
-
-  /// Rewrites a range's payload in place, keeping its chain position.
-  /// Used by splits; metadata must be updated via UpdateMeta.
-  Status UpdatePayload(RangeId id, Slice payload);
-
-  /// Persists modified metadata.
-  Status UpdateMeta(const RangeMeta& meta);
 
   /// Heap page anchoring the range payload (paper's "BlockId").
   Result<PageId> BlockOf(RangeId id) const { return records_->PageOf(id); }

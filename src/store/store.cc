@@ -452,8 +452,8 @@ Status Store::FetchTokenAt(Located* loc) const {
   const RecordStore* records = ranges_->range_records();
   LAXML_ASSIGN_OR_RETURN(
       RecordSlice slice,
-      records->PinSlice(loc->range, loc->byte_offset, kTokenProbeBytes));
-  const TokenCodecContext ctx(loc->codec, dict_.get());
+      records->PinSlice(loc->pos.range, loc->pos.offset, kTokenProbeBytes));
+  const TokenCodecContext ctx(loc->pos.codec, dict_.get());
   TokenReader reader{slice.bytes(), ctx};
   Status st = reader.Next(&loc->token);
   if (st.ok()) {
@@ -463,14 +463,14 @@ Status Store::FetchTokenAt(Located* loc) const {
   if (slice.size() < kTokenProbeBytes) return st;
   // The token is longer than the probe; read the full remainder.
   LAXML_ASSIGN_OR_RETURN(
-      slice, records->PinSlice(loc->range, loc->byte_offset, UINT32_MAX));
+      slice, records->PinSlice(loc->pos.range, loc->pos.offset, UINT32_MAX));
   TokenReader full_reader{slice.bytes(), ctx};
   LAXML_RETURN_IF_ERROR(full_reader.Next(&loc->token));
   loc->encoded_len = static_cast<uint32_t>(full_reader.offset());
   return Status::OK();
 }
 
-Result<Store::Located> Store::LocateBegin(NodeId id, bool need_begin_count,
+Result<Store::Located> Store::LocateBegin(NodeId id,
                                           const PartialEntry* probed) {
   if (id == kInvalidNodeId || id >= next_node_id_) {
     return Status::NotFound("node id was never allocated");
@@ -479,11 +479,8 @@ Result<Store::Located> Store::LocateBegin(NodeId id, bool need_begin_count,
     LAXML_ASSIGN_OR_RETURN(TokenLocation tl, full_->Get(id));
     LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(tl.range_id));
     Located loc;
-    loc.range = tl.range_id;
-    loc.byte_offset = tl.byte_offset;
-    loc.token_index = tl.token_index;
-    loc.begins_before = static_cast<uint32_t>(id - meta.start_id);
-    loc.codec = meta.codec;
+    loc.pos = {tl.range_id, tl.byte_offset, tl.token_index,
+               static_cast<uint32_t>(id - meta.start_id), meta.codec};
     LAXML_RETURN_IF_ERROR(FetchTokenAt(&loc));
     return loc;
   }
@@ -493,16 +490,8 @@ Result<Store::Located> Store::LocateBegin(NodeId id, bool need_begin_count,
   } else {
     partial_.Lookup(id, &memo);
   }
-  if (memo.has_begin) {
-    Located loc;
-    loc.range = memo.begin_range;
-    loc.byte_offset = memo.begin_offset;
-    loc.token_index = memo.begin_token_index;
-    loc.codec = memo.begin_codec;
-    if (need_begin_count) {
-      LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(loc.range));
-      loc.begins_before = static_cast<uint32_t>(id - meta.start_id);
-    }
+  if (memo.begin) {
+    Located loc{.pos = *memo.begin};
     LAXML_RETURN_IF_ERROR(FetchTokenAt(&loc));
     return loc;
   }
@@ -511,14 +500,13 @@ Result<Store::Located> Store::LocateBegin(NodeId id, bool need_begin_count,
   // target token's strings are decoded.
   LAXML_ASSIGN_OR_RETURN(RangeId rid, ranges_->index().Lookup(id));
   TokenCursor cursor(ranges_.get());
-  LAXML_RETURN_IF_ERROR(cursor.SeekTo(rid, 0, 0, 0));
+  LAXML_RETURN_IF_ERROR(cursor.SeekTo({.range = rid}));
   while (cursor.Valid() && cursor.range() == rid) {
     if (cursor.node_id() == id) {
+      Located loc{cursor.pos(), cursor.token(), cursor.encoded_len()};
       // Headers read: the range's first token through this one.
-      stats_.locate_scan_tokens += cursor.token_index() + 1;
-      Located loc = LocatedAt(cursor);
-      partial_.RecordBegin(id, rid, loc.byte_offset, loc.token_index,
-                           loc.codec);
+      stats_.locate_scan_tokens += loc.pos.token_index + 1;
+      partial_.Record(id, PartialEntry::kBegin, loc.pos);
       return loc;
     }
     LAXML_RETURN_IF_ERROR(cursor.Next());
@@ -532,56 +520,32 @@ Result<Store::Located> Store::LocateEnd(NodeId id, const Located& begin) {
     return begin;  // single-token node: extent is the begin token itself
   }
   PartialEntry memo;
-  if (partial_.Lookup(id, &memo) && memo.has_end) {
-    Located loc;
-    loc.range = memo.end_range;
-    loc.byte_offset = memo.end_offset;
-    loc.token_index = memo.end_token_index;
-    loc.begins_before = memo.end_begins_before;
-    loc.codec = memo.end_codec;
+  if (partial_.Lookup(id, &memo) && memo.end) {
+    Located loc{.pos = *memo.end};
     LAXML_RETURN_IF_ERROR(FetchTokenAt(&loc));
     return loc;
   }
   TokenCursor cursor(ranges_.get());
-  LAXML_RETURN_IF_ERROR(cursor.SeekTo(begin.range, begin.byte_offset,
-                                      begin.token_index,
-                                      begin.begins_before));
+  LAXML_RETURN_IF_ERROR(cursor.SeekTo(begin.pos));
   LAXML_RETURN_IF_ERROR(cursor.SkipSubtree());
   stats_.locate_scan_tokens += cursor.skipped_headers();
-  Located loc = LocatedAt(cursor);
-  partial_.RecordEnd(id, loc.range, loc.byte_offset, loc.token_index,
-                     loc.begins_before, loc.codec);
-  return loc;
-}
-
-Store::Located Store::LocatedAt(const TokenCursor& cursor) {
-  Located loc;
-  loc.range = cursor.range();
-  loc.byte_offset = cursor.byte_offset();
-  loc.token_index = cursor.token_index();
-  loc.begins_before = cursor.begins_before();
-  loc.token = cursor.token();
-  loc.encoded_len = cursor.encoded_len();
-  loc.codec = cursor.codec();
+  Located loc{cursor.pos(), cursor.token(), cursor.encoded_len()};
+  partial_.Record(id, PartialEntry::kEnd, loc.pos);
   return loc;
 }
 
 // ---------------------------------------------------------------------------
 // Structure modification
 
-Result<RangeId> Store::SplitRange(RangeId id, uint32_t byte_offset,
-                                  uint32_t token_index,
-                                  uint64_t begins_before) {
+Result<RangeId> Store::SplitRange(const TokenPos& cut) {
   LAXML_TRACE_SPAN("range_split");
-  LAXML_ASSIGN_OR_RETURN(
-      RangeId tail, ranges_->Split(id, byte_offset, token_index,
-                                   begins_before));
+  LAXML_ASSIGN_OR_RETURN(RangeId tail, ranges_->Split(cut));
   // Offsets memoized for the split range may now be stale (those past
   // the cut now live in the tail); drop them. A split leaves the token
   // stream (and thus pre/post numbering) intact, so the structural
   // index loses only the tag lists with begin tokens in this range.
-  partial_.InvalidateRange(id);
-  structural_->InvalidateRange(id);
+  partial_.InvalidateRange(cut.range);
+  structural_->InvalidateRange(cut.range);
   if (full_ != nullptr) {
     // Eager index maintenance: every id that moved into the tail must be
     // re-pointed. This is the honest cost of the full-index baseline.
@@ -622,62 +586,28 @@ Status Store::ReindexRange(RangeId range, const uint8_t* payload,
 }
 
 Result<Store::Boundary> Store::EnsureBoundaryBefore(const Located& loc) {
-  LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(loc.range));
-  Boundary b;
-  if (loc.byte_offset == 0) {
-    b.left = meta.prev;
-    b.right = loc.range;
-    return b;
+  if (loc.pos.offset == 0) {
+    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(loc.pos.range));
+    return Boundary{.left = meta.prev, .right = loc.pos.range};
   }
-  LAXML_ASSIGN_OR_RETURN(
-      RangeId tail, SplitRange(loc.range, loc.byte_offset, loc.token_index,
-                               loc.begins_before));
-  b.left = loc.range;
-  b.right = tail;
-  b.split = true;
-  b.split_range = loc.range;
-  b.split_offset = loc.byte_offset;
-  b.split_token_index = loc.token_index;
-  b.split_begins = loc.begins_before;
-  return b;
+  LAXML_ASSIGN_OR_RETURN(RangeId tail, SplitRange(loc.pos));
+  return Boundary{.left = loc.pos.range, .right = tail, .cut = loc.pos};
 }
 
 Result<Store::Boundary> Store::EnsureBoundaryAfter(const Located& loc) {
-  LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(loc.range));
+  LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(loc.pos.range));
   // encoded_len, not EncodedTokenSize(loc.token): the latter is v1
   // arithmetic and under-counts nothing but OVER-counts a v2
   // symbol-coded name, landing the "boundary" mid-token.
-  uint32_t after = loc.byte_offset + loc.encoded_len;
-  Boundary b;
-  if (after >= meta.byte_len) {
-    b.left = loc.range;
-    b.right = meta.next;
-    return b;
+  const TokenPos next{loc.pos.range, loc.pos.offset + loc.encoded_len,
+                      loc.pos.token_index + 1,
+                      loc.pos.begins_before + (loc.token.BeginsNode() ? 1 : 0),
+                      loc.pos.codec};
+  if (next.offset >= meta.byte_len) {
+    return Boundary{.left = loc.pos.range, .right = meta.next};
   }
-  uint64_t begins_after =
-      loc.begins_before + (loc.token.BeginsNode() ? 1 : 0);
-  LAXML_ASSIGN_OR_RETURN(
-      RangeId tail,
-      SplitRange(loc.range, after, loc.token_index + 1, begins_after));
-  b.left = loc.range;
-  b.right = tail;
-  b.split = true;
-  b.split_range = loc.range;
-  b.split_offset = after;
-  b.split_token_index = loc.token_index + 1;
-  b.split_begins = begins_after;
-  return b;
-}
-
-void Store::AdjustAfterSplit(const Boundary& b, Located* loc) {
-  if (!b.split || loc->range != b.split_range ||
-      loc->byte_offset < b.split_offset) {
-    return;
-  }
-  loc->range = b.right;
-  loc->byte_offset -= b.split_offset;
-  loc->token_index -= b.split_token_index;
-  loc->begins_before -= static_cast<uint32_t>(b.split_begins);
+  LAXML_ASSIGN_OR_RETURN(RangeId tail, SplitRange(next));
+  return Boundary{.left = loc.pos.range, .right = tail, .cut = next};
 }
 
 Status Store::ValidateFragment(const TokenSequence& data) const {
@@ -820,7 +750,8 @@ Result<NodeId> Store::Apply(WalOp op, NodeId target,
         LAXML_ASSIGN_OR_RETURN(Boundary b, EnsureBoundaryBefore(begin));
         LAXML_ASSIGN_OR_RETURN(first, StoreFragment(data, b.left));
         // The target's begin token now sits at the head of b.right.
-        partial_.RecordBegin(target, b.right, 0, 0, begin.codec);
+        partial_.Record(target, PartialEntry::kBegin,
+                        {b.right, 0, 0, 0, begin.pos.codec});
         ++stats_.inserts;
         break;
       }
@@ -831,11 +762,9 @@ Result<NodeId> Store::Apply(WalOp op, NodeId target,
         LAXML_ASSIGN_OR_RETURN(first, StoreFragment(data, b.left));
         // Both the begin and end tokens stayed in the head side of any
         // split.
-        partial_.RecordBegin(target, begin.range, begin.byte_offset,
-                             begin.token_index, begin.codec);
+        partial_.Record(target, PartialEntry::kBegin, begin.pos);
         if (begin.token.OpensScope()) {
-          partial_.RecordEnd(target, end.range, end.byte_offset,
-                             end.token_index, end.begins_before, end.codec);
+          partial_.Record(target, PartialEntry::kEnd, end.pos);
         }
         ++stats_.inserts;
         break;
@@ -847,8 +776,7 @@ Result<NodeId> Store::Apply(WalOp op, NodeId target,
         }
         LAXML_ASSIGN_OR_RETURN(Boundary b, EnsureBoundaryAfter(begin));
         LAXML_ASSIGN_OR_RETURN(first, StoreFragment(data, b.left));
-        partial_.RecordBegin(target, begin.range, begin.byte_offset,
-                             begin.token_index, begin.codec);
+        partial_.Record(target, PartialEntry::kBegin, begin.pos);
         ++stats_.inserts;
         break;
       }
@@ -864,12 +792,11 @@ Result<NodeId> Store::Apply(WalOp op, NodeId target,
         // kept its place (any split happened at or before the end token,
         // which is strictly after the begin token); the end token now
         // heads b.right.
-        if (begin.range != b.split_range || !b.split ||
-            begin.byte_offset < b.split_offset) {
-          partial_.RecordBegin(target, begin.range, begin.byte_offset,
-                               begin.token_index, begin.codec);
+        if (!b.Moved(begin.pos)) {
+          partial_.Record(target, PartialEntry::kBegin, begin.pos);
         }
-        partial_.RecordEnd(target, b.right, 0, 0, 0, end.codec);
+        partial_.Record(target, PartialEntry::kEnd,
+                        {b.right, 0, 0, 0, end.pos.codec});
         ++stats_.inserts;
         break;
       }
@@ -878,7 +805,7 @@ Result<NodeId> Store::Apply(WalOp op, NodeId target,
         LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(target));
         LAXML_ASSIGN_OR_RETURN(Located end, LocateEnd(target, begin));
         LAXML_ASSIGN_OR_RETURN(Boundary left_b, EnsureBoundaryBefore(begin));
-        AdjustAfterSplit(left_b, &end);
+        end.pos = left_b.Rebased(end.pos);
         LAXML_ASSIGN_OR_RETURN(Boundary right_b, EnsureBoundaryAfter(end));
         LAXML_RETURN_IF_ERROR(
             DeleteRangesBetween(left_b.right, right_b.right));
@@ -899,16 +826,16 @@ Result<NodeId> Store::Apply(WalOp op, NodeId target,
         }
         LAXML_ASSIGN_OR_RETURN(Located end, LocateEnd(target, begin));
         LAXML_ASSIGN_OR_RETURN(Boundary first_b, EnsureBoundaryAfter(begin));
-        AdjustAfterSplit(first_b, &end);
+        end.pos = first_b.Rebased(end.pos);
         LAXML_ASSIGN_OR_RETURN(Boundary second_b, EnsureBoundaryBefore(end));
         LAXML_RETURN_IF_ERROR(
             DeleteRangesBetween(first_b.right, second_b.right));
         if (!data.empty()) {
           LAXML_ASSIGN_OR_RETURN(first, StoreFragment(data, first_b.left));
         }
-        partial_.RecordBegin(target, begin.range, begin.byte_offset,
-                             begin.token_index, begin.codec);
-        partial_.RecordEnd(target, second_b.right, 0, 0, 0, end.codec);
+        partial_.Record(target, PartialEntry::kBegin, begin.pos);
+        partial_.Record(target, PartialEntry::kEnd,
+                        {second_b.right, 0, 0, 0, end.pos.codec});
         ++stats_.replaces;
         break;
       }
@@ -969,13 +896,7 @@ Status Store::ReadSubtree(const Located& start, NodeId id,
     return Status::OK();
   }
   TokenCursor cursor(ranges_.get());
-  LAXML_RETURN_IF_ERROR(cursor.SeekTo(start.range, start.byte_offset,
-                                      start.token_index,
-                                      start.begins_before));
-  // Read locates without the begin count, so the cursor's ids may start
-  // short of `id`; the shift corrects an end token in the begin's range
-  // (a later range restarts ids from its own start id).
-  const NodeId shift = id - cursor.node_id();
+  LAXML_RETURN_IF_ERROR(cursor.SeekTo(start.pos));
   do {
     LAXML_RETURN_IF_ERROR(cursor.Next(&out->emplace_back()));
     if (!cursor.Valid()) {
@@ -983,29 +904,25 @@ Status Store::ReadSubtree(const Located& start, NodeId id,
                                 " never closes");
     }
   } while (cursor.depth() > 0 || !TokenClosesScope(cursor.type()));
-  *end_loc = LocatedAt(cursor);
-  if (end_loc->range == start.range) {
-    end_loc->begins_before += static_cast<uint32_t>(shift);
-  }
+  *end_loc = {cursor.pos(), cursor.token(), cursor.encoded_len()};
   return Status::OK();
 }
 
-Status Store::ReadMemoizedSubtree(NodeId id, const PartialEntry& memo,
+Status Store::ReadMemoizedSubtree(NodeId id, const TokenPos& begin,
+                                  const TokenPos& end,
                                   TokenSequence* out) const {
-  if (memo.end_offset <= memo.begin_offset ||
-      memo.end_token_index <= memo.begin_token_index) {
+  if (end.offset <= begin.offset || end.token_index <= begin.token_index) {
     return Status::Corruption("memoized end of node " + std::to_string(id) +
                               " does not follow its begin");
   }
-  const uint32_t span = memo.end_offset - memo.begin_offset;
+  const uint32_t span = end.offset - begin.offset;
   LAXML_ASSIGN_OR_RETURN(
-      RecordSlice slice, ranges_->range_records()->PinSlice(
-                             memo.begin_range, memo.begin_offset,
-                             size_t{span} + kMaxClosingTokenBytes));
+      RecordSlice slice,
+      ranges_->range_records()->PinSlice(begin.range, begin.offset,
+                                         size_t{span} + kMaxClosingTokenBytes));
   TokenReader reader{slice.bytes(),
-                     TokenCodecContext(memo.begin_codec, dict_.get())};
-  out->reserve(out->size() + memo.end_token_index - memo.begin_token_index +
-               1);
+                     TokenCodecContext(begin.codec, dict_.get())};
+  out->reserve(out->size() + end.token_index - begin.token_index + 1);
   int64_t depth = 0;
   while (!reader.AtEnd()) {
     const size_t offset = reader.offset();
@@ -1028,16 +945,15 @@ Result<TokenSequence> Store::Read(NodeId id) {
   // One Partial Index probe serves both the memo-hit path and the locate.
   PartialEntry memo;
   partial_.Lookup(id, &memo);
-  if (memo.has_begin && memo.has_end && memo.end_range == memo.begin_range) {
-    LAXML_RETURN_IF_ERROR(ReadMemoizedSubtree(id, memo, &out));
+  if (memo.begin && memo.end && memo.end->range == memo.begin->range) {
+    LAXML_RETURN_IF_ERROR(
+        ReadMemoizedSubtree(id, *memo.begin, *memo.end, &out));
   } else {
-    LAXML_ASSIGN_OR_RETURN(
-        Located begin, LocateBegin(id, /*need_begin_count=*/false, &memo));
+    LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id, &memo));
     Located end;
     LAXML_RETURN_IF_ERROR(ReadSubtree(begin, id, &out, &end));
     if (begin.token.OpensScope()) {
-      partial_.RecordEnd(id, end.range, end.byte_offset, end.token_index,
-                         end.begins_before, end.codec);
+      partial_.Record(id, PartialEntry::kEnd, end.pos);
     }
   }
   ++stats_.reads_by_id;
@@ -1045,8 +961,7 @@ Result<TokenSequence> Store::Read(NodeId id) {
 }
 
 Result<Token> Store::Describe(NodeId id) {
-  LAXML_ASSIGN_OR_RETURN(Located begin,
-                         LocateBegin(id, /*need_begin_count=*/false));
+  LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id));
   return begin.token;
 }
 

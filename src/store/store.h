@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -300,34 +301,36 @@ class Store {
 
   Store(std::unique_ptr<Pager> pager, const StoreOptions& options);
 
-  /// Exact position of a token inside a range.
+  /// A located token: where it sits and what it is.
   struct Located {
-    RangeId range = kInvalidRangeId;
-    uint32_t byte_offset = 0;
-    uint32_t token_index = 0;
-    /// Node-beginning tokens in the range strictly before this one.
-    uint32_t begins_before = 0;
-    Token token;
-    /// Encoded length of `token` under the range's codec — byte_offset +
+    TokenPos pos;
+    Token token = {};
+    /// Encoded length of `token` under `pos.codec` — pos.offset +
     /// encoded_len is the next token's offset. Never recompute this from
     /// the token (EncodedTokenSize is v1 arithmetic; the range may be v2).
     uint32_t encoded_len = 0;
-    /// Codec version of the containing range (decode context for
-    /// follow-on payload reads without re-fetching the range meta).
-    uint8_t codec = kTokenCodecV1;
   };
 
-  /// A range boundary where new ranges get linked, with enough detail
-  /// about the split (if one was performed) to rebase other Located
-  /// positions inside the split range.
+  /// A range boundary where new ranges get linked.
   struct Boundary {
     RangeId left = kInvalidRangeId;   ///< Range before the gap.
     RangeId right = kInvalidRangeId;  ///< Range after the gap.
-    bool split = false;               ///< A range was split to make this.
-    RangeId split_range = kInvalidRangeId;  ///< The range that was split.
-    uint32_t split_offset = 0;
-    uint32_t split_token_index = 0;
-    uint64_t split_begins = 0;
+    /// Where a range was split to make the gap (its tail is `right`);
+    /// empty when the gap already was a range boundary.
+    std::optional<TokenPos> cut = std::nullopt;
+
+    /// True when the split moved the token at `pos` into `right`.
+    bool Moved(const TokenPos& pos) const {
+      return cut && pos.range == cut->range && pos.offset >= cut->offset;
+    }
+    /// `pos` after the split: the same token in `right`, counted from the
+    /// cut, when Moved; else `pos` unchanged.
+    TokenPos Rebased(const TokenPos& pos) const {
+      if (!Moved(pos)) return pos;
+      return {right, pos.offset - cut->offset,
+              pos.token_index - cut->token_index,
+              pos.begins_before - cut->begins_before, pos.codec};
+    }
   };
 
   Status Bootstrap(bool fresh);
@@ -356,19 +359,16 @@ class Store {
   /// epoch (see WalOp::kCheckpoint).
   Status AppendCheckpointHeader();
 
-  /// `need_begin_count` controls whether begins_before must be filled
-  /// (boundary/split callers need it; plain reads do not, and skipping
-  /// it saves a metadata probe on the memoized fast path). `probed` is
-  /// the caller's own Partial Index lookup of `id` (an empty entry on a
-  /// miss); null makes LocateBegin look it up.
-  Result<Located> LocateBegin(NodeId id, bool need_begin_count = true,
-                              const PartialEntry* probed = nullptr);
+  /// Locates the begin token of node `id`: the full index under
+  /// kFullIndex, else a Partial Index hit, else a Range Index probe and a
+  /// scan from the range's first token (memoized). Every result carries
+  /// the token's begin count, ready for a split or a cursor seek.
+  /// `probed` is the caller's own Partial Index lookup of `id` (an empty
+  /// entry on a miss); null makes LocateBegin look it up.
+  Result<Located> LocateBegin(NodeId id, const PartialEntry* probed = nullptr);
   /// Locates the end token of the node whose begin is `begin` (returns
-  /// `begin` itself for single-token nodes). `begin.begins_before` must
-  /// be filled.
+  /// `begin` itself for single-token nodes).
   Result<Located> LocateEnd(NodeId id, const Located& begin);
-  /// The cursor's current token as a Located.
-  static Located LocatedAt(const TokenCursor& cursor);
 
   /// Splits ranges as needed so that the position just before the token
   /// at `loc` is a range boundary.
@@ -376,12 +376,9 @@ class Store {
   /// Same for the position just after the token at `loc`.
   Result<Boundary> EnsureBoundaryAfter(const Located& loc);
 
-  /// Rebases `loc` when `b`'s split moved its tokens to the tail range.
-  static void AdjustAfterSplit(const Boundary& b, Located* loc);
-
-  /// Reads the token at `loc->range` / `loc->byte_offset` under
-  /// `loc->codec` (a short slice first, then the full remainder on
-  /// truncation), filling loc->token and loc->encoded_len.
+  /// Reads the token at `loc->pos` under `loc->pos.codec` (a short slice
+  /// first, then the full remainder on truncation), filling loc->token
+  /// and loc->encoded_len.
   Status FetchTokenAt(Located* loc) const;
   /// FetchTokenAt's first slice: enough for any token without a long
   /// text or attribute value.
@@ -389,9 +386,9 @@ class Store {
 
   Status LogOp(WalOp op, NodeId target, const TokenSequence& data);
 
-  /// Split + invalidation + (in full mode) tail re-pointing.
-  Result<RangeId> SplitRange(RangeId id, uint32_t byte_offset,
-                             uint32_t token_index, uint64_t begins_before);
+  /// Splits just before the token at `cut`, then invalidates and (in full
+  /// mode) re-points the tail. Returns the tail range.
+  Result<RangeId> SplitRange(const TokenPos& cut);
 
   /// Validates an update payload fragment.
   Status ValidateFragment(const TokenSequence& data) const;
@@ -433,18 +430,18 @@ class Store {
   /// `right_boundary` (exclusive), i.e. [first_doomed, right_boundary).
   Status DeleteRangesBetween(RangeId first_doomed, RangeId right_boundary);
 
-  /// Reads tokens from `start` until the node that begins there closes;
-  /// appends to *out. *end_loc receives the end token's location (so
-  /// Read(id) can memoize it in the Partial Index).
+  /// Reads tokens from `start`, the begin token of node `id`, until the
+  /// node closes; appends to *out. *end_loc receives the end token's
+  /// location (so Read(id) can memoize it in the Partial Index).
   Status ReadSubtree(const Located& start, NodeId id, TokenSequence* out,
                      Located* end_loc);
 
-  /// Read(id) on a Partial Index entry whose begin and end are memoized
-  /// in the same range: one slice from the begin token through the end
-  /// token, decoded with the memo's codec. Corruption unless the subtree
-  /// closes exactly at the memoized end offset.
-  Status ReadMemoizedSubtree(NodeId id, const PartialEntry& memo,
-                             TokenSequence* out) const;
+  /// Read(id) on a Partial Index entry whose `begin` and `end` are
+  /// memoized in the same range: one slice from the begin token through
+  /// the end token, decoded with the memo's codec. Corruption unless the
+  /// subtree closes exactly at the memoized end offset.
+  Status ReadMemoizedSubtree(NodeId id, const TokenPos& begin,
+                             const TokenPos& end, TokenSequence* out) const;
 
   /// In full-index mode, (re)indexes every id-bearing token of a range
   /// payload (encoded with `codec`).

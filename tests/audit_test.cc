@@ -113,9 +113,10 @@ TEST(AuditTest, StalePartialMemoIsDetectedWithCoordinates) {
   // Plant a memo whose offset is not a token boundary: node 2 ("a")
   // allegedly begins at byte 1 of the first range.
   RangeId range = store->range_manager().first_range();
-  store->mutable_partial_index().RecordBegin(/*id=*/2, range,
-                                             /*byte_offset=*/1,
-                                             /*token_index=*/7, /*codec=*/kTokenCodecV2);
+  store->mutable_partial_index().Record(
+      /*id=*/2, PartialEntry::kBegin,
+      {range, /*offset=*/1, /*token_index=*/7, /*begins_before=*/0,
+       kTokenCodecV2});
   AuditReport report = Audit(store.get());
   ASSERT_FALSE(report.ok());
   bool found = false;
@@ -138,14 +139,43 @@ TEST(AuditTest, MemoPointingAtWrongNodeIsDetected) {
   ASSERT_OK_AND_ASSIGN(auto subtree, store->Read(2));
   (void)subtree;
   RangeId range = store->range_manager().first_range();
-  store->mutable_partial_index().RecordBegin(/*id=*/2, range,
-                                             /*byte_offset=*/0,
-                                             /*token_index=*/0, /*codec=*/kTokenCodecV2);
+  store->mutable_partial_index().Record(
+      /*id=*/2, PartialEntry::kBegin,
+      {range, /*offset=*/0, /*token_index=*/0, /*begins_before=*/0,
+       kTokenCodecV2});
   AuditReport report = Audit(store.get());
   ASSERT_FALSE(report.ok());
   bool found = false;
   for (const AuditIssue& issue : report.issues) {
     if (issue.layer == AuditLayer::kPartialIndex && issue.node == 2) {
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found) << report.ToString();
+}
+
+TEST(AuditTest, BeginMemoWithWrongBeginCountIsDetected) {
+  ASSERT_OK_AND_ASSIGN(
+      auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));
+  ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a></root>").status());
+  ASSERT_LAXML_OK(store->Read(2).status());  // memoizes node 2 legitimately
+  EXPECT_TRUE(Audit(store.get()).ok());
+  // Same token, one node begin too many: a split there would misnumber
+  // the tail's ids.
+  PartialEntry e;
+  ASSERT_TRUE(store->mutable_partial_index().Lookup(2, &e));
+  ASSERT_TRUE(e.begin.has_value());
+  ASSERT_EQ(e.begin->begins_before, 1u);
+  TokenPos wrong = *e.begin;
+  wrong.begins_before = 2;
+  store->mutable_partial_index().Record(2, PartialEntry::kBegin, wrong);
+  AuditReport report = Audit(store.get());
+  ASSERT_FALSE(report.ok());
+  bool found = false;
+  for (const AuditIssue& issue : report.issues) {
+    if (issue.layer == AuditLayer::kPartialIndex && issue.node == 2 &&
+        issue.message.find("begin memo begins_before is 2, actual 1") !=
+            std::string::npos) {
       found = true;
     }
   }
@@ -161,12 +191,11 @@ TEST(AuditTest, MemoCodecMismatchIsDetected) {
   // Same location, wrong codec: a memo hit would decode v2 bytes as v1.
   PartialEntry e;
   ASSERT_TRUE(store->mutable_partial_index().Lookup(2, &e));
-  ASSERT_TRUE(e.has_end);
-  ASSERT_EQ(e.end_codec, kTokenCodecV2);
-  store->mutable_partial_index().RecordEnd(2, e.end_range, e.end_offset,
-                                           e.end_token_index,
-                                           e.end_begins_before,
-                                           /*codec=*/kTokenCodecV1);
+  ASSERT_TRUE(e.end.has_value());
+  ASSERT_EQ(e.end->codec, kTokenCodecV2);
+  TokenPos wrong = *e.end;
+  wrong.codec = kTokenCodecV1;
+  store->mutable_partial_index().Record(2, PartialEntry::kEnd, wrong);
   AuditReport report = Audit(store.get());
   ASSERT_FALSE(report.ok());
   bool found = false;
@@ -306,8 +335,9 @@ TEST(AuditTest, LayertogglesSkipLegs) {
   ASSERT_OK_AND_ASSIGN(
       auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));
   ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a></root>").status());
-  store->mutable_partial_index().RecordBegin(2, store->range_manager().first_range(),
-                                             1, 7, /*codec=*/kTokenCodecV2);
+  store->mutable_partial_index().Record(
+      2, PartialEntry::kBegin,
+      {store->range_manager().first_range(), 1, 7, 0, kTokenCodecV2});
   AuditOptions options;
   options.check_partial_index = false;
   AuditReport report = Audit(store.get(), options);
@@ -320,7 +350,8 @@ TEST(AuditTest, MaxIssuesTruncates) {
   ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a><b>y</b></root>").status());
   RangeId range = store->range_manager().first_range();
   for (NodeId id = 2; id <= 5; ++id) {
-    store->mutable_partial_index().RecordBegin(id, range, 1, 7, /*codec=*/kTokenCodecV2);
+    store->mutable_partial_index().Record(id, PartialEntry::kBegin,
+                                          {range, 1, 7, 0, kTokenCodecV2});
   }
   AuditOptions options;
   options.max_issues = 2;
@@ -355,9 +386,10 @@ TEST(AuditTest, ParanoidIntervalAuditsAutomatically) {
   // Poison the partial index with a memo into a range that does not
   // exist (so no later invalidation can quietly repair it), then mutate
   // until the auto-audit trips.
-  store->mutable_partial_index().RecordBegin(2, /*range=*/9999,
-                                             /*byte_offset=*/1,
-                                             /*token_index=*/7, /*codec=*/kTokenCodecV2);
+  store->mutable_partial_index().Record(
+      2, PartialEntry::kBegin,
+      {/*range=*/9999, /*offset=*/1, /*token_index=*/7, /*begins_before=*/0,
+       kTokenCodecV2});
   Status st = Status::OK();
   for (int i = 0; i < 8 && st.ok(); ++i) {
     st = store->InsertIntoLast(first, MustFragment("<m/>")).status();

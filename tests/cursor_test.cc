@@ -63,8 +63,8 @@ std::vector<Spot> BruteForceSpots(Store* store, TokenSequence* tokens,
 void ExpectAt(const TokenCursor& cursor, const Spot& want, size_t i) {
   EXPECT_EQ(cursor.range(), want.range) << "token " << i;
   EXPECT_EQ(cursor.byte_offset(), want.offset) << "token " << i;
-  EXPECT_EQ(cursor.token_index(), want.index) << "token " << i;
-  EXPECT_EQ(cursor.begins_before(), want.begins_before) << "token " << i;
+  EXPECT_EQ(cursor.pos().token_index, want.index) << "token " << i;
+  EXPECT_EQ(cursor.pos().begins_before, want.begins_before) << "token " << i;
   EXPECT_EQ(cursor.encoded_len(), want.encoded_len) << "token " << i;
 }
 
@@ -198,7 +198,7 @@ TEST(CursorTest, SeekToLocationThenSkipSubtreeMatchesBruteForce) {
 
   // A scan from the first range's first token reports every position.
   TokenCursor cursor(&store->range_manager());
-  ASSERT_LAXML_OK(cursor.SeekTo(spots[0].range, 0, 0, 0));
+  ASSERT_LAXML_OK(cursor.SeekTo({spots[0].range, 0, 0, 0}));
   for (size_t i = 0; i < tokens.size(); ++i) {
     ASSERT_TRUE(cursor.Valid()) << "token " << i;
     ExpectAt(cursor, spots[i], i);
@@ -213,7 +213,7 @@ TEST(CursorTest, SeekToLocationThenSkipSubtreeMatchesBruteForce) {
     if (!tokens[b].OpensScope()) continue;
     const Spot& at = spots[b];
     ASSERT_LAXML_OK(
-        cursor.SeekTo(at.range, at.offset, at.index, at.begins_before));
+        cursor.SeekTo({at.range, at.offset, at.index, at.begins_before}));
     ExpectAt(cursor, at, b);
     EXPECT_EQ(cursor.node_id(), ids[b]);
     EXPECT_EQ(cursor.token(), tokens[b]);

@@ -91,7 +91,7 @@ TEST_F(RangeManagerTest, SplitDividesTokensAndIds) {
   ASSERT_LAXML_OK(reader.Next(&t));
   ASSERT_LAXML_OK(reader.Next(&t));
   uint32_t offset = static_cast<uint32_t>(reader.offset());
-  ASSERT_OK_AND_ASSIGN(RangeId tail, manager_->Split(a, offset, 2, 2));
+  ASSERT_OK_AND_ASSIGN(RangeId tail, manager_->Split({a, offset, 2, 2}));
 
   ASSERT_OK_AND_ASSIGN(RangeMeta head_meta, manager_->GetMeta(a));
   EXPECT_EQ(head_meta.token_count, 2u);
@@ -122,7 +122,7 @@ TEST_F(RangeManagerTest, SplitWithIdsOnBothSides) {
   ASSERT_LAXML_OK(reader.Next(&t));  // past </a>
   uint32_t offset = static_cast<uint32_t>(reader.offset());
   ASSERT_OK_AND_ASSIGN(RangeId tail,
-                       manager_->Split(r, offset, 2, 1));
+                       manager_->Split({r, offset, 2, 1}));
   ASSERT_OK_AND_ASSIGN(RangeMeta tail_meta, manager_->GetMeta(tail));
   EXPECT_EQ(tail_meta.start_id, 2u);
   EXPECT_EQ(tail_meta.id_count, 2u);
@@ -137,9 +137,9 @@ TEST_F(RangeManagerTest, SplitWithIdsOnBothSides) {
 TEST_F(RangeManagerTest, SplitAtEdgesRejected) {
   RangeId a = AddRange(kInvalidRangeId, "<a/>", 1);
   ASSERT_OK_AND_ASSIGN(RangeMeta meta, manager_->GetMeta(a));
-  EXPECT_TRUE(manager_->Split(a, 0, 0, 0).status().IsInvalidArgument());
-  EXPECT_TRUE(manager_->Split(a, meta.byte_len, meta.token_count,
-                              meta.id_count)
+  EXPECT_TRUE(manager_->Split({a, 0, 0, 0}).status().IsInvalidArgument());
+  EXPECT_TRUE(manager_->Split({a, meta.byte_len, meta.token_count,
+                               static_cast<uint32_t>(meta.id_count)})
                   .status()
                   .IsInvalidArgument());
 }

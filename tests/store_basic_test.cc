@@ -286,17 +286,33 @@ TEST_P(StoreBasicTest, DescribeReturnsBeginToken) {
 }
 
 TEST_P(StoreBasicTest, ReadAfterMemoizedBeginKeepsSplitsExact) {
-  // Ids: r 1, x 2, a 3, b 4, text 5, c 6. Describe memoizes only <a>'s
-  // begin; Read then memoizes its end, whose count of earlier node
-  // begins must be exact: InsertAfter splits the range there.
+  // Ids: r 1, x 2, a 3, b 4, text 5, c 6, all in one range. Describe
+  // memoizes only <a>'s begin, two node begins into the range. Read
+  // seeks there, regenerating ids from the memo's own begin count, and
+  // memoizes <a>'s end, whose count of earlier node begins must be
+  // exact: InsertAfter splits the range there.
   ASSERT_LAXML_OK(
       store_->LoadXml("<r><x/><a><b/>text</a><c/></r>").status());
   ASSERT_LAXML_OK(store_->Describe(3).status());
-  ASSERT_LAXML_OK(store_->Read(3).status());
+  const bool memoizes = GetParam() == IndexMode::kRangeWithPartial;
+  if (memoizes) {
+    PartialEntry memo;
+    ASSERT_TRUE(store_->mutable_partial_index().Lookup(3, &memo));
+    ASSERT_TRUE(memo.begin && !memo.end);
+    EXPECT_EQ(memo.begin->begins_before, 2u);
+  }
+  ASSERT_OK_AND_ASSIGN(TokenSequence a, store_->Read(3));
+  EXPECT_EQ(MustSerialize(a), "<a><b/>text</a>");
   EXPECT_LAXML_OK(store_->CheckIntegrity());
+  // With both halves memoized, the inserts locate without scanning.
+  const uint64_t scanned = store_->stats().locate_scan_tokens;
   ASSERT_LAXML_OK(store_->InsertAfter(3, MustFragment("<z/>")).status());
+  ASSERT_LAXML_OK(store_->InsertIntoLast(3, MustFragment("<y/>")).status());
+  if (memoizes) {
+    EXPECT_EQ(store_->stats().locate_scan_tokens, scanned);
+  }
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store_->Read());
-  EXPECT_EQ(MustSerialize(all), "<r><x/><a><b/>text</a><z/><c/></r>");
+  EXPECT_EQ(MustSerialize(all), "<r><x/><a><b/>text<y/></a><z/><c/></r>");
   ASSERT_OK_AND_ASSIGN(TokenSequence c, store_->Read(6));
   EXPECT_EQ(MustSerialize(c), "<c/>");
   EXPECT_LAXML_OK(store_->CheckIntegrity());
@@ -371,15 +387,13 @@ TEST(StoreMemoReadTest, MemoHitChecksTheMemoizedEnd) {
   for (NodeId id : {NodeId{1}, NodeId{2}, NodeId{3}}) {
     ASSERT_LAXML_OK(store->Read(id).status());
   }
-  ASSERT_TRUE(memo.Lookup(1, &r) && r.has_end);
-  ASSERT_TRUE(memo.Lookup(3, &b) && b.has_end);
+  ASSERT_TRUE(memo.Lookup(1, &r) && r.end);
+  ASSERT_TRUE(memo.Lookup(3, &b) && b.end);
   // A real token boundary inside <a> (</b>) and one past it (</r>): a
   // memo-hit read must refuse both rather than return a cut or
   // overlong subtree.
   for (const PartialEntry* wrong : {&b, &r}) {
-    memo.RecordEnd(2, wrong->end_range, wrong->end_offset,
-                   wrong->end_token_index, wrong->end_begins_before,
-                   wrong->end_codec);
+    memo.Record(2, PartialEntry::kEnd, *wrong->end);
     EXPECT_TRUE(store->Read(2).status().IsCorruption());
   }
 }
@@ -429,12 +443,13 @@ TEST(StoreMemoReadTest, WarmOverflowMemoHitPinsNoDirectoryPage) {
     ASSERT_LAXML_OK(store->Read(id).status());
     PartialEntry memo;
     ASSERT_TRUE(store->mutable_partial_index().Lookup(id, &memo));
-    ASSERT_TRUE(memo.has_end && memo.end_range == memo.begin_range);
-    const uint32_t first = memo.begin_offset / piece;
+    ASSERT_TRUE(memo.begin && memo.end &&
+                memo.end->range == memo.begin->range);
+    const uint32_t first = memo.begin->offset / piece;
     // The slice runs from the begin token to kMaxClosingTokenBytes past
     // the end token's first byte, clamped to the record.
     const uint32_t last =
-        std::min<uint32_t>(memo.end_offset + kMaxClosingTokenBytes - 1,
+        std::min<uint32_t>(memo.end->offset + kMaxClosingTokenBytes - 1,
                            loc.len - 1) / piece;
     // The anchor page, then the chain through the slice's last piece.
     EXPECT_EQ(PinsOfRead(store.get(), id), 2u + last) << "node " << id;

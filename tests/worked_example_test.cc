@@ -76,10 +76,10 @@ TEST(WorkedExampleTest, Section45Scenario) {
   // and end (in the split tail, range "3").
   PartialEntry memo;
   ASSERT_TRUE(store->mutable_partial_index().Lookup(60, &memo));
-  EXPECT_TRUE(memo.has_begin);
-  EXPECT_EQ(memo.begin_range, range1);
-  EXPECT_TRUE(memo.has_end);
-  EXPECT_EQ(memo.end_range, e100.range_id);
+  ASSERT_TRUE(memo.begin.has_value());
+  EXPECT_EQ(memo.begin->range, range1);
+  ASSERT_TRUE(memo.end.has_value());
+  EXPECT_EQ(memo.end->range, e100.range_id);
 
   // Semantics: node 60's subtree now ends with the 40-node child.
   ASSERT_OK_AND_ASSIGN(TokenSequence subtree, store->Read(60));
