@@ -8,18 +8,21 @@
 //   eager-first eager index, first query: warms EVERY tag in one scan
 //   eager-warm  eager index thereafter (same joins as warm)
 //
-// plus five more shapes, each as the planner runs it on the warm lazy
+// plus seven more shapes, each as the planner runs it on the warm lazy
 // store and as a forced full scan (the `_scan` rows). The index answers
 // all of them whole, with no scan: a join that counts a '*' step as a
-// level, one onto an attribute's own posting list, and three whose
-// predicates are semi-joins over the postings ([n] per parent, an
-// attribute value compared at its begin token, a child's existence):
+// level, one onto an attribute's own posting list, one onto its
+// elements' text children, and four whose predicates are semi-joins
+// over the postings ([n] per parent, an attribute's and an element's
+// value compared by value key, a child's existence):
 //
 //   wildcard        /site/regions/*/item[1]         (join, [n])
 //   predicate       //item[@category='books']/name  (join, [@a='lit'])
 //   exists_semijoin //person[creditcard]            (join, [p])
 //   wildcard_join   /site/regions/*/item            (structural join)
 //   attribute_join  //item/@category                (structural join)
+//   text_join       //bidder/personref/text()       (join, text())
+//   element_value   //item[quantity='3']            (join, [p='lit'])
 //
 // The headline number is warm vs scan (the issue's acceptance bar is
 // >= 5x); the laziness number is memoized nodes: lazy touches only the
@@ -154,7 +157,9 @@ int main(int argc, char** argv) {
                     {"predicate", "//item[@category='books']/name"},
                     {"exists_semijoin", "//person[creditcard]"},
                     {"wildcard_join", "/site/regions/*/item"},
-                    {"attribute_join", "//item/@category"}};
+                    {"attribute_join", "//item/@category"},
+                    {"text_join", "//bidder/personref/text()"},
+                    {"element_value", "//item[quantity='3']"}};
   // Planned and forced-scan reps alternate, so a drift in host speed
   // hits both rows alike.
   auto time_pair = [&](const XPathPath& p, std::vector<double>* seeded,
@@ -230,9 +235,10 @@ int main(int argc, char** argv) {
       "the expensive one —\nit memoizes every tag — after which it "
       "joins like warm.\nEvery other shape beats its forced-scan row: "
       "the '*' step is a level count,\n@category a posting list, [1] "
-      "and [creditcard] semi-joins over the postings,\nand "
-      "[@category='books'] reads one attribute token per item, no "
-      "subtree.\n");
+      "and [creditcard] semi-joins over the postings,\n"
+      "[@category='books'] and [quantity='3'] compare value keys, and "
+      "text()\nlocates each text leaf's text by arithmetic: none reads "
+      "a token.\n");
 
   if (!json_path.empty()) {
     bench::JsonReport report("bench_xpath");

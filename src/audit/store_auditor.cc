@@ -1,7 +1,9 @@
 #include "audit/store_auditor.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -540,6 +542,83 @@ void StoreAuditor::AuditPartialIndex() {
   }
 }
 
+namespace {
+
+/// The value key (see StructuralEntry) each element and attribute in a
+/// document-order stream of whole tokens should carry. It re-derives
+/// the keys from decoded strings with rules of its own, so a warmer bug
+/// cannot hide behind the warmer's own logic.
+class ValueKeyOracle {
+ public:
+  void OnToken(const Token& token, NodeId id) {
+    if (token.BeginsNode() && !open_.empty()) {
+      Open& parent = open_.back();
+      if (token.type == TokenType::kBeginAttribute && parent.texts == 0) {
+        ++parent.attributes;
+      } else if (token.type == TokenType::kText) {
+        ++parent.texts;
+        parent.text_id = id;
+        parent.text = token.value;
+      } else {
+        parent.other = true;
+      }
+    }
+    if (token.type == TokenType::kBeginAttribute) {
+      keys_[id] = StructuralValueKey(token.value);
+    }
+    if (token.OpensScope()) {
+      Open scope;
+      scope.element = token.type == TokenType::kBeginElement;
+      scope.id = id;
+      open_.push_back(std::move(scope));
+    } else if (token.ClosesScope() && !open_.empty()) {
+      const Open& scope = open_.back();
+      if (scope.element) keys_[scope.id] = KeyOf(scope);
+      open_.pop_back();
+    }
+  }
+
+  /// The expected key of node `id`, or nullptr for a node that is no
+  /// element or attribute.
+  const uint64_t* Find(NodeId id) const {
+    auto it = keys_.find(id);
+    return it == keys_.end() ? nullptr : &it->second;
+  }
+
+ private:
+  struct Open {
+    bool element = false;
+    NodeId id = kInvalidNodeId;
+    uint32_t attributes = 0;
+    uint32_t texts = 0;
+    bool other = false;  ///< A child that is no attribute or text.
+    NodeId text_id = kInvalidNodeId;
+    std::string text;
+  };
+
+  static uint64_t KeyOf(const Open& e) {
+    if (e.other || e.texts > 1) return kMixedValueKey;
+    if (e.texts == 0) return StructuralValueKey("");
+    return e.text_id == e.id + e.attributes + 1 ? StructuralValueKey(e.text)
+                                                 : kMixedValueKey;
+  }
+
+  std::vector<Open> open_;
+  std::unordered_map<NodeId, uint64_t> keys_;
+};
+
+std::string DescribeValueKey(uint64_t key) {
+  char hex[19];
+  std::snprintf(hex, sizeof(hex), "0x%016llx",
+                static_cast<unsigned long long>(key));
+  const char* kind = key == kMixedValueKey ? "mixed"
+                     : ExactValueKey(key)   ? "inline"
+                                            : "hashed";
+  return std::string(hex) + " (" + kind + ")";
+}
+
+}  // namespace
+
 void StoreAuditor::AuditStructuralIndex() {
   const StructuralIndex* si = store_->structural_.get();
   if (!si->enabled() || si->memoized_nodes() == 0) return;
@@ -547,12 +626,15 @@ void StoreAuditor::AuditStructuralIndex() {
   // Re-derive every element's and attribute's (pre, post, level, range,
   // offset) tuple from the current token stream — the oracle the memos
   // must equal. Attribute postings sit under their "@name" keys, so a
-  // posting filed under the wrong kind fails the tag check below.
+  // posting filed under the wrong kind fails the tag check below. Value
+  // keys are checked against ValueKeyOracle, not the warmer.
   StructuralWarmer oracle(store_->name_dictionary(), {}, /*track_all=*/true);
+  ValueKeyOracle value_keys;
   auto cursor = store_->NewCursor();
   Status st = cursor->SeekToFirst();
   while (st.ok() && cursor->Valid()) {
     oracle.OnToken(*cursor);
+    value_keys.OnToken(cursor->token(), cursor->node_id());
     st = cursor->Next();
   }
   if (!st.ok()) {
@@ -631,6 +713,11 @@ void StoreAuditor::AuditStructuralIndex() {
            " offset " + std::to_string(want.offset) +
            ", memo says range " + std::to_string(e.range) + " offset " +
            std::to_string(e.offset));
+    }
+    const uint64_t* key = value_keys.Find(e.id);
+    if (key != nullptr && e.value_key != *key) {
+      fail("value key is " + DescribeValueKey(e.value_key) +
+           ", stream says " + DescribeValueKey(*key));
     }
   });
 }

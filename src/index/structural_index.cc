@@ -66,6 +66,23 @@ void StructuralIndex::ResetStats() {
   stats_.invalidations = 0;
 }
 
+uint64_t StructuralValueKey(std::string_view value) {
+  if (value.size() <= 7) {
+    uint64_t key = uint64_t{value.size()} << 56;
+    for (size_t i = 0; i < value.size(); ++i) {
+      key |= uint64_t{static_cast<uint8_t>(value[i])} << (8 * i);
+    }
+    return key;
+  }
+  // FNV-1a, cut to 56 bits under the 0xFF tag.
+  uint64_t hash = 14695981039346656037ull;
+  for (char c : value) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 1099511628211ull;
+  }
+  return (uint64_t{0xFF} << 56) | (hash & ((uint64_t{1} << 56) - 1));
+}
+
 // ---------------------------------------------------------------------------
 // Warmer
 
@@ -115,12 +132,34 @@ uint32_t StructuralWarmer::TagOf(const TokenCursor& cursor, Kind kind) {
   return track_all_ ? AddTag(kind, name) : kUntracked;
 }
 
+void StructuralWarmer::OnChild(const TokenCursor& cursor, TokenType type,
+                               OpenScope* scope) {
+  if (scope->shape == Shape::kOther) return;
+  StructuralEntry& entry = collected_[scope->tag].entries[scope->entry];
+  if (scope->shape == Shape::kEmpty) {
+    if (type == TokenType::kBeginAttribute) {
+      ++scope->text_id;
+      return;
+    }
+    if (type == TokenType::kText && cursor.node_id() == scope->text_id) {
+      scope->shape = Shape::kTextLeaf;
+      entry.value_key = StructuralValueKey(cursor.value_view());
+      return;
+    }
+  }
+  scope->shape = Shape::kOther;
+  entry.value_key = kMixedValueKey;
+}
+
 void StructuralWarmer::OnToken(const TokenCursor& cursor) {
   const TokenType type = cursor.type();
+  if (TokenBeginsNode(type) && !open_.empty()) {
+    OnChild(cursor, type, &open_.back());
+  }
   if (type == TokenType::kBeginElement ||
       type == TokenType::kBeginAttribute) {
-    const uint32_t tag = TagOf(
-        cursor, type == TokenType::kBeginAttribute ? kAttribute : kElement);
+    const bool attribute = type == TokenType::kBeginAttribute;
+    const uint32_t tag = TagOf(cursor, attribute ? kAttribute : kElement);
     if (tag != kUntracked) {
       if (cursor.depth() < 0) {
         broken_ = true;
@@ -135,13 +174,18 @@ void StructuralWarmer::OnToken(const TokenCursor& cursor) {
       entry.level = static_cast<uint32_t>(cursor.depth());
       entry.range = cursor.range();
       entry.offset = cursor.byte_offset();
-      open_.push_back({tag, static_cast<uint32_t>(list.size()), entry.pre});
+      // An element starts empty; its children may change that.
+      entry.value_key =
+          StructuralValueKey(attribute ? cursor.value_view() : "");
+      open_.push_back({tag, static_cast<uint32_t>(list.size()), entry.pre,
+                       attribute ? Shape::kOther : Shape::kEmpty,
+                       entry.id + 1});
       list.push_back(entry);
       return;
     }
   }
   if (TokenOpensScope(type)) {
-    open_.push_back({kUntracked, 0, cursor.ordinal()});
+    open_.push_back({kUntracked, 0, cursor.ordinal(), Shape::kOther, 0});
     return;
   }
   if (TokenClosesScope(type)) {

@@ -13,7 +13,10 @@
 // records its parent's pre, so "the n-th child per parent" ([n]) needs
 // no parent lookup. The range id and byte offset of the begin token
 // ride along so the auditor can pin a memo back to the bytes it
-// describes, and so an attribute's value can be read from its token.
+// describes, and so a query can Seek to it. So does a value key: the
+// node's value when it is short, a hash of it when long, or "mixed"
+// (see StructuralEntry), so a text() step or an '=' predicate on a
+// warm tag reads no token for most elements and every short value.
 //
 // Attributes are nodes of the token model too — a begin/end token pair
 // with its own node id, one level below its element — so they memoize
@@ -92,18 +95,56 @@ struct StructuralIndexStats {
 /// parent_pre of a top-level entry: its parent is the virtual root.
 inline constexpr uint64_t kNoParent = UINT64_MAX;
 
+/// The value key of a mixed element (see StructuralEntry).
+inline constexpr uint64_t kMixedValueKey = uint64_t{0xFE} << 56;
+
 /// One memoized element or attribute: its pre/post-order interval, its
-/// parent's pre, and the physical location of its begin token (for the
-/// auditor's cross-check and attribute value reads).
+/// parent's pre, the physical location of its begin token (for the
+/// auditor's cross-check and for Seek), and a value key. The key is a
+/// by-product of the warming scan that lets the join answer `text()`
+/// steps and '=' predicates without reading a token. By its top byte:
+///
+///   0..7  the value itself, inline (top byte = its length): an
+///         attribute's value, or the string value of a *simple*
+///         element — one whose content is its attributes, then
+///         nothing (empty) or one text token numbered right after them
+///         (a text leaf);
+///   0xFF  a 56-bit hash of a longer such value;
+///   0xFE  kMixedValueKey: any other element (child elements,
+///         comments, PIs, a text before an attribute, or a text whose
+///         id an update numbered apart from its element's).
+///
+/// A simple element's k attributes take 2k tokens, so post - pre is
+/// odd when it is empty and even for a text leaf, whose text node is
+/// at ordinal post - 1 with id `id + k + 1`.
 struct StructuralEntry {
   NodeId id = kInvalidNodeId;
   uint64_t pre = 0;   ///< Global token index of the begin token.
   uint64_t post = 0;  ///< Global token index of the matching end token.
   uint64_t parent_pre = kNoParent;  ///< pre of the enclosing element.
-  uint32_t level = 0;  ///< Depth of the begin token (top level = 0).
   RangeId range = kInvalidRangeId;  ///< Range holding the begin token.
+  uint64_t value_key = 0;  ///< See above.
+  uint32_t level = 0;   ///< Depth of the begin token (top level = 0).
   uint32_t offset = 0;  ///< Byte offset of the begin token in `range`.
+
+  /// An element whose value key is no value (see above).
+  bool mixed() const { return value_key == kMixedValueKey; }
+  /// A simple element holding one text token (see above).
+  bool text_leaf() const { return !mixed() && (post - pre) % 2 == 0; }
+  /// A text leaf's text node: its ordinal and id.
+  uint64_t text_ordinal() const { return post - 1; }
+  NodeId text_id() const { return id + (post - pre - 2) / 2 + 1; }
 };
+static_assert(sizeof(StructuralEntry) == 56,
+              "postings stay 56 B: the value key fills the padding");
+
+/// The value key of `value` (see StructuralEntry): exact up to 7 bytes,
+/// a hash beyond.
+uint64_t StructuralValueKey(std::string_view value);
+
+/// True when `key` holds its value whole, so equal keys mean equal
+/// values; a hashed key needs the value read to confirm.
+inline bool ExactValueKey(uint64_t key) { return (key >> 56) <= 7; }
 
 /// The posting-list key of attribute `name`.
 inline std::string AttributeKey(std::string_view name) {
@@ -195,11 +236,14 @@ class StructuralIndex {
 /// node matched (an empty list = warm negative).
 ///
 /// The warmer reads the cursor's header fields only — type, name
-/// symbol, depth, ordinal — and matches tags by dictionary symbol
-/// (`dict` may be null: every name is then inline). Elements and
-/// attributes share the dictionary, so each kind has its own symbol
-/// map. A name string is decoded only for v1 or inline-named tokens,
-/// and once per newly seen symbol, so a warming scan stays header-only.
+/// symbol, depth, ordinal, and the value bytes in place — and matches
+/// tags by dictionary symbol (`dict` may be null: every name is then
+/// inline). Elements and attributes share the dictionary, so each kind
+/// has its own symbol map. A name string is decoded only for v1 or
+/// inline-named tokens, and once per newly seen symbol, so a warming
+/// scan stays header-only. Value keys come from the same tokens: an
+/// attribute's at its begin token, an element's from its direct
+/// children as they stream past.
 class StructuralWarmer {
  public:
   StructuralWarmer(const NameDictionary* dict,
@@ -236,11 +280,20 @@ class StructuralWarmer {
   uint32_t TagOf(const TokenCursor& cursor, Kind kind);
   uint32_t AddTag(Kind kind, const std::string& name);
 
+  /// What a tracked element's direct children have made of it so far
+  /// (see StructuralEntry); attributes and untracked scopes stay kOther.
+  enum class Shape : uint8_t { kEmpty, kTextLeaf, kOther };
+
   struct OpenScope {
     uint32_t tag;    ///< Index into collected_, or kUntracked.
     uint32_t entry;  ///< Index into collected_[tag].entries.
     uint64_t pre;    ///< Ordinal of the scope's begin token.
+    Shape shape;
+    NodeId text_id;  ///< The id a text child must have to be a leaf's.
   };
+
+  /// The current token is a direct child of `scope`.
+  void OnChild(const TokenCursor& cursor, TokenType type, OpenScope* scope);
 
   /// Tag index by dictionary symbol (kUntracked: not tracked yet) and
   /// by bare name, for v1 and inline-coded names.

@@ -72,11 +72,12 @@ XPathPlan RenderXPathPlan(const Store& store, std::string_view expr,
   // The planner's lists come in join order: each joined step's, then
   // its predicate paths' steps'.
   auto list = access.lists.begin();
-  // Folds `step`'s list into `out`: its warmth and length. A '*' step
-  // has no list: the join counts it as a level.
+  // Folds `step`'s list into `out`: its warmth and length. A '*' or
+  // text() step has no list: the join counts a '*' as a level, and
+  // answers text() from its parents' entries.
   auto fold = [&list](const XPathStep& step, XPathPlanStep* out) {
     const StructuralIndex::EntryList& entries = *list++;
-    if (step.test == NodeTestKind::kWildcard) return;
+    if (step.test != NodeTestKind::kName) return;
     out->warm = out->warm && entries != nullptr;
     out->postings += entries == nullptr ? 0 : entries->size();
   };
@@ -87,6 +88,7 @@ XPathPlan RenderXPathPlan(const Store& store, std::string_view expr,
                : step.axis == XPathAxis::kAttribute ? "attribute"
                                                     : "descendant";
     out.tag = step.test == NodeTestKind::kWildcard    ? "*"
+              : step.test == NodeTestKind::kText   ? "text()"
               : step.axis == XPathAxis::kAttribute ? AttributeKey(step.name)
                                                    : step.name;
     out.warm = true;

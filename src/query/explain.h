@@ -30,12 +30,12 @@ namespace laxml {
 struct XPathPlanStep {
   /// "child", "descendant" or "attribute"; "semi-join" for a predicate.
   std::string axis;
-  /// semi-join only: "exists" ([p]), "equals" ([@a='lit']) or
+  /// semi-join only: "exists" ([p]), "equals" ([p='lit']) or
   /// "position" ([n]).
   std::string kind;
   /// The posting list's tag ("@name" for an attribute), or "*" for a
-  /// wildcard step, which has no list and counts as warm. A predicate's
-  /// is its text ("[creditcard]").
+  /// wildcard step and "text()" for a final text() step, which have no
+  /// list and count as warm. A predicate's is its text ("[creditcard]").
   std::string tag;
   /// Tag has a memoized posting list; for a predicate, every tag of its
   /// path has ([n] reads none).

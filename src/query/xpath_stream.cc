@@ -45,14 +45,33 @@ bool ChildWildcard(const XPathStep& step) {
          step.test == NodeTestKind::kWildcard && step.predicates.empty();
 }
 
+/// A joined step with a posting list of its own: a named element or
+/// '@name' step. The join counts a '*' step as a level and answers a
+/// final text() step from its parents' entries.
+bool HasPostings(const XPathStep& step) {
+  return step.test == NodeTestKind::kName;
+}
+
+/// Extends a prefix match of `literal` (`*matched` bytes so far) by the
+/// next piece of a string value: false once the two diverge.
+bool ExtendMatch(std::string_view literal, std::string_view text,
+                 size_t* matched) {
+  if (text.size() > literal.size() - *matched ||
+      literal.compare(*matched, text.size(), text) != 0) {
+    return false;
+  }
+  *matched += text.size();
+  return true;
+}
+
 const char* StepIneligibility(const XPathPath& path, size_t i,
                               bool relative = false);
 
 /// nullptr when a semi-join over the postings answers `pred` on a named
 /// element step, else why not. [n] always; [p] and [p='lit'] when p is
-/// a predicate-free path the join could run from the step's node, and
-/// the '=' compares an attribute's value (an element's string value is
-/// in no posting list).
+/// a predicate-free path the join could run from the step's node. Such
+/// a path ends on an element or an attribute, whose value key answers
+/// the '='.
 const char* PredicateIneligibility(const XPathPredicate& pred) {
   if (pred.kind == XPathPredicate::Kind::kPosition) return nullptr;
   const XPathPath& p = pred.path;
@@ -64,20 +83,18 @@ const char* PredicateIneligibility(const XPathPredicate& pred) {
       return "predicate path not indexable";
     }
   }
-  if (pred.kind == XPathPredicate::Kind::kEquals &&
-      p.steps.back().axis != XPathAxis::kAttribute) {
-    return "element value predicate";
-  }
   return nullptr;
 }
 
 /// nullptr when step `i` of `path` can be part of the indexable prefix,
 /// else why not. Besides named child/descendant steps, the prefix takes
 /// '*' child steps between two named steps (level arithmetic in the
-/// join), a final '@name' step (the attribute's posting list), and the
-/// predicates of a named element step that PredicateIneligibility
-/// accepts. A `relative` path (a predicate's) starts at its owner
-/// element, so it may begin with an '@name' or a '*' step.
+/// join), a final '@name' step (the attribute's posting list), a final
+/// predicate-free text() child step of the query path after a named
+/// step (its parents' entries locate their text), and the predicates
+/// of a named element step that PredicateIneligibility accepts. A
+/// `relative` path (a predicate's) starts at its owner element, so it
+/// may begin with an '@name' or a '*' step.
 const char* StepIneligibility(const XPathPath& path, size_t i,
                               bool relative) {
   const XPathStep& step = path.steps[i];
@@ -106,6 +123,11 @@ const char* StepIneligibility(const XPathPath& path, size_t i,
     if (step.axis != XPathAxis::kChild) return "descendant wildcard step";
     if (i == 0 && !relative) return "leading wildcard step";
     if (last) return "trailing wildcard step";
+    return nullptr;
+  }
+  if (step.test == NodeTestKind::kText && step.axis == XPathAxis::kChild &&
+      last && !relative && i > 0 &&
+      NamedChildOrDescendant(path.steps[i - 1])) {
     return nullptr;
   }
   if (step.test != NodeTestKind::kName) return "non-name node test";
@@ -434,7 +456,7 @@ class StreamScan {
 
   void OnBegin(const TokenCursor& cursor, TokenType type) {
     if (type == TokenType::kText && !captures_.empty()) {
-      Feed(cursor.token().value);
+      Feed(cursor.value_view());
     }
     const uint32_t parent = static_cast<uint32_t>(frames_.size() - 1);
     const Frame frame = frames_[parent];
@@ -533,7 +555,7 @@ class StreamScan {
                  type == TokenType::kBeginDocument) {
         captures_.push_back(Capture{
             i, static_cast<uint32_t>(frames_.size() - 1), 0, *gates});
-      } else if (cursor.token().value == *s.literal) {
+      } else if (cursor.value_view() == *s.literal) {
         DeliverAll(hit, *gates);
       }
     } else if (opens) {
@@ -613,14 +635,10 @@ class StreamScan {
     cands_[gate].buffer.swap(waiting);  // keeps the capacity for reuse
   }
 
-  void Feed(const std::string& text) {
+  void Feed(std::string_view text) {
     for (Capture& cap : captures_) {
-      if (cap.matched == kDiverged) continue;
-      const std::string& literal = *steps_[cap.step].literal;
-      if (text.size() <= literal.size() - cap.matched &&
-          literal.compare(cap.matched, text.size(), text) == 0) {
-        cap.matched += text.size();
-      } else {
+      if (cap.matched != kDiverged &&
+          !ExtendMatch(*steps_[cap.step].literal, text, &cap.matched)) {
         cap.matched = kDiverged;
       }
     }
@@ -705,7 +723,10 @@ void Split(const XPathPath& path, XPathAccessPlan* plan) {
   size_t& joined = plan->joined;
   const size_t n = path.steps.size();
   while (joined < n && StepIneligibility(path, joined) == nullptr) ++joined;
-  if (joined == n) return;
+  if (joined == n) {
+    plan->text = path.steps.back().test == NodeTestKind::kText;
+    return;
+  }
   // A named step that stopped the prefix only by predicates the join
   // cannot answer joins too, its matches seeding as candidates that the
   // scan decides. A [n] among them leaves it to the scan: positions
@@ -753,6 +774,11 @@ std::string StructuralKey(const XPathStep& step) {
 using Entries = std::vector<StructuralEntry>;
 using EntryList = StructuralIndex::EntryList;
 
+Status Disagrees() {
+  return Status::Corruption(
+      "structural index entry disagrees with the token stream");
+}
+
 EntryList Share(Entries entries) {
   return std::make_shared<const Entries>(std::move(entries));
 }
@@ -782,6 +808,8 @@ class PostingJoin {
     uint32_t skip = 0;
     for (size_t i = 0; i < plan_.joined; ++i) {
       const XPathStep& step = path.steps[i];
+      // A final text() step: its parents' entries answer it.
+      if (step.test == NodeTestKind::kText) break;
       const EntryList& list = plan_.lists[next_++];
       if (list == nullptr) {
         ++skip;
@@ -843,9 +871,8 @@ class PostingJoin {
     const size_t last = p.steps.size() - 1;
     EntryList below = lists[last];
     if (pred.kind == XPathPredicate::Kind::kEquals) {
-      // The attributes the path reaches from the frontier, kept when
-      // their value is the literal: one Seek and one decode each, no
-      // subtree scanned.
+      // The nodes the path reaches from the frontier, kept when their
+      // value is the literal.
       EntryList reached = frontier;
       uint32_t skip = 0;
       for (size_t j = 0; j <= last; ++j) {
@@ -856,11 +883,22 @@ class PostingJoin {
         reached = Share(AxisJoin(*reached, *lists[j], p.steps[j], skip));
         skip = 0;
       }
+      const bool attribute = p.steps[last].axis == XPathAxis::kAttribute;
+      const uint64_t key = StructuralValueKey(pred.literal);
       Entries equal;
-      for (const StructuralEntry& attribute : *reached) {
-        LAXML_ASSIGN_OR_RETURN(bool match,
-                               ValueEquals(attribute, pred.literal));
-        if (match) equal.push_back(attribute);
+      for (const StructuralEntry& e : *reached) {
+        bool match = false;
+        if (e.mixed()) {
+          LAXML_ASSIGN_OR_RETURN(match, StringValueEquals(e, pred.literal));
+        } else if (e.value_key == key) {
+          // Equal inline keys are equal values; equal hashes may not be.
+          match = ExactValueKey(key);
+          if (!match) {
+            LAXML_ASSIGN_OR_RETURN(match,
+                                   ValueEquals(e, attribute, pred.literal));
+          }
+        }
+        if (match) equal.push_back(e);
       }
       below = Share(std::move(equal));
     }
@@ -885,22 +923,96 @@ class PostingJoin {
         skip));
   }
 
-  /// Whether `attribute`'s value is `literal`. The value rides on the
-  /// begin-attribute token its entry points at.
-  Result<bool> ValueEquals(const StructuralEntry& attribute,
+  /// Whether the value of `e`, an attribute or a simple element whose
+  /// hashed key equals the literal's, is `literal`: read in place, on
+  /// the attribute's begin token or the text leaf's one text token.
+  Result<bool> ValueEquals(const StructuralEntry& e, bool attribute,
                            const std::string& literal) {
+    TokenCursor* cursor = Cursor();
+    LAXML_RETURN_IF_ERROR(cursor->Seek(
+        e, attribute ? TokenType::kBeginAttribute : TokenType::kBeginElement));
+    if (!attribute) {
+      // Past the element's attributes, to its text.
+      while (cursor->Valid() && cursor->ordinal() < e.text_ordinal()) {
+        LAXML_RETURN_IF_ERROR(cursor->Next());
+      }
+      if (!cursor->Valid() || cursor->type() != TokenType::kText) {
+        return Disagrees();
+      }
+    }
+    return cursor->value_view() == literal;
+  }
+
+  /// Whether mixed element `e`'s string value — its descendant text in
+  /// document order — is `literal`: a walk over its subtree that stops
+  /// at the first text that diverges.
+  Result<bool> StringValueEquals(const StructuralEntry& e,
+                                 const std::string& literal) {
+    TokenCursor* cursor = Cursor();
+    LAXML_RETURN_IF_ERROR(cursor->Seek(e));
+    size_t matched = 0;
+    while (true) {
+      LAXML_RETURN_IF_ERROR(cursor->Next());
+      if (!cursor->Valid()) return Disagrees();
+      if (cursor->ordinal() >= e.post) break;
+      if (cursor->type() == TokenType::kText &&
+          !ExtendMatch(literal, cursor->value_view(), &matched)) {
+        return false;
+      }
+    }
+    if (cursor->ordinal() != e.post) return Disagrees();
+    return matched == literal.size();
+  }
+
+  TokenCursor* Cursor() {
     if (cursor_ == nullptr) cursor_ = store_.NewCursor();
-    LAXML_RETURN_IF_ERROR(
-        cursor_->Seek(attribute, TokenType::kBeginAttribute, &token_));
-    return token_.value == literal;
+    return cursor_.get();
   }
 
   const Store& store_;
   const XPathAccessPlan& plan_;
   size_t next_ = 0;                      ///< The next list to join.
-  std::unique_ptr<TokenCursor> cursor_;  ///< Reads attribute values.
-  Token token_;                          ///< The last one read.
+  std::unique_ptr<TokenCursor> cursor_;  ///< Reads values.
 };
+
+/// The text children of `parents` (sorted by pre), in document order.
+/// A text leaf's one is located by arithmetic and an empty element has
+/// none, so neither reads a token; a mixed element's are found by a walk
+/// over its children that skips their subtrees. Only mixed parents can
+/// nest, and their texts interleave, hence the sort.
+Result<std::vector<NodeId>> TextChildren(const Store& store,
+                                         const Entries& parents) {
+  std::vector<std::pair<uint64_t, NodeId>> texts;  // (ordinal, id)
+  bool ordered = true;
+  auto add = [&](uint64_t ordinal, NodeId id) {
+    ordered = ordered && (texts.empty() || texts.back().first < ordinal);
+    texts.emplace_back(ordinal, id);
+  };
+  std::unique_ptr<TokenCursor> cursor;
+  for (const StructuralEntry& e : parents) {
+    if (!e.mixed()) {
+      if (e.text_leaf()) add(e.text_ordinal(), e.text_id());
+      continue;
+    }
+    if (cursor == nullptr) cursor = store.NewCursor();
+    LAXML_RETURN_IF_ERROR(cursor->Seek(e));
+    LAXML_RETURN_IF_ERROR(cursor->Next());
+    while (cursor->Valid() && cursor->ordinal() < e.post) {
+      if (cursor->type() == TokenType::kText) {
+        add(cursor->ordinal(), cursor->node_id());
+      } else if (TokenOpensScope(cursor->type())) {
+        LAXML_RETURN_IF_ERROR(cursor->SkipSubtree());
+      }
+      LAXML_RETURN_IF_ERROR(cursor->Next());
+    }
+    if (!cursor->Valid() || cursor->ordinal() != e.post) return Disagrees();
+  }
+  if (!ordered) std::sort(texts.begin(), texts.end());
+  std::vector<NodeId> ids;
+  ids.reserve(texts.size());
+  for (const auto& text : texts) ids.push_back(text.second);
+  return ids;
+}
 
 }  // namespace
 
@@ -939,7 +1051,7 @@ Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
   plan.lists.reserve(steps);
   bool warm = true;
   ForEachJoinStep(path, plan, [&](const XPathStep& step) {
-    if (ChildWildcard(step)) {
+    if (!HasPostings(step)) {
       plan.lists.emplace_back();
       return;
     }
@@ -973,13 +1085,14 @@ Result<std::vector<NodeId>> RunXPathPlan(const Store& store,
     std::vector<std::string> wanted;
     if (!eager) {
       ForEachJoinStep(path, plan, [&](const XPathStep& step) {
-        if (!ChildWildcard(step)) wanted.push_back(StructuralKey(step));
+        if (HasPostings(step)) wanted.push_back(StructuralKey(step));
       });
     }
     warmer = std::make_unique<StructuralWarmer>(store.name_dictionary(),
                                                 std::move(wanted), eager);
   }
   if (plan.kind == XPathAccessPlan::Kind::kStructuralJoin) {
+    if (plan.text) return TextChildren(store, *plan.seeds);
     std::vector<NodeId> ids;
     ids.reserve(plan.seeds->size());
     for (const StructuralEntry& e : *plan.seeds) ids.push_back(e.id);

@@ -7,7 +7,8 @@
 // symbol, byte offset), which is all that ids, depth and a symbol-coded
 // name test need. The name and value strings are decoded on the first
 // token() call for that token, so a scan pays for strings only where it
-// looks at them.
+// looks at them; value_view() reads the value bytes in place, with no
+// string at all.
 //
 // A scan need not start at the first token or visit every one:
 // Seek(entry) jumps to a structural-index entry's begin token, SeekTo()
@@ -23,6 +24,7 @@
 #ifndef LAXML_STORE_CURSOR_H_
 #define LAXML_STORE_CURSOR_H_
 
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -108,6 +110,11 @@ class TokenCursor {
   /// Current token. Its name and value are decoded on the first call
   /// per token; this cannot fail, because Next() already validated it.
   const Token& token() const;
+
+  /// The current token's value bytes (text, comment body, attribute
+  /// value or PI data), read in place with no string decode. Valid
+  /// until the cursor moves.
+  std::string_view value_view() const { return reader_.last_value(); }
 
   /// Regenerated node id (kInvalidNodeId for end tokens).
   NodeId node_id() const {

@@ -328,7 +328,8 @@ IterationResult RunIteration(const TortureOptions& opts,
       path({named(XPathAxis::kDescendant, t0),
             named(XPathAxis::kDescendant, t1)});
       path({named(XPathAxis::kChild, t0), named(XPathAxis::kChild, t1)});
-      // Seeded shapes: //t0/*, //t0/@*, //t0/t1/text().
+      // Seeded shapes: //t0/*, //t0/@*; joined onto text():
+      // //t0/t1/text().
       const XPathStep seed = named(XPathAxis::kDescendant, t0);
       path({seed, step(XPathAxis::kChild, NodeTestKind::kWildcard)});
       path({seed, step(XPathAxis::kAttribute, NodeTestKind::kWildcard)});

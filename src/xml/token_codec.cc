@@ -139,7 +139,8 @@ Status TokenReader::Next(Token* token) {
   if (p == nullptr || static_cast<uint64_t>(limit - p) < value_len) {
     return Status::Corruption("token value truncated");
   }
-  token->value.assign(reinterpret_cast<const char*>(p), value_len);
+  last_value_ = {reinterpret_cast<const char*>(p), value_len};
+  token->value.assign(last_value_);
   p += value_len;
   p = ReadVarint(p, limit, &psvi);
   if (p == nullptr || psvi > UINT32_MAX) {
@@ -196,6 +197,7 @@ Status TokenReader::Skip(TokenType* type) {
   if (p == nullptr || static_cast<uint64_t>(limit - p) < value_len) {
     return Status::Corruption("token value truncated");
   }
+  last_value_ = {reinterpret_cast<const char*>(p), value_len};
   p += value_len;
   p = ReadVarint(p, limit, &psvi);
   if (p == nullptr || psvi > UINT32_MAX) {

@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/slice.h"
@@ -100,8 +101,9 @@ class TokenReader {
   Status Next(Token* token);
 
   /// Skips the next token without materializing strings; stores its
-  /// decoded header in *type. Faster than Next() for scans that only
-  /// count ids / depth. Applies every check Next() applies (a v2 symbol
+  /// decoded header in *type, and its value as last_value(). Faster
+  /// than Next() for scans that only count ids / depth or look at a
+  /// value in place. Applies every check Next() applies (a v2 symbol
   /// is resolved only when the reader has a dictionary), so Next() at
   /// an offset Skip() accepted with a dictionary cannot fail.
   Status Skip(TokenType* type);
@@ -109,6 +111,11 @@ class TokenReader {
   /// Symbol id of the name of the token most recently consumed by
   /// Next() or Skip(); kNoNameSymbol when it was v1 / inline / nameless.
   uint32_t last_name_symbol() const { return last_name_symbol_; }
+
+  /// Value bytes (text, comment, attribute value or PI data) of the
+  /// token most recently consumed by Next() or Skip(), in the buffer:
+  /// valid while the buffer is.
+  std::string_view last_value() const { return last_value_; }
 
   /// Resets to the beginning.
   void Rewind() { pos_ = 0; }
@@ -122,6 +129,7 @@ class TokenReader {
   TokenCodecContext ctx_;
   size_t pos_ = 0;
   uint32_t last_name_symbol_ = kNoNameSymbol;
+  std::string_view last_value_;
 };
 
 /// Decodes an entire buffer into a token vector (v1).

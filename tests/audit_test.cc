@@ -331,6 +331,69 @@ TEST(AuditTest, PostingWithWrongParentIsDetected) {
   EXPECT_TRUE(HasStructuralIssue(report, bogus[1].id)) << report.ToString();
 }
 
+TEST(AuditTest, WrongValueKeyIsDetected) {
+  // The auditor derives each key from decoded tokens, not through the
+  // warmer, so a key no value in the stream has is caught.
+  std::unique_ptr<Store> store = StoreWithAttributePostings();
+  ASSERT_NE(store, nullptr);
+  StructuralIndex* index = store->structural_index();
+  for (const char* tag : {"@category", "item"}) {
+    StructuralIndex::EntryList list = index->LookupTag(tag);
+    ASSERT_NE(list, nullptr) << tag;
+    ASSERT_EQ(list->size(), 2u) << tag;
+    std::vector<StructuralEntry> bogus = *list;
+    // "books" -> "toys"; the text leaf "x" -> "y".
+    bogus[0].value_key =
+        StructuralValueKey(tag[0] == '@' ? "toys" : "y");
+    index->Publish(tag, bogus);
+    AuditReport report = Audit(store.get());
+    ASSERT_FALSE(report.ok()) << tag;
+    EXPECT_TRUE(HasStructuralIssue(report, bogus[0].id))
+        << report.ToString();
+    index->Publish(tag, *list);
+    EXPECT_TRUE(Audit(store.get()).ok()) << tag;
+  }
+}
+
+TEST(AuditTest, WrongElementShapeIsDetected) {
+  // Empty, text leaf and mixed elements, each keyed as another shape.
+  ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(StoreOptions{}));
+  ASSERT_LAXML_OK(
+      store->LoadXml("<root><e k='1'/><l>y</l><m>x<b/></m></root>").status());
+  for (const char* expr : {"//e", "//l", "//m"}) {
+    ASSERT_LAXML_OK(EvaluateXPathStreaming(*store, expr).status());
+  }
+  ASSERT_TRUE(Audit(store.get()).ok());
+  struct Plant {
+    const char* tag;
+    uint64_t key;
+  };
+  const Plant plants[] = {
+      {"e", kMixedValueKey},           // empty, keyed mixed
+      {"l", kMixedValueKey},           // text leaf, keyed mixed
+      {"m", StructuralValueKey("x")},  // mixed, keyed as a leaf of "x"
+      {"m", StructuralValueKey("")},   // mixed, keyed empty
+  };
+  StructuralIndex* index = store->structural_index();
+  for (const Plant& plant : plants) {
+    StructuralIndex::EntryList list = index->LookupTag(plant.tag);
+    ASSERT_NE(list, nullptr) << plant.tag;
+    ASSERT_EQ(list->size(), 1u) << plant.tag;
+    std::vector<StructuralEntry> bogus = *list;
+    ASSERT_NE(bogus[0].value_key, plant.key) << plant.tag;
+    bogus[0].value_key = plant.key;
+    index->Publish(plant.tag, bogus);
+    AuditReport report = Audit(store.get());
+    ASSERT_FALSE(report.ok()) << plant.tag;
+    EXPECT_TRUE(HasStructuralIssue(report, bogus[0].id))
+        << report.ToString();
+    EXPECT_NE(report.ToString().find("value key"), std::string::npos)
+        << report.ToString();
+    index->Publish(plant.tag, *list);
+  }
+  EXPECT_TRUE(Audit(store.get()).ok());
+}
+
 TEST(AuditTest, LayertogglesSkipLegs) {
   ASSERT_OK_AND_ASSIGN(
       auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));

@@ -128,7 +128,7 @@ TEST_F(ExplainTest, IneligiblePathReportsGateReason) {
   EXPECT_EQ(wildcard.gate, "trailing wildcard step");
 
   EXPECT_EQ(MustExplain("//item/@*").gate, "attribute wildcard step");
-  EXPECT_EQ(MustExplain("//item/text()").gate, "non-name node test");
+  EXPECT_EQ(MustExplain("//item//text()").gate, "non-name node test");
 }
 
 TEST_F(ExplainTest, WildcardAndAttributeStepsJoin) {
@@ -160,18 +160,30 @@ TEST_F(ExplainTest, WildcardAndAttributeStepsJoin) {
 
 TEST_F(ExplainTest, WarmPrefixIsSeededScan) {
   Open(StructuralIndexMode::kLazy);
-  // Cold prefix: the full scan, which warms "item".
+  // A final text() child step joins as a step of its own, with no list:
+  // cold, the full scan warms "item" and "name".
   XPathPlan cold = MustExplain("//item/name/text()");
   EXPECT_EQ(cold.plan, "stream-scan");
-  EXPECT_FALSE(cold.eligible);
-  EXPECT_EQ(cold.gate, "non-name node test");
-  ASSERT_EQ(cold.steps.size(), 2u);  // the joined prefix //item/name
+  EXPECT_TRUE(cold.eligible);
+  EXPECT_EQ(cold.gate, "eligible");
+  ASSERT_EQ(cold.steps.size(), 3u);
   EXPECT_FALSE(cold.steps[0].warm);
+  EXPECT_EQ(cold.steps[2].tag, "text()");
   EXPECT_EQ(cold.seed_step, -1);
   MustExecute("//item/name/text()");
 
-  XPathPlan warm = MustExplain("//item/name/text()");
+  XPathPlan joined = MustExplain("//item/name/text()");
+  EXPECT_EQ(joined.plan, "structural-join");
+  ASSERT_EQ(joined.steps.size(), 3u);
+  EXPECT_TRUE(joined.steps[0].warm);
+  EXPECT_TRUE(joined.steps[1].warm);
+  EXPECT_TRUE(joined.steps[2].warm);  // no list to warm
+  EXPECT_EQ(joined.seed_step, -1);
+
+  // Below a '//', text() is the scan's: the join seeds it.
+  XPathPlan warm = MustExplain("//item/name//text()");
   EXPECT_EQ(warm.plan, "seeded-scan");
+  EXPECT_EQ(warm.gate, "non-name node test");
   EXPECT_EQ(warm.seed_step, 1);  // the <name> children of items
   EXPECT_EQ(warm.seeds, 2u);
   ASSERT_EQ(warm.steps.size(), 2u);
@@ -182,23 +194,31 @@ TEST_F(ExplainTest, WarmPrefixIsSeededScan) {
   EXPECT_NE(json.find("\"seed_step\":1,\"seeds\":2"), std::string::npos)
       << json;
 
+  // An element's value joins: the <name> postings' value keys answer it.
+  XPathPlan value = MustExplain("//item[name='a']");
+  EXPECT_EQ(value.plan, "structural-join");
+  EXPECT_TRUE(value.eligible);
+  ASSERT_EQ(value.steps.size(), 2u);
+  EXPECT_EQ(value.steps[1].kind, "equals");
+
   // A predicate the join cannot answer, on the step after the prefix:
   // the join runs through the step and its matches seed as candidates.
-  XPathPlan candidates = MustExplain("//item[name='a']");
+  XPathPlan candidates = MustExplain("//item[name/text()='a']");
   EXPECT_EQ(candidates.plan, "seeded-scan");
-  EXPECT_EQ(candidates.gate, "element value predicate");
+  EXPECT_EQ(candidates.gate, "predicate path not indexable");
   EXPECT_EQ(candidates.seed_step, 0);
   EXPECT_EQ(candidates.seeds, 2u);
   ASSERT_EQ(candidates.steps.size(), 1u);  // no semi-join step
   // Beside a [n], the scan numbers the step: the prefix stops before
   // it, and seeds are the <regions> parents.
   MustExecute("/site/regions");
-  XPathPlan positional = MustExplain("/site/regions/item[name='b'][1]");
+  XPathPlan positional =
+      MustExplain("/site/regions/item[name/text()='b'][1]");
   EXPECT_EQ(positional.plan, "seeded-scan");
   EXPECT_EQ(positional.seed_step, 1);
   EXPECT_EQ(positional.seeds, 1u);
   // ... or to the full scan when nothing precedes it.
-  EXPECT_EQ(MustExplain("//item[name='b'][1]").plan, "stream-scan");
+  EXPECT_EQ(MustExplain("//item[name/text()='b'][1]").plan, "stream-scan");
 }
 
 TEST_F(ExplainTest, PredicatesJoinAsSemiJoins) {
@@ -222,6 +242,7 @@ TEST_F(ExplainTest, PredicatesJoinAsSemiJoins) {
       {"//item[qty]", "exists", "[qty]", 1, 1},
       {"//disc[@genre='jazz']", "equals", "[@genre='jazz']", 2, 1},
       {"/site/regions/item[2]", "position", "[2]", 0, 1},
+      {"//shelf[disc='y']", "equals", "[disc='y']", 2, 1},
   };
   for (const Case& c : cases) {
     XPathPlan cold = MustExplain(c.expr);
@@ -269,7 +290,7 @@ TEST_F(ExplainTest, PredicateGateReasons) {
     const char* gate;
   };
   const Case cases[] = {
-      {"//item[name='a']", "element value predicate"},
+      {"//item[name/text()='a']", "predicate path not indexable"},
       {"//item[name[1]]", "nested predicate"},
       {"//item[name/text()]", "predicate path not indexable"},
   };

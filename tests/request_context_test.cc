@@ -147,7 +147,7 @@ TEST(RequestContext, ScanCreditsEveryTokenOnce) {
 }
 
 TEST(RequestContext, SeededScanCreditsOnlyTheTokensItReads) {
-  // Once //b is warm, //b/text() scans only inside the <b> subtrees;
+  // Once //b is warm, //b//text() scans only inside the <b> subtrees;
   // the forced scan of the same query still reads, and credits, every
   // token (nothing in it is dead: '//b' stays armed everywhere).
   StoreOptions options;
@@ -159,7 +159,7 @@ TEST(RequestContext, SeededScanCreditsOnlyTheTokensItReads) {
                           "<c><b>three</b><d>four</d></c></a>"))
                       .status());
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
-  ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath("//b/text()"));
+  ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath("//b//text()"));
   ASSERT_LAXML_OK(EvaluateXPathStreaming(*store, path).status());  // warms b
 
   RequestContext seeded;
@@ -185,6 +185,19 @@ TEST(RequestContext, SeededScanCreditsOnlyTheTokensItReads) {
   ASSERT_NE(forced.plan, nullptr);
   EXPECT_STREQ(forced.plan, "stream-scan");
   EXPECT_EQ(forced.counters.tokens_scanned, all.size());
+
+  // //b/text() is a join: each <b> is a text leaf, so its text node's
+  // ordinal and id come from the posting, and no token is read.
+  RequestContext joined;
+  {
+    ScopedRequestContext scoped(&joined);
+    ASSERT_OK_AND_ASSIGN(auto ids, EvaluateXPathStreaming(*store,
+                                                          "//b/text()"));
+    EXPECT_EQ(ids.size(), 3u);
+  }
+  ASSERT_NE(joined.plan, nullptr);
+  EXPECT_STREQ(joined.plan, "structural-join");
+  EXPECT_EQ(joined.counters.tokens_scanned, 0u);
 }
 
 TEST(RequestContext, StoreReadsCreditTheTokensTheyWalk) {

@@ -212,6 +212,12 @@ TEST(SharedReadStressTest, StructuralWarmingRacesRangeSplits) {
       {"//frozen/b", kOracleSubtrees},
       {"/doc/frozen/a", kOracleSubtrees},
       {"//absent", 0},
+      // Value keys: a text leaf's text by arithmetic, an inline value,
+      // and a mixed element's string value read by a walk of its
+      // subtree.
+      {"//frozen/a/text()", kOracleSubtrees},
+      {"//frozen[a='alpha']", kOracleSubtrees},
+      {"/doc[frozen='alphabeta']", 1},
   };
   std::vector<XPathPath> paths;
   for (const Query& q : kQueries) {

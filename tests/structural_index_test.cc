@@ -492,7 +492,12 @@ TEST_F(StructuralIndexTest, EligibilityGate) {
   EXPECT_FALSE(eligible("//a/*"));
   EXPECT_FALSE(eligible("/*/a"));
   EXPECT_FALSE(eligible("//a//*/b"));
-  EXPECT_FALSE(eligible("//a/text()"));
+  // A final text() child step after a named step; no other text().
+  EXPECT_TRUE(eligible("//a/text()"));
+  EXPECT_TRUE(eligible("/a/b[c='x']/text()"));
+  EXPECT_FALSE(eligible("//a//text()"));
+  EXPECT_FALSE(eligible("/a/*/text()"));
+  EXPECT_FALSE(eligible("//text()"));
   EXPECT_FALSE(eligible("//a/@*"));
   EXPECT_FALSE(eligible("//a//@id"));
   // Predicates the join answers as semi-joins.
@@ -503,9 +508,11 @@ TEST_F(StructuralIndexTest, EligibilityGate) {
   EXPECT_TRUE(eligible("//a[*/c]"));
   EXPECT_TRUE(eligible("//a[@id='x']"));
   EXPECT_TRUE(eligible("//a[b/@id='x']"));
+  EXPECT_TRUE(eligible("//a[b='x']"));
+  EXPECT_TRUE(eligible("//a[b/*/c='x']"));
   // ... and those it does not, with the reason EXPLAIN shows.
   auto reason = [&](const std::string& expr) { return explain(expr).gate; };
-  EXPECT_EQ(reason("//a[b='x']"), "element value predicate");
+  EXPECT_EQ(reason("//a[b/text()='x']"), "predicate path not indexable");
   EXPECT_EQ(reason("//a[b[c]]"), "nested predicate");
   EXPECT_EQ(reason("//a[b/text()]"), "predicate path not indexable");
   EXPECT_EQ(reason("//a[*]"), "predicate path not indexable");
@@ -546,11 +553,16 @@ TEST_F(StructuralIndexTest, SplitKeepsWildcardsAndAttributesInside) {
   EXPECT_EQ(split("/a/*/b[c]/d").joined, 4u);
   EXPECT_FALSE(split("/a/*/b[c]/d").candidates);
   EXPECT_EQ(split("/a/*/b[2]/d").joined, 4u);
-  XPathAccessPlan pred = split("/a/*/b[c='x']/d");
+  XPathAccessPlan pred = split("/a/*/b[c/text()='x']/d");
   EXPECT_EQ(pred.joined, 3u);
   EXPECT_TRUE(pred.candidates);
   // With a [n] beside it, the scan numbers the step: the prefix stops.
-  EXPECT_EQ(split("/a/b[c='x'][1]/d").joined, 1u);
+  EXPECT_EQ(split("/a/b[c/text()='x'][1]/d").joined, 1u);
+  // A final text() joins as a step of its own.
+  XPathAccessPlan text = split("/a/b[c='x']/text()");
+  EXPECT_EQ(text.joined, 3u);
+  EXPECT_TRUE(text.text);
+  EXPECT_FALSE(split("/a/b[c='x']").text);
 }
 
 TEST(StructuralShapesTest, WildcardAndAttributeJoinsAgreeWithScan) {

@@ -109,10 +109,10 @@ class QueryGenerator {
 
  private:
   /// A shape a warm index answers with a seeded scan — a named step,
-  /// then a wildcard, kind test, attribute or value-predicated step —
-  /// or with a join whose predicates are semi-joins ([u], [1],
-  /// [@a='v']), on a real element and one of its child elements and
-  /// attributes.
+  /// then a wildcard, kind test or attribute step, or a value predicate
+  /// and a node() step — or with a join: onto text(), or with
+  /// predicates that are semi-joins ([u], [1], [@a='v'], [u='v']), on
+  /// a real element and one of its child elements and attributes.
   std::string SeededShape() {
     int e = static_cast<int>(rng_->Uniform(tree_->nodes().size()));
     while (e >= 0 && tree_->node(e).type != TokenType::kBeginElement) {
@@ -133,7 +133,7 @@ class QueryGenerator {
     const std::string t = "//" + tree_->node(e).name;
     const std::string u = child < 0 ? tree_->node(e).name
                                     : tree_->node(child).name;
-    switch (rng_->Uniform(8)) {
+    switch (rng_->Uniform(9)) {
       case 0:
         return t + "/*";
       case 1:
@@ -152,11 +152,16 @@ class QueryGenerator {
                Quote(rng_->Uniform(4) == 0 ? rng_->NextText(3)
                                            : tree_->node(attribute).value) +
                "]";
-      default:
+      case 7:
         return t + "[" + u + "=" +
                Quote(child < 0 ? rng_->NextText(3)
                                : tree_->StringValue(child)) +
                "]/node()";
+      default:
+        return t + "[" + u + "=" +
+               Quote(child < 0 ? rng_->NextText(9)
+                               : tree_->StringValue(child)) +
+               "]";
     }
   }
 
@@ -391,11 +396,14 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   XPathEvaluator evaluator(store.get());
 
   size_t nonempty = 0, predicated = 0, seeded = 0;
-  // Warm structural joins through a '*' step and onto a final '@name',
-  // and those answering a [p], a [@a='lit'] or a [n] predicate of the
-  // path's steps by semi-joins.
-  size_t joined_wildcard = 0, joined_attribute = 0;
+  // Warm structural joins through a '*' step and onto a final '@name'
+  // or text(), and those answering a [p], a [p='lit'] or a [n]
+  // predicate of the path's steps by semi-joins. An element's '='
+  // counts apart, by whether the literal fits a value key inline (at
+  // most 7 bytes) or is hashed.
+  size_t joined_wildcard = 0, joined_attribute = 0, joined_text = 0;
   size_t joined_exists = 0, joined_equals = 0, joined_position = 0;
+  size_t joined_value_inline = 0, joined_value_hashed = 0;
   bool has_attributes = false;
   for (int round = 0; round < kRounds; ++round) {
     if (round > 0) {
@@ -433,18 +441,27 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
           if (path.steps.back().axis == XPathAxis::kAttribute) {
             ++joined_attribute;
           }
+          if (path.steps.back().test == NodeTestKind::kText) ++joined_text;
           bool exists = false, equals = false, position = false;
+          bool value_inline = false, value_hashed = false;
           for (const XPathStep& step : path.steps) {
             for (const XPathPredicate& pred : step.predicates) {
               exists = exists || pred.kind == XPathPredicate::Kind::kExists;
               equals = equals || pred.kind == XPathPredicate::Kind::kEquals;
               position =
                   position || pred.kind == XPathPredicate::Kind::kPosition;
+              if (pred.kind == XPathPredicate::Kind::kEquals &&
+                  pred.path.steps.back().axis != XPathAxis::kAttribute) {
+                (pred.literal.size() <= 7 ? value_inline : value_hashed) =
+                    true;
+              }
             }
           }
           joined_exists += exists ? 1 : 0;
           joined_equals += equals ? 1 : 0;
           joined_position += position ? 1 : 0;
+          joined_value_inline += value_inline ? 1 : 0;
+          joined_value_hashed += value_hashed ? 1 : 0;
         }
       }
       ASSERT_OK_AND_ASSIGN(
@@ -455,6 +472,11 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
       if (!expected.empty()) ++nonempty;
       if (expr.find('[') != std::string::npos) ++predicated;
     }
+    // The round's warm postings, value keys included, against the
+    // auditor's own decode of the stream.
+    const Status integrity = store->CheckIntegrity();
+    ASSERT_TRUE(integrity.ok())
+        << "round " << round << ": " << integrity.ToString();
   }
   // The generator must exercise the interesting cases, not just return
   // empty sets.
@@ -462,14 +484,18 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   EXPECT_GT(predicated, kRounds * kQueriesPerRound / 4);
 #if !defined(LAXML_TRACING_DISABLED)
   // With the index on, the warm pass must exercise seeded scans, and
-  // joins through '*' steps, with [p] and [n] semi-joins and (where the
+  // joins through '*' steps, onto text(), with [p], [n] and element
+  // [p='lit'] semi-joins — literals inline and hashed — and (where the
   // document has attributes) onto '@name' steps and with [@a='lit']
   // semi-joins, so each is checked against the oracle.
   if (config.index != StructuralIndexMode::kOff) {
     EXPECT_GE(seeded, kRounds * kQueriesPerRound / 5);
     EXPECT_GE(joined_wildcard, 1u);
+    EXPECT_GE(joined_text, 1u);
     EXPECT_GE(joined_exists, 1u);
     EXPECT_GE(joined_position, 1u);
+    EXPECT_GE(joined_value_inline, 1u);
+    EXPECT_GE(joined_value_hashed, 1u);
     if (has_attributes) {
       EXPECT_GE(joined_attribute, 1u);
       EXPECT_GE(joined_equals, 1u);
@@ -478,10 +504,12 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
 #endif
   std::printf("%s v%u: %zu of %d queries non-empty, %zu with predicates, "
               "%zu seeded when warm; joined: %zu '*' steps, %zu '@name' "
-              "steps, %zu [p], %zu [@a='lit'], %zu [n]\n",
+              "steps, %zu text() steps, %zu [p], %zu [p='lit'] (element "
+              "values: %zu inline, %zu hashed), %zu [n]\n",
               config.doc, config.codec, nonempty, kRounds * kQueriesPerRound,
               predicated, seeded, joined_wildcard, joined_attribute,
-              joined_exists, joined_equals, joined_position);
+              joined_text, joined_exists, joined_equals, joined_value_inline,
+              joined_value_hashed, joined_position);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -224,15 +224,17 @@ TEST(XPathStreamTest, NestedSameNameSeeds) {
       "<a><b>3</b><a k=\"3\"><b>4</b></a></a><c/></a>"
       "<a><c>5</c></a></r>"));
   for (const char* expr :
-       {"//a/node()", "//a/b/text()", "//a/*", "//a/@*", "//a//text()",
-        "/r/a/*", "//a[b='3']", "//a/x/y/a/b/text()"}) {
+       {"//a/node()", "//a/*", "//a/@*", "//a//text()", "/r/a/*",
+        "//a[b/text()='3']"}) {
     ExpectSeeded(store.get(), expr);
   }
-  // '*' levels, a final '@name' and the predicates a semi-join answers
-  // join whole, nested seeds or not.
+  // '*' levels, a final '@name' or text() and the predicates a
+  // semi-join answers join whole, nested seeds or not.
   for (const char* expr :
        {"//a/@k", "//a/*/*/a/b", "//a/*/b/@k", "//a[b]", "//a[c]/b",
-        "//a[@k='2']/b", "//a/b[1]", "//a[a]/c"}) {
+        "//a[@k='2']/b", "//a/b[1]", "//a[a]/c", "//a/b/text()",
+        "//a[b='3']", "//a/x/y/a/b/text()", "//a/text()", "//a[b='1']",
+        "//r[a='34']"}) {
     ExpectSeeded(store.get(), expr, "structural-join");
   }
 }
@@ -248,13 +250,14 @@ TEST(XPathStreamTest, SeedsAcrossRangeBoundaries) {
   auto store = StoreWith(MustFragment(xml), /*max_range_bytes=*/48);
   ASSERT_GT(store->range_manager().range_count(), 10u);
   for (const char* expr :
-       {"//s/*", "//s/@*", "//s/t/text()", "//s[t='text 7']/v",
-        "//s/v/w/text()", "//s[u]/v//text()"}) {
+       {"//s/*", "//s/@*", "//s[u]/v//text()"}) {
     ExpectSeeded(store.get(), expr);
   }
-  // Attribute values compared across range boundaries, too.
-  for (const char* expr : {"//s/@a", "/r/*/v/w", "/r/s/*/w", "//s[u]",
-                           "/r/s[2]", "//s[@a='7']/t", "//s[v/w][3]"}) {
+  // Attribute and element values compared across range boundaries, too.
+  for (const char* expr :
+       {"//s/@a", "/r/*/v/w", "/r/s/*/w", "//s[u]", "/r/s[2]",
+        "//s[@a='7']/t", "//s[v/w][3]", "//s/t/text()", "//s[t='text 7']/v",
+        "//s/v/w/text()", "//s[v='7']", "//s[t='text 17']"}) {
     ExpectSeeded(store.get(), expr, "structural-join");
   }
 }
@@ -285,7 +288,7 @@ TEST(XPathStreamTest, DeadSubtreeSpanningWholeRanges) {
     EXPECT_LT(rc.counters.tokens_scanned, all.size() / 2) << expr;
 #endif
   }
-  ExpectSeeded(store.get(), "/r/keep/text()");
+  ExpectSeeded(store.get(), "/r/keep/text()", "structural-join");
   ExpectSeeded(store.get(), "//skip/x[1]/y", "structural-join");
 }
 
@@ -311,13 +314,130 @@ TEST(XPathStreamTest, AttributesAfterChildren) {
     }
   }
   ASSERT_LT(first_g, first_attr);
-  for (const char* expr : {"//e/@*", "//e/g/h/text()"}) {
-    ExpectSeeded(store.get(), expr);
-  }
+  ExpectSeeded(store.get(), "//e/@*");
   // The attribute's interval still nests one level inside its element.
-  for (const char* expr : {"//e/@k", "//e[@k='3']/g", "//e[@j]"}) {
+  for (const char* expr : {"//e/@k", "//e[@k='3']/g", "//e[@j]",
+                           "//e/g/h/text()", "//r[e='x']"}) {
     ExpectSeeded(store.get(), expr, "structural-join");
   }
+}
+
+/// Runs `expr` warm, checking it against the oracle and that the join
+/// answered it.
+void ExpectWarmJoin(Store* store, const char* expr) {
+  XPathOracle oracle(store);
+  ASSERT_OK_AND_ASSIGN(auto expected, oracle.Evaluate(expr));
+  obs::RequestContext rc;
+  {
+    obs::ScopedRequestContext scoped(&rc);
+    ASSERT_OK_AND_ASSIGN(auto got, EvaluateXPathStreaming(*store, expr));
+    EXPECT_EQ(got, expected) << expr;
+  }
+#if !defined(LAXML_TRACING_DISABLED)
+  ASSERT_NE(rc.plan, nullptr) << expr;
+  EXPECT_STREQ(rc.plan, "structural-join") << expr;
+#endif
+}
+
+TEST(XPathStreamTest, ForgedHashedKeyIsConfirmedOnTheToken) {
+  // Values longer than 7 bytes key by hash. A key forged equal to the
+  // literal's, on the entry whose value differs, must not make it
+  // match: an equal hash is confirmed on the value's own token.
+  auto store = StoreWith(MustFragment(
+      "<r><b k=\"longvalue-one\"><a>longvalue-one</a></b>"
+      "<b k=\"longvalue-two\"><a>longvalue-two</a></b></r>"));
+  const char* exprs[] = {"//b[a='longvalue-one']",
+                         "//b[@k='longvalue-one']"};
+  for (const char* expr : exprs) {
+    ExpectSeeded(store.get(), expr, "structural-join");
+  }
+  const uint64_t forged = StructuralValueKey("longvalue-one");
+  ASSERT_FALSE(ExactValueKey(forged));
+  StructuralIndex* index = store->structural_index();
+  for (const char* tag : {"a", "@k"}) {
+    StructuralIndex::EntryList list = index->LookupTag(tag);
+    ASSERT_NE(list, nullptr) << tag;
+    ASSERT_EQ(list->size(), 2u) << tag;
+    std::vector<StructuralEntry> entries = *list;
+    EXPECT_EQ(entries[0].value_key, forged) << tag;
+    ASSERT_NE(entries[1].value_key, forged) << tag;
+    entries[1].value_key = forged;
+    index->Publish(tag, std::move(entries));
+  }
+  for (const char* expr : exprs) {
+    ExpectWarmJoin(store.get(), expr);
+    ASSERT_OK_AND_ASSIGN(auto got, EvaluateXPathStreaming(*store, expr));
+    EXPECT_EQ(got.size(), 1u) << expr;
+  }
+}
+
+TEST(XPathStreamTest, ReplaceContentSeenByNextWarmQuery) {
+  // A new text of the same token count keeps every pre and post, but
+  // the value and the text node's id change: the next warm query must
+  // see both. (The new text's id no longer follows its element's, so
+  // the element keys as mixed and is walked.)
+  auto store = StoreWith(
+      MustFragment("<r><b><a>old</a></b><b><a>other</a></b></r>"));
+  const char* exprs[] = {"//b[a='old']", "//b[a='new']", "//a/text()"};
+  for (const char* expr : exprs) {
+    ExpectSeeded(store.get(), expr, "structural-join");
+  }
+  const std::vector<StructuralEntry> before =
+      *store->structural_index()->LookupTag("a");
+  ASSERT_LAXML_OK(
+      store->ReplaceContent(before[0].id, {Token::Text("new")}).status());
+  for (const char* expr : exprs) {
+    ExpectAgreement(store.get(), expr);  // re-warms what the write dropped
+    ExpectWarmJoin(store.get(), expr);
+  }
+  const std::vector<StructuralEntry> after =
+      *store->structural_index()->LookupTag("a");
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].pre, before[i].pre);
+    EXPECT_EQ(after[i].post, before[i].post);
+  }
+  EXPECT_TRUE(after[0].mixed());
+  EXPECT_TRUE(after[1].text_leaf());
+  EXPECT_LAXML_OK(store->CheckIntegrity());  // the auditor agrees
+  ASSERT_OK_AND_ASSIGN(auto old_hits,
+                       EvaluateXPathStreaming(*store, "//b[a='old']"));
+  EXPECT_TRUE(old_hits.empty());
+  ASSERT_OK_AND_ASSIGN(auto new_hits,
+                       EvaluateXPathStreaming(*store, "//b[a='new']"));
+  EXPECT_EQ(new_hits.size(), 1u);
+}
+
+TEST(XPathStreamTest, MixedContentMatchesForcedScan) {
+  // Elements the value key calls mixed — a child element between texts,
+  // a comment after a text, a text spliced before an attribute — are
+  // walked; simple ones are answered from their keys.
+  auto store = StoreWith(MustFragment(
+      "<r><a>x<b/>y</a><a>x<!--c--></a><a k=\"1\"/><a>xy</a><a/>"
+      "<a>x<b>y</b></a></r>"));
+  ASSERT_OK_AND_ASSIGN(auto spliced,
+                       EvaluateXPathStreaming(*store, "//a[@k='1']"));
+  ASSERT_EQ(spliced.size(), 1u);
+  ASSERT_LAXML_OK(
+      store->InsertIntoFirst(spliced[0], {Token::Text("t")}).status());
+  const char* exprs[] = {"//a/text()",  "//r[a='xy']", "//r[a='x']",
+                         "//r[a='t']",  "//r[a='']",   "//a/b/text()",
+                         "//r[a='y']",  "//r[a/b='']"};
+  for (const char* expr : exprs) {
+    ExpectSeeded(store.get(), expr, "structural-join");
+  }
+  // The keys say what the shapes are.
+  const std::vector<StructuralEntry> as =
+      *store->structural_index()->LookupTag("a");
+  ASSERT_EQ(as.size(), 6u);
+  EXPECT_TRUE(as[0].mixed());  // x<b/>y
+  EXPECT_TRUE(as[1].mixed());  // x<!--c-->
+  EXPECT_TRUE(as[2].mixed());  // t before k="1"
+  EXPECT_TRUE(as[3].text_leaf());
+  EXPECT_EQ(as[3].value_key, StructuralValueKey("xy"));
+  EXPECT_FALSE(as[4].mixed());
+  EXPECT_FALSE(as[4].text_leaf());  // empty
+  EXPECT_TRUE(as[5].mixed());
 }
 
 TEST(XPathStreamTest, EmptyStore) {
