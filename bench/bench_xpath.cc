@@ -1,12 +1,10 @@
 // Structural-index XPath bench: the laziness argument, measured. One
 // XMark-flavored document (>= 100k elements at the default scale), one
-// descendant query shape (//item//name), four plans:
+// descendant query shape (//item//name), three plans:
 //
 //   scan        index off: every query is a full token-stream scan
 //   cold        lazy index, invalidated before each query: scan + warm
 //   warm        lazy index, memoized: posting-list joins only
-//   eager-first eager index, first query: warms EVERY tag in one scan
-//   eager-warm  eager index thereafter (same joins as warm)
 //
 // plus seven more shapes, each as the planner runs it on the warm lazy
 // store and as a forced full scan (the `_scan` rows). The index answers
@@ -26,8 +24,8 @@
 //
 // The headline number is warm vs scan (the issue's acceptance bar is
 // >= 5x); the laziness number is memoized nodes: lazy touches only the
-// queried tags' nodes, eager pays for every element and attribute up
-// front.
+// queried tags' nodes, out of every element and attribute in the
+// document.
 //
 //   bench_xpath [--scale N] [--reps N] [--json out.json]
 
@@ -123,9 +121,8 @@ int main(int argc, char** argv) {
   // One store per mode so each plan's index state is its own.
   auto scan_store = OpenWithDoc(StructuralIndexMode::kOff, doc);
   auto lazy_store = OpenWithDoc(StructuralIndexMode::kLazy, doc);
-  auto eager_store = OpenWithDoc(StructuralIndexMode::kEager, doc);
 
-  size_t scan_n = 0, cold_n = 0, warm_n = 0, eager_n = 0;
+  size_t scan_n = 0, cold_n = 0, warm_n = 0;
   auto nop = [] {};
 
   std::vector<double> scan_us =
@@ -136,12 +133,6 @@ int main(int argc, char** argv) {
   // Leave the last cold rep's memo in place: these reps are pure joins.
   std::vector<double> warm_us =
       TimeQueries(*lazy_store, *path, true, reps, &warm_n, nop);
-
-  size_t tmp = 0;
-  std::vector<double> eager_first_us =
-      TimeQueries(*eager_store, *path, true, 1, &eager_n, nop);
-  std::vector<double> eager_warm_us =
-      TimeQueries(*eager_store, *path, true, reps, &tmp, nop);
 
   // The other shapes on the lazy store (one untimed run of each warms
   // its tags), against the forced full scan.
@@ -162,20 +153,20 @@ int main(int argc, char** argv) {
                     {"element_value", "//item[quantity='3']"}};
   // Planned and forced-scan reps alternate, so a drift in host speed
   // hits both rows alike.
-  auto time_pair = [&](const XPathPath& p, std::vector<double>* seeded,
+  auto time_pair = [&](const XPathPath& p, std::vector<double>* planned,
                        std::vector<double>* forced, size_t* n) {
     BENCH_CHECK(EvaluateXPathStreaming(*lazy_store, p).status());
     for (int i = 0; i < reps; ++i) {
       size_t scanned_n = 0;
       for (double us : TimeQueries(*lazy_store, p, true, 1, n, nop)) {
-        seeded->push_back(us);
+        planned->push_back(us);
       }
       for (double us :
            TimeQueries(*lazy_store, p, false, 1, &scanned_n, nop)) {
         forced->push_back(us);
       }
       if (scanned_n != *n) {
-        std::fprintf(stderr, "FATAL %s: seeded %zu vs scan %zu\n",
+        std::fprintf(stderr, "FATAL %s: planned %zu vs scan %zu\n",
                      p.ToString().c_str(), *n, scanned_n);
         std::exit(1);
       }
@@ -187,17 +178,21 @@ int main(int argc, char** argv) {
     time_pair(*p, &shape.us, &shape.scan_us, &shape.n);
   }
 
-  if (scan_n != cold_n || scan_n != warm_n || scan_n != eager_n) {
+  if (scan_n != cold_n || scan_n != warm_n) {
     std::fprintf(stderr,
-                 "FATAL plan disagreement: scan=%zu cold=%zu warm=%zu "
-                 "eager=%zu\n",
-                 scan_n, cold_n, warm_n, eager_n);
+                 "FATAL plan disagreement: scan=%zu cold=%zu warm=%zu\n",
+                 scan_n, cold_n, warm_n);
     return 1;
   }
 
-  // Every element and attribute: the eager store has all tags warm.
-  const uint64_t total_nodes =
-      eager_store->structural_index()->memoized_nodes();
+  // Every element and attribute: what indexing every tag would hold.
+  uint64_t total_nodes = 0;
+  for (const Token& t : doc) {
+    if (t.type == TokenType::kBeginElement ||
+        t.type == TokenType::kBeginAttribute) {
+      ++total_nodes;
+    }
+  }
   const uint64_t lazy_memoized =
       lazy_store->structural_index()->memoized_nodes();
   const double scan_p50 = Median(scan_us);
@@ -211,8 +206,6 @@ int main(int argc, char** argv) {
   std::printf("%-12s %12.1f\n", "scan", scan_p50);
   std::printf("%-12s %12.1f\n", "cold", Median(cold_us));
   std::printf("%-12s %12.1f\n", "warm", warm_p50);
-  std::printf("%-12s %12.1f\n", "eager-first", Median(eager_first_us));
-  std::printf("%-12s %12.1f\n", "eager-warm", Median(eager_warm_us));
   for (const Shape& shape : shapes) {
     std::printf("%-19s %10.1f  (%zu matches, %s)\n", shape.name,
                 Median(shape.us), shape.n, shape.expr);
@@ -221,8 +214,7 @@ int main(int argc, char** argv) {
   }
   std::printf("warm vs scan: %.1fx\n", speedup);
   std::printf("laziness: lazy memoized %" PRIu64 " of %" PRIu64
-              " nodes (%.1f%%); eager memoized all of them on its "
-              "first query\n",
+              " element and attribute nodes (%.1f%%)\n",
               lazy_memoized, total_nodes,
               total_nodes > 0
                   ? 100.0 * static_cast<double>(lazy_memoized) /
@@ -231,9 +223,8 @@ int main(int argc, char** argv) {
   std::printf(
       "expected: warm joins beat the scan by >= 5x at this scale (they "
       "touch\nonly the two queried tags' postings); cold pays one scan "
-      "to warm, i.e.\nit tracks the scan plan; eager's first query is "
-      "the expensive one —\nit memoizes every tag — after which it "
-      "joins like warm.\nEvery other shape beats its forced-scan row: "
+      "to warm, i.e.\nit tracks the scan plan.\n"
+      "Every other shape beats its forced-scan row: "
       "the '*' step is a level count,\n@category a posting list, [1] "
       "and [creditcard] semi-joins over the postings,\n"
       "[@category='books'] and [quantity='3'] compare value keys, and "
@@ -242,9 +233,9 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     bench::JsonReport report("bench_xpath");
-    // Rows span modes (scan/cold/warm are the lazy store, eager_* the
-    // eager one), so the stamp names the comparison, not one mode.
-    report.AddMeta("structural_index", "lazy-vs-eager");
+    // Rows span modes (scan is the off store, the rest the lazy one),
+    // so the stamp names the comparison, not one mode.
+    report.AddMeta("structural_index", "lazy-vs-off");
     char extra[128];
     std::snprintf(extra, sizeof(extra),
                   "\"nodes\": %llu, \"memoized\": %llu, ",
@@ -259,8 +250,6 @@ int main(int argc, char** argv) {
     add("scan", &scan_us, "");
     add("cold", &cold_us, "");
     add("warm", &warm_us, extra);
-    add("eager_first", &eager_first_us, "");
-    add("eager_warm", &eager_warm_us, "");
     for (Shape& shape : shapes) {
       add(shape.name, &shape.us, "");
       add((std::string(shape.name) + "_scan").c_str(), &shape.scan_us, "");

@@ -29,9 +29,8 @@
 // cold evaluator always has, and the scan's by-product — every `a` and
 // `b` interval — is published here, keyed by tag. The next query over
 // warm tags merge-joins posting lists in O(frontier + candidates)
-// instead of rescanning the document, and a query that continues past
-// its indexable prefix starts its scan at the joined entries' begin
-// tokens (the seeds, see query/xpath_stream.h). A tag is warm iff it
+// instead of rescanning the document; a path the join cannot answer
+// whole is a plain scan (see query/xpath_stream.h). A tag is warm iff it
 // has a posting list (possibly empty: "no such element" is itself a
 // cached fact); everything else is cold.
 //
@@ -85,10 +84,11 @@ class TokenCursor;
 /// Counters for benches, metrics and tests. RelaxedCounters: bumped
 /// from concurrent reader threads warming under the shared store latch.
 struct StructuralIndexStats {
-  /// Queries whose prefix join ran on warm lists (structural joins and
-  /// seeded scans).
+  /// Queries the gate accepts whose tags were all warm: structural
+  /// joins.
   RelaxedCounter hits;
-  RelaxedCounter misses;  ///< Queries whose prefix named a cold tag.
+  /// Queries the gate accepts that named a cold tag: warming scans.
+  RelaxedCounter misses;
   RelaxedCounter invalidations;  ///< Entries dropped by mutations.
 };
 
@@ -189,8 +189,8 @@ class StructuralIndex {
   /// the physical half of those entries is stale).
   void InvalidateRange(RangeId range) LAXML_EXCLUDES(mu_);
 
-  /// Query-plan accounting (one hit/miss per query with an indexable
-  /// prefix, not per tag probe).
+  /// Query-plan accounting (one hit/miss per query the gate accepts,
+  /// not per tag probe).
   void RecordHit() const { ++stats_.hits; }
   void RecordMiss() const { ++stats_.misses; }
 
@@ -231,7 +231,7 @@ class StructuralIndex {
 /// token scan from the store's first token. Feed every token (ends
 /// included — they close intervals); Publish() installs the collected
 /// lists. With `track_all`, every element tag and attribute key is
-/// collected (eager mode / WarmStructuralIndex); otherwise only the
+/// collected (Store::WarmStructuralIndex); otherwise only the
 /// tags in `wanted` are, and each wanted tag is published even when no
 /// node matched (an empty list = warm negative).
 ///

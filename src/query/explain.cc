@@ -37,10 +37,6 @@ std::string XPathPlan::ToJson() const {
     out += "}";
   }
   out += "]";
-  if (plan == "seeded-scan") {
-    out += ",\"seed_step\":" + std::to_string(seed_step);
-    out += ",\"seeds\":" + std::to_string(seeds);
-  }
   if (!profile_json.empty()) {
     out += ",\"profile\":" + profile_json;
   }
@@ -69,8 +65,9 @@ XPathPlan RenderXPathPlan(const Store& store, std::string_view expr,
               : index->enabled() ? "eligible"
                                  : "index off";
 
-  // The planner's lists come in join order: each joined step's, then
-  // its predicate paths' steps'.
+  // The planner's lists come in join order: each step's, then its
+  // predicate paths' steps'. None when the path does not join.
+  if (access.lists.empty()) return plan;
   auto list = access.lists.begin();
   // Folds `step`'s list into `out`: its warmth and length. A '*' or
   // text() step has no list: the join counts a '*' as a level, and
@@ -81,8 +78,7 @@ XPathPlan RenderXPathPlan(const Store& store, std::string_view expr,
     out->warm = out->warm && entries != nullptr;
     out->postings += entries == nullptr ? 0 : entries->size();
   };
-  for (size_t i = 0; i < access.joined; ++i) {
-    const XPathStep& step = path.steps[i];
+  for (const XPathStep& step : path.steps) {
     XPathPlanStep out;
     out.axis = step.axis == XPathAxis::kChild       ? "child"
                : step.axis == XPathAxis::kAttribute ? "attribute"
@@ -94,8 +90,6 @@ XPathPlan RenderXPathPlan(const Store& store, std::string_view expr,
     out.warm = true;
     fold(step, &out);
     plan.steps.push_back(std::move(out));
-    // A candidates step: the scan decides its predicates.
-    if (access.candidates && i + 1 == access.joined) break;
     for (const XPathPredicate& pred : step.predicates) {
       XPathPlanStep semi;
       semi.axis = "semi-join";
@@ -108,10 +102,6 @@ XPathPlan RenderXPathPlan(const Store& store, std::string_view expr,
       for (const XPathStep& p : pred.path.steps) fold(p, &semi);
       plan.steps.push_back(std::move(semi));
     }
-  }
-  if (access.kind == XPathAccessPlan::Kind::kSeededScan) {
-    plan.seed_step = static_cast<int>(access.joined - 1);
-    plan.seeds = access.seeds->size();
   }
   return plan;
 }

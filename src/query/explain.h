@@ -1,7 +1,7 @@
-// EXPLAIN for XPath: the routing decision — structural join, seeded
-// scan or stream scan — for one expression, and why (eligibility-gate
-// verdict, per-step index warmth and predicate semi-joins, the seed
-// step and seed count). The decision is the engine's own: ExplainXPath
+// EXPLAIN for XPath: the routing decision — structural join or stream
+// scan — for one expression, and why (eligibility-gate verdict, and for
+// a path the gate accepts, per-step index warmth and predicate
+// semi-joins). The decision is the engine's own: ExplainXPath
 // parses, asks the one planner (PlanXPath, query/xpath_stream.h) and
 // renders its plan, and runs nothing. The server's kExplain op serves
 // the plan as JSON; its profile variant runs that same plan under the
@@ -23,10 +23,10 @@
 
 namespace laxml {
 
-/// One joined location step, or one predicate the join answers, as the
-/// planner sees it (populated only for the steps the planner joins, on
-/// an enabled index — a full scan has no per-step index story to
-/// tell). A step's predicates follow it, in the order they filter.
+/// One location step, or one predicate the join answers, as the planner
+/// sees it (populated only for a path the gate accepts, on an enabled
+/// index — any other scan has no per-step index story to tell). A
+/// step's predicates follow it, in the order they filter.
 struct XPathPlanStep {
   /// "child", "descendant" or "attribute"; "semi-join" for a predicate.
   std::string axis;
@@ -48,21 +48,17 @@ struct XPathPlanStep {
 /// The planner's verdict for one expression.
 struct XPathPlan {
   std::string query;
-  /// "structural-join" | "seeded-scan" | "stream-scan" — the same
-  /// labels execution stamps into the request context
-  /// (LAXML_RC_SET_PLAN).
+  /// "structural-join" | "stream-scan" — the same labels execution
+  /// stamps into the request context (LAXML_RC_SET_PLAN).
   std::string plan;
-  std::string index_mode;  ///< off | lazy | eager.
-  bool eligible = false;   ///< Passed the structural-index gate.
+  std::string index_mode;  ///< off | lazy.
+  /// Passed the structural-index gate: the path joins once its tags are
+  /// warm, on an enabled index.
+  bool eligible = false;
   /// "eligible", or the gate's first disqualifying reason, or
   /// "index off" when the mode forecloses the question.
   std::string gate;
   std::vector<XPathPlanStep> steps;
-  /// seeded-scan only: the index in the path (not in `steps`) of the
-  /// last joined step, whose matches seed the scan, and how many seeds
-  /// the join yields.
-  int seed_step = -1;
-  uint64_t seeds = 0;
   /// When non-empty, a pre-rendered JSON object the serializer embeds
   /// as "profile": the kExplain profile variant fills it with elapsed
   /// time, result count and the request counters.

@@ -3,15 +3,15 @@
 // (both in query/xpath_stream.h, whose header comment says which paths
 // take which plan):
 //
-//   structural-join  the whole path answered by posting-list joins over
-//                    warm tags of the lazy structural index, no scan;
-//   seeded-scan      a warm joined prefix picks the subtrees, and the
-//                    scan runs only inside them;
-//   stream-scan      cold tags, no joinable prefix, an index that is
-//                    off: one pass over the token cursor in
-//                    O(depth × steps) memory plus the matches a pending
-//                    predicate holds back.
-// Both scans skip subtrees nothing can match in.
+//   structural-join  a path the structural-index gate accepts, its
+//                    tags warm in the lazy structural index: answered
+//                    by posting-list joins, no scan;
+//   stream-scan      every other path (a cold tag, a path the gate
+//                    refuses, an index that is off): one pass over the
+//                    token cursor in O(depth × steps) memory plus the
+//                    matches a pending predicate holds back, skipping
+//                    subtrees nothing can match in. Only a cold tag's
+//                    scan warms the index.
 //
 // Every call reads the live store, so results always reflect the
 // latest mutation. Semantics are XPath node-set semantics: document

@@ -25,8 +25,6 @@ uint32_t LowestBit(uint64_t mask) {
   return static_cast<uint32_t>(std::countr_zero(mask));
 }
 
-constexpr uint64_t kNoSeed = UINT64_MAX;
-
 Status TooManySteps() {
   return Status::NotSupported(
       "XPath paths are limited to 64 steps, predicate steps included");
@@ -38,11 +36,6 @@ bool NamedChildOrDescendant(const XPathStep& step) {
          (step.axis == XPathAxis::kChild ||
           step.axis == XPathAxis::kDescendant) &&
          step.test == NodeTestKind::kName;
-}
-
-bool ChildWildcard(const XPathStep& step) {
-  return step.axis == XPathAxis::kChild &&
-         step.test == NodeTestKind::kWildcard && step.predicates.empty();
 }
 
 /// A joined step with a posting list of its own: a named element or
@@ -86,10 +79,10 @@ const char* PredicateIneligibility(const XPathPredicate& pred) {
   return nullptr;
 }
 
-/// nullptr when step `i` of `path` can be part of the indexable prefix,
-/// else why not. Besides named child/descendant steps, the prefix takes
-/// '*' child steps between two named steps (level arithmetic in the
-/// join), a final '@name' step (the attribute's posting list), a final
+/// nullptr when step `i` of `path` can be part of a join, else why not.
+/// Besides named child/descendant steps, a join takes '*' child steps
+/// between two named steps (level arithmetic in the join), a final
+/// '@name' step (the attribute's posting list), a final
 /// predicate-free text() child step of the query path after a named
 /// step (its parents' entries locate their text), and the predicates
 /// of a named element step that PredicateIneligibility accepts. A
@@ -152,11 +145,7 @@ const char* StepIneligibility(const XPathPath& path, size_t i,
 /// steps count test matches per context node (one Context per node and
 /// gate), because '//x[n]' numbers x within each context separately.
 ///
-/// A seeded run never arms the steps the join answered: each seed
-/// enters as a match of the last joined step, which arms the next step
-/// — or, when the join left that step's predicates to the scan, makes
-/// the seed a candidate (OnMatch). Any scope that opens dead is skipped
-/// (Dead()).
+/// Any scope that opens dead is skipped (Dead()).
 class StreamScan {
  public:
   /// Flattens `path`, which PlanXPath held to kMaxStreamSteps steps.
@@ -180,27 +169,23 @@ class StreamScan {
     warmer_ = warmer;
     Arm(0, kNone);
     LAXML_RETURN_IF_ERROR(cursor->SeekToFirst());
-    return Stream(cursor, /*subtree=*/false);
-  }
-
-  /// Streams only the subtrees of the seeds of `plan`, a seeded scan.
-  /// One subscan per outermost seed; nested seeds are met on the way.
-  Status RunSeeded(TokenCursor* cursor, const XPathAccessPlan& plan) {
-    const std::vector<StructuralEntry>& seeds = *plan.seeds;
-    seeds_ = &seeds;
-    seed_step_ = static_cast<uint32_t>(plan.joined - 1);
-    seed_candidates_ = plan.candidates;
-    next_seed_pre_ = seeds.empty() ? kNoSeed : seeds[0].pre;
-    while (next_seed_ < seeds.size()) {
-      const StructuralEntry& seed = seeds[next_seed_];
-      subtree_end_ = seed.post;
-      LAXML_RETURN_IF_ERROR(cursor->Seek(seed));
-      LAXML_RETURN_IF_ERROR(Stream(cursor, /*subtree=*/true));
-      if (cursor->ordinal() != seed.post ||
-          (next_seed_ < seeds.size() && seeds[next_seed_].pre <= seed.post)) {
-        return Status::Corruption(
-            "structural index seeds disagree with the token stream");
+    while (cursor->Valid()) {
+      if (warmer_ != nullptr) warmer_->OnToken(*cursor);
+      const TokenType type = cursor->type();
+      if (TokenBeginsNode(type)) {
+        OnBegin(*cursor, type);
+        if (TokenOpensScope(type) && Dead()) {
+          // Lands on the scope's end token, which pops its frame.
+          LAXML_RETURN_IF_ERROR(cursor->SkipSubtree());
+          continue;
+        }
+      } else if (TokenClosesScope(type)) {
+        if (frames_.size() == 1) {
+          return Status::Corruption("negative nesting in stream");
+        }
+        OnEnd();
       }
+      LAXML_RETURN_IF_ERROR(cursor->Next());
     }
     return Status::OK();
   }
@@ -286,61 +271,11 @@ class StreamScan {
     uint32_t gate;
   };
 
-  /// The token loop. A subscan (`subtree`) returns at the end token
-  /// that closes its seed, leaving the cursor there.
-  Status Stream(TokenCursor* cursor, bool subtree) {
-    while (cursor->Valid()) {
-      if (warmer_ != nullptr) warmer_->OnToken(*cursor);
-      const TokenType type = cursor->type();
-      if (TokenBeginsNode(type)) {
-        OnBegin(*cursor, type);
-        if (cursor->ordinal() == next_seed_pre_) {
-          LAXML_RETURN_IF_ERROR(Seed(*cursor));
-        }
-        if (TokenOpensScope(type) && Dead(*cursor)) {
-          // Lands on the scope's end token, which pops its frame.
-          LAXML_RETURN_IF_ERROR(cursor->SkipSubtree());
-          continue;
-        }
-      } else if (TokenClosesScope(type)) {
-        if (frames_.size() == 1) {
-          return Status::Corruption("negative nesting in stream");
-        }
-        OnEnd();
-        if (subtree && frames_.size() == 1) return Status::OK();
-      }
-      LAXML_RETURN_IF_ERROR(cursor->Next());
-    }
-    return subtree ? Status::Corruption("seed subtree never closes")
-                   : Status::OK();
-  }
-
-  /// The cursor is at the next seed: it matched the joined steps.
-  Status Seed(const TokenCursor& cursor) {
-    if (cursor.type() != TokenType::kBeginElement) {
-      return Status::Corruption(
-          "structural index seed is not a begin-element token");
-    }
-    gates_.assign(1, kNone);
-    if (seed_candidates_) {
-      OnMatch(seed_step_, cursor, TokenType::kBeginElement, /*opens=*/true);
-    } else {
-      // The join answered the step's predicates, if any: a plain match.
-      Arm(seed_step_ + 1, kNone);
-    }
-    ++next_seed_;
-    next_seed_pre_ =
-        next_seed_ < seeds_->size() ? (*seeds_)[next_seed_].pre : kNoSeed;
-    return Status::OK();
-  }
-
-  /// True when nothing inside the scope that just opened at the cursor
-  /// can match or decide anything: no step armed for its children, no
-  /// pending condition, no positional context counting inside it, no
-  /// '=' capture reading its text, no warmer, and no seed ahead that
-  /// may lie inside (conservatively: any deeper seed before the end of
-  /// the current subscan).
-  bool Dead(const TokenCursor& cursor) const {
+  /// True when nothing inside the scope that just opened can match or
+  /// decide anything: no step armed for its children, no pending
+  /// condition, no positional context counting inside it, no '='
+  /// capture reading its text, and no warmer.
+  bool Dead() const {
     const uint32_t top = static_cast<uint32_t>(frames_.size() - 1);
     if (frames_[top].armed != 0 || conds_.size() > frames_[top].conds ||
         !captures_.empty() || warmer_ != nullptr) {
@@ -349,9 +284,7 @@ class StreamScan {
     for (const Context& c : contexts_) {
       if (c.frame == top || (recursive_ & Bit(c.step)) != 0) return false;
     }
-    return next_seed_pre_ >= subtree_end_ ||
-           static_cast<int64_t>((*seeds_)[next_seed_].level) <=
-               cursor.depth();
+    return true;
   }
 
   void Flatten(const XPathPath& path, uint32_t owner, uint32_t bit,
@@ -685,15 +618,6 @@ class StreamScan {
   std::vector<Capture> captures_;
 
   StructuralWarmer* warmer_ = nullptr;
-  // Seeded runs: the seeds, the step they matched (and whether they
-  // enter as its candidates), the next one not yet met, and the end
-  // ordinal of the current subscan.
-  const std::vector<StructuralEntry>* seeds_ = nullptr;
-  uint32_t seed_step_ = 0;
-  bool seed_candidates_ = false;
-  size_t next_seed_ = 0;
-  uint64_t next_seed_pre_ = kNoSeed;
-  uint64_t subtree_end_ = 0;
 
   std::vector<std::pair<uint64_t, NodeId>> results_;  ///< (ordinal, id)
   bool ordered_ = true;  ///< results_ is strictly increasing.
@@ -716,48 +640,14 @@ size_t CountSteps(const XPathPath& path) {
   return n;
 }
 
-/// Sets `plan`'s split of `path`, independent of index warmth: the
-/// indexable prefix, plus the step after it when that step is named and
-/// carries predicates but no [n].
-void Split(const XPathPath& path, XPathAccessPlan* plan) {
-  size_t& joined = plan->joined;
-  const size_t n = path.steps.size();
-  while (joined < n && StepIneligibility(path, joined) == nullptr) ++joined;
-  if (joined == n) {
-    plan->text = path.steps.back().test == NodeTestKind::kText;
-    return;
-  }
-  // A named step that stopped the prefix only by predicates the join
-  // cannot answer joins too, its matches seeding as candidates that the
-  // scan decides. A [n] among them leaves it to the scan: positions
-  // count siblings the candidates' other predicates drop.
-  const XPathStep& next = path.steps[joined];
-  bool positional = false;
-  for (const XPathPredicate& pred : next.predicates) {
-    positional = positional || pred.kind == XPathPredicate::Kind::kPosition;
-  }
-  if (NamedChildOrDescendant(next) && !positional) {
-    ++joined;
-    plan->candidates = true;
-    return;
-  }
-  // Seeds are the last joined step's matches, so a prefix cannot end in
-  // '*' steps: those go back to the scan.
-  while (joined > 0 && ChildWildcard(path.steps[joined - 1])) --joined;
-}
-
-/// Calls `visit` on each step whose posting list the join of `plan`'s
-/// joined steps reads, '*' steps included, in join order (see
+/// Calls `visit` on each step whose posting list the join of `path`
+/// reads, '*' and text() steps included, in join order (see
 /// XPathAccessPlan::lists). Predicate paths the join answers are
 /// predicate-free.
 template <typename Visit>
-void ForEachJoinStep(const XPathPath& path, const XPathAccessPlan& plan,
-                     const Visit& visit) {
-  for (size_t i = 0; i < plan.joined; ++i) {
-    const XPathStep& step = path.steps[i];
+void ForEachJoinStep(const XPathPath& path, const Visit& visit) {
+  for (const XPathStep& step : path.steps) {
     visit(step);
-    // A candidates step: the scan decides its predicates.
-    if (plan.candidates && i + 1 == plan.joined) break;
     for (const XPathPredicate& pred : step.predicates) {
       for (const XPathStep& p : pred.path.steps) visit(p);
     }
@@ -792,22 +682,21 @@ Entries AxisJoin(const Entries& frontier, const Entries& list,
              : StructuralChildJoin(frontier, list, skip);
 }
 
-/// The posting-list join of a plan's joined steps, left to right, over
-/// the lists the plan looked up (all warm); each step's predicates
-/// filter its matches, as semi-joins.
+/// The posting-list join of a whole path, left to right, over the lists
+/// the plan looked up (all warm); each step's predicates filter its
+/// matches, as semi-joins.
 class PostingJoin {
  public:
   PostingJoin(const Store& store, const XPathAccessPlan& plan)
       : store_(store), plan_(plan) {}
 
-  /// The entries the plan's joined steps of `path` select.
+  /// The entries the steps of `path` select.
   Result<EntryList> Run(const XPathPath& path) {
     EntryList frontier;  // null before step 0: the virtual root
     // '*' steps add no list, only levels between the named steps
     // around them.
     uint32_t skip = 0;
-    for (size_t i = 0; i < plan_.joined; ++i) {
-      const XPathStep& step = path.steps[i];
+    for (const XPathStep& step : path.steps) {
       // A final text() step: its parents' entries answer it.
       if (step.test == NodeTestKind::kText) break;
       const EntryList& list = plan_.lists[next_++];
@@ -824,8 +713,6 @@ class PostingJoin {
                      ? Share(StructuralTopLevel(*list))
                      : list;
       skip = 0;
-      // A candidates step: the scan decides its predicates.
-      if (plan_.candidates && i + 1 == plan_.joined) break;
       frontier = Number(step, context, frontier);
       for (const XPathPredicate& pred : step.predicates) {
         if (pred.kind == XPathPredicate::Kind::kPosition) continue;
@@ -1025,15 +912,7 @@ const char* StructuralIneligibilityReason(const XPathPath& path) {
 }
 
 const char* XPathAccessPlan::label() const {
-  switch (kind) {
-    case Kind::kStructuralJoin:
-      return "structural-join";
-    case Kind::kSeededScan:
-      return "seeded-scan";
-    case Kind::kStreamScan:
-      break;
-  }
-  return "stream-scan";
+  return entries != nullptr ? "structural-join" : "stream-scan";
 }
 
 Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
@@ -1043,14 +922,15 @@ Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
   if (steps > kMaxStreamSteps) return TooManySteps();
   XPathAccessPlan plan;
   const StructuralIndex& index = *store.structural_index();
-  if (!allow_structural_index || !index.enabled()) return plan;
-  Split(path, &plan);
-  if (plan.joined == 0) return plan;
+  if (!allow_structural_index || !index.enabled() ||
+      StructuralIneligibilityReason(path) != nullptr) {
+    return plan;
+  }
   // Every tag is looked up, even after a cold one, so EXPLAIN can show
   // each step's warmth; one cold tag sends the query to the full scan.
   plan.lists.reserve(steps);
   bool warm = true;
-  ForEachJoinStep(path, plan, [&](const XPathStep& step) {
+  ForEachJoinStep(path, [&](const XPathStep& step) {
     if (!HasPostings(step)) {
       plan.lists.emplace_back();
       return;
@@ -1059,10 +939,7 @@ Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
     warm = warm && plan.lists.back() != nullptr;
   });
   if (!warm) return plan;
-  LAXML_ASSIGN_OR_RETURN(plan.seeds, PostingJoin(store, plan).Run(path));
-  plan.kind = plan.joined == path.steps.size() && !plan.candidates
-                  ? XPathAccessPlan::Kind::kStructuralJoin
-                  : XPathAccessPlan::Kind::kSeededScan;
+  LAXML_ASSIGN_OR_RETURN(plan.entries, PostingJoin(store, plan).Run(path));
   return plan;
 }
 
@@ -1071,43 +948,35 @@ Result<std::vector<NodeId>> RunXPathPlan(const Store& store,
                                          const XPathAccessPlan& plan) {
   LAXML_RC_SET_PLAN(plan.label());
   StructuralIndex* index = store.structural_index();
-  std::unique_ptr<StructuralWarmer> warmer;
-  if (plan.seeds != nullptr) {
+  if (plan.entries != nullptr) {
     index->RecordHit();
     LAXML_RC_ADD(structural_index_hits, 1);
-  } else if (plan.joined > 0) {
-    // Cold: the full scan below is the fallback, and its by-product
-    // warms the index — the join's tags (its predicate paths' included)
-    // in lazy mode, every tag in eager.
-    index->RecordMiss();
-    LAXML_RC_ADD(structural_index_misses, 1);
-    const bool eager = index->mode() == StructuralIndexMode::kEager;
-    std::vector<std::string> wanted;
-    if (!eager) {
-      ForEachJoinStep(path, plan, [&](const XPathStep& step) {
-        if (HasPostings(step)) wanted.push_back(StructuralKey(step));
-      });
+    if (path.steps.back().test == NodeTestKind::kText) {
+      return TextChildren(store, *plan.entries);
     }
-    warmer = std::make_unique<StructuralWarmer>(store.name_dictionary(),
-                                                std::move(wanted), eager);
-  }
-  if (plan.kind == XPathAccessPlan::Kind::kStructuralJoin) {
-    if (plan.text) return TextChildren(store, *plan.seeds);
     std::vector<NodeId> ids;
-    ids.reserve(plan.seeds->size());
-    for (const StructuralEntry& e : *plan.seeds) ids.push_back(e.id);
+    ids.reserve(plan.entries->size());
+    for (const StructuralEntry& e : *plan.entries) ids.push_back(e.id);
     return ids;
   }
-
+  std::unique_ptr<StructuralWarmer> warmer;
+  if (!plan.lists.empty()) {
+    // Cold: the full scan below is the fallback, and its by-product
+    // warms the join's tags, its predicate paths' included.
+    index->RecordMiss();
+    LAXML_RC_ADD(structural_index_misses, 1);
+    std::vector<std::string> wanted;
+    ForEachJoinStep(path, [&](const XPathStep& step) {
+      if (HasPostings(step)) wanted.push_back(StructuralKey(step));
+    });
+    warmer = std::make_unique<StructuralWarmer>(
+        store.name_dictionary(), std::move(wanted), /*track_all=*/false);
+  }
   StreamScan scan;
   scan.Init(store, path);
   auto cursor = store.NewCursor();
-  if (plan.kind == XPathAccessPlan::Kind::kSeededScan) {
-    LAXML_RETURN_IF_ERROR(scan.RunSeeded(cursor.get(), plan));
-  } else {
-    LAXML_RETURN_IF_ERROR(scan.Run(cursor.get(), warmer.get()));
-    if (warmer != nullptr) warmer->Publish(index);
-  }
+  LAXML_RETURN_IF_ERROR(scan.Run(cursor.get(), warmer.get()));
+  if (warmer != nullptr) warmer->Publish(index);
   return scan.TakeResults();
 }
 

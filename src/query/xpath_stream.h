@@ -19,51 +19,43 @@
 // Memory is O(depth × steps) plus those buffered matches.
 //
 // Planner (PlanXPath): one function picks the access path before
-// anything runs, for execution and EXPLAIN alike. It checks the step
-// limit, then splits the path at its longest index-answerable prefix —
-// the leading named child/descendant steps, any run of '*' child steps
-// between two of them, a final '@name' step or a final predicate-free
-// text() child step after a named step, and the predicates of the named
-// steps that a semi-join over the postings answers: [n], [p] and
-// [p='lit'], where p is a predicate-free path the join could run from
-// the step's node, ending on an element or an attribute. When the
-// prefix's tags, its predicate paths' included, are warm in the store's
-// lazy structural index, their posting-list join yields *seeds*. Each
-// step's matches are filtered by its predicates left to right: [p]
-// keeps the matches holding a p match below them (a semi-join, run
-// right to left along p), [p='lit'] first keeps the p matches whose
-// value is the literal, and [n] keeps the n-th match per context node
-// (the parent, on a child step). Values come from the entries' value
-// keys (index/structural_index.h): an attribute or a simple element
-// with a short value compares its key and reads nothing; a long value's
-// hash, when equal, is confirmed on its token (one Seek), and a mixed
-// element's string value is compared along a walk of its subtree. Then:
-//   * the whole path is the prefix: the join is the answer
-//     ("structural-join", no scan at all). After a final text() step,
-//     the answer is the seeds' text children: a text leaf's is located
-//     by arithmetic on its entry, an empty element has none, and only
-//     a mixed element is walked, child by child, skipping subtrees;
-//   * otherwise the scan runs only inside the seeds' subtrees
-//     ("seeded-scan"): a cursor Seek()s to each outermost seed's begin
-//     token, the step after the prefix is armed for the seed's
-//     children, and the subscan ends at the seed's end token. When the
-//     step after the prefix is named and carries predicates the join
-//     cannot answer (a nested predicate, a path with a text() step...)
-//     and no [n], the join runs through it too and each seed enters
-//     the scan as a candidate of that step, its predicates pending.
-//     What is left to the scan: a '//text()', 'node()', 'comment()',
-//     '@*' or trailing '*' step and what follows it, such predicates,
-//     and [n] on a '//' step right after '*'.
-// A cold tag sends the query to the full scan, whose by-product warms
-// the join's tags (every tag, in eager mode). Off-mode stores, paths
-// without a prefix, and the forced scan take the full scan.
+// anything runs, for execution and EXPLAIN alike, and it is all or
+// nothing. After the step limit it asks the structural-index gate
+// (StructuralIneligibilityReason) about the whole path: named child and
+// descendant steps, '*' child steps between two of them, a final
+// '@name' step or a final predicate-free text() child step after a
+// named step, and on the named steps the predicates a semi-join over
+// the postings answers: [n], [p] and [p='lit'], where p is a
+// predicate-free path the join could run from the step's node, ending
+// on an element or an attribute.
+//   * A path the gate accepts, with every tag (its predicate paths'
+//     included) warm in the store's lazy structural index, is a
+//     "structural-join": posting lists joined left to right, no scan.
+//     Each step's matches are filtered by its predicates: [p] keeps the
+//     matches holding a p match below them (a semi-join, run right to
+//     left along p), [p='lit'] first keeps the p matches whose value is
+//     the literal, and [n] keeps the n-th match per context node (the
+//     parent, on a child step). Values come from the entries' value
+//     keys (index/structural_index.h): an attribute or a simple element
+//     with a short value compares its key and reads nothing; a long
+//     value's hash, when equal, is confirmed on its token (one Seek),
+//     and a mixed element's string value is compared along a walk of
+//     its subtree. After a final text() step, the answer is the joined
+//     entries' text children: a text leaf's is located by arithmetic on
+//     its entry, an empty element has none, and only a mixed element is
+//     walked, child by child, skipping subtrees.
+//   * A path the gate accepts with a cold tag is a "stream-scan" of the
+//     whole store, whose by-product warms the path's tags.
+//   * Every other path — the gate refuses it, the index is off, or the
+//     scan is forced — is a plain "stream-scan": it looks up no tag,
+//     warms nothing and moves no index counter.
 //
-// Every scan — full or seeded — skips dead subtrees: a scope that opens
-// with no armed step, no pending condition, no positional context
-// counting inside it, no '=' capture, no warmer and no seed ahead can
-// contribute nothing, so the cursor passes it reading headers only
-// (TokenCursor::SkipSubtree). Results are keyed by global token ordinal,
-// so they come out in document order whichever tokens were visited.
+// Every scan skips dead subtrees: a scope that opens with no armed
+// step, no pending condition, no positional context counting inside
+// it, no '=' capture and no warmer can contribute nothing, so the
+// cursor passes it reading headers only (TokenCursor::SkipSubtree).
+// Results are keyed by global token ordinal, so they come out in
+// document order whichever tokens were visited.
 
 #ifndef LAXML_QUERY_XPATH_STREAM_H_
 #define LAXML_QUERY_XPATH_STREAM_H_
@@ -98,42 +90,29 @@ const char* StructuralIneligibilityReason(const XPathPath& path);
 /// The planner's verdict for one path against the store's current index
 /// state: the access path, and what running it needs.
 struct XPathAccessPlan {
-  enum class Kind : uint8_t { kStreamScan, kSeededScan, kStructuralJoin };
-  Kind kind = Kind::kStreamScan;
-  /// The posting-list join runs through the first `joined` steps (0: no
-  /// join — the index is off, the scan is forced, or no prefix is
-  /// indexable). `candidates` when the last joined step has predicates
-  /// the join cannot answer, so its matches enter the scan as pending
-  /// candidates; otherwise they are contexts for the next step. The
-  /// joined steps never end in '*', and an '@name' or text() step joins
-  /// only as the path's last step (a seed must be an element). `text`
-  /// when that last step is text(). Set whatever the tags' warmth.
-  size_t joined = 0;
-  bool candidates = false;
-  bool text = false;
-  /// The posting lists the join reads, in join order: each joined
-  /// step's, then — except on a candidates step — one per step of each
-  /// of its [p] / [p='lit'] predicate paths. Null for a '*' step (no
-  /// list: the join counts it as a level), a text() step and a cold
-  /// tag.
+  /// The posting lists the join of the whole path reads, in join order:
+  /// each step's, then one per step of each of its [p] / [p='lit']
+  /// predicate paths. Null for a '*' step (no list: the join counts it
+  /// as a level), a text() step and a cold tag. Empty when the path
+  /// does not join: the index is off, the scan is forced, or the gate
+  /// refuses the path.
   std::vector<StructuralIndex::EntryList> lists;
-  /// When every list is warm: the entries the joined steps select, in
-  /// document order — the answer of a structural join (with `text`,
-  /// the parents of the answer), the seeds of a seeded scan. Null
-  /// otherwise.
-  StructuralIndex::EntryList seeds;
+  /// When every list is warm: the entries the join selects, in document
+  /// order — the answer of the structural join, or its parents when the
+  /// path ends in text(). Null otherwise.
+  StructuralIndex::EntryList entries;
 
-  /// "structural-join" | "seeded-scan" | "stream-scan": the label
-  /// execution stamps into the request context and EXPLAIN shows.
+  /// "structural-join" | "stream-scan": the label execution stamps into
+  /// the request context and EXPLAIN shows.
   const char* label() const;
 };
 
-/// Plans `path` as the header comment describes: splits it, looks up
-/// every tag the join reads, and runs the join when all are warm. Reads
-/// the store only for [p='lit'] values that no value key decides; runs
-/// no scan, warms nothing
-/// and moves no index counter. NotSupported when the path has more than
-/// kMaxStreamSteps steps, predicate paths' steps included.
+/// Plans `path` as the header comment describes: when the gate accepts
+/// it, looks up every tag the join reads, and runs the join when all
+/// are warm. Reads the store only for [p='lit'] values that no value
+/// key decides; runs no scan, warms nothing and moves no index
+/// counter. NotSupported when the path has more than kMaxStreamSteps
+/// steps, predicate paths' steps included.
 /// `allow_structural_index = false` plans the full scan — the torture
 /// harness's on/off oracle and A/B benches use it.
 Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
@@ -141,7 +120,7 @@ Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
 
 /// Runs `plan`, PlanXPath's verdict for `path` against this store state.
 /// Returns matching node ids in document order, duplicate-free. A cold
-/// join's full scan warms its tags (every tag, in eager mode).
+/// join's full scan warms its tags.
 Result<std::vector<NodeId>> RunXPathPlan(const Store& store,
                                          const XPathPath& path,
                                          const XPathAccessPlan& plan);

@@ -69,8 +69,6 @@ const char* StructuralIndexModeName(StructuralIndexMode mode) {
       return "off";
     case StructuralIndexMode::kLazy:
       return "lazy";
-    case StructuralIndexMode::kEager:
-      return "eager";
   }
   return "?";
 }

@@ -48,21 +48,18 @@ enum class WalSyncMode : uint32_t {
 
 const char* WalSyncModeName(WalSyncMode mode);
 
-/// Whether (and how) the store keeps the structural XPath index — the
-/// Partial Index idea lifted to descendant/child axes (pre/post-order
-/// intervals per tag, see src/index/structural_index.h).
+/// Whether the store keeps the structural XPath index — the Partial
+/// Index idea lifted to descendant/child axes (pre/post-order intervals
+/// per tag, see src/index/structural_index.h).
 enum class StructuralIndexMode : uint32_t {
   /// No structural memoization; every XPath evaluation stream-scans.
   kOff = 0,
-  /// Lazy: a query whose indexable prefix names a cold tag stream-scans
-  /// as before, and the scan memoizes intervals for exactly the
-  /// prefix's tags. Repeats over warm tags become posting-list joins
-  /// (or seeded scans, when the path continues past the prefix).
+  /// Lazy: a path the structural-index gate accepts stream-scans while
+  /// one of its tags is cold, and the scan memoizes intervals for
+  /// exactly the path's tags; repeats over warm tags are posting-list
+  /// joins. A path the gate refuses always stream-scans and warms
+  /// nothing.
   kLazy = 1,
-  /// Eager(-on-first-touch): the first query with a cold prefix memoizes
-  /// every element tag in the document, not just the queried ones (one
-  /// scan warms everything). A/B baseline for the laziness claim.
-  kEager = 2,
 };
 
 const char* StructuralIndexModeName(StructuralIndexMode mode);

@@ -282,11 +282,11 @@ IterationResult RunIteration(const TortureOptions& opts,
   // ---- Verify 3: XPath with the structural index on vs off. ---------
   // Over the recovered store, every query must answer identically with
   // the index bypassed (plain scan), with a cold index (full scan +
-  // warm as by-product), and with the index warm (posting-list join,
-  // or for the seeded shapes a scan of the joined prefix's subtrees) —
-  // byte-for-byte on the id vectors. Query tags and the attribute name
-  // and value come from the instance itself so the paths actually
-  // select.
+  // warm as by-product), and with the index warm (posting-list join
+  // for the paths the gate accepts, a plain scan for //t0/* and
+  // //t0/@*, which it refuses) — byte-for-byte on the id vectors.
+  // Query tags and the attribute name and value come from the instance
+  // itself so the paths actually select.
   {
     std::vector<std::string> tags;
     std::string attribute, value;
@@ -328,24 +328,24 @@ IterationResult RunIteration(const TortureOptions& opts,
       path({named(XPathAxis::kDescendant, t0),
             named(XPathAxis::kDescendant, t1)});
       path({named(XPathAxis::kChild, t0), named(XPathAxis::kChild, t1)});
-      // Seeded shapes: //t0/*, //t0/@*; joined onto text():
+      // Refused by the gate: //t0/*, //t0/@*; joined onto text():
       // //t0/t1/text().
-      const XPathStep seed = named(XPathAxis::kDescendant, t0);
-      path({seed, step(XPathAxis::kChild, NodeTestKind::kWildcard)});
-      path({seed, step(XPathAxis::kAttribute, NodeTestKind::kWildcard)});
-      path({seed, named(XPathAxis::kChild, t1),
+      const XPathStep any_t0 = named(XPathAxis::kDescendant, t0);
+      path({any_t0, step(XPathAxis::kChild, NodeTestKind::kWildcard)});
+      path({any_t0, step(XPathAxis::kAttribute, NodeTestKind::kWildcard)});
+      path({any_t0, named(XPathAxis::kChild, t1),
             step(XPathAxis::kChild, NodeTestKind::kText)});
       // Joined through a '*' level and onto an attribute's own list:
       // //t0/*/t1, //t0/@a.
-      path({seed, step(XPathAxis::kChild, NodeTestKind::kWildcard),
+      path({any_t0, step(XPathAxis::kChild, NodeTestKind::kWildcard),
             named(XPathAxis::kChild, t1)});
       if (!attribute.empty()) {
-        path({seed, step(XPathAxis::kAttribute, NodeTestKind::kName,
-                         attribute)});
+        path({any_t0, step(XPathAxis::kAttribute, NodeTestKind::kName,
+                           attribute)});
       }
       // Predicates as semi-joins: //t0[t1], //t0[t1]/t2, //t0[@a='v'],
       // //t0/t1[1].
-      XPathStep with_child = seed;
+      XPathStep with_child = any_t0;
       XPathPredicate has_t1;
       has_t1.path.steps.push_back(named(XPathAxis::kChild, t1));
       with_child.predicates.push_back(std::move(has_t1));
@@ -354,7 +354,7 @@ IterationResult RunIteration(const TortureOptions& opts,
         path({with_child, named(XPathAxis::kChild, tags[2])});
       }
       if (!attribute.empty()) {
-        XPathStep with_value = seed;
+        XPathStep with_value = any_t0;
         XPathPredicate equals;
         equals.kind = XPathPredicate::Kind::kEquals;
         equals.path.steps.push_back(
@@ -368,7 +368,7 @@ IterationResult RunIteration(const TortureOptions& opts,
       first.kind = XPathPredicate::Kind::kPosition;
       first.position = 1;
       first_t1.predicates.push_back(std::move(first));
-      path({seed, first_t1});
+      path({any_t0, first_t1});
     }
     StructuralIndex* index = (*reopened)->structural_index();
     for (const XPathPath& p : paths) {

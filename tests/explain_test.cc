@@ -1,8 +1,8 @@
 // Tests for query/explain: EXPLAIN renders the planner's own plan
-// (structural join, seeded scan or stream scan) without executing the
-// query, and its per-step warmth and seed count track the lazy index's
-// memoization state. The agreement test pins the rendered label to the
-// label execution stamps, cold and warm.
+// (structural join or stream scan) without executing the query, and
+// its per-step warmth tracks the lazy index's memoization state. The
+// agreement test pins the rendered label to the label execution
+// stamps, cold and warm.
 
 #include <gtest/gtest.h>
 
@@ -116,7 +116,7 @@ TEST_F(ExplainTest, IneligiblePathReportsGateReason) {
   EXPECT_EQ(pred.plan, "stream-scan");
   EXPECT_FALSE(pred.eligible);
   EXPECT_EQ(pred.gate, "has predicates");
-  ASSERT_EQ(pred.steps.size(), 1u);  // the joined prefix /site
+  EXPECT_TRUE(pred.steps.empty());  // nothing of it joins
 
   XPathPlan attr = MustExplain("//item//@id");
   EXPECT_EQ(attr.plan, "stream-scan");
@@ -158,7 +158,7 @@ TEST_F(ExplainTest, WildcardAndAttributeStepsJoin) {
   EXPECT_EQ(attr.steps[1].postings, 0u);
 }
 
-TEST_F(ExplainTest, WarmPrefixIsSeededScan) {
+TEST_F(ExplainTest, FinalTextStepAndElementValueJoin) {
   Open(StructuralIndexMode::kLazy);
   // A final text() child step joins as a step of its own, with no list:
   // cold, the full scan warms "item" and "name".
@@ -169,7 +169,6 @@ TEST_F(ExplainTest, WarmPrefixIsSeededScan) {
   ASSERT_EQ(cold.steps.size(), 3u);
   EXPECT_FALSE(cold.steps[0].warm);
   EXPECT_EQ(cold.steps[2].tag, "text()");
-  EXPECT_EQ(cold.seed_step, -1);
   MustExecute("//item/name/text()");
 
   XPathPlan joined = MustExplain("//item/name/text()");
@@ -178,21 +177,6 @@ TEST_F(ExplainTest, WarmPrefixIsSeededScan) {
   EXPECT_TRUE(joined.steps[0].warm);
   EXPECT_TRUE(joined.steps[1].warm);
   EXPECT_TRUE(joined.steps[2].warm);  // no list to warm
-  EXPECT_EQ(joined.seed_step, -1);
-
-  // Below a '//', text() is the scan's: the join seeds it.
-  XPathPlan warm = MustExplain("//item/name//text()");
-  EXPECT_EQ(warm.plan, "seeded-scan");
-  EXPECT_EQ(warm.gate, "non-name node test");
-  EXPECT_EQ(warm.seed_step, 1);  // the <name> children of items
-  EXPECT_EQ(warm.seeds, 2u);
-  ASSERT_EQ(warm.steps.size(), 2u);
-  EXPECT_TRUE(warm.steps[0].warm);
-  EXPECT_TRUE(warm.steps[1].warm);
-  std::string json = warm.ToJson();
-  EXPECT_NE(json.find("\"plan\":\"seeded-scan\""), std::string::npos);
-  EXPECT_NE(json.find("\"seed_step\":1,\"seeds\":2"), std::string::npos)
-      << json;
 
   // An element's value joins: the <name> postings' value keys answer it.
   XPathPlan value = MustExplain("//item[name='a']");
@@ -200,25 +184,40 @@ TEST_F(ExplainTest, WarmPrefixIsSeededScan) {
   EXPECT_TRUE(value.eligible);
   ASSERT_EQ(value.steps.size(), 2u);
   EXPECT_EQ(value.steps[1].kind, "equals");
+}
 
-  // A predicate the join cannot answer, on the step after the prefix:
-  // the join runs through the step and its matches seed as candidates.
-  XPathPlan candidates = MustExplain("//item[name/text()='a']");
-  EXPECT_EQ(candidates.plan, "seeded-scan");
-  EXPECT_EQ(candidates.gate, "predicate path not indexable");
-  EXPECT_EQ(candidates.seed_step, 0);
-  EXPECT_EQ(candidates.seeds, 2u);
-  ASSERT_EQ(candidates.steps.size(), 1u);  // no semi-join step
-  // Beside a [n], the scan numbers the step: the prefix stops before
-  // it, and seeds are the <regions> parents.
-  MustExecute("/site/regions");
-  XPathPlan positional =
-      MustExplain("/site/regions/item[name/text()='b'][1]");
-  EXPECT_EQ(positional.plan, "seeded-scan");
-  EXPECT_EQ(positional.seed_step, 1);
-  EXPECT_EQ(positional.seeds, 1u);
-  // ... or to the full scan when nothing precedes it.
-  EXPECT_EQ(MustExplain("//item[name/text()='b'][1]").plan, "stream-scan");
+TEST_F(ExplainTest, RefusedPathStaysStreamScan) {
+  Open(StructuralIndexMode::kLazy);
+  MustExecute("/site/regions/item/name");  // every named tag below warm
+  const size_t warmed = store_->structural_index()->warmed_tags();
+  struct Case {
+    const char* expr;
+    const char* gate;
+  };
+  // Warm named steps before the step the gate refuses: the path still
+  // scans whole, before and after it runs, and EXPLAIN shows no steps.
+  const Case cases[] = {
+      {"//item/name//text()", "non-name node test"},
+      {"//item[name/text()='a']", "predicate path not indexable"},
+      {"/site/regions/item[name/text()='b'][1]",
+       "predicate path not indexable"},
+      {"//item[name/text()='b'][1]", "predicate path not indexable"},
+      {"/site/regions/*", "trailing wildcard step"},
+  };
+  for (const Case& c : cases) {
+    for (int round = 0; round < 2; ++round) {
+      XPathPlan plan = MustExplain(c.expr);
+      EXPECT_EQ(plan.plan, "stream-scan") << c.expr << " round " << round;
+      EXPECT_FALSE(plan.eligible) << c.expr;
+      EXPECT_EQ(plan.gate, c.gate) << c.expr;
+      EXPECT_TRUE(plan.steps.empty()) << c.expr;
+      EXPECT_NE(plan.ToJson().find("\"steps\":[]"), std::string::npos)
+          << plan.ToJson();
+      MustExecute(c.expr);
+    }
+  }
+  // Running them warmed nothing.
+  EXPECT_EQ(store_->structural_index()->warmed_tags(), warmed);
 }
 
 TEST_F(ExplainTest, PredicatesJoinAsSemiJoins) {
@@ -298,9 +297,9 @@ TEST_F(ExplainTest, PredicateGateReasons) {
     XPathPlan plan = MustExplain(c.expr);
     EXPECT_FALSE(plan.eligible) << c.expr;
     EXPECT_EQ(plan.gate, c.gate) << c.expr;
-    // The step joins as candidates; the scan decides the predicate.
-    EXPECT_EQ(plan.plan, "seeded-scan") << c.expr;
-    EXPECT_EQ(plan.seeds, 2u) << c.expr;
+    // The whole path scans, its warm tags unused.
+    EXPECT_EQ(plan.plan, "stream-scan") << c.expr;
+    EXPECT_TRUE(plan.steps.empty()) << c.expr;
   }
 }
 
@@ -362,8 +361,7 @@ TEST_F(ExplainTest, PredictionMatchesExecutionStamp) {
     }
   }
   // The matrix pins every plan label.
-  EXPECT_EQ(seen, (std::set<std::string>{"seeded-scan", "stream-scan",
-                                         "structural-join"}));
+  EXPECT_EQ(seen, (std::set<std::string>{"stream-scan", "structural-join"}));
 }
 #endif  // !defined(LAXML_TRACING_DISABLED)
 

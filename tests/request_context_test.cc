@@ -2,9 +2,9 @@
 // thread-local install/uninstall and nesting, attribution through the
 // LAXML_RC_* macros, the engine hooks (cursor tokens, buffer-pool
 // pins/misses, WAL bytes, index hits) actually crediting the installed
-// context — a seeded scan credits only the tokens it reads, and store
-// reads credit the tokens their cursor walks — and the counters' JSON
-// rendering.
+// context — a path the structural-index gate refuses scans like the
+// forced scan and touches no index counter, and store reads credit the
+// tokens their cursor walks — and the counters' JSON rendering.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "concurrency/shared_store.h"
+#include "index/structural_index.h"
 #include "obs/request_context.h"
 #include "query/xpath_eval.h"
 #include "query/xpath_parser.h"
@@ -146,10 +147,11 @@ TEST(RequestContext, ScanCreditsEveryTokenOnce) {
   }
 }
 
-TEST(RequestContext, SeededScanCreditsOnlyTheTokensItReads) {
-  // Once //b is warm, //b//text() scans only inside the <b> subtrees;
-  // the forced scan of the same query still reads, and credits, every
-  // token (nothing in it is dead: '//b' stays armed everywhere).
+TEST(RequestContext, RefusedPathScansAndTouchesNoIndexCounter) {
+  // The gate refuses //b//text(), so it is a plain scan, cold or warm:
+  // it reads, and credits, every token (nothing in it is dead: '//b'
+  // stays armed everywhere), exactly like the forced scan, and it looks
+  // up, warms and counts nothing in the structural index.
   StoreOptions options;
   options.max_range_bytes = 64;
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
@@ -160,18 +162,6 @@ TEST(RequestContext, SeededScanCreditsOnlyTheTokensItReads) {
                       .status());
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
   ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath("//b//text()"));
-  ASSERT_LAXML_OK(EvaluateXPathStreaming(*store, path).status());  // warms b
-
-  RequestContext seeded;
-  {
-    ScopedRequestContext scoped(&seeded);
-    ASSERT_OK_AND_ASSIGN(auto ids, EvaluateXPathStreaming(*store, path));
-    EXPECT_EQ(ids.size(), 3u);
-  }
-  ASSERT_NE(seeded.plan, nullptr);
-  EXPECT_STREQ(seeded.plan, "seeded-scan");
-  EXPECT_EQ(seeded.counters.tokens_scanned, 9u);  // three <b>x</b>
-  EXPECT_LT(seeded.counters.tokens_scanned, all.size());
 
   RequestContext forced;
   {
@@ -185,6 +175,36 @@ TEST(RequestContext, SeededScanCreditsOnlyTheTokensItReads) {
   ASSERT_NE(forced.plan, nullptr);
   EXPECT_STREQ(forced.plan, "stream-scan");
   EXPECT_EQ(forced.counters.tokens_scanned, all.size());
+
+  const StructuralIndex& index = *store->structural_index();
+  auto run_refused = [&](const char* when) {
+    const size_t warmed = index.warmed_tags();
+    const uint64_t hits = index.stats().hits;
+    const uint64_t misses = index.stats().misses;
+    for (int run = 0; run < 2; ++run) {
+      RequestContext rc;
+      {
+        ScopedRequestContext scoped(&rc);
+        ASSERT_OK_AND_ASSIGN(auto ids, EvaluateXPathStreaming(*store, path));
+        EXPECT_EQ(ids.size(), 3u) << when;
+      }
+      ASSERT_NE(rc.plan, nullptr) << when;
+      EXPECT_STREQ(rc.plan, "stream-scan") << when << " run " << run;
+      EXPECT_EQ(rc.counters.tokens_scanned, forced.counters.tokens_scanned)
+          << when << " run " << run;
+      EXPECT_EQ(rc.counters.structural_index_hits, 0u) << when;
+      EXPECT_EQ(rc.counters.structural_index_misses, 0u) << when;
+    }
+    EXPECT_EQ(index.warmed_tags(), warmed) << when;
+    EXPECT_EQ(index.stats().hits, hits) << when;
+    EXPECT_EQ(index.stats().misses, misses) << when;
+  };
+  run_refused("cold");
+  EXPECT_EQ(index.warmed_tags(), 0u);
+  // A warm <b> list changes nothing for it.
+  ASSERT_LAXML_OK(EvaluateXPathStreaming(*store, "//b").status());
+  ASSERT_EQ(index.warmed_tags(), 1u);
+  run_refused("with //b warm");
 
   // //b/text() is a join: each <b> is a text leaf, so its text node's
   // ordinal and id come from the posting, and no token is read.

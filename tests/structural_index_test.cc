@@ -1,6 +1,6 @@
 // Structural XPath index tests: the interval joins in isolation and
 // against brute force on random forests, lazy warm-up (only queried
-// tags memoize), warm negatives, eager mode, invalidation on
+// tags memoize), warm negatives, invalidation on
 // mutations / range restructuring, correctness of the
 // warm join against the plain scan as oracle under random edits, and
 // the integrity auditor's interval cross-check (a planted bogus
@@ -342,20 +342,6 @@ TEST_F(StructuralIndexTest, AbsentTagIsAWarmNegative) {
   EXPECT_EQ(store_->structural_index()->stats().hits, 1u);
 }
 
-TEST_F(StructuralIndexTest, EagerModeWarmsEveryTagOnFirstQuery) {
-  Open(StructuralIndexMode::kEager);
-  StructuralIndex* index = store_->structural_index();
-  Stream("//item");
-  // One scan memoized every element: site, regions, 2 items, 3 names,
-  // qty, people, person = 10 entries over 7 tags.
-  EXPECT_EQ(index->memoized_nodes(), 10u);
-  EXPECT_EQ(index->warmed_tags(), 7u);
-  // A tag the query never named is already warm.
-  Stream("//person");
-  EXPECT_EQ(index->stats().hits, 1u);
-  ASSERT_LAXML_OK(store_->CheckIntegrity());
-}
-
 TEST_F(StructuralIndexTest, OffModeNeverMemoizes) {
   Open(StructuralIndexMode::kOff);
   EXPECT_EQ(Stream("//item//name").size(), 2u);
@@ -521,48 +507,43 @@ TEST_F(StructuralIndexTest, EligibilityGate) {
   EXPECT_EQ(reason("//a/@b[1]"), "has predicates");
 }
 
-TEST_F(StructuralIndexTest, SplitKeepsWildcardsAndAttributesInside) {
+TEST_F(StructuralIndexTest, PlanJoinsWholePathOrNothing) {
   Open(StructuralIndexMode::kLazy);
-  // The planner's split is independent of warmth: these tags are cold.
-  auto split = [&](const std::string& expr) {
+  // The plan's lists are independent of warmth: these tags are cold.
+  auto plan = [&](const std::string& expr) {
     auto p = ParseXPath(expr);
     EXPECT_TRUE(p.ok()) << p.status().ToString();
     if (!p.ok()) return XPathAccessPlan{};
-    auto plan = PlanXPath(*store_, *p);
-    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    return plan.ok() ? *std::move(plan) : XPathAccessPlan{};
+    auto planned = PlanXPath(*store_, *p);
+    EXPECT_TRUE(planned.ok()) << planned.status().ToString();
+    return planned.ok() ? *std::move(planned) : XPathAccessPlan{};
   };
-  // Joined whole: '*' between named steps, a final '@name'.
-  EXPECT_EQ(split("/a/*/b").joined, 3u);
-  EXPECT_EQ(split("/a/*/*//b").joined, 4u);
-  EXPECT_EQ(split("//item/@category").joined, 2u);
-  EXPECT_FALSE(split("//item/@category").candidates);
-  // The prefix never ends in '*' and takes no '@*', '//@a', '*[n]', nor
-  // an attribute step before the last step.
-  EXPECT_EQ(split("/a/b/*").joined, 2u);
-  EXPECT_EQ(split("/a/*/*").joined, 1u);
-  EXPECT_EQ(split("/a/b/@*").joined, 2u);
-  EXPECT_EQ(split("/a/b//@c").joined, 2u);
-  EXPECT_EQ(split("/a/b/*[1]").joined, 2u);
-  EXPECT_EQ(split("/a/*/*[1]").joined, 1u);
-  EXPECT_EQ(split("/a/*/text()").joined, 1u);
-  EXPECT_EQ(split("/a/@c/b").joined, 1u);
-  // A named step whose predicates the join answers joins like any
-  // other; one with a predicate the join cannot answer, after a run of
-  // '*', joins as candidates.
-  EXPECT_EQ(split("/a/*/b[c]/d").joined, 4u);
-  EXPECT_FALSE(split("/a/*/b[c]/d").candidates);
-  EXPECT_EQ(split("/a/*/b[2]/d").joined, 4u);
-  XPathAccessPlan pred = split("/a/*/b[c/text()='x']/d");
-  EXPECT_EQ(pred.joined, 3u);
-  EXPECT_TRUE(pred.candidates);
-  // With a [n] beside it, the scan numbers the step: the prefix stops.
-  EXPECT_EQ(split("/a/b[c/text()='x'][1]/d").joined, 1u);
-  // A final text() joins as a step of its own.
-  XPathAccessPlan text = split("/a/b[c='x']/text()");
-  EXPECT_EQ(text.joined, 3u);
-  EXPECT_TRUE(text.text);
-  EXPECT_FALSE(split("/a/b[c='x']").text);
+  // Joined whole, one list per step and per predicate-path step: '*'
+  // between named steps, a final '@name' or text(), the predicates a
+  // semi-join answers.
+  EXPECT_EQ(plan("/a/*/b").lists.size(), 3u);
+  EXPECT_EQ(plan("/a/*/*//b").lists.size(), 4u);
+  EXPECT_EQ(plan("//item/@category").lists.size(), 2u);
+  EXPECT_EQ(plan("/a/*/b[c]/d").lists.size(), 5u);
+  EXPECT_EQ(plan("/a/*/b[2]/d").lists.size(), 4u);
+  XPathAccessPlan text = plan("/a/b[c='x']/text()");
+  EXPECT_EQ(text.lists.size(), 4u);
+  EXPECT_EQ(text.lists[3], nullptr);  // text() has no list of its own
+  // Cold, none of them has entries yet: each scans and warms.
+  EXPECT_EQ(text.entries, nullptr);
+  EXPECT_STREQ(text.label(), "stream-scan");
+  // Anything the gate refuses looks up no list at all, however long its
+  // joinable head: a trailing '*', '@*', '//@a', '*[n]', an attribute
+  // step before the last step, text() after '*', a predicate the join
+  // cannot answer.
+  for (const char* expr :
+       {"/a/b/*", "/a/*/*", "/a/b/@*", "/a/b//@c", "/a/b/*[1]", "/a/*/*[1]",
+        "/a/*/text()", "/a/@c/b", "/a/*/b[c/text()='x']/d",
+        "/a/b[c/text()='x'][1]/d", "/a/b//text()"}) {
+    XPathAccessPlan refused = plan(expr);
+    EXPECT_TRUE(refused.lists.empty()) << expr;
+    EXPECT_STREQ(refused.label(), "stream-scan") << expr;
+  }
 }
 
 TEST(StructuralShapesTest, WildcardAndAttributeJoinsAgreeWithScan) {
@@ -626,10 +607,11 @@ TEST(StructuralShapesTest, PredicateSemiJoinsAgreeWithScan) {
                            EvaluateXPathStreaming(*store, path));
       EXPECT_EQ(cold, plain) << expr << " over " << doc;
       EXPECT_EQ(warm, plain) << expr << " over " << doc;
-      ASSERT_OK_AND_ASSIGN(XPathAccessPlan plan, PlanXPath(*store, path));
-      if (plan.joined > 0) {
-        EXPECT_GT(store->structural_index()->stats().hits, hits) << expr;
-      }
+      // The warm run joined exactly when the gate accepts the path.
+      const uint64_t joins =
+          StructuralIneligibilityReason(path) == nullptr ? 1 : 0;
+      EXPECT_EQ(store->structural_index()->stats().hits, hits + joins)
+          << expr;
     }
     ASSERT_LAXML_OK(store->CheckIntegrity());
   }

@@ -1,9 +1,9 @@
 // Streaming XPath tests: exact agreement with the reference oracle
 // (tests/xpath_oracle.h) across hand-written cases, predicates,
-// generated documents, and fragmented stores; seeded scans (nested
-// seeds, seeds across range boundaries, dead subtrees passed on range
-// metadata, attributes spliced after children); plus the 64-step
-// NotSupported boundary.
+// generated documents, and fragmented stores; the warm plan of each
+// path, join or scan (nested same-name elements, values across range
+// boundaries, dead subtrees passed on range metadata, attributes
+// spliced after children); plus the 64-step NotSupported boundary.
 
 #include "query/xpath_stream.h"
 
@@ -186,23 +186,22 @@ TEST(XPathStreamTest, SeesUpdatesWithoutRefresh) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded scans: the index join picks the subtrees, the scan runs inside.
+// Warm plans: a path the gate accepts joins whole once warm; any other
+// path stays a plain scan.
 
-/// Runs `expr` cold (a full scan that warms the prefix's tags), then
-/// warm, and checks both against the oracle and the forced scan; the
-/// warm run must take `plan` (a seeded scan, unless the join answers
-/// the whole path).
-void ExpectSeeded(Store* store, const char* expr,
-                  const char* plan = "seeded-scan") {
-  ExpectAgreement(store, expr);  // cold: warms the prefix
+/// Runs `expr` cold (a full scan that warms the path's tags when the
+/// gate accepts it), then warm, and checks both against the oracle and
+/// the forced scan; the warm run must take `plan`.
+void ExpectWarm(Store* store, const char* expr, const char* plan) {
+  ExpectAgreement(store, expr);  // cold
   XPathOracle oracle(store);
   ASSERT_OK_AND_ASSIGN(auto expected, oracle.Evaluate(expr));
   ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath(expr));
   obs::RequestContext rc;
   {
     obs::ScopedRequestContext scoped(&rc);
-    ASSERT_OK_AND_ASSIGN(auto seeded, EvaluateXPathStreaming(*store, path));
-    EXPECT_EQ(seeded, expected) << expr << " (seeded)";
+    ASSERT_OK_AND_ASSIGN(auto warm, EvaluateXPathStreaming(*store, path));
+    EXPECT_EQ(warm, expected) << expr << " (warm)";
   }
 #if !defined(LAXML_TRACING_DISABLED)
   ASSERT_NE(rc.plan, nullptr) << expr;
@@ -215,10 +214,9 @@ void ExpectSeeded(Store* store, const char* expr,
   EXPECT_EQ(forced, expected) << expr << " (forced scan)";
 }
 
-TEST(XPathStreamTest, NestedSameNameSeeds) {
-  // Nested <a> seeds, one hidden below a subtree (<x><y>) that nothing
-  // armed reaches: the scan must not skip it, or it would miss the
-  // nested seed.
+TEST(XPathStreamTest, NestedSameNameElements) {
+  // Nested <a> elements, one below a subtree (<x><y>) that holds no
+  // other match.
   auto store = StoreWith(MustFragment(
       "<r><a k=\"1\"><b>1</b><x><y><a k=\"2\"><b>2</b><c/></a></y></x>"
       "<a><b>3</b><a k=\"3\"><b>4</b></a></a><c/></a>"
@@ -226,20 +224,20 @@ TEST(XPathStreamTest, NestedSameNameSeeds) {
   for (const char* expr :
        {"//a/node()", "//a/*", "//a/@*", "//a//text()", "/r/a/*",
         "//a[b/text()='3']"}) {
-    ExpectSeeded(store.get(), expr);
+    ExpectWarm(store.get(), expr, "stream-scan");
   }
   // '*' levels, a final '@name' or text() and the predicates a
-  // semi-join answers join whole, nested seeds or not.
+  // semi-join answers join whole, nested or not.
   for (const char* expr :
        {"//a/@k", "//a/*/*/a/b", "//a/*/b/@k", "//a[b]", "//a[c]/b",
         "//a[@k='2']/b", "//a/b[1]", "//a[a]/c", "//a/b/text()",
         "//a[b='3']", "//a/x/y/a/b/text()", "//a/text()", "//a[b='1']",
         "//r[a='34']"}) {
-    ExpectSeeded(store.get(), expr, "structural-join");
+    ExpectWarm(store.get(), expr, "structural-join");
   }
 }
 
-TEST(XPathStreamTest, SeedsAcrossRangeBoundaries) {
+TEST(XPathStreamTest, WarmPlansAcrossRangeBoundaries) {
   std::string xml = "<r>";
   for (int i = 0; i < 40; ++i) {
     const std::string n = std::to_string(i);
@@ -251,14 +249,14 @@ TEST(XPathStreamTest, SeedsAcrossRangeBoundaries) {
   ASSERT_GT(store->range_manager().range_count(), 10u);
   for (const char* expr :
        {"//s/*", "//s/@*", "//s[u]/v//text()"}) {
-    ExpectSeeded(store.get(), expr);
+    ExpectWarm(store.get(), expr, "stream-scan");
   }
   // Attribute and element values compared across range boundaries, too.
   for (const char* expr :
        {"//s/@a", "/r/*/v/w", "/r/s/*/w", "//s[u]", "/r/s[2]",
         "//s[@a='7']/t", "//s[v/w][3]", "//s/t/text()", "//s[t='text 7']/v",
         "//s/v/w/text()", "//s[v='7']", "//s[t='text 17']"}) {
-    ExpectSeeded(store.get(), expr, "structural-join");
+    ExpectWarm(store.get(), expr, "structural-join");
   }
 }
 
@@ -288,14 +286,14 @@ TEST(XPathStreamTest, DeadSubtreeSpanningWholeRanges) {
     EXPECT_LT(rc.counters.tokens_scanned, all.size() / 2) << expr;
 #endif
   }
-  ExpectSeeded(store.get(), "/r/keep/text()", "structural-join");
-  ExpectSeeded(store.get(), "//skip/x[1]/y", "structural-join");
+  ExpectWarm(store.get(), "/r/keep/text()", "structural-join");
+  ExpectWarm(store.get(), "//skip/x[1]/y", "structural-join");
 }
 
 TEST(XPathStreamTest, AttributesAfterChildren) {
   // InsertIntoFirst splices before the element's attribute tokens, so
-  // the attributes follow a child: a seeded //e/@k must still see them
-  // past the (dead) child subtree.
+  // the attributes follow a child: //e/@* and //e/@k must still see
+  // them past the child subtree.
   auto store = StoreWith(MustFragment(
       "<r><e k=\"1\" j=\"2\"><f/></e><e k=\"3\"/></r>"));
   ASSERT_OK_AND_ASSIGN(auto es, EvaluateXPathStreaming(*store, "//e"));
@@ -314,11 +312,11 @@ TEST(XPathStreamTest, AttributesAfterChildren) {
     }
   }
   ASSERT_LT(first_g, first_attr);
-  ExpectSeeded(store.get(), "//e/@*");
+  ExpectWarm(store.get(), "//e/@*", "stream-scan");
   // The attribute's interval still nests one level inside its element.
   for (const char* expr : {"//e/@k", "//e[@k='3']/g", "//e[@j]",
                            "//e/g/h/text()", "//r[e='x']"}) {
-    ExpectSeeded(store.get(), expr, "structural-join");
+    ExpectWarm(store.get(), expr, "structural-join");
   }
 }
 
@@ -349,7 +347,7 @@ TEST(XPathStreamTest, ForgedHashedKeyIsConfirmedOnTheToken) {
   const char* exprs[] = {"//b[a='longvalue-one']",
                          "//b[@k='longvalue-one']"};
   for (const char* expr : exprs) {
-    ExpectSeeded(store.get(), expr, "structural-join");
+    ExpectWarm(store.get(), expr, "structural-join");
   }
   const uint64_t forged = StructuralValueKey("longvalue-one");
   ASSERT_FALSE(ExactValueKey(forged));
@@ -380,7 +378,7 @@ TEST(XPathStreamTest, ReplaceContentSeenByNextWarmQuery) {
       MustFragment("<r><b><a>old</a></b><b><a>other</a></b></r>"));
   const char* exprs[] = {"//b[a='old']", "//b[a='new']", "//a/text()"};
   for (const char* expr : exprs) {
-    ExpectSeeded(store.get(), expr, "structural-join");
+    ExpectWarm(store.get(), expr, "structural-join");
   }
   const std::vector<StructuralEntry> before =
       *store->structural_index()->LookupTag("a");
@@ -424,7 +422,7 @@ TEST(XPathStreamTest, MixedContentMatchesForcedScan) {
                          "//r[a='t']",  "//r[a='']",   "//a/b/text()",
                          "//r[a='y']",  "//r[a/b='']"};
   for (const char* expr : exprs) {
-    ExpectSeeded(store.get(), expr, "structural-join");
+    ExpectWarm(store.get(), expr, "structural-join");
   }
   // The keys say what the shapes are.
   const std::vector<StructuralEntry> as =
