@@ -46,6 +46,7 @@ struct TokenPos {
   /// Token codec of `range`, so a read at this position decodes without
   /// probing the range metadata. A live range's codec never changes.
   uint8_t codec = 0;
+  bool operator==(const TokenPos&) const = default;
 };
 
 /// Counters for benches and tests.

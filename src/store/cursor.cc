@@ -2,30 +2,45 @@
 
 #include <string>
 
-#include "common/check.h"
-
 namespace laxml {
 
-Status TokenCursor::LoadRange(const RangeMeta& meta) {
-  LAXML_ASSIGN_OR_RETURN(payload_, ranges_->ReadPayload(meta.id));
-  meta_ = meta;
-  next_id_ = meta.start_id;
-  range_first_ordinal_ = next_ordinal_;
-  reader_ = TokenReader(Slice(payload_), ranges_->codec_for(meta));
+void TokenCursor::Release() {
+  reader_ = TokenReader(Slice());
+  slice_ = RecordSlice();
+  bounded_ = false;
+}
+
+Status TokenCursor::Pin(uint32_t offset, size_t bytes) {
+  if (slice_.borrowed()) Release();  // one pin at a time
+  LAXML_ASSIGN_OR_RETURN(
+      slice_, ranges_->range_records()->PinSlice(meta_.id, offset, bytes));
+  base_ = offset;
+  bounded_ = bytes != kToRecordEnd && slice_.size() == bytes;
+  reader_ = TokenReader(slice_.bytes(), ranges_->codec_for(meta_));
   return Status::OK();
 }
 
-Status TokenCursor::SeekReader(RangeId range, uint32_t byte_offset) {
+Status TokenCursor::LoadRange(const RangeMeta& meta) {
+  meta_ = meta;
+  meta_read_ = true;
+  next_id_ = meta.start_id;
+  range_first_ordinal_ = next_ordinal_;
+  return Pin(0, kToRecordEnd);
+}
+
+Status TokenCursor::SeekReader(RangeId range, uint32_t offset) {
   valid_ = false;
-  if (meta_.id != range) {
+  if (meta_.id != range || !meta_read_) {
     LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(range));
     LAXML_RETURN_IF_ERROR(LoadRange(meta));
+  } else if (!Holds(offset)) {
+    LAXML_RETURN_IF_ERROR(Pin(0, kToRecordEnd));
   }
-  if (byte_offset >= payload_.size()) {
+  if (!Holds(offset)) {
     return Status::Corruption("seek past the end of range " +
                               std::to_string(range));
   }
-  reader_.SeekTo(byte_offset);
+  reader_.SeekTo(offset - base_);
   return Status::OK();
 }
 
@@ -61,21 +76,38 @@ Status TokenCursor::Seek(const StructuralEntry& entry, TokenType begin,
   return Status::OK();
 }
 
-Status TokenCursor::SeekTo(const TokenPos& pos) {
-  LAXML_RETURN_IF_ERROR(SeekReader(pos.range, pos.offset));
+Status TokenCursor::SeekTo(const TokenPos& pos, Token* token, size_t bytes) {
+  if (pos.codec == 0) {
+    LAXML_RETURN_IF_ERROR(SeekReader(pos.range, pos.offset));
+  } else {
+    // The slice starts at the token. PinSlice returns nothing at or past
+    // the record end, so an offset beyond the range fails to decode as
+    // Corruption with no metadata probe.
+    valid_ = false;
+    meta_ = {.id = pos.range, .codec = pos.codec};
+    meta_read_ = false;
+    LAXML_RETURN_IF_ERROR(Pin(pos.offset, bytes));
+  }
   next_id_ = meta_.start_id + pos.begins_before;
   range_first_ordinal_ = 0;
   next_ordinal_ = pos.token_index;
   depth_ = 0;
-  return DecodeOne(nullptr);
+  return DecodeOne(token);
+}
+
+Status TokenCursor::DecodeAgain(uint32_t at, Token* token, TokenType* type,
+                                Status st) {
+  if (!bounded_) return st;
+  LAXML_RETURN_IF_ERROR(Pin(at, kToRecordEnd));
+  return token == nullptr ? reader_.Skip(type) : reader_.Next(token);
 }
 
 const Token& TokenCursor::token() const {
   if (!decoded_) {
-    // reader_ still reads the current token's range: Next() loads the
-    // following range only when it advances.
+    // reader_ still reads the current token's slice: Next() pins the
+    // following bytes only when it advances.
     TokenReader reader = reader_;
-    reader.SeekTo(byte_offset_);
+    reader.SeekTo(byte_offset_ - base_);
     Status st = reader.Next(&token_);
     LAXML_CHECK(st.ok()) << "token at range " << meta_.id << " offset "
                          << byte_offset_ << " passed Skip but not Next: "
@@ -85,26 +117,39 @@ const Token& TokenCursor::token() const {
   return token_;
 }
 
+Result<RangeId> TokenCursor::LeaveRange() {
+  Release();
+  if (!meta_read_) {
+    LAXML_ASSIGN_OR_RETURN(meta_, ranges_->GetMeta(meta_.id));
+    meta_read_ = true;
+  }
+  return meta_.next;
+}
+
 Status TokenCursor::NextRange(Token* token) {
+  LAXML_RETURN_IF_ERROR(RunOff());
   while (reader_.AtEnd()) {
-    if (meta_.next == kInvalidRangeId) {
+    LAXML_ASSIGN_OR_RETURN(RangeId next, LeaveRange());
+    if (next == kInvalidRangeId) {
       valid_ = false;
       return Status::OK();
     }
-    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(meta_.next));
+    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(next));
     LAXML_RETURN_IF_ERROR(LoadRange(meta));
   }
   return DecodeOne(token);
 }
 
-Status TokenCursor::SkipSubtree() {
+Status TokenCursor::SkipSubtree(TokenSequence* out) {
   LAXML_DCHECK(valid_ && TokenOpensScope(type_))
       << "SkipSubtree needs a scope-opening token";
   const int64_t end_depth = depth();
   uint64_t scanned = 0;
-  size_t offset = 0;
+  uint32_t at = 0;
   TokenType type = type_;
+  Token* token = nullptr;
   while (depth_ > end_depth) {
+    if (reader_.AtEnd()) LAXML_RETURN_IF_ERROR(RunOff());
     while (reader_.AtEnd()) {
       // Depth-profile skip: a range whose lowest running depth stays
       // above the end token's cannot hold it, so its metadata alone
@@ -112,14 +157,14 @@ Status TokenCursor::SkipSubtree() {
       // decoded. This keeps insertIntoLast(root) cheap on a store of
       // thousands of ranges. Ids need no count: each loaded range
       // restarts them from its start_id.
-      RangeId next = meta_.next;
+      LAXML_ASSIGN_OR_RETURN(RangeId next, LeaveRange());
       while (true) {
         if (next == kInvalidRangeId) {
           valid_ = false;
           return Status::Corruption("subtree never closes");
         }
         LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(next));
-        if (depth_ - end_depth + meta.min_depth <= 0) {
+        if (out != nullptr || depth_ - end_depth + meta.min_depth <= 0) {
           LAXML_RETURN_IF_ERROR(LoadRange(meta));
           break;
         }
@@ -128,8 +173,11 @@ Status TokenCursor::SkipSubtree() {
         next = meta.next;
       }
     }
-    offset = reader_.offset();
-    LAXML_RETURN_IF_ERROR(reader_.Skip(&type));
+    at = base_ + static_cast<uint32_t>(reader_.offset());
+    if (out != nullptr) token = &out->emplace_back();
+    Status st = token == nullptr ? reader_.Skip(&type) : reader_.Next(token);
+    if (!st.ok() && !(st = DecodeAgain(at, token, &type, st)).ok()) return st;
+    if (token != nullptr) type = token->type;
     ++scanned;
     Count(type);
   }
@@ -139,7 +187,7 @@ Status TokenCursor::SkipSubtree() {
   type_ = type;
   name_symbol_ = kNoNameSymbol;
   decoded_ = false;
-  byte_offset_ = static_cast<uint32_t>(offset);
+  byte_offset_ = at;
   return Status::OK();
 }
 

@@ -17,22 +17,32 @@
 // ranges on their depth profile alone. The store locates nodes the same
 // way (Section 4.3): SeekTo a range's first token and Next() to the id,
 // then SkipSubtree() to its end token. Reads that want every token whole
-// (Store::Read, Read(id)'s subtree) use Next(Token*), which decodes
-// header and strings in one pass. This is the only walk over the range
-// chain.
+// use Next(Token*) or SkipSubtree(&out), which decode header and strings
+// in one pass.
+//
+// This is the only walk over the range chain and the store's only
+// decoder of stored range bytes, so token decode is timed and changed
+// here alone. It reads through RecordStore::PinSlice and decodes from
+// the borrowed buffer-pool frame (an overflow slice that spans pieces is
+// copied), holding one pin at most: released when it leaves the range,
+// runs off the end or is destroyed. A pinned page cannot be discarded,
+// so destroy every cursor before mutating the store (the full-index
+// reindex, which walks a range its mutation keeps, is the exception).
 
 #ifndef LAXML_STORE_CURSOR_H_
 #define LAXML_STORE_CURSOR_H_
 
+#include <cstdint>
 #include <string_view>
-#include <vector>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "index/structural_index.h"
 #include "obs/request_context.h"
 #include "store/range_manager.h"
 #include "xml/token.h"
 #include "xml/token_codec.h"
+#include "xml/token_sequence.h"
 
 namespace laxml {
 
@@ -46,14 +56,19 @@ namespace laxml {
 ///     LAXML_RETURN_IF_ERROR(cursor->Next());
 ///   }
 ///
-/// The cursor is invalidated by any store mutation. Every token whose
-/// header it reads is credited to the request context's
-/// `tokens_scanned`; ranges SkipSubtree passes on metadata are not.
-/// Store reads walk through a cursor too, so a full Store::Read()
-/// credits total_tokens(), and a Read(id) without a memoized extent
-/// credits its subtree's tokens (plus its locate scan's headers).
+/// The cursor is invalidated by any store mutation, and its pin must be
+/// gone before one (see above). Every token whose header it reads is
+/// credited to the request context's `tokens_scanned`; ranges
+/// SkipSubtree passes on metadata are not. Store reads walk through a
+/// cursor too, so a full Store::Read() credits total_tokens(), and a
+/// Read(id) its subtree's tokens (plus a locate scan's headers before).
 class TokenCursor {
  public:
+  /// SeekTo bounds: a single token (any without a long text or value),
+  /// or the rest of the record.
+  static constexpr size_t kOneToken = 512;
+  static constexpr size_t kToRecordEnd = SIZE_MAX;
+
   explicit TokenCursor(const RangeManager* ranges) : ranges_(ranges) {}
 
   /// Positions at the first token of the store; Valid() is false on an
@@ -72,12 +87,17 @@ class TokenCursor {
               Token* token = nullptr);
 
   /// Positions at the token at `pos` — a store location
-  /// (`Store::Located`, a Partial Index memo) — with its node id from
-  /// `pos.begins_before`. Global ordinal and depth are not part of a
-  /// location, so both count from here: ordinals from the range's first
-  /// token (ordinal() == pos.token_index), depth from 0 at this token.
-  /// `pos.codec` is not consulted: the range's metadata supplies it.
-  Status SeekTo(const TokenPos& pos);
+  /// (`Store::Located`, a Partial Index memo). Global ordinal and depth
+  /// are not part of a location, so both count from here: ordinals from
+  /// the range's first token (ordinal() == pos.token_index), depth from 0
+  /// at this token. With `token`, decodes it whole as Next(Token*) does.
+  /// With its codec set, the seek pins `bytes` of the record from
+  /// `pos.offset` and reads no range metadata until the cursor leaves
+  /// the range (node_id() is unknown until then); a read past them
+  /// re-pins once through the record end. Codec 0 (a bare range) reads
+  /// the metadata first, as Seek(entry) does.
+  Status SeekTo(const TokenPos& pos, Token* token = nullptr,
+                size_t bytes = kToRecordEnd);
 
   bool Valid() const { return valid_; }
 
@@ -97,8 +117,9 @@ class TokenCursor {
   /// From a token that opens a scope, advances to its matching end
   /// token, reading headers only. Ranges the end token cannot be in
   /// (by their depth profile) are passed without reading their payload.
-  /// Ordinals, ids and depth stay exact.
-  Status SkipSubtree();
+  /// Ordinals, ids and depth stay exact. With `out`, appends every token
+  /// through the end token to *out whole, passing no range unread.
+  Status SkipSubtree(TokenSequence* out = nullptr);
 
   /// Type of the current token.
   TokenType type() const { return type_; }
@@ -116,8 +137,10 @@ class TokenCursor {
   /// until the cursor moves.
   std::string_view value_view() const { return reader_.last_value(); }
 
-  /// Regenerated node id (kInvalidNodeId for end tokens).
+  /// Regenerated node id (kInvalidNodeId for end tokens). Unknown in
+  /// the range a SeekTo with a codec entered (see SeekTo).
   NodeId node_id() const {
+    LAXML_DCHECK(meta_read_) << "no start id in range " << meta_.id;
     return TokenBeginsNode(type_) ? next_id_ - 1 : kInvalidNodeId;
   }
 
@@ -140,7 +163,7 @@ class TokenCursor {
 
   /// Encoded length of the current token under its range's codec.
   uint32_t encoded_len() const {
-    return static_cast<uint32_t>(reader_.offset()) - byte_offset_;
+    return base_ + static_cast<uint32_t>(reader_.offset()) - byte_offset_;
   }
 
   /// Position of the current token. A structural entry carries no
@@ -159,29 +182,46 @@ class TokenCursor {
   uint64_t skipped_headers() const { return skipped_headers_; }
 
  private:
+  /// Makes `meta`'s range the current one, its whole record pinned.
   Status LoadRange(const RangeMeta& meta);
-  /// Loads `range` unless it is the current one and puts the reader at
-  /// `byte_offset`, which must lie inside its payload.
-  Status SeekReader(RangeId range, uint32_t byte_offset);
+  /// Puts the reader at `offset` in `range`, loading the range unless
+  /// its slice holds `offset`.
+  Status SeekReader(RangeId range, uint32_t offset);
+  /// Pins `bytes` of the current range's record from `offset`.
+  Status Pin(uint32_t offset, size_t bytes);
+  void Release();  // drops the slice and its pin
+  bool Holds(uint32_t offset) const {
+    return offset >= base_ && offset - base_ < slice_.size();
+  }
+  /// At the end of a bounded slice, re-pins through the record end.
+  Status RunOff() {
+    return bounded_ ? Pin(base_ + static_cast<uint32_t>(reader_.offset()),
+                          kToRecordEnd)
+                    : Status::OK();
+  }
+  /// Releases the slice and returns the next range's id, reading the
+  /// current range's metadata if the cursor has not.
+  Result<RangeId> LeaveRange();
   /// Next() across a range boundary (or to the end).
   Status NextRange(Token* token);
+  /// A decode at record offset `at` failed with `st`: on a bounded slice,
+  /// re-pins from `at` through the record end and decodes again.
+  Status DecodeAgain(uint32_t at, Token* token, TokenType* type, Status st);
 
   /// Reads the token at the reader's position as the current token: its
   /// header only, or the whole token into *token when one is given.
   Status DecodeOne(Token* token) {
     LAXML_RC_ADD(tokens_scanned, 1);
-    byte_offset_ = static_cast<uint32_t>(reader_.offset());
-    if (token == nullptr) {
-      LAXML_RETURN_IF_ERROR(reader_.Skip(&type_));
-    } else {
-      LAXML_RETURN_IF_ERROR(reader_.Next(token));
-      type_ = token->type;
-    }
+    byte_offset_ = base_ + static_cast<uint32_t>(reader_.offset());
+    Status st = token == nullptr ? reader_.Skip(&type_) : reader_.Next(token);
+    if (!st.ok()) st = DecodeAgain(byte_offset_, token, &type_, st);
+    if (!st.ok()) return st;
+    if (token != nullptr) type_ = token->type;
     name_symbol_ = reader_.last_name_symbol();
     decoded_ = false;
     Count(type_);
     valid_ = true;
-    return Status::OK();
+    return st;
   }
 
   /// Moves ordinal, id and depth past a token of `type`. The current
@@ -199,8 +239,10 @@ class TokenCursor {
 
   const RangeManager* ranges_;
   bool valid_ = false;
-  std::vector<uint8_t> payload_;
-  TokenReader reader_{Slice()};
+  RecordSlice slice_;  // the pinned (or copied) bytes being decoded
+  uint32_t base_ = 0;  // record offset of slice_'s first byte
+  bool bounded_ = false;  // slice_ may stop short of the record end
+  TokenReader reader_{Slice()};  // over slice_
   NodeId next_id_ = kInvalidNodeId;  // id of the next node-begin token
   uint64_t next_ordinal_ = 0;         // ordinal of the next token
   TokenType type_ = TokenType::kText;
@@ -210,6 +252,7 @@ class TokenCursor {
   uint32_t byte_offset_ = 0;
   int64_t depth_ = 0;  // depth after consuming the current token
   RangeMeta meta_;  // of the range being streamed
+  bool meta_read_ = false;  // else only its id and codec (next_id_ from 0)
   uint64_t range_first_ordinal_ = 0;  // ordinal of meta_'s first token
   uint64_t skipped_headers_ = 0;
 };

@@ -443,93 +443,65 @@ Status Store::LogOp(WalOp op, NodeId target, const TokenSequence& data) {
 // ---------------------------------------------------------------------------
 // Locating
 
-Status Store::FetchTokenAt(Located* loc) const {
-  // PinSlice clamps to the record end and returns nothing at or past it,
-  // so an offset beyond the range fails to decode as Corruption without a
-  // metadata probe.
-  const RecordStore* records = ranges_->range_records();
-  LAXML_ASSIGN_OR_RETURN(
-      RecordSlice slice,
-      records->PinSlice(loc->pos.range, loc->pos.offset, kTokenProbeBytes));
-  const TokenCodecContext ctx(loc->pos.codec, dict_.get());
-  TokenReader reader{slice.bytes(), ctx};
-  Status st = reader.Next(&loc->token);
-  if (st.ok()) {
-    loc->encoded_len = static_cast<uint32_t>(reader.offset());
-    return Status::OK();
-  }
-  if (slice.size() < kTokenProbeBytes) return st;
-  // The token is longer than the probe; read the full remainder.
-  LAXML_ASSIGN_OR_RETURN(
-      slice, records->PinSlice(loc->pos.range, loc->pos.offset, UINT32_MAX));
-  TokenReader full_reader{slice.bytes(), ctx};
-  LAXML_RETURN_IF_ERROR(full_reader.Next(&loc->token));
-  loc->encoded_len = static_cast<uint32_t>(full_reader.offset());
-  return Status::OK();
-}
-
-Result<Store::Located> Store::LocateBegin(NodeId id,
-                                          const PartialEntry* probed) {
+Status Store::SeekBegin(NodeId id, const PartialEntry& memo, size_t bytes,
+                        TokenCursor* cursor, Token* token) {
   if (id == kInvalidNodeId || id >= next_node_id_) {
     return Status::NotFound("node id was never allocated");
   }
   if (options_.index_mode == IndexMode::kFullIndex) {
     LAXML_ASSIGN_OR_RETURN(TokenLocation tl, full_->Get(id));
     LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(tl.range_id));
-    Located loc;
-    loc.pos = {tl.range_id, tl.byte_offset, tl.token_index,
-               static_cast<uint32_t>(id - meta.start_id), meta.codec};
-    LAXML_RETURN_IF_ERROR(FetchTokenAt(&loc));
-    return loc;
+    return cursor->SeekTo({tl.range_id, tl.byte_offset, tl.token_index,
+                           static_cast<uint32_t>(id - meta.start_id),
+                           meta.codec},
+                          token, bytes);
   }
-  PartialEntry memo;
-  if (probed != nullptr) {
-    memo = *probed;
-  } else {
-    partial_.Lookup(id, &memo);
-  }
-  if (memo.begin) {
-    Located loc{.pos = *memo.begin};
-    LAXML_RETURN_IF_ERROR(FetchTokenAt(&loc));
-    return loc;
-  }
+  if (memo.begin) return cursor->SeekTo(*memo.begin, token, bytes);
   // The lazy path (Section 4.3): a coarse index probe, then a scan from
   // the range's first token that regenerates ids up to `id`. Only the
   // target token's strings are decoded.
   LAXML_ASSIGN_OR_RETURN(RangeId rid, ranges_->index().Lookup(id));
-  TokenCursor cursor(ranges_.get());
-  LAXML_RETURN_IF_ERROR(cursor.SeekTo({.range = rid}));
-  while (cursor.Valid() && cursor.range() == rid) {
-    if (cursor.node_id() == id) {
-      Located loc{cursor.pos(), cursor.token(), cursor.encoded_len()};
+  LAXML_RETURN_IF_ERROR(cursor->SeekTo({.range = rid}));
+  while (cursor->Valid() && cursor->range() == rid) {
+    if (cursor->node_id() == id) {
+      *token = cursor->token();
       // Headers read: the range's first token through this one.
-      stats_.locate_scan_tokens += loc.pos.token_index + 1;
-      partial_.Record(id, PartialEntry::kBegin, loc.pos);
-      return loc;
+      stats_.locate_scan_tokens += cursor->pos().token_index + 1;
+      partial_.Record(id, PartialEntry::kBegin, cursor->pos());
+      return Status::OK();
     }
-    LAXML_RETURN_IF_ERROR(cursor.Next());
+    LAXML_RETURN_IF_ERROR(cursor->Next());
   }
   return Status::Corruption("range index pointed at a range missing id " +
                             std::to_string(id));
+}
+
+Result<Store::Located> Store::LocateBegin(NodeId id) {
+  PartialEntry memo;
+  partial_.Lookup(id, &memo);
+  TokenCursor cursor(ranges_.get());
+  Token token;
+  LAXML_RETURN_IF_ERROR(
+      SeekBegin(id, memo, TokenCursor::kOneToken, &cursor, &token));
+  return Located{cursor.pos(), std::move(token), cursor.encoded_len()};
 }
 
 Result<Store::Located> Store::LocateEnd(NodeId id, const Located& begin) {
   if (!begin.token.OpensScope()) {
     return begin;  // single-token node: extent is the begin token itself
   }
+  TokenCursor cursor(ranges_.get());
   PartialEntry memo;
   if (partial_.Lookup(id, &memo) && memo.end) {
-    Located loc{.pos = *memo.end};
-    LAXML_RETURN_IF_ERROR(FetchTokenAt(&loc));
-    return loc;
+    LAXML_RETURN_IF_ERROR(
+        cursor.SeekTo(*memo.end, nullptr, TokenCursor::kOneToken));
+  } else {
+    LAXML_RETURN_IF_ERROR(cursor.SeekTo(begin.pos));
+    LAXML_RETURN_IF_ERROR(cursor.SkipSubtree());
+    stats_.locate_scan_tokens += cursor.skipped_headers();
+    partial_.Record(id, PartialEntry::kEnd, cursor.pos());
   }
-  TokenCursor cursor(ranges_.get());
-  LAXML_RETURN_IF_ERROR(cursor.SeekTo(begin.pos));
-  LAXML_RETURN_IF_ERROR(cursor.SkipSubtree());
-  stats_.locate_scan_tokens += cursor.skipped_headers();
-  Located loc{cursor.pos(), cursor.token(), cursor.encoded_len()};
-  partial_.Record(id, PartialEntry::kEnd, loc.pos);
-  return loc;
+  return Located{cursor.pos(), cursor.token(), cursor.encoded_len()};
 }
 
 // ---------------------------------------------------------------------------
@@ -547,40 +519,27 @@ Result<RangeId> Store::SplitRange(const TokenPos& cut) {
   if (full_ != nullptr) {
     // Eager index maintenance: every id that moved into the tail must be
     // re-pointed. This is the honest cost of the full-index baseline.
-    LAXML_ASSIGN_OR_RETURN(RangeMeta tail_meta, ranges_->GetMeta(tail));
-    if (tail_meta.has_ids()) {
-      LAXML_ASSIGN_OR_RETURN(auto payload, ranges_->ReadPayload(tail));
-      LAXML_RETURN_IF_ERROR(ReindexRange(tail, payload.data(),
-                                         payload.size(),
-                                         tail_meta.start_id,
-                                         tail_meta.codec));
-    }
+    LAXML_RETURN_IF_ERROR(ReindexRange(tail));
   }
   return tail;
 }
 
-Status Store::ReindexRange(RangeId range, const uint8_t* payload,
-                           size_t len, NodeId start_id, uint8_t codec) {
-  TokenReader reader{Slice(payload, len),
-                     TokenCodecContext(codec, dict_.get())};
-  NodeId id = start_id;
-  uint32_t index = 0;
-  TokenType type;
-  while (!reader.AtEnd()) {
-    size_t offset = reader.offset();
-    LAXML_RETURN_IF_ERROR(reader.Skip(&type));
-    if (TokenBeginsNode(type)) {
-      TokenLocation tl;
-      tl.range_id = range;
-      tl.byte_offset = static_cast<uint32_t>(offset);
-      tl.token_index = index;
-      LAXML_RETURN_IF_ERROR(full_->Put(id, tl));
+Status Store::ReindexRange(RangeId range) {
+  LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(range));
+  if (!meta.has_ids()) return Status::OK();
+  TokenCursor cursor(ranges_.get());
+  LAXML_RETURN_IF_ERROR(cursor.SeekTo({.range = meta.id, .codec = meta.codec}));
+  for (uint32_t i = 1;; ++i) {
+    if (TokenBeginsNode(cursor.type())) {
+      const TokenPos pos = cursor.pos();
+      LAXML_RETURN_IF_ERROR(
+          full_->Put(meta.start_id + pos.begins_before,
+                     {meta.id, pos.offset, pos.token_index}));
       ++stats_.full_index_maintenance;
-      ++id;
     }
-    ++index;
+    if (i == meta.token_count) return Status::OK();
+    LAXML_RETURN_IF_ERROR(cursor.Next());
   }
-  return Status::OK();
 }
 
 Result<Store::Boundary> Store::EnsureBoundaryBefore(const Located& loc) {
@@ -618,8 +577,8 @@ Status Store::ValidateFragment(const TokenSequence& data) const {
       return Status::InvalidArgument(
           "document tokens are not valid update content");
     }
-    // Memo-hit reads fetch only kMaxClosingTokenBytes past the start of
-    // a subtree's closing token.
+    // End tokens are bare: nothing reads their name or value, and a
+    // memo-hit Read(id) pins only kMaxClosingTokenBytes of its end token.
     if (t.ClosesScope() && (!t.name.empty() || !t.value.empty())) {
       return Status::InvalidArgument("end tokens carry no name or value");
     }
@@ -648,8 +607,7 @@ Status Store::RangeWriter::Flush() {
       RangeId rid, store_->ranges_->InsertRangeAfter(
                        left_, Slice(buf_), start, begins_, buffered_, codec_));
   if (store_->full_ != nullptr && begins_ > 0) {
-    LAXML_RETURN_IF_ERROR(
-        store_->ReindexRange(rid, buf_.data(), buf_.size(), start, codec_));
+    LAXML_RETURN_IF_ERROR(store_->ReindexRange(rid));
   }
   store_->next_node_id_ += begins_;
   store_->stats_.nodes_inserted += begins_;
@@ -886,72 +844,35 @@ Result<TokenSequence> Store::ReadWithIds(std::vector<NodeId>* ids) {
   return out;
 }
 
-Status Store::ReadSubtree(const Located& start, NodeId id,
-                          TokenSequence* out, Located* end_loc) {
-  out->push_back(start.token);
-  if (!start.token.OpensScope()) {
-    *end_loc = start;
-    return Status::OK();
-  }
-  TokenCursor cursor(ranges_.get());
-  LAXML_RETURN_IF_ERROR(cursor.SeekTo(start.pos));
-  do {
-    LAXML_RETURN_IF_ERROR(cursor.Next(&out->emplace_back()));
-    if (!cursor.Valid()) {
-      return Status::Corruption("node " + std::to_string(id) +
-                                " never closes");
-    }
-  } while (cursor.depth() > 0 || !TokenClosesScope(cursor.type()));
-  *end_loc = {cursor.pos(), cursor.token(), cursor.encoded_len()};
-  return Status::OK();
-}
-
-Status Store::ReadMemoizedSubtree(NodeId id, const TokenPos& begin,
-                                  const TokenPos& end,
-                                  TokenSequence* out) const {
-  if (end.offset <= begin.offset || end.token_index <= begin.token_index) {
-    return Status::Corruption("memoized end of node " + std::to_string(id) +
-                              " does not follow its begin");
-  }
-  const uint32_t span = end.offset - begin.offset;
-  LAXML_ASSIGN_OR_RETURN(
-      RecordSlice slice,
-      ranges_->range_records()->PinSlice(begin.range, begin.offset,
-                                         size_t{span} + kMaxClosingTokenBytes));
-  TokenReader reader{slice.bytes(),
-                     TokenCodecContext(begin.codec, dict_.get())};
-  out->reserve(out->size() + end.token_index - begin.token_index + 1);
-  int64_t depth = 0;
-  while (!reader.AtEnd()) {
-    const size_t offset = reader.offset();
-    Token& token = out->emplace_back();
-    LAXML_RETURN_IF_ERROR(reader.Next(&token));
-    if (token.OpensScope()) {
-      ++depth;
-    } else if (token.ClosesScope() && --depth <= 0) {
-      if (offset == span) return Status::OK();
-      break;
-    }
-  }
-  return Status::Corruption("memoized end of node " + std::to_string(id) +
-                            " is not where its subtree closes");
-}
-
 Result<TokenSequence> Store::Read(NodeId id) {
   obs::ScopedHistogramTimer timer(&stats_.latency(StoreOp::kReadById));
-  TokenSequence out;
-  // One Partial Index probe serves both the memo-hit path and the locate.
+  // One Partial Index probe serves both the begin and the end memo.
   PartialEntry memo;
   partial_.Lookup(id, &memo);
-  if (memo.begin && memo.end && memo.end->range == memo.begin->range) {
-    LAXML_RETURN_IF_ERROR(
-        ReadMemoizedSubtree(id, *memo.begin, *memo.end, &out));
-  } else {
-    LAXML_ASSIGN_OR_RETURN(Located begin, LocateBegin(id, &memo));
-    Located end;
-    LAXML_RETURN_IF_ERROR(ReadSubtree(begin, id, &out, &end));
-    if (begin.token.OpensScope()) {
-      partial_.Record(id, PartialEntry::kEnd, end.pos);
+  TokenSequence out;
+  // The walk's first slice: through an end memoized in the begin's range
+  // (plus the most a closing token takes), the record end for one in a
+  // later range, else one token (the walk re-pins if the node goes on).
+  size_t bytes = TokenCursor::kOneToken;
+  if (memo.begin && memo.end) {
+    if (memo.end->range != memo.begin->range) {
+      bytes = TokenCursor::kToRecordEnd;
+    } else if (memo.end->token_index > memo.begin->token_index) {
+      bytes = size_t{memo.end->offset - memo.begin->offset} +
+              kMaxClosingTokenBytes;
+      out.reserve(memo.end->token_index - memo.begin->token_index + 1);
+    }
+  }
+  TokenCursor cursor(ranges_.get());
+  LAXML_RETURN_IF_ERROR(
+      SeekBegin(id, memo, bytes, &cursor, &out.emplace_back()));
+  if (TokenOpensScope(cursor.type())) {
+    LAXML_RETURN_IF_ERROR(cursor.SkipSubtree(&out));
+    if (!memo.end) {
+      partial_.Record(id, PartialEntry::kEnd, cursor.pos());
+    } else if (cursor.pos() != *memo.end) {
+      return Status::Corruption("memoized end of node " + std::to_string(id) +
+                                " is not where its subtree closes");
     }
   }
   ++stats_.reads_by_id;
@@ -1025,13 +946,7 @@ Result<uint64_t> Store::CompactRanges(uint32_t target_bytes) {
       structural_->InvalidateRange(cur);
       structural_->InvalidateRange(dead);
       if (full_ != nullptr) {
-        LAXML_ASSIGN_OR_RETURN(RangeMeta merged, ranges_->GetMeta(cur));
-        if (merged.has_ids()) {
-          LAXML_ASSIGN_OR_RETURN(auto payload, ranges_->ReadPayload(cur));
-          LAXML_RETURN_IF_ERROR(ReindexRange(cur, payload.data(),
-                                             payload.size(), merged.start_id,
-                                             merged.codec));
-        }
+        LAXML_RETURN_IF_ERROR(ReindexRange(cur));
       }
       ++merges;
       // Stay on `cur`: more neighbors may fold in.

@@ -130,7 +130,10 @@ class Store {
   /// Reads the entire data source in document order.
   Result<TokenSequence> Read();
 
-  /// Reads the subtree of node `id` (begin token through end token).
+  /// Reads the subtree of node `id` (begin token through end token): one
+  /// cursor walk from the begin token (memoized or located) to the end
+  /// token, which is memoized, or checked against its memo (Corruption
+  /// when they differ).
   Result<TokenSequence> Read(NodeId id);
 
   // -------------------------------------------------------------------
@@ -296,12 +299,12 @@ class Store {
   void Poison(const Status& cause);
 
  private:
-  friend class TokenCursor;
   friend class StoreAuditor;
 
   Store(std::unique_ptr<Pager> pager, const StoreOptions& options);
 
-  /// A located token: where it sits and what it is.
+  /// A located token: where it sits and what it is. It holds no pin (the
+  /// cursor that read it is gone), so a mutation may follow.
   struct Located {
     TokenPos pos;
     Token token = {};
@@ -359,13 +362,15 @@ class Store {
   /// epoch (see WalOp::kCheckpoint).
   Status AppendCheckpointHeader();
 
-  /// Locates the begin token of node `id`: the full index under
-  /// kFullIndex, else a Partial Index hit, else a Range Index probe and a
-  /// scan from the range's first token (memoized). Every result carries
-  /// the token's begin count, ready for a split or a cursor seek.
-  /// `probed` is the caller's own Partial Index lookup of `id` (an empty
-  /// entry on a miss); null makes LocateBegin look it up.
-  Result<Located> LocateBegin(NodeId id, const PartialEntry* probed = nullptr);
+  /// Puts `cursor` on node `id`'s begin token, decoded into *token: by
+  /// the full index, `memo` (the caller's Partial Index lookup of `id`)
+  /// or a Range Index probe and a memoized scan. A position from an
+  /// index pins `bytes` (see TokenCursor::SeekTo).
+  Status SeekBegin(NodeId id, const PartialEntry& memo, size_t bytes,
+                   TokenCursor* cursor, Token* token);
+  /// The begin token of node `id`, with its begin count, ready for a
+  /// split or a cursor seek.
+  Result<Located> LocateBegin(NodeId id);
   /// Locates the end token of the node whose begin is `begin` (returns
   /// `begin` itself for single-token nodes).
   Result<Located> LocateEnd(NodeId id, const Located& begin);
@@ -375,14 +380,6 @@ class Store {
   Result<Boundary> EnsureBoundaryBefore(const Located& loc);
   /// Same for the position just after the token at `loc`.
   Result<Boundary> EnsureBoundaryAfter(const Located& loc);
-
-  /// Reads the token at `loc->pos` under `loc->pos.codec` (a short slice
-  /// first, then the full remainder on truncation), filling loc->token
-  /// and loc->encoded_len.
-  Status FetchTokenAt(Located* loc) const;
-  /// FetchTokenAt's first slice: enough for any token without a long
-  /// text or attribute value.
-  static constexpr size_t kTokenProbeBytes = 512;
 
   Status LogOp(WalOp op, NodeId target, const TokenSequence& data);
 
@@ -430,23 +427,9 @@ class Store {
   /// `right_boundary` (exclusive), i.e. [first_doomed, right_boundary).
   Status DeleteRangesBetween(RangeId first_doomed, RangeId right_boundary);
 
-  /// Reads tokens from `start`, the begin token of node `id`, until the
-  /// node closes; appends to *out. *end_loc receives the end token's
-  /// location (so Read(id) can memoize it in the Partial Index).
-  Status ReadSubtree(const Located& start, NodeId id, TokenSequence* out,
-                     Located* end_loc);
-
-  /// Read(id) on a Partial Index entry whose `begin` and `end` are
-  /// memoized in the same range: one slice from the begin token through
-  /// the end token, decoded with the memo's codec. Corruption unless the
-  /// subtree closes exactly at the memoized end offset.
-  Status ReadMemoizedSubtree(NodeId id, const TokenPos& begin,
-                             const TokenPos& end, TokenSequence* out) const;
-
-  /// In full-index mode, (re)indexes every id-bearing token of a range
-  /// payload (encoded with `codec`).
-  Status ReindexRange(RangeId range, const uint8_t* payload, size_t len,
-                      NodeId start_id, uint8_t codec);
+  /// In full-index mode, (re)indexes every node-beginning token of
+  /// `range`, walking it with a cursor.
+  Status ReindexRange(RangeId range);
 
   Status MaybeSync();
 

@@ -117,9 +117,6 @@ class TokenReader {
   /// valid while the buffer is.
   std::string_view last_value() const { return last_value_; }
 
-  /// Resets to the beginning.
-  void Rewind() { pos_ = 0; }
-
   /// Positions at an absolute byte offset (must be a token boundary
   /// previously obtained from offset()).
   void SeekTo(size_t offset) { pos_ = offset; }

@@ -1,8 +1,9 @@
 // TokenCursor tests: depth bookkeeping, id regeneration across range
 // boundaries, behavior on fragmented stores, agreement with the
 // cursor-free ReferenceRead (as the cursor and as Store::ReadWithIds,
-// which walks it), and the range-local positions the store's locate
-// scans take from it.
+// which walks it), the range-local positions the store's locate scans
+// take from it, and its pin discipline: at most one buffer-pool pin,
+// none once it runs off the end or is destroyed.
 
 #include "store/cursor.h"
 
@@ -10,6 +11,7 @@
 
 #include <set>
 
+#include "obs/request_context.h"
 #include "query/xpath_stream.h"
 #include "store/store.h"
 #include "test_util.h"
@@ -275,6 +277,55 @@ TEST(CursorTest, SeekElementEntryOntoAttributeIsCorruption) {
   st = cursor.Seek((*es)[0], TokenType::kBeginAttribute);
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_FALSE(cursor.Valid());
+}
+
+TEST(CursorTest, HoldsAtMostOnePinAndReleasesIt) {
+  auto store = FragmentedStore();
+  ASSERT_NO_FATAL_FAILURE(FillAndFragment(store.get()));
+  const RangeManager& ranges = store->range_manager();
+  ASSERT_GT(ranges.range_count(), 3u);
+  ASSERT_OK_AND_ASSIGN(RecordLocation first,
+                       ranges.range_records()->Locate(ranges.first_range()));
+  ASSERT_EQ(first.kind, RecordLocation::kInline);
+  const BufferPool* pool = store->pager()->pool();
+  ASSERT_EQ(pool->pinned_frame_count(), 0u);
+  {
+    auto cursor = store->NewCursor();
+    ASSERT_LAXML_OK(cursor->SeekToFirst());
+    std::set<RangeId> walked;
+    while (cursor->Valid()) {
+      walked.insert(cursor->range());
+      ASSERT_LE(pool->pinned_frame_count(), 1u)
+          << "at ordinal " << cursor->ordinal();
+      ASSERT_LAXML_OK(cursor->Next());
+    }
+    EXPECT_EQ(walked.size(), ranges.range_count());
+    EXPECT_EQ(pool->pinned_frame_count(), 0u) << "ran off the end";
+    // Destroyed while it stands in a range.
+    ASSERT_LAXML_OK(cursor->SeekToFirst());
+    EXPECT_EQ(pool->pinned_frame_count(), 1u);
+  }
+  EXPECT_EQ(pool->pinned_frame_count(), 0u) << "destroyed";
+
+  // The store's reads leave no pin behind, so a mutation right after
+  // each succeeds and the audit finds no pinned frame.
+  ASSERT_OK_AND_ASSIGN(TokenSequence root, store->Read(1));
+  ASSERT_OK_AND_ASSIGN(TokenSequence again, store->Read(1));  // memo hit
+  EXPECT_EQ(again, root);
+  ASSERT_LAXML_OK(store->Describe(2).status());
+  EXPECT_EQ(pool->pinned_frame_count(), 0u) << "after Read and Describe";
+  ASSERT_LAXML_OK(store->InsertIntoLast(1, MustFragment("<y/>")).status());
+  {
+    obs::RequestContext rc;
+    obs::ScopedRequestContext scoped(&rc);
+    ASSERT_LAXML_OK(EvaluateXPathStreaming(*store, "//*").status());
+#if !defined(LAXML_TRACING_DISABLED)
+    EXPECT_STREQ(rc.plan, "stream-scan");
+#endif
+  }
+  EXPECT_EQ(pool->pinned_frame_count(), 0u) << "after a stream scan";
+  ASSERT_LAXML_OK(store->InsertIntoLast(1, MustFragment("<z/>")).status());
+  EXPECT_LAXML_OK(store->CheckIntegrity());
 }
 
 }  // namespace

@@ -330,8 +330,9 @@ TEST_P(StoreBasicTest, FragmentValidationRejectsGarbage) {
                   .IsInvalidArgument());
   EXPECT_TRUE(
       store_->InsertIntoLast(1, {}).status().IsInvalidArgument());
-  // End tokens are bare: a memoized read fetches only
-  // kMaxClosingTokenBytes past a closing token's start.
+  // End tokens are bare: nothing reads their name or value, and a
+  // memo-hit Read(id) pins only kMaxClosingTokenBytes past a closing
+  // token's start.
   Token named_end = Token::EndElement();
   named_end.name = "x";
   TokenSequence named{Token::BeginElement("x"), named_end};
@@ -376,25 +377,83 @@ TEST(StoreMemoReadTest, MemoHitIsOneLookupAndOneSlice) {
 }
 
 TEST(StoreMemoReadTest, MemoHitChecksTheMemoizedEnd) {
-  StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
-  ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
-  // r 1, a 2, b 3, "x" 4, c 5, d 6; one inline range, so memo hits
-  // decode from the pinned frame.
-  ASSERT_LAXML_OK(store->LoadXml("<r><a><b>x</b><c/></a><d/></r>").status());
-  PartialIndex& memo = store->mutable_partial_index();
-  PartialEntry r, b;
-  for (NodeId id : {NodeId{1}, NodeId{2}, NodeId{3}}) {
-    ASSERT_LAXML_OK(store->Read(id).status());
+  // Unbounded ranges put the whole document in one inline range, so the
+  // begin and end memos share it; 16-byte ranges put them in different
+  // ranges, and the read walks across the range boundaries between.
+  for (uint32_t max_range_bytes : {0u, 16u}) {
+    SCOPED_TRACE("max_range_bytes " + std::to_string(max_range_bytes));
+    StoreOptions options;
+    options.index_mode = IndexMode::kRangeWithPartial;
+    options.max_range_bytes = max_range_bytes;
+    ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
+    // r 1, a 2, b 3, "x" 4, c 5, d 6.
+    ASSERT_LAXML_OK(
+        store->LoadXml("<r><a><b>x</b><c/></a><d/></r>").status());
+    PartialIndex& memo = store->mutable_partial_index();
+    PartialEntry r, a, b;
+    for (NodeId id : {NodeId{1}, NodeId{2}, NodeId{3}}) {
+      ASSERT_LAXML_OK(store->Read(id).status());
+    }
+    ASSERT_TRUE(memo.Lookup(1, &r) && r.end);
+    ASSERT_TRUE(memo.Lookup(2, &a) && a.begin && a.end);
+    ASSERT_TRUE(memo.Lookup(3, &b) && b.end);
+    EXPECT_EQ(a.begin->range == a.end->range, max_range_bytes == 0);
+    // Both halves memoized: a hit that answers the real subtree.
+    const uint64_t hits = store->partial_index().stats().hits;
+    ASSERT_OK_AND_ASSIGN(TokenSequence got, store->Read(2));
+    EXPECT_EQ(got, ScanSlice(store.get(), 2));
+    EXPECT_EQ(store->partial_index().stats().hits, hits + 1);
+    // A real token boundary inside <a> (</b>) and one past it (</r>): a
+    // memo-hit read must refuse both rather than return a cut or
+    // overlong subtree.
+    for (const PartialEntry* wrong : {&b, &r}) {
+      memo.Record(2, PartialEntry::kEnd, *wrong->end);
+      EXPECT_TRUE(store->Read(2).status().IsCorruption());
+    }
   }
-  ASSERT_TRUE(memo.Lookup(1, &r) && r.end);
-  ASSERT_TRUE(memo.Lookup(3, &b) && b.end);
-  // A real token boundary inside <a> (</b>) and one past it (</r>): a
-  // memo-hit read must refuse both rather than return a cut or
-  // overlong subtree.
-  for (const PartialEntry* wrong : {&b, &r}) {
-    memo.Record(2, PartialEntry::kEnd, *wrong->end);
-    EXPECT_TRUE(store->Read(2).status().IsCorruption());
+}
+
+// Texts and attribute values longer than a single-token read's first
+// slice, stored inline and in an overflow record under both codecs, read
+// whole by Describe and Read(id) both cold and on a memo hit.
+TEST(StoreMemoReadTest, LongTokensReadWholeColdAndWarm) {
+  for (uint8_t codec : {kTokenCodecV1, kTokenCodecV2}) {
+    for (size_t len : {size_t{600}, size_t{7000}}) {
+      SCOPED_TRACE("codec v" + std::to_string(codec) + ", " +
+                   std::to_string(len) + " B values");
+      StoreOptions options;
+      options.index_mode = IndexMode::kRangeWithPartial;
+      options.token_codec = codec;
+      ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
+      const std::string value(len, 'v');
+      const std::string text(len, 't');
+      // r 1, e 2, @k 3, text 4.
+      ASSERT_LAXML_OK(
+          store->LoadXml("<r><e k=\"" + value + "\">" + text + "</e></r>")
+              .status());
+      ASSERT_OK_AND_ASSIGN(
+          RecordLocation loc,
+          store->range_manager().range_records()->Locate(
+              store->range_manager().first_range()));
+      EXPECT_EQ(loc.kind, len < 1000 ? RecordLocation::kInline
+                                     : RecordLocation::kOverflow);
+      const uint64_t hits = store->partial_index().stats().hits;
+      for (const char* pass : {"cold", "warm"}) {
+        SCOPED_TRACE(pass);
+        ASSERT_OK_AND_ASSIGN(Token k, store->Describe(3));
+        EXPECT_EQ(k.type, TokenType::kBeginAttribute);
+        EXPECT_EQ(k.value, value);
+        ASSERT_OK_AND_ASSIGN(Token t, store->Describe(4));
+        EXPECT_EQ(t.type, TokenType::kText);
+        EXPECT_EQ(t.value, text);
+        for (NodeId id : {NodeId{2}, NodeId{3}, NodeId{4}}) {
+          ASSERT_OK_AND_ASSIGN(TokenSequence got, store->Read(id));
+          EXPECT_EQ(got, ScanSlice(store.get(), id)) << "node " << id;
+        }
+      }
+      EXPECT_GT(store->partial_index().stats().hits, hits);
+      EXPECT_LAXML_OK(store->CheckIntegrity());
+    }
   }
 }
 
