@@ -38,16 +38,6 @@ namespace {
 
 using bench::Timer;
 
-#define BENCH_CHECK(expr)                                              \
-  do {                                                                 \
-    ::laxml::Status _st = (expr);                                      \
-    if (!_st.ok()) {                                                   \
-      std::fprintf(stderr, "FATAL %s:%d %s\n", __FILE__, __LINE__,     \
-                   _st.ToString().c_str());                            \
-      std::exit(1);                                                    \
-    }                                                                  \
-  } while (0)
-
 StoreOptions CodecOptions(uint32_t codec) {
   StoreOptions options;
   options.token_codec = codec;

@@ -25,16 +25,6 @@ using bench::Timer;
 constexpr int kEntries = 3000;
 constexpr int kRandomReads = 2500;
 
-#define BENCH_CHECK(expr)                                              \
-  do {                                                                 \
-    ::laxml::Status _st = (expr);                                      \
-    if (!_st.ok()) {                                                   \
-      std::fprintf(stderr, "FATAL %s:%d %s\n", __FILE__, __LINE__,     \
-                   _st.ToString().c_str());                            \
-      std::exit(1);                                                    \
-    }                                                                  \
-  } while (0)
-
 struct Phase {
   uint64_t ranges;
   double scan_kbs;
@@ -89,18 +79,7 @@ void Run() {
         .End();
     BENCH_CHECK(store->InsertIntoLast(*root, b.Build()).status());
   }
-  std::vector<NodeId> entry_ids;
-  {
-    std::vector<NodeId> ids;
-    auto all = store->ReadWithIds(&ids);
-    BENCH_CHECK(all.status());
-    for (size_t i = 0; i < all->size(); ++i) {
-      if (all->at(i).type == TokenType::kBeginElement &&
-          all->at(i).name == "entry") {
-        entry_ids.push_back(ids[i]);
-      }
-    }
-  }
+  std::vector<NodeId> entry_ids = bench::ElementIds(store.get(), "entry");
   ZipfGenerator zipf(entry_ids.size(), 0.8, 42);
   std::vector<NodeId> targets;
   for (int i = 0; i < kRandomReads; ++i) {

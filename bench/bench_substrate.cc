@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_util.h"
 #include "btree/btree.h"
 #include "query/xpath_eval.h"
 #include "query/xpath_stream.h"
@@ -19,15 +20,6 @@
 
 namespace laxml {
 namespace {
-
-#define BENCH_CHECK(expr)                                           \
-  do {                                                              \
-    ::laxml::Status _st = (expr);                                   \
-    if (!_st.ok()) {                                                \
-      state.SkipWithError(_st.ToString().c_str());                  \
-      return;                                                       \
-    }                                                               \
-  } while (0)
 
 TokenSequence BenchDoc(int nodes) {
   Random rng(5);

@@ -24,16 +24,6 @@ constexpr int kOrders = 100;
 constexpr int kItemsPerOrder = 30;
 constexpr int kOps = 2500;
 
-#define BENCH_CHECK(expr)                                              \
-  do {                                                                 \
-    ::laxml::Status _st = (expr);                                      \
-    if (!_st.ok()) {                                                   \
-      std::fprintf(stderr, "FATAL %s:%d %s\n", __FILE__, __LINE__,     \
-                   _st.ToString().c_str());                            \
-      std::exit(1);                                                    \
-    }                                                                  \
-  } while (0)
-
 double RunMix(IndexMode mode, double update_fraction) {
   TempDb db("mix");
   StoreOptions options;
@@ -55,18 +45,8 @@ double RunMix(IndexMode mode, double update_fraction) {
                                                           kItemsPerOrder))
             .status());
   }
-  std::vector<NodeId> order_ids;
-  {
-    std::vector<NodeId> ids;
-    auto all = store->ReadWithIds(&ids);
-    BENCH_CHECK(all.status());
-    for (size_t i = 0; i < all->size(); ++i) {
-      if (all->at(i).type == TokenType::kBeginElement &&
-          all->at(i).name == "purchase-order") {
-        order_ids.push_back(ids[i]);
-      }
-    }
-  }
+  std::vector<NodeId> order_ids =
+      bench::ElementIds(store.get(), "purchase-order");
   ZipfGenerator zipf(order_ids.size(), 0.9, 31);
   Random op_rng(1234);
   uint64_t order_counter = kOrders;

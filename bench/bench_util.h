@@ -18,8 +18,22 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
+#include "store/store.h"
 #include "xml/token_codec.h"
 #include "xml/token_sequence.h"
+
+/// Ends the bench binary with the status text when `expr` is not OK: a
+/// failed store call leaves nothing worth timing.
+#define BENCH_CHECK(expr)                                          \
+  do {                                                             \
+    ::laxml::Status _st = (expr);                                  \
+    if (!_st.ok()) {                                               \
+      std::fprintf(stderr, "FATAL %s:%d %s\n", __FILE__, __LINE__, \
+                   _st.ToString().c_str());                        \
+      std::exit(1);                                                \
+    }                                                              \
+  } while (0)
 
 namespace laxml {
 namespace bench {
@@ -36,7 +50,6 @@ class Timer {
  public:
   Timer() : start_(NowSeconds()) {}
   double Seconds() const { return NowSeconds() - start_; }
-  void Restart() { start_ = NowSeconds(); }
 
  private:
   double start_;
@@ -54,6 +67,20 @@ inline uint64_t EncodedBytes(const TokenSequence& tokens) {
   uint64_t n = 0;
   for (const Token& t : tokens) n += EncodedTokenSize(t);
   return n;
+}
+
+/// Node ids of every begin-element named `name`, in document order.
+inline std::vector<NodeId> ElementIds(Store* store, const std::string& name) {
+  std::vector<NodeId> ids;
+  auto all = store->ReadWithIds(&ids);
+  BENCH_CHECK(all.status());
+  std::vector<NodeId> out;
+  for (size_t i = 0; i < all->size(); ++i) {
+    if ((*all)[i].type == TokenType::kBeginElement && (*all)[i].name == name) {
+      out.push_back(ids[i]);
+    }
+  }
+  return out;
 }
 
 /// Sorts *samples and returns the p-quantile (p in [0,1]). The shared
@@ -138,6 +165,12 @@ class JsonReport {
                   static_cast<unsigned long long>(count), extra.c_str(),
                   seconds > 0 ? static_cast<double>(count) / seconds : 0);
     rows_.push_back(buf);
+  }
+
+  /// Adds a row of caller-formatted fields, e.g. "\"ranges\": 252"
+  /// (cells that are not one latency series or one throughput).
+  void AddFieldsRow(const std::string& op, const std::string& fields) {
+    rows_.push_back("{\"op\": \"" + op + "\", " + fields + "}");
   }
 
   /// Writes {"benchmark": ..., "meta": {...}, "rows": [...]} to

@@ -48,16 +48,6 @@ namespace {
 
 using bench::Timer;
 
-#define BENCH_CHECK(expr)                                              \
-  do {                                                                 \
-    ::laxml::Status _st = (expr);                                      \
-    if (!_st.ok()) {                                                   \
-      std::fprintf(stderr, "FATAL %s:%d %s\n", __FILE__, __LINE__,     \
-                   _st.ToString().c_str());                            \
-      std::exit(1);                                                    \
-    }                                                                  \
-  } while (0)
-
 std::unique_ptr<Store> OpenWithDoc(StructuralIndexMode mode,
                                    const TokenSequence& doc) {
   StoreOptions options;
