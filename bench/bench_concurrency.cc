@@ -83,8 +83,6 @@ int main(int argc, char** argv) {
   }
 
   bench::JsonReport report("bench_concurrency");
-  report.AddMeta("structural_index",
-                 StructuralIndexModeName(StoreOptions().structural_index));
   StoreOptions options;
   options.index_mode = IndexMode::kRangeWithPartial;
   auto opened = Store::OpenInMemory(options);

@@ -302,7 +302,6 @@ int RunOverloadBench(long server_threads, long ops_per_client,
     if (!report.WriteTo(json_path)) return 1;
   }
 
-  std::printf("%s", (*server)->stats().ToString().c_str());
   (*server)->Shutdown();
   return ratio <= 2.0 ? 0 : 1;
 }
@@ -533,8 +532,6 @@ int main(int argc, char** argv) {
               static_cast<double>(total_ops) / phase1_seconds);
 
   bench::JsonReport report("bench_server");
-  report.AddMeta("structural_index",
-                 StructuralIndexModeName(StoreOptions().structural_index));
   {
     char extra[128];
     std::snprintf(extra, sizeof(extra),
@@ -648,7 +645,6 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty() && !report.WriteTo(json_path)) return 1;
 
-  std::printf("%s", (*server)->stats().ToString().c_str());
   (*server)->Shutdown();
   return 0;
 }

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/engine_metrics.h"
+#include "obs/metrics.h"
 #include "query/xpath_eval.h"
 #include "store/store.h"
 #include "workload/doc_generator.h"
@@ -93,8 +95,10 @@ int main(int argc, char** argv) {
   std::printf("bids on the first auction now: %zu\n", increases->size());
 
   CHECK_OK(store->CheckIntegrity());
-  std::printf("\nstore after the session: %s\n",
-              store->stats().ToString().c_str());
+  obs::Snapshot metrics;
+  obs::CollectStoreMetrics(*store, &metrics);
+  std::printf("\nstore after the session:\n%s",
+              obs::RenderTable(metrics).c_str());
   const PartialIndexStats& ps = store->partial_index().stats();
   std::printf("partial index earned %llu hits from %llu lookups (%.0f%%)\n",
               (unsigned long long)ps.hits, (unsigned long long)ps.lookups,

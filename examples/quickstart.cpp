@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <string>
 
+#include "obs/engine_metrics.h"
+#include "obs/metrics.h"
 #include "query/xpath_eval.h"
 #include "store/store.h"
 #include "xml/serializer.h"
@@ -98,6 +100,8 @@ int main(int argc, char** argv) {
   std::printf("  ranges: %llu (one per insert unit, plus splits)\n",
               (unsigned long long)store->range_manager().range_count());
   std::printf("%s", store->DebugRangeTable().c_str());
-  std::printf("  stats: %s\n", store->stats().ToString().c_str());
+  obs::Snapshot metrics;
+  obs::CollectStoreMetrics(*store, &metrics);
+  std::printf("\nmetrics:\n%s", obs::RenderTable(metrics).c_str());
   return 0;
 }

@@ -20,8 +20,8 @@ namespace {
 constexpr uint32_t kStoreMagic = 0x4C585354u;  // "LXST"
 constexpr size_t kModeOffset = 8;
 
-// Store::Open refuses to open a store under a different IndexMode than
-// it was created with, so fsck reads the mode out of the meta blob
+// Store::Open refuses to open a full-index store lazily or a lazy one
+// with the full index, so fsck reads the mode out of the meta blob
 // first. This also front-loads the page-file-level checks (header
 // magic, meta page checksum) before a full Store bootstrap.
 Result<IndexMode> SniffIndexMode(const std::string& path) {

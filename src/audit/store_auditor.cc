@@ -621,7 +621,7 @@ std::string DescribeValueKey(uint64_t key) {
 
 void StoreAuditor::AuditStructuralIndex() {
   const StructuralIndex* si = store_->structural_.get();
-  if (!si->enabled() || si->memoized_nodes() == 0) return;
+  if (si->memoized_nodes() == 0) return;
 
   // Re-derive every element's and attribute's (pre, post, level, range,
   // offset) tuple from the current token stream — the oracle the memos

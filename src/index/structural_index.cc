@@ -16,7 +16,6 @@ StructuralIndex::EntryList StructuralIndex::LookupTag(
 
 void StructuralIndex::Publish(const std::string& tag,
                               std::vector<StructuralEntry> entries) {
-  if (!enabled()) return;
   TagList list;
   for (const StructuralEntry& e : entries) list.ranges.insert(e.range);
   const size_t added = entries.size();
@@ -202,7 +201,7 @@ void StructuralWarmer::OnToken(const TokenCursor& cursor) {
 }
 
 void StructuralWarmer::Publish(StructuralIndex* index) {
-  if (!complete() || !index->enabled()) return;
+  if (!complete()) return;
   // Wanted tags with zero matches publish as empty lists: "no such
   // element" is a cached fact too.
   for (TagEntries& tag : collected_) {

@@ -73,7 +73,6 @@
 #include "common/relaxed_counter.h"
 #include "common/thread_annotations.h"
 #include "index/range_index.h"
-#include "store/store_options.h"
 #include "xml/name_dictionary.h"
 #include "xml/token.h"
 
@@ -161,20 +160,16 @@ class StructuralIndex {
   /// once published; safe to keep using after the lock drops.
   using EntryList = std::shared_ptr<const std::vector<StructuralEntry>>;
 
-  explicit StructuralIndex(StructuralIndexMode mode) : mode_(mode) {}
-
+  StructuralIndex() = default;
   StructuralIndex(const StructuralIndex&) = delete;
   StructuralIndex& operator=(const StructuralIndex&) = delete;
-
-  StructuralIndexMode mode() const { return mode_; }
-  bool enabled() const { return mode_ != StructuralIndexMode::kOff; }
 
   /// The posting list for `tag`, or nullptr when the tag is cold. An
   /// empty (non-null) list means "warm, and no such element exists".
   EntryList LookupTag(const std::string& tag) const LAXML_EXCLUDES(mu_);
 
   /// Installs `entries` (sorted by pre) as `tag`'s posting list,
-  /// replacing any previous list. No-op when the index is off.
+  /// replacing any previous list.
   void Publish(const std::string& tag, std::vector<StructuralEntry> entries)
       LAXML_EXCLUDES(mu_);
 
@@ -220,7 +215,6 @@ class StructuralIndex {
     std::unordered_set<RangeId> ranges;
   };
 
-  const StructuralIndexMode mode_;
   mutable SharedMutex mu_;
   std::unordered_map<std::string, TagList> tags_ LAXML_GUARDED_BY(mu_);
   size_t memoized_ LAXML_GUARDED_BY(mu_) = 0;

@@ -328,14 +328,6 @@ Result<std::string> Client::Explain(std::string expr, bool profile) {
   return std::move(resp.text);
 }
 
-Result<std::string> Client::GetStats() {
-  Request req;
-  req.op = OpCode::kGetStats;
-  LAXML_ASSIGN_OR_RETURN(Response resp, CallIdempotent(std::move(req)));
-  LAXML_RETURN_IF_ERROR(resp.status);
-  return std::move(resp.text);
-}
-
 Result<std::string> Client::GetMetrics(MetricsFormat format) {
   Request req;
   req.op = OpCode::kGetMetrics;

@@ -11,7 +11,7 @@
 // non-blocking socket, not per-syscall SO_RCVTIMEO: a server that
 // trickles one byte per timeout window cannot stall a caller forever.
 // A timed-out or broken call leaves the connection unusable; the typed
-// read-only wrappers (Ping/Read/XPath/GetStats/GetMetrics/
+// read-only wrappers (Ping/Read/XPath/Explain/GetMetrics/
 // CheckIntegrity) transparently reconnect and retry exactly once,
 // because re-running a read is safe. Mutations never retry — the
 // original may have been applied before the connection died.
@@ -130,10 +130,9 @@ class Client {
   /// index warmth, eligibility gate. `profile` additionally executes
   /// the query and appends its timing + resource counters.
   Result<std::string> Explain(std::string expr, bool profile = false);
-  Result<std::string> GetStats();
-  /// Full metrics exposition: the store's counters/gauges/histograms
-  /// plus the server's per-op latency table. `format` picks the
-  /// rendering.
+  /// Full metrics exposition, the one read of the engine's counters:
+  /// the store's counters/gauges/histograms plus the server's per-op
+  /// latency table. `format` picks the rendering.
   Result<std::string> GetMetrics(
       MetricsFormat format = MetricsFormat::kTable);
   Status CheckIntegrity();

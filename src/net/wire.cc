@@ -59,8 +59,7 @@ bool ReturnsTokens(OpCode op) {
 }
 
 bool ReturnsText(OpCode op) {
-  return op == OpCode::kGetStats || op == OpCode::kGetMetrics ||
-         op == OpCode::kExplain;
+  return op == OpCode::kGetMetrics || op == OpCode::kExplain;
 }
 
 // Wraps a finished body in a frame header in place: `dst` grew by the
@@ -77,12 +76,12 @@ void SealFrame(std::vector<uint8_t>* dst, size_t body_start) {
               header.begin(), header.end());
 }
 
-Result<OpCode> DecodeOpCode(Slice body, size_t* pos) {
-  if (*pos >= body.size()) {
-    return Status::Corruption("wire body truncated before opcode");
-  }
-  uint8_t raw = body[(*pos)++];
-  if (raw > kMaxOpCode) {
+// The one opcode check, for both directions: a byte past the table or
+// a retired value is not an opcode.
+constexpr uint8_t kRetiredOpCode = 12;  // was GET_STATS
+
+Result<OpCode> DecodeOpCode(uint8_t raw) {
+  if (raw > kMaxOpCode || raw == kRetiredOpCode) {
     return Status::Corruption("unknown opcode " + std::to_string(raw));
   }
   return static_cast<OpCode>(raw);
@@ -116,7 +115,6 @@ const char* OpCodeName(OpCode op) {
     case OpCode::kRead: return "READ";
     case OpCode::kReadNode: return "READ_NODE";
     case OpCode::kXPath: return "XPATH";
-    case OpCode::kGetStats: return "GET_STATS";
     case OpCode::kCheckIntegrity: return "CHECK_INTEGRITY";
     case OpCode::kGetMetrics: return "GET_METRICS";
     case OpCode::kExplain: return "EXPLAIN";
@@ -200,10 +198,7 @@ Result<Request> DecodeRequest(Slice body) {
   const bool traced = (raw & kTraceRequestFlag) != 0;
   const bool has_deadline = (raw & kDeadlineRequestFlag) != 0;
   raw &= static_cast<uint8_t>(~(kTraceRequestFlag | kDeadlineRequestFlag));
-  if (raw > kMaxOpCode) {
-    return Status::Corruption("unknown opcode " + std::to_string(raw));
-  }
-  req.op = static_cast<OpCode>(raw);
+  LAXML_ASSIGN_OR_RETURN(req.op, DecodeOpCode(raw));
   LAXML_ASSIGN_OR_RETURN(req.request_id,
                          DecodeVarint(body, &pos, "request id"));
   if (traced) {
@@ -268,7 +263,10 @@ Result<Request> DecodeRequest(Slice body) {
 Result<Response> DecodeResponse(Slice body) {
   size_t pos = 0;
   Response resp;
-  LAXML_ASSIGN_OR_RETURN(resp.op, DecodeOpCode(body, &pos));
+  if (body.empty()) {
+    return Status::Corruption("wire body truncated before opcode");
+  }
+  LAXML_ASSIGN_OR_RETURN(resp.op, DecodeOpCode(body[pos++]));
   LAXML_ASSIGN_OR_RETURN(resp.request_id,
                          DecodeVarint(body, &pos, "request id"));
   if (pos >= body.size()) {

@@ -67,7 +67,7 @@ enum class OpCode : uint8_t {
   kRead = 9,      ///< Whole-store read.
   kReadNode = 10, ///< Subtree read of one node.
   kXPath = 11,
-  kGetStats = 12,
+  // 12: retired (was GET_STATS); never reuse
   kCheckIntegrity = 13,
   kGetMetrics = 14,  ///< Store + server stats exposition.
   kExplain = 15,     ///< Query plan (and optional profile) for an XPath.
@@ -142,7 +142,7 @@ struct Response {
   NodeId id = kInvalidNodeId;   ///< Insert*/Replace* result id.
   TokenSequence tokens;         ///< Read/ReadNode payload.
   std::vector<NodeId> ids;      ///< XPath result set.
-  std::string text;             ///< GetStats/GetMetrics/Explain payload.
+  std::string text;             ///< GetMetrics/Explain payload.
 };
 
 /// Appends a complete frame (header + body) carrying `req` to `dst`.

@@ -12,8 +12,6 @@ std::string XPathPlan::ToJson() const {
   AppendJsonString(query, &out);
   out += ",\"plan\":";
   AppendJsonString(plan, &out);
-  out += ",\"index_mode\":";
-  AppendJsonString(index_mode, &out);
   out += ",\"eligible\":";
   out += eligible ? "true" : "false";
   out += ",\"gate\":";
@@ -47,23 +45,18 @@ std::string XPathPlan::ToJson() const {
 Result<XPathPlan> ExplainXPath(const Store& store, std::string_view expr) {
   LAXML_ASSIGN_OR_RETURN(XPathPath path, ParseXPath(expr));
   LAXML_ASSIGN_OR_RETURN(XPathAccessPlan access, PlanXPath(store, path));
-  return RenderXPathPlan(store, expr, path, access);
+  return RenderXPathPlan(expr, path, access);
 }
 
-XPathPlan RenderXPathPlan(const Store& store, std::string_view expr,
-                          const XPathPath& path,
+XPathPlan RenderXPathPlan(std::string_view expr, const XPathPath& path,
                           const XPathAccessPlan& access) {
   XPathPlan plan;
   plan.query.assign(expr.data(), expr.size());
   plan.plan = access.label();
 
-  const StructuralIndex* index = store.structural_index();
-  plan.index_mode = StructuralIndexModeName(index->mode());
   const char* reason = StructuralIneligibilityReason(path);
   plan.eligible = reason == nullptr;
-  plan.gate = !plan.eligible       ? reason
-              : index->enabled() ? "eligible"
-                                 : "index off";
+  plan.gate = plan.eligible ? "eligible" : reason;
 
   // The planner's lists come in join order: each step's, then its
   // predicate paths' steps'. None when the path does not join.

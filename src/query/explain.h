@@ -24,9 +24,9 @@
 namespace laxml {
 
 /// One location step, or one predicate the join answers, as the planner
-/// sees it (populated only for a path the gate accepts, on an enabled
-/// index — any other scan has no per-step index story to tell). A
-/// step's predicates follow it, in the order they filter.
+/// sees it (populated only for a path the gate accepts — any other scan
+/// has no per-step index story to tell). A step's predicates follow it,
+/// in the order they filter.
 struct XPathPlanStep {
   /// "child", "descendant" or "attribute"; "semi-join" for a predicate.
   std::string axis;
@@ -51,12 +51,10 @@ struct XPathPlan {
   /// "structural-join" | "stream-scan" — the same labels execution
   /// stamps into the request context (LAXML_RC_SET_PLAN).
   std::string plan;
-  std::string index_mode;  ///< off | lazy.
   /// Passed the structural-index gate: the path joins once its tags are
-  /// warm, on an enabled index.
+  /// warm.
   bool eligible = false;
-  /// "eligible", or the gate's first disqualifying reason, or
-  /// "index off" when the mode forecloses the question.
+  /// "eligible", or the gate's first disqualifying reason.
   std::string gate;
   std::vector<XPathPlanStep> steps;
   /// When non-empty, a pre-rendered JSON object the serializer embeds
@@ -75,10 +73,8 @@ struct XPathPlan {
 Result<XPathPlan> ExplainXPath(const Store& store, std::string_view expr);
 
 /// Renders `access`, PlanXPath's verdict for `path` (parsed from
-/// `expr`) against `store`. The profile variant renders the plan it
-/// runs with this.
-XPathPlan RenderXPathPlan(const Store& store, std::string_view expr,
-                          const XPathPath& path,
+/// `expr`). The profile variant renders the plan it runs with this.
+XPathPlan RenderXPathPlan(std::string_view expr, const XPathPath& path,
                           const XPathAccessPlan& access);
 
 }  // namespace laxml

@@ -7,7 +7,7 @@
 //                    tags warm in the lazy structural index: answered
 //                    by posting-list joins, no scan;
 //   stream-scan      every other path (a cold tag, a path the gate
-//                    refuses, an index that is off): one pass over the
+//                    refuses, a forced scan): one pass over the
 //                    token cursor in O(depth × steps) memory plus the
 //                    matches a pending predicate holds back, skipping
 //                    subtrees nothing can match in. Only a cold tag's

@@ -922,7 +922,7 @@ Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
   if (steps > kMaxStreamSteps) return TooManySteps();
   XPathAccessPlan plan;
   const StructuralIndex& index = *store.structural_index();
-  if (!allow_structural_index || !index.enabled() ||
+  if (!allow_structural_index ||
       StructuralIneligibilityReason(path) != nullptr) {
     return plan;
   }

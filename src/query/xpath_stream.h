@@ -46,9 +46,9 @@
 //     walked, child by child, skipping subtrees.
 //   * A path the gate accepts with a cold tag is a "stream-scan" of the
 //     whole store, whose by-product warms the path's tags.
-//   * Every other path — the gate refuses it, the index is off, or the
-//     scan is forced — is a plain "stream-scan": it looks up no tag,
-//     warms nothing and moves no index counter.
+//   * Every other path — the gate refuses it or the scan is forced — is
+//     a plain "stream-scan": it looks up no tag, warms nothing and moves
+//     no index counter.
 //
 // Every scan skips dead subtrees: a scope that opens with no armed
 // step, no pending condition, no positional context counting inside
@@ -94,8 +94,7 @@ struct XPathAccessPlan {
   /// each step's, then one per step of each of its [p] / [p='lit']
   /// predicate paths. Null for a '*' step (no list: the join counts it
   /// as a level), a text() step and a cold tag. Empty when the path
-  /// does not join: the index is off, the scan is forced, or the gate
-  /// refuses the path.
+  /// does not join: the scan is forced or the gate refuses the path.
   std::vector<StructuralIndex::EntryList> lists;
   /// When every list is warm: the entries the join selects, in document
   /// order — the answer of the structural join, or its parents when the
@@ -113,8 +112,9 @@ struct XPathAccessPlan {
 /// key decides; runs no scan, warms nothing and moves no index
 /// counter. NotSupported when the path has more than kMaxStreamSteps
 /// steps, predicate paths' steps included.
-/// `allow_structural_index = false` plans the full scan — the torture
-/// harness's on/off oracle and A/B benches use it.
+/// `allow_structural_index = false` plans the full scan — the one off
+/// switch for the structural index, which the torture harness's oracle
+/// and the A/B benches use.
 Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
                                   bool allow_structural_index = true);
 

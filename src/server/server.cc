@@ -54,6 +54,12 @@ void Server::Shutdown() {
   std::call_once(shutdown_once_, [this] { DoShutdown(); });
 }
 
+void Server::CollectMetrics(obs::Snapshot* snap) {
+  obs::CollectSharedStoreMetrics(store_, snap);
+  stats().CollectMetrics(snap);
+  obs::CollectTraceMetrics(snap);
+}
+
 void Server::DoShutdown() {
   draining_.store(true, std::memory_order_release);
   poller_.Wake();
@@ -504,24 +510,13 @@ net::Response Server::Execute(const net::Request& req) {
       }
       break;
     }
-    case OpCode::kGetStats:
-      resp.text = stats().ToString() +
-                  store_.WithShared(
-                      [](Store& s) { return s.stats().ToString(); }) +
-                  "\n";
-      break;
     case OpCode::kCheckIntegrity:
       resp.status = store_.WithExclusive(
           [](Store& s) { return s.CheckIntegrity(); });
       break;
     case OpCode::kGetMetrics: {
-      // One snapshot per scrape, rendered once: this store's stats
-      // structs, the latch counters, this server's op table and the
-      // tracer's ring drops.
       obs::Snapshot snap;
-      obs::CollectSharedStoreMetrics(store_, &snap);
-      stats().CollectMetrics(&snap);
-      obs::CollectTraceMetrics(&snap);
+      CollectMetrics(&snap);
       resp.text = req.metrics_format == net::MetricsFormat::kPrometheus
                       ? obs::RenderPrometheus(snap)
                       : obs::RenderTable(snap);
@@ -558,7 +553,7 @@ net::Response Server::Execute(const net::Request& req) {
                                  RunXPathPlan(s, path, access));
           elapsed_us = NowMicros() - start_us;
           results = ids.size();
-          return RenderXPathPlan(s, req.expr, path, access);
+          return RenderXPathPlan(req.expr, path, access);
         });
       }();
       if (!plan.ok()) {

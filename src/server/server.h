@@ -140,6 +140,13 @@ class Server {
     return snap;
   }
 
+  /// The one snapshot of everything this server and its store count:
+  /// the store's stats structs, the latch counters, this server's op
+  /// table and the tracer's ring drops. GetMetrics renders it per
+  /// scrape; it stays valid after Shutdown(), since the store outlives
+  /// the workers.
+  void CollectMetrics(obs::Snapshot* snap);
+
  private:
   struct WorkItem {
     net::Request request;

@@ -1,60 +1,11 @@
 #include "server/server_stats.h"
 
-#include <cstdio>
-
 namespace laxml {
 
 uint64_t ServerStatsSnapshot::TotalRequests() const {
   uint64_t n = 0;
   for (const OpStatsSnapshot& op : ops) n += op.latency.count;
   return n;
-}
-
-uint64_t ServerStatsSnapshot::TotalErrors() const {
-  uint64_t n = 0;
-  for (const OpStatsSnapshot& op : ops) n += op.errors;
-  return n;
-}
-
-std::string ServerStatsSnapshot::ToString() const {
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "server: %llu requests (%llu errors), %llu conns "
-                "(%llu dropped), %llu B in, %llu B out\n",
-                static_cast<unsigned long long>(TotalRequests()),
-                static_cast<unsigned long long>(TotalErrors()),
-                static_cast<unsigned long long>(connections_accepted),
-                static_cast<unsigned long long>(connections_dropped),
-                static_cast<unsigned long long>(bytes_read),
-                static_cast<unsigned long long>(bytes_written));
-  out += line;
-  if (sheds != 0 || deadline_exceeded != 0 || reaped_connections != 0 ||
-      queue_depth != 0) {
-    std::snprintf(line, sizeof(line),
-                  "overload: %llu shed, %llu deadline-exceeded, "
-                  "%llu reaped conns, queue depth %llu\n",
-                  static_cast<unsigned long long>(sheds),
-                  static_cast<unsigned long long>(deadline_exceeded),
-                  static_cast<unsigned long long>(reaped_connections),
-                  static_cast<unsigned long long>(queue_depth));
-    out += line;
-  }
-  for (uint8_t i = 0; i <= net::kMaxOpCode; ++i) {
-    const OpStatsSnapshot& op = ops[i];
-    if (op.latency.count == 0) continue;
-    std::snprintf(line, sizeof(line),
-                  "  %-18s %8llu reqs %6llu errs  mean %8.1f us  "
-                  "p50 %8.1f  p95 %8.1f  p99 %8.1f  max %8llu us\n",
-                  net::OpCodeName(static_cast<net::OpCode>(i)),
-                  static_cast<unsigned long long>(op.latency.count),
-                  static_cast<unsigned long long>(op.errors),
-                  op.latency.Mean(), op.latency.Percentile(0.50),
-                  op.latency.Percentile(0.95), op.latency.Percentile(0.99),
-                  static_cast<unsigned long long>(op.latency.max));
-    out += line;
-  }
-  return out;
 }
 
 void ServerStatsSnapshot::CollectMetrics(obs::Snapshot* snap) const {

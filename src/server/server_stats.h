@@ -1,8 +1,8 @@
 // Per-operation service counters for the laxml server: error count and
 // a full log2 latency histogram per OpCode (its count is the request
-// count), updated lock-free by worker threads and snapshotted for
-// GetStats / GetMetrics / shutdown reporting. Server-side p50/p95/p99
-// show the tail without client cooperation.
+// count), updated lock-free by worker threads and snapshotted into the
+// server's metrics snapshot (GetMetrics and the shutdown summary).
+// Server-side p50/p95/p99 show the tail without client cooperation.
 //
 // The table is per-Server, so several servers in one process (tests,
 // in-process A/B runs) see isolated counters; the GetMetrics op merges
@@ -44,11 +44,6 @@ struct ServerStatsSnapshot {
   uint64_t queue_depth = 0;
 
   uint64_t TotalRequests() const;
-  uint64_t TotalErrors() const;
-
-  /// Table rendering, one row per op that served traffic (the GetStats
-  /// RPC payload), with per-op p50/p95/p99.
-  std::string ToString() const;
 
   /// Adds the table to a scrape's snapshot: laxml_server_op_us{op="NAME"}
   /// histograms, the request/error/connection/byte/overload counters,

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "common/relaxed_counter.h"
 #include "obs/metrics.h"
@@ -86,8 +85,6 @@ struct StoreStats {
   obs::Histogram& latency(StoreOp op) {
     return op_us[static_cast<size_t>(op)];
   }
-
-  std::string ToString() const;
 };
 
 }  // namespace laxml

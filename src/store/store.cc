@@ -63,16 +63,6 @@ const char* WalSyncModeName(WalSyncMode mode) {
   return "?";
 }
 
-const char* StructuralIndexModeName(StructuralIndexMode mode) {
-  switch (mode) {
-    case StructuralIndexMode::kOff:
-      return "off";
-    case StructuralIndexMode::kLazy:
-      return "lazy";
-  }
-  return "?";
-}
-
 Store::Store(std::unique_ptr<Pager> pager, const StoreOptions& options)
     : pager_(std::move(pager)),
       options_(options),
@@ -80,8 +70,7 @@ Store::Store(std::unique_ptr<Pager> pager, const StoreOptions& options)
       partial_(options.index_mode == IndexMode::kRangeWithPartial
                    ? options.partial_index_capacity
                    : 0),
-      structural_(
-          std::make_unique<StructuralIndex>(options.structural_index)) {
+      structural_(std::make_unique<StructuralIndex>()) {
   // The serialized dictionary shares the pager meta area with the fixed
   // store header; once the budget is hit, Intern refuses new symbols
   // and v2 payloads fall back to inline names (still decodable).
@@ -303,11 +292,15 @@ Status Store::LoadMeta(const std::vector<uint8_t>& blob) {
   if (version < kMinStoreVersion || version > kStoreVersion) {
     return Status::Corruption("unsupported store version");
   }
+  // Only the full index has on-disk structure of its own; the two lazy
+  // modes differ in the memory-resident Partial Index alone, so either
+  // reopens a file the other wrote.
   IndexMode stored_mode = static_cast<IndexMode>(DecodeFixed32(p + 8));
-  if (stored_mode != options_.index_mode) {
+  if ((stored_mode == IndexMode::kFullIndex) !=
+      (options_.index_mode == IndexMode::kFullIndex)) {
     return Status::InvalidArgument(
         std::string("store was created with index mode ") +
-        IndexModeName(stored_mode) + ", reopen must match");
+        IndexModeName(stored_mode) + ", reopen must match full vs lazy");
   }
   next_node_id_ = DecodeFixed64(p + 16);
   RangeManagerState rs;
@@ -963,7 +956,6 @@ std::unique_ptr<TokenCursor> Store::NewCursor() const {
 }
 
 Status Store::WarmStructuralIndex() const {
-  if (!structural_->enabled()) return Status::OK();
   StructuralWarmer warmer(dict_.get(), {}, /*track_all=*/true);
   auto cursor = NewCursor();
   LAXML_RETURN_IF_ERROR(cursor->SeekToFirst());

@@ -199,8 +199,8 @@ class Store {
   std::unique_ptr<TokenCursor> NewCursor() const;
 
   /// One full document scan that memoizes pre/post intervals for every
-  /// element tag into the structural index (no-op when the index is
-  /// off). fsck and benches use it; queries warm lazily on their own.
+  /// element tag into the structural index. fsck and benches use it;
+  /// queries warm lazily on their own.
   Status WarmStructuralIndex() const;
 
   /// Flushes everything, persists bootstrap metadata, and truncates the
@@ -227,8 +227,7 @@ class Store {
   const RangeIndex& range_index() const { return ranges_->index(); }
   const PartialIndex& partial_index() const { return partial_; }
   PartialIndex& mutable_partial_index() { return partial_; }
-  /// The structural XPath index (never null; disabled when
-  /// options().structural_index == kOff). Non-const through a const
+  /// The structural XPath index (never null). Non-const through a const
   /// store for the same reason Partial Index memoization works under
   /// SharedStore's shared latch: the index is internally synchronized,
   /// and warming is a logical read.

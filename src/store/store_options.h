@@ -48,22 +48,6 @@ enum class WalSyncMode : uint32_t {
 
 const char* WalSyncModeName(WalSyncMode mode);
 
-/// Whether the store keeps the structural XPath index — the Partial
-/// Index idea lifted to descendant/child axes (pre/post-order intervals
-/// per tag, see src/index/structural_index.h).
-enum class StructuralIndexMode : uint32_t {
-  /// No structural memoization; every XPath evaluation stream-scans.
-  kOff = 0,
-  /// Lazy: a path the structural-index gate accepts stream-scans while
-  /// one of its tags is cold, and the scan memoizes intervals for
-  /// exactly the path's tags; repeats over warm tags are posting-list
-  /// joins. A path the gate refuses always stream-scans and warms
-  /// nothing.
-  kLazy = 1,
-};
-
-const char* StructuralIndexModeName(StructuralIndexMode mode);
-
 /// Store construction options.
 struct StoreOptions {
   /// Page size / buffer-pool sizing.
@@ -73,10 +57,6 @@ struct StoreOptions {
 
   /// Maximum entries in the Partial Index (kRangeWithPartial only).
   size_t partial_index_capacity = 65536;
-
-  /// Structural XPath index policy. Lazy by default — the paper's bet:
-  /// memoize only what queries touch, discard cheaply on mutation.
-  StructuralIndexMode structural_index = StructuralIndexMode::kLazy;
 
   /// On-disk token codec for newly written ranges: 1 = inline names,
   /// 2 = dictionary-coded element/attribute names (see

@@ -24,10 +24,8 @@ using testing::MustFragment;
 
 class ExplainTest : public ::testing::Test {
  protected:
-  void Open(StructuralIndexMode mode) {
-    StoreOptions options;
-    options.structural_index = mode;
-    ASSERT_OK_AND_ASSIGN(store_, Store::OpenInMemory(options));
+  void Open() {
+    ASSERT_OK_AND_ASSIGN(store_, Store::OpenInMemory(StoreOptions{}));
     ASSERT_LAXML_OK(store_
                         ->InsertTopLevel(MustFragment(
                             "<site><regions>"
@@ -70,12 +68,11 @@ class ExplainTest : public ::testing::Test {
 };
 
 TEST_F(ExplainTest, ColdEligiblePathIsStreamScan) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   XPathPlan plan = MustExplain("//item//name");
   EXPECT_EQ(plan.plan, "stream-scan");
   EXPECT_TRUE(plan.eligible);
   EXPECT_EQ(plan.gate, "eligible");
-  EXPECT_EQ(plan.index_mode, "lazy");
   ASSERT_EQ(plan.steps.size(), 2u);
   EXPECT_EQ(plan.steps[0].tag, "item");
   EXPECT_EQ(plan.steps[0].axis, "descendant");
@@ -84,7 +81,7 @@ TEST_F(ExplainTest, ColdEligiblePathIsStreamScan) {
 }
 
 TEST_F(ExplainTest, WarmPathIsStructuralJoin) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   // Execute once: the lazy index memoizes exactly the queried tags.
   MustExecute("//item//name");
   XPathPlan plan = MustExplain("//item//name");
@@ -101,7 +98,7 @@ TEST_F(ExplainTest, WarmPathIsStructuralJoin) {
 }
 
 TEST_F(ExplainTest, PartiallyWarmPathStaysStreamScan) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   MustExecute("//item");  // warms only "item"
   XPathPlan plan = MustExplain("//item//qty");
   EXPECT_EQ(plan.plan, "stream-scan");
@@ -111,7 +108,7 @@ TEST_F(ExplainTest, PartiallyWarmPathStaysStreamScan) {
 }
 
 TEST_F(ExplainTest, IneligiblePathReportsGateReason) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   XPathPlan pred = MustExplain("/site/*[1]");
   EXPECT_EQ(pred.plan, "stream-scan");
   EXPECT_FALSE(pred.eligible);
@@ -132,7 +129,7 @@ TEST_F(ExplainTest, IneligiblePathReportsGateReason) {
 }
 
 TEST_F(ExplainTest, WildcardAndAttributeStepsJoin) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   XPathPlan cold = MustExplain("/site/*/item");
   EXPECT_EQ(cold.plan, "stream-scan");
   EXPECT_EQ(cold.gate, "eligible");
@@ -159,7 +156,7 @@ TEST_F(ExplainTest, WildcardAndAttributeStepsJoin) {
 }
 
 TEST_F(ExplainTest, FinalTextStepAndElementValueJoin) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   // A final text() child step joins as a step of its own, with no list:
   // cold, the full scan warms "item" and "name".
   XPathPlan cold = MustExplain("//item/name/text()");
@@ -187,7 +184,7 @@ TEST_F(ExplainTest, FinalTextStepAndElementValueJoin) {
 }
 
 TEST_F(ExplainTest, RefusedPathStaysStreamScan) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   MustExecute("/site/regions/item/name");  // every named tag below warm
   const size_t warmed = store_->structural_index()->warmed_tags();
   struct Case {
@@ -221,7 +218,7 @@ TEST_F(ExplainTest, RefusedPathStaysStreamScan) {
 }
 
 TEST_F(ExplainTest, PredicatesJoinAsSemiJoins) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   ASSERT_OK_AND_ASSIGN(NodeId site, store_->FirstTopLevelId());
   ASSERT_LAXML_OK(
       store_
@@ -282,7 +279,7 @@ TEST_F(ExplainTest, PredicatesJoinAsSemiJoins) {
 }
 
 TEST_F(ExplainTest, PredicateGateReasons) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   MustExecute("//item//name");
   struct Case {
     const char* expr;
@@ -303,23 +300,8 @@ TEST_F(ExplainTest, PredicateGateReasons) {
   }
 }
 
-TEST_F(ExplainTest, IndexOffForeclosesTheQuestion) {
-  Open(StructuralIndexMode::kOff);
-  // The path shape is fine (eligible), but with the index disabled the
-  // engine never consults it and scans.
-  XPathPlan plan = MustExplain("//item//name");
-  EXPECT_EQ(plan.plan, "stream-scan");
-  EXPECT_TRUE(plan.eligible);
-  EXPECT_EQ(plan.gate, "index off");
-  EXPECT_EQ(plan.index_mode, "off");
-  EXPECT_TRUE(plan.steps.empty());
-#if !defined(LAXML_TRACING_DISABLED)
-  EXPECT_EQ(ExecutedPlan("//item//name"), "stream-scan");
-#endif
-}
-
 TEST_F(ExplainTest, ExplainDoesNotWarmOrExecute) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   (void)MustExplain("//item//name");
   (void)MustExplain("//item//name");
   // Side-effect-free: no tag warmed, no index traffic recorded.
@@ -329,7 +311,7 @@ TEST_F(ExplainTest, ExplainDoesNotWarmOrExecute) {
 }
 
 TEST_F(ExplainTest, BadExpressionPropagatesParseError) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   EXPECT_FALSE(ExplainXPath(*store_, "//").ok());
   EXPECT_FALSE(ExplainXPath(*store_, "").ok());
 }
@@ -338,7 +320,7 @@ TEST_F(ExplainTest, BadExpressionPropagatesParseError) {
 // The drift pin: for a matrix of expressions and warmth states, the
 // plan EXPLAIN predicts is the plan execution stamps.
 TEST_F(ExplainTest, PredictionMatchesExecutionStamp) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   const char* exprs[] = {"//item//name",       "/site/regions/item",
                          "//person",           "//item[1]",
                          "//nosuch",           "/site/*/item",
@@ -366,13 +348,12 @@ TEST_F(ExplainTest, PredictionMatchesExecutionStamp) {
 #endif  // !defined(LAXML_TRACING_DISABLED)
 
 TEST_F(ExplainTest, ToJsonShape) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   MustExecute("//item");
   XPathPlan plan = MustExplain("//item");
   std::string json = plan.ToJson();
   EXPECT_NE(json.find("\"query\":\"//item\""), std::string::npos);
   EXPECT_NE(json.find("\"plan\":\"structural-join\""), std::string::npos);
-  EXPECT_NE(json.find("\"index_mode\":\"lazy\""), std::string::npos);
   EXPECT_NE(json.find("\"eligible\":true"), std::string::npos);
   EXPECT_NE(json.find("\"steps\":[{"), std::string::npos);
   EXPECT_NE(json.find("\"axis\":\"descendant\""), std::string::npos);

@@ -88,9 +88,7 @@ TEST(RequestContext, LatchWaitHelpersSkipClockWithoutContext) {
 }
 
 TEST(RequestContext, QueryExecutionAttributesWork) {
-  StoreOptions options;
-  options.structural_index = StructuralIndexMode::kLazy;
-  ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
+  ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(StoreOptions{}));
   ASSERT_LAXML_OK(store
                       ->InsertTopLevel(MustFragment(
                           "<a><b>one</b><b>two</b><c>three</c></a>"))

@@ -84,8 +84,11 @@ TEST(ServerClientTest, BasicOpsRoundTrip) {
   ASSERT_OK_AND_ASSIGN(TokenSequence whole, client->Read());
   EXPECT_EQ(whole, doc);
 
-  ASSERT_OK_AND_ASSIGN(std::string stats, client->GetStats());
-  EXPECT_NE(stats.find("INSERT_TOP_LEVEL"), std::string::npos) << stats;
+  ASSERT_OK_AND_ASSIGN(std::string table,
+                       client->GetMetrics(net::MetricsFormat::kTable));
+  EXPECT_NE(table.find("laxml_server_op_us{op=\"INSERT_TOP_LEVEL\"}"),
+            std::string::npos)
+      << table;
 
   ASSERT_LAXML_OK(client->CheckIntegrity());
   server->Shutdown();

@@ -174,7 +174,6 @@ TEST(SharedReadStressTest, StructuralWarmingRacesRangeSplits) {
   constexpr int kIdxReadsPerThread = 2000;
   StoreOptions options;
   options.index_mode = IndexMode::kRangeWithPartial;
-  options.structural_index = StructuralIndexMode::kLazy;
   options.max_range_bytes = 96;  // writers split ranges constantly
   ASSERT_OK_AND_ASSIGN(auto opened, Store::OpenInMemory(options));
   SharedStore shared(std::move(opened));

@@ -68,6 +68,43 @@ TEST_P(StorePersistenceTest, IndexModeIsPinnedToTheFile) {
   EXPECT_TRUE(reopened.status().IsInvalidArgument());
 }
 
+// The two lazy modes share one on-disk image (the Partial Index lives
+// in memory), so a file written under either reopens under the other.
+TEST(StoreLazyReopenTest, EitherLazyModeReopensTheOther) {
+  for (IndexMode created :
+       {IndexMode::kRangeIndex, IndexMode::kRangeWithPartial}) {
+    const IndexMode reopened = created == IndexMode::kRangeIndex
+                                   ? IndexMode::kRangeWithPartial
+                                   : IndexMode::kRangeIndex;
+    SCOPED_TRACE(IndexModeName(created));
+    TempFile tmp("lazyreopen");
+    StoreOptions options;
+    options.pager.page_size = 512;
+    options.pager.pool_frames = 32;
+    options.index_mode = created;
+    {
+      ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
+      ASSERT_LAXML_OK(store
+                          ->InsertTopLevel(MustFragment(
+                              "<db><a>1</a><b><c>2</c></b></db>"))
+                          .status());
+    }  // destructor syncs
+    options.index_mode = reopened;
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
+    const NodeId c = 5;  // db=1, a=2, a's text=3, b=4, c=5
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_OK_AND_ASSIGN(TokenSequence node, store->Read(c));
+      EXPECT_EQ(MustSerialize(node), "<c>2</c>");
+    }
+    if (reopened == IndexMode::kRangeWithPartial) {
+      EXPECT_GE(store->partial_index().stats().hits, 1u);
+    } else {
+      EXPECT_EQ(store->partial_index().stats().lookups, 0u);
+    }
+    ASSERT_LAXML_OK(store->CheckIntegrity());
+  }
+}
+
 TEST_P(StorePersistenceTest, SyncIsACheckpoint) {
   TempFile tmp("sync");
   ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), Options()));

@@ -268,9 +268,8 @@ TEST(StructuralJoinTest, SemiJoinAndNthMatchBruteForce) {
 
 class StructuralIndexTest : public ::testing::Test {
  protected:
-  void Open(StructuralIndexMode mode, uint32_t max_range_bytes = 0) {
+  void Open(uint32_t max_range_bytes = 0) {
     StoreOptions options;
-    options.structural_index = mode;
     options.max_range_bytes = max_range_bytes;
     ASSERT_OK_AND_ASSIGN(store_, Store::OpenInMemory(options));
     ASSERT_LAXML_OK(store_
@@ -296,7 +295,7 @@ class StructuralIndexTest : public ::testing::Test {
 };
 
 TEST_F(StructuralIndexTest, LazyWarmupMemoizesOnlyQueriedTags) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   StructuralIndex* index = store_->structural_index();
   EXPECT_EQ(index->memoized_nodes(), 0u);
 
@@ -320,7 +319,7 @@ TEST_F(StructuralIndexTest, LazyWarmupMemoizesOnlyQueriedTags) {
 }
 
 TEST_F(StructuralIndexTest, ChildAxisWarmPathAgreesWithScan) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   for (const char* expr :
        {"/site/regions/item", "/site/regions/item/name", "//regions/item",
         "/item", "//people//name"}) {
@@ -334,7 +333,7 @@ TEST_F(StructuralIndexTest, ChildAxisWarmPathAgreesWithScan) {
 }
 
 TEST_F(StructuralIndexTest, AbsentTagIsAWarmNegative) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   EXPECT_TRUE(Stream("//nosuch").empty());
   EXPECT_EQ(store_->structural_index()->stats().misses, 1u);
   ASSERT_NE(store_->structural_index()->LookupTag("nosuch"), nullptr);
@@ -342,19 +341,18 @@ TEST_F(StructuralIndexTest, AbsentTagIsAWarmNegative) {
   EXPECT_EQ(store_->structural_index()->stats().hits, 1u);
 }
 
-TEST_F(StructuralIndexTest, OffModeNeverMemoizes) {
-  Open(StructuralIndexMode::kOff);
-  EXPECT_EQ(Stream("//item//name").size(), 2u);
-  EXPECT_EQ(Stream("//item//name").size(), 2u);
+TEST_F(StructuralIndexTest, ForcedScanNeverMemoizes) {
+  Open();
+  EXPECT_EQ(Stream("//item//name", /*allow=*/false).size(), 2u);
+  EXPECT_EQ(Stream("//item//name", /*allow=*/false).size(), 2u);
   StructuralIndex* index = store_->structural_index();
-  EXPECT_FALSE(index->enabled());
   EXPECT_EQ(index->memoized_nodes(), 0u);
   EXPECT_EQ(index->stats().hits, 0u);
   EXPECT_EQ(index->stats().misses, 0u);
 }
 
 TEST_F(StructuralIndexTest, MutationInvalidatesEverything) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   StructuralIndex* index = store_->structural_index();
   Stream("//item");
   ASSERT_GT(index->memoized_nodes(), 0u);
@@ -377,7 +375,7 @@ TEST_F(StructuralIndexTest, RangeSplittingMutationStaysCorrect) {
   // Tiny ranges: the document spans many ranges and the insert below
   // splits one at each boundary (the SplitRange seam fires alongside
   // the mass invalidation).
-  Open(StructuralIndexMode::kLazy, /*max_range_bytes=*/64);
+  Open(/*max_range_bytes=*/64);
   ASSERT_GT(store_->range_manager().range_count(), 1u);
   Stream("//item//name");
 
@@ -394,7 +392,7 @@ TEST_F(StructuralIndexTest, RangeSplittingMutationStaysCorrect) {
 }
 
 TEST_F(StructuralIndexTest, CompactRangesDropsTouchedTagLists) {
-  Open(StructuralIndexMode::kLazy, /*max_range_bytes=*/64);
+  Open(/*max_range_bytes=*/64);
   Stream("//item//name");
   ASSERT_GT(store_->structural_index()->memoized_nodes(), 0u);
 
@@ -409,7 +407,7 @@ TEST_F(StructuralIndexTest, CompactRangesDropsTouchedTagLists) {
 }
 
 TEST_F(StructuralIndexTest, RandomizedMutateThenQueryAgreesWithScan) {
-  Open(StructuralIndexMode::kLazy, /*max_range_bytes=*/128);
+  Open(/*max_range_bytes=*/128);
   Random rng(20260808);
   const char* kTags[] = {"item", "name", "qty", "person", "extra"};
   for (int round = 0; round < 40; ++round) {
@@ -445,7 +443,7 @@ TEST_F(StructuralIndexTest, RandomizedMutateThenQueryAgreesWithScan) {
 }
 
 TEST_F(StructuralIndexTest, EvaluatorRoutesIndexablePathsThroughIndex) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   XPathEvaluator eval(store_.get());
   ASSERT_OK_AND_ASSIGN(std::vector<NodeId> via_eval,
                        eval.Evaluate("//item//name"));
@@ -460,7 +458,7 @@ TEST_F(StructuralIndexTest, EvaluatorRoutesIndexablePathsThroughIndex) {
 }
 
 TEST_F(StructuralIndexTest, EligibilityGate) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   auto explain = [&](const std::string& expr) {
     auto plan = ExplainXPath(*store_, expr);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
@@ -508,7 +506,7 @@ TEST_F(StructuralIndexTest, EligibilityGate) {
 }
 
 TEST_F(StructuralIndexTest, PlanJoinsWholePathOrNothing) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   // The plan's lists are independent of warmth: these tags are cold.
   auto plan = [&](const std::string& expr) {
     auto p = ParseXPath(expr);
@@ -618,7 +616,7 @@ TEST(StructuralShapesTest, PredicateSemiJoinsAgreeWithScan) {
 }
 
 TEST_F(StructuralIndexTest, AttributeStepWarmsItsOwnKey) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   ASSERT_OK_AND_ASSIGN(NodeId site, store_->FirstTopLevelId());
   ASSERT_LAXML_OK(store_
                       ->InsertIntoLast(site, MustFragment(
@@ -639,7 +637,7 @@ TEST_F(StructuralIndexTest, AttributeStepWarmsItsOwnKey) {
 }
 
 TEST_F(StructuralIndexTest, AuditorCatchesBogusInterval) {
-  Open(StructuralIndexMode::kLazy);
+  Open();
   Stream("//item");
   ASSERT_LAXML_OK(store_->CheckIntegrity());
 

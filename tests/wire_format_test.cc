@@ -13,6 +13,10 @@ namespace laxml {
 namespace net {
 namespace {
 
+// Opcode 12 was GET_STATS; it stays retired, so no loop over the
+// opcodes below encodes it.
+constexpr uint8_t kRetiredOpCode = 12;
+
 TokenSequence SampleFragment() {
   return testing::MustFragment("<a x=\"1\"><b>text</b></a>");
 }
@@ -45,6 +49,7 @@ Response MustRoundTrip(const Response& resp) {
 TEST(WireFormatTest, RequestRoundTripEveryOpcode) {
   TokenSequence frag = SampleFragment();
   for (uint8_t raw = 0; raw <= kMaxOpCode; ++raw) {
+    if (raw == kRetiredOpCode) continue;
     Request req;
     req.op = static_cast<OpCode>(raw);
     req.request_id = 1000 + raw;
@@ -128,6 +133,7 @@ TEST(WireFormatTest, TraceIdTravelsViaOpcodeFlag) {
   // A nonzero trace id sets the flag bit and round-trips, for every
   // opcode.
   for (uint8_t raw = 0; raw <= kMaxOpCode; ++raw) {
+    if (raw == kRetiredOpCode) continue;
     Request req;
     req.op = static_cast<OpCode>(raw);
     req.request_id = 6;
@@ -189,6 +195,7 @@ TEST(WireFormatTest, DeadlineTravelsViaOpcodeFlag) {
   // Any explicit budget — zero ("already expired") included — sets the
   // flag and round-trips, for every opcode, composed with tracing.
   for (uint8_t raw = 0; raw <= kMaxOpCode; ++raw) {
+    if (raw == kRetiredOpCode) continue;
     for (uint64_t budget : {0ull, 1ull, 250ull, 86'400'000ull}) {
       Request req;
       req.op = static_cast<OpCode>(raw);
@@ -301,12 +308,30 @@ TEST(WireFormatTest, ResponseRoundTripValueFields) {
   }
   {
     Response resp;
-    resp.op = OpCode::kGetStats;
+    resp.op = OpCode::kGetMetrics;
     resp.request_id = 10;
     resp.text = "ranges: 5\ntokens: 17\n";
     Response back = MustRoundTrip(resp);
     EXPECT_EQ(back.text, resp.text);
   }
+}
+
+TEST(WireFormatTest, RetiredOpcodeIsUnknownBothWays) {
+  // Each body is well formed but for its opcode byte: a bare request
+  // (request id 1), a traced one (the flag comes off before the one
+  // opcode check; trace id 7) and an OK response with no message.
+  const std::vector<uint8_t> requests[] = {
+      {kRetiredOpCode, 1},
+      {static_cast<uint8_t>(kRetiredOpCode | kTraceRequestFlag), 1, 7}};
+  for (const std::vector<uint8_t>& body : requests) {
+    Status st = DecodeRequest(Slice(body)).status();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_NE(st.message().find("unknown opcode"), std::string::npos);
+  }
+  const std::vector<uint8_t> response = {kRetiredOpCode, 1, 0, 0};
+  Status st = DecodeResponse(Slice(response)).status();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.message().find("unknown opcode"), std::string::npos);
 }
 
 TEST(WireFormatTest, ErrorResponseCarriesStatusAndSuppressesPayload) {

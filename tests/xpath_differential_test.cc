@@ -4,10 +4,11 @@
 // (XPathEvaluator, so the planner's structural-join and stream-scan
 // plans both run) and by the reference oracle (tests/xpath_oracle.h),
 // on generated documents under random mutation schedules, with token
-// codec v1 and v2. With the index on, every warm run must take the
-// plan the structural-index gate promises: a join exactly when the
-// gate accepts the path. One evaluator serves every round of a store:
-// no call refreshes anything, so this also pins freshness.
+// codec v1 and v2, and as a forced scan (allow_structural_index =
+// false). Every warm run must take the plan the structural-index gate
+// promises: a join exactly when the gate accepts the path. One
+// evaluator serves every round of a store: no call refreshes anything,
+// so this also pins freshness.
 
 #include <gtest/gtest.h>
 
@@ -373,7 +374,6 @@ void Mutate(Store* store, OpStreamGenerator* ops, int count) {
 struct Config {
   const char* doc;
   uint32_t codec;
-  StructuralIndexMode index;
 };
 
 TokenSequence Generate(const char* doc, Random* rng) {
@@ -394,7 +394,6 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
 
   StoreOptions options;
   options.token_codec = config.codec;
-  options.structural_index = config.index;
   options.max_range_bytes = 160;  // many ranges, many splits
   options.pager.page_size = 512;
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
@@ -429,8 +428,7 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
       const std::vector<NodeId> expected = oracle.Evaluate(path);
       // Twice: a path the gate accepts runs cold (scan + warm), then
       // warm (a structural join); any other path scans both times.
-      const bool joins = config.index != StructuralIndexMode::kOff &&
-                         StructuralIneligibilityReason(path) == nullptr;
+      const bool joins = StructuralIneligibilityReason(path) == nullptr;
       if (!joins) ++refused;
       for (int pass = 0; pass < 2; ++pass) {
         obs::RequestContext rc;
@@ -498,22 +496,20 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   EXPECT_GT(nonempty, kRounds * kQueriesPerRound / 4);
   EXPECT_GT(predicated, kRounds * kQueriesPerRound / 4);
 #if !defined(LAXML_TRACING_DISABLED)
-  // With the index on, the warm pass must exercise joins through '*'
-  // steps, onto text(), with [p], [n] and element
-  // [p='lit'] semi-joins — literals inline and hashed — and (where the
-  // document has attributes) onto '@name' steps and with [@a='lit']
-  // semi-joins, so each is checked against the oracle.
-  if (config.index != StructuralIndexMode::kOff) {
-    EXPECT_GE(joined_wildcard, 1u);
-    EXPECT_GE(joined_text, 1u);
-    EXPECT_GE(joined_exists, 1u);
-    EXPECT_GE(joined_position, 1u);
-    EXPECT_GE(joined_value_inline, 1u);
-    EXPECT_GE(joined_value_hashed, 1u);
-    if (has_attributes) {
-      EXPECT_GE(joined_attribute, 1u);
-      EXPECT_GE(joined_equals, 1u);
-    }
+  // The warm pass must exercise joins through '*' steps, onto text(),
+  // with [p], [n] and element [p='lit'] semi-joins — literals inline
+  // and hashed — and (where the document has attributes) onto '@name'
+  // steps and with [@a='lit'] semi-joins, so each is checked against
+  // the oracle.
+  EXPECT_GE(joined_wildcard, 1u);
+  EXPECT_GE(joined_text, 1u);
+  EXPECT_GE(joined_exists, 1u);
+  EXPECT_GE(joined_position, 1u);
+  EXPECT_GE(joined_value_inline, 1u);
+  EXPECT_GE(joined_value_hashed, 1u);
+  if (has_attributes) {
+    EXPECT_GE(joined_attribute, 1u);
+    EXPECT_GE(joined_equals, 1u);
   }
 #endif
   std::printf("%s v%u: %zu of %d queries non-empty, %zu with predicates, "
@@ -528,18 +524,13 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     Documents, XPathDifferentialTest,
-    ::testing::Values(Config{"auction", 1, StructuralIndexMode::kLazy},
-                      Config{"auction", 2, StructuralIndexMode::kLazy},
-                      Config{"random", 1, StructuralIndexMode::kOff},
-                      Config{"random", 2, StructuralIndexMode::kLazy},
-                      Config{"orders", 1, StructuralIndexMode::kLazy},
-                      Config{"orders", 2, StructuralIndexMode::kOff},
-                      Config{"catalog", 1, StructuralIndexMode::kOff},
-                      Config{"catalog", 2, StructuralIndexMode::kLazy}),
+    ::testing::Values(Config{"auction", 1}, Config{"auction", 2},
+                      Config{"random", 1}, Config{"random", 2},
+                      Config{"orders", 1}, Config{"orders", 2},
+                      Config{"catalog", 1}, Config{"catalog", 2}),
     [](const ::testing::TestParamInfo<Config>& info) {
       return std::string(info.param.doc) + "_v" +
-             std::to_string(info.param.codec) + "_" +
-             StructuralIndexModeName(info.param.index);
+             std::to_string(info.param.codec);
     });
 
 }  // namespace

@@ -25,9 +25,8 @@
 //                                eligibility gate; --profile also
 //                                executes and appends timing +
 //                                resource counters
-//   stats                        server + store counters
-//   metrics [--prom]             full metrics exposition (table, or
-//                                Prometheus text format with --prom)
+//   metrics [--prom]             every server + store counter, as a
+//                                table or (--prom) Prometheus text
 //   check                        run the integrity auditor
 //
 // Offline mode (no server): with --db PATH the only command is
@@ -67,7 +66,7 @@ void Usage(const char* argv0) {
                "With no command, reads one command per line from stdin.\n"
                "Commands: ping, load, insert-before, insert-after,\n"
                "insert-first, insert-last, replace, replace-content,\n"
-               "delete, read, xpath, explain [--profile], stats,\n"
+               "delete, read, xpath, explain [--profile],\n"
                "metrics [--prom], check\n"
                "--trace-id N stamps every request with trace id N (see\n"
                "laxml_trace --trace-id); --trace-out FILE dumps this\n"
@@ -236,12 +235,6 @@ bool RunCommand(Client* client, const std::string& line,
     auto json = client->Explain(expr, profile);
     if (!json.ok()) return fail(json.status());
     std::printf("%s\n", json->c_str());
-    return true;
-  }
-  if (cmd.verb == "stats") {
-    auto text = client->GetStats();
-    if (!text.ok()) return fail(text.status());
-    std::printf("%s", text->c_str());
     return true;
   }
   if (cmd.verb == "metrics") {

@@ -5,7 +5,8 @@
 // Owns a (file-backed or in-memory) store and serves the wire protocol
 // (src/net/wire.h) until SIGINT/SIGTERM, then shuts down gracefully:
 // drains in-flight requests, flushes responses, syncs the store so the
-// on-disk image is a clean checkpoint (laxml_fsck-able), and exits 0.
+// on-disk image is a clean checkpoint (laxml_fsck-able), prints the
+// final metrics table (what `laxml_cli metrics` shows), and exits 0.
 
 #include <csignal>
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include <ctime>
 #include <string>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/server.h"
 #include "store/store.h"
@@ -259,7 +261,8 @@ int main(int argc, char** argv) {
   std::printf("laxml_server: shutting down\n");
   std::fflush(stdout);
   (*server)->Shutdown();
-  std::string final_stats = (*server)->stats().ToString();
+  laxml::obs::Snapshot final_metrics;
+  (*server)->CollectMetrics(&final_metrics);
   laxml::Status sync =
       (*server)->shared_store()->UnsafeStore()->Sync();
   if (!sync.ok() && !in_memory) {
@@ -274,6 +277,6 @@ int main(int argc, char** argv) {
                    st.ToString().c_str());
     }
   }
-  std::printf("%s", final_stats.c_str());
+  std::printf("%s", laxml::obs::RenderTable(final_metrics).c_str());
   return 0;
 }
