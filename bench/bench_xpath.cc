@@ -6,26 +6,30 @@
 //   cold        lazy index, invalidated before each query: scan + warm
 //   warm        lazy index, memoized: posting-list joins only
 //
-// plus seven more shapes, each as the planner runs it on the warm lazy
+// plus nine more shapes, each as the planner runs it on the warm lazy
 // store and as a forced full scan (the `_scan` rows). The index answers
-// all of them whole, with no scan: a join that counts a '*' step as a
-// level, one onto an attribute's own posting list, one onto its
-// elements' text children, and four whose predicates are semi-joins
-// over the postings ([n] per parent, an attribute's and an element's
-// value compared by value key, a child's existence):
+// all of them whole, with no scan: two chains of child steps (the
+// parent merge on each posting's parent_pre), a join that counts a '*'
+// step as a level, one onto an attribute's own posting list, one onto
+// its elements' text children, and four whose predicates are
+// semi-joins over the postings ([n] per parent, an attribute's and an
+// element's value compared by value key, a child's existence):
 //
-//   wildcard        /site/regions/*/item[1]         (join, [n])
-//   predicate       //item[@category='books']/name  (join, [@a='lit'])
-//   exists_semijoin //person[creditcard]            (join, [p])
-//   wildcard_join   /site/regions/*/item            (structural join)
-//   attribute_join  //item/@category                (structural join)
-//   text_join       //bidder/personref/text()       (join, text())
-//   element_value   //item[quantity='3']            (join, [p='lit'])
+//   child_join_name     /site/people/person/name        (child joins)
+//   child_join_increase //open_auction/bidder/increase  (child joins)
+//   wildcard            /site/regions/*/item[1]         (join, [n])
+//   predicate           //item[@category='books']/name  (join, [@a='lit'])
+//   exists_semijoin     //person[creditcard]            (join, [p])
+//   wildcard_join       /site/regions/*/item            (structural join)
+//   attribute_join      //item/@category                (structural join)
+//   text_join           //bidder/personref/text()       (join, text())
+//   element_value       //item[quantity='3']            (join, [p='lit'])
 //
-// The headline number is warm vs scan (the issue's acceptance bar is
-// >= 5x); the laziness number is memoized nodes: lazy touches only the
-// queried tags' nodes, out of every element and attribute in the
-// document.
+// Every planned answer is checked id for id against the forced scan's,
+// and the cold and warm answers against the scan's; a mismatch exits 1.
+// The headline number is warm vs scan (>= 5x expected); the laziness
+// number is memoized nodes: lazy touches only the queried tags' nodes,
+// out of every element and attribute in the document.
 //
 //   bench_xpath [--scale N] [--reps N] [--json out.json]
 
@@ -56,12 +60,12 @@ std::unique_ptr<Store> OpenWithDoc(const TokenSequence& doc) {
 }
 
 // Runs `reps` timed evaluations of `path`, returns per-query latencies
-// in microseconds. `prep` runs untimed before each rep (e.g. the
-// invalidation that makes every rep cold).
+// in microseconds and the last answer in `out_ids`. `prep` runs untimed
+// before each rep (e.g. the invalidation that makes every rep cold).
 template <typename Prep>
 std::vector<double> TimeQueries(const Store& store, const XPathPath& path,
-                                bool allow_index, int reps, size_t* out_size,
-                                Prep prep) {
+                                bool allow_index, int reps,
+                                std::vector<NodeId>* out_ids, Prep prep) {
   std::vector<double> us;
   us.reserve(static_cast<size_t>(reps));
   for (int i = 0; i < reps; ++i) {
@@ -70,10 +74,25 @@ std::vector<double> TimeQueries(const Store& store, const XPathPath& path,
     auto ids = EvaluateXPathStreaming(store, path, allow_index);
     const double elapsed = t.Seconds();
     BENCH_CHECK(ids.status());
-    *out_size = ids->size();
+    *out_ids = std::move(ids).value();
     us.push_back(elapsed * 1e6);
   }
   return us;
+}
+
+// Exits 1 unless `got`, the answer of `plan`, is the scan's answer `want`
+// id for id: a join that returns wrong nodes in the right number fails.
+void CheckIds(const XPathPath& path, const char* plan,
+              const std::vector<NodeId>& got,
+              const std::vector<NodeId>& want) {
+  if (got == want) return;
+  size_t i = 0;
+  while (i < got.size() && i < want.size() && got[i] == want[i]) ++i;
+  std::fprintf(stderr,
+               "FATAL %s: %s answer (%zu ids) differs from the scan's (%zu "
+               "ids) at position %zu\n",
+               path.ToString().c_str(), plan, got.size(), want.size(), i);
+  std::exit(1);
 }
 
 double Median(std::vector<double> v) { return bench::Percentile(&v, 0.5); }
@@ -109,17 +128,19 @@ int main(int argc, char** argv) {
   // share the lazy store with the cold and warm ones.
   auto lazy_store = OpenWithDoc(doc);
 
-  size_t scan_n = 0, cold_n = 0, warm_n = 0;
+  std::vector<NodeId> scan_ids, cold_ids, warm_ids;
   auto nop = [] {};
 
   std::vector<double> scan_us =
-      TimeQueries(*lazy_store, *path, false, reps, &scan_n, nop);
+      TimeQueries(*lazy_store, *path, false, reps, &scan_ids, nop);
   std::vector<double> cold_us = TimeQueries(
-      *lazy_store, *path, true, reps, &cold_n,
+      *lazy_store, *path, true, reps, &cold_ids,
       [&] { lazy_store->structural_index()->InvalidateAll(); });
   // Leave the last cold rep's memo in place: these reps are pure joins.
   std::vector<double> warm_us =
-      TimeQueries(*lazy_store, *path, true, reps, &warm_n, nop);
+      TimeQueries(*lazy_store, *path, true, reps, &warm_ids, nop);
+  CheckIds(*path, "cold", cold_ids, scan_ids);
+  CheckIds(*path, "warm", warm_ids, scan_ids);
 
   // The other shapes on the lazy store (one untimed run of each warms
   // its tags), against the forced full scan.
@@ -131,7 +152,9 @@ int main(int argc, char** argv) {
     std::vector<double> us, scan_us;
     size_t n = 0;
   };
-  Shape shapes[] = {{"wildcard", "/site/regions/*/item[1]"},
+  Shape shapes[] = {{"child_join_name", "/site/people/person/name"},
+                    {"child_join_increase", "//open_auction/bidder/increase"},
+                    {"wildcard", "/site/regions/*/item[1]"},
                     {"predicate", "//item[@category='books']/name"},
                     {"exists_semijoin", "//person[creditcard]"},
                     {"wildcard_join", "/site/regions/*/item"},
@@ -143,33 +166,24 @@ int main(int argc, char** argv) {
   auto time_pair = [&](const XPathPath& p, std::vector<double>* planned,
                        std::vector<double>* forced, size_t* n) {
     BENCH_CHECK(EvaluateXPathStreaming(*lazy_store, p).status());
+    std::vector<NodeId> planned_ids, scanned_ids;
     for (int i = 0; i < reps; ++i) {
-      size_t scanned_n = 0;
-      for (double us : TimeQueries(*lazy_store, p, true, 1, n, nop)) {
+      for (double us :
+           TimeQueries(*lazy_store, p, true, 1, &planned_ids, nop)) {
         planned->push_back(us);
       }
       for (double us :
-           TimeQueries(*lazy_store, p, false, 1, &scanned_n, nop)) {
+           TimeQueries(*lazy_store, p, false, 1, &scanned_ids, nop)) {
         forced->push_back(us);
       }
-      if (scanned_n != *n) {
-        std::fprintf(stderr, "FATAL %s: planned %zu vs scan %zu\n",
-                     p.ToString().c_str(), *n, scanned_n);
-        std::exit(1);
-      }
+      CheckIds(p, "planned", planned_ids, scanned_ids);
     }
+    *n = planned_ids.size();
   };
   for (Shape& shape : shapes) {
     auto p = ParseXPath(shape.expr);
     BENCH_CHECK(p.status());
     time_pair(*p, &shape.us, &shape.scan_us, &shape.n);
-  }
-
-  if (scan_n != cold_n || scan_n != warm_n) {
-    std::fprintf(stderr,
-                 "FATAL plan disagreement: scan=%zu cold=%zu warm=%zu\n",
-                 scan_n, cold_n, warm_n);
-    return 1;
   }
 
   // Every element and attribute: what indexing every tag would hold.
@@ -188,15 +202,15 @@ int main(int argc, char** argv) {
 
   std::printf("=== bench_xpath: //item//name, %" PRIu64
               " indexable nodes (scale %d), %zu matches, %d reps ===\n",
-              total_nodes, scale, scan_n, reps);
-  std::printf("%-12s %12s\n", "plan", "p50 (us)");
-  std::printf("%-12s %12.1f\n", "scan", scan_p50);
-  std::printf("%-12s %12.1f\n", "cold", Median(cold_us));
-  std::printf("%-12s %12.1f\n", "warm", warm_p50);
+              total_nodes, scale, scan_ids.size(), reps);
+  std::printf("%-24s %10s\n", "plan", "p50 (us)");
+  std::printf("%-24s %10.1f\n", "scan", scan_p50);
+  std::printf("%-24s %10.1f\n", "cold", Median(cold_us));
+  std::printf("%-24s %10.1f\n", "warm", warm_p50);
   for (const Shape& shape : shapes) {
-    std::printf("%-19s %10.1f  (%zu matches, %s)\n", shape.name,
+    std::printf("%-24s %10.1f  (%zu matches, %s)\n", shape.name,
                 Median(shape.us), shape.n, shape.expr);
-    std::printf("%-19s %10.1f\n", (std::string(shape.name) + "_scan").c_str(),
+    std::printf("%-24s %10.1f\n", (std::string(shape.name) + "_scan").c_str(),
                 Median(shape.scan_us));
   }
   std::printf("warm vs scan: %.1fx\n", speedup);
@@ -211,12 +225,12 @@ int main(int argc, char** argv) {
       "expected: warm joins beat the scan by >= 5x at this scale (they "
       "touch\nonly the two queried tags' postings); cold pays one scan "
       "to warm, i.e.\nit tracks the scan plan.\n"
-      "Every other shape beats its forced-scan row: "
-      "the '*' step is a level count,\n@category a posting list, [1] "
-      "and [creditcard] semi-joins over the postings,\n"
-      "[@category='books'] and [quantity='3'] compare value keys, and "
-      "text()\nlocates each text leaf's text by arithmetic: none reads "
-      "a token.\n");
+      "Every other shape beats its forced-scan row: child steps merge "
+      "on\nparent_pre, the '*' step is a level count, @category a posting "
+      "list,\n[1] and [creditcard] semi-joins over the postings, "
+      "[@category='books']\nand [quantity='3'] compare value keys, and "
+      "text() locates each text\nleaf's text by arithmetic: none reads a "
+      "token.\n");
 
   if (!json_path.empty()) {
     bench::JsonReport report("bench_xpath");

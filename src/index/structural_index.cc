@@ -1,5 +1,6 @@
 #include "index/structural_index.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "store/cursor.h"
@@ -215,118 +216,246 @@ void StructuralWarmer::Publish(StructuralIndex* index) {
 
 namespace {
 
-using Stack = std::vector<const StructuralEntry*>;
+/// Random access to a StructuralSpan of one kind. Dispatch picks the
+/// kind once per call, so the kernels below index either without a
+/// branch per entry.
+struct ListAccess {
+  const StructuralEntry* entries;
+  size_t n;
+  size_t size() const { return n; }
+  const StructuralEntry& operator[](size_t i) const { return entries[i]; }
+};
 
-/// The stack-tree merge behind every join. Walks the candidates in pre
-/// order, pushing every frontier entry that begins before the candidate
-/// and popping every one that ended before it, so the stack holds
-/// exactly the frontier intervals containing the candidate (well-nested
-/// intervals: each contains the one above it, and sits at a deeper
-/// level). `visit` sees each contained candidate and that stack, with
-/// entries read in place.
-template <typename Visit>
-void StackJoin(const std::vector<StructuralEntry>& frontier,
-               const std::vector<StructuralEntry>& candidates, Visit visit) {
-  if (frontier.empty() || candidates.empty()) return;
+struct SelectionAccess {
+  const StructuralEntry* const* entries;
+  size_t n;
+  size_t size() const { return n; }
+  const StructuralEntry& operator[](size_t i) const { return *entries[i]; }
+};
+
+template <typename Fn>
+void Dispatch(const StructuralSpan& span, const Fn& fn) {
+  if (span.selection() != nullptr) {
+    fn(SelectionAccess{span.selection(), span.size()});
+  } else {
+    fn(ListAccess{span.list(), span.size()});
+  }
+}
+
+template <typename Fn>
+void Dispatch(const StructuralSpan& a, const StructuralSpan& b,
+              const Fn& fn) {
+  Dispatch(a, [&](const auto& x) {
+    Dispatch(b, [&](const auto& y) { fn(x, y); });
+  });
+}
+
+/// The first index in [lo, hi) whose entry begins at or after `pre`, or
+/// hi: a gallop from lo, then a binary search, so a short hop costs a
+/// few probes and a long one O(log distance).
+template <typename Access>
+size_t SeekPre(const Access& a, size_t lo, size_t hi, uint64_t pre) {
+  size_t step = 1;
+  while (lo + step <= hi && a[lo + step - 1].pre < pre) {
+    lo += step;
+    step *= 2;
+  }
+  hi = std::min(hi, lo + step - 1);
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (a[mid].pre < pre) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+/// Frontier indexes, innermost interval on top.
+using Stack = std::vector<size_t>;
+
+/// The stack-tree merge behind the descendant and '*'-skipping joins.
+/// Walks the candidates in pre order, pushing every frontier entry that
+/// begins before the candidate and popping every one that ended before
+/// it, so the stack holds exactly the frontier intervals containing the
+/// candidate (well-nested intervals: each contains the one above it,
+/// and sits at a deeper level). `visit(c, stack)` sees each contained
+/// candidate. With the stack empty, no candidate up to the next
+/// frontier entry's pre can be contained, so the walk seeks past it;
+/// with the frontier used up too, it stops.
+template <typename F, typename C, typename Visit>
+void StackJoin(const F& frontier, const C& candidates, Visit visit) {
   Stack stack;
   size_t next = 0;
-  for (const StructuralEntry& c : candidates) {
+  for (size_t i = 0; i < candidates.size();) {
+    const StructuralEntry& c = candidates[i];
     for (; next < frontier.size() && frontier[next].pre < c.pre; ++next) {
-      const StructuralEntry& f = frontier[next];
-      while (!stack.empty() && stack.back()->post < f.pre) stack.pop_back();
-      stack.push_back(&f);
+      const uint64_t begin = frontier[next].pre;
+      while (!stack.empty() && frontier[stack.back()].post < begin) {
+        stack.pop_back();
+      }
+      stack.push_back(next);
     }
-    while (!stack.empty() && stack.back()->post < c.pre) stack.pop_back();
-    if (!stack.empty() && c.post < stack.back()->post) visit(c, stack);
+    while (!stack.empty() && frontier[stack.back()].post < c.pre) {
+      stack.pop_back();
+    }
+    if (stack.empty()) {
+      if (next == frontier.size()) return;
+      i = SeekPre(candidates, i + 1, candidates.size(),
+                  frontier[next].pre + 1);
+      continue;
+    }
+    if (c.post < frontier[stack.back()].post) visit(c, stack);
+    ++i;
   }
 }
 
-/// The candidates `keep` accepts, copied in order.
-template <typename Keep>
-std::vector<StructuralEntry> FilterJoin(
-    const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates, Keep keep) {
-  std::vector<StructuralEntry> out;
-  StackJoin(frontier, candidates,
-            [&](const StructuralEntry& c, const Stack& stack) {
-              if (keep(c, stack)) out.push_back(c);
-            });
-  return out;
+/// The parent merge behind child steps with no '*' level: each posting
+/// records its parent's pre, so a candidate joins the frontier entry
+/// whose pre is its parent_pre. One forward pointer walks the frontier
+/// as the stack merge does, keeping `reach`, the latest end of the
+/// entries begun so far: a candidate inside none of them (`reach` at or
+/// before its pre) has no parent there, nor does any candidate before
+/// the next frontier entry, so the walk seeks past it, and stops once
+/// the frontier is used up. A contained candidate's parent is usually
+/// the last entry begun; when frontier entries nested in the parent
+/// began before the candidate, it is an earlier one, found by a binary
+/// search back. `visit(c, f)` sees each candidate whose parent is
+/// frontier entry `f`.
+template <typename F, typename C, typename Visit>
+void ParentJoin(const F& frontier, const C& candidates, Visit visit) {
+  size_t next = 0;
+  uint64_t reach = 0;
+  for (size_t i = 0; i < candidates.size();) {
+    const StructuralEntry& c = candidates[i];
+    for (; next < frontier.size() && frontier[next].pre < c.pre; ++next) {
+      reach = std::max(reach, frontier[next].post);
+    }
+    if (reach <= c.pre) {
+      if (next == frontier.size()) return;
+      i = SeekPre(candidates, i + 1, candidates.size(),
+                  frontier[next].pre + 1);
+      continue;
+    }
+    // The parent began before c: frontier[last] or an earlier entry. A
+    // top-level candidate's kNoParent exceeds every pre.
+    const size_t last = next - 1;
+    if (c.parent_pre == frontier[last].pre) {
+      visit(c, last);
+    } else if (c.parent_pre < frontier[last].pre) {
+      const size_t f = SeekPre(frontier, 0, last, c.parent_pre);
+      if (f < last && frontier[f].pre == c.parent_pre) visit(c, f);
+    }
+    ++i;
+  }
 }
 
-/// The stack entry exactly `skip + 1` levels above `c`, or nullptr.
-/// Levels fall from the top of the stack down: walk it until the
-/// required level is reached or passed.
-const StructuralEntry* AncestorAt(const StructuralEntry& c,
-                                  const Stack& stack, uint32_t skip) {
+constexpr size_t kNone = SIZE_MAX;
+
+/// The frontier index on the stack exactly `skip + 1` levels above `c`,
+/// or kNone. Levels fall from the top of the stack down: walk it until
+/// the required level is reached or passed.
+template <typename F>
+size_t AncestorAt(const F& frontier, const StructuralEntry& c,
+                  const Stack& stack, uint32_t skip) {
   for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-    const uint32_t reach = (*it)->level + skip + 1;
-    if (reach <= c.level) return reach == c.level ? *it : nullptr;
+    const uint32_t reach = frontier[*it].level + skip + 1;
+    if (reach <= c.level) return reach == c.level ? *it : kNone;
   }
-  return nullptr;
+  return kNone;
+}
+
+/// The candidates `keep(c, stack)` accepts, in order.
+template <typename Keep>
+StructuralSelection FilterJoin(const StructuralSpan& frontier,
+                               const StructuralSpan& candidates, Keep keep) {
+  StructuralSelection out;
+  out.reserve(candidates.size());
+  Dispatch(frontier, candidates, [&](const auto& f, const auto& c) {
+    StackJoin(f, c, [&](const StructuralEntry& e, const Stack& stack) {
+      if (keep(f, e, stack)) out.push_back(&e);
+    });
+  });
+  return out;
 }
 
 }  // namespace
 
-std::vector<StructuralEntry> StructuralTopLevel(
+StructuralSelection StructuralTopLevel(
     const std::vector<StructuralEntry>& candidates) {
-  std::vector<StructuralEntry> out;
+  StructuralSelection out;
   for (const StructuralEntry& c : candidates) {
-    if (c.level == 0) out.push_back(c);
+    if (c.level == 0) out.push_back(&c);
   }
   return out;
 }
 
-std::vector<StructuralEntry> StructuralDescendantJoin(
-    const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates, uint32_t skip) {
+StructuralSelection StructuralDescendantJoin(const StructuralSpan& frontier,
+                                             const StructuralSpan& candidates,
+                                             uint32_t skip) {
   // The outermost containing frontier interval sits highest.
   return FilterJoin(frontier, candidates,
-                    [skip](const StructuralEntry& c, const Stack& stack) {
-                      return stack.front()->level + skip < c.level;
+                    [skip](const auto& f, const StructuralEntry& c,
+                           const Stack& stack) {
+                      return f[stack.front()].level + skip < c.level;
                     });
 }
 
-std::vector<StructuralEntry> StructuralChildJoin(
-    const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates, uint32_t skip) {
-  return FilterJoin(frontier, candidates,
-                    [skip](const StructuralEntry& c, const Stack& stack) {
-                      return AncestorAt(c, stack, skip) != nullptr;
-                    });
-}
-
-std::vector<StructuralEntry> StructuralSemiJoin(
-    const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates, bool child,
-    uint32_t skip) {
-  std::vector<bool> marked(frontier.size(), false);
-  auto mark = [&](const StructuralEntry* f) {
-    marked[static_cast<size_t>(f - frontier.data())] = true;
-  };
-  StackJoin(frontier, candidates,
-            [&](const StructuralEntry& c, const Stack& stack) {
-              if (child) {
-                if (const StructuralEntry* f = AncestorAt(c, stack, skip)) {
-                  mark(f);
-                }
-                return;
-              }
-              // Every containing interval far enough up qualifies.
-              for (const StructuralEntry* f : stack) {
-                if (f->level + skip >= c.level) break;
-                mark(f);
-              }
-            });
-  std::vector<StructuralEntry> out;
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    if (marked[i]) out.push_back(frontier[i]);
+StructuralSelection StructuralChildJoin(const StructuralSpan& frontier,
+                                        const StructuralSpan& candidates,
+                                        uint32_t skip) {
+  if (skip > 0) {
+    return FilterJoin(frontier, candidates,
+                      [skip](const auto& f, const StructuralEntry& c,
+                             const Stack& stack) {
+                        return AncestorAt(f, c, stack, skip) != kNone;
+                      });
   }
+  StructuralSelection out;
+  out.reserve(candidates.size());
+  Dispatch(frontier, candidates, [&](const auto& f, const auto& c) {
+    ParentJoin(f, c, [&](const StructuralEntry& e, size_t) {
+      out.push_back(&e);
+    });
+  });
   return out;
 }
 
-std::vector<StructuralEntry> StructuralNthPerParent(
-    const std::vector<StructuralEntry>& candidates, uint64_t n) {
+StructuralSelection StructuralSemiJoin(const StructuralSpan& frontier,
+                                       const StructuralSpan& candidates,
+                                       bool child, uint32_t skip) {
+  StructuralSelection out;
+  out.reserve(frontier.size());
+  Dispatch(frontier, candidates, [&](const auto& f, const auto& c) {
+    std::vector<bool> marked(f.size(), false);
+    if (child && skip == 0) {
+      ParentJoin(f, c, [&](const StructuralEntry&, size_t i) {
+        marked[i] = true;
+      });
+    } else {
+      StackJoin(f, c, [&](const StructuralEntry& e, const Stack& stack) {
+        if (child) {
+          const size_t i = AncestorAt(f, e, stack, skip);
+          if (i != kNone) marked[i] = true;
+          return;
+        }
+        // Every containing interval far enough up qualifies.
+        for (size_t i : stack) {
+          if (f[i].level + skip >= e.level) break;
+          marked[i] = true;
+        }
+      });
+    }
+    for (size_t i = 0; i < f.size(); ++i) {
+      if (marked[i]) out.push_back(&f[i]);
+    }
+  });
+  return out;
+}
+
+StructuralSelection StructuralNthPerParent(const StructuralSpan& candidates,
+                                           uint64_t n) {
   // Parent keys order the virtual root (kNoParent) before every element.
   auto parent_key = [](const StructuralEntry& c) {
     return c.parent_pre == kNoParent ? 0 : c.parent_pre + 1;
@@ -336,30 +465,30 @@ std::vector<StructuralEntry> StructuralNthPerParent(
     uint64_t count;
   };
   std::vector<Seen> open;
-  std::vector<StructuralEntry> out;
-  for (const StructuralEntry& c : candidates) {
-    const uint64_t parent = parent_key(c);
-    while (!open.empty() && open.back().parent > parent) open.pop_back();
-    if (open.empty() || open.back().parent != parent) {
-      open.push_back({parent, 0});
+  StructuralSelection out;
+  Dispatch(candidates, [&](const auto& cs) {
+    for (size_t i = 0; i < cs.size(); ++i) {
+      const StructuralEntry& c = cs[i];
+      const uint64_t parent = parent_key(c);
+      while (!open.empty() && open.back().parent > parent) open.pop_back();
+      if (open.empty() || open.back().parent != parent) {
+        open.push_back({parent, 0});
+      }
+      if (++open.back().count == n) out.push_back(&c);
     }
-    if (++open.back().count == n) out.push_back(c);
-  }
+  });
   return out;
 }
 
-std::vector<StructuralEntry> StructuralNthDescendant(
-    const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates, uint64_t n) {
+StructuralSelection StructuralNthDescendant(const StructuralSpan& frontier,
+                                            const StructuralSpan& candidates,
+                                            uint64_t n) {
   std::vector<uint64_t> counts(frontier.size(), 0);
   return FilterJoin(frontier, candidates,
-                    [&](const StructuralEntry&, const Stack& stack) {
+                    [&](const auto&, const StructuralEntry&,
+                        const Stack& stack) {
                       bool nth = false;
-                      for (const StructuralEntry* f : stack) {
-                        nth = ++counts[static_cast<size_t>(
-                                  f - frontier.data())] == n ||
-                              nth;
-                      }
+                      for (size_t i : stack) nth = ++counts[i] == n || nth;
                       return nth;
                     });
 }

@@ -10,13 +10,14 @@
 // `d.pre > a.pre && d.post < a.post`, and "c is a child of p" adds
 // `c.level == p.level + 1` (same-level intervals are disjoint, so the
 // containing interval one level up IS the parent). Each entry also
-// records its parent's pre, so "the n-th child per parent" ([n]) needs
-// no parent lookup. The range id and byte offset of the begin token
-// ride along so the auditor can pin a memo back to the bytes it
-// describes, and so a query can Seek to it. So does a value key: the
-// node's value when it is short, a hash of it when long, or "mixed"
-// (see StructuralEntry), so a text() step or an '=' predicate on a
-// warm tag reads no token for most elements and every short value.
+// records its parent's pre, so a child step joins on it and "the n-th
+// child per parent" ([n]) needs no parent lookup. The range id and
+// byte offset of the begin token ride along so the auditor can pin a
+// memo back to the bytes it describes, and so a query can Seek to it.
+// So does a value key: the node's value when it is short, a hash of it
+// when long, or "mixed" (see StructuralEntry), so a text() step or an
+// '=' predicate on a warm tag reads no token for most elements and
+// every short value.
 //
 // Attributes are nodes of the token model too — a begin/end token pair
 // with its own node id, one level below its element — so they memoize
@@ -28,11 +29,12 @@
 // up front. The first `//a//b` query streams the store exactly as the
 // cold evaluator always has, and the scan's by-product — every `a` and
 // `b` interval — is published here, keyed by tag. The next query over
-// warm tags merge-joins posting lists in O(frontier + candidates)
-// instead of rescanning the document; a path the join cannot answer
-// whole is a plain scan (see query/xpath_stream.h). A tag is warm iff it
-// has a posting list (possibly empty: "no such element" is itself a
-// cached fact); everything else is cold.
+// warm tags merge-joins posting lists instead of rescanning the
+// document, touching only the postings that can match (see the joins
+// below); a path the join cannot answer whole is a plain scan (see
+// query/xpath_stream.h). A tag is warm iff it has a posting list
+// (possibly empty: "no such element" is itself a cached fact);
+// everything else is cold.
 //
 // Invalidation is lazy too — O(1) discard, repair deferred to the next
 // query's scan. pre/post numbers are positions in the *current* token
@@ -53,7 +55,8 @@
 // take it shared, publish/invalidate take it exclusive. Posting lists
 // are immutable once published and handed out as
 // shared_ptr<const vector>, so a reader's join keeps working on the
-// list it fetched even if a concurrent warmer republishes the tag.
+// list it fetched, and its selections keep pointing into it, even if a
+// concurrent warmer republishes the tag.
 // This is what lets SharedStore run warming queries under its shared
 // store latch, exactly as it does for Partial Index memoization.
 
@@ -304,48 +307,102 @@ class StructuralWarmer {
   bool broken_ = false;
 };
 
-/// The warm-path joins. Frontier and candidates are posting lists
-/// sorted by pre; results preserve candidate order (document order) and
-/// are duplicate-free by construction.
+/// The warm-path joins. Each reads posting lists, or selections from
+/// them, sorted by pre, in place, and returns the entries it keeps as
+/// pointers into those lists: document order, duplicate-free by
+/// construction, and never a copied entry.
+
+/// A join's result: pointers into immutable posting lists, in document
+/// order. It borrows the lists, so whoever holds them keeps it valid
+/// (XPathAccessPlan::lists does for a query).
+using StructuralSelection = std::vector<const StructuralEntry*>;
+
+/// What a join reads: a whole posting list or a selection from one,
+/// either sorted by pre. Converts implicitly from both and copies
+/// neither. A join's result points into the lists, so a temporary list
+/// does not convert; a temporary selection does, since a result never
+/// points into a selection.
+class StructuralSpan {
+ public:
+  StructuralSpan(const std::vector<StructuralEntry>& list)  // NOLINT
+      : list_(list.data()), size_(list.size()) {}
+  StructuralSpan(std::vector<StructuralEntry>&&) = delete;
+  StructuralSpan(const StructuralSelection& selection)  // NOLINT
+      : selection_(selection.data()), size_(selection.size()) {}
+
+  size_t size() const { return size_; }
+  /// A list's entries, or nullptr for a selection. Either may be null
+  /// when the span is empty.
+  const StructuralEntry* list() const { return list_; }
+  /// A selection's pointers, or nullptr for a list.
+  const StructuralEntry* const* selection() const { return selection_; }
+
+ private:
+  const StructuralEntry* list_ = nullptr;
+  const StructuralEntry* const* selection_ = nullptr;
+  size_t size_ = 0;
+};
 
 /// Entries of `candidates` at the top level (step 0 of a child-axis
 /// path: the virtual root's children are exactly the level-0 elements).
-std::vector<StructuralEntry> StructuralTopLevel(
+StructuralSelection StructuralTopLevel(
     const std::vector<StructuralEntry>& candidates);
+StructuralSelection StructuralTopLevel(std::vector<StructuralEntry>&&) = delete;
 
 /// `skip` counts the '*' child steps between the frontier's step and
 /// the candidates' (`/a/*/*/b`: 2). Every scope between two element
 /// levels is an element — attribute scopes hold nothing and document
 /// tokens never reach a store — so each level skipped matches '*', and
 /// the wildcards reduce to level arithmetic.
+///
+/// Two merges do the work, and each touches only the postings that can
+/// match. The stack merge (the stack-tree join) walks both lists in pre
+/// order with a stack of the frontier intervals holding the current
+/// candidate; it answers descendant steps and '*'-skipping steps, whose
+/// ancestor may sit more than one level up. The parent merge answers a
+/// child step with no '*' level: every posting records its parent's
+/// pre, so a candidate joins the frontier entry with that pre: found
+/// by one forward pointer, or by a binary search back when frontier
+/// entries nested in the parent began before the candidate. The stack
+/// merge could answer these steps too and would visit the same
+/// candidates; the parent merge keeps no stack, and that upkeep per
+/// frontier entry is measurable end to end (EXPERIMENTS.md, Ablation
+/// O). Both skip: while no frontier interval begun so far holds the
+/// current candidate, a gallop over the candidates seeks past the next
+/// frontier entry's pre; and both stop once the frontier is used up
+/// with no interval open. So a join costs O(|frontier| + candidates
+/// inside a frontier interval + log per skipped run). It allocates its
+/// result once, reserved from the most it can hold (the candidate
+/// count; for a semi-join, the frontier's): 8 bytes per candidate even
+/// when few match, an eighth of the list's own size, freed with the
+/// result.
 
 /// Entries of `candidates` strictly contained in some frontier interval
-/// at least `skip + 1` levels up. One stack-based merge over both lists
-/// (the stack-tree join): O(|frontier| + |candidates|), no per-call
-/// index.
-std::vector<StructuralEntry> StructuralDescendantJoin(
-    const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates, uint32_t skip = 0);
+/// at least `skip + 1` levels up. The stack merge.
+StructuralSelection StructuralDescendantJoin(const StructuralSpan& frontier,
+                                             const StructuralSpan& candidates,
+                                             uint32_t skip = 0);
 
 /// Entries of `candidates` whose ancestor `skip + 1` levels up (with no
-/// skip: the parent) is in the frontier. The same merge: the stack
-/// holds the frontier intervals containing the current candidate,
-/// innermost on top, so the candidate qualifies iff one of them sits
-/// exactly at the required level — not necessarily the innermost one,
-/// which may be a nearer frontier ancestor.
-std::vector<StructuralEntry> StructuralChildJoin(
-    const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates, uint32_t skip = 0);
+/// skip: the parent) is in the frontier. With no skip, the parent
+/// merge. Otherwise the stack merge: the stack holds the frontier
+/// intervals containing the current candidate, innermost on top, so
+/// the candidate qualifies iff one of them sits exactly at the required
+/// level — not necessarily the innermost one, which may be a nearer
+/// frontier ancestor.
+StructuralSelection StructuralChildJoin(const StructuralSpan& frontier,
+                                        const StructuralSpan& candidates,
+                                        uint32_t skip = 0);
 
 /// The semi-join behind twig predicates: entries of `frontier` holding
 /// at least one candidate `skip + 1` levels down (`child`) or at least
-/// that far down (descendant). The same stack merge, with an existence
-/// output: each candidate marks the frontier intervals it qualifies for,
-/// and the marked ones are returned in frontier order.
-std::vector<StructuralEntry> StructuralSemiJoin(
-    const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates, bool child,
-    uint32_t skip = 0);
+/// that far down (descendant). The same merges as the joins above, with
+/// an existence output: each candidate marks the frontier intervals it
+/// qualifies for (a child with no skip: its parent), and the marked
+/// ones are returned in frontier order.
+StructuralSelection StructuralSemiJoin(const StructuralSpan& frontier,
+                                       const StructuralSpan& candidates,
+                                       bool child, uint32_t skip = 0);
 
 /// [n] on a child step (1-based): entries of `candidates` (sorted by
 /// pre) that are the n-th among the candidates sharing their parent,
@@ -353,17 +410,17 @@ std::vector<StructuralEntry> StructuralSemiJoin(
 /// before it, and once a candidate of an earlier-starting parent
 /// follows, every later-starting parent has ended, so a stack of
 /// (parent, count) replaces a per-parent map.
-std::vector<StructuralEntry> StructuralNthPerParent(
-    const std::vector<StructuralEntry>& candidates, uint64_t n);
+StructuralSelection StructuralNthPerParent(const StructuralSpan& candidates,
+                                           uint64_t n);
 
 /// [n] on a descendant step: entries of `candidates` that are the n-th
 /// candidate, in document order, strictly inside some `frontier` entry
 /// (each frontier entry is a context of its own, and nested ones count
 /// the same candidate separately). The stack merge, counting per
 /// frontier entry.
-std::vector<StructuralEntry> StructuralNthDescendant(
-    const std::vector<StructuralEntry>& frontier,
-    const std::vector<StructuralEntry>& candidates, uint64_t n);
+StructuralSelection StructuralNthDescendant(const StructuralSpan& frontier,
+                                            const StructuralSpan& candidates,
+                                            uint64_t n);
 
 }  // namespace laxml
 

@@ -669,30 +669,39 @@ Status Disagrees() {
       "structural index entry disagrees with the token stream");
 }
 
-EntryList Share(Entries entries) {
-  return std::make_shared<const Entries>(std::move(entries));
-}
-
 /// `list` joined below `frontier` along `step`'s axis (an '@name' step
 /// joins as a child), `skip` '*' levels further down.
-Entries AxisJoin(const Entries& frontier, const Entries& list,
-                 const XPathStep& step, uint32_t skip) {
+StructuralSelection AxisJoin(const StructuralSpan& frontier,
+                             const Entries& list, const XPathStep& step,
+                             uint32_t skip) {
   return step.axis == XPathAxis::kDescendant
              ? StructuralDescendantJoin(frontier, list, skip)
              : StructuralChildJoin(frontier, list, skip);
 }
 
+/// Every entry of `list`, selected.
+StructuralSelection SelectAll(const Entries& list) {
+  StructuralSelection all;
+  all.reserve(list.size());
+  for (const StructuralEntry& e : list) all.push_back(&e);
+  return all;
+}
+
 /// The posting-list join of a whole path, left to right, over the lists
 /// the plan looked up (all warm); each step's predicates filter its
-/// matches, as semi-joins.
+/// matches, as semi-joins. Every intermediate result is a selection
+/// into those lists.
 class PostingJoin {
  public:
   PostingJoin(const Store& store, const XPathAccessPlan& plan)
       : store_(store), plan_(plan) {}
 
   /// The entries the steps of `path` select.
-  Result<EntryList> Run(const XPathPath& path) {
-    EntryList frontier;  // null before step 0: the virtual root
+  Result<StructuralSelection> Run(const XPathPath& path) {
+    StructuralSelection frontier;
+    // Set instead of `frontier` after a predicate-free '//' step 0.
+    const Entries* whole = nullptr;
+    bool root = true;  // before step 0: the virtual root
     // '*' steps add no list, only levels between the named steps
     // around them.
     uint32_t skip = 0;
@@ -705,21 +714,32 @@ class PostingJoin {
         continue;
       }
       // Step 0 evaluates against the virtual root: its children are the
-      // top-level (level-0) elements, its descendants everything.
-      const EntryList context = frontier;
-      frontier = context != nullptr
-                     ? Share(AxisJoin(*context, *list, step, skip))
-                 : step.axis == XPathAxis::kChild
-                     ? Share(StructuralTopLevel(*list))
-                     : list;
+      // top-level (level-0) elements, its descendants the whole list,
+      // read in place unless a predicate filters it.
+      const StructuralSpan context =
+          whole != nullptr ? StructuralSpan(*whole) : StructuralSpan(frontier);
+      StructuralSelection matches;
+      if (!root) {
+        matches = AxisJoin(context, *list, step, skip);
+      } else if (step.axis == XPathAxis::kChild) {
+        matches = StructuralTopLevel(*list);
+      } else if (step.predicates.empty()) {
+        whole = list.get();
+        root = false;
+        continue;
+      } else {
+        matches = SelectAll(*list);
+      }
+      whole = nullptr;
       skip = 0;
-      frontier = Number(step, context, frontier);
+      frontier = Number(step, root ? nullptr : &context, std::move(matches));
+      root = false;
       for (const XPathPredicate& pred : step.predicates) {
         if (pred.kind == XPathPredicate::Kind::kPosition) continue;
         LAXML_ASSIGN_OR_RETURN(frontier, Filter(frontier, pred));
       }
     }
-    return frontier;
+    return whole != nullptr ? SelectAll(*whole) : frontier;
   }
 
  private:
@@ -729,65 +749,70 @@ class PostingJoin {
   /// predicates keep (the scan's semantics, and the oracle's), so the
   /// positions apply first and together: [n][m] with n != m keeps
   /// nothing.
-  static EntryList Number(const XPathStep& step, const EntryList& context,
-                          EntryList matches) {
+  static StructuralSelection Number(const XPathStep& step,
+                                    const StructuralSpan* context,
+                                    StructuralSelection matches) {
     uint64_t n = 0;
     for (const XPathPredicate& pred : step.predicates) {
       if (pred.kind != XPathPredicate::Kind::kPosition) continue;
-      if (n != 0 && n != pred.position) return Share({});
+      if (n != 0 && n != pred.position) return {};
       n = pred.position;
     }
     if (n == 0) return matches;
     if (step.axis == XPathAxis::kChild) {
-      return Share(StructuralNthPerParent(*matches, n));
+      return StructuralNthPerParent(matches, n);
     }
     if (context == nullptr) {
-      return Share(n <= matches->size() ? Entries{(*matches)[n - 1]}
-                                        : Entries{});
+      if (n > matches.size()) return {};
+      return {matches[n - 1]};
     }
-    return Share(StructuralNthDescendant(*context, *matches, n));
+    return StructuralNthDescendant(*context, matches, n);
   }
 
   /// The `frontier` entries passing [p] or [p='lit'] `pred`.
-  Result<EntryList> Filter(const EntryList& frontier,
-                           const XPathPredicate& pred) {
+  Result<StructuralSelection> Filter(const StructuralSelection& frontier,
+                                     const XPathPredicate& pred) {
     const XPathPath& p = pred.path;
     const EntryList* lists = &plan_.lists[next_];
     next_ += p.steps.size();
-    if (frontier->empty()) return frontier;
+    if (frontier.empty()) return StructuralSelection{};
     const size_t last = p.steps.size() - 1;
-    EntryList below = lists[last];
+    // What the semi-joins below read: the last step's list, or the
+    // selection `kept` from it.
+    StructuralSelection kept;
+    StructuralSpan below = *lists[last];
     if (pred.kind == XPathPredicate::Kind::kEquals) {
       // The nodes the path reaches from the frontier, kept when their
       // value is the literal.
-      EntryList reached = frontier;
+      StructuralSelection reached;
+      StructuralSpan from = frontier;
       uint32_t skip = 0;
       for (size_t j = 0; j <= last; ++j) {
         if (lists[j] == nullptr) {
           ++skip;
           continue;
         }
-        reached = Share(AxisJoin(*reached, *lists[j], p.steps[j], skip));
+        reached = AxisJoin(from, *lists[j], p.steps[j], skip);
+        from = reached;
         skip = 0;
       }
       const bool attribute = p.steps[last].axis == XPathAxis::kAttribute;
       const uint64_t key = StructuralValueKey(pred.literal);
-      Entries equal;
-      for (const StructuralEntry& e : *reached) {
+      for (const StructuralEntry* e : reached) {
         bool match = false;
-        if (e.mixed()) {
-          LAXML_ASSIGN_OR_RETURN(match, StringValueEquals(e, pred.literal));
-        } else if (e.value_key == key) {
+        if (e->mixed()) {
+          LAXML_ASSIGN_OR_RETURN(match, StringValueEquals(*e, pred.literal));
+        } else if (e->value_key == key) {
           // Equal inline keys are equal values; equal hashes may not be.
           match = ExactValueKey(key);
           if (!match) {
             LAXML_ASSIGN_OR_RETURN(match,
-                                   ValueEquals(e, attribute, pred.literal));
+                                   ValueEquals(*e, attribute, pred.literal));
           }
         }
-        if (match) equal.push_back(e);
+        if (match) kept.push_back(e);
       }
-      below = Share(std::move(equal));
+      below = kept;
     }
     // Right to left: keep each step's entries that hold a match of the
     // step after them, and last the frontier entries holding one of the
@@ -799,15 +824,16 @@ class PostingJoin {
         ++skip;
         continue;
       }
-      below = Share(StructuralSemiJoin(
-          *lists[j], *below, p.steps[next].axis != XPathAxis::kDescendant,
-          skip));
+      kept = StructuralSemiJoin(*lists[j], below,
+                                p.steps[next].axis != XPathAxis::kDescendant,
+                                skip);
+      below = kept;
       next = j;
       skip = 0;
     }
-    return Share(StructuralSemiJoin(
-        *frontier, *below, p.steps[next].axis != XPathAxis::kDescendant,
-        skip));
+    return StructuralSemiJoin(frontier, below,
+                              p.steps[next].axis != XPathAxis::kDescendant,
+                              skip);
   }
 
   /// Whether the value of `e`, an attribute or a simple element whose
@@ -867,8 +893,8 @@ class PostingJoin {
 /// none, so neither reads a token; a mixed element's are found by a walk
 /// over its children that skips their subtrees. Only mixed parents can
 /// nest, and their texts interleave, hence the sort.
-Result<std::vector<NodeId>> TextChildren(const Store& store,
-                                         const Entries& parents) {
+Result<std::vector<NodeId>> TextChildren(
+    const Store& store, const StructuralSelection& parents) {
   std::vector<std::pair<uint64_t, NodeId>> texts;  // (ordinal, id)
   bool ordered = true;
   auto add = [&](uint64_t ordinal, NodeId id) {
@@ -876,7 +902,8 @@ Result<std::vector<NodeId>> TextChildren(const Store& store,
     texts.emplace_back(ordinal, id);
   };
   std::unique_ptr<TokenCursor> cursor;
-  for (const StructuralEntry& e : parents) {
+  for (const StructuralEntry* parent : parents) {
+    const StructuralEntry& e = *parent;
     if (!e.mixed()) {
       if (e.text_leaf()) add(e.text_ordinal(), e.text_id());
       continue;
@@ -912,7 +939,7 @@ const char* StructuralIneligibilityReason(const XPathPath& path) {
 }
 
 const char* XPathAccessPlan::label() const {
-  return entries != nullptr ? "structural-join" : "stream-scan";
+  return entries.has_value() ? "structural-join" : "stream-scan";
 }
 
 Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
@@ -948,7 +975,7 @@ Result<std::vector<NodeId>> RunXPathPlan(const Store& store,
                                          const XPathAccessPlan& plan) {
   LAXML_RC_SET_PLAN(plan.label());
   StructuralIndex* index = store.structural_index();
-  if (plan.entries != nullptr) {
+  if (plan.entries.has_value()) {
     index->RecordHit();
     LAXML_RC_ADD(structural_index_hits, 1);
     if (path.steps.back().test == NodeTestKind::kText) {
@@ -956,7 +983,7 @@ Result<std::vector<NodeId>> RunXPathPlan(const Store& store,
     }
     std::vector<NodeId> ids;
     ids.reserve(plan.entries->size());
-    for (const StructuralEntry& e : *plan.entries) ids.push_back(e.id);
+    for (const StructuralEntry* e : *plan.entries) ids.push_back(e->id);
     return ids;
   }
   std::unique_ptr<StructuralWarmer> warmer;

@@ -62,6 +62,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -98,8 +99,9 @@ struct XPathAccessPlan {
   std::vector<StructuralIndex::EntryList> lists;
   /// When every list is warm: the entries the join selects, in document
   /// order — the answer of the structural join, or its parents when the
-  /// path ends in text(). Null otherwise.
-  StructuralIndex::EntryList entries;
+  /// path ends in text(). Points into `lists`, which keep it valid
+  /// however the index changes after planning. Empty otherwise.
+  std::optional<StructuralSelection> entries;
 
   /// "structural-join" | "stream-scan": the label execution stamps into
   /// the request context and EXPLAIN shows.

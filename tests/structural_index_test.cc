@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "audit/fsck.h"
@@ -29,20 +31,21 @@ using testing::MustFragment;
 using testing::TempFile;
 
 StructuralEntry Entry(NodeId id, uint64_t pre, uint64_t post,
-                      uint32_t level) {
+                      uint32_t level, uint64_t parent_pre = kNoParent) {
   StructuralEntry e;
   e.id = id;
   e.pre = pre;
   e.post = post;
+  e.parent_pre = parent_pre;
   e.level = level;
   e.range = 1;
   e.offset = 0;
   return e;
 }
 
-std::vector<NodeId> Ids(const std::vector<StructuralEntry>& entries) {
+std::vector<NodeId> Ids(const StructuralSelection& entries) {
   std::vector<NodeId> out;
-  for (const StructuralEntry& e : entries) out.push_back(e.id);
+  for (const StructuralEntry* e : entries) out.push_back(e->id);
   return out;
 }
 
@@ -76,11 +79,13 @@ TEST(StructuralJoinTest, DescendantJoinSkylineKeepsNestedFrontiersSound) {
 
 TEST(StructuralJoinTest, ChildJoinRequiresAdjacentLevel) {
   // p(0..9, level 0) has child c1(1..2, level 1); grandchild
-  // g(3..4, level 2) is contained but not a child; c2(10..11, level 1)
-  // is outside.
+  // g(4..5, level 2), a child of the untracked x(3..6), is contained but
+  // not a child; c2(11..12, level 1), a child of the untracked
+  // q(10..13), is outside.
   std::vector<StructuralEntry> p = {Entry(1, 0, 9, 0)};
-  std::vector<StructuralEntry> kids = {Entry(2, 1, 2, 1), Entry(3, 3, 4, 2),
-                                       Entry(4, 10, 11, 1)};
+  std::vector<StructuralEntry> kids = {Entry(2, 1, 2, 1, 0),
+                                       Entry(3, 4, 5, 2, 3),
+                                       Entry(4, 11, 12, 1, 10)};
   EXPECT_EQ(Ids(StructuralChildJoin(p, kids)), (std::vector<NodeId>{2}));
 }
 
@@ -88,15 +93,16 @@ TEST(StructuralJoinTest, SkippingJoinLooksPastANearerFrontierAncestor) {
   // //a/*/b over <a><a><b/></a></a>: both a's are in the frontier, and
   // the innermost containing one is b's parent, not the grandparent
   // the '*' step requires.
-  std::vector<StructuralEntry> a = {Entry(1, 0, 5, 0), Entry(2, 1, 4, 1)};
-  std::vector<StructuralEntry> b = {Entry(3, 2, 3, 2)};
+  std::vector<StructuralEntry> a = {Entry(1, 0, 5, 0), Entry(2, 1, 4, 1, 0)};
+  std::vector<StructuralEntry> b = {Entry(3, 2, 3, 2, 1)};
   EXPECT_EQ(Ids(StructuralChildJoin(a, b, /*skip=*/1)),
             (std::vector<NodeId>{3}));
   EXPECT_EQ(Ids(StructuralChildJoin(a, b)), (std::vector<NodeId>{3}));
   // //a/*/b over <a><x><a><b/></a></x></a>: no frontier entry sits two
   // levels above b, though one sits one level and one three above.
-  std::vector<StructuralEntry> a2 = {Entry(1, 0, 7, 0), Entry(3, 2, 5, 2)};
-  std::vector<StructuralEntry> b2 = {Entry(4, 3, 4, 3)};
+  std::vector<StructuralEntry> a2 = {Entry(1, 0, 7, 0),
+                                     Entry(3, 2, 5, 2, /*x=*/1)};
+  std::vector<StructuralEntry> b2 = {Entry(4, 3, 4, 3, 2)};
   EXPECT_EQ(Ids(StructuralChildJoin(a2, b2, /*skip=*/1)),
             (std::vector<NodeId>{}));
   EXPECT_EQ(Ids(StructuralChildJoin(a2, b2, /*skip=*/2)),
@@ -110,10 +116,11 @@ TEST(StructuralJoinTest, SkippingJoinLooksPastANearerFrontierAncestor) {
 
 TEST(StructuralJoinTest, AttributeJoinsAsAChild) {
   // <item category=".."><name/></item><box category=".."/>: attribute
-  // scopes sit one level below their element, like children.
+  // scopes sit one level below their element, like children. item is
+  // (0..5), box (6..9).
   std::vector<StructuralEntry> items = {Entry(1, 0, 5, 0)};
-  std::vector<StructuralEntry> category = {Entry(2, 1, 2, 1),
-                                           Entry(5, 7, 8, 1)};
+  std::vector<StructuralEntry> category = {Entry(2, 1, 2, 1, 0),
+                                           Entry(5, 7, 8, 1, 6)};
   EXPECT_EQ(Ids(StructuralChildJoin(items, category)),
             (std::vector<NodeId>{2}));
 }
@@ -121,8 +128,8 @@ TEST(StructuralJoinTest, AttributeJoinsAsAChild) {
 TEST(StructuralJoinTest, SemiJoinKeepsFrontierEntriesWithAMatch) {
   // <a><a><b/></a></a>: the inner a holds a child b, the outer only a
   // grandchild.
-  std::vector<StructuralEntry> a = {Entry(1, 0, 5, 0), Entry(2, 1, 4, 1)};
-  std::vector<StructuralEntry> b = {Entry(3, 2, 3, 2)};
+  std::vector<StructuralEntry> a = {Entry(1, 0, 5, 0), Entry(2, 1, 4, 1, 0)};
+  std::vector<StructuralEntry> b = {Entry(3, 2, 3, 2, 1)};
   EXPECT_EQ(Ids(StructuralSemiJoin(a, b, /*child=*/true)),
             (std::vector<NodeId>{2}));
   EXPECT_EQ(Ids(StructuralSemiJoin(a, b, /*child=*/true, /*skip=*/1)),
@@ -131,7 +138,8 @@ TEST(StructuralJoinTest, SemiJoinKeepsFrontierEntriesWithAMatch) {
             (std::vector<NodeId>{1, 2}));
   EXPECT_EQ(Ids(StructuralSemiJoin(a, b, /*child=*/false, /*skip=*/1)),
             (std::vector<NodeId>{1}));
-  EXPECT_EQ(Ids(StructuralSemiJoin(a, {}, /*child=*/false)),
+  const std::vector<StructuralEntry> none;
+  EXPECT_EQ(Ids(StructuralSemiJoin(a, none, /*child=*/false)),
             (std::vector<NodeId>{}));
 }
 
@@ -153,90 +161,138 @@ TEST(StructuralJoinTest, NthPerParentCountsWithinEachParent) {
   EXPECT_EQ(Ids(StructuralNthPerParent(top, 2)), (std::vector<NodeId>{2}));
 }
 
-/// A random forest of nested <a>/<b> elements (<a><a><b/></a></a> and
-/// the like), numbered as a token scan numbers them: lists[0] holds the
-/// a's, lists[1] the b's.
+/// A random forest of nested <a>, <b> and <x> elements
+/// (<a><x><b/></x></a> and the like), numbered as a token scan numbers
+/// them: lists[0] holds the a's, lists[1] the b's. x is untracked, in
+/// neither list, so a candidate's parent may sit outside every
+/// frontier, as most elements' do in a real posting-list join.
 void RandomForest(Random* rng, std::vector<StructuralEntry> lists[2]) {
-  std::vector<std::pair<int, size_t>> open;  // (list, slot)
+  struct Open {
+    int list;  // 2: an untracked x
+    size_t slot;
+    uint64_t pre;
+  };
+  std::vector<Open> open;
   uint64_t tok = 0;
   NodeId id = 0;
-  const uint64_t elements = 1 + rng->Uniform(40);
+  const uint64_t elements = 1 + rng->Uniform(60);
   for (uint64_t made = 0; made < elements || !open.empty();) {
     if (made < elements && (open.empty() || rng->Uniform(3) != 0)) {
-      const int list = static_cast<int>(rng->Uniform(2));
-      StructuralEntry e =
-          Entry(++id, tok++, 0, static_cast<uint32_t>(open.size()));
-      if (!open.empty()) {
-        e.parent_pre = lists[open.back().first][open.back().second].pre;
+      const int list = static_cast<int>(rng->Uniform(3));
+      const uint64_t pre = tok++;
+      ++id;
+      size_t slot = 0;
+      if (list < 2) {
+        slot = lists[list].size();
+        lists[list].push_back(
+            Entry(id, pre, 0, static_cast<uint32_t>(open.size()),
+                  open.empty() ? kNoParent : open.back().pre));
       }
-      open.emplace_back(list, lists[list].size());
-      lists[list].push_back(e);
+      open.push_back({list, slot, pre});
       ++made;
     } else {
-      lists[open.back().first][open.back().second].post = tok++;
+      if (open.back().list < 2) {
+        lists[open.back().list][open.back().slot].post = tok;
+      }
+      ++tok;
       open.pop_back();
     }
   }
 }
 
+/// What the joins read in a query, over one random forest: both whole
+/// posting lists, and a random half of each as a selection (a step's
+/// matches after an earlier join or predicate).
+struct JoinInputs {
+  explicit JoinInputs(Random* rng) {
+    RandomForest(rng, lists);
+    for (int l = 0; l < 2; ++l) {
+      for (const StructuralEntry& e : lists[l]) {
+        if (rng->Uniform(2) == 0) halves[l].push_back(&e);
+      }
+    }
+  }
+
+  /// Calls `fn(span, entries)` on each input: the span a join reads and
+  /// the same entries as pointers, for the brute force.
+  template <typename Fn>
+  void ForEach(const Fn& fn) const {
+    for (int l = 0; l < 2; ++l) {
+      StructuralSelection all;
+      for (const StructuralEntry& e : lists[l]) all.push_back(&e);
+      fn(StructuralSpan(lists[l]), all);
+      fn(StructuralSpan(halves[l]), halves[l]);
+    }
+  }
+
+  std::vector<StructuralEntry> lists[2];
+  StructuralSelection halves[2];
+};
+
 TEST(StructuralJoinTest, MergeJoinsMatchBruteForce) {
-  // Both joins against the interval definitions, over every list
-  // pairing (including a list joined with itself) and with up to two
-  // '*' levels skipped.
+  // Both joins against the interval definitions, over every pairing of
+  // lists and selections (including a list joined with itself) and with
+  // up to two '*' levels skipped. Untracked parents, gaps between
+  // frontier intervals and candidates after the last one drive the
+  // parent merge's backward search and both merges' skips and early
+  // exits.
   Random rng(20261017);
   for (int trial = 0; trial < 300; ++trial) {
-    std::vector<StructuralEntry> lists[2];
-    RandomForest(&rng, lists);
-    for (const auto& frontier : lists) {
-      for (const auto& candidates : lists) {
+    const JoinInputs inputs(&rng);
+    inputs.ForEach([&](StructuralSpan frontier,
+                       const StructuralSelection& fs) {
+      inputs.ForEach([&](StructuralSpan candidates,
+                         const StructuralSelection& cs) {
         for (uint32_t skip = 0; skip < 3; ++skip) {
           std::vector<NodeId> descendants, children;
-          for (const StructuralEntry& c : candidates) {
+          for (const StructuralEntry* c : cs) {
             bool below = false, child = false;
-            for (const StructuralEntry& f : frontier) {
-              if (f.pre < c.pre && c.post < f.post) {
-                below = below || f.level + skip + 1 <= c.level;
-                child = child || f.level + skip + 1 == c.level;
+            for (const StructuralEntry* f : fs) {
+              if (f->pre < c->pre && c->post < f->post) {
+                below = below || f->level + skip + 1 <= c->level;
+                child = child || f->level + skip + 1 == c->level;
               }
             }
-            if (below) descendants.push_back(c.id);
-            if (child) children.push_back(c.id);
+            if (below) descendants.push_back(c->id);
+            if (child) children.push_back(c->id);
           }
           EXPECT_EQ(Ids(StructuralDescendantJoin(frontier, candidates, skip)),
                     descendants);
           EXPECT_EQ(Ids(StructuralChildJoin(frontier, candidates, skip)),
                     children);
         }
-      }
-    }
+      });
+    });
   }
 }
 
 TEST(StructuralJoinTest, SemiJoinAndNthMatchBruteForce) {
   // The predicate primitives against their definitions on the same
-  // forests: a frontier entry survives the semi-join iff some candidate
+  // inputs: a frontier entry survives the semi-join iff some candidate
   // lies strictly inside it at the required level (exactly skip + 1
-  // down for a child, at least that far for a descendant), and a
-  // candidate survives [n] iff n - 1 candidates with its parent precede
-  // it.
+  // down for a child, at least that far for a descendant); a candidate
+  // survives [n] on a child step iff n - 1 candidates with its parent
+  // precede it, and on a descendant step iff some frontier entry holds
+  // it and n - 1 candidates before it.
   Random rng(20261018);
   for (int trial = 0; trial < 300; ++trial) {
-    std::vector<StructuralEntry> lists[2];
-    RandomForest(&rng, lists);
-    for (const auto& frontier : lists) {
-      for (const auto& candidates : lists) {
+    const JoinInputs inputs(&rng);
+    inputs.ForEach([&](StructuralSpan frontier,
+                       const StructuralSelection& fs) {
+      inputs.ForEach([&](StructuralSpan candidates,
+                         const StructuralSelection& cs) {
         for (uint32_t skip = 0; skip < 3; ++skip) {
           std::vector<NodeId> below, child;
-          for (const StructuralEntry& f : frontier) {
+          for (const StructuralEntry* f : fs) {
             bool has_below = false, has_child = false;
-            for (const StructuralEntry& c : candidates) {
-              if (f.pre < c.pre && c.post < f.post) {
-                has_below = has_below || f.level + skip + 1 <= c.level;
-                has_child = has_child || f.level + skip + 1 == c.level;
+            for (const StructuralEntry* c : cs) {
+              if (f->pre < c->pre && c->post < f->post) {
+                has_below = has_below || f->level + skip + 1 <= c->level;
+                has_child = has_child || f->level + skip + 1 == c->level;
               }
             }
-            if (has_below) below.push_back(f.id);
-            if (has_child) child.push_back(f.id);
+            if (has_below) below.push_back(f->id);
+            if (has_child) child.push_back(f->id);
           }
           EXPECT_EQ(Ids(StructuralSemiJoin(frontier, candidates,
                                            /*child=*/false, skip)),
@@ -245,23 +301,101 @@ TEST(StructuralJoinTest, SemiJoinAndNthMatchBruteForce) {
                                            /*child=*/true, skip)),
                     child);
         }
-      }
-    }
-    for (const auto& candidates : lists) {
+        for (uint64_t n = 1; n <= 3; ++n) {
+          std::vector<NodeId> nth;
+          for (size_t i = 0; i < cs.size(); ++i) {
+            bool qualifies = false;
+            for (const StructuralEntry* f : fs) {
+              uint64_t rank = 0;
+              for (size_t j = 0; j <= i; ++j) {
+                if (f->pre < cs[j]->pre && cs[j]->post < f->post) ++rank;
+              }
+              const bool inside = f->pre < cs[i]->pre && cs[i]->post < f->post;
+              qualifies = qualifies || (inside && rank == n);
+            }
+            if (qualifies) nth.push_back(cs[i]->id);
+          }
+          EXPECT_EQ(Ids(StructuralNthDescendant(frontier, candidates, n)), nth);
+        }
+      });
+    });
+    inputs.ForEach([&](StructuralSpan candidates,
+                       const StructuralSelection& cs) {
       for (uint64_t n = 1; n <= 3; ++n) {
         std::vector<NodeId> nth;
-        for (size_t i = 0; i < candidates.size(); ++i) {
+        for (size_t i = 0; i < cs.size(); ++i) {
           uint64_t rank = 1;
           for (size_t j = 0; j < i; ++j) {
-            if (candidates[j].parent_pre == candidates[i].parent_pre) ++rank;
+            if (cs[j]->parent_pre == cs[i]->parent_pre) ++rank;
           }
-          if (rank == n) nth.push_back(candidates[i].id);
+          if (rank == n) nth.push_back(cs[i]->id);
         }
         EXPECT_EQ(Ids(StructuralNthPerParent(candidates, n)), nth);
       }
-    }
+    });
   }
 }
+
+TEST(StructuralJoinTest, EmptyInputsAndTopLevelCandidates) {
+  // <a><b/></a><b/><a><b/></a>: b(4..5) is top level (kNoParent), inside
+  // no frontier interval, between two that hold a child b each.
+  const std::vector<StructuralEntry> a = {Entry(1, 0, 3, 0),
+                                          Entry(4, 6, 9, 0)};
+  const std::vector<StructuralEntry> b = {Entry(2, 1, 2, 1, 0),
+                                          Entry(3, 4, 5, 0),
+                                          Entry(5, 7, 8, 1, 6)};
+  const std::vector<StructuralEntry> none;
+  const StructuralSelection nothing;
+  EXPECT_EQ(Ids(StructuralChildJoin(a, b)), (std::vector<NodeId>{2, 5}));
+  EXPECT_EQ(Ids(StructuralDescendantJoin(a, b)), (std::vector<NodeId>{2, 5}));
+  EXPECT_EQ(Ids(StructuralSemiJoin(a, b, /*child=*/true)),
+            (std::vector<NodeId>{1, 4}));
+  EXPECT_EQ(Ids(StructuralTopLevel(b)), (std::vector<NodeId>{3}));
+  // A top-level candidate has no parent to join, even among top-level
+  // frontier entries.
+  EXPECT_EQ(Ids(StructuralChildJoin(b, b)), (std::vector<NodeId>{}));
+  EXPECT_EQ(Ids(StructuralSemiJoin(b, b, /*child=*/true)),
+            (std::vector<NodeId>{}));
+  for (const StructuralSpan empty : {StructuralSpan(none),
+                                     StructuralSpan(nothing)}) {
+    for (uint32_t skip = 0; skip < 2; ++skip) {
+      EXPECT_EQ(Ids(StructuralChildJoin(empty, b, skip)),
+                (std::vector<NodeId>{}));
+      EXPECT_EQ(Ids(StructuralChildJoin(a, empty, skip)),
+                (std::vector<NodeId>{}));
+      EXPECT_EQ(Ids(StructuralDescendantJoin(empty, b, skip)),
+                (std::vector<NodeId>{}));
+      EXPECT_EQ(Ids(StructuralDescendantJoin(a, empty, skip)),
+                (std::vector<NodeId>{}));
+      for (bool child : {false, true}) {
+        EXPECT_EQ(Ids(StructuralSemiJoin(empty, b, child, skip)),
+                  (std::vector<NodeId>{}));
+        EXPECT_EQ(Ids(StructuralSemiJoin(a, empty, child, skip)),
+                  (std::vector<NodeId>{}));
+      }
+    }
+    EXPECT_EQ(Ids(StructuralNthPerParent(empty, 1)), (std::vector<NodeId>{}));
+    EXPECT_EQ(Ids(StructuralNthDescendant(empty, b, 1)),
+              (std::vector<NodeId>{}));
+    EXPECT_EQ(Ids(StructuralNthDescendant(a, empty, 1)),
+              (std::vector<NodeId>{}));
+  }
+  EXPECT_EQ(Ids(StructuralTopLevel(none)), (std::vector<NodeId>{}));
+}
+
+// A join's result points into the posting lists it read, so a temporary
+// list must not reach one; a temporary selection may, since no result
+// points into a selection.
+template <typename T>
+constexpr bool kTopLevelAccepts =
+    requires(T&& t) { StructuralTopLevel(std::forward<T>(t)); };
+static_assert(!std::is_constructible_v<StructuralSpan,
+                                       std::vector<StructuralEntry>&&>);
+static_assert(std::is_constructible_v<StructuralSpan,
+                                      const std::vector<StructuralEntry>&>);
+static_assert(std::is_constructible_v<StructuralSpan, StructuralSelection&&>);
+static_assert(!kTopLevelAccepts<std::vector<StructuralEntry>>);
+static_assert(kTopLevelAccepts<const std::vector<StructuralEntry>&>);
 
 // ---------------------------------------------------------------------------
 // Warm-up and invalidation over a real store.
@@ -528,7 +662,7 @@ TEST_F(StructuralIndexTest, PlanJoinsWholePathOrNothing) {
   EXPECT_EQ(text.lists.size(), 4u);
   EXPECT_EQ(text.lists[3], nullptr);  // text() has no list of its own
   // Cold, none of them has entries yet: each scans and warms.
-  EXPECT_EQ(text.entries, nullptr);
+  EXPECT_FALSE(text.entries.has_value());
   EXPECT_STREQ(text.label(), "stream-scan");
   // Anything the gate refuses looks up no list at all, however long its
   // joinable head: a trailing '*', '@*', '//@a', '*[n]', an attribute
@@ -541,6 +675,34 @@ TEST_F(StructuralIndexTest, PlanJoinsWholePathOrNothing) {
     XPathAccessPlan refused = plan(expr);
     EXPECT_TRUE(refused.lists.empty()) << expr;
     EXPECT_STREQ(refused.label(), "stream-scan") << expr;
+  }
+}
+
+TEST_F(StructuralIndexTest, PlanOutlivesTheIndex) {
+  // A joined plan's selections point into the lists it looked up, which
+  // the plan holds: after the index drops every list and a scan
+  // republishes the tags, the old plan still runs to the ids it
+  // planned.
+  Open();
+  for (const char* expr : {"/site/people/person/name", "//item[qty]/name",
+                           "//item[name='b']", "//item/name/text()"}) {
+    SCOPED_TRACE(expr);
+    ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath(expr));
+    const std::vector<NodeId> want = Stream(expr, false);
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(Stream(expr), want);  // warms the path's tags
+    ASSERT_OK_AND_ASSIGN(XPathAccessPlan plan, PlanXPath(*store_, path));
+    ASSERT_TRUE(plan.entries.has_value());
+    store_->structural_index()->InvalidateAll();
+    EXPECT_EQ(Stream(expr), want);  // cold: the scan republishes
+    for (const StructuralIndex::EntryList& list : plan.lists) {
+      if (list != nullptr) {
+        EXPECT_EQ(list.use_count(), 1);  // held by the plan alone
+      }
+    }
+    ASSERT_OK_AND_ASSIGN(std::vector<NodeId> ids,
+                         RunXPathPlan(*store_, path, plan));
+    EXPECT_EQ(ids, want);
   }
 }
 
