@@ -78,6 +78,19 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(65536);
 
+// The table loop Extend() falls back to without SSE4.2, for the ratio.
+void BM_Crc32cPortable(benchmark::State& state) {
+  std::vector<uint8_t> data(static_cast<size_t>(state.range(0)), 0x5A);
+  uint64_t bytes = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crc32c::ExtendPortable(0, data.data(), data.size()));
+    bytes += data.size();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_Crc32cPortable)->Arg(4096)->Arg(65536);
+
 void BM_XmlParse(benchmark::State& state) {
   Random rng(9);
   auto text = SerializeTokens(GenerateAuctionDocument(&rng, 100));

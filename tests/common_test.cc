@@ -168,6 +168,38 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   EXPECT_EQ(one_shot, in_pieces);
 }
 
+TEST(Crc32cTest, DispatchedPathMatchesTableLoop) {
+  // Extend() may take the SSE4.2 path; ExtendPortable() is the reference.
+  // Lengths cover the 8-byte lanes and every 0-7 byte tail, 508 and 4092
+  // are the checksummed span of a 512- and a 4096-byte page, and each
+  // runs from every start offset 0-7 so the word loads are misaligned.
+  std::vector<uint8_t> buf(65532 + 8);
+  Random rng(17);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next64());
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (size_t n : {508u, 4092u, 65532u}) lengths.push_back(n);
+  for (size_t n : lengths) {
+    for (size_t off = 0; off < 8; ++off) {
+      const uint8_t* p = buf.data() + off;
+      ASSERT_EQ(crc32c::Extend(0, p, n), crc32c::ExtendPortable(0, p, n))
+          << "n=" << n << " off=" << off;
+      ASSERT_EQ(crc32c::Extend(0x9e3779b9u, p, n),
+                crc32c::ExtendPortable(0x9e3779b9u, p, n))
+          << "seeded n=" << n << " off=" << off;
+    }
+  }
+  // Chained at every split point of a 64-byte buffer.
+  const uint8_t* p = buf.data();
+  const uint32_t whole = crc32c::ExtendPortable(0, p, 64);
+  for (size_t split = 0; split <= 64; ++split) {
+    EXPECT_EQ(crc32c::Extend(crc32c::Extend(0, p, split), p + split,
+                             64 - split),
+              whole)
+        << "split=" << split;
+  }
+}
+
 TEST(Crc32cTest, MaskRoundTrips) {
   uint32_t crc = 0xdeadbeef;
   EXPECT_NE(crc32c::Mask(crc), crc);

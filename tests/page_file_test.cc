@@ -144,6 +144,25 @@ TEST(PageViewTest, ChecksumDetectsBitFlips) {
   EXPECT_TRUE(view.VerifyChecksum(7));
   // Misdirected write: right checksum, wrong page id.
   EXPECT_FALSE(view.VerifyChecksum(8));
+
+  // The CRC covers bytes 4..page_size-1: a flip at any of them fails.
+  // 4092 = 511 * 8 + 4, so flips land in both the 8-byte lanes and the
+  // byte tail of the CRC loop.
+  for (size_t page_size : {512u, 4096u}) {
+    std::vector<uint8_t> page(page_size, 0);
+    PageView pv(page.data(), page_size);
+    pv.Format(7, PageType::kBTreeLeaf);
+    page[page_size / 2] = 42;
+    pv.SealChecksum();
+    ASSERT_TRUE(pv.VerifyChecksum(7));
+    for (size_t off = 4; off < page_size; ++off) {
+      page[off] ^= 0x10;
+      EXPECT_FALSE(pv.VerifyChecksum(7))
+          << "page_size=" << page_size << " off=" << off;
+      page[off] ^= 0x10;
+    }
+    EXPECT_TRUE(pv.VerifyChecksum(7));
+  }
 }
 
 TEST(PageViewTest, AllZeroPageIsAcceptedAsEmpty) {
