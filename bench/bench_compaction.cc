@@ -61,7 +61,7 @@ Phase MeasurePhase(Store* store, const std::vector<NodeId>& targets) {
 void Run() {
   TempDb db("compaction");
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   options.pager.pool_frames = 4096;
   auto opened = Store::Open(db.path(), options);
   BENCH_CHECK(opened.status());

@@ -1,5 +1,5 @@
-// SharedStore read scaling: read throughput of the real engine in
-// kRangeWithPartial mode as reader threads scale, exercising the shared
+// SharedStore read scaling: read throughput of the lazy store with its
+// Partial Index as reader threads scale, exercising the shared
 // latch, the sharded partial index and the concurrent buffer pool. On a
 // multi-core host read-only throughput should scale near-linearly; the
 // 1-thread row doubles as the shared-path overhead measurement. A
@@ -30,7 +30,7 @@ using bench::Timer;
 constexpr int kReadDocNodes = 2000;  // working-set size
 
 /// SharedStore read-only throughput at `threads` readers over a
-/// kRangeWithPartial store with `node_ids` live nodes. Returns ops/s.
+/// lazy, memoizing store with `node_ids` live nodes. Returns ops/s.
 double RunSharedReads(SharedStore* shared,
                       const std::vector<NodeId>& node_ids, int threads,
                       long ops_per_thread) {
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
 
   bench::JsonReport report("bench_concurrency");
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   auto opened = Store::OpenInMemory(options);
   if (!opened.ok()) {
     std::fprintf(stderr, "open store: %s\n",
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "=== SharedStore read scaling (kRangeWithPartial, %d nodes, "
+      "=== SharedStore read scaling (range+partial, %d nodes, "
       "%ld reads/thread, zipf 0.8) ===\n",
       kReadDocNodes, read_ops);
   std::printf("%8s %16s %10s\n", "threads", "reads/s", "scaling");

@@ -90,7 +90,7 @@ std::vector<Point> Points(bool sweep) {
       {"table5", "Range Index (few, coarse, large entries)",
        IndexMode::kRangeIndex, 0, 0, kTable5Zipf},
       {"table5", "Range Index (coarse) + Partial Index (memory)",
-       IndexMode::kRangeWithPartial, 0, 1 << 16, kTable5Zipf},
+       IndexMode::kRangeIndex, 0, 1 << 16, kTable5Zipf},
   };
   if (!sweep) return points;
   for (uint32_t cap : {128u, 256u, 512u, 1024u, 2048u, 4096u, 16384u, 0u}) {
@@ -104,10 +104,8 @@ std::vector<Point> Points(bool sweep) {
       char label[64];
       std::snprintf(label, sizeof(label), "capacity %zu, zipf %.1f",
                     capacity, zipf);
-      points.push_back({"partial_index", label,
-                        capacity == 0 ? IndexMode::kRangeIndex
-                                      : IndexMode::kRangeWithPartial,
-                        0, capacity, zipf});
+      points.push_back({"partial_index", label, IndexMode::kRangeIndex, 0,
+                        capacity, zipf});
     }
   }
   return points;

@@ -4,21 +4,15 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "audit/store_auditor.h"
 #include "audit/wal_audit.h"
 #include "obs/metrics.h"
-#include "common/slice.h"
 #include "storage/pager.h"
 #include "store/store.h"
 
 namespace laxml {
 namespace {
-
-// Store meta blob prefix (store.cc): [magic u32][version u32][mode u32].
-constexpr uint32_t kStoreMagic = 0x4C585354u;  // "LXST"
-constexpr size_t kModeOffset = 8;
 
 // Store::Open refuses to open a full-index store lazily or a lazy one
 // with the full index, so fsck reads the mode out of the meta blob
@@ -30,18 +24,7 @@ Result<IndexMode> SniffIndexMode(const std::string& path) {
   po.pool_frames = 4;  // only the meta area is read
   LAXML_ASSIGN_OR_RETURN(auto pager, Pager::OpenFile(path, po));
   LAXML_ASSIGN_OR_RETURN(auto blob, pager->ReadMeta());
-  if (blob.size() < kModeOffset + 4) {
-    return Status::Corruption("store meta blob truncated (" +
-                              std::to_string(blob.size()) + " bytes)");
-  }
-  if (DecodeFixed32(blob.data()) != kStoreMagic) {
-    return Status::Corruption("bad store magic");
-  }
-  uint32_t raw = DecodeFixed32(blob.data() + kModeOffset);
-  if (raw > static_cast<uint32_t>(IndexMode::kRangeWithPartial)) {
-    return Status::Corruption("unknown index mode " + std::to_string(raw));
-  }
-  return static_cast<IndexMode>(raw);
+  return Store::StoredIndexMode(blob);
 }
 
 // Open/bootstrap failures that themselves mean "the store is corrupt"

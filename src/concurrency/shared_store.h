@@ -12,14 +12,16 @@
 //     hits, exclusive for misses/evictions); pins and recency are
 //     atomics, so a hit never writes a shared structure (buffer_pool.h).
 //   * Stats everywhere on the read path are RelaxedCounters.
+//   * Full Index: readers only call the const FullIndex::Get (a B-tree
+//     descent, like RangeIndex::Lookup); it is maintained by mutators
+//     alone, under the exclusive latch.
 // Memory ordering between a writer and later readers comes from this
 // latch itself: the writer's unlock of the exclusive latch
 // happens-before every subsequent shared acquisition, so readers see
 // all of its page/index/meta writes. Readers never write anything a
 // concurrent reader reads un-atomically, so reader/reader pairs need no
-// further ordering. The one mode that still takes the exclusive latch
-// for reads is kFullIndex (the paper's eager strawman — not the
-// concurrency target here).
+// further ordering. Every reader, in either index mode, takes the
+// shared latch.
 //
 // Group commit: mutators append their WAL record under the exclusive
 // latch WITHOUT syncing, capture the record's LSN, release the latch,
@@ -60,8 +62,6 @@ class SharedStore {
         store_->options().wal_sync == WalSyncMode::kGroupCommit) {
       group_commit_ = std::make_unique<GroupCommit>(store_->wal());
     }
-    concurrent_reads_ =
-        store_->options().index_mode != IndexMode::kFullIndex;
   }
 
  private:
@@ -100,15 +100,9 @@ class SharedStore {
   template <typename Fn>
   auto ReadOp(Fn fn) LAXML_EXCLUDES(mutex_) {
     const uint64_t latch_wait = obs::RequestLatchWaitBegin();
-    if (concurrent_reads_) {
-      ReaderMutexLock lock(mutex_);
-      obs::RequestLatchWaitEnd(latch_wait);
-      ++stats_.shared_acquisitions;
-      return fn(*store_);
-    }
-    WriterMutexLock lock(mutex_);
+    ReaderMutexLock lock(mutex_);
     obs::RequestLatchWaitEnd(latch_wait);
-    ++stats_.exclusive_acquisitions;
+    ++stats_.shared_acquisitions;
     return fn(*store_);
   }
 
@@ -128,7 +122,7 @@ class SharedStore {
     return Apply(WalOp::kDeleteNode, id, {}).status();
   }
 
-  /// @name Readers: shared latch (except kFullIndex mode — see header).
+  /// @name Readers: shared latch.
   /// @{
   Result<TokenSequence> Read() {
     return ReadOp([](Store& s) { return s.Read(); });
@@ -171,15 +165,11 @@ class SharedStore {
 
   /// Runs `fn(Store&)` under the SHARED latch. `fn` must only perform
   /// read operations (Read / Serialize / queries / stats) — mutating
-  /// the store here is a data race. Falls back to the exclusive latch
-  /// in kFullIndex mode, like every reader.
+  /// the store here is a data race.
   template <typename Fn>
   auto WithShared(Fn fn) {
     return ReadOp(std::move(fn));
   }
-
-  /// True when readers take the shared latch in this configuration.
-  bool concurrent_reads() const { return concurrent_reads_; }
 
   const SharedStoreStats& stats() const { return stats_; }
 
@@ -197,7 +187,6 @@ class SharedStore {
   SharedMutex mutex_;
   std::unique_ptr<Store> store_;
   std::unique_ptr<GroupCommit> group_commit_;
-  bool concurrent_reads_ = false;
   SharedStoreStats stats_;
 };
 

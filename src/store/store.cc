@@ -26,6 +26,11 @@ constexpr uint32_t kStoreMagic = 0x4C585354u;  // "LXST"
 constexpr uint32_t kStoreVersion = 3;
 constexpr uint32_t kMinStoreVersion = 2;
 constexpr size_t kMetaBlobSize = 112;
+constexpr size_t kIndexModeOffset = 8;
+// The mode word older stores wrote for the lazy Range Index with the
+// Partial Index on; the Partial Index lives in memory, so its files are
+// plain lazy stores.
+constexpr uint32_t kLegacyRangeWithPartial = 2;
 
 // A commit sync policy without a log to sync is a contradiction; running
 // on without the log would silently drop the durability asked for.
@@ -45,8 +50,6 @@ const char* IndexModeName(IndexMode mode) {
       return "full-index";
     case IndexMode::kRangeIndex:
       return "range-index";
-    case IndexMode::kRangeWithPartial:
-      return "range+partial";
   }
   return "?";
 }
@@ -67,7 +70,7 @@ Store::Store(std::unique_ptr<Pager> pager, const StoreOptions& options)
     : pager_(std::move(pager)),
       options_(options),
       dict_(std::make_unique<NameDictionary>()),
-      partial_(options.index_mode == IndexMode::kRangeWithPartial
+      partial_(options.index_mode == IndexMode::kRangeIndex
                    ? options.partial_index_capacity
                    : 0),
       structural_(std::make_unique<StructuralIndex>()) {
@@ -280,27 +283,36 @@ Status Store::PersistMeta() {
   return pager_->WriteMeta(Slice(blob));
 }
 
+Result<IndexMode> Store::StoredIndexMode(const std::vector<uint8_t>& meta) {
+  if (meta.size() < kIndexModeOffset + 4) {
+    return Status::Corruption("store meta blob truncated (" +
+                              std::to_string(meta.size()) + " bytes)");
+  }
+  if (DecodeFixed32(meta.data()) != kStoreMagic) {
+    return Status::Corruption("bad store magic");
+  }
+  const uint32_t raw = DecodeFixed32(meta.data() + kIndexModeOffset);
+  if (raw == kLegacyRangeWithPartial) return IndexMode::kRangeIndex;
+  if (raw > static_cast<uint32_t>(IndexMode::kRangeIndex)) {
+    return Status::Corruption("unknown index mode " + std::to_string(raw));
+  }
+  return static_cast<IndexMode>(raw);
+}
+
 Status Store::LoadMeta(const std::vector<uint8_t>& blob) {
+  LAXML_ASSIGN_OR_RETURN(IndexMode stored_mode, StoredIndexMode(blob));
   if (blob.size() < kMetaBlobSize) {
     return Status::Corruption("store meta blob truncated");
   }
   const uint8_t* p = blob.data();
-  if (DecodeFixed32(p) != kStoreMagic) {
-    return Status::Corruption("bad store magic");
-  }
   uint32_t version = DecodeFixed32(p + 4);
   if (version < kMinStoreVersion || version > kStoreVersion) {
     return Status::Corruption("unsupported store version");
   }
-  // Only the full index has on-disk structure of its own; the two lazy
-  // modes differ in the memory-resident Partial Index alone, so either
-  // reopens a file the other wrote.
-  IndexMode stored_mode = static_cast<IndexMode>(DecodeFixed32(p + 8));
-  if ((stored_mode == IndexMode::kFullIndex) !=
-      (options_.index_mode == IndexMode::kFullIndex)) {
+  if (stored_mode != options_.index_mode) {
     return Status::InvalidArgument(
         std::string("store was created with index mode ") +
-        IndexModeName(stored_mode) + ", reopen must match full vs lazy");
+        IndexModeName(stored_mode) + ", reopen must match");
   }
   next_node_id_ = DecodeFixed64(p + 16);
   RangeManagerState rs;

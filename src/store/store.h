@@ -72,6 +72,13 @@ class Store {
   static Result<std::unique_ptr<Store>> OpenInMemory(
       const StoreOptions& options);
 
+  /// The index mode stamped in a store's meta blob (Pager::ReadMeta):
+  /// 0 is the Full Index, 1 the lazy Range Index, and 2 the lazy stamp
+  /// of stores written when the Partial Index was a mode of its own. Any
+  /// other word, a short blob or a bad magic is Corruption. Opening a
+  /// store and fsck both decode the word here.
+  static Result<IndexMode> StoredIndexMode(const std::vector<uint8_t>& meta);
+
   ~Store();
 
   // -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Tuning knobs of the Store — the adaptivity surface of the paper. The
-// three index modes are the rows of Table 5; the range-granularity cap
-// is the "variable-sized ranges" axis the paper names as ongoing work.
+// rows of Table 5 are built from three of them: the index mode (eager
+// or lazy), the range-granularity cap (the "variable-sized ranges" axis
+// the paper names as ongoing work) and the Partial Index capacity.
 
 #ifndef LAXML_STORE_STORE_OPTIONS_H_
 #define LAXML_STORE_STORE_OPTIONS_H_
@@ -15,17 +16,15 @@
 
 namespace laxml {
 
-/// Which id-locating structure the store maintains.
+/// Which id-locating structure the store maintains on disk.
 enum class IndexMode : uint32_t {
   /// Eager: every node id is indexed with its exact token location the
   /// moment it is inserted (paper Section 4.1's strawman).
   kFullIndex = 0,
   /// Lazy: only the coarse Range Index; in-range positions are found by
-  /// scanning.
+  /// scanning, memoized by the Partial Index when
+  /// partial_index_capacity > 0 (Section 5).
   kRangeIndex = 1,
-  /// Lazy + memoizing: Range Index plus the memory-resident Partial
-  /// Index that caches locations discovered by lookups (Section 5).
-  kRangeWithPartial = 2,
 };
 
 const char* IndexModeName(IndexMode mode);
@@ -53,9 +52,10 @@ struct StoreOptions {
   /// Page size / buffer-pool sizing.
   PagerOptions pager;
 
-  IndexMode index_mode = IndexMode::kRangeWithPartial;
+  IndexMode index_mode = IndexMode::kRangeIndex;
 
-  /// Maximum entries in the Partial Index (kRangeWithPartial only).
+  /// Maximum entries in the memory-resident Partial Index that caches
+  /// locations found by lookups. Lazy mode only; 0 turns it off.
   size_t partial_index_capacity = 65536;
 
   /// On-disk token codec for newly written ranges: 1 = inline names,

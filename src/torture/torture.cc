@@ -94,7 +94,6 @@ StoreOptions MakeStoreOptions(const TortureOptions& opts) {
   StoreOptions so;
   so.pager.page_size = opts.page_size;
   so.pager.pool_frames = opts.pool_frames;
-  so.index_mode = IndexMode::kRangeWithPartial;
   so.max_range_bytes = 4096;
   so.enable_wal = true;
   so.wal_sync = WalSyncMode::kEveryCommit;
@@ -414,7 +413,6 @@ TortureReport RunTorture(const TortureOptions& options) {
   StoreOptions oracle_opts;
   oracle_opts.pager.page_size = options.page_size;
   oracle_opts.pager.pool_frames = options.pool_frames;
-  oracle_opts.index_mode = IndexMode::kRangeWithPartial;
   oracle_opts.max_range_bytes = 4096;
   // Cross-codec oracle (see TortureOptions::token_codec): the mirror
   // runs the codec the store under torture does NOT use.

@@ -116,7 +116,6 @@ StoreOptions NetStoreOptions(const NetTortureOptions& opts, size_t frames) {
   StoreOptions so;
   so.pager.page_size = opts.page_size;
   so.pager.pool_frames = frames;
-  so.index_mode = IndexMode::kRangeWithPartial;
   so.max_range_bytes = 4096;
   so.enable_wal = true;
   so.wal_sync = WalSyncMode::kEveryCommit;

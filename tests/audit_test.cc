@@ -19,12 +19,14 @@
 namespace laxml {
 namespace {
 
+using ::laxml::testing::IndexConfig;
+using ::laxml::testing::kPartialIndexConfig;
 using ::laxml::testing::MustFragment;
 using ::laxml::testing::TempFile;
 
-StoreOptions OptionsFor(IndexMode mode) {
+StoreOptions OptionsFor(const IndexConfig& config) {
   StoreOptions options;
-  options.index_mode = mode;
+  config.ApplyTo(&options);
   return options;
 }
 
@@ -33,7 +35,7 @@ AuditReport Audit(Store* store, AuditOptions options = {}) {
   return auditor.Run(options);
 }
 
-class AuditModesTest : public ::testing::TestWithParam<IndexMode> {};
+class AuditModesTest : public ::testing::TestWithParam<IndexConfig> {};
 
 TEST_P(AuditModesTest, EmptyStoreIsClean) {
   ASSERT_OK_AND_ASSIGN(auto store,
@@ -87,13 +89,11 @@ TEST_P(AuditModesTest, CompactionStaysClean) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, AuditModesTest,
-                         ::testing::Values(IndexMode::kFullIndex,
-                                           IndexMode::kRangeIndex,
-                                           IndexMode::kRangeWithPartial));
+                         ::testing::ValuesIn(testing::kIndexConfigs));
 
 TEST(AuditTest, FileBackedStoreWithWalIsClean) {
   TempFile file("audit_wal");
-  StoreOptions options = OptionsFor(IndexMode::kRangeWithPartial);
+  StoreOptions options = OptionsFor(kPartialIndexConfig);
   options.enable_wal = true;
   ASSERT_OK_AND_ASSIGN(auto store, Store::Open(file.path(), options));
   ASSERT_OK_AND_ASSIGN(NodeId first, store->LoadXml("<doc><x>1</x></doc>"));
@@ -107,7 +107,7 @@ TEST(AuditTest, FileBackedStoreWithWalIsClean) {
 
 TEST(AuditTest, StalePartialMemoIsDetectedWithCoordinates) {
   ASSERT_OK_AND_ASSIGN(
-      auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));
+      auto store, Store::OpenInMemory(OptionsFor(kPartialIndexConfig)));
   ASSERT_OK_AND_ASSIGN(NodeId first, store->LoadXml("<root><a>x</a></root>"));
   (void)first;
   // Plant a memo whose offset is not a token boundary: node 2 ("a")
@@ -132,7 +132,7 @@ TEST(AuditTest, StalePartialMemoIsDetectedWithCoordinates) {
 
 TEST(AuditTest, MemoPointingAtWrongNodeIsDetected) {
   ASSERT_OK_AND_ASSIGN(
-      auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));
+      auto store, Store::OpenInMemory(OptionsFor(kPartialIndexConfig)));
   ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a><b>y</b></root>").status());
   // Locate node 2 legitimately, then re-point its memo at offset 0 —
   // a real token boundary, but the begin token of node 1, not node 2.
@@ -156,7 +156,7 @@ TEST(AuditTest, MemoPointingAtWrongNodeIsDetected) {
 
 TEST(AuditTest, BeginMemoWithWrongBeginCountIsDetected) {
   ASSERT_OK_AND_ASSIGN(
-      auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));
+      auto store, Store::OpenInMemory(OptionsFor(kPartialIndexConfig)));
   ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a></root>").status());
   ASSERT_LAXML_OK(store->Read(2).status());  // memoizes node 2 legitimately
   EXPECT_TRUE(Audit(store.get()).ok());
@@ -184,7 +184,7 @@ TEST(AuditTest, BeginMemoWithWrongBeginCountIsDetected) {
 
 TEST(AuditTest, MemoCodecMismatchIsDetected) {
   ASSERT_OK_AND_ASSIGN(
-      auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));
+      auto store, Store::OpenInMemory(OptionsFor(kPartialIndexConfig)));
   ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a></root>").status());
   ASSERT_LAXML_OK(store->Read(2).status());  // memoizes node 2 legitimately
   EXPECT_TRUE(Audit(store.get()).ok());
@@ -210,7 +210,7 @@ TEST(AuditTest, MemoCodecMismatchIsDetected) {
 
 TEST(AuditTest, ResidentDirectoryDriftIsDetected) {
   ASSERT_OK_AND_ASSIGN(
-      auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));
+      auto store, Store::OpenInMemory(OptionsFor(kPartialIndexConfig)));
   ASSERT_OK_AND_ASSIGN(NodeId root, store->LoadXml("<root><a>x</a></root>"));
   ASSERT_LAXML_OK(store->InsertIntoLast(root, MustFragment("<b>y</b>")));
   RecordStore* records = store->range_manager().range_records();
@@ -396,7 +396,7 @@ TEST(AuditTest, WrongElementShapeIsDetected) {
 
 TEST(AuditTest, LayertogglesSkipLegs) {
   ASSERT_OK_AND_ASSIGN(
-      auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));
+      auto store, Store::OpenInMemory(OptionsFor(kPartialIndexConfig)));
   ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a></root>").status());
   store->mutable_partial_index().Record(
       2, PartialEntry::kBegin,
@@ -409,7 +409,7 @@ TEST(AuditTest, LayertogglesSkipLegs) {
 
 TEST(AuditTest, MaxIssuesTruncates) {
   ASSERT_OK_AND_ASSIGN(
-      auto store, Store::OpenInMemory(OptionsFor(IndexMode::kRangeWithPartial)));
+      auto store, Store::OpenInMemory(OptionsFor(kPartialIndexConfig)));
   ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a><b>y</b></root>").status());
   RangeId range = store->range_manager().first_range();
   for (NodeId id = 2; id <= 5; ++id) {
@@ -437,7 +437,7 @@ TEST(AuditTest, IssueRenderingCarriesCoordinates) {
 }
 
 TEST(AuditTest, ParanoidIntervalAuditsAutomatically) {
-  StoreOptions options = OptionsFor(IndexMode::kRangeWithPartial);
+  StoreOptions options = OptionsFor(kPartialIndexConfig);
   options.paranoid_audit_interval = 4;
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
   ASSERT_OK_AND_ASSIGN(NodeId first, store->LoadXml("<root/>"));

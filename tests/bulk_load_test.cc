@@ -26,7 +26,7 @@ using testing::TempFile;
 
 StoreOptions SmallPageOptions() {
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   options.pager.page_size = 512;
   options.pager.pool_frames = 64;
   return options;

@@ -16,11 +16,12 @@ namespace {
 using testing::MustFragment;
 using testing::MustSerialize;
 
-class CompactionTest : public ::testing::TestWithParam<IndexMode> {
+class CompactionTest
+    : public ::testing::TestWithParam<testing::IndexConfig> {
  protected:
   std::unique_ptr<Store> Open(uint32_t max_range_bytes = 0) {
     StoreOptions options;
-    options.index_mode = GetParam();
+    GetParam().ApplyTo(&options);
     options.max_range_bytes = max_range_bytes;
     options.pager.page_size = 512;
     auto opened = Store::OpenInMemory(options);
@@ -191,21 +192,9 @@ TEST_P(CompactionTest, PoisonedStoreRefusesToMerge) {
   EXPECT_EQ(store->range_manager().range_count(), ranges_before);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllIndexModes, CompactionTest,
-    ::testing::Values(IndexMode::kFullIndex, IndexMode::kRangeIndex,
-                      IndexMode::kRangeWithPartial),
-    [](const ::testing::TestParamInfo<IndexMode>& info) {
-      switch (info.param) {
-        case IndexMode::kFullIndex:
-          return "FullIndex";
-        case IndexMode::kRangeIndex:
-          return "RangeIndex";
-        case IndexMode::kRangeWithPartial:
-          return "RangeWithPartial";
-      }
-      return "Unknown";
-    });
+INSTANTIATE_TEST_SUITE_P(AllIndexModes, CompactionTest,
+                         ::testing::ValuesIn(testing::kIndexConfigs),
+                         testing::IndexConfigName);
 
 }  // namespace
 }  // namespace laxml

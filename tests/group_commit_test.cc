@@ -30,7 +30,7 @@ using testing::TempFile;
 
 StoreOptions GroupCommitOptions() {
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   options.enable_wal = true;
   options.wal_sync = WalSyncMode::kGroupCommit;
   return options;

@@ -15,11 +15,12 @@ namespace {
 using testing::MustFragment;
 using testing::MustSerialize;
 
-class NodeKindsTest : public ::testing::TestWithParam<IndexMode> {
+class NodeKindsTest
+    : public ::testing::TestWithParam<testing::IndexConfig> {
  protected:
   void SetUp() override {
     StoreOptions options;
-    options.index_mode = GetParam();
+    GetParam().ApplyTo(&options);
     ASSERT_OK_AND_ASSIGN(store_, Store::OpenInMemory(options));
     // <doc a="v"><!--note-->text<?pi data?><kid/></doc>
     // ids: doc=1 @a=2 comment=3 text=4 pi=5 kid=6
@@ -122,21 +123,9 @@ TEST_P(NodeKindsTest, AttributesAreLegalInsertionContent) {
             "<kid/></doc>");
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllIndexModes, NodeKindsTest,
-    ::testing::Values(IndexMode::kFullIndex, IndexMode::kRangeIndex,
-                      IndexMode::kRangeWithPartial),
-    [](const ::testing::TestParamInfo<IndexMode>& info) {
-      switch (info.param) {
-        case IndexMode::kFullIndex:
-          return "FullIndex";
-        case IndexMode::kRangeIndex:
-          return "RangeIndex";
-        case IndexMode::kRangeWithPartial:
-          return "RangeWithPartial";
-      }
-      return "Unknown";
-    });
+INSTANTIATE_TEST_SUITE_P(AllIndexModes, NodeKindsTest,
+                         ::testing::ValuesIn(testing::kIndexConfigs),
+                         testing::IndexConfigName);
 
 }  // namespace
 }  // namespace laxml

@@ -17,7 +17,7 @@ using testing::TempFile;
 
 StoreOptions WalOptions() {
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   options.enable_wal = true;
   options.pager.page_size = 512;
   options.pager.pool_frames = 64;

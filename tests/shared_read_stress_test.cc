@@ -1,11 +1,12 @@
 // Shared-latch read-path stress: N reader threads serialize immutable
 // oracle subtrees byte-for-byte while M writer threads mutate disjoint
-// private subtrees — all over kRangeWithPartial, the mode whose read
-// path (shared latch + sharded partial index + concurrent buffer pool)
-// this PR made truly concurrent. Built to run under ThreadSanitizer
-// (tests/CMakeLists.txt labels it `sanitizer`): any unsynchronized
-// mutation a reader performs on shared engine state is a TSan report,
-// and any torn read shows up as a byte-level mismatch vs the oracle.
+// private subtrees — over the eager Full Index and over the lazy store
+// with its Partial Index, whose read path (shared latch + sharded
+// partial index + concurrent buffer pool) memoizes as it reads. Built
+// to run under ThreadSanitizer (tests/CMakeLists.txt labels it
+// `sanitizer`): any unsynchronized mutation a reader performs on
+// shared engine state is a TSan report, and any torn read shows up as
+// a byte-level mismatch vs the oracle.
 
 #include <gtest/gtest.h>
 
@@ -36,12 +37,11 @@ constexpr int kWriters = 2;
 constexpr int kWriterOps = 250;
 constexpr int kMinReadsPerThread = 200;
 
-TEST(SharedReadStressTest, ReadersMatchOracleWhileWritersMutate) {
+void ReadersMatchOracleWhileWritersMutate(IndexMode mode) {
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = mode;
   ASSERT_OK_AND_ASSIGN(auto opened, Store::OpenInMemory(options));
   SharedStore shared(std::move(opened));
-  ASSERT_TRUE(shared.concurrent_reads());
 
   // Single-threaded setup: oracle subtrees (never touched again) and
   // one private subtree per writer (only its owner mutates it).
@@ -155,6 +155,13 @@ TEST(SharedReadStressTest, ReadersMatchOracleWhileWritersMutate) {
   EXPECT_GT(uint64_t{shared.stats().shared_acquisitions}, 0u);
 }
 
+TEST(SharedReadStressTest, ReadersMatchOracleWhileWritersMutate) {
+  for (IndexMode mode : {IndexMode::kFullIndex, IndexMode::kRangeIndex}) {
+    SCOPED_TRACE(IndexModeName(mode));
+    ReadersMatchOracleWhileWritersMutate(mode);
+  }
+}
+
 // Structural-index warming under the shared latch: readers run
 // indexable XPath queries (which memoize posting lists — a logical
 // read that WRITES StructuralIndex state under its own SharedMutex)
@@ -173,11 +180,9 @@ TEST(SharedReadStressTest, StructuralWarmingRacesRangeSplits) {
   constexpr int kIdxWriterOps = 80;
   constexpr int kIdxReadsPerThread = 2000;
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
   options.max_range_bytes = 96;  // writers split ranges constantly
   ASSERT_OK_AND_ASSIGN(auto opened, Store::OpenInMemory(options));
   SharedStore shared(std::move(opened));
-  ASSERT_TRUE(shared.concurrent_reads());
 
   std::vector<NodeId> writer_roots;
   {
@@ -310,7 +315,7 @@ TEST(SharedReadStressTest, StructuralWarmingRacesRangeSplits) {
   EXPECT_GT(uint64_t{stats.misses}, 0u);
   EXPECT_GT(uint64_t{stats.invalidations}, 0u);
   ASSERT_LAXML_OK(shared.UnsafeStore()->CheckIntegrity());
-  ASSERT_LAXML_OK(shared.UnsafeStore()->CheckIntegrity());
+  EXPECT_GT(uint64_t{shared.stats().shared_acquisitions}, 0u);
 }
 
 }  // namespace

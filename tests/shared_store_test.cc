@@ -18,7 +18,7 @@ using testing::MustFragment;
 
 std::unique_ptr<SharedStore> MakeShared() {
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   auto store = Store::OpenInMemory(options);
   EXPECT_TRUE(store.ok());
   return std::make_unique<SharedStore>(std::move(store).value());

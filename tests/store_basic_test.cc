@@ -20,11 +20,12 @@ namespace {
 using testing::MustFragment;
 using testing::MustSerialize;
 
-class StoreBasicTest : public ::testing::TestWithParam<IndexMode> {
+class StoreBasicTest
+    : public ::testing::TestWithParam<testing::IndexConfig> {
  protected:
   void SetUp() override {
     StoreOptions options;
-    options.index_mode = GetParam();
+    GetParam().ApplyTo(&options);
     options.pager.pool_frames = 64;
     auto opened = Store::OpenInMemory(options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -294,7 +295,7 @@ TEST_P(StoreBasicTest, ReadAfterMemoizedBeginKeepsSplitsExact) {
   ASSERT_LAXML_OK(
       store_->LoadXml("<r><x/><a><b/>text</a><c/></r>").status());
   ASSERT_LAXML_OK(store_->Describe(3).status());
-  const bool memoizes = GetParam() == IndexMode::kRangeWithPartial;
+  const bool memoizes = GetParam().memoizes();
   if (memoizes) {
     PartialEntry memo;
     ASSERT_TRUE(store_->mutable_partial_index().Lookup(3, &memo));
@@ -356,7 +357,7 @@ TokenSequence ScanSlice(Store* store, NodeId id) {
 
 TEST(StoreMemoReadTest, MemoHitIsOneLookupAndOneSlice) {
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
   // r 1, a 2, b 3, "x" 4, c 5, d 6.
   ASSERT_LAXML_OK(store->LoadXml("<r><a><b>x</b><c/></a><d/></r>").status());
@@ -383,7 +384,7 @@ TEST(StoreMemoReadTest, MemoHitChecksTheMemoizedEnd) {
   for (uint32_t max_range_bytes : {0u, 16u}) {
     SCOPED_TRACE("max_range_bytes " + std::to_string(max_range_bytes));
     StoreOptions options;
-    options.index_mode = IndexMode::kRangeWithPartial;
+    options.index_mode = IndexMode::kRangeIndex;
     options.max_range_bytes = max_range_bytes;
     ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
     // r 1, a 2, b 3, "x" 4, c 5, d 6.
@@ -422,7 +423,7 @@ TEST(StoreMemoReadTest, LongTokensReadWholeColdAndWarm) {
       SCOPED_TRACE("codec v" + std::to_string(codec) + ", " +
                    std::to_string(len) + " B values");
       StoreOptions options;
-      options.index_mode = IndexMode::kRangeWithPartial;
+      options.index_mode = IndexMode::kRangeIndex;
       options.token_codec = codec;
       ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
       const std::string value(len, 'v');
@@ -468,7 +469,7 @@ uint64_t PinsOfRead(Store* store, NodeId id) {
 
 TEST(StoreMemoReadTest, WarmInlineMemoHitPinsOnePage) {
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
   ASSERT_LAXML_OK(store->LoadXml("<r><a><b>x</b><c/></a><d/></r>").status());
   const RecordStore* records = store->range_manager().range_records();
@@ -483,7 +484,7 @@ TEST(StoreMemoReadTest, WarmInlineMemoHitPinsOnePage) {
 
 TEST(StoreMemoReadTest, WarmOverflowMemoHitPinsNoDirectoryPage) {
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
   // One range far larger than a page: an overflow record. Item i is
   // node 2 + 3i.
@@ -522,7 +523,7 @@ TEST(StoreMemoReadTest, WarmOverflowMemoHitPinsNoDirectoryPage) {
 TEST(StoreMemoReadTest, MemoHitsDecodeEachRangesOwnCodec) {
   testing::TempFile file("memo_codec");
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   options.token_codec = 1;
   {
     ASSERT_OK_AND_ASSIGN(auto store, Store::Open(file.path(), options));
@@ -559,21 +560,9 @@ TEST(StoreMemoReadTest, MemoHitsDecodeEachRangesOwnCodec) {
   EXPECT_LAXML_OK(store->CheckIntegrity());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllIndexModes, StoreBasicTest,
-    ::testing::Values(IndexMode::kFullIndex, IndexMode::kRangeIndex,
-                      IndexMode::kRangeWithPartial),
-    [](const ::testing::TestParamInfo<IndexMode>& info) {
-      switch (info.param) {
-        case IndexMode::kFullIndex:
-          return "FullIndex";
-        case IndexMode::kRangeIndex:
-          return "RangeIndex";
-        case IndexMode::kRangeWithPartial:
-          return "RangeWithPartial";
-      }
-      return "Unknown";
-    });
+INSTANTIATE_TEST_SUITE_P(AllIndexModes, StoreBasicTest,
+                         ::testing::ValuesIn(testing::kIndexConfigs),
+                         testing::IndexConfigName);
 
 }  // namespace
 }  // namespace laxml

@@ -1,9 +1,12 @@
-// File-backed persistence: reopen round trips, index-mode pinning,
-// checkpointing, and durability of every structure (ranges, indexes, id
-// counters).
+// File-backed persistence: reopen round trips, index-mode pinning and
+// decoding, checkpointing, and durability of every structure (ranges,
+// indexes, id counters).
 
 #include <gtest/gtest.h>
 
+#include "audit/fsck.h"
+#include "common/slice.h"
+#include "storage/pager.h"
 #include "store/store.h"
 #include "test_util.h"
 #include "xml/serializer.h"
@@ -15,11 +18,12 @@ using testing::MustFragment;
 using testing::MustSerialize;
 using testing::TempFile;
 
-class StorePersistenceTest : public ::testing::TestWithParam<IndexMode> {
+class StorePersistenceTest
+    : public ::testing::TestWithParam<testing::IndexConfig> {
  protected:
   StoreOptions Options() const {
     StoreOptions options;
-    options.index_mode = GetParam();
+    GetParam().ApplyTo(&options);
     options.pager.page_size = 512;
     options.pager.pool_frames = 32;
     return options;
@@ -61,48 +65,86 @@ TEST_P(StorePersistenceTest, IndexModeIsPinnedToTheFile) {
     ASSERT_LAXML_OK(store->InsertTopLevel(MustFragment("<a/>")).status());
   }
   StoreOptions other = Options();
-  other.index_mode = GetParam() == IndexMode::kFullIndex
+  other.index_mode = GetParam().index_mode == IndexMode::kFullIndex
                          ? IndexMode::kRangeIndex
                          : IndexMode::kFullIndex;
   auto reopened = Store::Open(tmp.path(), other);
   EXPECT_TRUE(reopened.status().IsInvalidArgument());
 }
 
-// The two lazy modes share one on-disk image (the Partial Index lives
-// in memory), so a file written under either reopens under the other.
-TEST(StoreLazyReopenTest, EitherLazyModeReopensTheOther) {
-  for (IndexMode created :
-       {IndexMode::kRangeIndex, IndexMode::kRangeWithPartial}) {
-    const IndexMode reopened = created == IndexMode::kRangeIndex
-                                   ? IndexMode::kRangeWithPartial
-                                   : IndexMode::kRangeIndex;
-    SCOPED_TRACE(IndexModeName(created));
-    TempFile tmp("lazyreopen");
-    StoreOptions options;
-    options.pager.page_size = 512;
-    options.pager.pool_frames = 32;
-    options.index_mode = created;
-    {
-      ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
-      ASSERT_LAXML_OK(store
-                          ->InsertTopLevel(MustFragment(
-                              "<db><a>1</a><b><c>2</c></b></db>"))
-                          .status());
-    }  // destructor syncs
-    options.index_mode = reopened;
-    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
-    const NodeId c = 5;  // db=1, a=2, a's text=3, b=4, c=5
-    for (int i = 0; i < 2; ++i) {
-      ASSERT_OK_AND_ASSIGN(TokenSequence node, store->Read(c));
-      EXPECT_EQ(MustSerialize(node), "<c>2</c>");
+// Overwrites the index-mode word of a closed store's meta blob.
+void RewriteModeWord(const std::string& path, const PagerOptions& options,
+                     uint32_t word) {
+  ASSERT_OK_AND_ASSIGN(auto pager, Pager::OpenFile(path, options));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> meta, pager->ReadMeta());
+  ASSERT_GE(meta.size(), 12u);
+  EncodeFixed32(meta.data() + 8, word);
+  ASSERT_LAXML_OK(pager->WriteMeta(Slice(meta)));
+  ASSERT_LAXML_OK(pager->Sync());
+}
+
+// The Partial Index lives in memory, so a lazy file reopens under any
+// capacity: one written without the memo reopens with it and one
+// written with it reopens without. Word 2, the lazy stamp of stores
+// written when the Partial Index was a mode of its own, opens as lazy.
+TEST(StoreModeWordTest, LazyStampsReopenUnderEitherCapacity) {
+  for (uint32_t word : {1u, 2u}) {
+    for (size_t created : {size_t{0}, size_t{1} << 16}) {
+      const size_t reopened = created == 0 ? size_t{1} << 16 : 0;
+      SCOPED_TRACE("word " + std::to_string(word) + ", capacity " +
+                   std::to_string(created) + " -> " +
+                   std::to_string(reopened));
+      TempFile tmp("lazyreopen");
+      StoreOptions options;
+      options.pager.page_size = 512;
+      options.pager.pool_frames = 32;
+      options.partial_index_capacity = created;
+      {
+        ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
+        ASSERT_LAXML_OK(store
+                            ->InsertTopLevel(MustFragment(
+                                "<db><a>1</a><b><c>2</c></b></db>"))
+                            .status());
+      }  // destructor syncs
+      RewriteModeWord(tmp.path(), options.pager, word);
+      options.partial_index_capacity = reopened;
+      {
+        ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
+        const NodeId c = 5;  // db=1, a=2, a's text=3, b=4, c=5
+        for (int i = 0; i < 2; ++i) {
+          ASSERT_OK_AND_ASSIGN(TokenSequence node, store->Read(c));
+          EXPECT_EQ(MustSerialize(node), "<c>2</c>");
+        }
+        if (reopened > 0) {
+          EXPECT_GE(store->partial_index().stats().hits, 1u);
+        } else {
+          EXPECT_EQ(store->partial_index().stats().lookups, 0u);
+        }
+        ASSERT_LAXML_OK(store->CheckIntegrity());
+        store->TestOnlyCrash();  // leave the rewritten word on disk
+      }
+      FsckOutcome fsck = RunFsck(tmp.path());
+      EXPECT_EQ(fsck.exit_code, 0) << fsck.error;
     }
-    if (reopened == IndexMode::kRangeWithPartial) {
-      EXPECT_GE(store->partial_index().stats().hits, 1u);
-    } else {
-      EXPECT_EQ(store->partial_index().stats().lookups, 0u);
-    }
-    ASSERT_LAXML_OK(store->CheckIntegrity());
   }
+}
+
+TEST(StoreModeWordTest, UnknownModeWordIsCorruption) {
+  TempFile tmp("badmode");
+  StoreOptions options;
+  options.pager.page_size = 512;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
+    ASSERT_LAXML_OK(store->InsertTopLevel(MustFragment("<a/>")).status());
+  }
+  RewriteModeWord(tmp.path(), options.pager, 7);
+  for (IndexMode mode : {IndexMode::kFullIndex, IndexMode::kRangeIndex}) {
+    options.index_mode = mode;
+    auto reopened = Store::Open(tmp.path(), options);
+    EXPECT_TRUE(reopened.status().IsCorruption())
+        << reopened.status().ToString();
+  }
+  EXPECT_EQ(RunFsck(tmp.path()).exit_code, 1);
 }
 
 TEST_P(StorePersistenceTest, SyncIsACheckpoint) {
@@ -157,21 +199,9 @@ TEST_P(StorePersistenceTest, LargeDocumentRoundTrips) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllIndexModes, StorePersistenceTest,
-    ::testing::Values(IndexMode::kFullIndex, IndexMode::kRangeIndex,
-                      IndexMode::kRangeWithPartial),
-    [](const ::testing::TestParamInfo<IndexMode>& info) {
-      switch (info.param) {
-        case IndexMode::kFullIndex:
-          return "FullIndex";
-        case IndexMode::kRangeIndex:
-          return "RangeIndex";
-        case IndexMode::kRangeWithPartial:
-          return "RangeWithPartial";
-      }
-      return "Unknown";
-    });
+INSTANTIATE_TEST_SUITE_P(AllIndexModes, StorePersistenceTest,
+                         ::testing::ValuesIn(testing::kIndexConfigs),
+                         testing::IndexConfigName);
 
 }  // namespace
 }  // namespace laxml

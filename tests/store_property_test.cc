@@ -17,7 +17,7 @@ namespace {
 using testing::ReferenceModel;
 
 struct PropertyParam {
-  IndexMode mode;
+  testing::IndexConfig config;
   uint32_t max_range_bytes;
   uint64_t seed;
 };
@@ -27,11 +27,13 @@ class StorePropertyTest : public ::testing::TestWithParam<PropertyParam> {};
 TEST_P(StorePropertyTest, StoreAgreesWithReferenceModel) {
   const PropertyParam& param = GetParam();
   StoreOptions options;
-  options.index_mode = param.mode;
+  param.config.ApplyTo(&options);
+  if (param.config.memoizes()) {
+    options.partial_index_capacity = 64;  // small: exercise eviction
+  }
   options.max_range_bytes = param.max_range_bytes;
-  options.partial_index_capacity = 64;  // small: exercise eviction
-  options.pager.page_size = 512;        // small: exercise overflow
-  options.pager.pool_frames = 32;       // small: exercise eviction
+  options.pager.page_size = 512;   // small: exercise overflow
+  options.pager.pool_frames = 32;  // small: exercise eviction
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
   ReferenceModel model;
 
@@ -151,11 +153,10 @@ TEST_P(StorePropertyTest, StoreAgreesWithReferenceModel) {
 
 std::vector<PropertyParam> PropertyMatrix() {
   std::vector<PropertyParam> params;
-  for (IndexMode mode : {IndexMode::kFullIndex, IndexMode::kRangeIndex,
-                         IndexMode::kRangeWithPartial}) {
+  for (const testing::IndexConfig& config : testing::kIndexConfigs) {
     for (uint32_t granularity : {0u, 64u, 512u}) {
       for (uint64_t seed : {1ull, 42ull}) {
-        params.push_back({mode, granularity, seed});
+        params.push_back({config, granularity, seed});
       }
     }
   }
@@ -165,18 +166,7 @@ std::vector<PropertyParam> PropertyMatrix() {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, StorePropertyTest, ::testing::ValuesIn(PropertyMatrix()),
     [](const ::testing::TestParamInfo<PropertyParam>& info) {
-      std::string name;
-      switch (info.param.mode) {
-        case IndexMode::kFullIndex:
-          name = "Full";
-          break;
-        case IndexMode::kRangeIndex:
-          name = "Range";
-          break;
-        case IndexMode::kRangeWithPartial:
-          name = "Partial";
-          break;
-      }
+      std::string name = info.param.config.short_name;
       name += "G" + std::to_string(info.param.max_range_bytes);
       name += "S" + std::to_string(info.param.seed);
       return name;

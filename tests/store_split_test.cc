@@ -13,12 +13,15 @@
 namespace laxml {
 namespace {
 
+using testing::kPartialIndexConfig;
+using testing::kRangeIndexConfig;
 using testing::MustFragment;
 using testing::MustSerialize;
 
-std::unique_ptr<Store> OpenStore(IndexMode mode, uint32_t max_range_bytes) {
+std::unique_ptr<Store> OpenStore(const testing::IndexConfig& config,
+                                 uint32_t max_range_bytes) {
   StoreOptions options;
-  options.index_mode = mode;
+  config.ApplyTo(&options);
   options.max_range_bytes = max_range_bytes;
   options.pager.page_size = 512;
   options.pager.pool_frames = 64;
@@ -83,7 +86,7 @@ void ExpectLocateReads(Store* store, NodeId id, Op op,
 }
 
 TEST(StoreSplitTest, GranularCapCutsInsertsIntoManyRanges) {
-  auto store = OpenStore(IndexMode::kRangeWithPartial, 64);
+  auto store = OpenStore(kPartialIndexConfig, 64);
   SequenceBuilder b;
   b.BeginElement("list");
   for (int i = 0; i < 100; ++i) {
@@ -103,7 +106,7 @@ TEST(StoreSplitTest, GranularCapCutsInsertsIntoManyRanges) {
 }
 
 TEST(StoreSplitTest, SubtreeSpanningManyRangesReadsWhole) {
-  auto store = OpenStore(IndexMode::kRangeIndex, 48);
+  auto store = OpenStore(kRangeIndexConfig, 48);
   SequenceBuilder b;
   b.BeginElement("doc");
   b.BeginElement("big");
@@ -122,7 +125,7 @@ TEST(StoreSplitTest, SubtreeSpanningManyRangesReadsWhole) {
 }
 
 TEST(StoreSplitTest, HugeTextNodeOverflowsPages) {
-  auto store = OpenStore(IndexMode::kRangeWithPartial, 0);
+  auto store = OpenStore(kPartialIndexConfig, 0);
   std::string huge(20000, 'H');  // 40 pages at 512B
   SequenceBuilder b;
   b.BeginElement("blob").Text(huge).End();
@@ -140,7 +143,7 @@ TEST(StoreSplitTest, HugeTextNodeOverflowsPages) {
 }
 
 TEST(StoreSplitTest, RepeatedMiddleInsertsFragmentRanges) {
-  auto store = OpenStore(IndexMode::kRangeWithPartial, 0);
+  auto store = OpenStore(kPartialIndexConfig, 0);
   ASSERT_LAXML_OK(store->InsertTopLevel(MustFragment("<l><m/></l>")).status());
   // Keep inserting before <m/> (id 2): each op splits at the same spot.
   for (int i = 0; i < 50; ++i) {
@@ -161,7 +164,7 @@ TEST(StoreSplitTest, RepeatedMiddleInsertsFragmentRanges) {
 }
 
 TEST(StoreSplitTest, DeleteSubtreeSpanningRanges) {
-  auto store = OpenStore(IndexMode::kRangeWithPartial, 0);
+  auto store = OpenStore(kPartialIndexConfig, 0);
   ASSERT_LAXML_OK(
       store->InsertTopLevel(MustFragment("<r><victim/><keep/></r>"))
           .status());
@@ -180,7 +183,7 @@ TEST(StoreSplitTest, DeleteSubtreeSpanningRanges) {
 }
 
 TEST(StoreSplitTest, DeepNestingSurvivesAllOperations) {
-  auto store = OpenStore(IndexMode::kRangeWithPartial, 128);
+  auto store = OpenStore(kPartialIndexConfig, 128);
   ASSERT_LAXML_OK(store->InsertTopLevel(MustFragment("<d0/>")).status());
   NodeId target = 1;
   std::vector<NodeId> chain{1};
@@ -204,7 +207,7 @@ TEST(StoreSplitTest, DeepNestingSurvivesAllOperations) {
 }
 
 TEST(StoreSplitTest, ReplaceContentAcrossRanges) {
-  auto store = OpenStore(IndexMode::kRangeIndex, 0);
+  auto store = OpenStore(kRangeIndexConfig, 0);
   ASSERT_LAXML_OK(store->InsertTopLevel(MustFragment("<cfg/>")).status());
   for (int i = 0; i < 12; ++i) {
     ASSERT_LAXML_OK(
@@ -221,7 +224,7 @@ TEST(StoreSplitTest, ReplaceContentAcrossRanges) {
 TEST(StoreSplitTest, RangeCountMatchesInsertPattern) {
   // The range count is the store's adaptive footprint: one bulk load ->
   // 1 range; k middle inserts -> O(k) ranges (insert unit + splits).
-  auto store = OpenStore(IndexMode::kRangeWithPartial, 0);
+  auto store = OpenStore(kPartialIndexConfig, 0);
   ASSERT_LAXML_OK(store->InsertTopLevel(MustFragment("<r><hub/></r>")).status());
   EXPECT_EQ(store->range_manager().range_count(), 1u);
   for (int i = 1; i <= 5; ++i) {
@@ -237,7 +240,7 @@ TEST(StoreSplitTest, RangeCountMatchesInsertPattern) {
 
 TEST(StoreSplitTest, LocateReadsOnlyTheEdgeRangesOfASubtree) {
   // kRangeIndex memoizes nothing, so every locate below scans.
-  auto store = OpenStore(IndexMode::kRangeIndex, 48);
+  auto store = OpenStore(kRangeIndexConfig, 48);
   SequenceBuilder b;
   b.BeginElement("doc");
   b.BeginElement("big");
@@ -270,7 +273,7 @@ TEST(StoreSplitTest, LocateReadsOnlyTheEdgeRangesOfASubtree) {
 }
 
 TEST(StoreSplitTest, LocateEndsOfAttributesAndRangeHeadingEndTokens) {
-  auto store = OpenStore(IndexMode::kRangeIndex, 48);
+  auto store = OpenStore(kRangeIndexConfig, 48);
   // Ids: doc 1, e 2, @a 3, @bb 4, text 5, f 6.
   ASSERT_LAXML_OK(store->LoadXml("<doc><e a=\"1\" bb=\"22222222\">"
                                  "some text here</e><f/></doc>")

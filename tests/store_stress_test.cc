@@ -58,7 +58,7 @@ void ApplyBoth(Store* store, ReferenceModel* model, const Operation& op,
 TEST(StoreStressTest, ThousandsOfOpsWithCompactionAndReopen) {
   TempFile tmp("stress");
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   options.partial_index_capacity = 128;
   options.max_range_bytes = 128;
   options.pager.page_size = 512;

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,45 @@ inline const Status& StatusOf(const Status& s) { return s; }
 template <typename T>
 inline const Status& StatusOf(const Result<T>& r) {
   return r.status();
+}
+
+/// One store configuration of the index-parameterized suites: the eager
+/// Full Index, the lazy Range Index alone, or the lazy Range Index with
+/// the Partial Index memoizing what lookups find.
+struct IndexConfig {
+  const char* name;        // test-name suffix
+  const char* short_name;  // compact suffix for test matrices
+  IndexMode index_mode;
+  size_t partial_index_capacity;
+
+  void ApplyTo(StoreOptions* options) const {
+    options->index_mode = index_mode;
+    options->partial_index_capacity = partial_index_capacity;
+  }
+  bool memoizes() const {
+    return index_mode == IndexMode::kRangeIndex && partial_index_capacity > 0;
+  }
+};
+
+inline constexpr IndexConfig kFullIndexConfig{"FullIndex", "Full",
+                                              IndexMode::kFullIndex, 0};
+inline constexpr IndexConfig kRangeIndexConfig{"RangeIndex", "Range",
+                                               IndexMode::kRangeIndex, 0};
+inline constexpr IndexConfig kPartialIndexConfig{
+    "RangeWithPartial", "Partial", IndexMode::kRangeIndex, 1 << 16};
+
+/// The three configurations, in the order every suite instantiates them.
+inline constexpr IndexConfig kIndexConfigs[] = {
+    kFullIndexConfig, kRangeIndexConfig, kPartialIndexConfig};
+
+/// Names a parameterized test after its configuration.
+inline std::string IndexConfigName(
+    const ::testing::TestParamInfo<IndexConfig>& info) {
+  return info.param.name;
+}
+
+inline void PrintTo(const IndexConfig& config, std::ostream* os) {
+  *os << config.name;
 }
 
 /// Parses an XML fragment, aborting the test process on failure (for

@@ -31,7 +31,7 @@ TokenSequence NodesFragment(const std::string& name, int n) {
 
 TEST(WorkedExampleTest, Section45Scenario) {
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
 
   // Step 1: two sibling nodes, 100 nodes total (50 + 50).
@@ -98,7 +98,7 @@ TEST(WorkedExampleTest, Section45Scenario) {
 
 TEST(WorkedExampleTest, RepeatedLookupHitsPartialIndex) {
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
   ASSERT_LAXML_OK(store->InsertTopLevel(NodesFragment("n", 100)).status());
 
@@ -116,7 +116,7 @@ TEST(WorkedExampleTest, InsertsAreRangesNotNodes) {
   // The store's index grows with *inserts*, not with node count — the
   // core of the paper's low-overhead claim.
   StoreOptions options;
-  options.index_mode = IndexMode::kRangeWithPartial;
+  options.index_mode = IndexMode::kRangeIndex;
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
   ASSERT_LAXML_OK(store->InsertTopLevel(NodesFragment("bulk", 1000)).status());
   EXPECT_EQ(store->range_index().size(), 1u);
