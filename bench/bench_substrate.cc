@@ -13,6 +13,7 @@
 #include "common/crc32c.h"
 #include "common/random.h"
 #include "storage/record_store.h"
+#include "wal/wal.h"
 #include "workload/doc_generator.h"
 #include "xml/token_codec.h"
 #include "xml/serializer.h"
@@ -90,6 +91,35 @@ void BM_Crc32cPortable(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_Crc32cPortable)->Arg(4096)->Arg(65536);
+
+// One durable commit on the real log file: a 48 B record plus its
+// fdatasync, with a checkpoint reset (and its epoch header) every 100
+// commits, as durable_updates does. The log's file size stays fixed, so
+// each sync flushes the record and not a new file size.
+void BM_WalCommit(benchmark::State& state) {
+  bench::TempDb db("walcommit");
+  auto wal = Wal::Open(db.path() + ".wal");
+  BENCH_CHECK(wal.status());
+  WalRecord rec;
+  rec.op = WalOp::kInsertIntoLast;
+  rec.target = 1;
+  rec.payload.assign(27, 0x5A);  // 8 B frame + 13 B body header + 27 = 48
+  WalRecord header;
+  header.op = WalOp::kCheckpoint;
+  uint64_t commits = 0;
+  for (auto _ : state) {
+    if (commits % 100 == 0) {
+      BENCH_CHECK((*wal)->Truncate());
+      header.target = commits / 100;
+      BENCH_CHECK((*wal)->Append(header, /*sync=*/false));
+    }
+    BENCH_CHECK((*wal)->Append(rec, /*sync=*/false));
+    BENCH_CHECK((*wal)->Sync());
+    ++commits;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(commits));
+}
+BENCHMARK(BM_WalCommit)->UseRealTime();
 
 void BM_XmlParse(benchmark::State& state) {
   Random rng(9);

@@ -135,6 +135,7 @@ std::string AuditReport::ToString() const {
          std::to_string(structural_entries) + " structural-index entries, " +
          std::to_string(full_entries) + " full-index entries, " +
          std::to_string(wal_records) + " wal records, " +
+         std::to_string(wal_padding_bytes) + " wal padding bytes, " +
          std::to_string(pages_swept) + " pages swept\n";
   out += "dictionary: " + std::to_string(dict_symbols) + " symbol(s), " +
          std::to_string(dict_symbols_used) + " referenced, " +
@@ -166,6 +167,7 @@ std::string AuditReport::ToJson() const {
   out += ",\"wal_records\":" + std::to_string(wal_records);
   out += ",\"pages_swept\":" + std::to_string(pages_swept);
   out += ",\"wal_torn_tail_bytes\":" + std::to_string(wal_torn_tail_bytes);
+  out += ",\"wal_padding_bytes\":" + std::to_string(wal_padding_bytes);
   out += "},\"dictionary\":{";
   out += "\"symbols\":" + std::to_string(dict_symbols);
   out += ",\"symbols_used\":" + std::to_string(dict_symbols_used);

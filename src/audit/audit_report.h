@@ -85,6 +85,10 @@ struct AuditReport {
   /// crash artifact the next recovery trims, NOT corruption. Reported
   /// as a counter so operators see it; never an issue.
   uint64_t wal_torn_tail_bytes = 0;
+  /// The zero run that ends the file past its last record: the
+  /// pre-zeroed file's room for the next commits, not a torn tail (a
+  /// torn tail counts only up to where this run begins).
+  uint64_t wal_padding_bytes = 0;
 
   bool ok() const { return issues.empty(); }
 

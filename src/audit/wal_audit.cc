@@ -36,15 +36,19 @@ void AuditWalFile(const std::string& path, AuditReport* report) {
       ++report->wal_records;
       continue;
     }
-    uint64_t remaining = static_cast<uint64_t>(limit - record_start);
     if (st.IsNotFound()) {
-      // CRC/length framing stopped verifying. This is exactly the set
-      // of byte sequences Wal::TrimTornTail discards on the next open:
-      // a crash mid-append (or mid-overwrite) is *expected* to leave
-      // such a tail, so it is a coverage note, not corruption. Only
-      // records that frame correctly but fail semantic checks (the
-      // non-NotFound branch below) indicate real damage.
-      report->wal_torn_tail_bytes = remaining;
+      // CRC/length framing stopped verifying. The zero run at the end of
+      // the file is the pre-zeroed file's padding past the logical end.
+      // The bytes before it are exactly what Wal::TrimTornTail discards
+      // on the next open: a crash mid-append (or mid-overwrite) is
+      // *expected* to leave such a tail, so it is a coverage note, not
+      // corruption. Only records that frame correctly but fail semantic
+      // checks (the non-NotFound branch below) indicate real damage.
+      const uint8_t* zeros = limit;
+      while (zeros > record_start && zeros[-1] == 0) --zeros;
+      report->wal_torn_tail_bytes =
+          static_cast<uint64_t>(zeros - record_start);
+      report->wal_padding_bytes = static_cast<uint64_t>(limit - zeros);
       return;
     }
     AuditIssue issue;

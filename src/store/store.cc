@@ -94,6 +94,9 @@ Store::~Store() {
   }
   if (ranges_ == nullptr) return;  // bootstrap never completed
   Status st = Sync();
+  // A closed store's log is just its checkpoint header: give the
+  // pre-zeroed padding back.
+  if (st.ok() && wal_ != nullptr) st = wal_->ShrinkToFit();
   if (!st.ok()) {
     LAXML_LOG(kError) << "store sync on close: " << st.ToString();
   }
@@ -362,10 +365,11 @@ Status Store::Sync() {
 Status Store::SyncImpl() {
   LAXML_TRACE_SPAN("store_sync");
   // Checkpoint protocol (WAL case): bump the epoch, persist it in the
-  // meta blob, flush every page, then truncate the log and open the new
-  // epoch with a header record. A crash between the page flush and the
-  // truncate leaves a new checkpoint beside the old log — the epoch
-  // mismatch tells recovery that log is absorbed and must not replay.
+  // meta blob, flush every page, then reset the log (zero plus sync) and
+  // open the new epoch with a header record. A crash between the page
+  // flush and the reset leaves a new checkpoint beside the old log — the
+  // epoch mismatch tells recovery that log is absorbed and must not
+  // replay.
   if (wal_ != nullptr) ++checkpoint_epoch_;
   LAXML_RETURN_IF_ERROR(PersistMeta());
   LAXML_RETURN_IF_ERROR(pager_->Sync());

@@ -210,7 +210,7 @@ class Store {
   /// queries warm lazily on their own.
   Status WarmStructuralIndex() const;
 
-  /// Flushes everything, persists bootstrap metadata, and truncates the
+  /// Flushes everything, persists bootstrap metadata, and resets the
   /// WAL (checkpoint).
   Status Sync();
 

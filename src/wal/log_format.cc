@@ -32,17 +32,20 @@ const char* WalOpName(WalOp op) {
 }
 
 void EncodeWalRecord(const WalRecord& record, std::vector<uint8_t>* dst) {
-  std::vector<uint8_t> body;
-  body.reserve(13 + record.payload.size());
-  body.push_back(static_cast<uint8_t>(record.op));
-  PutFixed64(&body, record.target);
-  PutFixed32(&body, static_cast<uint32_t>(record.payload.size()));
-  body.insert(body.end(), record.payload.begin(), record.payload.end());
+  // Framed in place: reserve the header, write the body behind it, then
+  // fill in the checksum and length over the finished body.
+  const size_t header = dst->size();
+  dst->reserve(header + 8 + 13 + record.payload.size());
+  dst->resize(header + 8);
+  dst->push_back(static_cast<uint8_t>(record.op));
+  PutFixed64(dst, record.target);
+  PutFixed32(dst, static_cast<uint32_t>(record.payload.size()));
+  dst->insert(dst->end(), record.payload.begin(), record.payload.end());
 
-  uint32_t crc = crc32c::Value(body.data(), body.size());
-  PutFixed32(dst, crc32c::Mask(crc));
-  PutFixed32(dst, static_cast<uint32_t>(body.size()));
-  dst->insert(dst->end(), body.begin(), body.end());
+  uint8_t* frame = dst->data() + header;
+  const size_t body_len = dst->size() - header - 8;
+  EncodeFixed32(frame, crc32c::Mask(crc32c::Value(frame + 8, body_len)));
+  EncodeFixed32(frame + 4, static_cast<uint32_t>(body_len));
 }
 
 Status DecodeWalRecord(const uint8_t** p, const uint8_t* limit,

@@ -12,19 +12,29 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path) {
 }
 
 Result<std::unique_ptr<Wal>> Wal::Open(std::unique_ptr<WalFile> file) {
-  return std::unique_ptr<Wal>(new Wal(std::move(file)));
+  LAXML_ASSIGN_OR_RETURN(uint64_t size, file->Size());
+  auto wal = std::unique_ptr<Wal>(new Wal(std::move(file)));
+  wal->end_known_ = size == 0;
+  return wal;
 }
 
 Wal::~Wal() = default;
 
 Status Wal::Append(const WalRecord& record, bool sync) {
-  std::vector<uint8_t> framed;
-  EncodeWalRecord(record, &framed);
-  LAXML_RETURN_IF_ERROR(file_->Append(Slice(framed.data(), framed.size())));
+  if (!end_known_) {
+    // A reopened file may be a crashed one: zero padding, or a torn
+    // tail, behind its last record. Appending at its physical end would
+    // put the record where replay never reaches.
+    return Status::InvalidArgument(
+        "wal append before TrimTornTail or Truncate on a reopened log");
+  }
+  encode_buf_.clear();
+  EncodeWalRecord(record, &encode_buf_);
+  LAXML_RETURN_IF_ERROR(file_->Append(Slice(encode_buf_)));
   ++stats_.records_appended;
-  stats_.bytes_appended += framed.size();
+  stats_.bytes_appended += encode_buf_.size();
   appended_lsn_.fetch_add(1, std::memory_order_acq_rel);
-  LAXML_RC_ADD(wal_bytes, framed.size());
+  LAXML_RC_ADD(wal_bytes, encode_buf_.size());
   if (sync) {
     return this->Sync();
   }
@@ -67,7 +77,6 @@ Result<std::vector<WalRecord>> Wal::ReadAll() const {
 
 Status Wal::TrimTornTail() {
   LAXML_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, file_->ReadAll());
-  if (buf.empty()) return Status::OK();
   const uint8_t* p = buf.data();
   const uint8_t* limit = p + buf.size();
   while (p < limit) {
@@ -78,12 +87,22 @@ Status Wal::TrimTornTail() {
       break;
     }
   }
-  if (p == limit) return Status::OK();  // chain verifies to the end
-  return file_->Truncate(static_cast<uint64_t>(p - buf.data()));
+  if (p != limit) {
+    // Zeroes the torn bytes and any padding past them (a no-op write
+    // when they already read as zero), so the next append cannot revive
+    // them.
+    LAXML_RETURN_IF_ERROR(
+        file_->Truncate(static_cast<uint64_t>(p - buf.data())));
+  }
+  end_known_ = true;
+  return Status::OK();
 }
 
 Status Wal::Truncate() {
+  // Zero plus sync, not a file-size change: the next commit's fdatasync
+  // then flushes only its record.
   LAXML_RETURN_IF_ERROR(file_->Truncate(0));
+  end_known_ = true;
   ++stats_.truncations;
   // A checkpoint persisted every logged effect through its own page
   // flush + file sync, so everything appended so far is durable even
@@ -96,5 +115,7 @@ Status Wal::Truncate() {
 }
 
 Result<uint64_t> Wal::SizeBytes() const { return file_->Size(); }
+
+Status Wal::ShrinkToFit() { return file_->ShrinkToFit(); }
 
 }  // namespace laxml

@@ -1,7 +1,9 @@
 // The write-ahead log file: append framed logical records, read them all
-// back at recovery, truncate at checkpoint. See log_format.h for the
-// record format and store.h / DESIGN.md for the recovery protocol and
-// its documented limits (no-steal buffer pool between checkpoints).
+// back at recovery, reset at checkpoint. See log_format.h for the record
+// format, wal_file.h for the pre-zeroed file that keeps a commit's
+// fdatasync to its record, and store.h / DESIGN.md for the recovery
+// protocol and its documented limits (no-steal buffer pool between
+// checkpoints).
 //
 // LSNs: every appended record gets a log sequence number (1, 2, 3, ...,
 // monotone for the life of the handle — Truncate does NOT reset it, it
@@ -53,6 +55,9 @@ class Wal {
   ~Wal();
 
   /// Appends one record; `sync` forces fdatasync (commit durability).
+  /// On a log opened non-empty, TrimTornTail or Truncate must run first
+  /// (the file may hold padding past its last record); until then this
+  /// fails with InvalidArgument.
   Status Append(const WalRecord& record, bool sync);
 
   /// Forces everything appended so far to stable storage and advances
@@ -75,20 +80,28 @@ class Wal {
   /// is silently dropped (those operations never committed).
   Result<std::vector<WalRecord>> ReadAll() const;
 
-  /// Physically drops a torn tail — bytes after the last record whose
-  /// framing verifies — so the on-disk log is exactly what replay will
-  /// execute. Recovery calls this before replaying: those bytes were
-  /// never acknowledged durable (their commit never returned), and
-  /// trimming them keeps audits of the surviving log clean. No-op when
-  /// the chain verifies to the end.
+  /// Drops a torn tail — bytes after the last record whose framing
+  /// verifies — by zeroing it durably, so the on-disk log is exactly
+  /// what replay will execute and the next append cannot revive a stale
+  /// record behind it. Recovery calls this before replaying (and before
+  /// the first append after a crash): those bytes were never
+  /// acknowledged durable (their commit never returned), and trimming
+  /// them keeps audits of the surviving log clean. Writes nothing when
+  /// they already read as zero.
   Status TrimTornTail();
 
-  /// Empties the log (checkpoint completed). Advances durable_lsn to
+  /// Empties the log (checkpoint completed): zeroes the used prefix and
+  /// syncs it, keeping the file's size (or cutting it back to its first
+  /// size when the epoch grew it). Advances durable_lsn to
   /// appended_lsn: the checkpoint persisted every logged effect.
   Status Truncate();
 
-  /// Current log size in bytes.
+  /// Current logical log size in bytes (the file may be longer: its
+  /// tail is zero padding).
   Result<uint64_t> SizeBytes() const;
+
+  /// Clean close: cuts the file to its logical size.
+  Status ShrinkToFit();
 
   const WalStats& stats() const { return stats_; }
   const std::string& path() const { return file_->path(); }
@@ -98,6 +111,10 @@ class Wal {
 
   std::unique_ptr<WalFile> file_;
   WalStats stats_;
+  std::vector<uint8_t> encode_buf_;  ///< Append's framing, reused.
+  /// False from opening a non-empty log until TrimTornTail or Truncate
+  /// has found its logical end; Append refuses to run before that.
+  bool end_known_ = false;
   /// Last record written into the file / last record fdatasync'd. The
   /// group-commit sequencer reads these from committer threads while
   /// the appender holds the store latch, hence atomics.

@@ -1,8 +1,10 @@
 #include "wal/wal_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -11,33 +13,84 @@ namespace laxml {
 // ---------------------------------------------------------------------------
 // PosixWalFile
 
+namespace {
+
+constexpr uint64_t kZeroChunk = 64 << 10;
+/// The first growth's size; later growths double the file.
+constexpr uint64_t kInitialFileSize = kZeroChunk;
+const uint8_t kZeros[kZeroChunk] = {};
+
+Status PwriteAll(int fd, const uint8_t* data, size_t n, uint64_t offset) {
+  while (n > 0) {
+    ssize_t w = ::pwrite(fd, data, n, static_cast<off_t>(offset));
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(std::string("wal write: ") +
+                             std::strerror(errno));
+    }
+    data += w;
+    n -= static_cast<size_t>(w);
+    offset += static_cast<uint64_t>(w);
+  }
+  return Status::OK();
+}
+
+Status PreadAll(int fd, uint8_t* data, size_t n, uint64_t offset) {
+  while (n > 0) {
+    ssize_t r = ::pread(fd, data, n, static_cast<off_t>(offset));
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) return Status::IOError("wal short read");
+    data += r;
+    n -= static_cast<size_t>(r);
+    offset += static_cast<uint64_t>(r);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::unique_ptr<PosixWalFile>> PosixWalFile::Open(
     const std::string& path) {
   // O_CLOEXEC: keep the log fd out of forked/exec'd children.
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
-                  0644);
+  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd < 0) {
     return Status::IOError("open wal '" + path +
                            "': " + std::strerror(errno));
   }
-  return std::unique_ptr<PosixWalFile>(new PosixWalFile(fd, path));
+  struct stat sb;
+  if (::fstat(fd, &sb) != 0) {
+    Status st = Status::IOError("stat wal '" + path +
+                                "': " + std::strerror(errno));
+    ::close(fd);
+    return st;
+  }
+  return std::unique_ptr<PosixWalFile>(
+      new PosixWalFile(fd, path, static_cast<uint64_t>(sb.st_size)));
 }
 
 PosixWalFile::~PosixWalFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status PosixWalFile::Append(Slice data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::write(fd_, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("wal write: ") +
-                             std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
+Status PosixWalFile::Grow(uint64_t min_size) {
+  uint64_t target = std::max(size_ * 2, kInitialFileSize);
+  while (target < min_size) target *= 2;
+  for (uint64_t off = size_; off < target; off += kZeroChunk) {
+    LAXML_RETURN_IF_ERROR(PwriteAll(
+        fd_, kZeros, static_cast<size_t>(std::min(kZeroChunk, target - off)),
+        off));
   }
+  LAXML_RETURN_IF_ERROR(Sync());
+  size_ = target;
+  return Status::OK();
+}
+
+Status PosixWalFile::Append(Slice data) {
+  if (end_ + data.size() > size_) {
+    LAXML_RETURN_IF_ERROR(Grow(end_ + data.size()));
+  }
+  LAXML_RETURN_IF_ERROR(PwriteAll(fd_, data.data(), data.size(), end_));
+  end_ += data.size();
   return Status::OK();
 }
 
@@ -50,32 +103,51 @@ Status PosixWalFile::Sync() {
 }
 
 Result<std::vector<uint8_t>> PosixWalFile::ReadAll() const {
-  off_t size = ::lseek(fd_, 0, SEEK_END);
-  if (size < 0) {
-    return Status::IOError("wal lseek failed");
-  }
-  std::vector<uint8_t> buf(static_cast<size_t>(size));
-  if (size > 0) {
-    ssize_t n = ::pread(fd_, buf.data(), buf.size(), 0);
-    if (n != size) {
-      return Status::IOError("wal short read");
-    }
-  }
+  std::vector<uint8_t> buf(static_cast<size_t>(end_));
+  LAXML_RETURN_IF_ERROR(PreadAll(fd_, buf.data(), buf.size(), 0));
   return buf;
 }
 
 Status PosixWalFile::Truncate(uint64_t size) {
-  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
-    return Status::IOError(std::string("wal ftruncate: ") +
-                           std::strerror(errno));
+  if (size >= end_) return Status::OK();
+  bool wrote = false;
+  // The checkpoint reset also gives back what the epoch grew, inside
+  // the same sync: disk use and the next recovery's read stay bounded
+  // by one epoch, and the commit path still never changes the size.
+  if (size == 0 && size_ > kInitialFileSize) {
+    if (::ftruncate(fd_, static_cast<off_t>(kInitialFileSize)) != 0) {
+      return Status::IOError(std::string("wal ftruncate: ") +
+                             std::strerror(errno));
+    }
+    size_ = kInitialFileSize;
+    end_ = std::min(end_, size_);
+    wrote = true;
   }
+  std::vector<uint8_t> chunk(
+      static_cast<size_t>(std::min(kZeroChunk, end_ - size)));
+  for (uint64_t off = size; off < end_; off += chunk.size()) {
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(
+        chunk.size(), end_ - off));
+    LAXML_RETURN_IF_ERROR(PreadAll(fd_, chunk.data(), n, off));
+    if (std::memcmp(chunk.data(), kZeros, n) == 0) continue;
+    LAXML_RETURN_IF_ERROR(PwriteAll(fd_, kZeros, n, off));
+    wrote = true;
+  }
+  if (wrote) LAXML_RETURN_IF_ERROR(Sync());
+  end_ = size;
   return Status::OK();
 }
 
-Result<uint64_t> PosixWalFile::Size() const {
-  off_t size = ::lseek(fd_, 0, SEEK_END);
-  if (size < 0) return Status::IOError("wal lseek failed");
-  return static_cast<uint64_t>(size);
+Result<uint64_t> PosixWalFile::Size() const { return end_; }
+
+Status PosixWalFile::ShrinkToFit() {
+  if (size_ == end_) return Status::OK();
+  if (::ftruncate(fd_, static_cast<off_t>(end_)) != 0) {
+    return Status::IOError(std::string("wal ftruncate: ") +
+                           std::strerror(errno));
+  }
+  size_ = end_;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -179,6 +251,12 @@ Status FaultyWalFile::Truncate(uint64_t size) {
 Result<uint64_t> FaultyWalFile::Size() const {
   if (crashed_) return Status::IOError("wal file crashed");
   return static_cast<uint64_t>(logical_.size());
+}
+
+Status FaultyWalFile::ShrinkToFit() {
+  if (crashed_) return Status::IOError("wal file crashed");
+  // The base holds the synced image; what it gives back is padding.
+  return base_->ShrinkToFit();
 }
 
 }  // namespace laxml

@@ -1,9 +1,12 @@
-// The byte-level seam under the WAL: an append-only file with sync and
+// The byte-level seam under the WAL: an append-only log with sync and
 // truncate. Wal (wal.h) keeps the record framing, LSN accounting, and
 // stats; WalFile owns the raw I/O, so tests can slide a fault-injecting
 // implementation underneath without touching commit logic.
 //
-//   * PosixWalFile  — the real thing: O_APPEND fd, fdatasync.
+//   * PosixWalFile  — the real thing: a pre-zeroed, recycled file. Its
+//     size stays fixed on the commit path (pwrite at the logical end,
+//     fdatasync), so a commit's sync flushes the record, not a new
+//     file size.
 //   * FaultyWalFile — decorator that injects failures (fail the Nth
 //     append/sync/truncate) and models power loss: appends and
 //     truncates buffer in memory and only reach the base on Sync();
@@ -40,16 +43,39 @@ class WalFile {
   /// Reads the whole log into memory.
   virtual Result<std::vector<uint8_t>> ReadAll() const = 0;
 
-  /// Shrinks the log to `size` bytes (0 = empty it).
+  /// Shrinks the log to `size` bytes (0 = empty it). Bytes past `size`
+  /// must never decode again: a later record written over part of them
+  /// must not be followed by a stale one.
   virtual Status Truncate(uint64_t size) = 0;
 
   /// Current logical size in bytes.
   virtual Result<uint64_t> Size() const = 0;
 
+  /// Clean close: gives back space held past the logical end, so a
+  /// closed log is exactly its records.
+  virtual Status ShrinkToFit() = 0;
+
   virtual const std::string& path() const = 0;
 };
 
-/// File-backed WAL bytes: O_APPEND writes, fdatasync, pread.
+/// File-backed WAL bytes: pwrite at the logical end, fdatasync, pread.
+///
+/// Invariant: every byte from the logical end to the end of the file is
+/// a durable zero. A zero frame has body_len 0, which DecodeWalRecord
+/// reads as the end of the log, so a record written at the logical end
+/// is never followed by a stale one from an earlier epoch or a torn
+/// batch. Three operations set the invariant, each with one fdatasync:
+///   * growth — an append that would pass the physical end first
+///     extends the file with zeros (64 KiB, then doubling);
+///   * Truncate — zeroes [size, logical end) instead of shrinking the
+///     file, skipping the write where those bytes already read as zero
+///     (the checkpoint reset and the recovery trim both land here); a
+///     reset of a file grown past its first size also cuts it back to
+///     that size;
+///   * ShrinkToFit — a clean close cuts the file to its logical end.
+/// Open takes the whole file as the logical log; recovery's Truncate
+/// to the last verifying record (Wal::TrimTornTail) must precede the
+/// first append to a reopened log, and Wal::Append enforces that.
 class PosixWalFile : public WalFile {
  public:
   static Result<std::unique_ptr<PosixWalFile>> Open(const std::string& path);
@@ -60,14 +86,20 @@ class PosixWalFile : public WalFile {
   Result<std::vector<uint8_t>> ReadAll() const override;
   Status Truncate(uint64_t size) override;
   Result<uint64_t> Size() const override;
+  Status ShrinkToFit() override;
   const std::string& path() const override { return path_; }
 
  private:
-  PosixWalFile(int fd, std::string path)
-      : fd_(fd), path_(std::move(path)) {}
+  PosixWalFile(int fd, std::string path, uint64_t size)
+      : fd_(fd), path_(std::move(path)), end_(size), size_(size) {}
+
+  /// Extends the file with durable zeros until it holds `min_size` bytes.
+  Status Grow(uint64_t min_size);
 
   int fd_;
   std::string path_;
+  uint64_t end_;   ///< Logical end: where the next append lands.
+  uint64_t size_;  ///< Physical file size; [end_, size_) is zero.
 };
 
 /// Fault-injecting WalFile decorator. Maintains the full logical log
@@ -109,6 +141,7 @@ class FaultyWalFile : public WalFile {
   Result<std::vector<uint8_t>> ReadAll() const override;
   Status Truncate(uint64_t size) override;
   Result<uint64_t> Size() const override;
+  Status ShrinkToFit() override;
   const std::string& path() const override { return base_->path(); }
 
  private:

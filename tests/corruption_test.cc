@@ -24,22 +24,9 @@ namespace laxml {
 namespace {
 
 using ::laxml::testing::MustFragment;
+using ::laxml::testing::ReadWholeFile;
 using ::laxml::testing::TempFile;
-
-std::vector<uint8_t> ReadWholeFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  std::vector<uint8_t> bytes;
-  if (f != nullptr) {
-    uint8_t buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-    std::fclose(f);
-  }
-  return bytes;
-}
+using ::laxml::testing::WalLogicalEnd;
 
 void WriteWholeFile(const std::string& path, const std::vector<uint8_t>& b) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -188,28 +175,44 @@ TEST(CorruptionTest, WalRecordCorruptionTrimmedAsTornTail) {
     store->TestOnlyCrash();
   }
   std::string wal_path = file.path() + ".wal";
+  FsckOptions fo;
+  fo.replay_wal = false;  // audit the raw log instead of replaying it
+  const uint64_t records_before =
+      RunFsck(file.path(), fo).report.wal_records;
+  // The file is zero padding past its last record, so the middle of the
+  // log is the middle of its records, not of the file.
+  const long end = WalLogicalEnd(wal_path);
+  ASSERT_GT(end, 32);
   auto wal = ReadWholeFile(wal_path);
-  ASSERT_GT(wal.size(), 32u);
   // Flip a byte in the middle of the log: the record covering it stops
   // verifying and everything from its start onward is untrusted — which
   // is indistinguishable from a tail torn by a crash mid-append. fsck
   // mirrors recovery semantics: the unverifiable suffix is trimmed, not
   // flagged as corruption, and reported via the torn-tail counter.
-  wal[wal.size() / 2] ^= 0x01;
+  wal[end / 2] ^= 0x01;
   WriteWholeFile(wal_path, wal);
 
-  FsckOptions fo;
-  fo.replay_wal = false;  // audit the raw log instead of replaying it
   FsckOutcome outcome = RunFsck(file.path(), fo);
   EXPECT_EQ(outcome.exit_code, 0) << outcome.report.ToString();
   EXPECT_FALSE(HasIssue(outcome.report, AuditLayer::kWal))
       << outcome.report.ToString();
-  // The flipped record started at or before the midpoint, so at least
-  // the second half of the file is part of the reported torn tail.
-  EXPECT_GE(outcome.report.wal_torn_tail_bytes, wal.size() - wal.size() / 2);
-  EXPECT_LT(outcome.report.wal_torn_tail_bytes, wal.size());
-  // The intact prefix still decodes and is counted.
+  // The flipped record started at or before the midpoint, so the
+  // unverifiable suffix covers at least the second half of the log and
+  // the padding behind it. The torn tail is its log part: never the
+  // padding, which is reported apart (with any zero bytes that ended the
+  // last record).
+  const uint64_t log_bytes = static_cast<uint64_t>(end);
+  const uint64_t torn = outcome.report.wal_torn_tail_bytes;
+  const uint64_t padding = outcome.report.wal_padding_bytes;
+  EXPECT_GE(torn + padding, wal.size() - log_bytes / 2);
+  EXPECT_LT(torn + padding, wal.size());
+  EXPECT_GT(torn, 0u);
+  EXPECT_LT(torn, log_bytes);
+  EXPECT_GE(padding, wal.size() - log_bytes);
+  // The intact prefix still decodes and is counted; the flipped record
+  // and those after it are not.
   EXPECT_GT(outcome.report.wal_records, 0u);
+  EXPECT_LT(outcome.report.wal_records, records_before);
 }
 
 TEST(CorruptionTest, StoreMetaCorruptionDetected) {

@@ -18,6 +18,7 @@ namespace {
 
 using testing::FileSize;
 using testing::FlipBit;
+using testing::WalLogicalEnd;
 using testing::MustFragment;
 using testing::TempFile;
 
@@ -115,11 +116,12 @@ TEST(FaultInjectionTest, CorruptWalPrefixSurvivesToLastGoodRecord) {
     ASSERT_LAXML_OK(store->LoadXml("<c/>").status());
     store->TestOnlyCrash();
   }
-  // Damage the THIRD record's area: recovery keeps the prefix.
+  // Damage the THIRD record's area: recovery keeps the prefix. The
+  // records end at the log's logical end; zero padding follows.
   std::string wal = tmp.path() + ".wal";
-  long wal_size = FileSize(wal);
-  ASSERT_GT(wal_size, 30);
-  FlipBit(wal, wal_size - 5);
+  long wal_end = WalLogicalEnd(wal);
+  ASSERT_GT(wal_end, 30);
+  FlipBit(wal, wal_end - 5);
   {
     ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
     ASSERT_OK_AND_ASSIGN(std::string xml, store->SerializeToXml());

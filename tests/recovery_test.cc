@@ -1,8 +1,13 @@
 // Crash-recovery tests: operations journaled in the WAL are replayed on
 // reopen, checkpoints truncate the journal, and recovery is idempotent.
+// The log file is pre-zeroed and recycled, so the last group below pins
+// its invariant: a record written at the logical end is never followed
+// by a stale record from an earlier epoch or a torn batch.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include "audit/fsck.h"
 #include "store/store.h"
 #include "test_util.h"
 #include "wal/wal.h"
@@ -11,9 +16,13 @@
 namespace laxml {
 namespace {
 
+using testing::FileSize;
+using testing::FlipBit;
 using testing::MustFragment;
 using testing::MustSerialize;
+using testing::ReadWholeFile;
 using testing::TempFile;
+using testing::WalLogicalEnd;
 
 StoreOptions WalOptions() {
   StoreOptions options;
@@ -22,6 +31,28 @@ StoreOptions WalOptions() {
   options.pager.page_size = 512;
   options.pager.pool_frames = 64;
   return options;
+}
+
+/// Appends `n` InsertIntoLast records of one length under node 1.
+void InsertChildren(Store* store, int n) {
+  for (int i = 0; i < n; ++i) {
+    ASSERT_LAXML_OK(store->InsertIntoLast(1, MustFragment("<n>x</n>")).status());
+  }
+}
+
+std::string Children(int n) {
+  std::string xml = "<db>";
+  for (int i = 0; i < n; ++i) xml += "<n>x</n>";
+  return xml + "</db>";
+}
+
+/// The encoded length of the checkpoint-epoch header every log opens with.
+long CheckpointHeaderBytes() {
+  WalRecord header;
+  header.op = WalOp::kCheckpoint;
+  std::vector<uint8_t> framed;
+  EncodeWalRecord(header, &framed);
+  return static_cast<long>(framed.size());
 }
 
 TEST(RecoveryTest, CrashAfterOpsReplaysFromWal) {
@@ -94,7 +125,9 @@ TEST(RecoveryTest, CleanCloseLeavesOnlyCheckpointHeader) {
     ASSERT_LAXML_OK(store->InsertTopLevel(MustFragment("<neat/>")).status());
   }  // destructor = Sync = checkpoint
   // A checkpoint truncates the log and stamps a fresh epoch header, so a
-  // cleanly closed store's WAL holds exactly that one record.
+  // cleanly closed store's WAL holds exactly that one record, and the
+  // close gave the file's zero padding back.
+  EXPECT_EQ(FileSize(tmp.path() + ".wal"), CheckpointHeaderBytes());
   ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(tmp.path() + ".wal"));
   ASSERT_OK_AND_ASSIGN(auto records, wal->ReadAll());
   ASSERT_EQ(records.size(), 1u);
@@ -192,6 +225,124 @@ TEST(RecoveryTest, EveryKindAndFailedOpsReplay) {
     EXPECT_EQ(store->node_high_water(), high_water);
     ASSERT_LAXML_OK(store->CheckIntegrity());
   }
+}
+
+TEST(RecoveryTest, ResetLogReplaysOnlyTheNewEpoch) {
+  // The checkpoint reset must zero the old epoch: the new epoch's records
+  // overwrite the old ones at the same offsets, and fewer of them must
+  // not leave old records decoding behind them.
+  TempFile tmp("recov_epoch");
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), WalOptions()));
+    ASSERT_LAXML_OK(store->InsertTopLevel(MustFragment("<db/>")).status());
+    ASSERT_LAXML_OK(store->Sync());
+    InsertChildren(store.get(), 8);
+    ASSERT_LAXML_OK(store->Sync());  // absorbs the 8; resets the log
+    InsertChildren(store.get(), 3);
+    store->TestOnlyCrash();
+  }
+  ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), WalOptions()));
+  ASSERT_OK_AND_ASSIGN(std::string xml, store->SerializeToXml());
+  EXPECT_EQ(xml, Children(11));
+  ASSERT_LAXML_OK(store->CheckIntegrity());
+}
+
+TEST(RecoveryTest, TornBatchTailNeverReplaysAfterRecovery) {
+  // A group-commit batch reaches the file out of order: its first record
+  // is torn, the later ones are intact. Recovery must zero them all, or
+  // the next commit of the same length re-links them into the chain.
+  TempFile tmp("recov_batch");
+  StoreOptions options = WalOptions();
+  options.wal_sync = WalSyncMode::kGroupCommit;
+  const std::string wal_path = tmp.path() + ".wal";
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
+    ASSERT_LAXML_OK(store->InsertTopLevel(MustFragment("<db/>")).status());
+    ASSERT_LAXML_OK(store->Sync());
+    InsertChildren(store.get(), 3);  // appended, never waited on
+    store->TestOnlyCrash();
+  }
+  const long header = CheckpointHeaderBytes();
+  FlipBit(wal_path, header + 10);  // inside the batch's first record
+  ASSERT_EQ(WalLogicalEnd(wal_path), header);
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
+    ASSERT_OK_AND_ASSIGN(std::string xml, store->SerializeToXml());
+    EXPECT_EQ(xml, "<db/>");
+    InsertChildren(store.get(), 1);  // lands where the torn record was
+    store->TestOnlyCrash();
+  }
+  ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
+  ASSERT_OK_AND_ASSIGN(std::string xml, store->SerializeToXml());
+  EXPECT_EQ(xml, Children(1));
+  ASSERT_LAXML_OK(store->CheckIntegrity());
+}
+
+TEST(RecoveryTest, UnpaddedLogFromAppendOnlyWritersReplays) {
+  // Logs written before the file was pre-zeroed end at their last record
+  // (or inside a torn one), with no padding. They replay as before, and
+  // the store keeps committing into them.
+  for (bool torn : {false, true}) {
+    SCOPED_TRACE(torn ? "torn tail" : "clean tail");
+    TempFile tmp(torn ? "recov_old_torn" : "recov_old");
+    const std::string wal_path = tmp.path() + ".wal";
+    {
+      ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), WalOptions()));
+      ASSERT_LAXML_OK(store->InsertTopLevel(MustFragment("<db/>")).status());
+      InsertChildren(store.get(), 4);
+      store->TestOnlyCrash();
+    }
+    // An append-only log ends at its last byte; a crash cut it short.
+    const long end = WalLogicalEnd(wal_path);
+    ASSERT_EQ(::truncate(wal_path.c_str(), torn ? end - 3 : end), 0);
+    const int survivors = torn ? 3 : 4;
+    {
+      ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), WalOptions()));
+      ASSERT_OK_AND_ASSIGN(std::string xml, store->SerializeToXml());
+      EXPECT_EQ(xml, Children(survivors));
+      InsertChildren(store.get(), 2);
+      store->TestOnlyCrash();
+    }
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), WalOptions()));
+    ASSERT_OK_AND_ASSIGN(std::string xml, store->SerializeToXml());
+    EXPECT_EQ(xml, Children(survivors + 2));
+    ASSERT_LAXML_OK(store->CheckIntegrity());
+  }
+}
+
+TEST(RecoveryTest, ReadOnlyOpenAndFsckLeaveTheLogUntouched) {
+  // A crashed store keeps its padded log; tear the record at its end.
+  TempFile tmp("recov_ro");
+  const std::string wal_path = tmp.path() + ".wal";
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), WalOptions()));
+    ASSERT_LAXML_OK(store->InsertTopLevel(MustFragment("<db/>")).status());
+    ASSERT_LAXML_OK(store->Sync());
+    InsertChildren(store.get(), 4);
+    store->TestOnlyCrash();
+  }
+  const std::vector<uint8_t> padded_log = ReadWholeFile(wal_path);
+  ASSERT_GT(padded_log.size(), static_cast<size_t>(WalLogicalEnd(wal_path)));
+  FsckOutcome padded = RunFsck(tmp.path());
+  EXPECT_EQ(padded.exit_code, 0) << padded.report.Summary();
+  EXPECT_EQ(padded.report.wal_torn_tail_bytes, 0u);
+  EXPECT_GT(padded.report.wal_padding_bytes, 0u);
+  EXPECT_EQ(ReadWholeFile(wal_path), padded_log);
+
+  FlipBit(wal_path, WalLogicalEnd(wal_path) - 1);
+  const std::vector<uint8_t> before = ReadWholeFile(wal_path);
+  {
+    StoreOptions read_only = WalOptions();
+    read_only.pager.read_only = true;
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), read_only));
+    ASSERT_OK_AND_ASSIGN(std::string xml, store->SerializeToXml());
+    EXPECT_EQ(xml, Children(3));  // the torn fourth record is dropped
+  }
+  EXPECT_EQ(ReadWholeFile(wal_path), before);
+  FsckOutcome fsck = RunFsck(tmp.path());
+  EXPECT_EQ(fsck.exit_code, 0) << fsck.report.Summary();
+  EXPECT_GT(fsck.report.wal_torn_tail_bytes, 0u);
+  EXPECT_EQ(ReadWholeFile(wal_path), before);
 }
 
 TEST(RecoveryTest, InMemoryStoreRejectsWal) {

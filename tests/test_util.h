@@ -15,6 +15,7 @@
 
 #include "common/status.h"
 #include "store/store.h"
+#include "wal/log_format.h"
 #include "xml/serializer.h"
 #include "xml/token_codec.h"
 #include "xml/token_sequence.h"
@@ -161,6 +162,37 @@ inline void FlipBit(const std::string& path, long offset) {
 inline long FileSize(const std::string& path) {
   std::ifstream f(path, std::ios::binary | std::ios::ate);
   return static_cast<long>(f.tellg());
+}
+
+/// Whole file contents; a file that cannot be opened fails the test.
+inline std::vector<uint8_t> ReadWholeFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  std::vector<uint8_t> bytes;
+  if (f != nullptr) {
+    uint8_t buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      bytes.insert(bytes.end(), buf, buf + n);
+    }
+    std::fclose(f);
+  }
+  return bytes;
+}
+
+/// Offset where a WAL file's record chain stops verifying: its logical
+/// end. The file past it is zero padding (or a torn tail).
+inline long WalLogicalEnd(const std::string& wal_path) {
+  std::vector<uint8_t> bytes = ReadWholeFile(wal_path);
+  const uint8_t* p = bytes.data();
+  const uint8_t* limit = p + bytes.size();
+  WalRecord record;
+  while (p < limit) {
+    const uint8_t* next = p;
+    if (!DecodeWalRecord(&next, limit, &record).ok()) break;
+    p = next;
+  }
+  return static_cast<long>(p - bytes.data());
 }
 
 /// A unique temp file path, removed on destruction (plus its WAL).
