@@ -925,41 +925,39 @@ void StoreAuditor::AuditPageSweep() {
   owners_.emplace(0, "meta");
 
   // The allocator free chain: right length, every page typed kFree.
-  if (file->has_free_chain()) {
-    const uint32_t expect = file->free_page_count();
-    PageId cur = file->free_head();
-    uint32_t walked = 0;
-    std::unordered_set<PageId> chain_seen;
-    while (cur != kInvalidPageId && walked <= expect) {
-      if (Full()) return;
-      if (!chain_seen.insert(cur).second) {
-        Add(AuditLayer::kFreeChain, "free chain cycles back").page = cur;
-        break;
-      }
-      Claim(cur, "free-chain");
-      ++walked;
-      auto handle_r = pager->Fetch(cur);
-      if (!handle_r.ok()) {
-        Add(AuditLayer::kFreeChain,
-            "free page unreadable: " + handle_r.status().ToString())
-            .page = cur;
-        break;
-      }
-      PageHandle handle = std::move(*handle_r);
-      if (handle.view().type() != PageType::kFree) {
-        Add(AuditLayer::kFreeChain,
-            "page on the free chain has type " +
-                std::to_string(static_cast<int>(handle.view().type())) +
-                ", expected kFree")
-            .page = cur;
-      }
-      cur = DecodeFixed32(handle.view().payload());
+  const uint32_t expect = file->free_page_count();
+  PageId cur = file->free_head();
+  uint32_t walked = 0;
+  std::unordered_set<PageId> chain_seen;
+  while (cur != kInvalidPageId && walked <= expect) {
+    if (Full()) return;
+    if (!chain_seen.insert(cur).second) {
+      Add(AuditLayer::kFreeChain, "free chain cycles back").page = cur;
+      break;
     }
-    if (walked != expect) {
+    Claim(cur, "free-chain");
+    ++walked;
+    auto handle_r = pager->Fetch(cur);
+    if (!handle_r.ok()) {
       Add(AuditLayer::kFreeChain,
-          "free chain has " + std::to_string(walked) +
-              " page(s), allocator says " + std::to_string(expect));
+          "free page unreadable: " + handle_r.status().ToString())
+          .page = cur;
+      break;
     }
+    PageHandle handle = std::move(*handle_r);
+    if (handle.view().type() != PageType::kFree) {
+      Add(AuditLayer::kFreeChain,
+          "page on the free chain has type " +
+              std::to_string(static_cast<int>(handle.view().type())) +
+              ", expected kFree")
+          .page = cur;
+    }
+    cur = DecodeFixed32(handle.view().payload());
+  }
+  if (walked != expect) {
+    Add(AuditLayer::kFreeChain,
+        "free chain has " + std::to_string(walked) +
+            " page(s), allocator says " + std::to_string(expect));
   }
 
   // Sweep every allocated page: checksum + self-id (verified by the
@@ -1000,10 +998,8 @@ void StoreAuditor::AuditPageSweep() {
       // two are indistinguishable here, so both count as chain gaps
       // only when the chain walk above already flagged a length
       // mismatch. Report the page itself for precise coordinates.
-      if (file->has_free_chain()) {
-        Add(AuditLayer::kFreeChain, "free page not reachable from the chain")
-            .page = id;
-      }
+      Add(AuditLayer::kFreeChain, "free page not reachable from the chain")
+          .page = id;
     } else {
       Add(AuditLayer::kPage, "allocated page reachable from no structure")
           .page = id;

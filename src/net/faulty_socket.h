@@ -1,5 +1,5 @@
 // Deterministic fault injection for the socket seam — the network
-// sibling of storage/faulty_page_file.h.
+// sibling of storage/faulty_file.h.
 //
 // FaultySocket decorates any net::Socket and exposes a programmable
 // SocketFaultPlan: fail the Nth connect/read/write/close with a chosen
@@ -46,7 +46,8 @@ const char* SocketFaultOpName(SocketFaultOp op);
 
 /// A programmable schedule of injected socket failures, indexed by
 /// operation class. Mirrors storage's FaultPlan, but speaks errno: the
-/// seam sits below the Status layer, where the kernel would.
+/// seam sits below the Status layer, where the kernel would. Unlike
+/// storage's, it also has a seeded-random mode.
 struct SocketFaultPlan {
   struct Rule {
     uint64_t nth = 0;  ///< 1-based call index that fails; 0 = disabled.

@@ -1,9 +1,5 @@
 #include "storage/page_file.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 
 #include "common/logging.h"
@@ -29,151 +25,64 @@ uint32_t PageFile::MaxMetaSize(uint32_t page_size) {
   return page_size - kPageHeaderSize - kMetaBytesOff;
 }
 
-// ---------------------------------------------------------------------------
-// MemoryPageFile
-
-MemoryPageFile::MemoryPageFile(uint32_t page_size) : page_size_(page_size) {
-  pages_.emplace_back();  // slot 0: meta page placeholder, never accessed
-}
-
-Status MemoryPageFile::ReadPage(PageId id, uint8_t* buf) {
-  if (id == 0 || id >= pages_.size()) {
-    return Status::IOError("read past end of memory page file");
-  }
-  if (pages_[id].empty()) {
-    std::memset(buf, 0, page_size_);
-  } else {
-    std::memcpy(buf, pages_[id].data(), page_size_);
-  }
-  return Status::OK();
-}
-
-Status MemoryPageFile::WritePage(PageId id, const uint8_t* buf) {
-  if (id == 0 || id >= pages_.size()) {
-    return Status::IOError("write past end of memory page file");
-  }
-  pages_[id].assign(buf, buf + page_size_);
-  return Status::OK();
-}
-
-Result<PageId> MemoryPageFile::AllocatePage() {
-  if (!free_.empty()) {
-    PageId id = free_.back();
-    free_.pop_back();
-    return id;
-  }
-  pages_.emplace_back();
-  return static_cast<PageId>(pages_.size() - 1);
-}
-
-Status MemoryPageFile::FreePage(PageId id) {
-  if (id == 0 || id >= pages_.size()) {
-    return Status::InvalidArgument("free of invalid page id");
-  }
-  pages_[id].clear();
-  free_.push_back(id);
-  return Status::OK();
-}
-
-uint32_t MemoryPageFile::page_count() const {
-  return static_cast<uint32_t>(pages_.size());
-}
-
-Status MemoryPageFile::WriteMeta(Slice meta) {
-  if (meta.size() > MaxMetaSize(page_size_)) {
-    return Status::InvalidArgument("meta area overflow");
-  }
-  meta_.assign(meta.data(), meta.data() + meta.size());
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// PosixPageFile
-
-PosixPageFile::PosixPageFile(int fd, std::string path, uint32_t page_size,
-                             bool read_only)
-    : fd_(fd),
-      path_(std::move(path)),
-      page_size_(page_size),
-      read_only_(read_only) {}
-
-PosixPageFile::~PosixPageFile() {
-  if (fd_ >= 0) {
-    // Best effort: persist allocator state on close. A failure has no
-    // caller to return to, but it must not vanish — recovery rebuilds
-    // the allocator from the WAL, so log and move on.
-    if (!read_only_) {
-      Status st = PersistHeader();
-      if (!st.ok()) {
-        LAXML_LOG(kError) << "page file header persist on close ('" << path_
-                          << "'): " << st.ToString();
-      }
+PageFile::~PageFile() {
+  // Best effort: persist allocator state on close. A failure has no
+  // caller to return to, but it must not vanish — recovery rebuilds
+  // the allocator from the WAL, so log and move on.
+  if (!read_only_) {
+    Status st = PersistHeader();
+    if (!st.ok()) {
+      LAXML_LOG(kError) << "page file header persist on close ('"
+                        << file_->path() << "'): " << st.ToString();
     }
-    ::close(fd_);
   }
 }
 
-Result<std::unique_ptr<PosixPageFile>> PosixPageFile::Open(
-    const std::string& path, uint32_t page_size, bool read_only) {
+Result<std::unique_ptr<PageFile>> PageFile::Open(std::unique_ptr<File> file,
+                                                 uint32_t page_size,
+                                                 bool read_only) {
   if (page_size < kMinPageSize || (page_size & (page_size - 1)) != 0) {
     return Status::InvalidArgument("page size must be a power of two >= 512");
   }
-  // O_CLOEXEC: a forking/exec'ing host (laxml_server) must not leak
-  // store fds into child processes.
-  int fd = ::open(path.c_str(),
-                  (read_only ? O_RDONLY : (O_RDWR | O_CREAT)) | O_CLOEXEC,
-                  read_only ? 0 : 0644);
-  if (fd < 0) {
-    return Status::IOError("open '" + path + "': " + std::strerror(errno));
+  const bool empty = file->Size() == 0;
+  if (empty && read_only) {
+    return Status::InvalidArgument("read-only open of empty page file '" +
+                                   file->path() + "'");
   }
-  off_t len = ::lseek(fd, 0, SEEK_END);
-  auto file = std::unique_ptr<PosixPageFile>(
-      new PosixPageFile(fd, path, page_size, read_only));
-  if (len == 0) {
-    if (read_only) {
-      return Status::InvalidArgument("read-only open of empty page file '" +
-                                     path + "'");
-    }
-    Status st = file->InitNewFile();
-    if (!st.ok()) return st;
-  } else {
-    Status st = file->LoadHeader();
-    if (!st.ok()) return st;
+  auto pf = std::unique_ptr<PageFile>(
+      new PageFile(std::move(file), page_size, read_only));
+  Status st = empty ? pf->PersistHeader() : pf->LoadHeader();
+  if (!st.ok()) {
+    pf->read_only_ = true;  // never stamp a header over a file we refused
+    return st;
   }
-  return file;
+  return pf;
 }
 
-Status PosixPageFile::InitNewFile() {
-  page_count_ = 1;
-  free_head_ = kInvalidPageId;
-  free_count_ = 0;
-  meta_.clear();
-  return PersistHeader();
-}
-
-Status PosixPageFile::LoadHeader() {
+Status PageFile::LoadHeader() {
   // Read a provisional header with the default page size to learn the
   // real one, then re-read if it differs.
-  std::vector<uint8_t> buf(page_size_);
-  ssize_t n = ::pread(fd_, buf.data(), page_size_, 0);
-  if (n < static_cast<ssize_t>(kPageHeaderSize + kMetaBytesOff)) {
+  const uint64_t size = file_->Size();
+  if (size < kPageHeaderSize + kMetaBytesOff) {
     return Status::Corruption("page file header truncated");
   }
+  std::vector<uint8_t> buf(page_size_);
+  LAXML_RETURN_IF_ERROR(file_->ReadAt(0, buf.size(), buf.data()));
   const uint8_t* p = buf.data() + kPageHeaderSize;
   if (DecodeFixed32(p + kMagicOff) != kFileMagic) {
-    return Status::Corruption("bad magic in '" + path_ + "'");
+    return Status::Corruption("bad magic in '" + file_->path() + "'");
   }
   if (DecodeFixed32(p + kVersionOff) != kFileVersion) {
     return Status::Corruption("unsupported page file version");
   }
   uint32_t stored_page_size = DecodeFixed32(p + kPageSizeOff);
   if (stored_page_size != page_size_) {
-    page_size_ = stored_page_size;
-    buf.assign(page_size_, 0);
-    n = ::pread(fd_, buf.data(), page_size_, 0);
-    if (n < static_cast<ssize_t>(page_size_)) {
+    if (size < stored_page_size) {
       return Status::Corruption("page file header truncated");
     }
+    page_size_ = stored_page_size;
+    buf.assign(page_size_, 0);
+    LAXML_RETURN_IF_ERROR(file_->ReadAt(0, buf.size(), buf.data()));
     p = buf.data() + kPageHeaderSize;
   }
   PageView view(buf.data(), page_size_);
@@ -191,7 +100,7 @@ Status PosixPageFile::LoadHeader() {
   return Status::OK();
 }
 
-Status PosixPageFile::PersistHeader() {
+Status PageFile::PersistHeader() {
   std::vector<uint8_t> buf(page_size_, 0);
   PageView view(buf.data(), page_size_);
   view.Format(0, PageType::kMeta);
@@ -207,46 +116,32 @@ Status PosixPageFile::PersistHeader() {
     std::memcpy(p + kMetaBytesOff, meta_.data(), meta_.size());
   }
   view.SealChecksum();
-  ssize_t n = ::pwrite(fd_, buf.data(), page_size_, 0);
-  if (n != static_cast<ssize_t>(page_size_)) {
-    return Status::IOError("meta page write failed");
-  }
+  return file_->WriteAt(0, Slice(buf));
+}
+
+Status PageFile::CheckWritable() const {
+  if (read_only_) return Status::NotSupported("page file opened read-only");
   return Status::OK();
 }
 
-Status PosixPageFile::ReadPage(PageId id, uint8_t* buf) {
+Status PageFile::ReadPage(PageId id, uint8_t* buf) {
   if (id == 0 || id >= page_count_) {
     return Status::IOError("read of out-of-range page");
   }
-  off_t off = static_cast<off_t>(id) * page_size_;
-  ssize_t n = ::pread(fd_, buf, page_size_, off);
-  if (n < 0) {
-    return Status::IOError(std::string("pread: ") + std::strerror(errno));
-  }
-  // Reading a page that was allocated (count bumped) but never written
-  // returns short/zero data; surface it as a zero page.
-  if (n < static_cast<ssize_t>(page_size_)) {
-    std::memset(buf + n, 0, page_size_ - n);
-  }
-  return Status::OK();
+  return file_->ReadAt(static_cast<uint64_t>(id) * page_size_, page_size_,
+                       buf);
 }
 
-Status PosixPageFile::WritePage(PageId id, const uint8_t* buf) {
-  if (read_only_) {
-    return Status::NotSupported("page file opened read-only");
-  }
+Status PageFile::WritePage(PageId id, const uint8_t* buf) {
+  LAXML_RETURN_IF_ERROR(CheckWritable());
   if (id == 0 || id >= page_count_) {
     return Status::IOError("write of out-of-range page");
   }
-  off_t off = static_cast<off_t>(id) * page_size_;
-  ssize_t n = ::pwrite(fd_, buf, page_size_, off);
-  if (n != static_cast<ssize_t>(page_size_)) {
-    return Status::IOError(std::string("pwrite: ") + std::strerror(errno));
-  }
-  return Status::OK();
+  return file_->WriteAt(static_cast<uint64_t>(id) * page_size_,
+                        Slice(buf, page_size_));
 }
 
-Result<PageId> PosixPageFile::AllocatePage() {
+Result<PageId> PageFile::AllocatePage() {
   if (free_head_ != kInvalidPageId) {
     PageId id = free_head_;
     // The next pointer lives in the first 4 payload bytes of the free
@@ -263,10 +158,8 @@ Result<PageId> PosixPageFile::AllocatePage() {
   return page_count_++;
 }
 
-Status PosixPageFile::FreePage(PageId id) {
-  if (read_only_) {
-    return Status::NotSupported("page file opened read-only");
-  }
+Status PageFile::FreePage(PageId id) {
+  LAXML_RETURN_IF_ERROR(CheckWritable());
   if (id == 0 || id >= page_count_) {
     return Status::InvalidArgument("free of invalid page id");
   }
@@ -281,28 +174,8 @@ Status PosixPageFile::FreePage(PageId id) {
   return Status::OK();
 }
 
-Status PosixPageFile::InstallAllocatorState(uint32_t page_count,
-                                            PageId free_head,
-                                            uint32_t free_count) {
-  if (read_only_) {
-    return Status::NotSupported("page file opened read-only");
-  }
-  if (page_count == 0 || (free_head != kInvalidPageId &&
-                          free_head >= page_count)) {
-    return Status::InvalidArgument("allocator state out of bounds");
-  }
-  page_count_ = page_count;
-  free_head_ = free_head;
-  free_count_ = free_count;
-  return Status::OK();
-}
-
-Result<std::vector<uint8_t>> PosixPageFile::ReadMeta() { return meta_; }
-
-Status PosixPageFile::WriteMeta(Slice meta) {
-  if (read_only_) {
-    return Status::NotSupported("page file opened read-only");
-  }
+Status PageFile::WriteMeta(Slice meta) {
+  LAXML_RETURN_IF_ERROR(CheckWritable());
   if (meta.size() > MaxMetaSize(page_size_)) {
     return Status::InvalidArgument("meta area overflow");
   }
@@ -310,15 +183,10 @@ Status PosixPageFile::WriteMeta(Slice meta) {
   return PersistHeader();
 }
 
-Status PosixPageFile::Sync() {
-  if (read_only_) {
-    return Status::NotSupported("page file opened read-only");
-  }
+Status PageFile::Sync() {
+  LAXML_RETURN_IF_ERROR(CheckWritable());
   LAXML_RETURN_IF_ERROR(PersistHeader());
-  if (::fsync(fd_) != 0) {
-    return Status::IOError(std::string("fsync: ") + std::strerror(errno));
-  }
-  return Status::OK();
+  return file_->Sync();
 }
 
 }  // namespace laxml

@@ -1,11 +1,9 @@
-// Page files: the lowest layer of the substrate. A PageFile is an array
+// Page files: the page layer of the substrate. A PageFile is an array
 // of fixed-size pages with an allocator (free chain) and a small client
-// metadata area, both persisted in page 0 (the meta page).
-//
-// Two implementations:
-//   * MemoryPageFile — a vector of pages; used by tests and by benches
-//     that want to isolate CPU cost from the filesystem.
-//   * PosixPageFile  — a real file accessed with pread/pwrite.
+// metadata area, both persisted in page 0 (the meta page). It stores
+// its bytes in a File (file.h): a PosixFile on disk, a MemFile for
+// in-memory stores, or a FaultyFile under test — the same format and
+// free chain either way.
 //
 // Page 0 layout (after the common page header):
 //   magic u32 | version u32 | page_size u32 | page_count u32 |
@@ -23,142 +21,76 @@
 #include <vector>
 
 #include "common/status.h"
+#include "storage/file.h"
 #include "storage/page.h"
 
 namespace laxml {
 
-/// Abstract page array + allocator + meta area.
+/// Page array + allocator + meta area over a File.
 class PageFile {
  public:
-  virtual ~PageFile() = default;
+  /// Opens the page file held in `file`. An empty file is initialized
+  /// with `page_size`; for an existing one the stored page size wins and
+  /// `page_size` is ignored.
+  ///
+  /// With `read_only` the file must not be empty: WritePage / FreePage /
+  /// WriteMeta / Sync fail with NotSupported and the header is not
+  /// rewritten on close. AllocatePage still works — it only moves
+  /// in-memory allocator state, which lets WAL replay build post-crash
+  /// pages in the buffer pool without touching the disk image
+  /// (laxml_fsck).
+  static Result<std::unique_ptr<PageFile>> Open(
+      std::unique_ptr<File> file, uint32_t page_size = kDefaultPageSize,
+      bool read_only = false);
+  ~PageFile();
 
-  /// Reads page `id` into `buf` (page_size bytes).
-  virtual Status ReadPage(PageId id, uint8_t* buf) = 0;
+  /// Reads page `id` into `buf` (page_size bytes). A page allocated but
+  /// never written reads as zeros.
+  Status ReadPage(PageId id, uint8_t* buf);
 
   /// Writes page `id` from `buf` (page_size bytes).
-  virtual Status WritePage(PageId id, const uint8_t* buf) = 0;
+  Status WritePage(PageId id, const uint8_t* buf);
 
-  /// Allocates a page (reusing the free chain when possible). The new
-  /// page's on-disk content is unspecified; callers must format it.
-  virtual Result<PageId> AllocatePage() = 0;
+  /// Allocates a page, popping the free chain when it is not empty. The
+  /// new page's content is unspecified; callers must format it.
+  Result<PageId> AllocatePage();
 
-  /// Returns a page to the free chain. The page must not be in use.
-  virtual Status FreePage(PageId id) = 0;
+  /// Pushes a page onto the free chain. The page must not be in use.
+  Status FreePage(PageId id);
 
-  /// Number of pages in the file, including the meta page and freed
-  /// pages.
-  virtual uint32_t page_count() const = 0;
-
-  /// Number of pages currently on the free chain.
-  virtual uint32_t free_page_count() const = 0;
-
-  virtual uint32_t page_size() const = 0;
+  /// Number of pages, including the meta page and freed pages.
+  uint32_t page_count() const { return page_count_; }
+  /// Number of pages on the free chain, and its head.
+  uint32_t free_page_count() const { return free_count_; }
+  PageId free_head() const { return free_head_; }
+  uint32_t page_size() const { return page_size_; }
+  bool read_only() const { return read_only_; }
+  File* file() { return file_.get(); }
 
   /// Reads the client metadata area (engine bootstrap state: tree roots,
   /// id counters, range chain endpoints).
-  virtual Result<std::vector<uint8_t>> ReadMeta() = 0;
+  Result<std::vector<uint8_t>> ReadMeta() { return meta_; }
 
   /// Replaces the client metadata area. Limited to roughly half a page.
-  virtual Status WriteMeta(Slice meta) = 0;
+  Status WriteMeta(Slice meta);
 
-  /// Flushes everything to durable storage.
-  virtual Status Sync() = 0;
-
-  /// Free-chain introspection for the integrity auditor: whether freed
-  /// pages form an on-disk chain (first 4 payload bytes = next free
-  /// page), and its head. MemoryPageFile keeps its free list in memory
-  /// only, so the defaults say "no chain".
-  virtual bool has_free_chain() const { return false; }
-  virtual PageId free_head() const { return kInvalidPageId; }
-
-  /// Installs raw allocator state (page count + free-chain head/length)
-  /// without touching page content. The fault-injection overlay
-  /// (faulty_page_file.h) buffers allocations and frees alongside page
-  /// writes and uses this to flush its shadow allocator into the base
-  /// file at a simulated checkpoint; nothing else should call it. The
-  /// state becomes durable with the next Sync. Default: NotSupported.
-  virtual Status InstallAllocatorState(uint32_t /*page_count*/,
-                                       PageId /*free_head*/,
-                                       uint32_t /*free_count*/) {
-    return Status::NotSupported("allocator state is not installable");
-  }
+  /// Writes the header and makes every page durable.
+  Status Sync();
 
   /// Maximum client metadata size for a given page size.
   static uint32_t MaxMetaSize(uint32_t page_size);
-};
-
-/// In-memory page file.
-class MemoryPageFile : public PageFile {
- public:
-  explicit MemoryPageFile(uint32_t page_size = kDefaultPageSize);
-
-  Status ReadPage(PageId id, uint8_t* buf) override;
-  Status WritePage(PageId id, const uint8_t* buf) override;
-  Result<PageId> AllocatePage() override;
-  Status FreePage(PageId id) override;
-  uint32_t page_count() const override;
-  uint32_t free_page_count() const override {
-    return static_cast<uint32_t>(free_.size());
-  }
-  uint32_t page_size() const override { return page_size_; }
-  Result<std::vector<uint8_t>> ReadMeta() override { return meta_; }
-  Status WriteMeta(Slice meta) override;
-  Status Sync() override { return Status::OK(); }
 
  private:
-  uint32_t page_size_;
-  std::vector<std::vector<uint8_t>> pages_;  // index 0 unused (meta)
-  std::vector<PageId> free_;
-  std::vector<uint8_t> meta_;
-};
-
-/// File-backed page file using POSIX pread/pwrite.
-class PosixPageFile : public PageFile {
- public:
-  ~PosixPageFile() override;
-
-  /// Opens (or creates) a page file at `path`. When creating,
-  /// `page_size` is used; when opening an existing file the stored page
-  /// size wins and `page_size` is ignored.
-  ///
-  /// With `read_only` the file must already exist and is opened
-  /// O_RDONLY: WritePage / FreePage / WriteMeta / Sync fail with
-  /// NotSupported and the header is not rewritten on close.
-  /// AllocatePage still works — it only moves in-memory allocator state,
-  /// which lets WAL replay build post-crash pages in the buffer pool
-  /// without touching the disk image (laxml_fsck).
-  static Result<std::unique_ptr<PosixPageFile>> Open(
-      const std::string& path, uint32_t page_size = kDefaultPageSize,
-      bool read_only = false);
-
-  Status ReadPage(PageId id, uint8_t* buf) override;
-  Status WritePage(PageId id, const uint8_t* buf) override;
-  Result<PageId> AllocatePage() override;
-  Status FreePage(PageId id) override;
-  uint32_t page_count() const override { return page_count_; }
-  uint32_t free_page_count() const override { return free_count_; }
-  uint32_t page_size() const override { return page_size_; }
-  Result<std::vector<uint8_t>> ReadMeta() override;
-  Status WriteMeta(Slice meta) override;
-  Status Sync() override;
-  bool has_free_chain() const override { return true; }
-  PageId free_head() const override { return free_head_; }
-  Status InstallAllocatorState(uint32_t page_count, PageId free_head,
-                               uint32_t free_count) override;
-  bool read_only() const { return read_only_; }
-
- private:
-  PosixPageFile(int fd, std::string path, uint32_t page_size,
-                bool read_only);
+  PageFile(std::unique_ptr<File> file, uint32_t page_size, bool read_only)
+      : file_(std::move(file)), page_size_(page_size), read_only_(read_only) {}
 
   Status LoadHeader();
-  Status InitNewFile();
   Status PersistHeader();
+  Status CheckWritable() const;
 
-  int fd_;
-  std::string path_;
+  std::unique_ptr<File> file_;
   uint32_t page_size_;
-  bool read_only_ = false;
+  bool read_only_;
   uint32_t page_count_ = 1;  // meta page
   PageId free_head_ = kInvalidPageId;
   uint32_t free_count_ = 0;

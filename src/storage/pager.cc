@@ -7,35 +7,36 @@ Pager::Pager(std::unique_ptr<PageFile> file, size_t frames)
   pool_ = std::make_unique<BufferPool>(file_.get(), frames);
 }
 
-Result<std::unique_ptr<Pager>> Pager::OpenFile(const std::string& path,
-                                               const PagerOptions& options) {
+Status Pager::CheckPageSize(const PagerOptions& options) {
   if (options.page_size > 32768) {
     return Status::InvalidArgument(
         "page size above 32768 not supported (16-bit slot offsets)");
   }
+  return Status::OK();
+}
+
+Result<std::unique_ptr<Pager>> Pager::Open(std::unique_ptr<File> file,
+                                           const PagerOptions& options) {
   LAXML_ASSIGN_OR_RETURN(
-      auto file,
-      PosixPageFile::Open(path, options.page_size, options.read_only));
-  std::unique_ptr<PageFile> page_file = std::move(file);
-  if (options.file_wrapper) {
-    page_file = options.file_wrapper(std::move(page_file));
-    if (page_file == nullptr) {
-      return Status::IOError("page file wrapper rejected '" + path + "'");
-    }
-  }
+      auto page_file,
+      PageFile::Open(std::move(file), options.page_size, options.read_only));
   return std::unique_ptr<Pager>(
       new Pager(std::move(page_file), options.pool_frames));
 }
 
+Result<std::unique_ptr<Pager>> Pager::OpenFile(const std::string& path,
+                                               const PagerOptions& options,
+                                               const FileWrapper& wrapper) {
+  LAXML_RETURN_IF_ERROR(CheckPageSize(options));
+  LAXML_ASSIGN_OR_RETURN(auto file,
+                         OpenWrapped(path, options.read_only, wrapper));
+  return Open(std::move(file), options);
+}
+
 Result<std::unique_ptr<Pager>> Pager::OpenInMemory(
     const PagerOptions& options) {
-  if (options.page_size > 32768 || options.page_size < kMinPageSize ||
-      (options.page_size & (options.page_size - 1)) != 0) {
-    return Status::InvalidArgument("bad page size");
-  }
-  auto file = std::make_unique<MemoryPageFile>(options.page_size);
-  return std::unique_ptr<Pager>(
-      new Pager(std::move(file), options.pool_frames));
+  LAXML_RETURN_IF_ERROR(CheckPageSize(options));
+  return Open(std::make_unique<MemFile>(), options);
 }
 
 Status Pager::FreePage(PageId id) {

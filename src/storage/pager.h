@@ -1,12 +1,12 @@
 // Pager: the facade the rest of the engine talks to. Bundles a PageFile
-// (disk or memory) with a BufferPool and the client metadata area, and
-// keeps the two consistent (e.g. a page is evicted from the pool before
-// it is returned to the file's free chain).
+// with a BufferPool and the client metadata area, and keeps the two
+// consistent (e.g. a page is evicted from the pool before it is returned
+// to the file's free chain). The PageFile's bytes live in a File
+// (storage/file.h): on disk, in memory, or behind a FaultyFile.
 
 #ifndef LAXML_STORAGE_PAGER_H_
 #define LAXML_STORAGE_PAGER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -26,22 +26,18 @@ struct PagerOptions {
   /// must exist, nothing is ever written back, and mutations surface as
   /// NotSupported. Used by laxml_fsck for offline inspection.
   bool read_only = false;
-  /// Injection seam: when set, the freshly opened PageFile is passed
-  /// through this wrapper before the buffer pool is built on it. The
-  /// fault-injection tests and laxml_torture slide a FaultyPageFile in
-  /// here; returning nullptr fails the open.
-  std::function<std::unique_ptr<PageFile>(std::unique_ptr<PageFile>)>
-      file_wrapper;
 };
 
 /// Owning facade over PageFile + BufferPool.
 class Pager {
  public:
-  /// Opens (or creates) a file-backed pager.
-  static Result<std::unique_ptr<Pager>> OpenFile(const std::string& path,
-                                                 const PagerOptions& options);
+  /// Opens (or creates) a file-backed pager. A set `wrapper` is passed
+  /// the file before anything reads it (StoreOptions::file_wrapper).
+  static Result<std::unique_ptr<Pager>> OpenFile(
+      const std::string& path, const PagerOptions& options,
+      const FileWrapper& wrapper = nullptr);
 
-  /// Creates a fresh in-memory pager (tests, benches).
+  /// Creates a fresh in-memory pager (tests, benches) over a MemFile.
   static Result<std::unique_ptr<Pager>> OpenInMemory(
       const PagerOptions& options);
 
@@ -81,6 +77,12 @@ class Pager {
 
  private:
   Pager(std::unique_ptr<PageFile> file, size_t frames);
+
+  /// Rejects pages above 32 KiB before any file is opened; PageFile
+  /// checks the rest.
+  static Status CheckPageSize(const PagerOptions& options);
+  static Result<std::unique_ptr<Pager>> Open(std::unique_ptr<File> file,
+                                             const PagerOptions& options);
 
   std::unique_ptr<PageFile> file_;
   std::unique_ptr<BufferPool> pool_;

@@ -110,7 +110,8 @@ void Store::TestOnlyCrash() {
 Result<std::unique_ptr<Store>> Store::Open(const std::string& path,
                                            const StoreOptions& options) {
   LAXML_RETURN_IF_ERROR(CheckWalOptions(options));
-  LAXML_ASSIGN_OR_RETURN(auto pager, Pager::OpenFile(path, options.pager));
+  LAXML_ASSIGN_OR_RETURN(
+      auto pager, Pager::OpenFile(path, options.pager, options.file_wrapper));
   LAXML_ASSIGN_OR_RETURN(auto meta, pager->ReadMeta());
   bool fresh = meta.empty();
   if (fresh && options.pager.read_only) {
@@ -129,19 +130,10 @@ Result<std::unique_ptr<Store>> Store::Open(const std::string& path,
       have_wal = ::stat(wal_path.c_str(), &sb) == 0;
     }
     if (have_wal) {
-      if (options.wal_file_wrapper) {
-        LAXML_ASSIGN_OR_RETURN(std::unique_ptr<PosixWalFile> raw,
-                               PosixWalFile::Open(wal_path));
-        std::unique_ptr<WalFile> wrapped =
-            options.wal_file_wrapper(std::unique_ptr<WalFile>(std::move(raw)));
-        if (wrapped == nullptr) {
-          return Status::IOError("wal file wrapper rejected '" + wal_path +
-                                 "'");
-        }
-        LAXML_ASSIGN_OR_RETURN(store->wal_, Wal::Open(std::move(wrapped)));
-      } else {
-        LAXML_ASSIGN_OR_RETURN(store->wal_, Wal::Open(wal_path));
-      }
+      LAXML_ASSIGN_OR_RETURN(
+          auto file, OpenWrapped(wal_path, options.pager.read_only,
+                                 options.file_wrapper));
+      LAXML_ASSIGN_OR_RETURN(store->wal_, Wal::Open(std::move(file)));
       // The logical WAL can only replay against an unmodified checkpoint
       // image: dirty frames must not be stolen and freed pages must not
       // be clobbered until the next checkpoint.
@@ -149,7 +141,14 @@ Result<std::unique_ptr<Store>> Store::Open(const std::string& path,
       store->pager_->set_defer_frees(true);
     }
   }
-  LAXML_RETURN_IF_ERROR(store->Bootstrap(fresh));
+  Status booted = store->Bootstrap(fresh);
+  if (!booted.ok()) {
+    // A store that did not finish recovering must not checkpoint on
+    // close: its image lacks the log's acked work, and the checkpoint's
+    // log reset would erase that work.
+    store->Poison(booted);
+    return booted;
+  }
   return store;
 }
 

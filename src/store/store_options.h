@@ -8,11 +8,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 
+#include "storage/file.h"
 #include "storage/pager.h"
-#include "wal/wal_file.h"
 
 namespace laxml {
 
@@ -81,12 +79,12 @@ struct StoreOptions {
   /// with InvalidArgument rather than run without the asked-for log.
   WalSyncMode wal_sync = WalSyncMode::kNone;
 
-  /// Injection seam: when set (and enable_wal), the freshly opened WAL
-  /// byte file is passed through this wrapper before the Wal record
-  /// layer is built on it — FaultyWalFile goes in here. Returning
+  /// Injection seam (file-backed stores): Open passes each File it opens
+  /// through this wrapper before anything reads it — the page file,
+  /// then the WAL. The fault-injection tests and laxml_torture slide a
+  /// FaultyFile (storage/faulty_file.h) under both here. Returning
   /// nullptr fails the open.
-  std::function<std::unique_ptr<WalFile>(std::unique_ptr<WalFile>)>
-      wal_file_wrapper;
+  FileWrapper file_wrapper;
 
   /// When > 0, the store re-runs the full cross-layer integrity auditor
   /// (Store::CheckIntegrity) after every this-many mutating operations

@@ -12,10 +12,9 @@
 #include "common/status.h"
 #include "query/xpath_ast.h"
 #include "query/xpath_stream.h"
-#include "storage/faulty_page_file.h"
+#include "storage/faulty_file.h"
 #include "store/store.h"
 #include "torture/torture_internal.h"
-#include "wal/wal_file.h"
 #include "xml/token_codec.h"
 #include "xml/tokenizer.h"
 
@@ -55,39 +54,59 @@ TortureOp GenOp(Random& rng, Store& oracle) {
 }
 
 // Arms at most one fault on the injectors, drawn from the seeded
-// schedule. Roughly a third of iterations crash without any injected
-// fault at all — pure power loss at a random point.
-void ArmFaults(Random& rng, uint32_t ops, FaultyPageFile* fpf,
-               FaultyWalFile* fwf) {
-  const Status io = Status::IOError("injected fault");
+// schedule and counted from the calls each file has seen since the open.
+// Roughly a third of iterations crash without any injected fault at
+// all — pure power loss at a random point. Returns the fault as the
+// failure line names it.
+std::string ArmFaults(Random& rng, uint32_t ops, FaultyFile* pages,
+                      FaultyFile* wal) {
+  FaultyFile* file = pages;
+  FaultOp op = FaultOp::kWrite;
+  uint64_t nth = 0;
+  Status error = Status::IOError("injected fault");
   switch (rng.Uniform(10)) {
     case 0:
     case 1:
     case 2:
-      break;  // crash-only
+      return "none";  // crash-only
     case 3:
-      fpf->FailNth(FaultOp::kWrite, rng.Range(1, ops * 4), io);
+      nth = rng.Range(1, ops * 4);
       break;
     case 4:
-      fpf->FailNth(FaultOp::kSync, rng.Range(1, 3), io);
+      op = FaultOp::kSync;
+      nth = rng.Range(1, 3);
       break;
     case 5:
-      fpf->FailNth(FaultOp::kAlloc, rng.Range(1, ops * 2),
-                   Status::NoSpace("injected ENOSPC"));
+      // A full disk: ENOSPC is a write's status. Under the WAL's
+      // no-steal pool, page writes happen only inside checkpoints.
+      nth = rng.Range(1, ops * 2);
+      error = Status::NoSpace("injected ENOSPC");
       break;
     case 6:
-      fpf->FailNth(FaultOp::kMeta, rng.Range(1, 3), io);
+      // A checkpoint's first page write is its meta page.
+      nth = rng.Range(1, 3);
       break;
     case 7:
-      fwf->FailNth(FaultOp::kWrite, rng.Range(1, ops + 4), io);
+      file = wal;
+      nth = rng.Range(1, ops + 4);
       break;
     case 8:
-      fwf->FailNth(FaultOp::kSync, rng.Range(1, ops + 4), io);
+      file = wal;
+      op = FaultOp::kSync;
+      nth = rng.Range(1, ops + 4);
       break;
     default:
-      fwf->FailNth(FaultOp::kTruncate, rng.Range(1, 3), io);
+      // After the open, the log is read only by a checkpoint reset's
+      // zero check: this fails the Nth reset before it writes.
+      file = wal;
+      op = FaultOp::kRead;
+      nth = rng.Range(1, 3);
       break;
   }
+  file->FailNth(op, file->op_count(op) + nth, std::move(error));
+  return std::string(file == wal ? "wal" : "page file") + " " +
+         FaultOpName(op) + " #" + std::to_string(nth) +
+         " after the open (once)";
 }
 
 StoreOptions MakeStoreOptions(const TortureOptions& opts) {
@@ -107,28 +126,22 @@ struct IterationResult {
   bool ok() const { return error.empty(); }
 };
 
+// The armed fault and the crash cut, for the failure line.
+struct Schedule {
+  std::string fault = "not armed";
+  std::string cut = "not reached";
+};
+
 IterationResult RunIteration(const TortureOptions& opts,
                              const std::string& path, uint64_t seed,
-                             Store& oracle, TortureReport* report) {
+                             Store& oracle, TortureReport* report,
+                             Schedule* schedule) {
   Random rng(seed);
 
-  FaultyPageFile* fpf = nullptr;
-  FaultyWalFile* fwf = nullptr;
+  FaultyFile* pages = nullptr;
+  FaultyFile* wal = nullptr;
   StoreOptions so = MakeStoreOptions(opts);
-  so.pager.file_wrapper =
-      [&fpf](std::unique_ptr<PageFile> base) -> std::unique_ptr<PageFile> {
-    auto faulty = std::make_unique<FaultyPageFile>(std::move(base),
-                                                   /*buffer_unsynced=*/true);
-    fpf = faulty.get();
-    return faulty;
-  };
-  so.wal_file_wrapper =
-      [&fwf](std::unique_ptr<WalFile> base) -> std::unique_ptr<WalFile> {
-    auto wrapped = FaultyWalFile::Wrap(std::move(base));
-    if (!wrapped.ok()) return nullptr;
-    fwf = wrapped->get();
-    return std::move(*wrapped);
-  };
+  so.file_wrapper = WrapInFaultyFiles(&pages, &wal);
 
   auto opened = Store::Open(path, so);
   if (!opened.ok()) {
@@ -136,7 +149,7 @@ IterationResult RunIteration(const TortureOptions& opts,
             opened.status().ToString()};
   }
   std::unique_ptr<Store> store = std::move(*opened);
-  ArmFaults(rng, opts.ops_per_iteration, fpf, fwf);
+  schedule->fault = ArmFaults(rng, opts.ops_per_iteration, pages, wal);
 
   // ---- Workload: mirror every acked mutation into the oracle. -------
   std::optional<TortureOp> pending;  // env-failed op; may have hit the WAL
@@ -199,18 +212,11 @@ IterationResult RunIteration(const TortureOptions& opts,
     }
   }
   if (store->poisoned()) ++report->poisonings;
-  report->faults_fired += fpf->injected_faults() + fwf->injected_faults();
+  report->faults_fired += pages->injected_faults() + wal->injected_faults();
 
   // ---- Crash: drop everything unsynced. -----------------------------
   store->TestOnlyCrash();
-  uint64_t torn = 0;
-  const uint64_t unsynced = fwf->unsynced_bytes();
-  if (unsynced > 0 && rng.Bernoulli(0.5)) {
-    torn = rng.Range(1, unsynced);
-    ++report->torn_tail_crashes;
-  }
-  fwf->Crash(torn);
-  fpf->Crash();
+  schedule->cut = CrashFiles(rng, pages, wal, &report->torn_tail_crashes);
   store.reset();
 
   // Recovery runs with a larger pool than the torture workload: under
@@ -426,8 +432,9 @@ TortureReport RunTorture(const TortureOptions& options) {
 
   for (uint32_t i = 0; i < options.iterations; ++i) {
     const uint64_t seed = MixSeed(options.seed, i);
+    Schedule schedule;
     IterationResult result =
-        RunIteration(options, path, seed, **oracle, &report);
+        RunIteration(options, path, seed, **oracle, &report, &schedule);
     ++report.iterations_run;
     if (options.verbose) {
       std::fprintf(stderr,
@@ -441,6 +448,8 @@ TortureReport RunTorture(const TortureOptions& options) {
       report.error = result.error;
       report.failed_iteration = i;
       report.failed_seed = seed;
+      report.failed_schedule =
+          "armed fault: " + schedule.fault + "; crash cut: " + schedule.cut;
       return report;
     }
   }

@@ -1,10 +1,10 @@
 // Crash-recovery torture harness (closed loop).
 //
-// Each iteration opens a file-backed store whose PageFile and WalFile
-// are the fault injectors (storage/faulty_page_file.h, wal/wal_file.h),
-// runs a seeded random Table-1 workload mirrored into an in-memory
-// oracle store, arms one injected fault from a seeded schedule, then
-// "crashes" — the injectors discard everything unsynced, exactly the
+// Each iteration opens a file-backed store whose page file and log sit
+// on FaultyFiles (storage/faulty_file.h), runs a seeded random Table-1
+// workload mirrored into an in-memory oracle store, arms one injected
+// fault from a seeded schedule, then "crashes" — the injectors drop the
+// unsynced bytes (the log may keep a seeded prefix: a torn tail), the
 // bytes a real power loss would leave. The harness then checks, in
 // order:
 //
@@ -16,8 +16,9 @@
 //      logged-but-unacked work may legitimately survive; acked work
 //      must).
 //
-// Failures print the iteration's reproducer seed: re-running with
-// --seed <that value> --iters 1 replays the exact schedule.
+// Failures print the iteration's seed, its armed fault and its crash
+// cut (both pure functions of that seed), and the flags that replay the
+// run up to it.
 //
 // The store file persists across iterations (each round tortures the
 // state the previous round recovered), so later iterations run against
@@ -70,6 +71,9 @@ struct TortureReport {
   std::string error;
   uint64_t failed_iteration = 0;
   uint64_t failed_seed = 0;
+  /// The failed iteration's armed fault (file, op class, N, sticky) and
+  /// crash cut (bytes kept of how many unsynced, per file).
+  std::string failed_schedule;
 
   bool ok() const { return error.empty(); }
 };

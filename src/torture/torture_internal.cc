@@ -85,5 +85,22 @@ std::string DescribeDivergence(const TokenSequence& got_tokens,
          window(got) + "...\" oracle \"..." + window(want) + "...\"";
 }
 
+std::string CrashFiles(Random& rng, FaultyFile* pages, FaultyFile* wal,
+                       uint64_t* torn_tails) {
+  uint64_t keep = 0;
+  const uint64_t unsynced = wal->unsynced_bytes();
+  if (unsynced > 0 && rng.Bernoulli(0.5)) {
+    keep = rng.Range(1, unsynced);
+    ++*torn_tails;
+  }
+  const std::string cut = "wal keeps " + std::to_string(keep) + " of " +
+                          std::to_string(unsynced) +
+                          " unsynced bytes, page file keeps 0 of " +
+                          std::to_string(pages->unsynced_bytes());
+  wal->Crash(keep);
+  pages->Crash(0);
+  return cut;
+}
+
 }  // namespace torture
 }  // namespace laxml

@@ -11,6 +11,7 @@
 
 #include "common/random.h"
 #include "common/status.h"
+#include "storage/faulty_file.h"
 #include "store/store.h"
 
 namespace laxml {
@@ -45,6 +46,15 @@ Result<NodeId> ApplyOp(Store& store, const TortureOp& op);
 NodeId PickTarget(Random& rng, Store& oracle);
 
 std::string RandomFragment(Random& rng);
+
+/// Power loss under both injectors. The log keeps a seeded prefix of
+/// its unsynced bytes half the time (a torn tail; `*torn_tails` counts
+/// them); the page file keeps none, because a cut through a
+/// checkpoint's page writes builds an image recovery cannot repair yet
+/// (ROADMAP: crash-safe store checkpoints). Returns the cut as a
+/// failure line names it.
+std::string CrashFiles(Random& rng, FaultyFile* pages, FaultyFile* wal,
+                       uint64_t* torn_tails);
 
 /// Renders a token stream for a failure message. XML when the instance
 /// is expressible as text; otherwise the encoded-token bytes in hex.

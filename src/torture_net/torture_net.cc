@@ -17,10 +17,9 @@
 #include "net/client.h"
 #include "net/faulty_socket.h"
 #include "server/server.h"
-#include "storage/faulty_page_file.h"
+#include "storage/faulty_file.h"
 #include "store/store.h"
 #include "torture/torture_internal.h"
-#include "wal/wal_file.h"
 #include "xml/token_codec.h"
 #include "xml/tokenizer.h"
 
@@ -567,8 +566,8 @@ struct NetIterationResult {
 
 struct ServerHandle {
   std::unique_ptr<Server> server;
-  FaultyPageFile* fpf = nullptr;
-  FaultyWalFile* fwf = nullptr;
+  FaultyFile* pages = nullptr;
+  FaultyFile* wal = nullptr;
 };
 
 // Opens the store file under fresh injectors and starts a server on an
@@ -577,34 +576,18 @@ Status OpenAndServe(const NetTortureOptions& opts, const std::string& path,
                     size_t frames, const ServerOptions& sopts,
                     ServerHandle* out) {
   StoreOptions so = NetStoreOptions(opts, frames);
-  FaultyPageFile* fpf = nullptr;
-  FaultyWalFile* fwf = nullptr;
-  so.pager.file_wrapper =
-      [&fpf](std::unique_ptr<PageFile> base) -> std::unique_ptr<PageFile> {
-    auto faulty = std::make_unique<FaultyPageFile>(std::move(base),
-                                                   /*buffer_unsynced=*/true);
-    fpf = faulty.get();
-    return faulty;
-  };
-  so.wal_file_wrapper =
-      [&fwf](std::unique_ptr<WalFile> base) -> std::unique_ptr<WalFile> {
-    auto wrapped = FaultyWalFile::Wrap(std::move(base));
-    if (!wrapped.ok()) return nullptr;
-    fwf = wrapped->get();
-    return std::move(*wrapped);
-  };
+  so.file_wrapper = WrapInFaultyFiles(&out->pages, &out->wal);
   LAXML_ASSIGN_OR_RETURN(auto store, Store::Open(path, so));
   LAXML_ASSIGN_OR_RETURN(out->server,
                          Server::Start(std::move(store), sopts));
-  out->fpf = fpf;
-  out->fwf = fwf;
   return Status::OK();
 }
 
 NetIterationResult RunNetIteration(const NetTortureOptions& opts,
                                    const std::string& path, uint64_t seed,
                                    uint64_t iteration,
-                                   NetTortureReport* report) {
+                                   NetTortureReport* report,
+                                   std::string* cut) {
   Random crng(seed);
   std::atomic<uint16_t> port{0};
   std::atomic<bool> abort{false};
@@ -660,13 +643,8 @@ NetIterationResult RunNetIteration(const NetTortureOptions& opts,
   port.store(0, std::memory_order_release);
   Status crash_st = h.server->shared_store()->WithExclusive([&](Store& s) {
     s.TestOnlyCrash();
-    uint64_t torn = 0;
-    const uint64_t unsynced = h.fwf->unsynced_bytes();
-    if (unsynced > 0 && crng.Bernoulli(0.5)) {
-      torn = crng.Range(1, unsynced);
-    }
-    h.fwf->Crash(torn);
-    h.fpf->Crash();
+    uint64_t torn_tails = 0;
+    *cut = CrashFiles(crng, h.pages, h.wal, &torn_tails);
     return Status::OK();
   });
   if (!crash_st.ok()) return bail("crash injection: " + crash_st.ToString());
@@ -772,8 +750,9 @@ NetTortureReport RunNetTorture(const NetTortureOptions& options) {
 
   for (uint32_t i = 0; i < options.iterations; ++i) {
     const uint64_t seed = MixSeed(options.seed, i);
+    std::string cut = "not reached";
     NetIterationResult result =
-        RunNetIteration(options, path, seed, i, &report);
+        RunNetIteration(options, path, seed, i, &report, &cut);
     ++report.iterations_run;
     if (options.verbose) {
       std::fprintf(
@@ -792,6 +771,8 @@ NetTortureReport RunNetTorture(const NetTortureOptions& options) {
       report.error = result.error;
       report.failed_iteration = i;
       report.failed_seed = seed;
+      report.failed_schedule =
+          "armed fault: none (socket faults only); crash cut: " + cut;
       return report;
     }
   }

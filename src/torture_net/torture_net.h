@@ -2,8 +2,9 @@
 // real laxml server over real sockets, with injected socket faults on
 // both sides and a mid-iteration server crash + restart.
 //
-// Each iteration starts a server over a file-backed store whose
-// PageFile/WalFile are the fault injectors, then runs N client threads.
+// Each iteration starts a server over a file-backed store whose page
+// file and log sit on FaultyFiles (storage/faulty_file.h), then runs N
+// client threads.
 // Every client owns a private top-level subtree (a per-client unique
 // root tag) and mirrors its acked mutations into a private in-memory
 // oracle, tracking an oracle-id <-> server-id map so later ops can
@@ -72,6 +73,10 @@ struct NetTortureReport {
   std::string error;
   uint64_t failed_iteration = 0;
   uint64_t failed_seed = 0;
+  /// The failed iteration's storage fault (none: this mode injects
+  /// socket faults) and crash cut (bytes kept of how many unsynced, per
+  /// file).
+  std::string failed_schedule;
 
   bool ok() const { return error.empty(); }
 };

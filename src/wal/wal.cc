@@ -6,15 +6,13 @@
 namespace laxml {
 
 Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path) {
-  LAXML_ASSIGN_OR_RETURN(std::unique_ptr<PosixWalFile> file,
-                         PosixWalFile::Open(path));
-  return Open(std::unique_ptr<WalFile>(std::move(file)));
+  LAXML_ASSIGN_OR_RETURN(std::unique_ptr<File> file, PosixFile::Open(path));
+  return Open(std::move(file));
 }
 
-Result<std::unique_ptr<Wal>> Wal::Open(std::unique_ptr<WalFile> file) {
-  LAXML_ASSIGN_OR_RETURN(uint64_t size, file->Size());
+Result<std::unique_ptr<Wal>> Wal::Open(std::unique_ptr<File> file) {
   auto wal = std::unique_ptr<Wal>(new Wal(std::move(file)));
-  wal->end_known_ = size == 0;
+  wal->end_known_ = wal->file_.Size() == 0;
   return wal;
 }
 
@@ -30,7 +28,7 @@ Status Wal::Append(const WalRecord& record, bool sync) {
   }
   encode_buf_.clear();
   EncodeWalRecord(record, &encode_buf_);
-  LAXML_RETURN_IF_ERROR(file_->Append(Slice(encode_buf_)));
+  LAXML_RETURN_IF_ERROR(file_.Append(Slice(encode_buf_)));
   ++stats_.records_appended;
   stats_.bytes_appended += encode_buf_.size();
   appended_lsn_.fetch_add(1, std::memory_order_acq_rel);
@@ -48,7 +46,7 @@ Status Wal::Sync() {
   const uint64_t target = appended_lsn_.load(std::memory_order_acquire);
   LAXML_TRACE_SPAN("wal_fsync");
   const uint64_t start_us = obs::NowMicros();
-  LAXML_RETURN_IF_ERROR(file_->Sync());
+  LAXML_RETURN_IF_ERROR(file_.Sync());
   stats_.fsync_us.Record(obs::NowMicros() - start_us);
   // Monotone advance: a concurrent Sync may already have published a
   // higher durable point.
@@ -61,7 +59,7 @@ Status Wal::Sync() {
 }
 
 Result<std::vector<WalRecord>> Wal::ReadAll() const {
-  LAXML_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, file_->ReadAll());
+  LAXML_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, file_.ReadAll());
   std::vector<WalRecord> records;
   const uint8_t* p = buf.data();
   const uint8_t* limit = p + buf.size();
@@ -76,7 +74,7 @@ Result<std::vector<WalRecord>> Wal::ReadAll() const {
 }
 
 Status Wal::TrimTornTail() {
-  LAXML_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, file_->ReadAll());
+  LAXML_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, file_.ReadAll());
   const uint8_t* p = buf.data();
   const uint8_t* limit = p + buf.size();
   while (p < limit) {
@@ -92,7 +90,7 @@ Status Wal::TrimTornTail() {
     // when they already read as zero), so the next append cannot revive
     // them.
     LAXML_RETURN_IF_ERROR(
-        file_->Truncate(static_cast<uint64_t>(p - buf.data())));
+        file_.Truncate(static_cast<uint64_t>(p - buf.data())));
   }
   end_known_ = true;
   return Status::OK();
@@ -101,7 +99,7 @@ Status Wal::TrimTornTail() {
 Status Wal::Truncate() {
   // Zero plus sync, not a file-size change: the next commit's fdatasync
   // then flushes only its record.
-  LAXML_RETURN_IF_ERROR(file_->Truncate(0));
+  LAXML_RETURN_IF_ERROR(file_.Truncate(0));
   end_known_ = true;
   ++stats_.truncations;
   // A checkpoint persisted every logged effect through its own page
@@ -114,8 +112,8 @@ Status Wal::Truncate() {
   return Status::OK();
 }
 
-Result<uint64_t> Wal::SizeBytes() const { return file_->Size(); }
+Result<uint64_t> Wal::SizeBytes() const { return file_.Size(); }
 
-Status Wal::ShrinkToFit() { return file_->ShrinkToFit(); }
+Status Wal::ShrinkToFit() { return file_.ShrinkToFit(); }
 
 }  // namespace laxml

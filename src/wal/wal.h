@@ -1,9 +1,10 @@
 // The write-ahead log file: append framed logical records, read them all
 // back at recovery, reset at checkpoint. See log_format.h for the record
 // format, wal_file.h for the pre-zeroed file that keeps a commit's
-// fdatasync to its record, and store.h / DESIGN.md for the recovery
-// protocol and its documented limits (no-steal buffer pool between
-// checkpoints).
+// fdatasync to its record, storage/file.h for the bytes under it (and
+// storage/faulty_file.h for the crash model tests slide in there), and
+// store.h / DESIGN.md for the recovery protocol and its documented
+// limits (no-steal buffer pool between checkpoints).
 //
 // LSNs: every appended record gets a log sequence number (1, 2, 3, ...,
 // monotone for the life of the handle — Truncate does NOT reset it, it
@@ -48,9 +49,9 @@ class Wal {
   /// Opens (creating if absent) the log at `path`.
   static Result<std::unique_ptr<Wal>> Open(const std::string& path);
 
-  /// Wraps an already-open byte log — the injection seam tests use to
-  /// slide a FaultyWalFile underneath the record/LSN machinery.
-  static Result<std::unique_ptr<Wal>> Open(std::unique_ptr<WalFile> file);
+  /// Builds the log over an already-open File (Store::Open passes it
+  /// through StoreOptions::file_wrapper first).
+  static Result<std::unique_ptr<Wal>> Open(std::unique_ptr<File> file);
 
   ~Wal();
 
@@ -104,12 +105,12 @@ class Wal {
   Status ShrinkToFit();
 
   const WalStats& stats() const { return stats_; }
-  const std::string& path() const { return file_->path(); }
+  const std::string& path() const { return file_.path(); }
 
  private:
-  explicit Wal(std::unique_ptr<WalFile> file) : file_(std::move(file)) {}
+  explicit Wal(std::unique_ptr<File> file) : file_(std::move(file)) {}
 
-  std::unique_ptr<WalFile> file_;
+  WalFile file_;
   WalStats stats_;
   std::vector<uint8_t> encode_buf_;  ///< Append's framing, reused.
   /// False from opening a non-empty log until TrimTornTail or Truncate

@@ -14,7 +14,10 @@ namespace {
 
 class BufferPoolTest : public ::testing::Test {
  protected:
-  BufferPoolTest() : file_(512), pool_(&file_, 4) {}
+  BufferPoolTest()
+      : file_(std::move(PageFile::Open(std::make_unique<MemFile>(), 512))
+                  .value()),
+        pool_(file_.get(), 4) {}
 
   PageId NewPageWithByte(uint8_t b) {
     auto handle = pool_.New(PageType::kSlotted);
@@ -24,7 +27,7 @@ class BufferPoolTest : public ::testing::Test {
     return handle->id();
   }
 
-  MemoryPageFile file_;
+  std::unique_ptr<PageFile> file_;
   BufferPool pool_;
 };
 
@@ -83,9 +86,9 @@ TEST_F(BufferPoolTest, CorruptedPageFailsFetch) {
   ASSERT_LAXML_OK(pool_.Evict(id));
   // Corrupt it behind the pool's back.
   std::vector<uint8_t> raw(512);
-  ASSERT_LAXML_OK(file_.ReadPage(id, raw.data()));
+  ASSERT_LAXML_OK(file_->ReadPage(id, raw.data()));
   raw[300] ^= 0xFF;
-  ASSERT_LAXML_OK(file_.WritePage(id, raw.data()));
+  ASSERT_LAXML_OK(file_->WritePage(id, raw.data()));
   auto fetched = pool_.Fetch(id);
   EXPECT_TRUE(fetched.status().IsCorruption());
   EXPECT_EQ(pool_.stats().checksum_failures, 1u);
@@ -110,7 +113,7 @@ TEST_F(BufferPoolTest, DiscardAllDropsDirtyData) {
   // The dirty byte never reached the file: reading the raw page finds
   // zeroes (never written).
   std::vector<uint8_t> raw(512);
-  ASSERT_LAXML_OK(file_.ReadPage(id, raw.data()));
+  ASSERT_LAXML_OK(file_->ReadPage(id, raw.data()));
   PageView view(raw.data(), 512);
   EXPECT_EQ(view.payload()[0], 0);
 }

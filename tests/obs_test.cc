@@ -15,10 +15,10 @@
 #include "obs/engine_metrics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "storage/faulty_file.h"
 #include "store/store.h"
 #include "test_util.h"
 #include "wal/wal.h"
-#include "wal/wal_file.h"
 
 namespace laxml {
 namespace obs {
@@ -410,14 +410,9 @@ TEST(EngineMetrics, TwoStoresScrapeIndependently) {
   options.enable_wal = true;
   options.wal_sync = WalSyncMode::kEveryCommit;
   StoreOptions faulty_options = options;
-  FaultyWalFile* fwf = nullptr;
-  faulty_options.wal_file_wrapper =
-      [&fwf](std::unique_ptr<WalFile> base) -> std::unique_ptr<WalFile> {
-    auto wrapped = FaultyWalFile::Wrap(std::move(base));
-    if (!wrapped.ok()) return nullptr;
-    fwf = wrapped->get();
-    return std::move(wrapped).value();
-  };
+  FaultyFile* pages = nullptr;
+  FaultyFile* fwf = nullptr;
+  faulty_options.file_wrapper = WrapInFaultyFiles(&pages, &fwf);
   ASSERT_OK_AND_ASSIGN(auto c, Store::Open(tmp_c.path(), faulty_options));
   ASSERT_OK_AND_ASSIGN(auto d, Store::Open(tmp_d.path(), options));
   ASSERT_NE(fwf, nullptr);

@@ -1,6 +1,6 @@
 // Page file tests: allocation / free-chain reuse, meta area
-// persistence, reopen, and header validation — for both the memory and
-// POSIX implementations.
+// persistence, reopen, and header validation — over a MemFile and a
+// PosixFile, plus open errors surfaced through a FaultyFile.
 
 #include "storage/page_file.h"
 
@@ -8,10 +8,23 @@
 
 #include <cstring>
 
+#include "storage/faulty_file.h"
 #include "test_util.h"
 
 namespace laxml {
 namespace {
+
+std::unique_ptr<PageFile> InMemory(uint32_t page_size) {
+  auto file = PageFile::Open(std::make_unique<MemFile>(), page_size);
+  EXPECT_TRUE(file.ok()) << file.status().ToString();
+  return std::move(file).value();
+}
+
+Result<std::unique_ptr<PageFile>> OpenPosix(const std::string& path,
+                                            uint32_t page_size) {
+  LAXML_ASSIGN_OR_RETURN(auto file, PosixFile::Open(path));
+  return PageFile::Open(std::move(file), page_size);
+}
 
 void FillPage(std::vector<uint8_t>* buf, uint32_t page_size, PageId id,
               uint8_t fill) {
@@ -22,8 +35,9 @@ void FillPage(std::vector<uint8_t>* buf, uint32_t page_size, PageId id,
   view.SealChecksum();
 }
 
-TEST(MemoryPageFileTest, AllocateWriteReadBack) {
-  MemoryPageFile file(512);
+TEST(InMemoryPageFileTest, AllocateWriteReadBack) {
+  auto owned = InMemory(512);
+  PageFile& file = *owned;
   ASSERT_OK_AND_ASSIGN(PageId a, file.AllocatePage());
   ASSERT_OK_AND_ASSIGN(PageId b, file.AllocatePage());
   EXPECT_NE(a, b);
@@ -35,8 +49,9 @@ TEST(MemoryPageFileTest, AllocateWriteReadBack) {
   EXPECT_EQ(std::memcmp(buf.data(), readback.data(), 512), 0);
 }
 
-TEST(MemoryPageFileTest, FreedPagesAreReused) {
-  MemoryPageFile file(512);
+TEST(InMemoryPageFileTest, FreedPagesAreReused) {
+  auto owned = InMemory(512);
+  PageFile& file = *owned;
   ASSERT_OK_AND_ASSIGN(PageId a, file.AllocatePage());
   ASSERT_OK_AND_ASSIGN(PageId b, file.AllocatePage());
   (void)b;
@@ -49,16 +64,18 @@ TEST(MemoryPageFileTest, FreedPagesAreReused) {
   EXPECT_EQ(file.free_page_count(), 0u);
 }
 
-TEST(MemoryPageFileTest, OutOfRangeAccessFails) {
-  MemoryPageFile file(512);
+TEST(InMemoryPageFileTest, OutOfRangeAccessFails) {
+  auto owned = InMemory(512);
+  PageFile& file = *owned;
   std::vector<uint8_t> buf(512);
   EXPECT_TRUE(file.ReadPage(99, buf.data()).IsIOError());
   EXPECT_TRUE(file.WritePage(99, buf.data()).IsIOError());
   EXPECT_TRUE(file.FreePage(0).IsInvalidArgument());
 }
 
-TEST(MemoryPageFileTest, MetaRoundTrip) {
-  MemoryPageFile file(512);
+TEST(InMemoryPageFileTest, MetaRoundTrip) {
+  auto owned = InMemory(512);
+  PageFile& file = *owned;
   std::string meta = "bootstrap state";
   ASSERT_LAXML_OK(file.WriteMeta(Slice(meta)));
   ASSERT_OK_AND_ASSIGN(auto read, file.ReadMeta());
@@ -68,7 +85,7 @@ TEST(MemoryPageFileTest, MetaRoundTrip) {
 TEST(PosixPageFileTest, CreateWriteReopen) {
   testing::TempFile tmp("pagefile");
   {
-    ASSERT_OK_AND_ASSIGN(auto file, PosixPageFile::Open(tmp.path(), 1024));
+    ASSERT_OK_AND_ASSIGN(auto file, OpenPosix(tmp.path(), 1024));
     ASSERT_OK_AND_ASSIGN(PageId a, file->AllocatePage());
     std::vector<uint8_t> buf;
     FillPage(&buf, 1024, a, 0x5C);
@@ -78,7 +95,7 @@ TEST(PosixPageFileTest, CreateWriteReopen) {
   }
   {
     // Reopen with a different requested page size: the stored one wins.
-    ASSERT_OK_AND_ASSIGN(auto file, PosixPageFile::Open(tmp.path(), 4096));
+    ASSERT_OK_AND_ASSIGN(auto file, OpenPosix(tmp.path(), 4096));
     EXPECT_EQ(file->page_size(), 1024u);
     EXPECT_EQ(file->page_count(), 2u);
     std::vector<uint8_t> buf(1024);
@@ -94,7 +111,7 @@ TEST(PosixPageFileTest, FreeChainSurvivesReopen) {
   testing::TempFile tmp("freechain");
   PageId freed;
   {
-    ASSERT_OK_AND_ASSIGN(auto file, PosixPageFile::Open(tmp.path(), 512));
+    ASSERT_OK_AND_ASSIGN(auto file, OpenPosix(tmp.path(), 512));
     ASSERT_OK_AND_ASSIGN(PageId a, file->AllocatePage());
     ASSERT_OK_AND_ASSIGN(PageId b, file->AllocatePage());
     (void)b;
@@ -103,7 +120,7 @@ TEST(PosixPageFileTest, FreeChainSurvivesReopen) {
     ASSERT_LAXML_OK(file->Sync());
   }
   {
-    ASSERT_OK_AND_ASSIGN(auto file, PosixPageFile::Open(tmp.path(), 512));
+    ASSERT_OK_AND_ASSIGN(auto file, OpenPosix(tmp.path(), 512));
     EXPECT_EQ(file->free_page_count(), 1u);
     ASSERT_OK_AND_ASSIGN(PageId again, file->AllocatePage());
     EXPECT_EQ(again, freed);
@@ -113,9 +130,9 @@ TEST(PosixPageFileTest, FreeChainSurvivesReopen) {
 TEST(PosixPageFileTest, RejectsBadPageSizes) {
   testing::TempFile tmp("badsize");
   EXPECT_TRUE(
-      PosixPageFile::Open(tmp.path(), 100).status().IsInvalidArgument());
+      OpenPosix(tmp.path(), 100).status().IsInvalidArgument());
   EXPECT_TRUE(
-      PosixPageFile::Open(tmp.path(), 1000).status().IsInvalidArgument());
+      OpenPosix(tmp.path(), 1000).status().IsInvalidArgument());
 }
 
 TEST(PosixPageFileTest, DetectsForeignFile) {
@@ -128,7 +145,31 @@ TEST(PosixPageFileTest, DetectsForeignFile) {
     fclose(f);
   }
   EXPECT_TRUE(
-      PosixPageFile::Open(tmp.path(), 4096).status().IsCorruption());
+      OpenPosix(tmp.path(), 4096).status().IsCorruption());
+}
+
+// An I/O error reading the header is an I/O error, not a corrupt file:
+// laxml_fsck exits 2 on the first and 1 on the second.
+TEST(PosixPageFileTest, HeaderReadErrorIsIOError) {
+  testing::TempFile tmp("hdr_ioerror");
+  { ASSERT_OK_AND_ASSIGN(auto file, OpenPosix(tmp.path(), 512)); }
+  ASSERT_OK_AND_ASSIGN(auto base, PosixFile::Open(tmp.path()));
+  auto faulty = std::make_unique<FaultyFile>(std::move(base));
+  faulty->FailNth(FaultOp::kRead, 1, Status::IOError("injected EIO"));
+  Status st = PageFile::Open(std::move(faulty), 512).status();
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+}
+
+TEST(PosixPageFileTest, FileShorterThanAHeaderIsCorruption) {
+  testing::TempFile tmp("hdr_short");
+  {
+    FILE* f = fopen(tmp.path().c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    fwrite("LAXM", 1, 4, f);
+    fclose(f);
+  }
+  Status st = OpenPosix(tmp.path(), 512).status();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
 }
 
 TEST(PageViewTest, ChecksumDetectsBitFlips) {

@@ -155,11 +155,12 @@ int main(int argc, char** argv) {
       std::fprintf(
           stderr,
           "FAILED at iteration %llu (iteration seed %llu): %s\n"
+          "%s\n"
           "reproduce with: %s --net --seed %llu --iters %llu --ops %u "
           "--clients %u\n",
           static_cast<unsigned long long>(report.failed_iteration),
           static_cast<unsigned long long>(report.failed_seed),
-          report.error.c_str(), argv[0],
+          report.error.c_str(), report.failed_schedule.c_str(), argv[0],
           static_cast<unsigned long long>(net.seed),
           static_cast<unsigned long long>(report.failed_iteration + 1),
           net.ops_per_client, net.clients);
@@ -185,10 +186,12 @@ int main(int argc, char** argv) {
     // store state and fault schedule.
     std::fprintf(stderr,
                  "FAILED at iteration %llu (iteration seed %llu): %s\n"
+                 "%s\n"
                  "reproduce with: %s --seed %llu --iters %llu --ops %u\n",
                  static_cast<unsigned long long>(report.failed_iteration),
                  static_cast<unsigned long long>(report.failed_seed),
-                 report.error.c_str(), argv[0],
+                 report.error.c_str(), report.failed_schedule.c_str(),
+                 argv[0],
                  static_cast<unsigned long long>(options.seed),
                  static_cast<unsigned long long>(report.failed_iteration + 1),
                  options.ops_per_iteration);
