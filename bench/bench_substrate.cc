@@ -201,14 +201,15 @@ void BM_RecordStorePinSlice(benchmark::State& state) {
   PagerOptions options;
   options.pool_frames = 2048;
   auto pager = Pager::OpenInMemory(options);
-  auto store = RecordStore::Create(pager.value().get());
+  auto store = RecordStore::Open(pager.value().get(), kInvalidPageId);
   std::vector<uint8_t> payload(static_cast<size_t>(state.range(0)), 0xCD);
-  auto id = store.value()->Insert(Slice(payload));
+  auto loc = store.value()->Place(Slice(payload));
+  BENCH_CHECK(loc.status());
   Random rng(8);
   uint64_t bytes = 0;
   for (auto _ : state) {
     size_t off = rng.Uniform(payload.size() - 128);
-    auto slice = store.value()->PinSlice(*id, off, 128);
+    auto slice = store.value()->PinSlice(*loc, off, 128);
     BENCH_CHECK(slice.status());
     bytes += slice->size();
   }

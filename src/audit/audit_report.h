@@ -108,7 +108,7 @@ struct AuditOptions {
   bool check_range_layer = true;   ///< Chain, range index, full index.
   bool check_partial_index = true;
   bool check_structural_index = true;  ///< Pre/post intervals vs the stream.
-  bool check_heap = true;          ///< Slotted pages, directory, overflow.
+  bool check_heap = true;  ///< Slotted pages, payload anchors, overflow.
   bool check_btrees = true;
   bool check_wal = true;
   bool check_buffer_pool = true;

@@ -34,7 +34,7 @@ AuditReport StoreAuditor::Run(const AuditOptions& options) {
   // Trees and the heap walk claim their pages for the sweep.
   if (options_.check_btrees) AuditBTrees();
   if (options_.check_heap) AuditHeapAndOverflow();
-  if (options_.check_heap) AuditResidentDirectory();
+  if (options_.check_heap) AuditResidentLocations();
   if (options_.check_range_layer) AuditRangeLayer();
   // Needs the symbol references the range walk just collected.
   if (options_.check_range_layer) AuditDictionary();
@@ -100,7 +100,6 @@ void StoreAuditor::AuditBTrees() {
     for (PageId p : visited) Claim(p, name);
   };
   check(store_->ranges_->meta_tree(), "range-meta-tree");
-  check(store_->ranges_->range_records()->directory(), "record-directory");
   if (store_->full_ != nullptr) check(store_->full_->tree(), "full-index");
 }
 
@@ -723,11 +722,17 @@ void StoreAuditor::AuditStructuralIndex() {
 }
 
 void StoreAuditor::AuditHeapAndOverflow() {
-  RecordStore* rs = store_->ranges_->range_records();
+  const RangeManager& rm = *store_->ranges_;
+  const RecordStore* rs = rm.range_records();
   Pager* pager = store_->pager_.get();
+  // Every live slot on a heap-chain page, keyed page << 16 | slot.
+  auto slot_key = [](PageId page, uint16_t slot) {
+    return uint64_t{page} << 16 | slot;
+  };
+  std::vector<uint64_t> live_slots;
 
   // Walk the heap chain checking page structure and back-pointers.
-  PageId page = rs->state().data_head;
+  PageId page = rs->data_head();
   PageId prev = kInvalidPageId;
   while (page != kInvalidPageId) {
     if (Full()) return;
@@ -764,6 +769,9 @@ void StoreAuditor::AuditHeapAndOverflow() {
       if (Full()) return;
       Add(AuditLayer::kSlottedPage, std::move(p)).page = page;
     }
+    for (uint16_t slot = 0; slot < sp.slot_count(); ++slot) {
+      if (sp.Get(slot).ok()) live_slots.push_back(slot_key(page, slot));
+    }
     Claim(page, "heap");
     ++report_.heap_pages;
     prev = page;
@@ -780,46 +788,56 @@ void StoreAuditor::AuditHeapAndOverflow() {
                                std::to_string(rs->stats().data_pages));
   }
 
-  // Cross-check every directory entry against the heap: the anchor slot
-  // must exist on a chain page, inline lengths must match, and overflow
-  // chains must have exactly the pages the recorded length implies.
+  // Cross-check every RangeMeta's payload location against the heap: the
+  // anchor slot must be live on a chain page and anchor no other range,
+  // inline lengths must match, and overflow chains must have exactly the
+  // pages the recorded length implies.
   const uint32_t piece = pager->page_size() - kPageHeaderSize - 4;
-  Status st = rs->ForEachRecord([&](RecordId id, PageId rpage, uint16_t slot,
-                                    uint16_t kind, uint32_t len) {
+  std::unordered_map<uint64_t, RangeId> anchors;
+  Status st = rm.ForEachMeta([&](const RangeMeta& meta) {
     if (Full()) return false;
+    const RecordLocation loc = meta.location();
     auto flag = [&](AuditLayer layer, std::string what) -> AuditIssue& {
       AuditIssue& issue = Add(layer, std::move(what));
-      issue.page = rpage;
-      issue.slot = slot;
-      issue.range = id;  // RecordId == RangeId for range payloads
+      issue.page = loc.page;
+      issue.slot = loc.slot;
+      issue.range = meta.id;
       return issue;
     };
-    if (heap_pages_.find(rpage) == heap_pages_.end()) {
+    if (heap_pages_.find(loc.page) == heap_pages_.end()) {
       flag(AuditLayer::kSlottedPage,
-           "directory anchor page is not on the heap chain");
+           "range payload anchor page is not on the heap chain");
       return true;
     }
-    auto handle_r = pager->Fetch(rpage);
+    auto [shared, first] =
+        anchors.emplace(slot_key(loc.page, loc.slot), meta.id);
+    if (!first) {
+      flag(AuditLayer::kSlottedPage,
+           "heap slot anchors ranges " + std::to_string(shared->second) +
+               " and " + std::to_string(meta.id));
+      return true;
+    }
+    auto handle_r = pager->Fetch(loc.page);
     if (!handle_r.ok()) return true;  // already reported by the chain walk
     PageHandle handle = std::move(*handle_r);
     SlottedPage sp(handle.view());
-    auto record = sp.Get(slot);
+    auto record = sp.Get(loc.slot);
     if (!record.ok()) {
       flag(AuditLayer::kSlottedPage,
-           "directory points at a dead slot: " + record.status().ToString());
+           "range meta points at a dead slot: " + record.status().ToString());
       return true;
     }
-    if (kind == RecordLocation::kInline) {
-      if (record->size() != len) {
+    if (loc.kind == RecordLocation::kInline) {
+      if (record->size() != loc.len) {
         flag(AuditLayer::kSlottedPage,
              "inline record is " + std::to_string(record->size()) +
-                 " byte(s), directory says " + std::to_string(len));
+                 " byte(s), range meta says " + std::to_string(loc.len));
       }
       return true;
     }
-    if (kind != RecordLocation::kOverflow) {
+    if (loc.kind != RecordLocation::kOverflow) {
       flag(AuditLayer::kSlottedPage,
-           "unknown record kind " + std::to_string(kind));
+           "unknown record kind " + std::to_string(loc.kind));
       return true;
     }
     if (record->size() != 4) {
@@ -830,7 +848,7 @@ void StoreAuditor::AuditHeapAndOverflow() {
     }
     PageId over = DecodeFixed32(record->data());
     handle.Release();
-    const uint32_t expected_pages = (len + piece - 1) / piece;
+    const uint32_t expected_pages = (loc.len + piece - 1) / piece;
     uint32_t walked = 0;
     std::unordered_set<PageId> chain_seen;
     while (over != kInvalidPageId && walked <= expected_pages) {
@@ -862,53 +880,62 @@ void StoreAuditor::AuditHeapAndOverflow() {
     if (walked != expected_pages) {
       flag(AuditLayer::kOverflow,
            "overflow chain has " + std::to_string(walked) +
-               " page(s); directory length " + std::to_string(len) +
+               " page(s); range meta length " + std::to_string(loc.len) +
                " implies " + std::to_string(expected_pages));
     }
     return true;
   });
   if (!st.ok()) {
     Add(AuditLayer::kBTree,
-        "record-directory iteration failed: " + st.ToString());
+        "range-meta-tree iteration failed: " + st.ToString());
+    return;
+  }
+  // A live slot no range points at is a payload leaked by a mutation
+  // that dropped its range but not its record.
+  for (uint64_t key : live_slots) {
+    if (Full()) return;
+    if (anchors.count(key) != 0) continue;
+    AuditIssue& issue = Add(AuditLayer::kSlottedPage,
+                            "live heap slot anchors no range (leaked "
+                            "payload)");
+    issue.page = static_cast<PageId>(key >> 16);
+    issue.slot = static_cast<uint16_t>(key & 0xFFFF);
   }
 }
 
-void StoreAuditor::AuditResidentDirectory() {
+void StoreAuditor::AuditResidentLocations() {
   if (Full()) return;
-  // Every record read looks its location up in the resident directory,
-  // so a copy that drifted from the tree misdirects reads that the
+  // Every payload read looks its location up in the resident map, so a
+  // copy that drifted from the meta tree misdirects reads that the
   // tree-based legs above never make. Reports only the first difference:
   // the entry count, else the first entry that differs.
-  const RecordStore* rs = store_->ranges_->range_records();
+  const RangeManager& rm = *store_->ranges_;
   uint64_t tree_entries = 0;
   AuditIssue first;
-  Status st = rs->ForEachRecord([&](RecordId id, PageId page, uint16_t slot,
-                                    uint16_t kind, uint32_t len) {
+  auto show = [](const RecordLocation& loc) {
+    return "page " + std::to_string(loc.page) + " slot " +
+           std::to_string(loc.slot) + " kind " + std::to_string(loc.kind) +
+           " len " + std::to_string(loc.len);
+  };
+  Status st = rm.ForEachMeta([&](const RangeMeta& meta) {
     ++tree_entries;
     if (!first.message.empty()) return true;  // keep counting
-    Result<RecordLocation> got = rs->Locate(id);
-    if (got.ok() && *got == RecordLocation{page, slot, kind, len}) {
-      return true;
-    }
-    auto show = [](const RecordLocation& loc) {
-      return "page " + std::to_string(loc.page) + " slot " +
-             std::to_string(loc.slot) + " kind " + std::to_string(loc.kind) +
-             " len " + std::to_string(loc.len);
-    };
+    Result<RecordLocation> got = rm.Locate(meta.id);
+    if (got.ok() && *got == meta.location()) return true;
     first.layer = AuditLayer::kBTree;
-    first.message = "record-directory: resident entry " +
+    first.message = "range-meta-tree: resident location " +
                     (got.ok() ? "has " + show(*got) : std::string("missing")) +
-                    ", the tree has " + show({page, slot, kind, len});
-    first.range = id;  // RecordId == RangeId for range payloads
-    first.page = page;
+                    ", the range meta has " + show(meta.location());
+    first.range = meta.id;
+    first.page = meta.page;
     return true;
   });
   if (!st.ok()) return;  // the heap leg already reported the failure
-  if (tree_entries != rs->record_count()) {
+  if (tree_entries != rm.location_count()) {
     Add(AuditLayer::kBTree,
-        "record-directory: resident directory has " +
-            std::to_string(rs->record_count()) + " entries, the tree has " +
-            std::to_string(tree_entries));
+        "range-meta-tree: resident map has " +
+            std::to_string(rm.location_count()) +
+            " location(s), the tree has " + std::to_string(tree_entries));
   } else if (!first.message.empty()) {
     report_.issues.push_back(std::move(first));
   }

@@ -17,11 +17,13 @@
 //     pre-sorted;
 //   * (full-index mode) every begin token against its eager index entry;
 //   * slotted heap pages — slot directory bounds, extent overlap, and
-//     the free-space accounting identity;
-//   * all three B+-trees — node structure, key order, fanout, leaf
-//     chain (see BTree::CheckStructure);
-//   * overflow chains and the record directory that anchors them, and
-//     the resident copy of that directory against its tree;
+//     the free-space accounting identity — and every live slot on them
+//     anchoring exactly one range;
+//   * both B+-trees (range meta, and the full index when there is one)
+//     — node structure, key order, fanout, leaf chain (see
+//     BTree::CheckStructure);
+//   * every RangeMeta's payload location and the overflow chain it
+//     anchors, and the resident location map against the meta tree;
 //   * the WAL record chain (CRC framing, byte-precise);
 //   * buffer pool pin accounting at quiesce;
 //   * optionally the raw page image: checksums, the free chain, and
@@ -69,7 +71,7 @@ class StoreAuditor {
   void AuditPartialIndex();
   void AuditStructuralIndex();
   void AuditHeapAndOverflow();
-  void AuditResidentDirectory();
+  void AuditResidentLocations();
   void AuditWal();
   void AuditPageSweep();
 
@@ -78,7 +80,7 @@ class StoreAuditor {
   AuditReport report_;
   /// Page ownership map for the reachability sweep.
   std::unordered_map<PageId, const char*> owners_;
-  /// Pages of the heap chain (anchor validation for directory entries).
+  /// Pages of the heap chain (anchor validation for range payloads).
   std::unordered_set<PageId> heap_pages_;
   /// Dictionary symbols referenced by any range payload (collected by
   /// the range-layer walk, consumed by the dictionary leg).

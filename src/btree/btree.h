@@ -1,9 +1,9 @@
 // Disk-backed B+-tree with 64-bit keys and fixed-size values, built on
-// the pager. Backs three persistent structures:
-//   * the record-store directory  (RecordId -> location),
-//   * the range-meta directory    (RangeId  -> RangeMeta),
-//   * the FULL INDEX baseline     (NodeId   -> exact token location),
-// the last of which is precisely the eager structure whose maintenance
+// the pager. Backs two persistent structures:
+//   * the range-meta tree     (RangeId -> RangeMeta, payload location
+//                              included),
+//   * the FULL INDEX baseline (NodeId  -> exact token location),
+// the second of which is precisely the eager structure whose maintenance
 // cost the paper's lazy design avoids (Section 4.1).
 //
 // Node layout (within the page payload):

@@ -28,7 +28,7 @@
 
 namespace laxml {
 
-/// Identifier of a Range (== RecordId of its payload record).
+/// Identifier of a Range; RangeManager allocates them and never reuses one.
 using RangeId = uint64_t;
 inline constexpr RangeId kInvalidRangeId = 0;
 

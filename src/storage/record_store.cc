@@ -7,67 +7,17 @@
 
 namespace laxml {
 
-namespace {
-constexpr uint32_t kDirValueSize = 16;
-
-void EncodeDirValue(uint8_t* v, const RecordLocation& loc) {
-  EncodeFixed32(v, loc.page);
-  EncodeFixed16(v + 4, loc.slot);
-  EncodeFixed16(v + 6, loc.kind);
-  EncodeFixed32(v + 8, loc.len);
-  EncodeFixed32(v + 12, 0);
-}
-
-RecordLocation DecodeDirValue(const uint8_t* v) {
-  return RecordLocation{DecodeFixed32(v), DecodeFixed16(v + 4),
-                        DecodeFixed16(v + 6), DecodeFixed32(v + 8)};
-}
-}  // namespace
-
 std::vector<uint8_t> RecordSlice::ToVector() && {
   if (!pin_.valid()) return std::move(copy_);
   return std::vector<uint8_t>(borrowed_.data(),
                               borrowed_.data() + borrowed_.size());
 }
 
-RecordStore::RecordStore(Pager* pager, BTree directory,
-                         RecordStoreState state)
-    : pager_(pager),
-      directory_(std::move(directory)),
-      next_record_id_(state.next_record_id),
-      data_head_(state.data_head) {}
-
-Result<std::unique_ptr<RecordStore>> RecordStore::Create(Pager* pager) {
-  LAXML_ASSIGN_OR_RETURN(BTree dir, BTree::Create(pager, kDirValueSize));
-  RecordStoreState state;
-  state.directory_root = dir.root();
-  return std::unique_ptr<RecordStore>(
-      new RecordStore(pager, std::move(dir), state));
-}
-
-Result<std::unique_ptr<RecordStore>> RecordStore::Open(
-    Pager* pager, const RecordStoreState& state) {
-  LAXML_ASSIGN_OR_RETURN(
-      BTree dir, BTree::Open(pager, state.directory_root, kDirValueSize));
-  auto store = std::unique_ptr<RecordStore>(
-      new RecordStore(pager, std::move(dir), state));
-  RecordStore* rs = store.get();
-  LAXML_RETURN_IF_ERROR(rs->ForEachRecord([rs](RecordId id, PageId page,
-                                               uint16_t slot, uint16_t kind,
-                                               uint32_t len) {
-    rs->resident_[id] = RecordLocation{page, slot, kind, len};
-    return true;
-  }));
+Result<std::unique_ptr<RecordStore>> RecordStore::Open(Pager* pager,
+                                                      PageId data_head) {
+  auto store = std::unique_ptr<RecordStore>(new RecordStore(pager, data_head));
   LAXML_RETURN_IF_ERROR(store->RebuildFreeSpaceMap());
   return store;
-}
-
-RecordStoreState RecordStore::state() const {
-  RecordStoreState s;
-  s.directory_root = directory_.root();
-  s.next_record_id = next_record_id_;
-  s.data_head = data_head_;
-  return s;
 }
 
 Status RecordStore::RebuildFreeSpaceMap() {
@@ -218,7 +168,8 @@ Result<RecordLocation> RecordStore::Place(Slice payload) {
   uint8_t anchor[4];
   // Inline threshold: leave headroom so a page can host several records.
   if (payload.size() > SlottedPage::MaxRecordSize(pager_->page_size())) {
-    // The anchor slot records the chain head so PageOf() still answers.
+    // The anchor slot records the chain head, so every record has a
+    // heap slot (its range's BlockId).
     PageId first;
     LAXML_RETURN_IF_ERROR(WriteOverflowChain(payload, &first));
     EncodeFixed32(anchor, first);
@@ -265,38 +216,14 @@ Status RecordStore::Remove(const RecordLocation& loc) {
   return Status::OK();
 }
 
-Status RecordStore::PutDirectory(RecordId id, const RecordLocation& loc) {
-  uint8_t dv[kDirValueSize];
-  EncodeDirValue(dv, loc);
-  LAXML_RETURN_IF_ERROR(directory_.Insert(id, Slice(dv, kDirValueSize)));
-  resident_[id] = loc;
-  return Status::OK();
-}
-
-Result<RecordId> RecordStore::Insert(Slice payload) {
-  RecordId id = next_record_id_++;
-  LAXML_ASSIGN_OR_RETURN(RecordLocation loc, Place(payload));
-  LAXML_RETURN_IF_ERROR(PutDirectory(id, loc));
-  ++stats_.inserts;
-  return id;
-}
-
-Result<RecordLocation> RecordStore::Locate(RecordId id) const {
-  auto it = resident_.find(id);
-  if (it == resident_.end()) {
-    return Status::NotFound("record " + std::to_string(id));
-  }
-  return it->second;
-}
-
-Result<std::vector<uint8_t>> RecordStore::Read(RecordId id) const {
-  LAXML_ASSIGN_OR_RETURN(RecordSlice slice, PinSlice(id, 0, SIZE_MAX));
+Result<std::vector<uint8_t>> RecordStore::Read(
+    const RecordLocation& loc) const {
+  LAXML_ASSIGN_OR_RETURN(RecordSlice slice, PinSlice(loc, 0, SIZE_MAX));
   return std::move(slice).ToVector();
 }
 
-Result<RecordSlice> RecordStore::PinSlice(RecordId id, size_t offset,
-                                          size_t len) const {
-  LAXML_ASSIGN_OR_RETURN(RecordLocation loc, Locate(id));
+Result<RecordSlice> RecordStore::PinSlice(const RecordLocation& loc,
+                                          size_t offset, size_t len) const {
   ++stats_.reads;
   RecordSlice out;
   if (offset >= loc.len) return out;
@@ -306,10 +233,10 @@ Result<RecordSlice> RecordStore::PinSlice(RecordId id, size_t offset,
   LAXML_ASSIGN_OR_RETURN(Slice rec, sp.Get(loc.slot));
   if (loc.kind == RecordLocation::kInline) {
     if (rec.size() != loc.len) {
-      return Status::Corruption("record " + std::to_string(id) + " is " +
-                                std::to_string(rec.size()) +
-                                " bytes, directory says " +
-                                std::to_string(loc.len));
+      return Status::Corruption(
+          "record at page " + std::to_string(loc.page) + " slot " +
+          std::to_string(loc.slot) + " is " + std::to_string(rec.size()) +
+          " bytes, its location says " + std::to_string(loc.len));
     }
     out.borrowed_ = Slice(rec.data() + offset, want);
     out.pin_ = std::move(h);
@@ -341,25 +268,11 @@ Result<RecordSlice> RecordStore::PinSlice(RecordId id, size_t offset,
     }
     pos += piece;
   }
-  return Status::Corruption("overflow chain shorter than directory len");
+  return Status::Corruption("overflow chain shorter than the record");
 }
 
-Result<PageId> RecordStore::PageOf(RecordId id) const {
-  LAXML_ASSIGN_OR_RETURN(RecordLocation loc, Locate(id));
-  return loc.page;
-}
-
-Status RecordStore::Delete(RecordId id) {
-  LAXML_ASSIGN_OR_RETURN(RecordLocation loc, Locate(id));
-  LAXML_RETURN_IF_ERROR(Remove(loc));
-  LAXML_RETURN_IF_ERROR(directory_.Delete(id));
-  resident_.erase(id);
-  ++stats_.deletes;
-  return Status::OK();
-}
-
-Status RecordStore::Update(RecordId id, Slice payload) {
-  LAXML_ASSIGN_OR_RETURN(RecordLocation loc, Locate(id));
+Result<RecordLocation> RecordStore::Replace(const RecordLocation& loc,
+                                            Slice payload) {
   if (loc.kind == RecordLocation::kInline &&
       payload.size() <= SlottedPage::MaxRecordSize(pager_->page_size())) {
     // Try in place first.
@@ -369,33 +282,14 @@ Status RecordStore::Update(RecordId id, Slice payload) {
     if (st.ok()) {
       h.MarkDirty();
       NoteFreeSpace(loc.page, sp.FreeSpace());
-      loc.len = static_cast<uint32_t>(payload.size());
-      LAXML_RETURN_IF_ERROR(PutDirectory(id, loc));
-      ++stats_.updates;
-      return Status::OK();
+      RecordLocation moved = loc;
+      moved.len = static_cast<uint32_t>(payload.size());
+      return moved;
     }
     if (!st.IsResourceExhausted()) return st;
   }
-  // Relocate: remove the old incarnation, insert the new one under the
-  // same id.
   LAXML_RETURN_IF_ERROR(Remove(loc));
-  LAXML_ASSIGN_OR_RETURN(loc, Place(payload));
-  LAXML_RETURN_IF_ERROR(PutDirectory(id, loc));
-  ++stats_.updates;
-  return Status::OK();
-}
-
-Status RecordStore::ForEachRecord(
-    const std::function<bool(RecordId id, PageId page, uint16_t slot,
-                             uint16_t kind, uint32_t len)>& fn) const {
-  BTree::Iterator it = directory_.NewIterator();
-  LAXML_RETURN_IF_ERROR(it.SeekToFirst());
-  while (it.Valid()) {
-    RecordLocation loc = DecodeDirValue(it.value());
-    if (!fn(it.key(), loc.page, loc.slot, loc.kind, loc.len)) break;
-    LAXML_RETURN_IF_ERROR(it.Next());
-  }
-  return Status::OK();
+  return Place(payload);
 }
 
 }  // namespace laxml

@@ -13,7 +13,7 @@ void TokenCursor::Release() {
 Status TokenCursor::Pin(uint32_t offset, size_t bytes) {
   if (slice_.borrowed()) Release();  // one pin at a time
   LAXML_ASSIGN_OR_RETURN(
-      slice_, ranges_->range_records()->PinSlice(meta_.id, offset, bytes));
+      slice_, ranges_->PinSlice(meta_.id, offset, bytes));
   base_ = offset;
   bounded_ = bytes != kToRecordEnd && slice_.size() == bytes;
   reader_ = TokenReader(slice_.bytes(), ranges_->codec_for(meta_));
@@ -48,6 +48,7 @@ Status TokenCursor::SeekToFirst(Token* token) {
   valid_ = false;
   depth_ = 0;
   next_ordinal_ = 0;
+  hops_ = 0;
   RangeId first = ranges_->first_range();
   if (first == kInvalidRangeId) return Status::OK();
   LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(first));
@@ -60,6 +61,7 @@ Status TokenCursor::Seek(const StructuralEntry& entry, TokenType begin,
   LAXML_DCHECK(begin == TokenType::kBeginElement ||
                begin == TokenType::kBeginAttribute)
       << "structural entries begin elements and attributes";
+  hops_ = 0;
   LAXML_RETURN_IF_ERROR(SeekReader(entry.range, entry.offset));
   next_id_ = entry.id;
   next_ordinal_ = entry.pre;
@@ -77,6 +79,7 @@ Status TokenCursor::Seek(const StructuralEntry& entry, TokenType begin,
 }
 
 Status TokenCursor::SeekTo(const TokenPos& pos, Token* token, size_t bytes) {
+  hops_ = 0;
   if (pos.codec == 0) {
     LAXML_RETURN_IF_ERROR(SeekReader(pos.range, pos.offset));
   } else {
@@ -134,7 +137,7 @@ Status TokenCursor::NextRange(Token* token) {
       valid_ = false;
       return Status::OK();
     }
-    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(next));
+    LAXML_ASSIGN_OR_RETURN(RangeMeta meta, StepTo(next));
     LAXML_RETURN_IF_ERROR(LoadRange(meta));
   }
   return DecodeOne(token);
@@ -163,7 +166,7 @@ Status TokenCursor::SkipSubtree(TokenSequence* out) {
           valid_ = false;
           return Status::Corruption("subtree never closes");
         }
-        LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(next));
+        LAXML_ASSIGN_OR_RETURN(RangeMeta meta, StepTo(next));
         if (out != nullptr || depth_ - end_depth + meta.min_depth <= 0) {
           LAXML_RETURN_IF_ERROR(LoadRange(meta));
           break;

@@ -20,9 +20,10 @@
 // use Next(Token*) or SkipSubtree(&out), which decode header and strings
 // in one pass.
 //
-// This is the only walk over the range chain and the store's only
-// decoder of stored range bytes, so token decode is timed and changed
-// here alone. It reads through RecordStore::PinSlice and decodes from
+// This is the store's main walk over the range chain, bounded like every
+// other (a cycle is Corruption), and its only decoder of stored range
+// bytes, so token decode is timed and changed
+// here alone. It reads through RangeManager::PinSlice and decodes from
 // the borrowed buffer-pool frame (an overflow slice that spans pieces is
 // copied), holding one pin at most: released when it leaves the range,
 // runs off the end or is destroyed. A pinned page cannot be discarded,
@@ -202,6 +203,13 @@ class TokenCursor {
   /// Releases the slice and returns the next range's id, reading the
   /// current range's metadata if the cursor has not.
   Result<RangeId> LeaveRange();
+  /// Metadata of the range a walk steps into next. Corruption once the
+  /// walk since the last seek passes more ranges than the store holds
+  /// (RangeManager::CountChainVisit): a chain that cycles ends here.
+  Result<RangeMeta> StepTo(RangeId next) {
+    LAXML_RETURN_IF_ERROR(ranges_->CountChainVisit(&hops_));
+    return ranges_->GetMeta(next);
+  }
   /// Next() across a range boundary (or to the end).
   Status NextRange(Token* token);
   /// A decode at record offset `at` failed with `st`: on a bounded slice,
@@ -255,6 +263,7 @@ class TokenCursor {
   bool meta_read_ = false;  // else only its id and codec (next_id_ from 0)
   uint64_t range_first_ordinal_ = 0;  // ordinal of meta_'s first token
   uint64_t skipped_headers_ = 0;
+  uint64_t hops_ = 0;  // ranges stepped into since the last seek
 };
 
 }  // namespace laxml

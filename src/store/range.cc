@@ -5,37 +5,36 @@
 
 namespace laxml {
 
-/// id_count occupies the low 56 bits of its directory word; the codec
-/// version rides in the top byte (see RangeMeta::codec).
-inline constexpr uint64_t kIdCountMask = (uint64_t{1} << 56) - 1;
-
-void EncodeRangeMeta(const RangeMeta& meta, uint8_t* out48) {
-  EncodeFixed64(out48, meta.prev);
-  EncodeFixed64(out48 + 8, meta.next);
-  EncodeFixed64(out48 + 16, meta.start_id);
-  EncodeFixed64(out48 + 24, (meta.id_count & kIdCountMask) |
-                                (static_cast<uint64_t>(meta.codec) << 56));
-  EncodeFixed32(out48 + 32, meta.token_count);
-  EncodeFixed32(out48 + 36, meta.byte_len);
-  EncodeFixed32(out48 + 40, static_cast<uint32_t>(meta.depth_delta));
-  EncodeFixed32(out48 + 44, static_cast<uint32_t>(meta.min_depth));
+void EncodeRangeMeta(const RangeMeta& meta, uint8_t* out) {
+  EncodeFixed64(out, meta.prev);
+  EncodeFixed64(out + 8, meta.next);
+  EncodeFixed64(out + 16, meta.start_id);
+  EncodeFixed64(out + 24, meta.id_count);
+  EncodeFixed32(out + 32, meta.token_count);
+  EncodeFixed32(out + 36, meta.byte_len);
+  EncodeFixed32(out + 40, static_cast<uint32_t>(meta.depth_delta));
+  EncodeFixed32(out + 44, static_cast<uint32_t>(meta.min_depth));
+  EncodeFixed32(out + 48, meta.page);
+  EncodeFixed16(out + 52, meta.slot);
+  out[54] = meta.kind;
+  out[55] = meta.codec;
 }
 
-RangeMeta DecodeRangeMeta(RangeId id, const uint8_t* in48) {
+RangeMeta DecodeRangeMeta(RangeId id, const uint8_t* in) {
   RangeMeta meta;
   meta.id = id;
-  meta.prev = DecodeFixed64(in48);
-  meta.next = DecodeFixed64(in48 + 8);
-  meta.start_id = DecodeFixed64(in48 + 16);
-  uint64_t id_word = DecodeFixed64(in48 + 24);
-  meta.id_count = id_word & kIdCountMask;
-  uint8_t codec_byte = static_cast<uint8_t>(id_word >> 56);
-  // Pre-dictionary stores wrote a zero byte here; their payloads are v1.
-  meta.codec = codec_byte == 0 ? kTokenCodecV1 : codec_byte;
-  meta.token_count = DecodeFixed32(in48 + 32);
-  meta.byte_len = DecodeFixed32(in48 + 36);
-  meta.depth_delta = static_cast<int32_t>(DecodeFixed32(in48 + 40));
-  meta.min_depth = static_cast<int32_t>(DecodeFixed32(in48 + 44));
+  meta.prev = DecodeFixed64(in);
+  meta.next = DecodeFixed64(in + 8);
+  meta.start_id = DecodeFixed64(in + 16);
+  meta.id_count = DecodeFixed64(in + 24);
+  meta.token_count = DecodeFixed32(in + 32);
+  meta.byte_len = DecodeFixed32(in + 36);
+  meta.depth_delta = static_cast<int32_t>(DecodeFixed32(in + 40));
+  meta.min_depth = static_cast<int32_t>(DecodeFixed32(in + 44));
+  meta.page = DecodeFixed32(in + 48);
+  meta.slot = DecodeFixed16(in + 52);
+  meta.kind = in[54];
+  meta.codec = in[55];
   return meta;
 }
 

@@ -12,8 +12,10 @@
 //     lets ids be regenerated by scanning instead of stored (Sec. 4.3).
 //   * Document order across Ranges is the doubly-linked prev/next chain.
 //
-// A Range's payload (the encoded tokens) lives in the RecordStore under
-// RecordId == RangeId; its metadata lives in a B+-tree directory.
+// A Range's payload (the encoded tokens) is one RecordStore record; its
+// RangeMeta, the one persistent per-range entry, lives in the range-meta
+// B+-tree and carries the record's location (the paper's Range Index row
+// with its BlockId, Tables 2-3).
 
 #ifndef LAXML_STORE_RANGE_H_
 #define LAXML_STORE_RANGE_H_
@@ -22,12 +24,13 @@
 
 #include "common/status.h"
 #include "index/range_index.h"
+#include "storage/record_store.h"
 #include "xml/token.h"
 #include "xml/token_codec.h"
 
 namespace laxml {
 
-/// Persistent per-range metadata (fixed 48-byte directory value).
+/// Persistent per-range metadata (fixed 56-byte meta-tree value).
 struct RangeMeta {
   RangeId id = kInvalidRangeId;
   RangeId prev = kInvalidRangeId;  ///< Document-order predecessor.
@@ -49,35 +52,40 @@ struct RangeMeta {
   /// min_depth stays positive, the sought end token is not inside.
   int32_t min_depth = 0;
   /// Token codec version of the payload (kTokenCodecV1 / kTokenCodecV2).
-  /// Persisted in the top byte of the on-disk id_count word — node-id
-  /// space is nowhere near 2^56, and reusing the byte keeps the
-  /// directory value at 48 bytes so pre-dictionary stores open
-  /// unchanged (a zero byte there decodes as v1, which is exactly what
-  /// those stores contain).
   uint8_t codec = kTokenCodecV1;
+  /// The payload record's anchor in the heap; its length is byte_len.
+  PageId page = kInvalidPageId;
+  uint16_t slot = 0;
+  uint8_t kind = RecordLocation::kInline;
+
+  /// The payload's heap location.
+  RecordLocation location() const { return {page, slot, kind, byte_len}; }
+  /// Points the range at a placed payload (anchor and byte_len).
+  void set_location(const RecordLocation& loc) {
+    page = loc.page;
+    slot = loc.slot;
+    kind = loc.kind;
+    byte_len = loc.len;
+  }
 
   /// Inclusive last id; only meaningful when id_count > 0.
   NodeId end_id() const { return start_id + id_count - 1; }
   bool has_ids() const { return id_count > 0; }
 
-  bool operator==(const RangeMeta& o) const {
-    return id == o.id && prev == o.prev && next == o.next &&
-           start_id == o.start_id && id_count == o.id_count &&
-           token_count == o.token_count && byte_len == o.byte_len &&
-           depth_delta == o.depth_delta && min_depth == o.min_depth &&
-           codec == o.codec;
-  }
+  bool operator==(const RangeMeta&) const = default;
 };
 
-/// Size of the encoded directory value.
-inline constexpr uint32_t kRangeMetaValueSize = 48;
+/// Size of the encoded meta-tree value.
+inline constexpr uint32_t kRangeMetaValueSize = 56;
 
-/// Encodes meta (without `id`, which is the directory key) into a
-/// 48-byte buffer.
-void EncodeRangeMeta(const RangeMeta& meta, uint8_t* out48);
+/// Encodes meta (without `id`, which is the tree key) into a
+/// kRangeMetaValueSize-byte buffer: [prev u64][next u64][start_id u64]
+/// [id_count u64][token_count u32][byte_len u32][depth_delta i32]
+/// [min_depth i32][page u32][slot u16][kind u8][codec u8].
+void EncodeRangeMeta(const RangeMeta& meta, uint8_t* out);
 
-/// Decodes a 48-byte directory value; `id` is supplied by the caller.
-RangeMeta DecodeRangeMeta(RangeId id, const uint8_t* in48);
+/// Decodes a meta-tree value; `id` is supplied by the caller.
+RangeMeta DecodeRangeMeta(RangeId id, const uint8_t* in);
 
 /// Scans an encoded token payload computing (depth_delta, min_depth).
 Status ComputeDepthProfile(const uint8_t* payload, size_t len,

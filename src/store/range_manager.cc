@@ -1,5 +1,7 @@
 #include "store/range_manager.h"
 
+#include <algorithm>
+
 namespace laxml {
 
 RangeManager::RangeManager(Pager* pager,
@@ -8,12 +10,14 @@ RangeManager::RangeManager(Pager* pager,
     : pager_(pager),
       records_(std::move(records)),
       meta_tree_(std::move(meta_tree)),
+      next_range_id_(state.next_range_id),
       first_range_(state.first_range),
       last_range_(state.last_range),
       range_count_(state.range_count) {}
 
 Result<std::unique_ptr<RangeManager>> RangeManager::Create(Pager* pager) {
-  LAXML_ASSIGN_OR_RETURN(auto records, RecordStore::Create(pager));
+  LAXML_ASSIGN_OR_RETURN(auto records,
+                         RecordStore::Open(pager, kInvalidPageId));
   LAXML_ASSIGN_OR_RETURN(BTree meta_tree,
                          BTree::Create(pager, kRangeMetaValueSize));
   RangeManagerState state;
@@ -24,7 +28,7 @@ Result<std::unique_ptr<RangeManager>> RangeManager::Create(Pager* pager) {
 Result<std::unique_ptr<RangeManager>> RangeManager::Open(
     Pager* pager, const RangeManagerState& state) {
   LAXML_ASSIGN_OR_RETURN(auto records,
-                         RecordStore::Open(pager, state.records));
+                         RecordStore::Open(pager, state.data_head));
   LAXML_ASSIGN_OR_RETURN(
       BTree meta_tree,
       BTree::Open(pager, state.meta_tree_root, kRangeMetaValueSize));
@@ -36,31 +40,43 @@ Result<std::unique_ptr<RangeManager>> RangeManager::Open(
 
 RangeManagerState RangeManager::state() const {
   RangeManagerState s;
-  s.records = records_->state();
+  s.data_head = records_->data_head();
   s.meta_tree_root = meta_tree_.root();
+  s.next_range_id = next_range_id_;
   s.first_range = first_range_;
   s.last_range = last_range_;
   s.range_count = range_count_;
   return s;
 }
 
-Status RangeManager::RebuildIndex() {
-  index_.Clear();
-  total_payload_bytes_ = 0;
-  total_tokens_ = 0;
+Status RangeManager::ForEachMeta(
+    const std::function<bool(const RangeMeta&)>& fn) const {
   BTree::Iterator it = meta_tree_.NewIterator();
   LAXML_RETURN_IF_ERROR(it.SeekToFirst());
   while (it.Valid()) {
-    RangeMeta meta = DecodeRangeMeta(it.key(), it.value());
-    if (meta.has_ids()) {
-      LAXML_RETURN_IF_ERROR(
-          index_.Insert(meta.start_id, meta.end_id(), meta.id));
-    }
-    total_payload_bytes_ += meta.byte_len;
-    total_tokens_ += meta.token_count;
+    if (!fn(DecodeRangeMeta(it.key(), it.value()))) break;
     LAXML_RETURN_IF_ERROR(it.Next());
   }
   return Status::OK();
+}
+
+Status RangeManager::RebuildIndex() {
+  index_.Clear();
+  locations_.clear();
+  total_payload_bytes_ = 0;
+  total_tokens_ = 0;
+  Status index_status;
+  LAXML_RETURN_IF_ERROR(ForEachMeta([&](const RangeMeta& meta) {
+    if (meta.has_ids()) {
+      index_status = index_.Insert(meta.start_id, meta.end_id(), meta.id);
+      if (!index_status.ok()) return false;
+    }
+    locations_[meta.id] = meta.location();
+    total_payload_bytes_ += meta.byte_len;
+    total_tokens_ += meta.token_count;
+    return true;
+  }));
+  return index_status;
 }
 
 Result<RangeMeta> RangeManager::GetMeta(RangeId id) const {
@@ -75,11 +91,35 @@ Result<RangeMeta> RangeManager::GetMeta(RangeId id) const {
 Status RangeManager::PutMeta(const RangeMeta& meta) {
   uint8_t v[kRangeMetaValueSize];
   EncodeRangeMeta(meta, v);
-  return meta_tree_.Insert(meta.id, Slice(v, kRangeMetaValueSize));
+  LAXML_RETURN_IF_ERROR(
+      meta_tree_.Insert(meta.id, Slice(v, kRangeMetaValueSize)));
+  locations_[meta.id] = meta.location();
+  return Status::OK();
+}
+
+Status RangeManager::DeleteMeta(RangeId id) {
+  LAXML_RETURN_IF_ERROR(meta_tree_.Delete(id));
+  locations_.erase(id);
+  return Status::OK();
+}
+
+Result<RecordLocation> RangeManager::Locate(RangeId id) const {
+  auto it = locations_.find(id);
+  if (it == locations_.end()) {
+    return Status::NotFound("range " + std::to_string(id));
+  }
+  return it->second;
 }
 
 Result<std::vector<uint8_t>> RangeManager::ReadPayload(RangeId id) const {
-  return records_->Read(id);
+  LAXML_ASSIGN_OR_RETURN(RecordLocation loc, Locate(id));
+  return records_->Read(loc);
+}
+
+Result<RecordSlice> RangeManager::PinSlice(RangeId id, size_t offset,
+                                           size_t len) const {
+  LAXML_ASSIGN_OR_RETURN(RecordLocation loc, Locate(id));
+  return records_->PinSlice(loc, offset, len);
 }
 
 Result<RangeId> RangeManager::InsertRangeAfter(RangeId left, Slice payload,
@@ -87,13 +127,14 @@ Result<RangeId> RangeManager::InsertRangeAfter(RangeId left, Slice payload,
                                                uint64_t id_count,
                                                uint32_t token_count,
                                                uint8_t codec) {
-  LAXML_ASSIGN_OR_RETURN(RecordId rid, records_->Insert(payload));
+  LAXML_ASSIGN_OR_RETURN(RecordLocation loc, records_->Place(payload));
+  const RangeId rid = next_range_id_++;
   RangeMeta meta;
   meta.id = rid;
   meta.start_id = id_count > 0 ? start_id : kInvalidNodeId;
   meta.id_count = id_count;
   meta.token_count = token_count;
-  meta.byte_len = static_cast<uint32_t>(payload.size());
+  meta.set_location(loc);
   meta.codec = codec;
   LAXML_RETURN_IF_ERROR(ComputeDepthProfile(
       payload.data(), payload.size(), codec_for(meta), &meta.depth_delta,
@@ -168,10 +209,11 @@ Result<RangeId> RangeManager::Split(const TokenPos& cut) {
                        tail_tokens, meta.codec));
 
   // Shrink the head payload and metadata.
-  LAXML_RETURN_IF_ERROR(
-      records_->Update(id, Slice(payload.data(), cut.offset)));
   LAXML_ASSIGN_OR_RETURN(RangeMeta head, GetMeta(id));  // next updated
-  head.byte_len = cut.offset;
+  LAXML_ASSIGN_OR_RETURN(
+      RecordLocation head_loc,
+      records_->Replace(head.location(), Slice(payload.data(), cut.offset)));
+  head.set_location(head_loc);
   head.token_count = cut.token_index;
   head.id_count = cut.begins_before;
   if (cut.begins_before == 0) head.start_id = kInvalidNodeId;
@@ -211,7 +253,9 @@ Status RangeManager::MergeWithNext(RangeId id) {
   LAXML_ASSIGN_OR_RETURN(auto tail_payload, ReadPayload(meta.next));
   head_payload.insert(head_payload.end(), tail_payload.begin(),
                       tail_payload.end());
-  LAXML_RETURN_IF_ERROR(records_->Update(id, Slice(head_payload)));
+  LAXML_ASSIGN_OR_RETURN(
+      RecordLocation merged,
+      records_->Replace(meta.location(), Slice(head_payload)));
 
   // Index: both intervals collapse into one.
   if (meta.has_ids()) {
@@ -222,7 +266,7 @@ Status RangeManager::MergeWithNext(RangeId id) {
   }
 
   RangeId dead = meta.next;
-  meta.byte_len += next_meta.byte_len;
+  meta.set_location(merged);
   meta.token_count += next_meta.token_count;
   if (!meta.has_ids()) meta.start_id = next_meta.start_id;
   meta.id_count += next_meta.id_count;
@@ -247,8 +291,8 @@ Status RangeManager::MergeWithNext(RangeId id) {
   } else {
     last_range_ = id;
   }
-  LAXML_RETURN_IF_ERROR(records_->Delete(dead));
-  LAXML_RETURN_IF_ERROR(meta_tree_.Delete(dead));
+  LAXML_RETURN_IF_ERROR(records_->Remove(next_meta.location()));
+  LAXML_RETURN_IF_ERROR(DeleteMeta(dead));
   --range_count_;
   ++stats_.merges;
   return Status::OK();
@@ -273,8 +317,8 @@ Status RangeManager::DeleteRange(RangeId id) {
   if (meta.has_ids()) {
     LAXML_RETURN_IF_ERROR(index_.Erase(meta.start_id));
   }
-  LAXML_RETURN_IF_ERROR(records_->Delete(id));
-  LAXML_RETURN_IF_ERROR(meta_tree_.Delete(id));
+  LAXML_RETURN_IF_ERROR(records_->Remove(meta.location()));
+  LAXML_RETURN_IF_ERROR(DeleteMeta(id));
   --range_count_;
   total_payload_bytes_ -= meta.byte_len;
   total_tokens_ -= meta.token_count;
@@ -285,14 +329,22 @@ Status RangeManager::DeleteRange(RangeId id) {
 Status RangeManager::ForEachRange(
     const std::function<bool(const RangeMeta&)>& fn) const {
   RangeId cur = first_range_;
-  uint64_t guard = 0;
+  uint64_t visited = 0;
   while (cur != kInvalidRangeId) {
-    if (++guard > range_count_ + 1) {
-      return Status::Corruption("range chain cycle detected");
-    }
+    LAXML_RETURN_IF_ERROR(CountChainVisit(&visited));
     LAXML_ASSIGN_OR_RETURN(RangeMeta meta, GetMeta(cur));
     if (!fn(meta)) break;
     cur = meta.next;
+  }
+  return Status::OK();
+}
+
+Status RangeManager::CountChainVisit(uint64_t* visited) const {
+  const uint64_t ranges = std::min<uint64_t>(range_count_, locations_.size());
+  if (++*visited > ranges) {
+    return Status::Corruption(
+        "range chain visits more than the store's " + std::to_string(ranges) +
+        " range(s): it cycles");
   }
   return Status::OK();
 }

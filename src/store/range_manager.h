@@ -1,6 +1,7 @@
 // RangeManager: owns the physical life of Ranges — payload records,
-// metadata directory, the document-order chain, and the coarse Range
-// Index — and exposes the three structural mutations the Store needs:
+// range ids, the range-meta tree (each RangeMeta carries its payload's
+// heap location), the document-order chain, and the coarse Range Index —
+// and exposes the three structural mutations the Store needs:
 // insert a range at a chain position, split a range at a token boundary,
 // delete a range. The revised storage model of paper Section 4.4
 // ("chained blocks, which contain ordered ranges") is realized here as
@@ -12,6 +13,7 @@
 
 #include <functional>
 #include <memory>
+#include <unordered_map>
 
 #include "btree/btree.h"
 #include "index/range_index.h"
@@ -22,8 +24,9 @@ namespace laxml {
 
 /// Persistent bootstrap state of the range layer.
 struct RangeManagerState {
-  RecordStoreState records;
+  PageId data_head = kInvalidPageId;  ///< Payload heap chain head.
   PageId meta_tree_root = kInvalidPageId;
+  RangeId next_range_id = 1;  ///< Ids are never reused.
   RangeId first_range = kInvalidRangeId;
   RangeId last_range = kInvalidRangeId;
   uint64_t range_count = 0;
@@ -48,6 +51,14 @@ class RangeManager {
 
   /// Reads a range's encoded token payload.
   Result<std::vector<uint8_t>> ReadPayload(RangeId id) const;
+
+  /// Pins `len` bytes of a range's payload from `offset`
+  /// (RecordStore::PinSlice at the range's resident location).
+  Result<RecordSlice> PinSlice(RangeId id, size_t offset, size_t len) const;
+
+  /// The payload's heap location, from the resident map; touches no
+  /// page.
+  Result<RecordLocation> Locate(RangeId id) const;
 
   /// Creates a new range from `payload` (encoded with `codec`) and
   /// links it into the chain immediately after `left` (kInvalidRangeId
@@ -82,7 +93,10 @@ class RangeManager {
   Status MergeWithNext(RangeId id);
 
   /// Heap page anchoring the range payload (paper's "BlockId").
-  Result<PageId> BlockOf(RangeId id) const { return records_->PageOf(id); }
+  Result<PageId> BlockOf(RangeId id) const {
+    LAXML_ASSIGN_OR_RETURN(RecordLocation loc, Locate(id));
+    return loc.page;
+  }
 
   RangeId first_range() const { return first_range_; }
   RangeId last_range() const { return last_range_; }
@@ -112,12 +126,32 @@ class RangeManager {
   Status ForEachRange(
       const std::function<bool(const RangeMeta&)>& fn) const;
 
-  /// Direct access to the underlying record store (partial reads of
-  /// large payloads).
+  /// Visits every RangeMeta in the meta tree in id order, not along the
+  /// chain, so a broken chain hides none. `fn` returns false to stop.
+  Status ForEachMeta(const std::function<bool(const RangeMeta&)>& fn) const;
+
+  /// Counts one more range visited by a walk over the chain. A walk
+  /// that visits more ranges than the store holds has revisited one, so
+  /// it follows a cycle and would follow it forever. Returns Corruption
+  /// once `*visited` passes range_count, or the number of RangeMetas
+  /// (resident locations) when that is smaller.
+  Status CountChainVisit(uint64_t* visited) const;
+
+  /// The payload heap.
   RecordStore* range_records() const { return records_.get(); }
 
-  /// The RangeId -> RangeMeta directory tree (integrity auditor).
+  /// The RangeId -> RangeMeta tree (integrity auditor).
   const BTree& meta_tree() const { return meta_tree_; }
+
+  /// Number of resident locations (one per range).
+  size_t location_count() const { return locations_.size(); }
+
+  /// Test-only seams: the resident location map, and a meta write that
+  /// touches nothing else, for tests that plant inconsistencies.
+  std::unordered_map<RangeId, RecordLocation>& TestOnlyLocations() {
+    return locations_;
+  }
+  Status TestOnlyPutMeta(const RangeMeta& meta) { return PutMeta(meta); }
 
   RangeManagerState state() const;
   const RangeManagerStats& stats() const { return stats_; }
@@ -127,14 +161,24 @@ class RangeManager {
   RangeManager(Pager* pager, std::unique_ptr<RecordStore> records,
                BTree meta_tree, const RangeManagerState& state);
 
-  /// Rebuilds the in-memory Range Index from the metadata directory.
+  /// Rebuilds the in-memory Range Index, the resident locations and the
+  /// payload totals from the meta tree.
   Status RebuildIndex();
 
+  /// Writes a range's meta to the tree and its location to the resident
+  /// map; DeleteMeta drops both.
   Status PutMeta(const RangeMeta& meta);
+  Status DeleteMeta(RangeId id);
 
   Pager* pager_;
   std::unique_ptr<RecordStore> records_;
   mutable BTree meta_tree_;
+  /// Resident copy of every RangeMeta's payload location: a read that
+  /// knows only a range id (a Partial Index hit) pins the payload page
+  /// without descending the meta tree. Only mutations change it, so
+  /// concurrent readers see a stable map.
+  std::unordered_map<RangeId, RecordLocation> locations_;
+  RangeId next_range_id_;
   RangeId first_range_;
   RangeId last_range_;
   uint64_t range_count_;

@@ -18,19 +18,13 @@ namespace laxml {
 
 namespace {
 constexpr uint32_t kStoreMagic = 0x4C585354u;  // "LXST"
-// Version 2 appended the checkpoint epoch (offset 104) that pairs with
-// the WAL's leading kCheckpoint record. Version 3 appends the name
-// dictionary's symbol log after the fixed header; version-2 blobs are
-// still accepted (their stores predate the dictionary — every range is
-// v1 and the dictionary starts empty, to be populated by new writes).
-constexpr uint32_t kStoreVersion = 3;
-constexpr uint32_t kMinStoreVersion = 2;
-constexpr size_t kMetaBlobSize = 112;
+// Version 4 keeps each range's payload location in its RangeMeta (56-byte
+// meta-tree values) and has no record-directory tree; older stores are
+// refused, not migrated. The fixed header (PersistMeta's order) is
+// followed by the name dictionary's symbol log.
+constexpr uint32_t kStoreVersion = 4;
+constexpr size_t kMetaBlobSize = 108;
 constexpr size_t kIndexModeOffset = 8;
-// The mode word older stores wrote for the lazy Range Index with the
-// Partial Index on; the Partial Index lives in memory, so its files are
-// plain lazy stores.
-constexpr uint32_t kLegacyRangeWithPartial = 2;
 
 // A commit sync policy without a log to sync is a contradiction; running
 // on without the log would silently drop the durability asked for.
@@ -188,11 +182,15 @@ Status Store::Bootstrap(bool fresh) {
     // A crash mid-append (or mid-group-commit batch) leaves a torn
     // record at the tail; those bytes were never acknowledged, so drop
     // them from the file before replaying — audits that run during or
-    // after recovery then see exactly the log that was executed.
-    if (!read_only()) {
-      LAXML_RETURN_IF_ERROR(wal_->TrimTornTail());
+    // after recovery then see exactly the log that was executed. The
+    // trim decodes the log once and hands back what it kept; a
+    // read-only open leaves the file alone and only reads it.
+    std::vector<WalRecord> records;
+    if (read_only()) {
+      LAXML_ASSIGN_OR_RETURN(records, wal_->ReadAll());
+    } else {
+      LAXML_ASSIGN_OR_RETURN(records, wal_->TrimTornTail());
     }
-    LAXML_ASSIGN_OR_RETURN(auto records, wal_->ReadAll());
     // Epoch protocol: every WAL epoch opens with a kCheckpoint record
     // naming the checkpoint it continues from. A mismatch means the
     // checkpoint completed but the crash beat the log truncation —
@@ -265,11 +263,10 @@ Status Store::PersistMeta() {
   PutFixed32(&blob, 0);  // flags
   PutFixed64(&blob, next_node_id_);
   RangeManagerState rs = ranges_->state();
-  PutFixed32(&blob, rs.records.directory_root);
-  PutFixed32(&blob, rs.records.data_head);
-  PutFixed64(&blob, rs.records.next_record_id);
+  PutFixed32(&blob, rs.data_head);
   PutFixed32(&blob, rs.meta_tree_root);
   PutFixed32(&blob, full_ ? full_->root() : kInvalidPageId);
+  PutFixed64(&blob, rs.next_range_id);
   PutFixed64(&blob, rs.first_range);
   PutFixed64(&blob, rs.last_range);
   PutFixed64(&blob, rs.range_count);
@@ -278,7 +275,7 @@ Status Store::PersistMeta() {
   PutFixed64(&blob, stats_.tokens_inserted);
   PutFixed64(&blob, stats_.bytes_inserted);
   PutFixed64(&blob, checkpoint_epoch_);
-  // v3: the dictionary's append-only symbol log rides after the fixed
+  // The dictionary's append-only symbol log rides after the fixed
   // header. Intern's byte budget guarantees this stays within the
   // pager's meta capacity.
   dict_->Serialize(&blob);
@@ -293,8 +290,14 @@ Result<IndexMode> Store::StoredIndexMode(const std::vector<uint8_t>& meta) {
   if (DecodeFixed32(meta.data()) != kStoreMagic) {
     return Status::Corruption("bad store magic");
   }
+  const uint32_t version = DecodeFixed32(meta.data() + 4);
+  if (version != kStoreVersion) {
+    return Status::NotSupported(
+        "store version " + std::to_string(version) + " is not " +
+        std::to_string(kStoreVersion) + "; reload the document into a new "
+        "store");
+  }
   const uint32_t raw = DecodeFixed32(meta.data() + kIndexModeOffset);
-  if (raw == kLegacyRangeWithPartial) return IndexMode::kRangeIndex;
   if (raw > static_cast<uint32_t>(IndexMode::kRangeIndex)) {
     return Status::Corruption("unknown index mode " + std::to_string(raw));
   }
@@ -306,38 +309,28 @@ Status Store::LoadMeta(const std::vector<uint8_t>& blob) {
   if (blob.size() < kMetaBlobSize) {
     return Status::Corruption("store meta blob truncated");
   }
-  const uint8_t* p = blob.data();
-  uint32_t version = DecodeFixed32(p + 4);
-  if (version < kMinStoreVersion || version > kStoreVersion) {
-    return Status::Corruption("unsupported store version");
-  }
   if (stored_mode != options_.index_mode) {
     return Status::InvalidArgument(
         std::string("store was created with index mode ") +
         IndexModeName(stored_mode) + ", reopen must match");
   }
+  const uint8_t* p = blob.data();
   next_node_id_ = DecodeFixed64(p + 16);
   RangeManagerState rs;
-  rs.records.directory_root = DecodeFixed32(p + 24);
-  rs.records.data_head = DecodeFixed32(p + 28);
-  rs.records.next_record_id = DecodeFixed64(p + 32);
-  rs.meta_tree_root = DecodeFixed32(p + 40);
-  PageId full_root = DecodeFixed32(p + 44);
-  rs.first_range = DecodeFixed64(p + 48);
-  rs.last_range = DecodeFixed64(p + 56);
-  rs.range_count = DecodeFixed64(p + 64);
-  stats_.nodes_inserted = DecodeFixed64(p + 72);
-  stats_.nodes_deleted = DecodeFixed64(p + 80);
-  stats_.tokens_inserted = DecodeFixed64(p + 88);
-  stats_.bytes_inserted = DecodeFixed64(p + 96);
-  checkpoint_epoch_ = DecodeFixed64(p + 104);
-  if (version >= 3) {
-    LAXML_RETURN_IF_ERROR(dict_->Deserialize(
-        Slice(p + kMetaBlobSize, blob.size() - kMetaBlobSize)));
-  }
-  // A version-2 store simply starts with an empty dictionary: all its
-  // ranges are stamped v1 and decode without one. The next checkpoint
-  // rewrites the blob at version 3.
+  rs.data_head = DecodeFixed32(p + 24);
+  rs.meta_tree_root = DecodeFixed32(p + 28);
+  PageId full_root = DecodeFixed32(p + 32);
+  rs.next_range_id = DecodeFixed64(p + 36);
+  rs.first_range = DecodeFixed64(p + 44);
+  rs.last_range = DecodeFixed64(p + 52);
+  rs.range_count = DecodeFixed64(p + 60);
+  stats_.nodes_inserted = DecodeFixed64(p + 68);
+  stats_.nodes_deleted = DecodeFixed64(p + 76);
+  stats_.tokens_inserted = DecodeFixed64(p + 84);
+  stats_.bytes_inserted = DecodeFixed64(p + 92);
+  checkpoint_epoch_ = DecodeFixed64(p + 100);
+  LAXML_RETURN_IF_ERROR(dict_->Deserialize(
+      Slice(p + kMetaBlobSize, blob.size() - kMetaBlobSize)));
   LAXML_ASSIGN_OR_RETURN(ranges_, RangeManager::Open(pager_.get(), rs));
   ranges_->set_dictionary(dict_.get());
   if (options_.index_mode == IndexMode::kFullIndex) {
@@ -651,7 +644,9 @@ Status Store::DeleteRangesBetween(RangeId first_doomed,
                                   RangeId right_boundary) {
   RangeId cur = first_doomed;
   std::vector<RangeMeta> doomed;
+  uint64_t visited = 0;
   while (cur != kInvalidRangeId && cur != right_boundary) {
+    LAXML_RETURN_IF_ERROR(ranges_->CountChainVisit(&visited));
     LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
     doomed.push_back(meta);
     cur = meta.next;
@@ -902,7 +897,9 @@ bool Store::Exists(NodeId id) {
 
 Result<NodeId> Store::FirstTopLevelId() const {
   RangeId cur = ranges_->first_range();
+  uint64_t visited = 0;
   while (cur != kInvalidRangeId) {
+    LAXML_RETURN_IF_ERROR(ranges_->CountChainVisit(&visited));
     LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
     if (meta.has_ids()) {
       // The first id-bearing range's first id begins the first node.
@@ -932,6 +929,9 @@ Result<uint64_t> Store::CompactRanges(uint32_t target_bytes) {
   return FailStop(StoreOp::kCompact, [&]() -> Result<uint64_t> {
     uint64_t merges = 0;
     RangeId cur = ranges_->first_range();
+    // Counts the steps on, not the passes: a merge keeps `cur` and
+    // leaves one range fewer.
+    uint64_t visited = 0;
     while (cur != kInvalidRangeId) {
       LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(cur));
       if (meta.next == kInvalidRangeId) break;
@@ -940,6 +940,7 @@ Result<uint64_t> Store::CompactRanges(uint32_t target_bytes) {
       LAXML_ASSIGN_OR_RETURN(bool mergeable, ranges_->CanMergeWithNext(cur));
       if (!mergeable ||
           meta.byte_len + next_meta.byte_len > target_bytes) {
+        LAXML_RETURN_IF_ERROR(ranges_->CountChainVisit(&visited));
         cur = meta.next;
         continue;
       }

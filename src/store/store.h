@@ -73,10 +73,10 @@ class Store {
       const StoreOptions& options);
 
   /// The index mode stamped in a store's meta blob (Pager::ReadMeta):
-  /// 0 is the Full Index, 1 the lazy Range Index, and 2 the lazy stamp
-  /// of stores written when the Partial Index was a mode of its own. Any
-  /// other word, a short blob or a bad magic is Corruption. Opening a
-  /// store and fsck both decode the word here.
+  /// 0 is the Full Index, 1 the lazy Range Index. Any other word, a short
+  /// blob or a bad magic is Corruption; a store version other than this
+  /// build's is NotSupported, naming it. Opening a store and fsck both
+  /// decode the header here.
   static Result<IndexMode> StoredIndexMode(const std::vector<uint8_t>& meta);
 
   ~Store();
@@ -240,6 +240,9 @@ class Store {
   /// and warming is a logical read.
   StructuralIndex* structural_index() const { return structural_.get(); }
   const RangeManager& range_manager() const { return *ranges_; }
+  /// Test-only seam: the range layer, for tests that plant inconsistent
+  /// metadata.
+  RangeManager& TestOnlyRangeManager() { return *ranges_; }
   Pager* pager() { return pager_.get(); }
   /// The WAL handle (nullptr unless options().enable_wal on a
   /// file-backed store). SharedStore builds its group-commit sequencer

@@ -73,8 +73,9 @@ Result<std::vector<WalRecord>> Wal::ReadAll() const {
   return records;
 }
 
-Status Wal::TrimTornTail() {
+Result<std::vector<WalRecord>> Wal::TrimTornTail() {
   LAXML_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, file_.ReadAll());
+  std::vector<WalRecord> records;
   const uint8_t* p = buf.data();
   const uint8_t* limit = p + buf.size();
   while (p < limit) {
@@ -84,6 +85,7 @@ Status Wal::TrimTornTail() {
       p = record_start;
       break;
     }
+    records.push_back(std::move(rec));
   }
   if (p != limit) {
     // Zeroes the torn bytes and any padding past them (a no-op write
@@ -93,7 +95,7 @@ Status Wal::TrimTornTail() {
         file_.Truncate(static_cast<uint64_t>(p - buf.data())));
   }
   end_known_ = true;
-  return Status::OK();
+  return records;
 }
 
 Status Wal::Truncate() {

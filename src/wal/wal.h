@@ -88,8 +88,10 @@ class Wal {
   /// the first append after a crash): those bytes were never
   /// acknowledged durable (their commit never returned), and trimming
   /// them keeps audits of the surviving log clean. Writes nothing when
-  /// they already read as zero.
-  Status TrimTornTail();
+  /// they already read as zero. Returns the records it verified: the
+  /// whole log left behind, so recovery replays them without reading
+  /// the file again.
+  Result<std::vector<WalRecord>> TrimTornTail();
 
   /// Empties the log (checkpoint completed): zeroes the used prefix and
   /// syncs it, keeping the file's size (or cutting it back to its first

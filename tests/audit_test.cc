@@ -208,14 +208,25 @@ TEST(AuditTest, MemoCodecMismatchIsDetected) {
   EXPECT_TRUE(found) << report.ToString();
 }
 
-TEST(AuditTest, ResidentDirectoryDriftIsDetected) {
+bool HasIssue(const AuditReport& report, AuditLayer layer,
+              const std::string& needle) {
+  for (const AuditIssue& issue : report.issues) {
+    if (issue.layer == layer &&
+        issue.message.find(needle) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(AuditTest, ResidentLocationDriftIsDetected) {
   ASSERT_OK_AND_ASSIGN(
       auto store, Store::OpenInMemory(OptionsFor(kPartialIndexConfig)));
   ASSERT_OK_AND_ASSIGN(NodeId root, store->LoadXml("<root><a>x</a></root>"));
   ASSERT_LAXML_OK(store->InsertIntoLast(root, MustFragment("<b>y</b>")));
-  RecordStore* records = store->range_manager().range_records();
-  auto& resident = records->TestOnlyResident();
-  const RangeId range = store->range_manager().first_range();
+  RangeManager& ranges = store->TestOnlyRangeManager();
+  auto& resident = ranges.TestOnlyLocations();
+  const RangeId range = ranges.first_range();
   const RecordLocation saved = resident.at(range);
   auto has_issue = [](const AuditReport& report, const std::string& needle,
                       RangeId at) {
@@ -228,31 +239,101 @@ TEST(AuditTest, ResidentDirectoryDriftIsDetected) {
     return false;
   };
 
-  // One entry drifts: its length no longer matches the tree's.
+  // One entry drifts: its length no longer matches its RangeMeta's.
   resident[range].len = saved.len + 1;
   AuditReport report = Audit(store.get());
-  EXPECT_TRUE(has_issue(report, "resident entry has", range))
+  EXPECT_TRUE(has_issue(report, "resident location has", range))
       << report.ToString();
   EXPECT_FALSE(store->CheckIntegrity().ok());
   resident[range] = saved;
   EXPECT_LAXML_OK(store->CheckIntegrity());
 
-  // The resident copy holds an entry the tree lacks: the counts differ.
-  const RecordId stray = records->state().next_record_id + 7;
+  // The resident map holds an entry the meta tree lacks: the counts
+  // differ.
+  const RangeId stray = ranges.state().next_range_id + 7;
   resident[stray] = saved;
   report = Audit(store.get());
-  EXPECT_TRUE(has_issue(report, "resident directory has", kInvalidRangeId))
+  EXPECT_TRUE(has_issue(report, "resident map has", kInvalidRangeId))
       << report.ToString();
   EXPECT_FALSE(store->CheckIntegrity().ok());
   resident.erase(stray);
 
-  // An entry the tree has is missing from the resident copy.
+  // A range the meta tree has is missing from the resident map.
   resident.erase(range);
   report = Audit(store.get());
-  EXPECT_TRUE(has_issue(report, "resident directory has", kInvalidRangeId))
+  EXPECT_TRUE(has_issue(report, "resident map has", kInvalidRangeId))
       << report.ToString();
   resident[range] = saved;
   EXPECT_LAXML_OK(store->CheckIntegrity());
+}
+
+// A store of several ranges, one per insert, all inline.
+std::unique_ptr<Store> StoreOfThreeRanges() {
+  auto store = Store::OpenInMemory(OptionsFor(kPartialIndexConfig));
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (!store.ok()) return nullptr;
+  auto root = (*store)->LoadXml("<root><a>x</a></root>");
+  EXPECT_TRUE(root.ok());
+  EXPECT_TRUE((*store)->InsertIntoLast(*root, MustFragment("<b>y</b>")).ok());
+  EXPECT_GE((*store)->range_manager().range_count(), 3u);
+  EXPECT_TRUE((*store)->CheckIntegrity().ok());
+  return std::move(store).value();
+}
+
+TEST(AuditTest, RangeMetaPointingAtADeadSlotIsDetected) {
+  auto store = StoreOfThreeRanges();
+  ASSERT_NE(store, nullptr);
+  RangeManager& ranges = store->TestOnlyRangeManager();
+  // A second record keeps the heap page alive once the payload goes.
+  ASSERT_OK_AND_ASSIGN(RecordLocation keep,
+                       ranges.range_records()->Place(Slice(std::string("keep"))));
+  ASSERT_OK_AND_ASSIGN(RangeMeta last, ranges.GetMeta(ranges.last_range()));
+  ASSERT_EQ(keep.page, last.page);
+  ASSERT_LAXML_OK(ranges.range_records()->Remove(last.location()));
+  AuditReport report = Audit(store.get());
+  EXPECT_TRUE(HasIssue(report, AuditLayer::kSlottedPage,
+                       "range meta points at a dead slot"))
+      << report.ToString();
+  EXPECT_FALSE(store->CheckIntegrity().ok());
+}
+
+TEST(AuditTest, LeakedHeapSlotIsDetected) {
+  auto store = StoreOfThreeRanges();
+  ASSERT_NE(store, nullptr);
+  // A payload placed in the heap that no RangeMeta points at.
+  ASSERT_OK_AND_ASSIGN(
+      RecordLocation leaked,
+      store->TestOnlyRangeManager().range_records()->Place(Slice(std::string("orphan"))));
+  AuditReport report = Audit(store.get());
+  bool found = false;
+  for (const AuditIssue& issue : report.issues) {
+    if (issue.layer == AuditLayer::kSlottedPage &&
+        issue.page == leaked.page && issue.slot == leaked.slot &&
+        issue.message.find("anchors no range") != std::string::npos) {
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found) << report.ToString();
+  EXPECT_FALSE(store->CheckIntegrity().ok());
+}
+
+TEST(AuditTest, HeapSlotSharedByTwoRangesIsDetected) {
+  auto store = StoreOfThreeRanges();
+  ASSERT_NE(store, nullptr);
+  RangeManager& ranges = store->TestOnlyRangeManager();
+  ASSERT_OK_AND_ASSIGN(RangeMeta first, ranges.GetMeta(ranges.first_range()));
+  ASSERT_OK_AND_ASSIGN(RangeMeta last, ranges.GetMeta(ranges.last_range()));
+  // The last range's meta now names the first range's payload slot.
+  last.page = first.page;
+  last.slot = first.slot;
+  last.kind = first.kind;
+  ASSERT_LAXML_OK(ranges.TestOnlyPutMeta(last));
+  AuditReport report = Audit(store.get());
+  EXPECT_TRUE(HasIssue(report, AuditLayer::kSlottedPage,
+                       "heap slot anchors ranges " + std::to_string(first.id) +
+                           " and " + std::to_string(last.id)))
+      << report.ToString();
+  EXPECT_FALSE(store->CheckIntegrity().ok());
 }
 
 /// A store whose lazy structural index holds warm <item> and

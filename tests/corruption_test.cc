@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "audit/fsck.h"
 #include "common/slice.h"
 #include "storage/page.h"
+#include "store/range.h"
 #include "store/store.h"
 #include "test_util.h"
 
@@ -61,7 +63,7 @@ void Reseal(std::vector<uint8_t>* file, PageId page) {
 }
 
 // Builds a closed, checkpointed store file with a few ranges (so the
-// heap, both B+-trees, and the range chain all have content).
+// heap, the range-meta B+-tree, and the range chain all have content).
 void BuildStore(const std::string& path) {
   StoreOptions options;
   ASSERT_OK_AND_ASSIGN(auto store, Store::Open(path, options));
@@ -127,6 +129,7 @@ TEST(CorruptionTest, BTreeNodeCorruptionLocalized) {
   BuildStore(file.path());
   auto bytes = ReadWholeFile(file.path());
   uint32_t page_size = PageSizeOf(bytes);
+  // The lazy store's one B+-tree: this is a range-meta leaf.
   PageId victim = FindPageOfType(bytes, PageType::kBTreeLeaf);
   ASSERT_NE(victim, kInvalidPageId);
   // Overwrite the leaf's first key (payload offset 12) with u64 max:
@@ -140,6 +143,55 @@ TEST(CorruptionTest, BTreeNodeCorruptionLocalized) {
   EXPECT_EQ(outcome.exit_code, 1);
   EXPECT_TRUE(HasIssueAt(outcome.report, AuditLayer::kBTree, victim))
       << outcome.report.ToString();
+}
+
+// One RangeMeta's `next` rewritten in the file to point back into the
+// chain, its page resealed: every walk over the chain would loop. Each
+// one stops at Corruption once it passes more ranges than the store
+// holds, so reads, the structural warm-up and fsck report the cycle
+// and nothing exhausts memory or throws.
+TEST(CorruptionTest, RangeChainCycleIsCorruptionNotAHang) {
+  TempFile file("fsck_cycle");
+  BuildStore(file.path());
+  StoreOptions read_only;
+  read_only.pager.read_only = true;
+  std::vector<RangeMeta> chain;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(file.path(), read_only));
+    ASSERT_LAXML_OK(store->range_manager().ForEachRange(
+        [&](const RangeMeta& meta) {
+          chain.push_back(meta);
+          return true;
+        }));
+  }
+  ASSERT_GE(chain.size(), 3u);
+  auto bytes = ReadWholeFile(file.path());
+  const uint32_t page_size = PageSizeOf(bytes);
+  uint8_t value[kRangeMetaValueSize];
+  EncodeRangeMeta(chain.back(), value);
+  auto at = std::search(bytes.begin(), bytes.end(), value,
+                        value + kRangeMetaValueSize);
+  ASSERT_NE(at, bytes.end()) << "the last range's meta value";
+  const size_t off = static_cast<size_t>(at - bytes.begin());
+  EncodeFixed64(bytes.data() + off + 8, chain[1].id);  // next
+  Reseal(&bytes, static_cast<PageId>(off / page_size));
+  WriteWholeFile(file.path(), bytes);
+
+  ASSERT_OK_AND_ASSIGN(auto store, Store::Open(file.path(), read_only));
+  EXPECT_NO_THROW({
+    auto all = store->Read();
+    EXPECT_TRUE(all.status().IsCorruption()) << all.status().ToString();
+    Status warm = store->WarmStructuralIndex();
+    EXPECT_TRUE(warm.IsCorruption()) << warm.ToString();
+    EXPECT_FALSE(store->CheckIntegrity().ok());
+  });
+  store.reset();
+  EXPECT_NO_THROW({
+    FsckOutcome outcome = RunFsck(file.path());
+    EXPECT_EQ(outcome.exit_code, 1) << outcome.error;
+    EXPECT_TRUE(HasIssue(outcome.report, AuditLayer::kRangeChain))
+        << outcome.report.ToString();
+  });
 }
 
 TEST(CorruptionTest, RawBitFlipCaughtByChecksum) {

@@ -285,7 +285,7 @@ TEST(CursorTest, HoldsAtMostOnePinAndReleasesIt) {
   const RangeManager& ranges = store->range_manager();
   ASSERT_GT(ranges.range_count(), 3u);
   ASSERT_OK_AND_ASSIGN(RecordLocation first,
-                       ranges.range_records()->Locate(ranges.first_range()));
+                       ranges.Locate(ranges.first_range()));
   ASSERT_EQ(first.kind, RecordLocation::kInline);
   const BufferPool* pool = store->pager()->pool();
   ASSERT_EQ(pool->pinned_frame_count(), 0u);

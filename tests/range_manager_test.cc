@@ -161,10 +161,14 @@ TEST_F(RangeManagerTest, DeleteUnlinksAndReindexes) {
   EXPECT_EQ(manager_->range_count(), 0u);
 }
 
+// Reopen refills the Range Index and the resident payload locations
+// from the meta tree, and range ids keep counting past every id used
+// before, deleted ones included.
 TEST_F(RangeManagerTest, ReopenRebuildsIndexFromMeta) {
   RangeId a = AddRange(kInvalidRangeId, "<a/><a2/>", 1);
   RangeId b = AddRange(a, "<b/>", 50);
-  (void)b;
+  RangeId c = AddRange(b, "<c/>", 60);
+  ASSERT_LAXML_OK(manager_->DeleteRange(c));
   RangeManagerState state = manager_->state();
   manager_.reset();
   ASSERT_OK_AND_ASSIGN(manager_, RangeManager::Open(pager_.get(), state));
@@ -172,8 +176,19 @@ TEST_F(RangeManagerTest, ReopenRebuildsIndexFromMeta) {
   ASSERT_OK_AND_ASSIGN(RangeId r, manager_->index().Lookup(2));
   EXPECT_EQ(r, a);
   ASSERT_OK_AND_ASSIGN(r, manager_->index().Lookup(50));
-  EXPECT_NE(r, a);
+  EXPECT_EQ(r, b);
   EXPECT_EQ(ChainOrder().size(), 2u);
+  EXPECT_EQ(manager_->location_count(), 2u);
+  for (RangeId id : {a, b}) {
+    ASSERT_OK_AND_ASSIGN(RangeMeta meta, manager_->GetMeta(id));
+    ASSERT_OK_AND_ASSIGN(RecordLocation loc, manager_->Locate(id));
+    EXPECT_EQ(loc, meta.location()) << "range " << id;
+    ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> payload,
+                         manager_->ReadPayload(id));
+    EXPECT_EQ(payload.size(), meta.byte_len) << "range " << id;
+  }
+  EXPECT_TRUE(manager_->Locate(c).status().IsNotFound());
+  EXPECT_GT(AddRange(b, "<d/>", 70), c);
 }
 
 TEST_F(RangeManagerTest, BlockOfReportsHeapPage) {

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include "audit/fsck.h"
+#include "storage/faulty_file.h"
 #include "store/store.h"
 #include "test_util.h"
 #include "wal/wal.h"
@@ -77,6 +78,31 @@ TEST(RecoveryTest, CrashAfterOpsReplaysFromWal) {
                          store->InsertIntoLast(1, MustFragment("<c/>")));
     EXPECT_EQ(next, 5u);  // db=1, a=2, b=3, "two"=4 -> next is 5
   }
+}
+
+// A recovering open decodes the log once: the trim that finds its end
+// hands the records it verified to replay. The log's other reads are
+// the zero checks of its two resets, the trim's past the last record
+// and the recovery checkpoint's over the used prefix, one chunk each.
+TEST(RecoveryTest, RecoveringOpenReadsTheLogOnce) {
+  TempFile tmp("recov_reads");
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), WalOptions()));
+    ASSERT_LAXML_OK(store->InsertTopLevel(MustFragment("<db/>")).status());
+    InsertChildren(store.get(), 5);
+    store->TestOnlyCrash();
+  }
+  FaultyFile* pages = nullptr;
+  FaultyFile* wal = nullptr;
+  StoreOptions options = WalOptions();
+  options.file_wrapper = WrapInFaultyFiles(&pages, &wal);
+  ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
+  ASSERT_NE(wal, nullptr);
+  EXPECT_TRUE(store->replayed_wal_tail());
+  EXPECT_EQ(wal->op_count(FaultOp::kRead), 3u);
+  ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
+  EXPECT_EQ(MustSerialize(all), Children(5));
+  EXPECT_LAXML_OK(store->CheckIntegrity());
 }
 
 TEST(RecoveryTest, RecoveryCheckpointsSoSecondOpenIsClean) {

@@ -434,7 +434,7 @@ TEST(StoreMemoReadTest, LongTokensReadWholeColdAndWarm) {
               .status());
       ASSERT_OK_AND_ASSIGN(
           RecordLocation loc,
-          store->range_manager().range_records()->Locate(
+          store->range_manager().Locate(
               store->range_manager().first_range()));
       EXPECT_EQ(loc.kind, len < 1000 ? RecordLocation::kInline
                                      : RecordLocation::kOverflow);
@@ -472,13 +472,12 @@ TEST(StoreMemoReadTest, WarmInlineMemoHitPinsOnePage) {
   options.index_mode = IndexMode::kRangeIndex;
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
   ASSERT_LAXML_OK(store->LoadXml("<r><a><b>x</b><c/></a><d/></r>").status());
-  const RecordStore* records = store->range_manager().range_records();
-  ASSERT_OK_AND_ASSIGN(
-      RecordLocation loc,
-      records->Locate(store->range_manager().first_range()));
+  const RangeManager& ranges = store->range_manager();
+  ASSERT_OK_AND_ASSIGN(RecordLocation loc,
+                       ranges.Locate(ranges.first_range()));
   ASSERT_EQ(loc.kind, RecordLocation::kInline);
   ASSERT_LAXML_OK(store->Read(2).status());  // memoizes begin and end
-  // The record's heap page, and no directory page.
+  // The record's heap page, and no meta-tree page.
   EXPECT_EQ(PinsOfRead(store.get(), 2), 1u);
 }
 
@@ -493,10 +492,9 @@ TEST(StoreMemoReadTest, WarmOverflowMemoHitPinsNoDirectoryPage) {
     xml += "<item><n>" + std::to_string(i) + "</n></item>";
   }
   ASSERT_LAXML_OK(store->LoadXml(xml + "</r>").status());
-  const RecordStore* records = store->range_manager().range_records();
-  ASSERT_OK_AND_ASSIGN(
-      RecordLocation loc,
-      records->Locate(store->range_manager().first_range()));
+  const RangeManager& ranges = store->range_manager();
+  ASSERT_OK_AND_ASSIGN(RecordLocation loc,
+                       ranges.Locate(ranges.first_range()));
   ASSERT_EQ(loc.kind, RecordLocation::kOverflow);
   const uint32_t piece = options.pager.page_size - kPageHeaderSize - 4;
   for (NodeId id : {NodeId{2}, NodeId{2 + 3 * 399}}) {

@@ -250,7 +250,10 @@ TEST(WalTest, TrimTornTailZeroesTheTailInPlace) {
   }
   WriteJunk(wal_path, end, 9);
   ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(wal_path));
-  ASSERT_LAXML_OK(wal->TrimTornTail());
+  // The trim returns the three records it kept, and only those.
+  ASSERT_OK_AND_ASSIGN(auto kept, wal->TrimTornTail());
+  ASSERT_EQ(kept.size(), 3u);
+  EXPECT_EQ(kept[2].op, WalOp::kInsertIntoLast);
   // The junk is zero again and the file keeps its padded size.
   EXPECT_EQ(FileSize(wal_path), kFirstFileSize);
   EXPECT_TRUE(AllZeroFrom(ReadWholeFile(wal_path), end));
