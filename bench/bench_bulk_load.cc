@@ -1,19 +1,24 @@
 // bench_bulk_load: streaming bulk-load throughput and the name
-// dictionary's compression win, v1 vs v2 token codec on the same
-// repetitive-tag purchase-orders document.
+// dictionary's compression win on a repetitive-tag document: the stored
+// form with symbol-coded names against the inline form.
 //
 //   bench_bulk_load [--orders N] [--items M] [--reps R]
 //                   [--json out.json] [--xml-out FILE]
 //
-// Measures, per codec:
-//   * bulk_load_vN    — Store::BulkLoad bytes/s (streaming, no token
+// Loads the document twice: into a store with its full dictionary
+// (suffix _dict) and into one whose dictionary is capped so every name
+// is stored inline (suffix _inline). Measures, per store:
+//   * bulk_load_S     — Store::BulkLoad bytes/s (streaming, no token
 //                       vector), plus bytes/token of the result
-//   * cold_scan_vN    — full-document Read() after reopen (pages cold
+//   * cold_scan_S     — full-document Read() after reopen (pages cold
 //                       in the pool, so fewer bytes = faster)
-//   * xpath_warm_vN   — //item//sku p50 with a warm structural index
+//   * xpath_warm_S    — //item//sku p50 with a warm structural index
 //                       (the "symbols don't slow the hot path" check)
-// and one load_xml_v2 row: the materialize-everything baseline
-// Store::LoadXml for the same document.
+// and one load_xml row: the materialize-everything baseline
+// Store::LoadXml for the same document. bytes_per_token_ratio_v1_over_v2
+// divides the inline (WAL and wire) form's bytes per token, summed
+// exactly with EncodedTokenSize over the read-back document, by the
+// dictionary store's.
 //
 // --xml-out writes the generated document so CI can reuse it for the
 // laxml_cli / laxml_fsck smoke without generating twice.
@@ -32,35 +37,41 @@
 #include "store/store.h"
 #include "workload/doc_generator.h"
 #include "xml/serializer.h"
+#include "xml/token_codec.h"
 
 namespace laxml {
 namespace {
 
 using bench::Timer;
 
-StoreOptions CodecOptions(uint32_t codec) {
+// With `capped`, the dictionary interns nothing: every name is stored
+// inline after a code-0 marker.
+Result<std::unique_ptr<Store>> OpenStore(const std::string& db_path,
+                                         bool capped) {
   StoreOptions options;
-  options.token_codec = codec;
   options.pager.pool_frames = 512;
-  return options;
+  LAXML_ASSIGN_OR_RETURN(auto store, Store::Open(db_path, options));
+  if (capped) store->name_dictionary()->set_byte_budget(1);
+  return store;
 }
 
-struct CodecRun {
+struct StoreRun {
   double load_seconds = 0;
   double scan_seconds = 0;
   double bytes_per_token = 0;
-  uint64_t payload_bytes = 0;
+  /// Inline (WAL / wire) form bytes per token of the read-back document.
+  double inline_bytes_per_token = 0;
   uint64_t tokens = 0;
   std::vector<double> xpath_us;
 };
 
-CodecRun RunCodec(uint32_t codec, const std::string& xml,
+StoreRun RunStore(bool capped, const std::string& xml,
                   const std::string& db_path, int reps,
                   const std::string& xpath, bench::JsonReport* report) {
-  CodecRun run;
+  StoreRun run;
   std::remove(db_path.c_str());
   std::remove((db_path + ".wal").c_str());
-  auto store = Store::Open(db_path, CodecOptions(codec));
+  auto store = OpenStore(db_path, capped);
   BENCH_CHECK(store.status());
 
   size_t off = 0;
@@ -74,24 +85,27 @@ CodecRun RunCodec(uint32_t codec, const std::string& xml,
       });
   run.load_seconds = load.Seconds();
   BENCH_CHECK(stats.status());
-  run.payload_bytes = stats->payload_bytes;
   run.tokens = stats->tokens;
   run.bytes_per_token =
       stats->tokens > 0
           ? static_cast<double>(stats->payload_bytes) / stats->tokens
           : 0.0;
 
-  const std::string suffix = "_v" + std::to_string(codec);
-  bench::AddStorageMeta(report, **store, db_path, suffix);
+  bench::AddStorageMeta(report, **store, db_path,
+                        capped ? "_inline" : "_dict");
 
   // Cold scan: reopen so the buffer pool starts empty.
   store->reset();
-  store = Store::Open(db_path, CodecOptions(codec));
+  store = OpenStore(db_path, capped);
   BENCH_CHECK(store.status());
   Timer scan;
   auto all = (*store)->Read();
   run.scan_seconds = scan.Seconds();
   BENCH_CHECK(all.status());
+  uint64_t inline_bytes = 0;
+  for (const Token& t : *all) inline_bytes += EncodedTokenSize(t);
+  run.inline_bytes_per_token =
+      all->empty() ? 0.0 : static_cast<double>(inline_bytes) / all->size();
 
   // Warm XPath: first evaluation warms the lazy structural index, then
   // the timed reps all ride the warm path.
@@ -175,31 +189,33 @@ int main(int argc, char** argv) {
   report.AddMeta("items", std::to_string(items));
   report.AddMeta("xml_bytes", std::to_string(xml->size()));
 
-  bench::TempDb db_v1("bulk_v1");
-  bench::TempDb db_v2("bulk_v2");
-  CodecRun v1 = RunCodec(1, *xml, db_v1.path(), reps, xpath, &report);
-  CodecRun v2 = RunCodec(2, *xml, db_v2.path(), reps, xpath, &report);
+  bench::TempDb db_inline("bulk_inline");
+  bench::TempDb db_dict("bulk_dict");
+  StoreRun inl =
+      RunStore(/*capped=*/true, *xml, db_inline.path(), reps, xpath, &report);
+  StoreRun dict =
+      RunStore(/*capped=*/false, *xml, db_dict.path(), reps, xpath, &report);
 
-  // The materialize-the-whole-token-vector baseline, v2 codec.
+  // The materialize-the-whole-token-vector baseline.
   double load_xml_seconds = 0;
   {
     bench::TempDb db("loadxml");
-    auto store = Store::Open(db.path(), CodecOptions(2));
+    auto store = OpenStore(db.path(), /*capped=*/false);
     BENCH_CHECK(store.status());
     Timer t;
     BENCH_CHECK((*store)->LoadXml(*xml).status());
     load_xml_seconds = t.Seconds();
   }
 
-  const double ratio =
-      v2.bytes_per_token > 0 ? v1.bytes_per_token / v2.bytes_per_token : 0;
+  const double ratio = dict.bytes_per_token > 0
+                           ? dict.inline_bytes_per_token / dict.bytes_per_token
+                           : 0;
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", ratio);
   report.AddMeta("bytes_per_token_ratio_v1_over_v2", buf);
 
-  for (auto* run : {&v1, &v2}) {
-    const uint32_t codec = run == &v1 ? 1 : 2;
-    const std::string suffix = "_v" + std::to_string(codec);
+  for (auto* run : {&inl, &dict}) {
+    const std::string suffix = run == &inl ? "_inline" : "_dict";
     std::string extra = "\"mb_per_sec\": " +
                         std::to_string(static_cast<double>(xml->size()) /
                                        (1024.0 * 1024.0) /
@@ -214,32 +230,36 @@ int main(int argc, char** argv) {
     for (double us : samples) total_s += us / 1e6;
     report.AddRow("xpath_warm" + suffix, 1, &samples, total_s);
   }
-  report.AddThroughputRow("load_xml_v2", 1, xml->size(),
-                          load_xml_seconds);
+  report.AddThroughputRow("load_xml", 1, xml->size(), load_xml_seconds);
 
   auto p50 = [](std::vector<double> v) {
     return bench::Percentile(&v, 0.5);
   };
-  const double xpath_v1_p50 = p50(v1.xpath_us);
-  const double xpath_v2_p50 = p50(v2.xpath_us);
-  std::printf("bulk_load_v1: %7.1f MB/s  %5.2f bytes/token\n",
+  const double xpath_inline_p50 = p50(inl.xpath_us);
+  const double xpath_dict_p50 = p50(dict.xpath_us);
+  std::printf("inline form      : %5.2f bytes/token (WAL / wire)\n",
+              dict.inline_bytes_per_token);
+  std::printf("bulk_load_inline : %7.1f MB/s  %5.2f bytes/token\n",
               static_cast<double>(xml->size()) / (1024.0 * 1024.0) /
-                  v1.load_seconds,
-              v1.bytes_per_token);
-  std::printf("bulk_load_v2: %7.1f MB/s  %5.2f bytes/token  (%.2fx smaller)\n",
+                  inl.load_seconds,
+              inl.bytes_per_token);
+  std::printf("bulk_load_dict   : %7.1f MB/s  %5.2f bytes/token  (%.2fx "
+              "smaller than inline)\n",
               static_cast<double>(xml->size()) / (1024.0 * 1024.0) /
-                  v2.load_seconds,
-              v2.bytes_per_token, ratio);
-  std::printf("load_xml_v2 : %7.1f MB/s (materialized baseline)\n",
+                  dict.load_seconds,
+              dict.bytes_per_token, ratio);
+  std::printf("load_xml         : %7.1f MB/s (materialized baseline)\n",
               static_cast<double>(xml->size()) / (1024.0 * 1024.0) /
                   load_xml_seconds);
-  std::printf("cold_scan   : v1 %.0f ms, v2 %.0f ms\n",
-              v1.scan_seconds * 1e3, v2.scan_seconds * 1e3);
-  std::printf("xpath_warm  : v1 p50 %.0f us, v2 p50 %.0f us (%+.1f%%)\n",
-              xpath_v1_p50, xpath_v2_p50,
-              xpath_v1_p50 > 0
-                  ? 100.0 * (xpath_v2_p50 - xpath_v1_p50) / xpath_v1_p50
-                  : 0.0);
+  std::printf("cold_scan        : inline %.0f ms, dict %.0f ms\n",
+              inl.scan_seconds * 1e3, dict.scan_seconds * 1e3);
+  std::printf("xpath_warm       : inline p50 %.0f us, dict p50 %.0f us "
+              "(%+.1f%%)\n",
+              xpath_inline_p50, xpath_dict_p50,
+              xpath_inline_p50 > 0 ? 100.0 *
+                                         (xpath_dict_p50 - xpath_inline_p50) /
+                                         xpath_inline_p50
+                                   : 0.0);
   if (ratio < 1.3) {
     std::fprintf(stderr,
                  "WARN: bytes/token ratio %.2f below the 1.3x target\n",

@@ -54,10 +54,13 @@ void BM_TokenDecode(benchmark::State& state) {
 BENCHMARK(BM_TokenDecode)->Arg(1000)->Arg(10000);
 
 void BM_TokenSkip(benchmark::State& state) {
-  std::vector<uint8_t> encoded = EncodeTokens(BenchDoc(10000));
+  // A range payload: the stored form, names symbol-coded.
+  NameDictionary dict;
+  std::vector<uint8_t> encoded;
+  for (const Token& t : BenchDoc(10000)) EncodeTokenWith(t, &dict, &encoded);
   uint64_t bytes = 0;
   for (auto _ : state) {
-    TokenReader reader{Slice(encoded)};
+    TokenReader reader{Slice(encoded), &dict};
     TokenType type;
     while (!reader.AtEnd()) {
       BENCH_CHECK(reader.Skip(&type));

@@ -165,10 +165,10 @@ void StoreAuditor::AuditRangeLayer() {
     }
 
     // One token walk checks nesting, counters, and (in full-index mode)
-    // every node's eager index entry. The reader carries the range's
-    // stamped codec, so a v2 payload referencing a symbol the dictionary
-    // does not hold fails right here as "token stream undecodable".
-    TokenReader reader{Slice(payload), rm.codec_for(meta)};
+    // every node's eager index entry. The reader carries the store's
+    // dictionary, so a payload referencing a symbol the dictionary does
+    // not hold fails right here as "token stream undecodable".
+    TokenReader reader{Slice(payload), rm.dictionary()};
     uint64_t begins = 0;
     uint32_t tokens = 0;
     bool payload_intact = true;
@@ -241,7 +241,7 @@ void StoreAuditor::AuditRangeLayer() {
       }
       int32_t want_delta = 0, want_min = 0;
       Status st = ComputeDepthProfile(payload.data(), payload.size(),
-                                      rm.codec_for(meta), &want_delta,
+                                      rm.dictionary(), &want_delta,
                                       &want_min);
       if (st.ok() &&
           (want_delta != meta.depth_delta || want_min != meta.min_depth)) {
@@ -380,9 +380,9 @@ void StoreAuditor::AuditDictionary() {
   report_.dict_symbols_used = used_symbols_.size();
 
   // Dangling symbols (payload references id the dictionary lacks) were
-  // already reported by the range walk — the codec-aware Skip fails on
-  // them. This leg covers the opposite direction: the dictionary's own
-  // consistency and symbols nothing references.
+  // already reported by the range walk — the dictionary-aware Skip
+  // fails on them. This leg covers the opposite direction: the
+  // dictionary's own consistency and symbols nothing references.
   for (uint32_t sym : used_symbols_) {
     if (Full()) return;
     if (dict->NameOf(sym) == nullptr) {
@@ -415,7 +415,7 @@ void StoreAuditor::AuditDictionary() {
   // Garbage symbols — interned once, referenced by no surviving payload
   // (deletes and inline fallbacks leave these behind). Counted, never an
   // issue: decode never touches them and the append-only log cannot
-  // drop them without rewriting every v2 range.
+  // drop them without rewriting every range that uses a symbol.
   if (range_walk_intact_) {
     uint64_t garbage = 0;
     for (uint32_t sym = 0; sym < dict->size(); ++sym) {
@@ -475,8 +475,8 @@ void StoreAuditor::AuditPartialIndex() {
       TokenType type;
     };
     std::unordered_map<uint32_t, TokenAt> boundaries;
-    TokenReader reader{Slice(*payload_r), store_->ranges_->codec_for(meta)};
-    TokenPos pos{r, 0, 0, 0, meta.codec};
+    TokenReader reader{Slice(*payload_r), store_->ranges_->dictionary()};
+    TokenPos pos{r, 0, 0, 0};
     TokenType type;
     bool intact = true;
     while (!reader.AtEnd()) {
@@ -502,11 +502,6 @@ void StoreAuditor::AuditPartialIndex() {
         issue.offset = m.pos.offset;
         issue.has_offset = true;
       };
-      // Memo hits decode with the memo's codec, never the range's.
-      if (m.pos.codec != meta.codec) {
-        fail("codec is " + std::to_string(m.pos.codec) +
-             ", range codec is " + std::to_string(meta.codec));
-      }
       auto found = boundaries.find(m.pos.offset);
       if (found == boundaries.end()) {
         fail("offset is not a token boundary");

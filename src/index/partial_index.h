@@ -9,7 +9,7 @@
 //
 // An entry is the paper's Table 4 row — NodeID, BeginToken, EndToken —
 // with each token column a TokenPos (range, byte offset, token index,
-// node begins before it, codec): the same coordinates a locate returns,
+// node begins before it): the same coordinates a locate returns,
 // a cursor seeks to and a split cuts at. A hit therefore stands in for
 // the whole locate, begin count included. ToTableString() prints the
 // Table 4 view, one range per column.
@@ -63,9 +63,8 @@ struct PartialIndexStats {
 /// One memoized node: where its begin token and (when known) its end
 /// token live. Either half may be present independently — the paper's
 /// worked example (Table 4) records them as separate discoveries. Each
-/// half is a full TokenPos, so a hit seeks, decodes (with the half's
-/// codec) and splits without probing the range metadata or counting
-/// node begins again.
+/// half is a full TokenPos, so a hit seeks, decodes and splits without
+/// probing the range metadata or counting node begins again.
 struct PartialEntry {
   enum Half : uint8_t { kBegin, kEnd };
 

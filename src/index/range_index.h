@@ -43,9 +43,6 @@ struct TokenPos {
   /// Node-beginning tokens in the range before this one: the token's
   /// node id (when it begins one) is the range's start id plus this.
   uint32_t begins_before = 0;
-  /// Token codec of `range`, so a read at this position decodes without
-  /// probing the range metadata. A live range's codec never changes.
-  uint8_t codec = 0;
   bool operator==(const TokenPos&) const = default;
 };
 

@@ -125,7 +125,7 @@ uint32_t StructuralWarmer::TagOf(const TokenCursor& cursor, Kind kind) {
     // Wanted tags were mapped to their symbols up front.
     if (!track_all_) return kUntracked;
   }
-  // A v1 or inline-coded name, or a symbol seen for the first time.
+  // An inline-coded name, or a symbol seen for the first time.
   const std::string& name = cursor.token().name;
   auto it = names.by_name.find(name);
   if (it != names.by_name.end()) return it->second;

@@ -236,7 +236,7 @@ class StructuralIndex {
 /// symbol, depth, ordinal, and the value bytes in place — and matches
 /// tags by dictionary symbol (`dict` may be null: every name is then
 /// inline). Elements and attributes share the dictionary, so each kind
-/// has its own symbol map. A name string is decoded only for v1 or
+/// has its own symbol map. A name string is decoded only for
 /// inline-named tokens, and once per newly seen symbol, so a warming
 /// scan stays header-only. Value keys come from the same tokens: an
 /// attribute's at its begin token, an element's from its direct
@@ -293,7 +293,7 @@ class StructuralWarmer {
   void OnChild(const TokenCursor& cursor, TokenType type, OpenScope* scope);
 
   /// Tag index by dictionary symbol (kUntracked: not tracked yet) and
-  /// by bare name, for v1 and inline-coded names.
+  /// by bare name, for inline-coded names.
   struct Names {
     std::vector<uint32_t> by_symbol;
     std::unordered_map<std::string, uint32_t> by_name;

@@ -367,7 +367,7 @@ class StreamScan {
   /// Name test. Interning is injective, so a symbol-coded name equals
   /// the step's name iff the symbols are equal (a name never interned
   /// has kNoNameSymbol, which equals no symbol). Names without a symbol
-  /// (v1 pages, inline fallbacks) compare as strings.
+  /// (inline fallbacks) compare as strings.
   static bool NameMatches(const Step& s, const TokenCursor& cursor) {
     if (cursor.name_symbol() != kNoNameSymbol) {
       return cursor.name_symbol() == s.symbol;

@@ -5,7 +5,7 @@
 namespace laxml {
 
 void TokenCursor::Release() {
-  reader_ = TokenReader(Slice());
+  reader_ = TokenReader();
   slice_ = RecordSlice();
   bounded_ = false;
 }
@@ -16,7 +16,7 @@ Status TokenCursor::Pin(uint32_t offset, size_t bytes) {
       slice_, ranges_->PinSlice(meta_.id, offset, bytes));
   base_ = offset;
   bounded_ = bytes != kToRecordEnd && slice_.size() == bytes;
-  reader_ = TokenReader(slice_.bytes(), ranges_->codec_for(meta_));
+  reader_ = TokenReader(slice_.bytes(), ranges_->dictionary());
   return Status::OK();
 }
 
@@ -80,17 +80,23 @@ Status TokenCursor::Seek(const StructuralEntry& entry, TokenType begin,
 
 Status TokenCursor::SeekTo(const TokenPos& pos, Token* token, size_t bytes) {
   hops_ = 0;
-  if (pos.codec == 0) {
-    LAXML_RETURN_IF_ERROR(SeekReader(pos.range, pos.offset));
-  } else {
-    // The slice starts at the token. PinSlice returns nothing at or past
-    // the record end, so an offset beyond the range fails to decode as
-    // Corruption with no metadata probe.
-    valid_ = false;
-    meta_ = {.id = pos.range, .codec = pos.codec};
-    meta_read_ = false;
-    LAXML_RETURN_IF_ERROR(Pin(pos.offset, bytes));
-  }
+  // The slice starts at the token. PinSlice returns nothing at or past
+  // the record end, so an offset beyond the range fails to decode as
+  // Corruption with no metadata probe.
+  valid_ = false;
+  meta_ = {.id = pos.range};
+  meta_read_ = false;
+  LAXML_RETURN_IF_ERROR(Pin(pos.offset, bytes));
+  return StartAt(pos, token);
+}
+
+Status TokenCursor::SeekToRange(RangeId range, Token* token) {
+  hops_ = 0;
+  LAXML_RETURN_IF_ERROR(SeekReader(range, 0));
+  return StartAt({.range = range}, token);
+}
+
+Status TokenCursor::StartAt(const TokenPos& pos, Token* token) {
   next_id_ = meta_.start_id + pos.begins_before;
   range_first_ordinal_ = 0;
   next_ordinal_ = pos.token_index;

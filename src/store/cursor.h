@@ -12,13 +12,13 @@
 //
 // A scan need not start at the first token or visit every one:
 // Seek(entry) jumps to a structural-index entry's begin token, SeekTo()
-// to any token the store has located, and SkipSubtree() passes over the
-// rest of the current scope, reading headers only and passing whole
-// ranges on their depth profile alone. The store locates nodes the same
-// way (Section 4.3): SeekTo a range's first token and Next() to the id,
-// then SkipSubtree() to its end token. Reads that want every token whole
-// use Next(Token*) or SkipSubtree(&out), which decode header and strings
-// in one pass.
+// to any token the store has located, SeekToRange() to a range's first
+// token, and SkipSubtree() passes over the rest of the current scope,
+// reading headers only and passing whole ranges on their depth profile
+// alone. The store locates nodes the same way (Section 4.3): SeekToRange
+// and Next() to the id, then SkipSubtree() to its end token. Reads that
+// want every token whole use Next(Token*) or SkipSubtree(&out), which
+// decode header and strings in one pass.
 //
 // This is the store's main walk over the range chain, bounded like every
 // other (a cycle is Corruption), and its only decoder of stored range
@@ -92,13 +92,17 @@ class TokenCursor {
   /// are not part of a location, so both count from here: ordinals from
   /// the range's first token (ordinal() == pos.token_index), depth from 0
   /// at this token. With `token`, decodes it whole as Next(Token*) does.
-  /// With its codec set, the seek pins `bytes` of the record from
-  /// `pos.offset` and reads no range metadata until the cursor leaves
-  /// the range (node_id() is unknown until then); a read past them
-  /// re-pins once through the record end. Codec 0 (a bare range) reads
-  /// the metadata first, as Seek(entry) does.
+  /// The seek pins `bytes` of the record from `pos.offset` and reads no
+  /// range metadata until the cursor leaves the range (node_id() is
+  /// unknown until then); a read past them re-pins once through the
+  /// record end.
   Status SeekTo(const TokenPos& pos, Token* token = nullptr,
                 size_t bytes = kToRecordEnd);
+
+  /// Positions at the first token of `range`, reading its metadata first
+  /// as Seek(entry) does, so node_id() is known from the start. Ordinals
+  /// and depth count from this token, as after SeekTo.
+  Status SeekToRange(RangeId range, Token* token = nullptr);
 
   bool Valid() const { return valid_; }
 
@@ -126,7 +130,8 @@ class TokenCursor {
   TokenType type() const { return type_; }
 
   /// Dictionary symbol of the current token's name when it is
-  /// symbol-coded (v2 element/attribute names); kNoNameSymbol otherwise.
+  /// symbol-coded (element/attribute names the dictionary holds);
+  /// kNoNameSymbol otherwise.
   uint32_t name_symbol() const { return name_symbol_; }
 
   /// Current token. Its name and value are decoded on the first call
@@ -139,7 +144,7 @@ class TokenCursor {
   std::string_view value_view() const { return reader_.last_value(); }
 
   /// Regenerated node id (kInvalidNodeId for end tokens). Unknown in
-  /// the range a SeekTo with a codec entered (see SeekTo).
+  /// the range a SeekTo entered (see SeekTo).
   NodeId node_id() const {
     LAXML_DCHECK(meta_read_) << "no start id in range " << meta_.id;
     return TokenBeginsNode(type_) ? next_id_ - 1 : kInvalidNodeId;
@@ -162,7 +167,7 @@ class TokenCursor {
   /// coordinate the Partial and Structural indexes memoize).
   uint32_t byte_offset() const { return byte_offset_; }
 
-  /// Encoded length of the current token under its range's codec.
+  /// Encoded (stored-form) length of the current token.
   uint32_t encoded_len() const {
     return base_ + static_cast<uint32_t>(reader_.offset()) - byte_offset_;
   }
@@ -174,8 +179,7 @@ class TokenCursor {
     return {meta_.id, byte_offset_,
             static_cast<uint32_t>(ordinal() - range_first_ordinal_),
             static_cast<uint32_t>(next_id_ - meta_.start_id) -
-                (TokenBeginsNode(type_) ? 1 : 0),
-            meta_.codec};
+                (TokenBeginsNode(type_) ? 1 : 0)};
   }
 
   /// Token headers SkipSubtree() calls have read (Next() reads one per
@@ -190,6 +194,9 @@ class TokenCursor {
   Status SeekReader(RangeId range, uint32_t offset);
   /// Pins `bytes` of the current range's record from `offset`.
   Status Pin(uint32_t offset, size_t bytes);
+  /// Counts ids, ordinals and depth from `pos` (where the reader stands)
+  /// and decodes the token there.
+  Status StartAt(const TokenPos& pos, Token* token);
   void Release();  // drops the slice and its pin
   bool Holds(uint32_t offset) const {
     return offset >= base_ && offset - base_ < slice_.size();
@@ -250,7 +257,7 @@ class TokenCursor {
   RecordSlice slice_;  // the pinned (or copied) bytes being decoded
   uint32_t base_ = 0;  // record offset of slice_'s first byte
   bool bounded_ = false;  // slice_ may stop short of the record end
-  TokenReader reader_{Slice()};  // over slice_
+  TokenReader reader_;  // over slice_
   NodeId next_id_ = kInvalidNodeId;  // id of the next node-begin token
   uint64_t next_ordinal_ = 0;         // ordinal of the next token
   TokenType type_ = TokenType::kText;
@@ -260,7 +267,7 @@ class TokenCursor {
   uint32_t byte_offset_ = 0;
   int64_t depth_ = 0;  // depth after consuming the current token
   RangeMeta meta_;  // of the range being streamed
-  bool meta_read_ = false;  // else only its id and codec (next_id_ from 0)
+  bool meta_read_ = false;  // else only its id (next_id_ counts from 0)
   uint64_t range_first_ordinal_ = 0;  // ordinal of meta_'s first token
   uint64_t skipped_headers_ = 0;
   uint64_t hops_ = 0;  // ranges stepped into since the last seek

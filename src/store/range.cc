@@ -17,7 +17,7 @@ void EncodeRangeMeta(const RangeMeta& meta, uint8_t* out) {
   EncodeFixed32(out + 48, meta.page);
   EncodeFixed16(out + 52, meta.slot);
   out[54] = meta.kind;
-  out[55] = meta.codec;
+  out[55] = 0;  // reserved
 }
 
 RangeMeta DecodeRangeMeta(RangeId id, const uint8_t* in) {
@@ -34,14 +34,13 @@ RangeMeta DecodeRangeMeta(RangeId id, const uint8_t* in) {
   meta.page = DecodeFixed32(in + 48);
   meta.slot = DecodeFixed16(in + 52);
   meta.kind = in[54];
-  meta.codec = in[55];
   return meta;
 }
 
 Status ComputeDepthProfile(const uint8_t* payload, size_t len,
-                           TokenCodecContext ctx, int32_t* depth_delta,
+                           const NameDictionary* dict, int32_t* depth_delta,
                            int32_t* min_depth) {
-  TokenReader reader{Slice(payload, len), ctx};
+  TokenReader reader{Slice(payload, len), dict};
   int32_t depth = 0;
   int32_t min = 0;
   TokenType type;

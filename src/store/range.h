@@ -12,10 +12,11 @@
 //     lets ids be regenerated by scanning instead of stored (Sec. 4.3).
 //   * Document order across Ranges is the doubly-linked prev/next chain.
 //
-// A Range's payload (the encoded tokens) is one RecordStore record; its
-// RangeMeta, the one persistent per-range entry, lives in the range-meta
-// B+-tree and carries the record's location (the paper's Range Index row
-// with its BlockId, Tables 2-3).
+// A Range's payload (its tokens in the stored form of xml/token_codec.h,
+// names dictionary-coded) is one RecordStore record; its RangeMeta, the
+// one persistent per-range entry, lives in the range-meta B+-tree and
+// carries the record's location (the paper's Range Index row with its
+// BlockId, Tables 2-3).
 
 #ifndef LAXML_STORE_RANGE_H_
 #define LAXML_STORE_RANGE_H_
@@ -51,8 +52,6 @@ struct RangeMeta {
   /// skip a whole range from metadata alone: if the entry depth plus
   /// min_depth stays positive, the sought end token is not inside.
   int32_t min_depth = 0;
-  /// Token codec version of the payload (kTokenCodecV1 / kTokenCodecV2).
-  uint8_t codec = kTokenCodecV1;
   /// The payload record's anchor in the heap; its length is byte_len.
   PageId page = kInvalidPageId;
   uint16_t slot = 0;
@@ -81,15 +80,16 @@ inline constexpr uint32_t kRangeMetaValueSize = 56;
 /// Encodes meta (without `id`, which is the tree key) into a
 /// kRangeMetaValueSize-byte buffer: [prev u64][next u64][start_id u64]
 /// [id_count u64][token_count u32][byte_len u32][depth_delta i32]
-/// [min_depth i32][page u32][slot u16][kind u8][codec u8].
+/// [min_depth i32][page u32][slot u16][kind u8][reserved u8 = 0].
 void EncodeRangeMeta(const RangeMeta& meta, uint8_t* out);
 
 /// Decodes a meta-tree value; `id` is supplied by the caller.
 RangeMeta DecodeRangeMeta(RangeId id, const uint8_t* in);
 
-/// Scans an encoded token payload computing (depth_delta, min_depth).
+/// Scans a stored-form payload computing (depth_delta, min_depth);
+/// `dict` resolves its symbols.
 Status ComputeDepthProfile(const uint8_t* payload, size_t len,
-                           TokenCodecContext ctx, int32_t* depth_delta,
+                           const NameDictionary* dict, int32_t* depth_delta,
                            int32_t* min_depth);
 
 }  // namespace laxml

@@ -6,34 +6,38 @@ namespace laxml {
 
 RangeManager::RangeManager(Pager* pager,
                            std::unique_ptr<RecordStore> records,
-                           BTree meta_tree, const RangeManagerState& state)
+                           BTree meta_tree, const RangeManagerState& state,
+                           const NameDictionary* dict)
     : pager_(pager),
       records_(std::move(records)),
       meta_tree_(std::move(meta_tree)),
       next_range_id_(state.next_range_id),
       first_range_(state.first_range),
       last_range_(state.last_range),
-      range_count_(state.range_count) {}
+      range_count_(state.range_count),
+      dict_(dict) {}
 
-Result<std::unique_ptr<RangeManager>> RangeManager::Create(Pager* pager) {
+Result<std::unique_ptr<RangeManager>> RangeManager::Create(
+    Pager* pager, const NameDictionary* dict) {
   LAXML_ASSIGN_OR_RETURN(auto records,
                          RecordStore::Open(pager, kInvalidPageId));
   LAXML_ASSIGN_OR_RETURN(BTree meta_tree,
                          BTree::Create(pager, kRangeMetaValueSize));
   RangeManagerState state;
   return std::unique_ptr<RangeManager>(new RangeManager(
-      pager, std::move(records), std::move(meta_tree), state));
+      pager, std::move(records), std::move(meta_tree), state, dict));
 }
 
 Result<std::unique_ptr<RangeManager>> RangeManager::Open(
-    Pager* pager, const RangeManagerState& state) {
+    Pager* pager, const RangeManagerState& state,
+    const NameDictionary* dict) {
   LAXML_ASSIGN_OR_RETURN(auto records,
                          RecordStore::Open(pager, state.data_head));
   LAXML_ASSIGN_OR_RETURN(
       BTree meta_tree,
       BTree::Open(pager, state.meta_tree_root, kRangeMetaValueSize));
   auto manager = std::unique_ptr<RangeManager>(new RangeManager(
-      pager, std::move(records), std::move(meta_tree), state));
+      pager, std::move(records), std::move(meta_tree), state, dict));
   LAXML_RETURN_IF_ERROR(manager->RebuildIndex());
   return manager;
 }
@@ -125,8 +129,7 @@ Result<RecordSlice> RangeManager::PinSlice(RangeId id, size_t offset,
 Result<RangeId> RangeManager::InsertRangeAfter(RangeId left, Slice payload,
                                                NodeId start_id,
                                                uint64_t id_count,
-                                               uint32_t token_count,
-                                               uint8_t codec) {
+                                               uint32_t token_count) {
   LAXML_ASSIGN_OR_RETURN(RecordLocation loc, records_->Place(payload));
   const RangeId rid = next_range_id_++;
   RangeMeta meta;
@@ -135,9 +138,8 @@ Result<RangeId> RangeManager::InsertRangeAfter(RangeId left, Slice payload,
   meta.id_count = id_count;
   meta.token_count = token_count;
   meta.set_location(loc);
-  meta.codec = codec;
   LAXML_RETURN_IF_ERROR(ComputeDepthProfile(
-      payload.data(), payload.size(), codec_for(meta), &meta.depth_delta,
+      payload.data(), payload.size(), dict_, &meta.depth_delta,
       &meta.min_depth));
   meta.prev = left;
 
@@ -201,12 +203,11 @@ Result<RangeId> RangeManager::Split(const TokenPos& cut) {
   }
 
   // Create the tail range right after the head (InsertRangeAfter also
-  // registers the tail interval). The tail inherits the head's codec —
-  // it is the same payload bytes.
+  // registers the tail interval).
   LAXML_ASSIGN_OR_RETURN(
       RangeId tail,
       InsertRangeAfter(id, tail_bytes, tail_start, tail_id_count,
-                       tail_tokens, meta.codec));
+                       tail_tokens));
 
   // Shrink the head payload and metadata.
   LAXML_ASSIGN_OR_RETURN(RangeMeta head, GetMeta(id));  // next updated
@@ -218,7 +219,7 @@ Result<RangeId> RangeManager::Split(const TokenPos& cut) {
   head.id_count = cut.begins_before;
   if (cut.begins_before == 0) head.start_id = kInvalidNodeId;
   LAXML_RETURN_IF_ERROR(ComputeDepthProfile(
-      payload.data(), cut.offset, codec_for(head), &head.depth_delta,
+      payload.data(), cut.offset, dict_, &head.depth_delta,
       &head.min_depth));
   LAXML_RETURN_IF_ERROR(PutMeta(head));
 
@@ -235,8 +236,6 @@ Result<bool> RangeManager::CanMergeWithNext(RangeId id) const {
   LAXML_ASSIGN_OR_RETURN(RangeMeta meta, GetMeta(id));
   if (meta.next == kInvalidRangeId) return false;
   LAXML_ASSIGN_OR_RETURN(RangeMeta next_meta, GetMeta(meta.next));
-  // Payload concatenation is byte-wise; mixed codecs would corrupt.
-  if (meta.codec != next_meta.codec) return false;
   if (!meta.has_ids() || !next_meta.has_ids()) return true;
   return next_meta.start_id == meta.start_id + meta.id_count;
 }

@@ -42,9 +42,13 @@ struct RangeManagerStats {
 
 class RangeManager {
  public:
-  static Result<std::unique_ptr<RangeManager>> Create(Pager* pager);
+  /// `dict` resolves the symbols of every payload (the store's name
+  /// dictionary); it must outlive the manager.
+  static Result<std::unique_ptr<RangeManager>> Create(
+      Pager* pager, const NameDictionary* dict);
   static Result<std::unique_ptr<RangeManager>> Open(
-      Pager* pager, const RangeManagerState& state);
+      Pager* pager, const RangeManagerState& state,
+      const NameDictionary* dict);
 
   /// Reads a range's metadata.
   Result<RangeMeta> GetMeta(RangeId id) const;
@@ -60,15 +64,14 @@ class RangeManager {
   /// page.
   Result<RecordLocation> Locate(RangeId id) const;
 
-  /// Creates a new range from `payload` (encoded with `codec`) and
+  /// Creates a new range from `payload` (stored token form) and
   /// links it into the chain immediately after `left` (kInvalidRangeId
   /// = insert at chain head). `start_id`/`id_count`/`token_count`
   /// describe the payload. Registers the id interval in the Range Index
   /// when id_count > 0.
   Result<RangeId> InsertRangeAfter(RangeId left, Slice payload,
                                    NodeId start_id, uint64_t id_count,
-                                   uint32_t token_count,
-                                   uint8_t codec = kTokenCodecV1);
+                                   uint32_t token_count);
 
   /// Splits `cut.range` just before the token at `cut`: the head keeps
   /// the `cut.token_index` tokens (`cut.offset` bytes, `cut.begins_before`
@@ -83,8 +86,6 @@ class RangeManager {
   /// True when `id` and its chain successor can be merged without
   /// breaking the consecutive-ids invariant: either side may be id-less,
   /// or the successor's ids must continue exactly where `id`'s end.
-  /// Payloads are concatenated byte-wise, so both sides must also share
-  /// a codec version.
   Result<bool> CanMergeWithNext(RangeId id) const;
 
   /// Merges the chain successor into `id` (payload concatenation, one
@@ -102,15 +103,8 @@ class RangeManager {
   RangeId last_range() const { return last_range_; }
   uint64_t range_count() const { return range_count_; }
 
-  /// The dictionary that resolves v2 payloads; set once by the Store
-  /// right after construction (null => v2 symbols cannot be resolved).
-  void set_dictionary(const NameDictionary* dict) { dict_ = dict; }
+  /// The dictionary that resolves every payload's symbols.
   const NameDictionary* dictionary() const { return dict_; }
-
-  /// Decode context for a range's payload.
-  TokenCodecContext codec_for(const RangeMeta& meta) const {
-    return TokenCodecContext(meta.codec, dict_);
-  }
 
   /// Live totals across all range payloads — the numerator/denominator
   /// of the effective bytes-per-token gauge. Maintained incrementally;
@@ -159,7 +153,8 @@ class RangeManager {
 
  private:
   RangeManager(Pager* pager, std::unique_ptr<RecordStore> records,
-               BTree meta_tree, const RangeManagerState& state);
+               BTree meta_tree, const RangeManagerState& state,
+               const NameDictionary* dict);
 
   /// Rebuilds the in-memory Range Index, the resident locations and the
   /// payload totals from the meta tree.
@@ -184,7 +179,7 @@ class RangeManager {
   uint64_t range_count_;
   RangeIndex index_;
   RangeManagerStats stats_;
-  const NameDictionary* dict_ = nullptr;
+  const NameDictionary* const dict_;
   uint64_t total_payload_bytes_ = 0;
   uint64_t total_tokens_ = 0;
 };

@@ -18,11 +18,12 @@ namespace laxml {
 
 namespace {
 constexpr uint32_t kStoreMagic = 0x4C585354u;  // "LXST"
-// Version 4 keeps each range's payload location in its RangeMeta (56-byte
-// meta-tree values) and has no record-directory tree; older stores are
-// refused, not migrated. The fixed header (PersistMeta's order) is
-// followed by the name dictionary's symbol log.
-constexpr uint32_t kStoreVersion = 4;
+// Version 5: one stored token form, and each RangeMeta (56-byte value)
+// carries its payload location, with no codec stamp. Older stores are
+// refused, not migrated (a version-4 range may hold inline-only names).
+// The fixed header (PersistMeta's order) is followed by the name
+// dictionary's symbol log.
+constexpr uint32_t kStoreVersion = 5;
 constexpr size_t kMetaBlobSize = 108;
 constexpr size_t kIndexModeOffset = 8;
 
@@ -70,7 +71,7 @@ Store::Store(std::unique_ptr<Pager> pager, const StoreOptions& options)
       structural_(std::make_unique<StructuralIndex>()) {
   // The serialized dictionary shares the pager meta area with the fixed
   // store header; once the budget is hit, Intern refuses new symbols
-  // and v2 payloads fall back to inline names (still decodable).
+  // and payloads fall back to inline names (still decodable).
   uint32_t meta_cap = PageFile::MaxMetaSize(pager_->page_size());
   dict_->set_byte_budget(
       meta_cap > kMetaBlobSize ? meta_cap - kMetaBlobSize : 1);
@@ -163,8 +164,8 @@ Result<std::unique_ptr<Store>> Store::OpenInMemory(
 
 Status Store::Bootstrap(bool fresh) {
   if (fresh) {
-    LAXML_ASSIGN_OR_RETURN(ranges_, RangeManager::Create(pager_.get()));
-    ranges_->set_dictionary(dict_.get());
+    LAXML_ASSIGN_OR_RETURN(ranges_,
+                           RangeManager::Create(pager_.get(), dict_.get()));
     if (options_.index_mode == IndexMode::kFullIndex) {
       LAXML_ASSIGN_OR_RETURN(full_, FullIndex::Create(pager_.get()));
     }
@@ -331,8 +332,8 @@ Status Store::LoadMeta(const std::vector<uint8_t>& blob) {
   checkpoint_epoch_ = DecodeFixed64(p + 100);
   LAXML_RETURN_IF_ERROR(dict_->Deserialize(
       Slice(p + kMetaBlobSize, blob.size() - kMetaBlobSize)));
-  LAXML_ASSIGN_OR_RETURN(ranges_, RangeManager::Open(pager_.get(), rs));
-  ranges_->set_dictionary(dict_.get());
+  LAXML_ASSIGN_OR_RETURN(ranges_,
+                         RangeManager::Open(pager_.get(), rs, dict_.get()));
   if (options_.index_mode == IndexMode::kFullIndex) {
     if (full_root == kInvalidPageId) {
       return Status::Corruption("full-index mode but no index root");
@@ -453,8 +454,7 @@ Status Store::SeekBegin(NodeId id, const PartialEntry& memo, size_t bytes,
     LAXML_ASSIGN_OR_RETURN(TokenLocation tl, full_->Get(id));
     LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(tl.range_id));
     return cursor->SeekTo({tl.range_id, tl.byte_offset, tl.token_index,
-                           static_cast<uint32_t>(id - meta.start_id),
-                           meta.codec},
+                           static_cast<uint32_t>(id - meta.start_id)},
                           token, bytes);
   }
   if (memo.begin) return cursor->SeekTo(*memo.begin, token, bytes);
@@ -462,7 +462,7 @@ Status Store::SeekBegin(NodeId id, const PartialEntry& memo, size_t bytes,
   // the range's first token that regenerates ids up to `id`. Only the
   // target token's strings are decoded.
   LAXML_ASSIGN_OR_RETURN(RangeId rid, ranges_->index().Lookup(id));
-  LAXML_RETURN_IF_ERROR(cursor->SeekTo({.range = rid}));
+  LAXML_RETURN_IF_ERROR(cursor->SeekToRange(rid));
   while (cursor->Valid() && cursor->range() == rid) {
     if (cursor->node_id() == id) {
       *token = cursor->token();
@@ -529,7 +529,7 @@ Status Store::ReindexRange(RangeId range) {
   LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(range));
   if (!meta.has_ids()) return Status::OK();
   TokenCursor cursor(ranges_.get());
-  LAXML_RETURN_IF_ERROR(cursor.SeekTo({.range = meta.id, .codec = meta.codec}));
+  LAXML_RETURN_IF_ERROR(cursor.SeekTo({.range = meta.id}));
   for (uint32_t i = 1;; ++i) {
     if (TokenBeginsNode(cursor.type())) {
       const TokenPos pos = cursor.pos();
@@ -554,13 +554,12 @@ Result<Store::Boundary> Store::EnsureBoundaryBefore(const Located& loc) {
 
 Result<Store::Boundary> Store::EnsureBoundaryAfter(const Located& loc) {
   LAXML_ASSIGN_OR_RETURN(RangeMeta meta, ranges_->GetMeta(loc.pos.range));
-  // encoded_len, not EncodedTokenSize(loc.token): the latter is v1
-  // arithmetic and under-counts nothing but OVER-counts a v2
-  // symbol-coded name, landing the "boundary" mid-token.
+  // encoded_len, not EncodedTokenSize(loc.token): the latter is
+  // inline-form arithmetic, wrong for any stored element or attribute
+  // name, and would land the "boundary" mid-token.
   const TokenPos next{loc.pos.range, loc.pos.offset + loc.encoded_len,
                       loc.pos.token_index + 1,
-                      loc.pos.begins_before + (loc.token.BeginsNode() ? 1 : 0),
-                      loc.pos.codec};
+                      loc.pos.begins_before + (loc.token.BeginsNode() ? 1 : 0)};
   if (next.offset >= meta.byte_len) {
     return Boundary{.left = loc.pos.range, .right = meta.next};
   }
@@ -588,14 +587,14 @@ Status Store::ValidateFragment(const TokenSequence& data) const {
 }
 
 Store::RangeWriter::RangeWriter(Store* store, RangeId left, size_t cap)
-    : store_(store), left_(left), cap_(cap), codec_(store->write_codec()) {}
+    : store_(store), left_(left), cap_(cap) {}
 
 Status Store::RangeWriter::Add(const Token& token) {
-  const size_t size = EncodedTokenSizeWith(token, codec_, store_->dict_.get());
+  const size_t size = EncodedTokenSizeWith(token, store_->dict_.get());
   if (cap_ > 0 && buffered_ > 0 && buf_.size() + size > cap_) {
     LAXML_RETURN_IF_ERROR(Flush());
   }
-  EncodeTokenWith(token, codec_, store_->dict_.get(), &buf_);
+  EncodeTokenWith(token, store_->dict_.get(), &buf_);
   if (token.BeginsNode()) ++begins_;
   ++buffered_;
   return Status::OK();
@@ -606,7 +605,7 @@ Status Store::RangeWriter::Flush() {
   const NodeId start = begins_ > 0 ? store_->next_node_id_ : kInvalidNodeId;
   LAXML_ASSIGN_OR_RETURN(
       RangeId rid, store_->ranges_->InsertRangeAfter(
-                       left_, Slice(buf_), start, begins_, buffered_, codec_));
+                       left_, Slice(buf_), start, begins_, buffered_));
   if (store_->full_ != nullptr && begins_ > 0) {
     LAXML_RETURN_IF_ERROR(store_->ReindexRange(rid));
   }
@@ -710,7 +709,7 @@ Result<NodeId> Store::Apply(WalOp op, NodeId target,
         LAXML_ASSIGN_OR_RETURN(first, StoreFragment(data, b.left));
         // The target's begin token now sits at the head of b.right.
         partial_.Record(target, PartialEntry::kBegin,
-                        {b.right, 0, 0, 0, begin.pos.codec});
+                        {b.right, 0, 0, 0});
         ++stats_.inserts;
         break;
       }
@@ -755,7 +754,7 @@ Result<NodeId> Store::Apply(WalOp op, NodeId target,
           partial_.Record(target, PartialEntry::kBegin, begin.pos);
         }
         partial_.Record(target, PartialEntry::kEnd,
-                        {b.right, 0, 0, 0, end.pos.codec});
+                        {b.right, 0, 0, 0});
         ++stats_.inserts;
         break;
       }
@@ -794,7 +793,7 @@ Result<NodeId> Store::Apply(WalOp op, NodeId target,
         }
         partial_.Record(target, PartialEntry::kBegin, begin.pos);
         partial_.Record(target, PartialEntry::kEnd,
-                        {second_b.right, 0, 0, 0, end.pos.codec});
+                        {second_b.right, 0, 0, 0});
         ++stats_.replaces;
         break;
       }

@@ -227,10 +227,6 @@ class Store {
   /// The per-store name dictionary (never null). Interning happens only
   /// inside mutations (exclusive latch); lookups are latch-shared-safe.
   NameDictionary* name_dictionary() const { return dict_.get(); }
-  /// Codec version newly written ranges get (from options().token_codec).
-  uint8_t write_codec() const {
-    return options_.token_codec >= 2 ? kTokenCodecV2 : kTokenCodecV1;
-  }
   const RangeIndex& range_index() const { return ranges_->index(); }
   const PartialIndex& partial_index() const { return partial_; }
   PartialIndex& mutable_partial_index() { return partial_; }
@@ -317,9 +313,9 @@ class Store {
   struct Located {
     TokenPos pos;
     Token token = {};
-    /// Encoded length of `token` under `pos.codec` — pos.offset +
-    /// encoded_len is the next token's offset. Never recompute this from
-    /// the token (EncodedTokenSize is v1 arithmetic; the range may be v2).
+    /// Stored-form length of `token` — pos.offset + encoded_len is the
+    /// next token's offset. Never recompute this from the token
+    /// (EncodedTokenSize is inline-form arithmetic).
     uint32_t encoded_len = 0;
   };
 
@@ -341,7 +337,7 @@ class Store {
       if (!Moved(pos)) return pos;
       return {right, pos.offset - cut->offset,
               pos.token_index - cut->token_index,
-              pos.begins_before - cut->begins_before, pos.codec};
+              pos.begins_before - cut->begins_before};
     }
   };
 
@@ -426,7 +422,6 @@ class Store {
     Store* const store_;
     RangeId left_;
     const size_t cap_;
-    const uint8_t codec_;
     std::vector<uint8_t> buf_;
     uint64_t begins_ = 0;   ///< Node-beginning tokens in buf_.
     uint32_t buffered_ = 0;  ///< Tokens in buf_.
@@ -444,7 +439,7 @@ class Store {
 
   std::unique_ptr<Pager> pager_;
   StoreOptions options_;
-  /// Name dictionary resolving v2 payload symbols; persisted in the
+  /// Name dictionary resolving payload symbols; persisted in the
   /// meta blob (append-only symbol log) at every checkpoint.
   std::unique_ptr<NameDictionary> dict_;
   std::unique_ptr<RangeManager> ranges_;

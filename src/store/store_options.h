@@ -56,13 +56,6 @@ struct StoreOptions {
   /// locations found by lookups. Lazy mode only; 0 turns it off.
   size_t partial_index_capacity = 65536;
 
-  /// On-disk token codec for newly written ranges: 1 = inline names,
-  /// 2 = dictionary-coded element/attribute names (see
-  /// xml/token_codec.h). Reads always honor each range's stamped
-  /// version, so stores written under either setting open under either
-  /// setting; this knob is the A/B axis for the compression benches.
-  uint32_t token_codec = 2;
-
   /// Granularity cap: inserts larger than this many encoded bytes are
   /// cut into multiple Ranges. 0 = unbounded (a Range is exactly an
   /// insert unit — the paper's "few, coarse, large entries"); small

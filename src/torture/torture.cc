@@ -116,7 +116,6 @@ StoreOptions MakeStoreOptions(const TortureOptions& opts) {
   so.max_range_bytes = 4096;
   so.enable_wal = true;
   so.wal_sync = WalSyncMode::kEveryCommit;
-  so.token_codec = opts.token_codec;
   so.paranoid_audit_interval = 0;  // one explicit CheckIntegrity below
   return so;
 }
@@ -126,17 +125,27 @@ struct IterationResult {
   bool ok() const { return error.empty(); }
 };
 
-// The armed fault and the crash cut, for the failure line.
+// The capped dictionary, the armed fault and the crash cut, for the
+// failure line.
 struct Schedule {
+  std::string capped = "not drawn";
   std::string fault = "not armed";
   std::string cut = "not reached";
 };
 
+// `oracle_budget` is the oracle's own dictionary budget, restored in
+// iterations that cap the store under torture instead.
 IterationResult RunIteration(const TortureOptions& opts,
                              const std::string& path, uint64_t seed,
-                             Store& oracle, TortureReport* report,
-                             Schedule* schedule) {
+                             Store& oracle, size_t oracle_budget,
+                             TortureReport* report, Schedule* schedule) {
   Random rng(seed);
+  // One side stores new names inline (CapDictionary), from each open
+  // on: a recovery replays its log before the cap applies.
+  const bool cap_store = rng.Bernoulli(0.5);
+  schedule->capped = cap_store ? "store under torture" : "oracle";
+  if (cap_store) ++report->store_capped_iterations;
+  oracle.name_dictionary()->set_byte_budget(cap_store ? oracle_budget : 1);
 
   FaultyFile* pages = nullptr;
   FaultyFile* wal = nullptr;
@@ -149,6 +158,7 @@ IterationResult RunIteration(const TortureOptions& opts,
             opened.status().ToString()};
   }
   std::unique_ptr<Store> store = std::move(*opened);
+  if (cap_store) CapDictionary(*store);
   schedule->fault = ArmFaults(rng, opts.ops_per_iteration, pages, wal);
 
   // ---- Workload: mirror every acked mutation into the oracle. -------
@@ -248,6 +258,7 @@ IterationResult RunIteration(const TortureOptions& opts,
   if (!reopened.ok()) {
     return {"recovery open failed: " + reopened.status().ToString()};
   }
+  if (cap_store) CapDictionary(**reopened);
   Status integrity = (*reopened)->CheckIntegrity();
   if (!integrity.ok()) {
     return {"CheckIntegrity after recovery: " + integrity.ToString()};
@@ -420,26 +431,26 @@ TortureReport RunTorture(const TortureOptions& options) {
   oracle_opts.pager.page_size = options.page_size;
   oracle_opts.pager.pool_frames = options.pool_frames;
   oracle_opts.max_range_bytes = 4096;
-  // Cross-codec oracle (see TortureOptions::token_codec): the mirror
-  // runs the codec the store under torture does NOT use.
-  oracle_opts.token_codec = options.token_codec >= 2 ? 1 : 2;
   oracle_opts.paranoid_audit_interval = 0;
   auto oracle = Store::OpenInMemory(oracle_opts);
   if (!oracle.ok()) {
     report.error = "oracle open failed: " + oracle.status().ToString();
     return report;
   }
+  const size_t oracle_budget = (*oracle)->name_dictionary()->byte_budget();
 
   for (uint32_t i = 0; i < options.iterations; ++i) {
     const uint64_t seed = MixSeed(options.seed, i);
     Schedule schedule;
-    IterationResult result =
-        RunIteration(options, path, seed, **oracle, &report, &schedule);
+    IterationResult result = RunIteration(options, path, seed, **oracle,
+                                          oracle_budget, &report, &schedule);
     ++report.iterations_run;
     if (options.verbose) {
       std::fprintf(stderr,
-                   "iter %u seed %llu: %s (acked %llu, faults %llu)\n", i,
-                   static_cast<unsigned long long>(seed),
+                   "iter %u seed %llu, capped %s: %s (acked %llu, faults "
+                   "%llu)\n",
+                   i, static_cast<unsigned long long>(seed),
+                   schedule.capped.c_str(),
                    result.ok() ? "ok" : result.error.c_str(),
                    static_cast<unsigned long long>(report.ops_acked),
                    static_cast<unsigned long long>(report.faults_fired));
@@ -448,8 +459,9 @@ TortureReport RunTorture(const TortureOptions& options) {
       report.error = result.error;
       report.failed_iteration = i;
       report.failed_seed = seed;
-      report.failed_schedule =
-          "armed fault: " + schedule.fault + "; crash cut: " + schedule.cut;
+      report.failed_schedule = "capped dictionary: " + schedule.capped +
+                               "; armed fault: " + schedule.fault +
+                               "; crash cut: " + schedule.cut;
       return report;
     }
   }

@@ -16,9 +16,13 @@
 //      logged-but-unacked work may legitimately survive; acked work
 //      must).
 //
-// Failures print the iteration's seed, its armed fault and its crash
-// cut (both pure functions of that seed), and the flags that replay the
-// run up to it.
+// Each iteration draws which of the two stores has its name dictionary
+// capped (torture_internal.h: CapDictionary), so every comparison checks
+// symbol-coded names against inline ones.
+//
+// Failures print the iteration's seed, its capped store, its armed
+// fault and its crash cut (all pure functions of that seed), and the
+// flags that replay the run up to it.
 //
 // The store file persists across iterations (each round tortures the
 // state the previous round recovered), so later iterations run against
@@ -48,11 +52,6 @@ struct TortureOptions {
   uint32_t page_size = 512;
   /// Buffer pool frames; small pools force mid-operation write-back.
   size_t pool_frames = 64;
-  /// Token codec version for the store under torture (1 or 2). The
-  /// in-memory oracle always runs the OTHER codec, so every Verify is
-  /// also a v1-vs-v2 cross-codec comparison: both stores decode to the
-  /// same canonical (v1-encoded) token stream or the run fails.
-  uint32_t token_codec = 2;
   /// Print one progress line per iteration.
   bool verbose = false;
 };
@@ -64,6 +63,9 @@ struct TortureReport {
   uint64_t faults_fired = 0;        ///< Injected faults that hit.
   uint64_t poisonings = 0;          ///< Iterations that fail-stopped.
   uint64_t torn_tail_crashes = 0;   ///< Crashes leaving a torn WAL tail.
+  /// Iterations that capped the store under torture's dictionary; the
+  /// rest capped the oracle's.
+  uint64_t store_capped_iterations = 0;
 
   /// Empty on success; otherwise a description of the first invariant
   /// violation, with `failed_iteration` / `failed_seed` set so the run
@@ -71,8 +73,9 @@ struct TortureReport {
   std::string error;
   uint64_t failed_iteration = 0;
   uint64_t failed_seed = 0;
-  /// The failed iteration's armed fault (file, op class, N, sticky) and
-  /// crash cut (bytes kept of how many unsynced, per file).
+  /// The failed iteration's capped store, armed fault (file, op class,
+  /// N, sticky) and crash cut (bytes kept of how many unsynced, per
+  /// file).
   std::string failed_schedule;
 
   bool ok() const { return error.empty(); }

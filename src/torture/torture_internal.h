@@ -56,6 +56,15 @@ std::string RandomFragment(Random& rng);
 std::string CrashFiles(Random& rng, FaultyFile* pages, FaultyFile* wal,
                        uint64_t* torn_tails);
 
+/// Caps `store`'s name dictionary (NameDictionary::set_byte_budget(1))
+/// so every name it has not interned yet is stored inline after a code-0
+/// marker. A capped store and an uncapped one hold the same document in
+/// the two name encodings of the stored token form, so comparing their
+/// decoded streams checks each against the other.
+inline void CapDictionary(Store& store) {
+  store.name_dictionary()->set_byte_budget(1);
+}
+
 /// Renders a token stream for a failure message. XML when the instance
 /// is expressible as text; otherwise the encoded-token bytes in hex.
 std::string Render(const TokenSequence& tokens);

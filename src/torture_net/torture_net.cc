@@ -118,7 +118,6 @@ StoreOptions NetStoreOptions(const NetTortureOptions& opts, size_t frames) {
   so.max_range_bytes = 4096;
   so.enable_wal = true;
   so.wal_sync = WalSyncMode::kEveryCommit;
-  so.token_codec = opts.token_codec;
   so.paranoid_audit_interval = 0;
   return so;
 }
@@ -404,9 +403,9 @@ Result<std::vector<uint8_t>> ClientRunner::RenderWithOp(
   // log into a scratch store reproduces the oracle exactly — then the
   // candidate op lands on top without disturbing the real oracle.
   StoreOptions so;
-  so.token_codec = opts_.token_codec >= 2 ? 1 : 2;
   so.paranoid_audit_interval = 0;
   LAXML_ASSIGN_OR_RETURN(auto scratch, Store::OpenInMemory(so));
+  CapDictionary(*scratch);
   NodeId root = kInvalidNodeId;
   for (size_t i = 0; i < log_.size(); ++i) {
     LAXML_ASSIGN_OR_RETURN(NodeId id, ApplyOp(*scratch, log_[i]));
@@ -498,8 +497,6 @@ void ClientRunner::VerifyRead() {
 
 void ClientRunner::Run() {
   StoreOptions oo;
-  // Cross-codec mirror, as in the storage harness.
-  oo.token_codec = opts_.token_codec >= 2 ? 1 : 2;
   oo.paranoid_audit_interval = 0;
   auto oracle = Store::OpenInMemory(oo);
   if (!oracle.ok()) {
@@ -507,6 +504,9 @@ void ClientRunner::Run() {
     return;
   }
   oracle_ = std::move(*oracle);
+  // Inline names against the server's symbol-coded ones, as in the
+  // storage harness.
+  CapDictionary(*oracle_);
   if (!EstablishRoot()) return;
   for (uint32_t i = 0; i < opts_.ops_per_client && error_.empty() &&
                        !abort_->load(std::memory_order_acquire);

@@ -8,7 +8,10 @@
 // Every client owns a private top-level subtree (a per-client unique
 // root tag) and mirrors its acked mutations into a private in-memory
 // oracle, tracking an oracle-id <-> server-id map so later ops can
-// target earlier results. Mid-iteration the harness crashes the server
+// target earlier results. The oracles' name dictionaries are capped
+// (torture_internal.h: CapDictionary), so they store names inline while
+// the server's store symbol-codes them, and every comparison checks one
+// encoding against the other. Mid-iteration the harness crashes the server
 // — power-loss semantics on the store files via the injectors — runs
 // laxml_fsck over the crash image, recovers, and restarts the server
 // on a fresh port the clients re-discover.
@@ -50,9 +53,6 @@ struct NetTortureOptions {
   std::string dir = ".";
   uint32_t page_size = 512;
   size_t pool_frames = 64;
-  /// Codec for the store under torture; each client's oracle runs the
-  /// other one (cross-codec check, as in the storage harness).
-  uint32_t token_codec = 2;
   bool verbose = false;
 };
 

@@ -1,7 +1,7 @@
 // Per-store name dictionary: interns element/attribute names to dense
-// u32 symbol ids so the v2 token codec can store a 1-2 byte varint
-// where v1 stored [name_len][name bytes]. Tag vocabularies in real XML
-// are tiny and wildly repetitive (PAPERS.md: "Fast and Tiny Structural
+// u32 symbol ids so a stored range payload (xml/token_codec.h) holds a
+// 1-2 byte varint where the inline form holds [name_len][name bytes].
+// Tag vocabularies in real XML are tiny and wildly repetitive (PAPERS.md: "Fast and Tiny Structural
 // Self-Indexes for XML"), so the dictionary pays for itself within a
 // handful of tokens.
 //
@@ -15,7 +15,10 @@
 //   * Bounded: the serialized dictionary must fit the pager meta blob
 //     alongside the store header, so Intern stops handing out ids once
 //     a byte budget is reached and returns kNoNameSymbol — the encoder
-//     then falls back to inline v1-style names inside v2 payloads.
+//     then writes the name inline after a code-0 marker. A budget of 1
+//     admits no symbol at all, so every new name is stored inline: the
+//     reference form the torture oracles and differential tests check
+//     the symbol-coded form against.
 //
 // Thread safety: mutation (Intern) happens only under the store's
 // exclusive latch; lookups run under the shared latch. No internal
@@ -44,7 +47,7 @@ class NameDictionary {
   NameDictionary() = default;
 
   /// Serialized size limit. 0 = unbounded (tests); the Store sets it
-  /// from the pager meta area budget at open.
+  /// from the pager meta area budget at open; 1 interns nothing new.
   void set_byte_budget(size_t budget) { byte_budget_ = budget; }
   size_t byte_budget() const { return byte_budget_; }
 

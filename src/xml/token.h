@@ -82,8 +82,8 @@ struct Token {
   /// PSVI type annotation assigned by schema validation (Section 2
   /// requirement 7). 0 when untyped.
   TypeAnnotation psvi_type = kUntypedAnnotation;
-  /// Dictionary symbol of `name` when this token was decoded from a v2
-  /// payload with a symbol-coded name; UINT32_MAX (kNoNameSymbol)
+  /// Dictionary symbol of `name` when this token was decoded from a
+  /// range payload with a symbol-coded name; UINT32_MAX (kNoNameSymbol)
   /// otherwise. A decode-time cache for symbol-vs-symbol tag
   /// comparisons — NOT part of token identity (operator== ignores it)
   /// and never consulted by encoders, which intern `name` themselves.

@@ -11,7 +11,7 @@ bool ValidTokenType(uint8_t t) {
   return t <= static_cast<uint8_t>(TokenType::kProcessingInstruction);
 }
 
-/// Token types whose name field is symbol-coded under v2.
+/// Token types whose name field is symbol-coded in the stored form.
 bool SymbolCodedName(TokenType t) {
   return t == TokenType::kBeginElement || t == TokenType::kBeginAttribute;
 }
@@ -26,6 +26,77 @@ inline const uint8_t* ReadVarint(const uint8_t* p, const uint8_t* limit,
     return p + 1;
   }
   return GetVarint64(p, limit, v);
+}
+
+/// Reads a [len varint][bytes] field into *out (a view into the buffer);
+/// nullptr when it runs past `limit`.
+inline const uint8_t* ReadField(const uint8_t* p, const uint8_t* limit,
+                                std::string_view* out) {
+  uint64_t len = 0;
+  p = ReadVarint(p, limit, &len);
+  if (p == nullptr || static_cast<uint64_t>(limit - p) < len) return nullptr;
+  *out = {reinterpret_cast<const char*>(p), static_cast<size_t>(len)};
+  return p + len;
+}
+
+/// One token's fields, the strings viewed in the buffer (or, for a
+/// symbol-coded name, in the dictionary).
+struct RawToken {
+  uint8_t type = 0;
+  uint32_t symbol = kNoNameSymbol;  ///< Unless the name is symbol-coded.
+  std::string_view name;
+  std::string_view value;
+  TypeAnnotation psvi = kUntypedAnnotation;
+};
+
+/// Reads the token at *p into *raw and advances *p past it. In the stored
+/// form (kStored) a begin-element or begin-attribute name is a symbol
+/// code, resolved in `dict` when there is one (an unknown symbol is
+/// Corruption); code 0, and every name in the inline form, is followed
+/// by the name field. Forced inline into each decoder: Skip runs once
+/// per scanned token, and an out-of-line call slowed it measurably.
+template <bool kStored>
+[[gnu::always_inline]] inline Status ReadToken(const uint8_t** p, const uint8_t* limit,
+                 const NameDictionary* dict, RawToken* raw) {
+  const uint8_t* q = *p;
+  if (q >= limit) return Status::Corruption("token read past end");
+  raw->type = *q++;
+  if (!ValidTokenType(raw->type)) {
+    return Status::Corruption("invalid token type byte");
+  }
+  uint64_t code = 0;  // 0: the name field follows
+  if (kStored && SymbolCodedName(static_cast<TokenType>(raw->type))) {
+    q = ReadVarint(q, limit, &code);
+    if (q == nullptr || code > UINT32_MAX) {
+      return Status::Corruption("token symbol truncated");
+    }
+  }
+  raw->symbol = kNoNameSymbol;
+  raw->name = {};
+  if (code != 0) {
+    raw->symbol = static_cast<uint32_t>(code - 1);
+    if (dict != nullptr) {
+      const std::string* name = dict->NameOf(raw->symbol);
+      if (name == nullptr) {
+        return Status::Corruption("dangling dictionary symbol " +
+                                  std::to_string(raw->symbol));
+      }
+      raw->name = *name;
+    }
+  } else if ((q = ReadField(q, limit, &raw->name)) == nullptr) {
+    return Status::Corruption("token name truncated");
+  }
+  if ((q = ReadField(q, limit, &raw->value)) == nullptr) {
+    return Status::Corruption("token value truncated");
+  }
+  uint64_t psvi = 0;
+  q = ReadVarint(q, limit, &psvi);
+  if (q == nullptr || psvi > UINT32_MAX) {
+    return Status::Corruption("token psvi truncated");
+  }
+  raw->psvi = static_cast<TypeAnnotation>(psvi);
+  *p = q;
+  return Status::OK();
 }
 }  // namespace
 
@@ -53,9 +124,9 @@ std::vector<uint8_t> EncodeTokens(const std::vector<Token>& tokens) {
   return out;
 }
 
-void EncodeTokenWith(const Token& token, uint8_t codec,
-                     NameDictionary* dict, std::vector<uint8_t>* dst) {
-  if (codec == kTokenCodecV1 || !SymbolCodedName(token.type)) {
+void EncodeTokenWith(const Token& token, NameDictionary* dict,
+                     std::vector<uint8_t>* dst) {
+  if (!SymbolCodedName(token.type)) {
     EncodeToken(token, dst);
     return;
   }
@@ -64,7 +135,7 @@ void EncodeTokenWith(const Token& token, uint8_t codec,
   if (sym != kNoNameSymbol) {
     PutVarint32(dst, sym + 1);
   } else {
-    dst->push_back(0);  // inline-fallback marker
+    dst->push_back(0);  // inline-name marker
     PutVarint64(dst, token.name.size());
     dst->insert(dst->end(), token.name.begin(), token.name.end());
   }
@@ -73,11 +144,8 @@ void EncodeTokenWith(const Token& token, uint8_t codec,
   PutVarint64(dst, token.psvi_type);
 }
 
-size_t EncodedTokenSizeWith(const Token& token, uint8_t codec,
-                            NameDictionary* dict) {
-  if (codec == kTokenCodecV1 || !SymbolCodedName(token.type)) {
-    return EncodedTokenSize(token);
-  }
+size_t EncodedTokenSizeWith(const Token& token, NameDictionary* dict) {
+  if (!SymbolCodedName(token.type)) return EncodedTokenSize(token);
   uint32_t sym = dict != nullptr ? dict->Intern(token.name) : kNoNameSymbol;
   size_t name_bytes =
       sym != kNoNameSymbol
@@ -88,134 +156,57 @@ size_t EncodedTokenSizeWith(const Token& token, uint8_t codec,
 }
 
 Status TokenReader::Next(Token* token) {
-  const uint8_t* base = buf_.data();
-  const uint8_t* limit = base + buf_.size();
-  const uint8_t* p = base + pos_;
-  last_name_symbol_ = kNoNameSymbol;
-  if (p >= limit) return Status::Corruption("token read past end");
-  uint8_t type = *p++;
-  if (!ValidTokenType(type)) {
-    return Status::Corruption("invalid token type byte");
+  const uint8_t* p = buf_.data() + pos_;
+  RawToken raw;
+  LAXML_RETURN_IF_ERROR(
+      ReadToken<true>(&p, buf_.data() + buf_.size(), dict_, &raw));
+  if (raw.symbol != kNoNameSymbol && dict_ == nullptr) {
+    return Status::Corruption("dangling dictionary symbol " +
+                              std::to_string(raw.symbol));
   }
-  token->name_symbol = kNoNameSymbol;
-  if (ctx_.version >= kTokenCodecV2 &&
-      SymbolCodedName(static_cast<TokenType>(type))) {
-    uint64_t code = 0;
-    p = ReadVarint(p, limit, &code);
-    if (p == nullptr || code > UINT32_MAX) {
-      return Status::Corruption("token symbol truncated");
-    }
-    if (code != 0) {
-      const uint32_t sym = static_cast<uint32_t>(code - 1);
-      const std::string* name =
-          ctx_.dict != nullptr ? ctx_.dict->NameOf(sym) : nullptr;
-      if (name == nullptr) {
-        return Status::Corruption("dangling dictionary symbol " +
-                                  std::to_string(sym));
-      }
-      token->name = *name;
-      token->name_symbol = sym;
-      last_name_symbol_ = sym;
-    } else {
-      uint64_t name_len = 0;
-      p = ReadVarint(p, limit, &name_len);
-      if (p == nullptr || static_cast<uint64_t>(limit - p) < name_len) {
-        return Status::Corruption("token name truncated");
-      }
-      token->name.assign(reinterpret_cast<const char*>(p), name_len);
-      p += name_len;
-    }
-  } else {
-    uint64_t name_len = 0;
-    p = ReadVarint(p, limit, &name_len);
-    if (p == nullptr || static_cast<uint64_t>(limit - p) < name_len) {
-      return Status::Corruption("token name truncated");
-    }
-    token->name.assign(reinterpret_cast<const char*>(p), name_len);
-    p += name_len;
-  }
-  uint64_t value_len, psvi;
-  p = ReadVarint(p, limit, &value_len);
-  if (p == nullptr || static_cast<uint64_t>(limit - p) < value_len) {
-    return Status::Corruption("token value truncated");
-  }
-  last_value_ = {reinterpret_cast<const char*>(p), value_len};
-  token->value.assign(last_value_);
-  p += value_len;
-  p = ReadVarint(p, limit, &psvi);
-  if (p == nullptr || psvi > UINT32_MAX) {
-    return Status::Corruption("token psvi truncated");
-  }
-  token->type = static_cast<TokenType>(type);
-  token->psvi_type = static_cast<TypeAnnotation>(psvi);
-  pos_ = static_cast<size_t>(p - base);
+  token->type = static_cast<TokenType>(raw.type);
+  token->name.assign(raw.name);
+  token->value.assign(raw.value);
+  token->psvi_type = raw.psvi;
+  token->name_symbol = raw.symbol;
+  last_name_symbol_ = raw.symbol;
+  last_value_ = raw.value;
+  pos_ = static_cast<size_t>(p - buf_.data());
   return Status::OK();
 }
 
 Status TokenReader::Skip(TokenType* type) {
-  const uint8_t* base = buf_.data();
-  const uint8_t* limit = base + buf_.size();
-  const uint8_t* p = base + pos_;
-  last_name_symbol_ = kNoNameSymbol;
-  if (p >= limit) return Status::Corruption("token skip past end");
-  uint8_t t = *p++;
-  if (!ValidTokenType(t)) {
-    return Status::Corruption("invalid token type byte");
-  }
-  if (ctx_.version >= kTokenCodecV2 &&
-      SymbolCodedName(static_cast<TokenType>(t))) {
-    uint64_t code = 0;
-    p = ReadVarint(p, limit, &code);
-    if (p == nullptr || code > UINT32_MAX) {
-      return Status::Corruption("token symbol truncated");
-    }
-    if (code != 0) {
-      const uint32_t sym = static_cast<uint32_t>(code - 1);
-      if (ctx_.dict != nullptr && ctx_.dict->NameOf(sym) == nullptr) {
-        return Status::Corruption("dangling dictionary symbol " +
-                                  std::to_string(sym));
-      }
-      last_name_symbol_ = sym;
-    } else {
-      uint64_t name_len = 0;
-      p = ReadVarint(p, limit, &name_len);
-      if (p == nullptr || static_cast<uint64_t>(limit - p) < name_len) {
-        return Status::Corruption("token name truncated");
-      }
-      p += name_len;
-    }
-  } else {
-    uint64_t name_len = 0;
-    p = ReadVarint(p, limit, &name_len);
-    if (p == nullptr || static_cast<uint64_t>(limit - p) < name_len) {
-      return Status::Corruption("token name truncated");
-    }
-    p += name_len;
-  }
-  uint64_t value_len, psvi;
-  p = ReadVarint(p, limit, &value_len);
-  if (p == nullptr || static_cast<uint64_t>(limit - p) < value_len) {
-    return Status::Corruption("token value truncated");
-  }
-  last_value_ = {reinterpret_cast<const char*>(p), value_len};
-  p += value_len;
-  p = ReadVarint(p, limit, &psvi);
-  if (p == nullptr || psvi > UINT32_MAX) {
-    return Status::Corruption("token psvi truncated");
-  }
-  *type = static_cast<TokenType>(t);
-  pos_ = static_cast<size_t>(p - base);
+  const uint8_t* p = buf_.data() + pos_;
+  RawToken raw;
+  LAXML_RETURN_IF_ERROR(
+      ReadToken<true>(&p, buf_.data() + buf_.size(), dict_, &raw));
+  *type = static_cast<TokenType>(raw.type);
+  last_name_symbol_ = raw.symbol;
+  last_value_ = raw.value;
+  pos_ = static_cast<size_t>(p - buf_.data());
   return Status::OK();
 }
 
 Result<std::vector<Token>> DecodeTokens(Slice buffer) {
-  return DecodeTokens(buffer, TokenCodecContext());
+  std::vector<Token> out;
+  const uint8_t* p = buffer.data();
+  const uint8_t* limit = p + buffer.size();
+  RawToken raw;
+  while (p < limit) {
+    LAXML_RETURN_IF_ERROR(ReadToken<false>(&p, limit, nullptr, &raw));
+    Token& t = out.emplace_back();
+    t.type = static_cast<TokenType>(raw.type);
+    t.name.assign(raw.name);
+    t.value.assign(raw.value);
+    t.psvi_type = raw.psvi;
+  }
+  return out;
 }
 
 Result<std::vector<Token>> DecodeTokens(Slice buffer,
-                                        TokenCodecContext ctx) {
+                                        const NameDictionary* dict) {
   std::vector<Token> out;
-  TokenReader reader(buffer, ctx);
+  TokenReader reader(buffer, dict);
   Token t;
   while (!reader.AtEnd()) {
     LAXML_RETURN_IF_ERROR(reader.Next(&t));

@@ -115,8 +115,7 @@ TEST(AuditTest, StalePartialMemoIsDetectedWithCoordinates) {
   RangeId range = store->range_manager().first_range();
   store->mutable_partial_index().Record(
       /*id=*/2, PartialEntry::kBegin,
-      {range, /*offset=*/1, /*token_index=*/7, /*begins_before=*/0,
-       kTokenCodecV2});
+      {range, /*offset=*/1, /*token_index=*/7, /*begins_before=*/0});
   AuditReport report = Audit(store.get());
   ASSERT_FALSE(report.ok());
   bool found = false;
@@ -141,8 +140,7 @@ TEST(AuditTest, MemoPointingAtWrongNodeIsDetected) {
   RangeId range = store->range_manager().first_range();
   store->mutable_partial_index().Record(
       /*id=*/2, PartialEntry::kBegin,
-      {range, /*offset=*/0, /*token_index=*/0, /*begins_before=*/0,
-       kTokenCodecV2});
+      {range, /*offset=*/0, /*token_index=*/0, /*begins_before=*/0});
   AuditReport report = Audit(store.get());
   ASSERT_FALSE(report.ok());
   bool found = false;
@@ -176,32 +174,6 @@ TEST(AuditTest, BeginMemoWithWrongBeginCountIsDetected) {
     if (issue.layer == AuditLayer::kPartialIndex && issue.node == 2 &&
         issue.message.find("begin memo begins_before is 2, actual 1") !=
             std::string::npos) {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found) << report.ToString();
-}
-
-TEST(AuditTest, MemoCodecMismatchIsDetected) {
-  ASSERT_OK_AND_ASSIGN(
-      auto store, Store::OpenInMemory(OptionsFor(kPartialIndexConfig)));
-  ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a></root>").status());
-  ASSERT_LAXML_OK(store->Read(2).status());  // memoizes node 2 legitimately
-  EXPECT_TRUE(Audit(store.get()).ok());
-  // Same location, wrong codec: a memo hit would decode v2 bytes as v1.
-  PartialEntry e;
-  ASSERT_TRUE(store->mutable_partial_index().Lookup(2, &e));
-  ASSERT_TRUE(e.end.has_value());
-  ASSERT_EQ(e.end->codec, kTokenCodecV2);
-  TokenPos wrong = *e.end;
-  wrong.codec = kTokenCodecV1;
-  store->mutable_partial_index().Record(2, PartialEntry::kEnd, wrong);
-  AuditReport report = Audit(store.get());
-  ASSERT_FALSE(report.ok());
-  bool found = false;
-  for (const AuditIssue& issue : report.issues) {
-    if (issue.layer == AuditLayer::kPartialIndex && issue.node == 2 &&
-        issue.message.find("end memo codec") != std::string::npos) {
       found = true;
     }
   }
@@ -481,7 +453,7 @@ TEST(AuditTest, LayertogglesSkipLegs) {
   ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a></root>").status());
   store->mutable_partial_index().Record(
       2, PartialEntry::kBegin,
-      {store->range_manager().first_range(), 1, 7, 0, kTokenCodecV2});
+      {store->range_manager().first_range(), 1, 7, 0});
   AuditOptions options;
   options.check_partial_index = false;
   AuditReport report = Audit(store.get(), options);
@@ -495,7 +467,7 @@ TEST(AuditTest, MaxIssuesTruncates) {
   RangeId range = store->range_manager().first_range();
   for (NodeId id = 2; id <= 5; ++id) {
     store->mutable_partial_index().Record(id, PartialEntry::kBegin,
-                                          {range, 1, 7, 0, kTokenCodecV2});
+                                          {range, 1, 7, 0});
   }
   AuditOptions options;
   options.max_issues = 2;
@@ -532,8 +504,7 @@ TEST(AuditTest, ParanoidIntervalAuditsAutomatically) {
   // until the auto-audit trips.
   store->mutable_partial_index().Record(
       2, PartialEntry::kBegin,
-      {/*range=*/9999, /*offset=*/1, /*token_index=*/7, /*begins_before=*/0,
-       kTokenCodecV2});
+      {/*range=*/9999, /*offset=*/1, /*token_index=*/7, /*begins_before=*/0});
   Status st = Status::OK();
   for (int i = 0; i < 8 && st.ok(); ++i) {
     st = store->InsertIntoLast(first, MustFragment("<m/>")).status();

@@ -1,7 +1,7 @@
 // Streaming bulk load tests: equivalence with LoadXml, the empty-store
 // precondition, durability across reopen, dictionary persistence
-// (including crash + WAL-replay re-interning), v1-store compatibility,
-// and the dictionary-budget inline fallback.
+// (including crash + WAL-replay re-interning), and the dictionary-budget
+// inline fallback.
 
 #include <gtest/gtest.h>
 
@@ -138,7 +138,7 @@ TEST(BulkLoadTest, DictionarySurvivesCrashViaWalReplay) {
   uint32_t symbols = 0;
   {
     ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
-    // Logged mutations only: the WAL carries v1 token bytes and replay
+    // Logged mutations only: the WAL carries inline token bytes and replay
     // must re-intern the same names into the same symbols.
     ASSERT_LAXML_OK(store->InsertTopLevel(
         MustFragment("<db><order id=\"1\"><item>x</item></order></db>")));
@@ -157,43 +157,6 @@ TEST(BulkLoadTest, DictionarySurvivesCrashViaWalReplay) {
     EXPECT_EQ(EncodeTokens(all), want);
     EXPECT_EQ(store->name_dictionary()->size(), symbols);
     EXPECT_EQ(store->name_dictionary()->Find("order"), 1u);
-    ASSERT_LAXML_OK(store->CheckIntegrity());
-  }
-}
-
-TEST(BulkLoadTest, V1StoresStillOpenAndMixWithV2Writes) {
-  TempFile tmp("v1compat");
-  std::vector<uint8_t> want_v1;
-  {
-    StoreOptions v1 = SmallPageOptions();
-    v1.token_codec = 1;
-    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), v1));
-    ASSERT_LAXML_OK(store->LoadXml(GeneratedXml(8, 2)).status());
-    EXPECT_EQ(store->name_dictionary()->size(), 0u)
-        << "v1 writes must not grow the dictionary";
-    ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
-    want_v1 = EncodeTokens(all);
-  }
-  {
-    // Reopen with the default (v2) codec: old ranges decode as v1, new
-    // writes get v2, and both coexist in one chain.
-    ASSERT_OK_AND_ASSIGN(auto store,
-                         Store::Open(tmp.path(), SmallPageOptions()));
-    ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
-    EXPECT_EQ(EncodeTokens(all), want_v1);
-    ASSERT_LAXML_OK(
-        store->InsertIntoLast(1, MustFragment("<v2tag a=\"b\"/>")).status());
-    EXPECT_GT(store->name_dictionary()->size(), 0u);
-    ASSERT_OK_AND_ASSIGN(TokenSequence after, store->Read());
-    ASSERT_OK_AND_ASSIGN(TokenSequence sub, store->Read(1));
-    EXPECT_FALSE(after.empty());
-    EXPECT_FALSE(sub.empty());
-    ASSERT_LAXML_OK(store->CheckIntegrity());
-    ASSERT_LAXML_OK(store->CheckIntegrity());
-  }
-  {
-    ASSERT_OK_AND_ASSIGN(auto store,
-                         Store::Open(tmp.path(), SmallPageOptions()));
     ASSERT_LAXML_OK(store->CheckIntegrity());
   }
 }

@@ -34,8 +34,8 @@ struct Spot {
 };
 
 // Every token's spot, by brute force: ReferenceRead's tokens laid over
-// the range chain's token counts, each re-encoded under its range's
-// codec.
+// the range chain's token counts, each re-encoded in the stored form
+// with the store's dictionary.
 std::vector<Spot> BruteForceSpots(Store* store, TokenSequence* tokens,
                                   std::vector<NodeId>* ids) {
   auto read = ReferenceRead(*store, ids);
@@ -50,8 +50,8 @@ std::vector<Spot> BruteForceSpots(Store* store, TokenSequence* tokens,
     for (; spot.index < meta.token_count; ++spot.index) {
       if (spots.size() >= tokens->size()) return {};
       const Token& token = (*tokens)[spots.size()];
-      spot.encoded_len = static_cast<uint32_t>(EncodedTokenSizeWith(
-          token, meta.codec, store->name_dictionary()));
+      spot.encoded_len = static_cast<uint32_t>(
+          EncodedTokenSizeWith(token, store->name_dictionary()));
       spots.push_back(spot);
       spot.offset += spot.encoded_len;
       if (token.BeginsNode()) ++spot.begins_before;
@@ -70,13 +70,15 @@ void ExpectAt(const TokenCursor& cursor, const Spot& want, size_t i) {
   EXPECT_EQ(cursor.encoded_len(), want.encoded_len) << "token " << i;
 }
 
-std::unique_ptr<Store> FragmentedStore(uint32_t token_codec = 2) {
+// With `capped`, the dictionary interns nothing, so every name is
+// stored inline after a code-0 marker.
+std::unique_ptr<Store> FragmentedStore(bool capped = false) {
   StoreOptions options;
   options.max_range_bytes = 48;  // many ranges
   options.pager.page_size = 512;
-  options.token_codec = token_codec;
   auto opened = Store::OpenInMemory(options);
   EXPECT_TRUE(opened.ok());
+  if (capped) (*opened)->name_dictionary()->set_byte_budget(1);
   return std::move(opened).value();
 }
 
@@ -131,10 +133,10 @@ TEST(CursorTest, AgreesWithReferenceReadOnFragmentedStore) {
   EXPECT_GT(store->range_manager().range_count(), 3u);
 }
 
-TEST(CursorTest, StoreReadWithIdsMatchesReferenceReadUnderBothCodecs) {
-  for (uint32_t codec : {kTokenCodecV1, kTokenCodecV2}) {
-    SCOPED_TRACE("codec v" + std::to_string(codec));
-    auto store = FragmentedStore(codec);
+TEST(CursorTest, StoreReadWithIdsMatchesReferenceReadWithEitherNameForm) {
+  for (bool capped : {false, true}) {
+    SCOPED_TRACE(capped ? "capped dictionary" : "full dictionary");
+    auto store = FragmentedStore(capped);
     ASSERT_NO_FATAL_FAILURE(FillAndFragment(store.get()));
     ASSERT_GT(store->range_manager().range_count(), 3u);
 
@@ -200,7 +202,7 @@ TEST(CursorTest, SeekToLocationThenSkipSubtreeMatchesBruteForce) {
 
   // A scan from the first range's first token reports every position.
   TokenCursor cursor(&store->range_manager());
-  ASSERT_LAXML_OK(cursor.SeekTo({spots[0].range, 0, 0, 0}));
+  ASSERT_LAXML_OK(cursor.SeekToRange(spots[0].range));
   for (size_t i = 0; i < tokens.size(); ++i) {
     ASSERT_TRUE(cursor.Valid()) << "token " << i;
     ExpectAt(cursor, spots[i], i);
@@ -217,7 +219,11 @@ TEST(CursorTest, SeekToLocationThenSkipSubtreeMatchesBruteForce) {
     ASSERT_LAXML_OK(
         cursor.SeekTo({at.range, at.offset, at.index, at.begins_before}));
     ExpectAt(cursor, at, b);
-    EXPECT_EQ(cursor.node_id(), ids[b]);
+    // SeekTo reads no range metadata: the id is the range's start id
+    // plus the node begins before the token.
+    ASSERT_OK_AND_ASSIGN(RangeMeta meta,
+                         store->range_manager().GetMeta(at.range));
+    EXPECT_EQ(meta.start_id + cursor.pos().begins_before, ids[b]);
     EXPECT_EQ(cursor.token(), tokens[b]);
     ASSERT_OK_AND_ASSIGN(size_t after_end, SubtreeEnd(tokens, b));
     const size_t end = after_end - 1;
@@ -232,9 +238,9 @@ TEST(CursorTest, SeekToLocationThenSkipSubtreeMatchesBruteForce) {
 }
 
 TEST(CursorTest, SeekToAttributeEntryReadsItsValue) {
-  for (uint32_t codec : {kTokenCodecV1, kTokenCodecV2}) {
-    SCOPED_TRACE("codec v" + std::to_string(codec));
-    auto store = FragmentedStore(codec);
+  for (bool capped : {false, true}) {
+    SCOPED_TRACE(capped ? "capped dictionary" : "full dictionary");
+    auto store = FragmentedStore(capped);
     ASSERT_LAXML_OK(store
                         ->LoadXml("<r><e k=\"one\">t</e><e k=\"two\"/>"
                                   "<e k=\"three\"><f/></e></r>")

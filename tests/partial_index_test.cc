@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "xml/token_codec.h"
 
 namespace laxml {
 namespace {
@@ -24,7 +23,7 @@ TEST(PartialIndexTest, RecordsBeginAndEndIndependently) {
   PartialIndex index(16);
   index.Record(60, PartialEntry::kBegin,
                {/*range=*/1, /*offset=*/120, /*token_index=*/7,
-                /*begins_before=*/0, kTokenCodecV1});
+                /*begins_before=*/0});
   PartialEntry e;
   ASSERT_TRUE(index.Lookup(60, &e));
   EXPECT_TRUE(e.begin.has_value());
@@ -33,7 +32,7 @@ TEST(PartialIndexTest, RecordsBeginAndEndIndependently) {
   EXPECT_EQ(e.begin->offset, 120u);
   index.Record(60, PartialEntry::kEnd,
                {/*range=*/3, /*offset=*/0, /*token_index=*/0,
-                /*begins_before=*/0, kTokenCodecV1});
+                /*begins_before=*/0});
   ASSERT_TRUE(index.Lookup(60, &e));
   EXPECT_TRUE(e.begin.has_value());
   EXPECT_TRUE(e.end.has_value());
@@ -43,7 +42,7 @@ TEST(PartialIndexTest, RecordsBeginAndEndIndependently) {
 TEST(PartialIndexTest, ZeroCapacityDisablesEverything) {
   PartialIndex index(0);
   EXPECT_FALSE(index.enabled());
-  index.Record(1, PartialEntry::kBegin, {1, 0, 0, 0, kTokenCodecV1});
+  index.Record(1, PartialEntry::kBegin, {1, 0, 0, 0});
   PartialEntry e;
   EXPECT_FALSE(index.Lookup(1, &e));
   EXPECT_EQ(index.size(), 0u);
@@ -54,13 +53,13 @@ TEST(PartialIndexTest, LruEvictionAtCapacity) {
   PartialIndex index(4);
   for (NodeId id = 1; id <= 4; ++id) {
     index.Record(id, PartialEntry::kBegin,
-                 {1, static_cast<uint32_t>(id), 0, 0, kTokenCodecV1});
+                 {1, static_cast<uint32_t>(id), 0, 0});
   }
   EXPECT_EQ(index.size(), 4u);
   // Touch 1 so it is most recent; inserting 5 evicts 2 (the LRU).
   PartialEntry e;
   EXPECT_TRUE(index.Lookup(1, &e));
-  index.Record(5, PartialEntry::kBegin, {1, 5, 0, 0, kTokenCodecV1});
+  index.Record(5, PartialEntry::kBegin, {1, 5, 0, 0});
   EXPECT_EQ(index.size(), 4u);
   EXPECT_TRUE(index.Lookup(1, &e));
   EXPECT_FALSE(index.Lookup(2, &e));
@@ -70,9 +69,9 @@ TEST(PartialIndexTest, LruEvictionAtCapacity) {
 
 TEST(PartialIndexTest, InvalidateRangeDropsStaleHalves) {
   PartialIndex index(16);
-  index.Record(60, PartialEntry::kBegin, {1, 100, 5, 0, kTokenCodecV1});
-  index.Record(60, PartialEntry::kEnd, {3, 0, 0, 0, kTokenCodecV1});
-  index.Record(70, PartialEntry::kBegin, {1, 200, 9, 0, kTokenCodecV1});
+  index.Record(60, PartialEntry::kBegin, {1, 100, 5, 0});
+  index.Record(60, PartialEntry::kEnd, {3, 0, 0, 0});
+  index.Record(70, PartialEntry::kBegin, {1, 200, 9, 0});
   // Range 1 split: every offset into it is stale.
   index.InvalidateRange(1);
   PartialEntry e60;
@@ -85,8 +84,8 @@ TEST(PartialIndexTest, InvalidateRangeDropsStaleHalves) {
 
 TEST(PartialIndexTest, InvalidateRangeWithBothHalvesInIt) {
   PartialIndex index(16);
-  index.Record(5, PartialEntry::kBegin, {2, 10, 1, 0, kTokenCodecV1});
-  index.Record(5, PartialEntry::kEnd, {2, 90, 8, 3, kTokenCodecV1});
+  index.Record(5, PartialEntry::kBegin, {2, 10, 1, 0});
+  index.Record(5, PartialEntry::kEnd, {2, 90, 8, 3});
   index.InvalidateRange(2);
   PartialEntry e;
   EXPECT_FALSE(index.Lookup(5, &e));
@@ -95,8 +94,8 @@ TEST(PartialIndexTest, InvalidateRangeWithBothHalvesInIt) {
 
 TEST(PartialIndexTest, InvalidateSingleNode) {
   PartialIndex index(16);
-  index.Record(1, PartialEntry::kBegin, {1, 0, 0, 0, kTokenCodecV1});
-  index.Record(2, PartialEntry::kBegin, {1, 10, 1, 0, kTokenCodecV1});
+  index.Record(1, PartialEntry::kBegin, {1, 0, 0, 0});
+  index.Record(2, PartialEntry::kBegin, {1, 10, 1, 0});
   index.Invalidate(1);
   PartialEntry e;
   EXPECT_FALSE(index.Lookup(1, &e));
@@ -105,9 +104,9 @@ TEST(PartialIndexTest, InvalidateSingleNode) {
 
 TEST(PartialIndexTest, ReRecordingUnderNewRange) {
   PartialIndex index(16);
-  index.Record(60, PartialEntry::kBegin, {1, 100, 5, 0, kTokenCodecV1});
+  index.Record(60, PartialEntry::kBegin, {1, 100, 5, 0});
   // After a split the node begins range 4 at offset 0.
-  index.Record(60, PartialEntry::kBegin, {4, 0, 0, 0, kTokenCodecV1});
+  index.Record(60, PartialEntry::kBegin, {4, 0, 0, 0});
   PartialEntry e;
   ASSERT_TRUE(index.Lookup(60, &e));
   EXPECT_EQ(e.begin->range, 4u);
@@ -120,7 +119,7 @@ TEST(PartialIndexTest, ReRecordingUnderNewRange) {
 
 TEST(PartialIndexTest, ClearResetsEverything) {
   PartialIndex index(16);
-  index.Record(1, PartialEntry::kBegin, {1, 0, 0, 0, kTokenCodecV1});
+  index.Record(1, PartialEntry::kBegin, {1, 0, 0, 0});
   index.Clear();
   EXPECT_EQ(index.size(), 0u);
   PartialEntry e;
@@ -130,8 +129,8 @@ TEST(PartialIndexTest, ClearResetsEverything) {
 TEST(PartialIndexTest, TableStringShape) {
   // Paper Table 4: node 60 with begin in range 1, end in range 3.
   PartialIndex index(16);
-  index.Record(60, PartialEntry::kBegin, {1, 0, 0, 0, kTokenCodecV1});
-  index.Record(60, PartialEntry::kEnd, {3, 0, 0, 0, kTokenCodecV1});
+  index.Record(60, PartialEntry::kBegin, {1, 0, 0, 0});
+  index.Record(60, PartialEntry::kEnd, {3, 0, 0, 0});
   std::string table = index.ToTableString();
   EXPECT_NE(table.find("NodeID"), std::string::npos);
   EXPECT_NE(table.find("60  1  3"), std::string::npos);
@@ -139,7 +138,7 @@ TEST(PartialIndexTest, TableStringShape) {
 
 TEST(PartialIndexTest, HitRateAccounting) {
   PartialIndex index(16);
-  index.Record(1, PartialEntry::kBegin, {1, 0, 0, 0, kTokenCodecV1});
+  index.Record(1, PartialEntry::kBegin, {1, 0, 0, 0});
   PartialEntry e;
   (void)index.Lookup(1, &e);
   (void)index.Lookup(1, &e);
@@ -155,7 +154,7 @@ TEST(PartialIndexTest, LargeCapacityShardsTheTable) {
   EXPECT_EQ(index.shard_count(), PartialIndex::kNumShards);
   for (NodeId id = 1; id <= 1000; ++id) {
     index.Record(id, PartialEntry::kBegin,
-                 {1, static_cast<uint32_t>(id), 0, 0, kTokenCodecV1});
+                 {1, static_cast<uint32_t>(id), 0, 0});
   }
   EXPECT_EQ(index.size(), 1000u);
   PartialEntry e;

@@ -22,15 +22,17 @@ class RangeManagerTest : public ::testing::Test {
     auto pager = Pager::OpenInMemory(options);
     ASSERT_TRUE(pager.ok());
     pager_ = std::move(pager).value();
-    auto manager = RangeManager::Create(pager_.get());
+    auto manager = RangeManager::Create(pager_.get(), &dict_);
     ASSERT_TRUE(manager.ok());
     manager_ = std::move(manager).value();
   }
 
-  /// Inserts a range built from an XML fragment; ids start at start_id.
+  /// Inserts a range built from an XML fragment, in the stored token
+  /// form; ids start at start_id.
   RangeId AddRange(RangeId after, const std::string& xml, NodeId start_id) {
     TokenSequence tokens = MustFragment(xml);
-    std::vector<uint8_t> bytes = EncodeTokens(tokens);
+    std::vector<uint8_t> bytes;
+    for (const Token& t : tokens) EncodeTokenWith(t, &dict_, &bytes);
     auto result = manager_->InsertRangeAfter(
         after, Slice(bytes), start_id, CountNodeBegins(tokens),
         static_cast<uint32_t>(tokens.size()));
@@ -49,6 +51,7 @@ class RangeManagerTest : public ::testing::Test {
     return order;
   }
 
+  NameDictionary dict_;
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<RangeManager> manager_;
 };
@@ -86,7 +89,7 @@ TEST_F(RangeManagerTest, SplitDividesTokensAndIds) {
   RangeId a = AddRange(kInvalidRangeId, "<a><b/></a>", 1);
   ASSERT_OK_AND_ASSIGN(auto payload, manager_->ReadPayload(a));
   // Split before token index 2 (</b>): head = [<a>, <b>], 2 ids.
-  TokenReader reader{Slice(payload)};
+  TokenReader reader{Slice(payload), &dict_};
   Token t;
   ASSERT_LAXML_OK(reader.Next(&t));
   ASSERT_LAXML_OK(reader.Next(&t));
@@ -116,7 +119,7 @@ TEST_F(RangeManagerTest, SplitWithIdsOnBothSides) {
   // <a/><b/><c/>: 3 ids. Split before <b>.
   RangeId r = AddRange(kInvalidRangeId, "<a/><b/><c/>", 1);
   ASSERT_OK_AND_ASSIGN(auto payload, manager_->ReadPayload(r));
-  TokenReader reader{Slice(payload)};
+  TokenReader reader{Slice(payload), &dict_};
   Token t;
   ASSERT_LAXML_OK(reader.Next(&t));
   ASSERT_LAXML_OK(reader.Next(&t));  // past </a>
@@ -171,7 +174,8 @@ TEST_F(RangeManagerTest, ReopenRebuildsIndexFromMeta) {
   ASSERT_LAXML_OK(manager_->DeleteRange(c));
   RangeManagerState state = manager_->state();
   manager_.reset();
-  ASSERT_OK_AND_ASSIGN(manager_, RangeManager::Open(pager_.get(), state));
+  ASSERT_OK_AND_ASSIGN(manager_,
+                       RangeManager::Open(pager_.get(), state, &dict_));
   EXPECT_EQ(manager_->index().size(), 2u);
   ASSERT_OK_AND_ASSIGN(RangeId r, manager_->index().Lookup(2));
   EXPECT_EQ(r, a);

@@ -415,17 +415,18 @@ TEST(StoreMemoReadTest, MemoHitChecksTheMemoizedEnd) {
 }
 
 // Texts and attribute values longer than a single-token read's first
-// slice, stored inline and in an overflow record under both codecs, read
-// whole by Describe and Read(id) both cold and on a memo hit.
+// slice, stored inline and in an overflow record with symbol-coded and
+// with inline names (a capped dictionary), read whole by Describe and
+// Read(id) both cold and on a memo hit.
 TEST(StoreMemoReadTest, LongTokensReadWholeColdAndWarm) {
-  for (uint8_t codec : {kTokenCodecV1, kTokenCodecV2}) {
+  for (bool capped : {false, true}) {
     for (size_t len : {size_t{600}, size_t{7000}}) {
-      SCOPED_TRACE("codec v" + std::to_string(codec) + ", " +
-                   std::to_string(len) + " B values");
+      SCOPED_TRACE(std::string(capped ? "capped" : "full") +
+                   " dictionary, " + std::to_string(len) + " B values");
       StoreOptions options;
       options.index_mode = IndexMode::kRangeIndex;
-      options.token_codec = codec;
       ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
+      if (capped) store->name_dictionary()->set_byte_budget(1);
       const std::string value(len, 'v');
       const std::string text(len, 't');
       // r 1, e 2, @k 3, text 4.
@@ -518,30 +519,44 @@ TEST(StoreMemoReadTest, WarmOverflowMemoHitPinsNoDirectoryPage) {
 }
 #endif  // !defined(LAXML_TRACING_DISABLED)
 
-TEST(StoreMemoReadTest, MemoHitsDecodeEachRangesOwnCodec) {
-  testing::TempFile file("memo_codec");
+// One chain holding names in both encodings: a document loaded under a
+// capped dictionary (every name inline), reopened uncapped and written
+// again, so "o" and "item" are inline in the loaded range and symbols in
+// the new one. Reads, memo hits and the audit see one document.
+TEST(StoreMemoReadTest, InlineAndSymbolNamesMixInOneChain) {
+  testing::TempFile file("mixed_names");
   StoreOptions options;
   options.index_mode = IndexMode::kRangeIndex;
-  options.token_codec = 1;
+  std::vector<uint8_t> loaded;
   {
     ASSERT_OK_AND_ASSIGN(auto store, Store::Open(file.path(), options));
+    store->name_dictionary()->set_byte_budget(1);
     ASSERT_LAXML_OK(
         store->LoadXml("<orders><o id=\"1\"><item>pen</item></o></orders>")
             .status());
+    EXPECT_EQ(store->name_dictionary()->size(), 0u)
+        << "a capped dictionary interns nothing";
+    ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
+    loaded = EncodeTokens(all);
     ASSERT_LAXML_OK(store->Sync());
   }
-  options.token_codec = 2;
   ASSERT_OK_AND_ASSIGN(auto store, Store::Open(file.path(), options));
+  ASSERT_OK_AND_ASSIGN(TokenSequence reopened, store->Read());
+  EXPECT_EQ(EncodeTokens(reopened), loaded);
   ASSERT_LAXML_OK(store->InsertIntoLast(
       1, MustFragment("<o id=\"2\"><item>ink</item><item>nib</item></o>")));
-  std::set<uint8_t> codecs;
-  for (RangeId r = store->range_manager().first_range();
-       r != kInvalidRangeId;) {
-    ASSERT_OK_AND_ASSIGN(RangeMeta meta, store->range_manager().GetMeta(r));
-    codecs.insert(meta.codec);
-    r = meta.next;
+  std::set<bool> item_forms;  // symbol-coded?
+  auto cursor = store->NewCursor();
+  ASSERT_LAXML_OK(cursor->SeekToFirst());
+  while (cursor->Valid()) {
+    if (cursor->type() == TokenType::kBeginElement &&
+        cursor->token().name == "item") {
+      item_forms.insert(cursor->name_symbol() != kNoNameSymbol);
+    }
+    ASSERT_LAXML_OK(cursor->Next());
   }
-  ASSERT_EQ(codecs, (std::set<uint8_t>{kTokenCodecV1, kTokenCodecV2}));
+  cursor.reset();
+  ASSERT_EQ(item_forms, (std::set<bool>{false, true}));
   std::vector<NodeId> ids;
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store->ReadWithIds(&ids));
   const uint64_t hits = store->partial_index().stats().hits;
@@ -555,6 +570,13 @@ TEST(StoreMemoReadTest, MemoHitsDecodeEachRangesOwnCodec) {
     }
   }
   EXPECT_GT(store->partial_index().stats().hits, hits);
+  EXPECT_LAXML_OK(store->CheckIntegrity());
+  // Payloads concatenate byte-wise whatever their names' encoding, so
+  // the loaded range and the inserted one merge.
+  ASSERT_OK_AND_ASSIGN(uint64_t merges, store->CompactRanges(1 << 20));
+  EXPECT_GT(merges, 0u);
+  ASSERT_OK_AND_ASSIGN(TokenSequence compacted, store->Read());
+  EXPECT_EQ(compacted, all);
   EXPECT_LAXML_OK(store->CheckIntegrity());
 }
 

@@ -128,10 +128,13 @@ TEST(StoreModeWordTest, LazyStoreReopensUnderEitherCapacity) {
   }
 }
 
-// Store format version 4: each range's one persistent entry is its
-// 56-byte RangeMeta, payload location included, and there is no
-// record-directory tree. Versions 2 and 3 are refused, not migrated.
-TEST(StoreFormatTest, NewStoresAreVersion4AndOlderOnesAreRefused) {
+// Store format version 5: every range payload is in the one stored token
+// form, and each range's one persistent entry is its 56-byte RangeMeta,
+// payload location included and its last byte reserved zero, with no
+// record-directory tree. Versions 2 to 4 are refused, not migrated: a
+// version-4 range may hold inline-only names, which would decode as
+// wrong names without an error.
+TEST(StoreFormatTest, NewStoresAreVersion5AndOlderOnesAreRefused) {
   TempFile tmp("format");
   StoreOptions options;
   options.pager.page_size = 512;
@@ -152,20 +155,22 @@ TEST(StoreFormatTest, NewStoresAreVersion4AndOlderOnesAreRefused) {
     ASSERT_OK_AND_ASSIGN(auto pager, Pager::OpenFile(tmp.path(),
                                                      options.pager));
     ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> meta, pager->ReadMeta());
-    EXPECT_EQ(DecodeFixed32(meta.data() + 4), 4u);
+    EXPECT_EQ(DecodeFixed32(meta.data() + 4), 5u);
   }
-  // Each range's meta value, location and all, is in the file verbatim.
+  // Each range's meta value, location and all, is in the file verbatim,
+  // its reserved last byte zero.
   const std::vector<uint8_t> bytes = ReadWholeFile(tmp.path());
   for (const RangeMeta& meta : chain) {
     uint8_t value[kRangeMetaValueSize];
     EncodeRangeMeta(meta, value);
+    EXPECT_EQ(value[kRangeMetaValueSize - 1], 0u) << "range " << meta.id;
     EXPECT_NE(std::search(bytes.begin(), bytes.end(), value,
                           value + kRangeMetaValueSize),
               bytes.end())
         << "range " << meta.id;
     EXPECT_NE(meta.page, kInvalidPageId) << "range " << meta.id;
   }
-  for (uint32_t version : {2u, 3u}) {
+  for (uint32_t version : {2u, 3u, 4u}) {
     SCOPED_TRACE("version " + std::to_string(version));
     RewriteMetaWord(tmp.path(), options.pager, 4, version);
     auto reopened = Store::Open(tmp.path(), options);
@@ -181,7 +186,7 @@ TEST(StoreFormatTest, NewStoresAreVersion4AndOlderOnesAreRefused) {
               std::string::npos)
         << fsck.error;
   }
-  RewriteMetaWord(tmp.path(), options.pager, 4, 4);
+  RewriteMetaWord(tmp.path(), options.pager, 4, 5);
   ASSERT_OK_AND_ASSIGN(auto store, Store::Open(tmp.path(), options));
   ASSERT_OK_AND_ASSIGN(TokenSequence all, store->Read());
   EXPECT_EQ(MustSerialize(all), "<db><a>1</a><b>2</b></db>");
@@ -189,7 +194,7 @@ TEST(StoreFormatTest, NewStoresAreVersion4AndOlderOnesAreRefused) {
 
 // Word 2 was the lazy stamp of stores written while the Partial Index
 // was a mode of its own. Those stores are version 3, refused before
-// their mode is read, so in a version-4 blob it is as unknown as 7.
+// their mode is read, so in a version-5 blob it is as unknown as 7.
 TEST(StoreModeWordTest, UnknownModeWordIsCorruption) {
   for (uint32_t word : {2u, 7u}) {
     SCOPED_TRACE("word " + std::to_string(word));

@@ -120,7 +120,7 @@ inline std::string MustSerialize(const TokenSequence& tokens) {
 
 /// The store's token stream and node ids (kInvalidNodeId for end
 /// tokens), read without TokenCursor: each range on the chain decoded
-/// whole under its own codec, ids counted up from its start id. Every
+/// whole with the store's dictionary, ids counted up from its start id. Every
 /// engine read runs on the cursor, so tests check those reads, and the
 /// cursor itself, against this.
 inline Result<TokenSequence> ReferenceRead(const Store& store,
@@ -134,7 +134,7 @@ inline Result<TokenSequence> ReferenceRead(const Store& store,
                            ranges.ReadPayload(r));
     LAXML_ASSIGN_OR_RETURN(
         TokenSequence tokens,
-        DecodeTokens(Slice(payload), ranges.codec_for(meta)));
+        DecodeTokens(Slice(payload), ranges.dictionary()));
     NodeId next_id = meta.start_id;
     for (Token& token : tokens) {
       ids->push_back(token.BeginsNode() ? next_id++ : kInvalidNodeId);

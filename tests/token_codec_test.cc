@@ -1,4 +1,5 @@
-// Binary token codec tests: roundtrips, offset bookkeeping (the partial
+// Binary token codec tests: roundtrips of the inline (WAL / wire) and
+// the stored (range payload) form, offset bookkeeping (the partial
 // index memoizes these offsets), Skip fast-path, and corruption
 // rejection.
 
@@ -61,10 +62,54 @@ TEST(TokenCodecTest, EndElementIsFourBytes) {
   EXPECT_EQ(buf.size(), 4u);
 }
 
+/// The stored form of `tokens`, names interned into `dict`; checks that
+/// each token's EncodedTokenSizeWith matches its encoding.
+std::vector<uint8_t> EncodeStored(const TokenSequence& tokens,
+                                  NameDictionary* dict) {
+  std::vector<uint8_t> buf;
+  for (const Token& t : tokens) {
+    EXPECT_EQ(EncodedTokenSizeWith(t, dict),
+              [&] {
+                std::vector<uint8_t> one;
+                EncodeTokenWith(t, dict, &one);
+                return one.size();
+              }())
+        << t.ToString();
+    EncodeTokenWith(t, dict, &buf);
+  }
+  return buf;
+}
+
+TEST(TokenCodecTest, FormsDifferOnlyInElementAndAttributeNames) {
+  const uint8_t begin = static_cast<uint8_t>(TokenType::kBeginElement);
+  // The inline form: [type][name_len][name][value_len][value][psvi].
+  std::vector<uint8_t> inline_form;
+  EncodeToken(Token::BeginElement("ab"), &inline_form);
+  EXPECT_EQ(inline_form, (std::vector<uint8_t>{begin, 2, 'a', 'b', 0, 0}));
+  // Stored with a symbol: the name field is the symbol id + 1.
+  NameDictionary dict;
+  EXPECT_EQ(EncodeStored({Token::BeginElement("ab")}, &dict),
+            (std::vector<uint8_t>{begin, 1, 0, 0}));
+  // Stored without one: code 0, then the inline name field.
+  EXPECT_EQ(EncodeStored({Token::BeginElement("ab")}, nullptr),
+            (std::vector<uint8_t>{begin, 0, 2, 'a', 'b', 0, 0}));
+  // Every other token type stores exactly its inline form.
+  for (const Token& t : SampleTokens()) {
+    if (t.type == TokenType::kBeginElement ||
+        t.type == TokenType::kBeginAttribute) {
+      continue;
+    }
+    std::vector<uint8_t> one;
+    EncodeToken(t, &one);
+    EXPECT_EQ(EncodeStored({t}, &dict), one) << t.ToString();
+  }
+}
+
 TEST(TokenCodecTest, ReaderTracksOffsets) {
   TokenSequence tokens = SampleTokens();
-  std::vector<uint8_t> encoded = EncodeTokens(tokens);
-  TokenReader reader{Slice(encoded)};
+  NameDictionary dict;
+  std::vector<uint8_t> encoded = EncodeStored(tokens, &dict);
+  TokenReader reader{Slice(encoded), &dict};
   std::vector<size_t> offsets;
   Token t;
   while (!reader.AtEnd()) {
@@ -82,9 +127,10 @@ TEST(TokenCodecTest, ReaderTracksOffsets) {
 
 TEST(TokenCodecTest, SkipAgreesWithNext) {
   TokenSequence tokens = SampleTokens();
-  std::vector<uint8_t> encoded = EncodeTokens(tokens);
-  TokenReader skipper{Slice(encoded)};
-  TokenReader reader{Slice(encoded)};
+  NameDictionary dict;
+  std::vector<uint8_t> encoded = EncodeStored(tokens, &dict);
+  TokenReader skipper{Slice(encoded), &dict};
+  TokenReader reader{Slice(encoded), &dict};
   Token t;
   TokenType type;
   while (!reader.AtEnd()) {
@@ -97,24 +143,42 @@ TEST(TokenCodecTest, SkipAgreesWithNext) {
 }
 
 TEST(TokenCodecTest, TruncatedBufferIsCorruption) {
+  // Truncating either form exactly at a token boundary yields a
+  // (shorter) valid stream; truncating anywhere else must fail.
   TokenSequence tokens = SampleTokens();
-  std::vector<uint8_t> encoded = EncodeTokens(tokens);
-  // Collect the valid token boundaries: truncating exactly there yields
-  // a (shorter) valid stream; truncating anywhere else must fail.
-  std::set<size_t> boundaries{0, encoded.size()};
-  TokenReader reader{Slice(encoded)};
+  std::vector<uint8_t> inline_form = EncodeTokens(tokens);
+  std::set<size_t> inline_cuts{0};
+  for (const Token& t : tokens) {
+    inline_cuts.insert(*inline_cuts.rbegin() + EncodedTokenSize(t));
+  }
+  ASSERT_EQ(*inline_cuts.rbegin(), inline_form.size());
+  for (size_t len = 1; len < inline_form.size(); ++len) {
+    auto result = DecodeTokens(Slice(inline_form.data(), len));
+    if (inline_cuts.count(len) > 0) {
+      EXPECT_TRUE(result.ok()) << "inline boundary cut at " << len;
+    } else {
+      EXPECT_TRUE(result.status().IsCorruption())
+          << "inline cut at " << len << ": " << result.status().ToString();
+    }
+  }
+  NameDictionary dict;
+  dict.Intern("ticket");
+  dict.set_byte_budget(dict.SerializedSize());  // "id" and "hour" inline
+  std::vector<uint8_t> stored = EncodeStored(tokens, &dict);
+  std::set<size_t> stored_cuts{0, stored.size()};
+  TokenReader reader{Slice(stored), &dict};
   Token t;
   while (!reader.AtEnd()) {
     ASSERT_LAXML_OK(reader.Next(&t));
-    boundaries.insert(reader.offset());
+    stored_cuts.insert(reader.offset());
   }
-  for (size_t len = 1; len < encoded.size(); ++len) {
-    auto result = DecodeTokens(Slice(encoded.data(), len));
-    if (boundaries.count(len) > 0) {
-      EXPECT_TRUE(result.ok()) << "boundary cut at " << len;
+  for (size_t len = 1; len < stored.size(); ++len) {
+    auto result = DecodeTokens(Slice(stored.data(), len), &dict);
+    if (stored_cuts.count(len) > 0) {
+      EXPECT_TRUE(result.ok()) << "stored boundary cut at " << len;
     } else {
       EXPECT_TRUE(result.status().IsCorruption())
-          << "cut at " << len << ": " << result.status().ToString();
+          << "stored cut at " << len << ": " << result.status().ToString();
     }
   }
 }
@@ -129,20 +193,25 @@ TEST(TokenCodecTest, OversizedPsviIsCorruptionForSkipAndNext) {
   encoded.push_back(1);  // value length
   encoded.push_back('x');
   PutVarint64(&encoded, uint64_t{UINT32_MAX} + 1);
+  // A text token's stored form is its inline form.
+  NameDictionary dict;
   Token t;
   TokenType type;
-  TokenReader reader{Slice(encoded)};
+  TokenReader reader{Slice(encoded), &dict};
   EXPECT_TRUE(reader.Next(&t).IsCorruption());
-  TokenReader skipper{Slice(encoded)};
+  TokenReader skipper{Slice(encoded), &dict};
   EXPECT_TRUE(skipper.Skip(&type).IsCorruption());
-  // The largest annotation still decodes both ways.
+  EXPECT_TRUE(DecodeTokens(Slice(encoded)).status().IsCorruption());
+  // The largest annotation still decodes every way.
   encoded.resize(4);
   PutVarint64(&encoded, UINT32_MAX);
-  TokenReader ok_reader{Slice(encoded)};
+  TokenReader ok_reader{Slice(encoded), &dict};
   ASSERT_LAXML_OK(ok_reader.Next(&t));
   EXPECT_EQ(t.psvi_type, UINT32_MAX);
-  TokenReader ok_skipper{Slice(encoded)};
+  TokenReader ok_skipper{Slice(encoded), &dict};
   ASSERT_LAXML_OK(ok_skipper.Skip(&type));
+  ASSERT_OK_AND_ASSIGN(TokenSequence decoded, DecodeTokens(Slice(encoded)));
+  EXPECT_EQ(decoded[0].psvi_type, UINT32_MAX);
 }
 
 TEST(TokenCodecTest, InvalidTypeByteIsCorruption) {
@@ -160,64 +229,47 @@ TEST(TokenCodecTest, LargeTextRoundTrips) {
 }
 
 // ---------------------------------------------------------------------
-// v2 (dictionary-coded) codec.
+// The stored form's dictionary-coded names.
 
-std::vector<uint8_t> EncodeV2(const TokenSequence& tokens,
-                              NameDictionary* dict) {
-  std::vector<uint8_t> buf;
-  for (const Token& t : tokens) {
-    EXPECT_EQ(EncodedTokenSizeWith(t, kTokenCodecV2, dict),
-              [&] {
-                std::vector<uint8_t> one;
-                EncodeTokenWith(t, kTokenCodecV2, dict, &one);
-                return one.size();
-              }())
-        << t.ToString();
-    EncodeTokenWith(t, kTokenCodecV2, dict, &buf);
-  }
-  return buf;
-}
-
-TEST(TokenCodecV2Test, RoundTripsWithDictionary) {
+TEST(StoredTokenFormTest, RoundTripsWithDictionary) {
   TokenSequence tokens = SampleTokens();
   NameDictionary dict;
-  std::vector<uint8_t> encoded = EncodeV2(tokens, &dict);
+  std::vector<uint8_t> encoded = EncodeStored(tokens, &dict);
   EXPECT_GT(dict.size(), 0u);
-  ASSERT_OK_AND_ASSIGN(
-      TokenSequence decoded,
-      DecodeTokens(Slice(encoded), {kTokenCodecV2, &dict}));
+  ASSERT_OK_AND_ASSIGN(TokenSequence decoded,
+                       DecodeTokens(Slice(encoded), &dict));
   EXPECT_EQ(decoded, tokens);
   // Decoded begin tokens carry their symbol for symbol-aware matching.
   EXPECT_EQ(decoded[0].name_symbol, dict.Find("ticket"));
 }
 
-TEST(TokenCodecV2Test, RepeatedTagsShrink) {
+TEST(StoredTokenFormTest, RepeatedTagsShrink) {
   SequenceBuilder b;
   for (int i = 0; i < 50; ++i) {
     b.BeginElement("purchaseOrder").Attribute("status", "ok").End();
   }
   TokenSequence tokens = b.Build();
   NameDictionary dict;
-  std::vector<uint8_t> v2 = EncodeV2(tokens, &dict);
-  std::vector<uint8_t> v1 = EncodeTokens(tokens);
-  EXPECT_LT(v2.size() * 13, v1.size() * 10)
-      << "expected >= 1.3x shrink: v1=" << v1.size() << " v2=" << v2.size();
+  std::vector<uint8_t> stored = EncodeStored(tokens, &dict);
+  std::vector<uint8_t> inline_form = EncodeTokens(tokens);
+  EXPECT_LT(stored.size() * 13, inline_form.size() * 10)
+      << "expected >= 1.3x shrink: inline=" << inline_form.size()
+      << " stored=" << stored.size();
 }
 
-TEST(TokenCodecV2Test, NullDictionaryMeansInlineNames) {
+TEST(StoredTokenFormTest, NullDictionaryMeansInlineNames) {
   TokenSequence tokens = SampleTokens();
   std::vector<uint8_t> encoded;
   for (const Token& t : tokens) {
-    EncodeTokenWith(t, kTokenCodecV2, nullptr, &encoded);
+    EncodeTokenWith(t, nullptr, &encoded);
   }
   // Still decodable with no dictionary: every name took the fallback.
-  ASSERT_OK_AND_ASSIGN(
-      TokenSequence decoded,
-      DecodeTokens(Slice(encoded), {kTokenCodecV2, nullptr}));
+  ASSERT_OK_AND_ASSIGN(TokenSequence decoded,
+                       DecodeTokens(Slice(encoded), nullptr));
   EXPECT_EQ(decoded, tokens);
 }
 
-TEST(TokenCodecV2Test, FullDictionaryFallsBackPerName) {
+TEST(StoredTokenFormTest, FullDictionaryFallsBackPerName) {
   NameDictionary dict;
   dict.Intern("known");
   dict.set_byte_budget(dict.SerializedSize());  // no room for more
@@ -227,31 +279,30 @@ TEST(TokenCodecV2Test, FullDictionaryFallsBackPerName) {
                              .End()
                              .End()
                              .Build();
-  std::vector<uint8_t> encoded = EncodeV2(tokens, &dict);
+  std::vector<uint8_t> encoded = EncodeStored(tokens, &dict);
   EXPECT_EQ(dict.size(), 1u) << "budget-full dictionary must not grow";
-  ASSERT_OK_AND_ASSIGN(
-      TokenSequence decoded,
-      DecodeTokens(Slice(encoded), {kTokenCodecV2, &dict}));
+  ASSERT_OK_AND_ASSIGN(TokenSequence decoded,
+                       DecodeTokens(Slice(encoded), &dict));
   EXPECT_EQ(decoded, tokens);
   EXPECT_EQ(decoded[0].name_symbol, 0u);
   EXPECT_EQ(decoded[1].name_symbol, kNoNameSymbol);
 }
 
-TEST(TokenCodecV2Test, DanglingSymbolIsCorruptionNotCrash) {
+TEST(StoredTokenFormTest, DanglingSymbolIsCorruptionNotCrash) {
   NameDictionary dict;
   TokenSequence tokens{Token::BeginElement("tag"), Token::EndElement()};
-  std::vector<uint8_t> encoded = EncodeV2(tokens, &dict);
+  std::vector<uint8_t> encoded = EncodeStored(tokens, &dict);
   // Decode against an empty dictionary: symbol 0 dangles.
   NameDictionary empty;
-  auto decoded = DecodeTokens(Slice(encoded), {kTokenCodecV2, &empty});
+  auto decoded = DecodeTokens(Slice(encoded), &empty);
   ASSERT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
   EXPECT_NE(decoded.status().ToString().find("dangling"), std::string::npos);
 }
 
-TEST(TokenCodecV2Test, ByteFuzzNeverReadsOutOfBounds) {
+TEST(StoredTokenFormTest, ByteFuzzNeverReadsOutOfBounds) {
   NameDictionary dict;
   TokenSequence tokens = SampleTokens();
-  std::vector<uint8_t> encoded = EncodeV2(tokens, &dict);
+  std::vector<uint8_t> encoded = EncodeStored(tokens, &dict);
   // Every single-byte mutation and every truncation must either decode
   // cleanly or fail with Corruption — never crash or read OOB (run
   // under ASan in CI).
@@ -259,26 +310,26 @@ TEST(TokenCodecV2Test, ByteFuzzNeverReadsOutOfBounds) {
     for (uint8_t delta : {uint8_t{1}, uint8_t{0x7F}, uint8_t{0xFF}}) {
       std::vector<uint8_t> mutated = encoded;
       mutated[i] = static_cast<uint8_t>(mutated[i] + delta);
-      auto result = DecodeTokens(Slice(mutated), {kTokenCodecV2, &dict});
+      auto result = DecodeTokens(Slice(mutated), &dict);
       if (!result.ok()) {
         EXPECT_TRUE(result.status().IsCorruption()) << "byte " << i;
       }
     }
     auto truncated =
-        DecodeTokens(Slice(encoded.data(), i), {kTokenCodecV2, &dict});
+        DecodeTokens(Slice(encoded.data(), i), &dict);
     if (!truncated.ok()) {
       EXPECT_TRUE(truncated.status().IsCorruption());
     }
   }
 }
 
-TEST(TokenCodecV2Test, SkipTracksSymbolsWithoutDictionary) {
+TEST(StoredTokenFormTest, SkipTracksSymbolsWithoutDictionary) {
   // Skip never resolves names, so a dictionary-less reader can still
-  // walk a v2 stream structurally (the auditor does this before the
+  // walk a stored stream structurally (the auditor does this before the
   // dictionary itself is trusted).
   NameDictionary dict;
-  std::vector<uint8_t> encoded = EncodeV2(SampleTokens(), &dict);
-  TokenReader reader{Slice(encoded), {kTokenCodecV2, nullptr}};
+  std::vector<uint8_t> encoded = EncodeStored(SampleTokens(), &dict);
+  TokenReader reader{Slice(encoded), nullptr};
   TokenType type;
   size_t n = 0;
   while (!reader.AtEnd()) {
@@ -287,7 +338,7 @@ TEST(TokenCodecV2Test, SkipTracksSymbolsWithoutDictionary) {
   }
   EXPECT_EQ(n, SampleTokens().size());
   // With the dictionary, Skip reports each begin token's symbol.
-  TokenReader with{Slice(encoded), {kTokenCodecV2, &dict}};
+  TokenReader with{Slice(encoded), &dict};
   ASSERT_LAXML_OK(with.Skip(&type));
   EXPECT_EQ(type, TokenType::kBeginElement);
   EXPECT_EQ(with.last_name_symbol(), dict.Find("ticket"));

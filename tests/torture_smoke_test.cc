@@ -68,19 +68,22 @@ TEST(TortureSmokeTest, TwoHundredIterationsSurviveCleanly) {
   EXPECT_GT(report.torn_tail_crashes, 0u);
 }
 
-TEST(TortureSmokeTest, V1CodecStoreSurvivesAgainstV2Oracle) {
-  // The default run tortures a v2 store against a v1 oracle; flip it.
-  // Either way every Verify is a byte-for-byte v1-vs-v2 comparison of
-  // the decoded token streams under fault injection.
-  RunDir dir("v1codec");
+TEST(TortureSmokeTest, BothDictionaryCapDrawsSurvive) {
+  // Each iteration caps one side's name dictionary, the store under
+  // torture's or the oracle's, so every Verify compares symbol-coded
+  // names with inline ones. In 60 iterations both draws must occur, and
+  // every iteration must pass.
+  RunDir dir("dictcap");
   ASSERT_FALSE(dir.path().empty());
   auto opts = SmokeOptions(dir);
   opts.iterations = 60;
-  opts.token_codec = 1;
   torture::TortureReport report = torture::RunTorture(opts);
   EXPECT_TRUE(report.ok()) << report.error << " (iteration "
                            << report.failed_iteration << ", seed "
                            << report.failed_seed << ")";
+  EXPECT_EQ(report.iterations_run, opts.iterations);
+  EXPECT_GT(report.store_capped_iterations, 0u);
+  EXPECT_LT(report.store_capped_iterations, report.iterations_run);
   EXPECT_GT(report.faults_fired, 0u);
 }
 

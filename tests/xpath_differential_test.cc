@@ -3,8 +3,9 @@
 // [n], [path] and [path='lit'], nested — evaluated by the engine
 // (XPathEvaluator, so the planner's structural-join and stream-scan
 // plans both run) and by the reference oracle (tests/xpath_oracle.h),
-// on generated documents under random mutation schedules, with token
-// codec v1 and v2, and as a forced scan (allow_structural_index =
+// on generated documents under random mutation schedules, with a full
+// name dictionary (symbol-coded names) and a capped one (every name
+// stored inline), and as a forced scan (allow_structural_index =
 // false). Every warm run must take the plan the structural-index gate
 // promises: a join exactly when the gate accepts the path. One
 // evaluator serves every round of a store: no call refreshes anything,
@@ -373,7 +374,7 @@ void Mutate(Store* store, OpStreamGenerator* ops, int count) {
 
 struct Config {
   const char* doc;
-  uint32_t codec;
+  bool capped;  ///< Dictionary capped: every name stored inline.
 };
 
 TokenSequence Generate(const char* doc, Random* rng) {
@@ -392,12 +393,13 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   constexpr int kQueriesPerRound = 120;
   constexpr uint64_t kSeed = 20261016;
 
+  const char* names = config.capped ? "capped" : "full";
   StoreOptions options;
-  options.token_codec = config.codec;
   options.max_range_bytes = 160;  // many ranges, many splits
   options.pager.page_size = 512;
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(options));
-  Random rng(kSeed + config.codec);
+  if (config.capped) store->name_dictionary()->set_byte_budget(1);
+  Random rng(kSeed + (config.capped ? 1 : 2));
   ASSERT_LAXML_OK(store->InsertTopLevel(Generate(config.doc, &rng)).status());
   OpStreamGenerator ops(OpMix{}, kSeed + 1);
   XPathEvaluator evaluator(store.get());
@@ -436,14 +438,14 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
         ASSERT_OK_AND_ASSIGN(std::vector<NodeId> got,
                              evaluator.Evaluate(path));
         ASSERT_EQ(got, expected)
-            << expr << " (" << config.doc << ", codec v" << config.codec
-            << ", round " << round << ", pass " << pass << ")";
+            << expr << " (" << config.doc << ", " << names
+            << " dictionary, round " << round << ", pass " << pass << ")";
 #if !defined(LAXML_TRACING_DISABLED)
         if (pass == 1) {
           ASSERT_NE(rc.plan, nullptr) << expr;
           ASSERT_STREQ(rc.plan, joins ? "structural-join" : "stream-scan")
-              << expr << " (" << config.doc << ", codec v" << config.codec
-              << ", round " << round << ")";
+              << expr << " (" << config.doc << ", " << names
+              << " dictionary, round " << round << ")";
         }
 #endif
         if (pass == 1 && rc.plan != nullptr &&
@@ -512,11 +514,11 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
     EXPECT_GE(joined_equals, 1u);
   }
 #endif
-  std::printf("%s v%u: %zu of %d queries non-empty, %zu with predicates, "
-              "%zu scanned when warm; joined: %zu '*' steps, %zu '@name' "
-              "steps, %zu text() steps, %zu [p], %zu [p='lit'] (element "
-              "values: %zu inline, %zu hashed), %zu [n]\n",
-              config.doc, config.codec, nonempty, kRounds * kQueriesPerRound,
+  std::printf("%s, %s dictionary: %zu of %d queries non-empty, %zu with "
+              "predicates, %zu scanned when warm; joined: %zu '*' steps, "
+              "%zu '@name' steps, %zu text() steps, %zu [p], %zu [p='lit'] "
+              "(element values: %zu inline, %zu hashed), %zu [n]\n",
+              config.doc, names, nonempty, kRounds * kQueriesPerRound,
               predicated, refused, joined_wildcard, joined_attribute,
               joined_text, joined_exists, joined_equals, joined_value_inline,
               joined_value_hashed, joined_position);
@@ -524,13 +526,13 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     Documents, XPathDifferentialTest,
-    ::testing::Values(Config{"auction", 1}, Config{"auction", 2},
-                      Config{"random", 1}, Config{"random", 2},
-                      Config{"orders", 1}, Config{"orders", 2},
-                      Config{"catalog", 1}, Config{"catalog", 2}),
+    ::testing::Values(Config{"auction", true}, Config{"auction", false},
+                      Config{"random", true}, Config{"random", false},
+                      Config{"orders", true}, Config{"orders", false},
+                      Config{"catalog", true}, Config{"catalog", false}),
     [](const ::testing::TestParamInfo<Config>& info) {
-      return std::string(info.param.doc) + "_v" +
-             std::to_string(info.param.codec);
+      return std::string(info.param.doc) +
+             (info.param.capped ? "_capped" : "_full");
     });
 
 }  // namespace

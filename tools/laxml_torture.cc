@@ -48,9 +48,6 @@ void Usage(const char* argv0) {
       "  --ops N     workload operations per iteration (default 40;\n"
       "              per client in --net mode, default 20)\n"
       "  --dir PATH  directory for the store files (default .)\n"
-      "  --codec N   token codec for the store under torture (1 or 2,\n"
-      "              default 2); the oracle runs the other codec, so\n"
-      "              every verify cross-checks v1 vs v2 byte-for-byte\n"
       "  --net       network mode: client fleet vs a real server with\n"
       "              socket fault injection and crash + restart\n"
       "  --clients N concurrent client threads in --net mode (default 3)\n"
@@ -98,12 +95,6 @@ int main(int argc, char** argv) {
       ops_set = true;
     } else if (std::strcmp(arg, "--dir") == 0) {
       options.dir = need_value("--dir");
-    } else if (std::strcmp(arg, "--codec") == 0) {
-      if (!ParseU64(need_value("--codec"), &v) || v < 1 || v > 2) {
-        Usage(argv[0]);
-        return 2;
-      }
-      options.token_codec = static_cast<uint32_t>(v);
     } else if (std::strcmp(arg, "--net") == 0) {
       net_mode = true;
     } else if (std::strcmp(arg, "--clients") == 0) {
@@ -129,7 +120,6 @@ int main(int argc, char** argv) {
     laxml::torture::NetTortureOptions net;
     net.seed = options.seed;
     net.dir = options.dir;
-    net.token_codec = options.token_codec;
     net.verbose = options.verbose;
     net.clients = clients;
     if (iters_set) net.iterations = options.iterations;
@@ -173,13 +163,14 @@ int main(int argc, char** argv) {
   std::printf(
       "torture: %llu/%u iterations, %llu acked ops, %llu deterministic "
       "rejections, %llu injected faults, %llu poisonings, %llu torn-tail "
-      "crashes\n",
+      "crashes, %llu with the store's dictionary capped\n",
       static_cast<unsigned long long>(report.iterations_run),
       options.iterations, static_cast<unsigned long long>(report.ops_acked),
       static_cast<unsigned long long>(report.ops_rejected),
       static_cast<unsigned long long>(report.faults_fired),
       static_cast<unsigned long long>(report.poisonings),
-      static_cast<unsigned long long>(report.torn_tail_crashes));
+      static_cast<unsigned long long>(report.torn_tail_crashes),
+      static_cast<unsigned long long>(report.store_capped_iterations));
   if (!report.ok()) {
     // The run is fully deterministic in (seed, ops): replaying the
     // master seed up through the failed iteration reproduces the exact
