@@ -4,29 +4,36 @@
 //
 //   scan        forced scan: every query is a full token-stream scan
 //   cold        lazy index, invalidated before each query: scan + warm
-//   warm        lazy index, memoized: posting-list joins only
+//   warm        lazy index, memoized: the path summary's partitions
 //
 // plus nine more shapes, each as the planner runs it on the warm lazy
 // store and as a forced full scan (the `_scan` rows). The index answers
-// all of them whole, with no scan: two chains of child steps (the
-// parent merge on each posting's parent_pre), a join that counts a '*'
-// step as a level, one onto an attribute's own posting list, one onto
-// its elements' text children, and four whose predicates are
-// semi-joins over the postings ([n] per parent, an attribute's and an
+// all of them whole, with no scan. The predicate-free ones (and [n] on
+// a final child step) read the path summary: the partitions of the last
+// named step's postings whose label paths match, one of them, all of
+// them, or several merged by pre. The other three run joins whose
+// predicates are semi-joins over the postings (an attribute's and an
 // element's value compared by value key, a child's existence):
 //
-//   child_join_name     /site/people/person/name        (child joins)
-//   child_join_increase //open_auction/bidder/increase  (child joins)
-//   wildcard            /site/regions/*/item[1]         (join, [n])
+//   child_join_name     /site/people/person/name        (summary, 1 path)
+//   child_join_increase //open_auction/bidder/increase  (summary, 1 path)
+//   wildcard            /site/regions/*/item[1]         (summary, [n])
 //   predicate           //item[@category='books']/name  (join, [@a='lit'])
 //   exists_semijoin     //person[creditcard]            (join, [p])
-//   wildcard_join       /site/regions/*/item            (structural join)
-//   attribute_join      //item/@category                (structural join)
-//   text_join           //bidder/personref/text()       (join, text())
+//   wildcard_join       /site/regions/*/item            (summary, all)
+//   attribute_join      //item/@category                (summary, all)
+//   text_join           //bidder/personref/text()       (summary, text())
 //   element_value       //item[quantity='3']            (join, [p='lit'])
 //
 // Every planned answer is checked id for id against the forced scan's,
 // and the cold and warm answers against the scan's; a mismatch exits 1.
+// Each warm row prints the plan's postings_read (postings its join
+// kernels and path-summary merges visit) and summary_paths (label-path
+// partitions the summary merged; 0: the joins ran). A predicate-free
+// path is answered by the summary, which reads exactly the entries it
+// selects, so on such a row postings_read must equal that count (the
+// answer, or the parents of a final text()); otherwise the bench exits
+// 1.
 // The headline number is warm vs scan (>= 5x expected); the laziness
 // number is memoized nodes: lazy touches only the queried tags' nodes,
 // out of every element and attribute in the document.
@@ -97,6 +104,36 @@ void CheckIds(const XPathPath& path, const char* plan,
 
 double Median(std::vector<double> v) { return bench::Percentile(&v, 0.5); }
 
+/// What the warm plan of a path reads: its postings_read and
+/// summary_paths.
+struct PlanReads {
+  uint64_t postings_read = 0;
+  size_t summary_paths = 0;
+};
+
+// Plans `path` on the warm store. Exits 1 when a predicate-free path's
+// plan is no join, or visits other than the entries it selects.
+PlanReads CheckPlanReads(const Store& store, const XPathPath& path) {
+  auto plan = PlanXPath(store, path);
+  BENCH_CHECK(plan.status());
+  PlanReads reads{plan->postings_read, plan->summary_paths};
+  bool predicated = false;
+  for (const XPathStep& step : path.steps) {
+    predicated = predicated || !step.predicates.empty();
+  }
+  if (predicated) return reads;
+  if (!plan->entries.has_value() ||
+      plan->postings_read != plan->entries->size()) {
+    std::fprintf(stderr,
+                 "FATAL %s: warm plan read %" PRIu64
+                 " postings for %zu selected entries\n",
+                 path.ToString().c_str(), plan->postings_read,
+                 plan->entries.has_value() ? plan->entries->size() : 0);
+    std::exit(1);
+  }
+  return reads;
+}
+
 }  // namespace
 }  // namespace laxml
 
@@ -151,6 +188,7 @@ int main(int argc, char** argv) {
     const char* expr;
     std::vector<double> us, scan_us;
     size_t n = 0;
+    PlanReads reads;
   };
   Shape shapes[] = {{"child_join_name", "/site/people/person/name"},
                     {"child_join_increase", "//open_auction/bidder/increase"},
@@ -184,7 +222,10 @@ int main(int argc, char** argv) {
     auto p = ParseXPath(shape.expr);
     BENCH_CHECK(p.status());
     time_pair(*p, &shape.us, &shape.scan_us, &shape.n);
+    shape.reads = CheckPlanReads(*lazy_store, *p);
   }
+  // The timed shapes warmed more tags; //item//name's tags stay warm.
+  const PlanReads warm_reads = CheckPlanReads(*lazy_store, *path);
 
   // Every element and attribute: what indexing every tag would hold.
   uint64_t total_nodes = 0;
@@ -203,13 +244,16 @@ int main(int argc, char** argv) {
   std::printf("=== bench_xpath: //item//name, %" PRIu64
               " indexable nodes (scale %d), %zu matches, %d reps ===\n",
               total_nodes, scale, scan_ids.size(), reps);
-  std::printf("%-24s %10s\n", "plan", "p50 (us)");
+  std::printf("%-24s %10s %14s %14s\n", "plan", "p50 (us)", "postings_read",
+              "summary_paths");
   std::printf("%-24s %10.1f\n", "scan", scan_p50);
   std::printf("%-24s %10.1f\n", "cold", Median(cold_us));
-  std::printf("%-24s %10.1f\n", "warm", warm_p50);
+  std::printf("%-24s %10.1f %14" PRIu64 " %14zu\n", "warm", warm_p50,
+              warm_reads.postings_read, warm_reads.summary_paths);
   for (const Shape& shape : shapes) {
-    std::printf("%-24s %10.1f  (%zu matches, %s)\n", shape.name,
-                Median(shape.us), shape.n, shape.expr);
+    std::printf("%-24s %10.1f %14" PRIu64 " %14zu  (%zu matches, %s)\n",
+                shape.name, Median(shape.us), shape.reads.postings_read,
+                shape.reads.summary_paths, shape.n, shape.expr);
     std::printf("%-24s %10.1f\n", (std::string(shape.name) + "_scan").c_str(),
                 Median(shape.scan_us));
   }
@@ -222,15 +266,14 @@ int main(int argc, char** argv) {
                         static_cast<double>(total_nodes)
                   : 0.0);
   std::printf(
-      "expected: warm joins beat the scan by >= 5x at this scale (they "
-      "touch\nonly the two queried tags' postings); cold pays one scan "
-      "to warm, i.e.\nit tracks the scan plan.\n"
-      "Every other shape beats its forced-scan row: child steps merge "
-      "on\nparent_pre, the '*' step is a level count, @category a posting "
-      "list,\n[1] and [creditcard] semi-joins over the postings, "
-      "[@category='books']\nand [quantity='3'] compare value keys, and "
-      "text() locates each text\nleaf's text by arithmetic: none reads a "
-      "token.\n");
+      "expected: warm beats the scan by >= 5x at this scale (it reads "
+      "only the\nmatching partitions of the queried tag's postings); cold "
+      "pays one scan to\nwarm, i.e. it tracks the scan plan.\n"
+      "Every other shape beats its forced-scan row: predicate-free paths "
+      "read\ntheir label paths' partitions ([1] numbers them per parent), "
+      "[creditcard]\nis a semi-join over the postings, [@category='books'] "
+      "and [quantity='3']\ncompare value keys, and text() locates each "
+      "text leaf's text by\narithmetic: none reads a token.\n");
 
   if (!json_path.empty()) {
     bench::JsonReport report("bench_xpath");
@@ -240,16 +283,21 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(total_nodes),
                   static_cast<unsigned long long>(lazy_memoized));
     auto add = [&](const char* op, std::vector<double>* samples,
-                   const char* memo) {
+                   const std::string& memo) {
       double total_s = 0;
       for (double us : *samples) total_s += us / 1e6;
       report.AddRow(op, 1, samples, total_s, memo);
     };
+    auto reads_json = [](const PlanReads& reads) {
+      return "\"postings_read\": " + std::to_string(reads.postings_read) +
+             ", \"summary_paths\": " + std::to_string(reads.summary_paths) +
+             ", ";
+    };
     add("scan", &scan_us, "");
     add("cold", &cold_us, "");
-    add("warm", &warm_us, extra);
+    add("warm", &warm_us, extra + reads_json(warm_reads));
     for (Shape& shape : shapes) {
-      add(shape.name, &shape.us, "");
+      add(shape.name, &shape.us, reads_json(shape.reads));
       add((std::string(shape.name) + "_scan").c_str(), &shape.scan_us, "");
     }
     if (!report.WriteTo(json_path)) return 1;

@@ -647,10 +647,23 @@ void StoreAuditor::AuditStructuralIndex() {
   struct Fresh {
     const std::string* tag;
     const StructuralEntry* entry;
+    uint32_t path;  ///< Index into the oracle's label_steps().
   };
   std::unordered_map<NodeId, Fresh> fresh;
-  for (const auto& [tag, entries] : oracle.collected()) {
-    for (const StructuralEntry& e : entries) fresh.emplace(e.id, Fresh{&tag, &e});
+  for (const StructuralWarmer::TagEntries& tag : oracle.collected()) {
+    for (size_t i = 0; i < tag.entries.size(); ++i) {
+      fresh.emplace(tag.entries[i].id,
+                    Fresh{&tag.tag, &tag.entries[i], tag.paths[i]});
+    }
+  }
+  // Each label path the stream holds, spelled as LabelPath::ToString.
+  std::vector<std::string> label_paths;
+  for (const LabelStep& step : oracle.label_steps()) {
+    label_paths.push_back(label_paths.empty()
+                              ? std::string()
+                              : label_paths[step.parent] +
+                                    (step.attribute ? "/@" : "/") +
+                                    step.name);
   }
 
   // Posting lists must be sorted by pre (the joins merge them).
@@ -712,6 +725,53 @@ void StoreAuditor::AuditStructuralIndex() {
     if (key != nullptr && e.value_key != *key) {
       fail("value key is " + DescribeValueKey(e.value_key) +
            ", stream says " + DescribeValueKey(*key));
+    }
+  });
+
+  // The path summary: each entry sits in its label path's partition,
+  // each partition is in pre order, and a tag's partitions together
+  // hold its list exactly once. A list published with no label paths
+  // has no partitions (the joins answer for it).
+  si->ForEachTag([&](const std::string& tag,
+                     const std::vector<StructuralEntry>& list,
+                     const std::vector<PathPartition>& parts) {
+    if (Full() || parts.empty()) return;
+    auto fail = [&](const StructuralEntry* e, std::string what) {
+      AuditIssue& issue = Add(AuditLayer::kStructuralIndex,
+                              "path summary of <" + tag + ">: " + what);
+      if (e == nullptr) return;
+      issue.node = e->id;
+      issue.range = e->range;
+      issue.offset = e->offset;
+      issue.has_offset = true;
+    };
+    std::vector<uint8_t> held(list.size(), 0);
+    for (const PathPartition& part : parts) {
+      const std::string path = part.path->ToString();
+      const bool whole = parts.size() == 1 && part.entries.empty();
+      const size_t n = whole ? list.size() : part.entries.size();
+      for (size_t i = 0; i < n; ++i) {
+        const StructuralEntry* e = whole ? &list[i] : part.entries[i];
+        if (e < list.data() || e >= list.data() + list.size()) {
+          fail(nullptr, "partition " + path + " holds an entry of no list");
+          continue;
+        }
+        if (held[static_cast<size_t>(e - list.data())]++ != 0) {
+          fail(e, "entry is in two partitions");
+        }
+        if (i > 0 && e->pre <= (whole ? list[i - 1] : *part.entries[i - 1])
+                                   .pre) {
+          fail(e, "partition " + path + " is not sorted by pre");
+        }
+        auto it = fresh.find(e->id);
+        if (it != fresh.end() && label_paths[it->second.path] != path) {
+          fail(e, "entry is in partition " + path + ", stream says " +
+                      label_paths[it->second.path]);
+        }
+      }
+    }
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (held[i] == 0) fail(&list[i], "entry is in no partition");
     }
   });
 }

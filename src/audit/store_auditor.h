@@ -14,7 +14,9 @@
 //     memoized (pre, post, parent pre, level, range, offset) of each
 //     element or attribute must equal what re-deriving it from the
 //     current token stream yields, and each tag's posting list must be
-//     pre-sorted;
+//     pre-sorted; each entry must sit in its label path's partition of
+//     the path summary, each partition in pre order, and a tag's
+//     partitions must hold its list exactly once;
 //   * (full-index mode) every begin token against its eager index entry;
 //   * slotted heap pages — slot directory bounds, extent overlap, and
 //     the free-space accounting identity — and every live slot on them

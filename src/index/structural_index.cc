@@ -3,37 +3,118 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/check.h"
 #include "store/cursor.h"
 
 namespace laxml {
 
+StructuralIndex::StructuralIndex() {
+  labels_.push_back(std::make_unique<LabelPath>());  // the virtual root
+}
+
+std::string LabelPath::ToString() const {
+  if (parent == nullptr) return "";
+  return parent->ToString() + (attribute ? "/@" : "/") + name;
+}
+
 StructuralIndex::EntryList StructuralIndex::LookupTag(
+    const std::string& tag) const {
+  return LookupPostings(tag).list;
+}
+
+StructuralIndex::TagPostings StructuralIndex::LookupPostings(
     const std::string& tag) const {
   ReaderMutexLock lk(mu_);
   auto it = tags_.find(tag);
-  if (it == tags_.end()) return nullptr;
-  return it->second.entries;
+  if (it == tags_.end()) return {};
+  const std::shared_ptr<const Postings>& postings = it->second.postings;
+  // The list shares ownership of the whole publish, partitions included.
+  return {EntryList(postings, &postings->entries), &postings->partitions};
 }
 
 void StructuralIndex::Publish(const std::string& tag,
-                              std::vector<StructuralEntry> entries) {
+                              std::vector<StructuralEntry> entries,
+                              std::vector<uint32_t> paths) {
+  LAXML_CHECK(paths.empty() || paths.size() == entries.size());
   TagList list;
   for (const StructuralEntry& e : entries) list.ranges.insert(e.range);
   const size_t added = entries.size();
-  list.entries = std::make_shared<const std::vector<StructuralEntry>>(
-      std::move(entries));
+  auto postings = std::make_shared<Postings>();
+  postings->entries = std::move(entries);
+  // Each entry's partition, in order of first appearance (a tag has a
+  // handful, and neighbours mostly share one), each named by its id
+  // until the trie is locked.
+  std::vector<uint32_t> part_ids;
+  std::vector<size_t> sizes;
+  std::vector<uint32_t> part_of(paths.size());
+  uint32_t part = 0;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    if (part_ids.empty() || part_ids[part] != paths[i]) {
+      part = static_cast<uint32_t>(
+          std::find(part_ids.begin(), part_ids.end(), paths[i]) -
+          part_ids.begin());
+      if (part == part_ids.size()) {
+        part_ids.push_back(paths[i]);
+        sizes.push_back(0);
+      }
+    }
+    part_of[i] = part;
+    ++sizes[part];
+  }
+  std::vector<PathPartition>& parts = postings->partitions;
+  parts.resize(part_ids.size());
+  // One label path: the list is the partition, with no selection.
+  if (parts.size() > 1) {
+    for (size_t p = 0; p < parts.size(); ++p) {
+      parts[p].entries.reserve(sizes[p]);
+    }
+    for (size_t i = 0; i < paths.size(); ++i) {
+      parts[part_of[i]].entries.push_back(&postings->entries[i]);
+    }
+  }
   WriterMutexLock lk(mu_);
+  for (size_t p = 0; p < parts.size(); ++p) {
+    LAXML_CHECK(part_ids[p] > 0 && part_ids[p] < labels_.size());
+    parts[p].path = labels_[part_ids[p]].get();
+  }
+  list.postings = std::move(postings);
   auto [it, inserted] = tags_.try_emplace(tag);
-  if (!inserted) memoized_ -= it->second.entries->size();
+  if (!inserted) memoized_ -= it->second.postings->entries.size();
   it->second = std::move(list);
   memoized_ += added;
+}
+
+std::vector<uint32_t> StructuralIndex::InternLabelPaths(
+    const std::vector<LabelStep>& steps) {
+  std::vector<uint32_t> ids(steps.size(), 0);  // step 0: the root
+  WriterMutexLock lk(mu_);
+  for (size_t i = 1; i < steps.size(); ++i) {
+    const LabelStep& step = steps[i];
+    const uint32_t parent = ids[step.parent];
+    std::string key(reinterpret_cast<const char*>(&parent), sizeof(parent));
+    key += step.attribute ? '@' : '/';
+    key += step.name;
+    auto [it, inserted] =
+        label_ids_.try_emplace(std::move(key), labels_.size());
+    if (inserted) {
+      auto label = std::make_unique<LabelPath>();
+      label->parent = labels_[parent].get();
+      label->attribute = step.attribute;
+      label->name = step.name;
+      label->id = it->second;
+      label->depth = label->parent->depth + 1;
+      labels_.push_back(std::move(label));
+    }
+    ids[i] = it->second;
+  }
+  return ids;
 }
 
 void StructuralIndex::InvalidateAll() {
   WriterMutexLock lk(mu_);
   if (tags_.empty()) return;
   stats_.invalidations += memoized_;
-  tags_.clear();
+  tags_.clear();  // the trie stays: ids are never renumbered
   memoized_ = 0;
 }
 
@@ -41,8 +122,8 @@ void StructuralIndex::InvalidateRange(RangeId range) {
   WriterMutexLock lk(mu_);
   for (auto it = tags_.begin(); it != tags_.end();) {
     if (it->second.ranges.count(range) != 0) {
-      stats_.invalidations += it->second.entries->size();
-      memoized_ -= it->second.entries->size();
+      stats_.invalidations += it->second.postings->entries.size();
+      memoized_ -= it->second.postings->entries.size();
       it = tags_.erase(it);
     } else {
       ++it;
@@ -89,7 +170,10 @@ uint64_t StructuralValueKey(std::string_view value) {
 StructuralWarmer::StructuralWarmer(const NameDictionary* dict,
                                    std::vector<std::string> wanted,
                                    bool track_all)
-    : dict_(dict), track_all_(track_all) {
+    : dict_(dict),
+      track_all_(track_all),
+      labels_(1),  // the virtual root
+      label_children_(1) {
   for (const std::string& tag : wanted) {
     const Kind kind = !tag.empty() && tag[0] == '@' ? kAttribute : kElement;
     const std::string name = tag.substr(kind == kAttribute ? 1 : 0);
@@ -100,7 +184,7 @@ StructuralWarmer::StructuralWarmer(const NameDictionary* dict,
 uint32_t StructuralWarmer::AddTag(Kind kind, const std::string& name) {
   const uint32_t index = static_cast<uint32_t>(collected_.size());
   collected_.push_back(
-      TagEntries{kind == kAttribute ? AttributeKey(name) : name, {}});
+      TagEntries{kind == kAttribute ? AttributeKey(name) : name, {}, {}});
   Names& names = names_[kind];
   names.by_name.emplace(name, index);
   const uint32_t symbol =
@@ -132,6 +216,54 @@ uint32_t StructuralWarmer::TagOf(const TokenCursor& cursor, Kind kind) {
   return track_all_ ? AddTag(kind, name) : kUntracked;
 }
 
+uint32_t StructuralWarmer::ChildPath(uint32_t parent, bool attribute,
+                                     uint32_t symbol,
+                                     const std::string& name) {
+  if (symbol != kNoNameSymbol) {
+    for (const LabelChild& child : label_children_[parent]) {
+      if (child.symbol == symbol && child.attribute == attribute) {
+        return child.path;
+      }
+    }
+  }
+  // An inline-coded name, or a symbol not yet seen below `parent`.
+  uint32_t path = kUntracked;
+  for (const LabelChild& child : label_children_[parent]) {
+    const LabelStep& label = labels_[child.path];
+    if (label.attribute == attribute && label.name == name) {
+      path = child.path;
+      break;
+    }
+  }
+  if (path == kUntracked) {
+    path = static_cast<uint32_t>(labels_.size());
+    labels_.push_back({parent, attribute, name});
+    label_children_.emplace_back();
+  } else if (symbol == kNoNameSymbol) {
+    return path;
+  }
+  label_children_[parent].push_back({symbol, attribute, path});
+  return path;
+}
+
+uint32_t StructuralWarmer::ParentPath() {
+  size_t first = open_.size();  // the outermost unresolved scope
+  while (first > 0 && (open_[first - 1].path & kUnresolved) != 0) --first;
+  for (size_t k = first; k < open_.size(); ++k) {
+    OpenScope& scope = open_[k];
+    const uint32_t symbol = (scope.path & ~kUnresolved) >> 1;
+    const std::string* name = dict_->NameOf(symbol);
+    if (name == nullptr) {
+      // A symbol the dictionary does not hold: no label path to give.
+      broken_ = true;
+      return 0;
+    }
+    scope.path = ChildPath(k == 0 ? 0 : open_[k - 1].path,
+                           (scope.path & 1) != 0, symbol, *name);
+  }
+  return open_.empty() ? 0 : open_.back().path;
+}
+
 void StructuralWarmer::OnChild(const TokenCursor& cursor, TokenType type,
                                OpenScope* scope) {
   if (scope->shape == Shape::kOther) return;
@@ -159,33 +291,53 @@ void StructuralWarmer::OnToken(const TokenCursor& cursor) {
   if (type == TokenType::kBeginElement ||
       type == TokenType::kBeginAttribute) {
     const bool attribute = type == TokenType::kBeginAttribute;
-    const uint32_t tag = TagOf(cursor, attribute ? kAttribute : kElement);
-    if (tag != kUntracked) {
-      if (cursor.depth() < 0) {
-        broken_ = true;
-        return;
-      }
-      std::vector<StructuralEntry>& list = collected_[tag].entries;
-      StructuralEntry entry;
-      entry.id = cursor.node_id();
-      entry.pre = cursor.ordinal();
-      entry.post = entry.pre;  // provisional; fixed when the scope closes
-      entry.parent_pre = open_.empty() ? kNoParent : open_.back().pre;
-      entry.level = static_cast<uint32_t>(cursor.depth());
-      entry.range = cursor.range();
-      entry.offset = cursor.byte_offset();
-      // An element starts empty; its children may change that.
-      entry.value_key =
-          StructuralValueKey(attribute ? cursor.value_view() : "");
-      open_.push_back({tag, static_cast<uint32_t>(list.size()), entry.pre,
-                       attribute ? Shape::kOther : Shape::kEmpty,
-                       entry.id + 1});
-      list.push_back(entry);
+    const Kind kind = attribute ? kAttribute : kElement;
+    const uint32_t tag = TagOf(cursor, kind);
+    const uint32_t symbol = cursor.name_symbol();
+    if (tag == kUntracked && symbol < kUnresolved / 2 && dict_ != nullptr) {
+      // Resolved only if a tracked entry opens below it.
+      open_.push_back({kUntracked, 0, cursor.ordinal(), 0,
+                       kUnresolved | symbol << 1 | (attribute ? 1u : 0u),
+                       Shape::kOther});
       return;
     }
+    const std::string* name =
+        symbol != kNoNameSymbol && dict_ != nullptr ? dict_->NameOf(symbol)
+                                                    : nullptr;
+    const uint32_t path = ChildPath(ParentPath(), attribute, symbol,
+                                    name != nullptr ? *name
+                                                    : cursor.token().name);
+    if (tag == kUntracked) {
+      open_.push_back(
+          {kUntracked, 0, cursor.ordinal(), 0, path, Shape::kOther});
+      return;
+    }
+    if (cursor.depth() < 0) {
+      broken_ = true;
+      return;
+    }
+    std::vector<StructuralEntry>& list = collected_[tag].entries;
+    StructuralEntry entry;
+    entry.id = cursor.node_id();
+    entry.pre = cursor.ordinal();
+    entry.post = entry.pre;  // provisional; fixed when the scope closes
+    entry.parent_pre = open_.empty() ? kNoParent : open_.back().pre;
+    entry.level = static_cast<uint32_t>(cursor.depth());
+    entry.range = cursor.range();
+    entry.offset = cursor.byte_offset();
+    // An element starts empty; its children may change that.
+    entry.value_key =
+        StructuralValueKey(attribute ? cursor.value_view() : "");
+    open_.push_back({tag, static_cast<uint32_t>(list.size()), entry.pre,
+                     entry.id + 1, path,
+                     attribute ? Shape::kOther : Shape::kEmpty});
+    list.push_back(entry);
+    collected_[tag].paths.push_back(path);
+    return;
   }
   if (TokenOpensScope(type)) {
-    open_.push_back({kUntracked, 0, cursor.ordinal(), Shape::kOther, 0});
+    open_.push_back(
+        {kUntracked, 0, cursor.ordinal(), 0, ParentPath(), Shape::kOther});
     return;
   }
   if (TokenClosesScope(type)) {
@@ -205,8 +357,10 @@ void StructuralWarmer::Publish(StructuralIndex* index) {
   if (!complete()) return;
   // Wanted tags with zero matches publish as empty lists: "no such
   // element" is a cached fact too.
+  const std::vector<uint32_t> ids = index->InternLabelPaths(labels_);
   for (TagEntries& tag : collected_) {
-    index->Publish(tag.tag, std::move(tag.entries));
+    for (uint32_t& path : tag.paths) path = ids[path];
+    index->Publish(tag.tag, std::move(tag.entries), std::move(tag.paths));
   }
   collected_.clear();
 }
@@ -283,11 +437,15 @@ using Stack = std::vector<size_t>;
 /// and sits at a deeper level). `visit(c, stack)` sees each contained
 /// candidate. With the stack empty, no candidate up to the next
 /// frontier entry's pre can be contained, so the walk seeks past it;
-/// with the frontier used up too, it stops.
+/// with the frontier used up too, it stops. Adds to `*read` the
+/// postings it visited: the candidates read and the frontier entries
+/// passed, counted where the walk ends rather than per candidate.
 template <typename F, typename C, typename Visit>
-void StackJoin(const F& frontier, const C& candidates, Visit visit) {
+void StackJoin(const F& frontier, const C& candidates, uint64_t* read,
+               Visit visit) {
   Stack stack;
   size_t next = 0;
+  size_t skipped = 0;  // candidates the gallops passed
   for (size_t i = 0; i < candidates.size();) {
     const StructuralEntry& c = candidates[i];
     for (; next < frontier.size() && frontier[next].pre < c.pre; ++next) {
@@ -301,14 +459,20 @@ void StackJoin(const F& frontier, const C& candidates, Visit visit) {
       stack.pop_back();
     }
     if (stack.empty()) {
-      if (next == frontier.size()) return;
-      i = SeekPre(candidates, i + 1, candidates.size(),
-                  frontier[next].pre + 1);
+      if (next == frontier.size()) {
+        *read += i + 1 - skipped + next;
+        return;
+      }
+      const size_t seek = SeekPre(candidates, i + 1, candidates.size(),
+                                  frontier[next].pre + 1);
+      skipped += seek - (i + 1);
+      i = seek;
       continue;
     }
     if (c.post < frontier[stack.back()].post) visit(c, stack);
     ++i;
   }
+  *read += candidates.size() - skipped + next;
 }
 
 /// The parent merge behind child steps with no '*' level: each posting
@@ -322,20 +486,28 @@ void StackJoin(const F& frontier, const C& candidates, Visit visit) {
 /// the last entry begun; when frontier entries nested in the parent
 /// began before the candidate, it is an earlier one, found by a binary
 /// search back. `visit(c, f)` sees each candidate whose parent is
-/// frontier entry `f`.
+/// frontier entry `f`. Adds the postings visited to `*read`, as
+/// StackJoin.
 template <typename F, typename C, typename Visit>
-void ParentJoin(const F& frontier, const C& candidates, Visit visit) {
+void ParentJoin(const F& frontier, const C& candidates, uint64_t* read,
+                Visit visit) {
   size_t next = 0;
   uint64_t reach = 0;
+  size_t skipped = 0;
   for (size_t i = 0; i < candidates.size();) {
     const StructuralEntry& c = candidates[i];
     for (; next < frontier.size() && frontier[next].pre < c.pre; ++next) {
       reach = std::max(reach, frontier[next].post);
     }
     if (reach <= c.pre) {
-      if (next == frontier.size()) return;
-      i = SeekPre(candidates, i + 1, candidates.size(),
-                  frontier[next].pre + 1);
+      if (next == frontier.size()) {
+        *read += i + 1 - skipped + next;
+        return;
+      }
+      const size_t seek = SeekPre(candidates, i + 1, candidates.size(),
+                                  frontier[next].pre + 1);
+      skipped += seek - (i + 1);
+      i = seek;
       continue;
     }
     // The parent began before c: frontier[last] or an earlier entry. A
@@ -349,6 +521,7 @@ void ParentJoin(const F& frontier, const C& candidates, Visit visit) {
     }
     ++i;
   }
+  *read += candidates.size() - skipped + next;
 }
 
 constexpr size_t kNone = SIZE_MAX;
@@ -366,24 +539,34 @@ size_t AncestorAt(const F& frontier, const StructuralEntry& c,
   return kNone;
 }
 
+/// Adds a kernel's visited postings to the caller's count, if any.
+void AddRead(uint64_t* read, uint64_t n) {
+  if (read != nullptr) *read += n;
+}
+
 /// The candidates `keep(c, stack)` accepts, in order.
 template <typename Keep>
 StructuralSelection FilterJoin(const StructuralSpan& frontier,
-                               const StructuralSpan& candidates, Keep keep) {
+                               const StructuralSpan& candidates,
+                               uint64_t* read, Keep keep) {
   StructuralSelection out;
   out.reserve(candidates.size());
+  uint64_t visited = 0;
   Dispatch(frontier, candidates, [&](const auto& f, const auto& c) {
-    StackJoin(f, c, [&](const StructuralEntry& e, const Stack& stack) {
+    StackJoin(f, c, &visited, [&](const StructuralEntry& e,
+                                  const Stack& stack) {
       if (keep(f, e, stack)) out.push_back(&e);
     });
   });
+  AddRead(read, visited);
   return out;
 }
 
 }  // namespace
 
 StructuralSelection StructuralTopLevel(
-    const std::vector<StructuralEntry>& candidates) {
+    const std::vector<StructuralEntry>& candidates, uint64_t* read) {
+  AddRead(read, candidates.size());
   StructuralSelection out;
   for (const StructuralEntry& c : candidates) {
     if (c.level == 0) out.push_back(&c);
@@ -393,9 +576,9 @@ StructuralSelection StructuralTopLevel(
 
 StructuralSelection StructuralDescendantJoin(const StructuralSpan& frontier,
                                              const StructuralSpan& candidates,
-                                             uint32_t skip) {
+                                             uint32_t skip, uint64_t* read) {
   // The outermost containing frontier interval sits highest.
-  return FilterJoin(frontier, candidates,
+  return FilterJoin(frontier, candidates, read,
                     [skip](const auto& f, const StructuralEntry& c,
                            const Stack& stack) {
                       return f[stack.front()].level + skip < c.level;
@@ -404,9 +587,9 @@ StructuralSelection StructuralDescendantJoin(const StructuralSpan& frontier,
 
 StructuralSelection StructuralChildJoin(const StructuralSpan& frontier,
                                         const StructuralSpan& candidates,
-                                        uint32_t skip) {
+                                        uint32_t skip, uint64_t* read) {
   if (skip > 0) {
-    return FilterJoin(frontier, candidates,
+    return FilterJoin(frontier, candidates, read,
                       [skip](const auto& f, const StructuralEntry& c,
                              const Stack& stack) {
                         return AncestorAt(f, c, stack, skip) != kNone;
@@ -414,27 +597,32 @@ StructuralSelection StructuralChildJoin(const StructuralSpan& frontier,
   }
   StructuralSelection out;
   out.reserve(candidates.size());
+  uint64_t visited = 0;
   Dispatch(frontier, candidates, [&](const auto& f, const auto& c) {
-    ParentJoin(f, c, [&](const StructuralEntry& e, size_t) {
+    ParentJoin(f, c, &visited, [&](const StructuralEntry& e, size_t) {
       out.push_back(&e);
     });
   });
+  AddRead(read, visited);
   return out;
 }
 
 StructuralSelection StructuralSemiJoin(const StructuralSpan& frontier,
                                        const StructuralSpan& candidates,
-                                       bool child, uint32_t skip) {
+                                       bool child, uint32_t skip,
+                                       uint64_t* read) {
   StructuralSelection out;
   out.reserve(frontier.size());
+  uint64_t visited = 0;
   Dispatch(frontier, candidates, [&](const auto& f, const auto& c) {
     std::vector<bool> marked(f.size(), false);
     if (child && skip == 0) {
-      ParentJoin(f, c, [&](const StructuralEntry&, size_t i) {
+      ParentJoin(f, c, &visited, [&](const StructuralEntry&, size_t i) {
         marked[i] = true;
       });
     } else {
-      StackJoin(f, c, [&](const StructuralEntry& e, const Stack& stack) {
+      StackJoin(f, c, &visited, [&](const StructuralEntry& e,
+                                    const Stack& stack) {
         if (child) {
           const size_t i = AncestorAt(f, e, stack, skip);
           if (i != kNone) marked[i] = true;
@@ -451,11 +639,13 @@ StructuralSelection StructuralSemiJoin(const StructuralSpan& frontier,
       if (marked[i]) out.push_back(&f[i]);
     }
   });
+  AddRead(read, visited);
   return out;
 }
 
 StructuralSelection StructuralNthPerParent(const StructuralSpan& candidates,
-                                           uint64_t n) {
+                                           uint64_t n, uint64_t* read) {
+  AddRead(read, candidates.size());
   // Parent keys order the virtual root (kNoParent) before every element.
   auto parent_key = [](const StructuralEntry& c) {
     return c.parent_pre == kNoParent ? 0 : c.parent_pre + 1;
@@ -482,15 +672,53 @@ StructuralSelection StructuralNthPerParent(const StructuralSpan& candidates,
 
 StructuralSelection StructuralNthDescendant(const StructuralSpan& frontier,
                                             const StructuralSpan& candidates,
-                                            uint64_t n) {
+                                            uint64_t n, uint64_t* read) {
   std::vector<uint64_t> counts(frontier.size(), 0);
-  return FilterJoin(frontier, candidates,
+  return FilterJoin(frontier, candidates, read,
                     [&](const auto&, const StructuralEntry&,
                         const Stack& stack) {
                       bool nth = false;
                       for (size_t i : stack) nth = ++counts[i] == n || nth;
                       return nth;
                     });
+}
+
+StructuralSelection StructuralMergeRuns(
+    const std::vector<const StructuralSelection*>& parts) {
+  struct Head {
+    const StructuralEntry* const* at;
+    size_t left;
+  };
+  std::vector<Head> heads;
+  size_t total = 0;
+  for (const StructuralSelection* part : parts) {
+    if (!part->empty()) heads.push_back({part->data(), part->size()});
+    total += part->size();
+  }
+  StructuralSelection out;
+  out.reserve(total);
+  while (heads.size() > 1) {
+    size_t low = 0;
+    for (size_t i = 1; i < heads.size(); ++i) {
+      if ((*heads[i].at)->pre < (*heads[low].at)->pre) low = i;
+    }
+    uint64_t next_low = UINT64_MAX;
+    for (size_t i = 0; i < heads.size(); ++i) {
+      if (i != low) next_low = std::min(next_low, (*heads[i].at)->pre);
+    }
+    // The run: the lowest part's entries below every other head.
+    Head& head = heads[low];
+    const size_t run =
+        SeekPre(SelectionAccess{head.at, head.left}, 1, head.left, next_low);
+    out.insert(out.end(), head.at, head.at + run);
+    head.at += run;
+    head.left -= run;
+    if (head.left == 0) heads.erase(heads.begin() + static_cast<long>(low));
+  }
+  if (!heads.empty()) {
+    out.insert(out.end(), heads[0].at, heads[0].at + heads[0].left);
+  }
+  return out;
 }
 
 }  // namespace laxml

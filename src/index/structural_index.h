@@ -36,6 +36,17 @@
 // (possibly empty: "no such element" is itself a cached fact);
 // everything else is cold.
 //
+// The path summary: beside each list, the index keeps the list
+// partitioned by root-to-node label path (/site/people/person/name), a
+// DataGuide over the memoized postings. Every warming scan sees every
+// token, so the warmer tags each entry with its label path, interned in
+// one trie the index owns (LabelPath). A predicate-free path then reads
+// its answer from the partitions whose label paths it matches — one
+// partition is the answer, all of them the whole list, several a
+// run-copying merge (StructuralMergeRuns) — with no join
+// (query/xpath_stream.h). A tag on one label path keeps no selection:
+// its list is its partition.
+//
 // Invalidation is lazy too — O(1) discard, repair deferred to the next
 // query's scan. pre/post numbers are positions in the *current* token
 // stream, so any mutation that inserts or removes tokens renumbers
@@ -56,7 +67,12 @@
 // are immutable once published and handed out as
 // shared_ptr<const vector>, so a reader's join keeps working on the
 // list it fetched, and its selections keep pointing into it, even if a
-// concurrent warmer republishes the tag.
+// concurrent warmer republishes the tag. A list shares ownership of its
+// publish, partitions included, and trie nodes are interned under the
+// exclusive lock, immutable after, and never freed or renumbered while
+// the index lives: a reader holding a list may follow its partitions'
+// label paths with no lock. A warmer builds its label paths privately
+// during its scan and interns them once, at Publish.
 // This is what lets SharedStore run warming queries under its shared
 // store latch, exactly as it does for Partial Index memoization.
 
@@ -155,15 +171,68 @@ inline std::string AttributeKey(std::string_view name) {
   return key;
 }
 
+/// Entries selected from immutable posting lists, in document order: a
+/// join's result or a path partition. It borrows the lists, so whoever
+/// holds them keeps it valid (XPathAccessPlan::lists does for a query).
+using StructuralSelection = std::vector<const StructuralEntry*>;
+
+/// One node of the path summary's trie: a root-to-node label path, the
+/// kinds and names of a node and its ancestors. Node 0 is the virtual
+/// root (no label, depth 0); every other node adds one label to its
+/// parent's path. Immutable once interned and never freed while the
+/// index lives, so a partition's pointer to it stays valid.
+struct LabelPath {
+  const LabelPath* parent = nullptr;  ///< Null for the virtual root.
+  bool attribute = false;             ///< The last label is '@name'.
+  std::string name;                   ///< The last label's name.
+  uint32_t id = 0;                    ///< Index in the trie.
+  uint32_t depth = 0;                 ///< Labels from the top.
+
+  /// "/site/people/person/name", "/site/item/@id"; "" for the root.
+  std::string ToString() const;
+};
+
+/// A label path a warmer met, as one trie step: `parent` indexes an
+/// earlier step of the same list (step 0 is the virtual root).
+struct LabelStep {
+  uint32_t parent = 0;
+  bool attribute = false;
+  std::string name;
+};
+
+/// One label path's share of a tag's posting list.
+struct PathPartition {
+  const LabelPath* path = nullptr;
+  /// The list's entries on `path`, in pre order. Empty when this is the
+  /// tag's only partition: the whole list is then the partition.
+  StructuralSelection entries;
+};
+
 /// Lazily-populated tag -> sorted interval list map. A tag is an element
 /// name or an AttributeKey.
+///
+/// Beside each list, the path summary: the list partitioned by label
+/// path (a DataGuide over the memoized postings, Goldman & Widom 1997).
+/// A warmer tags every entry with its label path's id in one trie owned
+/// by the index, so a predicate-free path is answered by the partitions
+/// whose label paths it matches (query/xpath_stream.h), with no join.
+/// Trie nodes are only ever added, never renumbered or freed; a list
+/// published with no path ids has no partitions, and the joins answer
+/// for it.
 class StructuralIndex {
  public:
   /// A tag's posting list, sorted by pre (= document order). Immutable
   /// once published; safe to keep using after the lock drops.
   using EntryList = std::shared_ptr<const std::vector<StructuralEntry>>;
 
-  StructuralIndex() = default;
+  /// A list with its partitions, from one publish. `partitions` lives
+  /// as long as `list` is held: the list shares ownership of both.
+  struct TagPostings {
+    EntryList list;
+    const std::vector<PathPartition>* partitions = nullptr;
+  };
+
+  StructuralIndex();
   StructuralIndex(const StructuralIndex&) = delete;
   StructuralIndex& operator=(const StructuralIndex&) = delete;
 
@@ -171,9 +240,19 @@ class StructuralIndex {
   /// empty (non-null) list means "warm, and no such element exists".
   EntryList LookupTag(const std::string& tag) const LAXML_EXCLUDES(mu_);
 
+  /// `tag`'s list and partitions, or a null list when the tag is cold.
+  TagPostings LookupPostings(const std::string& tag) const
+      LAXML_EXCLUDES(mu_);
+
   /// Installs `entries` (sorted by pre) as `tag`'s posting list,
-  /// replacing any previous list.
-  void Publish(const std::string& tag, std::vector<StructuralEntry> entries)
+  /// replacing any previous list. `paths`, when not empty, holds each
+  /// entry's label-path id (from InternLabelPaths): the list is then
+  /// partitioned by it, each partition in pre order.
+  void Publish(const std::string& tag, std::vector<StructuralEntry> entries,
+               std::vector<uint32_t> paths = {}) LAXML_EXCLUDES(mu_);
+
+  /// Interns a warmer's label paths in the trie: the id of each step.
+  std::vector<uint32_t> InternLabelPaths(const std::vector<LabelStep>& steps)
       LAXML_EXCLUDES(mu_);
 
   /// Drops everything. Called whenever the store's token stream gains
@@ -206,20 +285,40 @@ class StructuralIndex {
   void ForEachEntry(Fn fn) const LAXML_EXCLUDES(mu_) {
     ReaderMutexLock lk(mu_);
     for (const auto& [tag, list] : tags_) {
-      for (const StructuralEntry& e : *list.entries) fn(tag, e);
+      for (const StructuralEntry& e : list.postings->entries) fn(tag, e);
+    }
+  }
+
+  /// Const iteration over every tag's list and partitions (the
+  /// auditor's summary check), under the shared lock like ForEachEntry.
+  template <typename Fn>
+  void ForEachTag(Fn fn) const LAXML_EXCLUDES(mu_) {
+    ReaderMutexLock lk(mu_);
+    for (const auto& [tag, list] : tags_) {
+      fn(tag, list.postings->entries, list.postings->partitions);
     }
   }
 
  private:
+  /// One publish: a list and its partitions, immutable once built.
+  struct Postings {
+    std::vector<StructuralEntry> entries;
+    std::vector<PathPartition> partitions;
+  };
+
   struct TagList {
-    EntryList entries;
-    /// Ranges holding the begin tokens of `entries` (reverse map for
+    std::shared_ptr<const Postings> postings;
+    /// Ranges holding the begin tokens of the entries (reverse map for
     /// InvalidateRange).
     std::unordered_set<RangeId> ranges;
   };
 
   mutable SharedMutex mu_;
   std::unordered_map<std::string, TagList> tags_ LAXML_GUARDED_BY(mu_);
+  /// The path trie, by id (0: the virtual root), and its child map,
+  /// keyed by the parent id's bytes, '/' or '@', and the name.
+  std::vector<std::unique_ptr<LabelPath>> labels_ LAXML_GUARDED_BY(mu_);
+  std::unordered_map<std::string, uint32_t> label_ids_ LAXML_GUARDED_BY(mu_);
   size_t memoized_ LAXML_GUARDED_BY(mu_) = 0;
   mutable StructuralIndexStats stats_;
 };
@@ -240,7 +339,11 @@ class StructuralIndex {
 /// inline-named tokens, and once per newly seen symbol, so a warming
 /// scan stays header-only. Value keys come from the same tokens: an
 /// attribute's at its begin token, an element's from its direct
-/// children as they stream past.
+/// children as they stream past. Each collected entry gets its label
+/// path, found among its parent path's children by symbol, else by name
+/// (from the dictionary, or decoded for inline names), so a name stored
+/// both inline and as a symbol lands on one label path. An untracked
+/// scope's path is resolved only when a tracked entry opens below it.
 class StructuralWarmer {
  public:
   StructuralWarmer(const NameDictionary* dict,
@@ -257,14 +360,19 @@ class StructuralWarmer {
 
   void Publish(StructuralIndex* index);
 
-  /// One tag's collected list, sorted by pre.
+  /// One tag's collected list, sorted by pre, and each entry's label
+  /// path (an index into label_steps()).
   struct TagEntries {
     std::string tag;
     std::vector<StructuralEntry> entries;
+    std::vector<uint32_t> paths;
   };
 
   /// Collected lists (auditor cross-check; valid when complete()).
   const std::vector<TagEntries>& collected() const { return collected_; }
+  /// The label paths the warmer resolved, as trie steps (step 0: the
+  /// virtual root): the collected entries' and their ancestors'.
+  const std::vector<LabelStep>& label_steps() const { return labels_; }
 
  private:
   static constexpr uint32_t kUntracked = UINT32_MAX;
@@ -281,13 +389,31 @@ class StructuralWarmer {
   /// (see StructuralEntry); attributes and untracked scopes stay kOther.
   enum class Shape : uint8_t { kEmpty, kTextLeaf, kOther };
 
+  /// The flag of an OpenScope::path not resolved yet.
+  static constexpr uint32_t kUnresolved = uint32_t{1} << 31;
+
   struct OpenScope {
     uint32_t tag;    ///< Index into collected_, or kUntracked.
     uint32_t entry;  ///< Index into collected_[tag].entries.
     uint64_t pre;    ///< Ordinal of the scope's begin token.
-    Shape shape;
     NodeId text_id;  ///< The id a text child must have to be a leaf's.
+    /// The scope's label path (index into labels_), or kUnresolved with
+    /// the name's symbol shifted left once and the attribute flag in
+    /// bit 0: an untracked scope with a symbol-coded name resolves its
+    /// path only when a tracked entry opens below it, so a scan pays
+    /// no lookup for the subtrees holding no tracked tag.
+    uint32_t path;
+    Shape shape;
   };
+
+  /// The child of label path `parent` named `name`, whose symbol is
+  /// `symbol` (kNoNameSymbol: inline): found among `parent`'s children
+  /// by symbol, else by name, else added.
+  uint32_t ChildPath(uint32_t parent, bool attribute, uint32_t symbol,
+                     const std::string& name);
+  /// The label path of the innermost open scope (0: the virtual root),
+  /// resolving the unresolved scopes on the way.
+  uint32_t ParentPath();
 
   /// The current token is a direct child of `scope`.
   void OnChild(const TokenCursor& cursor, TokenType type, OpenScope* scope);
@@ -305,17 +431,27 @@ class StructuralWarmer {
   Names names_[2];  ///< By Kind.
   std::vector<OpenScope> open_;
   bool broken_ = false;
+  /// A child label path, under the dictionary symbol of its name
+  /// (kNoNameSymbol: added for an inline name). A child named both
+  /// ways appears once per way.
+  struct LabelChild {
+    uint32_t symbol;
+    bool attribute;
+    uint32_t path;
+  };
+
+  /// The stream's label paths, and by index each one's children.
+  std::vector<LabelStep> labels_;
+  std::vector<std::vector<LabelChild>> label_children_;
 };
 
 /// The warm-path joins. Each reads posting lists, or selections from
 /// them, sorted by pre, in place, and returns the entries it keeps as
 /// pointers into those lists: document order, duplicate-free by
-/// construction, and never a copied entry.
-
-/// A join's result: pointers into immutable posting lists, in document
-/// order. It borrows the lists, so whoever holds them keeps it valid
-/// (XPathAccessPlan::lists does for a query).
-using StructuralSelection = std::vector<const StructuralEntry*>;
+/// construction, and never a copied entry. Each adds to `*read`, when
+/// given, the postings it visited: the candidates its walk reads and
+/// the frontier entries it passes (entries a gallop skips are not
+/// visited), the request counter postings_read.
 
 /// What a join reads: a whole posting list or a selection from one,
 /// either sorted by pre. Converts implicitly from both and copies
@@ -346,8 +482,9 @@ class StructuralSpan {
 /// Entries of `candidates` at the top level (step 0 of a child-axis
 /// path: the virtual root's children are exactly the level-0 elements).
 StructuralSelection StructuralTopLevel(
-    const std::vector<StructuralEntry>& candidates);
-StructuralSelection StructuralTopLevel(std::vector<StructuralEntry>&&) = delete;
+    const std::vector<StructuralEntry>& candidates, uint64_t* read = nullptr);
+StructuralSelection StructuralTopLevel(std::vector<StructuralEntry>&&,
+                                       uint64_t* read = nullptr) = delete;
 
 /// `skip` counts the '*' child steps between the frontier's step and
 /// the candidates' (`/a/*/*/b`: 2). Every scope between two element
@@ -381,7 +518,8 @@ StructuralSelection StructuralTopLevel(std::vector<StructuralEntry>&&) = delete;
 /// at least `skip + 1` levels up. The stack merge.
 StructuralSelection StructuralDescendantJoin(const StructuralSpan& frontier,
                                              const StructuralSpan& candidates,
-                                             uint32_t skip = 0);
+                                             uint32_t skip = 0,
+                                             uint64_t* read = nullptr);
 
 /// Entries of `candidates` whose ancestor `skip + 1` levels up (with no
 /// skip: the parent) is in the frontier. With no skip, the parent
@@ -392,7 +530,8 @@ StructuralSelection StructuralDescendantJoin(const StructuralSpan& frontier,
 /// frontier ancestor.
 StructuralSelection StructuralChildJoin(const StructuralSpan& frontier,
                                         const StructuralSpan& candidates,
-                                        uint32_t skip = 0);
+                                        uint32_t skip = 0,
+                                        uint64_t* read = nullptr);
 
 /// The semi-join behind twig predicates: entries of `frontier` holding
 /// at least one candidate `skip + 1` levels down (`child`) or at least
@@ -402,7 +541,8 @@ StructuralSelection StructuralChildJoin(const StructuralSpan& frontier,
 /// ones are returned in frontier order.
 StructuralSelection StructuralSemiJoin(const StructuralSpan& frontier,
                                        const StructuralSpan& candidates,
-                                       bool child, uint32_t skip = 0);
+                                       bool child, uint32_t skip = 0,
+                                       uint64_t* read = nullptr);
 
 /// [n] on a child step (1-based): entries of `candidates` (sorted by
 /// pre) that are the n-th among the candidates sharing their parent,
@@ -411,7 +551,8 @@ StructuralSelection StructuralSemiJoin(const StructuralSpan& frontier,
 /// follows, every later-starting parent has ended, so a stack of
 /// (parent, count) replaces a per-parent map.
 StructuralSelection StructuralNthPerParent(const StructuralSpan& candidates,
-                                           uint64_t n);
+                                           uint64_t n,
+                                           uint64_t* read = nullptr);
 
 /// [n] on a descendant step: entries of `candidates` that are the n-th
 /// candidate, in document order, strictly inside some `frontier` entry
@@ -420,7 +561,17 @@ StructuralSelection StructuralNthPerParent(const StructuralSpan& candidates,
 /// frontier entry.
 StructuralSelection StructuralNthDescendant(const StructuralSpan& frontier,
                                             const StructuralSpan& candidates,
-                                            uint64_t n);
+                                            uint64_t n,
+                                            uint64_t* read = nullptr);
+
+/// The union of `parts`, selections from one list with no entry in
+/// two, in pre order: the path summary's merge of a tag's partitions.
+/// A run-copying merge: it copies from the part with the lowest head
+/// while that part stays below the next-lowest head, finding the run's
+/// end by a gallop, so a merge of k parts costs O(k) per run plus
+/// O(log run) per run, and one copy per entry.
+StructuralSelection StructuralMergeRuns(
+    const std::vector<const StructuralSelection*>& parts);
 
 }  // namespace laxml
 

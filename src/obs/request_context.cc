@@ -21,6 +21,7 @@ void RequestCounters::AppendJson(std::string* out) const {
       ",\"structural_index_hits\":" + std::to_string(structural_index_hits);
   *out += ",\"structural_index_misses\":" +
           std::to_string(structural_index_misses);
+  *out += ",\"postings_read\":" + std::to_string(postings_read);
   *out += "}";
 }
 

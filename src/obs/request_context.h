@@ -45,6 +45,9 @@ struct RequestCounters {
   uint64_t partial_index_misses = 0;
   uint64_t structural_index_hits = 0;
   uint64_t structural_index_misses = 0;
+  /// Postings a warm XPath plan's join kernels and path-summary merges
+  /// visited (added once per plan).
+  uint64_t postings_read = 0;
 
   /// Appends this struct as one JSON object (the slow-query log and
   /// EXPLAIN --profile schema).

@@ -16,6 +16,7 @@ std::string XPathPlan::ToJson() const {
   out += eligible ? "true" : "false";
   out += ",\"gate\":";
   AppendJsonString(gate, &out);
+  out += ",\"summary_paths\":" + std::to_string(summary_paths);
   out += ",\"steps\":[";
   bool first = true;
   for (const XPathPlanStep& step : steps) {
@@ -61,15 +62,29 @@ XPathPlan RenderXPathPlan(std::string_view expr, const XPathPath& path,
   // The planner's lists come in join order: each step's, then its
   // predicate paths' steps'. None when the path does not join.
   if (access.lists.empty()) return plan;
+  plan.summary_paths = access.summary_paths;
+  // The summary reads the partitions of the last named step only.
+  const XPathStep* summary_step = nullptr;
+  if (access.summary_paths > 0) {
+    for (const XPathStep& step : path.steps) {
+      if (step.test == NodeTestKind::kName) summary_step = &step;
+    }
+  }
   auto list = access.lists.begin();
-  // Folds `step`'s list into `out`: its warmth and length. A '*' or
-  // text() step has no list: the join counts a '*' as a level, and
-  // answers text() from its parents' entries.
-  auto fold = [&list](const XPathStep& step, XPathPlanStep* out) {
+  // Folds `step`'s list into `out`: its warmth and the postings read
+  // from it, its length for a join. A '*' or text() step has no list:
+  // the join counts a '*' as a level, and answers text() from its
+  // parents' entries.
+  auto fold = [&](const XPathStep& step, XPathPlanStep* out) {
     const StructuralIndex::EntryList& entries = *list++;
     if (step.test != NodeTestKind::kName) return;
     out->warm = out->warm && entries != nullptr;
-    out->postings += entries == nullptr ? 0 : entries->size();
+    if (entries == nullptr) return;
+    if (summary_step == nullptr) {
+      out->postings += entries->size();
+    } else if (&step == summary_step) {
+      out->postings += access.summary_postings;
+    }
   };
   for (const XPathStep& step : path.steps) {
     XPathPlanStep out;

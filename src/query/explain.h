@@ -40,8 +40,11 @@ struct XPathPlanStep {
   /// Tag has a memoized posting list; for a predicate, every tag of its
   /// path has ([n] reads none).
   bool warm = false;
-  /// Posting-list length when warm; for a predicate, the summed lengths
-  /// of its path's lists.
+  /// The postings the plan reads from the list: its length when warm
+  /// and the joins run (for a predicate, the summed lengths of its
+  /// path's lists); under the path summary, the summed sizes of the
+  /// partitions it merges on the last named step, and 0 on every other
+  /// step.
   uint64_t postings = 0;
 };
 
@@ -56,6 +59,9 @@ struct XPathPlan {
   bool eligible = false;
   /// "eligible", or the gate's first disqualifying reason.
   std::string gate;
+  /// Label-path partitions the path summary answered from (k); 0 when
+  /// the joins ran or the plan scans.
+  uint64_t summary_paths = 0;
   std::vector<XPathPlanStep> steps;
   /// When non-empty, a pre-rendered JSON object the serializer embeds
   /// as "profile": the kExplain profile variant fills it with elapsed

@@ -673,18 +673,134 @@ Status Disagrees() {
 /// joins as a child), `skip` '*' levels further down.
 StructuralSelection AxisJoin(const StructuralSpan& frontier,
                              const Entries& list, const XPathStep& step,
-                             uint32_t skip) {
+                             uint32_t skip, uint64_t* read) {
   return step.axis == XPathAxis::kDescendant
-             ? StructuralDescendantJoin(frontier, list, skip)
-             : StructuralChildJoin(frontier, list, skip);
+             ? StructuralDescendantJoin(frontier, list, skip, read)
+             : StructuralChildJoin(frontier, list, skip, read);
 }
 
 /// Every entry of `list`, selected.
-StructuralSelection SelectAll(const Entries& list) {
+StructuralSelection SelectAll(const Entries& list, uint64_t* read) {
+  *read += list.size();
   StructuralSelection all;
   all.reserve(list.size());
   for (const StructuralEntry& e : list) all.push_back(&e);
   return all;
+}
+
+/// The `matches` of `step` (joined below `context`; null: the virtual
+/// root) that its [n] predicates keep. A position numbers every match
+/// of the step's test in its context, whatever the step's other
+/// predicates keep (the scan's semantics, and the oracle's), so the
+/// positions apply first and together: [n][m] with n != m keeps
+/// nothing.
+StructuralSelection Number(const XPathStep& step,
+                           const StructuralSpan* context,
+                           StructuralSelection matches, uint64_t* read) {
+  uint64_t n = 0;
+  for (const XPathPredicate& pred : step.predicates) {
+    if (pred.kind != XPathPredicate::Kind::kPosition) continue;
+    if (n != 0 && n != pred.position) return {};
+    n = pred.position;
+  }
+  if (n == 0) return matches;
+  if (step.axis == XPathAxis::kChild) {
+    return StructuralNthPerParent(matches, n, read);
+  }
+  if (context == nullptr) {
+    if (n > matches.size()) return {};
+    return {matches[n - 1]};
+  }
+  return StructuralNthDescendant(*context, matches, n, read);
+}
+
+// ---------------------------------------------------------------------------
+// The path summary
+
+/// The step whose partitions the summary reads when it can answer
+/// `path` (one the gate accepts): the last named step, the one a final
+/// text() follows. kNoSummary when a predicate other than [n] on a
+/// final child step needs the joins.
+constexpr size_t kNoSummary = SIZE_MAX;
+
+size_t SummaryStep(const XPathPath& path) {
+  const size_t n = path.steps.size();
+  for (size_t i = 0; i < n; ++i) {
+    for (const XPathPredicate& pred : path.steps[i].predicates) {
+      if (pred.kind != XPathPredicate::Kind::kPosition || i + 1 != n ||
+          path.steps[i].axis != XPathAxis::kChild) {
+        return kNoSummary;
+      }
+    }
+  }
+  return path.steps[n - 1].test == NodeTestKind::kText ? n - 2 : n - 1;
+}
+
+/// Whether `label` passes `step`'s test: '*' any element label, a name
+/// the element (or, on the attribute axis, attribute) label of that
+/// name.
+bool LabelMatches(const XPathStep& step, const LabelPath& label) {
+  if (label.attribute != (step.axis == XPathAxis::kAttribute)) return false;
+  return step.test == NodeTestKind::kWildcard || label.name == step.name;
+}
+
+/// Most labels the summary matches; a deeper label path sends the query
+/// to the joins.
+constexpr uint32_t kMaxSummaryDepth = 63;
+
+/// Whether the first `count` steps of `path`, from the virtual root,
+/// select nodes on `label`'s path: a child step takes the next label, a
+/// descendant step any later one, and the last step the last label.
+/// Bit j of `reach` says the steps so far can end having matched the
+/// top j labels.
+bool PathMatches(const XPathPath& path, size_t count, const LabelPath& label) {
+  const LabelPath* labels[kMaxSummaryDepth];
+  for (const LabelPath* l = &label; l->parent != nullptr; l = l->parent) {
+    labels[l->depth - 1] = l;
+  }
+  uint64_t reach = 1;
+  for (size_t i = 0; i < count && reach != 0; ++i) {
+    const XPathStep& step = path.steps[i];
+    uint64_t matches = 0;
+    for (uint32_t j = 0; j < label.depth; ++j) {
+      if (LabelMatches(step, *labels[j])) matches |= uint64_t{1} << j;
+    }
+    // A descendant step may skip any labels past the lowest reached.
+    const uint64_t from =
+        step.axis == XPathAxis::kDescendant ? ~((reach & -reach) - 1) : reach;
+    reach = (from & matches) << 1;
+  }
+  return (reach >> label.depth & 1) != 0;
+}
+
+/// Answers `path` from step `s`'s partitions when any match it: the
+/// entries of every matching partition, in pre order (with a final
+/// child step's [n] applied). False when the list has no partitions,
+/// none matches or a label path is too deep: the joins answer.
+bool SummaryAnswer(const XPathPath& path, size_t s,
+                   const StructuralIndex::TagPostings& postings,
+                   XPathAccessPlan* plan) {
+  const std::vector<PathPartition>& parts = *postings.partitions;
+  if (parts.empty()) return false;
+  std::vector<const StructuralSelection*> matched;
+  for (const PathPartition& part : parts) {
+    if (part.path->depth > kMaxSummaryDepth) return false;
+    if (PathMatches(path, s + 1, *part.path)) matched.push_back(&part.entries);
+  }
+  if (matched.empty()) return false;
+  uint64_t read = 0;
+  StructuralSelection entries;
+  if (matched.size() == parts.size()) {
+    entries = SelectAll(*postings.list, &read);  // the whole list, in place
+  } else {
+    entries = matched.size() == 1 ? *matched[0] : StructuralMergeRuns(matched);
+    read += entries.size();
+  }
+  plan->summary_paths = matched.size();
+  plan->summary_postings = read;
+  plan->entries = Number(path.steps[s], nullptr, std::move(entries), &read);
+  plan->postings_read = read;
+  return true;
 }
 
 /// The posting-list join of a whole path, left to right, over the lists
@@ -695,6 +811,9 @@ class PostingJoin {
  public:
   PostingJoin(const Store& store, const XPathAccessPlan& plan)
       : store_(store), plan_(plan) {}
+
+  /// The postings the joins have visited so far.
+  uint64_t postings_read() const { return read_; }
 
   /// The entries the steps of `path` select.
   Result<StructuralSelection> Run(const XPathPath& path) {
@@ -720,55 +839,30 @@ class PostingJoin {
           whole != nullptr ? StructuralSpan(*whole) : StructuralSpan(frontier);
       StructuralSelection matches;
       if (!root) {
-        matches = AxisJoin(context, *list, step, skip);
+        matches = AxisJoin(context, *list, step, skip, &read_);
       } else if (step.axis == XPathAxis::kChild) {
-        matches = StructuralTopLevel(*list);
+        matches = StructuralTopLevel(*list, &read_);
       } else if (step.predicates.empty()) {
         whole = list.get();
         root = false;
         continue;
       } else {
-        matches = SelectAll(*list);
+        matches = SelectAll(*list, &read_);
       }
       whole = nullptr;
       skip = 0;
-      frontier = Number(step, root ? nullptr : &context, std::move(matches));
+      frontier = Number(step, root ? nullptr : &context, std::move(matches),
+                        &read_);
       root = false;
       for (const XPathPredicate& pred : step.predicates) {
         if (pred.kind == XPathPredicate::Kind::kPosition) continue;
         LAXML_ASSIGN_OR_RETURN(frontier, Filter(frontier, pred));
       }
     }
-    return whole != nullptr ? SelectAll(*whole) : frontier;
+    return whole != nullptr ? SelectAll(*whole, &read_) : frontier;
   }
 
  private:
-  /// The `matches` of `step` (joined below `context`; null: the virtual
-  /// root) that its [n] predicates keep. A position numbers every match
-  /// of the step's test in its context, whatever the step's other
-  /// predicates keep (the scan's semantics, and the oracle's), so the
-  /// positions apply first and together: [n][m] with n != m keeps
-  /// nothing.
-  static StructuralSelection Number(const XPathStep& step,
-                                    const StructuralSpan* context,
-                                    StructuralSelection matches) {
-    uint64_t n = 0;
-    for (const XPathPredicate& pred : step.predicates) {
-      if (pred.kind != XPathPredicate::Kind::kPosition) continue;
-      if (n != 0 && n != pred.position) return {};
-      n = pred.position;
-    }
-    if (n == 0) return matches;
-    if (step.axis == XPathAxis::kChild) {
-      return StructuralNthPerParent(matches, n);
-    }
-    if (context == nullptr) {
-      if (n > matches.size()) return {};
-      return {matches[n - 1]};
-    }
-    return StructuralNthDescendant(*context, matches, n);
-  }
-
   /// The `frontier` entries passing [p] or [p='lit'] `pred`.
   Result<StructuralSelection> Filter(const StructuralSelection& frontier,
                                      const XPathPredicate& pred) {
@@ -792,7 +886,7 @@ class PostingJoin {
           ++skip;
           continue;
         }
-        reached = AxisJoin(from, *lists[j], p.steps[j], skip);
+        reached = AxisJoin(from, *lists[j], p.steps[j], skip, &read_);
         from = reached;
         skip = 0;
       }
@@ -826,14 +920,14 @@ class PostingJoin {
       }
       kept = StructuralSemiJoin(*lists[j], below,
                                 p.steps[next].axis != XPathAxis::kDescendant,
-                                skip);
+                                skip, &read_);
       below = kept;
       next = j;
       skip = 0;
     }
     return StructuralSemiJoin(frontier, below,
                               p.steps[next].axis != XPathAxis::kDescendant,
-                              skip);
+                              skip, &read_);
   }
 
   /// Whether the value of `e`, an attribute or a simple element whose
@@ -885,6 +979,7 @@ class PostingJoin {
   const Store& store_;
   const XPathAccessPlan& plan_;
   size_t next_ = 0;                      ///< The next list to join.
+  uint64_t read_ = 0;                    ///< Postings visited.
   std::unique_ptr<TokenCursor> cursor_;  ///< Reads values.
 };
 
@@ -955,6 +1050,12 @@ Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
   }
   // Every tag is looked up, even after a cold one, so EXPLAIN can show
   // each step's warmth; one cold tag sends the query to the full scan.
+  // The summary step's lookup keeps its partitions, from the same
+  // publish as its list.
+  const size_t summary_step = SummaryStep(path);
+  const XPathStep* summary_at =
+      summary_step == kNoSummary ? nullptr : &path.steps[summary_step];
+  StructuralIndex::TagPostings summary;
   plan.lists.reserve(steps);
   bool warm = true;
   ForEachJoinStep(path, [&](const XPathStep& step) {
@@ -962,11 +1063,20 @@ Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
       plan.lists.emplace_back();
       return;
     }
-    plan.lists.push_back(index.LookupTag(StructuralKey(step)));
-    warm = warm && plan.lists.back() != nullptr;
+    StructuralIndex::TagPostings postings =
+        index.LookupPostings(StructuralKey(step));
+    warm = warm && postings.list != nullptr;
+    if (&step == summary_at) summary = postings;
+    plan.lists.push_back(std::move(postings.list));
   });
   if (!warm) return plan;
-  LAXML_ASSIGN_OR_RETURN(plan.entries, PostingJoin(store, plan).Run(path));
+  if (summary_at != nullptr &&
+      SummaryAnswer(path, summary_step, summary, &plan)) {
+    return plan;
+  }
+  PostingJoin join(store, plan);
+  LAXML_ASSIGN_OR_RETURN(plan.entries, join.Run(path));
+  plan.postings_read = join.postings_read();
   return plan;
 }
 
@@ -978,6 +1088,7 @@ Result<std::vector<NodeId>> RunXPathPlan(const Store& store,
   if (plan.entries.has_value()) {
     index->RecordHit();
     LAXML_RC_ADD(structural_index_hits, 1);
+    LAXML_RC_ADD(postings_read, plan.postings_read);
     if (path.steps.back().test == NodeTestKind::kText) {
       return TextChildren(store, *plan.entries);
     }

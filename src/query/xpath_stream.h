@@ -44,6 +44,18 @@
 //     entries' text children: a text leaf's is located by arithmetic on
 //     its entry, an empty element has none, and only a mixed element is
 //     walked, child by child, skipping subtrees.
+//     A predicate-free path — but [n] on a final child step — is
+//     answered by the path summary instead of the joins: the last named
+//     step's label-path partitions (index/structural_index.h) are
+//     matched against the steps (child: the next label; descendant: any
+//     later one; '*': any element label; '@name': an attribute label),
+//     and the answer is the one matching partition, the whole list when
+//     all match, or a merge by pre of the k that do; [n] then numbers
+//     the merged entries per parent, and text() reads their text
+//     children as above. Same-name siblings share a label path, so each
+//     context's candidates are all there. The label, the warmth rule
+//     and the counters are the join's; only the work differs (k in
+//     XPathAccessPlan::summary_paths, and EXPLAIN's "summary_paths").
 //   * A path the gate accepts with a cold tag is a "stream-scan" of the
 //     whole store, whose by-product warms the path's tags.
 //   * Every other path — the gate refuses it or the scan is forced — is
@@ -102,6 +114,14 @@ struct XPathAccessPlan {
   /// path ends in text(). Points into `lists`, which keep it valid
   /// however the index changes after planning. Empty otherwise.
   std::optional<StructuralSelection> entries;
+  /// The path summary's part in `entries`: the label-path partitions of
+  /// the last named step it merged (k; 0 when the joins ran) and their
+  /// summed sizes.
+  size_t summary_paths = 0;
+  uint64_t summary_postings = 0;
+  /// Postings the join kernels and summary merges visited computing
+  /// `entries` (the request counter postings_read).
+  uint64_t postings_read = 0;
 
   /// "structural-join" | "stream-scan": the label execution stamps into
   /// the request context and EXPLAIN shows.

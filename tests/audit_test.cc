@@ -408,6 +408,33 @@ TEST(AuditTest, WrongValueKeyIsDetected) {
   }
 }
 
+TEST(AuditTest, MisPartitionedPostingIsDetected) {
+  // <n> on two label paths. Republished with the first <n> filed under
+  // the second's path, its partition no longer matches the stream.
+  ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(StoreOptions{}));
+  ASSERT_LAXML_OK(
+      store->LoadXml("<doc><a><n/></a><b><n/><n/></b></doc>").status());
+  ASSERT_LAXML_OK(EvaluateXPathStreaming(*store, "//n").status());
+  ASSERT_TRUE(Audit(store.get()).ok());
+  StructuralIndex* index = store->structural_index();
+  StructuralIndex::TagPostings n = index->LookupPostings("n");
+  ASSERT_NE(n.list, nullptr);
+  ASSERT_EQ(n.partitions->size(), 2u);
+  const uint32_t under_a = (*n.partitions)[0].path->id;
+  const uint32_t under_b = (*n.partitions)[1].path->id;
+  ASSERT_EQ((*n.partitions)[0].path->ToString(), "/doc/a/n");
+  index->Publish("n", *n.list, {under_b, under_b, under_b});
+  AuditReport report = Audit(store.get());
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(HasStructuralIssue(report, (*n.list)[0].id))
+      << report.ToString();
+  EXPECT_NE(report.ToString().find("path summary"), std::string::npos)
+      << report.ToString();
+  // The right ids audit clean again.
+  index->Publish("n", *n.list, {under_a, under_b, under_b});
+  EXPECT_TRUE(Audit(store.get()).ok());
+}
+
 TEST(AuditTest, WrongElementShapeIsDetected) {
   // Empty, text leaf and mixed elements, each keyed as another shape.
   ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(StoreOptions{}));

@@ -87,14 +87,64 @@ TEST_F(ExplainTest, WarmPathIsStructuralJoin) {
   XPathPlan plan = MustExplain("//item//name");
   EXPECT_EQ(plan.plan, "structural-join");
   ASSERT_EQ(plan.steps.size(), 2u);
+  // The path summary answers it from one of <name>'s two label paths,
+  // /site/regions/item/name: two of the three <name> elements. It
+  // reads no <item> posting.
+  EXPECT_EQ(plan.summary_paths, 1u);
   EXPECT_TRUE(plan.steps[0].warm);
-  EXPECT_EQ(plan.steps[0].postings, 2u);  // two <item> elements
+  EXPECT_EQ(plan.steps[0].postings, 0u);
   EXPECT_TRUE(plan.steps[1].warm);
-  EXPECT_EQ(plan.steps[1].postings, 3u);  // three <name> elements
+  EXPECT_EQ(plan.steps[1].postings, 2u);
   // A sibling tag the query never touched stays cold.
   XPathPlan other = MustExplain("//person");
   EXPECT_EQ(other.plan, "stream-scan");
   EXPECT_FALSE(other.steps[0].warm);
+}
+
+TEST_F(ExplainTest, PathSummaryReportsItsPartitions) {
+  // <name> on six label paths: one per region's items, and people's.
+  ASSERT_OK_AND_ASSIGN(store_, Store::OpenInMemory(StoreOptions{}));
+  std::string xml = "<site><regions>";
+  for (const char* region : {"africa", "asia", "europe", "namerica",
+                             "samerica"}) {
+    xml += std::string("<") + region + "><item><name>i</name></item>" +
+           "<item><name>j</name></item></" + region + ">";
+  }
+  xml += "</regions><people><person><name>p</name></person></people></site>";
+  ASSERT_LAXML_OK(store_->InsertTopLevel(MustFragment(xml)).status());
+  struct Case {
+    const char* expr;
+    uint64_t summary_paths;
+    uint64_t name_postings;  ///< Read from <name>'s list.
+    size_t results;
+  };
+  const Case cases[] = {
+      {"/site/people/person/name", 1, 1, 1},  // one partition
+      {"//item/name", 5, 10, 10},             // five, merged by pre
+      {"//item[name]", 0, 11, 10},            // a predicate: the joins
+  };
+  for (const Case& c : cases) {
+    MustExecute(c.expr);  // warms the path's tags
+    XPathPlan plan = MustExplain(c.expr);
+    EXPECT_EQ(plan.plan, "structural-join") << c.expr;
+    EXPECT_EQ(plan.summary_paths, c.summary_paths) << c.expr;
+    EXPECT_NE(plan.ToJson().find("\"summary_paths\":" +
+                                 std::to_string(c.summary_paths)),
+              std::string::npos)
+        << plan.ToJson();
+    uint64_t name_postings = 0;
+    for (const XPathPlanStep& step : plan.steps) {
+      if (step.tag == "name" || step.tag == "[name]") {
+        name_postings += step.postings;
+      }
+    }
+    EXPECT_EQ(name_postings, c.name_postings) << c.expr;
+    XPathEvaluator eval(store_.get());
+    ASSERT_OK_AND_ASSIGN(std::vector<NodeId> ids, eval.Evaluate(c.expr));
+    EXPECT_EQ(ids.size(), c.results) << c.expr;
+  }
+  // A scan has no summary.
+  EXPECT_EQ(MustExplain("//person//text()").summary_paths, 0u);
 }
 
 TEST_F(ExplainTest, PartiallyWarmPathStaysStreamScan) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 
+#include "common/random.h"
 #include "concurrency/shared_store.h"
 #include "index/structural_index.h"
 #include "obs/request_context.h"
@@ -20,6 +21,7 @@
 #include "query/xpath_stream.h"
 #include "store/store.h"
 #include "test_util.h"
+#include "workload/doc_generator.h"
 
 namespace laxml {
 namespace obs {
@@ -309,6 +311,49 @@ TEST(RequestContext, WalBytesAttributedThroughSharedStore) {
   EXPECT_EQ(rc.counters.wal_bytes, before);
 }
 
+TEST(RequestContext, PostingsReadIsTheSelectedEntriesOnTheAuctionDeck) {
+  // The predicate-free queries of the auction deck are answered by the
+  // path summary, which visits exactly the entries it selects: the
+  // answer, or the parents of a final text(). A cold run scans and
+  // reads no postings.
+  ASSERT_OK_AND_ASSIGN(auto store, Store::OpenInMemory(StoreOptions{}));
+  Random rng(1);
+  ASSERT_LAXML_OK(
+      store->InsertTopLevel(GenerateAuctionDocument(&rng, 200)).status());
+  const char* const deck[] = {
+      "//item//name",
+      "/site/people/person/name",
+      "//open_auction/bidder/increase",
+      "/site/regions/*/item",
+      "//bidder/personref/text()",
+      "//item/@category",
+  };
+  for (const char* expr : deck) {
+    ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath(expr));
+    RequestContext cold;
+    {
+      ScopedRequestContext scoped(&cold);
+      ASSERT_LAXML_OK(EvaluateXPathStreaming(*store, path).status());
+    }
+    EXPECT_EQ(cold.counters.postings_read, 0u) << expr;
+    ASSERT_OK_AND_ASSIGN(XPathAccessPlan plan, PlanXPath(*store, path));
+    ASSERT_TRUE(plan.entries.has_value()) << expr;
+    EXPECT_GT(plan.summary_paths, 0u) << expr;
+    RequestContext warm;
+    {
+      ScopedRequestContext scoped(&warm);
+      ASSERT_OK_AND_ASSIGN(std::vector<NodeId> ids,
+                           EvaluateXPathStreaming(*store, path));
+      if (path.steps.back().test != NodeTestKind::kText) {
+        EXPECT_EQ(ids.size(), plan.entries->size()) << expr;
+      }
+    }
+    EXPECT_STREQ(warm.plan, "structural-join") << expr;
+    EXPECT_GT(warm.counters.postings_read, 0u) << expr;
+    EXPECT_EQ(warm.counters.postings_read, plan.entries->size()) << expr;
+  }
+}
+
 #endif  // !defined(LAXML_TRACING_DISABLED)
 
 TEST(RequestCounters, AppendJsonShape) {
@@ -322,13 +367,14 @@ TEST(RequestCounters, AppendJsonShape) {
   c.partial_index_misses = 7;
   c.structural_index_hits = 8;
   c.structural_index_misses = 9;
+  c.postings_read = 10;
   std::string out;
   c.AppendJson(&out);
   EXPECT_EQ(out,
             "{\"tokens_scanned\":1,\"pages_pinned\":2,\"pages_missed\":3,"
             "\"latch_wait_us\":4,\"wal_bytes\":5,\"partial_index_hits\":6,"
             "\"partial_index_misses\":7,\"structural_index_hits\":8,"
-            "\"structural_index_misses\":9}");
+            "\"structural_index_misses\":9,\"postings_read\":10}");
 }
 
 }  // namespace

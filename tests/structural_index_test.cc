@@ -4,7 +4,8 @@
 // mutations / range restructuring, correctness of the
 // warm join against the plain scan as oracle under random edits, and
 // the integrity auditor's interval cross-check (a planted bogus
-// interval must be caught, on the live store and through laxml_fsck).
+// interval must be caught, on the live store and through laxml_fsck),
+// and the path summary's run merge against filtering the list.
 
 #include "index/structural_index.h"
 
@@ -333,6 +334,39 @@ TEST(StructuralJoinTest, SemiJoinAndNthMatchBruteForce) {
         EXPECT_EQ(Ids(StructuralNthPerParent(candidates, n)), nth);
       }
     });
+  }
+}
+
+TEST(StructuralJoinTest, MergeRunsMatchesFilteringTheList) {
+  // Random lists split into up to six parts, in runs of random length
+  // (siblings share a label path), and random subsets of the parts
+  // merged: the union in pre order, every entry once.
+  Random rng(20261020);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<StructuralEntry> list(rng.Uniform(300));
+    const size_t k = 1 + rng.Uniform(6);
+    std::vector<StructuralSelection> parts(k);
+    std::vector<size_t> part_of(list.size());
+    size_t part = 0;
+    for (size_t i = 0; i < list.size(); ++i) {
+      list[i] = Entry(i, 2 * i, 2 * i + 1, 0);
+      if (rng.Uniform(4) == 0) part = rng.Uniform(k);
+      part_of[i] = part;
+      parts[part].push_back(&list[i]);
+    }
+    std::vector<const StructuralSelection*> chosen;
+    std::vector<bool> in(k, false);
+    for (size_t p = 0; p < k; ++p) {
+      if (rng.Uniform(2) == 0) {
+        chosen.push_back(&parts[p]);
+        in[p] = true;
+      }
+    }
+    StructuralSelection want;
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (in[part_of[i]]) want.push_back(&list[i]);
+    }
+    EXPECT_EQ(StructuralMergeRuns(chosen), want) << "trial " << trial;
   }
 }
 

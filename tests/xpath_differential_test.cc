@@ -9,7 +9,8 @@
 // false). Every warm run must take the plan the structural-index gate
 // promises: a join exactly when the gate accepts the path. One
 // evaluator serves every round of a store: no call refreshes anything,
-// so this also pins freshness.
+// so this also pins freshness. Warm queries the path summary answers
+// are counted by shape, so each shape is checked against the oracle.
 
 #include <gtest/gtest.h>
 
@@ -387,6 +388,35 @@ TokenSequence Generate(const char* doc, Random* rng) {
 
 class XPathDifferentialTest : public ::testing::TestWithParam<Config> {};
 
+constexpr size_t kConfigs = 8;
+
+/// Summary-answered warm queries by shape, summed over the
+/// configurations. Some shapes are rare on some documents, so each must
+/// occur at least once across all of them: checked once every
+/// configuration has run.
+struct SummaryCounts : ::testing::Environment {
+  size_t configs = 0;
+  size_t one = 0, many = 0, position = 0, text = 0, attribute = 0;
+
+  void TearDown() override {
+    if (configs < kConfigs) return;  // a filtered run
+#if !defined(LAXML_TRACING_DISABLED)
+    EXPECT_GE(one, 1u);
+    EXPECT_GE(many, 1u);
+    EXPECT_GE(position, 1u);
+    EXPECT_GE(text, 1u);
+    EXPECT_GE(attribute, 1u);
+#endif
+    std::printf("path summary over %zu configurations: %zu from one "
+                "partition, %zu from several, %zu [n], %zu text(), %zu "
+                "'@name'\n",
+                configs, one, many, position, text, attribute);
+  }
+};
+
+SummaryCounts* const summary_totals = static_cast<SummaryCounts*>(
+    ::testing::AddGlobalTestEnvironment(new SummaryCounts));
+
 TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   const Config& config = GetParam();
   constexpr int kRounds = 5;
@@ -413,6 +443,11 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   size_t joined_wildcard = 0, joined_attribute = 0, joined_text = 0;
   size_t joined_exists = 0, joined_equals = 0, joined_position = 0;
   size_t joined_value_inline = 0, joined_value_hashed = 0;
+  // Warm queries the path summary answered: from one label-path
+  // partition, from several, with a final child step's [n], onto text()
+  // and onto '@name'.
+  size_t summary_one = 0, summary_many = 0, summary_position = 0;
+  size_t summary_text = 0, summary_attribute = 0;
   bool has_attributes = false;
   for (int round = 0; round < kRounds; ++round) {
     if (round > 0) {
@@ -477,6 +512,15 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
           joined_position += position ? 1 : 0;
           joined_value_inline += value_inline ? 1 : 0;
           joined_value_hashed += value_hashed ? 1 : 0;
+          ASSERT_OK_AND_ASSIGN(XPathAccessPlan plan, PlanXPath(*store, path));
+          if (plan.summary_paths > 0) {
+            ++(plan.summary_paths == 1 ? summary_one : summary_many);
+            summary_position += position ? 1 : 0;
+            if (path.steps.back().test == NodeTestKind::kText) ++summary_text;
+            if (path.steps.back().axis == XPathAxis::kAttribute) {
+              ++summary_attribute;
+            }
+          }
         }
       }
       ASSERT_OK_AND_ASSIGN(
@@ -514,14 +558,23 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
     EXPECT_GE(joined_equals, 1u);
   }
 #endif
+  ++summary_totals->configs;
+  summary_totals->one += summary_one;
+  summary_totals->many += summary_many;
+  summary_totals->position += summary_position;
+  summary_totals->text += summary_text;
+  summary_totals->attribute += summary_attribute;
   std::printf("%s, %s dictionary: %zu of %d queries non-empty, %zu with "
               "predicates, %zu scanned when warm; joined: %zu '*' steps, "
               "%zu '@name' steps, %zu text() steps, %zu [p], %zu [p='lit'] "
-              "(element values: %zu inline, %zu hashed), %zu [n]\n",
+              "(element values: %zu inline, %zu hashed), %zu [n]; path "
+              "summary: %zu from one partition, %zu from several, %zu [n], "
+              "%zu text(), %zu '@name'\n",
               config.doc, names, nonempty, kRounds * kQueriesPerRound,
               predicated, refused, joined_wildcard, joined_attribute,
               joined_text, joined_exists, joined_equals, joined_value_inline,
-              joined_value_hashed, joined_position);
+              joined_value_hashed, joined_position, summary_one, summary_many,
+              summary_position, summary_text, summary_attribute);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,7 +3,9 @@
 // generated documents, and fragmented stores; the warm plan of each
 // path, join or scan (nested same-name elements, values across range
 // boundaries, dead subtrees passed on range metadata, attributes
-// spliced after children); plus the 64-step NotSupported boundary.
+// spliced after children); the path summary's partitions (recursive
+// labels, [n] after '*', one label path under inline and symbol-coded
+// names); plus the 64-step NotSupported boundary.
 
 #include "query/xpath_stream.h"
 
@@ -436,6 +438,83 @@ TEST(XPathStreamTest, MixedContentMatchesForcedScan) {
   EXPECT_FALSE(as[4].mixed());
   EXPECT_FALSE(as[4].text_leaf());  // empty
   EXPECT_TRUE(as[5].mixed());
+}
+
+/// Runs `expr` cold then warm (ExpectWarm), and checks the warm plan is
+/// the path summary's, merging `k` label-path partitions.
+void ExpectSummary(Store* store, const char* expr, size_t k) {
+  ExpectWarm(store, expr, "structural-join");
+  ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath(expr));
+  ASSERT_OK_AND_ASSIGN(XPathAccessPlan plan, PlanXPath(*store, path));
+  ASSERT_TRUE(plan.entries.has_value()) << expr;
+  EXPECT_EQ(plan.summary_paths, k) << expr;
+}
+
+TEST(XPathStreamTest, PathSummaryOnRecursiveLabels) {
+  // <b> sits on /a/a/b and /a/b: a descendant step may match either <a>,
+  // a child chain only its own depth.
+  auto store = StoreWith(MustFragment("<a><a><b/></a><b/></a>"));
+  ExpectSummary(store.get(), "//a//b", 2);
+  ExpectSummary(store.get(), "/a/a/b", 1);
+  ExpectSummary(store.get(), "//a/b", 2);
+  ExpectSummary(store.get(), "/a/b", 1);
+  ExpectSummary(store.get(), "//a/a/b", 1);
+  ExpectSummary(store.get(), "//a", 2);
+  StructuralIndex::TagPostings bs =
+      store->structural_index()->LookupPostings("b");
+  ASSERT_NE(bs.list, nullptr);
+  ASSERT_EQ(bs.partitions->size(), 2u);
+  EXPECT_EQ((*bs.partitions)[0].path->ToString(), "/a/a/b");
+  EXPECT_EQ((*bs.partitions)[1].path->ToString(), "/a/b");
+  EXPECT_LAXML_OK(store->CheckIntegrity());
+}
+
+TEST(XPathStreamTest, PathSummaryPositionAfterWildcard) {
+  // [1] counts per parent over the merged partitions: every <b> child of
+  // a context shares its label path, so each context's candidates are
+  // all there.
+  auto store = StoreWith(MustFragment(
+      "<r><x><b/><b/></x><y><b/></y><z><c><b/><b/></c></z><x><b/></x></r>"));
+  ExpectSummary(store.get(), "/r/*/b[1]", 2);
+  ExpectSummary(store.get(), "/r/*/b[2]", 2);
+  ExpectSummary(store.get(), "/r/*/*/b[1]", 1);
+  ExpectSummary(store.get(), "//x/b[1]", 1);
+  ExpectSummary(store.get(), "/r/x[1]/b", 0);  // [n] before the end: joins
+  ASSERT_OK_AND_ASSIGN(auto firsts,
+                       EvaluateXPathStreaming(*store, "/r/*/b[1]"));
+  EXPECT_EQ(firsts.size(), 3u);  // two <x>s and the <y>
+}
+
+TEST(XPathStreamTest, PathSummaryOverInlineAndSymbolNames) {
+  // A store loaded under a capped dictionary (every name inline), then
+  // reopened uncapped and written again: <p> and <n> are inline in the
+  // loaded range and symbols in the new one, and the warmer files both
+  // under one label path.
+  testing::TempFile file("summary_names");
+  StoreOptions options;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, Store::Open(file.path(), options));
+    store->name_dictionary()->set_byte_budget(1);
+    ASSERT_LAXML_OK(
+        store->LoadXml("<r><p><n>1</n></p><q><n>2</n></q></r>").status());
+    EXPECT_EQ(store->name_dictionary()->size(), 0u);
+    ASSERT_LAXML_OK(store->Sync());
+  }
+  ASSERT_OK_AND_ASSIGN(auto store, Store::Open(file.path(), options));
+  ASSERT_OK_AND_ASSIGN(NodeId root, store->FirstTopLevelId());
+  ASSERT_LAXML_OK(
+      store->InsertIntoLast(root, MustFragment("<p><n>3</n></p>")).status());
+  EXPECT_NE(store->name_dictionary()->Find("n"), kNoNameSymbol);
+  ExpectSummary(store.get(), "/r/p/n", 1);
+  ExpectSummary(store.get(), "//n", 2);
+  ExpectSummary(store.get(), "/r/p/n/text()", 1);
+  ASSERT_OK_AND_ASSIGN(auto ns, EvaluateXPathStreaming(*store, "/r/p/n"));
+  EXPECT_EQ(ns.size(), 2u);
+  StructuralIndex::TagPostings n =
+      store->structural_index()->LookupPostings("n");
+  ASSERT_NE(n.list, nullptr);
+  EXPECT_EQ(n.partitions->size(), 2u);
+  EXPECT_LAXML_OK(store->CheckIntegrity());
 }
 
 TEST(XPathStreamTest, EmptyStore) {
