@@ -11,29 +11,32 @@
 // all of them whole, with no scan. The predicate-free ones (and [n] on
 // a final child step) read the path summary: the partitions of the last
 // named step's postings whose label paths match, one of them, all of
-// them, or several merged by pre. The other three run joins whose
-// predicates are semi-joins over the postings (an attribute's and an
-// element's value compared by value key, a child's existence):
+// them, or several merged by pre; [n] numbers each partition on its
+// own. The other three run joins whose predicates start from their
+// matches: [creditcard] gallops each creditcard's parent into the
+// persons, and the two '=' rows test the predicate list's value keys in
+// place and climb the matches' parents to the frontier:
 //
 //   child_join_name     /site/people/person/name        (summary, 1 path)
 //   child_join_increase //open_auction/bidder/increase  (summary, 1 path)
 //   wildcard            /site/regions/*/item[1]         (summary, [n])
-//   predicate           //item[@category='books']/name  (join, [@a='lit'])
+//   predicate           //item[@category='books']/name  (join, bottom-up)
 //   exists_semijoin     //person[creditcard]            (join, [p])
 //   wildcard_join       /site/regions/*/item            (summary, all)
 //   attribute_join      //item/@category                (summary, all)
 //   text_join           //bidder/personref/text()       (summary, text())
-//   element_value       //item[quantity='3']            (join, [p='lit'])
+//   element_value       //item[quantity='3']            (join, bottom-up)
 //
 // Every planned answer is checked id for id against the forced scan's,
 // and the cold and warm answers against the scan's; a mismatch exits 1.
 // Each warm row prints the plan's postings_read (postings its join
-// kernels and path-summary merges visit) and summary_paths (label-path
-// partitions the summary merged; 0: the joins ran). A predicate-free
-// path is answered by the summary, which reads exactly the entries it
-// selects, so on such a row postings_read must equal that count (the
-// answer, or the parents of a final text()); otherwise the bench exits
-// 1.
+// kernels and path-summary reads visit) and summary_paths (label-path
+// partitions the summary read; 0: the joins ran), and the bench exits 1
+// when a row reads more than its selection warrants (CheckPlanReads): a
+// predicate-free row exactly the entries it selects (the answer, or the
+// parents of a final text()), a summary [n] row one gallop per match,
+// and any other predicated row twice its matches and its predicate
+// lists at most.
 // The headline number is warm vs scan (>= 5x expected); the laziness
 // number is memoized nodes: lazy touches only the queried tags' nodes,
 // out of every element and attribute in the document.
@@ -111,25 +114,73 @@ struct PlanReads {
   size_t summary_paths = 0;
 };
 
-// Plans `path` on the warm store. Exits 1 when a predicate-free path's
-// plan is no join, or visits other than the entries it selects.
+/// ceil(log2(n)) for n >= 1.
+uint64_t CeilLog2(uint64_t n) {
+  uint64_t bits = 0;
+  while ((uint64_t{1} << bits) < n) ++bits;
+  return bits;
+}
+
+[[noreturn]] void FailReads(const XPathPath& path, uint64_t read,
+                            uint64_t bound, const char* rule) {
+  std::fprintf(stderr,
+               "FATAL %s: warm plan read %" PRIu64 " postings, over %" PRIu64
+               " (%s)\n",
+               path.ToString().c_str(), read, bound, rule);
+  std::exit(1);
+}
+
+// Plans `path` on the warm store and exits 1 when it reads more than
+// its selection warrants:
+//   - a predicate-free path: other than the entries its plan selects;
+//   - a path the summary numbers ([n] on a final child step): over
+//     partitions + 2 x matches x ceil(log2 list), one gallop per match;
+//   - any other predicated path: over 2 x (matches + the sizes of its
+//     predicate paths' lists), what reading each once both ways costs.
 PlanReads CheckPlanReads(const Store& store, const XPathPath& path) {
   auto plan = PlanXPath(store, path);
   BENCH_CHECK(plan.status());
   PlanReads reads{plan->postings_read, plan->summary_paths};
-  bool predicated = false;
-  for (const XPathStep& step : path.steps) {
-    predicated = predicated || !step.predicates.empty();
-  }
-  if (predicated) return reads;
-  if (!plan->entries.has_value() ||
-      plan->postings_read != plan->entries->size()) {
-    std::fprintf(stderr,
-                 "FATAL %s: warm plan read %" PRIu64
-                 " postings for %zu selected entries\n",
-                 path.ToString().c_str(), plan->postings_read,
-                 plan->entries.has_value() ? plan->entries->size() : 0);
+  if (!plan->entries.has_value()) {
+    std::fprintf(stderr, "FATAL %s: warm plan is no join\n",
+                 path.ToString().c_str());
     std::exit(1);
+  }
+  const uint64_t matches = plan->entries->size();
+  // The lists come in join order: each step's, then its predicate
+  // paths' steps'.
+  bool predicated = false, numbered = false;
+  uint64_t predicate_lists = 0, last_list = 0;
+  size_t next = 0;
+  for (const XPathStep& step : path.steps) {
+    const StructuralIndex::EntryList& list = plan->lists[next++];
+    if (list != nullptr) last_list = list->size();
+    for (const XPathPredicate& pred : step.predicates) {
+      predicated = true;
+      numbered = numbered || pred.kind == XPathPredicate::Kind::kPosition;
+      for (size_t i = 0; i < pred.path.steps.size(); ++i) {
+        const StructuralIndex::EntryList& p = plan->lists[next++];
+        if (p != nullptr) predicate_lists += p->size();
+      }
+    }
+  }
+  if (!predicated) {
+    if (plan->postings_read != matches) {
+      FailReads(path, plan->postings_read, matches, "the selected entries");
+    }
+  } else if (numbered && plan->summary_paths > 0) {
+    const uint64_t bound =
+        plan->summary_paths + 2 * matches * CeilLog2(last_list);
+    if (plan->postings_read > bound) {
+      FailReads(path, plan->postings_read, bound,
+                "partitions + 2 x matches x ceil(log2 list)");
+    }
+  } else {
+    const uint64_t bound = 2 * (matches + predicate_lists);
+    if (plan->postings_read > bound) {
+      FailReads(path, plan->postings_read, bound,
+                "2 x (matches + predicate lists)");
+    }
   }
   return reads;
 }
@@ -269,11 +320,13 @@ int main(int argc, char** argv) {
       "expected: warm beats the scan by >= 5x at this scale (it reads "
       "only the\nmatching partitions of the queried tag's postings); cold "
       "pays one scan to\nwarm, i.e. it tracks the scan plan.\n"
-      "Every other shape beats its forced-scan row: predicate-free paths "
-      "read\ntheir label paths' partitions ([1] numbers them per parent), "
-      "[creditcard]\nis a semi-join over the postings, [@category='books'] "
-      "and [quantity='3']\ncompare value keys, and text() locates each "
-      "text leaf's text by\narithmetic: none reads a token.\n");
+      "Every other shape beats its forced-scan row and reads about what "
+      "it selects:\npredicate-free paths read their label paths' "
+      "partitions, [1] takes each\nparent's first child in each partition, "
+      "[creditcard] gallops each\ncreditcard's parent into the persons, "
+      "[@category='books'] and [quantity='3']\ntest value keys in place "
+      "and climb the matches to their items, and text()\nlocates each "
+      "text leaf's text by arithmetic: none reads a token.\n");
 
   if (!json_path.empty()) {
     bench::JsonReport report("bench_xpath");

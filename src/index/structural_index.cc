@@ -404,26 +404,35 @@ void Dispatch(const StructuralSpan& a, const StructuralSpan& b,
   });
 }
 
-/// The first index in [lo, hi) whose entry begins at or after `pre`, or
-/// hi: a gallop from lo, then a binary search, so a short hop costs a
-/// few probes and a long one O(log distance).
-template <typename Access>
-size_t SeekPre(const Access& a, size_t lo, size_t hi, uint64_t pre) {
+/// The first index in [lo, hi) whose entry `before` rejects, or hi,
+/// where `before` holds for a prefix of the entries: a gallop from lo,
+/// then a binary search, so a short hop costs a few probes and a long
+/// one O(log distance).
+template <typename Access, typename Before>
+size_t Seek(const Access& a, size_t lo, size_t hi, const Before& before) {
   size_t step = 1;
-  while (lo + step <= hi && a[lo + step - 1].pre < pre) {
+  while (lo + step <= hi && before(a[lo + step - 1])) {
     lo += step;
     step *= 2;
   }
   hi = std::min(hi, lo + step - 1);
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (a[mid].pre < pre) {
+    if (before(a[mid])) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
   return lo;
+}
+
+/// The first index in [lo, hi) whose entry begins at or after `pre`, or
+/// hi.
+template <typename Access>
+size_t SeekPre(const Access& a, size_t lo, size_t hi, uint64_t pre) {
+  return Seek(a, lo, hi,
+              [pre](const StructuralEntry& e) { return e.pre < pre; });
 }
 
 /// Frontier indexes, innermost interval on top.
@@ -607,11 +616,59 @@ StructuralSelection StructuralChildJoin(const StructuralSpan& frontier,
   return out;
 }
 
+void StructuralClimbToParents(const StructuralSpan& owners,
+                              std::vector<StructuralClimb>* climbs,
+                              uint64_t* read) {
+  std::vector<StructuralClimb>& cs = *climbs;
+  auto by_parent = [](const StructuralClimb& a, const StructuralClimb& b) {
+    return a.at->parent_pre < b.at->parent_pre;
+  };
+  if (!std::is_sorted(cs.begin(), cs.end(), by_parent)) {
+    std::stable_sort(cs.begin(), cs.end(), by_parent);
+  }
+  size_t kept = 0;
+  uint64_t landings = 0;
+  Dispatch(owners, [&](const auto& o) {
+    size_t landed = 0;
+    for (size_t i = 0; i < cs.size();) {
+      const uint64_t parent = cs[i].at->parent_pre;
+      size_t end = i + 1;
+      while (end < cs.size() && cs[end].at->parent_pre == parent) ++end;
+      // kNoParent sorts last and is no entry's pre.
+      if (parent == kNoParent) break;
+      landed = SeekPre(o, landed, o.size(), parent);
+      if (landed == o.size()) break;
+      ++landings;
+      if (o[landed].pre == parent) {
+        for (; i < end; ++i) cs[kept++] = {&o[landed], cs[i].from};
+      }
+      i = end;
+    }
+  });
+  cs.resize(kept);
+  AddRead(read, landings);
+}
+
 StructuralSelection StructuralSemiJoin(const StructuralSpan& frontier,
                                        const StructuralSpan& candidates,
                                        bool child, uint32_t skip,
                                        uint64_t* read) {
   StructuralSelection out;
+  if (StructuralOwnerGallop(frontier.size(), candidates.size(), child,
+                            skip)) {
+    std::vector<StructuralClimb> climbs;
+    climbs.reserve(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      climbs.push_back({candidates.at(i), candidates.at(i)});
+    }
+    AddRead(read, candidates.size());
+    StructuralClimbToParents(frontier, &climbs, read);
+    out.reserve(climbs.size());
+    for (const StructuralClimb& climb : climbs) {
+      if (out.empty() || out.back() != climb.at) out.push_back(climb.at);
+    }
+    return out;
+  }
   out.reserve(frontier.size());
   uint64_t visited = 0;
   Dispatch(frontier, candidates, [&](const auto& f, const auto& c) {
@@ -670,6 +727,35 @@ StructuralSelection StructuralNthPerParent(const StructuralSpan& candidates,
   return out;
 }
 
+StructuralSelection StructuralNthPerRun(const StructuralSpan& partition,
+                                        uint64_t n, uint64_t* read) {
+  StructuralSelection out;
+  uint64_t visited = 0;
+  Dispatch(partition, [&](const auto& p) {
+    for (size_t i = 0; i < p.size();) {
+      const uint64_t parent = p[i].parent_pre;
+      ++visited;
+      size_t from = i + 1;  // where the next run's gallop starts
+      if (n == 1) {
+        out.push_back(&p[i]);
+      } else if (n - 1 < p.size() - i) {
+        ++visited;
+        if (p[i + n - 1].parent_pre == parent) {
+          out.push_back(&p[i + n - 1]);
+          from = i + n;
+        }
+      }
+      // Top-level entries (kNoParent) are all one run.
+      if (parent == kNoParent) break;
+      i = Seek(p, from, p.size(), [parent](const StructuralEntry& e) {
+        return e.parent_pre <= parent;
+      });
+    }
+  });
+  AddRead(read, visited);
+  return out;
+}
+
 StructuralSelection StructuralNthDescendant(const StructuralSpan& frontier,
                                             const StructuralSpan& candidates,
                                             uint64_t n, uint64_t* read) {
@@ -681,6 +767,12 @@ StructuralSelection StructuralNthDescendant(const StructuralSpan& frontier,
                       for (size_t i : stack) nth = ++counts[i] == n || nth;
                       return nth;
                     });
+}
+
+std::vector<NodeId> StructuralIds(const StructuralSelection& entries) {
+  std::vector<NodeId> ids(entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) ids[i] = entries[i]->id;
+  return ids;
 }
 
 StructuralSelection StructuralMergeRuns(

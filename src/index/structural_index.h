@@ -467,6 +467,10 @@ class StructuralSpan {
       : selection_(selection.data()), size_(selection.size()) {}
 
   size_t size() const { return size_; }
+  /// Entry `i`, in either kind.
+  const StructuralEntry* at(size_t i) const {
+    return list_ != nullptr ? &list_[i] : selection_[i];
+  }
   /// A list's entries, or nullptr for a selection. Either may be null
   /// when the span is empty.
   const StructuralEntry* list() const { return list_; }
@@ -508,7 +512,11 @@ StructuralSelection StructuralTopLevel(std::vector<StructuralEntry>&&,
 /// current candidate, a gallop over the candidates seeks past the next
 /// frontier entry's pre; and both stop once the frontier is used up
 /// with no interval open. So a join costs O(|frontier| + candidates
-/// inside a frontier interval + log per skipped run). It allocates its
+/// inside a frontier interval + log per skipped run). A selective
+/// child semi-join skips the merge altogether: it gallops each
+/// candidate's parent into the frontier (StructuralClimbToParents), so
+/// it costs O(candidates × log of the hop), however long the frontier.
+/// It allocates its
 /// result once, reserved from the most it can hold (the candidate
 /// count; for a semi-join, the frontier's): 8 bytes per candidate even
 /// when few match, an eighth of the list's own size, freed with the
@@ -535,14 +543,44 @@ StructuralSelection StructuralChildJoin(const StructuralSpan& frontier,
 
 /// The semi-join behind twig predicates: entries of `frontier` holding
 /// at least one candidate `skip + 1` levels down (`child`) or at least
-/// that far down (descendant). The same merges as the joins above, with
-/// an existence output: each candidate marks the frontier intervals it
+/// that far down (descendant). A child step with no skip and no more
+/// candidates than frontier entries is answered from the candidates up
+/// (StructuralOwnerGallop): their parents are galloped into the
+/// frontier (StructuralClimbToParents), so a selective predicate reads
+/// its candidates and one landing per distinct parent, never the whole
+/// frontier. Otherwise the same merges as the joins above, with an
+/// existence output: each candidate marks the frontier intervals it
 /// qualifies for (a child with no skip: its parent), and the marked
 /// ones are returned in frontier order.
 StructuralSelection StructuralSemiJoin(const StructuralSpan& frontier,
                                        const StructuralSpan& candidates,
                                        bool child, uint32_t skip = 0,
                                        uint64_t* read = nullptr);
+
+/// StructuralSemiJoin's size rule: whether it gallops the candidates'
+/// parents into the frontier rather than merging the two.
+inline bool StructuralOwnerGallop(size_t frontier, size_t candidates,
+                                  bool child, uint32_t skip) {
+  return child && skip == 0 && candidates <= frontier;
+}
+
+/// One candidate on its way up a chain of child steps: the entry it
+/// has reached, and the candidate it started from.
+struct StructuralClimb {
+  const StructuralEntry* at;
+  const StructuralEntry* from;
+};
+
+/// Moves each climb one level up, to its entry's parent in `owners`,
+/// and drops the climbs whose parent is not there. On return the climbs
+/// are sorted by the pre they reached, those sharing an owner adjacent
+/// in their old order. Their parents are sorted first only when they
+/// are not already monotone (nested same-name entries); each distinct
+/// parent is then galloped into `owners` by pre from the last landing,
+/// and each landing adds one to `*read`.
+void StructuralClimbToParents(const StructuralSpan& owners,
+                              std::vector<StructuralClimb>* climbs,
+                              uint64_t* read = nullptr);
 
 /// [n] on a child step (1-based): entries of `candidates` (sorted by
 /// pre) that are the n-th among the candidates sharing their parent,
@@ -554,6 +592,16 @@ StructuralSelection StructuralNthPerParent(const StructuralSpan& candidates,
                                            uint64_t n,
                                            uint64_t* read = nullptr);
 
+/// [n] on a child step over one label-path partition: its entries,
+/// sorted by pre, share a depth, so each parent's children are one
+/// contiguous run and parents do not decrease. The walk takes the n-th
+/// entry of each run when it has the run's parent and gallops to the
+/// next run by parent_pre. Adds to `*read` each run's first entry and
+/// the n-th entry it probes: O(runs × log run), not the partition.
+StructuralSelection StructuralNthPerRun(const StructuralSpan& partition,
+                                        uint64_t n,
+                                        uint64_t* read = nullptr);
+
 /// [n] on a descendant step: entries of `candidates` that are the n-th
 /// candidate, in document order, strictly inside some `frontier` entry
 /// (each frontier entry is a context of its own, and nested ones count
@@ -563,6 +611,9 @@ StructuralSelection StructuralNthDescendant(const StructuralSpan& frontier,
                                             const StructuralSpan& candidates,
                                             uint64_t n,
                                             uint64_t* read = nullptr);
+
+/// The node ids of `entries`, in order: a warm plan's answer.
+std::vector<NodeId> StructuralIds(const StructuralSelection& entries);
 
 /// The union of `parts`, selections from one list with no entry in
 /// two, in pre order: the path summary's merge of a tag's partitions.

@@ -83,9 +83,10 @@ XPathPlan RenderXPathPlan(std::string_view expr, const XPathPath& path,
     if (summary_step == nullptr) {
       out->postings += entries->size();
     } else if (&step == summary_step) {
-      out->postings += access.summary_postings;
+      out->postings += access.postings_read;
     }
   };
+  auto route = access.routes.begin();
   for (const XPathStep& step : path.steps) {
     XPathPlanStep out;
     out.axis = step.axis == XPathAxis::kChild       ? "child"
@@ -99,16 +100,16 @@ XPathPlan RenderXPathPlan(std::string_view expr, const XPathPath& path,
     fold(step, &out);
     plan.steps.push_back(std::move(out));
     for (const XPathPredicate& pred : step.predicates) {
-      XPathPlanStep semi;
-      semi.axis = "semi-join";
-      semi.kind = pred.kind == XPathPredicate::Kind::kPosition ? "position"
-                  : pred.kind == XPathPredicate::Kind::kExists
-                      ? "exists"
-                      : "equals";
-      semi.tag = pred.ToString();
-      semi.warm = true;
-      for (const XPathStep& p : pred.path.steps) fold(p, &semi);
-      plan.steps.push_back(std::move(semi));
+      XPathPlanStep filter;
+      filter.axis = XPathPredicateRouteName(*route++);
+      filter.kind = pred.kind == XPathPredicate::Kind::kPosition ? "position"
+                    : pred.kind == XPathPredicate::Kind::kExists
+                        ? "exists"
+                        : "equals";
+      filter.tag = pred.ToString();
+      filter.warm = true;
+      for (const XPathStep& p : pred.path.steps) fold(p, &filter);
+      plan.steps.push_back(std::move(filter));
     }
   }
   return plan;

@@ -1,7 +1,7 @@
 // EXPLAIN for XPath: the routing decision — structural join or stream
 // scan — for one expression, and why (eligibility-gate verdict, and for
-// a path the gate accepts, per-step index warmth and predicate
-// semi-joins). The decision is the engine's own: ExplainXPath
+// a path the gate accepts, per-step index warmth and each predicate's
+// route). The decision is the engine's own: ExplainXPath
 // parses, asks the one planner (PlanXPath, query/xpath_stream.h) and
 // renders its plan, and runs nothing. The server's kExplain op serves
 // the plan as JSON; its profile variant runs that same plan under the
@@ -28,9 +28,12 @@ namespace laxml {
 /// has no per-step index story to tell). A step's predicates follow it,
 /// in the order they filter.
 struct XPathPlanStep {
-  /// "child", "descendant" or "attribute"; "semi-join" for a predicate.
+  /// "child", "descendant" or "attribute"; for a predicate, its route
+  /// (XPathPredicateRoute): "position" ([n], numbered), "semi-join"
+  /// (from the frontier down) or "bottom-up" ([p='lit'] from its value
+  /// matches up).
   std::string axis;
-  /// semi-join only: "exists" ([p]), "equals" ([p='lit']) or
+  /// Predicates only: "exists" ([p]), "equals" ([p='lit']) or
   /// "position" ([n]).
   std::string kind;
   /// The posting list's tag ("@name" for an attribute), or "*" for a
@@ -42,9 +45,9 @@ struct XPathPlanStep {
   bool warm = false;
   /// The postings the plan reads from the list: its length when warm
   /// and the joins run (for a predicate, the summed lengths of its
-  /// path's lists); under the path summary, the summed sizes of the
-  /// partitions it merges on the last named step, and 0 on every other
-  /// step.
+  /// path's lists); under the path summary, the postings it reads from
+  /// the last named step's partitions (XPathAccessPlan::postings_read),
+  /// and 0 on every other step.
   uint64_t postings = 0;
 };
 

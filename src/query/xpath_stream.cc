@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -688,28 +689,32 @@ StructuralSelection SelectAll(const Entries& list, uint64_t* read) {
   return all;
 }
 
-/// The `matches` of `step` (joined below `context`; null: the virtual
-/// root) that its [n] predicates keep. A position numbers every match
-/// of the step's test in its context, whatever the step's other
-/// predicates keep (the scan's semantics, and the oracle's), so the
-/// positions apply first and together: [n][m] with n != m keeps
-/// nothing.
-StructuralSelection Number(const XPathStep& step,
-                           const StructuralSpan* context,
-                           StructuralSelection matches, uint64_t* read) {
+/// The position `step`'s [n] predicates require: 0 when it has none,
+/// nullopt when two disagree ([n][m] with n != m keeps nothing). A
+/// position numbers every match of the step's test in its context,
+/// whatever the step's other predicates keep (the scan's semantics, and
+/// the oracle's), so the positions apply first and together.
+std::optional<uint64_t> PositionOf(const XPathStep& step) {
   uint64_t n = 0;
   for (const XPathPredicate& pred : step.predicates) {
     if (pred.kind != XPathPredicate::Kind::kPosition) continue;
-    if (n != 0 && n != pred.position) return {};
+    if (n != 0 && n != pred.position) return std::nullopt;
     n = pred.position;
   }
-  if (n == 0) return matches;
+  return n;
+}
+
+/// The `matches` of `step` (joined below `context`; null: the virtual
+/// root) that are the `n`-th in their context.
+StructuralSelection Number(const XPathStep& step, uint64_t n,
+                           const StructuralSpan* context,
+                           const StructuralSpan& matches, uint64_t* read) {
   if (step.axis == XPathAxis::kChild) {
     return StructuralNthPerParent(matches, n, read);
   }
   if (context == nullptr) {
     if (n > matches.size()) return {};
-    return {matches[n - 1]};
+    return {matches.at(n - 1)};
   }
   return StructuralNthDescendant(*context, matches, n, read);
 }
@@ -774,9 +779,10 @@ bool PathMatches(const XPathPath& path, size_t count, const LabelPath& label) {
 }
 
 /// Answers `path` from step `s`'s partitions when any match it: the
-/// entries of every matching partition, in pre order (with a final
-/// child step's [n] applied). False when the list has no partitions,
-/// none matches or a label path is too deep: the joins answer.
+/// entries of every matching partition, in pre order, or with a final
+/// child step's [n], the n-th of each context's children. False when
+/// the list has no partitions, none matches or a label path is too
+/// deep: the joins answer.
 bool SummaryAnswer(const XPathPath& path, size_t s,
                    const StructuralIndex::TagPostings& postings,
                    XPathAccessPlan* plan) {
@@ -788,29 +794,51 @@ bool SummaryAnswer(const XPathPath& path, size_t s,
     if (PathMatches(path, s + 1, *part.path)) matched.push_back(&part.entries);
   }
   if (matched.empty()) return false;
+  const std::optional<uint64_t> n = PositionOf(path.steps[s]);
   uint64_t read = 0;
   StructuralSelection entries;
-  if (matched.size() == parts.size()) {
+  if (!n.has_value()) {
+    // [n][m]: nothing.
+  } else if (*n != 0) {
+    // Every child of one context shares its label path, so each
+    // partition is numbered on its own, and the few n-th entries merged.
+    // A tag's only partition is its whole list.
+    std::vector<StructuralSelection> nths;
+    nths.reserve(matched.size());
+    for (const StructuralSelection* part : matched) {
+      nths.push_back(parts.size() == 1
+                         ? StructuralNthPerRun(*postings.list, *n, &read)
+                         : StructuralNthPerRun(*part, *n, &read));
+    }
+    if (nths.size() == 1) {
+      entries = std::move(nths[0]);
+    } else {
+      std::vector<const StructuralSelection*> runs;
+      for (const StructuralSelection& nth : nths) runs.push_back(&nth);
+      entries = StructuralMergeRuns(runs);
+    }
+  } else if (matched.size() == parts.size()) {
     entries = SelectAll(*postings.list, &read);  // the whole list, in place
   } else {
     entries = matched.size() == 1 ? *matched[0] : StructuralMergeRuns(matched);
     read += entries.size();
   }
   plan->summary_paths = matched.size();
-  plan->summary_postings = read;
-  plan->entries = Number(path.steps[s], nullptr, std::move(entries), &read);
   plan->postings_read = read;
+  plan->entries = std::move(entries);
   return true;
 }
 
 /// The posting-list join of a whole path, left to right, over the lists
 /// the plan looked up (all warm); each step's predicates filter its
-/// matches, as semi-joins. Every intermediate result is a selection
-/// into those lists.
+/// matches, as semi-joins or bottom-up. Every intermediate result is a
+/// selection into those lists, or a whole list read in place.
 class PostingJoin {
  public:
-  PostingJoin(const Store& store, const XPathAccessPlan& plan)
-      : store_(store), plan_(plan) {}
+  /// Joins over `plan`'s lists, recording each predicate's route and
+  /// owner gallop in it.
+  PostingJoin(const Store& store, XPathAccessPlan* plan)
+      : store_(store), plan_(*plan) {}
 
   /// The postings the joins have visited so far.
   uint64_t postings_read() const { return read_; }
@@ -818,8 +846,14 @@ class PostingJoin {
   /// The entries the steps of `path` select.
   Result<StructuralSelection> Run(const XPathPath& path) {
     StructuralSelection frontier;
-    // Set instead of `frontier` after a predicate-free '//' step 0.
+    // Set instead of `frontier` while the frontier is a whole list, read
+    // in place: a '//' step 0's, until an [n] or a predicate selects
+    // from it.
     const Entries* whole = nullptr;
+    auto current = [&] {
+      return whole != nullptr ? StructuralSpan(*whole)
+                              : StructuralSpan(frontier);
+    };
     bool root = true;  // before step 0: the virtual root
     // '*' steps add no list, only levels between the named steps
     // around them.
@@ -834,43 +868,58 @@ class PostingJoin {
       }
       // Step 0 evaluates against the virtual root: its children are the
       // top-level (level-0) elements, its descendants the whole list,
-      // read in place unless a predicate filters it.
-      const StructuralSpan context =
-          whole != nullptr ? StructuralSpan(*whole) : StructuralSpan(frontier);
+      // read in place.
+      const StructuralSpan context = current();
       StructuralSelection matches;
+      const Entries* all = nullptr;
       if (!root) {
         matches = AxisJoin(context, *list, step, skip, &read_);
       } else if (step.axis == XPathAxis::kChild) {
         matches = StructuralTopLevel(*list, &read_);
-      } else if (step.predicates.empty()) {
-        whole = list.get();
-        root = false;
-        continue;
       } else {
-        matches = SelectAll(*list, &read_);
+        all = list.get();
       }
-      whole = nullptr;
+      const std::optional<uint64_t> n = PositionOf(step);
+      if (!n.has_value()) {
+        matches.clear();
+        all = nullptr;
+      } else if (*n != 0) {
+        const StructuralSpan selected =
+            all != nullptr ? StructuralSpan(*all) : StructuralSpan(matches);
+        matches = Number(step, *n, root ? nullptr : &context, selected,
+                         &read_);
+        all = nullptr;
+      }
+      frontier = std::move(matches);
+      whole = all;
       skip = 0;
-      frontier = Number(step, root ? nullptr : &context, std::move(matches),
-                        &read_);
       root = false;
       for (const XPathPredicate& pred : step.predicates) {
+        const size_t route = route_++;
         if (pred.kind == XPathPredicate::Kind::kPosition) continue;
-        LAXML_ASSIGN_OR_RETURN(frontier, Filter(frontier, pred));
+        LAXML_ASSIGN_OR_RETURN(frontier, Filter(current(), pred, route));
+        whole = nullptr;
       }
     }
     return whole != nullptr ? SelectAll(*whole, &read_) : frontier;
   }
 
  private:
-  /// The `frontier` entries passing [p] or [p='lit'] `pred`.
-  Result<StructuralSelection> Filter(const StructuralSelection& frontier,
-                                     const XPathPredicate& pred) {
+  /// The `frontier` entries passing [p] or [p='lit'] `pred`, the
+  /// path's `route`-th predicate.
+  Result<StructuralSelection> Filter(const StructuralSpan& frontier,
+                                     const XPathPredicate& pred,
+                                     size_t route) {
     const XPathPath& p = pred.path;
     const EntryList* lists = &plan_.lists[next_];
     next_ += p.steps.size();
-    if (frontier.empty()) return StructuralSelection{};
+    if (frontier.size() == 0) return StructuralSelection{};
     const size_t last = p.steps.size() - 1;
+    if (pred.kind == XPathPredicate::Kind::kEquals &&
+        ChildChain(p, lists) && lists[last]->size() <= frontier.size()) {
+      plan_.routes[route] = XPathPredicateRoute::kBottomUp;
+      return BottomUp(frontier, pred, lists);
+    }
     // What the semi-joins below read: the last step's list, or the
     // selection `kept` from it.
     StructuralSelection kept;
@@ -894,15 +943,8 @@ class PostingJoin {
       const uint64_t key = StructuralValueKey(pred.literal);
       for (const StructuralEntry* e : reached) {
         bool match = false;
-        if (e->mixed()) {
-          LAXML_ASSIGN_OR_RETURN(match, StringValueEquals(*e, pred.literal));
-        } else if (e->value_key == key) {
-          // Equal inline keys are equal values; equal hashes may not be.
-          match = ExactValueKey(key);
-          if (!match) {
-            LAXML_ASSIGN_OR_RETURN(match,
-                                   ValueEquals(*e, attribute, pred.literal));
-          }
+        if (e->mixed() || e->value_key == key) {
+          LAXML_ASSIGN_OR_RETURN(match, Holds(*e, attribute, key, pred));
         }
         if (match) kept.push_back(e);
       }
@@ -925,9 +967,77 @@ class PostingJoin {
       next = j;
       skip = 0;
     }
-    return StructuralSemiJoin(frontier, below,
-                              p.steps[next].axis != XPathAxis::kDescendant,
-                              skip, &read_);
+    const bool child = p.steps[next].axis != XPathAxis::kDescendant;
+    if (pred.kind == XPathPredicate::Kind::kExists &&
+        StructuralOwnerGallop(frontier.size(), below.size(), child, skip)) {
+      ++plan_.owner_gallops;
+    }
+    return StructuralSemiJoin(frontier, below, child, skip, &read_);
+  }
+
+  /// Whether predicate path `p` is a chain of named child and '@name'
+  /// steps, each with a list: every node it reaches climbs to its owner
+  /// by parent_pre, one list per step.
+  static bool ChildChain(const XPathPath& p, const EntryList* lists) {
+    for (size_t j = 0; j < p.steps.size(); ++j) {
+      if (lists[j] == nullptr || p.steps[j].axis == XPathAxis::kDescendant) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// [p='lit'] from its value matches up: the last step's list is
+  /// value-key-tested in place, the survivors climb the path's earlier
+  /// lists to the frontier by parent_pre, and a frontier entry is kept
+  /// when one of the candidates that reached it holds the literal. A
+  /// hashed or mixed candidate is confirmed on its tokens only there,
+  /// and only when no exact one reached the same entry, so no token
+  /// outside the frontier is read.
+  Result<StructuralSelection> BottomUp(const StructuralSpan& frontier,
+                                       const XPathPredicate& pred,
+                                       const EntryList* lists) {
+    const XPathPath& p = pred.path;
+    const size_t last = p.steps.size() - 1;
+    const Entries& values = *lists[last];
+    const uint64_t key = StructuralValueKey(pred.literal);
+    std::vector<StructuralClimb> climbs;
+    read_ += values.size();
+    for (const StructuralEntry& e : values) {
+      if (e.mixed() || e.value_key == key) climbs.push_back({&e, &e});
+    }
+    for (size_t j = last; j-- > 0;) {
+      StructuralClimbToParents(*lists[j], &climbs, &read_);
+    }
+    StructuralClimbToParents(frontier, &climbs, &read_);
+    const bool attribute = p.steps[last].axis == XPathAxis::kAttribute;
+    const bool exact = ExactValueKey(key);
+    StructuralSelection kept;
+    for (size_t i = 0; i < climbs.size();) {
+      const StructuralEntry* owner = climbs[i].at;
+      size_t end = i;
+      bool match = false;
+      for (; end < climbs.size() && climbs[end].at == owner; ++end) {
+        match = match || (exact && !climbs[end].from->mixed());
+      }
+      for (; !match && i < end; ++i) {
+        LAXML_ASSIGN_OR_RETURN(match,
+                               Holds(*climbs[i].from, attribute, key, pred));
+      }
+      if (match) kept.push_back(owner);
+      i = end;
+    }
+    return kept;
+  }
+
+  /// Whether `e`, mixed or keyed `key` (the literal's), holds `pred`'s
+  /// literal: a mixed element's string value is walked, an equal hash
+  /// confirmed on the token, and equal inline keys are equal values.
+  Result<bool> Holds(const StructuralEntry& e, bool attribute, uint64_t key,
+                     const XPathPredicate& pred) {
+    if (e.mixed()) return StringValueEquals(e, pred.literal);
+    if (ExactValueKey(key)) return true;
+    return ValueEquals(e, attribute, pred.literal);
   }
 
   /// Whether the value of `e`, an attribute or a simple element whose
@@ -977,19 +1087,30 @@ class PostingJoin {
   }
 
   const Store& store_;
-  const XPathAccessPlan& plan_;
+  XPathAccessPlan& plan_;
   size_t next_ = 0;                      ///< The next list to join.
+  size_t route_ = 0;                     ///< The next predicate's route.
   uint64_t read_ = 0;                    ///< Postings visited.
   std::unique_ptr<TokenCursor> cursor_;  ///< Reads values.
 };
 
 /// The text children of `parents` (sorted by pre), in document order.
 /// A text leaf's one is located by arithmetic and an empty element has
-/// none, so neither reads a token; a mixed element's are found by a walk
+/// none, so neither reads a token; when no parent is mixed, those ids
+/// are the answer as they come. A mixed element's are found by a walk
 /// over its children that skips their subtrees. Only mixed parents can
 /// nest, and their texts interleave, hence the sort.
 Result<std::vector<NodeId>> TextChildren(
     const Store& store, const StructuralSelection& parents) {
+  if (std::none_of(parents.begin(), parents.end(),
+                   [](const StructuralEntry* e) { return e->mixed(); })) {
+    std::vector<NodeId> ids;
+    ids.reserve(parents.size());
+    for (const StructuralEntry* e : parents) {
+      if (e->text_leaf()) ids.push_back(e->text_id());
+    }
+    return ids;
+  }
   std::vector<std::pair<uint64_t, NodeId>> texts;  // (ordinal, id)
   bool ordered = true;
   auto add = [&](uint64_t ordinal, NodeId id) {
@@ -1033,6 +1154,18 @@ const char* StructuralIneligibilityReason(const XPathPath& path) {
   return nullptr;
 }
 
+const char* XPathPredicateRouteName(XPathPredicateRoute route) {
+  switch (route) {
+    case XPathPredicateRoute::kPosition:
+      return "position";
+    case XPathPredicateRoute::kSemiJoin:
+      return "semi-join";
+    case XPathPredicateRoute::kBottomUp:
+      return "bottom-up";
+  }
+  return "semi-join";
+}
+
 const char* XPathAccessPlan::label() const {
   return entries.has_value() ? "structural-join" : "stream-scan";
 }
@@ -1069,12 +1202,19 @@ Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
     if (&step == summary_at) summary = postings;
     plan.lists.push_back(std::move(postings.list));
   });
+  for (const XPathStep& step : path.steps) {
+    for (const XPathPredicate& pred : step.predicates) {
+      plan.routes.push_back(pred.kind == XPathPredicate::Kind::kPosition
+                                ? XPathPredicateRoute::kPosition
+                                : XPathPredicateRoute::kSemiJoin);
+    }
+  }
   if (!warm) return plan;
   if (summary_at != nullptr &&
       SummaryAnswer(path, summary_step, summary, &plan)) {
     return plan;
   }
-  PostingJoin join(store, plan);
+  PostingJoin join(store, &plan);
   LAXML_ASSIGN_OR_RETURN(plan.entries, join.Run(path));
   plan.postings_read = join.postings_read();
   return plan;
@@ -1092,10 +1232,7 @@ Result<std::vector<NodeId>> RunXPathPlan(const Store& store,
     if (path.steps.back().test == NodeTestKind::kText) {
       return TextChildren(store, *plan.entries);
     }
-    std::vector<NodeId> ids;
-    ids.reserve(plan.entries->size());
-    for (const StructuralEntry* e : *plan.entries) ids.push_back(e->id);
-    return ids;
+    return StructuralIds(*plan.entries);
   }
   std::unique_ptr<StructuralWarmer> warmer;
   if (!plan.lists.empty()) {

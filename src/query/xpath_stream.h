@@ -31,31 +31,51 @@
 //   * A path the gate accepts, with every tag (its predicate paths'
 //     included) warm in the store's lazy structural index, is a
 //     "structural-join": posting lists joined left to right, no scan.
-//     Each step's matches are filtered by its predicates: [p] keeps the
-//     matches holding a p match below them (a semi-join, run right to
-//     left along p), [p='lit'] first keeps the p matches whose value is
-//     the literal, and [n] keeps the n-th match per context node (the
-//     parent, on a child step). Values come from the entries' value
-//     keys (index/structural_index.h): an attribute or a simple element
-//     with a short value compares its key and reads nothing; a long
-//     value's hash, when equal, is confirmed on its token (one Seek),
-//     and a mixed element's string value is compared along a walk of
-//     its subtree. After a final text() step, the answer is the joined
+//     A '//x' step 0 reads x's whole list in place, its predicates
+//     included. Each step's matches are filtered by its predicates,
+//     each on one of three routes (XPathPredicateRoute, EXPLAIN's
+//     predicate "axis"):
+//       - "position": [n] keeps the n-th match per context node (the
+//         parent, on a child step);
+//       - "semi-join": [p] keeps the matches holding a p match below
+//         them (a semi-join, run right to left along p), and
+//         [p='lit'] first joins p down from the matches and keeps the
+//         nodes it reaches whose value is the literal. A child-step
+//         semi-join with no more candidates than frontier entries
+//         gallops the candidates' parents into the frontier instead of
+//         merging (index/structural_index.h), so //person[creditcard]
+//         reads the creditcards, not every person;
+//       - "bottom-up": [p='lit'] on a chain of child and '@name' steps
+//         whose last list is no longer than the frontier starts from
+//         its values: that list is value-key-tested in place, and the
+//         survivors climb the chain's lists to the frontier by
+//         parent_pre. A hashed or mixed survivor is confirmed on its
+//         tokens only once it has landed on a frontier entry no exact
+//         one reached, so no token outside the frontier is read.
+//     Values come from the entries' value keys
+//     (index/structural_index.h): an attribute or a simple element with
+//     a short value compares its key and reads nothing; a long value's
+//     hash, when equal, is confirmed on its token (one Seek), and a
+//     mixed element's string value is compared along a walk of its
+//     subtree. After a final text() step, the answer is the joined
 //     entries' text children: a text leaf's is located by arithmetic on
 //     its entry, an empty element has none, and only a mixed element is
-//     walked, child by child, skipping subtrees.
+//     walked, child by child, skipping subtrees; with no mixed parent
+//     the ids come out in order with no walk and no sort.
 //     A predicate-free path — but [n] on a final child step — is
 //     answered by the path summary instead of the joins: the last named
 //     step's label-path partitions (index/structural_index.h) are
 //     matched against the steps (child: the next label; descendant: any
 //     later one; '*': any element label; '@name': an attribute label),
 //     and the answer is the one matching partition, the whole list when
-//     all match, or a merge by pre of the k that do; [n] then numbers
-//     the merged entries per parent, and text() reads their text
-//     children as above. Same-name siblings share a label path, so each
-//     context's candidates are all there. The label, the warmth rule
-//     and the counters are the join's; only the work differs (k in
-//     XPathAccessPlan::summary_paths, and EXPLAIN's "summary_paths").
+//     all match, or a merge by pre of the k that do. Same-name siblings
+//     share a label path, so each context's children are one run of one
+//     partition: [n] takes the n-th entry of each run, partition by
+//     partition, galloping from run to run, and merges the few it
+//     takes. text() reads the entries' text children as above. The
+//     label, the warmth rule and the counters are the join's; only the
+//     work differs (k in XPathAccessPlan::summary_paths, and EXPLAIN's
+//     "summary_paths").
 //   * A path the gate accepts with a cold tag is a "stream-scan" of the
 //     whole store, whose by-product warms the path's tags.
 //   * Every other path — the gate refuses it or the scan is forced — is
@@ -100,6 +120,16 @@ inline constexpr size_t kMaxStreamSteps = 64;
 /// this so "why did my query scan" has an answer.
 const char* StructuralIneligibilityReason(const XPathPath& path);
 
+/// How a plan that joins answers one predicate (EXPLAIN's predicate
+/// "axis"): [n] by numbering ("position"), [p] and [p='lit'] by
+/// semi-joins from the frontier down ("semi-join"), or a selective
+/// [p='lit'] on a child chain from its value matches up
+/// ("bottom-up").
+enum class XPathPredicateRoute : uint8_t { kPosition, kSemiJoin, kBottomUp };
+
+/// "position" | "semi-join" | "bottom-up".
+const char* XPathPredicateRouteName(XPathPredicateRoute route);
+
 /// The planner's verdict for one path against the store's current index
 /// state: the access path, and what running it needs.
 struct XPathAccessPlan {
@@ -115,13 +145,21 @@ struct XPathAccessPlan {
   /// however the index changes after planning. Empty otherwise.
   std::optional<StructuralSelection> entries;
   /// The path summary's part in `entries`: the label-path partitions of
-  /// the last named step it merged (k; 0 when the joins ran) and their
-  /// summed sizes.
+  /// the last named step it read (k; 0 when the joins ran).
   size_t summary_paths = 0;
-  uint64_t summary_postings = 0;
-  /// Postings the join kernels and summary merges visited computing
-  /// `entries` (the request counter postings_read).
+  /// Postings the join kernels or the summary visited computing
+  /// `entries` (the request counter postings_read): under the summary,
+  /// the partitions' summed sizes, or with [n] the entries its
+  /// numbering probed.
   uint64_t postings_read = 0;
+  /// The route of each predicate of the path's steps, in order; empty
+  /// when the gate refuses the path. Before the join runs (a cold tag), a
+  /// [p='lit'] shows "semi-join": only the sizes the join meets decide
+  /// whether it goes bottom-up.
+  std::vector<XPathPredicateRoute> routes;
+  /// [p] predicates whose last semi-join, into their frontier, galloped
+  /// the candidates' parents (StructuralOwnerGallop).
+  size_t owner_gallops = 0;
 
   /// "structural-join" | "stream-scan": the label execution stamps into
   /// the request context and EXPLAIN shows.

@@ -267,7 +267,7 @@ TEST_F(ExplainTest, RefusedPathStaysStreamScan) {
   EXPECT_EQ(store_->structural_index()->warmed_tags(), warmed);
 }
 
-TEST_F(ExplainTest, PredicatesJoinAsSemiJoins) {
+TEST_F(ExplainTest, PredicatesShowTheirRoute) {
   Open();
   ASSERT_OK_AND_ASSIGN(NodeId site, store_->FirstTopLevelId());
   ASSERT_LAXML_OK(
@@ -275,6 +275,7 @@ TEST_F(ExplainTest, PredicatesJoinAsSemiJoins) {
           ->InsertIntoLast(site, MustFragment("<shelf>"
                                               "<disc genre='jazz'>x</disc>"
                                               "<disc genre='folk'>y</disc>"
+                                              "<label>new</label>"
                                               "</shelf>"))
           .status());
   struct Case {
@@ -283,29 +284,42 @@ TEST_F(ExplainTest, PredicatesJoinAsSemiJoins) {
     const char* tag;
     uint64_t postings;
     size_t results;
+    /// The warm route: a [n] is numbered, under the summary too; a
+    /// [p='lit'] whose values are no more than its frontier goes up
+    /// from them; the rest are semi-joins from the frontier down.
+    const char* route;
   };
   const Case cases[] = {
-      {"//item[qty]", "exists", "[qty]", 1, 1},
-      {"//disc[@genre='jazz']", "equals", "[@genre='jazz']", 2, 1},
-      {"/site/regions/item[2]", "position", "[2]", 0, 1},
-      {"//shelf[disc='y']", "equals", "[disc='y']", 2, 1},
+      {"//item[qty]", "exists", "[qty]", 1, 1, "semi-join"},
+      {"//disc[@genre='jazz']", "equals", "[@genre='jazz']", 2, 1,
+       "bottom-up"},
+      {"/site/regions/item[2]", "position", "[2]", 0, 1, "position"},
+      {"//shelf[disc='y']", "equals", "[disc='y']", 2, 1, "semi-join"},
+      {"/site/shelf[label='new']", "equals", "[label='new']", 1, 1,
+       "bottom-up"},
   };
   for (const Case& c : cases) {
     XPathPlan cold = MustExplain(c.expr);
     EXPECT_EQ(cold.plan, "stream-scan") << c.expr;
     EXPECT_TRUE(cold.eligible) << c.expr;
+    // Before the join runs, only a [n]'s route is known.
+    ASSERT_FALSE(cold.steps.empty()) << c.expr;
+    EXPECT_EQ(cold.steps.back().axis,
+              std::string(c.kind) == "position" ? "position" : "semi-join")
+        << c.expr;
     MustExecute(c.expr);  // warms the predicate path's tags too
     XPathPlan warm = MustExplain(c.expr);
     EXPECT_EQ(warm.plan, "structural-join") << c.expr;
     ASSERT_FALSE(warm.steps.empty()) << c.expr;
-    const XPathPlanStep& semi = warm.steps.back();
-    EXPECT_EQ(semi.axis, "semi-join") << c.expr;
-    EXPECT_EQ(semi.kind, c.kind) << c.expr;
-    EXPECT_EQ(semi.tag, c.tag) << c.expr;
-    EXPECT_TRUE(semi.warm) << c.expr;
-    EXPECT_EQ(semi.postings, c.postings) << c.expr;
-    EXPECT_NE(warm.ToJson().find("\"axis\":\"semi-join\",\"kind\":\"" +
-                                 std::string(c.kind) + "\""),
+    const XPathPlanStep& pred = warm.steps.back();
+    EXPECT_EQ(pred.axis, c.route) << c.expr;
+    EXPECT_EQ(pred.kind, c.kind) << c.expr;
+    EXPECT_EQ(pred.tag, c.tag) << c.expr;
+    EXPECT_TRUE(pred.warm) << c.expr;
+    EXPECT_EQ(pred.postings, c.postings) << c.expr;
+    EXPECT_NE(warm.ToJson().find("\"axis\":\"" + std::string(c.route) +
+                                 "\",\"kind\":\"" + std::string(c.kind) +
+                                 "\""),
               std::string::npos)
         << warm.ToJson();
     XPathEvaluator eval(store_.get());

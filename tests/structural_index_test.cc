@@ -274,7 +274,10 @@ TEST(StructuralJoinTest, SemiJoinAndNthMatchBruteForce) {
   // down for a child, at least that far for a descendant); a candidate
   // survives [n] on a child step iff n - 1 candidates with its parent
   // precede it, and on a descendant step iff some frontier entry holds
-  // it and n - 1 candidates before it.
+  // it and n - 1 candidates before it. The semi-join's inputs include
+  // ones with no more candidates than frontier entries, which it
+  // answers by galloping the candidates' parents, nested ones too; and
+  // [n] per run agrees with [n] per parent on one depth's candidates.
   Random rng(20261018);
   for (int trial = 0; trial < 300; ++trial) {
     const JoinInputs inputs(&rng);
@@ -332,6 +335,16 @@ TEST(StructuralJoinTest, SemiJoinAndNthMatchBruteForce) {
           if (rank == n) nth.push_back(cs[i]->id);
         }
         EXPECT_EQ(Ids(StructuralNthPerParent(candidates, n)), nth);
+        // The candidates of one depth are shaped as a label-path
+        // partition: each parent's children one run, parents rising.
+        for (uint32_t level = 0; level < 4; ++level) {
+          StructuralSelection part;
+          for (const StructuralEntry* c : cs) {
+            if (c->level == level) part.push_back(c);
+          }
+          EXPECT_EQ(Ids(StructuralNthPerRun(part, n)),
+                    Ids(StructuralNthPerParent(part, n)));
+        }
       }
     });
   }

@@ -10,7 +10,9 @@
 // promises: a join exactly when the gate accepts the path. One
 // evaluator serves every round of a store: no call refreshes anything,
 // so this also pins freshness. Warm queries the path summary answers
-// are counted by shape, so each shape is checked against the oracle.
+// are counted by shape, and warm predicates and text() steps by the
+// route they took, so each shape and route is checked against the
+// oracle.
 
 #include <gtest/gtest.h>
 
@@ -417,6 +419,68 @@ struct SummaryCounts : ::testing::Environment {
 SummaryCounts* const summary_totals = static_cast<SummaryCounts*>(
     ::testing::AddGlobalTestEnvironment(new SummaryCounts));
 
+/// Warm queries by the route a predicate or a final text() took, summed
+/// over the configurations like SummaryCounts: a [p] whose semi-join
+/// galloped its candidates' parents into the frontier, a [p='lit']
+/// answered bottom-up with an inline, a hashed and a mixed value, and a
+/// text() over parents none of which is mixed (no walk, no sort). Every
+/// [n] the summary answers is numbered per partition: SummaryCounts'
+/// [n] count.
+struct RouteCounts : ::testing::Environment {
+  size_t configs = 0;
+  size_t owner_gallop = 0, bottom_up_inline = 0, bottom_up_hashed = 0;
+  size_t bottom_up_mixed = 0, text_unmixed = 0;
+
+  void TearDown() override {
+    if (configs < kConfigs) return;  // a filtered run
+#if !defined(LAXML_TRACING_DISABLED)
+    EXPECT_GE(owner_gallop, 1u);
+    EXPECT_GE(bottom_up_inline, 1u);
+    EXPECT_GE(bottom_up_hashed, 1u);
+    EXPECT_GE(bottom_up_mixed, 1u);
+    EXPECT_GE(text_unmixed, 1u);
+#endif
+    std::printf("routes over %zu configurations: %zu owner-gallop [p], "
+                "bottom-up '=' with %zu inline, %zu hashed and %zu mixed "
+                "values, %zu text() over unmixed parents\n",
+                configs, owner_gallop, bottom_up_inline, bottom_up_hashed,
+                bottom_up_mixed, text_unmixed);
+  }
+};
+
+RouteCounts* const route_totals = static_cast<RouteCounts*>(
+    ::testing::AddGlobalTestEnvironment(new RouteCounts));
+
+/// Adds `plan`'s routes for `path` to `counts`.
+void CountRoutes(const XPathPath& path, const XPathAccessPlan& plan,
+                 RouteCounts* counts) {
+  if (plan.owner_gallops > 0) ++counts->owner_gallop;
+  // The lists come in join order: each step's, then its predicate
+  // paths' steps'; the routes one per predicate.
+  size_t list = 0, route = 0;
+  bool inline_value = false, hashed = false, mixed = false;
+  for (const XPathStep& step : path.steps) {
+    ++list;
+    for (const XPathPredicate& pred : step.predicates) {
+      list += pred.path.steps.size();
+      if (plan.routes[route++] != XPathPredicateRoute::kBottomUp) continue;
+      (pred.literal.size() <= 7 ? inline_value : hashed) = true;
+      for (const StructuralEntry& e : *plan.lists[list - 1]) {
+        mixed = mixed || e.mixed();
+      }
+    }
+  }
+  counts->bottom_up_inline += inline_value ? 1 : 0;
+  counts->bottom_up_hashed += hashed ? 1 : 0;
+  counts->bottom_up_mixed += mixed ? 1 : 0;
+  if (path.steps.back().test == NodeTestKind::kText &&
+      !plan.entries->empty() &&
+      std::none_of(plan.entries->begin(), plan.entries->end(),
+                   [](const StructuralEntry* e) { return e->mixed(); })) {
+    ++counts->text_unmixed;
+  }
+}
+
 TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   const Config& config = GetParam();
   constexpr int kRounds = 5;
@@ -448,6 +512,7 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   // and onto '@name'.
   size_t summary_one = 0, summary_many = 0, summary_position = 0;
   size_t summary_text = 0, summary_attribute = 0;
+  RouteCounts routes;
   bool has_attributes = false;
   for (int round = 0; round < kRounds; ++round) {
     if (round > 0) {
@@ -513,6 +578,8 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
           joined_value_inline += value_inline ? 1 : 0;
           joined_value_hashed += value_hashed ? 1 : 0;
           ASSERT_OK_AND_ASSIGN(XPathAccessPlan plan, PlanXPath(*store, path));
+          ASSERT_TRUE(plan.entries.has_value()) << expr;
+          CountRoutes(path, plan, &routes);
           if (plan.summary_paths > 0) {
             ++(plan.summary_paths == 1 ? summary_one : summary_many);
             summary_position += position ? 1 : 0;
@@ -564,6 +631,12 @@ TEST_P(XPathDifferentialTest, EngineAgreesWithOracle) {
   summary_totals->position += summary_position;
   summary_totals->text += summary_text;
   summary_totals->attribute += summary_attribute;
+  ++route_totals->configs;
+  route_totals->owner_gallop += routes.owner_gallop;
+  route_totals->bottom_up_inline += routes.bottom_up_inline;
+  route_totals->bottom_up_hashed += routes.bottom_up_hashed;
+  route_totals->bottom_up_mixed += routes.bottom_up_mixed;
+  route_totals->text_unmixed += routes.text_unmixed;
   std::printf("%s, %s dictionary: %zu of %d queries non-empty, %zu with "
               "predicates, %zu scanned when warm; joined: %zu '*' steps, "
               "%zu '@name' steps, %zu text() steps, %zu [p], %zu [p='lit'] "

@@ -5,7 +5,10 @@
 // boundaries, dead subtrees passed on range metadata, attributes
 // spliced after children); the path summary's partitions (recursive
 // labels, [n] after '*', one label path under inline and symbol-coded
-// names); plus the 64-step NotSupported boundary.
+// names); the routes that start from a predicate's matches (nested
+// same-name owners, [n] per parent inside a partition, hashed values
+// confirmed only inside the frontier); plus the 64-step NotSupported
+// boundary.
 
 #include "query/xpath_stream.h"
 
@@ -515,6 +518,85 @@ TEST(XPathStreamTest, PathSummaryOverInlineAndSymbolNames) {
   ASSERT_NE(n.list, nullptr);
   EXPECT_EQ(n.partitions->size(), 2u);
   EXPECT_LAXML_OK(store->CheckIntegrity());
+}
+
+/// The warm plan of `expr`, after ExpectWarm ran it cold and warm.
+XPathAccessPlan WarmPlan(Store* store, const char* expr) {
+  ExpectWarm(store, expr, "structural-join");
+  auto path = ParseXPath(expr);
+  EXPECT_TRUE(path.ok()) << expr;
+  auto plan = PlanXPath(*store, *path);
+  EXPECT_TRUE(plan.ok() && plan->entries.has_value()) << expr;
+  return plan.ok() ? std::move(plan).value() : XPathAccessPlan{};
+}
+
+TEST(XPathStreamTest, BottomUpOverNestedSameNameOwners) {
+  // The inner <a>'s <b> comes before the outer <a>'s, so the candidates'
+  // parents fall: the climb sorts them before galloping.
+  auto store = StoreWith(MustFragment(
+      "<r><a><a><b>x</b></a><b>y</b></a><a><c/></a></r>"));
+  XPathAccessPlan exists = WarmPlan(store.get(), "//a[b]");
+  ASSERT_EQ(exists.routes.size(), 1u);
+  EXPECT_EQ(exists.routes[0], XPathPredicateRoute::kSemiJoin);
+  EXPECT_EQ(exists.owner_gallops, 1u);
+  EXPECT_EQ(exists.entries->size(), 2u);
+  const std::vector<StructuralEntry> bs =
+      *store->structural_index()->LookupTag("b");
+  ASSERT_EQ(bs.size(), 2u);
+  EXPECT_GT(bs[0].parent_pre, bs[1].parent_pre);  // not monotone
+  for (const char* expr : {"//a[b='x']", "//a[b='y']", "/r/a[b='y']"}) {
+    XPathAccessPlan equals = WarmPlan(store.get(), expr);
+    ASSERT_EQ(equals.routes.size(), 1u) << expr;
+    EXPECT_EQ(equals.routes[0], XPathPredicateRoute::kBottomUp) << expr;
+    EXPECT_EQ(equals.entries->size(), 1u) << expr;
+  }
+}
+
+TEST(XPathStreamTest, NumberedPerParentInsidePartitions) {
+  // Three <s> parents share /r/s/i, and a fourth <i> run sits on /r/t/i:
+  // [n] takes each parent's n-th child, partition by partition.
+  auto store = StoreWith(MustFragment(
+      "<r><s><i/><i/><i/></s><s><i/></s><t><i/><i/></t><s><i/><i/></s></r>"));
+  const struct {
+    const char* expr;
+    size_t matches;
+    size_t partitions;
+  } cases[] = {{"/r/s/i[1]", 3, 1}, {"/r/s/i[2]", 2, 1},
+               {"/r/s/i[3]", 1, 1}, {"/r/*/i[2]", 3, 2},
+               {"//s/i[2]", 2, 1},  {"/r/*/i[4]", 0, 2}};
+  for (const auto& c : cases) {
+    XPathAccessPlan plan = WarmPlan(store.get(), c.expr);
+    EXPECT_EQ(plan.entries->size(), c.matches) << c.expr;
+    EXPECT_EQ(plan.summary_paths, c.partitions) << c.expr;
+    // Each parent's run costs its first entry and the n-th one probed.
+    EXPECT_LE(plan.postings_read, 2u * 4u) << c.expr;
+  }
+}
+
+TEST(XPathStreamTest, BottomUpConfirmsOnlyInsideTheFrontier) {
+  // Every <q> holds the same long (hashed) value, but only one sits
+  // below a <p>. Bottom-up, the three under <o> never reach the
+  // frontier, so only the one below <p> is confirmed on its tokens.
+  auto store = StoreWith(MustFragment(
+      "<r><p><q>longvalue-xyz</q></p><p/><p/><p/>"
+      "<o><q>longvalue-xyz</q></o><o><q>longvalue-xyz</q></o>"
+      "<o><q>longvalue-xyz</q></o></r>"));
+  const char* expr = "//p[q='longvalue-xyz']";
+  ASSERT_FALSE(ExactValueKey(StructuralValueKey("longvalue-xyz")));
+  XPathAccessPlan plan = WarmPlan(store.get(), expr);
+  ASSERT_EQ(plan.routes.size(), 1u);
+  EXPECT_EQ(plan.routes[0], XPathPredicateRoute::kBottomUp);
+  EXPECT_EQ(plan.entries->size(), 1u);
+  obs::RequestContext rc;
+  {
+    obs::ScopedRequestContext scoped(&rc);
+    ASSERT_OK_AND_ASSIGN(auto got, EvaluateXPathStreaming(*store, expr));
+    EXPECT_EQ(got.size(), 1u);
+  }
+#if !defined(LAXML_TRACING_DISABLED)
+  // One confirmation: the <q>'s begin token and its text.
+  EXPECT_EQ(rc.counters.tokens_scanned, 2u);
+#endif
 }
 
 TEST(XPathStreamTest, EmptyStore) {
