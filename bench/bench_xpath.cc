@@ -6,16 +6,20 @@
 //   cold        lazy index, invalidated before each query: scan + warm
 //   warm        lazy index, memoized: the path summary's partitions
 //
-// plus nine more shapes, each as the planner runs it on the warm lazy
+// plus eleven more shapes, each as the planner runs it on the warm lazy
 // store and as a forced full scan (the `_scan` rows). The index answers
 // all of them whole, with no scan. The predicate-free ones (and [n] on
 // a final child step) read the path summary: the partitions of the last
 // named step's postings whose label paths match, one of them, all of
 // them, or several merged by pre; [n] numbers each partition on its
-// own. The other three run joins whose predicates start from their
-// matches: [creditcard] gallops each creditcard's parent into the
-// persons, and the two '=' rows test the predicate list's value keys in
-// place and climb the matches' parents to the frontier:
+// own. The other five run joins, and each predicate size rule has a
+// row on either side of it. [creditcard] (about one per 2.5 persons)
+// gallops each creditcard's parent into the persons, [bidder] (about
+// 1.5 per auction) merges. The books and quantity '=' rows, whose
+// lists are as long as their frontiers, test the list's value keys in
+// place and climb the matches' parents to the frontier; the africa
+// row's list is five times its frontier, so it joins down from the
+// frontier and gallops the few matches back:
 //
 //   child_join_name     /site/people/person/name        (summary, 1 path)
 //   child_join_increase //open_auction/bidder/increase  (summary, 1 path)
@@ -26,6 +30,9 @@
 //   attribute_join      //item/@category                (summary, all)
 //   text_join           //bidder/personref/text()       (summary, text())
 //   element_value       //item[quantity='3']            (join, bottom-up)
+//   region_value        /site/regions/africa/item[@category='books']
+//                                                       (join, down)
+//   exists_merge        //open_auction[bidder]          (join, merge)
 //
 // Every planned answer is checked id for id against the forced scan's,
 // and the cold and warm answers against the scan's; a mismatch exits 1.
@@ -34,15 +41,16 @@
 // partitions the summary read; 0: the joins ran), and the bench exits 1
 // when a row reads more than its selection warrants (CheckPlanReads): a
 // predicate-free row exactly the entries it selects (the answer, or the
-// parents of a final text()), a summary [n] row one gallop per match,
-// and any other predicated row twice its matches and its predicate
-// lists at most.
+// parents of a final text()), a summary [n] row two entries per
+// same-parent run, and any other predicated row twice its matches and
+// its predicate lists at most.
 // The headline number is warm vs scan (>= 5x expected); the laziness
 // number is memoized nodes: lazy touches only the queried tags' nodes,
 // out of every element and attribute in the document.
 //
 //   bench_xpath [--scale N] [--reps N] [--json out.json]
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -114,11 +122,22 @@ struct PlanReads {
   size_t summary_paths = 0;
 };
 
-/// ceil(log2(n)) for n >= 1.
-uint64_t CeilLog2(uint64_t n) {
-  uint64_t bits = 0;
-  while ((uint64_t{1} << bits) < n) ++bits;
-  return bits;
+/// The same-parent runs a summary [n] on `path`'s last step walks: the
+/// distinct parents of what the path selects without its [n].
+uint64_t Runs(const Store& store, XPathPath path) {
+  std::vector<XPathPredicate>& preds = path.steps.back().predicates;
+  std::erase_if(preds, [](const XPathPredicate& pred) {
+    return pred.kind == XPathPredicate::Kind::kPosition;
+  });
+  auto plan = PlanXPath(store, path);
+  BENCH_CHECK(plan.status());
+  std::vector<uint64_t> parents;
+  for (const StructuralEntry* e : *plan->entries) {
+    parents.push_back(e->parent_pre);
+  }
+  std::sort(parents.begin(), parents.end());
+  return static_cast<uint64_t>(
+      std::unique(parents.begin(), parents.end()) - parents.begin());
 }
 
 [[noreturn]] void FailReads(const XPathPath& path, uint64_t read,
@@ -134,7 +153,9 @@ uint64_t CeilLog2(uint64_t n) {
 // its selection warrants:
 //   - a predicate-free path: other than the entries its plan selects;
 //   - a path the summary numbers ([n] on a final child step): over
-//     partitions + 2 x matches x ceil(log2 list), one gallop per match;
+//     partitions + 2 x its same-parent runs, the first entry and the
+//     n-th entry of each run (the gallops between runs are not
+//     counted);
 //   - any other predicated path: over 2 x (matches + the sizes of its
 //     predicate paths' lists), what reading each once both ways costs.
 PlanReads CheckPlanReads(const Store& store, const XPathPath& path) {
@@ -150,11 +171,10 @@ PlanReads CheckPlanReads(const Store& store, const XPathPath& path) {
   // The lists come in join order: each step's, then its predicate
   // paths' steps'.
   bool predicated = false, numbered = false;
-  uint64_t predicate_lists = 0, last_list = 0;
+  uint64_t predicate_lists = 0;
   size_t next = 0;
   for (const XPathStep& step : path.steps) {
-    const StructuralIndex::EntryList& list = plan->lists[next++];
-    if (list != nullptr) last_list = list->size();
+    ++next;
     for (const XPathPredicate& pred : step.predicates) {
       predicated = true;
       numbered = numbered || pred.kind == XPathPredicate::Kind::kPosition;
@@ -170,10 +190,10 @@ PlanReads CheckPlanReads(const Store& store, const XPathPath& path) {
     }
   } else if (numbered && plan->summary_paths > 0) {
     const uint64_t bound =
-        plan->summary_paths + 2 * matches * CeilLog2(last_list);
+        plan->summary_paths + 2 * Runs(store, path);
     if (plan->postings_read > bound) {
       FailReads(path, plan->postings_read, bound,
-                "partitions + 2 x matches x ceil(log2 list)");
+                "partitions + 2 x same-parent runs");
     }
   } else {
     const uint64_t bound = 2 * (matches + predicate_lists);
@@ -249,7 +269,10 @@ int main(int argc, char** argv) {
                     {"wildcard_join", "/site/regions/*/item"},
                     {"attribute_join", "//item/@category"},
                     {"text_join", "//bidder/personref/text()"},
-                    {"element_value", "//item[quantity='3']"}};
+                    {"element_value", "//item[quantity='3']"},
+                    {"region_value",
+                     "/site/regions/africa/item[@category='books']"},
+                    {"exists_merge", "//open_auction[bidder]"}};
   // Planned and forced-scan reps alternate, so a drift in host speed
   // hits both rows alike.
   auto time_pair = [&](const XPathPath& p, std::vector<double>* planned,
@@ -323,10 +346,12 @@ int main(int argc, char** argv) {
       "Every other shape beats its forced-scan row and reads about what "
       "it selects:\npredicate-free paths read their label paths' "
       "partitions, [1] takes each\nparent's first child in each partition, "
-      "[creditcard] gallops each\ncreditcard's parent into the persons, "
-      "[@category='books'] and [quantity='3']\ntest value keys in place "
-      "and climb the matches to their items, and text()\nlocates each "
-      "text leaf's text by arithmetic: none reads a token.\n");
+      "[creditcard] gallops each\ncreditcard's parent into the persons "
+      "and [bidder] merges with the auctions,\n[@category='books'] and "
+      "[quantity='3'] test value keys in place and climb the\nmatches to "
+      "their items while africa's books join down from its items, and\n"
+      "text() locates each text leaf's text by arithmetic: none reads a "
+      "token.\n");
 
   if (!json_path.empty()) {
     bench::JsonReport report("bench_xpath");

@@ -769,12 +769,6 @@ StructuralSelection StructuralNthDescendant(const StructuralSpan& frontier,
                     });
 }
 
-std::vector<NodeId> StructuralIds(const StructuralSelection& entries) {
-  std::vector<NodeId> ids(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) ids[i] = entries[i]->id;
-  return ids;
-}
-
 StructuralSelection StructuralMergeRuns(
     const std::vector<const StructuralSelection*>& parts) {
   struct Head {

@@ -543,25 +543,29 @@ StructuralSelection StructuralChildJoin(const StructuralSpan& frontier,
 
 /// The semi-join behind twig predicates: entries of `frontier` holding
 /// at least one candidate `skip + 1` levels down (`child`) or at least
-/// that far down (descendant). A child step with no skip and no more
-/// candidates than frontier entries is answered from the candidates up
-/// (StructuralOwnerGallop): their parents are galloped into the
-/// frontier (StructuralClimbToParents), so a selective predicate reads
-/// its candidates and one landing per distinct parent, never the whole
-/// frontier. Otherwise the same merges as the joins above, with an
-/// existence output: each candidate marks the frontier intervals it
-/// qualifies for (a child with no skip: its parent), and the marked
-/// ones are returned in frontier order.
+/// that far down (descendant). A child step with no skip and at most
+/// half as many candidates as frontier entries is answered from the
+/// candidates up (StructuralOwnerGallop): their parents are galloped
+/// into the frontier (StructuralClimbToParents), so a selective
+/// predicate reads its candidates and one landing per distinct parent,
+/// never the whole frontier. Otherwise the same merges as the joins
+/// above, with an existence output: each candidate marks the frontier
+/// intervals it qualifies for (a child with no skip: its parent), and
+/// the marked ones are returned in frontier order.
 StructuralSelection StructuralSemiJoin(const StructuralSpan& frontier,
                                        const StructuralSpan& candidates,
                                        bool child, uint32_t skip = 0,
                                        uint64_t* read = nullptr);
 
 /// StructuralSemiJoin's size rule: whether it gallops the candidates'
-/// parents into the frontier rather than merging the two.
+/// parents into the frontier rather than merging the two. The gallop
+/// reads every candidate, the merge skips those outside the frontier
+/// but passes every frontier entry; timed both ways, the two cross at
+/// about one candidate per two frontier entries (EXPERIMENTS, Ablation
+/// T), whether or not the candidates all lie under the frontier.
 inline bool StructuralOwnerGallop(size_t frontier, size_t candidates,
                                   bool child, uint32_t skip) {
-  return child && skip == 0 && candidates <= frontier;
+  return child && skip == 0 && 2 * candidates <= frontier;
 }
 
 /// One candidate on its way up a chain of child steps: the entry it
@@ -611,9 +615,6 @@ StructuralSelection StructuralNthDescendant(const StructuralSpan& frontier,
                                             const StructuralSpan& candidates,
                                             uint64_t n,
                                             uint64_t* read = nullptr);
-
-/// The node ids of `entries`, in order: a warm plan's answer.
-std::vector<NodeId> StructuralIds(const StructuralSelection& entries);
 
 /// The union of `parts`, selections from one list with no entry in
 /// two, in pre order: the path summary's merge of a tag's partitions.

@@ -30,8 +30,9 @@ namespace laxml {
 struct XPathPlanStep {
   /// "child", "descendant" or "attribute"; for a predicate, its route
   /// (XPathPredicateRoute): "position" ([n], numbered), "semi-join"
-  /// (from the frontier down) or "bottom-up" ([p='lit'] from its value
-  /// matches up).
+  /// (from the frontier down), "owner-gallop" (the same, with the
+  /// candidates' parents galloped into the frontier) or "bottom-up"
+  /// ([p='lit'] from its value matches up).
   std::string axis;
   /// Predicates only: "exists" ([p]), "equals" ([p='lit']) or
   /// "position" ([n]).

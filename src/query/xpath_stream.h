@@ -33,25 +33,28 @@
 //     "structural-join": posting lists joined left to right, no scan.
 //     A '//x' step 0 reads x's whole list in place, its predicates
 //     included. Each step's matches are filtered by its predicates,
-//     each on one of three routes (XPathPredicateRoute, EXPLAIN's
+//     each on one of four routes (XPathPredicateRoute, EXPLAIN's
 //     predicate "axis"):
 //       - "position": [n] keeps the n-th match per context node (the
 //         parent, on a child step);
 //       - "semi-join": [p] keeps the matches holding a p match below
 //         them (a semi-join, run right to left along p), and
 //         [p='lit'] first joins p down from the matches and keeps the
-//         nodes it reaches whose value is the literal. A child-step
-//         semi-join with no more candidates than frontier entries
-//         gallops the candidates' parents into the frontier instead of
-//         merging (index/structural_index.h), so //person[creditcard]
-//         reads the creditcards, not every person;
+//         nodes it reaches whose value is the literal;
+//       - "owner-gallop": the same, but the last semi-join, into the
+//         matches, is a child step with at most one candidate per two
+//         matches, so it gallops the candidates' parents into the
+//         matches instead of merging (index/structural_index.h):
+//         //person[creditcard] reads the creditcards, not every person;
 //       - "bottom-up": [p='lit'] on a chain of child and '@name' steps
-//         whose last list is no longer than the frontier starts from
-//         its values: that list is value-key-tested in place, and the
-//         survivors climb the chain's lists to the frontier by
+//         whose last list is at most three times the matches starts
+//         from its values: that list is value-key-tested in place, and
+//         the survivors climb the chain's lists to the matches by
 //         parent_pre. A hashed or mixed survivor is confirmed on its
-//         tokens only once it has landed on a frontier entry no exact
-//         one reached, so no token outside the frontier is read.
+//         tokens only once it has landed on a match no exact one
+//         reached, so no token outside the matches is read.
+//     Both size rules sit where the two routes' timings cross
+//     (EXPERIMENTS, Ablation T).
 //     Values come from the entries' value keys
 //     (index/structural_index.h): an attribute or a simple element with
 //     a short value compares its key and reads nothing; a long value's
@@ -122,12 +125,18 @@ const char* StructuralIneligibilityReason(const XPathPath& path);
 
 /// How a plan that joins answers one predicate (EXPLAIN's predicate
 /// "axis"): [n] by numbering ("position"), [p] and [p='lit'] by
-/// semi-joins from the frontier down ("semi-join"), or a selective
-/// [p='lit'] on a child chain from its value matches up
-/// ("bottom-up").
-enum class XPathPredicateRoute : uint8_t { kPosition, kSemiJoin, kBottomUp };
+/// semi-joins from the frontier down ("semi-join"), the same with the
+/// last semi-join galloping its few candidates' parents into the
+/// frontier ("owner-gallop"), or a selective [p='lit'] on a child
+/// chain from its value matches up ("bottom-up").
+enum class XPathPredicateRoute : uint8_t {
+  kPosition,
+  kSemiJoin,
+  kOwnerGallop,
+  kBottomUp
+};
 
-/// "position" | "semi-join" | "bottom-up".
+/// "position" | "semi-join" | "owner-gallop" | "bottom-up".
 const char* XPathPredicateRouteName(XPathPredicateRoute route);
 
 /// The planner's verdict for one path against the store's current index
@@ -153,13 +162,10 @@ struct XPathAccessPlan {
   /// numbering probed.
   uint64_t postings_read = 0;
   /// The route of each predicate of the path's steps, in order; empty
-  /// when the gate refuses the path. Before the join runs (a cold tag), a
-  /// [p='lit'] shows "semi-join": only the sizes the join meets decide
-  /// whether it goes bottom-up.
+  /// when the gate refuses the path. Before the join runs (a cold tag),
+  /// a [p] or [p='lit'] shows "semi-join": only the sizes the join meets
+  /// decide whether it gallops or goes bottom-up.
   std::vector<XPathPredicateRoute> routes;
-  /// [p] predicates whose last semi-join, into their frontier, galloped
-  /// the candidates' parents (StructuralOwnerGallop).
-  size_t owner_gallops = 0;
 
   /// "structural-join" | "stream-scan": the label execution stamps into
   /// the request context and EXPLAIN shows.

@@ -275,6 +275,8 @@ TEST_F(ExplainTest, PredicatesShowTheirRoute) {
           ->InsertIntoLast(site, MustFragment("<shelf>"
                                               "<disc genre='jazz'>x</disc>"
                                               "<disc genre='folk'>y</disc>"
+                                              "<disc genre='rock'>z</disc>"
+                                              "<disc genre='pop'>w</disc>"
                                               "<label>new</label>"
                                               "</shelf>"))
           .status());
@@ -285,16 +287,19 @@ TEST_F(ExplainTest, PredicatesShowTheirRoute) {
     uint64_t postings;
     size_t results;
     /// The warm route: a [n] is numbered, under the summary too; a
-    /// [p='lit'] whose values are no more than its frontier goes up
-    /// from them; the rest are semi-joins from the frontier down.
+    /// [p='lit'] whose values are at most three times its frontier goes
+    /// up from them; a child [p] with at most one candidate per two
+    /// frontier entries gallops their parents; the rest are semi-joins
+    /// from the frontier down.
     const char* route;
   };
   const Case cases[] = {
-      {"//item[qty]", "exists", "[qty]", 1, 1, "semi-join"},
-      {"//disc[@genre='jazz']", "equals", "[@genre='jazz']", 2, 1,
+      {"//item[qty]", "exists", "[qty]", 1, 1, "owner-gallop"},
+      {"//item[name]", "exists", "[name]", 3, 2, "semi-join"},
+      {"//disc[@genre='jazz']", "equals", "[@genre='jazz']", 4, 1,
        "bottom-up"},
       {"/site/regions/item[2]", "position", "[2]", 0, 1, "position"},
-      {"//shelf[disc='y']", "equals", "[disc='y']", 2, 1, "semi-join"},
+      {"//shelf[disc='y']", "equals", "[disc='y']", 4, 1, "semi-join"},
       {"/site/shelf[label='new']", "equals", "[label='new']", 1, 1,
        "bottom-up"},
   };

@@ -275,10 +275,11 @@ TEST(StructuralJoinTest, SemiJoinAndNthMatchBruteForce) {
   // survives [n] on a child step iff n - 1 candidates with its parent
   // precede it, and on a descendant step iff some frontier entry holds
   // it and n - 1 candidates before it. The semi-join's inputs include
-  // ones with no more candidates than frontier entries, which it
+  // ones with at most one candidate per two frontier entries, which it
   // answers by galloping the candidates' parents, nested ones too; and
   // [n] per run agrees with [n] per parent on one depth's candidates.
   Random rng(20261018);
+  size_t galloped = 0;
   for (int trial = 0; trial < 300; ++trial) {
     const JoinInputs inputs(&rng);
     inputs.ForEach([&](StructuralSpan frontier,
@@ -304,6 +305,10 @@ TEST(StructuralJoinTest, SemiJoinAndNthMatchBruteForce) {
           EXPECT_EQ(Ids(StructuralSemiJoin(frontier, candidates,
                                            /*child=*/true, skip)),
                     child);
+          if (StructuralOwnerGallop(frontier.size(), candidates.size(),
+                                    /*child=*/true, skip)) {
+            ++galloped;
+          }
         }
         for (uint64_t n = 1; n <= 3; ++n) {
           std::vector<NodeId> nth;
@@ -348,6 +353,7 @@ TEST(StructuralJoinTest, SemiJoinAndNthMatchBruteForce) {
       }
     });
   }
+  EXPECT_GT(galloped, 0u);
 }
 
 TEST(StructuralJoinTest, MergeRunsMatchesFilteringTheList) {

@@ -454,22 +454,25 @@ RouteCounts* const route_totals = static_cast<RouteCounts*>(
 /// Adds `plan`'s routes for `path` to `counts`.
 void CountRoutes(const XPathPath& path, const XPathAccessPlan& plan,
                  RouteCounts* counts) {
-  if (plan.owner_gallops > 0) ++counts->owner_gallop;
   // The lists come in join order: each step's, then its predicate
   // paths' steps'; the routes one per predicate.
   size_t list = 0, route = 0;
-  bool inline_value = false, hashed = false, mixed = false;
+  bool gallop = false, inline_value = false, hashed = false, mixed = false;
   for (const XPathStep& step : path.steps) {
     ++list;
     for (const XPathPredicate& pred : step.predicates) {
       list += pred.path.steps.size();
-      if (plan.routes[route++] != XPathPredicateRoute::kBottomUp) continue;
+      const XPathPredicateRoute r = plan.routes[route++];
+      gallop = gallop || (r == XPathPredicateRoute::kOwnerGallop &&
+                          pred.kind == XPathPredicate::Kind::kExists);
+      if (r != XPathPredicateRoute::kBottomUp) continue;
       (pred.literal.size() <= 7 ? inline_value : hashed) = true;
       for (const StructuralEntry& e : *plan.lists[list - 1]) {
         mixed = mixed || e.mixed();
       }
     }
   }
+  counts->owner_gallop += gallop ? 1 : 0;
   counts->bottom_up_inline += inline_value ? 1 : 0;
   counts->bottom_up_hashed += hashed ? 1 : 0;
   counts->bottom_up_mixed += mixed ? 1 : 0;
