@@ -36,7 +36,8 @@
 //
 // Every planned answer is checked id for id against the forced scan's,
 // and the cold and warm answers against the scan's; a mismatch exits 1.
-// Each warm row prints the plan's postings_read (postings its join
+// Each warm row prints the p50 of its parse and of its plan and run,
+// apart, in nanoseconds, and the plan's postings_read (postings its join
 // kernels and path-summary reads visit) and summary_paths (label-path
 // partitions the summary read; 0: the joins ran), and the bench exits 1
 // when a row reads more than its selection warrants (CheckPlanReads): a
@@ -98,6 +99,20 @@ std::vector<double> TimeQueries(const Store& store, const XPathPath& path,
   return us;
 }
 
+// Times `reps` parses of `expr`, in nanoseconds each.
+std::vector<double> TimeParses(const char* expr, int reps) {
+  std::vector<double> ns;
+  ns.reserve(static_cast<size_t>(reps));
+  for (int i = 0; i < reps; ++i) {
+    Timer t;
+    auto path = ParseXPath(expr);
+    const double elapsed = t.Seconds();
+    BENCH_CHECK(path.status());
+    ns.push_back(elapsed * 1e9);
+  }
+  return ns;
+}
+
 // Exits 1 unless `got`, the answer of `plan`, is the scan's answer `want`
 // id for id: a join that returns wrong nodes in the right number fails.
 void CheckIds(const XPathPath& path, const char* plan,
@@ -131,9 +146,10 @@ uint64_t Runs(const Store& store, XPathPath path) {
   });
   auto plan = PlanXPath(store, path);
   BENCH_CHECK(plan.status());
+  const StructuralSpan entries = plan->entries();
   std::vector<uint64_t> parents;
-  for (const StructuralEntry* e : *plan->entries) {
-    parents.push_back(e->parent_pre);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    parents.push_back(entries.at(i)->parent_pre);
   }
   std::sort(parents.begin(), parents.end());
   return static_cast<uint64_t>(
@@ -162,12 +178,12 @@ PlanReads CheckPlanReads(const Store& store, const XPathPath& path) {
   auto plan = PlanXPath(store, path);
   BENCH_CHECK(plan.status());
   PlanReads reads{plan->postings_read, plan->summary_paths};
-  if (!plan->entries.has_value()) {
+  if (!plan->answered()) {
     std::fprintf(stderr, "FATAL %s: warm plan is no join\n",
                  path.ToString().c_str());
     std::exit(1);
   }
-  const uint64_t matches = plan->entries->size();
+  const uint64_t matches = plan->entries().size();
   // The lists come in join order: each step's, then its predicate
   // paths' steps'.
   bool predicated = false, numbered = false;
@@ -229,7 +245,8 @@ int main(int argc, char** argv) {
 
   Random rng(20260808);
   const TokenSequence doc = GenerateAuctionDocument(&rng, scale);
-  auto path = ParseXPath("//item//name");
+  const char* const kWarmExpr = "//item//name";
+  auto path = ParseXPath(kWarmExpr);
   BENCH_CHECK(path.status());
 
   // A forced scan neither reads nor warms the index, so the scan rows
@@ -247,6 +264,7 @@ int main(int argc, char** argv) {
   // Leave the last cold rep's memo in place: these reps are pure joins.
   std::vector<double> warm_us =
       TimeQueries(*lazy_store, *path, true, reps, &warm_ids, nop);
+  std::vector<double> warm_parse_ns = TimeParses(kWarmExpr, reps);
   CheckIds(*path, "cold", cold_ids, scan_ids);
   CheckIds(*path, "warm", warm_ids, scan_ids);
 
@@ -257,7 +275,7 @@ int main(int argc, char** argv) {
         : name(name_in), expr(expr_in) {}
     const char* name;
     const char* expr;
-    std::vector<double> us, scan_us;
+    std::vector<double> us, scan_us, parse_ns;
     size_t n = 0;
     PlanReads reads;
   };
@@ -296,6 +314,7 @@ int main(int argc, char** argv) {
     auto p = ParseXPath(shape.expr);
     BENCH_CHECK(p.status());
     time_pair(*p, &shape.us, &shape.scan_us, &shape.n);
+    shape.parse_ns = TimeParses(shape.expr, reps);
     shape.reads = CheckPlanReads(*lazy_store, *p);
   }
   // The timed shapes warmed more tags; //item//name's tags stay warm.
@@ -318,16 +337,21 @@ int main(int argc, char** argv) {
   std::printf("=== bench_xpath: //item//name, %" PRIu64
               " indexable nodes (scale %d), %zu matches, %d reps ===\n",
               total_nodes, scale, scan_ids.size(), reps);
-  std::printf("%-24s %10s %14s %14s\n", "plan", "p50 (us)", "postings_read",
-              "summary_paths");
+  // Scan rows print their p50; warm rows the p50s of the parse and of
+  // the plan and run after it, apart, in nanoseconds.
+  std::printf("%-24s %10s %10s %14s %14s %14s\n", "plan", "p50 (us)",
+              "parse (ns)", "plan+run (ns)", "postings_read", "summary_paths");
   std::printf("%-24s %10.1f\n", "scan", scan_p50);
   std::printf("%-24s %10.1f\n", "cold", Median(cold_us));
-  std::printf("%-24s %10.1f %14" PRIu64 " %14zu\n", "warm", warm_p50,
-              warm_reads.postings_read, warm_reads.summary_paths);
+  std::printf("%-24s %10s %10.0f %14.0f %14" PRIu64 " %14zu\n", "warm", "",
+              Median(warm_parse_ns), warm_p50 * 1e3, warm_reads.postings_read,
+              warm_reads.summary_paths);
   for (const Shape& shape : shapes) {
-    std::printf("%-24s %10.1f %14" PRIu64 " %14zu  (%zu matches, %s)\n",
-                shape.name, Median(shape.us), shape.reads.postings_read,
-                shape.reads.summary_paths, shape.n, shape.expr);
+    std::printf("%-24s %10s %10.0f %14.0f %14" PRIu64
+                " %14zu  (%zu matches, %s)\n",
+                shape.name, "", Median(shape.parse_ns), Median(shape.us) * 1e3,
+                shape.reads.postings_read, shape.reads.summary_paths, shape.n,
+                shape.expr);
     std::printf("%-24s %10.1f\n", (std::string(shape.name) + "_scan").c_str(),
                 Median(shape.scan_us));
   }
@@ -366,16 +390,18 @@ int main(int argc, char** argv) {
       for (double us : *samples) total_s += us / 1e6;
       report.AddRow(op, 1, samples, total_s, memo);
     };
-    auto reads_json = [](const PlanReads& reads) {
+    auto reads_json = [](const PlanReads& reads,
+                         const std::vector<double>& parse_ns) {
       return "\"postings_read\": " + std::to_string(reads.postings_read) +
              ", \"summary_paths\": " + std::to_string(reads.summary_paths) +
-             ", ";
+             ", \"parse_ns\": " +
+             std::to_string(static_cast<uint64_t>(Median(parse_ns))) + ", ";
     };
     add("scan", &scan_us, "");
     add("cold", &cold_us, "");
-    add("warm", &warm_us, extra + reads_json(warm_reads));
+    add("warm", &warm_us, extra + reads_json(warm_reads, warm_parse_ns));
     for (Shape& shape : shapes) {
-      add(shape.name, &shape.us, reads_json(shape.reads));
+      add(shape.name, &shape.us, reads_json(shape.reads, shape.parse_ns));
       add((std::string(shape.name) + "_scan").c_str(), &shape.scan_us, "");
     }
     if (!report.WriteTo(json_path)) return 1;

@@ -460,6 +460,7 @@ class StructuralWarmer {
 /// points into a selection.
 class StructuralSpan {
  public:
+  StructuralSpan() = default;  ///< Empty.
   StructuralSpan(const std::vector<StructuralEntry>& list)  // NOLINT
       : list_(list.data()), size_(list.size()) {}
   StructuralSpan(std::vector<StructuralEntry>&&) = delete;

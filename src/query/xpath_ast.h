@@ -13,15 +13,25 @@
 //              | '[' relpath ']'
 //              | '[' relpath '=' literal ']'
 //   relpath   := step ( ('/' | '//') step )*        (may start with '@')
+//
+// An INTEGER must fit 64 bits, and predicates nest at most
+// kMaxStreamSteps deep.
 
 #ifndef LAXML_QUERY_XPATH_AST_H_
 #define LAXML_QUERY_XPATH_AST_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace laxml {
+
+/// Most steps one evaluation handles, predicate paths' steps included
+/// (query/xpath_stream.h), and so the deepest predicate nesting the
+/// parser accepts.
+inline constexpr size_t kMaxStreamSteps = 64;
 
 /// Axis of a step. '//' is modeled as kDescendant on the following step.
 enum class XPathAxis {

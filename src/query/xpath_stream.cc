@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "common/check.h"
 #include "index/structural_index.h"
@@ -680,15 +681,6 @@ StructuralSelection AxisJoin(const StructuralSpan& frontier,
              : StructuralChildJoin(frontier, list, skip, read);
 }
 
-/// Every entry of `list`, selected.
-StructuralSelection SelectAll(const Entries& list, uint64_t* read) {
-  *read += list.size();
-  StructuralSelection all;
-  all.reserve(list.size());
-  for (const StructuralEntry& e : list) all.push_back(&e);
-  return all;
-}
-
 /// The position `step`'s [n] predicates require: 0 when it has none,
 /// nullopt when two disagree ([n][m] with n != m keeps nothing). A
 /// position numbers every match of the step's test in its context,
@@ -779,7 +771,8 @@ bool PathMatches(const XPathPath& path, size_t count, const LabelPath& label) {
 }
 
 /// Answers `path` from step `s`'s partitions when any match it: the
-/// entries of every matching partition, in pre order, or with a final
+/// entries of every matching partition, in pre order — the whole list
+/// or the one partition in place, a merge of several — or with a final
 /// child step's [n], the n-th of each context's children. False when
 /// the list has no partitions, none matches or a label path is too
 /// deep: the joins answer.
@@ -796,9 +789,8 @@ bool SummaryAnswer(const XPathPath& path, size_t s,
   if (matched.empty()) return false;
   const std::optional<uint64_t> n = PositionOf(path.steps[s]);
   uint64_t read = 0;
-  StructuralSelection entries;
   if (!n.has_value()) {
-    // [n][m]: nothing.
+    plan->answer = StructuralSelection{};  // [n][m]: nothing.
   } else if (*n != 0) {
     // Every child of one context shares its label path, so each
     // partition is numbered on its own, and the few n-th entries merged.
@@ -811,21 +803,25 @@ bool SummaryAnswer(const XPathPath& path, size_t s,
                          : StructuralNthPerRun(*part, *n, &read));
     }
     if (nths.size() == 1) {
-      entries = std::move(nths[0]);
+      plan->answer = std::move(nths[0]);
     } else {
       std::vector<const StructuralSelection*> runs;
       for (const StructuralSelection& nth : nths) runs.push_back(&nth);
-      entries = StructuralMergeRuns(runs);
+      plan->answer = StructuralMergeRuns(runs);
     }
   } else if (matched.size() == parts.size()) {
-    entries = SelectAll(*postings.list, &read);  // the whole list, in place
+    plan->answer = postings.list.get();  // the whole list, in place
+    read = postings.list->size();
+  } else if (matched.size() == 1) {
+    plan->answer = matched[0];  // one partition, in place
+    read = matched[0]->size();
   } else {
-    entries = matched.size() == 1 ? *matched[0] : StructuralMergeRuns(matched);
-    read += entries.size();
+    StructuralSelection merged = StructuralMergeRuns(matched);
+    read = merged.size();
+    plan->answer = std::move(merged);
   }
   plan->summary_paths = matched.size();
   plan->postings_read = read;
-  plan->entries = std::move(entries);
   return true;
 }
 
@@ -842,8 +838,8 @@ class PostingJoin {
   /// The postings the joins have visited so far.
   uint64_t postings_read() const { return read_; }
 
-  /// The entries the steps of `path` select.
-  Result<StructuralSelection> Run(const XPathPath& path) {
+  /// Sets the plan's answer: the entries the steps of `path` select.
+  Status Run(const XPathPath& path) {
     StructuralSelection frontier;
     // Set instead of `frontier` while the frontier is a whole list, read
     // in place: a '//' step 0's, until an [n] or a predicate selects
@@ -900,7 +896,13 @@ class PostingJoin {
         whole = nullptr;
       }
     }
-    return whole != nullptr ? SelectAll(*whole, &read_) : frontier;
+    if (whole != nullptr) {
+      read_ += whole->size();
+      plan_.answer = whole;
+    } else {
+      plan_.answer = std::move(frontier);
+    }
+    return Status::OK();
   }
 
  private:
@@ -1104,14 +1106,18 @@ class PostingJoin {
 /// are the answer as they come. A mixed element's are found by a walk
 /// over its children that skips their subtrees. Only mixed parents can
 /// nest, and their texts interleave, hence the sort.
-Result<std::vector<NodeId>> TextChildren(
-    const Store& store, const StructuralSelection& parents) {
-  if (std::none_of(parents.begin(), parents.end(),
-                   [](const StructuralEntry* e) { return e->mixed(); })) {
+Result<std::vector<NodeId>> TextChildren(const Store& store,
+                                         const StructuralSpan& parents) {
+  bool mixed = false;
+  for (size_t i = 0; i < parents.size() && !mixed; ++i) {
+    mixed = parents.at(i)->mixed();
+  }
+  if (!mixed) {
     std::vector<NodeId> ids;
     ids.reserve(parents.size());
-    for (const StructuralEntry* e : parents) {
-      if (e->text_leaf()) ids.push_back(e->text_id());
+    for (size_t i = 0; i < parents.size(); ++i) {
+      const StructuralEntry& e = *parents.at(i);
+      if (e.text_leaf()) ids.push_back(e.text_id());
     }
     return ids;
   }
@@ -1122,8 +1128,8 @@ Result<std::vector<NodeId>> TextChildren(
     texts.emplace_back(ordinal, id);
   };
   std::unique_ptr<TokenCursor> cursor;
-  for (const StructuralEntry* parent : parents) {
-    const StructuralEntry& e = *parent;
+  for (size_t i = 0; i < parents.size(); ++i) {
+    const StructuralEntry& e = *parents.at(i);
     if (!e.mixed()) {
       if (e.text_leaf()) add(e.text_ordinal(), e.text_id());
       continue;
@@ -1172,8 +1178,19 @@ const char* XPathPredicateRouteName(XPathPredicateRoute route) {
   return "semi-join";
 }
 
+StructuralSpan XPathAccessPlan::entries() const {
+  using WholeList = const std::vector<StructuralEntry>*;
+  using Partition = const StructuralSelection*;
+  if (const WholeList* list = std::get_if<WholeList>(&answer)) return **list;
+  if (const Partition* part = std::get_if<Partition>(&answer)) return **part;
+  if (const auto* owned = std::get_if<StructuralSelection>(&answer)) {
+    return *owned;
+  }
+  return {};
+}
+
 const char* XPathAccessPlan::label() const {
-  return entries.has_value() ? "structural-join" : "stream-scan";
+  return answered() ? "structural-join" : "stream-scan";
 }
 
 Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
@@ -1221,7 +1238,7 @@ Result<XPathAccessPlan> PlanXPath(const Store& store, const XPathPath& path,
     return plan;
   }
   PostingJoin join(store, &plan);
-  LAXML_ASSIGN_OR_RETURN(plan.entries, join.Run(path));
+  LAXML_RETURN_IF_ERROR(join.Run(path));
   plan.postings_read = join.postings_read();
   return plan;
 }
@@ -1231,16 +1248,21 @@ Result<std::vector<NodeId>> RunXPathPlan(const Store& store,
                                          const XPathAccessPlan& plan) {
   LAXML_RC_SET_PLAN(plan.label());
   StructuralIndex* index = store.structural_index();
-  if (plan.entries.has_value()) {
+  if (plan.answered()) {
     index->RecordHit();
     LAXML_RC_ADD(structural_index_hits, 1);
     LAXML_RC_ADD(postings_read, plan.postings_read);
+    const StructuralSpan entries = plan.entries();
     if (path.steps.back().test == NodeTestKind::kText) {
-      return TextChildren(store, *plan.entries);
+      return TextChildren(store, entries);
     }
-    const StructuralSelection& entries = *plan.entries;
     std::vector<NodeId> ids(entries.size());
-    for (size_t i = 0; i < entries.size(); ++i) ids[i] = entries[i]->id;
+    if (const StructuralEntry* list = entries.list()) {
+      for (size_t i = 0; i < ids.size(); ++i) ids[i] = list[i].id;
+    } else {
+      const StructuralEntry* const* selection = entries.selection();
+      for (size_t i = 0; i < ids.size(); ++i) ids[i] = selection[i]->id;
+    }
     return ids;
   }
   std::unique_ptr<StructuralWarmer> warmer;

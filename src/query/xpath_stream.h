@@ -97,8 +97,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/status.h"
@@ -107,9 +107,6 @@
 #include "store/store.h"
 
 namespace laxml {
-
-/// Most steps one evaluation handles, predicate paths' steps included.
-inline constexpr size_t kMaxStreamSteps = 64;
 
 /// The structural-index gate's verdict as a static string: nullptr
 /// when the whole path can be answered from the index — every step a
@@ -148,16 +145,25 @@ struct XPathAccessPlan {
   /// as a level), a text() step and a cold tag. Empty when the path
   /// does not join: the scan is forced or the gate refuses the path.
   std::vector<StructuralIndex::EntryList> lists;
-  /// When every list is warm: the entries the join selects, in document
-  /// order — the answer of the structural join, or its parents when the
-  /// path ends in text(). Points into `lists`, which keep it valid
-  /// however the index changes after planning. Empty otherwise.
-  std::optional<StructuralSelection> entries;
-  /// The path summary's part in `entries`: the label-path partitions of
+  /// When every list is warm, where the entries the join selects live
+  /// (entries() reads them, in document order: the answer of the
+  /// structural join, or its parents when the path ends in text()):
+  ///   - a whole posting list, read in place ('//x', or a tag whose
+  ///     label paths all match), or one label-path partition of it: both
+  ///     live in the index, and `lists` keeps them valid however the
+  ///     index changes after planning;
+  ///   - a selection the joins, an [n] or a merge of partitions built,
+  ///     owned here (its pointers point into `lists` too).
+  /// monostate otherwise. The plan copies safely: nothing here points
+  /// into the plan itself.
+  std::variant<std::monostate, const std::vector<StructuralEntry>*,
+               const StructuralSelection*, StructuralSelection>
+      answer;
+  /// The path summary's part in the answer: the label-path partitions of
   /// the last named step it read (k; 0 when the joins ran).
   size_t summary_paths = 0;
-  /// Postings the join kernels or the summary visited computing
-  /// `entries` (the request counter postings_read): under the summary,
+  /// Postings the join kernels or the summary visited computing the
+  /// answer (the request counter postings_read): under the summary,
   /// the partitions' summed sizes, or with [n] the entries its
   /// numbering probed.
   uint64_t postings_read = 0;
@@ -166,6 +172,11 @@ struct XPathAccessPlan {
   /// a [p] or [p='lit'] shows "semi-join": only the sizes the join meets
   /// decide whether it gallops or goes bottom-up.
   std::vector<XPathPredicateRoute> routes;
+
+  /// Whether every list was warm, so the index answered.
+  bool answered() const { return answer.index() != 0; }
+  /// The answer's entries, wherever they live; empty when !answered().
+  StructuralSpan entries() const;
 
   /// "structural-join" | "stream-scan": the label execution stamps into
   /// the request context and EXPLAIN shows.

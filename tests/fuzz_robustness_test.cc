@@ -273,5 +273,32 @@ TEST(FuzzRobustnessTest, XPathParserNeverCrashesOnGarbage) {
   }
 }
 
+TEST(FuzzRobustnessTest, XPathParserRefusesDeepNestingAndHugeIntegers) {
+  // 300 KB of nested predicates: a ParseError, not a stack overflow in
+  // the parser or in the AST's destructor.
+  std::string nested = "/a";
+  for (int i = 0; i < 100000; ++i) nested += "[a";
+  nested.append(100000, ']');
+  EXPECT_TRUE(ParseXPath(nested).status().IsParseError());
+  // Unclosed, and mixed with the other predicate kinds.
+  EXPECT_TRUE(ParseXPath(nested.substr(0, 200000)).status().IsParseError());
+  std::string mixed = "//a";
+  for (int i = 0; i < 50000; ++i) mixed += i % 2 == 0 ? "[1][b" : "[c='x'][d";
+  mixed.append(50000, ']');
+  EXPECT_TRUE(ParseXPath(mixed).status().IsParseError());
+
+  // Positions and '=' numbers that do not fit 64 bits.
+  Random rng(11);
+  for (int i = 0; i < 200; ++i) {
+    std::string digits(20 + rng.Uniform(40), '9');
+    for (char& c : digits) c = static_cast<char>('0' + rng.Uniform(10));
+    digits[0] = static_cast<char>('2' + rng.Uniform(8));
+    EXPECT_TRUE(ParseXPath("/a[" + digits + "]").status().IsParseError())
+        << digits;
+    EXPECT_TRUE(ParseXPath("/a[b=" + digits + "]").status().IsParseError())
+        << digits;
+  }
+}
+
 }  // namespace
 }  // namespace laxml

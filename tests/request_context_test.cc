@@ -337,7 +337,7 @@ TEST(RequestContext, PostingsReadIsTheSelectedEntriesOnTheAuctionDeck) {
     }
     EXPECT_EQ(cold.counters.postings_read, 0u) << expr;
     ASSERT_OK_AND_ASSIGN(XPathAccessPlan plan, PlanXPath(*store, path));
-    ASSERT_TRUE(plan.entries.has_value()) << expr;
+    ASSERT_TRUE(plan.answered()) << expr;
     EXPECT_GT(plan.summary_paths, 0u) << expr;
     RequestContext warm;
     {
@@ -345,12 +345,12 @@ TEST(RequestContext, PostingsReadIsTheSelectedEntriesOnTheAuctionDeck) {
       ASSERT_OK_AND_ASSIGN(std::vector<NodeId> ids,
                            EvaluateXPathStreaming(*store, path));
       if (path.steps.back().test != NodeTestKind::kText) {
-        EXPECT_EQ(ids.size(), plan.entries->size()) << expr;
+        EXPECT_EQ(ids.size(), plan.entries().size()) << expr;
       }
     }
     EXPECT_STREQ(warm.plan, "structural-join") << expr;
     EXPECT_GT(warm.counters.postings_read, 0u) << expr;
-    EXPECT_EQ(warm.counters.postings_read, plan.entries->size()) << expr;
+    EXPECT_EQ(warm.counters.postings_read, plan.entries().size()) << expr;
   }
 }
 

@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "audit/fsck.h"
@@ -715,7 +717,7 @@ TEST_F(StructuralIndexTest, PlanJoinsWholePathOrNothing) {
   EXPECT_EQ(text.lists.size(), 4u);
   EXPECT_EQ(text.lists[3], nullptr);  // text() has no list of its own
   // Cold, none of them has entries yet: each scans and warms.
-  EXPECT_FALSE(text.entries.has_value());
+  EXPECT_FALSE(text.answered());
   EXPECT_STREQ(text.label(), "stream-scan");
   // Anything the gate refuses looks up no list at all, however long its
   // joinable head: a trailing '*', '@*', '//@a', '*[n]', an attribute
@@ -745,7 +747,7 @@ TEST_F(StructuralIndexTest, PlanOutlivesTheIndex) {
     ASSERT_FALSE(want.empty());
     EXPECT_EQ(Stream(expr), want);  // warms the path's tags
     ASSERT_OK_AND_ASSIGN(XPathAccessPlan plan, PlanXPath(*store_, path));
-    ASSERT_TRUE(plan.entries.has_value());
+    ASSERT_TRUE(plan.answered());
     store_->structural_index()->InvalidateAll();
     EXPECT_EQ(Stream(expr), want);  // cold: the scan republishes
     for (const StructuralIndex::EntryList& list : plan.lists) {
@@ -755,6 +757,53 @@ TEST_F(StructuralIndexTest, PlanOutlivesTheIndex) {
     }
     ASSERT_OK_AND_ASSIGN(std::vector<NodeId> ids,
                          RunXPathPlan(*store_, path, plan));
+    EXPECT_EQ(ids, want);
+  }
+}
+
+TEST_F(StructuralIndexTest, WarmAnswerIsReadInPlaceAndCopiesSafely) {
+  // A warm answer is a whole posting list or one label-path partition,
+  // read in place, or a selection the plan owns. A copy of the plan
+  // runs to the same ids after the original is gone and the index has
+  // dropped and republished every list.
+  Open();
+  using WholeList = const std::vector<StructuralEntry>*;
+  using Partition = const StructuralSelection*;
+  struct Case {
+    const char* expr;
+    size_t where;  // the answer's variant alternative
+  };
+  const Case cases[] = {
+      {"//name", 1},                      // every label path: the list
+      {"/site/regions/item", 1},          // the tag's only label path
+      {"/site/people/person/name", 2},    // one of two label paths
+      {"//item[qty]/name", 3},            // the joins' selection
+      {"/site/regions/item[2]", 3},       // [n] on the summary
+      {"//regions//item/name/text()", 2}  // text() reads the parents
+  };
+  static_assert(std::is_same_v<
+                std::variant_alternative_t<1, decltype(XPathAccessPlan::answer)>,
+                WholeList>);
+  static_assert(std::is_same_v<
+                std::variant_alternative_t<2, decltype(XPathAccessPlan::answer)>,
+                Partition>);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.expr);
+    ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath(c.expr));
+    const std::vector<NodeId> want = Stream(c.expr, false);
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(Stream(c.expr), want);  // warms the path's tags
+    std::optional<XPathAccessPlan> plan;
+    ASSERT_OK_AND_ASSIGN(plan, PlanXPath(*store_, path));
+    ASSERT_TRUE(plan->answered());
+    EXPECT_EQ(plan->answer.index(), c.where);
+    const XPathAccessPlan copy = *plan;
+    EXPECT_EQ(copy.entries().size(), plan->entries().size());
+    plan.reset();
+    store_->structural_index()->InvalidateAll();
+    EXPECT_EQ(Stream(c.expr), want);  // cold: the scan republishes
+    ASSERT_OK_AND_ASSIGN(std::vector<NodeId> ids,
+                         RunXPathPlan(*store_, path, copy));
     EXPECT_EQ(ids, want);
   }
 }

@@ -1,4 +1,4 @@
-// XPath lexer/parser tests: the accepted grammar, ToString round-trips,
+// XPath parser tests: the accepted grammar, ToString round-trips,
 // and rejection of malformed expressions.
 
 #include "query/xpath_parser.h"
@@ -97,6 +97,59 @@ TEST(XPathParserTest, ToStringRoundTrips) {
     XPathPath again = MustParse(path.ToString());
     EXPECT_EQ(again.ToString(), path.ToString()) << expr;
   }
+}
+
+TEST(XPathParserTest, WhitespaceAndNameCharacters) {
+  // Blanks between tokens change nothing.
+  EXPECT_EQ(MustParse("/a / b").ToString(), MustParse("/a/b").ToString());
+  XPathPath spaced = MustParse("//a[ b = 'x' ]");
+  EXPECT_EQ(spaced.ToString(), MustParse("//a[b='x']").ToString());
+  EXPECT_EQ(spaced.steps[0].predicates[0].literal, "x");
+
+  XPathPath any_attr = MustParse("//@*");
+  ASSERT_EQ(any_attr.steps.size(), 1u);
+  EXPECT_EQ(any_attr.steps[0].axis, XPathAxis::kAttribute);
+  EXPECT_TRUE(any_attr.steps[0].descendant_attr);
+  EXPECT_EQ(any_attr.steps[0].test, NodeTestKind::kWildcard);
+
+  // '-', '.', ':' and '_' are name characters; ':' and '_' start names.
+  XPathPath names = MustParse("/x:a-b.c_d/_e/:f9");
+  ASSERT_EQ(names.steps.size(), 3u);
+  EXPECT_EQ(names.steps[0].name, "x:a-b.c_d");
+  EXPECT_EQ(names.steps[1].name, "_e");
+  EXPECT_EQ(names.steps[2].name, ":f9");
+}
+
+TEST(XPathParserTest, RejectsSpacedKindTestsAndNonAsciiNames) {
+  EXPECT_TRUE(ParseXPath("/a/text ()").status().IsParseError());
+  EXPECT_TRUE(ParseXPath("/caf\xc3\xa9").status().IsParseError());
+  EXPECT_TRUE(ParseXPath("/\xc3\xa9t\xc3\xa9").status().IsParseError());
+  EXPECT_TRUE(ParseXPath("//a[b\x80='x']").status().IsParseError());
+}
+
+TEST(XPathParserTest, RejectsIntegersThatOverflow) {
+  // 2^64 - 1 is the largest position; one more wraps no more.
+  XPathPath max = MustParse("/a[18446744073709551615]");
+  EXPECT_EQ(max.steps[0].predicates[0].position, UINT64_MAX);
+  EXPECT_TRUE(ParseXPath("/a[18446744073709551616]").status().IsParseError());
+  EXPECT_TRUE(
+      ParseXPath("/a[99999999999999999999999]").status().IsParseError());
+  EXPECT_TRUE(
+      ParseXPath("/a[b=99999999999999999999999]").status().IsParseError());
+}
+
+TEST(XPathParserTest, RejectsOverDeepPredicateNesting) {
+  // kMaxStreamSteps (64) levels of nesting parse; one more is refused,
+  // and so is a nesting deep enough to overflow a recursive descent.
+  auto nested = [](size_t depth) {
+    std::string expr = "/a";
+    for (size_t i = 0; i < depth; ++i) expr += "[a";
+    expr.append(depth, ']');
+    return expr;
+  };
+  EXPECT_TRUE(ParseXPath(nested(64)).ok());
+  EXPECT_TRUE(ParseXPath(nested(65)).status().IsParseError());
+  EXPECT_TRUE(ParseXPath(nested(100000)).status().IsParseError());
 }
 
 TEST(XPathParserTest, RejectsGarbage) {

@@ -449,7 +449,7 @@ void ExpectSummary(Store* store, const char* expr, size_t k) {
   ExpectWarm(store, expr, "structural-join");
   ASSERT_OK_AND_ASSIGN(XPathPath path, ParseXPath(expr));
   ASSERT_OK_AND_ASSIGN(XPathAccessPlan plan, PlanXPath(*store, path));
-  ASSERT_TRUE(plan.entries.has_value()) << expr;
+  ASSERT_TRUE(plan.answered()) << expr;
   EXPECT_EQ(plan.summary_paths, k) << expr;
 }
 
@@ -526,7 +526,7 @@ XPathAccessPlan WarmPlan(Store* store, const char* expr) {
   auto path = ParseXPath(expr);
   EXPECT_TRUE(path.ok()) << expr;
   auto plan = PlanXPath(*store, *path);
-  EXPECT_TRUE(plan.ok() && plan->entries.has_value()) << expr;
+  EXPECT_TRUE(plan.ok() && plan->answered()) << expr;
   return plan.ok() ? std::move(plan).value() : XPathAccessPlan{};
 }
 
@@ -538,7 +538,7 @@ TEST(XPathStreamTest, BottomUpOverNestedSameNameOwners) {
   XPathAccessPlan exists = WarmPlan(store.get(), "//a[b]");
   ASSERT_EQ(exists.routes.size(), 1u);
   EXPECT_EQ(exists.routes[0], XPathPredicateRoute::kOwnerGallop);
-  EXPECT_EQ(exists.entries->size(), 2u);
+  EXPECT_EQ(exists.entries().size(), 2u);
   const std::vector<StructuralEntry> bs =
       *store->structural_index()->LookupTag("b");
   ASSERT_EQ(bs.size(), 2u);
@@ -547,7 +547,7 @@ TEST(XPathStreamTest, BottomUpOverNestedSameNameOwners) {
     XPathAccessPlan equals = WarmPlan(store.get(), expr);
     ASSERT_EQ(equals.routes.size(), 1u) << expr;
     EXPECT_EQ(equals.routes[0], XPathPredicateRoute::kBottomUp) << expr;
-    EXPECT_EQ(equals.entries->size(), 1u) << expr;
+    EXPECT_EQ(equals.entries().size(), 1u) << expr;
   }
 }
 
@@ -565,7 +565,7 @@ TEST(XPathStreamTest, NumberedPerParentInsidePartitions) {
                {"//s/i[2]", 2, 1},  {"/r/*/i[4]", 0, 2}};
   for (const auto& c : cases) {
     XPathAccessPlan plan = WarmPlan(store.get(), c.expr);
-    EXPECT_EQ(plan.entries->size(), c.matches) << c.expr;
+    EXPECT_EQ(plan.entries().size(), c.matches) << c.expr;
     EXPECT_EQ(plan.summary_paths, c.partitions) << c.expr;
     // Each parent's run costs its first entry and the n-th one probed.
     EXPECT_LE(plan.postings_read, 2u * 4u) << c.expr;
@@ -585,7 +585,7 @@ TEST(XPathStreamTest, BottomUpConfirmsOnlyInsideTheFrontier) {
   XPathAccessPlan plan = WarmPlan(store.get(), expr);
   ASSERT_EQ(plan.routes.size(), 1u);
   EXPECT_EQ(plan.routes[0], XPathPredicateRoute::kBottomUp);
-  EXPECT_EQ(plan.entries->size(), 1u);
+  EXPECT_EQ(plan.entries().size(), 1u);
   obs::RequestContext rc;
   {
     obs::ScopedRequestContext scoped(&rc);
