@@ -89,9 +89,7 @@ int main(int argc, char** argv) {
   // 5. Read everything back as XML.
   auto all = store->Read();
   CHECK_OK(all.status());
-  SerializerOptions pretty;
-  pretty.indent = 2;
-  auto xml = SerializeTokens(*all, pretty);
+  auto xml = SerializeTokens(*all);
   CHECK_OK(xml.status());
   std::printf("\nfinal document:\n%s\n", xml->c_str());
 

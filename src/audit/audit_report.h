@@ -103,15 +103,10 @@ struct AuditReport {
   std::string ToJson() const;
 };
 
-/// Per-layer toggles for an auditor run.
+/// What an auditor run covers beyond its always-on legs (buffer pool,
+/// B+-trees, heap, range layer, dictionary, partial and structural
+/// indexes, WAL).
 struct AuditOptions {
-  bool check_range_layer = true;   ///< Chain, range index, full index.
-  bool check_partial_index = true;
-  bool check_structural_index = true;  ///< Pre/post intervals vs the stream.
-  bool check_heap = true;  ///< Slotted pages, payload anchors, overflow.
-  bool check_btrees = true;
-  bool check_wal = true;
-  bool check_buffer_pool = true;
   /// Full disk sweep: every page's checksum/type, the free chain, and
   /// page reachability (every allocated page owned by exactly one
   /// structure). Off by default — it reflects the on-disk image, which

@@ -30,17 +30,17 @@ AuditReport StoreAuditor::Run(const AuditOptions& options) {
 
   // Pin accounting first: a leaked pin means some earlier operation
   // aborted mid-flight, which taints everything the other legs read.
-  if (options_.check_buffer_pool) AuditBufferPool();
+  AuditBufferPool();
   // Trees and the heap walk claim their pages for the sweep.
-  if (options_.check_btrees) AuditBTrees();
-  if (options_.check_heap) AuditHeapAndOverflow();
-  if (options_.check_heap) AuditResidentLocations();
-  if (options_.check_range_layer) AuditRangeLayer();
+  AuditBTrees();
+  AuditHeapAndOverflow();
+  AuditResidentLocations();
+  AuditRangeLayer();
   // Needs the symbol references the range walk just collected.
-  if (options_.check_range_layer) AuditDictionary();
-  if (options_.check_partial_index) AuditPartialIndex();
-  if (options_.check_structural_index) AuditStructuralIndex();
-  if (options_.check_wal) AuditWal();
+  AuditDictionary();
+  AuditPartialIndex();
+  AuditStructuralIndex();
+  AuditWal();
   // Reachability needs every structure's claims, so the sweep runs last.
   if (options_.check_pages) AuditPageSweep();
 

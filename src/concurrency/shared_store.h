@@ -68,31 +68,45 @@ class SharedStore {
   // The auto-returning helpers must be defined before the inline public
   // methods that call them (return-type deduction needs the body first).
 
-  /// Exclusive-latch op + group-commit wait on success. The LSN is
-  /// captured before the latch drops (it identifies OUR append); the
-  /// durability wait runs after, so overlapping committers batch.
+  /// Runs `fn` under the exclusive latch and returns its result, with
+  /// the LSN to wait durable on in `*lsn` (0 when group commit is off).
+  /// The LSN is captured before the latch drops (it identifies OUR
+  /// append); the caller waits after the release, so overlapping
+  /// committers batch. Raw Lock/Unlock rather than a scope, for the same
+  /// reason; the thread safety analysis checks the release.
   template <typename Fn>
-  auto Mutate(Fn fn) LAXML_EXCLUDES(mutex_) {
-    // Raw Lock/Unlock rather than a scope: the latch must drop BEFORE
-    // the durability wait so overlapping committers batch; the thread
-    // safety analysis checks the release against every path.
+  auto RunExclusive(Fn& fn, uint64_t* lsn) LAXML_EXCLUDES(mutex_) {
     const uint64_t latch_wait = obs::RequestLatchWaitBegin();
     mutex_.Lock();
     obs::RequestLatchWaitEnd(latch_wait);
     ++stats_.exclusive_acquisitions;
     auto result = fn(*store_);
-    const uint64_t lsn = CommitLsnLocked();
+    *lsn = group_commit_ != nullptr ? store_->wal()->appended_lsn() : 0;
     mutex_.Unlock();
-    if (lsn != 0 && result.ok()) {
-      Status st = group_commit_->WaitDurable(lsn);
-      if (!st.ok()) {
-        // The mutation is applied in memory but its commit record never
-        // became durable: the store can no longer keep its promise that
-        // acked state survives a crash. Fail-stop it — same gate the
-        // kEveryCommit path hits inside the mutator.
-        store_->Poison(st);
-        return decltype(result)(st);
-      }
+    return result;
+  }
+
+  /// Waits until `lsn` is durable; 0 waits for nothing. A failed wait
+  /// fail-stops the store: the work is applied in memory but its commit
+  /// record never became durable, so the store can no longer keep its
+  /// promise that acked state survives a crash — the same gate the
+  /// kEveryCommit path hits inside the mutator.
+  Status AwaitDurable(uint64_t lsn) LAXML_EXCLUDES(mutex_) {
+    if (lsn == 0) return Status::OK();
+    Status st = group_commit_->WaitDurable(lsn);
+    if (!st.ok()) store_->Poison(st);
+    return st;
+  }
+
+  /// One mutation: waits durable only when it succeeded, and a failed
+  /// wait is its result.
+  template <typename Fn>
+  auto Mutate(Fn fn) LAXML_EXCLUDES(mutex_) {
+    uint64_t lsn = 0;
+    auto result = RunExclusive(fn, &lsn);
+    if (result.ok()) {
+      Status st = AwaitDurable(lsn);
+      if (!st.ok()) return decltype(result)(st);
     }
     return result;
   }
@@ -104,12 +118,6 @@ class SharedStore {
     obs::RequestLatchWaitEnd(latch_wait);
     ++stats_.shared_acquisitions;
     return fn(*store_);
-  }
-
-  /// LSN this committer must wait durable on; 0 when group commit is
-  /// off. Must be called while still holding the exclusive latch.
-  uint64_t CommitLsnLocked() const LAXML_REQUIRES(mutex_) {
-    return group_commit_ != nullptr ? store_->wal()->appended_lsn() : 0;
   }
 
  public:
@@ -130,8 +138,8 @@ class SharedStore {
   Result<TokenSequence> Read(NodeId id) {
     return ReadOp([&](Store& s) { return s.Read(id); });
   }
-  Result<std::string> SerializeToXml(const SerializerOptions& options = {}) {
-    return ReadOp([&](Store& s) { return s.SerializeToXml(options); });
+  Result<std::string> SerializeToXml() {
+    return ReadOp([](Store& s) { return s.SerializeToXml(); });
   }
   bool Exists(NodeId id) {
     return ReadOp([&](Store& s) { return s.Exists(id); });
@@ -143,23 +151,14 @@ class SharedStore {
 
   /// Runs `fn(Store&)` under the exclusive latch (multi-op atomicity).
   /// Any WAL records `fn` appends are made durable through the group
-  /// commit before returning.
+  /// commit before returning. The batch's fsync outcome cannot be
+  /// folded into fn's arbitrary return type; a failure fail-stops the
+  /// store so the next mutator reports it.
   template <typename Fn>
   auto WithExclusive(Fn fn) LAXML_EXCLUDES(mutex_) {
-    const uint64_t latch_wait = obs::RequestLatchWaitBegin();
-    mutex_.Lock();
-    obs::RequestLatchWaitEnd(latch_wait);
-    ++stats_.exclusive_acquisitions;
-    auto result = fn(*store_);
-    const uint64_t lsn = CommitLsnLocked();
-    mutex_.Unlock();
-    if (lsn != 0) {
-      // The batch's fsync outcome cannot be folded into fn's arbitrary
-      // return type; a failure fail-stops the store so the next mutator
-      // reports it.
-      Status st = group_commit_->WaitDurable(lsn);
-      if (!st.ok()) store_->Poison(st);
-    }
+    uint64_t lsn = 0;
+    auto result = RunExclusive(fn, &lsn);
+    (void)AwaitDurable(lsn);
     return result;
   }
 

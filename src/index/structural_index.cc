@@ -27,7 +27,7 @@ StructuralIndex::TagPostings StructuralIndex::LookupPostings(
   ReaderMutexLock lk(mu_);
   auto it = tags_.find(tag);
   if (it == tags_.end()) return {};
-  const std::shared_ptr<const Postings>& postings = it->second.postings;
+  const std::shared_ptr<const Postings>& postings = it->second;
   // The list shares ownership of the whole publish, partitions included.
   return {EntryList(postings, &postings->entries), &postings->partitions};
 }
@@ -36,8 +36,6 @@ void StructuralIndex::Publish(const std::string& tag,
                               std::vector<StructuralEntry> entries,
                               std::vector<uint32_t> paths) {
   LAXML_CHECK(paths.empty() || paths.size() == entries.size());
-  TagList list;
-  for (const StructuralEntry& e : entries) list.ranges.insert(e.range);
   const size_t added = entries.size();
   auto postings = std::make_shared<Postings>();
   postings->entries = std::move(entries);
@@ -77,10 +75,9 @@ void StructuralIndex::Publish(const std::string& tag,
     LAXML_CHECK(part_ids[p] > 0 && part_ids[p] < labels_.size());
     parts[p].path = labels_[part_ids[p]].get();
   }
-  list.postings = std::move(postings);
   auto [it, inserted] = tags_.try_emplace(tag);
-  if (!inserted) memoized_ -= it->second.postings->entries.size();
-  it->second = std::move(list);
+  if (!inserted) memoized_ -= it->second->entries.size();
+  it->second = std::move(postings);
   memoized_ += added;
 }
 
@@ -116,19 +113,6 @@ void StructuralIndex::InvalidateAll() {
   stats_.invalidations += memoized_;
   tags_.clear();  // the trie stays: ids are never renumbered
   memoized_ = 0;
-}
-
-void StructuralIndex::InvalidateRange(RangeId range) {
-  WriterMutexLock lk(mu_);
-  for (auto it = tags_.begin(); it != tags_.end();) {
-    if (it->second.ranges.count(range) != 0) {
-      stats_.invalidations += it->second.postings->entries.size();
-      memoized_ -= it->second.postings->entries.size();
-      it = tags_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 size_t StructuralIndex::memoized_nodes() const {

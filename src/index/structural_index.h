@@ -48,18 +48,18 @@
 // its list is its partition.
 //
 // Invalidation is lazy too — O(1) discard, repair deferred to the next
-// query's scan. pre/post numbers are positions in the *current* token
-// stream, so any mutation that inserts or removes tokens renumbers
-// everything after the edit point; intervals recorded under different
-// numberings must never be compared. Hence InvalidateAll() at the
-// store's insert/delete choke points. Range restructurings that keep
-// the token stream intact (splits, merges) only stale the (range,
-// offset) coordinates, so they drop just the tag lists with entries in
-// the touched range (InvalidateRange — the same seams the Partial
-// Index hooks). A mutation-stable numbering (ORDPATH/Dewey, see
-// src/ids/) is the known upgrade path if re-warm churn ever shows up
-// in profiles; the paper's bet — and ours — is that read-mostly phases
-// dominate, so cheap discard + lazy re-warm wins.
+// query's scan — and has one rule: every mutation drops the whole
+// index (InvalidateAll). pre/post numbers are positions in the
+// *current* token stream, so a mutation that inserts or removes tokens
+// renumbers everything after the edit point, and intervals recorded
+// under different numberings must never be compared. Range splits and
+// merges keep the numbering but move the (range, offset) coordinates
+// a warm query Seeks to; nearly every split comes with an insert that
+// drops the index anyway, so they drop it whole as well. A
+// mutation-stable numbering (ORDPATH/Dewey, see src/ids/) is the known
+// upgrade path if re-warm churn ever shows up in profiles; the paper's
+// bet — and ours — is that read-mostly phases dominate, so cheap
+// discard + lazy re-warm wins.
 //
 // Thread safety: internally synchronized with one annotated
 // laxml::SharedMutex — readers (queries, metrics scrapes, the auditor)
@@ -85,7 +85,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/mutex.h"
@@ -255,16 +254,11 @@ class StructuralIndex {
   std::vector<uint32_t> InternLabelPaths(const std::vector<LabelStep>& steps)
       LAXML_EXCLUDES(mu_);
 
-  /// Drops everything. Called whenever the store's token stream gains
-  /// or loses tokens: every pre/post number after the edit point is
-  /// renumbered, and intervals from different numberings must never be
-  /// compared.
+  /// Drops everything. Called on every mutation: an insert or delete
+  /// renumbers every pre/post number after the edit point (intervals
+  /// from different numberings must never be compared), and a range
+  /// split or merge moves begin-token coordinates.
   void InvalidateAll() LAXML_EXCLUDES(mu_);
-
-  /// Drops every tag list with an entry in `range` (split/merge moved
-  /// its begin-token coordinates; the interval numbering is intact but
-  /// the physical half of those entries is stale).
-  void InvalidateRange(RangeId range) LAXML_EXCLUDES(mu_);
 
   /// Query-plan accounting (one hit/miss per query the gate accepts,
   /// not per tag probe).
@@ -284,8 +278,8 @@ class StructuralIndex {
   template <typename Fn>
   void ForEachEntry(Fn fn) const LAXML_EXCLUDES(mu_) {
     ReaderMutexLock lk(mu_);
-    for (const auto& [tag, list] : tags_) {
-      for (const StructuralEntry& e : list.postings->entries) fn(tag, e);
+    for (const auto& [tag, postings] : tags_) {
+      for (const StructuralEntry& e : postings->entries) fn(tag, e);
     }
   }
 
@@ -294,8 +288,8 @@ class StructuralIndex {
   template <typename Fn>
   void ForEachTag(Fn fn) const LAXML_EXCLUDES(mu_) {
     ReaderMutexLock lk(mu_);
-    for (const auto& [tag, list] : tags_) {
-      fn(tag, list.postings->entries, list.postings->partitions);
+    for (const auto& [tag, postings] : tags_) {
+      fn(tag, postings->entries, postings->partitions);
     }
   }
 
@@ -306,15 +300,9 @@ class StructuralIndex {
     std::vector<PathPartition> partitions;
   };
 
-  struct TagList {
-    std::shared_ptr<const Postings> postings;
-    /// Ranges holding the begin tokens of the entries (reverse map for
-    /// InvalidateRange).
-    std::unordered_set<RangeId> ranges;
-  };
-
   mutable SharedMutex mu_;
-  std::unordered_map<std::string, TagList> tags_ LAXML_GUARDED_BY(mu_);
+  std::unordered_map<std::string, std::shared_ptr<const Postings>> tags_
+      LAXML_GUARDED_BY(mu_);
   /// The path trie, by id (0: the virtual root), and its child map,
   /// keyed by the parent id's bytes, '/' or '@', and the name.
   std::vector<std::unique_ptr<LabelPath>> labels_ LAXML_GUARDED_BY(mu_);

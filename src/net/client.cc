@@ -135,8 +135,7 @@ Result<Response> Client::ReadResponse() {
   uint8_t tmp[16384];
   while (true) {
     Slice rest(rbuf_.data() + rpos_, rbuf_.size() - rpos_);
-    LAXML_ASSIGN_OR_RETURN(FrameView frame,
-                           TryDecodeFrame(rest, options_.max_frame_bytes));
+    LAXML_ASSIGN_OR_RETURN(FrameView frame, TryDecodeFrame(rest));
     if (frame.complete) {
       auto resp = DecodeResponse(frame.body);
       rpos_ += frame.frame_size;

@@ -50,7 +50,6 @@ struct ClientOptions {
   /// Retry idempotent reads once, over a fresh connection, after an
   /// I/O error or timeout. Mutations are never retried.
   bool retry_idempotent = true;
-  size_t max_frame_bytes = kMaxFrameBody;
   /// An overloaded server answers kRetryLater *instead of executing*
   /// (admission control sheds before the store is touched), so any op
   /// — mutations included — may safely retry it. Call() does, with

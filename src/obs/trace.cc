@@ -15,10 +15,9 @@ namespace obs {
 namespace {
 
 constexpr uint32_t kTraceMagic = 0x5458414c;  // "LAXT" little-endian
-// Version 2 appended a trace_id varint to every event; version-1 dumps
-// still decode (trace_id = 0).
+// Version 2 appended a trace_id varint to every event; it is the only
+// version written or read.
 constexpr uint32_t kTraceVersion = 2;
-constexpr uint32_t kTraceVersionV1 = 1;
 
 void PutFixed32(std::vector<uint8_t>* dst, uint32_t v) {
   dst->push_back(static_cast<uint8_t>(v));
@@ -160,8 +159,7 @@ Result<TraceDump> DecodeTraceDump(const uint8_t* data, size_t size) {
   if (ReadFixed32(p) != kTraceMagic) {
     return Status::Corruption("bad trace dump magic");
   }
-  const uint32_t version = ReadFixed32(p + 4);
-  if (version != kTraceVersion && version != kTraceVersionV1) {
+  if (ReadFixed32(p + 4) != kTraceVersion) {
     return Status::Corruption("unsupported trace dump version");
   }
   p += 8;
@@ -207,7 +205,7 @@ Result<TraceDump> DecodeTraceDump(const uint8_t* data, size_t size) {
         !read_varint(&ev.start_us) || !read_varint(&ev.dur_us)) {
       return Status::Corruption("trace dump: truncated event");
     }
-    if (version >= kTraceVersion && !read_varint(&ev.trace_id)) {
+    if (!read_varint(&ev.trace_id)) {
       return Status::Corruption("trace dump: truncated event trace id");
     }
     if (name_id >= dump.names.size()) {

@@ -34,8 +34,8 @@
 //   [event_count][event_count x
 //       (tid, name_id, start_us, dur_us, trace_id)]
 //
-// Version 2 added the per-event trace_id varint; version-1 dumps (four
-// varints per event) still decode, with trace_id = 0.
+// Version 2 added the per-event trace_id varint; a version-1 dump (four
+// varints per event) is refused as Corruption.
 
 #ifndef LAXML_OBS_TRACE_H_
 #define LAXML_OBS_TRACE_H_

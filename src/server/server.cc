@@ -20,6 +20,15 @@ namespace laxml {
 
 using obs::NowMicros;
 
+namespace {
+
+// Backpressure caps: a connection at either stops being read until it
+// drains below them.
+constexpr size_t kMaxInflightPerConn = 128;
+constexpr size_t kMaxWriteBufferBytes = 8u << 20;
+
+}  // namespace
+
 Server::Server(std::unique_ptr<Store> store, const ServerOptions& options)
     : options_(options), store_(std::move(store)) {
   if (options_.num_workers < 1) options_.num_workers = 1;
@@ -142,8 +151,8 @@ void Server::IoLoop() {
         if (c->inflight > 0) any_inflight = true;
         have_conns = true;
         const bool paused =
-            c->inflight >= options_.max_inflight_per_conn ||
-            (c->wbuf.size() - c->woff) > options_.max_write_buffer_bytes;
+            c->inflight >= kMaxInflightPerConn ||
+            (c->wbuf.size() - c->woff) > kMaxWriteBufferBytes;
         const bool want_read =
             !draining && !c->peer_closed && !c->dead && !paused;
         const bool want_write = !c->dead && !wbuf_empty;
@@ -225,7 +234,7 @@ bool Server::HandleReadable(Connection* conn) {
       while (true) {
         Slice rest(conn->rbuf.data() + conn->rpos,
                    conn->rbuf.size() - conn->rpos);
-        auto frame = net::TryDecodeFrame(rest, options_.max_frame_bytes);
+        auto frame = net::TryDecodeFrame(rest);
         if (!frame.ok()) return false;  // corrupt stream: drop the conn
         if (!frame->complete) break;
         auto req = net::DecodeRequest(frame->body);
@@ -296,7 +305,7 @@ bool Server::HandleReadable(Connection* conn) {
       }
       // Backpressure: stop pulling bytes once the connection is at its
       // in-flight cap; the interest pass re-enables reads after drain.
-      if (conn->inflight >= options_.max_inflight_per_conn) break;
+      if (conn->inflight >= kMaxInflightPerConn) break;
       // poll() is level-triggered: leftover bytes re-trigger readable.
       if (n < static_cast<ssize_t>(sizeof(tmp))) break;
     } else if (n == 0) {

@@ -17,9 +17,12 @@
 // ("insert node, then insert into it") and responses always come back
 // in request order. Different connections execute in parallel.
 //
-// Backpressure: a connection with too many in-flight requests or too
-// large an unflushed write buffer stops being read until it drains —
-// a slow or flooding client throttles itself, not the server.
+// Backpressure: a connection with 128 requests in flight or more than
+// 8 MiB of unflushed responses (kMaxInflightPerConn and
+// kMaxWriteBufferBytes in server.cc) stops being read until it drains —
+// a slow or flooding client throttles itself, not the server. A frame
+// body over net::kMaxFrameBody is a protocol error and closes the
+// connection.
 //
 // Overload: beyond per-connection backpressure, a global admission cap
 // (max_queue) bounds the total work queue; excess requests are shed
@@ -66,12 +69,6 @@ struct ServerOptions {
   /// 0 picks an ephemeral port; read it back with Server::port().
   uint16_t port = 0;
   int num_workers = 4;
-  /// Frames larger than this are a protocol error (connection closed).
-  size_t max_frame_bytes = net::kMaxFrameBody;
-  /// Backpressure caps: a connection exceeding either stops being read
-  /// until it drains below them.
-  size_t max_write_buffer_bytes = 8u << 20;
-  size_t max_inflight_per_conn = 128;
   /// How long shutdown keeps flushing responses to clients that are
   /// not reading before force-closing them. Also the hard deadline on
   /// the whole graceful drain: when it passes, remaining connections

@@ -514,11 +514,11 @@ Result<RangeId> Store::SplitRange(const TokenPos& cut) {
   LAXML_TRACE_SPAN("range_split");
   LAXML_ASSIGN_OR_RETURN(RangeId tail, ranges_->Split(cut));
   // Offsets memoized for the split range may now be stale (those past
-  // the cut now live in the tail); drop them. A split leaves the token
-  // stream (and thus pre/post numbering) intact, so the structural
-  // index loses only the tag lists with begin tokens in this range.
+  // the cut now live in the tail); drop them. The structural index
+  // records begin-token coordinates too, and keeps one rule: any
+  // mutation drops it whole.
   partial_.InvalidateRange(cut.range);
-  structural_->InvalidateRange(cut.range);
+  structural_->InvalidateAll();
   if (full_ != nullptr) {
     // Eager index maintenance: every id that moved into the tail must be
     // re-pointed. This is the honest cost of the full-index baseline.
@@ -913,9 +913,9 @@ Result<NodeId> Store::LoadXml(std::string_view xml) {
   return InsertTopLevel(tokens);
 }
 
-Result<std::string> Store::SerializeToXml(const SerializerOptions& options) {
+Result<std::string> Store::SerializeToXml() {
   LAXML_ASSIGN_OR_RETURN(TokenSequence all, Read());
-  return SerializeTokens(all, options);
+  return SerializeTokens(all);
 }
 
 Result<uint64_t> Store::CompactRanges(uint32_t target_bytes) {
@@ -948,10 +948,8 @@ Result<uint64_t> Store::CompactRanges(uint32_t target_bytes) {
       // merged range keeps id `cur`, so both must be dropped.
       partial_.InvalidateRange(cur);
       partial_.InvalidateRange(dead);
-      // A merge keeps the token stream intact (pre/post numbering holds)
-      // but moves begin-token coordinates; range-level invalidation only.
-      structural_->InvalidateRange(cur);
-      structural_->InvalidateRange(dead);
+      // A merge moves begin-token coordinates (see SplitRange).
+      structural_->InvalidateAll();
       if (full_ != nullptr) {
         LAXML_RETURN_IF_ERROR(ReindexRange(cur));
       }

@@ -187,8 +187,8 @@ class Store {
   /// BulkLoad from a file on disk.
   Result<BulkLoadStats> BulkLoadFile(const std::string& path);
 
-  /// Serializes the whole store back to XML text.
-  Result<std::string> SerializeToXml(const SerializerOptions& options = {});
+  /// Serializes the whole store back to compact XML text.
+  Result<std::string> SerializeToXml();
 
   /// Maintenance: merges adjacent ranges whose combined payload stays
   /// within `target_bytes`, eliminating split remnants and micro-ranges

@@ -53,52 +53,35 @@ namespace {
 /// open (so attributes can be appended and empty elements self-closed).
 class Writer {
  public:
-  Writer(const SerializerOptions& options) : options_(options) {}
-
   Status Run(const TokenSequence& tokens, std::string* out) {
     for (size_t i = 0; i < tokens.size(); ++i) {
       const Token& t = tokens[i];
       switch (t.type) {
         case TokenType::kBeginDocument:
-          if (options_.declaration) {
-            Append("<?xml version=\"1.0\"?>");
-            if (options_.indent > 0) Append("\n");
-          }
-          break;
         case TokenType::kEndDocument:
+        case TokenType::kEndAttribute:
           break;
         case TokenType::kBeginElement:
-          CloseStartTag(/*had_children=*/true);
-          Newline();
+          CloseStartTag();
           Append("<");
           Append(t.name);
           tag_open_ = true;
           open_names_.push_back(t.name);
-          ++depth_;
           break;
-        case TokenType::kEndElement: {
+        case TokenType::kEndElement:
           if (open_names_.empty()) {
             return Status::InvalidArgument("END_ELEMENT without begin");
           }
-          --depth_;
           if (tag_open_) {
-            if (options_.self_close_empty) {
-              Append("/>");
-            } else {
-              Append("></");
-              Append(open_names_.back());
-              Append(">");
-            }
+            Append("/>");
             tag_open_ = false;
           } else {
-            Newline();
             Append("</");
             Append(open_names_.back());
             Append(">");
           }
           open_names_.pop_back();
           break;
-        }
         case TokenType::kBeginAttribute:
           if (!tag_open_) {
             return Status::InvalidArgument(
@@ -110,24 +93,18 @@ class Writer {
           Append(EscapeAttribute(t.value));
           Append("\"");
           break;
-        case TokenType::kEndAttribute:
-          break;
         case TokenType::kText:
-          CloseStartTag(/*had_children=*/true);
-          // Text is emitted inline (no indentation: whitespace matters).
+          CloseStartTag();
           Append(EscapeText(t.value));
-          just_wrote_text_ = true;
           break;
         case TokenType::kComment:
-          CloseStartTag(true);
-          Newline();
+          CloseStartTag();
           Append("<!--");
           Append(t.value);
           Append("-->");
           break;
         case TokenType::kProcessingInstruction:
-          CloseStartTag(true);
-          Newline();
+          CloseStartTag();
           Append("<?");
           Append(t.name);
           if (!t.value.empty()) {
@@ -149,39 +126,22 @@ class Writer {
   void Append(const std::string& s) { out_ += s; }
   void Append(const char* s) { out_ += s; }
 
-  void CloseStartTag(bool had_children) {
-    (void)had_children;
+  void CloseStartTag() {
     if (tag_open_) {
       Append(">");
       tag_open_ = false;
     }
   }
 
-  void Newline() {
-    if (options_.indent <= 0 || out_.empty()) return;
-    // Suppress indentation right after text so mixed content stays
-    // byte-faithful.
-    if (just_wrote_text_) {
-      just_wrote_text_ = false;
-      return;
-    }
-    Append("\n");
-    out_.append(static_cast<size_t>(depth_ * options_.indent), ' ');
-  }
-
-  const SerializerOptions& options_;
   std::string out_;
   std::vector<std::string> open_names_;
   bool tag_open_ = false;
-  bool just_wrote_text_ = false;
-  int depth_ = 0;
 };
 
 }  // namespace
 
-Result<std::string> SerializeTokens(const TokenSequence& tokens,
-                                    const SerializerOptions& options) {
-  Writer writer(options);
+Result<std::string> SerializeTokens(const TokenSequence& tokens) {
+  Writer writer;
   std::string out;
   LAXML_RETURN_IF_ERROR(writer.Run(tokens, &out));
   return out;

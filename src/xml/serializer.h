@@ -12,21 +12,11 @@
 
 namespace laxml {
 
-/// Serialization knobs.
-struct SerializerOptions {
-  /// Emit `<?xml version="1.0"?>` before a document node.
-  bool declaration = false;
-  /// Pretty-print with this many spaces per depth level; 0 = compact.
-  int indent = 0;
-  /// Collapse `<a></a>` to `<a/>`.
-  bool self_close_empty = true;
-};
-
-/// Serializes a well-formed fragment or document. Fails with
-/// InvalidArgument on nesting violations (e.g. attribute tokens outside
-/// an element start).
-Result<std::string> SerializeTokens(const TokenSequence& tokens,
-                                    const SerializerOptions& options = {});
+/// Serializes a well-formed fragment or document as compact XML: no
+/// declaration, no added whitespace, and `<a/>` for an empty element.
+/// Fails with InvalidArgument on nesting violations (e.g. attribute
+/// tokens outside an element start).
+Result<std::string> SerializeTokens(const TokenSequence& tokens);
 
 /// Escapes character data (& < >).
 std::string EscapeText(const std::string& text);

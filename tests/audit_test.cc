@@ -474,19 +474,6 @@ TEST(AuditTest, WrongElementShapeIsDetected) {
   EXPECT_TRUE(Audit(store.get()).ok());
 }
 
-TEST(AuditTest, LayertogglesSkipLegs) {
-  ASSERT_OK_AND_ASSIGN(
-      auto store, Store::OpenInMemory(OptionsFor(kPartialIndexConfig)));
-  ASSERT_LAXML_OK(store->LoadXml("<root><a>x</a></root>").status());
-  store->mutable_partial_index().Record(
-      2, PartialEntry::kBegin,
-      {store->range_manager().first_range(), 1, 7, 0});
-  AuditOptions options;
-  options.check_partial_index = false;
-  AuditReport report = Audit(store.get(), options);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-}
-
 TEST(AuditTest, MaxIssuesTruncates) {
   ASSERT_OK_AND_ASSIGN(
       auto store, Store::OpenInMemory(OptionsFor(kPartialIndexConfig)));

@@ -541,9 +541,9 @@ TEST(Trace, TraceIdRoundTrip) {
   EXPECT_EQ(decoded->events[1].trace_id, 0u);
 }
 
-TEST(Trace, DecodesVersion1WithoutTraceIds) {
+TEST(Trace, RejectsVersion1Dumps) {
   // Hand-build a version-1 dump (four varints per event, no trace_id):
-  // the decoder must accept it and default every trace id to 0.
+  // no writer produces one, and the decoder refuses it by its version.
   std::vector<uint8_t> v1;
   auto fixed32 = [&](uint32_t v) {
     v1.push_back(static_cast<uint8_t>(v));
@@ -566,16 +566,11 @@ TEST(Trace, DecodesVersion1WithoutTraceIds) {
     PutVarint64(&v1, 5);      // dur_us
   }
   auto decoded = DecodeTraceDump(v1.data(), v1.size());
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->events.size(), 2u);
-  EXPECT_EQ(decoded->names[0], "old");
-  EXPECT_EQ(decoded->events[0].start_us, 100u);
-  EXPECT_EQ(decoded->events[0].trace_id, 0u);
-  EXPECT_EQ(decoded->events[1].trace_id, 0u);
-
-  // Truncating the trailing bytes of a v1 dump still fails cleanly.
-  auto truncated = DecodeTraceDump(v1.data(), v1.size() - 2);
-  EXPECT_FALSE(truncated.ok());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+  EXPECT_NE(decoded.status().ToString().find("unsupported trace dump version"),
+            std::string::npos)
+      << decoded.status().ToString();
 }
 
 TEST(Trace, MergeTraceDumpsKeepsLanesAndTraceIds) {

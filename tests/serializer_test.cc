@@ -1,5 +1,5 @@
-// Serializer tests: escaping, empty-element collapsing, pretty printing,
-// declaration emission, and rejection of malformed sequences.
+// Serializer tests: escaping, empty-element collapsing, compact output
+// for documents, and rejection of malformed sequences.
 
 #include "xml/serializer.h"
 
@@ -33,38 +33,13 @@ TEST(SerializerTest, SelfClosesEmptyElements) {
   ASSERT_OK_AND_ASSIGN(std::string xml,
                        SerializeTokens(MustFragment("<a></a>")));
   EXPECT_EQ(xml, "<a/>");
-  SerializerOptions options;
-  options.self_close_empty = false;
-  ASSERT_OK_AND_ASSIGN(std::string expanded,
-                       SerializeTokens(MustFragment("<a></a>"), options));
-  EXPECT_EQ(expanded, "<a></a>");
 }
 
-TEST(SerializerTest, DeclarationForDocuments) {
-  SerializerOptions options;
-  options.declaration = true;
+TEST(SerializerTest, DocumentsSerializeWithoutDeclaration) {
   TokenSequence doc{Token::BeginDocument(), Token::BeginElement("r"),
                     Token::EndElement(), Token::EndDocument()};
-  ASSERT_OK_AND_ASSIGN(std::string xml, SerializeTokens(doc, options));
-  EXPECT_EQ(xml, "<?xml version=\"1.0\"?><r/>");
-}
-
-TEST(SerializerTest, PrettyPrintingIndentsStructure) {
-  SerializerOptions options;
-  options.indent = 2;
-  ASSERT_OK_AND_ASSIGN(
-      std::string xml,
-      SerializeTokens(MustFragment("<a><b><c/></b></a>"), options));
-  EXPECT_EQ(xml, "<a>\n  <b>\n    <c/>\n  </b>\n</a>");
-}
-
-TEST(SerializerTest, PrettyPrintingKeepsTextInline) {
-  SerializerOptions options;
-  options.indent = 2;
-  ASSERT_OK_AND_ASSIGN(
-      std::string xml,
-      SerializeTokens(MustFragment("<a><b>text</b></a>"), options));
-  EXPECT_EQ(xml, "<a>\n  <b>text</b>\n</a>");
+  ASSERT_OK_AND_ASSIGN(std::string xml, SerializeTokens(doc));
+  EXPECT_EQ(xml, "<r/>");
 }
 
 TEST(SerializerTest, CommentsAndPIs) {

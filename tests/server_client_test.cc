@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -18,7 +19,10 @@
 
 #include "common/random.h"
 #include "exposition_lint.h"
+#include "common/slice.h"
 #include "net/client.h"
+#include "net/socket.h"
+#include "net/wire.h"
 #include "obs/trace.h"
 #include "server/server.h"
 #include "store/store.h"
@@ -552,22 +556,28 @@ TEST(ServerClientTest, SlowLogRecordsSlowOps) {
 }
 
 TEST(ServerClientTest, OversizedFrameClosesConnection) {
-  ServerOptions options;
-  options.max_frame_bytes = 4096;  // tiny per-connection cap
-  auto server = MustStartServer(options);
-  auto client = MustConnect(server->port());
-  ASSERT_LAXML_OK(client->Ping());
+  auto server = MustStartServer();
 
-  // A fragment well past the cap: the server treats the frame as a
-  // protocol error and drops the connection without a response.
-  SequenceBuilder big;
-  big.BeginElement("big");
-  for (int i = 0; i < 2000; ++i) {
-    big.Text("0123456789abcdef0123456789abcdef");
-  }
-  big.End();
-  auto result = client->InsertTopLevel(big.Build());
-  EXPECT_FALSE(result.ok());
+  // A raw connection sends only a frame header whose body length is one
+  // past the cap: the server treats it as a protocol error and drops
+  // the connection without waiting for the body or answering. A server
+  // that waited for the 16 MiB body would leave the read below to time
+  // out instead.
+  auto fd = net::ConnectTcp("127.0.0.1", server->port(), 1000,
+                            /*io_timeout_ms=*/5000);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  net::PlainSocket raw(std::move(fd).value());
+  uint8_t header[net::kFrameHeaderSize] = {};
+  EncodeFixed32(header, static_cast<uint32_t>(net::kMaxFrameBody + 1));
+  int err = 0;
+  ASSERT_EQ(raw.Write(header, sizeof(header), &err),
+            static_cast<ssize_t>(sizeof(header)))
+      << err;
+  uint8_t byte = 0;
+  err = 0;
+  ssize_t n = raw.Read(&byte, 1, &err);
+  EXPECT_TRUE(n == 0 || (n < 0 && err == ECONNRESET))
+      << "read returned " << n << ", errno " << err;
 
   // The server itself is unharmed: new connections work.
   auto fresh = MustConnect(server->port());

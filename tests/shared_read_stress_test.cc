@@ -285,7 +285,7 @@ TEST(SharedReadStressTest, StructuralWarmingRacesRangeSplits) {
           continue;
         }
         // Big enough to overflow the 96-byte range cap: every insert
-        // exercises the SplitRange → InvalidateRange seam.
+        // exercises the SplitRange seam.
         auto id = shared.Apply(
             WalOp::kInsertIntoLast, writer_roots[w],
             MustFragment("<n i=\"" + std::to_string(i) +

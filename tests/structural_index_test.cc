@@ -1,7 +1,8 @@
 // Structural XPath index tests: the interval joins in isolation and
 // against brute force on random forests, lazy warm-up (only queried
 // tags memoize), warm negatives, invalidation on
-// mutations / range restructuring, correctness of the
+// mutations / range restructuring (a split that renumbers nothing
+// included), correctness of the
 // warm join against the plain scan as oracle under random edits, and
 // the integrity auditor's interval cross-check (a planted bogus
 // interval must be caught, on the live store and through laxml_fsck),
@@ -592,6 +593,36 @@ TEST_F(StructuralIndexTest, CompactRangesDropsTouchedTagLists) {
   EXPECT_EQ(store_->structural_index()->memoized_nodes(), 0u);
 
   EXPECT_EQ(Stream("//item//name"), Stream("//item//name", false));
+  ASSERT_LAXML_OK(store_->CheckIntegrity());
+}
+
+TEST_F(StructuralIndexTest, SplitWithoutRenumberingDropsTheIndex) {
+  // Replacing an empty element's content with nothing splits its range
+  // after the begin token and changes no token: the one mutation that
+  // moves begin-token coordinates without renumbering pre/post.
+  ASSERT_OK_AND_ASSIGN(store_, Store::OpenInMemory(StoreOptions{}));
+  ASSERT_LAXML_OK(store_
+                      ->InsertTopLevel(MustFragment(
+                          "<r><e/><b>0123456789abc</b></r>"))
+                      .status());
+  const std::string expr = "//r[b='0123456789abc']";
+  // The value is long enough to be hashed, so a warm query confirms a
+  // match by a Seek to the entry's range and offset.
+  std::vector<NodeId> cold = Stream(expr);
+  ASSERT_EQ(cold.size(), 1u);
+  EXPECT_EQ(Stream(expr), cold);
+  ASSERT_GT(store_->structural_index()->memoized_nodes(), 0u);
+
+  std::vector<NodeId> e = Stream("//e", /*allow=*/false);
+  ASSERT_EQ(e.size(), 1u);
+  const uint64_t ranges = store_->range_manager().range_count();
+  ASSERT_LAXML_OK(store_->ReplaceContent(e[0], TokenSequence{}).status());
+  EXPECT_GT(store_->range_manager().range_count(), ranges);
+  EXPECT_EQ(store_->structural_index()->memoized_nodes(), 0u);
+
+  EXPECT_EQ(Stream(expr), Stream(expr, false));  // cold: re-warms
+  EXPECT_EQ(Stream(expr), Stream(expr, false));  // warm
+  EXPECT_EQ(Stream(expr), cold);
   ASSERT_LAXML_OK(store_->CheckIntegrity());
 }
 
