@@ -61,7 +61,7 @@ struct StoreStats {
   RelaxedCounter deletes;        ///< DeleteNode calls.
   RelaxedCounter replaces;       ///< ReplaceNode / ReplaceContent calls.
   RelaxedCounter reads_by_id;    ///< Read(id) calls.
-  RelaxedCounter full_scans;     ///< Read() calls.
+  RelaxedCounter full_scans;     ///< Read() and SerializeToXml() calls.
   RelaxedCounter tokens_inserted;
   RelaxedCounter bytes_inserted;
   RelaxedCounter nodes_inserted;

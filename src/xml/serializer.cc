@@ -2,149 +2,115 @@
 
 namespace laxml {
 
-std::string EscapeText(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      default:
-        out.push_back(c);
-    }
+Status XmlWriter::Add(const Token& t) {
+  switch (t.type) {
+    case TokenType::kBeginDocument:
+    case TokenType::kEndDocument:
+    case TokenType::kEndAttribute:
+      break;
+    case TokenType::kBeginElement:
+      CloseStartTag();
+      out_ += '<';
+      out_ += t.name;
+      tag_open_ = true;
+      open_names_.push_back(t.name);
+      break;
+    case TokenType::kEndElement:
+      if (open_names_.empty()) {
+        return Status::InvalidArgument("END_ELEMENT without begin");
+      }
+      if (tag_open_) {
+        out_ += "/>";
+        tag_open_ = false;
+      } else {
+        out_ += "</";
+        out_ += open_names_.back();
+        out_ += '>';
+      }
+      open_names_.pop_back();
+      break;
+    case TokenType::kBeginAttribute:
+      if (!tag_open_) {
+        return Status::InvalidArgument(
+            "attribute token outside an element start tag");
+      }
+      out_ += ' ';
+      out_ += t.name;
+      out_ += "=\"";
+      AppendEscaped(t.value, /*attribute=*/true);
+      out_ += '"';
+      break;
+    case TokenType::kText:
+      CloseStartTag();
+      AppendEscaped(t.value, /*attribute=*/false);
+      break;
+    case TokenType::kComment:
+      CloseStartTag();
+      out_ += "<!--";
+      out_ += t.value;
+      out_ += "-->";
+      break;
+    case TokenType::kProcessingInstruction:
+      CloseStartTag();
+      out_ += "<?";
+      out_ += t.name;
+      if (!t.value.empty()) {
+        out_ += ' ';
+        out_ += t.value;
+      }
+      out_ += "?>";
+      break;
   }
-  return out;
+  return Status::OK();
 }
 
-std::string EscapeAttribute(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
+Result<std::string> XmlWriter::Finish() {
+  if (!open_names_.empty()) {
+    return Status::InvalidArgument("unclosed element at end of sequence");
+  }
+  return std::move(out_);
+}
+
+void XmlWriter::CloseStartTag() {
+  if (tag_open_) {
+    out_ += '>';
+    tag_open_ = false;
+  }
+}
+
+// Character data escapes & < >; attribute values also escape ".
+void XmlWriter::AppendEscaped(std::string_view text, bool attribute) {
+  size_t run = 0;  // first byte not yet appended
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char* entity = nullptr;
+    switch (text[i]) {
       case '&':
-        out += "&amp;";
+        entity = "&amp;";
         break;
       case '<':
-        out += "&lt;";
+        entity = "&lt;";
         break;
       case '>':
-        out += "&gt;";
+        entity = "&gt;";
         break;
       case '"':
-        out += "&quot;";
+        if (attribute) entity = "&quot;";
         break;
       default:
-        out.push_back(c);
+        break;
     }
+    if (entity == nullptr) continue;
+    out_.append(text.data() + run, i - run);
+    out_ += entity;
+    run = i + 1;
   }
-  return out;
+  out_.append(text.data() + run, text.size() - run);
 }
 
-namespace {
-
-/// Writer that tracks whether the current element's start tag is still
-/// open (so attributes can be appended and empty elements self-closed).
-class Writer {
- public:
-  Status Run(const TokenSequence& tokens, std::string* out) {
-    for (size_t i = 0; i < tokens.size(); ++i) {
-      const Token& t = tokens[i];
-      switch (t.type) {
-        case TokenType::kBeginDocument:
-        case TokenType::kEndDocument:
-        case TokenType::kEndAttribute:
-          break;
-        case TokenType::kBeginElement:
-          CloseStartTag();
-          Append("<");
-          Append(t.name);
-          tag_open_ = true;
-          open_names_.push_back(t.name);
-          break;
-        case TokenType::kEndElement:
-          if (open_names_.empty()) {
-            return Status::InvalidArgument("END_ELEMENT without begin");
-          }
-          if (tag_open_) {
-            Append("/>");
-            tag_open_ = false;
-          } else {
-            Append("</");
-            Append(open_names_.back());
-            Append(">");
-          }
-          open_names_.pop_back();
-          break;
-        case TokenType::kBeginAttribute:
-          if (!tag_open_) {
-            return Status::InvalidArgument(
-                "attribute token outside an element start tag");
-          }
-          Append(" ");
-          Append(t.name);
-          Append("=\"");
-          Append(EscapeAttribute(t.value));
-          Append("\"");
-          break;
-        case TokenType::kText:
-          CloseStartTag();
-          Append(EscapeText(t.value));
-          break;
-        case TokenType::kComment:
-          CloseStartTag();
-          Append("<!--");
-          Append(t.value);
-          Append("-->");
-          break;
-        case TokenType::kProcessingInstruction:
-          CloseStartTag();
-          Append("<?");
-          Append(t.name);
-          if (!t.value.empty()) {
-            Append(" ");
-            Append(t.value);
-          }
-          Append("?>");
-          break;
-      }
-    }
-    if (!open_names_.empty()) {
-      return Status::InvalidArgument("unclosed element at end of sequence");
-    }
-    *out = std::move(out_);
-    return Status::OK();
-  }
-
- private:
-  void Append(const std::string& s) { out_ += s; }
-  void Append(const char* s) { out_ += s; }
-
-  void CloseStartTag() {
-    if (tag_open_) {
-      Append(">");
-      tag_open_ = false;
-    }
-  }
-
-  std::string out_;
-  std::vector<std::string> open_names_;
-  bool tag_open_ = false;
-};
-
-}  // namespace
-
 Result<std::string> SerializeTokens(const TokenSequence& tokens) {
-  Writer writer;
-  std::string out;
-  LAXML_RETURN_IF_ERROR(writer.Run(tokens, &out));
-  return out;
+  XmlWriter writer;
+  for (const Token& t : tokens) LAXML_RETURN_IF_ERROR(writer.Add(t));
+  return writer.Finish();
 }
 
 }  // namespace laxml

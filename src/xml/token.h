@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace laxml {
 
@@ -75,41 +76,40 @@ inline bool TokenClosesScope(TokenType type) {
 /// One token of the flat XML representation.
 struct Token {
   TokenType type = TokenType::kText;
-  /// Element/attribute name or PI target; empty otherwise.
-  std::string name;
-  /// Text content, comment body, attribute value, or PI data.
-  std::string value;
   /// PSVI type annotation assigned by schema validation (Section 2
   /// requirement 7). 0 when untyped.
   TypeAnnotation psvi_type = kUntypedAnnotation;
-  /// Dictionary symbol of `name` when this token was decoded from a
-  /// range payload with a symbol-coded name; UINT32_MAX (kNoNameSymbol)
-  /// otherwise. A decode-time cache for symbol-vs-symbol tag
-  /// comparisons — NOT part of token identity (operator== ignores it)
-  /// and never consulted by encoders, which intern `name` themselves.
-  uint32_t name_symbol = UINT32_MAX;
+  /// Element/attribute name or PI target; empty otherwise. (The
+  /// empty initializers let the factories' designated initializers
+  /// leave a string out without a -Wmissing-field-initializers warning.)
+  std::string name{};
+  /// Text content, comment body, attribute value, or PI data.
+  std::string value{};
 
   /// @name Factories
   /// @{
-  static Token BeginDocument() { return {TokenType::kBeginDocument, "", ""}; }
-  static Token EndDocument() { return {TokenType::kEndDocument, "", ""}; }
+  static Token BeginDocument() { return {.type = TokenType::kBeginDocument}; }
+  static Token EndDocument() { return {.type = TokenType::kEndDocument}; }
   static Token BeginElement(std::string name) {
-    return {TokenType::kBeginElement, std::move(name), ""};
+    return {.type = TokenType::kBeginElement, .name = std::move(name)};
   }
-  static Token EndElement() { return {TokenType::kEndElement, "", ""}; }
+  static Token EndElement() { return {.type = TokenType::kEndElement}; }
   static Token BeginAttribute(std::string name, std::string value) {
-    return {TokenType::kBeginAttribute, std::move(name), std::move(value)};
+    return {.type = TokenType::kBeginAttribute,
+            .name = std::move(name),
+            .value = std::move(value)};
   }
-  static Token EndAttribute() { return {TokenType::kEndAttribute, "", ""}; }
+  static Token EndAttribute() { return {.type = TokenType::kEndAttribute}; }
   static Token Text(std::string value) {
-    return {TokenType::kText, "", std::move(value)};
+    return {.type = TokenType::kText, .value = std::move(value)};
   }
   static Token Comment(std::string value) {
-    return {TokenType::kComment, "", std::move(value)};
+    return {.type = TokenType::kComment, .value = std::move(value)};
   }
   static Token PI(std::string target, std::string data) {
-    return {TokenType::kProcessingInstruction, std::move(target),
-            std::move(data)};
+    return {.type = TokenType::kProcessingInstruction,
+            .name = std::move(target),
+            .value = std::move(data)};
   }
   /// @}
 
@@ -138,6 +138,10 @@ struct Token {
   /// Debug rendering, e.g. `[BEGIN_ELEMENT ticket]`.
   std::string ToString() const;
 };
+
+// Type and annotation share one word: a whole-store read fills a slot
+// per token, so every byte here is a byte of every scan's output.
+static_assert(sizeof(Token) == 8 + 2 * sizeof(std::string));
 
 }  // namespace laxml
 

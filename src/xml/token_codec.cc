@@ -179,7 +179,6 @@ Status TokenReader::Next(Token* token) {
   token->name.assign(raw.name);
   token->value.assign(raw.value);
   token->psvi_type = raw.psvi;
-  token->name_symbol = raw.symbol;
   last_name_symbol_ = raw.symbol;
   last_value_ = raw.value;
   pos_ = static_cast<size_t>(p - buf_.data());

@@ -64,8 +64,7 @@ inline size_t MaxEncodedTokenSize(const Token& token) {
 /// MaxEncodedTokenSize(token) bytes, and returns one past its last byte.
 /// `dict` (may be null => every name inline) interns element/attribute
 /// names with one lookup each; a name the budget-full dictionary refuses
-/// is written inline after code 0. The token's name_symbol is never
-/// read: the token may have been decoded under another dictionary.
+/// is written inline after code 0.
 uint8_t* EncodeTokenWith(const Token& token, NameDictionary* dict,
                          uint8_t* dst);
 

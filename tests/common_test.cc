@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/crc32c.h"
+#include "common/huge_pages.h"
 #include "common/random.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -240,6 +244,47 @@ TEST(RandomTest, NamesAreXmlSafe) {
     for (char ch : name) {
       EXPECT_TRUE(ch >= 'a' && ch <= 'z');
     }
+  }
+}
+
+// Huge-page advice rounds inward to whole blocks and never changes the
+// memory it advises.
+TEST(HugePagesTest, EmptyRangeHasNoBlocks) {
+  char byte = 0;
+  EXPECT_EQ(HugePageBlocks(&byte, 0).bytes, 0u);
+  EXPECT_EQ(HugePageBlocks(nullptr, 0).bytes, 0u);
+  AdviseHugePages(&byte, 0);
+  AdviseHugePages(nullptr, 0);
+}
+
+TEST(HugePagesTest, RangesUnderABlockHaveNoBlocks) {
+  std::vector<char> buf(3 * kHugePageBytes);
+  const uintptr_t raw = reinterpret_cast<uintptr_t>(buf.data());
+  char* base = buf.data() + ((kHugePageBytes - raw % kHugePageBytes) %
+                             kHugePageBytes);
+  EXPECT_EQ(HugePageBlocks(base, kHugePageBytes - 1).bytes, 0u);
+  EXPECT_EQ(HugePageBlocks(base + 1, kHugePageBytes).bytes, 0u);
+  EXPECT_EQ(HugePageBlocks(base + kHugePageBytes / 2, kHugePageBytes).bytes,
+            0u);
+  const HugePageSpan whole = HugePageBlocks(base, kHugePageBytes);
+  EXPECT_EQ(whole.begin, base);
+  EXPECT_EQ(whole.bytes, kHugePageBytes);
+}
+
+TEST(HugePagesTest, UnalignedRangeAdvisesOnlyItsWholeBlocks) {
+  std::vector<char> buf(5 * kHugePageBytes);
+  const uintptr_t raw = reinterpret_cast<uintptr_t>(buf.data());
+  char* base = buf.data() + ((kHugePageBytes - raw % kHugePageBytes) %
+                             kHugePageBytes);
+  char* data = base + 1;
+  const size_t bytes = 3 * kHugePageBytes + 5;
+  const HugePageSpan span = HugePageBlocks(data, bytes);
+  EXPECT_EQ(span.begin, base + kHugePageBytes);
+  EXPECT_EQ(span.bytes, 2 * kHugePageBytes);
+  for (size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<char>(i * 31);
+  AdviseHugePages(data, bytes);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    ASSERT_EQ(buf[i], static_cast<char>(i * 31)) << "byte " << i;
   }
 }
 

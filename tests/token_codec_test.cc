@@ -239,8 +239,13 @@ TEST(StoredTokenFormTest, RoundTripsWithDictionary) {
   ASSERT_OK_AND_ASSIGN(TokenSequence decoded,
                        DecodeTokens(Slice(encoded), &dict));
   EXPECT_EQ(decoded, tokens);
-  // Decoded begin tokens carry their symbol for symbol-aware matching.
-  EXPECT_EQ(decoded[0].name_symbol, dict.Find("ticket"));
+  // Next() reports a decoded begin token's symbol for symbol-aware
+  // matching.
+  TokenReader reader{Slice(encoded), &dict};
+  Token first;
+  ASSERT_LAXML_OK(reader.Next(&first));
+  EXPECT_EQ(first, tokens[0]);
+  EXPECT_EQ(reader.last_name_symbol(), dict.Find("ticket"));
 }
 
 TEST(StoredTokenFormTest, RepeatedTagsShrink) {
@@ -284,8 +289,13 @@ TEST(StoredTokenFormTest, FullDictionaryFallsBackPerName) {
   ASSERT_OK_AND_ASSIGN(TokenSequence decoded,
                        DecodeTokens(Slice(encoded), &dict));
   EXPECT_EQ(decoded, tokens);
-  EXPECT_EQ(decoded[0].name_symbol, 0u);
-  EXPECT_EQ(decoded[1].name_symbol, kNoNameSymbol);
+  TokenReader reader{Slice(encoded), &dict};
+  Token token;
+  ASSERT_LAXML_OK(reader.Next(&token));
+  EXPECT_EQ(reader.last_name_symbol(), 0u);
+  ASSERT_LAXML_OK(reader.Next(&token));
+  EXPECT_EQ(token.name, "unknown-name");
+  EXPECT_EQ(reader.last_name_symbol(), kNoNameSymbol);
 }
 
 TEST(StoredTokenFormTest, DanglingSymbolIsCorruptionNotCrash) {
